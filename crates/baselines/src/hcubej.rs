@@ -130,8 +130,10 @@ fn run_inner(
 }
 
 /// HCubeJ's order selection: score every permutation of `attrs(Q)` by the
-/// estimated intermediate-binding total (sampling-backed) and keep the best
-/// — the "All-Selected" strategy of Fig. 8.
+/// estimated intermediate-binding total and keep the best — the
+/// "All-Selected" strategy of Fig. 8. The estimate is the sampling-free
+/// selectivity sketch ([`CostEstimator::score_order_cheap`]): `n!` orders
+/// are more than sampling can afford.
 pub fn select_order_all(
     db: &Database,
     query: &JoinQuery,

@@ -11,18 +11,25 @@
 //!   when `v_i` is pre-computed (one trie probe instead of several
 //!   intersections, and no dead-end bindings inside the bag).
 //!
-//! Cardinalities come from the sampling estimator with memoization: the
-//! estimator is queried per *atom subset*, and Algorithm 2 revisits the same
-//! subsets many times across candidate orders.
+//! Cardinalities come from the sampling estimator. Algorithm 2 revisits the
+//! same atom subsets, relations and pre-compute sets many times, so one
+//! [`CostEstimator`] keeps everything it derives from the data — column
+//! value sets, sampling tries, sub-join cardinalities, solved share programs
+//! — in a single cache that lives exactly as long as the `optimize` call.
 
-use crate::plan::PlanRelation;
+use crate::plan::{OptimizerStats, PlanRelation, QueryPlan};
 use adj_hcube::{optimize_share, HotValues, ShareInput};
 use adj_query::lp::solve_min_max;
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::hash::FxHashMap;
-use adj_relational::{Attr, Database, Result};
-use adj_sampling::{detect_heavy_hitters, Sampler, SamplingConfig, SkewConfig, SkewProfile};
+use adj_relational::{Attr, Database, Result, Trie, Value};
+use adj_sampling::{
+    connected_order, detect_heavy_hitters, val_a, CardinalityEstimate, Sampler, SamplingConfig,
+    SkewConfig, SkewProfile,
+};
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 /// Calibration constants of the cost model.
 #[derive(Debug, Clone, Copy)]
@@ -57,7 +64,35 @@ impl Default for CostParams {
     }
 }
 
-/// Sampling-backed cost estimator, memoized per atom subset.
+/// What one `optimize` call has derived from the data and may need again.
+/// Atoms are keyed by their index in the query.
+#[derive(Default)]
+struct Artifacts {
+    /// (atom, attribute) → the column's sorted distinct values: the source
+    /// of both `|val(A)|` and every sampled sub-join's `val(A)`. Filled at
+    /// construction; an atom whose relation is missing has no entries.
+    columns: FxHashMap<(usize, Attr), Vec<Value>>,
+    /// (atom, column order) → the relation's sampling trie.
+    tries: FxHashMap<(usize, Vec<Attr>), Arc<Trie>>,
+    /// atom-set mask → estimated cardinality of the sub-join.
+    cardinalities: FxHashMap<u64, f64>,
+    /// pre-compute mask → `costC` of the rewritten query and its share.
+    comm: FxHashMap<u64, (f64, Vec<u32>)>,
+    stats: OptimizerStats,
+}
+
+impl Artifacts {
+    /// `val(attr)` over the atoms in `atoms`: the intersection of the
+    /// `attr`-columns of those that have one.
+    fn val_a(&self, atoms: impl Iterator<Item = usize>, attr: Attr) -> Vec<Value> {
+        let columns: Vec<&[Value]> =
+            atoms.filter_map(|i| self.columns.get(&(i, attr))).map(Vec::as_slice).collect();
+        val_a(&columns)
+    }
+}
+
+/// Sampling-backed cost estimator. What it derives from the data is memoized
+/// for its lifetime — one `optimize` call.
 pub struct CostEstimator<'a> {
     db: &'a Database,
     query: &'a JoinQuery,
@@ -67,9 +102,8 @@ pub struct CostEstimator<'a> {
     n_workers: usize,
     memory_limit_bytes: Option<usize>,
     sampling: SamplingConfig,
-    /// atom-set mask → estimated cardinality of the sub-join.
-    card_cache: RefCell<FxHashMap<u64, f64>>,
-    /// attr id → |val(A)|.
+    cache: RefCell<Artifacts>,
+    /// attr id → |val(A)|, over the query's relations.
     val_sizes: Vec<f64>,
     /// Attributes every execution of this query binds to a single value
     /// (inline literals + `$name` parameters). Relations touching them are
@@ -99,12 +133,18 @@ impl<'a> CostEstimator<'a> {
         sampling: SamplingConfig,
         skew_cfg: SkewConfig,
     ) -> Self {
-        let nattrs = query.num_attrs();
-        let mut val_sizes = vec![1.0; nattrs];
-        for (i, item) in val_sizes.iter_mut().enumerate() {
-            let vals = db.attribute_values(Attr(i as u32));
-            *item = (vals.len() as f64).max(1.0);
+        let mut cache = Artifacts::default();
+        for (i, atom) in query.atoms.iter().enumerate() {
+            let Ok(rel) = db.get(&atom.name) else { continue };
+            for &a in atom.schema.attrs() {
+                if let Ok(values) = rel.column_values(a) {
+                    cache.columns.insert((i, a), values);
+                }
+            }
         }
+        let val_sizes = (0..query.num_attrs() as u32)
+            .map(|a| (cache.val_a(0..query.atoms.len(), Attr(a)).len() as f64).max(1.0))
+            .collect();
         let skew = detect_heavy_hitters(db, query, &skew_cfg);
         // Self-derived rather than passed in: the mask is a pure function
         // of the query's term kinds, so every construction site prices the
@@ -123,7 +163,7 @@ impl<'a> CostEstimator<'a> {
             n_workers,
             memory_limit_bytes,
             sampling,
-            card_cache: RefCell::new(FxHashMap::default()),
+            cache: RefCell::new(cache),
             val_sizes,
             bound_mask,
             skew,
@@ -197,39 +237,75 @@ impl<'a> CostEstimator<'a> {
         *self.beta_measured.borrow()
     }
 
+    /// What this estimator has sampled, built, solved and reused so far.
+    pub fn stats(&self) -> OptimizerStats {
+        self.cache.borrow().stats
+    }
+
     /// Estimated cardinality of the join of the atoms in `atoms_mask`
-    /// (bitmask over `query.atoms`). Memoized; empty mask → 1.
+    /// (bitmask over `query.atoms`). Memoized; empty mask → 1. A sub-join
+    /// the sampler refuses prices as `∞` and is counted in
+    /// [`OptimizerStats::sampler_errors`].
     pub fn subjoin_cardinality(&self, atoms_mask: u64) -> f64 {
         if atoms_mask == 0 {
             return 1.0;
         }
-        if let Some(&c) = self.card_cache.borrow().get(&atoms_mask) {
+        if let Some(&c) = self.cache.borrow().cardinalities.get(&atoms_mask) {
             return c;
         }
-        let atoms: Vec<_> = (0..self.query.atoms.len())
-            .filter(|i| atoms_mask & (1 << i) != 0)
-            .map(|i| self.query.atoms[i].clone())
-            .collect();
-        let sub = JoinQuery::new("sub", atoms);
-        let order: Vec<Attr> = sub.attrs();
-        let card = match Sampler::new(self.db, &sub, &order) {
-            Ok(sampler) => match sampler.estimate(&self.sampling) {
-                Ok(est) => {
-                    if let (true, Some(beta)) = (self.params.measure_beta, est.beta) {
-                        let mut m = self.beta_measured.borrow_mut();
-                        *m = Some(match *m {
-                            Some(prev) => 0.5 * (prev + beta),
-                            None => beta,
-                        });
-                    }
-                    est.cardinality.max(0.0)
+        let sampled = self.sample_subjoin(atoms_mask);
+        let mut cache = self.cache.borrow_mut();
+        let card = match sampled {
+            Ok(est) => {
+                cache.stats.subjoins_sampled += 1;
+                cache.stats.sample_extensions += est.extensions;
+                if let (true, Some(beta)) = (self.params.measure_beta, est.beta) {
+                    let mut m = self.beta_measured.borrow_mut();
+                    *m = Some(match *m {
+                        Some(prev) => 0.5 * (prev + beta),
+                        None => beta,
+                    });
                 }
-                Err(_) => f64::INFINITY,
-            },
-            Err(_) => f64::INFINITY,
+                est.cardinality.max(0.0)
+            }
+            Err(_) => {
+                cache.stats.sampler_errors += 1;
+                f64::INFINITY
+            }
         };
-        self.card_cache.borrow_mut().insert(atoms_mask, card);
+        cache.cardinalities.insert(atoms_mask, card);
         card
+    }
+
+    /// One sampling run over the sub-join of the atoms in `atoms_mask`,
+    /// under its [`connected_order`], on tries and columns shared with every
+    /// other sub-join of this estimator.
+    fn sample_subjoin(&self, atoms_mask: u64) -> Result<CardinalityEstimate> {
+        let members: Vec<usize> =
+            (0..self.query.atoms.len()).filter(|i| atoms_mask & (1 << i) != 0).collect();
+        let order = connected_order(members.iter().map(|&i| &self.query.atoms[i].schema));
+        let mut cache = self.cache.borrow_mut();
+        let Artifacts { tries: cached, stats, .. } = &mut *cache;
+        let mut tries = Vec::with_capacity(members.len());
+        for &i in &members {
+            let rel = self.db.get(&self.query.atoms[i].name)?;
+            let columns: Vec<Attr> =
+                order.iter().copied().filter(|a| rel.schema().contains(*a)).collect();
+            tries.push(match cached.entry((i, columns)) {
+                Entry::Occupied(hit) => {
+                    stats.tries_reused += 1;
+                    Arc::clone(hit.get())
+                }
+                Entry::Vacant(miss) => {
+                    let trie = Arc::new(rel.trie_under_order(&order)?);
+                    stats.tries_built += 1;
+                    Arc::clone(miss.insert(trie))
+                }
+            });
+        }
+        let values = cache.val_a(members.iter().copied(), order[0]);
+        drop(cache);
+        Sampler::from_parts(&order, tries, values)?.estimate(&self.sampling)
     }
 
     /// Estimated number of bindings over the attribute set `attrs_mask`
@@ -274,9 +350,12 @@ impl<'a> CostEstimator<'a> {
         self.bound_discount(rel.schema(self.query).mask(), raw)
     }
 
-    /// `costC`: communication seconds for shuffling the rewritten query's
-    /// relations under the optimized share vector. Returns `(secs, share)`,
-    /// or `(∞, empty)` when no share vector satisfies the memory budget.
+    /// `costC`: communication seconds for shuffling the relations of the
+    /// query rewritten for pre-compute set `c_mask` (bitmask over tree
+    /// nodes, see [`QueryPlan::relations_for`]) under the optimized share
+    /// vector. Returns `(secs, share)`, or `(∞, empty)` when no share vector
+    /// satisfies the memory budget. Memoized per mask: the share program is
+    /// solved once per distinct pre-compute set.
     ///
     /// The charge is **max-partition aware**: a shuffle's wall-clock is set
     /// by its fullest partition, so the seconds charged are
@@ -284,7 +363,15 @@ impl<'a> CostEstimator<'a> {
     /// the sampled heavy-hitter fractions — under uniform data this is the
     /// paper's `total / α` exactly, under skew it surfaces the hot-spot
     /// latency cliff the total-only model hides.
-    pub fn cost_c(&self, rels: &[PlanRelation]) -> (f64, Vec<u32>) {
+    pub fn cost_c(&self, c_mask: u64) -> (f64, Vec<u32>) {
+        {
+            let mut cache = self.cache.borrow_mut();
+            if let Some(solved) = cache.comm.get(&c_mask).cloned() {
+                cache.stats.share_reused += 1;
+                return solved;
+            }
+        }
+        let rels = QueryPlan::relations_for(self.query, self.tree, c_mask);
         let input = ShareInput {
             num_attrs: self.query.num_attrs(),
             relations: rels
@@ -298,11 +385,11 @@ impl<'a> CostEstimator<'a> {
             num_workers: self.n_workers,
             memory_limit_bytes: self.memory_limit_bytes,
             bytes_per_value: 4,
-            hot: self.hot_fractions(rels),
+            hot: self.hot_fractions(&rels),
             require_exact_product: false,
             bound_mask: self.bound_mask,
         };
-        match optimize_share(&input) {
+        let solved = match optimize_share(&input) {
             Ok(p) => {
                 let total = input.comm_cost(&p) as f64;
                 let hottest = input.max_cube_tuples(&p) * self.n_workers as f64;
@@ -310,7 +397,11 @@ impl<'a> CostEstimator<'a> {
                 (secs, p)
             }
             Err(_) => (f64::INFINITY, Vec::new()),
-        }
+        };
+        let mut cache = self.cache.borrow_mut();
+        cache.stats.share_solves += 1;
+        cache.comm.insert(c_mask, solved.clone());
+        solved
     }
 
     /// `costM(Rv)`: pre-computing seconds for bag `node` — shuffle λ(v)'s
@@ -505,8 +596,7 @@ mod tests {
         let tree = GhdTree::decompose(&q.hypergraph(), 3);
         let mut est = estimator(&db, &q, &tree);
         est.memory_limit_bytes = Some(8);
-        let rels: Vec<PlanRelation> = (0..q.atoms.len()).map(PlanRelation::Base).collect();
-        let (c, p) = est.cost_c(&rels);
+        let (c, p) = est.cost_c(0);
         assert!(c.is_infinite());
         assert!(p.is_empty());
     }
@@ -516,8 +606,7 @@ mod tests {
         let (db, q) = setup();
         let tree = GhdTree::decompose(&q.hypergraph(), 3);
         let est = estimator(&db, &q, &tree);
-        let rels: Vec<PlanRelation> = (0..q.atoms.len()).map(PlanRelation::Base).collect();
-        let (c, p) = est.cost_c(&rels);
+        let (c, p) = est.cost_c(0);
         assert!(c.is_finite() && c > 0.0);
         assert_eq!(p.len(), q.num_attrs());
         let prod: u64 = p.iter().map(|&x| x as u64).product();
@@ -560,8 +649,7 @@ mod tests {
         let hot = est.hot_values();
         assert!(hot.is_hot(Attr(0), 7), "the hub must surface on attribute a");
         // cost_c stays finite and produces a full share vector under skew.
-        let rels: Vec<PlanRelation> = (0..q.atoms.len()).map(PlanRelation::Base).collect();
-        let (secs, p) = est.cost_c(&rels);
+        let (secs, p) = est.cost_c(0);
         assert!(secs.is_finite() && secs > 0.0);
         assert_eq!(p.len(), q.num_attrs());
     }
@@ -580,9 +668,8 @@ mod tests {
         let db_u = q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &uniform_pairs));
         let db_s = q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &hub_pairs));
         let tree = GhdTree::decompose(&q.hypergraph(), 3);
-        let rels: Vec<PlanRelation> = (0..q.atoms.len()).map(PlanRelation::Base).collect();
-        let (secs_u, _) = estimator(&db_u, &q, &tree).cost_c(&rels);
-        let (secs_s, _) = estimator(&db_s, &q, &tree).cost_c(&rels);
+        let (secs_u, _) = estimator(&db_u, &q, &tree).cost_c(0);
+        let (secs_s, _) = estimator(&db_s, &q, &tree).cost_c(0);
         let sized = |db: &Database| -> usize {
             q.atoms.iter().map(|a| db.get(&a.name).unwrap().len()).sum()
         };
@@ -646,9 +733,50 @@ mod tests {
         let r1_b = est_b.relation_size(&rels_b[0]);
         assert!(r1_b < r1_f / 2.0, "bound R1 priced {r1_b}, free {r1_f}");
         assert_eq!(est_f.relation_size(&rels_f[1]), est_b.relation_size(&rels_b[1]));
-        let (cc_f, _) = est_f.cost_c(&rels_f);
-        let (cc_b, _) = est_b.cost_c(&rels_b);
+        let (cc_f, _) = est_f.cost_c(0);
+        let (cc_b, _) = est_b.cost_c(0);
         assert!(cc_b < cc_f, "bound communication charge {cc_b} must undercut the free one {cc_f}");
+    }
+
+    #[test]
+    fn val_sizes_ignore_relations_the_query_does_not_name() {
+        // `|val(A)|` is a statistic of the query's own relations: a database
+        // that also holds a small relation over attribute id 0 (the bound
+        // `$v`) must price, order and discount exactly like one without it.
+        let (q, _) = adj_query::parse_query("Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
+        let edges: Vec<(Value, Value)> = (0..300u32).map(|i| (i % 40, (i * 7 + 1) % 40)).collect();
+        let clean = q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &edges));
+        let mut noisy = clean.clone();
+        let unrelated = Relation::from_rows(adj_relational::Schema::from_ids(&[0]), &[&[1], &[2]]);
+        noisy.insert("Unrelated", unrelated.unwrap());
+        let tree = GhdTree::decompose(&q.hypergraph(), 3);
+        let (est_c, est_n) = (estimator(&clean, &q, &tree), estimator(&noisy, &q, &tree));
+        assert!(est_c.val_sizes[0] > 2.0, "the unrelated relation would have shrunk |val(a)|");
+        assert_eq!(est_c.val_sizes, est_n.val_sizes);
+        let (mut order_c, mut order_n) = (q.attrs(), q.attrs());
+        est_c.order_attrs_by_selectivity(&mut order_c);
+        est_n.order_attrs_by_selectivity(&mut order_n);
+        assert_eq!(order_c, order_n);
+        for i in 0..q.atoms.len() {
+            let rel = PlanRelation::Base(i);
+            assert_eq!(est_c.relation_size(&rel), est_n.relation_size(&rel), "atom {i}");
+        }
+    }
+
+    #[test]
+    fn a_refused_subjoin_prices_infinite_and_is_counted() {
+        let (mut db, q) = setup();
+        // R2 names an attribute the query's atom does not have: the sampler
+        // cannot index it under any order of the sub-join.
+        db.insert("R2", Relation::from_pairs(Attr(1), Attr(9), &[(1, 2)]));
+        let tree = GhdTree::decompose(&q.hypergraph(), 3);
+        let est = estimator(&db, &q, &tree);
+        assert!(est.subjoin_cardinality(0b11).is_infinite());
+        assert!(est.subjoin_cardinality(0b11).is_infinite(), "memoized like any estimate");
+        assert_eq!(est.stats().sampler_errors, 1);
+        assert_eq!(est.stats().subjoins_sampled, 0);
+        assert!(est.subjoin_cardinality(0b1).is_finite());
+        assert_eq!(est.stats().subjoins_sampled, 1);
     }
 
     #[test]

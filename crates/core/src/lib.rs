@@ -36,7 +36,7 @@ pub use executor::{
     execute_plan_traced, prepare_plan_locals, ExecutionReport, Strategy,
 };
 pub use optimizer::optimize;
-pub use plan::{PlanRelation, QueryPlan};
+pub use plan::{OptimizerStats, PlanRelation, QueryPlan};
 pub use prepared::Prepared;
 pub use yannakakis::{yannakakis, yannakakis_cached, YannakakisReport};
 // The cross-query index cache (defined in `adj-hcube`, where the shuffle

@@ -73,6 +73,7 @@ pub fn optimize(
                 hot: estimator.hot_values(),
                 estimated_cost_secs: score,
                 optimization_secs: 0.0,
+                optimizer: estimator.stats(),
             })
         }
         Strategy::CoOptimize => algorithm2(query, &tree, &estimator),
@@ -96,6 +97,10 @@ fn algorithm2(
 
     while remaining != 0 {
         let mut best: Option<(f64, usize, bool)> = None; // (cost, node, precompute?)
+
+        // Option 1 shuffles the same relations whichever node is extended
+        // into: its communication charge is priced once per position.
+        let (cc, _) = estimator.cost_c(c_mask);
         for v in 0..n_star {
             if remaining & (1 << v) == 0 {
                 continue;
@@ -113,7 +118,6 @@ fn algorithm2(
                 .fold(0u64, |m, u| m | tree.nodes[u].vertices);
 
             // Option 1: do not pre-compute v.
-            let (cc, _) = estimator.cost_c(&QueryPlan::relations_for(query, tree, c_mask));
             let cost_plain = cc + estimator.cost_e_step(prefix_attrs, false);
             if best.as_ref().is_none_or(|(bc, _, _)| cost_plain < *bc) {
                 best = Some((cost_plain, v, false));
@@ -122,8 +126,7 @@ fn algorithm2(
             // Option 2: pre-compute v's bag (only meaningful for multi-edge
             // bags).
             if !tree.nodes[v].is_single_edge() {
-                let c_with = c_mask | (1 << v);
-                let (cc2, _) = estimator.cost_c(&QueryPlan::relations_for(query, tree, c_with));
+                let (cc2, _) = estimator.cost_c(c_mask | (1 << v));
                 let cost_pre =
                     estimator.cost_m(v) + cc2 + estimator.cost_e_step(prefix_attrs, true);
                 if best.as_ref().is_none_or(|(bc, _, _)| cost_pre < *bc) {
@@ -157,6 +160,7 @@ fn algorithm2(
         hot: estimator.hot_values(),
         estimated_cost_secs: accumulated,
         optimization_secs: 0.0,
+        optimizer: estimator.stats(),
     })
 }
 
@@ -250,6 +254,41 @@ mod tests {
         for &v in &plan.precompute {
             assert!(!plan.tree.nodes[v].is_single_edge());
         }
+    }
+
+    #[test]
+    fn one_optimize_builds_and_solves_each_artifact_once() {
+        let q = paper_query(PaperQuery::Q5);
+        let db = db_for(&q, 200, 43);
+        let plan = optimize(&q, &db, &AdjConfig::default(), Strategy::CoOptimize).unwrap();
+        let stats = plan.optimizer;
+        // At most one trie per (atom, column order), and a binary atom has
+        // two column orders; later sub-joins reuse them.
+        assert!(stats.tries_built <= 2 * q.atoms.len() as u64, "{stats:?}");
+        assert!(stats.tries_reused > 0, "{stats:?}");
+        assert_eq!(stats.sampler_errors, 0);
+        assert!(stats.subjoins_sampled > 0 && stats.sample_extensions > 0, "{stats:?}");
+        // The share solver runs once per distinct pre-compute mask priced.
+        // Replay the search's decisions to collect those masks.
+        let tree = &plan.tree;
+        let adj = tree.adjacency();
+        let mut priced = std::collections::BTreeSet::new();
+        let (mut remaining, mut c_mask) = ((1u64 << tree.len()) - 1, 0u64);
+        for &chosen in plan.traversal.iter().rev() {
+            priced.insert(c_mask);
+            for v in (0..tree.len()).filter(|v| remaining & (1 << v) != 0) {
+                let eligible = nodes_connected(&adj, remaining & !(1 << v));
+                if eligible && !tree.nodes[v].is_single_edge() {
+                    priced.insert(c_mask | (1 << v));
+                }
+            }
+            if plan.precompute.contains(&chosen) {
+                c_mask |= 1 << chosen;
+            }
+            remaining &= !(1 << chosen);
+        }
+        assert_eq!(stats.share_solves, priced.len() as u64, "{stats:?} masks {priced:?}");
+        assert!(stats.share_reused > 0, "{stats:?}");
     }
 
     #[test]

@@ -41,6 +41,43 @@ impl PlanRelation {
     }
 }
 
+/// What the optimizer did to find one plan: how much it sampled, and how
+/// much of its derived state (sampling tries, solved share programs) one
+/// `optimize` call built against how much it served again from its cache.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OptimizerStats {
+    /// Distinct sub-joins whose cardinality was sampled.
+    pub subjoins_sampled: u64,
+    /// Leapfrog extension operations performed across those sampling runs.
+    pub sample_extensions: u64,
+    /// Sub-joins the sampler refused; each was priced as `∞`.
+    pub sampler_errors: u64,
+    /// Sampling tries built, one per distinct (atom, column order).
+    pub tries_built: u64,
+    /// Sampling tries a later sub-join took from the cache instead.
+    pub tries_reused: u64,
+    /// Share programs solved, one per distinct pre-compute set priced.
+    pub share_solves: u64,
+    /// `costC` requests answered from an earlier solve.
+    pub share_reused: u64,
+}
+
+impl OptimizerStats {
+    /// The counters as `(name, value)` pairs — what trace spans attach and
+    /// `EXPLAIN` prints.
+    pub fn args(&self) -> [(&'static str, u64); 7] {
+        [
+            ("subjoins_sampled", self.subjoins_sampled),
+            ("sample_extensions", self.sample_extensions),
+            ("sampler_errors", self.sampler_errors),
+            ("tries_built", self.tries_built),
+            ("tries_reused", self.tries_reused),
+            ("share_solves", self.share_solves),
+            ("share_reused", self.share_reused),
+        ]
+    }
+}
+
 /// A complete ADJ query plan: which bags to pre-compute, the rewritten
 /// query's relations, and the Leapfrog attribute order.
 #[derive(Debug, Clone)]
@@ -70,6 +107,8 @@ pub struct QueryPlan {
     /// 0 for hand-built plans. A cached plan's construction cost is charged
     /// once, not per re-execution.
     pub optimization_secs: f64,
+    /// What the optimizer sampled, built and reused to find this plan.
+    pub optimizer: OptimizerStats,
 }
 
 impl QueryPlan {

@@ -102,25 +102,6 @@ impl Database {
         self.relations.iter().map(|r| r.size_bytes()).sum()
     }
 
-    /// `val(A)` as defined in Sec. IV: the intersection over all relations
-    /// containing `A` of their projections onto `A`. Values of `A` outside
-    /// this set cannot appear in any result tuple.
-    pub fn attribute_values(&self, attr: Attr) -> Vec<Value> {
-        let mut runs: Vec<Vec<Value>> = Vec::new();
-        for r in &self.relations {
-            if r.schema().contains(attr) {
-                runs.push(r.column_values(attr).expect("attr checked"));
-            }
-        }
-        if runs.is_empty() {
-            return Vec::new();
-        }
-        let slices: Vec<&[Value]> = runs.iter().map(|v| v.as_slice()).collect();
-        let mut out = Vec::new();
-        crate::intersect::leapfrog_intersect(&slices, &mut out);
-        out
-    }
-
     /// Semi-join reduces every relation containing `attr` against the given
     /// value set (the sampler's database-reduction step, Sec. IV). Relations
     /// not containing `attr` are kept as-is.
@@ -175,18 +156,6 @@ mod tests {
         // unknown relation and ragged rows error
         assert!(db.insert_rows("nope", &[&[1, 2]]).is_err());
         assert!(db.delete_rows("R1", &[&[1]]).is_err());
-    }
-
-    #[test]
-    fn attribute_values_intersects_across_relations() {
-        let mut db = Database::new();
-        db.insert("R1", rel(&[0, 1], &[&[1, 9], &[2, 9], &[4, 9]]));
-        db.insert("R2", rel(&[0, 2], &[&[1, 8], &[4, 8], &[5, 8]]));
-        db.insert("R3", rel(&[1, 2], &[&[9, 8]]));
-        // attr a=0 appears in R1 {1,2,4} and R2 {1,4,5} -> {1,4}
-        assert_eq!(db.attribute_values(Attr(0)), vec![1, 4]);
-        // attr with no relation -> empty
-        assert!(db.attribute_values(Attr(7)).is_empty());
     }
 
     #[test]

@@ -44,6 +44,9 @@ pub enum Error {
     /// zero memory budget) — reported at construction instead of as a
     /// panic deep inside share solving or partitioning.
     InvalidConfig { message: String },
+    /// An attribute order with no attributes reached an operation that needs
+    /// a first one (the sampled attribute `A` of the cardinality estimator).
+    EmptyOrder,
 }
 
 impl fmt::Display for Error {
@@ -87,6 +90,7 @@ impl fmt::Display for Error {
                 None => write!(f, "coordinator panicked: {message}"),
             },
             Error::InvalidConfig { message } => write!(f, "invalid configuration: {message}"),
+            Error::EmptyOrder => write!(f, "empty attribute order"),
         }
     }
 }

@@ -321,7 +321,9 @@ impl Relation {
     ///
     /// `order` is the query-global Leapfrog order; the trie levels follow the
     /// induced order of this relation's own attributes, as HCubeJ does when
-    /// loading shuffled tuples into tries.
+    /// loading shuffled tuples into tries. A relation is stored sorted under
+    /// its own column order, so when that *is* the induced order the trie is
+    /// built straight from it — no copy, no re-sort.
     pub fn trie_under_order(&self, order: &[crate::schema::Attr]) -> Result<Trie> {
         let induced: Vec<_> =
             order.iter().copied().filter(|a| self.schema().contains(*a)).collect();
@@ -330,6 +332,9 @@ impl Relation {
                 left: self.schema().to_string(),
                 right: format!("{induced:?}"),
             });
+        }
+        if induced == self.schema().attrs() {
+            return Ok(Trie::build(self));
         }
         Ok(Trie::build(&self.permute(&induced)?))
     }
@@ -433,6 +438,17 @@ mod tests {
         assert_eq!(t.schema().attrs(), &[Attr(0), Attr(2)]);
         assert_eq!(t.levels()[0].values, vec![1, 2]);
         assert_eq!(t.to_relation().len(), 3);
+    }
+
+    #[test]
+    fn trie_under_schema_order_equals_the_permuted_build() {
+        // The induced order is the schema order: the trie built straight
+        // from the relation must be the one the permute path builds.
+        let r = rel(&[2, 0], &[&[9, 1], &[8, 1], &[7, 2], &[7, 5]]);
+        let direct = r.trie_under_order(&[Attr(2), Attr(1), Attr(0)]).unwrap();
+        let permuted = Trie::build(&r.permute(&[Attr(2), Attr(0)]).unwrap());
+        assert_eq!(direct, permuted);
+        assert_eq!(direct.to_relation(), r);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! *first*: only the sampled values `S'` and the tuples that semi-join with
 //! them travel. This module implements both, so the saving can be measured.
 
-use crate::estimator::{CardinalityEstimate, SamplingConfig};
+use crate::estimator::{val_a, CardinalityEstimate, SamplingConfig};
 use adj_cluster::Cluster;
 use adj_leapfrog::{JoinCounters, LeapfrogJoin};
 use adj_query::JoinQuery;
@@ -42,7 +42,7 @@ pub fn estimate_distributed(
     cfg: &SamplingConfig,
 ) -> Result<(CardinalityEstimate, DistributedReport)> {
     let n = cluster.num_workers();
-    let attr = order[0];
+    let &attr = order.first().ok_or(adj_relational::Error::EmptyOrder)?;
     let mut report = DistributedReport::default();
 
     // (1) val(A) from projections; projections are what actually travels.
@@ -55,11 +55,7 @@ pub fn estimate_distributed(
         }
     }
     cluster.comm().record(report.projection_tuples, report.projection_tuples * 4);
-    let mut values: Vec<Value> = Vec::new();
-    {
-        let slices: Vec<&[Value]> = runs.iter().map(|v| v.as_slice()).collect();
-        adj_relational::intersect::leapfrog_intersect(&slices, &mut values);
-    }
+    let values = val_a(&runs.iter().map(Vec::as_slice).collect::<Vec<_>>());
     let levels = order.len();
     // What the naive approach would move: every relation to every worker.
     report.naive_shuffle_tuples = db
@@ -205,6 +201,14 @@ mod tests {
             report.reduced_shuffle_tuples,
             report.naive_shuffle_tuples
         );
+    }
+
+    #[test]
+    fn empty_order_is_a_typed_error() {
+        let (db, q) = tri_db(20);
+        let cluster = Cluster::new(ClusterConfig::with_workers(2));
+        let err = estimate_distributed(&cluster, &db, &q, &[], &SamplingConfig::default()).err();
+        assert_eq!(err, Some(adj_relational::Error::EmptyOrder));
     }
 
     #[test]

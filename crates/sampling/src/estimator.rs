@@ -2,9 +2,10 @@
 
 use adj_leapfrog::{JoinCounters, LeapfrogJoin};
 use adj_query::JoinQuery;
-use adj_relational::{Attr, Database, Result, Trie, Value};
+use adj_relational::{Attr, Database, Error, Result, Schema, Trie, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Sampling configuration.
@@ -65,11 +66,13 @@ impl CardinalityEstimate {
     }
 }
 
-/// A reusable sampler bound to a database + query + attribute order: tries
-/// are built once, then arbitrarily many estimates can be drawn.
+/// A reusable sampler bound to a query + attribute order: tries are built
+/// (or handed in) once, then arbitrarily many estimates can be drawn. The
+/// tries are shared handles, so a caller sampling many sub-joins of one
+/// query builds each (relation, column order) index once.
 pub struct Sampler {
     order: Vec<Attr>,
-    tries: Vec<Trie>,
+    tries: Vec<Arc<Trie>>,
     values: Vec<Value>,
 }
 
@@ -77,12 +80,28 @@ impl Sampler {
     /// Builds tries for the query's relations under `order` and computes
     /// `val(A)` for the first attribute of the order.
     pub fn new(db: &Database, query: &JoinQuery, order: &[Attr]) -> Result<Self> {
+        let &first = order.first().ok_or(Error::EmptyOrder)?;
         let mut tries = Vec::with_capacity(query.atoms.len());
         for atom in &query.atoms {
-            let rel = db.get(&atom.name)?;
-            tries.push(rel.trie_under_order(order)?);
+            tries.push(Arc::new(db.get(&atom.name)?.trie_under_order(order)?));
         }
-        let values = db_attribute_values_for(db, query, order[0]);
+        let columns: Vec<Vec<Value>> = query
+            .atoms
+            .iter()
+            .filter(|atom| atom.schema.contains(first))
+            .map(|atom| db.get(&atom.name)?.column_values(first))
+            .collect::<Result<_>>()?;
+        let values = val_a(&columns.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        Sampler::from_parts(order, tries, values)
+    }
+
+    /// A sampler over indexes its caller already holds: one trie per atom,
+    /// each under the column order `order` induces on it, and `val(A)` of
+    /// `order[0]` (see [`val_a`]).
+    pub fn from_parts(order: &[Attr], tries: Vec<Arc<Trie>>, values: Vec<Value>) -> Result<Self> {
+        if order.is_empty() {
+            return Err(Error::EmptyOrder);
+        }
         Ok(Sampler { order: order.to_vec(), tries, values })
     }
 
@@ -97,7 +116,7 @@ impl Sampler {
         if self.values.is_empty() {
             return Ok(CardinalityEstimate::zero(levels, 0));
         }
-        let join = LeapfrogJoin::new(&self.order, self.tries.iter().collect())?;
+        let join = LeapfrogJoin::new(&self.order, self.tries.iter().map(Arc::as_ref).collect())?;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let k = cfg.samples.max(1);
         let t0 = Instant::now();
@@ -128,23 +147,37 @@ impl Sampler {
     }
 }
 
-/// `val(A)` restricted to the query's relations (not the whole database).
-fn db_attribute_values_for(db: &Database, query: &JoinQuery, attr: Attr) -> Vec<Value> {
-    let mut runs: Vec<Vec<Value>> = Vec::new();
-    for atom in &query.atoms {
-        if atom.schema.contains(attr) {
-            if let Ok(rel) = db.get(&atom.name) {
-                runs.push(rel.column_values(attr).expect("attr in schema"));
-            }
-        }
-    }
-    if runs.is_empty() {
-        return Vec::new();
-    }
-    let slices: Vec<&[Value]> = runs.iter().map(|v| v.as_slice()).collect();
+/// `val(A)` from the sorted distinct `A`-columns of the relations that
+/// contain `A`: their intersection (empty when no relation does).
+pub fn val_a(columns: &[&[Value]]) -> Vec<Value> {
     let mut out = Vec::new();
-    adj_relational::intersect::leapfrog_intersect(&slices, &mut out);
+    adj_relational::intersect::leapfrog_intersect(columns, &mut out);
     out
+}
+
+/// The attribute order a sub-join is *sampled* under, from its atoms'
+/// schemas. The lowest attribute id stays first, so the sampled attribute
+/// `A` is the one ascending ids would pick — same `val(A)`, same draws, same
+/// integer counts `|T_{A=a}|`, which do not depend on the order of the
+/// attributes after `A`. Every later position takes the lowest-id attribute
+/// that shares an atom with the ones before it, so each Leapfrog level is
+/// constrained by the bound prefix instead of walking a whole `val(·)` per
+/// binding. Only a disconnected remainder (a true cross product) falls back
+/// to the lowest remaining id.
+pub fn connected_order<'a>(schemas: impl IntoIterator<Item = &'a Schema>) -> Vec<Attr> {
+    let schemas: Vec<u64> = schemas.into_iter().map(Schema::mask).collect();
+    let all = schemas.iter().fold(0u64, |m, s| m | s);
+    let mut order = Vec::with_capacity(all.count_ones() as usize);
+    let mut bound = 0u64;
+    while bound != all {
+        let reachable =
+            schemas.iter().filter(|&&s| s & bound != 0).fold(0u64, |m, s| m | s) & !bound;
+        let pool = if reachable != 0 { reachable } else { all & !bound };
+        let next = Attr(pool.trailing_zeros());
+        order.push(next);
+        bound |= next.mask();
+    }
+    order
 }
 
 #[cfg(test)]
@@ -216,6 +249,75 @@ mod tests {
         let est = sampler.estimate(&SamplingConfig::default()).unwrap();
         assert_eq!(est.cardinality, 0.0);
         assert_eq!(est.samples_used, 0);
+    }
+
+    #[test]
+    fn val_a_intersects_the_columns() {
+        // A appears in one relation as {1,2,4} and in another as {1,4,5}.
+        assert_eq!(val_a(&[&[1, 2, 4], &[1, 4, 5]]), vec![1, 4]);
+        assert_eq!(val_a(&[&[3, 6]]), vec![3, 6]);
+        assert!(val_a(&[]).is_empty(), "no relation contains A");
+    }
+
+    #[test]
+    fn empty_order_is_a_typed_error() {
+        let (db, q) = tri_db(20);
+        assert_eq!(Sampler::new(&db, &q, &[]).err(), Some(Error::EmptyOrder));
+        assert_eq!(Sampler::from_parts(&[], Vec::new(), Vec::new()).err(), Some(Error::EmptyOrder));
+    }
+
+    #[test]
+    fn shared_parts_estimate_like_the_owning_constructor() {
+        let (db, q) = tri_db(150);
+        let cfg = SamplingConfig { samples: 128, seed: 9 };
+        let owned = Sampler::new(&db, &q, &order3()).unwrap();
+        let tries = q
+            .atoms
+            .iter()
+            .map(|a| Arc::new(db.get(&a.name).unwrap().trie_under_order(&order3()).unwrap()))
+            .collect();
+        let shared = Sampler::from_parts(&order3(), tries, owned.val_a().to_vec()).unwrap();
+        let (a, b) = (owned.estimate(&cfg).unwrap(), shared.estimate(&cfg).unwrap());
+        assert_eq!(a.cardinality.to_bits(), b.cardinality.to_bits());
+        assert_eq!(a.level_tuples, b.level_tuples);
+    }
+
+    #[test]
+    fn connected_order_keeps_a_and_never_skips_a_connected_attribute() {
+        // Every non-empty atom subset of Q1–Q6, connected or not.
+        for pq in PaperQuery::EVALUATED {
+            let q = paper_query(pq);
+            for mask in 1u32..1 << q.atoms.len() {
+                let atoms = (0..q.atoms.len())
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| q.atoms[i].clone())
+                    .collect();
+                let sub = JoinQuery::new("sub", atoms);
+                let order = connected_order(sub.atoms.iter().map(|a| &a.schema));
+                let mut sorted = order.clone();
+                sorted.sort();
+                assert_eq!(sorted, sub.attrs(), "a permutation of the sub-join's attributes");
+                assert_eq!(order[0], sub.attrs()[0], "the sampled attribute stays");
+                let touches = |bound: u64, a: Attr| {
+                    sub.atoms
+                        .iter()
+                        .any(|at| at.schema.contains(a) && at.schema.mask() & bound != 0)
+                };
+                let mut bound = order[0].mask();
+                for (i, &next) in order.iter().enumerate().skip(1) {
+                    let connected: Vec<Attr> =
+                        order[i..].iter().copied().filter(|&a| touches(bound, a)).collect();
+                    let want = connected.iter().min().or(order[i..].iter().min());
+                    assert_eq!(Some(&next), want, "{} {mask:#b}: {order:?} at {i}", pq.name());
+                    bound |= next.mask();
+                }
+            }
+        }
+        // The sub-join the ascending-id order was slowest on: R4(d,e), R6(b,e)
+        // must bind e (shared with b) before d.
+        let sub = JoinQuery::from_edges("sub", &[(3, 4), (1, 4)]);
+        let order = connected_order(sub.atoms.iter().map(|a| &a.schema));
+        assert_eq!(order, vec![Attr(1), Attr(4), Attr(3)]);
     }
 
     #[test]

@@ -23,7 +23,9 @@ pub mod estimator;
 pub mod skew;
 
 pub use distributed::{estimate_distributed, DistributedReport};
-pub use estimator::{required_samples, CardinalityEstimate, Sampler, SamplingConfig};
+pub use estimator::{
+    connected_order, required_samples, val_a, CardinalityEstimate, Sampler, SamplingConfig,
+};
 pub use skew::{
     detect_heavy_hitters, sample_relation, ColumnSkew, HeavyHitter, RelationSkew, SkewConfig,
     SkewProfile,

@@ -40,6 +40,9 @@ pub fn render(
         "plan: fhw={:.2} estimated_cost_secs={:.6} optimization_secs={:.6}",
         plan.tree.fhw, plan.estimated_cost_secs, plan.optimization_secs
     );
+    let searched: Vec<String> =
+        plan.optimizer.args().iter().map(|(name, value)| format!("{name}={value}")).collect();
+    let _ = writeln!(out, "optimizer: {}", searched.join(" "));
     let order: Vec<String> = plan.order.iter().map(|&a| name_of(a)).collect();
     let _ = writeln!(out, "attribute order: {}", order.join(", "));
     if plan.hot.is_empty() {
@@ -212,6 +215,8 @@ mod tests {
             None,
         );
         assert!(text.starts_with("EXPLAIN mode=Rows db=toy strategy=CoOptimize"));
+        assert!(text.contains("optimizer: subjoins_sampled=1 sample_extensions="), "{text}");
+        assert!(text.contains(" tries_built=2 tries_reused=0 share_solves="), "{text}");
         assert!(text.contains("attribute order: "));
         assert!(text.contains("hypertree:"));
         assert!(text.contains("bag 0:"));

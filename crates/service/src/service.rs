@@ -1080,6 +1080,9 @@ impl Service {
                 };
                 if optimize_span.is_recording() {
                     optimize_span.arg("relations", plan.relations.len() as u64);
+                    for (name, value) in plan.optimizer.args() {
+                        optimize_span.arg(name, value);
+                    }
                 }
                 drop(optimize_span);
                 self.cache.insert(key, entry.tag, Arc::clone(&plan));
@@ -1368,6 +1371,9 @@ impl Service {
                 if optimize_span.is_recording() {
                     optimize_span.arg("relations", plan.relations.len() as u64);
                     optimize_span.arg("precomputed_bags", plan.precompute.len() as u64);
+                    for (name, value) in plan.optimizer.args() {
+                        optimize_span.arg(name, value);
+                    }
                 }
                 drop(optimize_span);
                 self.cache.insert(key, entry.tag, Arc::clone(&plan));

@@ -132,3 +132,164 @@ fn running_example_database_matches_paper() {
     check_same("running example", &expected, out.rows());
     assert!(!out.rows().is_empty(), "the paper's example has results");
 }
+
+// ───────────────────── the optimizer's decisions are pinned ─────────────────────
+
+/// Three seeded graphs of `nodes` vertices and about `nodes × degree` edges
+/// with different degree structure: uniform, Zipf-skewed, and the web-graph
+/// stand-in's hub-heavy generator settings.
+fn planning_graphs(nodes: usize, degree: usize) -> [(&'static str, Relation); 3] {
+    use adj::datagen::{generate, generate_zipf, GraphConfig, ZipfConfig};
+    let zipf = ZipfConfig { nodes, edges: nodes * degree, exponent: 1.2, seed: 0x21BF };
+    [
+        ("uniform", generate(&GraphConfig { nodes, out_degree: degree, skew: 0.0, seed: 11 })),
+        ("zipf", generate_zipf(&zipf)),
+        ("wb", generate(&GraphConfig { nodes, out_degree: degree, ..Dataset::WB.config(1.0) })),
+    ]
+}
+
+/// A configuration under which a plan is a pure function of the data.
+fn planning_config(workers: usize) -> AdjConfig {
+    AdjConfig {
+        cluster: ClusterConfig::with_workers(workers),
+        cost: CostParams { measure_beta: false, ..Default::default() },
+        ..Default::default()
+    }
+}
+
+/// Estimates did not move: the optimizer samples a sub-join under a
+/// *connected* order on tries it shares between sub-joins, and every
+/// cardinality must equal — to the bit — what a fresh sampler over the same
+/// sub-join reports under the ascending-id order the optimizer used to
+/// sample with. That ordering survives only here, as the reference.
+///
+/// Under ascending ids a star through `e` walks `val(b) × val(c) × val(d)`
+/// per sampled `a`, so the reference costs `samples × nodes³` on the stars
+/// of Q3 (968 connected subsets) and Q6: those two run on ~100-edge graphs
+/// with 4 samples, the rest on ~400-edge graphs with 8, and a debug build
+/// finishes in seconds. Counts are compared per sampled value either way;
+/// most estimates are non-zero.
+#[test]
+fn connected_sampling_reproduces_the_ascending_order_estimates() {
+    use adj::core::CostEstimator;
+    use adj::query::GhdTree;
+    // Returns how many of the compared estimates were non-zero.
+    let check = |q: &JoinQuery, graph: &Relation, samples, label: &str, masks: &[u64]| -> usize {
+        let mut cfg = planning_config(2);
+        cfg.sampling.samples = samples;
+        let db = q.instantiate(graph);
+        let tree = GhdTree::decompose(&q.hypergraph(), 3);
+        let estimator = CostEstimator::new(
+            &db,
+            q,
+            &tree,
+            cfg.cost,
+            cfg.cluster.alpha_tuples_per_sec,
+            cfg.cluster.num_workers,
+            cfg.cluster.memory_limit_bytes,
+            cfg.sampling,
+            cfg.skew,
+        );
+        let mut positive = 0;
+        for &mask in masks {
+            let atoms: Vec<Atom> = (0..q.atoms.len())
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| q.atoms[i].clone())
+                .collect();
+            let sub = JoinQuery::new("sub", atoms);
+            let reference =
+                Sampler::new(&db, &sub, &sub.attrs()).unwrap().estimate(&cfg.sampling).unwrap();
+            assert_eq!(
+                estimator.subjoin_cardinality(mask).to_bits(),
+                reference.cardinality.to_bits(),
+                "{label} sub-join {mask:#b}"
+            );
+            positive += usize::from(reference.cardinality > 0.0);
+        }
+        assert_eq!(estimator.stats().sampler_errors, 0, "{label}");
+        positive
+    };
+    let (mut compared, mut positive) = (0, 0);
+    for pq in PaperQuery::EVALUATED {
+        let q = paper_query(pq);
+        let h = q.hypergraph();
+        let connected: Vec<u64> =
+            (1u64..1 << q.atoms.len()).filter(|&m| h.is_connected_edges(m)).collect();
+        let (nodes, degree, samples) = match pq {
+            PaperQuery::Q3 | PaperQuery::Q6 => (24, 4, 4),
+            _ => (80, 5, 8),
+        };
+        for (graph_name, graph) in &planning_graphs(nodes, degree) {
+            let label = format!("{} {graph_name}", pq.name());
+            positive += check(&q, graph, samples, &label, &connected);
+            compared += connected.len();
+        }
+    }
+    assert!(positive * 2 > compared, "only {positive} of {compared} estimates were non-zero");
+    // Disconnected sub-joins are cross products under either order; a tiny
+    // graph keeps them enumerable. Q4 = ab, bc, cd, de, ea, be.
+    let tiny = Dataset::WB.graph(0.004);
+    let q4 = paper_query(PaperQuery::Q4);
+    let disconnected = [0b000101, 0b001001, 0b010100, 0b001011, 0b010110];
+    assert!(disconnected.iter().all(|&m| !q4.hypergraph().is_connected_edges(m)));
+    assert!(check(&q4, &tiny, 16, "Q4 tiny", &disconnected) > 0);
+}
+
+const GOLDEN_PLANS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_plans.txt");
+
+/// One line per (query, graph, strategy, width): everything the optimizer
+/// decides, with the estimated cost to the bit.
+fn derive_golden_plans() -> String {
+    use std::fmt::Write as _;
+    let ids = |attrs: &[Attr]| attrs.iter().map(|a| a.0).collect::<Vec<_>>();
+    let mut out = String::new();
+    for pq in &PaperQuery::ALL[..8] {
+        let q = paper_query(*pq);
+        for (graph_name, graph) in &planning_graphs(250, 6) {
+            let db = q.instantiate(graph);
+            for strategy in [Strategy::CoOptimize, Strategy::CommFirst] {
+                for workers in [2, 4] {
+                    let _ = write!(out, "{} {graph_name} {strategy:?} w{workers}: ", pq.name());
+                    match adj::core::optimize(&q, &db, &planning_config(workers), strategy) {
+                        Ok(p) => {
+                            let _ = writeln!(
+                                out,
+                                "traversal={:?} precompute={:?} order={:?} cost_bits={:016x}",
+                                p.traversal,
+                                p.precompute,
+                                ids(&p.order),
+                                p.estimated_cost_secs.to_bits()
+                            );
+                        }
+                        Err(e) => {
+                            let _ = writeln!(out, "Err({e})");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Plans did not move: `tests/golden_plans.txt` was generated on the commit
+/// *before* the optimizer started sharing tries and sampling under
+/// connected orders, and every later optimizer must re-derive it exactly.
+#[test]
+fn golden_plans_did_not_move() {
+    let golden = std::fs::read_to_string(GOLDEN_PLANS).expect("tests/golden_plans.txt exists");
+    let derived = derive_golden_plans();
+    for (want, got) in golden.lines().zip(derived.lines()) {
+        assert_eq!(got, want, "a plan moved");
+    }
+    assert_eq!(derived.lines().count(), golden.lines().count(), "plan matrix changed shape");
+}
+
+/// Rewrites `tests/golden_plans.txt` from the current optimizer. Run it only
+/// when a change is *meant* to move plans, and say so in the PR:
+/// `cargo test --test correctness regenerate_golden_plans -- --ignored`
+#[test]
+#[ignore = "rewrites tests/golden_plans.txt; run explicitly when plans are meant to move"]
+fn regenerate_golden_plans() {
+    std::fs::write(GOLDEN_PLANS, derive_golden_plans()).expect("write tests/golden_plans.txt");
+}

@@ -113,6 +113,30 @@ fn worker_join_spans_sum_worker_tuples() {
 }
 
 #[test]
+fn cold_optimize_span_shows_what_the_optimizer_shared() {
+    // A cold Q5 samples several sub-joins over the same seven relations and
+    // prices the same pre-compute sets at several positions: the optimize
+    // span must say how much of that one call served from its own cache.
+    let q = paper_query(PaperQuery::Q5);
+    let db = q.instantiate(&Dataset::WB.graph(0.01));
+    let service = service_with(Strategy::CoOptimize, Some(traced_settings()));
+    service.register_database("g", db);
+    let out = service.execute_mode("g", &q, OutputMode::Count).unwrap();
+    assert!(!out.cache_hit, "first touch plans cold");
+    let trace = out.trace.as_ref().unwrap();
+    let spans = trace.events_named("optimize");
+    assert_eq!(spans.len(), 1, "one optimize span per cold plan");
+    for (name, value) in out.plan.optimizer.args() {
+        assert_eq!(spans[0].args.get(name), Some(value), "span arg {name} mirrors the plan");
+    }
+    let arg = |name: &str| spans[0].args.get(name).unwrap();
+    assert!(arg("tries_reused") > 0, "{:?}", spans[0].args);
+    assert!(arg("share_reused") > 0, "{:?}", spans[0].args);
+    assert!(arg("tries_built") <= 2 * q.atoms.len() as u64, "{:?}", spans[0].args);
+    assert_eq!(arg("sampler_errors"), 0);
+}
+
+#[test]
 fn explain_analyze_actuals_match_the_execution_report() {
     let q = paper_query(PaperQuery::Q1);
     let db = q.instantiate(&Dataset::WB.graph(0.01));
