@@ -2,7 +2,9 @@
 
 use crate::BindingBatch;
 use adj_cluster::Cluster;
-use adj_core::{prepare_plan_locals, AdjConfig, ExecutionReport, QueryPlan};
+use adj_core::{
+    cancel_err, prepare_plan_locals, AdjConfig, CancelSink, ExecutionReport, QueryPlan,
+};
 use adj_faults::{CancelToken, FaultSite};
 use adj_hcube::IndexScope;
 use adj_leapfrog::{BatchedLeapfrog, JoinCounters, JoinScratch};
@@ -13,59 +15,6 @@ use adj_relational::{
 use adj_trace::{Tracer, COORDINATOR_LANE};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How often batch join sinks poll the cancellation token (mirrors the
-/// single-binding executor's cadence).
-const SINK_CHECK_EVERY: u64 = 1024;
-
-/// Maps a fired token onto the workspace error type.
-fn cancel_err(c: adj_faults::Cancelled) -> Error {
-    Error::Cancelled { deadline_exceeded: c.deadline }
-}
-
-/// The per-binding [`RowSink`] adapter of the batch path: polls the
-/// [`CancelToken`] (and the `JoinEnumerate` fault-injection site) every
-/// [`SINK_CHECK_EVERY`] rows and saturates when the token fires. A
-/// saturated-by-cancel binding never keeps its truncated output — the
-/// batch driver's `stop` hook fires on the same token, and a binding in
-/// flight when it fires falls past the `completed` watermark, surfacing as
-/// a per-binding [`Error::Cancelled`]. (Duplicated from the single-binding
-/// executor, whose adapter is private.)
-struct CancelSink<'a, S> {
-    inner: S,
-    cancel: &'a CancelToken,
-    rows_since_check: u64,
-    stopped: bool,
-}
-
-impl<'a, S: RowSink> CancelSink<'a, S> {
-    fn new(inner: S, cancel: &'a CancelToken) -> Self {
-        CancelSink { inner, cancel, rows_since_check: 0, stopped: false }
-    }
-
-    fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: RowSink> RowSink for CancelSink<'_, S> {
-    fn push(&mut self, row: &[Value]) -> bool {
-        self.rows_since_check += 1;
-        if self.rows_since_check >= SINK_CHECK_EVERY {
-            self.rows_since_check = 0;
-            adj_faults::inject(FaultSite::JoinEnumerate, self.cancel);
-            if self.cancel.check().is_err() {
-                self.stopped = true;
-                return false;
-            }
-        }
-        self.inner.push(row)
-    }
-
-    fn saturated(&self) -> bool {
-        self.stopped || self.inner.saturated()
-    }
-}
 
 /// One executed driver slot's payload, as shipped back by a worker.
 enum SlotData {
@@ -90,9 +39,10 @@ struct SlotAcc {
 /// the expensive phases across the whole batch:
 ///
 /// * **one** admission-width pin ([`Cluster::begin_query`]), **one** bag
-///   pre-computation pass, and **one** final HCube shuffle — run *unbound*
-///   via [`prepare_plan_locals`], so every relation keeps its cacheable
-///   identity and the whole batch joins over the same warm tries;
+///   pre-computation pass, and **one** final HCube shuffle via
+///   [`prepare_plan_locals`] — binding-independent, so the whole batch joins
+///   over the same warm tries a single bound call or the unbound query
+///   would;
 /// * each worker drives a [`BatchedLeapfrog`] over its local tries: the
 ///   batch's distinct bound rows are visited in sorted order with
 ///   forward-galloping cursor reuse on the bound prefix of the order;
@@ -108,10 +58,9 @@ struct SlotAcc {
 /// rest observe [`Error::Cancelled`].
 ///
 /// Results are byte-identical to looping the single-binding bound executor
-/// over the submissions: bound-selection pushdown is a pure optimization
-/// (the unbound shuffle partitions every output tuple onto exactly one
-/// worker under any share vector), and per-worker `Limit` sampling keeps
-/// its canonical smallest-rows semantics.
+/// over the submissions — the same locals, one Leapfrog seek sequence per
+/// binding instead of one shared forward pass — and per-worker `Limit`
+/// sampling keeps its canonical smallest-rows semantics.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_plan_batch(
     cluster: &Cluster,
@@ -165,21 +114,11 @@ pub fn execute_plan_batch(
         return Ok((vec![empty; batch.len()], report));
     }
 
-    // One unbound shuffle for the whole batch: every relation keeps
-    // `bind_tag = 0`, so the locals are the same warm, cacheable tries the
-    // unbound query uses — and the next batch of the same shape reuses
-    // them wholesale.
-    let locals = prepare_plan_locals(
-        cluster,
-        db,
-        plan,
-        config,
-        index,
-        &BoundValues::none(),
-        &mut report,
-        cancel,
-        tracer,
-    )?;
+    // One shuffle for the whole batch: the locals are the same warm,
+    // cacheable tries the unbound query and every single bound call use —
+    // and the next batch of the same shape reuses them wholesale.
+    let locals =
+        prepare_plan_locals(cluster, db, plan, config, index, &mut report, cancel, tracer)?;
 
     // Project each unique binding onto the plan's attribute order. Bound
     // attributes outside the order are ignored, like the single-binding
@@ -215,7 +154,7 @@ pub fn execute_plan_batch(
         "batch_join",
         |w, span| -> Result<(Vec<Result<SlotData>>, JoinCounters, usize)> {
             // At least one fault/cancellation checkpoint per worker, then
-            // one per SINK_CHECK_EVERY emitted rows inside the sinks and
+            // one per `SINK_CHECK_EVERY` emitted rows inside the sinks and
             // one per binding in the driver's stop hook.
             adj_faults::inject(FaultSite::JoinEnumerate, cancel);
             cancel.check().map_err(cancel_err)?;

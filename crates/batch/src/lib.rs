@@ -4,16 +4,17 @@
 //! *shape*: the plan, the attribute order, and — crucially — the shuffled
 //! trie indexes are identical across bindings; only the bound constants
 //! differ. The single-binding hot path already amortizes planning (plan
-//! cache) and indexes (index cache), but still pays per binding for
-//! admission, shuffle consultation, worker dispatch, and a from-the-root
-//! cursor descent per bound level.
+//! cache) and indexes (index cache) — it is this crate's degenerate case,
+//! one bound join over the same binding-independent locals — but still pays
+//! per binding for admission, shuffle consultation, worker dispatch, and a
+//! from-the-root cursor descent per bound level.
 //!
 //! This crate amortizes those per-binding costs across a whole
 //! [`BindingBatch`]:
 //!
-//! * the plan's bags and final shuffle run **once**, *unbound* — so every
-//!   relation keeps its cacheable identity (`bind_tag = 0`) and the whole
-//!   batch shares one set of warm tries;
+//! * the plan's bags and final shuffle run **once** — no phase before the
+//!   join sees a binding, so the whole batch shares the one set of warm
+//!   tries that single bound calls and the unbound query use too;
 //! * each worker drives a [`adj_leapfrog::BatchedLeapfrog`] over its local
 //!   tries: bindings are visited in sorted order and bound-prefix cursors
 //!   *gallop forward* from the previous binding's position instead of

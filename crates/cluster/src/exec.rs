@@ -569,7 +569,7 @@ mod tests {
                 |w, _span| {
                     let mut rows = Vec::new();
                     let mut done = false;
-                    while let Some(d) = round.recv(w) {
+                    while let Some(d) = round.recv(w).unwrap() {
                         match d {
                             Delivery::Batch(b) => match b.payload {
                                 BatchPayload::Rows(v) => rows.extend(v),
@@ -605,7 +605,7 @@ mod tests {
                 |w, _span| {
                     // Drain to end-of-round; must terminate despite the
                     // coordinator panic.
-                    while round.recv(w).is_some() {}
+                    while round.recv(w).unwrap().is_some() {}
                     w
                 },
             )

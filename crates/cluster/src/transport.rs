@@ -40,7 +40,7 @@
 //! rounds, 0 messages, and 0 bytes, structurally, on both backends.
 
 use crate::comm::CommStats;
-use adj_relational::{Relation, Schema, Value};
+use adj_relational::{Error, Relation, Result, Schema, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -284,15 +284,16 @@ impl<'a> TransportRound<'a> {
     }
 
     /// Blocking receive on worker `w`'s lane: the next delivery, or `None`
-    /// once the round is closed and the lane is drained.
-    pub fn recv(&self, w: usize) -> Option<Delivery> {
+    /// once the round is closed and the lane is drained. A frame that does
+    /// not decode is an [`Error::MalformedFrame`], never a panic.
+    pub fn recv(&self, w: usize) -> Result<Option<Delivery>> {
         let lane = &self.lanes[w];
         let mut state = lane.lock();
         loop {
             match &mut state.buf {
                 LaneBuf::Queue(q) => {
                     if let Some(d) = q.pop_front() {
-                        return Some(d);
+                        return Ok(Some(d));
                     }
                 }
                 LaneBuf::Pipe(p) => {
@@ -300,12 +301,12 @@ impl<'a> TransportRound<'a> {
                         // Decode outside the lock so a slow decode never
                         // stalls the sender.
                         drop(state);
-                        return Some(decode_frame(&frame, &self.schemas));
+                        return decode_frame(&frame, &self.schemas).map(Some);
                     }
                 }
             }
             if state.closed {
-                return None;
+                return Ok(None);
             }
             state = lane.ready.wait(state).unwrap_or_else(|e| e.into_inner());
         }
@@ -387,50 +388,78 @@ fn take_frame(p: &mut VecDeque<u8>) -> Option<Vec<u8>> {
     Some(p.drain(..len).collect())
 }
 
-fn read_u32(body: &[u8], at: &mut usize) -> u32 {
-    let v = u32::from_le_bytes(body[*at..*at + 4].try_into().expect("frame underrun"));
-    *at += 4;
-    v
+fn malformed(message: String) -> Error {
+    Error::MalformedFrame { message }
 }
 
-/// Decodes one frame body back into a [`Delivery`].
-pub fn decode_frame(body: &[u8], schemas: &[Schema]) -> Delivery {
-    let tag = body[0];
-    let mut at = 1usize;
-    let relation = read_u32(body, &mut at) as usize;
-    match tag {
-        0 => {
-            let arity = read_u32(body, &mut at) as usize;
-            let sorted = body[at];
-            at += 1;
-            let tuples = read_u32(body, &mut at) as usize;
-            let mut values = Vec::with_capacity(tuples * arity);
-            for _ in 0..tuples * arity {
-                values.push(read_u32(body, &mut at));
-            }
-            debug_assert!(
-                tuples == 0 || arity == schemas[relation].arity(),
-                "frame arity disagrees with the round schema"
-            );
-            let payload = if sorted == 1 {
-                // Rebuild the sorted block in the induced layout. The data
-                // was normalized before encoding, so this is idempotent.
-                let rel = Relation::from_flat(schemas[relation].clone(), values)
-                    .expect("wire block arity preserved");
-                BatchPayload::SortedBlock(Arc::new(rel))
-            } else {
-                BatchPayload::Rows(values)
-            };
-            Delivery::Batch(RoutedBatch {
-                relation,
-                tuples: tuples as u64,
-                messages: 0, // accounting happened on the send side
-                payload,
-            })
-        }
-        1 => Delivery::RelationDone(relation),
-        other => panic!("unknown transport frame tag {other}"),
+fn read_u8(body: &[u8], at: &mut usize) -> Result<u8> {
+    let &v = body.get(*at).ok_or_else(|| malformed(format!("truncated at byte {}", *at)))?;
+    *at += 1;
+    Ok(v)
+}
+
+fn read_u32(body: &[u8], at: &mut usize) -> Result<u32> {
+    let bytes =
+        body.get(*at..*at + 4).ok_or_else(|| malformed(format!("truncated at byte {}", *at)))?;
+    *at += 4;
+    Ok(u32::from_le_bytes(bytes.try_into().expect("a four-byte slice")))
+}
+
+/// Decodes one frame body back into a [`Delivery`]. The body is input from
+/// the wire: whatever it holds, the answer is a delivery that fits
+/// `schemas` or an [`Error::MalformedFrame`].
+pub fn decode_frame(body: &[u8], schemas: &[Schema]) -> Result<Delivery> {
+    let mut at = 0usize;
+    let tag = read_u8(body, &mut at)?;
+    if tag > 1 {
+        return Err(malformed(format!("unknown tag {tag}")));
     }
+    let relation = read_u32(body, &mut at)? as usize;
+    let schema = schemas.get(relation).ok_or_else(|| {
+        malformed(format!("relation {relation} of a {}-relation round", schemas.len()))
+    })?;
+    if tag == 1 {
+        return if at == body.len() {
+            Ok(Delivery::RelationDone(relation))
+        } else {
+            Err(malformed(format!("{} bytes after a relation-done marker", body.len() - at)))
+        };
+    }
+    let arity = read_u32(body, &mut at)? as usize;
+    let sorted = read_u8(body, &mut at)?;
+    let tuples = read_u32(body, &mut at)? as usize;
+    // The values are taken off the bytes actually present, so a declared
+    // size is only ever compared, never allocated for.
+    let rest = &body[at..];
+    if tuples.checked_mul(arity).and_then(|n| n.checked_mul(4)) != Some(rest.len()) {
+        return Err(malformed(format!(
+            "{tuples} tuples of arity {arity} declared, {} value bytes present",
+            rest.len()
+        )));
+    }
+    if sorted > 1 || (tuples > 0 && arity != schema.arity()) {
+        return Err(malformed(format!(
+            "sorted flag {sorted}, arity {arity} for a relation of arity {}",
+            schema.arity()
+        )));
+    }
+    let values: Vec<Value> = rest
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("a four-byte chunk")))
+        .collect();
+    let payload = if sorted == 1 {
+        // Rebuild the sorted block in the induced layout. The data
+        // was normalized before encoding, so this is idempotent.
+        BatchPayload::SortedBlock(Arc::new(Relation::from_flat(schema.clone(), values)?))
+    } else {
+        BatchPayload::Rows(values)
+    };
+    Ok(Delivery::Batch(RoutedBatch {
+        relation,
+        tuples: tuples as u64,
+        messages: 0, // accounting happened on the send side
+        payload,
+    }))
 }
 
 #[cfg(test)]
@@ -461,18 +490,18 @@ mod tests {
         round.finish_relation(0);
         round.close();
 
-        match round.recv(0) {
+        match round.recv(0).unwrap() {
             Some(Delivery::Batch(b)) => {
                 assert_eq!(b.relation, 0);
                 assert!(matches!(b.payload, BatchPayload::Rows(ref v) if v == &vec![1, 2, 3, 4]));
             }
             other => panic!("expected batch, got {other:?}"),
         }
-        assert!(matches!(round.recv(0), Some(Delivery::RelationDone(0))));
-        assert!(round.recv(0).is_none());
+        assert!(matches!(round.recv(0).unwrap(), Some(Delivery::RelationDone(0))));
+        assert!(round.recv(0).unwrap().is_none());
         // Worker 1 got only the relation-done marker.
-        assert!(matches!(round.recv(1), Some(Delivery::RelationDone(0))));
-        assert!(round.recv(1).is_none());
+        assert!(matches!(round.recv(1).unwrap(), Some(Delivery::RelationDone(0))));
+        assert!(round.recv(1).unwrap().is_none());
 
         let (tuples, bytes, rounds, messages) = stats.snapshot();
         assert_eq!((tuples, rounds, messages), (2, 1, 1));
@@ -507,21 +536,21 @@ mod tests {
         round.finish_relation(0);
         round.close();
 
-        match round.recv(0) {
+        match round.recv(0).unwrap() {
             Some(Delivery::Batch(b)) => {
                 assert!(matches!(b.payload, BatchPayload::Rows(ref v) if v == &vec![5, 6, 7, 8]));
             }
             other => panic!("expected rows batch, got {other:?}"),
         }
-        match round.recv(0) {
+        match round.recv(0).unwrap() {
             Some(Delivery::Batch(b)) => match b.payload {
                 BatchPayload::SortedBlock(got) => assert_eq!(got.as_ref(), block.as_ref()),
                 other => panic!("expected sorted block, got {other:?}"),
             },
             other => panic!("expected block batch, got {other:?}"),
         }
-        assert!(matches!(round.recv(0), Some(Delivery::RelationDone(0))));
-        assert!(round.recv(0).is_none());
+        assert!(matches!(round.recv(0).unwrap(), Some(Delivery::RelationDone(0))));
+        assert!(round.recv(0).unwrap().is_none());
 
         let (tuples, bytes, rounds, messages) = stats.snapshot();
         assert_eq!((tuples, rounds, messages), (4, 1, 3));
@@ -537,7 +566,7 @@ mod tests {
             let round = TransportRound::new(kind, schemas2(), 4, &stats);
             round.close();
             for w in 0..4 {
-                assert!(round.recv(w).is_none());
+                assert!(round.recv(w).unwrap().is_none());
             }
             assert_eq!(stats.snapshot(), (0, 0, 0, 0), "{kind:?}: empty round leaked accounting");
         }
@@ -551,7 +580,7 @@ mod tests {
             let r = &round;
             let h0 = s.spawn(move || {
                 let mut got = 0;
-                while let Some(d) = r.recv(0) {
+                while let Some(d) = r.recv(0).unwrap() {
                     if matches!(d, Delivery::Batch(_)) {
                         got += 1;
                     }
@@ -560,7 +589,7 @@ mod tests {
             });
             let h1 = s.spawn(move || {
                 let mut got = 0;
-                while r.recv(1).is_some() {
+                while r.recv(1).unwrap().is_some() {
                     got += 1;
                 }
                 got
@@ -589,12 +618,70 @@ mod tests {
         let round = TransportRound::new(TransportKind::InProcess, schemas2(), 1, &stats);
         std::thread::scope(|s| {
             let r = &round;
-            let h = s.spawn(move || r.recv(0).is_none());
+            let h = s.spawn(move || r.recv(0).unwrap().is_none());
             // recv blocks until the close below (drop is not reachable from
             // inside the scope, so exercise the close path directly).
             std::thread::sleep(std::time::Duration::from_millis(10));
             round.close();
             assert!(h.join().unwrap());
         });
+    }
+    fn is_malformed<T: std::fmt::Debug>(r: Result<T>) -> bool {
+        matches!(r, Err(Error::MalformedFrame { .. }))
+    }
+
+    #[test]
+    fn frames_that_do_not_decode_are_typed_errors() {
+        let schemas = schemas2();
+        let batch = RoutedBatch {
+            relation: 1,
+            tuples: 2,
+            messages: 1,
+            payload: BatchPayload::Rows(vec![1, 2, 3, 4]),
+        };
+        let good = encode_batch(&batch)[4..].to_vec();
+        assert!(matches!(decode_frame(&good, &schemas), Ok(Delivery::Batch(b)) if b.tuples == 2));
+
+        assert!(is_malformed(decode_frame(&[], &schemas)), "empty frame");
+        // Every proper prefix of a good frame is a truncation.
+        for cut in 1..good.len() {
+            assert!(is_malformed(decode_frame(&good[..cut], &schemas)), "cut at {cut}");
+        }
+        let mut unknown_tag = good.clone();
+        unknown_tag[0] = 7;
+        assert!(is_malformed(decode_frame(&unknown_tag, &schemas)));
+        // A relation the round does not have, an arity its schema does not
+        // have, a tuple count the payload cannot back (a huge one must not
+        // be allocated for), bytes past the end.
+        let mut no_such_relation = good.clone();
+        no_such_relation[1] = 9;
+        assert!(is_malformed(decode_frame(&no_such_relation, &schemas)));
+        let mut wrong_arity = good.clone();
+        wrong_arity[5] = 4;
+        wrong_arity[10] = 1;
+        assert!(is_malformed(decode_frame(&wrong_arity, &schemas)));
+        let mut huge = good.clone();
+        huge[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(is_malformed(decode_frame(&huge, &schemas)));
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(is_malformed(decode_frame(&trailing, &schemas)));
+        assert!(is_malformed(decode_frame(&[1, 0, 0, 0, 0, 0], &schemas)), "long marker");
+        assert!(matches!(decode_frame(&[1, 1, 0, 0, 0], &schemas), Ok(Delivery::RelationDone(1))));
+    }
+
+    #[test]
+    fn recv_surfaces_a_malformed_frame_instead_of_panicking() {
+        let stats = CommStats::new();
+        let round = TransportRound::new(TransportKind::Serialized, schemas2(), 1, &stats);
+        // A well-framed body with an unknown tag, as a corrupted stream
+        // would deliver it.
+        match &mut round.lanes[0].lock().buf {
+            LaneBuf::Pipe(p) => p.extend([5u8, 0, 0, 0, 9, 0, 0, 0, 0]),
+            LaneBuf::Queue(_) => unreachable!("serialized rounds use byte pipes"),
+        }
+        assert!(is_malformed(round.recv(0)));
+        round.close();
+        assert!(round.recv(0).unwrap().is_none(), "the lane stays usable");
     }
 }

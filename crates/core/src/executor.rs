@@ -13,8 +13,8 @@ use crate::AdjConfig;
 use adj_cluster::Cluster;
 use adj_faults::{CancelToken, FaultSite};
 use adj_hcube::{
-    hcube_shuffle_cached_traced, optimize_share, CacheLookup, HCubeImpl, HCubePlan, HotValues,
-    IndexScope, LocalRelation, ShareInput, ShuffleReport,
+    hcube_shuffle_cached_traced, optimize_share, CacheLookup, HCubeImpl, HCubePlan, IndexScope,
+    LocalRelation, ShareInput, ShuffleReport,
 };
 use adj_leapfrog::{JoinCounters, JoinScratch, LeapfrogJoin};
 use adj_relational::{
@@ -53,20 +53,21 @@ fn level_key(kind: &str, i: usize) -> Cow<'static, str> {
 
 /// How often worker join sinks poll the cancellation token: one relaxed
 /// atomic load (plus the fault-injection gate) per this many emitted rows.
-const SINK_CHECK_EVERY: u64 = 1024;
+pub const SINK_CHECK_EVERY: u64 = 1024;
 
 /// Maps a fired token onto the workspace error type.
-fn cancel_err(c: adj_faults::Cancelled) -> Error {
+pub fn cancel_err(c: adj_faults::Cancelled) -> Error {
     Error::Cancelled { deadline_exceeded: c.deadline }
 }
 
 /// A [`RowSink`] adapter that polls a [`CancelToken`] (and the
 /// `JoinEnumerate` fault-injection site) every [`SINK_CHECK_EVERY`] rows,
 /// saturating when the token fires so Leapfrog stops enumerating instead of
-/// completing a doomed result. The worker re-checks the token after the
-/// join, so a stop here always surfaces as [`Error::Cancelled`] — never as
-/// a silently truncated result.
-struct CancelSink<'a, S> {
+/// completing a doomed result. Whoever drives the join re-checks the token
+/// afterwards (the single-binding worker directly, the batch driver through
+/// its completion watermark), so a stop here always surfaces as
+/// [`Error::Cancelled`] — never as a silently truncated result.
+pub struct CancelSink<'a, S> {
     inner: S,
     cancel: &'a CancelToken,
     rows_since_check: u64,
@@ -74,11 +75,13 @@ struct CancelSink<'a, S> {
 }
 
 impl<'a, S: RowSink> CancelSink<'a, S> {
-    fn new(inner: S, cancel: &'a CancelToken) -> Self {
+    /// Wraps `inner`, polling `cancel`.
+    pub fn new(inner: S, cancel: &'a CancelToken) -> Self {
         CancelSink { inner, cancel, rows_since_check: 0, stopped: false }
     }
 
-    fn into_inner(self) -> S {
+    /// The wrapped sink, with whatever it collected.
+    pub fn into_inner(self) -> S {
         self.inner
     }
 }
@@ -140,6 +143,10 @@ pub struct ExecutionReport {
     pub output_tuples: u64,
     /// The share vector `p` used by the final shuffle.
     pub share: Vec<u32>,
+    /// Share programs this execution solved itself, over its bag rounds and
+    /// the final round; a round whose share came from the plan's memo of
+    /// earlier executions counts 0.
+    pub share_solves: u64,
     /// Aggregated Leapfrog counters across workers.
     pub counters: JoinCounters,
     /// Measured seconds spent building local trie indexes (across the
@@ -169,11 +176,6 @@ pub struct ExecutionReport {
     /// Attributes this execution pinned to constants (inline literals plus
     /// bound parameters); 0 on unbound executions.
     pub bound_values: u64,
-    /// Tuples scanned in relations carrying a bound-constant filter, across
-    /// every shuffle round of this execution.
-    pub bound_scanned_tuples: u64,
-    /// Tuples that passed their bound-constant filter and were routed.
-    pub bound_kept_tuples: u64,
     /// Encoded frame bytes that crossed the wire across every shuffle round
     /// of this execution — real serialized bytes on the
     /// `TransportKind::Serialized` backend, 0 on the zero-copy in-process
@@ -225,17 +227,6 @@ impl ExecutionReport {
         }
     }
 
-    /// Realized selectivity of the binding's selection pushdown —
-    /// `kept / scanned` over the filtered relations — or `None` when the
-    /// execution filtered nothing (unbound, or fully warm).
-    pub fn bound_selectivity(&self) -> Option<f64> {
-        if self.bound_scanned_tuples == 0 {
-            None
-        } else {
-            Some(self.bound_kept_tuples as f64 / self.bound_scanned_tuples as f64)
-        }
-    }
-
     /// Folds one shuffle round's fill and routing counters into the report.
     fn absorb_shuffle(&mut self, shuffle: &ShuffleReport) {
         if self.worker_tuples.len() < shuffle.worker_tuples.len() {
@@ -245,8 +236,6 @@ impl ExecutionReport {
             *acc += w;
         }
         self.hot_routed_tuples += shuffle.hot_routed_tuples;
-        self.bound_scanned_tuples += shuffle.bound_scanned_tuples;
-        self.bound_kept_tuples += shuffle.bound_kept_tuples;
         self.wire_bytes += shuffle.wire_bytes;
         self.pipeline_overlap_secs += shuffle.overlap_secs;
     }
@@ -327,17 +316,16 @@ pub fn execute_plan_cached(
 
 /// The general executor: [`execute_plan_cached`] plus a set of bound
 /// parameter values. The full binding — the query's inline literals merged
-/// with `params` — pushes selections down every layer:
+/// with `params` — reaches exactly one layer: **Leapfrog** seeks the
+/// constant at bound trie levels instead of intersecting candidate runs.
 ///
-/// * the **share program** drops bound attributes from the dimension grid
-///   (their share is pinned to 1 — a one-value dimension has nothing to
-///   partition);
-/// * the **HCube shuffle** filters non-matching tuples *before* routing
-///   them, so communication shrinks with the binding's selectivity (bound
-///   relations bypass the index cache; unbound relations of the same query
-///   stay warm across every binding);
-/// * **Leapfrog** seeks the constant at bound trie levels instead of
-///   intersecting candidate runs.
+/// Everything before the join runs as for the unbound query: the share
+/// program, the bag rounds and the HCube shuffle never see the binding, so
+/// every binding of a shape, a whole batch of them (`adj-batch`) and the
+/// plain unbound query join over one cached, patchable index family. A
+/// single bound execution is the batch driver's degenerate case. The price
+/// is the first call on a cold cache, which builds the full indexes rather
+/// than a filtered fragment — once, for every later call.
 ///
 /// Results are byte-identical to running the unbound query and keeping the
 /// rows whose bound attributes equal the bound values.
@@ -355,7 +343,9 @@ pub fn execute_plan_bound(
 
 /// [`execute_plan_bound`] recording a span timeline: a `precompute` span
 /// per bag round (`bag_cache_hit` instants for rounds the bag cache
-/// skipped), the shuffle's own spans (see
+/// skipped), a `share_solve` span before each shuffle whose share program
+/// this execution solved (a reused share is a `share_reused` arg on the
+/// `shuffle` span instead), the shuffle's own spans (see
 /// [`hcube_shuffle_cached_traced`]), a `computation` span over the worker
 /// dispatch with one `join` span per worker lane (annotated with that
 /// worker's output tuples and trie-operation counts), and a `gather` span
@@ -454,7 +444,7 @@ pub fn execute_plan_cancellable(
     }
 
     let locals =
-        prepare_plan_locals(cluster, db, plan, config, index, &bound, &mut report, cancel, tracer)?;
+        prepare_plan_locals(cluster, db, plan, config, index, &mut report, cancel, tracer)?;
 
     let budget = config.max_intermediate_tuples;
     let order = &plan.order;
@@ -583,10 +573,11 @@ pub fn execute_plan_cancellable(
 /// local tries ready for Leapfrog. The pre-compute and communication
 /// columns (plus cache/fill counters) accumulate into `report`.
 ///
-/// This is the shared front half of [`execute_plan_cancellable`], public so
-/// batched execution (`adj-batch`) can shuffle a prepared query **once** —
-/// with an empty `bound`, keeping every relation index-cacheable — and then
-/// run many bound joins over the same locals. Callers must hold
+/// Nothing here depends on a binding: the locals are the same warm,
+/// cacheable tries whichever constants the join over them will seek. This
+/// is the shared front half of [`execute_plan_cancellable`] (one bound join
+/// over the locals) and of batched execution (`adj-batch`: many bound joins
+/// over the same locals). Callers must hold
 /// [`Cluster::begin_query`] across this call *and* every join over the
 /// returned locals, so the worker width stays pinned for the whole
 /// execution.
@@ -597,7 +588,6 @@ pub fn prepare_plan_locals(
     plan: &QueryPlan,
     config: &AdjConfig,
     index: Option<&IndexScope<'_>>,
-    bound: &BoundValues,
     report: &mut ExecutionReport,
     cancel: &CancelToken,
     tracer: &Tracer,
@@ -627,10 +617,6 @@ pub fn prepare_plan_locals(
         let names: Vec<String> = atoms.iter().map(|&i| plan.query.atoms[i].name.clone()).collect();
         let label = bag_label(&names, &bag_order, index);
         bag_labels.push((name.clone(), label.clone()));
-        // A bag touched by the binding is per-binding content: it bypasses
-        // the bag cache in both directions (same discipline as the
-        // shuffle's bound relations).
-        let bag_is_bound = bag_order.iter().any(|&a| bound.get(a).is_some());
         // A cold miss claims the bag key, so concurrent queries that need
         // the same bag wait for this build instead of running the round N
         // times (request coalescing). At most one bag claim is ever held —
@@ -639,7 +625,7 @@ pub fn prepare_plan_locals(
         // *index* claims inside `run_one_round`, never the reverse, so the
         // claim hierarchy stays cycle-free.
         let mut bag_claim = None;
-        if let (Some(scope), false) = (index, bag_is_bound) {
+        if let Some(scope) = index {
             match scope.cache.get_bag_or_claim(&scope.bag_key(label.clone()), cancel) {
                 CacheLookup::Hit { value: bag, coalesced } => {
                     // Budget parity with the cold path: a cached bag over
@@ -665,8 +651,7 @@ pub fn prepare_plan_locals(
             bag_span.detail(label.clone());
         }
         let (result, secs, tuples) = run_one_round(
-            cluster, db, &names, &bag_order, config, index, &plan.hot, bound, report, cancel,
-            tracer,
+            cluster, db, plan, &names, &bag_order, config, index, report, cancel, tracer,
         )?;
         bag_span.arg("tuples", tuples);
         bag_span.arg("result_tuples", result.len() as u64);
@@ -682,7 +667,7 @@ pub fn prepare_plan_locals(
         let result = Arc::new(result);
         if let Some(claim) = bag_claim {
             claim.publish_bag(Arc::clone(&result));
-        } else if let (Some(scope), false) = (index, bag_is_bound) {
+        } else if let Some(scope) = index {
             scope.cache.insert_bag(scope.bag_key(label), Arc::clone(&result));
         }
         bag_overlay.push((name.clone(), result));
@@ -690,16 +675,10 @@ pub fn prepare_plan_locals(
 
     // ── Phase 2 + 3: final one-round join over the rewritten query.
     let names = plan.shuffle_names();
-    let (share, hplan) = share_for(
-        db,
-        &bag_overlay,
-        &names,
-        plan.query.num_attrs(),
-        cluster,
-        &plan.hot,
-        bound.mask(),
-    )?;
-    report.share = share;
+    let (hplan, share_reused) =
+        share_for(plan, db, &bag_overlay, &names, plan.query.num_attrs(), cluster, tracer)?;
+    report.share_solves += u64::from(!share_reused);
+    report.share = hplan.share().to_vec();
     // Cache identities: base atoms by relation name; pre-computed bags by
     // the content label recorded in phase 1 (never by the per-query
     // `ADJ_bag{v}` storage name).
@@ -724,7 +703,7 @@ pub fn prepare_plan_locals(
         &cache_ids,
         &bag_overlay,
         &plan.hot,
-        bound,
+        share_reused,
         cancel,
         tracer,
     )?;
@@ -751,18 +730,18 @@ pub fn prepare_plan_locals(
 fn run_one_round(
     cluster: &Cluster,
     db: &Database,
+    plan: &QueryPlan,
     names: &[String],
     order: &[Attr],
     config: &AdjConfig,
     index: Option<&IndexScope<'_>>,
-    hot: &HotValues,
-    bound: &BoundValues,
     report: &mut ExecutionReport,
     cancel: &CancelToken,
     tracer: &Tracer,
 ) -> Result<(Relation, f64, u64)> {
     let num_attrs = order.iter().map(|a| a.index() + 1).max().unwrap_or(1);
-    let (_, hplan) = share_for(db, &[], names, num_attrs, cluster, hot, bound.mask())?;
+    let (hplan, share_reused) = share_for(plan, db, &[], names, num_attrs, cluster, tracer)?;
+    report.share_solves += u64::from(!share_reused);
     let cache_ids: Vec<Option<String>> = names.iter().map(|n| Some(n.clone())).collect();
     let shuffled = hcube_shuffle_cached_traced(
         cluster,
@@ -774,8 +753,8 @@ fn run_one_round(
         index,
         &cache_ids,
         &[],
-        hot,
-        bound,
+        &plan.hot,
+        share_reused,
         cancel,
         tracer,
     )?;
@@ -789,7 +768,7 @@ fn run_one_round(
         adj_faults::inject(FaultSite::JoinEnumerate, cancel);
         cancel.check().map_err(cancel_err)?;
         let tries: Vec<Arc<Trie>> = locals[w].iter().map(|l| Arc::clone(&l.trie)).collect();
-        let join = LeapfrogJoin::new(order, tries)?.with_bound(bound);
+        let join = LeapfrogJoin::new(order, tries)?;
         let mut rows: Vec<Value> = Vec::new();
         let mut over = false;
         let counters = join.run(|t| {
@@ -820,8 +799,16 @@ fn run_one_round(
     Ok((rel, secs, shuffled.report.tuples))
 }
 
-/// Optimizes the share vector for the named relations' *actual* sizes
-/// (resolving pre-computed bags from the overlay before the database).
+/// The HCube plan under the optimal share vector for the named relations'
+/// *actual* sizes (resolving pre-computed bags from the overlay before the
+/// database), and whether that vector came from the plan's memo (`true`)
+/// or was solved by this call.
+///
+/// The program's whole input is assembled first and looked up in
+/// [`QueryPlan`]'s share memo: equal sizes, width and budget give the same
+/// optimum whatever the call, so a plan solves each of its rounds once per
+/// distinct input and every later execution reuses the vector. A solve is
+/// put on the timeline as a `share_solve` span on the coordinator lane.
 ///
 /// When the plan carries a heavy-hitter routing table, the share is first
 /// solved under `Π p_A = N*` — the bijective cube→worker map the routing's
@@ -831,14 +818,14 @@ fn run_one_round(
 /// unconstrained program; the shuffle detects the non-bijective map and
 /// keeps hashing plainly, so correctness never depends on the fallback.
 fn share_for(
+    plan: &QueryPlan,
     db: &Database,
     overlay: &[(String, Arc<Relation>)],
     names: &[String],
     num_attrs: usize,
     cluster: &Cluster,
-    hot: &HotValues,
-    bound_mask: u64,
-) -> Result<(Vec<u32>, HCubePlan)> {
+    tracer: &Tracer,
+) -> Result<(HCubePlan, bool)> {
     let mut relations = Vec::with_capacity(names.len());
     for n in names {
         let r = match overlay.iter().find(|(name, _)| name == n) {
@@ -856,9 +843,9 @@ fn share_for(
     // The bijection is only needed when this round's relations actually
     // contain a hot attribute — a bag round over cold attributes keeps the
     // unconstrained share optimum (routing stays inert for it anyway).
-    let hot_mask = hot.attrs_mask();
+    let hot_mask = plan.hot.attrs_mask();
     let routing_engages = relations.iter().any(|&(mask, _)| mask & hot_mask != 0);
-    let mut input = ShareInput {
+    let input = ShareInput {
         num_attrs,
         relations,
         num_workers: cluster.num_workers(),
@@ -866,18 +853,25 @@ fn share_for(
         bytes_per_value: 4,
         hot: Vec::new(),
         require_exact_product: routing_engages,
-        bound_mask,
+        // Bindings reach only Leapfrog: the grid is the unbound query's.
+        bound_mask: 0,
     };
-    let share = match optimize_share(&input) {
-        Ok(p) => p,
+    let solve = |input: &ShareInput| match optimize_share(input) {
         Err(_) if input.require_exact_product => {
-            input.require_exact_product = false;
-            optimize_share(&input)?
+            optimize_share(&ShareInput { require_exact_product: false, ..input.clone() })
         }
-        Err(e) => return Err(e),
+        solved => solved,
     };
-    let hplan = HCubePlan::new(share.clone(), cluster.num_workers());
-    Ok((share, hplan))
+    let width = input.num_workers;
+    if let Some(share) = plan.share_memo.get(&input) {
+        debug_assert_eq!(solve(&input).ok().as_ref(), Some(&share), "memoized share went stale");
+        return Ok((HCubePlan::new(share, width), true));
+    }
+    let span = tracer.span(COORDINATOR_LANE, "share_solve");
+    let share = solve(&input)?;
+    drop(span);
+    plan.share_memo.insert(input, share.clone());
+    Ok((HCubePlan::new(share, width), false))
 }
 
 #[cfg(test)]
@@ -975,6 +969,16 @@ mod tests {
         assert!(report.precompute_tuples > 0);
         let t = truth(&db, &q);
         assert_eq!(out.rows().len(), t.len());
+
+        // Each bag round and the final round are programs of their own: all
+        // solved by the first execution, all reused by the second — which,
+        // with no bag cache in play, runs every round again.
+        assert_eq!(report.share_solves, plan.precompute.len() as u64 + 1);
+        let (again, rerun) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+        assert_eq!(rerun.precompute_tuples, report.precompute_tuples, "the bag rounds ran");
+        assert_eq!(rerun.share_solves, 0);
+        assert_eq!(rerun.share, report.share);
+        assert_eq!(again, out);
     }
 
     #[test]
@@ -1080,10 +1084,20 @@ mod tests {
         let db = db_for(&q, 100, 23);
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(8), ..Default::default() };
         let cluster = Cluster::new(cfg.cluster.clone());
-        let names: Vec<String> = q.atoms.iter().map(|a| a.name.clone()).collect();
-        let (share, hplan) =
-            share_for(&db, &[], &names, 3, &cluster, &HotValues::none(), 0).unwrap();
-        assert_eq!(share.len(), 3);
+        let plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
+        let names = plan.shuffle_names();
+        let tracer = Tracer::disabled();
+        let (hplan, reused) = share_for(&plan, &db, &[], &names, 3, &cluster, &tracer).unwrap();
+        assert!(!reused, "a fresh plan has solved nothing yet");
+        assert_eq!(hplan.share().len(), 3);
         assert!(hplan.num_cubes() >= 8);
+        // The same input again is answered from the plan's memo...
+        let again = share_for(&plan, &db, &[], &names, 3, &cluster, &tracer).unwrap();
+        assert_eq!(again, (hplan.clone(), true), "same share, not re-solved");
+        // ...a different width is a different program, solved afresh.
+        let narrow = Cluster::new(ClusterConfig::with_workers(2));
+        let (p2, reused) = share_for(&plan, &db, &[], &names, 3, &narrow, &tracer).unwrap();
+        assert!(!reused);
+        assert!(p2.num_cubes() < hplan.num_cubes());
     }
 }

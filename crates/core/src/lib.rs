@@ -32,8 +32,9 @@ pub mod yannakakis;
 
 pub use cost::{fractional_max_cube_bound, CostEstimator, CostParams};
 pub use executor::{
-    execute_plan, execute_plan_bound, execute_plan_cached, execute_plan_cancellable,
-    execute_plan_traced, prepare_plan_locals, ExecutionReport, Strategy,
+    cancel_err, execute_plan, execute_plan_bound, execute_plan_cached, execute_plan_cancellable,
+    execute_plan_traced, prepare_plan_locals, CancelSink, ExecutionReport, Strategy,
+    SINK_CHECK_EVERY,
 };
 pub use optimizer::optimize;
 pub use plan::{OptimizerStats, PlanRelation, QueryPlan};
@@ -261,9 +262,9 @@ impl Adj {
     }
 
     /// The bound serving hot path: [`Adj::execute_prepared_cached`] plus a
-    /// resolved set of parameter values (see
-    /// [`executor::execute_plan_bound`] for how the binding pushes
-    /// selections down the shuffle, the share program, and Leapfrog).
+    /// resolved set of parameter values, which Leapfrog seeks over the same
+    /// indexes the unbound query uses (see
+    /// [`executor::execute_plan_bound`]).
     pub fn execute_bound_cached(
         &self,
         plan: &QueryPlan,
@@ -341,8 +342,8 @@ impl Adj {
 
     /// Executes one binding of a prepared query: resolves `bindings`
     /// against the statement's parameter table ([`Prepared::bind`]) and
-    /// runs the shared plan with the bound constants pushed down every
-    /// layer. Returns a full [`AdjOutcome`] per binding.
+    /// runs the shared plan, Leapfrog seeking the bound constants. Returns
+    /// a full [`AdjOutcome`] per binding.
     pub fn execute_bound(
         &self,
         prepared: &Prepared,

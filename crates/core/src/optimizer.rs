@@ -74,6 +74,7 @@ pub fn optimize(
                 estimated_cost_secs: score,
                 optimization_secs: 0.0,
                 optimizer: estimator.stats(),
+                share_memo: Default::default(),
             })
         }
         Strategy::CoOptimize => algorithm2(query, &tree, &estimator),
@@ -161,6 +162,7 @@ fn algorithm2(
         estimated_cost_secs: accumulated,
         optimization_secs: 0.0,
         optimizer: estimator.stats(),
+        share_memo: Default::default(),
     })
 }
 

@@ -1,8 +1,9 @@
 //! Query plans: the `(Qi, ord)` pairs of the paper's problem statement.
 
-use adj_hcube::HotValues;
+use adj_hcube::{HotValues, ShareInput};
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::{Attr, Schema};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One relation of the rewritten query `Qi`.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,6 +79,51 @@ impl OptimizerStats {
     }
 }
 
+/// The execution-time share programs a plan has solved: the share vector
+/// per distinct [`ShareInput`] its shuffle rounds (each pre-computed bag's
+/// and the final one) were run under.
+///
+/// The Shares program is a function of relation sizes, worker count and
+/// memory budget — nothing an individual call contributes — so a plan that
+/// is executed again under equal inputs takes the vector from here instead
+/// of re-enumerating the lattice. Entries are compared on the whole input,
+/// so a resized cluster or a relation that crossed a size bucket solves
+/// afresh and a stale share cannot be returned; the serving layer re-keys
+/// plans on every mutation, so a plan's memo holds one entry per round per
+/// width it ran at.
+#[derive(Debug, Default)]
+pub(crate) struct ShareMemo {
+    solved: Mutex<Vec<(ShareInput, Vec<u32>)>>,
+}
+
+impl ShareMemo {
+    // Entries are only ever pushed whole, so a panic elsewhere while the
+    // lock was held leaves nothing half-written to recover from.
+    fn entries(&self) -> MutexGuard<'_, Vec<(ShareInput, Vec<u32>)>> {
+        self.solved.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The share solved for an input equal to `input`, if any.
+    pub(crate) fn get(&self, input: &ShareInput) -> Option<Vec<u32>> {
+        self.entries().iter().find(|(seen, _)| seen == input).map(|(_, share)| share.clone())
+    }
+
+    /// Remembers `share` as the solution of `input`. Two executions that
+    /// raced to solve the same input leave one entry.
+    pub(crate) fn insert(&self, input: ShareInput, share: Vec<u32>) {
+        let mut entries = self.entries();
+        if !entries.iter().any(|(seen, _)| *seen == input) {
+            entries.push((input, share));
+        }
+    }
+}
+
+impl Clone for ShareMemo {
+    fn clone(&self) -> Self {
+        ShareMemo { solved: Mutex::new(self.entries().clone()) }
+    }
+}
+
 /// A complete ADJ query plan: which bags to pre-compute, the rewritten
 /// query's relations, and the Leapfrog attribute order.
 #[derive(Debug, Clone)]
@@ -109,6 +155,8 @@ pub struct QueryPlan {
     pub optimization_secs: f64,
     /// What the optimizer sampled, built and reused to find this plan.
     pub optimizer: OptimizerStats,
+    /// Share vectors this plan's executions have already solved.
+    pub(crate) share_memo: ShareMemo,
 }
 
 impl QueryPlan {

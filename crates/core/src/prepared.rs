@@ -59,7 +59,7 @@ impl Prepared {
     /// Resolves a binding against the parameter table: every parameter
     /// must receive a value, every supplied name must exist, and the
     /// query's inline literals are folded in. The result is the complete
-    /// bound-value set one execution pushes down the stack.
+    /// bound-value set one execution's join seeks.
     pub fn bind(&self, bindings: &Bindings) -> Result<BoundValues> {
         self.plan.query.resolve_bindings(bindings)
     }

@@ -39,7 +39,10 @@ use std::time::Duration;
 /// Identity of one cached relation index: the relation (or bag label), the
 /// induced attribute order its trie levels follow, the hypercube share
 /// vector and worker count that routed it, and the database state it was
-/// built against.
+/// built against. No part of a query's binding enters the key — the shuffle
+/// never filters by bound constants — so every binding of a prepared
+/// statement, a batch of them and the unbound query of the same shape all
+/// resolve to the same entries.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IndexKey {
     /// Stable tag of the owning database (hash of its name).
@@ -62,16 +65,6 @@ pub struct IndexKey {
     /// spread-vs-broadcast role otherwise — so skew-routed tries never
     /// collide with hash-routed ones (their per-worker fragments differ).
     pub route_tag: u64,
-    /// Bound-constant tag
-    /// ([`BoundValues::tag_for`](adj_relational::BoundValues::tag_for)): 0
-    /// for unbound fragments, a value-bearing fingerprint of the bound
-    /// `attr = value` selections that filtered this relation otherwise —
-    /// the `route_tag`-discipline guarantee that a bound-level entry can
-    /// never alias an unbound one. In practice bound fragments are not
-    /// published at all (the shuffle bypasses the cache for them; see
-    /// [`crate::hcube_shuffle_cached`]), so shared entries always carry 0
-    /// here — this field is the belt to that suspenders.
-    pub bind_tag: u64,
     /// The relation's delta sequence (`adj-delta`'s per-relation batch
     /// counter) at build time. Mutating a relation bumps only *its*
     /// sequence, so entries for other relations keep matching — this is the
@@ -717,7 +710,6 @@ impl<'a> IndexScope<'a> {
 
     /// Builds an [`IndexKey`] in this scope, stamping the relation's current
     /// delta sequence.
-    #[allow(clippy::too_many_arguments)]
     pub fn index_key(
         &self,
         relation: impl Into<String>,
@@ -725,7 +717,6 @@ impl<'a> IndexScope<'a> {
         share: &[u32],
         num_workers: usize,
         route_tag: u64,
-        bind_tag: u64,
     ) -> IndexKey {
         let relation = relation.into();
         let delta_seq = self.delta_seq_for(&relation);
@@ -737,7 +728,6 @@ impl<'a> IndexScope<'a> {
             share: share.to_vec(),
             num_workers,
             route_tag,
-            bind_tag,
             delta_seq,
         }
     }
@@ -767,7 +757,6 @@ mod tests {
             share: vec![2, 2],
             num_workers: 4,
             route_tag: 0,
-            bind_tag: 0,
             delta_seq: 0,
         }
     }
@@ -807,12 +796,6 @@ mod tests {
             cache.get_index(&other_route).is_none(),
             "skew-routed tries must not alias hash-routed ones"
         );
-        let mut other_bind = k.clone();
-        other_bind.bind_tag = 0xB0B | 1;
-        assert!(
-            cache.get_index(&other_bind).is_none(),
-            "bound-level entries must not alias unbound ones"
-        );
         let mut other_seq = k;
         other_seq.delta_seq = 3;
         assert!(
@@ -847,9 +830,9 @@ mod tests {
         let scope = IndexScope { cache: &cache, db_tag: 7, epoch: 3, versions: &versions };
         assert_eq!(scope.delta_seq_for("R1"), 4);
         assert_eq!(scope.delta_seq_for("R2"), 0, "unmutated relations sit at 0");
-        let k = scope.index_key("R1", vec![Attr(0)], &[2], 4, 0, 0);
+        let k = scope.index_key("R1", vec![Attr(0)], &[2], 4, 0);
         assert_eq!(k.delta_seq, 4);
-        assert_eq!(scope.index_key("R2", vec![Attr(0)], &[2], 4, 0, 0).delta_seq, 0);
+        assert_eq!(scope.index_key("R2", vec![Attr(0)], &[2], 4, 0).delta_seq, 0);
         let d1 = scope.version_digest(["R1", "R2"]);
         assert_ne!(d1, scope.version_digest(["R2"]), "member set changes the digest");
         let fresh = IndexScope { cache: &cache, db_tag: 7, epoch: 3, versions: &[] };

@@ -15,8 +15,7 @@
 //!
 //! Entries that are *not* reconstructible from their key are dropped
 //! instead: skew-routed fragments (`route_tag != 0` — the spreader
-//! assignment depended on the full shuffle's atom list) and bound fragments
-//! (`bind_tag != 0` — never published in practice), plus entries from an
+//! assignment depended on the full shuffle's atom list), plus entries from an
 //! older stats epoch. Entries more than one sequence behind are also
 //! dropped: only the current batch's delta is in hand, so an entry that
 //! missed an earlier batch (a query serving an old snapshot can publish
@@ -34,7 +33,7 @@ pub struct PatchOutcome {
     /// Entries brought forward to the new delta sequence.
     pub patched: usize,
     /// Entries discarded because their fragments are not reconstructible
-    /// from the key alone (skew-routed, bound, or stale-epoch entries) or
+    /// from the key alone (skew-routed or stale-epoch entries) or
     /// because they lag the current sequence by more than one batch.
     pub dropped: usize,
     /// Delta tuple copies (inserts and tombstones) delivered across all
@@ -58,7 +57,7 @@ pub fn patch_relation_indexes(
     let mut out = PatchOutcome::default();
     let new_seq = scope.delta_seq_for(relation);
     for (key, entry) in scope.cache.take_indexes_for(scope.db_tag, relation) {
-        if key.route_tag != 0 || key.bind_tag != 0 || key.epoch != scope.epoch {
+        if key.route_tag != 0 || key.epoch != scope.epoch {
             out.dropped += 1;
             continue;
         }
@@ -178,7 +177,6 @@ mod tests {
             share: plan.share().to_vec(),
             num_workers: plan.num_workers(),
             route_tag: 0,
-            bind_tag: 0,
             delta_seq,
         }
     }

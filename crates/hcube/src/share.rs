@@ -26,7 +26,7 @@
 use adj_relational::{Error, Result};
 
 /// Input description for the share optimizer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShareInput {
     /// Number of query attributes `n` (attribute ids `0..n`).
     pub num_attrs: usize,
@@ -48,13 +48,14 @@ pub struct ShareInput {
     /// rule. When no such vector satisfies the memory budget the optimizer
     /// errors, and callers fall back to plain hashing.
     pub require_exact_product: bool,
-    /// Attributes fully bound to constants by a prepared-query binding.
-    /// A bound dimension holds exactly one value after the shuffle's
-    /// selection pushdown, so partitioning it is pure duplication: these
-    /// attributes are dropped from the dimension grid (pinned to share 1)
-    /// and the enumeration ranks only the free attributes' vectors. When
-    /// *every* attribute is bound the product requirement relaxes to 1 —
-    /// the single surviving cube is the whole answer.
+    /// Attributes to treat as one-value dimensions: partitioning one would
+    /// be pure duplication, so they are dropped from the dimension grid
+    /// (pinned to share 1) and the enumeration ranks only the other
+    /// attributes' vectors. When *every* attribute is masked the product
+    /// requirement relaxes to 1 — a single cube is the whole answer. The
+    /// optimizer sets this to a shape's bound positions when it prices
+    /// plans; the executor always passes 0, because its shuffle is
+    /// binding-independent.
     pub bound_mask: u64,
 }
 

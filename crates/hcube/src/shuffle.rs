@@ -28,7 +28,7 @@ use crate::skew::{HotValues, ShuffleRouting};
 use adj_cluster::{BatchPayload, Cluster, Delivery, RoutedBatch};
 use adj_faults::{CancelToken, FaultSite};
 use adj_relational::hash::FxHashMap;
-use adj_relational::{Attr, BoundValues, Database, Error, Relation, Result, Schema, Trie, Value};
+use adj_relational::{Attr, Database, Error, Relation, Result, Schema, Trie, Value};
 use adj_trace::{Tracer, COORDINATOR_LANE};
 use std::sync::Arc;
 use std::time::Instant;
@@ -109,12 +109,6 @@ pub struct ShuffleReport {
     pub reused_relations: u64,
     /// Tuple copies that cache hits avoided moving.
     pub tuples_saved: u64,
-    /// Tuples scanned in relations carrying a bound-constant filter (the
-    /// selection-pushdown denominators; 0 on unbound shuffles).
-    pub bound_scanned_tuples: u64,
-    /// Tuples that passed their bound-constant filter and were routed —
-    /// `bound_kept / bound_scanned` is the realized binding selectivity.
-    pub bound_kept_tuples: u64,
 }
 
 /// The result of a shuffle: per-worker local databases plus the cost report.
@@ -149,7 +143,6 @@ pub fn hcube_shuffle(
         &[],
         &[],
         &HotValues::none(),
-        &BoundValues::none(),
     )
 }
 
@@ -187,18 +180,10 @@ fn resolve<'a>(
 /// and every value hashes plainly. Cache keys fold in each atom's routing
 /// role, so skew-routed tries never alias hash-routed ones.
 ///
-/// `bound` carries a prepared query's bound constants. Relations containing
-/// a bound attribute are filtered **before routing** — tuples failing an
-/// `attr = value` selection never enter an inbox, so the communication
-/// volume shrinks with the binding's selectivity. Bound relations also
-/// **bypass the index cache in both directions**: their fragments depend on
-/// the binding's values, and a serving workload binds unboundedly many
-/// distinct values, so caching per-binding artifacts would evict the
-/// valuable shared entries for one-shot gains (and a lookup per binding
-/// would bury the hit rate in structural misses). The value-bearing
-/// [`IndexKey::bind_tag`](crate::cache::IndexKey) guards the discipline:
-/// a bound fragment *cannot* alias an unbound entry even if a future path
-/// tried to publish one.
+/// The shuffle knows nothing about bindings: a prepared query's bound
+/// constants reach only the join (Leapfrog seeks them), so every binding,
+/// every batch and the plain unbound query of one shape consult — and
+/// publish — the same entries.
 #[allow(clippy::too_many_arguments)]
 pub fn hcube_shuffle_cached(
     cluster: &Cluster,
@@ -211,7 +196,6 @@ pub fn hcube_shuffle_cached(
     cache_ids: &[Option<String>],
     overlay: &[(String, Arc<Relation>)],
     hot: &HotValues,
-    bound: &BoundValues,
 ) -> Result<ShuffleOutput> {
     hcube_shuffle_cached_traced(
         cluster,
@@ -224,7 +208,7 @@ pub fn hcube_shuffle_cached(
         cache_ids,
         overlay,
         hot,
-        bound,
+        false,
         &CancelToken::none(),
         &Tracer::disabled(),
     )
@@ -256,9 +240,12 @@ fn checkpoint(site: FaultSite, cancel: &CancelToken) -> Result<()> {
 /// on the coordinator lane (with tuple/message/reuse totals), an
 /// `index_cache_hit` / `index_cache_miss` instant per consulted
 /// [`IndexKey`], a `route` span over the
-/// filter-route-inbox pass, and a `build` span per worker lane over the
-/// cold relations' sort + trie builds. With a disabled tracer this is
-/// exactly [`hcube_shuffle_cached`].
+/// route-inbox pass, and a `build` span per worker lane over the
+/// cold relations' sort + trie builds. `share_reused` says the caller took
+/// `plan`'s share vector from a memo instead of solving the share program
+/// for this round; it is recorded as an arg of the `shuffle` span (a solve
+/// shows as the caller's own `share_solve` span instead). With a disabled
+/// tracer this is exactly [`hcube_shuffle_cached`].
 #[allow(clippy::too_many_arguments)]
 pub fn hcube_shuffle_cached_traced(
     cluster: &Cluster,
@@ -271,7 +258,7 @@ pub fn hcube_shuffle_cached_traced(
     cache_ids: &[Option<String>],
     overlay: &[(String, Arc<Relation>)],
     hot: &HotValues,
-    bound: &BoundValues,
+    share_reused: bool,
     cancel: &CancelToken,
     tracer: &Tracer,
 ) -> Result<ShuffleOutput> {
@@ -286,12 +273,6 @@ pub fn hcube_shuffle_cached_traced(
         name: String,
         induced: Schema,  // order-induced
         perm: Vec<usize>, // induced column -> original column
-        /// Bound-constant equality filters over the *induced* columns;
-        /// empty when no bound attribute touches this relation.
-        filters: Vec<(usize, Value)>,
-        /// Value-bearing binding tag ([`BoundValues::tag_for`]); non-zero
-        /// iff `filters` is non-empty.
-        bind_tag: u64,
     }
     let mut infos = Vec::with_capacity(atom_names.len());
     for name in atom_names {
@@ -307,10 +288,7 @@ pub fn hcube_shuffle_cached_traced(
         }
         let perm = induced_attrs.iter().map(|&a| schema.position(a).unwrap()).collect();
         let induced = Schema::new(induced_attrs)?;
-        let filters = bound.filters_for(&induced);
-        let bind_tag = bound.tag_for(&induced);
-        debug_assert_eq!(filters.is_empty(), bind_tag == 0);
-        infos.push(AtomInfo { name: name.clone(), induced, perm, filters, bind_tag });
+        infos.push(AtomInfo { name: name.clone(), induced, perm });
     }
 
     // Bind the heavy-hitter routing table to this shuffle's atom list: the
@@ -329,8 +307,7 @@ pub fn hcube_shuffle_cached_traced(
     };
 
     // Consult the cache: resolved atoms skip routing, transfer, and build.
-    // Bound (filtered) atoms never consult it — their fragments are
-    // per-binding, see the function docs. Cold atoms come back with a
+    // Cold atoms come back with a
     // [`BuildClaim`] registering this shuffle as the key's one in-flight
     // builder, so a concurrent query that misses the same key blocks on
     // this build instead of shuffling the relation again (request
@@ -345,7 +322,6 @@ pub fn hcube_shuffle_cached_traced(
         let mut keyed: Vec<(usize, IndexKey)> = infos
             .iter()
             .enumerate()
-            .filter(|(_, info)| info.bind_tag == 0)
             .filter_map(|(ai, info)| {
                 let Some(Some(id)) = cache_ids.get(ai) else { return None };
                 let key = scope.index_key(
@@ -354,7 +330,6 @@ pub fn hcube_shuffle_cached_traced(
                     plan.share(),
                     n,
                     routing.atom_tag(ai),
-                    info.bind_tag,
                 );
                 Some((ai, key))
             })
@@ -398,8 +373,6 @@ pub fn hcube_shuffle_cached_traced(
         tuples: u64,
         messages: u64,
         hot_routed_tuples: u64,
-        bound_scanned_tuples: u64,
-        bound_kept_tuples: u64,
         worker_tuples: Vec<u64>,
         rel_tuples: Vec<u64>,
         rel_messages: Vec<u64>,
@@ -436,8 +409,6 @@ pub fn hcube_shuffle_cached_traced(
             let mut tuples: u64 = 0;
             let mut messages: u64 = 0;
             let mut hot_routed_tuples: u64 = 0;
-            let mut bound_scanned_tuples: u64 = 0;
-            let mut bound_kept_tuples: u64 = 0;
             // Delivered copies per worker: the partition-fill vector the
             // skew stats read.
             let mut worker_tuples: Vec<u64> = vec![0; n];
@@ -468,12 +439,6 @@ pub fn hcube_shuffle_cached_traced(
                 // content hash of the row).
                 let mut prow: Vec<Value> = Vec::with_capacity(info.perm.len());
                 let mut coords: Vec<u32> = Vec::with_capacity(info.perm.len());
-                // Selection pushdown: a tuple failing a bound equality
-                // never routes.
-                let keep = |prow: &[Value]| info.filters.iter().all(|&(c, v)| prow[c] == v);
-                if !info.filters.is_empty() {
-                    bound_scanned_tuples += rel.len() as u64;
-                }
                 match impl_ {
                     HCubeImpl::Push => {
                         // Per-delivery message accounting is preserved, but
@@ -490,12 +455,6 @@ pub fn hcube_shuffle_cached_traced(
                             }
                             prow.clear();
                             prow.extend(info.perm.iter().map(|&p| row[p]));
-                            if !info.filters.is_empty() {
-                                if !keep(&prow) {
-                                    continue;
-                                }
-                                bound_kept_tuples += 1;
-                            }
                             if plan.tuple_coords(&info.induced, &prow, ai, routing_ref, &mut coords)
                             {
                                 hot_routed_tuples += 1;
@@ -556,12 +515,6 @@ pub fn hcube_shuffle_cached_traced(
                             }
                             prow.clear();
                             prow.extend(info.perm.iter().map(|&p| row[p]));
-                            if !info.filters.is_empty() {
-                                if !keep(&prow) {
-                                    continue;
-                                }
-                                bound_kept_tuples += 1;
-                            }
                             if plan.tuple_coords(&info.induced, &prow, ai, routing_ref, &mut coords)
                             {
                                 hot_routed_tuples += 1;
@@ -576,37 +529,25 @@ pub fn hcube_shuffle_cached_traced(
                             let block_tuples = (data.len() / info.perm.len().max(1)) as u64;
                             let block_coords = plan.block_hashes(&info.induced, id);
                             let dests = plan.block_workers(&info.induced, &block_coords);
-                            let prebuilt = if impl_ == HCubeImpl::Merge {
-                                // Pre-build once (sorted, induced layout);
-                                // counted as preprocessing below.
-                                Some(Arc::new(
-                                    Relation::from_flat(info.induced.clone(), data.clone())
-                                        .expect("arity preserved"),
-                                ))
+                            // Merge pre-builds the block once (sorted,
+                            // induced layout; counted as preprocessing
+                            // below) and every destination shares it.
+                            let payload = if impl_ == HCubeImpl::Merge {
+                                let block = Relation::from_flat(info.induced.clone(), data)
+                                    .expect("arity preserved");
+                                BatchPayload::SortedBlock(Arc::new(block))
                             } else {
-                                None
+                                BatchPayload::Rows(data)
                             };
+                            let payload_bytes = block_tuples * info.perm.len() as u64 * 4;
                             for &w in &dests {
                                 checkpoint(FaultSite::TransportSend, cancel)?;
-                                let batch = match &prebuilt {
-                                    Some(block) => {
-                                        worker_bytes[w] += block.size_bytes() as u64;
-                                        RoutedBatch {
-                                            relation: ai,
-                                            tuples: block_tuples,
-                                            messages: 1, // one per block delivery
-                                            payload: BatchPayload::SortedBlock(Arc::clone(block)),
-                                        }
-                                    }
-                                    None => {
-                                        worker_bytes[w] += data.len() as u64 * 4;
-                                        RoutedBatch {
-                                            relation: ai,
-                                            tuples: block_tuples,
-                                            messages: 1, // one per block delivery
-                                            payload: BatchPayload::Rows(data.clone()),
-                                        }
-                                    }
+                                worker_bytes[w] += payload_bytes;
+                                let batch = RoutedBatch {
+                                    relation: ai,
+                                    tuples: block_tuples,
+                                    messages: 1, // one per block delivery
+                                    payload: payload.clone(),
                                 };
                                 round_ref.send(w, batch);
                                 worker_tuples[w] += block_tuples;
@@ -637,8 +578,6 @@ pub fn hcube_shuffle_cached_traced(
                 tuples,
                 messages,
                 hot_routed_tuples,
-                bound_scanned_tuples,
-                bound_kept_tuples,
                 worker_tuples,
                 rel_tuples,
                 rel_messages,
@@ -655,7 +594,7 @@ pub fn hcube_shuffle_cached_traced(
             let mut active_secs = 0.0f64;
             let mut recv_tuples = 0u64;
             let mut batches = 0u64;
-            while let Some(delivery) = round_ref.recv(w) {
+            while let Some(delivery) = round_ref.recv(w)? {
                 // Time only the handling, not the wait for the coordinator:
                 // `active_secs` is this worker's computation share.
                 let t0 = Instant::now();
@@ -672,22 +611,27 @@ pub fn hcube_shuffle_cached_traced(
                     Delivery::RelationDone(ai) => {
                         // The relation's last batch landed — build its trie
                         // now, overlapping with delivery of later relations.
-                        let trie = if blocks[ai].is_empty() {
-                            // sort + dedup + trie build
-                            let rel = Relation::from_flat(
-                                schemas_ref[ai].clone(),
-                                std::mem::take(&mut raw[ai]),
-                            )
-                            .expect("arity preserved");
-                            Trie::build(&rel)
-                        } else {
-                            // k-way merge of pre-sorted blocks + linear build
-                            let refs: Vec<&Relation> =
-                                blocks[ai].iter().map(|b| b.as_ref()).collect();
-                            let rel = Relation::merge_sorted(&refs).expect("same schema");
-                            blocks[ai].clear();
-                            Trie::build(&rel)
+                        let trie = match blocks[ai].as_slice() {
+                            [] => {
+                                // sort + dedup + trie build
+                                let rel = Relation::from_flat(
+                                    schemas_ref[ai].clone(),
+                                    std::mem::take(&mut raw[ai]),
+                                )
+                                .expect("arity preserved");
+                                Trie::build(&rel)
+                            }
+                            // One pre-sorted block is the fragment already.
+                            [only] => Trie::build(only),
+                            many => {
+                                // k-way merge of pre-sorted blocks + linear build
+                                let refs: Vec<&Relation> =
+                                    many.iter().map(|b| b.as_ref()).collect();
+                                let rel = Relation::merge_sorted(&refs).expect("same schema");
+                                Trie::build(&rel)
+                            }
                         };
+                        blocks[ai].clear();
                         tries[ai] = Some(Arc::new(trie));
                         rel_build_secs[ai] = t0.elapsed().as_secs_f64();
                     }
@@ -754,8 +698,6 @@ pub fn hcube_shuffle_cached_traced(
             tuples: 0,
             messages: 0,
             hot_routed_tuples: 0,
-            bound_scanned_tuples: 0,
-            bound_kept_tuples: 0,
             worker_tuples: vec![0; n],
             rel_tuples: vec![0; n_atoms],
             rel_messages: vec![0; n_atoms],
@@ -767,8 +709,6 @@ pub fn hcube_shuffle_cached_traced(
         tuples,
         messages,
         hot_routed_tuples,
-        bound_scanned_tuples,
-        bound_kept_tuples,
         worker_tuples,
         rel_tuples,
         rel_messages,
@@ -803,8 +743,6 @@ pub fn hcube_shuffle_cached_traced(
                 if let Some(claim) = claims[ai].take() {
                     // Publish through the claim: the entry lands in the
                     // cache and every coalesced waiter wakes with it.
-                    debug_assert_eq!(info.bind_tag, 0);
-                    debug_assert!(info.filters.is_empty());
                     claim.publish_index(Arc::new(RelationIndex::new(
                         tries.clone(),
                         rel_tuples[ai],
@@ -814,30 +752,22 @@ pub fn hcube_shuffle_cached_traced(
                     // Claimless cold build (disabled cache, a wait
                     // interrupted by cancellation, or a duplicate key in
                     // this shuffle): plain publish, no waiters to wake.
-                    if info.bind_tag == 0 {
-                        if let Some(Some(id)) = cache_ids.get(ai) {
-                            let key = scope.index_key(
-                                id.clone(),
-                                info.induced.attrs().to_vec(),
-                                plan.share(),
-                                n,
-                                routing.atom_tag(ai),
-                                info.bind_tag,
-                            );
-                            // The publish-side half of the keying
-                            // discipline: only binding-independent
-                            // fragments may enter the shared cache.
-                            debug_assert_eq!(key.bind_tag, 0);
-                            debug_assert!(info.filters.is_empty());
-                            scope.cache.insert_index(
-                                key,
-                                Arc::new(RelationIndex::new(
-                                    tries.clone(),
-                                    rel_tuples[ai],
-                                    rel_messages[ai],
-                                )),
-                            );
-                        }
+                    if let Some(Some(id)) = cache_ids.get(ai) {
+                        let key = scope.index_key(
+                            id.clone(),
+                            info.induced.attrs().to_vec(),
+                            plan.share(),
+                            n,
+                            routing.atom_tag(ai),
+                        );
+                        scope.cache.insert_index(
+                            key,
+                            Arc::new(RelationIndex::new(
+                                tries.clone(),
+                                rel_tuples[ai],
+                                rel_messages[ai],
+                            )),
+                        );
                     }
                 }
                 for (w, local) in locals.iter_mut().enumerate() {
@@ -867,6 +797,9 @@ pub fn hcube_shuffle_cached_traced(
         shuffle_span.arg("built_relations", built_relations);
         shuffle_span.arg("reused_relations", reused_relations);
         shuffle_span.arg("tuples_saved", tuples_saved);
+        if share_reused {
+            shuffle_span.arg("share_reused", 1);
+        }
     }
     drop(shuffle_span);
 
@@ -885,8 +818,6 @@ pub fn hcube_shuffle_cached_traced(
             built_relations,
             reused_relations,
             tuples_saved,
-            bound_scanned_tuples,
-            bound_kept_tuples,
         },
     })
 }
@@ -1072,7 +1003,6 @@ mod tests {
             &ids(&names),
             &[],
             &HotValues::none(),
-            &BoundValues::none(),
         )
         .unwrap();
         assert_eq!(cold.report.built_relations, 3);
@@ -1090,7 +1020,6 @@ mod tests {
             &ids(&names),
             &[],
             &HotValues::none(),
-            &BoundValues::none(),
         )
         .unwrap();
         assert_eq!(warm.report.reused_relations, 3);
@@ -1128,7 +1057,6 @@ mod tests {
             &ids(&names),
             &[],
             &HotValues::none(),
-            &BoundValues::none(),
         )
         .unwrap();
         let s1 = IndexScope { cache: &cache, db_tag: 1, epoch: 1, versions: &[] };
@@ -1143,7 +1071,6 @@ mod tests {
             &ids(&names),
             &[],
             &HotValues::none(),
-            &BoundValues::none(),
         )
         .unwrap();
         assert_eq!(out.report.reused_relations, 0, "stale epoch must not serve");
@@ -1171,20 +1098,8 @@ mod tests {
         hot: &HotValues,
     ) -> ShuffleOutput {
         let cluster = Cluster::new(ClusterConfig::with_workers(plan.num_workers()));
-        hcube_shuffle_cached(
-            &cluster,
-            db,
-            names,
-            plan,
-            &order3(),
-            impl_,
-            None,
-            &[],
-            &[],
-            hot,
-            &BoundValues::none(),
-        )
-        .unwrap()
+        hcube_shuffle_cached(&cluster, db, names, plan, &order3(), impl_, None, &[], &[], hot)
+            .unwrap()
     }
 
     #[test]
@@ -1278,7 +1193,6 @@ mod tests {
             &ids(&names),
             &[],
             &HotValues::none(),
-            &BoundValues::none(),
         )
         .unwrap();
         assert_eq!(naive.report.built_relations, 3);
@@ -1298,7 +1212,6 @@ mod tests {
             &ids(&names),
             &[],
             &hot,
-            &BoundValues::none(),
         )
         .unwrap();
         assert_eq!(routed.report.reused_relations, 1, "only the untouched R2 may alias");
@@ -1315,134 +1228,12 @@ mod tests {
             &ids(&names),
             &[],
             &hot,
-            &BoundValues::none(),
         )
         .unwrap();
         assert_eq!(warm.report.reused_relations, 3);
         for w in 0..4 {
             for ai in 0..names.len() {
                 assert_eq!(warm.locals[w][ai].trie, routed.locals[w][ai].trie);
-            }
-        }
-    }
-
-    #[test]
-    fn bound_filter_drops_non_matching_tuples_before_routing() {
-        let (db, names) = tri_db();
-        let plan = HCubePlan::new(vec![1, 2, 2], 4);
-        let cluster = Cluster::new(ClusterConfig::with_workers(4));
-        let unbound =
-            hcube_shuffle(&cluster, &db, &names, &plan, &order3(), HCubeImpl::Merge).unwrap();
-
-        // Bind a = 7: R1(a,b) and R3(a,c) are filtered, R2(b,c) untouched.
-        let bound = BoundValues::new(vec![(Attr(0), 7)]).unwrap();
-        let c2 = Cluster::new(ClusterConfig::with_workers(4));
-        let out = hcube_shuffle_cached(
-            &c2,
-            &db,
-            &names,
-            &plan,
-            &order3(),
-            HCubeImpl::Merge,
-            None,
-            &[],
-            &[],
-            &HotValues::none(),
-            &bound,
-        )
-        .unwrap();
-        let r1 = db.get("R1").unwrap();
-        let r3 = db.get("R3").unwrap();
-        assert_eq!(out.report.bound_scanned_tuples, (r1.len() + r3.len()) as u64);
-        assert!(out.report.bound_kept_tuples < out.report.bound_scanned_tuples);
-        assert!(
-            out.report.tuples < unbound.report.tuples,
-            "selection pushdown must shrink the shuffle: {} vs {}",
-            out.report.tuples,
-            unbound.report.tuples
-        );
-
-        // Exactly the matching tuples survive, none are lost.
-        for (ai, name) in [(0usize, "R1"), (2, "R3")] {
-            let original = db.get(name).unwrap();
-            let mut all = out.locals[0][ai].trie.to_relation();
-            for w in 1..4 {
-                all = all.union(&out.locals[w][ai].trie.to_relation()).unwrap();
-            }
-            let back = all.permute(original.schema().attrs()).unwrap();
-            let expected: Vec<&[Value]> = original.rows().filter(|r| r[0] == 7).collect();
-            assert_eq!(
-                back.rows().collect::<Vec<_>>(),
-                expected,
-                "{name} must hold exactly the a=7 tuples"
-            );
-        }
-        // R2 contains no bound attribute: shuffled in full.
-        let mut all = out.locals[0][1].trie.to_relation();
-        for w in 1..4 {
-            all = all.union(&out.locals[w][1].trie.to_relation()).unwrap();
-        }
-        assert_eq!(&all.permute(&[Attr(1), Attr(2)]).unwrap(), db.get("R2").unwrap());
-    }
-
-    #[test]
-    fn bound_shuffles_bypass_the_shared_cache_without_aliasing() {
-        let (db, names) = tri_db();
-        let plan = HCubePlan::new(vec![1, 2, 2], 4);
-        let cluster = Cluster::new(ClusterConfig::with_workers(4));
-        let cache = IndexCache::new(64 << 20);
-        let scope = IndexScope { cache: &cache, db_tag: 5, epoch: 0, versions: &[] };
-        let run = |bound: &BoundValues| {
-            hcube_shuffle_cached(
-                &cluster,
-                &db,
-                &names,
-                &plan,
-                &order3(),
-                HCubeImpl::Merge,
-                Some(&scope),
-                &ids(&names),
-                &[],
-                &HotValues::none(),
-                bound,
-            )
-            .unwrap()
-        };
-        // Warm the unbound entries.
-        let cold = run(&BoundValues::none());
-        assert_eq!(cold.report.built_relations, 3);
-        assert_eq!(cache.len(), 3);
-
-        // A bound shuffle may reuse only the *untouched* relation (R2): the
-        // filtered ones build fresh per binding and publish nothing.
-        let bound = BoundValues::new(vec![(Attr(0), 7)]).unwrap();
-        let b1 = run(&bound);
-        assert_eq!(b1.report.reused_relations, 1, "only R2(b,c) is binding-independent");
-        assert_eq!(b1.report.built_relations, 2);
-        assert_eq!(cache.len(), 3, "bound fragments must never be published");
-        for w in 0..4 {
-            assert!(
-                b1.locals[w][0].trie.tuples() <= cold.locals[w][0].trie.tuples(),
-                "bound R1 fragments are a subset, never the cached full relation"
-            );
-        }
-
-        // The shared entries stay pristine: an unbound re-run is fully warm
-        // and byte-identical to the original cold shuffle.
-        let warm = run(&BoundValues::none());
-        assert_eq!(warm.report.reused_relations, 3);
-        for w in 0..4 {
-            for ai in 0..names.len() {
-                assert_eq!(warm.locals[w][ai].trie, cold.locals[w][ai].trie);
-            }
-        }
-
-        // And a *second* identical binding rebuilds its fragments
-        // identically (determinism of the bypass path).
-        let b2 = run(&bound);
-        for w in 0..4 {
-            for ai in 0..names.len() {
-                assert_eq!(b1.locals[w][ai].trie, b2.locals[w][ai].trie);
             }
         }
     }
@@ -1477,7 +1268,6 @@ mod tests {
             &partial,
             &[],
             &HotValues::none(),
-            &BoundValues::none(),
         )
         .unwrap();
         let out = hcube_shuffle_cached(
@@ -1491,7 +1281,6 @@ mod tests {
             &ids(&names),
             &[],
             &HotValues::none(),
-            &BoundValues::none(),
         )
         .unwrap();
         assert_eq!(out.report.reused_relations, 2);

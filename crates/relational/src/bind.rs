@@ -2,19 +2,20 @@
 //!
 //! A [`BoundValues`] maps query attributes to the constants a prepared
 //! query was bound to (inline literals resolved by the parser plus `$name`
-//! parameters resolved by `Prepared::bind`). Every execution layer consumes
-//! the same vocabulary:
+//! parameters resolved by `Prepared::bind`). Its consumers:
 //!
-//! * the HCube shuffle drops tuples failing a bound equality *before*
-//!   routing them ([`BoundValues::filters_for`]);
-//! * the share optimizer pins bound attributes to share 1
-//!   ([`BoundValues::mask`]) — a fully-bound dimension has nothing left to
-//!   partition;
 //! * Leapfrog seeks the constant at bound trie levels
-//!   ([`BoundValues::get`]) instead of intersecting candidate runs.
+//!   ([`BoundValues::get`]) instead of intersecting candidate runs — the
+//!   only place a binding reaches at execution time (the HCube shuffle and
+//!   its indexes are binding-independent);
+//! * the optimizer prices bound attributes as one-value dimensions
+//!   ([`BoundValues::mask`]) when it picks the attribute order;
+//! * the GHD-Yannakakis evaluator selects the matching rows of each bound
+//!   base relation before its semi-join passes
+//!   ([`BoundValues::touches`] / [`BoundValues::matches`]).
 //!
-//! The type lives here (not in the query layer) because the shuffle and the
-//! join know nothing about queries — only about attributes and values.
+//! The type lives here (not in the query layer) because the join knows
+//! nothing about queries — only about attributes and values.
 
 use crate::error::{Error, Result};
 use crate::schema::{Attr, Schema};
@@ -73,48 +74,10 @@ impl BoundValues {
         self.pairs.iter().fold(0, |m, &(a, _)| m | a.mask())
     }
 
-    /// The equality filters that apply to a relation with `schema`, as
-    /// `(column position, required value)` pairs — what the shuffle checks
-    /// per tuple before routing. Empty when the schema contains no bound
-    /// attribute.
-    pub fn filters_for(&self, schema: &Schema) -> Vec<(usize, Value)> {
-        let mut filters: Vec<(usize, Value)> =
-            self.pairs.iter().filter_map(|&(a, v)| schema.position(a).map(|p| (p, v))).collect();
-        filters.sort_unstable();
-        filters
-    }
-
     /// Whether `schema` contains any bound attribute (i.e. whether its
     /// relation is filtered by this binding).
     pub fn touches(&self, schema: &Schema) -> bool {
         schema.mask() & self.mask() != 0
-    }
-
-    /// A stable fingerprint of the bindings that apply to `schema`: 0 when
-    /// none do (the relation's shuffled fragments are binding-independent),
-    /// odd and value-dependent otherwise — the `route_tag`-style *binding
-    /// tag* that keeps bound-level index entries from ever aliasing unbound
-    /// ones. (FNV-1a, stable across processes like the query fingerprint.)
-    pub fn tag_for(&self, schema: &Schema) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut touched = false;
-        for &(a, v) in &self.pairs {
-            if !schema.contains(a) {
-                continue;
-            }
-            touched = true;
-            for b in a.0.to_le_bytes().into_iter().chain(v.to_le_bytes()) {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
-        if touched {
-            h | 1
-        } else {
-            0
-        }
     }
 
     /// Merges two binding sets (e.g. parser-resolved literals with
@@ -163,37 +126,15 @@ mod tests {
     }
 
     #[test]
-    fn filters_follow_schema_positions() {
-        let b = BoundValues::new(vec![(Attr(0), 5), (Attr(2), 9)]).unwrap();
-        // schema (c, a): attr 2 at column 0, attr 0 at column 1
-        let s = Schema::from_ids(&[2, 0]);
-        assert_eq!(b.filters_for(&s), vec![(0, 9), (1, 5)]);
-        assert!(b.touches(&s));
-        let t = Schema::from_ids(&[1, 3]);
-        assert!(b.filters_for(&t).is_empty());
-        assert!(!b.touches(&t));
-    }
-
-    #[test]
     fn matches_checks_applicable_columns_only() {
         let b = BoundValues::new(vec![(Attr(0), 5)]).unwrap();
         let s = Schema::from_ids(&[0, 1]);
         assert!(b.matches(&s, &[5, 99]));
         assert!(!b.matches(&s, &[6, 99]));
+        assert!(b.touches(&s));
         let unrelated = Schema::from_ids(&[1, 2]);
         assert!(b.matches(&unrelated, &[1, 2]));
-    }
-
-    #[test]
-    fn tag_is_zero_iff_untouched_and_value_dependent() {
-        let s = Schema::from_ids(&[0, 1]);
-        let b5 = BoundValues::new(vec![(Attr(0), 5)]).unwrap();
-        let b6 = BoundValues::new(vec![(Attr(0), 6)]).unwrap();
-        assert_eq!(BoundValues::none().tag_for(&s), 0);
-        assert_eq!(b5.tag_for(&Schema::from_ids(&[1, 2])), 0, "no overlap → tag 0");
-        assert_ne!(b5.tag_for(&s), 0);
-        assert_ne!(b5.tag_for(&s), b6.tag_for(&s), "distinct values → distinct tags");
-        assert_eq!(b5.tag_for(&s) & 1, 1, "non-zero tags are odd, never colliding with 0");
+        assert!(!b.touches(&unrelated));
     }
 
     #[test]

@@ -47,6 +47,9 @@ pub enum Error {
     /// An attribute order with no attributes reached an operation that needs
     /// a first one (the sampled attribute `A` of the cardinality estimator).
     EmptyOrder,
+    /// A transport wire frame could not be decoded: empty, truncated,
+    /// carrying an unknown tag, or disagreeing with the round's schemas.
+    MalformedFrame { message: String },
 }
 
 impl fmt::Display for Error {
@@ -91,6 +94,7 @@ impl fmt::Display for Error {
             },
             Error::InvalidConfig { message } => write!(f, "invalid configuration: {message}"),
             Error::EmptyOrder => write!(f, "empty attribute order"),
+            Error::MalformedFrame { message } => write!(f, "malformed wire frame: {message}"),
         }
     }
 }

@@ -174,12 +174,9 @@ impl MetricsSnapshot {
             .u64("index_relations_reused", self.index_relations_reused)
             .u64("index_bags_reused", self.index_bags_reused)
             .u64("queries_prepared", self.queries_prepared)
-            .u64("params_bound", self.params_bound);
-        match self.bound_selectivity {
-            Some(s) => o.f64("bound_selectivity", s),
-            None => o.raw("bound_selectivity", "null"),
-        };
-        o.u64("queries_skew_routed", self.queries_skew_routed)
+            .u64("params_bound", self.params_bound)
+            .u64("share_solves", self.share_solves)
+            .u64("queries_skew_routed", self.queries_skew_routed)
             .u64("hot_routed_tuples", self.hot_routed_tuples)
             .u64("max_partition_tuples", self.max_partition_tuples)
             .f64("mean_partition_tuples", self.mean_partition_tuples)
@@ -226,6 +223,7 @@ pub fn execution_report_json(r: &ExecutionReport) -> String {
         .u64("precompute_tuples", r.precompute_tuples)
         .u64("output_tuples", r.output_tuples)
         .raw("share", array_u64(&r.share.iter().map(|&s| s as u64).collect::<Vec<_>>()))
+        .u64("share_solves", r.share_solves)
         .u64("index_relations_built", r.index_relations_built)
         .u64("index_relations_reused", r.index_relations_reused)
         .u64("index_bags_reused", r.index_bags_reused)
@@ -278,7 +276,7 @@ mod tests {
         let json = m.to_json();
         assert!(json.contains("\"queries_ok\":3"));
         assert!(json.contains("\"by_mode\":{"));
-        assert!(json.contains("\"bound_selectivity\":null"));
+        assert!(json.contains("\"share_solves\":0"));
         assert!(json.contains("\"worker_panics_caught\":0"));
         assert!(json.contains("\"queries_deadline_exceeded\":0"));
         assert!(json.contains("\"queries_cancelled\":0"));

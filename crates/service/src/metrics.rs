@@ -159,8 +159,7 @@ pub struct ServiceMetrics {
     index_bags_reused: AtomicU64,
     queries_prepared: AtomicU64,
     params_bound: AtomicU64,
-    bound_scanned_tuples: AtomicU64,
-    bound_kept_tuples: AtomicU64,
+    share_solves: AtomicU64,
     queries_skew_routed: AtomicU64,
     hot_routed_tuples: AtomicU64,
     queries_traced: AtomicU64,
@@ -233,8 +232,7 @@ impl ServiceMetrics {
         self.index_relations_reused.fetch_add(report.index_relations_reused, Ordering::Relaxed);
         self.index_bags_reused.fetch_add(report.index_bags_reused, Ordering::Relaxed);
         self.params_bound.fetch_add(report.bound_values, Ordering::Relaxed);
-        self.bound_scanned_tuples.fetch_add(report.bound_scanned_tuples, Ordering::Relaxed);
-        self.bound_kept_tuples.fetch_add(report.bound_kept_tuples, Ordering::Relaxed);
+        self.share_solves.fetch_add(report.share_solves, Ordering::Relaxed);
         if report.hot_values > 0 {
             self.queries_skew_routed.fetch_add(1, Ordering::Relaxed);
         }
@@ -356,11 +354,7 @@ impl ServiceMetrics {
             index_bags_reused: self.index_bags_reused.load(Ordering::Relaxed),
             queries_prepared: self.queries_prepared.load(Ordering::Relaxed),
             params_bound: self.params_bound.load(Ordering::Relaxed),
-            bound_selectivity: {
-                let scanned = self.bound_scanned_tuples.load(Ordering::Relaxed);
-                (scanned > 0)
-                    .then(|| self.bound_kept_tuples.load(Ordering::Relaxed) as f64 / scanned as f64)
-            },
+            share_solves: self.share_solves.load(Ordering::Relaxed),
             queries_skew_routed: self.queries_skew_routed.load(Ordering::Relaxed),
             hot_routed_tuples: self.hot_routed_tuples.load(Ordering::Relaxed),
             queries_traced: self.queries_traced.load(Ordering::Relaxed),
@@ -436,16 +430,14 @@ pub struct MetricsSnapshot {
     /// ([`Service::prepare`](crate::Service::prepare) /
     /// `prepare_text` calls).
     pub queries_prepared: u64,
-    /// Constants pushed down across all served executions: bound `$name`
+    /// Constants bound across all served executions: bound `$name`
     /// parameters plus resolved inline literals.
     pub params_bound: u64,
-    /// Realized selection-pushdown selectivity, aggregated over every
-    /// bound shuffle: tuples kept ÷ tuples scanned in filtered relations;
-    /// `None` until a bound query has filtered anything (distinct from a
-    /// genuine 0.0, where bindings matched no tuple at all). Low is good —
-    /// it is the fraction of scanned tuples the bindings actually had to
-    /// move.
-    pub bound_selectivity: Option<f64>,
+    /// Execution-time share programs solved across all served executions.
+    /// A plan solves each of its shuffle rounds once and later executions
+    /// reuse the vector, so this grows with new plan entries (cold shapes,
+    /// mutations, re-registrations) and cluster resizes — not with traffic.
+    pub share_solves: u64,
     /// Served queries whose plan carried a heavy-hitter routing table.
     pub queries_skew_routed: u64,
     /// Tuple copies that took a heavy-hitter route (spread or broadcast)
@@ -578,7 +570,12 @@ impl MetricsSnapshot {
             self.index_bags_reused,
         );
         counter("queries_prepared_total", "Prepared statements created.", self.queries_prepared);
-        counter("params_bound_total", "Constants pushed down at bind time.", self.params_bound);
+        counter("params_bound_total", "Constants bound at bind time.", self.params_bound);
+        counter(
+            "share_solves_total",
+            "Execution-time share programs solved (not reused from a plan's memo).",
+            self.share_solves,
+        );
         counter(
             "queries_skew_routed_total",
             "Queries whose plan carried a heavy-hitter routing table.",
@@ -667,12 +664,6 @@ impl MetricsSnapshot {
              adj_mean_partition_tuples {}\n",
             self.mean_partition_tuples
         ));
-        if let Some(s) = self.bound_selectivity {
-            out.push_str(&format!(
-                "# HELP adj_bound_selectivity Tuples kept over scanned in bound shuffles.\n\
-                 # TYPE adj_bound_selectivity gauge\nadj_bound_selectivity {s}\n"
-            ));
-        }
         for (name, help, h) in [
             ("total_latency", "End-to-end service-side latency.", &self.total),
             ("queue_wait", "Admission-wait latency.", &self.queue_wait),

@@ -6,8 +6,8 @@
 //! that loop: finished [`QueryOutput`]s are kept keyed by the *plan cache
 //! key* (which already folds the database tag and statistics token, so
 //! mutations and re-registrations orphan stale entries automatically), the
-//! output mode, and the binding's value vector — the same FNV-over-pairs
-//! fingerprint style as `BoundValues::tag_for` / `IndexKey::bind_tag`.
+//! output mode, and the binding's value vector, folded FNV-style over its
+//! `(attribute, value)` pairs.
 //!
 //! Structure mirrors the [`PlanCache`](crate::cache::PlanCache): one mutex
 //! over a `HashMap` with logical last-use ticks and O(capacity) eviction

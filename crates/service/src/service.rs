@@ -161,7 +161,7 @@ pub struct MutationOutcome {
     pub seq: u64,
     /// Warm index-cache entries patched forward to the new sequence.
     pub entries_patched: usize,
-    /// Index-cache entries dropped (skew-routed/bound/stale entries the
+    /// Index-cache entries dropped (skew-routed/stale entries the
     /// patcher cannot reconstruct, or everything under a drift-triggered
     /// compaction).
     pub entries_dropped: usize,
@@ -258,7 +258,7 @@ impl PreparedQuery {
     }
 
     /// Resolves `bindings` against the statement's parameter table into
-    /// the constant set an execution would push down — without executing
+    /// the constant set an execution would seek — without executing
     /// anything. Every `$name` parameter must receive a value
     /// ([`Error::UnboundParam`](adj_relational::Error) names the first one
     /// missing) and every supplied name must exist in the statement
@@ -918,10 +918,13 @@ impl Service {
 
     /// Executes one binding of a prepared statement: resolves `bindings`
     /// against the statement's parameter table, then runs the shared
-    /// cached plan with the bound constants pushed down the whole stack
-    /// (share pinning, pre-routing shuffle filters, Leapfrog constant
-    /// seeks). Returns a full per-binding [`ServiceOutcome`]; all output
-    /// modes are available exactly as on [`Service::execute_mode`].
+    /// cached plan over the same warm index family the unbound query and
+    /// [`Service::execute_batch`] use — the binding reaches only Leapfrog,
+    /// which seeks the constants — so a warm call shuffles nothing, builds
+    /// nothing and solves no share program. The first call on a cold cache
+    /// builds (and publishes) the full indexes. Returns a full per-binding
+    /// [`ServiceOutcome`]; all output modes are available exactly as on
+    /// [`Service::execute_mode`].
     pub fn execute_bound(
         &self,
         prepared: &PreparedQuery,
@@ -1249,9 +1252,8 @@ impl Service {
     /// The result-LRU key of one `(plan entry, mode, binding)` triple: the
     /// plan cache key already folds the query shape, database tag, and
     /// statistics token (so mutations orphan stale results), and the
-    /// binding's value pairs are folded FNV-style — the same fingerprint
-    /// discipline as `BoundValues::tag_for` / `IndexKey::bind_tag`. The
-    /// mode folds separately because the plan key is mode-independent.
+    /// binding's value pairs are folded FNV-style. The mode folds
+    /// separately because the plan key is mode-independent.
     fn result_key(plan_cache_key: u64, mode: OutputMode, binding: &BoundValues) -> u64 {
         let mut h = Fnv1a::new();
         h.write(&plan_cache_key.to_le_bytes());
@@ -1998,8 +2000,7 @@ mod tests {
         let m = service.metrics();
         assert_eq!(m.queries_prepared, 1);
         assert!(m.params_bound >= 10, "each bound execution binds $v");
-        let selectivity = m.bound_selectivity.expect("bound shuffles ran");
-        assert!(selectivity > 0.0 && selectivity < 1.0);
+        assert_eq!(m.share_solves, 2, "one solve per plan (unbound, prepared), none per binding");
     }
 
     #[test]

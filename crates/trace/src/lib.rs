@@ -77,7 +77,7 @@ pub fn lane_for_worker(worker: usize) -> Lane {
 ///
 /// * [`SPAN_SHUFFLE`] (coordinator lane) — the whole cached shuffle, with
 ///   `tuples` / `bytes` / `wire_bytes` / `messages` / reuse args;
-/// * [`SPAN_ROUTE`] (coordinator lane) — the filter-route-send pass, with a
+/// * [`SPAN_ROUTE`] (coordinator lane) — the route-send pass, with a
 ///   `frames` arg counting transport frames (batches + relation markers);
 /// * [`SPAN_BUILD`] (worker lanes) — one per worker, covering its receive +
 ///   per-relation trie builds, with `inbox_tuples` and `batches` args.

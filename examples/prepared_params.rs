@@ -65,10 +65,8 @@ fn main() {
 
     let m = service.metrics();
     println!(
-        "\nprepared statements: {} | params bound: {} | bound selectivity: {:.4}",
-        m.queries_prepared,
-        m.params_bound,
-        m.bound_selectivity.unwrap_or(f64::NAN)
+        "\nprepared statements: {} | params bound: {} | share programs solved: {}",
+        m.queries_prepared, m.params_bound, m.share_solves
     );
     let stats = service.stats();
     println!(

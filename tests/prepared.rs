@@ -4,9 +4,11 @@
 //! attribute `a = v` must return byte-for-byte the rows of the *unbound*
 //! join whose `a` column equals `v` — for every paper shape, both
 //! plan-search strategies, and all four output modes. On top of
-//! correctness, the serving contract: one prepared plan serves 50 distinct
-//! bindings with >90% plan-cache *and* index-cache hit rates, and bound
-//! executions never pollute the shared cache entries.
+//! correctness, the serving contract: `execute_bound`, `execute_batch` and
+//! the unbound query answer from one index family — a bound call after the
+//! first shuffles nothing, builds nothing and solves no share program, also
+//! across mutations and re-registration — and bound executions never
+//! pollute the shared cache entries.
 
 use adj::prelude::*;
 
@@ -134,12 +136,23 @@ fn fifty_distinct_bindings_reuse_one_plan_and_index_family() {
     let (q, _) = parse_query("Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
     let prepared = service.prepare("g", &q).unwrap();
 
+    let atoms = q.atoms.len() as u64;
+    let mut entries = 0;
     let modes = [OutputMode::Rows, OutputMode::Count, OutputMode::Limit(2), OutputMode::Exists];
     for v in 0..50u32 {
         let b = Bindings::new().set("v", v);
         let mode = modes[v as usize % modes.len()];
         let out = service.execute_bound(&prepared, &b, mode).unwrap();
         assert!(out.cache_hit, "binding {v} must reuse the prepared plan");
+        // The first call pays for the index family; nothing after it does.
+        if v == 0 {
+            assert_eq!(out.report.index_relations_built, atoms);
+            entries = service.index_cache_stats().len;
+        } else {
+            assert_eq!(out.report.index_relations_built, 0, "binding {v} built an index");
+            assert_eq!(out.report.index_relations_reused, atoms, "binding {v}");
+            assert_eq!(out.report.comm_tuples, 0, "binding {v} shuffled");
+        }
         let oracle = filter_oracle(full, v);
         match mode {
             OutputMode::Rows => {
@@ -173,8 +186,186 @@ fn fifty_distinct_bindings_reuse_one_plan_and_index_family() {
     assert_eq!(stats.metrics.queries_prepared, 1);
     assert_eq!(stats.metrics.queries_ok, 50);
     assert!(stats.metrics.params_bound >= 50);
-    let selectivity = stats.metrics.bound_selectivity.expect("bound shuffles ran");
-    assert!(selectivity > 0.0 && selectivity < 0.5);
+    assert_eq!(stats.index.len, entries, "no binding may add an index-cache entry");
+
+    // A batch of the same statement rides the same entries: the single
+    // calls above left it nothing to build. (Values the result LRU has not
+    // seen, so the batch does reach the shuffle.)
+    let fresh: Vec<Bindings> = (100..110u32).map(|v| Bindings::new().set("v", v)).collect();
+    let batch = service.execute_batch(&prepared, &fresh, OutputMode::Count).unwrap();
+    assert_eq!(batch.report.index_relations_built, 0);
+    assert_eq!(batch.report.index_relations_reused, atoms);
+    assert_eq!(service.index_cache_stats().len, entries);
+}
+
+/// A shape, its prepared-statement text, and the literals that text pins.
+type Door = (PaperQuery, &'static str, &'static [(Attr, Value)]);
+
+/// The bound triangle, Q4 with `$v` at `a` and the literal 5 at `e`, and Q7.
+const DOORS: [Door; 3] = [
+    (PaperQuery::Q1, "Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)", &[]),
+    (
+        PaperQuery::Q4,
+        "Q(b,c,d) :- R1($v,b), R2(b,c), R3(c,d), R4(d,5), R5(5,$v), R6(b,5)",
+        &[(Attr(4), 5)],
+    ),
+    (PaperQuery::Q7, "Q(b,c) :- R1($v,b), R2(b,c)", &[]),
+];
+
+/// Checks, for a few values of `$v` and all four modes, that
+/// `execute_bound(b)`, `execute_batch(&[b]).results[0]` and the unbound
+/// result filtered client-side agree. Returns the last bound call's report.
+fn three_doors_agree(
+    service: &Service,
+    prepared: &PreparedQuery,
+    unbound: &JoinQuery,
+    pins: &[(Attr, Value)],
+    label: &str,
+) -> ExecutionReport {
+    let full = service.execute("g", unbound).unwrap();
+    let mut oracle = full.rows().clone();
+    for &(attr, value) in pins {
+        let col = oracle.schema().position(attr).expect("pinned attribute in the result");
+        let rows: Vec<Vec<Value>> =
+            oracle.rows().filter(|r| r[col] == value).map(|r| r.to_vec()).collect();
+        let refs: Vec<&[Value]> = rows.iter().map(|r| r.as_slice()).collect();
+        oracle = Relation::from_rows(oracle.schema().clone(), &refs).unwrap();
+    }
+    let mut last = None;
+    // A well-matched vertex, a sparse one, and an absent one.
+    for v in [1u32, 17, 999] {
+        let expect = filter_oracle(&oracle, v);
+        let b = Bindings::new().set("v", v);
+        for mode in [OutputMode::Rows, OutputMode::Count, OutputMode::Limit(2), OutputMode::Exists]
+        {
+            let label = format!("{label}/v={v}/{mode:?}");
+            let single = service.execute_bound(prepared, &b, mode).unwrap();
+            let batch = service.execute_batch(prepared, std::slice::from_ref(&b), mode).unwrap();
+            assert_eq!(batch.results.len(), 1, "{label}");
+            assert_eq!(batch.results[0].as_ref().unwrap(), &single.output, "{label}: batch of one");
+            match mode {
+                OutputMode::Rows | OutputMode::Limit(_) => {
+                    // `Limit(n)` is the n smallest rows under the plan's order.
+                    let want = expect.permute(single.rows().schema().attrs()).unwrap();
+                    let keep = match mode {
+                        OutputMode::Limit(n) => n.min(want.len()),
+                        _ => want.len(),
+                    };
+                    let arity = want.schema().arity();
+                    let want = Relation::from_flat(
+                        want.schema().clone(),
+                        want.flat()[..keep * arity].to_vec(),
+                    )
+                    .unwrap();
+                    assert_eq!(single.rows(), &want, "{label}: filtered unbound result");
+                }
+                OutputMode::Count => {
+                    assert_eq!(single.output, QueryOutput::Count(expect.len() as u64), "{label}");
+                }
+                OutputMode::Exists => {
+                    assert_eq!(single.output, QueryOutput::Exists(!expect.is_empty()), "{label}");
+                }
+            }
+            last = Some(single.report);
+        }
+    }
+    last.expect("at least one bound call ran")
+}
+
+#[test]
+fn bound_batch_and_filtered_unbound_agree_through_mutation_and_reregistration() {
+    let g = graph();
+    for (shape, text, pins) in DOORS {
+        let unbound = paper_query(shape);
+        let (bound_q, _) = parse_query(text).unwrap();
+        for strategy in STRATEGIES {
+            for width in [1usize, 2, 4] {
+                let label = format!("{shape:?}/{strategy:?}/w{width}");
+                // The result LRU would answer a repeated batch of one
+                // without reaching the shuffle; every call here must.
+                let service = Service::new(ServiceConfig {
+                    adj: AdjConfig {
+                        cluster: ClusterConfig::with_workers(width),
+                        cost: CostParams { measure_beta: false, ..Default::default() },
+                        ..Default::default()
+                    },
+                    strategy,
+                    result_cache_capacity: 0,
+                    ..Default::default()
+                });
+                service.register_database("g", unbound.instantiate(&g));
+                let prepared = service.prepare("g", &bound_q).unwrap();
+                let warm = three_doors_agree(&service, &prepared, &unbound, pins, &label);
+                assert_eq!(warm.index_relations_built, 0, "{label}: warm bound call built");
+
+                // Mutate a relation the binding touches. Its entries — the
+                // ones bound calls published — are patched, not dropped,
+                // and once the repair read has re-planned, bound calls ride
+                // them again.
+                let batch = MutationBatch::new("R1").insert(&[1, 30]).delete(&[1, 8]);
+                let outcome = service.mutate("g", &batch).unwrap();
+                assert_eq!((outcome.inserted, outcome.deleted), (1, 1), "{label}");
+                assert!(outcome.entries_patched > 0, "{label}: nothing of R1's to patch");
+                let b = Bindings::new().set("v", 1);
+                let repair = service.execute_bound(&prepared, &b, OutputMode::Count).unwrap();
+                assert!(!repair.cache_hit, "{label}: a mutation re-keys the plan");
+                let after = service.execute_bound(&prepared, &b, OutputMode::Count).unwrap();
+                assert_eq!(after.report.index_relations_built, 0, "{label}: read after repair");
+                assert_eq!(after.report.comm_tuples, 0, "{label}: read after repair");
+                let label_m = format!("{label}/mutated");
+                three_doors_agree(&service, &prepared, &unbound, pins, &label_m);
+
+                // Re-register different data under the same name.
+                let g2 = Relation::from_pairs(
+                    Attr(0),
+                    Attr(1),
+                    &g.rows().map(|r| (r[1], (r[0] + 3) % 31)).collect::<Vec<_>>(),
+                );
+                service.register_database("g", unbound.instantiate(&g2));
+                let label_r = format!("{label}/re-registered");
+                three_doors_agree(&service, &prepared, &unbound, pins, &label_r);
+            }
+        }
+    }
+}
+
+#[test]
+fn the_share_program_is_solved_once_per_plan_and_width() {
+    let unbound = paper_query(PaperQuery::Q1);
+    let service = Service::new(ServiceConfig {
+        adj: AdjConfig { cluster: ClusterConfig::with_workers(2), ..Default::default() },
+        elastic_workers: Some((1, 4)),
+        ..Default::default()
+    });
+    service.register_database("g", unbound.instantiate(&graph()));
+    let (q, _) = parse_query("Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
+    let prepared = service.prepare("g", &q).unwrap();
+    let call = |v: u32| {
+        service.execute_bound(&prepared, &Bindings::new().set("v", v), OutputMode::Count).unwrap()
+    };
+
+    let solves: Vec<u64> = (0..64).map(|v| call(v).report.share_solves).collect();
+    assert_eq!(solves[0], 1, "the first execution of the plan solves its share");
+    assert!(solves[1..].iter().all(|&s| s == 0), "later calls re-solved: {solves:?}");
+    assert_eq!(service.metrics().share_solves, 1);
+
+    // A mutation re-keys the plan: the new entry solves once, then reuses.
+    service.mutate("g", &MutationBatch::new("R2").insert(&[1, 30])).unwrap();
+    assert_eq!(call(1).report.share_solves, 1);
+    assert_eq!(call(2).report.share_solves, 0);
+    assert_eq!(service.metrics().share_solves, 2);
+
+    // A resize changes the program's input under the same plan entry.
+    service.cluster().resize(4).unwrap();
+    let resized = call(3);
+    assert!(resized.cache_hit, "the plan entry survives a resize");
+    assert_eq!(resized.report.share_solves, 1);
+    assert_eq!(resized.report.share.iter().product::<u32>(), 4);
+    assert_eq!(call(4).report.share_solves, 0);
+    // Back at the old width the first answer is still there.
+    service.cluster().resize(2).unwrap();
+    assert_eq!(call(5).report.share_solves, 0);
+    assert_eq!(service.metrics().share_solves, 3);
 }
 
 #[test]

@@ -230,4 +230,24 @@ fn prepared_bound_executions_trace_too() {
     assert!(trace.is_well_formed());
     assert!(!trace.events_named("shuffle").is_empty());
     assert_eq!(trace.events_named("join").len(), WORKERS);
+
+    // The share program is on the timeline when it is solved — between the
+    // plan lookup and the shuffle — and only then: the second call reuses
+    // the plan's vector and says so on its shuffle span.
+    let solve = trace.events_named("share_solve");
+    assert_eq!(solve.len(), 1, "the first execution of a plan solves its share");
+    assert_eq!(solve[0].lane, COORDINATOR_LANE);
+    let shuffle = trace.events_named("shuffle")[0];
+    assert!(solve[0].start_us + solve[0].dur_us <= shuffle.start_us, "solve precedes the shuffle");
+    assert_eq!(shuffle.args.get("share_reused"), None);
+    assert_eq!(out.report.share_solves, 1);
+
+    let again =
+        service.execute_bound(&prepared, &Bindings::new().set("v", 4), OutputMode::Count).unwrap();
+    let trace = again.trace.as_ref().unwrap();
+    assert!(trace.is_well_formed());
+    assert!(trace.events_named("share_solve").is_empty(), "a reused share is not re-solved");
+    assert_eq!(trace.events_named("shuffle")[0].args.get("share_reused"), Some(1));
+    assert_eq!(again.report.share_solves, 0);
+    assert_eq!(again.report.share, out.report.share, "the report carries the share either way");
 }
