@@ -60,8 +60,8 @@ impl BaselineReport {
 /// selection-pushdown (or binding) channel: a query with inline literals or
 /// `$name` parameters would silently join free here, so every entry point
 /// rejects bound terms up front instead of returning the wrong relation.
-/// (ADJ proper — `adj_core::execute_plan_bound` — is where bound queries
-/// run.)
+/// (ADJ proper — `adj_core::execute_plan` with its `params` — is where
+/// bound queries run.)
 pub(crate) fn reject_bound_terms(query: &adj_query::JoinQuery) -> adj_relational::Result<()> {
     if let Some((name, _)) = query.param_attrs().into_iter().next() {
         return Err(adj_relational::Error::UnboundParam { name });

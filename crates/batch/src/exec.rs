@@ -3,16 +3,16 @@
 use crate::BindingBatch;
 use adj_cluster::Cluster;
 use adj_core::{
-    cancel_err, prepare_plan_locals, AdjConfig, CancelSink, ExecutionReport, QueryPlan,
+    cancel_err, merge_plan_consts, prepare_plan_locals, shape_output, AdjConfig, CancelSink,
+    ExecCtx, ExecutionReport, QueryPlan,
 };
-use adj_faults::{CancelToken, FaultSite};
-use adj_hcube::IndexScope;
+use adj_faults::FaultSite;
 use adj_leapfrog::{BatchedLeapfrog, JoinCounters, JoinScratch};
 use adj_relational::{
-    Attr, BoundValues, CountSink, Database, Error, ExistsSink, OutputMode, QueryOutput, Relation,
-    Result, RowBuffer, RowSink, Schema, Trie, Value,
+    Attr, BoundValues, CountSink, Database, Error, ExistsSink, OutputMode, QueryOutput, Result,
+    RowBuffer, RowSink, Trie, Value,
 };
-use adj_trace::{Tracer, COORDINATOR_LANE};
+use adj_trace::COORDINATOR_LANE;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -20,18 +20,16 @@ use std::time::Instant;
 enum SlotData {
     /// Flat row data (`Rows`/`Limit` modes).
     Rows(Vec<Value>),
-    /// This worker's local cardinality (`Count` mode).
-    Count(u64),
-    /// Whether this worker found a witness (`Exists` mode).
-    Exists(bool),
+    /// This worker's local cardinality (`Count` mode; 0 or 1 under
+    /// `Exists`, for "found a witness").
+    Found(u64),
 }
 
 /// Per-driver-slot gather accumulator.
 #[derive(Default)]
 struct SlotAcc {
     rows: Vec<Value>,
-    count: u64,
-    exists: bool,
+    found: u64,
     err: Option<Error>,
 }
 
@@ -61,19 +59,17 @@ struct SlotAcc {
 /// over the submissions — the same locals, one Leapfrog seek sequence per
 /// binding instead of one shared forward pass — and per-worker `Limit`
 /// sampling keeps its canonical smallest-rows semantics.
-#[allow(clippy::too_many_arguments)]
 pub fn execute_plan_batch(
     cluster: &Cluster,
     db: &Database,
     plan: &QueryPlan,
     config: &AdjConfig,
     mode: OutputMode,
-    index: Option<&IndexScope<'_>>,
     batch: &BindingBatch,
-    cancel: &CancelToken,
-    tracer: &Tracer,
+    ctx: &ExecCtx<'_>,
 ) -> Result<(Vec<Result<QueryOutput>>, ExecutionReport)> {
     let t_exec = Instant::now();
+    let (cancel, tracer) = (&ctx.cancel, &ctx.tracer);
     let mut report = ExecutionReport { hot_values: plan.hot.len() as u64, ..Default::default() };
     if batch.is_empty() {
         return Ok((Vec::new(), report));
@@ -86,39 +82,25 @@ pub fn execute_plan_batch(
     // values take priority, the plan's inline literals fill the rest —
     // exactly the single-binding executor's merge discipline.
     let consts = plan.query.const_bindings()?;
-    let mut merged: Vec<BoundValues> = Vec::with_capacity(batch.unique_len());
-    for b in batch.unique() {
-        let mut pairs = b.pairs().to_vec();
-        for &(a, v) in consts.pairs() {
-            if b.get(a).is_none() {
-                pairs.push((a, v));
-            }
-        }
-        merged.push(BoundValues::new(pairs)?);
-    }
+    let merged: Vec<BoundValues> =
+        batch.unique().iter().map(|b| merge_plan_consts(&consts, b)).collect::<Result<_>>()?;
     // Every bound position of the shape must have a value. The batch's
     // attribute set is uniform across submissions (BindingBatch enforces
     // it), so an unbound parameter is an all-or-nothing, whole-batch error.
-    for (name, attr) in plan.query.param_attrs() {
-        if merged[0].get(attr).is_none() {
-            return Err(Error::UnboundParam { name });
-        }
-    }
+    plan.query.require_params_bound(&merged[0])?;
     report.bound_values = merged[0].len() as u64;
 
-    let schema = Schema::new(plan.order.clone())?;
     // `LIMIT 0` is a complete answer for every binding by definition.
     if mode == OutputMode::Limit(0) {
-        report.other_secs = t_exec.elapsed().as_secs_f64();
-        let empty: Result<QueryOutput> = Ok(QueryOutput::Rows(Relation::empty(schema)));
+        let empty = shape_output(mode, &plan.order, Vec::new(), 0);
+        report.close(t_exec);
         return Ok((vec![empty; batch.len()], report));
     }
 
     // One shuffle for the whole batch: the locals are the same warm,
     // cacheable tries the unbound query and every single bound call use —
     // and the next batch of the same shape reuses them wholesale.
-    let locals =
-        prepare_plan_locals(cluster, db, plan, config, index, &mut report, cancel, tracer)?;
+    let locals = prepare_plan_locals(cluster, db, plan, config, &mut report, ctx)?;
 
     // Project each unique binding onto the plan's attribute order. Bound
     // attributes outside the order are ignored, like the single-binding
@@ -204,7 +186,7 @@ pub fn execute_plan_batch(
                     let slots: Vec<Result<SlotData>> = sinks
                         .into_iter()
                         .take(outcome.completed)
-                        .map(|s| Ok(SlotData::Count(s.into_inner().count())))
+                        .map(|s| Ok(SlotData::Found(s.into_inner().count())))
                         .collect();
                     (slots, outcome.counters, outcome.completed)
                 }
@@ -218,7 +200,7 @@ pub fn execute_plan_batch(
                     let slots: Vec<Result<SlotData>> = sinks
                         .into_iter()
                         .take(outcome.completed)
-                        .map(|s| Ok(SlotData::Exists(s.into_inner().found())))
+                        .map(|s| Ok(SlotData::Found(u64::from(s.into_inner().found()))))
                         .collect();
                     (slots, outcome.counters, outcome.completed)
                 }
@@ -251,8 +233,7 @@ pub fn execute_plan_batch(
         for (acc, slot) in accs.iter_mut().zip(slots) {
             match slot {
                 Ok(SlotData::Rows(rows)) => acc.rows.extend_from_slice(&rows),
-                Ok(SlotData::Count(n)) => acc.count += n,
-                Ok(SlotData::Exists(e)) => acc.exists |= e,
+                Ok(SlotData::Found(n)) => acc.found += n,
                 Err(e) => {
                     acc.err.get_or_insert(e);
                 }
@@ -286,21 +267,7 @@ pub fn execute_plan_batch(
             slot_outputs.push(Err(e));
             continue;
         }
-        let out = match mode {
-            OutputMode::Rows => QueryOutput::Rows(Relation::from_flat(schema.clone(), acc.rows)?),
-            OutputMode::Limit(n) => {
-                // Same canonical-sample shaping as the single-binding
-                // path: each worker shipped its n smallest local rows, so
-                // normalizing and truncating keeps the n globally-smallest.
-                let gathered = Relation::from_flat(schema.clone(), acc.rows)?;
-                let keep = n.min(gathered.len());
-                let flat = gathered.flat()[..keep * width].to_vec();
-                QueryOutput::Rows(Relation::from_flat(schema.clone(), flat)?)
-            }
-            OutputMode::Count => QueryOutput::Count(acc.count),
-            OutputMode::Exists => QueryOutput::Exists(acc.exists),
-        };
-        slot_outputs.push(Ok(out));
+        slot_outputs.push(Ok(shape_output(mode, order, acc.rows, acc.found)?));
     }
 
     // Demultiplex driver slots back onto submissions: submission → unique
@@ -308,20 +275,17 @@ pub fn execute_plan_batch(
     let outputs: Vec<Result<QueryOutput>> =
         batch.slot_of().iter().map(|&u| slot_outputs[row_of_unique[u]].clone()).collect();
 
-    report.other_secs = (t_exec.elapsed().as_secs_f64()
-        - report.precompute_secs
-        - report.communication_secs
-        - report.computation_secs)
-        .max(0.0);
+    report.close(t_exec);
     Ok((outputs, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adj_core::{execute_plan_bound, optimize, Adj, Strategy};
+    use adj_core::{execute_plan, optimize, Adj, CancelToken, Strategy};
     use adj_query::parse_query;
     use adj_relational::Attr;
+    use adj_relational::Relation;
 
     fn graph(n: u32, m: u32) -> Relation {
         let edges: Vec<(Value, Value)> = (0..n)
@@ -360,18 +324,23 @@ mod tests {
                 &plan,
                 adj.config(),
                 mode,
-                None,
                 &batch,
-                &CancelToken::none(),
-                &Tracer::disabled(),
+                &ExecCtx::default(),
             )
             .unwrap();
             assert_eq!(outs.len(), values.len());
             for (&v, out) in values.iter().zip(&outs) {
                 let bound = BoundValues::new(vec![(attr, v)]).unwrap();
-                let (expect, _) =
-                    execute_plan_bound(adj.cluster(), &db, &plan, adj.config(), mode, None, &bound)
-                        .unwrap();
+                let (expect, _) = execute_plan(
+                    adj.cluster(),
+                    &db,
+                    &plan,
+                    adj.config(),
+                    mode,
+                    &bound,
+                    &ExecCtx::default(),
+                )
+                .unwrap();
                 assert_eq!(
                     out.as_ref().unwrap(),
                     &expect,
@@ -394,10 +363,8 @@ mod tests {
             &plan,
             adj.config(),
             OutputMode::Count,
-            None,
             &batch,
-            &CancelToken::none(),
-            &Tracer::disabled(),
+            &ExecCtx::default(),
         )
         .unwrap();
         assert_eq!(outs.len(), 4);
@@ -415,10 +382,8 @@ mod tests {
             &plan,
             adj.config(),
             OutputMode::Rows,
-            None,
             &batch,
-            &CancelToken::none(),
-            &Tracer::disabled(),
+            &ExecCtx::default(),
         )
         .unwrap();
         assert!(outs.is_empty());
@@ -435,10 +400,8 @@ mod tests {
             &plan,
             adj.config(),
             OutputMode::Count,
-            None,
             &batch,
-            &CancelToken::none(),
-            &Tracer::disabled(),
+            &ExecCtx::default(),
         )
         .unwrap_err();
         assert!(matches!(err, Error::UnboundParam { .. }));
@@ -453,16 +416,15 @@ mod tests {
                 .unwrap();
         let cancel = CancelToken::manual();
         cancel.cancel();
+        let ctx = ExecCtx { cancel, ..Default::default() };
         let result = execute_plan_batch(
             adj.cluster(),
             &db,
             &plan,
             adj.config(),
             OutputMode::Count,
-            None,
             &batch,
-            &cancel,
-            &Tracer::disabled(),
+            &ctx,
         );
         // The token can fire the batch-level shuffle (whole-batch error) —
         // but if execution reaches the join, every binding must carry a

@@ -3,7 +3,7 @@
 //! versions of the Fig. 1(b)/Fig. 12 effects at a fixed small scale.
 
 use adj_cluster::ClusterConfig;
-use adj_core::{Adj, AdjConfig, Strategy};
+use adj_core::{Adj, AdjConfig, OutputMode, Strategy};
 use adj_datagen::Dataset;
 use adj_leapfrog::{CachedJoin, LeapfrogJoin};
 use adj_query::{paper_query, PaperQuery};
@@ -54,7 +54,7 @@ fn bench_strategies(c: &mut Criterion) {
                         cluster: ClusterConfig::with_workers(4),
                         ..Default::default()
                     });
-                    adj.execute_with_strategy(black_box(&query), black_box(&db), strategy)
+                    adj.execute_with(black_box(&query), black_box(&db), strategy, OutputMode::Rows)
                         .unwrap()
                         .report
                         .total_secs()

@@ -9,7 +9,7 @@
 
 use adj_bench::{adj_config, print_table, scale, test_case, workers};
 use adj_cluster::Cluster;
-use adj_core::{execute_plan, optimize, OutputMode, QueryPlan, Strategy};
+use adj_core::{execute_plan, optimize, BoundValues, ExecCtx, OutputMode, QueryPlan, Strategy};
 use adj_datagen::Dataset;
 use adj_query::order::{is_valid_order, valid_orders};
 use adj_query::PaperQuery;
@@ -46,7 +46,8 @@ fn main() {
                 if !is_valid_order(&plan.tree, &plan.order) {
                     plan.order = valid_orders(&plan.tree)[0].clone();
                 }
-                match execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows) {
+                let (unbound, cold) = (BoundValues::none(), ExecCtx::default());
+                match execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows, &unbound, &cold) {
                     Ok((_, r)) => rows.push(vec![
                         format!("{} {label}", q.name()),
                         format!("{:.3}", r.precompute_secs),

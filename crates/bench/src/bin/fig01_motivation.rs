@@ -6,7 +6,7 @@
 use adj_baselines::{run_binary_join, run_hcubej};
 use adj_bench::{adj_config, print_table, scale, test_case, workers};
 use adj_cluster::{Cluster, ClusterConfig};
-use adj_core::{Adj, Strategy};
+use adj_core::{Adj, OutputMode, Strategy};
 use adj_datagen::Dataset;
 use adj_query::PaperQuery;
 
@@ -48,7 +48,7 @@ fn main() {
             [("Comm-First", Strategy::CommFirst), ("Co-Opt", Strategy::CoOptimize)]
         {
             let adj = Adj::new(adj_config(w));
-            match adj.execute_with_strategy(&query, &db, strategy) {
+            match adj.execute_with(&query, &db, strategy, OutputMode::Rows) {
                 Ok(out) => rows.push(vec![
                     format!("{} {label}", q.name()),
                     format!("{:.3}", out.report.communication_secs),

@@ -6,7 +6,7 @@
 //! speed-up of Q5 (the "last straggler" effect).
 
 use adj_bench::{adj_config, print_table, scale, test_case};
-use adj_core::{Adj, Strategy};
+use adj_core::{Adj, OutputMode, Strategy};
 use adj_datagen::Dataset;
 use adj_query::PaperQuery;
 
@@ -21,7 +21,7 @@ fn main() {
         let mut base: Option<f64> = None;
         for &w in &worker_counts {
             let adj = Adj::new(adj_config(w));
-            match adj.execute_with_strategy(&query, &db, Strategy::CoOptimize) {
+            match adj.execute_with(&query, &db, Strategy::CoOptimize, OutputMode::Rows) {
                 Ok(out) => {
                     let exec = out.report.total_secs() - out.report.optimization_secs;
                     let b = *base.get_or_insert(exec);

@@ -3,7 +3,7 @@
 //! (Optimization / Pre-Computing / Communication / Computation / Total).
 
 use adj_bench::{adj_config, print_table, scale, test_case, workers};
-use adj_core::{Adj, Strategy};
+use adj_core::{Adj, OutputMode, Strategy};
 use adj_datagen::Dataset;
 use adj_query::PaperQuery;
 
@@ -19,7 +19,7 @@ fn main() {
                 [("Co-Opt", Strategy::CoOptimize), ("Comm-First", Strategy::CommFirst)]
             {
                 let adj = Adj::new(adj_config(w));
-                match adj.execute_with_strategy(&query, &db, strategy) {
+                match adj.execute_with(&query, &db, strategy, OutputMode::Rows) {
                     Ok(out) => {
                         let r = &out.report;
                         rows.push(vec![

@@ -21,7 +21,7 @@ use adj_baselines::{run_bigjoin, run_binary_join, run_hcubej, run_hcubej_cached,
 use adj_cluster::{Cluster, ClusterConfig};
 use adj_core::{Adj, AdjConfig, Strategy};
 use adj_query::{paper_query, JoinQuery, PaperQuery};
-use adj_relational::{Database, Relation};
+use adj_relational::{Database, OutputMode, Relation};
 
 /// The five competing methods of Fig. 12.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,7 +186,7 @@ pub fn run_method(
         }
         Method::Adj => {
             let adj = Adj::new(adj_config(n_workers));
-            match adj.execute_with_strategy(&q, &db, Strategy::CoOptimize) {
+            match adj.execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Rows) {
                 Ok(out) => RunOutcome {
                     total_secs: out.report.total_secs(),
                     comm_secs: out.report.communication_secs,

@@ -1,27 +1,37 @@
 //! Plan execution: pre-compute → shuffle → join, with the per-phase cost
 //! breakdown of Tables II–IV.
 //!
-//! [`execute_plan_cached`] additionally threads an
-//! [`IndexScope`] through *both* shuffle paths (the
-//! bag pre-computation rounds and the final one-round shuffle): warm
-//! relations reuse published `Arc<Trie>` handles instead of re-shuffling
-//! and rebuilding, warm bags skip their entire pre-computation round, and
-//! the report splits index work into built vs reused relations.
+//! [`execute_plan`] is the one plan executor. What differs between its
+//! callers travels in two values. The submission's bound constants
+//! (`params`) reach exactly one layer, Leapfrog. The [`ExecCtx`] carries
+//! the rest through *both* shuffle paths (the bag pre-computation rounds and
+//! the final one-round shuffle): under an [`IndexScope`](adj_hcube::IndexScope)
+//! warm relations reuse published `Arc<Trie>` handles instead of
+//! re-shuffling and rebuilding, warm bags skip their entire pre-computation
+//! round, and the report splits index work into built vs reused relations;
+//! the token and the tracer make the run cancellable and put it on a span
+//! timeline. `ExecCtx::default()` is the paper's one-shot run: cold,
+//! uncancellable, untraced.
+//!
+//! The batched executor (`adj-batch`) differs only in its join kernel; the
+//! front half ([`prepare_plan_locals`]) and the bookkeeping around the join
+//! ([`merge_plan_consts`], [`shape_output`], [`ExecutionReport::close`],
+//! [`CancelSink`], [`cancel_err`]) are this module's, used by both.
 
 use crate::plan::{PlanRelation, QueryPlan};
 use crate::AdjConfig;
 use adj_cluster::Cluster;
 use adj_faults::{CancelToken, FaultSite};
 use adj_hcube::{
-    hcube_shuffle_cached_traced, optimize_share, CacheLookup, HCubeImpl, HCubePlan, IndexScope,
-    LocalRelation, ShareInput, ShuffleReport,
+    hcube_shuffle_round, optimize_share, CacheLookup, ExecCtx, HCubeImpl, HCubePlan, LocalRelation,
+    ShareInput, ShuffleReport, ShuffleRound,
 };
 use adj_leapfrog::{JoinCounters, JoinScratch, LeapfrogJoin};
 use adj_relational::{
     Attr, BoundValues, CountSink, Database, Error, ExistsSink, OutputMode, QueryOutput, Relation,
     Result, RowBuffer, RowSink, Schema, Trie, Value,
 };
-use adj_trace::{Tracer, COORDINATOR_LANE};
+use adj_trace::COORDINATOR_LANE;
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
@@ -227,8 +237,24 @@ impl ExecutionReport {
         }
     }
 
-    /// Folds one shuffle round's fill and routing counters into the report.
-    fn absorb_shuffle(&mut self, shuffle: &ShuffleReport) {
+    /// Sets [`other_secs`](Self::other_secs) to whatever the three
+    /// in-execution phase columns did not claim of the wall measured since
+    /// `t_exec` — see the field for why it clamps at 0.
+    pub fn close(&mut self, t_exec: Instant) {
+        self.other_secs = (t_exec.elapsed().as_secs_f64()
+            - self.precompute_secs
+            - self.communication_secs
+            - self.computation_secs)
+            .max(0.0);
+    }
+
+    /// Folds one shuffle round's share solve, index build/reuse split, fill
+    /// and routing counters into the report.
+    fn absorb_shuffle(&mut self, shuffle: &ShuffleReport, share_reused: bool) {
+        self.share_solves += u64::from(!share_reused);
+        self.index_build_secs += shuffle.build_secs;
+        self.index_relations_built += shuffle.built_relations;
+        self.index_relations_reused += shuffle.reused_relations;
         if self.worker_tuples.len() < shuffle.worker_tuples.len() {
             self.worker_tuples.resize(shuffle.worker_tuples.len(), 0);
         }
@@ -239,6 +265,54 @@ impl ExecutionReport {
         self.wire_bytes += shuffle.wire_bytes;
         self.pipeline_overlap_secs += shuffle.overlap_secs;
     }
+}
+
+/// The constant set one execution of a plan answers for. `params` (the
+/// submission's resolved values — caller-bound parameters plus the
+/// submitted text's inline literals) takes priority; `consts`, the plan's
+/// own literals (`plan.query.const_bindings()`), fill any attribute the
+/// caller left out, so executing a literal-bearing plan directly still
+/// honours its constants. The two can disagree because plans are shared
+/// across the whole *shape family* — `R1(7,b)…`, `R1(9,b)…`, and
+/// `R1($v,b)…` all resolve to one cached plan, and the submission's values,
+/// not the plan-owner's, are what the execution must answer for.
+pub fn merge_plan_consts(consts: &BoundValues, params: &BoundValues) -> Result<BoundValues> {
+    let mut pairs = params.pairs().to_vec();
+    for &(a, v) in consts.pairs() {
+        if params.get(a).is_none() {
+            pairs.push((a, v));
+        }
+    }
+    BoundValues::new(pairs)
+}
+
+/// Shapes what one binding's join gathered — the workers' concatenated
+/// `rows` over the plan's attribute `order` (empty in the counting modes)
+/// and the `found` result cardinality — into the output `mode` asks for.
+/// `LIMIT 0`'s complete answer is this over nothing gathered.
+pub fn shape_output(
+    mode: OutputMode,
+    order: &[Attr],
+    rows: Vec<Value>,
+    found: u64,
+) -> Result<QueryOutput> {
+    let limit = match mode {
+        OutputMode::Count => return Ok(QueryOutput::Count(found)),
+        OutputMode::Exists => return Ok(QueryOutput::Exists(found > 0)),
+        OutputMode::Rows => usize::MAX,
+        OutputMode::Limit(n) => n,
+    };
+    let gathered = Relation::from_flat(Schema::new(order.to_vec())?, rows)?;
+    if gathered.len() <= limit {
+        return Ok(QueryOutput::Rows(gathered));
+    }
+    // Each worker contributed its n lexicographically-smallest local rows
+    // (Leapfrog enumerates in sorted order), so the union contains the n
+    // globally-smallest result rows. Normalizing and keeping the first n
+    // therefore returns a *canonical* sample — deterministic across worker
+    // counts and partitionings, not an artifact of gather order.
+    let flat = gathered.flat()[..limit * order.len()].to_vec();
+    Ok(QueryOutput::Rows(Relation::from_flat(gathered.schema().clone(), flat)?))
 }
 
 /// Executes a query plan on the cluster, shaping the result by `mode`, and
@@ -260,174 +334,66 @@ impl ExecutionReport {
 ///   worker, so the concatenation is duplicate-free);
 /// * [`OutputMode::Exists`] — workers short-circuit at their first witness
 ///   and ship back counters only.
-pub fn execute_plan(
-    cluster: &Cluster,
-    db: &Database,
-    plan: &QueryPlan,
-    config: &AdjConfig,
-    mode: OutputMode,
-) -> Result<(QueryOutput, ExecutionReport)> {
-    execute_plan_cached(cluster, db, plan, config, mode, None)
-}
-
-/// The stable cache identity of a pre-computed bag: member atom names plus
-/// the bag's attribute order fully determine its contents against a given
-/// database epoch, so distinct plans that pre-compute the same bag share
-/// one cached artifact — and the ambiguous per-query storage name
-/// (`ADJ_bag{v}`) never leaks into a cache key. Names are length-prefixed
-/// so no choice of relation names (commas included) can collide two
-/// distinct member lists onto one label. When an [`IndexScope`] is present,
-/// the members' delta-sequence digest is folded in, so a bag goes stale
-/// exactly when one of *its* relations mutates — mutations elsewhere in the
-/// database leave it warm (the per-relation replacement for the global
-/// epoch bump).
-fn bag_label(names: &[String], order: &[Attr], index: Option<&IndexScope<'_>>) -> String {
-    let mut label = String::from("adj-bag:");
-    for n in names {
-        label.push_str(&format!("{}:{n},", n.len()));
-    }
-    label.push_str(&format!("@{order:?}"));
-    if let Some(scope) = index {
-        let digest = scope.version_digest(names.iter().map(|s| s.as_str()));
-        label.push_str(&format!("#v{digest:016x}"));
-    }
-    label
-}
-
-/// [`execute_plan`] with a cross-query index cache: warm relations join
-/// over the cache's `Arc<Trie>` handles (skipping their shuffle + sort +
-/// build), warm bags skip their whole pre-computation round, and cold
-/// artifacts are built once and published. Pass `None` to run fully cold.
 ///
-/// Inline literal constants in the plan's query are honoured automatically
-/// (they resolve without a binding); `$name` parameters make this error
-/// with [`Error::UnboundParam`] — supply their values through
-/// [`execute_plan_bound`].
-pub fn execute_plan_cached(
-    cluster: &Cluster,
-    db: &Database,
-    plan: &QueryPlan,
-    config: &AdjConfig,
-    mode: OutputMode,
-    index: Option<&IndexScope<'_>>,
-) -> Result<(QueryOutput, ExecutionReport)> {
-    execute_plan_bound(cluster, db, plan, config, mode, index, &BoundValues::none())
-}
-
-/// The general executor: [`execute_plan_cached`] plus a set of bound
-/// parameter values. The full binding — the query's inline literals merged
-/// with `params` — reaches exactly one layer: **Leapfrog** seeks the
-/// constant at bound trie levels instead of intersecting candidate runs.
+/// **`params`** are the submission's bound values ([`BoundValues::none`]
+/// for a plain query). Merged over the plan's inline literals
+/// ([`merge_plan_consts`]) they reach exactly one layer: **Leapfrog** seeks
+/// the constant at bound trie levels instead of intersecting candidate
+/// runs. Everything before the join runs as for the unbound query: the
+/// share program, the bag rounds and the HCube shuffle never see the
+/// binding, so every binding of a shape, a whole batch of them
+/// (`adj-batch`) and the plain unbound query join over one cached,
+/// patchable index family. A single bound execution is the batch driver's
+/// degenerate case. The price is the first call on a cold cache, which
+/// builds the full indexes rather than a filtered fragment — once, for
+/// every later call. Results are byte-identical to running the unbound
+/// query and keeping the rows whose bound attributes equal the bound
+/// values; a `$name` parameter left without a value is
+/// [`Error::UnboundParam`].
 ///
-/// Everything before the join runs as for the unbound query: the share
-/// program, the bag rounds and the HCube shuffle never see the binding, so
-/// every binding of a shape, a whole batch of them (`adj-batch`) and the
-/// plain unbound query join over one cached, patchable index family. A
-/// single bound execution is the batch driver's degenerate case. The price
-/// is the first call on a cold cache, which builds the full indexes rather
-/// than a filtered fragment — once, for every later call.
+/// **`ctx.index`**: warm relations join over the cache's `Arc<Trie>`
+/// handles (skipping their shuffle + sort + build), warm bags skip their
+/// whole pre-computation round, and cold artifacts are built once and
+/// published. `None` runs fully cold.
 ///
-/// Results are byte-identical to running the unbound query and keeping the
-/// rows whose bound attributes equal the bound values.
-pub fn execute_plan_bound(
-    cluster: &Cluster,
-    db: &Database,
-    plan: &QueryPlan,
-    config: &AdjConfig,
-    mode: OutputMode,
-    index: Option<&IndexScope<'_>>,
-    params: &BoundValues,
-) -> Result<(QueryOutput, ExecutionReport)> {
-    execute_plan_traced(cluster, db, plan, config, mode, index, params, &Tracer::disabled())
-}
-
-/// [`execute_plan_bound`] recording a span timeline: a `precompute` span
-/// per bag round (`bag_cache_hit` instants for rounds the bag cache
-/// skipped), a `share_solve` span before each shuffle whose share program
-/// this execution solved (a reused share is a `share_reused` arg on the
-/// `shuffle` span instead), the shuffle's own spans (see
-/// [`hcube_shuffle_cached_traced`]), a `computation` span over the worker
-/// dispatch with one `join` span per worker lane (annotated with that
-/// worker's output tuples and trie-operation counts), and a `gather` span
-/// over the merge. With a disabled tracer this is exactly
-/// [`execute_plan_bound`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_traced(
-    cluster: &Cluster,
-    db: &Database,
-    plan: &QueryPlan,
-    config: &AdjConfig,
-    mode: OutputMode,
-    index: Option<&IndexScope<'_>>,
-    params: &BoundValues,
-    tracer: &Tracer,
-) -> Result<(QueryOutput, ExecutionReport)> {
-    execute_plan_cancellable(
-        cluster,
-        db,
-        plan,
-        config,
-        mode,
-        index,
-        params,
-        &CancelToken::none(),
-        tracer,
-    )
-}
-
-/// The fully general executor: [`execute_plan_traced`] plus a cooperative
-/// [`CancelToken`].
-///
-/// The token is polled at every fault-injection checkpoint of the execution
-/// — per cold atom and every few thousand routed rows in the shuffle, per
-/// worker and every `SINK_CHECK_EVERY` (1024) emitted rows during join
-/// enumeration — so a fired token (explicit cancel or elapsed deadline)
-/// aborts within a bounded amount of work and surfaces as
+/// **`ctx.cancel`** is polled at every fault-injection checkpoint of the
+/// execution — per cold atom and every few thousand routed rows in the
+/// shuffle, per worker and every `SINK_CHECK_EVERY` (1024) emitted rows
+/// during join enumeration — so a fired token (explicit cancel or elapsed
+/// deadline) aborts within a bounded amount of work and surfaces as
 /// [`Error::Cancelled`]. A cancelled execution never publishes partial
 /// artifacts: the shuffle checks the token before inserting into the index
 /// cache, and bag publication happens only after its round completed.
 /// Worker panics are likewise isolated per slot
 /// ([`adj_cluster::WorkerFailure`]) and surface as
 /// [`Error::WorkerPanicked`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_cancellable(
+///
+/// **`ctx.tracer`** records a `precompute` span per bag round
+/// (`bag_cache_hit` instants for rounds the bag cache skipped), a
+/// `share_solve` span before each shuffle whose share program this
+/// execution solved (a reused share is a `share_reused` arg on the
+/// `shuffle` span instead), the shuffle's own spans (see
+/// [`hcube_shuffle_round`]), a `computation` span over the worker dispatch
+/// with one `join` span per worker lane (annotated with that worker's
+/// output tuples and trie-operation counts), and a `gather` span over the
+/// merge.
+pub fn execute_plan(
     cluster: &Cluster,
     db: &Database,
     plan: &QueryPlan,
     config: &AdjConfig,
     mode: OutputMode,
-    index: Option<&IndexScope<'_>>,
     params: &BoundValues,
-    cancel: &CancelToken,
-    tracer: &Tracer,
+    ctx: &ExecCtx<'_>,
 ) -> Result<(QueryOutput, ExecutionReport)> {
     let t_exec = Instant::now();
+    let (cancel, tracer) = (&ctx.cancel, &ctx.tracer);
     // Pin the worker width for the whole execution: while this guard is
     // live, `Cluster::resize` is rejected, so every phase below sees one
     // consistent `num_workers()`.
     let _active = cluster.begin_query();
-    // Resolve the execution's full binding. `params` (the submission's
-    // resolved values — caller-bound parameters plus the submitted text's
-    // inline literals) takes priority; the plan's own literals fill any
-    // attr the caller left out, so executing a literal-bearing plan
-    // directly still honours its constants. The two can disagree because
-    // plans are shared across the whole *shape family* — `R1(7,b)…`,
-    // `R1(9,b)…`, and `R1($v,b)…` all resolve to one cached plan, and the
-    // submission's values, not the plan-owner's, are what this execution
-    // must answer for.
-    let mut pairs = params.pairs().to_vec();
-    for &(a, v) in plan.query.const_bindings()?.pairs() {
-        if params.get(a).is_none() {
-            pairs.push((a, v));
-        }
-    }
-    let bound = BoundValues::new(pairs)?;
-    // Every bound position of the shape must have a value by now.
-    for (name, attr) in plan.query.param_attrs() {
-        if bound.get(attr).is_none() {
-            return Err(Error::UnboundParam { name });
-        }
-    }
+    let bound = merge_plan_consts(&plan.query.const_bindings()?, params)?;
+    plan.query.require_params_bound(&bound)?;
     let mut report = ExecutionReport {
         hot_values: plan.hot.len() as u64,
         bound_values: bound.len() as u64,
@@ -438,13 +404,12 @@ pub fn execute_plan_cancellable(
     // the plan's schema. Short-circuit before any admission-charged work —
     // no share optimization, no shuffle, no worker dispatch.
     if mode == OutputMode::Limit(0) {
-        let schema = Schema::new(plan.order.clone())?;
-        report.other_secs = t_exec.elapsed().as_secs_f64();
-        return Ok((QueryOutput::Rows(Relation::empty(schema)), report));
+        let output = shape_output(mode, &plan.order, Vec::new(), 0)?;
+        report.close(t_exec);
+        return Ok((output, report));
     }
 
-    let locals =
-        prepare_plan_locals(cluster, db, plan, config, index, &mut report, cancel, tracer)?;
+    let locals = prepare_plan_locals(cluster, db, plan, config, &mut report, ctx)?;
 
     let budget = config.max_intermediate_tuples;
     let order = &plan.order;
@@ -533,39 +498,35 @@ pub fn execute_plan_cancellable(
         gather_span.arg("output_tuples", counters.output_tuples);
     }
     drop(gather_span);
-    let found_tuples = counters.output_tuples;
-    report.output_tuples = found_tuples;
+    report.output_tuples = counters.output_tuples;
+    let output = shape_output(mode, order, all_rows, counters.output_tuples)?;
     report.counters = counters;
-    let output = match mode {
-        OutputMode::Rows => {
-            let schema = Schema::new(plan.order.clone())?;
-            QueryOutput::Rows(Relation::from_flat(schema, all_rows)?)
-        }
-        OutputMode::Limit(n) => {
-            // Each worker contributed its n lexicographically-smallest
-            // local rows (Leapfrog enumerates in sorted order), so the
-            // union contains the n globally-smallest result rows.
-            // Normalizing and keeping the first n therefore returns a
-            // *canonical* sample — deterministic across worker counts and
-            // partitionings, not an artifact of gather order.
-            let schema = Schema::new(plan.order.clone())?;
-            let gathered = Relation::from_flat(schema.clone(), all_rows)?;
-            let keep = n.min(gathered.len());
-            let flat = gathered.flat()[..keep * width].to_vec();
-            QueryOutput::Rows(Relation::from_flat(schema, flat)?)
-        }
-        OutputMode::Count => QueryOutput::Count(found_tuples),
-        OutputMode::Exists => QueryOutput::Exists(found_tuples > 0),
-    };
-    // Whatever the phase columns did not claim of the measured execution
-    // wall is the residual — see `ExecutionReport::other_secs` for why it
-    // clamps at 0.
-    report.other_secs = (t_exec.elapsed().as_secs_f64()
-        - report.precompute_secs
-        - report.communication_secs
-        - report.computation_secs)
-        .max(0.0);
+    report.close(t_exec);
     Ok((output, report))
+}
+
+/// The stable cache identity of a pre-computed bag: member atom names plus
+/// the bag's attribute order fully determine its contents against a given
+/// database epoch, so distinct plans that pre-compute the same bag share
+/// one cached artifact — and the ambiguous per-query storage name
+/// (`ADJ_bag{v}`) never leaks into a cache key. Names are length-prefixed
+/// so no choice of relation names (commas included) can collide two
+/// distinct member lists onto one label. Under an index scope, the
+/// members' delta-sequence digest is folded in, so a bag goes stale
+/// exactly when one of *its* relations mutates — mutations elsewhere in the
+/// database leave it warm (the per-relation replacement for the global
+/// epoch bump).
+fn bag_label(names: &[String], order: &[Attr], ctx: &ExecCtx<'_>) -> String {
+    let mut label = String::from("adj-bag:");
+    for n in names {
+        label.push_str(&format!("{}:{n},", n.len()));
+    }
+    label.push_str(&format!("@{order:?}"));
+    if let Some(scope) = ctx.index {
+        let digest = scope.version_digest(names.iter().map(|s| s.as_str()));
+        label.push_str(&format!("#v{digest:016x}"));
+    }
+    label
 }
 
 /// Phases 1–2 of plan execution: pre-computes (or reuses) the plan's bag
@@ -575,109 +536,41 @@ pub fn execute_plan_cancellable(
 ///
 /// Nothing here depends on a binding: the locals are the same warm,
 /// cacheable tries whichever constants the join over them will seek. This
-/// is the shared front half of [`execute_plan_cancellable`] (one bound join
-/// over the locals) and of batched execution (`adj-batch`: many bound joins
-/// over the same locals). Callers must hold
-/// [`Cluster::begin_query`] across this call *and* every join over the
-/// returned locals, so the worker width stays pinned for the whole
-/// execution.
-#[allow(clippy::too_many_arguments)]
+/// is the shared front half of [`execute_plan`] (one bound join over the
+/// locals) and of batched execution (`adj-batch`: many bound joins over the
+/// same locals). Callers must hold [`Cluster::begin_query`] across this
+/// call *and* every join over the returned locals, so the worker width
+/// stays pinned for the whole execution.
 pub fn prepare_plan_locals(
     cluster: &Cluster,
     db: &Database,
     plan: &QueryPlan,
     config: &AdjConfig,
-    index: Option<&IndexScope<'_>>,
     report: &mut ExecutionReport,
-    cancel: &CancelToken,
-    tracer: &Tracer,
+    ctx: &ExecCtx<'_>,
 ) -> Result<Vec<Vec<LocalRelation>>> {
-    // Per-query pre-computed bags are layered over the shared database as
-    // an overlay of `Arc<Relation>` handles — the database itself is never
-    // cloned per query. Also records each bag's content label, reused as
+    // ── Phase 1: pre-compute candidate relations (Sec. III: "for each
+    // relation R'_j ∈ Qi that needs to be joined, we pre-compute and store
+    // it"). Per-query pre-computed bags are layered over the shared
+    // database as an overlay of `Arc<Relation>` handles — the database
+    // itself is never cloned per query. Each bag's content label is kept as
     // its cache identity in the final shuffle (phase 1 and phase 2 must
     // agree on it).
     let mut bag_overlay: Vec<(String, Arc<Relation>)> = Vec::new();
     let mut bag_labels: Vec<(String, String)> = Vec::new(); // storage name → label
-
-    // ── Phase 1: pre-compute candidate relations (Sec. III: "for each
-    // relation R'_j ∈ Qi that needs to be joined, we pre-compute and store
-    // it"). Each bag join is itself a one-round HCube+Leapfrog job — unless
-    // the cache already holds this bag for the current database epoch.
     for rel in &plan.relations {
         let PlanRelation::Precomputed { name, atoms, .. } = rel else {
             continue;
         };
-        let bag_order: Vec<Attr> = plan
-            .order
-            .iter()
-            .copied()
-            .filter(|a| atoms.iter().any(|&i| plan.query.atoms[i].schema.contains(*a)))
-            .collect();
-        let names: Vec<String> = atoms.iter().map(|&i| plan.query.atoms[i].name.clone()).collect();
-        let label = bag_label(&names, &bag_order, index);
-        bag_labels.push((name.clone(), label.clone()));
-        // A cold miss claims the bag key, so concurrent queries that need
-        // the same bag wait for this build instead of running the round N
-        // times (request coalescing). At most one bag claim is ever held —
-        // it is published (or abandoned by drop, on any error path) before
-        // the next bag is consulted — and bag holders only ever wait on
-        // *index* claims inside `run_one_round`, never the reverse, so the
-        // claim hierarchy stays cycle-free.
-        let mut bag_claim = None;
-        if let Some(scope) = index {
-            match scope.cache.get_bag_or_claim(&scope.bag_key(label.clone()), cancel) {
-                CacheLookup::Hit { value: bag, coalesced } => {
-                    // Budget parity with the cold path: a cached bag over
-                    // the caller's cap is rejected exactly like a fresh one.
-                    if bag.len() > config.max_intermediate_tuples {
-                        return Err(Error::BudgetExceeded {
-                            what: "pre-computed relation size",
-                            limit: config.max_intermediate_tuples,
-                        });
-                    }
-                    let hit = if coalesced { "bag_cache_coalesced" } else { "bag_cache_hit" };
-                    tracer.instant(COORDINATOR_LANE, hit, &label);
-                    report.index_bags_reused += 1;
-                    bag_overlay.push((name.clone(), bag));
-                    continue;
-                }
-                CacheLookup::Miss(claim) => bag_claim = claim,
-            }
-        }
-        // Bag members are base atoms, so the round runs over `db` directly.
-        let mut bag_span = tracer.span(COORDINATOR_LANE, "precompute");
-        if bag_span.is_recording() {
-            bag_span.detail(label.clone());
-        }
-        let (result, secs, tuples) = run_one_round(
-            cluster, db, plan, &names, &bag_order, config, index, report, cancel, tracer,
-        )?;
-        bag_span.arg("tuples", tuples);
-        bag_span.arg("result_tuples", result.len() as u64);
-        drop(bag_span);
-        report.precompute_secs += secs;
-        report.precompute_tuples += tuples;
-        if result.len() > config.max_intermediate_tuples {
-            return Err(Error::BudgetExceeded {
-                what: "pre-computed relation size",
-                limit: config.max_intermediate_tuples,
-            });
-        }
-        let result = Arc::new(result);
-        if let Some(claim) = bag_claim {
-            claim.publish_bag(Arc::clone(&result));
-        } else if let Some(scope) = index {
-            scope.cache.insert_bag(scope.bag_key(label), Arc::clone(&result));
-        }
-        bag_overlay.push((name.clone(), result));
+        let (label, bag) = precompute_bag(cluster, db, plan, atoms, config, report, ctx)?;
+        bag_labels.push((name.clone(), label));
+        bag_overlay.push((name.clone(), bag));
     }
 
     // ── Phase 2 + 3: final one-round join over the rewritten query.
     let names = plan.shuffle_names();
     let (hplan, share_reused) =
-        share_for(plan, db, &bag_overlay, &names, plan.query.num_attrs(), cluster, tracer)?;
-    report.share_solves += u64::from(!share_reused);
+        share_for(plan, db, &bag_overlay, &names, plan.query.num_attrs(), cluster, ctx)?;
     report.share = hplan.share().to_vec();
     // Cache identities: base atoms by relation name; pre-computed bags by
     // the content label recorded in phase 1 (never by the per-query
@@ -692,83 +585,100 @@ pub fn prepare_plan_locals(
             }
         })
         .collect();
-    let shuffled = hcube_shuffle_cached_traced(
-        cluster,
-        db,
-        &names,
-        &hplan,
-        &plan.order,
-        HCubeImpl::Merge,
-        index,
-        &cache_ids,
-        &bag_overlay,
-        &plan.hot,
+    let round = ShuffleRound {
+        atom_names: &names,
+        plan: &hplan,
+        order: &plan.order,
+        impl_: HCubeImpl::Merge,
+        cache_ids: &cache_ids,
+        overlay: &bag_overlay,
+        hot: &plan.hot,
         share_reused,
-        cancel,
-        tracer,
-    )?;
+    };
+    let shuffled = hcube_shuffle_round(cluster, db, &round, ctx)?;
     report.comm_tuples = shuffled.report.tuples;
-    // The pipelined schedule's span: modeled comm + measured build, minus
-    // the modeled delivery/build overlap (clamped — overlap can't exceed
-    // the phases it hides behind).
-    report.communication_secs = (shuffled.report.comm_secs + shuffled.report.build_secs
-        - shuffled.report.overlap_secs)
-        .max(0.0);
-    report.index_build_secs += shuffled.report.build_secs;
-    report.index_relations_built += shuffled.report.built_relations;
-    report.index_relations_reused += shuffled.report.reused_relations;
-    report.absorb_shuffle(&shuffled.report);
+    report.communication_secs = shuffled.report.pipelined_secs();
+    report.absorb_shuffle(&shuffled.report, share_reused);
     Ok(shuffled.locals)
 }
 
-/// Runs one HCube+Leapfrog round over the named relations and gathers the
-/// result. Used for bag pre-computation; its shuffle consults the index
-/// cache too (bag members are base relations, so their indexes are shared
-/// with every other query touching them). Returns `(result, secs, tuples)`
-/// and accumulates the index build/reuse split into `report`.
-#[allow(clippy::too_many_arguments)]
-fn run_one_round(
+/// One bag of phase 1, as `(content label, relation)`: served from the bag
+/// cache when `ctx`'s scope holds it, otherwise computed by a one-round
+/// HCube+Leapfrog job of its own over the member atoms and published. The
+/// round's shuffle consults the index cache too (bag members are base
+/// relations, so their indexes are shared with every other query touching
+/// them). Pre-compute seconds and tuples, the index build/reuse split and
+/// the share solve accumulate into `report`.
+fn precompute_bag(
     cluster: &Cluster,
     db: &Database,
     plan: &QueryPlan,
-    names: &[String],
-    order: &[Attr],
+    atoms: &[usize],
     config: &AdjConfig,
-    index: Option<&IndexScope<'_>>,
     report: &mut ExecutionReport,
-    cancel: &CancelToken,
-    tracer: &Tracer,
-) -> Result<(Relation, f64, u64)> {
-    let num_attrs = order.iter().map(|a| a.index() + 1).max().unwrap_or(1);
-    let (hplan, share_reused) = share_for(plan, db, &[], names, num_attrs, cluster, tracer)?;
-    report.share_solves += u64::from(!share_reused);
-    let cache_ids: Vec<Option<String>> = names.iter().map(|n| Some(n.clone())).collect();
-    let shuffled = hcube_shuffle_cached_traced(
-        cluster,
-        db,
-        names,
-        &hplan,
-        order,
-        HCubeImpl::Merge,
-        index,
-        &cache_ids,
-        &[],
-        &plan.hot,
-        share_reused,
-        cancel,
-        tracer,
-    )?;
-    report.index_build_secs += shuffled.report.build_secs;
-    report.index_relations_built += shuffled.report.built_relations;
-    report.index_relations_reused += shuffled.report.reused_relations;
-    report.absorb_shuffle(&shuffled.report);
+    ctx: &ExecCtx<'_>,
+) -> Result<(String, Arc<Relation>)> {
+    let (cancel, tracer) = (&ctx.cancel, &ctx.tracer);
     let budget = config.max_intermediate_tuples;
+    let too_large = Error::BudgetExceeded { what: "pre-computed relation size", limit: budget };
+    let order: Vec<Attr> = plan
+        .order
+        .iter()
+        .copied()
+        .filter(|a| atoms.iter().any(|&i| plan.query.atoms[i].schema.contains(*a)))
+        .collect();
+    let names: Vec<String> = atoms.iter().map(|&i| plan.query.atoms[i].name.clone()).collect();
+    let label = bag_label(&names, &order, ctx);
+    // A cold miss claims the bag key, so concurrent queries that need
+    // the same bag wait for this build instead of running the round N
+    // times (request coalescing). At most one bag claim is ever held —
+    // it is published (or abandoned by drop, on any error path) before
+    // the next bag is consulted — and bag holders only ever wait on
+    // *index* claims inside the round's shuffle, never the reverse, so the
+    // claim hierarchy stays cycle-free.
+    let mut bag_claim = None;
+    if let Some(scope) = ctx.index {
+        match scope.cache.get_bag_or_claim(&scope.bag_key(label.clone()), cancel) {
+            CacheLookup::Hit { value: bag, coalesced } => {
+                // Budget parity with the cold path: a cached bag over
+                // the caller's cap is rejected exactly like a fresh one.
+                if bag.len() > budget {
+                    return Err(too_large);
+                }
+                let hit = if coalesced { "bag_cache_coalesced" } else { "bag_cache_hit" };
+                tracer.instant(COORDINATOR_LANE, hit, &label);
+                report.index_bags_reused += 1;
+                return Ok((label, bag));
+            }
+            CacheLookup::Miss(claim) => bag_claim = claim,
+        }
+    }
+    // Bag members are base atoms, so the round runs over `db` directly.
+    let mut bag_span = tracer.span(COORDINATOR_LANE, "precompute");
+    if bag_span.is_recording() {
+        bag_span.detail(label.clone());
+    }
+    let num_attrs = order.iter().map(|a| a.index() + 1).max().unwrap_or(1);
+    let (hplan, share_reused) = share_for(plan, db, &[], &names, num_attrs, cluster, ctx)?;
+    let cache_ids: Vec<Option<String>> = names.iter().map(|n| Some(n.clone())).collect();
+    let round = ShuffleRound {
+        atom_names: &names,
+        plan: &hplan,
+        order: &order,
+        impl_: HCubeImpl::Merge,
+        cache_ids: &cache_ids,
+        overlay: &[],
+        hot: &plan.hot,
+        share_reused,
+    };
+    let shuffled = hcube_shuffle_round(cluster, db, &round, ctx)?;
+    report.absorb_shuffle(&shuffled.report, share_reused);
     let locals = &shuffled.locals;
     let run = cluster.run_traced(tracer, "bag_join", |w, span| {
         adj_faults::inject(FaultSite::JoinEnumerate, cancel);
         cancel.check().map_err(cancel_err)?;
         let tries: Vec<Arc<Trie>> = locals[w].iter().map(|l| Arc::clone(&l.trie)).collect();
-        let join = LeapfrogJoin::new(order, tries)?;
+        let join = LeapfrogJoin::new(&order, tries)?;
         let mut rows: Vec<Value> = Vec::new();
         let mut over = false;
         let counters = join.run(|t| {
@@ -788,15 +698,24 @@ fn run_one_round(
     for r in run.results {
         all.extend_from_slice(&r.map_err(Error::from)??);
     }
-    let schema = Schema::new(order.to_vec())?;
-    let rel = Relation::from_flat(schema, all)?;
-    // Pipelined schedule for the round's shuffle (comm + build − overlap,
-    // clamped), plus the measured bag join on top.
-    let secs = (shuffled.report.comm_secs + shuffled.report.build_secs
-        - shuffled.report.overlap_secs)
-        .max(0.0)
-        + run.makespan_secs;
-    Ok((rel, secs, shuffled.report.tuples))
+    let result = Relation::from_flat(Schema::new(order.clone())?, all)?;
+    bag_span.arg("tuples", shuffled.report.tuples);
+    bag_span.arg("result_tuples", result.len() as u64);
+    drop(bag_span);
+    // Pipelined schedule for the round's shuffle, plus the measured bag
+    // join on top.
+    report.precompute_secs += shuffled.report.pipelined_secs() + run.makespan_secs;
+    report.precompute_tuples += shuffled.report.tuples;
+    if result.len() > budget {
+        return Err(too_large);
+    }
+    let result = Arc::new(result);
+    if let Some(claim) = bag_claim {
+        claim.publish_bag(Arc::clone(&result));
+    } else if let Some(scope) = ctx.index {
+        scope.cache.insert_bag(scope.bag_key(label.clone()), Arc::clone(&result));
+    }
+    Ok((label, result))
 }
 
 /// The HCube plan under the optimal share vector for the named relations'
@@ -824,7 +743,7 @@ fn share_for(
     names: &[String],
     num_attrs: usize,
     cluster: &Cluster,
-    tracer: &Tracer,
+    ctx: &ExecCtx<'_>,
 ) -> Result<(HCubePlan, bool)> {
     let mut relations = Vec::with_capacity(names.len());
     for n in names {
@@ -867,7 +786,7 @@ fn share_for(
         debug_assert_eq!(solve(&input).ok().as_ref(), Some(&share), "memoized share went stale");
         return Ok((HCubePlan::new(share, width), true));
     }
-    let span = tracer.span(COORDINATOR_LANE, "share_solve");
+    let span = ctx.tracer.span(COORDINATOR_LANE, "share_solve");
     let share = solve(&input)?;
     drop(span);
     plan.share_memo.insert(input, share.clone());
@@ -879,6 +798,7 @@ mod tests {
     use super::*;
     use crate::optimizer::optimize;
     use adj_cluster::ClusterConfig;
+    use adj_hcube::{IndexCache, IndexScope};
     use adj_query::{paper_query, PaperQuery};
 
     fn db_for(q: &adj_query::JoinQuery, n: u32, m: u32) -> Database {
@@ -886,6 +806,30 @@ mod tests {
             .flat_map(|i| vec![(i % m, (i * 7 + 1) % m), ((i * 3) % m, (i * 11 + 5) % m)])
             .collect();
         q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &edges))
+    }
+
+    /// The cold, unbound execution.
+    fn run(
+        cluster: &Cluster,
+        db: &Database,
+        plan: &QueryPlan,
+        cfg: &AdjConfig,
+        mode: OutputMode,
+    ) -> Result<(QueryOutput, ExecutionReport)> {
+        execute_plan(cluster, db, plan, cfg, mode, &BoundValues::none(), &ExecCtx::default())
+    }
+
+    /// The unbound execution under an index-cache scope.
+    fn run_in(
+        cluster: &Cluster,
+        db: &Database,
+        plan: &QueryPlan,
+        cfg: &AdjConfig,
+        mode: OutputMode,
+        scope: &IndexScope<'_>,
+    ) -> Result<(QueryOutput, ExecutionReport)> {
+        let ctx = ExecCtx { index: Some(scope), ..Default::default() };
+        execute_plan(cluster, db, plan, cfg, mode, &BoundValues::none(), &ctx)
     }
 
     fn truth(db: &Database, q: &adj_query::JoinQuery) -> Relation {
@@ -905,12 +849,61 @@ mod tests {
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() };
         let cluster = Cluster::new(cfg.cluster.clone());
         let plan = optimize(&q, &db, &cfg, Strategy::CoOptimize).unwrap();
-        let (out, report) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+        let (out, report) = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
         let result = out.rows();
         let t = truth(&db, &q);
         assert_eq!(result.len(), t.len());
         assert_eq!(result.permute(t.schema().attrs()).unwrap(), t);
         assert_eq!(report.output_tuples as usize, t.len());
+    }
+
+    #[test]
+    fn default_ctx_is_the_cold_unbound_execution() {
+        // `ExecCtx::default()` must be the plain cold executor: against the
+        // binary-join truth byte for byte, and indistinguishable (output and
+        // every count in the report) from the same plan run with all three
+        // context members armed but idle.
+        const MODES: [OutputMode; 4] =
+            [OutputMode::Rows, OutputMode::Count, OutputMode::Exists, OutputMode::Limit(5)];
+        for pq in [PaperQuery::Q1, PaperQuery::Q4] {
+            let q = paper_query(pq);
+            let db = db_for(&q, 150, 31);
+            let cfg = AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() };
+            let cluster = Cluster::new(cfg.cluster.clone());
+            let plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
+            let full = truth(&db, &q).permute(&plan.order).unwrap();
+            for mode in MODES {
+                let (out, rep) = run(&cluster, &db, &plan, &cfg, mode).unwrap();
+                let expect = match mode {
+                    OutputMode::Rows => QueryOutput::Rows(full.clone()),
+                    OutputMode::Count => QueryOutput::Count(full.len() as u64),
+                    OutputMode::Exists => QueryOutput::Exists(!full.is_empty()),
+                    OutputMode::Limit(n) => {
+                        let flat = full.flat()[..n.min(full.len()) * plan.order.len()].to_vec();
+                        QueryOutput::Rows(Relation::from_flat(full.schema().clone(), flat).unwrap())
+                    }
+                };
+                assert_eq!(out, expect, "{pq:?} {mode:?}");
+                assert!(rep.index_relations_built > 0 && rep.index_relations_reused == 0);
+
+                let cache = IndexCache::new(0); // a scope that caches nothing
+                let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
+                let armed = ExecCtx {
+                    index: Some(&scope),
+                    cancel: CancelToken::manual(),
+                    tracer: adj_trace::Tracer::new(1024),
+                };
+                let (same, arep) =
+                    execute_plan(&cluster, &db, &plan, &cfg, mode, &BoundValues::none(), &armed)
+                        .unwrap();
+                assert_eq!(same, out, "{pq:?} {mode:?}: an idle context changed the answer");
+                assert_eq!(
+                    (arep.comm_tuples, arep.output_tuples, arep.index_relations_built, &arep.share),
+                    (rep.comm_tuples, rep.output_tuples, rep.index_relations_built, &rep.share),
+                );
+                assert_eq!(arep.counters.intersect_ops, rep.counters.intersect_ops);
+            }
+        }
     }
 
     #[test]
@@ -920,18 +913,18 @@ mod tests {
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() };
         let cluster = Cluster::new(cfg.cluster.clone());
         let plan = optimize(&q, &db, &cfg, Strategy::CoOptimize).unwrap();
-        let (rows, _) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+        let (rows, _) = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
         let full = rows.rows();
 
-        let (count, crep) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Count).unwrap();
+        let (count, crep) = run(&cluster, &db, &plan, &cfg, OutputMode::Count).unwrap();
         assert_eq!(count, QueryOutput::Count(full.len() as u64));
         assert_eq!(crep.output_tuples as usize, full.len());
 
-        let (exists, _) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Exists).unwrap();
+        let (exists, _) = run(&cluster, &db, &plan, &cfg, OutputMode::Exists).unwrap();
         assert_eq!(exists, QueryOutput::Exists(!full.is_empty()));
 
         let n = 5usize;
-        let (limited, _) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Limit(n)).unwrap();
+        let (limited, _) = run(&cluster, &db, &plan, &cfg, OutputMode::Limit(n)).unwrap();
         let sample = limited.rows();
         assert_eq!(sample.len(), n.min(full.len()));
         for row in sample.rows() {
@@ -964,7 +957,7 @@ mod tests {
         if !adj_query::order::is_valid_order(&plan.tree, &plan.order) {
             plan.order = adj_query::order::valid_orders(&plan.tree)[0].clone();
         }
-        let (out, report) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+        let (out, report) = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
         assert!(report.precompute_secs > 0.0);
         assert!(report.precompute_tuples > 0);
         let t = truth(&db, &q);
@@ -974,7 +967,7 @@ mod tests {
         // solved by the first execution, all reused by the second — which,
         // with no bag cache in play, runs every round again.
         assert_eq!(report.share_solves, plan.precompute.len() as u64 + 1);
-        let (again, rerun) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+        let (again, rerun) = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
         assert_eq!(rerun.precompute_tuples, report.precompute_tuples, "the bag rounds ran");
         assert_eq!(rerun.share_solves, 0);
         assert_eq!(rerun.share, report.share);
@@ -983,7 +976,6 @@ mod tests {
 
     #[test]
     fn warm_precompute_reuses_bags_and_tries() {
-        use adj_hcube::{IndexCache, IndexScope};
         // Force pre-computation (as precompute_phase_populates_report does)
         // so the bag-cache path is exercised.
         let q = paper_query(PaperQuery::Q4);
@@ -1008,15 +1000,13 @@ mod tests {
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 9, epoch: 0, versions: &[] };
         let (cold_out, cold_rep) =
-            execute_plan_cached(&cluster, &db, &plan, &cfg, OutputMode::Rows, Some(&scope))
-                .unwrap();
+            run_in(&cluster, &db, &plan, &cfg, OutputMode::Rows, &scope).unwrap();
         assert!(cold_rep.precompute_secs > 0.0);
         assert_eq!(cold_rep.index_bags_reused, 0);
         assert!(cold_rep.index_relations_built > 0);
 
         let (warm_out, warm_rep) =
-            execute_plan_cached(&cluster, &db, &plan, &cfg, OutputMode::Rows, Some(&scope))
-                .unwrap();
+            run_in(&cluster, &db, &plan, &cfg, OutputMode::Rows, &scope).unwrap();
         assert_eq!(cold_out, warm_out, "warm bag reuse must be byte-identical");
         assert!(warm_rep.index_bags_reused > 0, "the pre-computed bag must come from the cache");
         assert_eq!(warm_rep.index_relations_built, 0);
@@ -1027,14 +1017,12 @@ mod tests {
         // Budget parity: a cached bag over a smaller caller budget errors
         // exactly like the cold path's post-round size check.
         let tiny = AdjConfig { max_intermediate_tuples: 1, ..cfg.clone() };
-        let err = execute_plan_cached(&cluster, &db, &plan, &tiny, OutputMode::Count, Some(&scope))
-            .unwrap_err();
+        let err = run_in(&cluster, &db, &plan, &tiny, OutputMode::Count, &scope).unwrap_err();
         assert!(matches!(err, Error::BudgetExceeded { .. }));
     }
 
     #[test]
     fn per_relation_versions_invalidate_only_the_mutated_relation() {
-        use adj_hcube::{IndexCache, IndexScope};
         let q = paper_query(PaperQuery::Q1);
         let db = db_for(&q, 150, 23);
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() };
@@ -1042,9 +1030,7 @@ mod tests {
         let plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 9, epoch: 0, versions: &[] };
-        let (_, cold) =
-            execute_plan_cached(&cluster, &db, &plan, &cfg, OutputMode::Count, Some(&scope))
-                .unwrap();
+        let (_, cold) = run_in(&cluster, &db, &plan, &cfg, OutputMode::Count, &scope).unwrap();
         let atoms = cold.index_relations_built;
         assert!(atoms > 0);
 
@@ -1053,9 +1039,7 @@ mod tests {
         let name = q.atoms[0].name.clone();
         let versions = vec![(name, 1u64)];
         let bumped = IndexScope { cache: &cache, db_tag: 9, epoch: 0, versions: &versions };
-        let (_, rep) =
-            execute_plan_cached(&cluster, &db, &plan, &cfg, OutputMode::Count, Some(&bumped))
-                .unwrap();
+        let (_, rep) = run_in(&cluster, &db, &plan, &cfg, OutputMode::Count, &bumped).unwrap();
         assert_eq!(rep.index_relations_built, 1, "only the mutated relation rebuilds");
         assert_eq!(rep.index_relations_reused, atoms - 1);
     }
@@ -1071,10 +1055,10 @@ mod tests {
         };
         let cluster = Cluster::new(cfg.cluster.clone());
         let plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
-        let err = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap_err();
+        let err = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap_err();
         assert!(matches!(err, Error::BudgetExceeded { .. }));
         // Count mode never buffers rows, so the same tiny cap passes.
-        let (out, _) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Count).unwrap();
+        let (out, _) = run(&cluster, &db, &plan, &cfg, OutputMode::Count).unwrap();
         assert!(matches!(out, QueryOutput::Count(_)));
     }
 
@@ -1086,17 +1070,17 @@ mod tests {
         let cluster = Cluster::new(cfg.cluster.clone());
         let plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
         let names = plan.shuffle_names();
-        let tracer = Tracer::disabled();
-        let (hplan, reused) = share_for(&plan, &db, &[], &names, 3, &cluster, &tracer).unwrap();
+        let ctx = ExecCtx::default();
+        let (hplan, reused) = share_for(&plan, &db, &[], &names, 3, &cluster, &ctx).unwrap();
         assert!(!reused, "a fresh plan has solved nothing yet");
         assert_eq!(hplan.share().len(), 3);
         assert!(hplan.num_cubes() >= 8);
         // The same input again is answered from the plan's memo...
-        let again = share_for(&plan, &db, &[], &names, 3, &cluster, &tracer).unwrap();
+        let again = share_for(&plan, &db, &[], &names, 3, &cluster, &ctx).unwrap();
         assert_eq!(again, (hplan.clone(), true), "same share, not re-solved");
         // ...a different width is a different program, solved afresh.
         let narrow = Cluster::new(ClusterConfig::with_workers(2));
-        let (p2, reused) = share_for(&plan, &db, &[], &names, 3, &narrow, &tracer).unwrap();
+        let (p2, reused) = share_for(&plan, &db, &[], &names, 3, &narrow, &ctx).unwrap();
         assert!(!reused);
         assert!(p2.num_cubes() < hplan.num_cubes());
     }

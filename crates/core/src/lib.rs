@@ -19,9 +19,10 @@
 //! (`adj-sampling`).
 //!
 //! Entry point: [`Adj`] (configure once, [`Adj::execute`] per query, or
-//! [`Adj::execute_mode`] for `Count`/`Limit(n)`/`Exists` outputs that skip
-//! full materialization), or the lower-level [`optimizer::optimize`] +
-//! [`executor::execute_plan`] pair.
+//! [`Adj::execute_with`] to pick the strategy and a `Count`/`Limit(n)`/
+//! `Exists` output that skips full materialization; [`Adj::plan`] +
+//! [`Adj::execute_plan`] to run one plan many times), or the lower-level
+//! [`optimizer::optimize`] + [`executor::execute_plan`] pair.
 
 pub mod cost;
 pub mod executor;
@@ -32,17 +33,17 @@ pub mod yannakakis;
 
 pub use cost::{fractional_max_cube_bound, CostEstimator, CostParams};
 pub use executor::{
-    cancel_err, execute_plan, execute_plan_bound, execute_plan_cached, execute_plan_cancellable,
-    execute_plan_traced, prepare_plan_locals, CancelSink, ExecutionReport, Strategy,
-    SINK_CHECK_EVERY,
+    cancel_err, execute_plan, merge_plan_consts, prepare_plan_locals, shape_output, CancelSink,
+    ExecutionReport, Strategy, SINK_CHECK_EVERY,
 };
 pub use optimizer::optimize;
 pub use plan::{OptimizerStats, PlanRelation, QueryPlan};
 pub use prepared::Prepared;
 pub use yannakakis::{yannakakis, yannakakis_cached, YannakakisReport};
-// The cross-query index cache (defined in `adj-hcube`, where the shuffle
-// consults it) is part of this crate's public execution API too.
-pub use adj_hcube::{HotValues, IndexCache, IndexCacheStats, IndexScope};
+// The execution context and the cross-query index cache (defined in
+// `adj-hcube`, where the shuffle consults them) are part of this crate's
+// public execution API too.
+pub use adj_hcube::{ExecCtx, HotValues, IndexCache, IndexCacheStats, IndexScope};
 // Cooperative cancellation and the deterministic fault-injection harness
 // (defined in `adj-faults` so every layer can place checkpoints), part of
 // this crate's public execution API for the serving layer's deadline hook.
@@ -174,34 +175,14 @@ impl Adj {
     /// ADJ proper): optimize → pre-compute → shuffle → join, materializing
     /// the full result ([`OutputMode::Rows`]).
     pub fn execute(&self, query: &JoinQuery, db: &Database) -> Result<AdjOutcome> {
-        self.execute_with_strategy(query, db, Strategy::CoOptimize)
+        self.execute_with(query, db, Strategy::CoOptimize, OutputMode::Rows)
     }
 
-    /// Runs `query` with an explicit output mode: `Count`/`Exists` never
-    /// gather result tuples (workers ship counters only), `Limit(n)`
-    /// short-circuits each worker's enumeration after `n` rows.
-    pub fn execute_mode(
-        &self,
-        query: &JoinQuery,
-        db: &Database,
-        mode: OutputMode,
-    ) -> Result<AdjOutcome> {
-        self.execute_with(query, db, Strategy::CoOptimize, mode)
-    }
-
-    /// Runs `query` with an explicit strategy ([`Strategy::CommFirst`] is
-    /// the HCubeJ-style communication-first plan used as the paper's
-    /// baseline in Tables II–IV), materializing the full result.
-    pub fn execute_with_strategy(
-        &self,
-        query: &JoinQuery,
-        db: &Database,
-        strategy: Strategy,
-    ) -> Result<AdjOutcome> {
-        self.execute_with(query, db, strategy, OutputMode::Rows)
-    }
-
-    /// The general form: explicit strategy *and* output mode.
+    /// The general one-shot form: explicit strategy ([`Strategy::CommFirst`]
+    /// is the HCubeJ-style communication-first plan used as the paper's
+    /// baseline in Tables II–IV) *and* output mode (`Count`/`Exists` never
+    /// gather result tuples — workers ship counters only — and `Limit(n)`
+    /// short-circuits each worker's enumeration after `n` rows).
     pub fn execute_with(
         &self,
         query: &JoinQuery,
@@ -210,7 +191,8 @@ impl Adj {
         mode: OutputMode,
     ) -> Result<AdjOutcome> {
         let plan = self.plan(query, db, strategy)?;
-        let (output, report) = self.execute_prepared(&plan, db, mode)?;
+        let (output, report) =
+            self.execute_plan(&plan, db, mode, &BoundValues::none(), &ExecCtx::default())?;
         Ok(AdjOutcome { output, mode, plan, report })
     }
 
@@ -218,7 +200,7 @@ impl Adj {
     /// return the chosen plan without executing it. The plan records its
     /// own optimization seconds in
     /// [`QueryPlan::optimization_secs`]; pair with
-    /// [`Adj::execute_prepared`] to run it, possibly many times (this is
+    /// [`Adj::execute_plan`] to run it, possibly many times (this is
     /// how `adj-service`'s plan cache amortizes GHD search + sampling
     /// across repeated query shapes).
     pub fn plan(&self, query: &JoinQuery, db: &Database, strategy: Strategy) -> Result<QueryPlan> {
@@ -228,99 +210,33 @@ impl Adj {
         Ok(plan)
     }
 
-    /// Executes an already-constructed plan, borrowed — so a cached plan
-    /// can be re-executed any number of times (and under any output mode:
-    /// plans are mode-independent) without cloning it. The returned report
-    /// charges the plan's recorded optimization seconds, so a first
-    /// execution reproduces [`Adj::execute`] exactly; callers re-executing
-    /// a cached plan should zero `report.optimization_secs` (as
-    /// `adj-service` does on cache hits) since the search cost was paid
-    /// only once.
-    pub fn execute_prepared(
+    /// Executes an already-constructed plan on this instance's cluster,
+    /// borrowed — so a cached plan can be re-executed any number of times
+    /// (and under any output mode: plans are mode-independent) without
+    /// cloning it. `params` are the submission's bound values
+    /// ([`BoundValues::none`] for a plain query), which Leapfrog seeks over
+    /// the same indexes the unbound query uses; `ctx` carries the index
+    /// cache scope, the cancellation token and the tracer
+    /// ([`ExecCtx::default`] runs cold, uncancellable and untraced) — see
+    /// [`executor::execute_plan`] for what each does. This is the serving
+    /// hot path: `adj-service` pairs its plan cache with an [`IndexCache`]
+    /// scope and a per-request deadline token here.
+    ///
+    /// The returned report charges the plan's recorded optimization
+    /// seconds, so a first execution reproduces [`Adj::execute`] exactly;
+    /// callers re-executing a cached plan should zero
+    /// `report.optimization_secs` (as `adj-service` does on cache hits)
+    /// since the search cost was paid only once.
+    pub fn execute_plan(
         &self,
         plan: &QueryPlan,
         db: &Database,
         mode: OutputMode,
-    ) -> Result<(QueryOutput, ExecutionReport)> {
-        self.execute_prepared_cached(plan, db, mode, None)
-    }
-
-    /// [`Adj::execute_prepared`] with a cross-query index cache scope:
-    /// relations whose shuffled indexes (or pre-computed bags) are warm in
-    /// the cache for the scope's database epoch are reused instead of
-    /// re-shuffled and rebuilt. This is the serving hot path —
-    /// `adj-service` pairs its plan cache with an
-    /// [`IndexCache`] here.
-    pub fn execute_prepared_cached(
-        &self,
-        plan: &QueryPlan,
-        db: &Database,
-        mode: OutputMode,
-        index: Option<&IndexScope<'_>>,
-    ) -> Result<(QueryOutput, ExecutionReport)> {
-        self.execute_bound_cached(plan, db, mode, index, &BoundValues::none())
-    }
-
-    /// The bound serving hot path: [`Adj::execute_prepared_cached`] plus a
-    /// resolved set of parameter values, which Leapfrog seeks over the same
-    /// indexes the unbound query uses (see
-    /// [`executor::execute_plan_bound`]).
-    pub fn execute_bound_cached(
-        &self,
-        plan: &QueryPlan,
-        db: &Database,
-        mode: OutputMode,
-        index: Option<&IndexScope<'_>>,
         params: &BoundValues,
+        ctx: &ExecCtx<'_>,
     ) -> Result<(QueryOutput, ExecutionReport)> {
-        self.execute_bound_traced(plan, db, mode, index, params, &Tracer::disabled())
-    }
-
-    /// [`Adj::execute_bound_cached`] recording a span timeline into
-    /// `tracer`: the executor's phase spans on the coordinator lane plus
-    /// one lane per cluster worker (see
-    /// [`executor::execute_plan_traced`]). With a disabled tracer this is
-    /// exactly [`Adj::execute_bound_cached`].
-    pub fn execute_bound_traced(
-        &self,
-        plan: &QueryPlan,
-        db: &Database,
-        mode: OutputMode,
-        index: Option<&IndexScope<'_>>,
-        params: &BoundValues,
-        tracer: &Tracer,
-    ) -> Result<(QueryOutput, ExecutionReport)> {
-        self.execute_bound_cancellable(plan, db, mode, index, params, &CancelToken::none(), tracer)
-    }
-
-    /// [`Adj::execute_bound_traced`] plus a cooperative [`CancelToken`]:
-    /// the token is polled throughout the shuffle's routing loops and the
-    /// workers' join enumeration, so a fired token (explicit cancel or
-    /// elapsed deadline) aborts within a bounded amount of work with
-    /// [`adj_relational::Error::Cancelled`] and never publishes partial
-    /// cache artifacts. This is the serving layer's deadline hook.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_bound_cancellable(
-        &self,
-        plan: &QueryPlan,
-        db: &Database,
-        mode: OutputMode,
-        index: Option<&IndexScope<'_>>,
-        params: &BoundValues,
-        cancel: &CancelToken,
-        tracer: &Tracer,
-    ) -> Result<(QueryOutput, ExecutionReport)> {
-        let (output, mut report) = executor::execute_plan_cancellable(
-            &self.cluster,
-            db,
-            plan,
-            &self.config,
-            mode,
-            index,
-            params,
-            cancel,
-            tracer,
-        )?;
+        let (output, mut report) =
+            executor::execute_plan(&self.cluster, db, plan, &self.config, mode, params, ctx)?;
         report.optimization_secs = plan.optimization_secs;
         Ok((output, report))
     }
@@ -353,7 +269,7 @@ impl Adj {
     ) -> Result<AdjOutcome> {
         let values = prepared.bind(bindings)?;
         let (output, report) =
-            self.execute_bound_cached(&prepared.plan, db, mode, None, &values)?;
+            self.execute_plan(&prepared.plan, db, mode, &values, &ExecCtx::default())?;
         Ok(AdjOutcome { output, mode, plan: prepared.plan.clone(), report })
     }
 }
@@ -398,8 +314,8 @@ mod tests {
         let g = graph(120, 31);
         let db = q.instantiate(&g);
         let adj = Adj::with_workers(4);
-        let co = adj.execute_with_strategy(&q, &db, Strategy::CoOptimize).unwrap();
-        let cf = adj.execute_with_strategy(&q, &db, Strategy::CommFirst).unwrap();
+        let co = adj.execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Rows).unwrap();
+        let cf = adj.execute_with(&q, &db, Strategy::CommFirst, OutputMode::Rows).unwrap();
         assert_eq!(co.rows().len(), cf.rows().len(), "strategies must agree on the result");
         let a = co.rows().permute(cf.rows().schema().attrs()).unwrap();
         assert_eq!(a, cf.rows().clone());
@@ -412,10 +328,10 @@ mod tests {
         let db = q.instantiate(&g);
         let adj = Adj::with_workers(4);
         let full = adj.execute(&q, &db).unwrap();
-        let counted = adj.execute_mode(&q, &db, OutputMode::Count).unwrap();
+        let counted = adj.execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Count).unwrap();
         assert_eq!(counted.output, QueryOutput::Count(full.rows().len() as u64));
         assert_eq!(counted.output.tuples_returned(), 0, "count mode ships no tuples");
-        let exists = adj.execute_mode(&q, &db, OutputMode::Exists).unwrap();
+        let exists = adj.execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Exists).unwrap();
         assert_eq!(exists.output, QueryOutput::Exists(!full.rows().is_empty()));
     }
 

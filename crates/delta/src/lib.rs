@@ -5,9 +5,8 @@
 //! overlay: a [`DeltaRelation`] keeps an immutable **base** [`Relation`] plus
 //! two sorted delta runs, **inserts** and **tombstones**, applied batch by
 //! batch with a monotone sequence number per relation. The effective relation
-//! is always `(base ∪ inserts) \ tombstones`; readers either materialize it
-//! ([`DeltaRelation::effective`]) or merge on the fly with
-//! [`adj_relational::MergedCursor`] over the three tries.
+//! is always `(base ∪ inserts) \ tombstones`; readers materialize it with
+//! [`DeltaRelation::effective`].
 //!
 //! Compaction folds the overlay back into the base once it exceeds a
 //! configurable fraction of the base ([`DeltaConfig`]). Compaction does not
@@ -211,7 +210,6 @@ impl DeltaRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adj_relational::{MergedCursor, Trie};
 
     fn rel(ids: &[u32], rows: &[&[Value]]) -> Relation {
         Relation::from_rows(Schema::from_ids(ids), rows).unwrap()
@@ -275,29 +273,6 @@ mod tests {
         assert_eq!(d.overlay_tuples(), 0);
         assert_eq!(d.seq(), seq, "compaction preserves the sequence");
         assert!(!d.needs_compaction(&cfg));
-    }
-
-    #[test]
-    fn merged_cursor_sees_effective_relation() {
-        let mut d = DeltaRelation::new(rel(&[0, 1], &[&[1, 5], &[2, 6], &[3, 7]]));
-        d.apply(&rows(&[&[2, 9]]), &rows(&[&[3, 7]])).unwrap();
-        let (bt, it, tt) =
-            (Trie::build(d.base()), Trie::build(d.inserts()), Trie::build(d.tombstones()));
-        let mut c = MergedCursor::new(&bt, &it, &tt).unwrap();
-        let mut seen = Vec::new();
-        assert!(c.open());
-        while !c.at_end() {
-            let a = c.key();
-            assert!(c.open());
-            while !c.at_end() {
-                seen.push(vec![a, c.key()]);
-                c.next();
-            }
-            c.up();
-            c.next();
-        }
-        let eff: Vec<Vec<Value>> = d.effective().rows().map(|r| r.to_vec()).collect();
-        assert_eq!(seen, eff);
     }
 
     #[test]

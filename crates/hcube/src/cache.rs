@@ -238,7 +238,7 @@ pub enum CacheLookup<'a, T> {
 /// an index claim while holding a *bag* claim — but never the reverse
 /// (nothing waits on a bag while holding an index claim), and at most one
 /// bag claim is held at a time. The shuffle and the executor's bag loop
-/// both follow this; see `hcube_shuffle_cached`.
+/// both follow this; see `hcube_shuffle_round`.
 #[derive(Debug)]
 pub struct BuildClaim<'a> {
     cache: &'a IndexCache,

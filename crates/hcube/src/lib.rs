@@ -21,7 +21,7 @@
 //! * [`cache::IndexCache`] — the cross-query index cache: shuffled
 //!   partitions and built tries published as shared `Arc<Trie>` handles,
 //!   keyed by `(relation identity, induced order, share, workers, database
-//!   epoch, routing tag)`, so [`shuffle::hcube_shuffle_cached`] skips
+//!   epoch, routing tag)`, so [`shuffle::hcube_shuffle_round`] skips
 //!   routing, transfer, and build entirely for warm relations;
 //! * [`skew`] — heavy-hitter routing: hot join values are *spread* across
 //!   their hypercube dimension by one designated spreader relation and
@@ -44,7 +44,7 @@ pub use patch::{patch_relation_indexes, PatchOutcome};
 pub use plan::HCubePlan;
 pub use share::{optimize_share, ShareInput};
 pub use shuffle::{
-    hcube_shuffle, hcube_shuffle_cached, hcube_shuffle_cached_traced, HCubeImpl, LocalRelation,
-    ShuffleOutput, ShuffleReport,
+    hcube_shuffle, hcube_shuffle_round, ExecCtx, HCubeImpl, LocalRelation, ShuffleOutput,
+    ShuffleReport, ShuffleRound,
 };
 pub use skew::{HotDecision, HotValues, ShuffleRouting};

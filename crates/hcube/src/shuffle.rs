@@ -15,8 +15,9 @@
 //!
 //! All three produce byte-identical local tries; only their costs differ.
 //!
-//! On top of the three implementations, [`hcube_shuffle_cached`] consults a
-//! cross-query [`IndexCache`](crate::IndexCache): relations whose
+//! [`hcube_shuffle`] is the cold six-argument form. The general entry,
+//! [`hcube_shuffle_round`], takes the round's description ([`ShuffleRound`])
+//! and the execution's [`ExecCtx`]: under an index scope, relations whose
 //! `(identity, induced order, share, workers, db epoch)` key hits skip the
 //! routing, transfer, and build phases entirely and reuse the published
 //! per-worker `Arc<Trie>` handles; cold relations are shuffled and built
@@ -111,6 +112,15 @@ pub struct ShuffleReport {
     pub tuples_saved: u64,
 }
 
+impl ShuffleReport {
+    /// The pipelined schedule's span: modeled comm + measured build, minus
+    /// the modeled delivery/build overlap (clamped — overlap can't exceed
+    /// the phases it hides behind).
+    pub fn pipelined_secs(&self) -> f64 {
+        (self.comm_secs + self.build_secs - self.overlap_secs).max(0.0)
+    }
+}
+
 /// The result of a shuffle: per-worker local databases plus the cost report.
 #[derive(Debug)]
 pub struct ShuffleOutput {
@@ -120,10 +130,63 @@ pub struct ShuffleOutput {
     pub report: ShuffleReport,
 }
 
+/// What one execution carries through every layer below the front door:
+/// the index-cache scope it may consult and publish under, its cancellation
+/// token and its tracer. Both handles are `Option<Arc<_>>` inside, so
+/// [`ExecCtx::default`] — the cold, uncancellable, untraced execution —
+/// allocates nothing and every poll or span on it is one branch.
+#[derive(Debug, Clone, Default)]
+pub struct ExecCtx<'a> {
+    /// The cross-query index cache to consult; `None` runs fully cold.
+    pub index: Option<&'a IndexScope<'a>>,
+    /// Polled at every cancellation checkpoint of the execution.
+    pub cancel: CancelToken,
+    /// Receives the execution's span timeline.
+    pub tracer: Tracer,
+}
+
+/// One shuffle round: which relations move, under which share grid, into
+/// which trie order.
+#[derive(Debug, Clone, Copy)]
+pub struct ShuffleRound<'a> {
+    /// The relations to shuffle; each must resolve in `overlay` or the
+    /// database.
+    pub atom_names: &'a [String],
+    /// The share grid and cube→worker map.
+    pub plan: &'a HCubePlan,
+    /// The attribute order the tries are built in (each relation's induced
+    /// sub-order).
+    pub order: &'a [Attr],
+    /// Which of the three implementations moves the tuples.
+    pub impl_: HCubeImpl,
+    /// `cache_ids[ai]` is the stable cache identity of `atom_names[ai]` —
+    /// its name for base relations, a content-describing label for
+    /// per-query temporaries (pre-computed bags), or `None` (as is every
+    /// atom past the slice's end) to bypass the cache for that relation.
+    pub cache_ids: &'a [Option<String>],
+    /// Per-query relations (pre-computed bags) resolved before the
+    /// database, so the shared database is never cloned per query.
+    pub overlay: &'a [(String, Arc<Relation>)],
+    /// The heavy-hitter values per attribute. When non-empty *and* the plan
+    /// maps cubes to workers bijectively (`Π p_A = N*` — the precondition
+    /// of the spreader-ownership dedup rule, see [`crate::skew`]), hot
+    /// tuples are spread/broadcast across their dimension instead of
+    /// hashing onto one coordinate; otherwise the table is ignored and
+    /// every value hashes plainly. Cache keys fold in each atom's routing
+    /// role, so skew-routed tries never alias hash-routed ones.
+    pub hot: &'a HotValues,
+    /// The caller took `plan`'s share vector from a memo instead of solving
+    /// the share program for this round; recorded as an arg of the
+    /// `shuffle` span (a solve shows as the caller's own `share_solve` span
+    /// instead).
+    pub share_reused: bool,
+}
+
 /// Runs the HCube shuffle for the relations named in `atom_names` (each must
 /// exist in `db`), under `plan`, preparing tries in the induced order of
-/// `order`. Never consults an index cache and routes every value by plain
-/// hashing — see [`hcube_shuffle_cached`].
+/// `order`. Never consults an index cache, routes every value by plain
+/// hashing, and is neither cancellable nor traced — see
+/// [`hcube_shuffle_round`].
 pub fn hcube_shuffle(
     cluster: &Cluster,
     db: &Database,
@@ -132,18 +195,17 @@ pub fn hcube_shuffle(
     order: &[Attr],
     impl_: HCubeImpl,
 ) -> Result<ShuffleOutput> {
-    hcube_shuffle_cached(
-        cluster,
-        db,
+    let round = ShuffleRound {
         atom_names,
         plan,
         order,
         impl_,
-        None,
-        &[],
-        &[],
-        &HotValues::none(),
-    )
+        cache_ids: &[],
+        overlay: &[],
+        hot: &HotValues::none(),
+        share_reused: false,
+    };
+    hcube_shuffle_round(cluster, db, &round, &ExecCtx::default())
 }
 
 /// Resolves a relation by name against the overlay first, then the base
@@ -160,60 +222,6 @@ fn resolve<'a>(
     db.get(name)
 }
 
-/// [`hcube_shuffle`] with a cross-query index cache and a heavy-hitter
-/// routing table.
-///
-/// `cache_ids[ai]` is the stable cache identity of `atom_names[ai]` — its
-/// name for base relations, a content-describing label for per-query
-/// temporaries (pre-computed bags), or `None` to bypass the cache for that
-/// relation. When `cache` is `None` (or `cache_ids` is shorter than the
-/// atom list) everything runs cold, exactly as [`hcube_shuffle`].
-///
-/// `overlay` supplies per-query relations (pre-computed bags) resolved
-/// before `db`, so the shared database is never cloned per query.
-///
-/// `hot` lists the heavy-hitter values per attribute. When non-empty *and*
-/// the plan maps cubes to workers bijectively (`Π p_A = N*` — the
-/// precondition of the spreader-ownership dedup rule, see
-/// [`crate::skew`]), hot tuples are spread/broadcast across their dimension
-/// instead of hashing onto one coordinate; otherwise the table is ignored
-/// and every value hashes plainly. Cache keys fold in each atom's routing
-/// role, so skew-routed tries never alias hash-routed ones.
-///
-/// The shuffle knows nothing about bindings: a prepared query's bound
-/// constants reach only the join (Leapfrog seeks them), so every binding,
-/// every batch and the plain unbound query of one shape consult — and
-/// publish — the same entries.
-#[allow(clippy::too_many_arguments)]
-pub fn hcube_shuffle_cached(
-    cluster: &Cluster,
-    db: &Database,
-    atom_names: &[String],
-    plan: &HCubePlan,
-    order: &[Attr],
-    impl_: HCubeImpl,
-    cache: Option<&IndexScope<'_>>,
-    cache_ids: &[Option<String>],
-    overlay: &[(String, Arc<Relation>)],
-    hot: &HotValues,
-) -> Result<ShuffleOutput> {
-    hcube_shuffle_cached_traced(
-        cluster,
-        db,
-        atom_names,
-        plan,
-        order,
-        impl_,
-        cache,
-        cache_ids,
-        overlay,
-        hot,
-        false,
-        &CancelToken::none(),
-        &Tracer::disabled(),
-    )
-}
-
 /// How often the routing loops poll the [`CancelToken`]: one relaxed atomic
 /// load (plus the fault-injection gate) every this many routed rows, so the
 /// cancellation latency is bounded without a measurable per-row cost.
@@ -227,41 +235,36 @@ fn checkpoint(site: FaultSite, cancel: &CancelToken) -> Result<()> {
     cancel.check().map_err(|c| Error::Cancelled { deadline_exceeded: c.deadline })
 }
 
-/// [`hcube_shuffle_cached`] with a cancellation token and a span timeline.
+/// The general shuffle: `round` under `ctx`'s index scope, cancellation
+/// token and tracer.
 ///
-/// `cancel` is polled every `CANCEL_CHECK_EVERY` (4096) routed rows and once per
-/// atom / build phase; a fired token aborts the shuffle with
+/// Without an index scope everything runs cold, exactly as
+/// [`hcube_shuffle`]. The shuffle knows nothing about bindings: a prepared
+/// query's bound constants reach only the join (Leapfrog seeks them), so
+/// every binding, every batch and the plain unbound query of one shape
+/// consult — and publish — the same entries.
+///
+/// The token is polled every `CANCEL_CHECK_EVERY` (4096) routed rows and
+/// once per atom / build phase; a fired token aborts the shuffle with
 /// [`Error::Cancelled`] **before** anything is published to the index cache,
 /// so a cancelled query never leaves partial artifacts behind. A panicking
 /// build worker is likewise isolated ([`adj_cluster::WorkerFailure`]) and
 /// surfaces as [`Error::WorkerPanicked`] with nothing published.
 ///
-/// The span timeline: one `shuffle` span
-/// on the coordinator lane (with tuple/message/reuse totals), an
-/// `index_cache_hit` / `index_cache_miss` instant per consulted
-/// [`IndexKey`], a `route` span over the
-/// route-inbox pass, and a `build` span per worker lane over the
-/// cold relations' sort + trie builds. `share_reused` says the caller took
-/// `plan`'s share vector from a memo instead of solving the share program
-/// for this round; it is recorded as an arg of the `shuffle` span (a solve
-/// shows as the caller's own `share_solve` span instead). With a disabled
-/// tracer this is exactly [`hcube_shuffle_cached`].
-#[allow(clippy::too_many_arguments)]
-pub fn hcube_shuffle_cached_traced(
+/// The span timeline: one `shuffle` span on the coordinator lane (with
+/// tuple/message/reuse totals), an `index_cache_hit` / `index_cache_miss`
+/// instant per consulted [`IndexKey`], a `route` span over the route-inbox
+/// pass, and a `build` span per worker lane over the cold relations' sort +
+/// trie builds.
+pub fn hcube_shuffle_round(
     cluster: &Cluster,
     db: &Database,
-    atom_names: &[String],
-    plan: &HCubePlan,
-    order: &[Attr],
-    impl_: HCubeImpl,
-    cache: Option<&IndexScope<'_>>,
-    cache_ids: &[Option<String>],
-    overlay: &[(String, Arc<Relation>)],
-    hot: &HotValues,
-    share_reused: bool,
-    cancel: &CancelToken,
-    tracer: &Tracer,
+    round: &ShuffleRound<'_>,
+    ctx: &ExecCtx<'_>,
 ) -> Result<ShuffleOutput> {
+    let ShuffleRound { atom_names, plan, order, impl_, cache_ids, overlay, hot, share_reused } =
+        *round;
+    let (cache, cancel, tracer) = (ctx.index, &ctx.cancel, &ctx.tracer);
     let mut shuffle_span = tracer.span(COORDINATOR_LANE, "shuffle");
     let n = cluster.num_workers();
     assert_eq!(n, plan.num_workers(), "plan sized for a different cluster");
@@ -848,6 +851,30 @@ mod tests {
         names.iter().map(|n| Some(n.clone())).collect()
     }
 
+    /// A Merge shuffle of `names` under `scope`.
+    fn shuffle_cached(
+        cluster: &Cluster,
+        db: &Database,
+        names: &[String],
+        plan: &HCubePlan,
+        scope: &IndexScope<'_>,
+        cache_ids: &[Option<String>],
+        hot: &HotValues,
+    ) -> ShuffleOutput {
+        let round = ShuffleRound {
+            atom_names: names,
+            plan,
+            order: &order3(),
+            impl_: HCubeImpl::Merge,
+            cache_ids,
+            overlay: &[],
+            hot,
+            share_reused: false,
+        };
+        let ctx = ExecCtx { index: Some(scope), ..Default::default() };
+        hcube_shuffle_round(cluster, db, &round, &ctx).unwrap()
+    }
+
     #[test]
     fn all_impls_produce_identical_locals() {
         let (db, names) = tri_db();
@@ -992,36 +1019,14 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::with_workers(4));
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
-        let cold = hcube_shuffle_cached(
-            &cluster,
-            &db,
-            &names,
-            &plan,
-            &order3(),
-            HCubeImpl::Merge,
-            Some(&scope),
-            &ids(&names),
-            &[],
-            &HotValues::none(),
-        )
-        .unwrap();
+        let cold =
+            shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names), &HotValues::none());
         assert_eq!(cold.report.built_relations, 3);
         assert_eq!(cold.report.reused_relations, 0);
         assert!(cold.report.tuples > 0);
 
-        let warm = hcube_shuffle_cached(
-            &cluster,
-            &db,
-            &names,
-            &plan,
-            &order3(),
-            HCubeImpl::Merge,
-            Some(&scope),
-            &ids(&names),
-            &[],
-            &HotValues::none(),
-        )
-        .unwrap();
+        let warm =
+            shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names), &HotValues::none());
         assert_eq!(warm.report.reused_relations, 3);
         assert_eq!(warm.report.built_relations, 0);
         assert_eq!(warm.report.tuples, 0, "a warm shuffle moves nothing");
@@ -1046,33 +1051,10 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::with_workers(4));
         let cache = IndexCache::new(64 << 20);
         let s0 = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
-        hcube_shuffle_cached(
-            &cluster,
-            &db,
-            &names,
-            &plan,
-            &order3(),
-            HCubeImpl::Merge,
-            Some(&s0),
-            &ids(&names),
-            &[],
-            &HotValues::none(),
-        )
-        .unwrap();
+        shuffle_cached(&cluster, &db, &names, &plan, &s0, &ids(&names), &HotValues::none());
         let s1 = IndexScope { cache: &cache, db_tag: 1, epoch: 1, versions: &[] };
-        let out = hcube_shuffle_cached(
-            &cluster,
-            &db,
-            &names,
-            &plan,
-            &order3(),
-            HCubeImpl::Merge,
-            Some(&s1),
-            &ids(&names),
-            &[],
-            &HotValues::none(),
-        )
-        .unwrap();
+        let out =
+            shuffle_cached(&cluster, &db, &names, &plan, &s1, &ids(&names), &HotValues::none());
         assert_eq!(out.report.reused_relations, 0, "stale epoch must not serve");
         assert_eq!(out.report.built_relations, 3);
     }
@@ -1098,8 +1080,17 @@ mod tests {
         hot: &HotValues,
     ) -> ShuffleOutput {
         let cluster = Cluster::new(ClusterConfig::with_workers(plan.num_workers()));
-        hcube_shuffle_cached(&cluster, db, names, plan, &order3(), impl_, None, &[], &[], hot)
-            .unwrap()
+        let round = ShuffleRound {
+            atom_names: names,
+            plan,
+            order: &order3(),
+            impl_,
+            cache_ids: &[],
+            overlay: &[],
+            hot,
+            share_reused: false,
+        };
+        hcube_shuffle_round(&cluster, db, &round, &ExecCtx::default()).unwrap()
     }
 
     #[test]
@@ -1182,54 +1173,19 @@ mod tests {
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 3, epoch: 0, versions: &[] };
         let hot = HotValues::new(vec![vec![7], vec![], vec![]]);
-        let naive = hcube_shuffle_cached(
-            &cluster,
-            &db,
-            &names,
-            &plan,
-            &order3(),
-            HCubeImpl::Merge,
-            Some(&scope),
-            &ids(&names),
-            &[],
-            &HotValues::none(),
-        )
-        .unwrap();
+        let naive =
+            shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names), &HotValues::none());
         assert_eq!(naive.report.built_relations, 3);
         // Same relations, same share — but skew-routed: the relations that
         // contain the hot attribute must rebuild, not reuse the hash-routed
         // tries (their fragments differ per worker). R2(b,c) contains no
         // hot attribute, so its fragments are byte-identical and its plain
         // entry is safely reused.
-        let routed = hcube_shuffle_cached(
-            &cluster,
-            &db,
-            &names,
-            &plan,
-            &order3(),
-            HCubeImpl::Merge,
-            Some(&scope),
-            &ids(&names),
-            &[],
-            &hot,
-        )
-        .unwrap();
+        let routed = shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names), &hot);
         assert_eq!(routed.report.reused_relations, 1, "only the untouched R2 may alias");
         assert_eq!(routed.report.built_relations, 2, "hot-attr relations must rebuild");
         // And the routed entries are themselves reusable.
-        let warm = hcube_shuffle_cached(
-            &cluster,
-            &db,
-            &names,
-            &plan,
-            &order3(),
-            HCubeImpl::Merge,
-            Some(&scope),
-            &ids(&names),
-            &[],
-            &hot,
-        )
-        .unwrap();
+        let warm = shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names), &hot);
         assert_eq!(warm.report.reused_relations, 3);
         for w in 0..4 {
             for ai in 0..names.len() {
@@ -1257,32 +1213,9 @@ mod tests {
         let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
         // Warm only R1 and R3.
         let partial = vec![Some("R1".to_string()), None, Some("R3".to_string())];
-        hcube_shuffle_cached(
-            &cluster,
-            &db,
-            &names,
-            &plan,
-            &order3(),
-            HCubeImpl::Merge,
-            Some(&scope),
-            &partial,
-            &[],
-            &HotValues::none(),
-        )
-        .unwrap();
-        let out = hcube_shuffle_cached(
-            &cluster,
-            &db,
-            &names,
-            &plan,
-            &order3(),
-            HCubeImpl::Merge,
-            Some(&scope),
-            &ids(&names),
-            &[],
-            &HotValues::none(),
-        )
-        .unwrap();
+        shuffle_cached(&cluster, &db, &names, &plan, &scope, &partial, &HotValues::none());
+        let out =
+            shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names), &HotValues::none());
         assert_eq!(out.report.reused_relations, 2);
         assert_eq!(out.report.built_relations, 1);
         // The mixed shuffle is still byte-identical to a cold one.

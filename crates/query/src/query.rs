@@ -203,6 +203,22 @@ impl JoinQuery {
         params
     }
 
+    /// Checks that every `$name` parameter has a value in `bound`, naming
+    /// the first one that does not ([`Error::UnboundParam`]). Walks the
+    /// terms in place — no parameter table is allocated.
+    pub fn require_params_bound(&self, bound: &BoundValues) -> Result<()> {
+        for atom in &self.atoms {
+            for (term, &attr) in atom.terms.iter().zip(atom.schema.attrs()) {
+                if let Term::Param(name) = term {
+                    if bound.get(attr).is_none() {
+                        return Err(Error::UnboundParam { name: name.clone() });
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The inline-literal selections: every `Const` position's
     /// `attr = value` pair. Repeated literals intern to one attribute, so
     /// the set is conflict-free by construction for parsed queries.

@@ -29,7 +29,6 @@ pub mod database;
 pub mod error;
 pub mod hash;
 pub mod intersect;
-pub mod merged;
 pub mod output;
 pub mod relation;
 pub mod schema;
@@ -38,7 +37,6 @@ pub mod trie;
 pub use bind::BoundValues;
 pub use database::Database;
 pub use error::{Error, Result};
-pub use merged::MergedCursor;
 pub use output::{CountSink, ExistsSink, FnSink, OutputMode, QueryOutput, RowBuffer, RowSink};
 pub use relation::Relation;
 pub use schema::{Attr, Schema};

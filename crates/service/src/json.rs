@@ -182,7 +182,6 @@ impl MetricsSnapshot {
             .f64("mean_partition_tuples", self.mean_partition_tuples)
             .u64("wire_bytes", self.wire_bytes)
             .f64("pipeline_overlap_secs", self.pipeline_overlap_secs)
-            .u64("cluster_resizes", self.cluster_resizes)
             .u64("queries_traced", self.queries_traced)
             .u64("trace_events_dropped", self.trace_events_dropped)
             .u64("slow_queries_logged", self.slow_queries_logged)

@@ -19,8 +19,9 @@
 //!   optimizes a parameterized shape (`R1($v,b), R2(b,c), R3($v,c)` —
 //!   inline literals like `R1(7,b)` work too) once, and
 //!   [`Service::execute_bound`] serves each binding through the same
-//!   cached plan and warm index family, with the bound constants pushed
-//!   down the share program, the shuffle, and Leapfrog.
+//!   cached plan and the same warm index family the unbound query uses:
+//!   the share program and the shuffle never see a binding, only Leapfrog
+//!   does, seeking the bound constants.
 //! * [`PlanCache`](cache::PlanCache) — an LRU cache of optimized plans
 //!   keyed by the canonical
 //!   [`QueryFingerprint`](adj_query::QueryFingerprint) plus the target
@@ -142,8 +143,12 @@ impl Default for TraceSettings {
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// The underlying ADJ configuration (cluster width, α, per-worker
-    /// memory budget, sampling and cost-model settings).
+    /// The underlying ADJ configuration: sampling and cost-model settings,
+    /// and in `adj.cluster` everything about the cluster [`Service::new`]
+    /// builds — width, α, per-worker memory budget, the shuffle transport
+    /// ([`TransportKind`], see the README's "Cluster & transports"
+    /// section) and the elastic `worker_range` that arms
+    /// [`Cluster::resize`](adj_cluster::Cluster::resize).
     pub adj: AdjConfig,
     /// Plan-search strategy used on cache misses.
     pub strategy: Strategy,
@@ -181,21 +186,6 @@ pub struct ServiceConfig {
     /// deadline; individual requests override it via
     /// [`QueryRequest::deadline`](crate::pool::QueryRequest).
     pub default_deadline: Option<Duration>,
-    /// How shuffle rounds move routed batches:
-    /// [`TransportKind::InProcess`] (the zero-copy default) or
-    /// [`TransportKind::Serialized`] (length-prefixed wire frames with
-    /// real byte accounting). Applied to the cluster at [`Service::new`];
-    /// overrides whatever `adj.cluster.transport` says. See the README's
-    /// "Cluster & transports" section.
-    pub transport: TransportKind,
-    /// Elastic worker width `(min, max)`. When set, [`Service::new`]
-    /// configures the cluster's `worker_range` (clamping the starting
-    /// width into it) and cold queries may trigger a
-    /// [`Cluster::resize`](adj_cluster::Cluster::resize): queue pressure
-    /// shrinks the width (narrower queries drain a backlog faster on a
-    /// shared box), heavy partition fill grows it. `None` (the default)
-    /// keeps the width fixed.
-    pub elastic_workers: Option<(usize, usize)>,
 }
 
 impl Default for ServiceConfig {
@@ -211,8 +201,6 @@ impl Default for ServiceConfig {
             trace: TraceSettings::default(),
             delta: DeltaConfig::default(),
             default_deadline: None,
-            transport: TransportKind::InProcess,
-            elastic_workers: None,
         }
     }
 }

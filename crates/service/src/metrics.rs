@@ -179,7 +179,6 @@ pub struct ServiceMetrics {
     partition_fill_slots: AtomicU64,
     wire_bytes: AtomicU64,
     pipeline_overlap_micros: AtomicU64,
-    cluster_resizes: AtomicU64,
     /// End-to-end service-side latency (admission wait included).
     pub total: Histogram,
     /// Time spent waiting for an admission slot.
@@ -320,19 +319,6 @@ impl ServiceMetrics {
         self.result_cache_hits.fetch_add(cache_hits, Ordering::Relaxed);
     }
 
-    /// Records one applied elastic-width change
-    /// ([`Cluster::resize`](adj_cluster::Cluster::resize) accepted).
-    pub fn record_resize(&self) {
-        self.cluster_resizes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fullest single-worker partition fill recorded so far — the
-    /// `max_partition_tuples` gauge without paying for a full snapshot
-    /// (the elastic-width heuristic reads this on every cold query).
-    pub fn max_partition_tuples(&self) -> u64 {
-        self.partition_tuples_max.load(Ordering::Relaxed)
-    }
-
     /// A point-in-time summary of everything.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -384,7 +370,6 @@ impl ServiceMetrics {
             wire_bytes: self.wire_bytes.load(Ordering::Relaxed),
             pipeline_overlap_secs: self.pipeline_overlap_micros.load(Ordering::Relaxed) as f64
                 / 1e6,
-            cluster_resizes: self.cluster_resizes.load(Ordering::Relaxed),
             total: self.total.snapshot(),
             queue_wait: self.queue_wait.snapshot(),
             optimization: self.optimization.snapshot(),
@@ -502,9 +487,6 @@ pub struct MetricsSnapshot {
     /// builds, summed over served queries (already subtracted from the
     /// communication histograms — this is the win, broken out).
     pub pipeline_overlap_secs: f64,
-    /// Elastic worker-width changes applied (accepted
-    /// [`Cluster::resize`](adj_cluster::Cluster::resize) calls).
-    pub cluster_resizes: u64,
     /// End-to-end latency summary.
     pub total: HistogramSnapshot,
     /// Admission-wait summary.
@@ -635,11 +617,6 @@ impl MetricsSnapshot {
             self.coalesced_builds,
         );
         counter("wire_bytes_total", "Serialized bytes moved by shuffles.", self.wire_bytes);
-        counter(
-            "cluster_resizes_total",
-            "Elastic worker-width changes applied.",
-            self.cluster_resizes,
-        );
         out.push_str(&format!(
             "# HELP adj_pipeline_overlap_seconds_total Modeled seconds saved by pipelined shuffles.\n\
              # TYPE adj_pipeline_overlap_seconds_total counter\n\

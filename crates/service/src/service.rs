@@ -9,7 +9,7 @@ use crate::result_cache::{ResultCache, ResultCacheStats};
 use crate::{AdmissionStats, ServiceConfig, ServiceError};
 use adj_batch::{execute_plan_batch, BindingBatch};
 use adj_cluster::Cluster;
-use adj_core::{Adj, ExecutionReport, IndexCache, IndexCacheStats, IndexScope, QueryPlan};
+use adj_core::{Adj, ExecCtx, ExecutionReport, IndexCache, IndexCacheStats, IndexScope, QueryPlan};
 use adj_delta::{DeltaRelation, MutationBatch};
 use adj_faults::{CancelToken, FaultSite};
 use adj_hcube::patch_relation_indexes;
@@ -109,6 +109,12 @@ struct DeltaState {
 const SKEW_DRIFT_FACTOR: f64 = 1.5;
 
 impl DbEntry {
+    /// The index-cache scope of this snapshot: its tag, registration epoch
+    /// and per-relation delta sequences over `cache`.
+    fn scope<'a>(&'a self, cache: &'a IndexCache) -> IndexScope<'a> {
+        IndexScope { cache, db_tag: self.tag, epoch: self.epoch, versions: &self.versions }
+    }
+
     /// The plan-cache stats token for `query`: the registration epoch alone
     /// while the database has never mutated (so pre-mutation keys are
     /// byte-stable), otherwise the epoch folded with the delta sequence of
@@ -341,6 +347,26 @@ pub struct BatchOutcome {
     pub trace: Option<QueryTrace>,
 }
 
+/// What [`Service::serve`] hands back to a door: the run step's payload
+/// plus the accounting every outcome type carries.
+struct Served<T> {
+    payload: T,
+    report: ExecutionReport,
+    plan: Arc<QueryPlan>,
+    fingerprint: QueryFingerprint,
+    cache_hit: bool,
+    queue_secs: f64,
+    total_secs: f64,
+    trace: Option<QueryTrace>,
+}
+
+/// The payload of the batch door's run step.
+struct BatchRun {
+    results: Vec<Result<QueryOutput, ServiceError>>,
+    result_cache_hits: usize,
+    unique_executed: usize,
+}
+
 /// A long-lived query service over one shared simulated cluster.
 ///
 /// `Service` is `Send + Sync`; call [`Service::execute`] from as many
@@ -386,27 +412,21 @@ impl Service {
     /// [`ServiceConfig::index_cache_capacity_bytes`] overrides it) and the
     /// remainder is split per query by `max_concurrent`, so cached indexes
     /// and in-flight queries together stay under the cluster limit.
+    ///
+    /// The cluster is built from `config.adj.cluster` exactly as given —
+    /// width, transport
+    /// ([`ClusterConfig::transport`](adj_cluster::ClusterConfig)) and the
+    /// elastic range ([`ClusterConfig::worker_range`](adj_cluster::ClusterConfig))
+    /// are said there and nowhere else.
     pub fn new(config: ServiceConfig) -> Self {
-        // The service-level transport/elasticity knobs are applied to the
-        // cluster here, where the cluster is built. `with_cluster` callers
-        // own their cluster's configuration and these knobs are ignored.
-        let mut cluster_config = config.adj.cluster.clone();
-        cluster_config.transport = config.transport;
-        if let Some((min, max)) = config.elastic_workers {
-            let min = min.max(1);
-            let max = max.max(min);
-            cluster_config.num_workers = cluster_config.num_workers.clamp(min, max);
-            cluster_config.worker_range = Some((min, max));
-        }
-        let cluster = Cluster::shared(cluster_config);
+        let cluster = Cluster::shared(config.adj.cluster.clone());
         Service::with_cluster(config, cluster)
     }
 
     /// Creates a service over an existing cluster handle (shared with
     /// other components, e.g. a bench harness inspecting
-    /// [`CommStats`](adj_cluster::CommStats) directly). The caller's
-    /// cluster configuration wins: [`ServiceConfig::transport`] and
-    /// [`ServiceConfig::elastic_workers`] are **not** applied here.
+    /// [`CommStats`](adj_cluster::CommStats) directly). The cluster's own
+    /// configuration wins over `config.adj.cluster`.
     pub fn with_cluster(config: ServiceConfig, cluster: Arc<Cluster>) -> Self {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Service>();
@@ -456,34 +476,6 @@ impl Service {
         self.per_query_budget_bytes
     }
 
-    /// Elastic-width heuristic, consulted once per *cold* query (a
-    /// plan-cache miss is the one moment a width change is free: no cached
-    /// plan assumes the old share grid yet, and the optimizer solves shares
-    /// for whatever width sticks). Queue pressure shrinks the cluster —
-    /// narrower queries release admission slots sooner — while a history of
-    /// heavy partition fill grows it, capping the per-worker inbox. No-op
-    /// unless [`ServiceConfig::elastic_workers`] configured a range;
-    /// `Cluster::resize` refuses while queries are in flight, and a refusal
-    /// here is simply skipped, never an error.
-    fn maybe_resize(&self) {
-        const HEAVY_PARTITION_TUPLES: u64 = 65_536;
-        let cluster = self.adj.cluster();
-        let Some((min, max)) = cluster.config().worker_range else {
-            return;
-        };
-        let current = cluster.num_workers();
-        let want = if self.admission.stats().waiting > 0 {
-            (current / 2).max(min)
-        } else if self.metrics.max_partition_tuples() > HEAVY_PARTITION_TUPLES {
-            (current * 2).min(max)
-        } else {
-            return;
-        };
-        if want != current && cluster.resize(want).is_ok() {
-            self.metrics.record_resize();
-        }
-    }
-
     /// Registers (or replaces) a database under `name` and returns its
     /// statistics epoch. Replacing invalidates cached plans that reference
     /// the database's relations.
@@ -499,34 +491,35 @@ impl Service {
             deltas: HashMap::new(),
             versions: Vec::new(),
         });
-        let replaced = write_recovering(&self.databases).insert(name, Arc::clone(&entry));
+        let replaced = write_recovering(&self.databases).insert(name, entry);
         if let Some(old) = replaced {
-            // Scoped: only this database's plans and indexes drop; other
-            // databases' cached artifacts stay warm. (The epoch bump already
-            // stops stale entries from matching — eager invalidation frees
-            // their bytes instead of waiting for LRU pressure.) Cached
-            // per-binding results key on the plan cache key (tag + stats
-            // token folded in), so the new epoch orphans them; the blunt
-            // clear frees their memory now instead of under LRU pressure.
-            self.cache.invalidate_db(old.tag);
-            self.index.invalidate_db(old.tag);
-            self.results.clear();
+            self.forget(old.tag);
         }
         epoch
     }
 
     /// Removes a database; queries against it fail with
-    /// [`ServiceError::UnknownDatabase`] from then on. Its cached indexes
-    /// are dropped eagerly to free their bytes.
+    /// [`ServiceError::UnknownDatabase`] from then on. Its cached plans,
+    /// indexes and results are dropped eagerly to free their bytes.
     pub fn drop_database(&self, name: &str) -> bool {
         let removed = write_recovering(&self.databases).remove(name);
-        match removed {
-            Some(old) => {
-                self.index.invalidate_db(old.tag);
-                true
-            }
-            None => false,
+        if let Some(old) = &removed {
+            self.forget(old.tag);
         }
+        removed.is_some()
+    }
+
+    /// Frees every cached artifact of a database that was replaced or
+    /// dropped. Scoped: only this database's plans and indexes go; other
+    /// databases' stay warm. (A replacement's epoch bump already stops
+    /// stale entries from matching — eager invalidation frees their bytes
+    /// instead of waiting for LRU pressure.) Cached per-binding results key
+    /// on the plan cache key (tag + stats token folded in), so they are
+    /// orphaned either way; the blunt clear frees their memory now.
+    fn forget(&self, tag: u64) {
+        self.cache.invalidate_db(tag);
+        self.index.invalidate_db(tag);
+        self.results.clear();
     }
 
     /// Registered database names (sorted, for determinism).
@@ -594,26 +587,10 @@ impl Service {
     /// a value for every parameter.) Checked term-by-term — no parameter
     /// table is allocated on the common unbound path.
     fn validated_const_bindings(&self, query: &JoinQuery) -> Result<BoundValues, ServiceError> {
-        let values = match query.const_bindings() {
-            Ok(v) => v,
-            Err(e) => {
-                self.metrics.record_failure();
-                return Err(ServiceError::Exec(e));
-            }
-        };
-        for atom in &query.atoms {
-            for (term, &attr) in atom.terms.iter().zip(atom.schema.attrs()) {
-                if let adj_query::Term::Param(name) = term {
-                    if values.get(attr).is_none() {
-                        self.metrics.record_failure();
-                        return Err(ServiceError::Exec(adj_relational::Error::UnboundParam {
-                            name: name.clone(),
-                        }));
-                    }
-                }
-            }
-        }
-        Ok(values)
+        self.failed(query.const_bindings().and_then(|values| {
+            query.require_params_bound(&values)?;
+            Ok(values)
+        }))
     }
 
     /// Applies one mutation batch to a relation of a registered database —
@@ -676,9 +653,7 @@ impl Service {
                 if let Ok(entry) = self.lookup(db_name) {
                     self.index.take_indexes_for(entry.tag, &batch.relation);
                 }
-                self.metrics.record_worker_panic();
-                self.metrics.record_failure();
-                Err(ServiceError::WorkerPanicked { worker: None, message: panic_message(payload) })
+                Err(self.fail_panicked(payload))
             }
         }
     }
@@ -691,13 +666,7 @@ impl Service {
         batch: &MutationBatch,
     ) -> Result<MutationOutcome, ServiceError> {
         loop {
-            let entry = match self.lookup(db_name) {
-                Ok(e) => e,
-                Err(e) => {
-                    self.metrics.record_failure();
-                    return Err(e);
-                }
-            };
+            let entry = self.failed(self.lookup(db_name))?;
 
             // Empty batch: nothing changes — no sequence bump, no cache
             // work, no new snapshot, and crucially no overlay creation (a
@@ -707,13 +676,7 @@ impl Service {
             if batch.is_empty() {
                 let (seq, overlay_tuples) = match entry.deltas.get(&batch.relation) {
                     Some(state) => (state.delta.seq(), state.delta.overlay_tuples()),
-                    None => match entry.db.get(&batch.relation) {
-                        Ok(_) => (0, 0),
-                        Err(e) => {
-                            self.metrics.record_failure();
-                            return Err(ServiceError::Exec(e));
-                        }
-                    },
+                    None => self.failed(entry.db.get(&batch.relation).map(|_| (0, 0)))?,
                 };
                 let dbs = read_recovering(&self.databases);
                 self.metrics.record_mutation(0, false, Self::total_overlay_tuples(&dbs));
@@ -735,22 +698,14 @@ impl Service {
             // state is touched.
             let inject_token = CancelToken::manual();
             adj_faults::inject(FaultSite::MutationApply, &inject_token);
-            if inject_token.check().is_err() {
-                self.metrics.record_failure();
-                self.metrics.record_cancelled();
-                return Err(ServiceError::Cancelled);
+            if let Err(c) = inject_token.check() {
+                return Err(self.fail_cancelled(c, None));
             }
 
             let skew_cfg = self.config.adj.skew;
             let mut deltas = entry.deltas.clone();
             if !deltas.contains_key(&batch.relation) {
-                let base = match entry.db.get(&batch.relation) {
-                    Ok(r) => r.clone(),
-                    Err(e) => {
-                        self.metrics.record_failure();
-                        return Err(ServiceError::Exec(e));
-                    }
-                };
+                let base = self.failed(entry.db.get(&batch.relation))?.clone();
                 let baseline = sample_relation(&batch.relation, &base, &skew_cfg).max_fraction();
                 deltas.insert(
                     batch.relation.clone(),
@@ -758,13 +713,7 @@ impl Service {
                 );
             }
             let state = deltas.get_mut(&batch.relation).expect("just ensured");
-            let applied = match state.delta.apply(&batch.inserts, &batch.deletes) {
-                Ok(o) => o,
-                Err(e) => {
-                    self.metrics.record_failure();
-                    return Err(ServiceError::Exec(e));
-                }
-            };
+            let applied = self.failed(state.delta.apply(&batch.inserts, &batch.deletes))?;
 
             let mut db = entry.db.clone();
             db.insert(batch.relation.clone(), state.delta.effective());
@@ -803,12 +752,7 @@ impl Service {
                 let ins = Relation::from_rows(schema.clone(), &ins_rows)
                     .expect("rows validated by apply");
                 let del = Relation::from_rows(schema, &del_rows).expect("rows validated by apply");
-                let scope = IndexScope {
-                    cache: &self.index,
-                    db_tag: entry.tag,
-                    epoch: entry.epoch,
-                    versions: &versions,
-                };
+                let scope = IndexScope { versions: &versions, ..entry.scope(&self.index) };
                 let patch = patch_relation_indexes(&scope, &batch.relation, &ins, &del);
                 entries_patched = patch.patched;
                 entries_dropped = patch.dropped;
@@ -870,25 +814,9 @@ impl Service {
     /// into the cache, so the first bound execution is already a hit), and
     /// returns the reusable statement.
     pub fn prepare(&self, db_name: &str, query: &JoinQuery) -> Result<PreparedQuery, ServiceError> {
-        let entry = match self.lookup(db_name) {
-            Ok(e) => e,
-            Err(e) => {
-                self.metrics.record_failure();
-                return Err(e);
-            }
-        };
+        let entry = self.failed(self.lookup(db_name))?;
         let fingerprint = QueryFingerprint::of(query);
-        let key = fingerprint.cache_key(entry.tag, entry.stats_token(query));
-        if self.cache.get(key).is_none() {
-            let plan = match self.adj.plan(query, &entry.db, self.config.strategy) {
-                Ok(p) => Arc::new(p),
-                Err(e) => {
-                    self.metrics.record_failure();
-                    return Err(ServiceError::Exec(e));
-                }
-            };
-            self.cache.insert(key, entry.tag, plan);
-        }
+        self.plan_for(&entry, query, fingerprint, &Tracer::disabled())?;
         self.metrics.record_prepare();
         Ok(PreparedQuery {
             db_name: db_name.to_string(),
@@ -906,13 +834,7 @@ impl Service {
         db_name: &str,
         text: &str,
     ) -> Result<(PreparedQuery, OutputMode), ServiceError> {
-        let (query, _names, mode) = match parse_query_with_mode(text) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                self.metrics.record_failure();
-                return Err(e.into());
-            }
-        };
+        let (query, _names, mode) = self.failed(parse_query_with_mode(text))?;
         Ok((self.prepare(db_name, &query)?, mode))
     }
 
@@ -943,13 +865,7 @@ impl Service {
         mode: OutputMode,
         deadline: Option<Duration>,
     ) -> Result<ServiceOutcome, ServiceError> {
-        let values = match prepared.query.resolve_bindings(bindings) {
-            Ok(v) => v,
-            Err(e) => {
-                self.metrics.record_failure();
-                return Err(ServiceError::Exec(e));
-            }
-        };
+        let values = self.failed(prepared.query.resolve_bindings(bindings))?;
         self.execute_inner(&prepared.db_name, &prepared.query, mode, &values, false, deadline)
     }
 
@@ -990,262 +906,119 @@ impl Service {
         mode: OutputMode,
         deadline: Option<Duration>,
     ) -> Result<BatchOutcome, ServiceError> {
-        let t_start = Instant::now();
-        let effective_deadline = deadline.or(self.config.default_deadline);
-        let cancel = match effective_deadline {
-            Some(d) => CancelToken::with_deadline(t_start + d),
-            None => CancelToken::manual(),
-        };
-        let settings = &self.config.trace;
-        let tracer = if settings.enabled || settings.slow_query_threshold.is_some() {
-            Tracer::new(settings.buffer_capacity)
-        } else {
-            Tracer::disabled()
-        };
-
         // Resolve every submission up front: a malformed binding (missing
         // or unknown `$name`) fails the whole batch before any slot is
         // held — batch inputs are validated as one request.
         let mut resolved = Vec::with_capacity(bindings.len());
         for b in bindings {
-            match prepared.query.resolve_bindings(b) {
-                Ok(v) => resolved.push(v),
-                Err(e) => {
-                    self.metrics.record_failure();
-                    return Err(ServiceError::Exec(e));
-                }
-            }
+            resolved.push(self.failed(prepared.query.resolve_bindings(b))?);
         }
-        let batch = match BindingBatch::new(resolved) {
-            Ok(b) => b,
-            Err(e) => {
-                self.metrics.record_failure();
-                return Err(ServiceError::Exec(e));
-            }
-        };
+        let batch = self.failed(BindingBatch::new(resolved))?;
+        let deadline = deadline.or(self.config.default_deadline);
 
-        let entry = match self.lookup(&prepared.db_name) {
-            Ok(e) => e,
-            Err(e) => {
-                self.metrics.record_failure();
-                return Err(e);
-            }
-        };
-
-        // Memory admission: the batch shares one shuffle, so its input
-        // footprint is the same one query's — charged once, not per
-        // binding.
-        if let Some(budget) = self.per_query_budget_bytes {
-            let estimated = Self::estimate_input_bytes(&entry.db, &prepared.query);
-            if estimated > budget {
-                self.admission.note_memory_rejection();
-                self.metrics.record_rejection();
-                return Err(ServiceError::RejectedMemory {
-                    estimated_bytes: estimated,
-                    budget_bytes: budget,
-                });
-            }
-        }
-
-        // One admission slot for the whole batch.
-        let t_queue = Instant::now();
-        let mut admit_span = tracer.span(COORDINATOR_LANE, "admission_wait");
-        let permit = match self.admission.admit() {
-            Ok(p) => p,
-            Err(e) => {
-                self.metrics.record_rejection();
-                return Err(e);
-            }
-        };
-        let queue_secs = t_queue.elapsed().as_secs_f64();
-        if let Err(c) = cancel.check() {
-            return Err(self.fail_cancelled(c, effective_deadline));
-        }
-        if queue_secs < 1e-6 {
-            admit_span.discard();
-        }
-        drop(admit_span);
-
-        // One plan lookup: every binding shares the statement's entry.
-        let fingerprint = QueryFingerprint::of_mode(&prepared.query, mode);
-        let key = fingerprint.cache_key(entry.tag, entry.stats_token(&prepared.query));
-        let mut lookup_span = tracer.span(COORDINATOR_LANE, "plan_lookup");
-        let (plan, cache_hit) = match self.cache.get(key) {
-            Some(plan) => (plan, true),
-            None => {
-                let mut optimize_span = tracer.span(COORDINATOR_LANE, "optimize");
-                let plan = match self.adj.plan(&prepared.query, &entry.db, self.config.strategy) {
-                    Ok(p) => Arc::new(p),
-                    Err(e) => {
-                        self.metrics.record_failure();
-                        return Err(ServiceError::Exec(e));
-                    }
-                };
-                if optimize_span.is_recording() {
-                    optimize_span.arg("relations", plan.relations.len() as u64);
-                    for (name, value) in plan.optimizer.args() {
-                        optimize_span.arg(name, value);
+        // One pass through the pipeline for the whole batch: one memory
+        // charge (the batch shares one shuffle, so its input footprint is
+        // one query's), one admission slot, one plan lookup (every binding
+        // shares the statement's entry), one trace tree.
+        let run = |db: &Database, plan: &Arc<QueryPlan>, key: u64, ctx: &ExecCtx<'_>| {
+            // Skim the result LRU: warm uniques are answered without
+            // executing; the cold remainder forms the driver batch.
+            // Per-unique outcomes hold the library error type (cloneable)
+            // and are mapped to ServiceError per submission at demux.
+            let mut unique_results: Vec<Option<adj_relational::Result<QueryOutput>>> =
+                vec![None; batch.unique_len()];
+            let mut cold = Vec::new();
+            let mut cold_slots = Vec::new();
+            for (u, b) in batch.unique().iter().enumerate() {
+                match self.results.get(Self::result_key(key, mode, b)) {
+                    Some(out) => unique_results[u] = Some(Ok(out)),
+                    None => {
+                        cold.push(b.clone());
+                        cold_slots.push(u);
                     }
                 }
-                drop(optimize_span);
-                self.cache.insert(key, entry.tag, Arc::clone(&plan));
-                (plan, false)
             }
-        };
-        lookup_span.arg("hit", cache_hit as u64);
-        drop(lookup_span);
-        if !cache_hit {
-            self.maybe_resize();
-        }
+            let result_cache_hits =
+                batch.slot_of().iter().filter(|&&u| unique_results[u].is_some()).count();
+            let unique_executed = cold.len();
 
-        // Skim the result LRU: warm uniques are answered without
-        // executing; the cold remainder forms the driver batch. Per-unique
-        // outcomes hold the library error type (cloneable) and are mapped
-        // to ServiceError per submission at demux.
-        let mut unique_results: Vec<Option<Result<QueryOutput, adj_relational::Error>>> =
-            vec![None; batch.unique_len()];
-        let mut cold = Vec::new();
-        let mut cold_slots = Vec::new();
-        for (u, b) in batch.unique().iter().enumerate() {
-            match self.results.get(Self::result_key(key, mode, b)) {
-                Some(out) => unique_results[u] = Some(Ok(out)),
-                None => {
-                    cold.push(b.clone());
-                    cold_slots.push(u);
-                }
-            }
-        }
-        let result_cache_hits =
-            batch.slot_of().iter().filter(|&&u| unique_results[u].is_some()).count();
-        let unique_executed = cold.len();
-
-        let mut report = ExecutionReport::default();
-        if !cold.is_empty() {
-            // `cold` holds distinct, already-sorted bindings, so the inner
-            // batch's submission order is its unique order: result `k`
-            // belongs to `cold_slots[k]`.
-            let cold_batch = match BindingBatch::new(cold) {
-                Ok(b) => b,
-                Err(e) => {
-                    self.metrics.record_failure();
-                    return Err(ServiceError::Exec(e));
-                }
-            };
-            let scope = IndexScope {
-                cache: &self.index,
-                db_tag: entry.tag,
-                epoch: entry.epoch,
-                versions: &entry.versions,
-            };
-            let executed = catch_unwind(AssertUnwindSafe(|| {
-                execute_plan_batch(
+            let mut report = ExecutionReport::default();
+            if !cold.is_empty() {
+                // `cold` holds distinct, already-sorted bindings, so the
+                // inner batch's submission order is its unique order:
+                // result `k` belongs to `cold_slots[k]`.
+                let cold_batch = BindingBatch::new(cold)?;
+                let (slot_results, batch_report) = execute_plan_batch(
                     self.adj.cluster(),
-                    &entry.db,
-                    &plan,
+                    db,
+                    plan,
                     self.adj.config(),
                     mode,
-                    Some(&scope),
                     &cold_batch,
-                    &cancel,
-                    &tracer,
-                )
-            }));
-            match executed {
-                Ok(Ok((slot_results, batch_report))) => {
-                    report = batch_report;
-                    for (k, res) in slot_results.into_iter().enumerate() {
-                        let u = cold_slots[k];
-                        if let Ok(out) = &res {
-                            self.results.insert(
-                                Self::result_key(key, mode, &batch.unique()[u]),
-                                out.clone(),
-                            );
-                        }
-                        unique_results[u] = Some(res);
+                    ctx,
+                )?;
+                report = batch_report;
+                for (u, res) in cold_slots.into_iter().zip(slot_results) {
+                    if let Ok(out) = &res {
+                        self.results
+                            .insert(Self::result_key(key, mode, &batch.unique()[u]), out.clone());
                     }
-                }
-                Ok(Err(e)) => return Err(self.fail_exec(e, effective_deadline)),
-                Err(payload) => {
-                    self.metrics.record_failure();
-                    self.metrics.record_worker_panic();
-                    return Err(ServiceError::WorkerPanicked {
-                        worker: None,
-                        message: panic_message(payload),
-                    });
+                    unique_results[u] = Some(res);
                 }
             }
-        }
-        drop(permit);
 
-        // Demultiplex per submission, mapping library errors into service
-        // errors (filling in the effective deadline the executor cannot
-        // know). Deadline/cancel slots count once in the fault counters —
-        // the batch itself still succeeded partially.
-        let mut any_deadline = false;
-        let mut any_cancel = false;
-        let results: Vec<Result<QueryOutput, ServiceError>> = batch
-            .slot_of()
-            .iter()
-            .map(|&u| {
-                match unique_results[u].as_ref().expect("every unique resolved or executed") {
-                    Ok(out) => Ok(out.clone()),
-                    Err(e) => Err(match ServiceError::from(e.clone()) {
-                        ServiceError::DeadlineExceeded { .. } => {
-                            any_deadline = true;
-                            ServiceError::DeadlineExceeded { deadline: effective_deadline }
-                        }
-                        ServiceError::Cancelled => {
-                            any_cancel = true;
-                            ServiceError::Cancelled
-                        }
-                        other => other,
-                    }),
-                }
-            })
-            .collect();
-        if any_deadline {
-            self.metrics.record_deadline_exceeded();
-        }
-        if any_cancel {
-            self.metrics.record_cancelled();
-        }
-
-        if cache_hit {
-            report.optimization_secs = 0.0;
-        }
-        let total_secs = t_start.elapsed().as_secs_f64();
-        let tuples_returned =
-            results.iter().filter_map(|r| r.as_ref().ok()).map(|o| o.tuples_returned()).sum();
-        self.metrics.record_success(&report, mode, tuples_returned, queue_secs, total_secs);
+            // Demultiplex per submission, mapping library errors into
+            // service errors (filling in the effective deadline the
+            // executor cannot know). Deadline/cancel slots count once in
+            // the fault counters — the batch itself still succeeded
+            // partially.
+            let mut any_deadline = false;
+            let mut any_cancel = false;
+            let results: Vec<Result<QueryOutput, ServiceError>> = batch
+                .slot_of()
+                .iter()
+                .map(|&u| {
+                    match unique_results[u].as_ref().expect("every unique resolved or executed") {
+                        Ok(out) => Ok(out.clone()),
+                        Err(e) => Err(match ServiceError::from(e.clone()) {
+                            ServiceError::DeadlineExceeded { .. } => {
+                                any_deadline = true;
+                                ServiceError::DeadlineExceeded { deadline }
+                            }
+                            ServiceError::Cancelled => {
+                                any_cancel = true;
+                                ServiceError::Cancelled
+                            }
+                            other => other,
+                        }),
+                    }
+                })
+                .collect();
+            if any_deadline {
+                self.metrics.record_deadline_exceeded();
+            }
+            if any_cancel {
+                self.metrics.record_cancelled();
+            }
+            let tuples_returned =
+                results.iter().filter_map(|r| r.as_ref().ok()).map(|o| o.tuples_returned()).sum();
+            Ok((BatchRun { results, result_cache_hits, unique_executed }, report, tuples_returned))
+        };
+        let served = self.serve(&prepared.db_name, &prepared.query, mode, deadline, false, run)?;
+        let BatchRun { results, result_cache_hits, unique_executed } = served.payload;
         self.metrics.record_batch(batch.len() as u64, result_cache_hits as u64);
-        let trace = tracer.enabled().then(|| {
-            self.metrics.record_trace(tracer.events_dropped());
-            QueryTrace::new(&tracer)
-        });
-        if let (Some(trace), Some(threshold)) = (&trace, settings.slow_query_threshold) {
-            if total_secs >= threshold.as_secs_f64() {
-                self.note_slow(SlowQuery {
-                    db_name: prepared.db_name.clone(),
-                    fingerprint,
-                    mode,
-                    total_secs,
-                    queue_secs,
-                    trace: trace.snapshot(),
-                });
-            }
-        }
         Ok(BatchOutcome {
             results,
             mode,
-            report,
-            plan,
-            fingerprint,
-            cache_hit,
+            report: served.report,
+            plan: served.plan,
+            fingerprint: served.fingerprint,
+            cache_hit: served.cache_hit,
             result_cache_hits,
             unique_executed,
-            queue_secs,
-            total_secs,
-            trace,
+            queue_secs: served.queue_secs,
+            total_secs: served.total_secs,
+            trace: served.trace,
         })
     }
 
@@ -1272,10 +1045,11 @@ impl Service {
         h.finish()
     }
 
-    /// The shared serving path: admission → plan cache → bound execution.
-    /// `force_trace` turns tracing on for this query regardless of the
-    /// configured [`TraceSettings`](crate::TraceSettings) (the
-    /// `EXPLAIN ANALYZE` path needs the actuals).
+    /// The single-query doors' shared tail: [`Service::serve`] with
+    /// "execute the plan under the request's context, seeking `values`" as
+    /// the run step. `force_trace` turns tracing on for this query
+    /// regardless of the configured [`TraceSettings`](crate::TraceSettings)
+    /// (the `EXPLAIN ANALYZE` path needs the actuals).
     fn execute_inner(
         &self,
         db_name: &str,
@@ -1285,11 +1059,59 @@ impl Service {
         force_trace: bool,
         deadline: Option<Duration>,
     ) -> Result<ServiceOutcome, ServiceError> {
+        let deadline = deadline.or(self.config.default_deadline);
+        // Borrowing the cached plan — no per-query plan clone on the hot
+        // path — under the index cache's scope: warm relations join over
+        // cached `Arc<Trie>` handles and skip the shuffle + build entirely.
+        let run = |db: &Database, plan: &Arc<QueryPlan>, _key: u64, ctx: &ExecCtx<'_>| {
+            let (output, report) = self.adj.execute_plan(plan, db, mode, values, ctx)?;
+            let tuples_returned = output.tuples_returned();
+            Ok((output, report, tuples_returned))
+        };
+        let served = self.serve(db_name, query, mode, deadline, force_trace, run)?;
+        Ok(ServiceOutcome {
+            output: served.payload,
+            mode,
+            report: served.report,
+            plan: served.plan,
+            fingerprint: served.fingerprint,
+            cache_hit: served.cache_hit,
+            queue_secs: served.queue_secs,
+            total_secs: served.total_secs,
+            trace: served.trace,
+        })
+    }
+
+    /// The one serve pipeline behind every query door. The stages, in
+    /// order: deadline token → tracer → database lookup → memory admission
+    /// → concurrency slot → plan ([`Service::plan_for`]) → `run` under
+    /// panic isolation → slot release → success metrics → trace handle →
+    /// slow-query log. Every early return counts itself (failure or
+    /// rejection) and releases whatever it held.
+    ///
+    /// `deadline` is the request's effective one (already defaulted),
+    /// measured from here, admission wait included. `run` is the door's own
+    /// step over the snapshot's database, the plan, its plan-cache key and
+    /// the request's [`ExecCtx`]; it returns its payload, the execution
+    /// report and the tuples it ships back to the caller.
+    fn serve<T>(
+        &self,
+        db_name: &str,
+        query: &JoinQuery,
+        mode: OutputMode,
+        deadline: Option<Duration>,
+        force_trace: bool,
+        run: impl FnOnce(
+            &Database,
+            &Arc<QueryPlan>,
+            u64,
+            &ExecCtx<'_>,
+        ) -> adj_relational::Result<(T, ExecutionReport, u64)>,
+    ) -> Result<Served<T>, ServiceError> {
         let t_start = Instant::now();
         // Always a real (non-`none`) token: fault plans drive `Cancel`
         // injections through it even when no deadline is set.
-        let effective_deadline = deadline.or(self.config.default_deadline);
-        let cancel = match effective_deadline {
+        let cancel = match deadline {
             Some(d) => CancelToken::with_deadline(t_start + d),
             None => CancelToken::manual(),
         };
@@ -1299,13 +1121,9 @@ impl Service {
         } else {
             Tracer::disabled()
         };
-        let entry = match self.lookup(db_name) {
-            Ok(e) => e,
-            Err(e) => {
-                self.metrics.record_failure();
-                return Err(e);
-            }
-        };
+        let entry = self.failed(self.lookup(db_name))?;
+        let scope = entry.scope(&self.index);
+        let ctx = ExecCtx { index: Some(&scope), cancel, tracer };
 
         // Memory admission: estimated input footprint vs the per-query
         // share of the cluster budget.
@@ -1323,7 +1141,7 @@ impl Service {
 
         // Concurrency admission.
         let t_queue = Instant::now();
-        let mut admit_span = tracer.span(COORDINATOR_LANE, "admission_wait");
+        let mut admit_span = ctx.tracer.span(COORDINATOR_LANE, "admission_wait");
         let permit = match self.admission.admit() {
             Ok(p) => p,
             Err(e) => {
@@ -1335,8 +1153,8 @@ impl Service {
         // A deadline that expired while queued fails here — before any
         // planning or execution work is charged to a query that can no
         // longer finish in time.
-        if let Err(c) = cancel.check() {
-            return Err(self.fail_cancelled(c, effective_deadline));
+        if let Err(c) = ctx.cancel.check() {
+            return Err(self.fail_cancelled(c, deadline));
         }
         if queue_secs < 1e-6 {
             // Admission was immediate; a zero-width span would only add
@@ -1345,113 +1163,35 @@ impl Service {
         }
         drop(admit_span);
 
-        // Plan: cached, or optimized now and published. The cache key uses
-        // the fingerprint's plan-relevant prefix only, so every output
-        // mode — and every *binding* — of a query shape shares one entry.
         let fingerprint = QueryFingerprint::of_mode(query, mode);
-        // Keying discipline (PR 4's route_tag, applied to bindings): the
-        // plan key must be a pure function of the shape — erasing every
-        // constant's value must not move it.
-        debug_assert_eq!(
-            fingerprint.plan_key,
-            QueryFingerprint::of(&query.erase_bound_values()).plan_key,
-            "constants leaked into plan_key"
-        );
-        let key = fingerprint.cache_key(entry.tag, entry.stats_token(query));
-        let mut lookup_span = tracer.span(COORDINATOR_LANE, "plan_lookup");
-        let (plan, cache_hit) = match self.cache.get(key) {
-            Some(plan) => (plan, true),
-            None => {
-                let mut optimize_span = tracer.span(COORDINATOR_LANE, "optimize");
-                let plan = match self.adj.plan(query, &entry.db, self.config.strategy) {
-                    Ok(p) => Arc::new(p),
-                    Err(e) => {
-                        self.metrics.record_failure();
-                        return Err(ServiceError::Exec(e));
-                    }
-                };
-                if optimize_span.is_recording() {
-                    optimize_span.arg("relations", plan.relations.len() as u64);
-                    optimize_span.arg("precomputed_bags", plan.precompute.len() as u64);
-                    for (name, value) in plan.optimizer.args() {
-                        optimize_span.arg(name, value);
-                    }
-                }
-                drop(optimize_span);
-                self.cache.insert(key, entry.tag, Arc::clone(&plan));
-                (plan, false)
-            }
-        };
-        lookup_span.arg("hit", cache_hit as u64);
-        drop(lookup_span);
+        let (plan, key, cache_hit) = self.plan_for(&entry, query, fingerprint, &ctx.tracer)?;
 
-        // A cold shape is the cheapest moment to re-fit the worker width:
-        // no cached plan or index family assumes the old width yet, and the
-        // optimizer below will solve shares for whatever width sticks.
-        if !cache_hit {
-            self.maybe_resize();
-        }
-
-        // Execute on the shared cluster (borrowing the cached plan — no
-        // per-query plan clone on the hot path) under the index cache's
-        // scope: warm relations join over cached `Arc<Trie>` handles and
-        // skip the shuffle + build entirely.
-        let scope = IndexScope {
-            cache: &self.index,
-            db_tag: entry.tag,
-            epoch: entry.epoch,
-            versions: &entry.versions,
-        };
         // `catch_unwind` here isolates *coordinator-side* panics (routing,
         // gather, yannakakis) to this query; worker panics are already
         // caught per-worker inside `Cluster::run` and surface as typed
         // `Err(WorkerPanicked)` results. Either way the process survives
         // and no partial artifact was published (the shuffle checks worker
         // results and the token *before* assembling or caching anything).
-        let executed = catch_unwind(AssertUnwindSafe(|| {
-            self.adj.execute_bound_cancellable(
-                &plan,
-                &entry.db,
-                mode,
-                Some(&scope),
-                values,
-                &cancel,
-                &tracer,
-            )
-        }));
-        let (output, mut report) = match executed {
-            Ok(Ok(o)) => o,
-            Ok(Err(e)) => return Err(self.fail_exec(e, effective_deadline)),
-            Err(payload) => {
-                self.metrics.record_failure();
-                self.metrics.record_worker_panic();
-                return Err(ServiceError::WorkerPanicked {
-                    worker: None,
-                    message: panic_message(payload),
-                });
-            }
+        let ran = catch_unwind(AssertUnwindSafe(|| run(&entry.db, &plan, key, &ctx)));
+        let (payload, mut report, tuples_returned) = match ran {
+            Ok(Ok(ran)) => ran,
+            Ok(Err(e)) => return Err(self.fail_exec(e, deadline)),
+            Err(panic) => return Err(self.fail_panicked(panic)),
         };
         drop(permit);
 
-        if cache_hit {
-            // The search cost was charged by the miss that built the entry.
-            report.optimization_secs = 0.0;
-        }
+        // The search cost is charged to the miss that built the entry, and
+        // to no hit after it.
+        report.optimization_secs = if cache_hit { 0.0 } else { plan.optimization_secs };
         let total_secs = t_start.elapsed().as_secs_f64();
-        self.metrics.record_success(
-            &report,
-            mode,
-            output.tuples_returned(),
-            queue_secs,
-            total_secs,
-        );
-        let trace = tracer.enabled().then(|| {
+        self.metrics.record_success(&report, mode, tuples_returned, queue_secs, total_secs);
+        let trace = ctx.tracer.enabled().then(|| {
             // Recording stops here, but the buffer is NOT drained: the
             // handle materializes the sorted timeline on first read, so
             // queries whose trace nobody inspects never pay collection
             // cost on the serving path.
-            self.metrics.record_trace(tracer.events_dropped());
-            QueryTrace::new(&tracer)
+            self.metrics.record_trace(ctx.tracer.events_dropped());
+            QueryTrace::new(&ctx.tracer)
         });
         if let (Some(trace), Some(threshold)) = (&trace, settings.slow_query_threshold) {
             if total_secs >= threshold.as_secs_f64() {
@@ -1465,16 +1205,63 @@ impl Service {
                 });
             }
         }
-        Ok(ServiceOutcome {
-            output,
-            mode,
-            report,
-            plan,
-            fingerprint,
-            cache_hit,
-            queue_secs,
-            total_secs,
-            trace,
+        Ok(Served { payload, report, plan, fingerprint, cache_hit, queue_secs, total_secs, trace })
+    }
+
+    /// The plan serving `query` against `entry`: cached, or optimized now
+    /// and published. Returns it with its plan-cache key and whether it was
+    /// a hit. The key uses the fingerprint's plan-relevant prefix only, so
+    /// every output mode — and every *binding* — of a query shape shares
+    /// one entry. Traced, the lookup is a `plan_lookup` span (`hit` arg)
+    /// containing, on a miss, an `optimize` span annotated with the plan's
+    /// size and the optimizer's own counts.
+    fn plan_for(
+        &self,
+        entry: &DbEntry,
+        query: &JoinQuery,
+        fingerprint: QueryFingerprint,
+        tracer: &Tracer,
+    ) -> Result<(Arc<QueryPlan>, u64, bool), ServiceError> {
+        // Keying discipline (PR 4's route_tag, applied to bindings): the
+        // plan key must be a pure function of the shape — erasing every
+        // constant's value must not move it.
+        debug_assert_eq!(
+            fingerprint.plan_key,
+            QueryFingerprint::of(&query.erase_bound_values()).plan_key,
+            "constants leaked into plan_key"
+        );
+        let key = fingerprint.cache_key(entry.tag, entry.stats_token(query));
+        let mut lookup_span = tracer.span(COORDINATOR_LANE, "plan_lookup");
+        let cached = self.cache.get(key);
+        let cache_hit = cached.is_some();
+        let plan = match cached {
+            Some(plan) => plan,
+            None => {
+                let mut optimize_span = tracer.span(COORDINATOR_LANE, "optimize");
+                let plan = self.failed(self.adj.plan(query, &entry.db, self.config.strategy))?;
+                if optimize_span.is_recording() {
+                    optimize_span.arg("relations", plan.relations.len() as u64);
+                    optimize_span.arg("precomputed_bags", plan.precompute.len() as u64);
+                    for (name, value) in plan.optimizer.args() {
+                        optimize_span.arg(name, value);
+                    }
+                }
+                drop(optimize_span);
+                let plan = Arc::new(plan);
+                self.cache.insert(key, entry.tag, Arc::clone(&plan));
+                plan
+            }
+        };
+        lookup_span.arg("hit", cache_hit as u64);
+        Ok((plan, key, cache_hit))
+    }
+
+    /// Counts a failed submission on its way out: every `Err` passing
+    /// through here is one `queries_failed`.
+    fn failed<T>(&self, result: Result<T, impl Into<ServiceError>>) -> Result<T, ServiceError> {
+        result.map_err(|e| {
+            self.metrics.record_failure();
+            e.into()
         })
     }
 
@@ -1520,6 +1307,13 @@ impl Service {
         }
     }
 
+    /// Records and shapes a panic caught on the coordinator path (a run
+    /// step or a mutation batch).
+    fn fail_panicked(&self, payload: Box<dyn std::any::Any + Send>) -> ServiceError {
+        let message = panic_message(payload);
+        self.fail_exec(adj_relational::Error::WorkerPanicked { worker: None, message }, None)
+    }
+
     /// Inserts one over-threshold query into the slow-query log, keeping
     /// the configured number of worst offenders (slowest first).
     fn note_slow(&self, slow: SlowQuery) {
@@ -1555,30 +1349,16 @@ impl Service {
     /// its result is a rendered plan, not a [`ServiceOutcome`]; submit it
     /// through [`Service::explain_text`] instead.
     pub fn execute_text(&self, db_name: &str, text: &str) -> Result<ServiceOutcome, ServiceError> {
-        match parse_query_explain(text) {
-            Ok(None) => {}
-            Ok(Some(_)) => {
-                self.metrics.record_failure();
-                return Err(ServiceError::Parse {
-                    offset: text.len() - text.trim_start().len(),
-                    token: "EXPLAIN".to_string(),
-                    message: "EXPLAIN returns a rendered plan, not rows — submit it via \
-                              Service::explain_text"
-                        .to_string(),
-                });
-            }
-            Err(e) => {
-                self.metrics.record_failure();
-                return Err(e.into());
-            }
+        if self.failed(parse_query_explain(text))?.is_some() {
+            return self.failed(Err(ServiceError::Parse {
+                offset: text.len() - text.trim_start().len(),
+                token: "EXPLAIN".to_string(),
+                message: "EXPLAIN returns a rendered plan, not rows — submit it via \
+                          Service::explain_text"
+                    .to_string(),
+            }));
         }
-        let (query, _attr_names, mode) = match parse_query_with_mode(text) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                self.metrics.record_failure();
-                return Err(e.into());
-            }
-        };
+        let (query, _attr_names, mode) = self.failed(parse_query_with_mode(text))?;
         self.execute_mode(db_name, &query, mode)
     }
 
@@ -1592,48 +1372,19 @@ impl Service {
     /// times. Text without an `EXPLAIN` prefix is treated as plain
     /// `EXPLAIN`.
     pub fn explain_text(&self, db_name: &str, text: &str) -> Result<String, ServiceError> {
-        let parsed = match parse_query_explain(text) {
-            Ok(p) => p,
-            Err(e) => {
-                self.metrics.record_failure();
-                return Err(e.into());
-            }
-        };
-        let (query, names, mode, explain) = match parsed {
+        let (query, names, mode, explain) = match self.failed(parse_query_explain(text))? {
             Some(p) => p,
-            None => match parse_query_with_mode(text) {
-                Ok((q, n, m)) => (q, n, m, ExplainMode::Plan),
-                Err(e) => {
-                    self.metrics.record_failure();
-                    return Err(e.into());
-                }
-            },
+            None => {
+                let (q, n, m) = self.failed(parse_query_with_mode(text))?;
+                (q, n, m, ExplainMode::Plan)
+            }
         };
         match explain {
             ExplainMode::Plan => {
-                let entry = match self.lookup(db_name) {
-                    Ok(e) => e,
-                    Err(e) => {
-                        self.metrics.record_failure();
-                        return Err(e);
-                    }
-                };
+                let entry = self.failed(self.lookup(db_name))?;
                 let fingerprint = QueryFingerprint::of(&query);
-                let key = fingerprint.cache_key(entry.tag, entry.stats_token(&query));
-                let plan = match self.cache.get(key) {
-                    Some(p) => p,
-                    None => {
-                        let plan = match self.adj.plan(&query, &entry.db, self.config.strategy) {
-                            Ok(p) => Arc::new(p),
-                            Err(e) => {
-                                self.metrics.record_failure();
-                                return Err(ServiceError::Exec(e));
-                            }
-                        };
-                        self.cache.insert(key, entry.tag, Arc::clone(&plan));
-                        plan
-                    }
-                };
+                let (plan, _, _) =
+                    self.plan_for(&entry, &query, fingerprint, &Tracer::disabled())?;
                 Ok(explain::render(
                     &plan,
                     &names,
@@ -2170,7 +1921,22 @@ mod tests {
         let service = small_service();
         service.register_database("g", q.instantiate(&graph(60, 13)));
         assert_eq!(service.database_names(), vec!["g".to_string()]);
+        // Everything the database owned goes with it: its plans (the
+        // unbound shape and the prepared one), its shuffled indexes and its
+        // cached per-binding results.
+        service.execute("g", &q).unwrap();
+        let (bound, _) = adj_query::parse_query("R1($v,b), R2(b,c), R3($v,c)").unwrap();
+        let prepared = service.prepare("g", &bound).unwrap();
+        let batch = [Bindings::new().set("v", 3u32)];
+        service.execute_batch(&prepared, &batch, OutputMode::Count).unwrap();
+        let resident = |s: &Service| {
+            (s.cache_stats().len, s.result_cache_stats().len, s.index_cache_stats().len)
+        };
+        let (plans, results, indexes) = resident(&service);
+        assert!(plans >= 2 && results >= 1 && indexes >= 1, "{:?}", resident(&service));
+
         assert!(service.drop_database("g"));
+        assert_eq!(resident(&service), (0, 0, 0), "a dropped database left artifacts resident");
         assert!(!service.drop_database("g"));
         assert!(service.execute("g", &q).is_err());
     }

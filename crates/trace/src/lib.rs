@@ -363,8 +363,8 @@ thread_local! {
 
 /// Per-query event collector. Cheap to pass by reference through every
 /// layer; a disabled tracer ([`Tracer::disabled`]) reduces every call to a
-/// single branch.
-#[derive(Clone)]
+/// single branch, and it is the `Default`.
+#[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Inner>>,
 }

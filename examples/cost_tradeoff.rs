@@ -21,7 +21,7 @@ fn main() {
         for (label, strategy) in
             [("Comm-First", Strategy::CommFirst), ("Co-Opt", Strategy::CoOptimize)]
         {
-            match adj.execute_with_strategy(&query, &db, strategy) {
+            match adj.execute_with(&query, &db, strategy, OutputMode::Rows) {
                 Ok(out) => {
                     let r = &out.report;
                     println!(

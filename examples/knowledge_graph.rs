@@ -67,7 +67,7 @@ fn main() {
     for (label, strategy) in
         [("co-optimization", Strategy::CoOptimize), ("comm-first", Strategy::CommFirst)]
     {
-        let out = adj.execute_with_strategy(&query, &db, strategy).unwrap();
+        let out = adj.execute_with(&query, &db, strategy, OutputMode::Rows).unwrap();
         println!(
             "{label:>16}: {} results, total {:.4}s (pre {:.4}s, comm {:.4}s, comp {:.4}s)",
             out.rows().len(),

@@ -44,13 +44,13 @@
 //! # assert!(out.rows().len() > 0);
 //!
 //! // Only need the number? Count mode never gathers a single tuple:
-//! let n = adj.execute_mode(&query, &db, OutputMode::Count).unwrap();
+//! let n = adj.execute_with(&query, &db, Strategy::CoOptimize, OutputMode::Count).unwrap();
 //! assert_eq!(n.output, QueryOutput::Count(out.rows().len() as u64));
 //! ```
 //!
 //! ## Output modes
 //!
-//! Every execution entry point — [`Adj::execute_mode`](prelude::Adj::execute_mode),
+//! Every execution entry point — [`Adj::execute_with`](prelude::Adj::execute_with),
 //! `execute_plan`/`yannakakis` in [`core`], `Service::execute_mode` and
 //! text queries prefixed `COUNT(…)` / `LIMIT k (…)` / `EXISTS(…)` in
 //! [`service`] — accepts an [`OutputMode`](prelude::OutputMode) choosing
@@ -81,7 +81,8 @@ pub use adj_trace as trace;
 pub mod prelude {
     pub use adj_cluster::{Cluster, ClusterConfig, TransportKind};
     pub use adj_core::{
-        Adj, AdjConfig, CostParams, ExecutionReport, Prepared, QueryPlan, SkewConfig, Strategy,
+        Adj, AdjConfig, CostParams, ExecCtx, ExecutionReport, Prepared, QueryPlan, SkewConfig,
+        Strategy,
     };
     pub use adj_datagen::{update_stream, Dataset, UpdateBatch, UpdateStreamConfig};
     pub use adj_delta::{DeltaConfig, DeltaRelation, MutationBatch};

@@ -45,9 +45,9 @@ fn run_all_methods(query: PaperQuery, graph: &Relation, workers: usize) {
     check_same("hcubej+cache", &expected, &r);
 
     let adj = Adj::with_workers(workers);
-    let out = adj.execute_with_strategy(&q, &db, Strategy::CoOptimize).unwrap();
+    let out = adj.execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Rows).unwrap();
     check_same("adj-coopt", &expected, out.rows());
-    let out = adj.execute_with_strategy(&q, &db, Strategy::CommFirst).unwrap();
+    let out = adj.execute_with(&q, &db, Strategy::CommFirst, OutputMode::Rows).unwrap();
     check_same("adj-commfirst", &expected, out.rows());
 }
 

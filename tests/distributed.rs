@@ -110,11 +110,13 @@ fn precompute_changes_rewritten_query_share() {
     if !adj::query::order::is_valid_order(&plan.tree, &plan.order) {
         plan.order = adj::query::order::valid_orders(&plan.tree)[0].clone();
     }
-    let (forced, rep_forced) = execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+    let (unbound, cold) = (BoundValues::none(), ExecCtx::default());
+    let (forced, rep_forced) =
+        execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows, &unbound, &cold).unwrap();
     assert!(rep_forced.precompute_tuples > 0);
 
     let baseline = Adj::with_workers(cfg.cluster.num_workers)
-        .execute_with_strategy(&q, &db, Strategy::CommFirst)
+        .execute_with(&q, &db, Strategy::CommFirst, OutputMode::Rows)
         .unwrap();
     assert_eq!(forced.rows().len(), baseline.rows().len());
 }

@@ -98,7 +98,7 @@ fn exists_agrees_with_emptiness() {
     db.insert("R1", Relation::from_pairs(Attr(0), Attr(1), &[(1, 2)]));
     db.insert("R2", Relation::from_pairs(Attr(1), Attr(2), &[(9, 9)]));
     db.insert("R3", Relation::from_pairs(Attr(0), Attr(2), &[(1, 3)]));
-    let none = adj.execute_mode(&q, &db, OutputMode::Exists).unwrap();
+    let none = adj.execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Exists).unwrap();
     assert_eq!(none.output, QueryOutput::Exists(false));
 }
 
@@ -113,7 +113,7 @@ fn limit_zero_short_circuits_before_any_dispatch() {
         let q = paper_query(shape);
         let db = q.instantiate(&g);
         let rounds_before = adj.cluster().comm().rounds();
-        let out = adj.execute_mode(&q, &db, OutputMode::Limit(0)).unwrap();
+        let out = adj.execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Limit(0)).unwrap();
         let rows = out.rows();
         assert!(rows.is_empty(), "{shape:?}: LIMIT 0 returns the empty relation");
         assert_eq!(rows.arity(), q.num_attrs(), "{shape:?}: schema still matches the plan");
@@ -129,7 +129,7 @@ fn limit_zero_short_circuits_before_any_dispatch() {
     let (q, _, mode) = parse_query_with_mode("LIMIT 0 (R1(a,b), R2(b,c), R3(a,c))").unwrap();
     assert_eq!(mode, OutputMode::Limit(0));
     let db = paper_query(PaperQuery::Q1).instantiate(&g);
-    let out = adj.execute_mode(&q, &db, mode).unwrap();
+    let out = adj.execute_with(&q, &db, Strategy::CoOptimize, mode).unwrap();
     assert!(out.rows().is_empty());
 }
 
@@ -189,14 +189,14 @@ fn exists_and_limit_short_circuit_the_enumeration() {
     assert_eq!(full.report.counters.output_tuples, cardinality);
     assert!(cardinality > 8, "need a result large enough to short-circuit ({cardinality})");
 
-    let witness = adj.execute_mode(&q, &db, OutputMode::Exists).unwrap();
+    let witness = adj.execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Exists).unwrap();
     assert!(
         witness.report.counters.output_tuples < cardinality,
         "exists emitted {} of {cardinality} tuples — no short-circuit happened",
         witness.report.counters.output_tuples
     );
 
-    let limited = adj.execute_mode(&q, &db, OutputMode::Limit(2)).unwrap();
+    let limited = adj.execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Limit(2)).unwrap();
     assert!(
         limited.report.counters.output_tuples < cardinality,
         "limit(2) emitted {} of {cardinality} tuples — no short-circuit happened",

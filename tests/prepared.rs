@@ -48,7 +48,7 @@ fn bound_results_match_the_filter_then_join_oracle() {
         let db = unbound.instantiate(&g);
         let (bound_q, _) = parse_query(text).unwrap();
         for strategy in STRATEGIES {
-            let full = adj.execute_with_strategy(&unbound, &db, strategy).unwrap();
+            let full = adj.execute_with(&unbound, &db, strategy, OutputMode::Rows).unwrap();
             let full = full.rows();
             let prepared = adj.prepare(&bound_q, &db, strategy).unwrap();
             // A well-matched vertex, a sparse one, and an absent one.
@@ -333,8 +333,7 @@ fn bound_batch_and_filtered_unbound_agree_through_mutation_and_reregistration() 
 fn the_share_program_is_solved_once_per_plan_and_width() {
     let unbound = paper_query(PaperQuery::Q1);
     let service = Service::new(ServiceConfig {
-        adj: AdjConfig { cluster: ClusterConfig::with_workers(2), ..Default::default() },
-        elastic_workers: Some((1, 4)),
+        adj: AdjConfig { cluster: ClusterConfig::with_worker_range(2, 1, 4), ..Default::default() },
         ..Default::default()
     });
     service.register_database("g", unbound.instantiate(&graph()));

@@ -261,3 +261,177 @@ fn reject_policy_sheds_load_under_saturation() {
     assert_eq!(stats.metrics.queries_rejected, shed);
     assert_eq!(stats.admission.peak_running, 1, "Reject policy allows no overlap");
 }
+
+/// The query doors that run the serve pipeline.
+#[derive(Debug, Clone, Copy)]
+enum Door {
+    Mode,
+    Text,
+    Bound,
+    Batch,
+    Analyze,
+}
+
+const DOORS: [Door; 5] = [Door::Mode, Door::Text, Door::Bound, Door::Batch, Door::Analyze];
+const TRIANGLE_COUNT: &str = "COUNT(R1(a,b), R2(b,c), R3(a,c))";
+
+/// The bound triangle prepared against `db_name`. A statement pins no plan
+/// and no service, so it is made on a throwaway one: the service under test
+/// never saw the shape and its first bound call plans cold.
+fn statement(db_name: &str) -> PreparedQuery {
+    let scratch = Service::new(ServiceConfig::default());
+    scratch.register_database(db_name, paper_query(PaperQuery::Q1).instantiate(&graph()));
+    let (q, _) = parse_query("Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
+    scratch.prepare(db_name, &q).unwrap()
+}
+
+impl Door {
+    /// `Text` and `Analyze` take no deadline of their own; they fall back to
+    /// `ServiceConfig::default_deadline`.
+    fn takes_deadline(self) -> bool {
+        matches!(self, Door::Mode | Door::Bound | Door::Batch)
+    }
+
+    /// One `Count`-mode triangle submission through this door.
+    fn call(
+        self,
+        service: &Service,
+        db_name: &str,
+        deadline: Option<std::time::Duration>,
+    ) -> Result<(), ServiceError> {
+        let v = |v: u32| Bindings::new().set("v", v);
+        let count = OutputMode::Count;
+        match self {
+            Door::Mode => service
+                .execute_mode_with_deadline(db_name, &paper_query(PaperQuery::Q1), count, deadline)
+                .map(drop),
+            Door::Text => service.execute_text(db_name, TRIANGLE_COUNT).map(drop),
+            Door::Bound => service
+                .execute_bound_with_deadline(&statement(db_name), &v(3), count, deadline)
+                .map(drop),
+            Door::Batch => service
+                .execute_batch_with_deadline(&statement(db_name), &[v(3), v(5)], count, deadline)
+                .map(drop),
+            Door::Analyze => service
+                .explain_text(db_name, &format!("EXPLAIN ANALYZE {TRIANGLE_COUNT}"))
+                .map(drop),
+        }
+    }
+}
+
+/// A two-worker service with the triangle database registered as `g`.
+fn door_service(config: ServiceConfig) -> Service {
+    let service = Service::new(config);
+    service.register_database("g", paper_query(PaperQuery::Q1).instantiate(&graph()));
+    service
+}
+
+fn two_workers() -> AdjConfig {
+    AdjConfig { cluster: ClusterConfig::with_workers(2), ..Default::default() }
+}
+
+/// Every door runs the one pipeline, so every door shows the same stage
+/// contract: how each early exit is typed and counted, that none of them
+/// leaks an admission slot, what a cold and a warm pass put on the trace,
+/// and that the slow log sees the call.
+#[test]
+fn every_door_runs_the_same_pipeline() {
+    use std::time::Duration;
+    for door in DOORS {
+        // Unknown database: a failure, not a rejection.
+        let service = door_service(ServiceConfig { adj: two_workers(), ..Default::default() });
+        let err = door.call(&service, "nope", None).unwrap_err();
+        assert!(matches!(err, ServiceError::UnknownDatabase(_)), "{door:?}: {err}");
+        let m = service.metrics();
+        assert_eq!((m.queries_failed, m.queries_rejected, m.queries_ok), (1, 0, 0), "{door:?}");
+
+        // Over the per-query memory budget: rejected before a slot is taken.
+        let tight =
+            ClusterConfig { num_workers: 2, memory_limit_bytes: Some(128), ..Default::default() };
+        let service = door_service(ServiceConfig {
+            adj: AdjConfig { cluster: tight, ..Default::default() },
+            ..Default::default()
+        });
+        let err = door.call(&service, "g", None).unwrap_err();
+        assert!(matches!(err, ServiceError::RejectedMemory { .. }), "{door:?}: {err}");
+        let stats = service.stats();
+        assert_eq!(
+            (stats.metrics.queries_rejected, stats.admission.rejected_memory),
+            (1, 1),
+            "{door:?}"
+        );
+        assert_eq!((stats.metrics.queries_failed, stats.metrics.queries_ok), (0, 0), "{door:?}");
+
+        // A deadline that has already passed: typed with the deadline that
+        // applied, counted once, and the slot it queued for is back.
+        let zero = Some(Duration::ZERO);
+        let service = door_service(ServiceConfig {
+            adj: two_workers(),
+            default_deadline: if door.takes_deadline() { None } else { zero },
+            ..Default::default()
+        });
+        let err = door.call(&service, "g", zero).unwrap_err();
+        assert!(
+            matches!(err, ServiceError::DeadlineExceeded { deadline } if deadline == zero),
+            "{door:?}: {err}"
+        );
+        let m = service.metrics();
+        assert_eq!((m.queries_failed, m.queries_deadline_exceeded), (1, 1), "{door:?}");
+        assert_eq!((m.queries_rejected, m.queries_ok), (0, 0), "{door:?}");
+        assert_eq!(service.admission_stats().running, 0, "{door:?}: early return leaked a slot");
+
+        // Cold then warm, traced through the slow log (threshold zero keeps
+        // every call's timeline, whatever the door returns).
+        let service = door_service(ServiceConfig {
+            adj: two_workers(),
+            trace: TraceSettings {
+                slow_query_threshold: Some(Duration::ZERO),
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        door.call(&service, "g", None).unwrap();
+        let slow = service.slow_queries();
+        assert_eq!(slow.len(), 1, "{door:?}: one call, one slow-log entry");
+        assert_eq!(slow[0].db_name, "g", "{door:?}");
+        let cold = &slow[0].trace;
+        let lookup = cold.events_named("plan_lookup");
+        let optimize = cold.events_named("optimize");
+        assert_eq!((lookup.len(), optimize.len()), (1, 1), "{door:?}: cold call plans once");
+        let (lookup, optimize) = (lookup[0], optimize[0]);
+        assert_eq!(lookup.args.get("hit"), Some(0), "{door:?}");
+        assert!(
+            lookup.start_us <= optimize.start_us
+                && optimize.start_us + optimize.dur_us <= lookup.start_us + lookup.dur_us,
+            "{door:?}: optimize must nest inside plan_lookup"
+        );
+        assert_eq!(optimize.args.get("relations"), Some(3), "{door:?}");
+        assert_eq!(optimize.args.get("precomputed_bags"), Some(0), "{door:?}");
+        for (name, _) in adj::core::OptimizerStats::default().args() {
+            assert!(optimize.args.get(name).is_some(), "{door:?}: optimize span lacks {name}");
+        }
+        let planned = service.metrics().optimization;
+        assert_eq!(planned.count, 1, "{door:?}");
+        assert!(planned.max_secs > 0.0, "{door:?}: the cold call is charged its planning");
+
+        door.call(&service, "g", None).unwrap();
+        let slow = service.slow_queries();
+        assert_eq!(slow.len(), 2, "{door:?}");
+        let hits: Vec<u64> = slow
+            .iter()
+            .map(|s| s.trace.events_named("plan_lookup")[0].args.get("hit").unwrap())
+            .collect();
+        assert_eq!(hits.iter().sum::<u64>(), 1, "{door:?}: exactly the second call hit: {hits:?}");
+        let warm = &slow[hits.iter().position(|&h| h == 1).unwrap()];
+        assert!(warm.trace.events_named("optimize").is_empty(), "{door:?}: a hit plans nothing");
+        let replanned = service.metrics().optimization;
+        assert_eq!(replanned.count, 2, "{door:?}");
+        assert!(
+            (replanned.mean_secs * 2.0 - planned.mean_secs).abs() <= 1e-9 * planned.mean_secs,
+            "{door:?}: the warm call was charged optimization seconds"
+        );
+        let m = service.metrics();
+        assert_eq!((m.queries_ok, m.slow_queries_logged), (2, 2), "{door:?}");
+        assert_eq!(service.cache_stats().misses, 1, "{door:?}");
+    }
+}

@@ -100,7 +100,9 @@ fn duplicate_counts_would_be_caught_per_worker_count() {
     let db = q.instantiate(&g);
     let truth = adj_with(1).execute(&q, &db).unwrap().rows().len() as u64;
     for workers in [2usize, 3, 4, 6] {
-        let out = adj_with(workers).execute_mode(&q, &db, OutputMode::Count).unwrap();
+        let out = adj_with(workers)
+            .execute_with(&q, &db, Strategy::CoOptimize, OutputMode::Count)
+            .unwrap();
         assert_eq!(
             out.output,
             QueryOutput::Count(truth),

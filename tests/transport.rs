@@ -43,7 +43,7 @@ fn graph() -> Relation {
 fn serving(strategy: Strategy, transport: TransportKind) -> Arc<Service> {
     let config = ServiceConfig {
         adj: AdjConfig {
-            cluster: ClusterConfig::with_workers(2),
+            cluster: ClusterConfig { transport, ..ClusterConfig::with_workers(2) },
             // Planning must be a pure function of the data here: the oracle
             // matrix compares *plans' outputs* across two service instances,
             // so a load-sensitive measured β could flip near-tie attribute
@@ -52,7 +52,6 @@ fn serving(strategy: Strategy, transport: TransportKind) -> Arc<Service> {
             ..Default::default()
         },
         strategy,
-        transport,
         max_concurrent: 2,
         ..Default::default()
     };
@@ -252,16 +251,34 @@ fn transport_chaos_matrix_fails_typed_and_recovers_byte_identical() {
     }
 }
 
-/// Elastic width at the service level: `elastic_workers` arms
-/// `Cluster::resize`, the range clamps the starting width, resizing
-/// between queries is accepted, and results are width-independent —
-/// byte-identical before and after a resize.
+/// The transport is said in one place. A service configured with nothing
+/// but `adj.cluster.transport = Serialized` must run serialized (the old
+/// `ServiceConfig::transport` field silently overwrote it with its own
+/// `InProcess` default).
+#[test]
+fn the_cluster_config_alone_selects_the_transport() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster =
+        ClusterConfig { transport: TransportKind::Serialized, ..ClusterConfig::with_workers(2) };
+    let service = Service::new(ServiceConfig {
+        adj: AdjConfig { cluster, ..Default::default() },
+        ..Default::default()
+    });
+    assert_eq!(service.cluster().config().transport, TransportKind::Serialized);
+    let q = paper_query(PaperQuery::Q1);
+    service.register_database("db", q.instantiate(&graph()));
+    let cold = service.execute("db", &q).unwrap();
+    assert!(cold.report.wire_bytes > 0, "a cold serialized shuffle must put frames on the wire");
+}
+
+/// Elastic width at the service level: `adj.cluster.worker_range` arms
+/// `Cluster::resize`, resizing between queries is accepted, and results
+/// are width-independent — byte-identical before and after a resize.
 #[test]
 fn elastic_service_resizes_between_queries_without_changing_results() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let config = ServiceConfig {
-        adj: AdjConfig { cluster: ClusterConfig::with_workers(2), ..Default::default() },
-        elastic_workers: Some((1, 4)),
+        adj: AdjConfig { cluster: ClusterConfig::with_worker_range(2, 1, 4), ..Default::default() },
         ..Default::default()
     };
     let service = Arc::new(Service::new(config));
