@@ -36,8 +36,7 @@ struct SlotAcc {
 /// Executes every binding of `batch` against one prepared plan, sharing
 /// the expensive phases across the whole batch:
 ///
-/// * **one** admission-width pin ([`Cluster::begin_query`]), **one** bag
-///   pre-computation pass, and **one** final HCube shuffle via
+/// * **one** bag pre-computation pass and **one** final HCube shuffle via
 ///   [`prepare_plan_locals`] — binding-independent, so the whole batch joins
 ///   over the same warm tries a single bound call or the unbound query
 ///   would;
@@ -70,13 +69,10 @@ pub fn execute_plan_batch(
 ) -> Result<(Vec<Result<QueryOutput>>, ExecutionReport)> {
     let t_exec = Instant::now();
     let (cancel, tracer) = (&ctx.cancel, &ctx.tracer);
-    let mut report = ExecutionReport { hot_values: plan.hot.len() as u64, ..Default::default() };
+    let mut report = ExecutionReport::default();
     if batch.is_empty() {
         return Ok((Vec::new(), report));
     }
-    // Pin the worker width for the whole batch: one shuffle, many joins,
-    // one consistent `num_workers()` throughout.
-    let _active = cluster.begin_query();
 
     // Resolve each unique binding's full constant set: the submission's
     // values take priority, the plan's inline literals fill the rest —

@@ -6,8 +6,6 @@ use crate::{ClusterConfig, WorkerId};
 use adj_relational::Schema;
 use adj_trace::{lane_for_worker, SpanGuard, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// A worker closure that panicked instead of returning. The panic is
@@ -67,30 +65,6 @@ pub struct Cluster {
     /// serving latencies) is skipped and workers run inline — per-worker
     /// timing and makespan semantics are unchanged.
     spawn_threads: bool,
-    /// Current worker width. Starts at `config.num_workers`; movable within
-    /// `config.worker_range` by [`Cluster::resize`].
-    width: AtomicUsize,
-    /// Queries currently executing ([`Cluster::begin_query`] guards).
-    /// A resize is only admitted when this is zero — a mid-query width
-    /// change would tear partition maps out from under the shuffle.
-    in_flight: AtomicUsize,
-    /// Linearizes query admission against resizes: `begin_query` holds it
-    /// for the increment, `resize` for the whole check-and-store.
-    resize_gate: Mutex<()>,
-}
-
-/// RAII marker for a query in flight on a [`Cluster`] — while any guard is
-/// live, [`Cluster::resize`] is rejected. Obtained from
-/// [`Cluster::begin_query`]; dropping it releases the slot.
-#[derive(Debug)]
-pub struct QueryGuard<'a> {
-    cluster: &'a Cluster,
-}
-
-impl Drop for QueryGuard<'_> {
-    fn drop(&mut self) {
-        self.cluster.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 /// Result of a parallel run: per-worker wall-clock seconds plus results.
@@ -146,16 +120,7 @@ impl Cluster {
             CostModel { alpha_tuples_per_sec: config.alpha_tuples_per_sec, ..Default::default() };
         let parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         let spawn_threads = config.num_workers > 1 && parallelism > 1;
-        let width = AtomicUsize::new(config.num_workers);
-        Ok(Cluster {
-            config,
-            comm: CommStats::new(),
-            cost_model,
-            spawn_threads,
-            width,
-            in_flight: AtomicUsize::new(0),
-            resize_gate: Mutex::new(()),
-        })
+        Ok(Cluster { config, comm: CommStats::new(), cost_model, spawn_threads })
     }
 
     /// Creates a cluster behind an [`Arc`](std::sync::Arc), the form
@@ -171,56 +136,9 @@ impl Cluster {
         std::sync::Arc::new(Cluster::new(config))
     }
 
-    /// [`Cluster::shared`] with the typed validation error of
-    /// [`Cluster::try_new`].
-    pub fn try_shared(
-        config: ClusterConfig,
-    ) -> Result<std::sync::Arc<Self>, adj_relational::Error> {
-        Ok(std::sync::Arc::new(Cluster::try_new(config)?))
-    }
-
-    /// Current number of workers (the configured width until a
-    /// [`resize`](Cluster::resize) moves it).
+    /// Number of workers — fixed for the cluster's lifetime.
     pub fn num_workers(&self) -> usize {
-        self.width.load(Ordering::SeqCst)
-    }
-
-    /// Queries currently in flight (live [`QueryGuard`]s).
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::SeqCst)
-    }
-
-    /// Marks a query as in flight, pinning the worker width until the
-    /// returned guard drops. Callers partition, shuffle, and join against
-    /// `num_workers()` as observed *after* this call; the guard keeps a
-    /// concurrent [`resize`](Cluster::resize) from changing it mid-query.
-    pub fn begin_query(&self) -> QueryGuard<'_> {
-        // Taking the gate orders the increment against a concurrent
-        // resize's check-and-store: either the resize sees us and rejects,
-        // or we observe the new width.
-        let _gate = self.resize_gate.lock().unwrap_or_else(|e| e.into_inner());
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        QueryGuard { cluster: self }
-    }
-
-    /// Changes the worker width to `n`. Requires an elastic configuration
-    /// (`worker_range`), `n` within that range, and no query in flight —
-    /// a width change under a running query would tear its partition maps.
-    pub fn resize(&self, n: usize) -> Result<(), adj_relational::Error> {
-        let invalid = |message: String| Err(adj_relational::Error::InvalidConfig { message });
-        let Some((min, max)) = self.config.worker_range else {
-            return invalid("cluster is not elastic (no worker_range configured)".to_string());
-        };
-        if n < min || n > max {
-            return invalid(format!("resize to {n} outside worker_range [{min}, {max}]"));
-        }
-        let _gate = self.resize_gate.lock().unwrap_or_else(|e| e.into_inner());
-        let busy = self.in_flight.load(Ordering::SeqCst);
-        if busy > 0 {
-            return invalid(format!("cannot resize with {busy} queries in flight"));
-        }
-        self.width.store(n, Ordering::SeqCst);
-        Ok(())
+        self.config.num_workers
     }
 
     /// The configuration.
@@ -297,10 +215,10 @@ impl Cluster {
     /// Runs a shuffle round with delivery and consumption pipelined:
     /// `coordinator` routes batches into `round` while each worker `w`
     /// runs `f(w, span)`, receiving from `round.recv(w)` and building as
-    /// relations complete. With OS threads available (and
-    /// `pipeline_shuffle` on) the coordinator and workers genuinely
-    /// overlap; otherwise the coordinator runs first and workers drain the
-    /// buffered lanes inline — identical results, no overlap.
+    /// relations complete. With OS threads available the coordinator and
+    /// workers genuinely overlap; otherwise the coordinator runs first and
+    /// workers drain the buffered lanes inline — identical results, no
+    /// overlap.
     ///
     /// The round is always closed before workers are joined (coordinator
     /// panic path included), so receivers can never block forever. A
@@ -321,8 +239,7 @@ impl Cluster {
         F: Fn(WorkerId, &mut SpanGuard<'_>) -> R + Sync,
     {
         let n = self.num_workers();
-        let overlap = self.spawn_threads && self.config.pipeline_shuffle;
-        if overlap {
+        if self.spawn_threads {
             let mut slots: Vec<Option<(Result<R, WorkerFailure>, f64)>> =
                 (0..n).map(|_| None).collect();
             let coord_out = std::thread::scope(|s| {
@@ -494,47 +411,6 @@ mod tests {
             assert!(joins.iter().any(|e| e.lane == lane_for_worker(w)));
         }
         assert_eq!(trace.sum_arg("tuples"), 3); // workers contributed 0 + 1 + 2
-    }
-
-    #[test]
-    fn resize_moves_width_within_range_only() {
-        let c = Cluster::new(ClusterConfig::with_worker_range(4, 2, 8));
-        assert_eq!(c.num_workers(), 4);
-        c.resize(8).unwrap();
-        assert_eq!(c.num_workers(), 8);
-        assert_eq!(c.run(|w| w).into_results().unwrap().len(), 8);
-        c.resize(2).unwrap();
-        assert_eq!(c.num_workers(), 2);
-        assert!(c.resize(1).is_err(), "below range");
-        assert!(c.resize(9).is_err(), "above range");
-        assert_eq!(c.num_workers(), 2, "failed resizes leave width untouched");
-    }
-
-    #[test]
-    fn resize_requires_an_elastic_config() {
-        let c = Cluster::new(ClusterConfig::with_workers(4));
-        let err = c.resize(2).unwrap_err();
-        let adj_relational::Error::InvalidConfig { message } = &err else {
-            panic!("expected InvalidConfig, got {err:?}")
-        };
-        assert!(message.contains("elastic"), "{message}");
-    }
-
-    #[test]
-    fn resize_is_rejected_while_a_query_is_in_flight() {
-        let c = Cluster::new(ClusterConfig::with_worker_range(4, 2, 8));
-        let guard = c.begin_query();
-        assert_eq!(c.in_flight(), 1);
-        let err = c.resize(2).unwrap_err();
-        let adj_relational::Error::InvalidConfig { message } = &err else {
-            panic!("expected InvalidConfig, got {err:?}")
-        };
-        assert!(message.contains("in flight"), "{message}");
-        assert_eq!(c.num_workers(), 4);
-        drop(guard);
-        assert_eq!(c.in_flight(), 0);
-        c.resize(2).unwrap();
-        assert_eq!(c.num_workers(), 2);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod partition;
 pub mod transport;
 
 pub use comm::{CommStats, CostModel};
-pub use exec::{Cluster, QueryGuard, RunReport, WorkerFailure};
+pub use exec::{Cluster, RunReport, WorkerFailure};
 pub use partition::{PartitionedDatabase, PartitionedRelation};
 pub use transport::{
     decode_frame, encode_batch, BatchPayload, Delivery, RoutedBatch, TransportKind, TransportRound,
@@ -49,13 +49,6 @@ pub struct ClusterConfig {
     /// whose byte accounting is real encoded bytes. See
     /// [`transport`].
     pub transport: TransportKind,
-    /// Whether receivers build a relation's trie as soon as its last batch
-    /// lands (pipelined, the default) instead of after the full shuffle
-    /// barrier. Disable to measure the barrier baseline.
-    pub pipeline_shuffle: bool,
-    /// Elastic worker-width range `(min, max)` for [`Cluster::resize`].
-    /// `None` (the default) pins the width at `num_workers` forever.
-    pub worker_range: Option<(usize, usize)>,
 }
 
 impl Default for ClusterConfig {
@@ -67,8 +60,6 @@ impl Default for ClusterConfig {
             alpha_tuples_per_sec: 10_000_000.0,
             memory_limit_bytes: None,
             transport: TransportKind::InProcess,
-            pipeline_shuffle: true,
-            worker_range: None,
         }
     }
 }
@@ -77,12 +68,6 @@ impl ClusterConfig {
     /// Convenience constructor with `num_workers` and defaults otherwise.
     pub fn with_workers(num_workers: usize) -> Self {
         ClusterConfig { num_workers, ..Default::default() }
-    }
-
-    /// Convenience constructor for an elastic cluster: starts at
-    /// `num_workers`, resizable within `[min, max]`.
-    pub fn with_worker_range(num_workers: usize, min: usize, max: usize) -> Self {
-        ClusterConfig { num_workers, worker_range: Some((min, max)), ..Default::default() }
     }
 
     /// Validates the configuration, returning a typed
@@ -104,20 +89,6 @@ impl ClusterConfig {
             return invalid(
                 "memory_limit_bytes must be positive (use None for unlimited)".to_string(),
             );
-        }
-        if let Some((min, max)) = self.worker_range {
-            if min == 0 {
-                return invalid("worker_range min must be at least 1".to_string());
-            }
-            if min > max {
-                return invalid(format!("worker_range min {min} exceeds max {max}"));
-            }
-            if self.num_workers < min || self.num_workers > max {
-                return invalid(format!(
-                    "num_workers {} outside worker_range [{min}, {max}]",
-                    self.num_workers
-                ));
-            }
         }
         Ok(())
     }
@@ -156,17 +127,11 @@ mod tests {
             ClusterConfig { memory_limit_bytes: Some(0), ..Default::default() },
             "memory_limit_bytes",
         );
-        assert!(ClusterConfig::with_worker_range(4, 2, 8).validate().is_ok());
-        reject(ClusterConfig::with_worker_range(4, 0, 8), "worker_range");
-        reject(ClusterConfig::with_worker_range(4, 8, 2), "worker_range");
-        reject(ClusterConfig::with_worker_range(1, 2, 8), "worker_range");
-        reject(ClusterConfig::with_worker_range(16, 2, 8), "worker_range");
     }
 
     #[test]
     fn cluster_construction_is_gated_on_validation() {
         assert!(Cluster::try_new(ClusterConfig::with_workers(0)).is_err());
-        assert!(Cluster::try_shared(ClusterConfig::with_workers(0)).is_err());
         assert_eq!(Cluster::try_new(ClusterConfig::with_workers(2)).unwrap().num_workers(), 2);
     }
 

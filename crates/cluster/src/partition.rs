@@ -32,29 +32,12 @@ impl PartitionedRelation {
     /// distributed store ("the database D is maintained at the servers
     /// disjointly", Sec. II-A).
     pub fn hash_partitioned(rel: &Relation, n: usize) -> Self {
-        Self::hash_partitioned_hot(rel, n, &[])
-    }
-
-    /// [`PartitionedRelation::hash_partitioned`] with a heavy-hitter
-    /// routing table for the partitioning key: tuples whose key value is in
-    /// `hot` are placed by a content hash of the *whole row* instead of the
-    /// key hash, so a heavy hitter spreads across all `n` workers rather
-    /// than collapsing onto one. The placement stays disjoint (each tuple
-    /// lives on exactly one worker) — only co-location by key is given up
-    /// for the listed values, which is exactly the property a hot key makes
-    /// useless anyway (its partition would exceed a single worker).
-    pub fn hash_partitioned_hot(rel: &Relation, n: usize, hot: &[Value]) -> Self {
         assert!(n > 0);
         let key = rel.schema().attrs()[0];
         let kp = rel.schema().position(key).unwrap();
         let mut bufs: Vec<Vec<Value>> = vec![Vec::new(); n];
         for row in rel.rows() {
-            let w = if hot.contains(&row[kp]) {
-                // Same spread hash the HCube shuffle routes hot tuples by.
-                (adj_relational::hash::hash_row(key.0, row) % n as u64) as usize
-            } else {
-                (hash_value(key.0, row[kp] as u64) % n as u64) as usize
-            };
+            let w = (hash_value(key.0, row[kp] as u64) % n as u64) as usize;
             bufs[w].extend_from_slice(row);
         }
         let parts = bufs
@@ -253,32 +236,6 @@ mod tests {
         assert_eq!(p.gather(), r);
         // distribution should be non-degenerate
         assert!(p.parts().iter().filter(|x| !x.is_empty()).count() >= 2);
-    }
-
-    #[test]
-    fn hot_partitioning_spreads_the_heavy_hitter() {
-        // 200 tuples share key 5 — plain hashing parks them all on one
-        // worker; hot placement spreads them while covering every tuple.
-        let mut pairs: Vec<(Value, Value)> = (0..200u32).map(|i| (5, i + 10)).collect();
-        pairs.extend((0..40u32).map(|i| (i + 100, i)));
-        let r = Relation::from_pairs(Attr(0), Attr(1), &pairs);
-        let naive = PartitionedRelation::hash_partitioned(&r, 4);
-        let spread = PartitionedRelation::hash_partitioned_hot(&r, 4, &[5]);
-        assert_eq!(spread.total_tuples(), r.len());
-        assert_eq!(spread.gather(), r, "hot placement must lose nothing");
-        let max_part = |p: &PartitionedRelation| p.parts().iter().map(|x| x.len()).max().unwrap();
-        assert!(max_part(&naive) >= 200, "plain hashing concentrates the hot key");
-        assert!(
-            max_part(&spread) < 200 && max_part(&spread) <= 2 * (r.len() / 4 + 1),
-            "hot key must spread: fullest part {} of {}",
-            max_part(&spread),
-            r.len()
-        );
-        // An empty hot list is exactly the plain layout.
-        let plain = PartitionedRelation::hash_partitioned_hot(&r, 4, &[]);
-        for w in 0..4 {
-            assert_eq!(plain.part(w), naive.part(w));
-        }
     }
 
     #[test]

@@ -177,12 +177,6 @@ pub struct ExecutionReport {
     /// relations move nothing and contribute nothing — the fill describes
     /// what this execution actually shuffled.
     pub worker_tuples: Vec<u64>,
-    /// Heavy-hitter `(attribute, value)` entries in the plan's routing
-    /// table (0 when the input was uniform or detection was disabled).
-    pub hot_values: u64,
-    /// Tuple copies that took a heavy-hitter route (spread or broadcast)
-    /// instead of plain hashing.
-    pub hot_routed_tuples: u64,
     /// Attributes this execution pinned to constants (inline literals plus
     /// bound parameters); 0 on unbound executions.
     pub bound_values: u64,
@@ -211,7 +205,7 @@ impl ExecutionReport {
     }
 
     /// Tuple copies received by the fullest worker across this execution's
-    /// shuffles — the partition-fill ceiling skew hardening bounds.
+    /// shuffles — the partition-fill ceiling.
     pub fn max_partition_tuples(&self) -> u64 {
         self.worker_tuples.iter().copied().max().unwrap_or(0)
     }
@@ -248,8 +242,8 @@ impl ExecutionReport {
             .max(0.0);
     }
 
-    /// Folds one shuffle round's share solve, index build/reuse split, fill
-    /// and routing counters into the report.
+    /// Folds one shuffle round's share solve, index build/reuse split and
+    /// fill into the report.
     fn absorb_shuffle(&mut self, shuffle: &ShuffleReport, share_reused: bool) {
         self.share_solves += u64::from(!share_reused);
         self.index_build_secs += shuffle.build_secs;
@@ -261,7 +255,6 @@ impl ExecutionReport {
         for (acc, &w) in self.worker_tuples.iter_mut().zip(&shuffle.worker_tuples) {
             *acc += w;
         }
-        self.hot_routed_tuples += shuffle.hot_routed_tuples;
         self.wire_bytes += shuffle.wire_bytes;
         self.pipeline_overlap_secs += shuffle.overlap_secs;
     }
@@ -388,17 +381,9 @@ pub fn execute_plan(
 ) -> Result<(QueryOutput, ExecutionReport)> {
     let t_exec = Instant::now();
     let (cancel, tracer) = (&ctx.cancel, &ctx.tracer);
-    // Pin the worker width for the whole execution: while this guard is
-    // live, `Cluster::resize` is rejected, so every phase below sees one
-    // consistent `num_workers()`.
-    let _active = cluster.begin_query();
     let bound = merge_plan_consts(&plan.query.const_bindings()?, params)?;
     plan.query.require_params_bound(&bound)?;
-    let mut report = ExecutionReport {
-        hot_values: plan.hot.len() as u64,
-        bound_values: bound.len() as u64,
-        ..Default::default()
-    };
+    let mut report = ExecutionReport { bound_values: bound.len() as u64, ..Default::default() };
 
     // `LIMIT 0` is a complete answer by definition: the empty relation over
     // the plan's schema. Short-circuit before any admission-charged work —
@@ -538,9 +523,7 @@ fn bag_label(names: &[String], order: &[Attr], ctx: &ExecCtx<'_>) -> String {
 /// cacheable tries whichever constants the join over them will seek. This
 /// is the shared front half of [`execute_plan`] (one bound join over the
 /// locals) and of batched execution (`adj-batch`: many bound joins over the
-/// same locals). Callers must hold [`Cluster::begin_query`] across this
-/// call *and* every join over the returned locals, so the worker width
-/// stays pinned for the whole execution.
+/// same locals).
 pub fn prepare_plan_locals(
     cluster: &Cluster,
     db: &Database,
@@ -592,7 +575,6 @@ pub fn prepare_plan_locals(
         impl_: HCubeImpl::Merge,
         cache_ids: &cache_ids,
         overlay: &bag_overlay,
-        hot: &plan.hot,
         share_reused,
     };
     let shuffled = hcube_shuffle_round(cluster, db, &round, ctx)?;
@@ -668,7 +650,6 @@ fn precompute_bag(
         impl_: HCubeImpl::Merge,
         cache_ids: &cache_ids,
         overlay: &[],
-        hot: &plan.hot,
         share_reused,
     };
     let shuffled = hcube_shuffle_round(cluster, db, &round, ctx)?;
@@ -728,14 +709,6 @@ fn precompute_bag(
 /// optimum whatever the call, so a plan solves each of its rounds once per
 /// distinct input and every later execution reuses the vector. A solve is
 /// put on the timeline as a `share_solve` span on the coordinator lane.
-///
-/// When the plan carries a heavy-hitter routing table, the share is first
-/// solved under `Π p_A = N*` — the bijective cube→worker map the routing's
-/// spreader-ownership dedup rule requires (balance then comes from the
-/// routing itself, so the objective needs no skew term here). If no exact
-/// vector fits the memory budget, the optimizer falls back to the
-/// unconstrained program; the shuffle detects the non-bijective map and
-/// keeps hashing plainly, so correctness never depends on the fallback.
 fn share_for(
     plan: &QueryPlan,
     db: &Database,
@@ -759,11 +732,6 @@ fn share_for(
         // equal-cost share vectors.
         relations.push((r.schema().mask(), r.len().next_power_of_two()));
     }
-    // The bijection is only needed when this round's relations actually
-    // contain a hot attribute — a bag round over cold attributes keeps the
-    // unconstrained share optimum (routing stays inert for it anyway).
-    let hot_mask = plan.hot.attrs_mask();
-    let routing_engages = relations.iter().any(|&(mask, _)| mask & hot_mask != 0);
     let input = ShareInput {
         num_attrs,
         relations,
@@ -771,23 +739,21 @@ fn share_for(
         memory_limit_bytes: cluster.config().memory_limit_bytes,
         bytes_per_value: 4,
         hot: Vec::new(),
-        require_exact_product: routing_engages,
+        require_exact_product: false,
         // Bindings reach only Leapfrog: the grid is the unbound query's.
         bound_mask: 0,
     };
-    let solve = |input: &ShareInput| match optimize_share(input) {
-        Err(_) if input.require_exact_product => {
-            optimize_share(&ShareInput { require_exact_product: false, ..input.clone() })
-        }
-        solved => solved,
-    };
     let width = input.num_workers;
     if let Some(share) = plan.share_memo.get(&input) {
-        debug_assert_eq!(solve(&input).ok().as_ref(), Some(&share), "memoized share went stale");
+        debug_assert_eq!(
+            optimize_share(&input).ok().as_ref(),
+            Some(&share),
+            "memoized share went stale"
+        );
         return Ok((HCubePlan::new(share, width), true));
     }
     let span = ctx.tracer.span(COORDINATOR_LANE, "share_solve");
-    let share = solve(&input)?;
+    let share = optimize_share(&input)?;
     drop(span);
     plan.share_memo.insert(input, share.clone());
     Ok((HCubePlan::new(share, width), false))

@@ -29,7 +29,6 @@ pub mod executor;
 pub mod optimizer;
 pub mod plan;
 pub mod prepared;
-pub mod yannakakis;
 
 pub use cost::{fractional_max_cube_bound, CostEstimator, CostParams};
 pub use executor::{
@@ -39,11 +38,10 @@ pub use executor::{
 pub use optimizer::optimize;
 pub use plan::{OptimizerStats, PlanRelation, QueryPlan};
 pub use prepared::Prepared;
-pub use yannakakis::{yannakakis, yannakakis_cached, YannakakisReport};
 // The execution context and the cross-query index cache (defined in
 // `adj-hcube`, where the shuffle consults them) are part of this crate's
 // public execution API too.
-pub use adj_hcube::{ExecCtx, HotValues, IndexCache, IndexCacheStats, IndexScope};
+pub use adj_hcube::{ExecCtx, IndexCache, IndexCacheStats, IndexScope};
 // Cooperative cancellation and the deterministic fault-injection harness
 // (defined in `adj-faults` so every layer can place checkpoints), part of
 // this crate's public execution API for the serving layer's deadline hook.
@@ -80,10 +78,8 @@ pub struct AdjConfig {
     /// join outputs); mirrors the paper's 12h/OOM failure criterion.
     pub max_intermediate_tuples: usize,
     /// Heavy-hitter detection settings. Detected hot values make the cost
-    /// model charge max-partition (not just total) shuffle load and arm the
-    /// HCube shuffle's spread/broadcast routing; results stay byte-identical
-    /// either way. [`SkewConfig::disabled()`] restores pure hash routing —
-    /// the naive baseline the skew bench compares against.
+    /// model charge max-partition (not just total) shuffle load;
+    /// [`SkewConfig::disabled()`] prices every column as uniform.
     pub skew: SkewConfig,
 }
 

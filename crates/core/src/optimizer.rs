@@ -70,7 +70,6 @@ pub fn optimize(
                 precompute: Vec::new(),
                 relations,
                 order,
-                hot: estimator.hot_values(),
                 estimated_cost_secs: score,
                 optimization_secs: 0.0,
                 optimizer: estimator.stats(),
@@ -158,7 +157,6 @@ fn algorithm2(
         precompute,
         relations,
         order,
-        hot: estimator.hot_values(),
         estimated_cost_secs: accumulated,
         optimization_secs: 0.0,
         optimizer: estimator.stats(),

@@ -1,6 +1,6 @@
 //! Query plans: the `(Qi, ord)` pairs of the paper's problem statement.
 
-use adj_hcube::{HotValues, ShareInput};
+use adj_hcube::ShareInput;
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::{Attr, Schema};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -87,10 +87,10 @@ impl OptimizerStats {
 /// memory budget — nothing an individual call contributes — so a plan that
 /// is executed again under equal inputs takes the vector from here instead
 /// of re-enumerating the lattice. Entries are compared on the whole input,
-/// so a resized cluster or a relation that crossed a size bucket solves
-/// afresh and a stale share cannot be returned; the serving layer re-keys
-/// plans on every mutation, so a plan's memo holds one entry per round per
-/// width it ran at.
+/// so a cluster of another width or a relation that crossed a size bucket
+/// solves afresh and a stale share cannot be returned; the serving layer
+/// re-keys plans on every mutation, so a plan's memo holds one entry per
+/// round.
 #[derive(Debug, Default)]
 pub(crate) struct ShareMemo {
     solved: Mutex<Vec<(ShareInput, Vec<u32>)>>,
@@ -140,12 +140,6 @@ pub struct QueryPlan {
     pub relations: Vec<PlanRelation>,
     /// The Leapfrog attribute order `ord` (valid for `tree`).
     pub order: Vec<Attr>,
-    /// Heavy-hitter values per attribute, detected against the database the
-    /// plan was optimized for. The executor hands this table to every HCube
-    /// shuffle of the plan so hot values are spread/broadcast across their
-    /// dimension instead of collapsing onto one coordinate; empty means
-    /// plain hashing everywhere.
-    pub hot: HotValues,
     /// The optimizer's estimated total cost in seconds (for diagnostics).
     pub estimated_cost_secs: f64,
     /// Wall-clock seconds spent constructing this plan (GHD search +

@@ -59,12 +59,6 @@ pub struct IndexKey {
     /// Worker count (the share vector alone does not fix the cube→worker
     /// assignment).
     pub num_workers: usize,
-    /// Heavy-hitter routing tag of the shuffle that built the entry
-    /// ([`crate::ShuffleRouting::atom_tag`]): 0 for plain hashing, a
-    /// fingerprint of the hot-value table and this relation's
-    /// spread-vs-broadcast role otherwise — so skew-routed tries never
-    /// collide with hash-routed ones (their per-worker fragments differ).
-    pub route_tag: u64,
     /// The relation's delta sequence (`adj-delta`'s per-relation batch
     /// counter) at build time. Mutating a relation bumps only *its*
     /// sequence, so entries for other relations keep matching — this is the
@@ -716,7 +710,6 @@ impl<'a> IndexScope<'a> {
         induced: Vec<Attr>,
         share: &[u32],
         num_workers: usize,
-        route_tag: u64,
     ) -> IndexKey {
         let relation = relation.into();
         let delta_seq = self.delta_seq_for(&relation);
@@ -727,7 +720,6 @@ impl<'a> IndexScope<'a> {
             induced,
             share: share.to_vec(),
             num_workers,
-            route_tag,
             delta_seq,
         }
     }
@@ -756,7 +748,6 @@ mod tests {
             induced: vec![Attr(0), Attr(1)],
             share: vec![2, 2],
             num_workers: 4,
-            route_tag: 0,
             delta_seq: 0,
         }
     }
@@ -790,12 +781,6 @@ mod tests {
         let mut other_workers = k.clone();
         other_workers.num_workers = 8;
         assert!(cache.get_index(&other_workers).is_none());
-        let mut other_route = k.clone();
-        other_route.route_tag = 0xBEEF;
-        assert!(
-            cache.get_index(&other_route).is_none(),
-            "skew-routed tries must not alias hash-routed ones"
-        );
         let mut other_seq = k;
         other_seq.delta_seq = 3;
         assert!(
@@ -830,9 +815,9 @@ mod tests {
         let scope = IndexScope { cache: &cache, db_tag: 7, epoch: 3, versions: &versions };
         assert_eq!(scope.delta_seq_for("R1"), 4);
         assert_eq!(scope.delta_seq_for("R2"), 0, "unmutated relations sit at 0");
-        let k = scope.index_key("R1", vec![Attr(0)], &[2], 4, 0);
+        let k = scope.index_key("R1", vec![Attr(0)], &[2], 4);
         assert_eq!(k.delta_seq, 4);
-        assert_eq!(scope.index_key("R2", vec![Attr(0)], &[2], 4, 0).delta_seq, 0);
+        assert_eq!(scope.index_key("R2", vec![Attr(0)], &[2], 4).delta_seq, 0);
         let d1 = scope.version_digest(["R1", "R2"]);
         assert_ne!(d1, scope.version_digest(["R2"]), "member set changes the digest");
         let fresh = IndexScope { cache: &cache, db_tag: 7, epoch: 3, versions: &[] };

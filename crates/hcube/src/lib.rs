@@ -21,20 +21,14 @@
 //! * [`cache::IndexCache`] — the cross-query index cache: shuffled
 //!   partitions and built tries published as shared `Arc<Trie>` handles,
 //!   keyed by `(relation identity, induced order, share, workers, database
-//!   epoch, routing tag)`, so [`shuffle::hcube_shuffle_round`] skips
-//!   routing, transfer, and build entirely for warm relations;
-//! * [`skew`] — heavy-hitter routing: hot join values are *spread* across
-//!   their hypercube dimension by one designated spreader relation and
-//!   *broadcast* by the others, so a skewed input no longer collapses onto
-//!   one coordinate, while spreader ownership keeps results byte-identical
-//!   (no binding is ever produced twice).
+//!   epoch, delta sequence)`, so [`shuffle::hcube_shuffle_round`] skips
+//!   routing, transfer, and build entirely for warm relations.
 
 pub mod cache;
 pub mod patch;
 pub mod plan;
 pub mod share;
 pub mod shuffle;
-pub mod skew;
 
 pub use cache::{
     BagKey, BuildClaim, CacheLookup, IndexCache, IndexCacheStats, IndexKey, IndexScope,
@@ -47,4 +41,3 @@ pub use shuffle::{
     hcube_shuffle, hcube_shuffle_round, ExecCtx, HCubeImpl, LocalRelation, ShuffleOutput,
     ShuffleReport, ShuffleRound,
 };
-pub use skew::{HotDecision, HotValues, ShuffleRouting};

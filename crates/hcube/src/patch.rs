@@ -3,24 +3,20 @@
 //! When a relation mutates, its cached [`RelationIndex`] entries are not
 //! discarded — the delta batch is tiny compared to the base, and the base's
 //! shuffled placement is fully determined by the entry's own
-//! [`IndexKey`]: the share vector is indexed by attribute id, the induced
-//! order fixes the trie layout, and `route_tag == 0` entries used plain hash
-//! routing. So each entry can be brought forward *in place*: permute the
-//! insert/tombstone runs into the entry's induced order, route them with the
-//! same coordinate arithmetic the original shuffle used, and per worker
-//! merge the (sorted) delta into the fragment's re-emitted sorted run —
-//! a linear merge + linear trie rebuild, no global sort, no communication
-//! round. The result is republished under the relation's new delta
-//! sequence, so the very next query hits warm.
+//! [`IndexKey`]: the share vector is indexed by attribute id and the induced
+//! order fixes the trie layout. So each entry can be brought forward *in
+//! place*: permute the insert/tombstone runs into the entry's induced order,
+//! route them with the same coordinate arithmetic the original shuffle used,
+//! and per worker merge the (sorted) delta into the fragment's re-emitted
+//! sorted run — a linear merge + linear trie rebuild, no global sort, no
+//! communication round. The result is republished under the relation's new
+//! delta sequence, so the very next query hits warm.
 //!
-//! Entries that are *not* reconstructible from their key are dropped
-//! instead: skew-routed fragments (`route_tag != 0` — the spreader
-//! assignment depended on the full shuffle's atom list), plus entries from an
-//! older stats epoch. Entries more than one sequence behind are also
-//! dropped: only the current batch's delta is in hand, so an entry that
-//! missed an earlier batch (a query serving an old snapshot can publish
-//! its index after later mutations ran) cannot be brought forward — only
-//! `delta_seq == new_seq - 1` entries are patchable.
+//! Entries from an older stats epoch are dropped instead. Entries more than
+//! one sequence behind are also dropped: only the current batch's delta is
+//! in hand, so an entry that missed an earlier batch (a query serving an old
+//! snapshot can publish its index after later mutations ran) cannot be
+//! brought forward — only `delta_seq == new_seq - 1` entries are patchable.
 
 use crate::cache::{IndexKey, IndexScope, RelationIndex};
 use crate::plan::HCubePlan;
@@ -32,9 +28,8 @@ use std::sync::Arc;
 pub struct PatchOutcome {
     /// Entries brought forward to the new delta sequence.
     pub patched: usize,
-    /// Entries discarded because their fragments are not reconstructible
-    /// from the key alone (skew-routed or stale-epoch entries) or
-    /// because they lag the current sequence by more than one batch.
+    /// Entries discarded because they belong to an older stats epoch or lag
+    /// the current sequence by more than one batch.
     pub dropped: usize,
     /// Delta tuple copies (inserts and tombstones) delivered across all
     /// patched entries — the total routing work this patch pass did.
@@ -57,7 +52,7 @@ pub fn patch_relation_indexes(
     let mut out = PatchOutcome::default();
     let new_seq = scope.delta_seq_for(relation);
     for (key, entry) in scope.cache.take_indexes_for(scope.db_tag, relation) {
-        if key.route_tag != 0 || key.epoch != scope.epoch {
+        if key.epoch != scope.epoch {
             out.dropped += 1;
             continue;
         }
@@ -100,11 +95,11 @@ fn patch_one(
     let del_p = deletes.permute(induced.attrs()).ok()?;
     let plan = HCubePlan::new(key.share.clone(), key.num_workers);
 
-    // Plain-hash routing, exactly as the original (route_tag == 0) shuffle:
-    // fixed coordinates on the relation's own attributes, broadcast on the
-    // rest. Insert and tombstone deliveries are counted apart: both are
-    // routing work, but only inserts grow the fragments, so only they feed
-    // the entry's tuples/messages shuffle-savings credit.
+    // Routed exactly as the original shuffle: fixed coordinates on the
+    // relation's own attributes, every coordinate of the rest. Insert and
+    // tombstone deliveries are counted apart: both are routing work, but
+    // only inserts grow the fragments, so only they feed the entry's
+    // tuples/messages shuffle-savings credit.
     let route = |rel: &Relation| -> (Vec<Vec<Value>>, u64) {
         let mut per_worker: Vec<Vec<Value>> = vec![Vec::new(); key.num_workers];
         let mut dests = Vec::new();
@@ -176,7 +171,6 @@ mod tests {
             induced: r.schema().attrs().to_vec(),
             share: plan.share().to_vec(),
             num_workers: plan.num_workers(),
-            route_tag: 0,
             delta_seq,
         }
     }
@@ -220,13 +214,10 @@ mod tests {
     }
 
     #[test]
-    fn skew_routed_and_stale_epoch_entries_drop() {
+    fn stale_epoch_entries_drop() {
         let base = rel(&[0, 1], &[&[1, 2], &[2, 3]]);
         let plan = HCubePlan::new(vec![2, 2], 4);
         let cache = IndexCache::new(1 << 20);
-        let mut hot = key_for(&base, &plan, 0);
-        hot.route_tag = 0xBEEF;
-        cache.insert_index(hot, Arc::new(RelationIndex::new(fragments(&base, &plan), 2, 2)));
         let mut stale = key_for(&base, &plan, 0);
         stale.epoch = 7;
         cache.insert_index(stale, Arc::new(RelationIndex::new(fragments(&base, &plan), 2, 2)));
@@ -236,8 +227,8 @@ mod tests {
         let versions = vec![("R".to_string(), 1u64)];
         let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &versions };
         let out = patch_relation_indexes(&scope, "R", &ins, &none);
-        assert_eq!((out.patched, out.dropped), (0, 2));
-        assert!(cache.is_empty(), "unreconstructible entries must not survive");
+        assert_eq!((out.patched, out.dropped), (0, 1));
+        assert!(cache.is_empty(), "a stale-epoch entry must not survive");
     }
 
     #[test]

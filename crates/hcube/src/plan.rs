@@ -1,19 +1,13 @@
 //! HCube coordinate arithmetic and tuple routing.
 //!
 //! Routing works on per-attribute *coordinates*: a tuple's coordinate on a
-//! dimension is its hash `h_A(v) ∈ [p_A]` in the plain case, a content-hash
-//! spread coordinate for a heavy hitter routed by the dimension's spreader
-//! relation, or the broadcast marker [`BROADCAST`] (`⋆`) when the tuple
-//! must be replicated across the dimension (non-spreader heavy hitters, and
-//! every dimension of an attribute the relation lacks).
+//! dimension is its hash `h_A(v) ∈ [p_A]`, and it is replicated across
+//! every dimension of an attribute its relation lacks (the `⋆` dimensions
+//! of the paper's Example 2).
 
-use crate::skew::{spread_coord, HotDecision, ShuffleRouting};
 use adj_cluster::WorkerId;
 use adj_relational::hash::hash_value;
 use adj_relational::{Schema, Value};
-
-/// The coordinate marker for "replicate across this dimension" (`⋆`).
-pub const BROADCAST: u32 = u32::MAX;
 
 /// A concrete HCube plan: the share vector plus worker assignment.
 ///
@@ -72,38 +66,11 @@ impl HCubePlan {
         crate::share::dup_factor(&self.share, schema.mask())
     }
 
-    /// Per-attribute coordinates of one tuple of shuffle atom `ai` under a
-    /// heavy-hitter routing table, aligned with the relation's own schema:
-    /// the plain hash for cold values, the content-hash spread coordinate
-    /// when this relation is the dimension's spreader, [`BROADCAST`] when
-    /// another relation spreads the dimension. With an inactive table this
-    /// is exactly the per-attribute hash vector. Returns whether any
-    /// dimension took a hot route (the shuffle's `hot_routed_tuples` tally).
-    pub fn tuple_coords(
-        &self,
-        schema: &Schema,
-        row: &[Value],
-        ai: usize,
-        routing: &ShuffleRouting,
-        coords: &mut Vec<u32>,
-    ) -> bool {
+    /// Per-attribute coordinates of one tuple — its hash on each of the
+    /// relation's own attributes, aligned with `schema`.
+    pub fn tuple_coords(&self, schema: &Schema, row: &[Value], coords: &mut Vec<u32>) {
         coords.clear();
-        let mut hot = false;
-        for (i, &a) in schema.attrs().iter().enumerate() {
-            let coord = match routing.decision(ai, a, row[i]) {
-                None => self.hash_dim(a.0, row[i]),
-                Some(HotDecision::Spread) => {
-                    hot = true;
-                    spread_coord(a, row, self.share[a.index()])
-                }
-                Some(HotDecision::Broadcast) => {
-                    hot = true;
-                    BROADCAST
-                }
-            };
-            coords.push(coord);
-        }
-        hot
+        coords.extend(schema.attrs().iter().zip(row).map(|(&a, &v)| self.hash_dim(a.0, v)));
     }
 
     /// Block id of a tuple: mixed-radix code of the hash values of the
@@ -116,23 +83,19 @@ impl HCubePlan {
         self.encode_block(schema, &coords)
     }
 
-    /// Encodes a per-attribute coordinate vector (entries in `[p_A]`, or
-    /// [`BROADCAST`]) into a block id. The radix is `p_A + 1` per dimension
-    /// so the broadcast marker round-trips.
+    /// Encodes a per-attribute coordinate vector (entries in `[p_A]`) into
+    /// a block id, radix `p_A` per dimension.
     pub fn encode_block(&self, schema: &Schema, coords: &[u32]) -> u64 {
         let mut id = 0u64;
-        for (i, &a) in schema.attrs().iter().enumerate() {
-            let p = self.share[a.index()] as u64;
-            let digit = if coords[i] == BROADCAST { p } else { coords[i] as u64 };
-            id = id * (p + 1) + digit;
+        for (&a, &c) in schema.attrs().iter().zip(coords) {
+            id = id * self.share[a.index()] as u64 + c as u64;
         }
         id
     }
 
-    /// Number of distinct blocks a relation can have (broadcast marker
-    /// included: radix `p_A + 1` per dimension).
+    /// Number of distinct blocks a relation can have.
     pub fn num_blocks(&self, schema: &Schema) -> u64 {
-        schema.attrs().iter().map(|a| self.share[a.index()] as u64 + 1).product()
+        schema.attrs().iter().map(|a| self.share[a.index()] as u64).product()
     }
 
     /// Visits every cube whose coordinate matches `fixed` (entries of
@@ -191,8 +154,7 @@ impl HCubePlan {
 
     /// Workers that need the block with the given per-attribute coordinates
     /// (deduplicated): same as routing any representative tuple of the
-    /// block. [`BROADCAST`] entries are free dimensions, exactly like the
-    /// attributes the relation lacks.
+    /// block.
     pub fn block_workers(&self, schema: &Schema, block_coords: &[u32]) -> Vec<WorkerId> {
         let n = self.share.len();
         let mut fixed = vec![u32::MAX; n];
@@ -207,15 +169,13 @@ impl HCubePlan {
     }
 
     /// Decomposes a block id back into per-attribute coordinates, inverse of
-    /// [`HCubePlan::encode_block`] (and of [`HCubePlan::block_id`] for
-    /// broadcast-free blocks).
+    /// [`HCubePlan::encode_block`].
     pub fn block_hashes(&self, schema: &Schema, mut block_id: u64) -> Vec<u32> {
         let mut out = vec![0u32; schema.arity()];
         for (i, &a) in schema.attrs().iter().enumerate().rev() {
             let p = self.share[a.index()] as u64;
-            let digit = block_id % (p + 1);
-            out[i] = if digit == p { BROADCAST } else { digit as u32 };
-            block_id /= p + 1;
+            out[i] = (block_id % p) as u32;
+            block_id /= p;
         }
         out
     }

@@ -43,10 +43,10 @@ pub struct ShareInput {
     /// Empty (or shorter than `relations`) means "assume uniform" — the
     /// exact pre-skew behaviour.
     pub hot: Vec<Vec<(u32, f64)>>,
-    /// Require `Π p_A = N*` exactly (a bijective cube→worker map) — the
-    /// precondition of heavy-hitter routing's spreader-ownership dedup
-    /// rule. When no such vector satisfies the memory budget the optimizer
-    /// errors, and callers fall back to plain hashing.
+    /// Require `Π p_A = N*` exactly (a bijective cube→worker map); when no
+    /// such vector satisfies the memory budget the optimizer errors. No
+    /// product code sets this `true` any more — the `adjbench` harness
+    /// spells the struct literally, which is why the field is still here.
     pub require_exact_product: bool,
     /// Attributes to treat as one-value dimensions: partitioning one would
     /// be pure duplication, so they are dropped from the dimension grid

@@ -25,7 +25,6 @@
 
 use crate::cache::{BuildClaim, CacheLookup, IndexKey, IndexScope, RelationIndex};
 use crate::plan::HCubePlan;
-use crate::skew::{HotValues, ShuffleRouting};
 use adj_cluster::{BatchPayload, Cluster, Delivery, RoutedBatch};
 use adj_faults::{CancelToken, FaultSite};
 use adj_relational::hash::FxHashMap;
@@ -80,9 +79,6 @@ pub struct ShuffleReport {
     /// skew stats (max/mean fill) are computed from. Empty on a fully warm
     /// shuffle (nothing moved).
     pub worker_tuples: Vec<u64>,
-    /// Tuple copies that took a heavy-hitter route (spread or broadcast)
-    /// instead of plain hashing.
-    pub hot_routed_tuples: u64,
     /// Transfer units (tuple copies for Push; blocks for Pull/Merge).
     pub messages: u64,
     /// Encoded frame bytes that crossed the wire — real serialized bytes on
@@ -93,9 +89,9 @@ pub struct ShuffleReport {
     pub comm_secs: f64,
     /// Modeled seconds saved by pipelining delivery with trie building
     /// (per-relation completion markers let receivers build relation `i`
-    /// while relations `i+1..` are still in flight). 0 when
-    /// `pipeline_shuffle` is off or everything was warm. Subtract from
-    /// `comm_secs + build_secs` for the pipelined schedule's span.
+    /// while relations `i+1..` are still in flight). 0 when everything was
+    /// warm. Subtract from `comm_secs + build_secs` for the pipelined
+    /// schedule's span.
     pub overlap_secs: f64,
     /// Measured makespan of the local build phase (sort + trie build, or
     /// merge + trie build for Merge) over the *cold* relations; 0 when
@@ -167,14 +163,6 @@ pub struct ShuffleRound<'a> {
     /// Per-query relations (pre-computed bags) resolved before the
     /// database, so the shared database is never cloned per query.
     pub overlay: &'a [(String, Arc<Relation>)],
-    /// The heavy-hitter values per attribute. When non-empty *and* the plan
-    /// maps cubes to workers bijectively (`Π p_A = N*` — the precondition
-    /// of the spreader-ownership dedup rule, see [`crate::skew`]), hot
-    /// tuples are spread/broadcast across their dimension instead of
-    /// hashing onto one coordinate; otherwise the table is ignored and
-    /// every value hashes plainly. Cache keys fold in each atom's routing
-    /// role, so skew-routed tries never alias hash-routed ones.
-    pub hot: &'a HotValues,
     /// The caller took `plan`'s share vector from a memo instead of solving
     /// the share program for this round; recorded as an arg of the
     /// `shuffle` span (a solve shows as the caller's own `share_solve` span
@@ -184,9 +172,8 @@ pub struct ShuffleRound<'a> {
 
 /// Runs the HCube shuffle for the relations named in `atom_names` (each must
 /// exist in `db`), under `plan`, preparing tries in the induced order of
-/// `order`. Never consults an index cache, routes every value by plain
-/// hashing, and is neither cancellable nor traced — see
-/// [`hcube_shuffle_round`].
+/// `order`. Never consults an index cache and is neither cancellable nor
+/// traced — see [`hcube_shuffle_round`].
 pub fn hcube_shuffle(
     cluster: &Cluster,
     db: &Database,
@@ -202,7 +189,6 @@ pub fn hcube_shuffle(
         impl_,
         cache_ids: &[],
         overlay: &[],
-        hot: &HotValues::none(),
         share_reused: false,
     };
     hcube_shuffle_round(cluster, db, &round, &ExecCtx::default())
@@ -262,8 +248,7 @@ pub fn hcube_shuffle_round(
     round: &ShuffleRound<'_>,
     ctx: &ExecCtx<'_>,
 ) -> Result<ShuffleOutput> {
-    let ShuffleRound { atom_names, plan, order, impl_, cache_ids, overlay, hot, share_reused } =
-        *round;
+    let ShuffleRound { atom_names, plan, order, impl_, cache_ids, overlay, share_reused } = *round;
     let (cache, cancel, tracer) = (ctx.index, &ctx.cancel, &ctx.tracer);
     let mut shuffle_span = tracer.span(COORDINATOR_LANE, "shuffle");
     let n = cluster.num_workers();
@@ -294,21 +279,6 @@ pub fn hcube_shuffle_round(
         infos.push(AtomInfo { name: name.clone(), induced, perm });
     }
 
-    // Bind the heavy-hitter routing table to this shuffle's atom list: the
-    // largest relation containing a hot attribute spreads that dimension,
-    // everyone else containing it broadcasts. The spreader-ownership dedup
-    // rule needs a bijective cube→worker map, so the table stays inert
-    // unless `Π p_A = N*`.
-    let routing = if hot.is_empty() || plan.num_cubes() != n {
-        ShuffleRouting::default()
-    } else {
-        let atoms: Vec<(u64, usize)> = atom_names
-            .iter()
-            .map(|name| resolve(db, overlay, name).map(|r| (r.schema().mask(), r.len())))
-            .collect::<Result<_>>()?;
-        ShuffleRouting::bind(hot, &atoms)
-    };
-
     // Consult the cache: resolved atoms skip routing, transfer, and build.
     // Cold atoms come back with a
     // [`BuildClaim`] registering this shuffle as the key's one in-flight
@@ -327,13 +297,8 @@ pub fn hcube_shuffle_round(
             .enumerate()
             .filter_map(|(ai, info)| {
                 let Some(Some(id)) = cache_ids.get(ai) else { return None };
-                let key = scope.index_key(
-                    id.clone(),
-                    info.induced.attrs().to_vec(),
-                    plan.share(),
-                    n,
-                    routing.atom_tag(ai),
-                );
+                let key =
+                    scope.index_key(id.clone(), info.induced.attrs().to_vec(), plan.share(), n);
                 Some((ai, key))
             })
             .collect();
@@ -375,7 +340,6 @@ pub fn hcube_shuffle_round(
     struct RouteOutcome {
         tuples: u64,
         messages: u64,
-        hot_routed_tuples: u64,
         worker_tuples: Vec<u64>,
         rel_tuples: Vec<u64>,
         rel_messages: Vec<u64>,
@@ -403,7 +367,6 @@ pub fn hcube_shuffle_round(
         let round_ref = &round;
         let infos_ref = &infos;
         let cold_ref = &cold;
-        let routing_ref = &routing;
         let schemas_ref = &induced_schemas;
 
         let coordinator = || -> Result<RouteOutcome> {
@@ -411,7 +374,6 @@ pub fn hcube_shuffle_round(
             let t_pre = Instant::now();
             let mut tuples: u64 = 0;
             let mut messages: u64 = 0;
-            let mut hot_routed_tuples: u64 = 0;
             // Delivered copies per worker: the partition-fill vector the
             // skew stats read.
             let mut worker_tuples: Vec<u64> = vec![0; n];
@@ -433,13 +395,8 @@ pub fn hcube_shuffle_round(
                 // routing loops, plus one per sent batch.
                 checkpoint(FaultSite::ShuffleRoute, cancel)?;
                 let rel = resolve(db, overlay, &info.name)?;
-                // Both paths route by per-attribute *coordinates* of the
-                // induced (permuted) row: the plain hash, a spread
-                // coordinate, or the broadcast marker — see
-                // `HCubePlan::tuple_coords`. Using the induced row
-                // everywhere keeps Push and Pull/Merge byte-identical under
-                // heavy-hitter routing too (the spread coordinate is a
-                // content hash of the row).
+                // Both paths route by the per-attribute hash coordinates of
+                // the induced (permuted) row.
                 let mut prow: Vec<Value> = Vec::with_capacity(info.perm.len());
                 let mut coords: Vec<u32> = Vec::with_capacity(info.perm.len());
                 match impl_ {
@@ -458,10 +415,7 @@ pub fn hcube_shuffle_round(
                             }
                             prow.clear();
                             prow.extend(info.perm.iter().map(|&p| row[p]));
-                            if plan.tuple_coords(&info.induced, &prow, ai, routing_ref, &mut coords)
-                            {
-                                hot_routed_tuples += 1;
-                            }
+                            plan.tuple_coords(&info.induced, &prow, &mut coords);
                             let dests = plan.block_workers(&info.induced, &coords);
                             for &w in &dests {
                                 pending[w].extend_from_slice(&prow);
@@ -518,10 +472,7 @@ pub fn hcube_shuffle_round(
                             }
                             prow.clear();
                             prow.extend(info.perm.iter().map(|&p| row[p]));
-                            if plan.tuple_coords(&info.induced, &prow, ai, routing_ref, &mut coords)
-                            {
-                                hot_routed_tuples += 1;
-                            }
+                            plan.tuple_coords(&info.induced, &prow, &mut coords);
                             let id = plan.encode_block(&info.induced, &coords);
                             blocks.entry(id).or_default().extend_from_slice(&prow);
                         }
@@ -574,13 +525,11 @@ pub fn hcube_shuffle_round(
                 if impl_ == HCubeImpl::Merge { t_pre.elapsed().as_secs_f64() } else { 0.0 };
             route_span.arg("tuples", tuples);
             route_span.arg("messages", messages);
-            route_span.arg("hot_routed_tuples", hot_routed_tuples);
             route_span.arg("frames", round_ref.frames_sent());
             drop(route_span);
             Ok(RouteOutcome {
                 tuples,
                 messages,
-                hot_routed_tuples,
                 worker_tuples,
                 rel_tuples,
                 rel_messages,
@@ -691,8 +640,7 @@ pub fn hcube_shuffle_round(
             done = done.max(route_acc) + b_i;
             barrier += c_i + b_i;
         }
-        let overlap_secs =
-            if cluster.config().pipeline_shuffle { (barrier - done).max(0.0) } else { 0.0 };
+        let overlap_secs = (barrier - done).max(0.0);
 
         let built: Vec<Vec<Option<Arc<Trie>>>> = builds.into_iter().map(|b| b.tries).collect();
         (built, route_outcome, build_secs, round.bytes_sent(), round.wire_bytes(), overlap_secs)
@@ -700,7 +648,6 @@ pub fn hcube_shuffle_round(
         let empty = RouteOutcome {
             tuples: 0,
             messages: 0,
-            hot_routed_tuples: 0,
             worker_tuples: vec![0; n],
             rel_tuples: vec![0; n_atoms],
             rel_messages: vec![0; n_atoms],
@@ -708,15 +655,8 @@ pub fn hcube_shuffle_round(
         };
         (Vec::new(), empty, 0.0, 0, 0, 0.0)
     };
-    let RouteOutcome {
-        tuples,
-        messages,
-        hot_routed_tuples,
-        worker_tuples,
-        rel_tuples,
-        rel_messages,
-        preprocess_secs,
-    } = outcome;
+    let RouteOutcome { tuples, messages, worker_tuples, rel_tuples, rel_messages, preprocess_secs } =
+        outcome;
     // A Cancel fault injected during the build (or a deadline that elapsed
     // while workers ran) aborts before assembly for the same reason.
     cancel.check().map_err(|c| Error::Cancelled { deadline_exceeded: c.deadline })?;
@@ -761,7 +701,6 @@ pub fn hcube_shuffle_round(
                             info.induced.attrs().to_vec(),
                             plan.share(),
                             n,
-                            routing.atom_tag(ai),
                         );
                         scope.cache.insert_index(
                             key,
@@ -811,7 +750,6 @@ pub fn hcube_shuffle_round(
         report: ShuffleReport {
             tuples,
             worker_tuples: if tuples > 0 { worker_tuples } else { Vec::new() },
-            hot_routed_tuples,
             messages,
             wire_bytes,
             comm_secs,
@@ -859,7 +797,6 @@ mod tests {
         plan: &HCubePlan,
         scope: &IndexScope<'_>,
         cache_ids: &[Option<String>],
-        hot: &HotValues,
     ) -> ShuffleOutput {
         let round = ShuffleRound {
             atom_names: names,
@@ -868,7 +805,6 @@ mod tests {
             impl_: HCubeImpl::Merge,
             cache_ids,
             overlay: &[],
-            hot,
             share_reused: false,
         };
         let ctx = ExecCtx { index: Some(scope), ..Default::default() };
@@ -1019,14 +955,12 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::with_workers(4));
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
-        let cold =
-            shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names), &HotValues::none());
+        let cold = shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names));
         assert_eq!(cold.report.built_relations, 3);
         assert_eq!(cold.report.reused_relations, 0);
         assert!(cold.report.tuples > 0);
 
-        let warm =
-            shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names), &HotValues::none());
+        let warm = shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names));
         assert_eq!(warm.report.reused_relations, 3);
         assert_eq!(warm.report.built_relations, 0);
         assert_eq!(warm.report.tuples, 0, "a warm shuffle moves nothing");
@@ -1051,147 +985,11 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::with_workers(4));
         let cache = IndexCache::new(64 << 20);
         let s0 = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
-        shuffle_cached(&cluster, &db, &names, &plan, &s0, &ids(&names), &HotValues::none());
+        shuffle_cached(&cluster, &db, &names, &plan, &s0, &ids(&names));
         let s1 = IndexScope { cache: &cache, db_tag: 1, epoch: 1, versions: &[] };
-        let out =
-            shuffle_cached(&cluster, &db, &names, &plan, &s1, &ids(&names), &HotValues::none());
+        let out = shuffle_cached(&cluster, &db, &names, &plan, &s1, &ids(&names));
         assert_eq!(out.report.reused_relations, 0, "stale epoch must not serve");
         assert_eq!(out.report.built_relations, 3);
-    }
-
-    /// A triangle database where one value dominates R1's `a` column.
-    fn skewed_tri_db() -> (Database, Vec<String>) {
-        let mut hub: Vec<(Value, Value)> = (0..120u32).map(|i| (7, i + 100)).collect();
-        hub.extend((0..60u32).map(|i| (i % 23, (i * 11 + 1) % 23 + 300)));
-        let tail: Vec<(Value, Value)> =
-            (0..180u32).map(|i| (i % 40, (i * 13 + 5) % 40 + 100)).collect();
-        let mut db = Database::new();
-        db.insert("R1", Relation::from_pairs(Attr(0), Attr(1), &hub));
-        db.insert("R2", Relation::from_pairs(Attr(1), Attr(2), &tail));
-        db.insert("R3", Relation::from_pairs(Attr(0), Attr(2), &tail));
-        (db, vec!["R1".into(), "R2".into(), "R3".into()])
-    }
-
-    fn shuffle_hot(
-        db: &Database,
-        names: &[String],
-        plan: &HCubePlan,
-        impl_: HCubeImpl,
-        hot: &HotValues,
-    ) -> ShuffleOutput {
-        let cluster = Cluster::new(ClusterConfig::with_workers(plan.num_workers()));
-        let round = ShuffleRound {
-            atom_names: names,
-            plan,
-            order: &order3(),
-            impl_,
-            cache_ids: &[],
-            overlay: &[],
-            hot,
-            share_reused: false,
-        };
-        hcube_shuffle_round(&cluster, db, &round, &ExecCtx::default()).unwrap()
-    }
-
-    #[test]
-    fn hot_routing_covers_all_tuples_and_balances_the_spreader() {
-        let (db, names) = skewed_tri_db();
-        // All partitioning on `a` (share 4 on attr 0) — the worst case for
-        // the hub value 7, which plain hashing pins to one coordinate.
-        let plan = HCubePlan::new(vec![4, 1, 1], 4);
-        let hot = HotValues::new(vec![vec![7], vec![], vec![]]);
-
-        let naive = shuffle_hot(&db, &names, &plan, HCubeImpl::Merge, &HotValues::none());
-        let routed = shuffle_hot(&db, &names, &plan, HCubeImpl::Merge, &hot);
-        assert!(routed.report.hot_routed_tuples > 0);
-        assert_eq!(naive.report.hot_routed_tuples, 0);
-
-        // Every original tuple still reaches some worker.
-        for (ai, name) in names.iter().enumerate() {
-            let original = db.get(name).unwrap();
-            let mut all = routed.locals[0][ai].trie.to_relation();
-            for w in 1..4 {
-                all = all.union(&routed.locals[w][ai].trie.to_relation()).unwrap();
-            }
-            let back = all.permute(original.schema().attrs()).unwrap();
-            assert_eq!(&back, original, "{name} lost tuples under hot routing");
-        }
-
-        // R1 is the spreader for `a` (largest relation containing it): its
-        // hub tuples now spread across the dimension, so the fullest
-        // partition shrinks versus naive hashing.
-        let max_naive = naive.report.worker_tuples.iter().copied().max().unwrap();
-        let max_routed = routed.report.worker_tuples.iter().copied().max().unwrap();
-        assert!(
-            max_routed < max_naive,
-            "routing must shrink the hottest partition: {max_routed} vs {max_naive}"
-        );
-        let mean_routed = routed.report.tuples as f64 / 4.0;
-        assert!(
-            (max_routed as f64) <= 2.0 * mean_routed,
-            "balanced shuffle: max {max_routed} vs mean {mean_routed}"
-        );
-    }
-
-    #[test]
-    fn hot_routing_is_identical_across_implementations() {
-        let (db, names) = skewed_tri_db();
-        let plan = HCubePlan::new(vec![2, 2, 1], 4);
-        let hot = HotValues::new(vec![vec![7], vec![], vec![]]);
-        let outs: Vec<ShuffleOutput> =
-            HCubeImpl::ALL.iter().map(|&i| shuffle_hot(&db, &names, &plan, i, &hot)).collect();
-        for w in 0..4 {
-            for ai in 0..names.len() {
-                assert_eq!(outs[0].locals[w][ai].trie, outs[1].locals[w][ai].trie);
-                assert_eq!(outs[1].locals[w][ai].trie, outs[2].locals[w][ai].trie);
-            }
-        }
-    }
-
-    #[test]
-    fn hot_routing_requires_bijective_cube_map() {
-        let (db, names) = skewed_tri_db();
-        // 8 cubes on 4 workers: the spreader-ownership rule does not apply,
-        // so the table must stay inert and locals must equal plain hashing.
-        let plan = HCubePlan::new(vec![4, 2, 1], 4);
-        let hot = HotValues::new(vec![vec![7], vec![], vec![]]);
-        let routed = shuffle_hot(&db, &names, &plan, HCubeImpl::Pull, &hot);
-        let naive = shuffle_hot(&db, &names, &plan, HCubeImpl::Pull, &HotValues::none());
-        assert_eq!(routed.report.hot_routed_tuples, 0);
-        for w in 0..4 {
-            for ai in 0..names.len() {
-                assert_eq!(routed.locals[w][ai].trie, naive.locals[w][ai].trie);
-            }
-        }
-    }
-
-    #[test]
-    fn routed_and_unrouted_cache_entries_never_alias() {
-        let (db, names) = skewed_tri_db();
-        let plan = HCubePlan::new(vec![4, 1, 1], 4);
-        let cluster = Cluster::new(ClusterConfig::with_workers(4));
-        let cache = IndexCache::new(64 << 20);
-        let scope = IndexScope { cache: &cache, db_tag: 3, epoch: 0, versions: &[] };
-        let hot = HotValues::new(vec![vec![7], vec![], vec![]]);
-        let naive =
-            shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names), &HotValues::none());
-        assert_eq!(naive.report.built_relations, 3);
-        // Same relations, same share — but skew-routed: the relations that
-        // contain the hot attribute must rebuild, not reuse the hash-routed
-        // tries (their fragments differ per worker). R2(b,c) contains no
-        // hot attribute, so its fragments are byte-identical and its plain
-        // entry is safely reused.
-        let routed = shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names), &hot);
-        assert_eq!(routed.report.reused_relations, 1, "only the untouched R2 may alias");
-        assert_eq!(routed.report.built_relations, 2, "hot-attr relations must rebuild");
-        // And the routed entries are themselves reusable.
-        let warm = shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names), &hot);
-        assert_eq!(warm.report.reused_relations, 3);
-        for w in 0..4 {
-            for ai in 0..names.len() {
-                assert_eq!(warm.locals[w][ai].trie, routed.locals[w][ai].trie);
-            }
-        }
     }
 
     #[test]
@@ -1213,9 +1011,8 @@ mod tests {
         let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
         // Warm only R1 and R3.
         let partial = vec![Some("R1".to_string()), None, Some("R3".to_string())];
-        shuffle_cached(&cluster, &db, &names, &plan, &scope, &partial, &HotValues::none());
-        let out =
-            shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names), &HotValues::none());
+        shuffle_cached(&cluster, &db, &names, &plan, &scope, &partial);
+        let out = shuffle_cached(&cluster, &db, &names, &plan, &scope, &ids(&names));
         assert_eq!(out.report.reused_relations, 2);
         assert_eq!(out.report.built_relations, 1);
         // The mixed shuffle is still byte-identical to a cold one.

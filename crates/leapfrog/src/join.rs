@@ -10,9 +10,8 @@ use std::borrow::Borrow;
 /// establishes) and that every attribute is bound by at least one relation.
 /// Returns, for each query level, the indices of the participating tries.
 ///
-/// Shared by [`LeapfrogJoin`], [`crate::CachedJoin`], and
-/// [`crate::GenericJoin`] so none of them has to construct (and drop) a
-/// sibling join just to reuse its constructor checks.
+/// Shared by [`LeapfrogJoin`] and [`crate::CachedJoin`] so neither has to
+/// construct (and drop) the other just to reuse its constructor checks.
 pub fn validate_tries<T: Borrow<Trie>>(order: &[Attr], tries: &[T]) -> Result<Vec<Vec<usize>>> {
     for t in tries {
         let t: &Trie = t.borrow();

@@ -14,10 +14,8 @@
 
 pub mod cached;
 pub mod counters;
-pub mod generic;
 pub mod join;
 
 pub use cached::CachedJoin;
 pub use counters::{JoinCounters, JoinStats};
-pub use generic::GenericJoin;
 pub use join::{validate_tries, BatchOutcome, BatchedLeapfrog, JoinScratch, LeapfrogJoin};

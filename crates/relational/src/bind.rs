@@ -9,16 +9,13 @@
 //!   only place a binding reaches at execution time (the HCube shuffle and
 //!   its indexes are binding-independent);
 //! * the optimizer prices bound attributes as one-value dimensions
-//!   ([`BoundValues::mask`]) when it picks the attribute order;
-//! * the GHD-Yannakakis evaluator selects the matching rows of each bound
-//!   base relation before its semi-join passes
-//!   ([`BoundValues::touches`] / [`BoundValues::matches`]).
+//!   ([`BoundValues::mask`]) when it picks the attribute order.
 //!
 //! The type lives here (not in the query layer) because the join knows
 //! nothing about queries — only about attributes and values.
 
 use crate::error::{Error, Result};
-use crate::schema::{Attr, Schema};
+use crate::schema::Attr;
 use crate::Value;
 
 /// A sorted, deduplicated set of `attribute = constant` equality selections.
@@ -74,24 +71,12 @@ impl BoundValues {
         self.pairs.iter().fold(0, |m, &(a, _)| m | a.mask())
     }
 
-    /// Whether `schema` contains any bound attribute (i.e. whether its
-    /// relation is filtered by this binding).
-    pub fn touches(&self, schema: &Schema) -> bool {
-        schema.mask() & self.mask() != 0
-    }
-
     /// Merges two binding sets (e.g. parser-resolved literals with
     /// `bind`-time parameters), rejecting conflicts.
     pub fn merged(&self, other: &BoundValues) -> Result<BoundValues> {
         let mut pairs = self.pairs.clone();
         pairs.extend_from_slice(&other.pairs);
         BoundValues::new(pairs)
-    }
-
-    /// Whether `row` (laid out as `schema`'s columns) satisfies every bound
-    /// equality that applies to the schema.
-    pub fn matches(&self, schema: &Schema, row: &[Value]) -> bool {
-        self.pairs.iter().all(|&(a, v)| schema.position(a).map(|p| row[p] == v).unwrap_or(true))
     }
 }
 
@@ -123,18 +108,6 @@ mod tests {
     fn conflicting_values_are_rejected() {
         let err = BoundValues::new(vec![(Attr(0), 1), (Attr(0), 2)]).unwrap_err();
         assert!(matches!(err, Error::DuplicateAttr(_)));
-    }
-
-    #[test]
-    fn matches_checks_applicable_columns_only() {
-        let b = BoundValues::new(vec![(Attr(0), 5)]).unwrap();
-        let s = Schema::from_ids(&[0, 1]);
-        assert!(b.matches(&s, &[5, 99]));
-        assert!(!b.matches(&s, &[6, 99]));
-        assert!(b.touches(&s));
-        let unrelated = Schema::from_ids(&[1, 2]);
-        assert!(b.matches(&unrelated, &[1, 2]));
-        assert!(!b.touches(&unrelated));
     }
 
     #[test]

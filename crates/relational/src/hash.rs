@@ -76,19 +76,6 @@ pub fn hash_value(salt: u32, v: u64) -> u64 {
     h.finish()
 }
 
-/// Salted content hash of a whole tuple — the *spread* hash heavy-hitter
-/// routing uses to scatter a hot value's tuples across workers/coordinates
-/// (its key property: two equal rows always collide, rows differing in any
-/// value decorrelate). Shared here so the HCube shuffle and the cluster's
-/// base partitioner spread identically.
-pub fn hash_row(salt: u32, row: &[crate::Value]) -> u64 {
-    let mut acc: u64 = 0x5CA7_7E0D;
-    for &v in row {
-        acc = hash_value(salt ^ 0x5107, acc ^ v as u64);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,11 +6,8 @@
 //! a whole hash class onto a single hypercube coordinate — a latency cliff
 //! the uniform model never sees. This module samples each relation column
 //! (deterministically, per seed) and reports the values whose estimated
-//! frequency exceeds a caller-chosen fraction, so the optimizer can (a)
-//! charge the *max-partition* load, not just the total, when scoring share
-//! vectors, and (b) hand the shuffle a routing table that spreads those
-//! values across the hypercube dimension instead of hashing them to one
-//! coordinate.
+//! frequency exceeds a caller-chosen fraction, so the optimizer can charge
+//! the *max-partition* load, not just the total, when scoring share vectors.
 
 use adj_query::JoinQuery;
 use adj_relational::hash::FxHashMap;
@@ -99,8 +96,8 @@ impl RelationSkew {
 
 /// The per-query skew profile: heavy hitters of every relation the query
 /// references, as measured against the current database contents. This is
-/// the "relation stats" surface the optimizer, the share program, and the
-/// shuffle routing table all read from.
+/// the "relation stats" surface the optimizer and the share program read
+/// from.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SkewProfile {
     /// One entry per query atom, in atom order.
@@ -116,22 +113,6 @@ impl SkewProfile {
     /// Total number of detected `(relation column, value)` heavy hitters.
     pub fn hot_value_count(&self) -> usize {
         self.relations.iter().map(|r| r.columns.iter().map(|c| c.hot.len()).sum::<usize>()).sum()
-    }
-
-    /// The union of hot values detected on `attr` across all relations,
-    /// sorted and deduplicated — the per-dimension entry of the shuffle's
-    /// routing table.
-    pub fn hot_values(&self, attr: Attr) -> Vec<Value> {
-        let mut out: Vec<Value> = self
-            .relations
-            .iter()
-            .flat_map(|r| r.columns.iter())
-            .filter(|c| c.attr == attr)
-            .flat_map(|c| c.hot.iter().map(|h| h.value))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// The largest hot fraction detected on `attr` in the relation named
@@ -258,8 +239,6 @@ mod tests {
         assert_eq!(r1.columns[0].hot[0].value, 0);
         assert!(r1.columns[0].hot[0].fraction > 0.5);
         assert!(r1.columns[1].hot.is_empty(), "{:?}", r1.columns[1].hot);
-        // The union surface sees the hub on attribute a.
-        assert_eq!(profile.hot_values(Attr(0)), vec![0]);
         assert!(profile.max_fraction("R1", Attr(0)) > 0.5);
         assert_eq!(profile.max_fraction("R1", Attr(1)), 0.0);
     }

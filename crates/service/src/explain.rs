@@ -1,6 +1,6 @@
 //! `EXPLAIN` / `EXPLAIN ANALYZE` rendering: the chosen plan as an
 //! indented text tree — hypertree bags, pre-compute set, attribute order,
-//! share vector, skew routing — and, under `ANALYZE`, the measured
+//! share vector — and, under `ANALYZE`, the measured
 //! actuals folded in (per-phase seconds, tuples moved, cache hits,
 //! per-trie-level operation counts, per-worker fill and span times).
 //!
@@ -45,11 +45,6 @@ pub fn render(
     let _ = writeln!(out, "optimizer: {}", searched.join(" "));
     let order: Vec<String> = plan.order.iter().map(|&a| name_of(a)).collect();
     let _ = writeln!(out, "attribute order: {}", order.join(", "));
-    if plan.hot.is_empty() {
-        let _ = writeln!(out, "routing: hash (no heavy hitters)");
-    } else {
-        let _ = writeln!(out, "routing: skew-aware hot_entries={}", plan.hot.len());
-    }
 
     // The hypertree, indented by depth (root at indent 1). `parent`
     // pointers always lead to lower indices, so depth resolves in one pass.
@@ -125,13 +120,12 @@ pub fn render(
     let _ = writeln!(
         out,
         "  shuffle: comm_tuples={} precompute_tuples={} index_built={} index_reused={} \
-         bags_reused={} hot_routed_tuples={}",
+         bags_reused={}",
         report.comm_tuples,
         report.precompute_tuples,
         report.index_relations_built,
         report.index_relations_reused,
         report.index_bags_reused,
-        report.hot_routed_tuples,
     );
     if report.worker_tuples.is_empty() {
         let _ = writeln!(out, "  partition fill: none (every relation was cache-warm)");

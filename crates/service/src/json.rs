@@ -176,8 +176,6 @@ impl MetricsSnapshot {
             .u64("queries_prepared", self.queries_prepared)
             .u64("params_bound", self.params_bound)
             .u64("share_solves", self.share_solves)
-            .u64("queries_skew_routed", self.queries_skew_routed)
-            .u64("hot_routed_tuples", self.hot_routed_tuples)
             .u64("max_partition_tuples", self.max_partition_tuples)
             .f64("mean_partition_tuples", self.mean_partition_tuples)
             .u64("wire_bytes", self.wire_bytes)

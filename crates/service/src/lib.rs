@@ -45,9 +45,6 @@
 //!   [`ExecutionReport`](adj_core::ExecutionReport) breakdown:
 //!   optimization / pre-compute / communication / computation), cheaply
 //!   snapshotable for benches, tests, and dashboards.
-//! * [`WorkerPool`] — a fixed thread pool that drains a
-//!   submission queue through the service, for callers that want fire-and-
-//!   wait handles rather than blocking their own threads.
 //!
 //! See `README.md` for the fingerprint scheme and the admission-control
 //! policy in detail.
@@ -82,7 +79,6 @@ pub mod cache;
 pub mod explain;
 pub mod json;
 pub mod metrics;
-pub mod pool;
 pub mod result_cache;
 pub mod service;
 
@@ -96,7 +92,6 @@ pub use admission::{AdmissionPolicy, AdmissionStats};
 pub use cache::PlanCacheStats;
 pub use json::execution_report_json;
 pub use metrics::{HistogramSnapshot, MetricsSnapshot, ModeCounts};
-pub use pool::{JobHandle, QueryInput, QueryRequest, WorkerPool};
 pub use result_cache::ResultCacheStats;
 pub use service::{
     BatchOutcome, MutationOutcome, PreparedQuery, Service, ServiceOutcome, ServiceStats, SlowQuery,
@@ -145,10 +140,9 @@ impl Default for TraceSettings {
 pub struct ServiceConfig {
     /// The underlying ADJ configuration: sampling and cost-model settings,
     /// and in `adj.cluster` everything about the cluster [`Service::new`]
-    /// builds — width, α, per-worker memory budget, the shuffle transport
+    /// builds — width, α, per-worker memory budget and the shuffle transport
     /// ([`TransportKind`], see the README's "Cluster & transports"
-    /// section) and the elastic `worker_range` that arms
-    /// [`Cluster::resize`](adj_cluster::Cluster::resize).
+    /// section).
     pub adj: AdjConfig,
     /// Plan-search strategy used on cache misses.
     pub strategy: Strategy,
@@ -184,7 +178,7 @@ pub struct ServiceConfig {
     /// and fails with [`ServiceError::DeadlineExceeded`], leaving no
     /// partial cache artifacts behind. `None` (the default) disables the
     /// deadline; individual requests override it via
-    /// [`QueryRequest::deadline`](crate::pool::QueryRequest).
+    /// [`Service::execute_mode_with_deadline`].
     pub default_deadline: Option<Duration>,
 }
 
@@ -272,8 +266,6 @@ pub enum ServiceError {
     },
     /// Parsing, planning, or execution failed in the underlying library.
     Exec(adj_relational::Error),
-    /// The worker pool was shut down before the job completed.
-    ShutDown,
 }
 
 impl std::fmt::Display for ServiceError {
@@ -304,7 +296,6 @@ impl std::fmt::Display for ServiceError {
                 None => write!(f, "coordinator panicked (isolated to this query): {message}"),
             },
             ServiceError::Exec(e) => write!(f, "execution failed: {e}"),
-            ServiceError::ShutDown => write!(f, "worker pool shut down"),
         }
     }
 }

@@ -160,8 +160,6 @@ pub struct ServiceMetrics {
     queries_prepared: AtomicU64,
     params_bound: AtomicU64,
     share_solves: AtomicU64,
-    queries_skew_routed: AtomicU64,
-    hot_routed_tuples: AtomicU64,
     queries_traced: AtomicU64,
     trace_events_dropped: AtomicU64,
     slow_queries_logged: AtomicU64,
@@ -232,10 +230,6 @@ impl ServiceMetrics {
         self.index_bags_reused.fetch_add(report.index_bags_reused, Ordering::Relaxed);
         self.params_bound.fetch_add(report.bound_values, Ordering::Relaxed);
         self.share_solves.fetch_add(report.share_solves, Ordering::Relaxed);
-        if report.hot_values > 0 {
-            self.queries_skew_routed.fetch_add(1, Ordering::Relaxed);
-        }
-        self.hot_routed_tuples.fetch_add(report.hot_routed_tuples, Ordering::Relaxed);
         self.partition_tuples_max.fetch_max(report.max_partition_tuples(), Ordering::Relaxed);
         self.partition_fill_sum
             .fetch_add(report.worker_tuples.iter().sum::<u64>(), Ordering::Relaxed);
@@ -341,8 +335,6 @@ impl ServiceMetrics {
             queries_prepared: self.queries_prepared.load(Ordering::Relaxed),
             params_bound: self.params_bound.load(Ordering::Relaxed),
             share_solves: self.share_solves.load(Ordering::Relaxed),
-            queries_skew_routed: self.queries_skew_routed.load(Ordering::Relaxed),
-            hot_routed_tuples: self.hot_routed_tuples.load(Ordering::Relaxed),
             queries_traced: self.queries_traced.load(Ordering::Relaxed),
             trace_events_dropped: self.trace_events_dropped.load(Ordering::Relaxed),
             slow_queries_logged: self.slow_queries_logged.load(Ordering::Relaxed),
@@ -421,13 +413,8 @@ pub struct MetricsSnapshot {
     /// Execution-time share programs solved across all served executions.
     /// A plan solves each of its shuffle rounds once and later executions
     /// reuse the vector, so this grows with new plan entries (cold shapes,
-    /// mutations, re-registrations) and cluster resizes — not with traffic.
+    /// mutations, re-registrations) — not with traffic.
     pub share_solves: u64,
-    /// Served queries whose plan carried a heavy-hitter routing table.
-    pub queries_skew_routed: u64,
-    /// Tuple copies that took a heavy-hitter route (spread or broadcast)
-    /// instead of plain hashing, across all served queries.
-    pub hot_routed_tuples: u64,
     /// Served queries that ran with an enabled tracer (configured tracing,
     /// a slow-query threshold, or `EXPLAIN ANALYZE`).
     pub queries_traced: u64,
@@ -474,8 +461,7 @@ pub struct MetricsSnapshot {
     /// 0 in snapshots taken directly off a bare `ServiceMetrics`.)
     pub coalesced_builds: u64,
     /// Fullest single-worker partition fill (delivered tuple copies)
-    /// observed on any served query — the hot-spot ceiling skew hardening
-    /// bounds.
+    /// observed on any served query — the hot-spot ceiling.
     pub max_partition_tuples: u64,
     /// Mean partition fill per worker across all shuffles that moved data.
     pub mean_partition_tuples: f64,
@@ -557,16 +543,6 @@ impl MetricsSnapshot {
             "share_solves_total",
             "Execution-time share programs solved (not reused from a plan's memo).",
             self.share_solves,
-        );
-        counter(
-            "queries_skew_routed_total",
-            "Queries whose plan carried a heavy-hitter routing table.",
-            self.queries_skew_routed,
-        );
-        counter(
-            "hot_routed_tuples_total",
-            "Tuples routed via heavy-hitter spread/broadcast.",
-            self.hot_routed_tuples,
         );
         counter("queries_traced_total", "Queries that ran with tracing on.", self.queries_traced);
         counter(
@@ -757,17 +733,10 @@ mod tests {
         let m = ServiceMetrics::new();
         let balanced =
             ExecutionReport { worker_tuples: vec![10, 10, 10, 10], ..Default::default() };
-        let skewed = ExecutionReport {
-            worker_tuples: vec![70, 10, 10, 10],
-            hot_values: 2,
-            hot_routed_tuples: 55,
-            ..Default::default()
-        };
+        let skewed = ExecutionReport { worker_tuples: vec![70, 10, 10, 10], ..Default::default() };
         m.record_success(&balanced, OutputMode::Rows, 0, 0.0, 0.001);
         m.record_success(&skewed, OutputMode::Rows, 0, 0.0, 0.001);
         let s = m.snapshot();
-        assert_eq!(s.queries_skew_routed, 1, "only the skewed plan carried hot values");
-        assert_eq!(s.hot_routed_tuples, 55);
         assert_eq!(s.max_partition_tuples, 70);
         assert!((s.mean_partition_tuples - 140.0 / 8.0).abs() < 1e-9);
     }

@@ -7,14 +7,17 @@
 //! key* (which already folds the database tag and statistics token, so
 //! mutations and re-registrations orphan stale entries automatically), the
 //! output mode, and the binding's value vector, folded FNV-style over its
-//! `(attribute, value)` pairs.
+//! `(attribute, value)` pairs. The fold is 64 bits over caller-chosen
+//! values, so two bindings can collide: every entry also stores the
+//! [`ResultId`] it was computed for, and a lookup whose identity differs is
+//! a miss, never another binding's answer.
 //!
 //! Structure mirrors the [`PlanCache`](crate::cache::PlanCache): one mutex
 //! over a `HashMap` with logical last-use ticks and O(capacity) eviction
 //! scans — capacities are small and evictions rare, so the simple structure
 //! wins over an intrusive list.
 
-use adj_relational::QueryOutput;
+use adj_relational::{BoundValues, OutputMode, QueryOutput};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -46,10 +49,31 @@ impl ResultCacheStats {
     }
 }
 
+/// What a cached result is the answer to: the plan-cache entry, the output
+/// mode and the binding.
+#[derive(Debug, Clone, Copy)]
+pub struct ResultId<'a> {
+    /// The plan cache key (query shape, database tag, statistics token).
+    pub plan_key: u64,
+    /// The output mode the result was shaped for.
+    pub mode: OutputMode,
+    /// The binding's resolved constants.
+    pub binding: &'a BoundValues,
+}
+
 #[derive(Debug)]
 struct CacheEntry {
+    plan_key: u64,
+    mode: OutputMode,
+    binding: BoundValues,
     output: QueryOutput,
     last_used: u64,
+}
+
+impl CacheEntry {
+    fn answers(&self, id: &ResultId<'_>) -> bool {
+        self.plan_key == id.plan_key && self.mode == id.mode && self.binding == *id.binding
+    }
 }
 
 #[derive(Debug, Default)]
@@ -82,8 +106,9 @@ impl ResultCache {
         }
     }
 
-    /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&self, key: u64) -> Option<QueryOutput> {
+    /// Looks up `key`, refreshing its recency on a hit. An entry stored for
+    /// a different identity (a key collision) is a miss.
+    pub fn get(&self, key: u64, id: &ResultId<'_>) -> Option<QueryOutput> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -95,23 +120,23 @@ impl ResultCache {
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(&key) {
-            Some(e) => {
+            Some(e) if e.answers(id) => {
                 e.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(e.output.clone())
             }
-            None => {
+            _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
     }
 
-    /// Inserts `output` under `key`, evicting the least-recently-used entry
-    /// if the cache is full. Concurrent inserts under one key are
-    /// equivalent by key construction, so arrival order deciding the winner
-    /// is correct.
-    pub fn insert(&self, key: u64, output: QueryOutput) {
+    /// Inserts `id`'s `output` under `key`, evicting the least-recently-used
+    /// entry if the cache is full. Whatever sat under `key` is overwritten:
+    /// for the same identity the outputs are equal, and a colliding identity
+    /// loses its slot to the more recent one.
+    pub fn insert(&self, key: u64, id: &ResultId<'_>, output: QueryOutput) {
         if self.capacity == 0 {
             return;
         }
@@ -127,7 +152,14 @@ impl ResultCache {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let fresh = inner.map.insert(key, CacheEntry { output, last_used: tick }).is_none();
+        let entry = CacheEntry {
+            plan_key: id.plan_key,
+            mode: id.mode,
+            binding: id.binding.clone(),
+            output,
+            last_used: tick,
+        };
+        let fresh = inner.map.insert(key, entry).is_none();
         if fresh {
             self.insertions.fetch_add(1, Ordering::Relaxed);
         }
@@ -172,28 +204,55 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adj_relational::Attr;
+
+    fn binding(v: u32) -> BoundValues {
+        BoundValues::new(vec![(Attr(0), v)]).unwrap()
+    }
+
+    fn id(binding: &BoundValues) -> ResultId<'_> {
+        ResultId { plan_key: 7, mode: OutputMode::Count, binding }
+    }
 
     #[test]
     fn hit_after_insert_miss_before() {
         let cache = ResultCache::new(4);
-        assert!(cache.get(9).is_none());
-        cache.insert(9, QueryOutput::Count(42));
-        assert_eq!(cache.get(9), Some(QueryOutput::Count(42)));
+        let a = binding(1);
+        assert!(cache.get(9, &id(&a)).is_none());
+        cache.insert(9, &id(&a), QueryOutput::Count(42));
+        assert_eq!(cache.get(9, &id(&a)), Some(QueryOutput::Count(42)));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.insertions, s.len), (1, 1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
+    fn a_colliding_key_is_a_miss_that_overwrites() {
+        let cache = ResultCache::new(4);
+        let (a, b) = (binding(1), binding(2));
+        cache.insert(9, &id(&a), QueryOutput::Count(42));
+        assert!(cache.get(9, &id(&b)).is_none(), "b must not be served a's answer");
+        let other_mode = ResultId { mode: OutputMode::Exists, ..id(&a) };
+        assert!(cache.get(9, &other_mode).is_none());
+        let other_plan = ResultId { plan_key: 8, ..id(&a) };
+        assert!(cache.get(9, &other_plan).is_none());
+        cache.insert(9, &id(&b), QueryOutput::Count(5));
+        assert_eq!(cache.get(9, &id(&b)), Some(QueryOutput::Count(5)));
+        assert!(cache.get(9, &id(&a)).is_none(), "the slot now answers for b only");
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
     fn lru_evicts_least_recently_used() {
         let cache = ResultCache::new(2);
-        cache.insert(1, QueryOutput::Count(1));
-        cache.insert(2, QueryOutput::Count(2));
-        assert!(cache.get(1).is_some()); // refresh 1 → 2 is now LRU
-        cache.insert(3, QueryOutput::Count(3));
-        assert!(cache.get(2).is_none(), "2 was least recently used");
-        assert!(cache.get(1).is_some());
-        assert!(cache.get(3).is_some());
+        let a = binding(1);
+        cache.insert(1, &id(&a), QueryOutput::Count(1));
+        cache.insert(2, &id(&a), QueryOutput::Count(2));
+        assert!(cache.get(1, &id(&a)).is_some()); // refresh 1 → 2 is now LRU
+        cache.insert(3, &id(&a), QueryOutput::Count(3));
+        assert!(cache.get(2, &id(&a)).is_none(), "2 was least recently used");
+        assert!(cache.get(1, &id(&a)).is_some());
+        assert!(cache.get(3, &id(&a)).is_some());
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
     }
@@ -201,32 +260,35 @@ mod tests {
     #[test]
     fn zero_capacity_disables() {
         let cache = ResultCache::new(0);
-        cache.insert(1, QueryOutput::Count(1));
-        assert!(cache.get(1).is_none());
+        let a = binding(1);
+        cache.insert(1, &id(&a), QueryOutput::Count(1));
+        assert!(cache.get(1, &id(&a)).is_none());
         assert_eq!(cache.len(), 0);
     }
 
     #[test]
     fn clear_empties() {
         let cache = ResultCache::new(4);
-        cache.insert(1, QueryOutput::Exists(true));
-        cache.insert(2, QueryOutput::Exists(false));
+        let a = binding(1);
+        cache.insert(1, &id(&a), QueryOutput::Exists(true));
+        cache.insert(2, &id(&a), QueryOutput::Exists(false));
         cache.clear();
         assert!(cache.is_empty());
-        assert!(cache.get(1).is_none());
+        assert!(cache.get(1, &id(&a)).is_none());
     }
 
     #[test]
     fn concurrent_access_is_safe() {
         let cache = std::sync::Arc::new(ResultCache::new(8));
+        let a = binding(1);
         std::thread::scope(|s| {
             for t in 0..4u64 {
-                let cache = std::sync::Arc::clone(&cache);
+                let (cache, a) = (std::sync::Arc::clone(&cache), &a);
                 s.spawn(move || {
                     for i in 0..100u64 {
                         let k = (t * 100 + i) % 12;
-                        if cache.get(k).is_none() {
-                            cache.insert(k, QueryOutput::Count(k));
+                        if cache.get(k, &id(a)).is_none() {
+                            cache.insert(k, &id(a), QueryOutput::Count(k));
                         }
                     }
                 });

@@ -5,7 +5,7 @@ use crate::admission::AdmissionController;
 use crate::cache::{PlanCache, PlanCacheStats};
 use crate::explain;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::result_cache::{ResultCache, ResultCacheStats};
+use crate::result_cache::{ResultCache, ResultCacheStats, ResultId};
 use crate::{AdmissionStats, ServiceConfig, ServiceError};
 use adj_batch::{execute_plan_batch, BindingBatch};
 use adj_cluster::Cluster;
@@ -167,9 +167,8 @@ pub struct MutationOutcome {
     pub seq: u64,
     /// Warm index-cache entries patched forward to the new sequence.
     pub entries_patched: usize,
-    /// Index-cache entries dropped (skew-routed/stale entries the
-    /// patcher cannot reconstruct, or everything under a drift-triggered
-    /// compaction).
+    /// Index-cache entries dropped (stale entries the patcher cannot
+    /// bring forward, or everything under a drift-triggered compaction).
     pub entries_dropped: usize,
     /// Whether the overlay was folded into the base this batch.
     pub compacted: bool,
@@ -370,9 +369,7 @@ struct BatchRun {
 /// A long-lived query service over one shared simulated cluster.
 ///
 /// `Service` is `Send + Sync`; call [`Service::execute`] from as many
-/// threads as you like (admission control bounds what actually runs), or
-/// wrap it in a [`WorkerPool`](crate::pool::WorkerPool) for a submission
-/// queue.
+/// threads as you like (admission control bounds what actually runs).
 pub struct Service {
     config: ServiceConfig,
     adj: Adj,
@@ -414,10 +411,9 @@ impl Service {
     /// and in-flight queries together stay under the cluster limit.
     ///
     /// The cluster is built from `config.adj.cluster` exactly as given —
-    /// width, transport
-    /// ([`ClusterConfig::transport`](adj_cluster::ClusterConfig)) and the
-    /// elastic range ([`ClusterConfig::worker_range`](adj_cluster::ClusterConfig))
-    /// are said there and nowhere else.
+    /// width and transport
+    /// ([`ClusterConfig::transport`](adj_cluster::ClusterConfig)) are said
+    /// there and nowhere else.
     pub fn new(config: ServiceConfig) -> Self {
         let cluster = Cluster::shared(config.adj.cluster.clone());
         Service::with_cluster(config, cluster)
@@ -929,11 +925,12 @@ impl Service {
                 vec![None; batch.unique_len()];
             let mut cold = Vec::new();
             let mut cold_slots = Vec::new();
-            for (u, b) in batch.unique().iter().enumerate() {
-                match self.results.get(Self::result_key(key, mode, b)) {
+            for (u, binding) in batch.unique().iter().enumerate() {
+                let id = ResultId { plan_key: key, mode, binding };
+                match self.results.get(Self::result_key(&id), &id) {
                     Some(out) => unique_results[u] = Some(Ok(out)),
                     None => {
-                        cold.push(b.clone());
+                        cold.push(binding.clone());
                         cold_slots.push(u);
                     }
                 }
@@ -960,8 +957,8 @@ impl Service {
                 report = batch_report;
                 for (u, res) in cold_slots.into_iter().zip(slot_results) {
                     if let Ok(out) = &res {
-                        self.results
-                            .insert(Self::result_key(key, mode, &batch.unique()[u]), out.clone());
+                        let id = ResultId { plan_key: key, mode, binding: &batch.unique()[u] };
+                        self.results.insert(Self::result_key(&id), &id, out.clone());
                     }
                     unique_results[u] = Some(res);
                 }
@@ -1026,11 +1023,12 @@ impl Service {
     /// plan cache key already folds the query shape, database tag, and
     /// statistics token (so mutations orphan stale results), and the
     /// binding's value pairs are folded FNV-style. The mode folds
-    /// separately because the plan key is mode-independent.
-    fn result_key(plan_cache_key: u64, mode: OutputMode, binding: &BoundValues) -> u64 {
+    /// separately because the plan key is mode-independent. Collisions are
+    /// the cache's to catch — it compares the identity on every hit.
+    fn result_key(id: &ResultId<'_>) -> u64 {
         let mut h = Fnv1a::new();
-        h.write(&plan_cache_key.to_le_bytes());
-        let (m, n): (u8, u64) = match mode {
+        h.write(&id.plan_key.to_le_bytes());
+        let (m, n): (u8, u64) = match id.mode {
             OutputMode::Rows => (0, 0),
             OutputMode::Count => (1, 0),
             OutputMode::Limit(n) => (2, n as u64),
@@ -1038,7 +1036,7 @@ impl Service {
         };
         h.write(&[m]);
         h.write(&n.to_le_bytes());
-        for &(attr, value) in binding.pairs() {
+        for &(attr, value) in id.binding.pairs() {
             h.write(&attr.0.to_le_bytes());
             h.write(&value.to_le_bytes());
         }
@@ -1167,7 +1165,7 @@ impl Service {
         let (plan, key, cache_hit) = self.plan_for(&entry, query, fingerprint, &ctx.tracer)?;
 
         // `catch_unwind` here isolates *coordinator-side* panics (routing,
-        // gather, yannakakis) to this query; worker panics are already
+        // gather) to this query; worker panics are already
         // caught per-worker inside `Cluster::run` and surface as typed
         // `Err(WorkerPanicked)` results. Either way the process survives
         // and no partial artifact was published (the shuffle checks worker
@@ -1222,9 +1220,8 @@ impl Service {
         fingerprint: QueryFingerprint,
         tracer: &Tracer,
     ) -> Result<(Arc<QueryPlan>, u64, bool), ServiceError> {
-        // Keying discipline (PR 4's route_tag, applied to bindings): the
-        // plan key must be a pure function of the shape — erasing every
-        // constant's value must not move it.
+        // Keying discipline: the plan key must be a pure function of the
+        // shape — erasing every constant's value must not move it.
         debug_assert_eq!(
             fingerprint.plan_key,
             QueryFingerprint::of(&query.erase_bound_values()).plan_key,
@@ -1410,13 +1407,6 @@ impl Service {
                 ))
             }
         }
-    }
-
-    /// Records a parse failure discovered outside [`Service::execute_text`]
-    /// (the worker pool's mode-override path parses on its own) so every
-    /// failed submission is visible in the metrics.
-    pub(crate) fn note_parse_failure(&self) {
-        self.metrics.record_failure();
     }
 
     /// Plan-cache counters.
@@ -2088,9 +2078,6 @@ mod tests {
         );
 
         // Re-baselined: an ordinary follow-up batch is not drift again.
-        // (Its entries may still drop rather than patch: the re-planned
-        // query routes the heavy hitter, and hot-routed fragments cannot
-        // be patched by plain hashing.)
         let follow = service.mutate("g", &MutationBatch::new("R1").insert(&[2, 3])).unwrap();
         assert!(!follow.compacted, "one small insert past the new baseline is not drift");
         assert_eq!(follow.seq, 2);

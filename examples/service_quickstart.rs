@@ -1,21 +1,20 @@
 //! Quickstart for the serving layer: register databases, fire concurrent
-//! queries through a worker pool, read the metrics.
+//! queries from scoped threads, read the metrics.
 //!
 //! ```sh
 //! cargo run --release --example service_quickstart
 //! ```
 
 use adj::prelude::*;
-use std::sync::Arc;
 
 fn main() {
     // 1. A service over one shared 4-worker simulated cluster. Admission:
     //    at most 3 queries in flight, the rest queue.
-    let service = Arc::new(Service::new(ServiceConfig {
+    let service = Service::new(ServiceConfig {
         adj: AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() },
         max_concurrent: 3,
         ..Default::default()
-    }));
+    });
 
     // 2. Named databases: one per workload shape, instantiated from the WB
     //    stand-in graph (Sec. VII-A test-case construction).
@@ -26,35 +25,39 @@ fn main() {
         service.register_database(format!("{shape:?}"), q.instantiate(&graph));
     }
 
-    // 3. A mixed repeated-shape workload through the pool: 48 queries, 6
-    //    submitter threads' worth of handles drained by 6 pool workers.
-    //    Every fourth query only wants the cardinality — `with_mode` keeps
-    //    it on the same cached plan but ships zero result tuples back.
-    let pool = WorkerPool::new(Arc::clone(&service), 6);
-    let requests: Vec<QueryRequest> = (0..48)
-        .map(|i| {
-            let shape = [PaperQuery::Q1, PaperQuery::Q4, PaperQuery::Q7][i % 3];
-            let req = QueryRequest::query(format!("{shape:?}"), paper_query(shape));
-            if i % 4 == 3 {
-                req.with_mode(OutputMode::Count)
-            } else {
-                req
-            }
-        })
-        .collect();
+    // 3. A mixed repeated-shape workload: 48 queries from 6 caller
+    //    threads sharing the one `Service` (admission bounds what actually
+    //    runs). Every fourth query only wants the cardinality —
+    //    `execute_mode` keeps it on the same cached plan but ships zero
+    //    result tuples back.
+    const SHAPES: [PaperQuery; 3] = [PaperQuery::Q1, PaperQuery::Q4, PaperQuery::Q7];
     let t0 = std::time::Instant::now();
-    let results = pool.run_all(requests);
+    let counts: Vec<u64> = std::thread::scope(|s| {
+        let callers: Vec<_> = (0..6)
+            .map(|t| {
+                let service = &service;
+                s.spawn(move || {
+                    let mut last = 0;
+                    for i in (t..48).step_by(6) {
+                        let shape = SHAPES[i % 3];
+                        let mode = if i % 4 == 3 { OutputMode::Count } else { OutputMode::Rows };
+                        let out = service
+                            .execute_mode(&format!("{shape:?}"), &paper_query(shape), mode)
+                            .expect("every query succeeds");
+                        // `count()` reads the cardinality whatever the mode.
+                        last = out.output.count().unwrap();
+                    }
+                    last
+                })
+            })
+            .collect();
+        callers.into_iter().map(|c| c.join().expect("caller thread")).collect()
+    });
     let wall = t0.elapsed().as_secs_f64();
 
-    for (label, shape) in [("Q1", PaperQuery::Q1), ("Q4", PaperQuery::Q4), ("Q7", PaperQuery::Q7)] {
-        let out = results
-            .iter()
-            .enumerate()
-            .find(|(i, _)| [PaperQuery::Q1, PaperQuery::Q4, PaperQuery::Q7][i % 3] == shape)
-            .and_then(|(_, r)| r.as_ref().ok())
-            .expect("every query succeeds");
-        // `count()` reads the cardinality whatever the outcome's mode.
-        println!("{label}: {} result tuples", out.output.count().unwrap());
+    // Caller `t` only ever ran shape `t % 3`.
+    for (label, count) in ["Q1", "Q4", "Q7"].iter().zip(&counts) {
+        println!("{label}: {count} result tuples");
     }
 
     // 4. What serving bought us, straight from the registry.

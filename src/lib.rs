@@ -51,7 +51,7 @@
 //! ## Output modes
 //!
 //! Every execution entry point — [`Adj::execute_with`](prelude::Adj::execute_with),
-//! `execute_plan`/`yannakakis` in [`core`], `Service::execute_mode` and
+//! `execute_plan` in [`core`], `Service::execute_mode` and
 //! text queries prefixed `COUNT(…)` / `LIMIT k (…)` / `EXISTS(…)` in
 //! [`service`] — accepts an [`OutputMode`](prelude::OutputMode) choosing
 //! what comes back: the full relation (`Rows`), the cardinality alone
@@ -96,9 +96,9 @@ pub mod prelude {
     };
     pub use adj_sampling::{Sampler, SamplingConfig};
     pub use adj_service::{
-        AdmissionPolicy, BatchOutcome, BindingBatch, MutationOutcome, PreparedQuery, QueryRequest,
+        AdmissionPolicy, BatchOutcome, BindingBatch, MutationOutcome, PreparedQuery,
         ResultCacheStats, Service, ServiceConfig, ServiceError, ServiceOutcome, SlowQuery,
-        TraceSettings, WorkerPool,
+        TraceSettings,
     };
     pub use adj_trace::{Event, QueryTrace, SpanGuard, Trace, Tracer, COORDINATOR_LANE};
 }

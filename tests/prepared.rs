@@ -332,13 +332,20 @@ fn bound_batch_and_filtered_unbound_agree_through_mutation_and_reregistration() 
 #[test]
 fn the_share_program_is_solved_once_per_plan_and_width() {
     let unbound = paper_query(PaperQuery::Q1);
-    let service = Service::new(ServiceConfig {
-        adj: AdjConfig { cluster: ClusterConfig::with_worker_range(2, 1, 4), ..Default::default() },
-        ..Default::default()
-    });
-    service.register_database("g", unbound.instantiate(&graph()));
     let (q, _) = parse_query("Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
-    let prepared = service.prepare("g", &q).unwrap();
+    let serving = |num_workers: usize| {
+        let service = Service::new(ServiceConfig {
+            adj: AdjConfig {
+                cluster: ClusterConfig::with_workers(num_workers),
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        service.register_database("g", unbound.instantiate(&graph()));
+        let prepared = service.prepare("g", &q).unwrap();
+        (service, prepared)
+    };
+    let (service, prepared) = serving(2);
     let call = |v: u32| {
         service.execute_bound(&prepared, &Bindings::new().set("v", v), OutputMode::Count).unwrap()
     };
@@ -354,17 +361,20 @@ fn the_share_program_is_solved_once_per_plan_and_width() {
     assert_eq!(call(2).report.share_solves, 0);
     assert_eq!(service.metrics().share_solves, 2);
 
-    // A resize changes the program's input under the same plan entry.
-    service.cluster().resize(4).unwrap();
-    let resized = call(3);
-    assert!(resized.cache_hit, "the plan entry survives a resize");
-    assert_eq!(resized.report.share_solves, 1);
-    assert_eq!(resized.report.share.iter().product::<u32>(), 4);
-    assert_eq!(call(4).report.share_solves, 0);
-    // Back at the old width the first answer is still there.
-    service.cluster().resize(2).unwrap();
+    // Another width is another program: a second service sharing nothing
+    // solves its own once, and the first one's answer is still there.
+    let (wide, wide_prepared) = serving(4);
+    let wide_call = |v: u32| {
+        let b = Bindings::new().set("v", v);
+        wide.execute_bound(&wide_prepared, &b, OutputMode::Count).unwrap()
+    };
+    let first = wide_call(3);
+    assert_eq!(first.report.share_solves, 1);
+    assert_eq!(first.report.share.iter().product::<u32>(), 4);
+    assert_eq!(wide_call(4).report.share_solves, 0);
+    assert_eq!(first.output, call(3).output, "the answer is width-independent");
     assert_eq!(call(5).report.share_solves, 0);
-    assert_eq!(service.metrics().share_solves, 3);
+    assert_eq!(service.metrics().share_solves, 2);
 }
 
 #[test]
@@ -423,24 +433,6 @@ fn unbound_param_never_borrows_a_sibling_literals_values() {
         matches!(err, ServiceError::Exec(adj::relational::Error::UnboundParam { .. })),
         "expected UnboundParam, got {err:?}"
     );
-}
-
-#[test]
-fn yannakakis_honours_literals_and_rejects_free_params() {
-    use adj::core::{yannakakis, Adj};
-    let g = graph();
-    let q1 = paper_query(PaperQuery::Q1);
-    let db = q1.instantiate(&g);
-
-    let (lit_q, _) = parse_query("R1(7,b), R2(b,c), R3(7,c)").unwrap();
-    let (out, _) = yannakakis(&db, &lit_q, usize::MAX, OutputMode::Rows).unwrap();
-    let via_adj = Adj::with_workers(2).execute(&lit_q, &db).unwrap();
-    let aligned = out.rows().permute(via_adj.rows().schema().attrs()).unwrap();
-    assert_eq!(&aligned, via_adj.rows(), "yannakakis must apply the literal selection");
-
-    let (param_q, _) = parse_query("R1($v,b), R2(b,c), R3($v,c)").unwrap();
-    let err = yannakakis(&db, &param_q, usize::MAX, OutputMode::Rows).unwrap_err();
-    assert!(matches!(err, adj::relational::Error::UnboundParam { .. }));
 }
 
 #[test]

@@ -107,26 +107,35 @@ fn concurrent_mixed_workload_matches_single_shot_and_hits_cache() {
     assert!(stats.metrics.total.p99_secs >= stats.metrics.total.p50_secs);
 }
 
-/// The worker-pool front end serves the same workload with the same
-/// results.
+/// Four caller threads over one shared `Service` serve the same workload
+/// with the same results.
 #[test]
-fn worker_pool_serves_mixed_workload() {
+fn scoped_threads_serve_mixed_workload() {
+    const THREADS: usize = 4;
     let service = serving(2, 2);
-    let pool = WorkerPool::new(Arc::clone(&service), 4);
-    let requests: Vec<QueryRequest> = (0..24)
-        .map(|i| {
-            let shape = SHAPES[i % SHAPES.len()];
-            QueryRequest::query(shape_db_name(shape), paper_query(shape))
-        })
-        .collect();
-    let results = pool.run_all(requests);
-    assert_eq!(results.len(), 24);
+    // Thread `t` runs queries `t, t + THREADS, …` of the 24.
+    let lens: Vec<Vec<(usize, usize)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let service = &service;
+                s.spawn(move || {
+                    (t..24)
+                        .step_by(THREADS)
+                        .map(|i| {
+                            let shape = SHAPES[i % SHAPES.len()];
+                            let out = service.execute(&shape_db_name(shape), &paper_query(shape));
+                            (i, out.unwrap().rows().len())
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
     // All succeed, and equal shapes return equal results.
     let mut by_shape: HashMap<String, usize> = HashMap::new();
-    for (i, r) in results.iter().enumerate() {
-        let out = r.as_ref().unwrap();
+    for (i, len) in lens.into_iter().flatten() {
         let shape = SHAPES[i % SHAPES.len()];
-        let len = out.rows().len();
         let prev = by_shape.entry(shape_db_name(shape)).or_insert(len);
         assert_eq!(*prev, len, "query {i} cardinality diverged");
     }
@@ -134,29 +143,28 @@ fn worker_pool_serves_mixed_workload() {
     assert!(service.cache_stats().hit_rate() > 0.5);
 }
 
-/// Text-level `COUNT(...)` flows through the worker pool: the mode prefix
-/// is parsed service-side, the plan is shared with the `Rows`-mode
-/// submissions, and the answer matches the materialized cardinality.
+/// Text-level `COUNT(...)` from concurrent callers: the mode prefix is
+/// parsed service-side, the plan is shared with the `Rows`-mode
+/// submission, and the answer matches the materialized cardinality.
 #[test]
-fn text_count_through_the_worker_pool() {
+fn text_count_from_concurrent_callers() {
     let service = serving(2, 2);
-    let pool = WorkerPool::new(Arc::clone(&service), 3);
     let db = shape_db_name(PaperQuery::Q1);
-    let full = pool
-        .submit(QueryRequest::query(&db, paper_query(PaperQuery::Q1)))
-        .wait()
-        .unwrap()
-        .rows()
-        .len() as u64;
+    let full = service.execute(&db, &paper_query(PaperQuery::Q1)).unwrap().rows().len() as u64;
 
     let count_text = "COUNT(Q(a,b,c) :- R1(a,b), R2(b,c), R3(a,c))";
-    let results = pool.run_all((0..9).map(|_| QueryRequest::text(&db, count_text)));
-    for r in results {
-        let out = r.unwrap();
-        assert_eq!(out.mode, OutputMode::Count);
-        assert_eq!(out.output, QueryOutput::Count(full));
-        assert!(out.cache_hit, "COUNT text must reuse the Rows-mode plan");
-    }
+    std::thread::scope(|s| {
+        for _ in 0..3 {
+            s.spawn(|| {
+                for _ in 0..3 {
+                    let out = service.execute_text(&db, count_text).unwrap();
+                    assert_eq!(out.mode, OutputMode::Count);
+                    assert_eq!(out.output, QueryOutput::Count(full));
+                    assert!(out.cache_hit, "COUNT text must reuse the Rows-mode plan");
+                }
+            });
+        }
+    });
 
     let stats = service.stats();
     assert_eq!(stats.metrics.by_mode.count, 9);

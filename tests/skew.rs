@@ -1,8 +1,8 @@
 //! Skew-correctness acceptance tests: on a Zipf(z = 1.2) heavy-hitter
 //! database, every paper shape, both plan-search strategies, and all four
 //! output modes must produce results byte-identical to the single-worker
-//! oracle — heavy-hitter routing (spread + broadcast with spreader-ownership
-//! dedup) must never lose, duplicate, or reorder a binding.
+//! oracle — skewed data still has to be answered exactly, whatever the
+//! skew-aware cost model makes of it.
 
 use adj::datagen::{generate_zipf, ZipfConfig};
 use adj::prelude::*;
@@ -25,20 +25,6 @@ fn adj_with(workers: usize) -> Adj {
         skew: SkewConfig { min_fraction: 0.05, ..Default::default() },
         ..Default::default()
     })
-}
-
-#[test]
-fn zipf_database_actually_arms_the_routing_table() {
-    let g = zipf_graph();
-    let adj = adj_with(4);
-    let q = paper_query(PaperQuery::Q7);
-    let db = q.instantiate(&g);
-    let out = adj.execute(&q, &db).unwrap();
-    assert!(
-        out.report.hot_values > 0,
-        "the Zipf head must be detected, or this suite tests nothing"
-    );
-    assert!(out.report.hot_routed_tuples > 0, "hot tuples must take the skew route");
 }
 
 #[test]
@@ -66,7 +52,7 @@ fn all_modes_match_the_single_worker_oracle() {
             assert_eq!(
                 count.output,
                 QueryOutput::Count(oracle_rows.len() as u64),
-                "{shape:?}/{strategy:?}: count drifted under skew routing"
+                "{shape:?}/{strategy:?}: count drifted on skewed data"
             );
 
             // Exists agrees with emptiness.
@@ -91,9 +77,9 @@ fn all_modes_match_the_single_worker_oracle() {
 
 #[test]
 fn duplicate_counts_would_be_caught_per_worker_count() {
-    // The spreader-ownership rule must hold for every cluster width (the
-    // exact-product share differs per width, so each width exercises a
-    // different spread layout). Count mode is the duplicate detector: the
+    // Every output tuple belongs to exactly one cube at every cluster width
+    // (the share differs per width, so each width exercises a different
+    // layout of the Zipf head). Count mode is the duplicate detector: the
     // gather path sums per-worker counters without any dedup.
     let g = zipf_graph();
     let q = paper_query(PaperQuery::Q1);
@@ -109,40 +95,4 @@ fn duplicate_counts_would_be_caught_per_worker_count() {
             "{workers}-worker count drifted — a binding was produced twice or lost"
         );
     }
-}
-
-#[test]
-fn routing_balances_the_shuffle_versus_naive_hashing() {
-    let g = zipf_graph();
-    let q = paper_query(PaperQuery::Q7);
-    let db = q.instantiate(&g);
-
-    let balanced = adj_with(4).execute(&q, &db).unwrap();
-    let naive = Adj::new(AdjConfig {
-        cluster: ClusterConfig::with_workers(4),
-        skew: SkewConfig::disabled(),
-        ..Default::default()
-    })
-    .execute(&q, &db)
-    .unwrap();
-    assert_eq!(naive.report.hot_values, 0);
-    assert_eq!(
-        balanced.rows().permute(naive.rows().schema().attrs()).unwrap(),
-        *naive.rows(),
-        "routing must not change the answer"
-    );
-
-    let b = &balanced.report;
-    assert!(
-        (b.max_partition_tuples() as f64) <= 2.0 * b.mean_partition_tuples(),
-        "balanced shuffle: max {} vs mean {:.1}",
-        b.max_partition_tuples(),
-        b.mean_partition_tuples()
-    );
-    assert!(
-        b.partition_balance() < naive.report.partition_balance(),
-        "routing must improve balance: {:.2} vs naive {:.2}",
-        b.partition_balance(),
-        naive.report.partition_balance()
-    );
 }

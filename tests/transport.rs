@@ -271,37 +271,30 @@ fn the_cluster_config_alone_selects_the_transport() {
     assert!(cold.report.wire_bytes > 0, "a cold serialized shuffle must put frames on the wire");
 }
 
-/// Elastic width at the service level: `adj.cluster.worker_range` arms
-/// `Cluster::resize`, resizing between queries is accepted, and results
-/// are width-independent — byte-identical before and after a resize.
+/// Results are width-independent: services at widths 2 and 4 return
+/// byte-identical Q7 rows, on both transports.
 #[test]
-fn elastic_service_resizes_between_queries_without_changing_results() {
+fn results_are_width_independent_on_both_transports() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let config = ServiceConfig {
-        adj: AdjConfig { cluster: ClusterConfig::with_worker_range(2, 1, 4), ..Default::default() },
-        ..Default::default()
-    };
-    let service = Arc::new(Service::new(config));
     let q = paper_query(PaperQuery::Q7);
-    service.register_database("db", q.instantiate(&graph()));
-
-    assert_eq!(service.cluster().config().worker_range, Some((1, 4)));
-    assert_eq!(service.cluster().num_workers(), 2);
-
-    let at_two = service.execute("db", &q).unwrap().rows().clone();
-
-    service.cluster().resize(4).expect("idle elastic cluster must accept an in-range resize");
-    assert_eq!(service.cluster().num_workers(), 4);
-    // The cached plan's share grid assumed width 2; a fresh shape family
-    // (re-registering the database drops the cache) resolves at width 4.
-    service.register_database("db", q.instantiate(&graph()));
-    let at_four = service.execute("db", &q).unwrap().rows().clone();
-    let aligned = at_four.permute(at_two.schema().attrs()).unwrap();
-    assert_eq!(aligned, at_two, "resize changed query results");
-
-    // Out-of-range and non-elastic misuse stays typed and harmless.
-    assert!(service.cluster().resize(9).is_err(), "out-of-range resize must be rejected");
-    let rigid = serving(Strategy::CoOptimize, TransportKind::InProcess);
-    assert!(rigid.cluster().resize(3).is_err(), "non-elastic cluster accepted a resize");
-    service.execute("db", &q).expect("service must keep serving after rejected resizes");
+    let rows_at = |num_workers: usize, transport: TransportKind| {
+        let cluster = ClusterConfig { transport, ..ClusterConfig::with_workers(num_workers) };
+        let service = Service::new(ServiceConfig {
+            adj: AdjConfig { cluster, ..Default::default() },
+            ..Default::default()
+        });
+        assert_eq!(service.cluster().num_workers(), num_workers);
+        service.register_database("db", q.instantiate(&graph()));
+        service.execute("db", &q).unwrap().rows().clone()
+    };
+    let at_two = rows_at(2, TransportKind::InProcess);
+    assert!(!at_two.is_empty());
+    for (width, transport) in [
+        (4, TransportKind::InProcess),
+        (2, TransportKind::Serialized),
+        (4, TransportKind::Serialized),
+    ] {
+        let aligned = rows_at(width, transport).permute(at_two.schema().attrs()).unwrap();
+        assert_eq!(aligned, at_two, "width {width} on {transport:?} changed query results");
+    }
 }
