@@ -8,6 +8,7 @@ use adj_core::{
 };
 use adj_faults::FaultSite;
 use adj_leapfrog::{BatchedLeapfrog, JoinCounters, JoinScratch};
+use adj_relational::relation::merge_sorted_runs;
 use adj_relational::{
     Attr, BoundValues, CountSink, Database, Error, ExistsSink, OutputMode, QueryOutput, Result,
     RowBuffer, RowSink, Trie, Value,
@@ -28,7 +29,8 @@ enum SlotData {
 /// Per-driver-slot gather accumulator.
 #[derive(Default)]
 struct SlotAcc {
-    rows: Vec<Value>,
+    /// Each worker's sorted rows for the slot, merged once all arrived.
+    runs: Vec<Vec<Value>>,
     found: u64,
     err: Option<Error>,
 }
@@ -228,7 +230,7 @@ pub fn execute_plan_batch(
         completed_global = completed_global.min(completed);
         for (acc, slot) in accs.iter_mut().zip(slots) {
             match slot {
-                Ok(SlotData::Rows(rows)) => acc.rows.extend_from_slice(&rows),
+                Ok(SlotData::Rows(rows)) => acc.runs.push(rows),
                 Ok(SlotData::Found(n)) => acc.found += n,
                 Err(e) => {
                     acc.err.get_or_insert(e);
@@ -236,15 +238,6 @@ pub fn execute_plan_batch(
             }
         }
     }
-    if gather_span.is_recording() {
-        gather_span.arg("bindings", batch.len() as u64);
-        gather_span.arg("unique_bindings", n_slots as u64);
-        gather_span.arg("bindings_completed", completed_global as u64);
-        gather_span.arg("output_tuples", counters.output_tuples);
-    }
-    drop(gather_span);
-    report.output_tuples = counters.output_tuples;
-    report.counters = counters;
 
     // A slot past the watermark was cancelled mid-batch; surface the
     // token's own verdict (deadline vs explicit cancel) on each.
@@ -263,8 +256,18 @@ pub fn execute_plan_batch(
             slot_outputs.push(Err(e));
             continue;
         }
-        slot_outputs.push(Ok(shape_output(mode, order, acc.rows, acc.found)?));
+        let rows = merge_sorted_runs(acc.runs, width);
+        slot_outputs.push(Ok(shape_output(mode, order, rows, acc.found)?));
     }
+    if gather_span.is_recording() {
+        gather_span.arg("bindings", batch.len() as u64);
+        gather_span.arg("unique_bindings", n_slots as u64);
+        gather_span.arg("bindings_completed", completed_global as u64);
+        gather_span.arg("output_tuples", counters.output_tuples);
+    }
+    drop(gather_span);
+    report.output_tuples = counters.output_tuples;
+    report.counters = counters;
 
     // Demultiplex driver slots back onto submissions: submission → unique
     // binding → driver row.

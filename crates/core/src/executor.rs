@@ -27,6 +27,7 @@ use adj_hcube::{
     ShareInput, ShuffleReport, ShuffleRound,
 };
 use adj_leapfrog::{JoinCounters, JoinScratch, LeapfrogJoin};
+use adj_relational::relation::merge_sorted_runs;
 use adj_relational::{
     Attr, BoundValues, CountSink, Database, Error, ExistsSink, OutputMode, QueryOutput, Relation,
     Result, RowBuffer, RowSink, Schema, Trie, Value,
@@ -77,6 +78,11 @@ pub fn cancel_err(c: adj_faults::Cancelled) -> Error {
 /// afterwards (the single-binding worker directly, the batch driver through
 /// its completion watermark), so a stop here always surfaces as
 /// [`Error::Cancelled`] — never as a silently truncated result.
+///
+/// Rows counted in bulk ([`RowSink::push_count`], forwarded with
+/// [`RowSink::counts_only`]) are polled like as many single rows: one poll
+/// per [`SINK_CHECK_EVERY`] of them, so a `Count` run polls as often as an
+/// enumerating one.
 pub struct CancelSink<'a, S> {
     inner: S,
     cancel: &'a CancelToken,
@@ -94,24 +100,38 @@ impl<'a, S: RowSink> CancelSink<'a, S> {
     pub fn into_inner(self) -> S {
         self.inner
     }
-}
 
-impl<S: RowSink> RowSink for CancelSink<'_, S> {
-    fn push(&mut self, row: &[Value]) -> bool {
-        self.rows_since_check += 1;
-        if self.rows_since_check >= SINK_CHECK_EVERY {
-            self.rows_since_check = 0;
+    /// Accounts `n` more rows, polling once per [`SINK_CHECK_EVERY`] of
+    /// them; `false` once the token fired.
+    fn poll(&mut self, n: u64) -> bool {
+        self.rows_since_check += n;
+        while self.rows_since_check >= SINK_CHECK_EVERY {
+            self.rows_since_check -= SINK_CHECK_EVERY;
             adj_faults::inject(FaultSite::JoinEnumerate, self.cancel);
             if self.cancel.check().is_err() {
                 self.stopped = true;
                 return false;
             }
         }
-        self.inner.push(row)
+        true
+    }
+}
+
+impl<S: RowSink> RowSink for CancelSink<'_, S> {
+    fn push(&mut self, row: &[Value]) -> bool {
+        self.poll(1) && self.inner.push(row)
     }
 
     fn saturated(&self) -> bool {
         self.stopped || self.inner.saturated()
+    }
+
+    fn counts_only(&self) -> bool {
+        self.inner.counts_only()
+    }
+
+    fn push_count(&mut self, n: u64) -> bool {
+        self.poll(n) && self.inner.push_count(n)
     }
 }
 
@@ -279,9 +299,11 @@ pub fn merge_plan_consts(consts: &BoundValues, params: &BoundValues) -> Result<B
     BoundValues::new(pairs)
 }
 
-/// Shapes what one binding's join gathered — the workers' concatenated
-/// `rows` over the plan's attribute `order` (empty in the counting modes)
-/// and the `found` result cardinality — into the output `mode` asks for.
+/// Shapes what one binding's join gathered — the workers' rows over the
+/// plan's attribute `order`, merged into one sorted run by
+/// [`merge_sorted_runs`] (empty in the counting modes), and the `found`
+/// result cardinality — into the output `mode` asks for. Merged rows are
+/// already in normal form, so building the relation re-sorts nothing.
 /// `LIMIT 0`'s complete answer is this over nothing gathered.
 pub fn shape_output(
     mode: OutputMode,
@@ -301,9 +323,9 @@ pub fn shape_output(
     }
     // Each worker contributed its n lexicographically-smallest local rows
     // (Leapfrog enumerates in sorted order), so the union contains the n
-    // globally-smallest result rows. Normalizing and keeping the first n
-    // therefore returns a *canonical* sample — deterministic across worker
-    // counts and partitionings, not an artifact of gather order.
+    // globally-smallest result rows. Keeping the first n of the normalized
+    // union therefore returns a *canonical* sample — deterministic across
+    // worker counts and partitionings, not an artifact of gather order.
     let flat = gathered.flat()[..limit * order.len()].to_vec();
     Ok(QueryOutput::Rows(Relation::from_flat(gathered.schema().clone(), flat)?))
 }
@@ -315,16 +337,18 @@ pub fn shape_output(
 /// The mode governs what each worker ships back through the gather path:
 ///
 /// * [`OutputMode::Rows`] — every worker buffers its result rows (under the
-///   `max_intermediate_tuples` budget) and the coordinator gathers them
-///   into one [`Relation`] — the original materialize-everything contract;
+///   `max_intermediate_tuples` budget) and the coordinator merges the
+///   workers' sorted runs into one [`Relation`] — the original
+///   materialize-everything contract;
 /// * [`OutputMode::Count`] — workers stream into a [`CountSink`] and ship
 ///   back **only their [`JoinCounters`]**; no result tuple is ever
-///   materialized or gathered, and the output is the summed
-///   `output_tuples` counter;
+///   materialized or gathered (Leapfrog counts the last level by
+///   intersection size), and the output is the summed `output_tuples`
+///   counter;
 /// * [`OutputMode::Limit`]`(n)` — each worker's Leapfrog enumeration
-///   short-circuits after `n` local rows; the coordinator concatenates and
+///   short-circuits after `n` local rows; the coordinator merges and
 ///   truncates to `n` (HCube assigns every output tuple to exactly one
-///   worker, so the concatenation is duplicate-free);
+///   worker, so the merge drops nothing);
 /// * [`OutputMode::Exists`] — workers short-circuit at their first witness
 ///   and ship back counters only.
 ///
@@ -369,7 +393,7 @@ pub fn shape_output(
 /// [`hcube_shuffle_round`]), a `computation` span over the worker dispatch
 /// with one `join` span per worker lane (annotated with that worker's
 /// output tuples and trie-operation counts), and a `gather` span over the
-/// merge.
+/// merge and the shaping of the output.
 pub fn execute_plan(
     cluster: &Cluster,
     db: &Database,
@@ -462,17 +486,17 @@ pub fn execute_plan(
     drop(computation_span);
 
     let mut gather_span = tracer.span(COORDINATOR_LANE, "gather");
-    let mut all_rows: Vec<Value> = Vec::new();
+    let mut worker_rows: Vec<Vec<Value>> = Vec::new();
     let mut counters = JoinCounters::new(plan.order.len());
     for r in run.results {
         // Outer layer: panic isolation (a poisoned worker fails only this
         // query); inner layer: the worker's own typed result.
         let (rows, c) = r.map_err(Error::from)??;
         counters.merge(&c);
-        if let Some(rows) = rows {
-            all_rows.extend_from_slice(&rows);
-        }
+        worker_rows.extend(rows);
     }
+    let rows = merge_sorted_runs(worker_rows, width);
+    let output = shape_output(mode, order, rows, counters.output_tuples)?;
     if gather_span.is_recording() {
         for (i, &t) in counters.tuples_per_level.iter().enumerate() {
             gather_span.arg(level_key("tuples", i), t);
@@ -484,7 +508,6 @@ pub fn execute_plan(
     }
     drop(gather_span);
     report.output_tuples = counters.output_tuples;
-    let output = shape_output(mode, order, all_rows, counters.output_tuples)?;
     report.counters = counters;
     report.close(t_exec);
     Ok((output, report))
@@ -675,11 +698,10 @@ fn precompute_bag(
         span.arg("output_tuples", counters.output_tuples);
         Ok(rows)
     });
-    let mut all: Vec<Value> = Vec::new();
-    for r in run.results {
-        all.extend_from_slice(&r.map_err(Error::from)??);
-    }
-    let result = Relation::from_flat(Schema::new(order.clone())?, all)?;
+    let worker_rows: Vec<Vec<Value>> =
+        run.results.into_iter().map(|r| r.map_err(Error::from)?).collect::<Result<_>>()?;
+    let rows = merge_sorted_runs(worker_rows, order.len());
+    let result = Relation::from_flat(Schema::new(order.clone())?, rows)?;
     bag_span.arg("tuples", shuffled.report.tuples);
     bag_span.arg("result_tuples", result.len() as u64);
     drop(bag_span);

@@ -12,7 +12,8 @@ pub struct JoinCounters {
     pub tuples_per_level: Vec<u64>,
     /// Galloping/comparison operations spent in intersections.
     pub intersect_ops: u64,
-    /// Full result tuples emitted.
+    /// Full result tuples emitted — pushed as rows, or added as one count
+    /// per last-level node into a counting sink.
     pub output_tuples: u64,
     /// Cache hits (cached variant only).
     pub cache_hits: u64,
@@ -26,13 +27,20 @@ pub struct JoinCounters {
 /// live. `tuples_per_level` says how many bindings each level produced;
 /// these say how many trie operations it took to produce them — the signal
 /// ROADMAP's SIMD/trie work needs to know which level to attack.
+///
+/// The last free level of a join moves no cursor — it intersects the
+/// participants' child runs in place — so it records no opens and no
+/// seeks; its work shows in `intersect_ops` alone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JoinStats {
-    /// `TrieCursor::seek` calls per level (positioning each participant on
-    /// the next candidate value during the leapfrog dance).
+    /// Cursor positionings per level: one per participant per binding the
+    /// join descends into. At a free interior level that is an O(1)
+    /// `TrieCursor::jump` to the offset the intersection recorded; on the
+    /// bound prefix of a batched join it is a forward `TrieCursor::seek`.
     pub seeks_per_level: Vec<u64>,
     /// `TrieCursor::open` calls per level (descending into a child range
-    /// over the full domain).
+    /// over the full domain) — interior free levels and a batch's bound
+    /// prefix only.
     pub opens_per_level: Vec<u64>,
     /// `TrieCursor::open_at` calls per level (descending directly to a
     /// bound constant, skipping the intersection entirely).

@@ -1,8 +1,37 @@
 //! The Leapfrog Triejoin driver (Algorithm 1 of the paper).
+//!
+//! One depth-first traversal, [`LeapfrogJoin`]'s private `recurse_sink`,
+//! serves every caller: streaming into a [`RowSink`] (`join_into`, `run`),
+//! counting (`count`, the budgeted `count_with_budget`, the sampler's
+//! `count_with_first_value`) and batched joins ([`BatchedLeapfrog`]).
+//! At each query level it intersects the participants' candidate runs —
+//! "the main cost of Leapfrog is the cost of the intersections" — and it
+//! pays for nothing else the intersection already knows:
+//!
+//! * **Interior levels find each match once.** The level intersects with
+//!   [`leapfrog_intersect_positions`], which records, per matched value,
+//!   its offset in every participant's run. Descending into a match jumps
+//!   each participant's cursor to that offset ([`TrieCursor::jump`], O(1))
+//!   instead of galloping to the value a second time.
+//! * **The last free level never descends.** It intersects the
+//!   participants' child runs in place ([`TrieCursor::child_run`]): no
+//!   cursor opens, seeks or goes up there. A sink that only needs a count
+//!   ([`RowSink::counts_only`]) receives the intersection's size in one
+//!   [`RowSink::push_count`], from [`leapfrog_count`], which writes no
+//!   value; any other sink receives one row per matched value.
+//!
+//! Both kernels and the per-level run lists live on the stack for up to
+//! [`INLINE_RUNS`](adj_relational::intersect::INLINE_RUNS) participants,
+//! and the per-level intersections in reused [`JoinScratch`] buffers, so a
+//! warm join allocates nothing per trie node.
 
 use crate::counters::JoinCounters;
-use adj_relational::intersect::leapfrog_intersect;
-use adj_relational::{Attr, BoundValues, Error, FnSink, Result, RowSink, Trie, TrieCursor, Value};
+use adj_relational::intersect::{
+    leapfrog_count, leapfrog_intersect, leapfrog_intersect_positions, with_slots,
+};
+use adj_relational::{
+    Attr, BoundValues, CountSink, Error, FnSink, Result, RowSink, Trie, TrieCursor, Value,
+};
 use std::borrow::Borrow;
 
 /// Validates that every trie's level order is the order induced by the
@@ -55,12 +84,22 @@ pub fn validate_tries<T: Borrow<Trie>>(order: &[Attr], tries: &[T]) -> Result<Ve
 /// The Leapfrog inner loop produces one candidate list per level per
 /// binding; allocating a fresh `Vec<Value>` for each would dominate
 /// steady-state enumeration on small per-worker fragments. A `JoinScratch`
-/// keeps one buffer per query level (reused across sibling bindings and
-/// across joins), so enumeration is allocation-free once the buffers reach
-/// their high-water marks.
+/// keeps one pair of buffers per query level (reused across sibling
+/// bindings and across joins), so enumeration is allocation-free once the
+/// buffers reach their high-water marks.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
-    levels: Vec<Vec<Value>>,
+    levels: Vec<LevelScratch>,
+}
+
+/// One level's intersection, as the position-carrying kernel writes it.
+#[derive(Debug, Default)]
+struct LevelScratch {
+    /// The matched values, ascending.
+    values: Vec<Value>,
+    /// Per match `m`, participant `i`'s offset of `values[m]` in its run, at
+    /// `positions[m * k + i]` for `k` participants.
+    positions: Vec<usize>,
 }
 
 impl JoinScratch {
@@ -69,14 +108,47 @@ impl JoinScratch {
         JoinScratch::default()
     }
 
-    /// Ensures one buffer per level, returning the slice of buffers.
-    fn for_levels(&mut self, levels: usize) -> &mut [Vec<Value>] {
+    /// Ensures one buffer pair per level, returning them.
+    fn for_levels(&mut self, levels: usize) -> &mut [LevelScratch] {
         if self.levels.len() < levels {
-            self.levels.resize_with(levels, Vec::new);
+            self.levels.resize_with(levels, LevelScratch::default);
         }
         &mut self.levels[..levels]
     }
 }
+
+/// What one traversal threads through every level: a cursor per trie, the
+/// binding under construction, the counters, and how many more bindings a
+/// budgeted count may produce.
+struct Walk<'t> {
+    cursors: Vec<TrieCursor<'t>>,
+    binding: Vec<Value>,
+    counters: JoinCounters,
+    /// Bindings (summed over levels) the walk may still produce;
+    /// `u64::MAX` when unbudgeted.
+    budget: u64,
+    /// Whether the walk stopped because it ran out of budget.
+    over_budget: bool,
+}
+
+impl Walk<'_> {
+    /// Records `n` bindings produced at `level`. Returns `false`, stopping
+    /// the walk, once they overrun the budget — the level's tuples are still
+    /// counted, so an over-budget walk's counters are a lower bound.
+    #[inline]
+    fn produce(&mut self, level: usize, n: u64) -> bool {
+        self.counters.tuples_per_level[level] += n;
+        if n > self.budget {
+            self.over_budget = true;
+            return false;
+        }
+        self.budget -= n;
+        true
+    }
+}
+
+/// The placeholder a level's run list starts from.
+const NO_RUN: &[Value] = &[];
 
 /// A multi-way join execution over tries.
 ///
@@ -134,6 +206,21 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         &self.order
     }
 
+    /// A walk from the trie roots under `budget`, or `None` when an input
+    /// trie is empty — and with it the join.
+    fn walk(&self, budget: u64) -> Option<Walk<'_>> {
+        if self.tries.iter().any(|t| t.borrow().tuples() == 0) {
+            return None;
+        }
+        Some(Walk {
+            cursors: self.tries.iter().map(|t| t.borrow().cursor()).collect(),
+            binding: vec![0; self.levels()],
+            counters: JoinCounters::new(self.levels()),
+            budget,
+            over_budget: false,
+        })
+    }
+
     /// Runs the join, invoking `emit` for every result tuple (values in
     /// `order`'s attribute order). Returns execution counters.
     pub fn run(&self, mut emit: impl FnMut(&[Value])) -> JoinCounters {
@@ -145,9 +232,10 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// as the sink saturates ([`RowSink::push`] returns `false` — e.g. a
     /// `Limit(n)` buffer that is full, or an `Exists` probe that found its
     /// witness), abandoning all remaining candidate bindings at every
-    /// level. Returns execution counters; `counters.output_tuples` counts
-    /// the tuples actually emitted, which on a short-circuited run is less
-    /// than the full result cardinality.
+    /// level. A [`RowSink::counts_only`] sink receives the last level's
+    /// rows as counts. Returns execution counters; `counters.output_tuples`
+    /// counts the tuples actually emitted, which on a short-circuited run
+    /// is less than the full result cardinality.
     pub fn join_into(&self, sink: &mut dyn RowSink) -> JoinCounters {
         let mut scratch = JoinScratch::new();
         self.join_into_with_scratch(sink, &mut scratch)
@@ -161,36 +249,32 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         sink: &mut dyn RowSink,
         scratch: &mut JoinScratch,
     ) -> JoinCounters {
-        let mut counters = JoinCounters::new(self.levels());
-        if self.tries.iter().any(|t| t.borrow().tuples() == 0) || sink.saturated() {
-            return counters;
-        }
-        let mut cursors: Vec<TrieCursor<'_>> =
-            self.tries.iter().map(|t| t.borrow().cursor()).collect();
-        let mut binding: Vec<Value> = vec![0; self.levels()];
+        let Some(mut walk) = self.walk(u64::MAX).filter(|_| !sink.saturated()) else {
+            return JoinCounters::new(self.levels());
+        };
         let bufs = scratch.for_levels(self.levels());
-        self.recurse_sink(0, &mut cursors, &mut binding, &mut counters, sink, bufs, &self.bound);
-        counters
+        self.recurse_sink(0, &mut walk, sink, bufs, &self.bound);
+        walk.counters
     }
 
-    /// Sink-driven enumeration; returns `false` once the sink saturates so
-    /// every enclosing level stops iterating its candidates. `scratch`
-    /// holds one intersection buffer per remaining level (`scratch[0]` is
-    /// this level's), reused across sibling bindings. `bound` maps levels
-    /// to pinned constants — usually `self.bound`, but [`BatchedLeapfrog`]
-    /// swaps in a fresh constant vector per batched binding.
-    #[allow(clippy::too_many_arguments)]
+    /// The traversal every caller drives. Returns `false` once the sink
+    /// saturates or the walk's budget runs out, so every enclosing level
+    /// stops iterating its candidates. `scratch` holds one buffer pair per
+    /// remaining level (`scratch[0]` is this level's), reused across
+    /// sibling bindings. `bound` maps levels to pinned constants — usually
+    /// `self.bound`, but [`BatchedLeapfrog`] swaps in a fresh constant
+    /// vector per batched binding.
     fn recurse_sink(
         &self,
         level: usize,
-        cursors: &mut [TrieCursor<'_>],
-        binding: &mut Vec<Value>,
-        counters: &mut JoinCounters,
+        walk: &mut Walk<'_>,
         sink: &mut dyn RowSink,
-        scratch: &mut [Vec<Value>],
+        scratch: &mut [LevelScratch],
         bound: &[Option<Value>],
     ) -> bool {
         let ps = &self.participants[level];
+        let last = level + 1 == self.levels();
+        let (buf, deeper) = scratch.split_first_mut().expect("scratch sized to levels");
         let mut opened = 0usize;
         let mut ok = true;
         let mut keep_going = true;
@@ -199,8 +283,8 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             // in any trie prunes the subtree without intersecting anything
             // (`open_at` does not descend on a miss, so only hits unwind).
             for &p in ps {
-                counters.stats.open_ats_per_level[level] += 1;
-                if cursors[p].open_at(v) {
+                walk.counters.stats.open_ats_per_level[level] += 1;
+                if walk.cursors[p].open_at(v) {
                     opened += 1;
                 } else {
                     ok = false;
@@ -208,194 +292,137 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                 }
             }
             if ok {
-                counters.tuples_per_level[level] += 1;
-                binding[level] = v;
-                let (_, deeper) = scratch.split_first_mut().expect("scratch sized to levels");
-                keep_going = if level + 1 == self.levels() {
-                    counters.output_tuples += 1;
-                    sink.push(binding)
-                } else {
-                    self.recurse_sink(level + 1, cursors, binding, counters, sink, deeper, bound)
+                keep_going = walk.produce(level, 1) && {
+                    walk.binding[level] = v;
+                    if last {
+                        walk.counters.output_tuples += 1;
+                        sink.push(&walk.binding)
+                    } else {
+                        self.recurse_sink(level + 1, walk, sink, deeper, bound)
+                    }
                 };
             }
-            for &p in ps.iter().take(opened) {
-                cursors[p].up();
-            }
-            return keep_going;
-        }
-        for &p in ps {
-            counters.stats.opens_per_level[level] += 1;
-            if cursors[p].open() {
-                opened += 1;
-            } else {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            let (vals, deeper) = scratch.split_first_mut().expect("scratch sized to levels");
-            let runs: Vec<&[Value]> = ps.iter().map(|&p| cursors[p].run()).collect();
-            counters.intersect_ops += leapfrog_intersect(&runs, vals);
-            counters.tuples_per_level[level] += vals.len() as u64;
-            let last = level + 1 == self.levels();
-            for &v in vals.iter() {
-                counters.stats.seeks_per_level[level] += ps.len() as u64;
-                for &p in ps {
-                    let hit = cursors[p].seek(v);
-                    debug_assert!(hit, "intersection value must exist in every run");
-                }
-                binding[level] = v;
-                keep_going = if last {
-                    counters.output_tuples += 1;
-                    sink.push(binding)
+        } else if last {
+            return Self::last_level(ps, level, walk, sink, buf);
+        } else {
+            for &p in ps {
+                walk.counters.stats.opens_per_level[level] += 1;
+                if walk.cursors[p].open() {
+                    opened += 1;
                 } else {
-                    self.recurse_sink(level + 1, cursors, binding, counters, sink, deeper, bound)
-                };
-                if !keep_going {
+                    ok = false;
                     break;
+                }
+            }
+            if ok {
+                let k = ps.len();
+                let cursors = &walk.cursors;
+                let ops = with_slots(k, NO_RUN, |runs| {
+                    for (run, &p) in runs.iter_mut().zip(ps) {
+                        *run = cursors[p].run();
+                    }
+                    leapfrog_intersect_positions(runs, &mut buf.values, &mut buf.positions)
+                });
+                walk.counters.intersect_ops += ops;
+                keep_going = walk.produce(level, buf.values.len() as u64);
+                if keep_going {
+                    for (&v, at) in buf.values.iter().zip(buf.positions.chunks_exact(k)) {
+                        walk.counters.stats.seeks_per_level[level] += k as u64;
+                        for (&p, &offset) in ps.iter().zip(at) {
+                            walk.cursors[p].jump(offset);
+                        }
+                        walk.binding[level] = v;
+                        keep_going = self.recurse_sink(level + 1, walk, sink, deeper, bound);
+                        if !keep_going {
+                            break;
+                        }
+                    }
                 }
             }
         }
         for &p in ps.iter().take(opened) {
-            cursors[p].up();
+            walk.cursors[p].up();
         }
         keep_going
     }
 
-    /// Runs the join but only counts results (skips emit overhead).
+    /// The last free level: intersects the participants' child runs where
+    /// they lie. A counting sink takes the intersection's size in one
+    /// step; any other sink takes one row per matched value. No cursor
+    /// moves, so the level records no opens or seeks.
+    fn last_level(
+        ps: &[usize],
+        level: usize,
+        walk: &mut Walk<'_>,
+        sink: &mut dyn RowSink,
+        buf: &mut LevelScratch,
+    ) -> bool {
+        with_slots(ps.len(), NO_RUN, |runs| {
+            for (run, &p) in runs.iter_mut().zip(ps) {
+                *run = walk.cursors[p].child_run();
+            }
+            if sink.counts_only() {
+                let (n, ops) = leapfrog_count(runs);
+                walk.counters.intersect_ops += ops;
+                if !walk.produce(level, n) {
+                    return false;
+                }
+                walk.counters.output_tuples += n;
+                return n == 0 || sink.push_count(n);
+            }
+            walk.counters.intersect_ops += leapfrog_intersect(runs, &mut buf.values);
+            if !walk.produce(level, buf.values.len() as u64) {
+                return false;
+            }
+            for &v in &buf.values {
+                walk.binding[level] = v;
+                walk.counters.output_tuples += 1;
+                if !sink.push(&walk.binding) {
+                    return false;
+                }
+            }
+            true
+        })
+    }
+
+    /// Runs the join but only counts results: the last level is counted by
+    /// intersection size, never enumerated.
     pub fn count(&self) -> (u64, JoinCounters) {
-        let counters = self.run(|_| {});
+        let counters = self.join_into(&mut CountSink::new());
         (counters.output_tuples, counters)
     }
 
-    /// Runs the join but aborts once the total number of produced bindings
-    /// exceeds `max_total_bindings`. Returns `(completed, counters)`;
-    /// `completed == false` means the counters are a lower bound. Used by
-    /// the Fig. 8 harness, where *invalid* attribute orders can produce
-    /// cross-product-sized intermediate sets that would run for hours.
+    /// Counts the join but aborts once the total number of produced
+    /// bindings exceeds `max_total_bindings`. Returns `(completed,
+    /// counters)`; `completed == false` means the counters are a lower
+    /// bound. Used by the Fig. 8 harness, where *invalid* attribute orders
+    /// can produce cross-product-sized intermediate sets that would run for
+    /// hours.
     pub fn count_with_budget(&self, max_total_bindings: u64) -> (bool, JoinCounters) {
-        let mut counters = JoinCounters::new(self.levels());
-        if self.tries.iter().any(|t| t.borrow().tuples() == 0) {
-            return (true, counters);
-        }
-        let mut cursors: Vec<TrieCursor<'_>> =
-            self.tries.iter().map(|t| t.borrow().cursor()).collect();
-        let mut binding: Vec<Value> = vec![0; self.levels()];
+        let Some(mut walk) = self.walk(max_total_bindings) else {
+            return (true, JoinCounters::new(self.levels()));
+        };
         let mut scratch = JoinScratch::new();
         let bufs = scratch.for_levels(self.levels());
-        let completed = self.recurse_budgeted(
-            0,
-            &mut cursors,
-            &mut binding,
-            &mut counters,
-            max_total_bindings,
-            bufs,
-        );
-        (completed, counters)
-    }
-
-    fn recurse_budgeted(
-        &self,
-        level: usize,
-        cursors: &mut [TrieCursor<'_>],
-        binding: &mut Vec<Value>,
-        counters: &mut JoinCounters,
-        budget: u64,
-        scratch: &mut [Vec<Value>],
-    ) -> bool {
-        let ps = &self.participants[level];
-        let mut opened = 0usize;
-        let mut ok = true;
-        let mut completed = true;
-        for &p in ps {
-            counters.stats.opens_per_level[level] += 1;
-            if cursors[p].open() {
-                opened += 1;
-            } else {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            let (vals, deeper) = scratch.split_first_mut().expect("scratch sized to levels");
-            let runs: Vec<&[Value]> = ps.iter().map(|&p| cursors[p].run()).collect();
-            counters.intersect_ops += leapfrog_intersect(&runs, vals);
-            counters.tuples_per_level[level] += vals.len() as u64;
-            let last = level + 1 == self.levels();
-            if counters.total_tuples() > budget {
-                completed = false;
-            } else if last {
-                counters.output_tuples += vals.len() as u64;
-            } else {
-                for &v in vals.iter() {
-                    counters.stats.seeks_per_level[level] += ps.len() as u64;
-                    for &p in ps {
-                        cursors[p].seek(v);
-                    }
-                    binding[level] = v;
-                    if !self.recurse_budgeted(level + 1, cursors, binding, counters, budget, deeper)
-                    {
-                        completed = false;
-                        break;
-                    }
-                }
-            }
-        }
-        for &p in ps.iter().take(opened) {
-            cursors[p].up();
-        }
-        completed
+        self.recurse_sink(0, &mut walk, &mut CountSink::new(), bufs, &self.bound);
+        (!walk.over_budget, walk.counters)
     }
 
     /// Counts the results whose first attribute (in `order`) equals `v` —
-    /// `|T_{A=a}|` of the sampling estimator (Sec. IV). The first attribute's
-    /// candidates are not intersected; cursors are positioned directly at
-    /// `v` when present.
+    /// `|T_{A=a}|` of the sampling estimator (Sec. IV). The first level is
+    /// bound to `v` (its candidates are not intersected: each participant
+    /// seeks `v` directly) and the rest are counted like [`Self::count`].
     pub fn count_with_first_value(&self, v: Value) -> (u64, JoinCounters) {
-        let mut counters = JoinCounters::new(self.levels());
-        if self.tries.iter().any(|t| t.borrow().tuples() == 0) {
-            return (0, counters);
-        }
-        let mut cursors: Vec<TrieCursor<'_>> =
-            self.tries.iter().map(|t| t.borrow().cursor()).collect();
-        let mut binding: Vec<Value> = vec![0; self.levels()];
-        // Position level-0 participants at v.
-        let ps = &self.participants[0];
-        let mut ok = true;
-        let mut opened = 0usize;
-        for &p in ps {
-            counters.stats.opens_per_level[0] += 1;
-            counters.stats.seeks_per_level[0] += 1;
-            if !cursors[p].open() || !cursors[p].seek(v) {
-                ok = false;
-                opened += 1;
-                break;
-            }
-            opened += 1;
-        }
-        if ok {
-            counters.tuples_per_level[0] += 1;
-            binding[0] = v;
-            if self.levels() == 1 {
-                counters.output_tuples += 1;
-            } else {
-                let mut scratch = JoinScratch::new();
-                let bufs = scratch.for_levels(self.levels());
-                self.recurse_sink(
-                    1,
-                    &mut cursors,
-                    &mut binding,
-                    &mut counters,
-                    &mut FnSink(|_: &[Value]| {}),
-                    &mut bufs[1..],
-                    &self.bound,
-                );
-            }
-        }
-        for &p in ps.iter().take(opened) {
-            cursors[p].up();
-        }
-        (counters.output_tuples, counters)
+        let Some(mut walk) = self.walk(u64::MAX) else {
+            return (0, JoinCounters::new(self.levels()));
+        };
+        let mut bound = self.bound.clone();
+        bound.resize(self.levels(), None);
+        bound[0] = Some(v);
+        let mut scratch = JoinScratch::new();
+        let bufs = scratch.for_levels(self.levels());
+        self.recurse_sink(0, &mut walk, &mut CountSink::new(), bufs, &bound);
+        (walk.counters.output_tuples, walk.counters)
     }
 }
 
@@ -509,18 +536,13 @@ impl<T: Borrow<Trie>> BatchedLeapfrog<T> {
         }
 
         let levels = self.join.levels();
-        let mut counters = JoinCounters::new(levels);
         if bindings.is_empty() {
-            return BatchOutcome { completed: 0, counters };
+            return BatchOutcome { completed: 0, counters: JoinCounters::new(levels) };
         }
-        if self.join.tries.iter().any(|t| t.borrow().tuples() == 0) {
+        let Some(mut walk) = self.join.walk(u64::MAX) else {
             // Every binding trivially completes with an empty result.
-            return BatchOutcome { completed: bindings.len(), counters };
-        }
-
-        let mut cursors: Vec<TrieCursor<'_>> =
-            self.join.tries.iter().map(|t| t.borrow().cursor()).collect();
-        let mut binding_buf: Vec<Value> = vec![0; levels];
+            return BatchOutcome { completed: bindings.len(), counters: JoinCounters::new(levels) };
+        };
         // Per-binding constants for bound levels *behind* free levels; the
         // recursion handles those with the single-binding bound path.
         let mut interior: Vec<Option<Value>> = vec![None; levels];
@@ -559,7 +581,7 @@ impl<T: Borrow<Trie>> BatchedLeapfrog<T> {
             while open_depth > reuse + 1 {
                 open_depth -= 1;
                 for &q in &self.join.participants[open_depth] {
-                    cursors[q].up();
+                    walk.cursors[q].up();
                 }
             }
 
@@ -567,8 +589,8 @@ impl<T: Borrow<Trie>> BatchedLeapfrog<T> {
             for lev in reuse..p {
                 if lev >= open_depth {
                     for &q in &self.join.participants[lev] {
-                        counters.stats.opens_per_level[lev] += 1;
-                        let descended = cursors[q].open();
+                        walk.counters.stats.opens_per_level[lev] += 1;
+                        let descended = walk.cursors[q].open();
                         debug_assert!(descended, "interior trie rows always have children");
                     }
                     open_depth = lev + 1;
@@ -578,15 +600,15 @@ impl<T: Borrow<Trie>> BatchedLeapfrog<T> {
                 // No early break: every cursor must advance to >= target so
                 // the next binding's forward seek stays valid.
                 for &q in &self.join.participants[lev] {
-                    counters.stats.seeks_per_level[lev] += 1;
-                    if !cursors[q].seek(target) {
+                    walk.counters.stats.seeks_per_level[lev] += 1;
+                    if !walk.cursors[q].seek(target) {
                         hit = false;
                     }
                 }
                 last[lev] = target;
                 if hit {
-                    counters.tuples_per_level[lev] += 1;
-                    binding_buf[lev] = target;
+                    walk.counters.tuples_per_level[lev] += 1;
+                    walk.binding[lev] = target;
                     hit_depth = lev + 1;
                 } else {
                     hit_depth = lev;
@@ -600,18 +622,10 @@ impl<T: Borrow<Trie>> BatchedLeapfrog<T> {
                     interior[lev] = Some(b[k]);
                 }
                 if p == levels {
-                    counters.output_tuples += 1;
-                    sinks[i].push(&binding_buf);
+                    walk.counters.output_tuples += 1;
+                    sinks[i].push(&walk.binding);
                 } else {
-                    self.join.recurse_sink(
-                        p,
-                        &mut cursors,
-                        &mut binding_buf,
-                        &mut counters,
-                        &mut *sinks[i],
-                        &mut bufs[p..],
-                        &interior,
-                    );
+                    self.join.recurse_sink(p, &mut walk, &mut *sinks[i], &mut bufs[p..], &interior);
                 }
             }
             if stop() {
@@ -619,7 +633,7 @@ impl<T: Borrow<Trie>> BatchedLeapfrog<T> {
             }
             completed = i + 1;
         }
-        BatchOutcome { completed, counters }
+        BatchOutcome { completed, counters: walk.counters }
     }
 }
 

@@ -4,8 +4,40 @@
 //! These kernels are the inner loop of the whole system: Leapfrog's
 //! `val(t_i → A_{i+1})` step, the sampler's `val(A)` computation, and the
 //! trie cursors' `seek` all reduce to intersecting sorted `u32` runs.
+//!
+//! One leapfrog dance serves three kernels, so they find the same matches
+//! with the same number of gallops:
+//!
+//! * [`leapfrog_intersect`] writes the matched values;
+//! * [`leapfrog_intersect_positions`] also writes, per match, each run's
+//!   offset of the value. Leapfrog descends into a match by jumping every
+//!   participant's cursor to its recorded offset, in O(1), instead of
+//!   galloping to a value the intersection already found;
+//! * [`leapfrog_count`] only counts the matches. It is Leapfrog's last level
+//!   when the consumer wants a cardinality: no value is written and no
+//!   cursor moves.
+//!
+//! The dance keeps one cursor per run in a stack array for up to
+//! [`INLINE_RUNS`] runs and on the heap above that, so no call allocates on
+//! the paths queries take.
 
 use crate::Value;
+
+/// Runs (participants) a kernel or a Leapfrog level keeps on the stack;
+/// wider intersections spill to a heap buffer of the exact size.
+pub const INLINE_RUNS: usize = 16;
+
+/// Calls `f` on `k` copies of `init`: a stack array for
+/// `k <= INLINE_RUNS`, a heap vector above.
+#[inline]
+pub fn with_slots<T: Copy, R>(k: usize, init: T, f: impl FnOnce(&mut [T]) -> R) -> R {
+    if k <= INLINE_RUNS {
+        let mut slots = [init; INLINE_RUNS];
+        f(&mut slots[..k])
+    } else {
+        f(&mut vec![init; k])
+    }
+}
 
 /// Galloping (exponential) search: smallest index `i >= from` with
 /// `xs[i] >= target`, or `xs.len()`.
@@ -64,49 +96,116 @@ pub fn intersect2(a: &[Value], b: &[Value], out: &mut Vec<Value>) {
 /// and the Fig. 6/8 counters aggregate.
 pub fn leapfrog_intersect(runs: &[&[Value]], out: &mut Vec<Value>) -> u64 {
     out.clear();
-    if runs.is_empty() {
-        return 0;
-    }
-    if runs.iter().any(|r| r.is_empty()) {
-        return 0;
-    }
-    if runs.len() == 1 {
-        out.extend_from_slice(runs[0]);
-        return runs[0].len() as u64;
-    }
-    let k = runs.len();
-    let mut pos = vec![0usize; k];
-    let mut ops: u64 = 0;
-    // Start from the maximum of all heads.
-    let mut target = runs.iter().map(|r| r[0]).max().unwrap();
-    let mut agree = 0usize; // how many consecutive runs currently sit at target
-    let mut i = 0usize;
-    loop {
-        ops += 1;
-        let r = runs[i];
-        let p = gallop(r, pos[i], target);
-        if p == r.len() {
-            return ops;
+    match trivial(runs) {
+        Trivial::Empty => 0,
+        Trivial::One(run) => {
+            out.extend_from_slice(run);
+            run.len() as u64
         }
-        pos[i] = p;
-        if r[p] == target {
-            agree += 1;
-            if agree == k {
-                out.push(target);
-                // advance this run past target and continue
-                pos[i] += 1;
-                if pos[i] == r.len() {
-                    return ops;
+        Trivial::Many => leapfrog_dance(runs, |v, _| out.push(v)),
+    }
+}
+
+/// [`leapfrog_intersect`] that also records where each match sits:
+/// `positions[m * k + i]` is the offset of `out[m]` in `runs[i]`, for
+/// `k = runs.len()`. Finds the same matches with the same operation count.
+pub fn leapfrog_intersect_positions(
+    runs: &[&[Value]],
+    out: &mut Vec<Value>,
+    positions: &mut Vec<usize>,
+) -> u64 {
+    out.clear();
+    positions.clear();
+    match trivial(runs) {
+        Trivial::Empty => 0,
+        Trivial::One(run) => {
+            out.extend_from_slice(run);
+            positions.extend(0..run.len());
+            run.len() as u64
+        }
+        Trivial::Many => leapfrog_dance(runs, |v, at| {
+            out.push(v);
+            positions.extend_from_slice(at);
+        }),
+    }
+}
+
+/// The size of the intersection of `runs`, as `(matches, ops)`: the count
+/// and operation count [`leapfrog_intersect`] would report, without writing
+/// a value.
+pub fn leapfrog_count(runs: &[&[Value]]) -> (u64, u64) {
+    match trivial(runs) {
+        Trivial::Empty => (0, 0),
+        Trivial::One(run) => (run.len() as u64, run.len() as u64),
+        Trivial::Many => {
+            let mut matches = 0u64;
+            let ops = leapfrog_dance(runs, |_, _| matches += 1);
+            (matches, ops)
+        }
+    }
+}
+
+/// Intersections that need no dance.
+enum Trivial<'r> {
+    /// No runs, or an empty one: nothing matches and nothing is done.
+    Empty,
+    /// One run: it is its own intersection, one operation per value.
+    One(&'r [Value]),
+    /// Two or more non-empty runs.
+    Many,
+}
+
+#[inline]
+fn trivial<'r>(runs: &[&'r [Value]]) -> Trivial<'r> {
+    match runs {
+        [] => Trivial::Empty,
+        _ if runs.iter().any(|r| r.is_empty()) => Trivial::Empty,
+        [run] => Trivial::One(run),
+        _ => Trivial::Many,
+    }
+}
+
+/// The leapfrog dance over two or more non-empty runs: repeatedly gallop
+/// the next run to the current maximum head, calling `on_match(v, at)` for
+/// every value `v` all runs share, with `at[i]` its offset in `runs[i]`.
+/// Returns the number of gallops.
+#[inline(always)]
+fn leapfrog_dance(runs: &[&[Value]], mut on_match: impl FnMut(Value, &[usize])) -> u64 {
+    let k = runs.len();
+    with_slots(k, 0usize, |pos| {
+        let mut ops: u64 = 0;
+        // Start from the maximum of all heads.
+        let mut target = runs.iter().map(|r| r[0]).max().expect("two or more runs");
+        let mut agree = 0usize; // how many consecutive runs currently sit at target
+        let mut i = 0usize;
+        loop {
+            ops += 1;
+            let r = runs[i];
+            let p = gallop(r, pos[i], target);
+            if p == r.len() {
+                return ops;
+            }
+            pos[i] = p;
+            if r[p] == target {
+                agree += 1;
+                if agree == k {
+                    // Every run sits at `target`: `pos` is where it matched.
+                    on_match(target, pos);
+                    // advance this run past target and continue
+                    pos[i] += 1;
+                    if pos[i] == r.len() {
+                        return ops;
+                    }
+                    target = r[pos[i]];
+                    agree = 1;
                 }
-                target = r[pos[i]];
+            } else {
+                target = r[p];
                 agree = 1;
             }
-        } else {
-            target = r[p];
-            agree = 1;
+            i = (i + 1) % k;
         }
-        i = (i + 1) % k;
-    }
+    })
 }
 
 /// Merge-based intersection of two runs (for the trie-vs-flat ablation

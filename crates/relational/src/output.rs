@@ -173,6 +173,21 @@ pub trait RowSink {
     fn saturated(&self) -> bool {
         false
     }
+
+    /// Whether the sink needs only *how many* rows arrive, not their
+    /// values. A producer that can count rows without materializing them —
+    /// Leapfrog's last level, counted by intersection size — then calls
+    /// [`RowSink::push_count`] instead of pushing each row.
+    fn counts_only(&self) -> bool {
+        false
+    }
+
+    /// Absorbs `n` rows at once; returns `false` once no further rows are
+    /// wanted. Producers call it only on a sink whose
+    /// [`RowSink::counts_only`] is `true`; the default absorbs nothing.
+    fn push_count(&mut self, _n: u64) -> bool {
+        true
+    }
 }
 
 /// A closure adapter, so existing `FnMut(&[Value])` consumers are sinks.
@@ -289,6 +304,15 @@ impl CountSink {
 impl RowSink for CountSink {
     fn push(&mut self, _row: &[Value]) -> bool {
         self.count += 1;
+        true
+    }
+
+    fn counts_only(&self) -> bool {
+        true
+    }
+
+    fn push_count(&mut self, n: u64) -> bool {
+        self.count += n;
         true
     }
 }
@@ -417,6 +441,9 @@ mod tests {
         }
         assert_eq!(c.count(), 5);
         assert!(!c.saturated());
+        assert!(c.counts_only());
+        assert!(c.push_count(1000));
+        assert_eq!(c.count(), 1005, "a bulk count adds like that many pushes");
 
         let mut e = ExistsSink::new();
         assert!(!e.found());

@@ -77,6 +77,12 @@ impl Relation {
         if arity == 0 || self.data.is_empty() {
             return;
         }
+        // Data already in normal form — a merged gather of Leapfrog outputs,
+        // a re-normalized prefix of one — costs one linear pass, not a sort.
+        let rows = self.data.chunks_exact(arity);
+        if rows.clone().zip(rows.skip(1)).all(|(a, b)| a < b) {
+            return;
+        }
         let n = self.data.len() / arity;
         let mut idx: Vec<u32> = (0..n as u32).collect();
         let data = &self.data;
@@ -407,23 +413,8 @@ impl Relation {
                 });
             }
         }
-        // Tournament by repeated 2-way merges (k is small: blocks per
-        // relation per worker).
-        let mut runs: Vec<Vec<Value>> = parts.iter().map(|p| p.flat().to_vec()).collect();
-        while runs.len() > 1 {
-            let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-            let mut it = runs.into_iter();
-            while let Some(a) = it.next() {
-                match it.next() {
-                    Some(b) => next.push(merge_two(&a, &b, arity)),
-                    None => next.push(a),
-                }
-            }
-            runs = next;
-        }
-        let data = runs.pop().unwrap_or_default();
-        // Runs are sorted+deduped; merge_two preserves that invariant.
-        Ok(Relation { schema, data })
+        let runs: Vec<Vec<Value>> = parts.iter().map(|p| p.flat().to_vec()).collect();
+        Ok(Relation { schema, data: merge_sorted_runs(runs, arity) })
     }
 
     /// Set difference `self \ other` over the same attribute set (column
@@ -489,6 +480,27 @@ impl Relation {
         }
         Ok(Relation { schema: self.schema.clone(), data })
     }
+}
+
+/// Merges sorted, deduplicated row-major runs of one arity into one sorted,
+/// deduplicated run, by a tournament of pairwise merges — no re-sort. This
+/// is how Merge-HCube joins pulled blocks and how the executors gather
+/// worker outputs: Leapfrog emits each worker's rows in order, so the
+/// gathered result is already in normal form.
+pub fn merge_sorted_runs(mut runs: Vec<Vec<Value>>, arity: usize) -> Vec<Value> {
+    runs.retain(|run| !run.is_empty());
+    while runs.len() > 1 {
+        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
+        let mut it = runs.into_iter();
+        while let Some(a) = it.next() {
+            match it.next() {
+                Some(b) => next.push(merge_two(&a, &b, arity)),
+                None => next.push(a),
+            }
+        }
+        runs = next;
+    }
+    runs.pop().unwrap_or_default()
 }
 
 /// Merges two sorted-dedup row-major runs of the same arity.
@@ -680,6 +692,14 @@ mod tests {
         let u = a.union(&b).unwrap().union(&c).unwrap();
         assert_eq!(m, u);
         assert_eq!(m.len(), 5);
+    }
+
+    #[test]
+    fn merge_sorted_runs_is_the_normalized_union() {
+        let runs = vec![vec![1, 2, 3, 4, 9, 9], vec![], vec![0, 1, 1, 2, 9, 9]];
+        assert_eq!(merge_sorted_runs(runs, 2), vec![0, 1, 1, 2, 3, 4, 9, 9]);
+        assert!(merge_sorted_runs(Vec::new(), 2).is_empty());
+        assert!(merge_sorted_runs(vec![vec![], vec![]], 2).is_empty());
     }
 
     #[test]

@@ -216,13 +216,7 @@ impl<'a> TrieCursor<'a> {
     /// if there are no children — only possible on an empty trie at the root,
     /// since interior trie nodes always have at least one child.
     pub fn open(&mut self) -> bool {
-        debug_assert!(self.depth < self.trie.arity(), "open past leaf level");
-        let (lo, hi) = if self.depth == 0 {
-            self.trie.levels[0].children(0)
-        } else {
-            let parent = self.node[self.depth - 1];
-            self.trie.levels[self.depth].children(parent)
-        };
+        let (lo, hi) = self.child_range();
         if lo == hi {
             return false;
         }
@@ -231,6 +225,37 @@ impl<'a> TrieCursor<'a> {
         self.node.push(lo);
         self.depth += 1;
         true
+    }
+
+    /// Range, in the next level's values, of the current node's children.
+    #[inline]
+    fn child_range(&self) -> (usize, usize) {
+        debug_assert!(self.depth < self.trie.arity(), "no level below the leaves");
+        let parent = if self.depth == 0 { 0 } else { self.node[self.depth - 1] };
+        self.trie.levels[self.depth].children(parent)
+    }
+
+    /// The children of the current node (the root level at depth 0): the
+    /// run [`TrieCursor::open`] would descend into, read without descending.
+    /// Leapfrog's last level intersects these runs in place, so it never
+    /// opens, positions or leaves a cursor.
+    #[inline]
+    pub fn child_run(&self) -> &'a [Value] {
+        let (lo, hi) = self.child_range();
+        &self.trie.levels[self.depth].values[lo..hi]
+    }
+
+    /// Positions the cursor at `offset` within the current sibling run (an
+    /// index into [`TrieCursor::run`]) in O(1). This is how Leapfrog
+    /// descends into a match whose offsets the position-carrying
+    /// intersection already recorded, instead of seeking the value again.
+    #[inline]
+    pub fn jump(&mut self, offset: usize) {
+        let d = self.depth - 1;
+        let p = self.range[d].0 + offset;
+        debug_assert!(p < self.range[d].1, "jump past the end of the run");
+        self.pos[d] = p;
+        self.node[d] = p;
     }
 
     /// Returns to the parent level.
@@ -409,6 +434,24 @@ mod tests {
         // empty trie: no descent, no panic
         let empty = Trie::build(&Relation::empty(Schema::from_ids(&[0, 1])));
         assert!(!empty.cursor().open_at(1));
+    }
+
+    #[test]
+    fn child_run_reads_without_descending_and_jump_positions() {
+        let r = rel(&[0, 1], &[&[1, 5], &[1, 7], &[3, 2], &[3, 9]]);
+        let t = Trie::build(&r);
+        let mut c = t.cursor();
+        assert_eq!(c.child_run(), &[1, 3], "the root level at depth 0");
+        assert_eq!(c.depth(), 0);
+        assert!(c.open());
+        c.jump(1);
+        assert_eq!(c.key(), 3);
+        assert_eq!(c.child_run(), &[2, 9], "children of the node jumped to");
+        assert_eq!(c.depth(), 1);
+        c.jump(0);
+        assert_eq!((c.key(), c.child_run()), (1, &[5u32, 7][..]));
+        assert!(c.open());
+        assert_eq!(c.run(), &[5, 7]);
     }
 
     #[test]

@@ -256,6 +256,48 @@ fn zero_deadline_fails_typed_and_service_keeps_serving() {
     assert_eq!(m.queries_ok, 1);
 }
 
+/// Counting the last level by size must not count past the cancellation
+/// checkpoints. A star of `LEAVES` edges out of node 0 under
+/// `R1(a,b), R2(a,c)` puts `LEAVES` rows on each of the hub's last-level
+/// nodes, `LEAVES²` in all, which Leapfrog adds up in bulk: the `COUNT`
+/// still fails typed under a zero deadline, polls the `JoinEnumerate`
+/// site once per `SINK_CHECK_EVERY` rows counted, and an arm on its last
+/// poll — a bulk count's — still cancels the query.
+#[test]
+fn bulk_counted_last_level_keeps_every_cancellation_checkpoint() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const LEAVES: Value = 3000;
+    let (q, _) = parse_query("R1(a,b), R2(a,c)").unwrap();
+    let star: Vec<(Value, Value)> = (1..=LEAVES).map(|leaf| (0, leaf)).collect();
+    let service = serving(Strategy::CoOptimize);
+    service
+        .register_database("star", q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &star)));
+    let count = || service.execute_mode("star", &q, OutputMode::Count);
+
+    let err = service
+        .execute_mode_with_deadline("star", &q, OutputMode::Count, Some(Duration::ZERO))
+        .expect_err("a zero deadline cannot be met");
+    assert!(matches!(err, ServiceError::DeadlineExceeded { .. }), "got {err:?}");
+
+    let rows = u64::from(LEAVES) * u64::from(LEAVES);
+    assert_eq!(count().unwrap().output, QueryOutput::Count(rows), "cold run");
+    let faults = install(FaultPlan::new());
+    assert_eq!(count().unwrap().output, QueryOutput::Count(rows), "warm run");
+    let hits = faults.hits(FaultSite::JoinEnumerate);
+    drop(faults);
+    assert!(
+        hits >= rows / adj::core::SINK_CHECK_EVERY,
+        "{hits} polls for {rows} counted rows: a bulk count skipped checkpoints"
+    );
+
+    let faults = install(FaultPlan::new().cancel_at(FaultSite::JoinEnumerate, hits - 1));
+    let err = count().expect_err("the last poll's cancel must fail the query");
+    assert!(faults.all_fired(), "the arm on the last poll never fired");
+    drop(faults);
+    assert!(matches!(err, ServiceError::Cancelled), "got {err:?}");
+    assert_eq!(count().unwrap().output, QueryOutput::Count(rows), "recovery");
+}
+
 /// The seeded chaos sweep: a pseudo-random plan drawn from `FAULTS_SEED`
 /// (CI reruns the matrix under a second seed) fires panics, cancels, and
 /// delays across all sites while a mixed query + mutation workload runs.
