@@ -207,6 +207,7 @@ pub fn execute_plan_batch(
                 span.arg("bindings_completed", completed as u64);
                 span.arg("output_tuples", counters.output_tuples);
                 span.arg("seeks", counters.stats.total_seeks());
+                span.arg("probes", counters.stats.total_probes());
             }
             Ok((slots, counters, completed))
         },

@@ -37,9 +37,9 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-trie-level span-arg key (`tuples_l0`, `seeks_l3`, …). The first
-/// eight levels — every practical join order — hit a static table so the
-/// gather span's per-level annotations record without allocating.
+/// Per-trie-level span-arg key (`tuples_l0`, `seeks_l3`, `probes_l2`, …).
+/// The first eight levels — every practical join order — hit a static table
+/// so the gather span's per-level annotations record without allocating.
 fn level_key(kind: &str, i: usize) -> Cow<'static, str> {
     const TUPLES: [&str; 8] = [
         "tuples_l0",
@@ -55,9 +55,20 @@ fn level_key(kind: &str, i: usize) -> Cow<'static, str> {
         "seeks_l0", "seeks_l1", "seeks_l2", "seeks_l3", "seeks_l4", "seeks_l5", "seeks_l6",
         "seeks_l7",
     ];
+    const PROBES: [&str; 8] = [
+        "probes_l0",
+        "probes_l1",
+        "probes_l2",
+        "probes_l3",
+        "probes_l4",
+        "probes_l5",
+        "probes_l6",
+        "probes_l7",
+    ];
     match (kind, i) {
         ("tuples", i) if i < TUPLES.len() => Cow::Borrowed(TUPLES[i]),
         ("seeks", i) if i < SEEKS.len() => Cow::Borrowed(SEEKS[i]),
+        ("probes", i) if i < PROBES.len() => Cow::Borrowed(PROBES[i]),
         _ => Cow::Owned(format!("{kind}_l{i}")),
     }
 }
@@ -392,8 +403,9 @@ pub fn shape_output(
 /// `shuffle` span instead), the shuffle's own spans (see
 /// [`hcube_shuffle_round`]), a `computation` span over the worker dispatch
 /// with one `join` span per worker lane (annotated with that worker's
-/// output tuples and trie-operation counts), and a `gather` span over the
-/// merge and the shaping of the output.
+/// output tuples, trie-operation counts, dance gallops, table probes and
+/// value-table builds), and a `gather` span over the merge and the shaping
+/// of the output.
 pub fn execute_plan(
     cluster: &Cluster,
     db: &Database,
@@ -478,6 +490,9 @@ pub fn execute_plan(
                 span.arg("seeks", c.stats.total_seeks());
                 span.arg("opens", c.stats.total_opens());
                 span.arg("open_ats", c.stats.total_open_ats());
+                span.arg("probes", c.stats.total_probes());
+                span.arg("table_builds", c.stats.table_builds);
+                span.arg("table_bytes", c.stats.table_bytes);
             }
             Ok(result)
         },
@@ -503,6 +518,9 @@ pub fn execute_plan(
         }
         for (i, &s) in counters.stats.seeks_per_level.iter().enumerate() {
             gather_span.arg(level_key("seeks", i), s);
+        }
+        for (i, &p) in counters.stats.probes_per_level.iter().enumerate() {
+            gather_span.arg(level_key("probes", i), p);
         }
         gather_span.arg("output_tuples", counters.output_tuples);
     }

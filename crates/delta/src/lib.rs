@@ -171,7 +171,18 @@ impl DeltaRelation {
         let ins_delta = Relation::from_rows(schema.clone(), &ins_rows)?;
         let del_delta = Relation::from_rows(schema, &del_rows)?;
 
-        let before = self.effective();
+        // Count by membership against the pre-batch runs, instead of
+        // materializing the effective relation before and after: a row the
+        // batch deletes leaves iff it was visible, and one it inserts (and
+        // does not delete) arrives iff it was not.
+        let visible = |row: &[Value]| {
+            (self.base.contains_row(row) || self.inserts.contains_row(row))
+                && !self.tombstones.contains_row(row)
+        };
+        let deleted = del_delta.rows().filter(|row| visible(row)).count();
+        let inserted =
+            ins_delta.rows().filter(|row| !del_delta.contains_row(row) && !visible(row)).count();
+
         // Inserts: extend the insert run, resurrect any tombstoned rows.
         let merged_ins = Relation::merge_sorted(&[&self.inserts, &ins_delta])?;
         let tomb_minus = self.tombstones.subtract(&ins_delta)?;
@@ -180,14 +191,9 @@ impl DeltaRelation {
         self.inserts = merged_ins.subtract(&del_delta)?;
         let del_hitting_base = del_delta.subtract(&del_delta.subtract(&self.base)?)?;
         self.tombstones = Relation::merge_sorted(&[&tomb_minus, &del_hitting_base])?;
-        let after = self.effective();
 
         self.seq += 1;
-        Ok(ApplyOutcome {
-            inserted: after.subtract(&before)?.len(),
-            deleted: before.subtract(&after)?.len(),
-            seq: self.seq,
-        })
+        Ok(ApplyOutcome { inserted, deleted, seq: self.seq })
     }
 
     /// Whether the overlay has outgrown the configured fraction of the base.
@@ -252,6 +258,33 @@ mod tests {
         let out = d.apply(&rows(&[&[5, 6]]), &rows(&[&[5, 6]])).unwrap();
         assert_eq!((out.inserted, out.deleted), (0, 0));
         assert_eq!(d.effective(), rel(&[0, 1], &[&[1, 2]]));
+    }
+
+    #[test]
+    fn outcome_counts_what_the_effective_relation_gained_and_lost() {
+        // Random batches over a small domain, so inserts collide with
+        // visible, tombstoned and same-batch-deleted rows.
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u32| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % u64::from(n)) as Value
+        };
+        let base: Vec<Vec<Value>> = (0..20).map(|_| vec![next(6), next(6)]).collect();
+        let base_refs: Vec<&[Value]> = base.iter().map(|r| r.as_slice()).collect();
+        let mut d = DeltaRelation::new(rel(&[0, 1], &base_refs));
+        for _ in 0..200 {
+            let batch = |next: &mut dyn FnMut(u32) -> Value| {
+                (0..next(5)).map(|_| vec![next(6), next(6)]).collect::<Vec<_>>()
+            };
+            let (ins, del) = (batch(&mut next), batch(&mut next));
+            let before = d.effective();
+            let out = d.apply(&ins, &del).unwrap();
+            let after = d.effective();
+            assert_eq!(out.inserted, after.subtract(&before).unwrap().len(), "{ins:?} {del:?}");
+            assert_eq!(out.deleted, before.subtract(&after).unwrap().len(), "{ins:?} {del:?}");
+        }
     }
 
     #[test]

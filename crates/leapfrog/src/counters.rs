@@ -10,7 +10,9 @@
 pub struct JoinCounters {
     /// Partial bindings produced per query level.
     pub tuples_per_level: Vec<u64>,
-    /// Galloping/comparison operations spent in intersections.
+    /// Gallops inside leapfrog dances (one per value of a lone run). An
+    /// intersection the probe kernel answers adds nothing here: its table
+    /// lookups are [`JoinStats::probes_per_level`].
     pub intersect_ops: u64,
     /// Full result tuples emitted — pushed as rows, or added as one count
     /// per last-level node into a counting sink.
@@ -19,7 +21,7 @@ pub struct JoinCounters {
     pub cache_hits: u64,
     /// Cache misses (cached variant only).
     pub cache_misses: u64,
-    /// Per-level trie-operation counts (seeks / opens / `open_at`s).
+    /// Per-level trie-operation counts (seeks / opens / `open_at`s / probes).
     pub stats: JoinStats,
 }
 
@@ -30,7 +32,7 @@ pub struct JoinCounters {
 ///
 /// The last free level of a join moves no cursor — it intersects the
 /// participants' child runs in place — so it records no opens and no
-/// seeks; its work shows in `intersect_ops` alone.
+/// seeks; its work shows in `intersect_ops` and `probes_per_level` alone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JoinStats {
     /// Cursor positionings per level: one per participant per binding the
@@ -45,6 +47,14 @@ pub struct JoinStats {
     /// `TrieCursor::open_at` calls per level (descending directly to a
     /// bound constant, skipping the intersection entirely).
     pub open_ats_per_level: Vec<u64>,
+    /// Dense-table lookups per level: the probe kernel's work at levels
+    /// whose invariant runs are indexed, in place of the dance's gallops.
+    pub probes_per_level: Vec<u64>,
+    /// Value tables built: one per invariant run seen a second time.
+    pub table_builds: u64,
+    /// Bytes of value-table storage allocated. A scratch reused across
+    /// joins reports its tables once, in the run that grew them.
+    pub table_bytes: u64,
 }
 
 impl JoinStats {
@@ -54,6 +64,9 @@ impl JoinStats {
             seeks_per_level: vec![0; levels],
             opens_per_level: vec![0; levels],
             open_ats_per_level: vec![0; levels],
+            probes_per_level: vec![0; levels],
+            table_builds: 0,
+            table_bytes: 0,
         }
     }
 
@@ -72,6 +85,11 @@ impl JoinStats {
         self.open_ats_per_level.iter().sum()
     }
 
+    /// Total table lookups across levels.
+    pub fn total_probes(&self) -> u64 {
+        self.probes_per_level.iter().sum()
+    }
+
     /// Merges another run's stats into this one (aggregating workers).
     pub fn merge(&mut self, other: &JoinStats) {
         fn add(into: &mut Vec<u64>, from: &[u64]) {
@@ -85,6 +103,9 @@ impl JoinStats {
         add(&mut self.seeks_per_level, &other.seeks_per_level);
         add(&mut self.opens_per_level, &other.opens_per_level);
         add(&mut self.open_ats_per_level, &other.open_ats_per_level);
+        add(&mut self.probes_per_level, &other.probes_per_level);
+        self.table_builds += other.table_builds;
+        self.table_bytes += other.table_bytes;
     }
 }
 
@@ -150,10 +171,15 @@ mod tests {
         let mut b = JoinStats::new(3);
         b.seeks_per_level = vec![10, 0, 7];
         b.open_ats_per_level = vec![0, 2, 0];
+        b.probes_per_level = vec![0, 0, 5];
+        b.table_builds = 1;
+        b.table_bytes = 64;
         a.merge(&b);
         assert_eq!(a.seeks_per_level, vec![13, 4, 7]);
         assert_eq!(a.opens_per_level, vec![1, 1, 0]);
         assert_eq!(a.open_ats_per_level, vec![0, 2, 0]);
+        assert_eq!(a.probes_per_level, vec![0, 0, 5]);
+        assert_eq!((a.total_probes(), a.table_builds, a.table_bytes), (5, 1, 64));
         assert_eq!(a.total_seeks(), 24);
         assert_eq!(a.total_opens(), 2);
         assert_eq!(a.total_open_ats(), 2);

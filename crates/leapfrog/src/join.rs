@@ -8,31 +8,49 @@
 //! "the main cost of Leapfrog is the cost of the intersections" — and it
 //! pays for nothing else the intersection already knows:
 //!
-//! * **Interior levels find each match once.** The level intersects with
-//!   [`leapfrog_intersect_positions`], which records, per matched value,
-//!   its offset in every participant's run. Descending into a match jumps
-//!   each participant's cursor to that offset ([`TrieCursor::jump`], O(1))
-//!   instead of galloping to the value a second time.
+//! * **Interior levels find each match once.** The level's intersection
+//!   records, per matched value, its offset in every participant's run.
+//!   Descending into a match jumps each participant's cursor to that offset
+//!   ([`TrieCursor::jump`], O(1)) instead of galloping to the value a
+//!   second time.
 //! * **The last free level never descends.** It intersects the
 //!   participants' child runs in place ([`TrieCursor::child_run`]): no
 //!   cursor opens, seeks or goes up there. A sink that only needs a count
 //!   ([`RowSink::counts_only`]) receives the intersection's size in one
-//!   [`RowSink::push_count`], from [`leapfrog_count`], which writes no
-//!   value; any other sink receives one row per matched value.
+//!   [`RowSink::push_count`], and no value is written; any other sink
+//!   receives one row per matched value.
+//! * **Runs that stand still are probed, not galloped into.** A
+//!   participant's run at level `L` is read under its cursor's position at
+//!   its previous participating level (bound levels count). When that level
+//!   is `L − 1`, every binding there shows it a new run: the participant
+//!   *varies*. When it is further up, or there is none (a root run), the
+//!   run stands still while the levels in between iterate: the participant
+//!   is *invariant*, and the dance would gallop into the same run again for
+//!   every binding beneath it. [`LeapfrogJoin::new`] reads this off the
+//!   order and the schemas once. A level with exactly one varying
+//!   participant walks that run and answers every invariant one from a
+//!   dense value → offset table ([`probe_matches`], [`ValueTable`]). The
+//!   probe finds the same matches in the same order with the same offsets
+//!   as the dance ([`leapfrog_matches`]), so every sink sees what it saw
+//!   before. A table is built the second time its run is asked for, so a
+//!   run used once costs nothing. The dance keeps the level when two or
+//!   more participants vary, when a run holds a value past
+//!   [`TABLE_CAP`](adj_relational::intersect::TABLE_CAP), or when the
+//!   driving run is more than four times longer than the shortest invariant
+//!   run (galloping from the short side is cheaper then).
 //!
-//! Both kernels and the per-level run lists live on the stack for up to
+//! The kernels and the per-level run lists live on the stack for up to
 //! [`INLINE_RUNS`](adj_relational::intersect::INLINE_RUNS) participants,
-//! and the per-level intersections in reused [`JoinScratch`] buffers, so a
-//! warm join allocates nothing per trie node.
+//! and the per-level intersections and tables in reused [`JoinScratch`]
+//! buffers, so a warm join allocates nothing per trie node.
 
-use crate::counters::JoinCounters;
-use adj_relational::intersect::{
-    leapfrog_count, leapfrog_intersect, leapfrog_intersect_positions, with_slots,
-};
+use crate::counters::{JoinCounters, JoinStats};
+use adj_relational::intersect::{leapfrog_matches, probe_matches, with_slots, ValueTable};
 use adj_relational::{
     Attr, BoundValues, CountSink, Error, FnSink, Result, RowSink, Trie, TrieCursor, Value,
 };
 use std::borrow::Borrow;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Validates that every trie's level order is the order induced by the
 /// global attribute order `order` (the invariant HCube's shuffle
@@ -79,14 +97,19 @@ pub fn validate_tries<T: Borrow<Trie>>(order: &[Attr], tries: &[T]) -> Result<Ve
     Ok(participants)
 }
 
-/// Reusable per-level intersection output buffers.
+/// Reusable per-level intersection output buffers and invariant-run
+/// tables.
 ///
 /// The Leapfrog inner loop produces one candidate list per level per
 /// binding; allocating a fresh `Vec<Value>` for each would dominate
 /// steady-state enumeration on small per-worker fragments. A `JoinScratch`
 /// keeps one pair of buffers per query level (reused across sibling
 /// bindings and across joins), so enumeration is allocation-free once the
-/// buffers reach their high-water marks.
+/// buffers reach their high-water marks. It also keeps one value table per
+/// (level, participant) slot for the probe kernel. A table is keyed by the
+/// join and the run it indexes, so a scratch reused across joins — even
+/// over tries dropped and rebuilt at the same addresses — never trusts a
+/// table another join built.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     levels: Vec<LevelScratch>,
@@ -100,6 +123,100 @@ struct LevelScratch {
     /// Per match `m`, participant `i`'s offset of `values[m]` in its run, at
     /// `positions[m * k + i]` for `k` participants.
     positions: Vec<usize>,
+    /// The level's invariant-run tables.
+    tables: LevelTables,
+}
+
+/// The run a table slot was last asked for: the join, and the run's place
+/// and length in that join's tries (compared, never dereferenced).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct RunKey {
+    join: u64,
+    start: usize,
+    len: usize,
+}
+
+/// How far a table slot got with the run its key names.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum TableState {
+    /// Asked for once: the level danced. A second ask builds the table.
+    #[default]
+    Seen,
+    /// The table indexes the run.
+    Built,
+    /// The run holds a value past the table cap
+    /// ([`TABLE_CAP`](adj_relational::intersect::TABLE_CAP)): the level
+    /// dances.
+    Unfit,
+}
+
+/// A driving run longer than `DRIVER_RATIO ×` the shortest invariant run
+/// `+ DRIVER_SLACK` is intersected by the dance, which gallops from the
+/// short side.
+const DRIVER_RATIO: usize = 4;
+const DRIVER_SLACK: usize = 8;
+
+/// One level's value tables, one slot per participant (the driver's slot
+/// stays unused).
+#[derive(Debug, Default)]
+struct LevelTables {
+    seen: Vec<(RunKey, TableState)>,
+    tables: Vec<ValueTable>,
+}
+
+impl LevelTables {
+    /// Whether every run but `runs[driver]` has its table ready, so the
+    /// level can probe. Records a run asked for the first time and builds
+    /// the table of one asked for the second time; a driving run too long
+    /// for probing to pay asks for nothing.
+    fn ready(
+        &mut self,
+        join: u64,
+        runs: &[&[Value]],
+        driver: usize,
+        stats: &mut JoinStats,
+    ) -> bool {
+        let shortest = runs
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != driver)
+            .map(|(_, run)| run.len())
+            .min()
+            .unwrap_or(0);
+        if shortest == 0 || runs[driver].len() > DRIVER_RATIO * shortest + DRIVER_SLACK {
+            return false;
+        }
+        if self.seen.len() < runs.len() {
+            self.seen.resize(runs.len(), Default::default());
+            self.tables.resize_with(runs.len(), ValueTable::new);
+        }
+        let mut ready = true;
+        for (i, run) in runs.iter().enumerate().filter(|&(i, _)| i != driver) {
+            let key = RunKey { join, start: run.as_ptr() as usize, len: run.len() };
+            let (seen, state) = &mut self.seen[i];
+            if *seen != key {
+                (*seen, *state) = (key, TableState::Seen);
+                ready = false;
+                continue;
+            }
+            match *state {
+                TableState::Built => {}
+                TableState::Unfit => ready = false,
+                TableState::Seen => match self.tables[i].build(run) {
+                    Some(grown) => {
+                        stats.table_builds += 1;
+                        stats.table_bytes += grown as u64;
+                        *state = TableState::Built;
+                    }
+                    None => {
+                        *state = TableState::Unfit;
+                        ready = false;
+                    }
+                },
+            }
+        }
+        ready
+    }
 }
 
 impl JoinScratch {
@@ -150,6 +267,45 @@ impl Walk<'_> {
 /// The placeholder a level's run list starts from.
 const NO_RUN: &[Value] = &[];
 
+/// Gives every join its own identity, so table keys never match across
+/// joins. `Relaxed` suffices: the id publishes no other data, and
+/// `fetch_add` hands out each value once under any ordering.
+static NEXT_JOIN_ID: AtomicU64 = AtomicU64::new(1);
+
+/// For each query level, the participant (an index into the level's
+/// participants) whose run drives the probe kernel: the level's one
+/// varying participant, when at least one other participant is invariant
+/// (see the module docs). `None` keeps the dance: no invariant participant,
+/// or two or more varying ones.
+fn probe_drivers<T: Borrow<Trie>>(
+    order: &[Attr],
+    tries: &[T],
+    participants: &[Vec<usize>],
+) -> Vec<Option<usize>> {
+    participants
+        .iter()
+        .enumerate()
+        .map(|(level, ps)| {
+            // A trie's levels follow `order`, so its previous participating
+            // level is `level - 1` exactly when its attribute above this
+            // one is `order[level - 1]`.
+            let mut varying = ps
+                .iter()
+                .enumerate()
+                .filter(|&(_, &p)| {
+                    let attrs = tries[p].borrow().schema().attrs();
+                    let depth = attrs.iter().position(|&a| a == order[level]).expect("participant");
+                    depth > 0 && attrs[depth - 1] == order[level - 1]
+                })
+                .map(|(i, _)| i);
+            match (varying.next(), varying.next()) {
+                (Some(driver), None) if ps.len() > 1 => Some(driver),
+                _ => None,
+            }
+        })
+        .collect()
+}
+
 /// A multi-way join execution over tries.
 ///
 /// Construction validates that every trie's level order is the order induced
@@ -163,10 +319,15 @@ const NO_RUN: &[Value] = &[];
 /// owned handles shared with a cross-query index cache — the join itself
 /// never cares who owns the index.
 pub struct LeapfrogJoin<T: Borrow<Trie>> {
+    /// This join's identity in the keys of a [`JoinScratch`]'s tables.
+    id: u64,
     order: Vec<Attr>,
     tries: Vec<T>,
     /// For each query level: indices of participating tries.
     participants: Vec<Vec<usize>>,
+    /// For each query level: the probe kernel's driving participant, if the
+    /// level probes its invariant runs (see [`probe_drivers`]).
+    drivers: Vec<Option<usize>>,
     /// For each query level: the constant a prepared-query binding pinned
     /// the attribute to, if any. Bound levels *seek* the constant in every
     /// participant instead of intersecting candidate runs — the whole
@@ -179,7 +340,15 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// Creates a join over `tries` under the global attribute order.
     pub fn new(order: &[Attr], tries: Vec<T>) -> Result<Self> {
         let participants = validate_tries(order, &tries)?;
-        Ok(LeapfrogJoin { order: order.to_vec(), tries, participants, bound: Vec::new() })
+        let drivers = probe_drivers(order, &tries, &participants);
+        Ok(LeapfrogJoin {
+            id: NEXT_JOIN_ID.fetch_add(1, Ordering::Relaxed),
+            order: order.to_vec(),
+            tries,
+            participants,
+            drivers,
+            bound: Vec::new(),
+        })
     }
 
     /// Pins the levels named by `bound` to their constants: enumeration
@@ -303,7 +472,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                 };
             }
         } else if last {
-            return Self::last_level(ps, level, walk, sink, buf);
+            return self.last_level(ps, level, walk, sink, buf);
         } else {
             for &p in ps {
                 walk.counters.stats.opens_per_level[level] += 1;
@@ -316,17 +485,21 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             }
             if ok {
                 let k = ps.len();
-                let cursors = &walk.cursors;
-                let ops = with_slots(k, NO_RUN, |runs| {
+                let LevelScratch { values, positions, tables } = buf;
+                values.clear();
+                positions.clear();
+                with_slots(k, NO_RUN, |runs| {
                     for (run, &p) in runs.iter_mut().zip(ps) {
-                        *run = cursors[p].run();
+                        *run = walk.cursors[p].run();
                     }
-                    leapfrog_intersect_positions(runs, &mut buf.values, &mut buf.positions)
+                    self.intersect(level, runs, tables, &mut walk.counters, |v, at| {
+                        values.push(v);
+                        positions.extend_from_slice(at);
+                    });
                 });
-                walk.counters.intersect_ops += ops;
-                keep_going = walk.produce(level, buf.values.len() as u64);
+                keep_going = walk.produce(level, values.len() as u64);
                 if keep_going {
-                    for (&v, at) in buf.values.iter().zip(buf.positions.chunks_exact(k)) {
+                    for (&v, at) in values.iter().zip(positions.chunks_exact(k)) {
                         walk.counters.stats.seeks_per_level[level] += k as u64;
                         for (&p, &offset) in ps.iter().zip(at) {
                             walk.cursors[p].jump(offset);
@@ -346,35 +519,62 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         keep_going
     }
 
+    /// Intersects one level's `runs` (in participant order), calling
+    /// `on_match(v, at)` per match as [`leapfrog_matches`] does. The level
+    /// probes when it has a driver and its invariant runs' tables are
+    /// ready, and dances otherwise; the dance's gallops count as
+    /// `intersect_ops`, the probes as `probes_per_level`.
+    #[inline(always)]
+    fn intersect(
+        &self,
+        level: usize,
+        runs: &[&[Value]],
+        tables: &mut LevelTables,
+        counters: &mut JoinCounters,
+        on_match: impl FnMut(Value, &[usize]),
+    ) {
+        if let Some(driver) = self.drivers[level] {
+            if tables.ready(self.id, runs, driver, &mut counters.stats) {
+                counters.stats.probes_per_level[level] +=
+                    probe_matches(runs, driver, &tables.tables, on_match);
+                return;
+            }
+        }
+        counters.intersect_ops += leapfrog_matches(runs, on_match);
+    }
+
     /// The last free level: intersects the participants' child runs where
     /// they lie. A counting sink takes the intersection's size in one
     /// step; any other sink takes one row per matched value. No cursor
     /// moves, so the level records no opens or seeks.
     fn last_level(
+        &self,
         ps: &[usize],
         level: usize,
         walk: &mut Walk<'_>,
         sink: &mut dyn RowSink,
         buf: &mut LevelScratch,
     ) -> bool {
+        let LevelScratch { values, tables, .. } = buf;
         with_slots(ps.len(), NO_RUN, |runs| {
             for (run, &p) in runs.iter_mut().zip(ps) {
                 *run = walk.cursors[p].child_run();
             }
             if sink.counts_only() {
-                let (n, ops) = leapfrog_count(runs);
-                walk.counters.intersect_ops += ops;
+                let mut n = 0u64;
+                self.intersect(level, runs, tables, &mut walk.counters, |_, _| n += 1);
                 if !walk.produce(level, n) {
                     return false;
                 }
                 walk.counters.output_tuples += n;
                 return n == 0 || sink.push_count(n);
             }
-            walk.counters.intersect_ops += leapfrog_intersect(runs, &mut buf.values);
-            if !walk.produce(level, buf.values.len() as u64) {
+            values.clear();
+            self.intersect(level, runs, tables, &mut walk.counters, |v, _| values.push(v));
+            if !walk.produce(level, values.len() as u64) {
                 return false;
             }
-            for &v in &buf.values {
+            for &v in values.iter() {
                 walk.binding[level] = v;
                 walk.counters.output_tuples += 1;
                 if !sink.push(&walk.binding) {
@@ -412,14 +612,20 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// `|T_{A=a}|` of the sampling estimator (Sec. IV). The first level is
     /// bound to `v` (its candidates are not intersected: each participant
     /// seeks `v` directly) and the rest are counted like [`Self::count`].
-    pub fn count_with_first_value(&self, v: Value) -> (u64, JoinCounters) {
+    /// A sampler passes one `scratch` to every value it draws, so the tables
+    /// of runs no sampled value moves — the root runs below level 0 — are
+    /// built once per estimate.
+    pub fn count_with_first_value(
+        &self,
+        v: Value,
+        scratch: &mut JoinScratch,
+    ) -> (u64, JoinCounters) {
         let Some(mut walk) = self.walk(u64::MAX) else {
             return (0, JoinCounters::new(self.levels()));
         };
         let mut bound = self.bound.clone();
         bound.resize(self.levels(), None);
         bound[0] = Some(v);
-        let mut scratch = JoinScratch::new();
         let bufs = scratch.for_levels(self.levels());
         self.recurse_sink(0, &mut walk, &mut CountSink::new(), bufs, &bound);
         (walk.counters.output_tuples, walk.counters)
@@ -640,6 +846,7 @@ impl<T: Borrow<Trie>> BatchedLeapfrog<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adj_relational::intersect::TABLE_CAP;
     use adj_relational::{Relation, Schema};
     use std::sync::Arc;
 
@@ -881,6 +1088,48 @@ mod tests {
         assert!(partial.total_tuples() >= 1);
     }
 
+    /// A 4-cycle `0-1-2-3-0` over one edge set, under order `[0,1,2,3]`:
+    /// level 2 probes the root run of `R(2,3)`, level 3 the run of `R(0,3)`
+    /// under `0`.
+    fn four_cycle(edges: &[(Value, Value)]) -> Vec<Trie> {
+        let ord = order(&[0, 1, 2, 3]);
+        [(0, 1), (1, 2), (2, 3), (0, 3)]
+            .iter()
+            .map(|&(x, y)| {
+                Relation::from_pairs(Attr(x), Attr(y), edges).trie_under_order(&ord).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn values_past_the_table_cap_fall_back_to_the_dance() {
+        let ord = order(&[0, 1, 2, 3]);
+        let small: Vec<(Value, Value)> = (0..300u32)
+            .flat_map(|i| vec![(i % 37, (i * 7 + 1) % 37), (i % 37, (i * 11 + 5) % 37)])
+            .collect();
+        let count = |edges: &[(Value, Value)]| {
+            let tries = four_cycle(edges);
+            LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap().count()
+        };
+        let (n, probed) = count(&small);
+        assert!(n > 0 && probed.stats.total_probes() > 0);
+        assert!(probed.stats.table_builds > 0 && probed.stats.table_bytes > 0);
+
+        // Every vertex past the cap: no table fits, every level dances.
+        let shift = |v: Value| v + TABLE_CAP as Value;
+        let big: Vec<(Value, Value)> = small.iter().map(|&(x, y)| (shift(x), shift(y))).collect();
+        let (m, danced) = count(&big);
+        assert_eq!(m, n);
+        assert_eq!(danced.tuples_per_level, probed.tuples_per_level);
+        assert_eq!((danced.stats.total_probes(), danced.stats.table_builds), (0, 0));
+        assert!(danced.intersect_ops > probed.intersect_ops);
+
+        // Half of them past the cap, up to `u32::MAX`: the same answer.
+        let mixed = |v: Value| if v.is_multiple_of(2) { v } else { u32::MAX - v };
+        let half: Vec<(Value, Value)> = small.iter().map(|&(x, y)| (mixed(x), mixed(y))).collect();
+        assert_eq!(count(&half).0, n);
+    }
+
     #[test]
     fn count_with_first_value_sums_to_total() {
         let (r1, r2, r3) = triangle_graph();
@@ -888,13 +1137,14 @@ mod tests {
         let tries = tries_for(&[&r1, &r2, &r3], &ord);
         let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
         let (total, _) = join.count();
+        let mut scratch = JoinScratch::new();
         let mut sum = 0;
         for v in 0..6u32 {
-            sum += join.count_with_first_value(v).0;
+            sum += join.count_with_first_value(v, &mut scratch).0;
         }
         assert_eq!(sum, total);
-        assert_eq!(join.count_with_first_value(1).0, 2); // both triangles start at a=1
-        assert_eq!(join.count_with_first_value(99).0, 0);
+        assert_eq!(join.count_with_first_value(1, &mut scratch).0, 2); // both triangles start at a=1
+        assert_eq!(join.count_with_first_value(99, &mut scratch).0, 0);
     }
 
     /// Wraps a sink and counts how many rows the join actually emitted —

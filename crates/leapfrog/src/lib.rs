@@ -15,6 +15,8 @@
 pub mod cached;
 pub mod counters;
 pub mod join;
+#[doc(hidden)]
+pub mod reference;
 
 pub use cached::CachedJoin;
 pub use counters::{JoinCounters, JoinStats};

@@ -5,19 +5,26 @@
 //! `val(t_i → A_{i+1})` step, the sampler's `val(A)` computation, and the
 //! trie cursors' `seek` all reduce to intersecting sorted `u32` runs.
 //!
-//! One leapfrog dance serves three kernels, so they find the same matches
-//! with the same number of gallops:
+//! The leapfrog dance, [`leapfrog_matches`], calls back once per match
+//! with the value and its offset in every run, so each caller takes what it
+//! needs from the same matches at the same gallop count: Leapfrog's
+//! interior levels keep the offsets and jump every participant's cursor to
+//! them in O(1) instead of galloping to a value the intersection already
+//! found; its last level only counts the matches, or writes the values.
+//! [`leapfrog_intersect`] is the dance writing values.
 //!
-//! * [`leapfrog_intersect`] writes the matched values;
-//! * [`leapfrog_intersect_positions`] also writes, per match, each run's
-//!   offset of the value. Leapfrog descends into a match by jumping every
-//!   participant's cursor to its recorded offset, in O(1), instead of
-//!   galloping to a value the intersection already found;
-//! * [`leapfrog_count`] only counts the matches. It is Leapfrog's last level
-//!   when the consumer wants a cardinality: no value is written and no
-//!   cursor moves.
+//! Beside the dance sits the **probe kernel**, [`probe_matches`]. When every
+//! run but one is indexed by a dense value → offset [`ValueTable`], it walks
+//! the one un-indexed run (the *driver*) and answers each other run with one
+//! table lookup instead of a gallop. It reports the same matches, in the
+//! same ascending order, with the same per-run offsets as the dance, so a
+//! caller can switch between the two per intersection. Building a table
+//! costs one pass over its run, so the probe kernel pays only for runs that
+//! are intersected again and again — Leapfrog's *invariant* runs, which
+//! stay put while the levels between them and the current one iterate (see
+//! `adj_leapfrog::join`).
 //!
-//! The dance keeps one cursor per run in a stack array for up to
+//! The kernels keep one cursor per run in a stack array for up to
 //! [`INLINE_RUNS`] runs and on the heap above that, so no call allocates on
 //! the paths queries take.
 
@@ -96,72 +103,25 @@ pub fn intersect2(a: &[Value], b: &[Value], out: &mut Vec<Value>) {
 /// and the Fig. 6/8 counters aggregate.
 pub fn leapfrog_intersect(runs: &[&[Value]], out: &mut Vec<Value>) -> u64 {
     out.clear();
-    match trivial(runs) {
-        Trivial::Empty => 0,
-        Trivial::One(run) => {
-            out.extend_from_slice(run);
-            run.len() as u64
-        }
-        Trivial::Many => leapfrog_dance(runs, |v, _| out.push(v)),
-    }
+    leapfrog_matches(runs, |v, _| out.push(v))
 }
 
-/// [`leapfrog_intersect`] that also records where each match sits:
-/// `positions[m * k + i]` is the offset of `out[m]` in `runs[i]`, for
-/// `k = runs.len()`. Finds the same matches with the same operation count.
-pub fn leapfrog_intersect_positions(
-    runs: &[&[Value]],
-    out: &mut Vec<Value>,
-    positions: &mut Vec<usize>,
-) -> u64 {
-    out.clear();
-    positions.clear();
-    match trivial(runs) {
-        Trivial::Empty => 0,
-        Trivial::One(run) => {
-            out.extend_from_slice(run);
-            positions.extend(0..run.len());
-            run.len() as u64
-        }
-        Trivial::Many => leapfrog_dance(runs, |v, at| {
-            out.push(v);
-            positions.extend_from_slice(at);
-        }),
-    }
-}
-
-/// The size of the intersection of `runs`, as `(matches, ops)`: the count
-/// and operation count [`leapfrog_intersect`] would report, without writing
-/// a value.
-pub fn leapfrog_count(runs: &[&[Value]]) -> (u64, u64) {
-    match trivial(runs) {
-        Trivial::Empty => (0, 0),
-        Trivial::One(run) => (run.len() as u64, run.len() as u64),
-        Trivial::Many => {
-            let mut matches = 0u64;
-            let ops = leapfrog_dance(runs, |_, _| matches += 1);
-            (matches, ops)
-        }
-    }
-}
-
-/// Intersections that need no dance.
-enum Trivial<'r> {
-    /// No runs, or an empty one: nothing matches and nothing is done.
-    Empty,
-    /// One run: it is its own intersection, one operation per value.
-    One(&'r [Value]),
-    /// Two or more non-empty runs.
-    Many,
-}
-
-#[inline]
-fn trivial<'r>(runs: &[&'r [Value]]) -> Trivial<'r> {
+/// The intersection of `runs`, by the leapfrog dance: calls `on_match(v,
+/// at)` for every value `v` all runs share, in ascending order, with
+/// `at[i]` its offset in `runs[i]`. Returns the number of gallops — one per
+/// value of a lone run, none when a run is empty or there is none.
+#[inline(always)]
+pub fn leapfrog_matches(runs: &[&[Value]], mut on_match: impl FnMut(Value, &[usize])) -> u64 {
     match runs {
-        [] => Trivial::Empty,
-        _ if runs.iter().any(|r| r.is_empty()) => Trivial::Empty,
-        [run] => Trivial::One(run),
-        _ => Trivial::Many,
+        [] => 0,
+        _ if runs.iter().any(|r| r.is_empty()) => 0,
+        [run] => {
+            for (j, &v) in run.iter().enumerate() {
+                on_match(v, &[j]);
+            }
+            run.len() as u64
+        }
+        _ => leapfrog_dance(runs, on_match),
     }
 }
 
@@ -203,8 +163,135 @@ fn leapfrog_dance(runs: &[&[Value]], mut on_match: impl FnMut(Value, &[usize])) 
                 target = r[p];
                 agree = 1;
             }
-            i = (i + 1) % k;
+            // Wrap without a division: `% k` costs one per gallop.
+            i += 1;
+            if i == k {
+                i = 0;
+            }
         }
+    })
+}
+
+/// Values a [`ValueTable`] can index: a run holding a value at or above
+/// this cap is intersected by the dance instead.
+///
+/// The cap is the value domain the tables were measured on — graphs of up
+/// to about 5,000 vertices, whose tables stay within 32 KiB and so in L1.
+/// Past it, a large sparse table could miss cache where the dance gallops
+/// through a run already in L1; such domains keep the dance until a
+/// measurement on one says otherwise.
+pub const TABLE_CAP: usize = 1 << 13;
+
+/// Bits of a table entry that hold the offset; the rest hold the stamp.
+const OFFSET_BITS: u32 = TABLE_CAP.trailing_zeros();
+const OFFSET_MASK: u32 = (1 << OFFSET_BITS) - 1;
+/// The largest stamp an entry can carry before the table is wiped.
+const MAX_STAMP: u32 = u32::MAX >> OFFSET_BITS;
+
+/// A dense value → offset index over one sorted run, for [`probe_matches`].
+///
+/// Entry `v` holds `v`'s offset in the run, tagged with the generation
+/// stamp of the build that wrote it; only entries carrying the current
+/// stamp are answered. Re-indexing a new run bumps the stamp, so forgetting
+/// the old run costs O(1) and never reads it — the old run may belong to a
+/// trie that is gone. One entry is 4 bytes, and a table covers the values
+/// below its run's largest one: a 4,000-vertex graph's run fits in 16 KiB.
+#[derive(Debug, Default)]
+pub struct ValueTable {
+    entries: Vec<u32>,
+    stamp: u32,
+}
+
+impl ValueTable {
+    /// An empty table; storage grows on the first build.
+    pub const fn new() -> Self {
+        ValueTable { entries: Vec::new(), stamp: 0 }
+    }
+
+    /// Indexes `run` (sorted, deduplicated), forgetting the run indexed
+    /// before. Returns `None`, leaving the table answering nothing, when
+    /// `run` holds a value at or above [`TABLE_CAP`]; otherwise the bytes
+    /// of storage the table had to allocate (0 once it is large enough).
+    pub fn build(&mut self, run: &[Value]) -> Option<usize> {
+        // Strictly ascending values below the cap keep every offset below
+        // it too, clear of the stamp bits.
+        debug_assert!(run.windows(2).all(|w| w[0] < w[1]), "runs are sorted and deduplicated");
+        self.stamp += 1;
+        if self.stamp > MAX_STAMP {
+            self.entries.fill(0);
+            self.stamp = 1;
+        }
+        let need = run.last().map_or(0, |&v| v as usize + 1);
+        if need > TABLE_CAP {
+            // Nothing written under the new stamp: every lookup misses.
+            return None;
+        }
+        let mut grown = 0;
+        if need > self.entries.len() {
+            // A fresh zeroed allocation: stamp 0 is never current.
+            let len = need.next_power_of_two().min(TABLE_CAP);
+            grown = (len - self.entries.len()) * std::mem::size_of::<u32>();
+            self.entries = vec![0; len];
+        }
+        let tag = self.stamp << OFFSET_BITS;
+        for (offset, &v) in run.iter().enumerate() {
+            self.entries[v as usize] = tag | offset as u32;
+        }
+        Some(grown)
+    }
+
+    /// `v`'s offset in the indexed run, if the run holds `v`.
+    #[inline(always)]
+    pub fn get(&self, v: Value) -> Option<usize> {
+        let e = *self.entries.get(v as usize)?;
+        (e >> OFFSET_BITS == self.stamp).then_some((e & OFFSET_MASK) as usize)
+    }
+}
+
+/// The probe kernel: the intersection of two or more `runs` found by walking
+/// `runs[driver]` once and looking each of its values up in every other
+/// run's table. `tables[i]` must index `runs[i]` for every `i != driver`
+/// (`tables[driver]` is not read). Calls `on_match(v, at)` exactly as
+/// [`leapfrog_matches`] does — the same values, ascending, with `at[i]`
+/// `v`'s offset in `runs[i]` — and returns the number of lookups.
+#[inline(always)]
+pub fn probe_matches(
+    runs: &[&[Value]],
+    driver: usize,
+    tables: &[ValueTable],
+    mut on_match: impl FnMut(Value, &[usize]),
+) -> u64 {
+    let k = runs.len();
+    // No driver value above an indexed run's last value can match.
+    let mut limit = Value::MAX;
+    for (i, run) in runs.iter().enumerate() {
+        if i != driver {
+            match run.last() {
+                Some(&last) => limit = limit.min(last),
+                None => return 0,
+            }
+        }
+    }
+    with_slots(k, 0usize, |at| {
+        let mut probes = 0u64;
+        'values: for (j, &v) in runs[driver].iter().enumerate() {
+            if v > limit {
+                break;
+            }
+            for (i, table) in tables[..k].iter().enumerate() {
+                if i == driver {
+                    continue;
+                }
+                probes += 1;
+                match table.get(v) {
+                    Some(offset) => at[i] = offset,
+                    None => continue 'values,
+                }
+            }
+            at[driver] = j;
+            on_match(v, at);
+        }
+        probes
     })
 }
 
@@ -282,6 +369,44 @@ mod tests {
         let mut out = Vec::new();
         leapfrog_intersect(&[&[1, 3, 5], &[2, 4, 6]], &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn value_table_answers_only_its_current_run() {
+        let mut t = ValueTable::new();
+        assert_eq!(t.get(0), None);
+        assert_eq!(t.build(&[1, 5, 9]), Some(16 * 4), "grown to a power of two past 9");
+        assert_eq!((t.get(5), t.get(4), t.get(9), t.get(u32::MAX)), (Some(1), None, Some(2), None));
+        assert_eq!(t.build(&[4]), Some(0), "large enough already");
+        assert_eq!((t.get(4), t.get(5)), (Some(0), None), "the old run is forgotten");
+        assert_eq!(t.build(&[3, TABLE_CAP as Value]), None);
+        assert_eq!((t.get(3), t.get(4)), (None, None), "an unfit run answers nothing");
+        // Stamps wrap without bringing an old entry back.
+        t.build(&[7]);
+        for _ in 0..=MAX_STAMP {
+            t.build(&[2]);
+        }
+        assert_eq!((t.get(2), t.get(7)), (Some(0), None));
+    }
+
+    #[test]
+    fn probing_finds_what_the_dance_finds() {
+        let a: Vec<Value> = (0..100).filter(|x| x % 2 == 0).collect();
+        let b: Vec<Value> = (0..100).filter(|x| x % 3 == 0).collect();
+        let c: Vec<Value> = (0..60).filter(|x| x % 5 == 0).collect();
+        let runs: [&[Value]; 3] = [&a, &b, &c];
+        let mut want = Vec::new();
+        leapfrog_matches(&runs, |v, at| want.push((v, at.to_vec())));
+        let mut tables = [ValueTable::new(), ValueTable::new(), ValueTable::new()];
+        for (t, run) in tables.iter_mut().zip(runs) {
+            t.build(run);
+        }
+        for driver in 0..3 {
+            let mut got = Vec::new();
+            let probes = probe_matches(&runs, driver, &tables, |v, at| got.push((v, at.to_vec())));
+            assert_eq!(got, want, "driven by run {driver}");
+            assert!(probes >= runs[driver].iter().filter(|&&v| v <= 55).count() as u64);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::estimator::{val_a, CardinalityEstimate, SamplingConfig};
 use adj_cluster::Cluster;
-use adj_leapfrog::{JoinCounters, LeapfrogJoin};
+use adj_leapfrog::{JoinCounters, JoinScratch, LeapfrogJoin};
 use adj_query::JoinQuery;
 use adj_relational::{Attr, Database, Result, Trie, Value};
 use rand::rngs::StdRng;
@@ -116,8 +116,9 @@ pub fn estimate_distributed(
             .expect("tries were built under this order");
         let mut sum: u64 = 0;
         let mut counters = JoinCounters::new(levels);
+        let mut scratch = JoinScratch::new();
         for &a in &per_worker_ref[w] {
-            let (c, cc) = join.count_with_first_value(a);
+            let (c, cc) = join.count_with_first_value(a, &mut scratch);
             sum += c;
             counters.merge(&cc);
         }

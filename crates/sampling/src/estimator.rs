@@ -1,6 +1,6 @@
 //! The single-machine sampling estimator (Eq. (4) + Lemma 2).
 
-use adj_leapfrog::{JoinCounters, LeapfrogJoin};
+use adj_leapfrog::{JoinCounters, JoinScratch, LeapfrogJoin};
 use adj_query::JoinQuery;
 use adj_relational::{Attr, Database, Error, Result, Schema, Trie, Value};
 use rand::rngs::StdRng;
@@ -122,9 +122,10 @@ impl Sampler {
         let t0 = Instant::now();
         let mut sum: f64 = 0.0;
         let mut counters = JoinCounters::new(levels);
+        let mut scratch = JoinScratch::new();
         for _ in 0..k {
             let a = self.values[rng.gen_range(0..self.values.len())];
-            let (count, c) = join.count_with_first_value(a);
+            let (count, c) = join.count_with_first_value(a, &mut scratch);
             sum += count as f64;
             counters.merge(&c);
         }

@@ -149,17 +149,18 @@ pub fn render(
             plan.order.get(level).map(|&a| name_of(a)).unwrap_or_else(|| format!("_{level}"));
         let _ = writeln!(
             out,
-            "  level {level} ({attr}): tuples={} seeks={} opens={} open_ats={}",
+            "  level {level} ({attr}): tuples={} seeks={} opens={} open_ats={} probes={}",
             c.tuples_per_level.get(level).copied().unwrap_or(0),
             c.stats.seeks_per_level.get(level).copied().unwrap_or(0),
             c.stats.opens_per_level.get(level).copied().unwrap_or(0),
             c.stats.open_ats_per_level.get(level).copied().unwrap_or(0),
+            c.stats.probes_per_level.get(level).copied().unwrap_or(0),
         );
     }
     let _ = writeln!(
         out,
-        "  output: tuples={} intersect_ops={}",
-        report.output_tuples, c.intersect_ops
+        "  output: tuples={} intersect_ops={} table_builds={} table_bytes={}",
+        report.output_tuples, c.intersect_ops, c.stats.table_builds, c.stats.table_bytes
     );
 
     // Straggler telemetry: each worker's final-join span time, off the

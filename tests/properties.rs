@@ -11,13 +11,14 @@ use adj::prelude::{
     JoinQuery, OutputMode, PaperQuery, QueryOutput, Relation, Sampler, SamplingConfig, Schema,
     Strategy, Value,
 };
-use adj_leapfrog::{JoinCounters, LeapfrogJoin};
+use adj_leapfrog::reference::plain_leapfrog;
+use adj_leapfrog::{JoinCounters, JoinScratch, LeapfrogJoin};
 use adj_query::order::{all_orders, is_valid_order, valid_orders};
 use adj_query::GhdTree;
 use adj_relational::intersect::{
-    intersect2_merge, leapfrog_count, leapfrog_intersect, leapfrog_intersect_positions,
+    intersect2_merge, leapfrog_intersect, leapfrog_matches, probe_matches, ValueTable, TABLE_CAP,
 };
-use adj_relational::{CountSink, RowBuffer, Trie};
+use adj_relational::{CountSink, ExistsSink, RowBuffer, RowSink, Trie};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,9 +77,9 @@ fn edge_run(rng: &mut StdRng) -> Vec<u32> {
     run
 }
 
-/// The position-carrying and counting kernels find exactly what
+/// The position-carrying dance, `leapfrog_matches`, finds exactly what
 /// `leapfrog_intersect` finds, with the same operation count, for k = 1…6
-/// runs; every recorded offset indexes the matched value in its run.
+/// runs; every offset it reports indexes the matched value in its run.
 #[test]
 fn position_and_count_kernels_agree_with_leapfrog_intersect() {
     cases(256, |rng| {
@@ -96,59 +97,104 @@ fn position_and_count_kernels_agree_with_leapfrog_intersect() {
         }
         assert_eq!(want, merged, "leapfrog_intersect itself is the set intersection");
 
-        let (mut values, mut positions) = (vec![7], vec![7]);
-        assert_eq!(leapfrog_intersect_positions(&refs, &mut values, &mut positions), ops);
-        assert_eq!(values, want);
-        assert_eq!(positions.len(), want.len() * k);
-        for (m, &v) in want.iter().enumerate() {
+        let mut values = Vec::new();
+        let matched = leapfrog_matches(&refs, |v, at| {
+            assert_eq!(at.len(), k);
             for (i, run) in runs.iter().enumerate() {
-                assert_eq!(run[positions[m * k + i]], v, "match {m} in run {i}");
+                assert_eq!(run[at[i]], v, "match {} in run {i}", values.len());
             }
-        }
-
-        assert_eq!(leapfrog_count(&refs), (want.len() as u64, ops));
+            values.push(v);
+        });
+        assert_eq!(matched, ops);
+        assert_eq!(values, want);
     });
 }
 
-/// A plain recursive Leapfrog written against [`Trie::run_for_prefix`]: the
-/// rows it finds, `|T_l|` per level and the intersection operations, for
-/// the counter-identity oracle below.
+/// What the plain recursive Leapfrog (`plain_leapfrog`) finds: the rows,
+/// `|T_l|` per level and the dance's gallops, for the counter-identity
+/// oracle below. [`reference_join`] also replays, from the order and the
+/// schemas alone, where the join must answer a level by probing: a visit
+/// with one varying participant whose invariant runs were all seen at the
+/// previous such visit of their slot (the second use builds the table),
+/// all below the table cap, under a driving run no longer than four times
+/// the shortest invariant run plus eight.
 struct Reference {
     rows: Vec<Vec<Value>>,
     tuples_per_level: Vec<u64>,
+    /// Gallops of a join that dances at every visit.
     intersect_ops: u64,
+    /// Gallops at the visits the join must still dance.
+    danced_ops: u64,
+    /// Table lookups at the visits the join must probe.
+    probes_per_level: Vec<u64>,
 }
 
 fn reference_join(tries: &[Trie], order: &[Attr]) -> Reference {
-    fn walk(tries: &[Trie], order: &[Attr], binding: &mut Vec<Value>, out: &mut Reference) {
+    // Per level: the participants (in trie order) whose previous
+    // participating level is the one above.
+    let varying: Vec<Vec<usize>> = order
+        .iter()
+        .enumerate()
+        .map(|(level, &a)| {
+            let participants = tries.iter().filter(|t| t.schema().contains(a));
+            participants
+                .enumerate()
+                .filter(|(_, t)| {
+                    let (attrs, depth) = (t.schema().attrs(), t.schema().position(a).unwrap());
+                    depth > 0 && attrs[depth - 1] == order[level - 1]
+                })
+                .map(|(i, _)| i)
+                .collect()
+        })
+        .collect();
+    // Per (level, participant): the run the slot was asked for last.
+    let mut seen: Vec<Vec<Option<(*const Value, usize)>>> = vec![Vec::new(); order.len()];
+    let mut out = Reference {
+        rows: Vec::new(),
+        tuples_per_level: vec![0; order.len()],
+        intersect_ops: 0,
+        danced_ops: 0,
+        probes_per_level: vec![0; order.len()],
+    };
+    out.intersect_ops = plain_leapfrog(tries, order, &mut |binding, runs, values, ops| {
         let level = binding.len();
-        let mut runs: Vec<&[Value]> = Vec::new();
-        for t in tries.iter().filter(|t| t.schema().contains(order[level])) {
-            let depth = t.schema().position(order[level]).unwrap();
-            let prefix: Vec<Value> = t.schema().attrs()[..depth]
-                .iter()
-                .map(|&a| binding[order.iter().position(|&o| o == a).unwrap()])
-                .collect();
-            runs.push(t.run_for_prefix(&prefix).expect("bound prefixes exist"));
-        }
-        let mut values = Vec::new();
-        out.intersect_ops += leapfrog_intersect(&runs, &mut values);
         out.tuples_per_level[level] += values.len() as u64;
-        for v in values {
-            binding.push(v);
-            if binding.len() == order.len() {
-                out.rows.push(binding.clone());
-            } else {
-                walk(tries, order, binding, out);
-            }
-            binding.pop();
+        if level + 1 == order.len() {
+            out.rows.extend(values.iter().map(|&v| [binding, &[v]].concat()));
         }
-    }
-    let mut out =
-        Reference { rows: Vec::new(), tuples_per_level: vec![0; order.len()], intersect_ops: 0 };
-    if tries.iter().all(|t| t.tuples() > 0) {
-        walk(tries, order, &mut Vec::new(), &mut out);
-    }
+
+        let mut probed = false;
+        if let ([driver], true) = (varying[level].as_slice(), runs.len() > 1) {
+            let invariant = || (0..runs.len()).filter(|i| i != driver);
+            let shortest = invariant().map(|i| runs[i].len()).min().unwrap();
+            if shortest > 0 && runs[*driver].len() <= 4 * shortest + 8 {
+                let slots = &mut seen[level];
+                slots.resize(runs.len(), None);
+                let mut ready = true;
+                for i in invariant() {
+                    let key = Some((runs[i].as_ptr(), runs[i].len()));
+                    let fits = (*runs[i].last().unwrap() as usize) < TABLE_CAP;
+                    ready &= slots[i] == key && fits;
+                    slots[i] = key;
+                }
+                if ready {
+                    probed = true;
+                    let limit = invariant().map(|i| *runs[i].last().unwrap()).min().unwrap();
+                    for &v in runs[*driver].iter().take_while(|&&v| v <= limit) {
+                        for i in invariant() {
+                            out.probes_per_level[level] += 1;
+                            if runs[i].binary_search(&v).is_err() {
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if !probed {
+            out.danced_ops += ops;
+        }
+    });
     out
 }
 
@@ -163,17 +209,38 @@ fn binary_join(q: &JoinQuery, db: &Database) -> Relation {
     acc
 }
 
-/// Every way of running a join agrees, under every valid order of Q1, Q4
-/// and Q8: `Count` through a `CountSink` (the last level counted by size),
-/// the Rows enumeration and the binary-join oracle find the same result,
-/// and the per-level bindings and intersection operations are exactly
-/// those of a plain recursive Leapfrog.
+/// Counts the rows a sink is offered.
+struct Offered<S> {
+    inner: S,
+    rows: u64,
+}
+
+impl<S: RowSink> RowSink for Offered<S> {
+    fn push(&mut self, row: &[Value]) -> bool {
+        self.rows += 1;
+        self.inner.push(row)
+    }
+    fn saturated(&self) -> bool {
+        self.inner.saturated()
+    }
+}
+
+/// Every way of running a join agrees, under every valid order of Q1, Q4,
+/// Q5 and Q8: `Count` through a `CountSink` (the last level counted by
+/// size), the Rows enumeration and the binary-join oracle find the same
+/// result; `Limit(n)` is the prefix of Rows and `Exists` stops at one row.
+/// The per-level bindings are exactly those of a plain recursive Leapfrog,
+/// and the intersection work is the reference's with the invariant runs
+/// probed instead of galloped into: no more gallops than the pure dance,
+/// the same gallops wherever the join must dance, and the replayed table
+/// lookups wherever an invariant run is reused.
 #[test]
 fn count_rows_and_counters_match_a_reference_join_under_every_valid_order() {
+    let mut probes = 0;
     cases(12, |rng| {
         let pairs = edges(rng, 14, 60);
         let g = Relation::from_pairs(Attr(0), Attr(1), &pairs);
-        for pq in [PaperQuery::Q1, PaperQuery::Q4, PaperQuery::Q8] {
+        for pq in [PaperQuery::Q1, PaperQuery::Q4, PaperQuery::Q5, PaperQuery::Q8] {
             let q = paper_query(pq);
             let db = q.instantiate(&g);
             let truth = binary_join(&q, &db);
@@ -186,17 +253,14 @@ fn count_rows_and_counters_match_a_reference_join_under_every_valid_order() {
                 let join = LeapfrogJoin::new(&order, tries.iter().collect()).unwrap();
                 let reference = reference_join(&tries, &order);
                 let expect = |c: &JoinCounters, what: &str| {
-                    assert_eq!(
-                        c.tuples_per_level, reference.tuples_per_level,
-                        "{pq:?} {order:?} {what}"
-                    );
-                    assert_eq!(c.intersect_ops, reference.intersect_ops, "{pq:?} {order:?} {what}");
-                    assert_eq!(
-                        c.output_tuples,
-                        reference.rows.len() as u64,
-                        "{pq:?} {order:?} {what}"
-                    );
+                    let at = format!("{pq:?} {order:?} {what}");
+                    assert_eq!(c.tuples_per_level, reference.tuples_per_level, "{at}");
+                    assert!(c.intersect_ops <= reference.intersect_ops, "{at}");
+                    assert_eq!(c.intersect_ops, reference.danced_ops, "{at}");
+                    assert_eq!(c.stats.probes_per_level, reference.probes_per_level, "{at}");
+                    assert_eq!(c.output_tuples, reference.rows.len() as u64, "{at}");
                 };
+                probes += reference.probes_per_level.iter().sum::<u64>();
 
                 let mut sink = CountSink::new();
                 let counted = join.join_into(&mut sink);
@@ -208,15 +272,122 @@ fn count_rows_and_counters_match_a_reference_join_under_every_valid_order() {
                 expect(&enumerated, "rows");
                 let flat: Vec<Value> = reference.rows.concat();
                 assert_eq!(rows.into_flat(), flat, "{pq:?} {order:?}: rows arrive in order");
-                let got = Relation::from_flat(Schema::new(order.clone()).unwrap(), flat).unwrap();
+                let got =
+                    Relation::from_flat(Schema::new(order.clone()).unwrap(), flat.clone()).unwrap();
                 assert_eq!(got.permute(truth.schema().attrs()).unwrap(), truth);
+
+                let n = rng.gen_range(0..reference.rows.len() + 2);
+                let mut limited = RowBuffer::new(order.len()).with_limit(n);
+                join.join_into(&mut limited);
+                let prefix = n.min(reference.rows.len()) * order.len();
+                assert_eq!(limited.into_flat(), flat[..prefix], "{pq:?} {order:?} limit {n}");
+
+                let mut exists = Offered { inner: ExistsSink::new(), rows: 0 };
+                join.join_into(&mut exists);
+                let nonempty = !reference.rows.is_empty();
+                assert_eq!(exists.inner.found(), nonempty, "{pq:?} {order:?}");
+                assert_eq!(exists.rows, u64::from(nonempty), "{pq:?} {order:?}: one row");
 
                 let (completed, budgeted) = join.count_with_budget(u64::MAX);
                 assert!(completed);
                 expect(&budgeted, "budgeted");
 
-                let by_first: u64 = (0..14).map(|v| join.count_with_first_value(v).0).sum();
+                let mut scratch = JoinScratch::new();
+                let by_first: u64 =
+                    (0..14).map(|v| join.count_with_first_value(v, &mut scratch).0).sum();
                 assert_eq!(by_first, reference.rows.len() as u64, "{pq:?} {order:?}");
+            }
+        }
+    });
+    assert!(probes > 0, "some invariant run is reused");
+}
+
+/// The probe kernel finds exactly what the dance finds — the same values,
+/// ascending, with the same offsets in every run — for k = 2…6 runs and
+/// any driving run, with values at `u32::MAX` and past the table cap. A
+/// run holding a value past the cap gets no table, and that table answers
+/// no lookup, so the join falls back to the dance.
+#[test]
+fn probe_kernel_agrees_with_the_dance() {
+    cases(512, |rng| {
+        let k = rng.gen_range(2usize..7);
+        let runs: Vec<Vec<u32>> = (0..k)
+            .map(|_| {
+                let mut run = edge_run(rng);
+                if rng.gen_range(0u32..4) == 0 {
+                    // A tail past the cap, kept sorted below u32::MAX.
+                    let at = run.partition_point(|&v| v < 40);
+                    run.insert(at, TABLE_CAP as u32 + rng.gen_range(0u32..3));
+                }
+                run
+            })
+            .collect();
+        let refs: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
+        let (mut want, mut want_at) = (Vec::new(), Vec::new());
+        leapfrog_matches(&refs, |v, at| {
+            want.push(v);
+            want_at.extend_from_slice(at);
+        });
+
+        let driver = rng.gen_range(0..k);
+        let mut tables: Vec<ValueTable> = (0..k).map(|_| ValueTable::new()).collect();
+        // A reused table must forget what it indexed before.
+        for table in &mut tables {
+            let _ = table.build(&sorted_run(rng, 40, 30));
+        }
+        let mut fits = true;
+        for (i, run) in runs.iter().enumerate().filter(|&(i, _)| i != driver) {
+            let over = run.last().is_some_and(|&v| v as usize >= TABLE_CAP);
+            let built = tables[i].build(run);
+            assert_eq!(built.is_none(), over, "run {i}: {run:?}");
+            if over {
+                assert!(run.iter().all(|&v| tables[i].get(v).is_none()), "an unfit table answers");
+                fits = false;
+            }
+        }
+        if !fits {
+            return;
+        }
+        let (mut got, mut got_at) = (Vec::new(), Vec::new());
+        probe_matches(&refs, driver, &tables, |v, at| {
+            got.push(v);
+            got_at.extend_from_slice(at);
+        });
+        assert_eq!(got, want, "{runs:?} driven by {driver}");
+        assert_eq!(got_at, want_at, "{runs:?} driven by {driver}");
+    });
+}
+
+/// One `JoinScratch` serves joins over tries that were dropped and rebuilt
+/// in between — likely at the same addresses, with the same run lengths
+/// and other values — and answers exactly like a fresh scratch.
+#[test]
+fn a_reused_scratch_never_trusts_another_joins_tables() {
+    let mut scratch = JoinScratch::new();
+    cases(16, |rng| {
+        let pairs = edges(rng, 30, 200);
+        let shift = rng.gen_range(1u32..30);
+        for pq in [PaperQuery::Q8, PaperQuery::Q4] {
+            let q = paper_query(pq);
+            let order = q.attrs();
+            for relabel in [0, shift] {
+                // The same graph with every vertex relabelled: runs of the
+                // same lengths holding other values.
+                let relabelled: Vec<(u32, u32)> =
+                    pairs.iter().map(|&(x, y)| ((x + relabel) % 30, (y + relabel) % 30)).collect();
+                let db = q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &relabelled));
+                let tries: Vec<Trie> = q
+                    .atoms
+                    .iter()
+                    .map(|a| db.get(&a.name).unwrap().trie_under_order(&order).unwrap())
+                    .collect();
+                let join = LeapfrogJoin::new(&order, tries.iter().collect()).unwrap();
+                let (mut reused, mut fresh) =
+                    (RowBuffer::new(order.len()), RowBuffer::new(order.len()));
+                let a = join.join_into_with_scratch(&mut reused, &mut scratch);
+                let b = join.join_into(&mut fresh);
+                assert_eq!(a.tuples_per_level, b.tuples_per_level, "{pq:?} +{relabel}");
+                assert_eq!(reused.into_flat(), fresh.into_flat(), "{pq:?} +{relabel}");
             }
         }
     });

@@ -100,16 +100,22 @@ fn worker_join_spans_sum_worker_tuples() {
     service.register_database("g", db);
     let out = service.execute("g", &q).unwrap();
     let trace = out.trace.as_ref().unwrap();
-    // The per-worker join spans carry output_tuples args that sum to the
-    // report's result cardinality.
-    let total: u64 = trace
-        .events_named("join")
-        .iter()
-        .flat_map(|e| &e.args)
-        .filter(|(k, _)| k == "output_tuples")
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(total, out.report.output_tuples, "span args must match the report");
+    // The per-worker join spans carry counter args that sum to the
+    // report's: the result cardinality, the dance's gallops and the probes.
+    let total = |arg: &str| -> u64 {
+        trace
+            .events_named("join")
+            .iter()
+            .flat_map(|e| &e.args)
+            .filter(|(k, _)| k == arg)
+            .map(|(_, v)| v)
+            .sum()
+    };
+    let c = &out.report.counters;
+    assert_eq!(total("output_tuples"), out.report.output_tuples, "span args match the report");
+    assert_eq!(total("intersect_ops"), c.intersect_ops);
+    assert_eq!(total("probes"), c.stats.total_probes());
+    assert_eq!(total("table_builds"), c.stats.table_builds);
 }
 
 #[test]
@@ -160,6 +166,8 @@ fn explain_analyze_actuals_match_the_execution_report() {
         "actuals:",
         "phases: optimization=",
         "level 0 (",
+        "probes=",
+        "table_builds=",
         "worker join spans: w0=",
         "trace: events=",
     ] {
