@@ -27,7 +27,6 @@ use crate::cache::{BuildClaim, CacheLookup, IndexKey, IndexScope, RelationIndex}
 use crate::plan::HCubePlan;
 use adj_cluster::{BatchPayload, Cluster, Delivery, RoutedBatch};
 use adj_faults::{CancelToken, FaultSite};
-use adj_relational::hash::FxHashMap;
 use adj_relational::{Attr, Database, Error, Relation, Result, Schema, Trie, Value};
 use adj_trace::{Tracer, COORDINATOR_LANE};
 use std::sync::Arc;
@@ -385,6 +384,9 @@ pub fn hcube_shuffle_round(
             // byte budget, not the inbox). Modeled payload bytes on both
             // backends so the budget doesn't shift with framing overhead.
             let mut worker_bytes: Vec<u64> = vec![0; n];
+            // Rows of Merge blocks that arrived out of order and were sorted
+            // here (a block routed in its stored order needs no sort).
+            let mut rows_sorted: u64 = 0;
             let mut rows_since_check: u64 = 0;
             for (ai, info) in infos_ref.iter().enumerate() {
                 if !cold_ref[ai] {
@@ -459,11 +461,14 @@ pub fn hcube_shuffle_round(
                         }
                     }
                     HCubeImpl::Pull | HCubeImpl::Merge => {
-                        // Group into blocks by coordinate signature. Blocks
-                        // are keyed and stored in the *induced* (permuted)
-                        // layout so that the block-id decode below matches
-                        // the encode.
-                        let mut blocks: FxHashMap<u64, Vec<Value>> = FxHashMap::default();
+                        // Group into blocks by coordinate signature, indexed
+                        // by block id (at most Π shares, which the share
+                        // program caps at max(8·workers, 64)) and sent in id
+                        // order. Blocks are stored in the *induced*
+                        // (permuted) layout so that the block-id decode
+                        // below matches the encode.
+                        let num_blocks = plan.num_blocks(&info.induced) as usize;
+                        let mut blocks: Vec<Vec<Value>> = vec![Vec::new(); num_blocks];
                         for row in rel.rows() {
                             rows_since_check += 1;
                             if rows_since_check >= CANCEL_CHECK_EVERY {
@@ -474,21 +479,25 @@ pub fn hcube_shuffle_round(
                             prow.extend(info.perm.iter().map(|&p| row[p]));
                             plan.tuple_coords(&info.induced, &prow, &mut coords);
                             let id = plan.encode_block(&info.induced, &coords);
-                            blocks.entry(id).or_default().extend_from_slice(&prow);
+                            blocks[id as usize].extend_from_slice(&prow);
                         }
-                        let mut block_ids: Vec<u64> = blocks.keys().copied().collect();
-                        block_ids.sort_unstable(); // determinism
-                        for id in block_ids {
-                            let data = blocks.remove(&id).unwrap();
+                        for (id, data) in blocks.into_iter().enumerate() {
+                            if data.is_empty() {
+                                continue;
+                            }
                             let block_tuples = (data.len() / info.perm.len().max(1)) as u64;
-                            let block_coords = plan.block_hashes(&info.induced, id);
+                            let block_coords = plan.block_hashes(&info.induced, id as u64);
                             let dests = plan.block_workers(&info.induced, &block_coords);
                             // Merge pre-builds the block once (sorted,
                             // induced layout; counted as preprocessing
                             // below) and every destination shares it.
                             let payload = if impl_ == HCubeImpl::Merge {
-                                let block = Relation::from_flat(info.induced.clone(), data)
-                                    .expect("arity preserved");
+                                let (block, sorted) =
+                                    Relation::from_flat_reporting(info.induced.clone(), data)
+                                        .expect("arity preserved");
+                                if sorted {
+                                    rows_sorted += block_tuples;
+                                }
                                 BatchPayload::SortedBlock(Arc::new(block))
                             } else {
                                 BatchPayload::Rows(data)
@@ -525,6 +534,7 @@ pub fn hcube_shuffle_round(
                 if impl_ == HCubeImpl::Merge { t_pre.elapsed().as_secs_f64() } else { 0.0 };
             route_span.arg("tuples", tuples);
             route_span.arg("messages", messages);
+            route_span.arg("rows_sorted", rows_sorted);
             route_span.arg("frames", round_ref.frames_sent());
             drop(route_span);
             Ok(RouteOutcome {
@@ -937,6 +947,39 @@ mod tests {
         let c2 = Cluster::new(ClusterConfig::with_workers(4));
         let pull = hcube_shuffle(&c2, &db, &names, &plan, &order3(), HCubeImpl::Pull).unwrap();
         assert_eq!(pull.report.preprocess_secs, 0.0);
+    }
+
+    #[test]
+    fn route_span_counts_the_merge_rows_it_sorted() {
+        let (db, names) = tri_db();
+        let plan = HCubePlan::new(vec![2, 2, 2], 4);
+        let rows_sorted = |order: Vec<Attr>, impl_: HCubeImpl| {
+            let cluster = Cluster::new(ClusterConfig::with_workers(4));
+            let round = ShuffleRound {
+                atom_names: &names,
+                plan: &plan,
+                order: &order,
+                impl_,
+                cache_ids: &[],
+                overlay: &[],
+                share_reused: false,
+            };
+            let ctx = ExecCtx { tracer: Tracer::new(256), ..Default::default() };
+            hcube_shuffle_round(&cluster, &db, &round, &ctx).unwrap();
+            let trace = ctx.tracer.finish();
+            let route = trace.events.iter().find(|e| e.name == "route").expect("route span");
+            route.args.get("rows_sorted").expect("rows_sorted arg")
+        };
+        // Blocks of relations routed in their stored column order are
+        // subsequences of sorted rows: nothing to sort.
+        assert_eq!(rows_sorted(order3(), HCubeImpl::Merge), 0);
+        // (c ≺ a ≺ b) reverses R2(b,c) and R3(a,c): every one of their rows
+        // lands in a block that has to be sorted; R1(a,b) stays in order.
+        let permuting = vec![Attr(2), Attr(0), Attr(1)];
+        let reversed = (db.get("R2").unwrap().len() + db.get("R3").unwrap().len()) as u64;
+        assert_eq!(rows_sorted(permuting.clone(), HCubeImpl::Merge), reversed);
+        // Pull leaves the sorting to the workers.
+        assert_eq!(rows_sorted(permuting, HCubeImpl::Pull), 0);
     }
 
     #[test]

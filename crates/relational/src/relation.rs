@@ -31,10 +31,17 @@ impl Relation {
     /// Errors if `data` is not a multiple of the arity. An arity-0 schema is
     /// only valid with empty data.
     pub fn from_flat(schema: Schema, data: Vec<Value>) -> Result<Self> {
+        Relation::from_flat_reporting(schema, data).map(|(rel, _)| rel)
+    }
+
+    /// [`Relation::from_flat`], also saying whether the rows had to be
+    /// sorted (`false` when `data` was already in normal form). The Merge
+    /// route reports this as the sort work it did per block.
+    pub fn from_flat_reporting(schema: Schema, data: Vec<Value>) -> Result<(Self, bool)> {
         let arity = schema.arity();
         if arity == 0 {
             if data.is_empty() {
-                return Ok(Relation { schema, data });
+                return Ok((Relation { schema, data }, false));
             }
             return Err(Error::ArityMismatch { expected: 0, got: data.len() });
         }
@@ -42,8 +49,8 @@ impl Relation {
             return Err(Error::ArityMismatch { expected: arity, got: data.len() % arity });
         }
         let mut rel = Relation { schema, data };
-        rel.normalize();
-        Ok(rel)
+        let sorted = rel.normalize()?;
+        Ok((rel, sorted))
     }
 
     /// Builds a relation from row slices. Convenience for tests/workloads.
@@ -72,35 +79,73 @@ impl Relation {
         Relation::from_flat(schema, data).expect("arity 2")
     }
 
-    fn normalize(&mut self) {
+    /// Sorts and deduplicates the rows, returning whether they had to be
+    /// sorted.
+    ///
+    /// Rows of arity ≤ 2 — every stored relation, block and sampling trie
+    /// of the graph workloads — sort in place, with no second buffer. A
+    /// pair `(hi, lo)` of `u32` columns is keyed as the one `u64`
+    /// `hi << 32 | lo`: `hi` fills the high half and `lo < 2^32` cannot
+    /// carry into it, so two keys compare as their `hi` columns first and
+    /// their `lo` columns on a tie — exactly the lexicographic row order.
+    /// A single column is its own key. Wider rows have no one-word key and
+    /// keep an index sort over row slices followed by a gather.
+    fn normalize(&mut self) -> Result<bool> {
         let arity = self.schema.arity();
         if arity == 0 || self.data.is_empty() {
-            return;
+            return Ok(false);
         }
         // Data already in normal form — a merged gather of Leapfrog outputs,
         // a re-normalized prefix of one — costs one linear pass, not a sort.
         let rows = self.data.chunks_exact(arity);
         if rows.clone().zip(rows.skip(1)).all(|(a, b)| a < b) {
-            return;
+            return Ok(false);
         }
-        let n = self.data.len() / arity;
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        let data = &self.data;
-        idx.sort_unstable_by(|&i, &j| {
-            let a = &data[i as usize * arity..(i as usize + 1) * arity];
-            let b = &data[j as usize * arity..(j as usize + 1) * arity];
-            a.cmp(b)
-        });
-        let mut out = Vec::with_capacity(self.data.len());
-        let mut last: Option<&[Value]> = None;
-        for &i in &idx {
-            let row = &data[i as usize * arity..(i as usize + 1) * arity];
-            if last != Some(row) {
-                out.extend_from_slice(row);
-                last = Some(row);
+        self.sort_dedup(arity)?;
+        Ok(true)
+    }
+
+    /// The sorting half of [`Relation::normalize`], kept out of line so the
+    /// already-normal check that every gathered output takes stays small:
+    /// inlined into it, the three sorts cost `bound_loop` ~2 % of its calls
+    /// per second (2-vCPU Xeon).
+    #[inline(never)]
+    fn sort_dedup(&mut self, arity: usize) -> Result<()> {
+        match arity {
+            1 => {
+                self.data.sort_unstable();
+                self.data.dedup();
+            }
+            2 => {
+                let (pairs, _) = self.data.as_chunks_mut::<2>();
+                pairs.sort_unstable_by_key(|&[hi, lo]| (hi as u64) << 32 | lo as u64);
+                let mut kept = 1;
+                for i in 1..pairs.len() {
+                    if pairs[i] != pairs[kept - 1] {
+                        pairs[kept] = pairs[i];
+                        kept += 1;
+                    }
+                }
+                self.data.truncate(2 * kept);
+            }
+            _ => {
+                let n = checked_u32(self.data.len() / arity, "rows in one index sort")?;
+                let mut idx: Vec<u32> = (0..n).collect();
+                let data = &self.data;
+                let row = |i: u32| &data[i as usize * arity..(i as usize + 1) * arity];
+                idx.sort_unstable_by(|&i, &j| row(i).cmp(row(j)));
+                let mut out = Vec::with_capacity(data.len());
+                let mut last: Option<&[Value]> = None;
+                for &i in &idx {
+                    if last != Some(row(i)) {
+                        out.extend_from_slice(row(i));
+                        last = Some(row(i));
+                    }
+                }
+                self.data = out;
             }
         }
-        self.data = out;
+        Ok(())
     }
 
     /// The relation schema.
@@ -249,7 +294,10 @@ impl Relation {
         })?;
         let arity = self.arity();
         let mut vals: Vec<Value> = self.data.chunks_exact(arity).map(|row| row[p]).collect();
-        vals.sort_unstable();
+        // Rows are sorted, so the first column already ascends.
+        if p > 0 {
+            vals.sort_unstable();
+        }
         vals.dedup();
         Ok(vals)
     }
@@ -413,8 +461,16 @@ impl Relation {
                 });
             }
         }
-        let runs: Vec<Vec<Value>> = parts.iter().map(|p| p.flat().to_vec()).collect();
-        Ok(Relation { schema, data: merge_sorted_runs(runs, arity) })
+        // The tournament's first round reads the parts in place: only its
+        // outputs, and an odd part out, are copied.
+        let first_round = parts
+            .chunks(2)
+            .map(|pair| match pair {
+                [a, b] => merge_two(a.flat(), b.flat(), arity),
+                _ => pair[0].flat().to_vec(),
+            })
+            .collect();
+        Ok(Relation { schema, data: merge_sorted_runs(first_round, arity) })
     }
 
     /// Set difference `self \ other` over the same attribute set (column
@@ -480,6 +536,13 @@ impl Relation {
         }
         Ok(Relation { schema: self.schema.clone(), data })
     }
+}
+
+/// `n` as the `u32` that row indices and trie offsets are stored in, or
+/// [`Error::BudgetExceeded`] naming `what` and the `u32` limit — never a
+/// silent wrap past 4 G rows or nodes.
+pub(crate) fn checked_u32(n: usize, what: &'static str) -> Result<u32> {
+    u32::try_from(n).map_err(|_| Error::BudgetExceeded { what, limit: u32::MAX as usize })
 }
 
 /// Merges sorted, deduplicated row-major runs of one arity into one sorted,
@@ -729,6 +792,25 @@ mod tests {
         assert!(empty.subtract(&a).unwrap().is_empty());
         // schema mismatch is an error
         assert!(a.subtract(&rel(&[0, 2], &[&[1, 2]])).is_err());
+    }
+
+    #[test]
+    fn checked_u32_names_the_limit_past_4g() {
+        assert_eq!(checked_u32(u32::MAX as usize, "rows"), Ok(u32::MAX));
+        let err = checked_u32(u32::MAX as usize + 1, "trie rows").unwrap_err();
+        assert_eq!(err, Error::BudgetExceeded { what: "trie rows", limit: u32::MAX as usize });
+        assert!(err.to_string().contains("trie rows over limit 4294967295"), "{err}");
+    }
+
+    #[test]
+    fn from_flat_reporting_says_when_it_sorted() {
+        let schema = Schema::from_ids(&[0, 1]);
+        let (r, sorted) = Relation::from_flat_reporting(schema.clone(), vec![1, 2, 3, 4]).unwrap();
+        assert!(!sorted, "normal form is left alone");
+        assert_eq!(r.flat(), &[1, 2, 3, 4]);
+        let (r, sorted) = Relation::from_flat_reporting(schema, vec![3, 4, 1, 2, 3, 4]).unwrap();
+        assert!(sorted);
+        assert_eq!(r.flat(), &[1, 2, 3, 4]);
     }
 
     #[test]

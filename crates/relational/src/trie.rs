@@ -9,7 +9,7 @@
 
 use crate::error::{Error, Result};
 use crate::intersect::gallop;
-use crate::relation::Relation;
+use crate::relation::{checked_u32, Relation};
 use crate::schema::Schema;
 use crate::Value;
 
@@ -52,6 +52,11 @@ pub struct Trie {
 impl Trie {
     /// Builds a trie whose level order is the relation's column order. To use
     /// a different attribute order, [`Relation::permute`] first.
+    ///
+    /// # Panics
+    ///
+    /// If the relation has more than `u32::MAX` rows, the most its `u32`
+    /// offsets can address.
     pub fn build(rel: &Relation) -> Self {
         let arity = rel.arity();
         let n = rel.len();
@@ -59,8 +64,11 @@ impl Trie {
         if arity == 0 {
             return Trie { schema: rel.schema().clone(), levels, tuples: 0 };
         }
+        // Every offset below is a row index or a level's length, and a level
+        // has at most one node per row: checking `n` once bounds them all.
+        let n32 = checked_u32(n, "trie rows").unwrap_or_else(|e| panic!("Trie::build: {e}"));
         // `groups` delimits runs of rows sharing the prefix [0..l).
-        let mut groups: Vec<u32> = vec![0, n as u32];
+        let mut groups: Vec<u32> = vec![0, n32];
         for l in 0..arity {
             let mut values: Vec<Value> = Vec::new();
             let mut offsets: Vec<u32> = Vec::with_capacity(groups.len());
@@ -83,7 +91,7 @@ impl Trie {
                 }
                 offsets.push(values.len() as u32);
             }
-            next_groups.push(n as u32);
+            next_groups.push(n32);
             levels.push(TrieLevel { values, offsets });
             groups = next_groups;
         }

@@ -117,10 +117,18 @@ pub fn render(
         report.other_secs,
         report.total_secs(),
     );
+    // Rows the coordinator had to sort into Merge blocks, off the `route`
+    // spans (one per shuffle round, bags included).
+    let rows_sorted: u64 = trace
+        .events
+        .iter()
+        .filter(|e| e.name == adj_trace::SPAN_ROUTE)
+        .filter_map(|e| e.args.get("rows_sorted"))
+        .sum();
     let _ = writeln!(
         out,
         "  shuffle: comm_tuples={} precompute_tuples={} index_built={} index_reused={} \
-         bags_reused={}",
+         bags_reused={} rows_sorted={rows_sorted}",
         report.comm_tuples,
         report.precompute_tuples,
         report.index_relations_built,

@@ -1899,6 +1899,7 @@ mod tests {
         assert!(analyzed.contains("level 0 ("), "per-trie-level actuals: {analyzed}");
         assert!(analyzed.contains("worker join spans: w0="), "{analyzed}");
         assert!(analyzed.contains("partition fill: w0="), "{analyzed}");
+        assert!(analyzed.contains(" rows_sorted="), "the route's sort work: {analyzed}");
         let m = service.metrics();
         assert_eq!(m.queries_ok, 1, "ANALYZE executes the query");
         assert_eq!(m.queries_traced, 1, "ANALYZE forces tracing");

@@ -470,6 +470,64 @@ fn from_flat_equals_sort_dedup_on_any_input_order() {
     });
 }
 
+/// The normalizing sort — packed-key in place for arity ≤ 2, an index sort
+/// for wider rows — is the set of rows in lexicographic order, on flat data
+/// of arity 1–4 with duplicates and values up to `u32::MAX`, empty, one
+/// row, already sorted and reverse sorted. Every column's distinct values,
+/// every column permutation and every trie built under a global order read
+/// the same set.
+#[test]
+fn sort_kernel_equals_a_btreeset_reference() {
+    use std::collections::BTreeSet;
+    cases(96, |rng| {
+        let arity = rng.gen_range(1usize..5);
+        let n = match rng.gen_range(0u32..6) {
+            0 => 0,
+            1 => 1,
+            _ => rng.gen_range(2usize..60),
+        };
+        // Small domains for duplicates, plus the top of the domain, where a
+        // packed key that sign-extended or carried would misorder.
+        let value = |rng: &mut StdRng| match rng.gen_range(0u32..4) {
+            0 => u32::MAX - rng.gen_range(0u32..3),
+            1 => rng.gen_range(0u32..u32::MAX),
+            _ => rng.gen_range(0u32..4),
+        };
+        let mut rows: Vec<Vec<Value>> =
+            (0..n).map(|_| (0..arity).map(|_| value(rng)).collect()).collect();
+        match rng.gen_range(0u32..3) {
+            0 => rows.sort(),
+            1 => rows.sort_by(|a, b| b.cmp(a)),
+            _ => {}
+        }
+        let reference: BTreeSet<Vec<Value>> = rows.iter().cloned().collect();
+        let ids: Vec<u32> = (0..arity as u32).collect();
+        let rel = Relation::from_flat(Schema::from_ids(&ids), rows.concat()).unwrap();
+        let want: Vec<Value> = reference.iter().flatten().copied().collect();
+        assert_eq!(rel.flat(), want.as_slice(), "arity {arity}, {n} rows");
+
+        for col in 0..arity {
+            let mut values: Vec<Value> = rows.iter().map(|r| r[col]).collect();
+            values.sort_unstable();
+            values.dedup();
+            assert_eq!(rel.column_values(Attr(col as u32)).unwrap(), values, "column {col}");
+        }
+
+        // A random column order: permute and the trie under it both hold
+        // the reference rows with their columns reordered.
+        let mut order: Vec<Attr> = ids.iter().map(|&i| Attr(i)).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        let permuted: BTreeSet<Vec<Value>> =
+            reference.iter().map(|row| order.iter().map(|a| row[a.0 as usize]).collect()).collect();
+        let want: Vec<Value> = permuted.iter().flatten().copied().collect();
+        assert_eq!(rel.permute(&order).unwrap().flat(), want.as_slice(), "permute {order:?}");
+        let trie = rel.trie_under_order(&order).unwrap();
+        assert_eq!(trie.to_relation().flat(), want.as_slice(), "trie under {order:?}");
+    });
+}
+
 /// Trie build/emit round-trips any relation.
 #[test]
 fn trie_roundtrip() {
