@@ -1,7 +1,6 @@
 //! [`BindingBatch`]: the normalized input of a batched execution.
 
-use adj_relational::{Attr, BoundValues, Error, Result, Value};
-use std::collections::HashMap;
+use adj_relational::{Attr, BoundValues, Error, Result};
 
 /// A batch of parameter bindings for one prepared query shape.
 ///
@@ -33,41 +32,36 @@ pub struct BindingBatch {
 impl BindingBatch {
     /// Normalizes `bindings` into a batch. Every submission must bind the
     /// same attribute set; the first submission fixes it.
-    pub fn new(bindings: Vec<BoundValues>) -> Result<Self> {
+    ///
+    /// Submission indices are sorted by binding, so equal submissions sit
+    /// side by side: each run of them moves its first binding into `unique`
+    /// and points every member's slot at it. Nothing is hashed or cloned,
+    /// and no per-submission vector is allocated.
+    pub fn new(mut bindings: Vec<BoundValues>) -> Result<Self> {
         let attrs: Vec<Attr> = bindings
             .first()
             .map(|b| b.pairs().iter().map(|&(a, _)| a).collect())
             .unwrap_or_default();
-        let mut unique: Vec<BoundValues> = Vec::new();
-        let mut by_values: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut slot_of = Vec::with_capacity(bindings.len());
-        for b in bindings {
-            let bound_attrs: Vec<Attr> = b.pairs().iter().map(|&(a, _)| a).collect();
-            if bound_attrs != attrs {
+        for b in &bindings {
+            if !b.pairs().iter().map(|&(a, _)| a).eq(attrs.iter().copied()) {
+                let bound_attrs: Vec<Attr> = b.pairs().iter().map(|&(a, _)| a).collect();
                 return Err(Error::SchemaMismatch {
                     left: format!("batch binds {attrs:?}"),
                     right: format!("submission binds {bound_attrs:?}"),
                 });
             }
-            let values: Vec<Value> = b.pairs().iter().map(|&(_, v)| v).collect();
-            let next = unique.len();
-            let slot = *by_values.entry(values).or_insert(next);
-            if slot == next {
-                unique.push(b);
+        }
+        // Every submission binds `attrs`, so ordering by pairs is ordering
+        // by value vector: the canonical unique order.
+        let mut order: Vec<usize> = (0..bindings.len()).collect();
+        order.sort_unstable_by(|&a, &b| bindings[a].pairs().cmp(bindings[b].pairs()));
+        let mut unique: Vec<BoundValues> = Vec::new();
+        let mut slot_of = vec![0; bindings.len()];
+        for i in order {
+            if unique.last().is_none_or(|u| u.pairs() != bindings[i].pairs()) {
+                unique.push(std::mem::take(&mut bindings[i]));
             }
-            slot_of.push(slot);
-        }
-        // Canonical order: sort unique bindings by value vector and remap
-        // the submission slots.
-        let mut perm: Vec<usize> = (0..unique.len()).collect();
-        perm.sort_by(|&a, &b| unique[a].pairs().cmp(unique[b].pairs()));
-        let mut new_pos = vec![0usize; unique.len()];
-        for (new, &old) in perm.iter().enumerate() {
-            new_pos[old] = new;
-        }
-        let unique = perm.iter().map(|&i| unique[i].clone()).collect();
-        for s in &mut slot_of {
-            *s = new_pos[*s];
+            slot_of[i] = unique.len() - 1;
         }
         Ok(BindingBatch { attrs, unique, slot_of })
     }
@@ -107,6 +101,7 @@ impl BindingBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adj_relational::Value;
 
     fn bv(pairs: &[(u32, Value)]) -> BoundValues {
         BoundValues::new(pairs.iter().map(|&(a, v)| (Attr(a), v)).collect()).unwrap()
@@ -147,6 +142,42 @@ mod tests {
         assert!(batch.is_empty());
         assert_eq!(batch.unique_len(), 0);
         assert!(batch.attrs().is_empty());
+    }
+
+    #[test]
+    fn sorting_submissions_matches_dedup_then_sort() {
+        // Reference: the sorted, deduplicated value vectors, and each
+        // submission's slot looked up among them.
+        let mut state = 7u64;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % n) as Value
+        };
+        for (len, width) in [(0, 1), (1, 1), (2, 2), (5, 1), (64, 2), (300, 1), (300, 2), (300, 3)]
+        {
+            let submissions: Vec<BoundValues> = (0..len)
+                .map(|_| {
+                    let pairs: Vec<(u32, Value)> =
+                        [1, 4, 5].iter().take(width).map(|&a| (a, next(6))).collect();
+                    bv(&pairs)
+                })
+                .collect();
+            let mut uniques: Vec<Vec<(Attr, Value)>> =
+                submissions.iter().map(|b| b.pairs().to_vec()).collect();
+            uniques.sort();
+            uniques.dedup();
+            let slots: Vec<usize> = submissions
+                .iter()
+                .map(|b| uniques.binary_search(&b.pairs().to_vec()).unwrap())
+                .collect();
+            let batch = BindingBatch::new(submissions).unwrap();
+            let got: Vec<Vec<(Attr, Value)>> =
+                batch.unique().iter().map(|u| u.pairs().to_vec()).collect();
+            assert_eq!(got, uniques, "{len} submissions of width {width}");
+            assert_eq!(batch.slot_of(), slots.as_slice(), "{len} submissions of width {width}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! ```
 
 use crate::plan::QueryPlan;
-use adj_query::Bindings;
+use adj_query::{Bindings, ParamTable};
 use adj_relational::{Attr, BoundValues, Result};
 
 /// An optimized plan for a parameterized query shape, plus the parameter
@@ -39,21 +39,21 @@ pub struct Prepared {
     /// The optimized plan. Structure-only: no bound *value* influences it,
     /// so one plan serves unboundedly many bindings.
     pub plan: QueryPlan,
-    /// The query's `$name` parameters in first-occurrence order.
-    params: Vec<(String, Attr)>,
+    /// The parameter table and inline literals bindings resolve against.
+    table: ParamTable,
 }
 
 impl Prepared {
     /// Wraps an optimized plan, deriving the parameter table from its
     /// query's terms.
     pub fn new(plan: QueryPlan) -> Self {
-        let params = plan.query.param_attrs();
-        Prepared { plan, params }
+        let table = ParamTable::of(&plan.query);
+        Prepared { plan, table }
     }
 
     /// The `$name` parameters awaiting bind-time values.
     pub fn params(&self) -> &[(String, Attr)] {
-        &self.params
+        self.table.params()
     }
 
     /// Resolves a binding against the parameter table: every parameter
@@ -61,7 +61,7 @@ impl Prepared {
     /// query's inline literals are folded in. The result is the complete
     /// bound-value set one execution's join seeks.
     pub fn bind(&self, bindings: &Bindings) -> Result<BoundValues> {
-        self.plan.query.resolve_bindings(bindings)
+        self.table.resolve(bindings)
     }
 }
 

@@ -27,11 +27,15 @@
 //! [`IndexCache::invalidate_db`] drops them eagerly). Eviction is
 //! least-recently-used over *bytes*, not entries, because the whole point
 //! of the budget is to charge index memory against the cluster's
-//! `memory_limit_bytes`.
+//! `memory_limit_bytes`. The recency order is the shared exact-LRU index
+//! ([`adj_relational::lru`]): a hit relinks one slot and each victim is
+//! popped in O(1), however many entries are resident.
 
 use adj_faults::CancelToken;
-use adj_relational::hash::FxHashMap;
+use adj_relational::hash::{FxHashMap, FxHasher};
+use adj_relational::lru::SharedLru;
 use adj_relational::{Attr, Relation, Trie};
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -123,65 +127,6 @@ impl EntryKey {
 enum Artifact {
     Index(Arc<RelationIndex>),
     Bag(Arc<Relation>),
-}
-
-#[derive(Debug)]
-struct Entry {
-    artifact: Artifact,
-    bytes: usize,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct CacheMap {
-    map: FxHashMap<EntryKey, Entry>,
-    tick: u64,
-    resident_bytes: usize,
-}
-
-impl CacheMap {
-    /// Evicts least-recently-used entries until `need` more bytes fit under
-    /// `capacity`. Returns the number of entries evicted.
-    fn make_room(&mut self, need: usize, capacity: usize) -> u64 {
-        let mut evicted = 0u64;
-        while self.resident_bytes + need > capacity && !self.map.is_empty() {
-            let lru = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map");
-            if let Some(e) = self.map.remove(&lru) {
-                self.resident_bytes -= e.bytes;
-                evicted += 1;
-            }
-        }
-        evicted
-    }
-
-    fn insert(&mut self, key: EntryKey, artifact: Artifact, bytes: usize) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        let fresh = self
-            .map
-            .insert(key, Entry { artifact, bytes, last_used: tick })
-            .map(|old| {
-                self.resident_bytes -= old.bytes;
-                false
-            })
-            .unwrap_or(true);
-        self.resident_bytes += bytes;
-        fresh
-    }
-
-    fn get(&mut self, key: &EntryKey) -> Option<Artifact> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|e| {
-            e.last_used = tick;
-            e.artifact.clone()
-        })
-    }
 }
 
 /// One in-flight build registration: concurrent misses on the same key
@@ -316,9 +261,10 @@ impl IndexCacheStats {
 #[derive(Debug)]
 pub struct IndexCache {
     capacity_bytes: usize,
-    inner: Mutex<CacheMap>,
+    /// Artifacts in recency order, each weighted by its resident bytes.
+    lru: SharedLru<EntryKey, Artifact, BuildHasherDefault<FxHasher>>,
     /// In-flight builds, for request coalescing: a key is present exactly
-    /// while one claimant is building it. Guarded separately from `inner`
+    /// while one claimant is building it. Guarded separately from `lru`
     /// so waiters never block cache traffic.
     pending: Mutex<FxHashMap<EntryKey, Arc<PendingBuild>>>,
     hits: AtomicU64,
@@ -336,7 +282,7 @@ impl IndexCache {
     pub fn new(capacity_bytes: usize) -> Self {
         IndexCache {
             capacity_bytes,
-            inner: Mutex::new(CacheMap::default()),
+            lru: SharedLru::new(),
             pending: Mutex::new(FxHashMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -353,26 +299,12 @@ impl IndexCache {
         self.capacity_bytes
     }
 
-    /// Locks the map, *recovering* from lock poisoning instead of
-    /// propagating it. The cache is pure derived state — every entry can be
-    /// rebuilt from the database — so if a panic ever lands while the lock
-    /// is held (leaving the map possibly half-updated), the correct
-    /// response is to drop the whole map and carry on cold, not to wedge
-    /// every later query on the same `.expect("poisoned")`. The dropped
-    /// entries are counted as invalidations.
-    fn lock_recovering(&self) -> std::sync::MutexGuard<'_, CacheMap> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                let dropped = guard.map.len() as u64;
-                guard.map.clear();
-                guard.resident_bytes = 0;
-                self.invalidations.fetch_add(dropped, Ordering::Relaxed);
-                self.inner.clear_poison();
-                guard
-            }
-        }
+    /// Looks up `key`, refreshing its recency on a hit. A poisoned lock
+    /// recovers by dropping the (suspect) entries rather than wedging every
+    /// later query; the cache is pure derived state, so it carries on cold,
+    /// and the dropped entries count as invalidations.
+    fn get(&self, key: &EntryKey) -> Option<Artifact> {
+        self.lru.lock().get(key).cloned()
     }
 
     /// Looks up a relation index, refreshing its recency on a hit and
@@ -382,7 +314,7 @@ impl IndexCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let got = self.lock_recovering().get(&EntryKey::Index(key.clone()));
+        let got = self.get(&EntryKey::Index(key.clone()));
         match got {
             Some(Artifact::Index(idx)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -411,7 +343,7 @@ impl IndexCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let got = self.lock_recovering().get(&EntryKey::Bag(key.clone()));
+        let got = self.get(&EntryKey::Bag(key.clone()));
         match got {
             Some(Artifact::Bag(rel)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -499,7 +431,7 @@ impl IndexCache {
         }
         let mut waited = false;
         loop {
-            if let Some(artifact) = self.lock_recovering().get(&key) {
+            if let Some(artifact) = self.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 if let Artifact::Index(idx) = &artifact {
                     self.tuples_saved.fetch_add(idx.tuples, Ordering::Relaxed);
@@ -551,12 +483,16 @@ impl IndexCache {
         if self.capacity_bytes == 0 || bytes > self.capacity_bytes {
             return;
         }
-        let mut inner = self.lock_recovering();
-        let evicted = inner.make_room(bytes, self.capacity_bytes);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        // Victims are dropped after the guard, outside the lock.
+        let (evicted, fresh) = {
+            let mut lru = self.lru.lock();
+            let evicted = lru.make_room(bytes, self.capacity_bytes);
+            (evicted, lru.insert(key, artifact, bytes).is_none())
+        };
+        if !evicted.is_empty() {
+            self.evictions.fetch_add(evicted.len() as u64, Ordering::Relaxed);
         }
-        if inner.insert(key, artifact, bytes) {
+        if fresh {
             self.insertions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -566,19 +502,8 @@ impl IndexCache {
     /// already stops stale entries from matching; this frees their bytes
     /// eagerly).
     pub fn invalidate_db(&self, db_tag: u64) {
-        let mut inner = self.lock_recovering();
-        let before = inner.map.len();
-        let mut freed = 0usize;
-        inner.map.retain(|k, e| {
-            let keep = k.db_tag() != db_tag;
-            if !keep {
-                freed += e.bytes;
-            }
-            keep
-        });
-        let dropped = (before - inner.map.len()) as u64;
-        inner.resident_bytes -= freed;
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+        let dropped = self.lru.lock().retain(|k, _| k.db_tag() != db_tag);
+        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
     }
 
     /// Removes and returns every relation-index entry for `relation` in
@@ -594,41 +519,34 @@ impl IndexCache {
         db_tag: u64,
         relation: &str,
     ) -> Vec<(IndexKey, Arc<RelationIndex>)> {
-        let mut inner = self.lock_recovering();
         let mut taken = Vec::new();
-        let mut freed = 0usize;
-        inner.map.retain(|k, e| match (k, &e.artifact) {
+        self.lru.lock().retain(|k, artifact| match (k, artifact) {
             (EntryKey::Index(ik), Artifact::Index(idx))
                 if ik.db_tag == db_tag && ik.relation == relation =>
             {
-                freed += e.bytes;
                 taken.push((ik.clone(), Arc::clone(idx)));
                 false
             }
             _ => true,
         });
-        inner.resident_bytes -= freed;
         self.invalidations.fetch_add(taken.len() as u64, Ordering::Relaxed);
         taken
     }
 
     /// Empties the cache.
     pub fn clear(&self) {
-        let mut inner = self.lock_recovering();
-        let dropped = inner.map.len() as u64;
-        inner.map.clear();
-        inner.resident_bytes = 0;
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+        let dropped = self.lru.lock().clear();
+        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
     }
 
     /// Current resident bytes.
     pub fn resident_bytes(&self) -> usize {
-        self.lock_recovering().resident_bytes
+        self.lru.lock().weight()
     }
 
     /// Current artifact count.
     pub fn len(&self) -> usize {
-        self.lock_recovering().map.len()
+        self.lru.lock().len()
     }
 
     /// Whether the cache is empty.
@@ -639,15 +557,15 @@ impl IndexCache {
     /// A consistent snapshot of the counters.
     pub fn stats(&self) -> IndexCacheStats {
         let (resident_bytes, len) = {
-            let inner = self.lock_recovering();
-            (inner.resident_bytes, inner.map.len())
+            let lru = self.lru.lock();
+            (lru.weight(), lru.len())
         };
         IndexCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
+            invalidations: self.invalidations.load(Ordering::Relaxed) + self.lru.recovered(),
             tuples_saved: self.tuples_saved.load(Ordering::Relaxed),
             coalesced_builds: self.coalesced.load(Ordering::Relaxed),
             resident_bytes,
@@ -841,15 +759,15 @@ mod tests {
         let poisoner = {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
-                let _guard = cache.inner.lock().unwrap();
+                let _guard = cache.lru.lock();
                 panic!("query died while holding the cache lock");
             })
         };
         assert!(poisoner.join().is_err(), "the thread must actually panic");
-        assert!(cache.inner.is_poisoned());
+        assert!(cache.lru.is_poisoned());
         // No panic on any operation; the cache restarts empty and works.
         assert!(cache.get_index(&key(1, 0, "R1")).is_none(), "suspect contents dropped");
-        assert!(!cache.inner.is_poisoned(), "poison cleared on first recovery");
+        assert!(!cache.lru.is_poisoned(), "poison cleared on first recovery");
         assert_eq!(cache.len(), 0);
         cache.insert_index(key(1, 0, "R2"), Arc::new(RelationIndex::new(vec![trie(5)], 5, 1)));
         assert!(cache.get_index(&key(1, 0, "R2")).is_some(), "cache keeps serving after recovery");

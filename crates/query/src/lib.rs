@@ -29,5 +29,5 @@ pub use ghd::{GhdNode, GhdTree};
 pub use hypergraph::Hypergraph;
 pub use order::{valid_orders, AttrOrder};
 pub use parser::{parse_query, parse_query_explain, parse_query_with_mode, ExplainMode};
-pub use query::{Atom, Bindings, JoinQuery, Term};
+pub use query::{Atom, Bindings, JoinQuery, ParamTable, Term};
 pub use workload::{paper_query, PaperQuery};

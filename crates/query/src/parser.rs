@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn literals_and_params_parse_into_terms() {
-        use crate::query::Bindings;
+        use crate::query::{Bindings, ParamTable};
         let (q, names) = parse_query("Q(b,c) :- R1(5,b), R2(b,c), R3(5,c)").unwrap();
         // "5" interns once, like a variable would.
         assert_eq!(names, vec!["5", "b", "c"]);
@@ -542,7 +542,7 @@ mod tests {
         assert_eq!(names, vec!["$v", "b", "$w"]);
         assert_eq!(q.atoms[0].terms[0], Term::Param("v".into()));
         assert_eq!(q.param_attrs(), vec![("v".to_string(), Attr(0)), ("w".to_string(), Attr(2))]);
-        let bound = q.resolve_bindings(&Bindings::new().set("v", 1).set("w", 2)).unwrap();
+        let bound = ParamTable::of(&q).resolve(&Bindings::new().set("v", 1).set("w", 2)).unwrap();
         assert_eq!(bound.pairs(), &[(Attr(0), 1), (Attr(2), 2)]);
 
         // Repeated parameters share one attribute (equality by definition).

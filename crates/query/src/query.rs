@@ -126,6 +126,59 @@ impl Bindings {
     }
 }
 
+/// What a statement's bindings resolve against, built once per statement:
+/// its `$name` parameters and its inline literals.
+///
+/// [`ParamTable::resolve`] then turns one [`Bindings`] into the statement's
+/// [`BoundValues`] without re-walking the query.
+#[derive(Debug, Clone)]
+pub struct ParamTable {
+    /// `$name` parameters as `(name, attr)`, in first-occurrence order.
+    params: Vec<(String, Attr)>,
+    /// The inline-literal selections, or the conflict that makes them
+    /// unusable (reported only after the parameters check out, as the
+    /// per-call resolution always did).
+    literals: Result<BoundValues>,
+}
+
+impl ParamTable {
+    /// The table of `query`.
+    pub fn of(query: &JoinQuery) -> Self {
+        ParamTable { params: query.param_attrs(), literals: query.const_bindings() }
+    }
+
+    /// The `$name` parameters as `(name, attr)`, in first-occurrence order.
+    pub fn params(&self) -> &[(String, Attr)] {
+        &self.params
+    }
+
+    /// Resolves one binding: every parameter must be bound (the first one
+    /// that is not is named by [`Error::UnboundParam`]), every supplied
+    /// name must be a parameter ([`Error::UnknownParam`] names the first
+    /// stray), and the inline literals are folded in.
+    pub fn resolve(&self, bindings: &Bindings) -> Result<BoundValues> {
+        let mut pairs = Vec::with_capacity(self.params.len());
+        for (name, attr) in &self.params {
+            match bindings.get(name) {
+                Some(v) => pairs.push((*attr, v)),
+                None => return Err(Error::UnboundParam { name: name.clone() }),
+            }
+        }
+        for (name, _) in bindings.pairs() {
+            if !self.params.iter().any(|(n, _)| n == name) {
+                return Err(Error::UnknownParam { name: name.clone() });
+            }
+        }
+        let literals = self.literals.as_ref().map_err(Clone::clone)?;
+        let params = BoundValues::new(pairs)?;
+        if literals.is_empty() {
+            Ok(params)
+        } else {
+            literals.merged(&params)
+        }
+    }
+}
+
 /// A natural join query `Q :- R1 ⋈ R2 ⋈ … ⋈ Rm`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinQuery {
@@ -232,28 +285,6 @@ impl JoinQuery {
             }
         }
         BoundValues::new(pairs)
-    }
-
-    /// Resolves the full bound-value set of one execution: inline literals
-    /// plus the supplied parameter values. Every parameter must be bound
-    /// ([`Error::UnboundParam`]) and every supplied name must exist
-    /// ([`Error::UnknownParam`]) — a typo'd binding is an error, not a
-    /// silently-ignored no-op.
-    pub fn resolve_bindings(&self, bindings: &Bindings) -> Result<BoundValues> {
-        let params = self.param_attrs();
-        let mut pairs: Vec<(Attr, Value)> = Vec::new();
-        for (name, attr) in &params {
-            match bindings.get(name) {
-                Some(v) => pairs.push((*attr, v)),
-                None => return Err(Error::UnboundParam { name: name.clone() }),
-            }
-        }
-        for (name, _) in bindings.pairs() {
-            if !params.iter().any(|(n, _)| n == name) {
-                return Err(Error::UnknownParam { name: name.clone() });
-            }
-        }
-        self.const_bindings()?.merged(&BoundValues::new(pairs)?)
     }
 
     /// A copy with every inline literal's *value* erased (set to 0),
@@ -409,12 +440,13 @@ mod tests {
         assert_eq!(q.param_attrs(), vec![("v".to_string(), Attr(2))]);
         assert_eq!(q.const_bindings().unwrap().pairs(), &[(Attr(0), 5)]);
 
-        let resolved = q.resolve_bindings(&Bindings::new().set("v", 9)).unwrap();
+        let table = ParamTable::of(&q);
+        let resolved = table.resolve(&Bindings::new().set("v", 9)).unwrap();
         assert_eq!(resolved.pairs(), &[(Attr(0), 5), (Attr(2), 9)]);
 
-        let missing = q.resolve_bindings(&Bindings::new()).unwrap_err();
+        let missing = table.resolve(&Bindings::new()).unwrap_err();
         assert!(matches!(missing, adj_relational::Error::UnboundParam { .. }));
-        let typo = q.resolve_bindings(&Bindings::new().set("v", 1).set("w", 2)).unwrap_err();
+        let typo = table.resolve(&Bindings::new().set("v", 1).set("w", 2)).unwrap_err();
         assert!(matches!(typo, adj_relational::Error::UnknownParam { .. }));
 
         // Erasure keeps structure, drops values.
@@ -432,7 +464,7 @@ mod tests {
         assert!(!q.has_bound_terms());
         assert!(q.param_attrs().is_empty());
         assert!(q.const_bindings().unwrap().is_empty());
-        assert!(q.resolve_bindings(&Bindings::new()).unwrap().is_empty());
+        assert!(ParamTable::of(&q).resolve(&Bindings::new()).unwrap().is_empty());
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   sampling estimator's `val(A)` computation (Sec. IV);
 //! * the streaming-output vocabulary ([`output`]): [`OutputMode`],
 //!   [`QueryOutput`], and the [`RowSink`] trait execution layers stream
-//!   result rows into instead of materializing everything.
+//!   result rows into instead of materializing everything;
+//! * the exact-LRU recency index ([`lru`]) the plan, result and index
+//!   caches evict by.
 //!
 //! Everything is deterministic: relations normalize to sorted-dedup form so
 //! that two equal relations are byte-identical, which the test-suite and the
@@ -29,6 +31,7 @@ pub mod database;
 pub mod error;
 pub mod hash;
 pub mod intersect;
+pub mod lru;
 pub mod output;
 pub mod relation;
 pub mod schema;

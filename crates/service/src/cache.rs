@@ -8,16 +8,16 @@
 //! `QueryFingerprint::cache_key(db_tag, stats_epoch)` — see
 //! `adj_query::fingerprint` for what the key does and does not canonicalize.
 //!
-//! The map is guarded by one mutex; entries carry a logical last-use tick
-//! and eviction scans for the minimum. That is O(capacity) per eviction,
-//! which is deliberate: capacities are small (hundreds), evictions are rare
-//! (only on shape-set churn), and the scan keeps the structure a plain
-//! `HashMap` with no unsafe intrusive lists.
+//! Entries live in the shared exact-LRU recency index
+//! ([`adj_relational::lru`]): a hit relinks one slot and an eviction pops
+//! the least recently used entry, both O(1), so the cache costs the same
+//! whether it evicts once a day or on every insert. A panic while the lock
+//! is held drops the entries instead of wedging every later `plan_for`.
 
 use adj_core::QueryPlan;
-use std::collections::HashMap;
+use adj_relational::lru::SharedLru;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Counters describing cache behaviour since service start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,7 +30,8 @@ pub struct PlanCacheStats {
     pub insertions: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
-    /// Entries dropped by explicit invalidation (database re-registration).
+    /// Entries dropped by explicit invalidation (database re-registration)
+    /// or by recovery from a poisoned lock.
     pub invalidations: u64,
     /// Current number of cached plans.
     pub len: usize,
@@ -51,23 +52,16 @@ impl PlanCacheStats {
 #[derive(Debug)]
 struct CacheEntry {
     plan: Arc<QueryPlan>,
-    last_used: u64,
     /// Tag of the database the plan was optimized against, for scoped
     /// invalidation.
     db_tag: u64,
-}
-
-#[derive(Debug, Default)]
-struct CacheMap {
-    map: HashMap<u64, CacheEntry>,
-    tick: u64,
 }
 
 /// A thread-safe LRU cache of optimized plans.
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
-    inner: Mutex<CacheMap>,
+    lru: SharedLru<u64, CacheEntry>,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -80,7 +74,7 @@ impl PlanCache {
     pub fn new(capacity: usize) -> Self {
         PlanCache {
             capacity,
-            inner: Mutex::new(CacheMap::default()),
+            lru: SharedLru::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
@@ -95,20 +89,10 @@ impl PlanCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&key) {
-            Some(e) => {
-                e.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&e.plan))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let plan = self.lru.lock().get(&key).map(|e| Arc::clone(&e.plan));
+        let counter = if plan.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        plan
     }
 
     /// Inserts `plan` (optimized against database `db_tag`) under `key`,
@@ -120,18 +104,13 @@ impl PlanCache {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            if let Some(&lru) = inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k) {
-                inner.map.remove(&lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let fresh = inner.map.insert(key, CacheEntry { plan, last_used: tick, db_tag }).is_none();
+        let (fresh, evicted) =
+            self.lru.lock().insert_capped(key, CacheEntry { plan, db_tag }, self.capacity);
         if fresh {
             self.insertions.fetch_add(1, Ordering::Relaxed);
+        }
+        if evicted.is_some() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -143,24 +122,19 @@ impl PlanCache {
     /// epoch changes every future key) — dropping them eagerly just frees
     /// capacity.
     pub fn invalidate_db(&self, db_tag: u64) {
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        let before = inner.map.len();
-        inner.map.retain(|_, e| e.db_tag != db_tag);
-        let dropped = (before - inner.map.len()) as u64;
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+        let dropped = self.lru.lock().retain(|_, e| e.db_tag != db_tag);
+        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
     }
 
     /// Empties the cache.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        let dropped = inner.map.len() as u64;
-        inner.map.clear();
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+        let dropped = self.lru.lock().clear();
+        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
     }
 
     /// Current entry count.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan cache poisoned").map.len()
+        self.lru.lock().len()
     }
 
     /// Whether the cache is empty.
@@ -170,13 +144,14 @@ impl PlanCache {
 
     /// A consistent snapshot of the counters.
     pub fn stats(&self) -> PlanCacheStats {
+        let len = self.len();
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            len: self.len(),
+            invalidations: self.invalidations.load(Ordering::Relaxed) + self.lru.recovered(),
+            len,
         }
     }
 }
@@ -243,6 +218,32 @@ mod tests {
         // a tag nothing was inserted under drops nothing
         cache.invalidate_db(999);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_poisoned_lock_recovers_and_serves_hits() {
+        // `plan_for` runs outside `serve`'s panic isolation: a panic under
+        // this lock used to make every later query on every database panic
+        // on `.expect("plan cache poisoned")`.
+        let cache = Arc::new(PlanCache::new(4));
+        let plan = some_plan(PaperQuery::Q1);
+        cache.insert(1, 0, Arc::clone(&plan));
+        let poisoner = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                let _guard = cache.lru.lock();
+                panic!("a query died while holding the plan cache lock");
+            })
+        };
+        assert!(poisoner.join().is_err(), "the thread must actually panic");
+        assert!(cache.lru.is_poisoned());
+        assert!(cache.get(1).is_none(), "suspect contents dropped, not served");
+        assert!(!cache.lru.is_poisoned(), "poison cleared on first recovery");
+        cache.insert(1, 0, Arc::clone(&plan));
+        assert!(cache.get(1).is_some(), "the cache serves hits again");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
+        assert_eq!(s.invalidations, 1, "the dropped entry counts as an invalidation");
     }
 
     #[test]

@@ -12,15 +12,14 @@
 //! [`ResultId`] it was computed for, and a lookup whose identity differs is
 //! a miss, never another binding's answer.
 //!
-//! Structure mirrors the [`PlanCache`](crate::cache::PlanCache): one mutex
-//! over a `HashMap` with logical last-use ticks and O(capacity) eviction
-//! scans — capacities are small and evictions rare, so the simple structure
-//! wins over an intrusive list.
+//! Entries live in the shared exact-LRU recency index
+//! ([`adj_relational::lru`]), so a lookup and an eviction are both O(1).
+//! That matters on the batch door: a skewed batch of thousands of bindings
+//! keeps the cache full and inserts (and evicts) once per cold binding.
 
+use adj_relational::lru::SharedLru;
 use adj_relational::{BoundValues, OutputMode, QueryOutput};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Counters describing result-cache behaviour since service start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,6 +32,8 @@ pub struct ResultCacheStats {
     pub insertions: u64,
     /// Results evicted to make room.
     pub evictions: u64,
+    /// Results dropped because a panic poisoned the cache's lock.
+    pub invalidations: u64,
     /// Current number of cached results.
     pub len: usize,
 }
@@ -67,7 +68,6 @@ struct CacheEntry {
     mode: OutputMode,
     binding: BoundValues,
     output: QueryOutput,
-    last_used: u64,
 }
 
 impl CacheEntry {
@@ -76,17 +76,11 @@ impl CacheEntry {
     }
 }
 
-#[derive(Debug, Default)]
-struct CacheMap {
-    map: HashMap<u64, CacheEntry>,
-    tick: u64,
-}
-
 /// A thread-safe LRU cache of per-binding query outputs.
 #[derive(Debug)]
 pub struct ResultCache {
     capacity: usize,
-    inner: Mutex<CacheMap>,
+    lru: SharedLru<u64, CacheEntry>,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -98,7 +92,7 @@ impl ResultCache {
     pub fn new(capacity: usize) -> Self {
         ResultCache {
             capacity,
-            inner: Mutex::new(CacheMap::default()),
+            lru: SharedLru::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
@@ -107,81 +101,53 @@ impl ResultCache {
     }
 
     /// Looks up `key`, refreshing its recency on a hit. An entry stored for
-    /// a different identity (a key collision) is a miss.
+    /// a different identity (a key collision) is a miss and keeps its place.
     pub fn get(&self, key: u64, id: &ResultId<'_>) -> Option<QueryOutput> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let mut inner = self.inner.lock().unwrap_or_else(|e| {
-            self.inner.clear_poison();
-            e.into_inner()
-        });
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&key) {
-            Some(e) if e.answers(id) => {
-                e.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.output.clone())
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let output = self.lru.lock().get_if(&key, |e| e.answers(id)).map(|e| e.output.clone());
+        let counter = if output.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        output
     }
 
     /// Inserts `id`'s `output` under `key`, evicting the least-recently-used
-    /// entry if the cache is full. Whatever sat under `key` is overwritten:
-    /// for the same identity the outputs are equal, and a colliding identity
-    /// loses its slot to the more recent one.
-    pub fn insert(&self, key: u64, id: &ResultId<'_>, output: QueryOutput) {
+    /// entry if the cache is full, and returns whether it evicted one.
+    /// Whatever sat under `key` is overwritten: for the same identity the
+    /// outputs are equal, and a colliding identity loses its slot to the
+    /// more recent one.
+    pub fn insert(&self, key: u64, id: &ResultId<'_>, output: QueryOutput) -> bool {
         if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().unwrap_or_else(|e| {
-            self.inner.clear_poison();
-            e.into_inner()
-        });
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            if let Some(&lru) = inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k) {
-                inner.map.remove(&lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+            return false;
         }
         let entry = CacheEntry {
             plan_key: id.plan_key,
             mode: id.mode,
             binding: id.binding.clone(),
             output,
-            last_used: tick,
         };
-        let fresh = inner.map.insert(key, entry).is_none();
+        // The victim is dropped after the guard, outside the lock.
+        let (fresh, evicted) = self.lru.lock().insert_capped(key, entry, self.capacity);
         if fresh {
             self.insertions.fetch_add(1, Ordering::Relaxed);
         }
+        if evicted.is_some() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        evicted.is_some()
     }
 
     /// Empties the cache (database re-registration drops results eagerly —
     /// the new epoch would orphan them anyway; this frees the memory now).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| {
-            self.inner.clear_poison();
-            e.into_inner()
-        });
-        inner.map.clear();
+        self.lru.lock().clear();
     }
 
     /// Current entry count.
     pub fn len(&self) -> usize {
-        let inner = self.inner.lock().unwrap_or_else(|e| {
-            self.inner.clear_poison();
-            e.into_inner()
-        });
-        inner.map.len()
+        self.lru.lock().len()
     }
 
     /// Whether the cache is empty.
@@ -196,7 +162,9 @@ impl ResultCache {
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            // After `len`, whose lock would do any pending recovery.
             len: self.len(),
+            invalidations: self.lru.recovered(),
         }
     }
 }
@@ -275,6 +243,28 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert!(cache.get(1, &id(&a)).is_none());
+    }
+
+    #[test]
+    fn a_poisoned_lock_recovers_and_serves_hits() {
+        let cache = std::sync::Arc::new(ResultCache::new(4));
+        let a = binding(1);
+        cache.insert(1, &id(&a), QueryOutput::Count(1));
+        cache.insert(2, &id(&a), QueryOutput::Count(2));
+        let poisoner = {
+            let cache = std::sync::Arc::clone(&cache);
+            std::thread::spawn(move || {
+                let _guard = cache.lru.lock();
+                panic!("a batch died while holding the result cache lock");
+            })
+        };
+        assert!(poisoner.join().is_err(), "the thread must actually panic");
+        assert!(cache.get(1, &id(&a)).is_none(), "suspect contents dropped, not served");
+        cache.insert(1, &id(&a), QueryOutput::Count(1));
+        assert_eq!(cache.get(1, &id(&a)), Some(QueryOutput::Count(1)), "hits are served again");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
+        assert_eq!(s.invalidations, 2, "both dropped results are counted");
     }
 
     #[test]

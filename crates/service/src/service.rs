@@ -15,7 +15,8 @@ use adj_faults::{CancelToken, FaultSite};
 use adj_hcube::patch_relation_indexes;
 use adj_query::fingerprint::Fnv1a;
 use adj_query::{
-    parse_query_explain, parse_query_with_mode, Bindings, ExplainMode, JoinQuery, QueryFingerprint,
+    parse_query_explain, parse_query_with_mode, Bindings, ExplainMode, JoinQuery, ParamTable,
+    QueryFingerprint,
 };
 use adj_relational::{Attr, BoundValues, Database, OutputMode, QueryOutput, Relation, Value};
 use adj_sampling::sample_relation;
@@ -234,8 +235,9 @@ pub struct PreparedQuery {
     db_name: String,
     /// The parameterized query.
     query: JoinQuery,
-    /// The `$name` parameters awaiting values, in first-occurrence order.
-    params: Vec<(String, Attr)>,
+    /// The parameter table and inline literals bindings resolve against,
+    /// built once at prepare time.
+    table: ParamTable,
     /// The Rows-mode fingerprint (every mode shares its `plan_key`).
     fingerprint: QueryFingerprint,
 }
@@ -253,7 +255,7 @@ impl PreparedQuery {
 
     /// The `$name` parameters awaiting bind-time values.
     pub fn params(&self) -> &[(String, Attr)] {
-        &self.params
+        self.table.params()
     }
 
     /// The statement's canonical fingerprint (shape only — no binding value
@@ -272,7 +274,7 @@ impl PreparedQuery {
     /// also folds the shape's inline literals, exactly as
     /// [`Service::execute_bound`] would.
     pub fn bind(&self, bindings: &Bindings) -> adj_relational::Result<BoundValues> {
-        self.query.resolve_bindings(bindings)
+        self.table.resolve(bindings)
     }
 }
 
@@ -579,7 +581,7 @@ impl Service {
     /// the cached plan owner's query, and a whole shape family (literal
     /// and `$param` members) shares one plan — a literal-owned entry must
     /// never let an unbound `$param` submission borrow its values. (The
-    /// execute_bound path is covered by `resolve_bindings`, which demands
+    /// execute_bound path is covered by `PreparedQuery::bind`, which demands
     /// a value for every parameter.) Checked term-by-term — no parameter
     /// table is allocated on the common unbound path.
     fn validated_const_bindings(&self, query: &JoinQuery) -> Result<BoundValues, ServiceError> {
@@ -816,7 +818,7 @@ impl Service {
         self.metrics.record_prepare();
         Ok(PreparedQuery {
             db_name: db_name.to_string(),
-            params: query.param_attrs(),
+            table: ParamTable::of(query),
             query: query.clone(),
             fingerprint,
         })
@@ -861,7 +863,7 @@ impl Service {
         mode: OutputMode,
         deadline: Option<Duration>,
     ) -> Result<ServiceOutcome, ServiceError> {
-        let values = self.failed(prepared.query.resolve_bindings(bindings))?;
+        let values = self.failed(prepared.bind(bindings))?;
         self.execute_inner(&prepared.db_name, &prepared.query, mode, &values, false, deadline)
     }
 
@@ -904,12 +906,18 @@ impl Service {
     ) -> Result<BatchOutcome, ServiceError> {
         // Resolve every submission up front: a malformed binding (missing
         // or unknown `$name`) fails the whole batch before any slot is
-        // held — batch inputs are validated as one request.
+        // held — batch inputs are validated as one request. Traced, this is
+        // the `bind` span, ahead of the pipeline's own.
+        let tracer = self.tracer(false);
+        let mut bind_span = tracer.span(COORDINATOR_LANE, "bind");
         let mut resolved = Vec::with_capacity(bindings.len());
         for b in bindings {
-            resolved.push(self.failed(prepared.query.resolve_bindings(b))?);
+            resolved.push(self.failed(prepared.bind(b))?);
         }
         let batch = self.failed(BindingBatch::new(resolved))?;
+        bind_span.arg("bindings", batch.len() as u64);
+        bind_span.arg("unique", batch.unique_len() as u64);
+        drop(bind_span);
         let deadline = deadline.or(self.config.default_deadline);
 
         // One pass through the pipeline for the whole batch: one memory
@@ -920,24 +928,31 @@ impl Service {
             // Skim the result LRU: warm uniques are answered without
             // executing; the cold remainder forms the driver batch.
             // Per-unique outcomes hold the library error type (cloneable)
-            // and are mapped to ServiceError per submission at demux.
+            // and are mapped to ServiceError per submission at demux. The
+            // skim and the inserts after the join are each a
+            // `result_cache` span.
+            let mut skim_span = ctx.tracer.span(COORDINATOR_LANE, "result_cache");
             let mut unique_results: Vec<Option<adj_relational::Result<QueryOutput>>> =
                 vec![None; batch.unique_len()];
             let mut cold = Vec::new();
             let mut cold_slots = Vec::new();
             for (u, binding) in batch.unique().iter().enumerate() {
                 let id = ResultId { plan_key: key, mode, binding };
-                match self.results.get(Self::result_key(&id), &id) {
+                let result_key = Self::result_key(&id);
+                match self.results.get(result_key, &id) {
                     Some(out) => unique_results[u] = Some(Ok(out)),
                     None => {
                         cold.push(binding.clone());
-                        cold_slots.push(u);
+                        cold_slots.push((u, result_key));
                     }
                 }
             }
             let result_cache_hits =
                 batch.slot_of().iter().filter(|&&u| unique_results[u].is_some()).count();
             let unique_executed = cold.len();
+            skim_span.arg("hits", (batch.unique_len() - unique_executed) as u64);
+            skim_span.arg("misses", unique_executed as u64);
+            drop(skim_span);
 
             let mut report = ExecutionReport::default();
             if !cold.is_empty() {
@@ -955,13 +970,16 @@ impl Service {
                     ctx,
                 )?;
                 report = batch_report;
-                for (u, res) in cold_slots.into_iter().zip(slot_results) {
+                let mut insert_span = ctx.tracer.span(COORDINATOR_LANE, "result_cache");
+                let mut evictions = 0u64;
+                for ((u, result_key), res) in cold_slots.into_iter().zip(slot_results) {
                     if let Ok(out) = &res {
                         let id = ResultId { plan_key: key, mode, binding: &batch.unique()[u] };
-                        self.results.insert(Self::result_key(&id), &id, out.clone());
+                        evictions += self.results.insert(result_key, &id, out.clone()) as u64;
                     }
                     unique_results[u] = Some(res);
                 }
+                insert_span.arg("evictions", evictions);
             }
 
             // Demultiplex per submission, mapping library errors into
@@ -1001,7 +1019,7 @@ impl Service {
                 results.iter().filter_map(|r| r.as_ref().ok()).map(|o| o.tuples_returned()).sum();
             Ok((BatchRun { results, result_cache_hits, unique_executed }, report, tuples_returned))
         };
-        let served = self.serve(&prepared.db_name, &prepared.query, mode, deadline, false, run)?;
+        let served = self.serve(&prepared.db_name, &prepared.query, mode, deadline, tracer, run)?;
         let BatchRun { results, result_cache_hits, unique_executed } = served.payload;
         self.metrics.record_batch(batch.len() as u64, result_cache_hits as u64);
         Ok(BatchOutcome {
@@ -1066,7 +1084,7 @@ impl Service {
             let tuples_returned = output.tuples_returned();
             Ok((output, report, tuples_returned))
         };
-        let served = self.serve(db_name, query, mode, deadline, force_trace, run)?;
+        let served = self.serve(db_name, query, mode, deadline, self.tracer(force_trace), run)?;
         Ok(ServiceOutcome {
             output: served.payload,
             mode,
@@ -1080,25 +1098,41 @@ impl Service {
         })
     }
 
+    /// The tracer one request records into: enabled when `force` is set
+    /// (the `EXPLAIN ANALYZE` path needs the actuals) or the configured
+    /// [`TraceSettings`](crate::TraceSettings) trace every query or keep a
+    /// slow-query log; the no-op tracer otherwise.
+    fn tracer(&self, force: bool) -> Tracer {
+        let settings = &self.config.trace;
+        if force || settings.enabled || settings.slow_query_threshold.is_some() {
+            Tracer::new(settings.buffer_capacity)
+        } else {
+            Tracer::disabled()
+        }
+    }
+
     /// The one serve pipeline behind every query door. The stages, in
-    /// order: deadline token → tracer → database lookup → memory admission
+    /// order: deadline token → database lookup → memory admission
     /// → concurrency slot → plan ([`Service::plan_for`]) → `run` under
     /// panic isolation → slot release → success metrics → trace handle →
     /// slow-query log. Every early return counts itself (failure or
     /// rejection) and releases whatever it held.
     ///
     /// `deadline` is the request's effective one (already defaulted),
-    /// measured from here, admission wait included. `run` is the door's own
-    /// step over the snapshot's database, the plan, its plan-cache key and
-    /// the request's [`ExecCtx`]; it returns its payload, the execution
-    /// report and the tuples it ships back to the caller.
+    /// measured from here, admission wait included. `tracer` is the
+    /// request's ([`Service::tracer`]); a door may already have recorded
+    /// its own spans into it before the pipeline starts. `run` is the
+    /// door's own step over the snapshot's database, the plan, its
+    /// plan-cache key and the request's [`ExecCtx`]; it returns its
+    /// payload, the execution report and the tuples it ships back to the
+    /// caller.
     fn serve<T>(
         &self,
         db_name: &str,
         query: &JoinQuery,
         mode: OutputMode,
         deadline: Option<Duration>,
-        force_trace: bool,
+        tracer: Tracer,
         run: impl FnOnce(
             &Database,
             &Arc<QueryPlan>,
@@ -1114,11 +1148,6 @@ impl Service {
             None => CancelToken::manual(),
         };
         let settings = &self.config.trace;
-        let tracer = if force_trace || settings.enabled || settings.slow_query_threshold.is_some() {
-            Tracer::new(settings.buffer_capacity)
-        } else {
-            Tracer::disabled()
-        };
         let entry = self.failed(self.lookup(db_name))?;
         let scope = entry.scope(&self.index);
         let ctx = ExecCtx { index: Some(&scope), cancel, tracer };

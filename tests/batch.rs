@@ -260,3 +260,133 @@ fn concurrent_cold_misses_coalesce_to_one_index_build() {
         m.coalesced_builds
     );
 }
+
+/// The result LRU's counters replayed by hand for a sequence of batches:
+/// each batch skims its distinct bindings in ascending order (a hit
+/// refreshes the entry), then inserts the misses in the same order, each
+/// insert past `capacity` evicting the least recently used entry. Returns
+/// `(hits, misses, insertions, evictions)` after every batch.
+fn hand_computed_lru(batches: &[Vec<Value>], capacity: usize) -> Vec<(u64, u64, u64, u64)> {
+    let mut recency: Vec<Value> = Vec::new(); // least recent first
+    let (mut hits, mut misses, mut insertions, mut evictions) = (0, 0, 0, 0);
+    let mut after = Vec::new();
+    for batch in batches {
+        let mut uniques = batch.clone();
+        uniques.sort_unstable();
+        uniques.dedup();
+        let mut cold = Vec::new();
+        for v in uniques {
+            match recency.iter().position(|&r| r == v) {
+                Some(p) => {
+                    recency.remove(p);
+                    recency.push(v);
+                    hits += 1;
+                }
+                None => {
+                    misses += 1;
+                    cold.push(v);
+                }
+            }
+        }
+        for v in cold {
+            recency.push(v);
+            insertions += 1;
+            if recency.len() > capacity {
+                recency.remove(0);
+                evictions += 1;
+            }
+        }
+        after.push((hits, misses, insertions, evictions));
+    }
+    after
+}
+
+#[test]
+fn the_batch_door_matches_the_bound_loop_and_a_hand_computed_lru_under_eviction() {
+    const CAPACITY: usize = 8;
+    let g = graph();
+    let service = Service::new(ServiceConfig {
+        adj: AdjConfig { cluster: ClusterConfig::with_workers(2), ..Default::default() },
+        result_cache_capacity: CAPACITY,
+        trace: TraceSettings { enabled: true, ..Default::default() },
+        ..Default::default()
+    });
+    service.register_database("g", paper_query(PaperQuery::Q1).instantiate(&g));
+    let (q, _) = parse_query("Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
+    let prepared = service.prepare("g", &q).unwrap();
+
+    // ~100 Zipf draws over the graph's 31 vertices: hot ones repeat within
+    // and across batches, and far more than eight are distinct, so the
+    // LRU is full and evicting by the second batch.
+    let draws = adj::datagen::binding_workload(
+        &g,
+        &adj::datagen::BindingWorkloadConfig { count: 99, column: 0, exponent: 0.8, seed: 11 },
+    );
+    let batches: Vec<Vec<Value>> = draws.chunks(33).map(<[Value]>::to_vec).collect();
+    let expected = hand_computed_lru(&batches, CAPACITY);
+    assert!(expected[2].3 > 0, "the draws must force evictions: {expected:?}");
+
+    for (i, vs) in batches.iter().enumerate() {
+        let bindings: Vec<Bindings> = vs.iter().map(|&v| Bindings::new().set("v", v)).collect();
+        let batch = service.execute_batch(&prepared, &bindings, OutputMode::Rows).unwrap();
+        for (&v, got) in vs.iter().zip(&batch.results) {
+            let want =
+                service.execute_bound(&prepared, &Bindings::new().set("v", v), OutputMode::Rows);
+            assert_eq!(got.as_ref().unwrap(), &want.unwrap().output, "batch {i}, v={v}");
+        }
+        let s = service.result_cache_stats();
+        assert_eq!((s.hits, s.misses, s.insertions, s.evictions), expected[i], "batch {i}");
+        assert_eq!(s.len, (s.insertions - s.evictions) as usize);
+        assert!(s.len <= CAPACITY);
+
+        // The door's own spans say the same: `bind` counts the submissions
+        // and their distinct bindings, the two `result_cache` intervals
+        // (skim, inserts) this batch's share of the counters.
+        let trace = batch.trace.as_ref().expect("traced");
+        let bind = trace.events_named("bind");
+        assert_eq!(bind.len(), 1, "batch {i}");
+        let unique = {
+            let mut u = vs.clone();
+            u.sort_unstable();
+            u.dedup();
+            u.len() as u64
+        };
+        assert_eq!(bind[0].args.get("bindings"), Some(vs.len() as u64));
+        assert_eq!(bind[0].args.get("unique"), Some(unique));
+        let before = if i == 0 { (0, 0, 0, 0) } else { expected[i - 1] };
+        let lru_spans = trace.events_named("result_cache");
+        let arg_sum =
+            |key: &str| lru_spans.iter().map(|e| e.args.get(key).unwrap_or(0)).sum::<u64>();
+        assert_eq!(arg_sum("hits"), expected[i].0 - before.0, "batch {i}");
+        assert_eq!(arg_sum("misses"), expected[i].1 - before.1, "batch {i}");
+        assert_eq!(arg_sum("evictions"), expected[i].3 - before.3, "batch {i}");
+    }
+}
+
+#[test]
+fn both_bound_doors_name_the_same_bad_parameter() {
+    let service = service_with(Strategy::CoOptimize);
+    service.register_database("g", paper_query(PaperQuery::Q1).instantiate(&graph()));
+    let (q, _) = parse_query("Q(b,c) :- R1($v,b), R2(b,c), R3($u,c)").unwrap();
+    let prepared = service.prepare("g", &q).unwrap();
+    use adj::relational::Error::{UnboundParam, UnknownParam};
+    let cases = [
+        (Bindings::new(), UnboundParam { name: "v".into() }),
+        (Bindings::new().set("v", 1u32), UnboundParam { name: "u".into() }),
+        (Bindings::new().set("u", 1u32), UnboundParam { name: "v".into() }),
+        (
+            Bindings::new().set("v", 1u32).set("x", 2u32).set("u", 3u32).set("w", 4u32),
+            UnknownParam { name: "x".into() },
+        ),
+    ];
+    for (bindings, want) in cases {
+        let bound = service.execute_bound(&prepared, &bindings, OutputMode::Count).unwrap_err();
+        assert!(matches!(&bound, ServiceError::Exec(e) if *e == want), "bound: {bound:?}");
+        let ok = Bindings::new().set("v", 1u32).set("u", 2u32);
+        let batch = service
+            .execute_batch(&prepared, &[ok, bindings.clone()], OutputMode::Count)
+            .unwrap_err();
+        assert!(matches!(&batch, ServiceError::Exec(e) if *e == want), "batch: {batch:?}");
+        assert_eq!(prepared.bind(&bindings).unwrap_err(), want);
+    }
+}
