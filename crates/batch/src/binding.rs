@@ -4,8 +4,8 @@ use adj_relational::{Attr, BoundValues, Error, Result};
 
 /// A batch of parameter bindings for one prepared query shape.
 ///
-/// Construction normalizes the submissions once, so the executor (and the
-/// per-binding result cache above it) work on canonical inputs:
+/// Construction normalizes the submissions once, so the result cache and
+/// the executor work on canonical inputs:
 ///
 /// * every submission must bind the **same attribute set** (they are
 ///   bindings of one shape; a mismatch is a typed error);
@@ -15,13 +15,11 @@ use adj_relational::{Attr, BoundValues, Error, Result};
 /// * unique bindings are sorted by value vector, so identical batches
 ///   normalize identically regardless of submission order.
 ///
-/// The executor later re-projects the value vectors into the plan's
-/// attribute-*order* positions (and re-sorts lexicographically in that
-/// projection) — that part depends on the plan, so it is not baked in here.
+/// The executor later projects the value vectors onto the plan's
+/// attribute-*order* positions (and sorts them in that projection) — that
+/// part depends on the plan, so it is not baked in here.
 #[derive(Debug, Clone)]
 pub struct BindingBatch {
-    /// The attribute set every submission binds, ascending.
-    attrs: Vec<Attr>,
     /// Deduplicated bindings, sorted by value vector.
     unique: Vec<BoundValues>,
     /// For each submission index: the index into `unique` holding its
@@ -38,16 +36,12 @@ impl BindingBatch {
     /// and points every member's slot at it. Nothing is hashed or cloned,
     /// and no per-submission vector is allocated.
     pub fn new(mut bindings: Vec<BoundValues>) -> Result<Self> {
-        let attrs: Vec<Attr> = bindings
-            .first()
-            .map(|b| b.pairs().iter().map(|&(a, _)| a).collect())
-            .unwrap_or_default();
+        let attrs: Vec<Attr> = bindings.first().map(|b| b.attrs().collect()).unwrap_or_default();
         for b in &bindings {
-            if !b.pairs().iter().map(|&(a, _)| a).eq(attrs.iter().copied()) {
-                let bound_attrs: Vec<Attr> = b.pairs().iter().map(|&(a, _)| a).collect();
+            if !b.attrs().eq(attrs.iter().copied()) {
                 return Err(Error::SchemaMismatch {
                     left: format!("batch binds {attrs:?}"),
-                    right: format!("submission binds {bound_attrs:?}"),
+                    right: format!("submission binds {:?}", b.attrs().collect::<Vec<_>>()),
                 });
             }
         }
@@ -63,12 +57,7 @@ impl BindingBatch {
             }
             slot_of[i] = unique.len() - 1;
         }
-        Ok(BindingBatch { attrs, unique, slot_of })
-    }
-
-    /// The attribute set every submission binds, ascending.
-    pub fn attrs(&self) -> &[Attr] {
-        &self.attrs
+        Ok(BindingBatch { unique, slot_of })
     }
 
     /// The deduplicated bindings, sorted by value vector.
@@ -114,7 +103,6 @@ mod tests {
                 .unwrap();
         assert_eq!(batch.len(), 4);
         assert_eq!(batch.unique_len(), 2);
-        assert_eq!(batch.attrs(), &[Attr(0)]);
         let values: Vec<Value> = batch.unique().iter().map(|b| b.pairs()[0].1).collect();
         assert_eq!(values, vec![3, 7], "uniques sort by value vector");
         assert_eq!(batch.slot_of(), &[1, 0, 1, 0]);
@@ -141,7 +129,6 @@ mod tests {
         let batch = BindingBatch::new(Vec::new()).unwrap();
         assert!(batch.is_empty());
         assert_eq!(batch.unique_len(), 0);
-        assert!(batch.attrs().is_empty());
     }
 
     #[test]
@@ -188,7 +175,7 @@ mod tests {
             bv(&[(0, 2), (2, 9)]),
         ])
         .unwrap();
-        assert_eq!(batch.attrs(), &[Attr(0), Attr(2)]);
+        assert!(batch.unique().iter().all(|u| u.attrs().eq([Attr(0), Attr(2)])));
         assert_eq!(batch.unique_len(), 2);
         assert_eq!(batch.slot_of(), &[1, 0, 1]);
     }

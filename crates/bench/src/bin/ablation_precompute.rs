@@ -8,8 +8,7 @@
 //! territory).
 
 use adj_bench::{adj_config, print_table, scale, test_case, workers};
-use adj_cluster::Cluster;
-use adj_core::{execute_plan, optimize, BoundValues, ExecCtx, OutputMode, QueryPlan, Strategy};
+use adj_core::{optimize, Adj, BoundValues, ExecCtx, OutputMode, QueryPlan, Strategy};
 use adj_datagen::Dataset;
 use adj_query::order::{is_valid_order, valid_orders};
 use adj_query::PaperQuery;
@@ -22,9 +21,8 @@ fn main() {
         let mut rows = Vec::new();
         for q in [PaperQuery::Q4, PaperQuery::Q5, PaperQuery::Q6] {
             let (query, db) = test_case(q, &graph);
-            let cfg = adj_config(w);
-            let cluster = Cluster::new(cfg.cluster.clone());
-            let base = optimize(&query, &db, &cfg, Strategy::CoOptimize).unwrap();
+            let adj = Adj::new(adj_config(w));
+            let base = optimize(&query, &db, adj.config(), Strategy::CoOptimize).unwrap();
 
             for (label, c_mask) in [
                 ("none", 0u64),
@@ -47,7 +45,7 @@ fn main() {
                     plan.order = valid_orders(&plan.tree)[0].clone();
                 }
                 let (unbound, cold) = (BoundValues::none(), ExecCtx::default());
-                match execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows, &unbound, &cold) {
+                match adj.execute_plan(&plan, &db, OutputMode::Rows, &unbound, &cold) {
                     Ok((_, r)) => rows.push(vec![
                         format!("{} {label}", q.name()),
                         format!("{:.3}", r.precompute_secs),

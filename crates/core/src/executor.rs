@@ -1,22 +1,20 @@
 //! Plan execution: pre-compute → shuffle → join, with the per-phase cost
 //! breakdown of Tables II–IV.
 //!
-//! [`execute_plan`] is the one plan executor. What differs between its
-//! callers travels in two values. The submission's bound constants
-//! (`params`) reach exactly one layer, Leapfrog. The [`ExecCtx`] carries
-//! the rest through *both* shuffle paths (the bag pre-computation rounds and
-//! the final one-round shuffle): under an [`IndexScope`](adj_hcube::IndexScope)
-//! warm relations reuse published `Arc<Trie>` handles instead of
+//! [`execute_plan`] is the one plan executor, and every execution is a
+//! batch: an unbound query is one empty binding, a bound call one binding,
+//! the batch door many. What differs between its callers travels in two
+//! values. The bindings reach exactly one layer, Leapfrog, whose one driver
+//! ([`LeapfrogJoin::run_batch`]) visits them in sorted order over shared
+//! cursors. The [`ExecCtx`] carries the rest through *both* shuffle paths
+//! (the bag pre-computation rounds and the final one-round shuffle): under
+//! an [`IndexScope`](adj_hcube::IndexScope) warm relations reuse published
+//! `Arc<Trie>` handles instead of
 //! re-shuffling and rebuilding, warm bags skip their entire pre-computation
 //! round, and the report splits index work into built vs reused relations;
 //! the token and the tracer make the run cancellable and put it on a span
 //! timeline. `ExecCtx::default()` is the paper's one-shot run: cold,
 //! uncancellable, untraced.
-//!
-//! The batched executor (`adj-batch`) differs only in its join kernel; the
-//! front half ([`prepare_plan_locals`]) and the bookkeeping around the join
-//! ([`merge_plan_consts`], [`shape_output`], [`ExecutionReport::close`],
-//! [`CancelSink`], [`cancel_err`]) are this module's, used by both.
 
 use crate::plan::{PlanRelation, QueryPlan};
 use crate::AdjConfig;
@@ -78,23 +76,23 @@ fn level_key(kind: &str, i: usize) -> Cow<'static, str> {
 pub const SINK_CHECK_EVERY: u64 = 1024;
 
 /// Maps a fired token onto the workspace error type.
-pub fn cancel_err(c: adj_faults::Cancelled) -> Error {
+fn cancel_err(c: adj_faults::Cancelled) -> Error {
     Error::Cancelled { deadline_exceeded: c.deadline }
 }
 
 /// A [`RowSink`] adapter that polls a [`CancelToken`] (and the
 /// `JoinEnumerate` fault-injection site) every [`SINK_CHECK_EVERY`] rows,
 /// saturating when the token fires so Leapfrog stops enumerating instead of
-/// completing a doomed result. Whoever drives the join re-checks the token
-/// afterwards (the single-binding worker directly, the batch driver through
-/// its completion watermark), so a stop here always surfaces as
-/// [`Error::Cancelled`] — never as a silently truncated result.
+/// completing a doomed result. The join's stop hook re-checks the token
+/// after every binding and reports a binding it stopped during as
+/// incomplete, so a stop here always surfaces as [`Error::Cancelled`] —
+/// never as a silently truncated result.
 ///
 /// Rows counted in bulk ([`RowSink::push_count`], forwarded with
 /// [`RowSink::counts_only`]) are polled like as many single rows: one poll
 /// per [`SINK_CHECK_EVERY`] of them, so a `Count` run polls as often as an
 /// enumerating one.
-pub struct CancelSink<'a, S> {
+struct CancelSink<'a, S> {
     inner: S,
     cancel: &'a CancelToken,
     rows_since_check: u64,
@@ -103,13 +101,8 @@ pub struct CancelSink<'a, S> {
 
 impl<'a, S: RowSink> CancelSink<'a, S> {
     /// Wraps `inner`, polling `cancel`.
-    pub fn new(inner: S, cancel: &'a CancelToken) -> Self {
+    fn new(inner: S, cancel: &'a CancelToken) -> Self {
         CancelSink { inner, cancel, rows_since_check: 0, stopped: false }
-    }
-
-    /// The wrapped sink, with whatever it collected.
-    pub fn into_inner(self) -> S {
-        self.inner
     }
 
     /// Accounts `n` more rows, polling once per [`SINK_CHECK_EVERY`] of
@@ -265,7 +258,7 @@ impl ExecutionReport {
     /// Sets [`other_secs`](Self::other_secs) to whatever the three
     /// in-execution phase columns did not claim of the wall measured since
     /// `t_exec` — see the field for why it clamps at 0.
-    pub fn close(&mut self, t_exec: Instant) {
+    fn close(&mut self, t_exec: Instant) {
         self.other_secs = (t_exec.elapsed().as_secs_f64()
             - self.precompute_secs
             - self.communication_secs
@@ -291,32 +284,13 @@ impl ExecutionReport {
     }
 }
 
-/// The constant set one execution of a plan answers for. `params` (the
-/// submission's resolved values — caller-bound parameters plus the
-/// submitted text's inline literals) takes priority; `consts`, the plan's
-/// own literals (`plan.query.const_bindings()`), fill any attribute the
-/// caller left out, so executing a literal-bearing plan directly still
-/// honours its constants. The two can disagree because plans are shared
-/// across the whole *shape family* — `R1(7,b)…`, `R1(9,b)…`, and
-/// `R1($v,b)…` all resolve to one cached plan, and the submission's values,
-/// not the plan-owner's, are what the execution must answer for.
-pub fn merge_plan_consts(consts: &BoundValues, params: &BoundValues) -> Result<BoundValues> {
-    let mut pairs = params.pairs().to_vec();
-    for &(a, v) in consts.pairs() {
-        if params.get(a).is_none() {
-            pairs.push((a, v));
-        }
-    }
-    BoundValues::new(pairs)
-}
-
 /// Shapes what one binding's join gathered — the workers' rows over the
 /// plan's attribute `order`, merged into one sorted run by
 /// [`merge_sorted_runs`] (empty in the counting modes), and the `found`
 /// result cardinality — into the output `mode` asks for. Merged rows are
 /// already in normal form, so building the relation re-sorts nothing.
 /// `LIMIT 0`'s complete answer is this over nothing gathered.
-pub fn shape_output(
+fn shape_output(
     mode: OutputMode,
     order: &[Attr],
     rows: Vec<Value>,
@@ -341,43 +315,93 @@ pub fn shape_output(
     Ok(QueryOutput::Rows(Relation::from_flat(gathered.schema().clone(), flat)?))
 }
 
-/// Executes a query plan on the cluster, shaping the result by `mode`, and
-/// returns the output plus the cost breakdown (with `optimization_secs`
-/// left at 0 for the caller).
+/// One driver row's payload from one worker: its sorted rows (empty in
+/// the counting modes) and its local cardinality (`Count`), or whether it
+/// found a witness (`Exists`: 0 or 1).
+type Slot = Result<(Vec<Value>, u64)>;
+
+/// What one worker ships back: a payload per driver row it completed, its
+/// counters, and how many leading driver rows it completed.
+type WorkerOut = (Vec<Slot>, JoinCounters, usize);
+
+/// One driver row's gather accumulator.
+#[derive(Default)]
+struct SlotAcc {
+    /// Each worker's sorted rows, merged once all arrived.
+    runs: Vec<Vec<Value>>,
+    found: u64,
+    err: Option<Error>,
+}
+
+/// One worker's join: [`LeapfrogJoin::run_batch`] over the `n_rows`
+/// driver rows (`rows`, flat), each row streaming into its own `S` sink
+/// behind a [`CancelSink`] (the token is also polled between rows);
+/// `finish` turns a completed row's sink into its payload.
+fn join_rows<S: RowSink>(
+    join: &LeapfrogJoin<Arc<Trie>>,
+    (bound_attrs, rows, n_rows): (&[Attr], &[Value], usize),
+    cancel: &CancelToken,
+    new_sink: impl Fn() -> S,
+    finish: impl Fn(S) -> Slot,
+) -> Result<WorkerOut> {
+    let mut sinks: Vec<CancelSink<'_, S>> =
+        (0..n_rows).map(|_| CancelSink::new(new_sink(), cancel)).collect();
+    let stop = &mut || cancel.check().is_err();
+    let outcome = join.run_batch(bound_attrs, rows, &mut sinks, &mut JoinScratch::new(), stop)?;
+    let slots = sinks.into_iter().take(outcome.completed).map(|s| finish(s.inner)).collect();
+    Ok((slots, outcome.counters, outcome.completed))
+}
+
+/// Executes a query plan on the cluster once for every binding in
+/// `bindings`, shaping each binding's result by `mode`. Returns one
+/// `Result<QueryOutput>` per binding, in input order, plus the cost
+/// breakdown of the whole execution (with `optimization_secs` left at 0
+/// for the caller).
+///
+/// **`bindings`** are the submissions' bound values, all over one attribute
+/// set ([`Error::SchemaMismatch`] otherwise): `&[BoundValues::none()]` is
+/// the plain unbound query, a one-element slice a bound call, and a longer
+/// one a batch. Each binding's own values take priority and the plan's
+/// inline literals fill the attributes it leaves out: plans are shared
+/// across a shape family (`R1(7,b)…`, `R1(9,b)…` and `R1($v,b)…` run one
+/// cached plan), so the submission's values, not the plan owner's, are what
+/// the execution answers for. A `$name` parameter left without a value
+/// fails the whole call with [`Error::UnboundParam`]. An empty slice
+/// executes nothing.
+///
+/// The bound values reach exactly one layer, **Leapfrog**. Everything
+/// before the join runs once for the whole slice, as for the unbound
+/// query: the share program, the bag rounds and the HCube shuffle never see
+/// a binding, so every binding of a shape, any batch of them and the plain
+/// query join over one cached, patchable index family. Each worker then
+/// drives one [`LeapfrogJoin::run_batch`] over its local tries: the
+/// bindings, projected onto the bound levels of the plan's order and
+/// sorted, are visited in order, bound-prefix cursors galloping forward
+/// from one binding to the next. Bindings that project onto one driver row
+/// (duplicates, or bindings that differ only in an attribute the order
+/// lacks) execute once and share its output. Results are byte-identical to
+/// running the unbound
+/// query and keeping the rows whose bound attributes equal each binding's
+/// values.
 ///
 /// The mode governs what each worker ships back through the gather path:
 ///
 /// * [`OutputMode::Rows`] — every worker buffers its result rows (under the
 ///   `max_intermediate_tuples` budget) and the coordinator merges the
-///   workers' sorted runs into one [`Relation`] — the original
-///   materialize-everything contract;
+///   workers' sorted runs into one [`Relation`] per binding;
 /// * [`OutputMode::Count`] — workers stream into a [`CountSink`] and ship
-///   back **only their [`JoinCounters`]**; no result tuple is ever
-///   materialized or gathered (Leapfrog counts the last level by
-///   intersection size), and the output is the summed `output_tuples`
-///   counter;
-/// * [`OutputMode::Limit`]`(n)` — each worker's Leapfrog enumeration
+///   back only their counts; no result tuple is ever materialized or
+///   gathered (Leapfrog counts the last level by intersection size);
+/// * [`OutputMode::Limit`]`(n)` — each worker's enumeration of a binding
 ///   short-circuits after `n` local rows; the coordinator merges and
 ///   truncates to `n` (HCube assigns every output tuple to exactly one
 ///   worker, so the merge drops nothing);
 /// * [`OutputMode::Exists`] — workers short-circuit at their first witness
-///   and ship back counters only.
+///   and ship back a bit.
 ///
-/// **`params`** are the submission's bound values ([`BoundValues::none`]
-/// for a plain query). Merged over the plan's inline literals
-/// ([`merge_plan_consts`]) they reach exactly one layer: **Leapfrog** seeks
-/// the constant at bound trie levels instead of intersecting candidate
-/// runs. Everything before the join runs as for the unbound query: the
-/// share program, the bag rounds and the HCube shuffle never see the
-/// binding, so every binding of a shape, a whole batch of them
-/// (`adj-batch`) and the plain unbound query join over one cached,
-/// patchable index family. A single bound execution is the batch driver's
-/// degenerate case. The price is the first call on a cold cache, which
-/// builds the full indexes rather than a filtered fragment — once, for
-/// every later call. Results are byte-identical to running the unbound
-/// query and keeping the rows whose bound attributes equal the bound
-/// values; a `$name` parameter left without a value is
-/// [`Error::UnboundParam`].
+/// The outer `Err` is a whole-call failure (unbound parameter, conflicting
+/// constants, shuffle failure, worker panic); a binding's own failure (an
+/// over-budget result, a cancellation) is its slot's `Err`.
 ///
 /// **`ctx.index`**: warm relations join over the cache's `Arc<Trie>`
 /// handles (skipping their shuffle + sort + build), warm bags skip their
@@ -386,13 +410,15 @@ pub fn shape_output(
 ///
 /// **`ctx.cancel`** is polled at every fault-injection checkpoint of the
 /// execution — per cold atom and every few thousand routed rows in the
-/// shuffle, per worker and every `SINK_CHECK_EVERY` (1024) emitted rows
-/// during join enumeration — so a fired token (explicit cancel or elapsed
-/// deadline) aborts within a bounded amount of work and surfaces as
-/// [`Error::Cancelled`]. A cancelled execution never publishes partial
-/// artifacts: the shuffle checks the token before inserting into the index
-/// cache, and bag publication happens only after its round completed.
-/// Worker panics are likewise isolated per slot
+/// shuffle, per worker, between bindings and every `SINK_CHECK_EVERY`
+/// (1024) emitted rows during join enumeration — so a fired token
+/// (explicit cancel or elapsed deadline) aborts within a bounded amount of
+/// work. Before the join that fails the call with [`Error::Cancelled`];
+/// during it, bindings every worker completed keep their results and the
+/// rest carry [`Error::Cancelled`]. A cancelled execution never publishes
+/// partial artifacts: the shuffle checks the token before inserting into
+/// the index cache, and bag publication happens only after its round
+/// completed. Worker panics are isolated per slot
 /// ([`adj_cluster::WorkerFailure`]) and surface as
 /// [`Error::WorkerPanicked`].
 ///
@@ -403,115 +429,167 @@ pub fn shape_output(
 /// `shuffle` span instead), the shuffle's own spans (see
 /// [`hcube_shuffle_round`]), a `computation` span over the worker dispatch
 /// with one `join` span per worker lane (annotated with that worker's
-/// output tuples, trie-operation counts, dance gallops, table probes and
-/// value-table builds), and a `gather` span over the merge and the shaping
-/// of the output.
+/// output tuples, trie-operation counts, dance gallops, table probes,
+/// value-table builds and completed bindings), and a `gather` span over the
+/// merge and the shaping of the outputs (per-level tuples, seeks and
+/// probes, binding counts and output tuples).
 pub fn execute_plan(
     cluster: &Cluster,
     db: &Database,
     plan: &QueryPlan,
     config: &AdjConfig,
     mode: OutputMode,
-    params: &BoundValues,
+    bindings: &[BoundValues],
     ctx: &ExecCtx<'_>,
-) -> Result<(QueryOutput, ExecutionReport)> {
+) -> Result<(Vec<Result<QueryOutput>>, ExecutionReport)> {
     let t_exec = Instant::now();
     let (cancel, tracer) = (&ctx.cancel, &ctx.tracer);
-    let bound = merge_plan_consts(&plan.query.const_bindings()?, params)?;
-    plan.query.require_params_bound(&bound)?;
-    let mut report = ExecutionReport { bound_values: bound.len() as u64, ..Default::default() };
+    let mut report = ExecutionReport::default();
+    let Some(first) = bindings.first() else {
+        return Ok((Vec::new(), report));
+    };
+    if let Some(odd) = bindings.iter().find(|b| !b.attrs().eq(first.attrs())) {
+        return Err(Error::SchemaMismatch {
+            left: format!("bindings bind {:?}", first.attrs().collect::<Vec<_>>()),
+            right: format!("a binding binds {:?}", odd.attrs().collect::<Vec<_>>()),
+        });
+    }
+    // Every binding binds `first`'s attributes, so which attributes are
+    // pinned — and whether a parameter is left unbound — is decided on
+    // `first` merged with the plan's literals (which never conflict: a
+    // literal only fills an attribute the binding leaves out).
+    let consts = plan.query.const_bindings()?;
+    let value = |b: &BoundValues, a: Attr| b.get(a).or_else(|| consts.get(a));
+    let merged: BoundValues =
+        first.attrs().chain(consts.attrs()).filter_map(|a| Some((a, value(first, a)?))).collect();
+    plan.query.require_params_bound(&merged)?;
+    report.bound_values = merged.len() as u64;
 
     // `LIMIT 0` is a complete answer by definition: the empty relation over
     // the plan's schema. Short-circuit before any admission-charged work —
     // no share optimization, no shuffle, no worker dispatch.
     if mode == OutputMode::Limit(0) {
-        let output = shape_output(mode, &plan.order, Vec::new(), 0)?;
+        let empty = shape_output(mode, &plan.order, Vec::new(), 0)?;
         report.close(t_exec);
-        return Ok((output, report));
+        return Ok((vec![Ok(empty); bindings.len()], report));
     }
 
-    let locals = prepare_plan_locals(cluster, db, plan, config, &mut report, ctx)?;
+    let locals = prepare_locals(cluster, db, plan, config, &mut report, ctx)?;
+
+    // The driver rows `run_batch` visits: each binding's values on the
+    // bound levels of the plan's order (every binding has a value on each),
+    // flat, ascending and distinct. Bound attributes outside the order touch
+    // no relation of this plan and are ignored. Bindings that arrive in that
+    // order — one binding, the batch door's uniques — are the rows as they
+    // are; others are sorted and deduplicated, `row_of[j]` naming binding
+    // `j`'s row.
+    let bound_attrs: Vec<Attr> =
+        plan.order.iter().copied().filter(|&a| merged.get(a).is_some()).collect();
+    let key = |j: usize| bound_attrs.iter().map(move |&a| value(&bindings[j], a));
+    let mut driver_rows: Vec<Value> = Vec::with_capacity(bindings.len() * bound_attrs.len());
+    let (mut row_of, mut n_rows) = (Vec::new(), bindings.len());
+    if (1..bindings.len()).all(|j| key(j - 1).lt(key(j))) {
+        driver_rows.extend((0..bindings.len()).flat_map(key).flatten());
+    } else {
+        let mut by_key: Vec<usize> = (0..bindings.len()).collect();
+        by_key.sort_by(|&x, &y| key(x).cmp(key(y)));
+        (row_of, n_rows) = (vec![0; bindings.len()], 0);
+        for (i, &j) in by_key.iter().enumerate() {
+            if i == 0 || key(j).ne(key(by_key[i - 1])) {
+                driver_rows.extend(key(j).flatten());
+                n_rows += 1;
+            }
+            row_of[j] = n_rows - 1;
+        }
+    }
 
     let budget = config.max_intermediate_tuples;
     let order = &plan.order;
     let width = order.len();
-    // Per-worker payload: row data for the modes that return rows, `None`
-    // for `Count`/`Exists` — those gather counters only.
-    let bound_ref = &bound;
+    let rows = (bound_attrs.as_slice(), driver_rows.as_slice(), n_rows);
     let computation_span = tracer.span(COORDINATOR_LANE, "computation");
-    let run = cluster.run_traced(
-        tracer,
-        "join",
-        |w, span| -> Result<(Option<Vec<Value>>, JoinCounters)> {
-            // At least one fault/cancellation checkpoint per worker, then
-            // one per SINK_CHECK_EVERY emitted rows inside the sinks.
-            adj_faults::inject(FaultSite::JoinEnumerate, cancel);
-            cancel.check().map_err(cancel_err)?;
-            let tries: Vec<Arc<Trie>> = locals[w].iter().map(|l| Arc::clone(&l.trie)).collect();
-            let join = LeapfrogJoin::new(order, tries)?.with_bound(bound_ref);
-            let mut scratch = JoinScratch::new();
-            let result = match mode {
-                OutputMode::Rows | OutputMode::Limit(_) => {
-                    let mut inner = RowBuffer::new(width).with_budget(budget);
-                    if let OutputMode::Limit(n) = mode {
-                        inner = inner.with_limit(n);
+    let run = cluster.run_traced(tracer, "join", |w, span| -> Result<WorkerOut> {
+        // At least one fault/cancellation checkpoint per worker, then one
+        // per binding in the driver's stop hook and one per
+        // SINK_CHECK_EVERY emitted rows inside the sinks.
+        adj_faults::inject(FaultSite::JoinEnumerate, cancel);
+        cancel.check().map_err(cancel_err)?;
+        let tries: Vec<Arc<Trie>> = locals[w].iter().map(|l| Arc::clone(&l.trie)).collect();
+        let join = LeapfrogJoin::new(order, tries)?;
+        let out = match mode {
+            OutputMode::Rows | OutputMode::Limit(_) => {
+                let limit = if let OutputMode::Limit(n) = mode { n } else { usize::MAX };
+                let new_sink = || RowBuffer::new(width).with_budget(budget).with_limit(limit);
+                join_rows(&join, rows, cancel, new_sink, |s| {
+                    if s.over_budget() {
+                        Err(Error::BudgetExceeded { what: "join output tuples", limit: budget })
+                    } else {
+                        Ok((s.into_flat(), 0))
                     }
-                    let mut sink = CancelSink::new(inner, cancel);
-                    let counters = join.join_into_with_scratch(&mut sink, &mut scratch);
-                    let inner = sink.into_inner();
-                    // Distinguish a cancelled enumeration from a genuinely
-                    // over-budget one before interpreting the buffer.
-                    cancel.check().map_err(cancel_err)?;
-                    if inner.over_budget() {
-                        return Err(Error::BudgetExceeded {
-                            what: "join output tuples",
-                            limit: budget,
-                        });
-                    }
-                    (Some(inner.into_flat()), counters)
-                }
-                OutputMode::Count => {
-                    let mut sink = CancelSink::new(CountSink::new(), cancel);
-                    let counters = join.join_into_with_scratch(&mut sink, &mut scratch);
-                    cancel.check().map_err(cancel_err)?;
-                    (None, counters)
-                }
-                OutputMode::Exists => {
-                    let mut sink = CancelSink::new(ExistsSink::new(), cancel);
-                    let counters = join.join_into_with_scratch(&mut sink, &mut scratch);
-                    cancel.check().map_err(cancel_err)?;
-                    (None, counters)
-                }
-            };
-            if span.is_recording() {
-                let c = &result.1;
-                span.arg("output_tuples", c.output_tuples);
-                span.arg("intersect_ops", c.intersect_ops);
-                span.arg("seeks", c.stats.total_seeks());
-                span.arg("opens", c.stats.total_opens());
-                span.arg("open_ats", c.stats.total_open_ats());
-                span.arg("probes", c.stats.total_probes());
-                span.arg("table_builds", c.stats.table_builds);
-                span.arg("table_bytes", c.stats.table_bytes);
+                })?
             }
-            Ok(result)
-        },
-    );
+            OutputMode::Count => {
+                join_rows(&join, rows, cancel, CountSink::new, |s| Ok((vec![], s.count())))?
+            }
+            OutputMode::Exists => join_rows(&join, rows, cancel, ExistsSink::new, |s| {
+                Ok((vec![], u64::from(s.found())))
+            })?,
+        };
+        if span.is_recording() {
+            let c = &out.1;
+            span.arg("output_tuples", c.output_tuples);
+            span.arg("intersect_ops", c.intersect_ops);
+            span.arg("seeks", c.stats.total_seeks());
+            span.arg("opens", c.stats.total_opens());
+            span.arg("open_ats", c.stats.total_open_ats());
+            span.arg("probes", c.stats.total_probes());
+            span.arg("table_builds", c.stats.table_builds);
+            span.arg("table_bytes", c.stats.table_bytes);
+            span.arg("bindings_completed", out.2 as u64);
+        }
+        Ok(out)
+    });
     report.computation_secs = run.makespan_secs;
     drop(computation_span);
 
+    // Gather: merge counters, accumulate per-row payloads, and take the
+    // *minimum* completion watermark across workers — a binding's result is
+    // complete only when every worker enumerated its partition of it.
     let mut gather_span = tracer.span(COORDINATOR_LANE, "gather");
-    let mut worker_rows: Vec<Vec<Value>> = Vec::new();
-    let mut counters = JoinCounters::new(plan.order.len());
+    let mut counters = JoinCounters::new(width);
+    let mut completed = n_rows;
+    let mut accs: Vec<SlotAcc> = (0..n_rows).map(|_| SlotAcc::default()).collect();
     for r in run.results {
-        // Outer layer: panic isolation (a poisoned worker fails only this
-        // query); inner layer: the worker's own typed result.
-        let (rows, c) = r.map_err(Error::from)??;
+        // Outer layer: panic isolation; inner layer: the worker's own typed
+        // result. Either fails the whole call — a lost worker means every
+        // binding's partition is incomplete.
+        let (slots, c, done) = r.map_err(Error::from)??;
         counters.merge(&c);
-        worker_rows.extend(rows);
+        completed = completed.min(done);
+        for (acc, slot) in accs.iter_mut().zip(slots) {
+            match slot {
+                Ok((rows, found)) => {
+                    acc.runs.push(rows);
+                    acc.found += found;
+                }
+                Err(e) => {
+                    acc.err.get_or_insert(e);
+                }
+            }
+        }
     }
-    let rows = merge_sorted_runs(worker_rows, width);
-    let output = shape_output(mode, order, rows, counters.output_tuples)?;
+    // A row past the watermark was cancelled mid-join; each carries the
+    // token's own verdict (deadline vs explicit cancel).
+    let cancelled =
+        cancel.check().err().map_or(Error::Cancelled { deadline_exceeded: false }, cancel_err);
+    let mut outputs: Vec<Result<QueryOutput>> = Vec::with_capacity(n_rows);
+    for (i, acc) in accs.into_iter().enumerate() {
+        outputs.push(match acc.err {
+            _ if i >= completed => Err(cancelled.clone()),
+            Some(e) => Err(e),
+            None => Ok(shape_output(mode, order, merge_sorted_runs(acc.runs, width), acc.found)?),
+        });
+    }
     if gather_span.is_recording() {
         for (i, &t) in counters.tuples_per_level.iter().enumerate() {
             gather_span.arg(level_key("tuples", i), t);
@@ -522,13 +600,32 @@ pub fn execute_plan(
         for (i, &p) in counters.stats.probes_per_level.iter().enumerate() {
             gather_span.arg(level_key("probes", i), p);
         }
+        gather_span.arg("bindings", bindings.len() as u64);
+        gather_span.arg("unique_bindings", n_rows as u64);
+        gather_span.arg("bindings_completed", completed as u64);
         gather_span.arg("output_tuples", counters.output_tuples);
     }
     drop(gather_span);
     report.output_tuples = counters.output_tuples;
     report.counters = counters;
+
+    // Hand each binding its row's output. Bindings that arrived as their
+    // rows keep the outputs as they are; otherwise each output moves to its
+    // binding, or is cloned to every binding when some bindings collapsed
+    // onto one row.
+    if !row_of.is_empty() {
+        let collapsed = n_rows < bindings.len();
+        let mut rows: Vec<Option<Result<QueryOutput>>> = outputs.into_iter().map(Some).collect();
+        outputs = row_of
+            .iter()
+            .map(|&r| {
+                let out = if collapsed { rows[r].clone() } else { rows[r].take() };
+                out.expect("a row's output is moved out once")
+            })
+            .collect();
+    }
     report.close(t_exec);
-    Ok((output, report))
+    Ok((outputs, report))
 }
 
 /// The stable cache identity of a pre-computed bag: member atom names plus
@@ -561,11 +658,8 @@ fn bag_label(names: &[String], order: &[Attr], ctx: &ExecCtx<'_>) -> String {
 /// columns (plus cache/fill counters) accumulate into `report`.
 ///
 /// Nothing here depends on a binding: the locals are the same warm,
-/// cacheable tries whichever constants the join over them will seek. This
-/// is the shared front half of [`execute_plan`] (one bound join over the
-/// locals) and of batched execution (`adj-batch`: many bound joins over the
-/// same locals).
-pub fn prepare_plan_locals(
+/// cacheable tries whichever constants the join over them will seek.
+fn prepare_locals(
     cluster: &Cluster,
     db: &Database,
     plan: &QueryPlan,
@@ -700,21 +794,13 @@ fn precompute_bag(
         adj_faults::inject(FaultSite::JoinEnumerate, cancel);
         cancel.check().map_err(cancel_err)?;
         let tries: Vec<Arc<Trie>> = locals[w].iter().map(|l| Arc::clone(&l.trie)).collect();
-        let join = LeapfrogJoin::new(&order, tries)?;
-        let mut rows: Vec<Value> = Vec::new();
-        let mut over = false;
-        let counters = join.run(|t| {
-            if rows.len() < budget.saturating_mul(order.len()) {
-                rows.extend_from_slice(t);
-            } else {
-                over = true;
-            }
-        });
-        if over {
+        let mut rows = RowBuffer::new(order.len()).with_budget(budget);
+        let counters = LeapfrogJoin::new(&order, tries)?.join_into(&mut rows);
+        if rows.over_budget() {
             return Err(Error::BudgetExceeded { what: "bag join output", limit: budget });
         }
         span.arg("output_tuples", counters.output_tuples);
-        Ok(rows)
+        Ok(rows.into_flat())
     });
     let worker_rows: Vec<Vec<Value>> =
         run.results.into_iter().map(|r| r.map_err(Error::from)?).collect::<Result<_>>()?;
@@ -814,6 +900,21 @@ mod tests {
         q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &edges))
     }
 
+    /// The unbound execution under `ctx`, its one slot unwrapped.
+    fn run_ctx(
+        cluster: &Cluster,
+        db: &Database,
+        plan: &QueryPlan,
+        cfg: &AdjConfig,
+        mode: OutputMode,
+        ctx: &ExecCtx<'_>,
+    ) -> Result<(QueryOutput, ExecutionReport)> {
+        let (mut outs, report) =
+            execute_plan(cluster, db, plan, cfg, mode, &[BoundValues::none()], ctx)?;
+        assert_eq!(outs.len(), 1, "one output per binding");
+        Ok((outs.pop().unwrap()?, report))
+    }
+
     /// The cold, unbound execution.
     fn run(
         cluster: &Cluster,
@@ -822,7 +923,7 @@ mod tests {
         cfg: &AdjConfig,
         mode: OutputMode,
     ) -> Result<(QueryOutput, ExecutionReport)> {
-        execute_plan(cluster, db, plan, cfg, mode, &BoundValues::none(), &ExecCtx::default())
+        run_ctx(cluster, db, plan, cfg, mode, &ExecCtx::default())
     }
 
     /// The unbound execution under an index-cache scope.
@@ -834,8 +935,7 @@ mod tests {
         mode: OutputMode,
         scope: &IndexScope<'_>,
     ) -> Result<(QueryOutput, ExecutionReport)> {
-        let ctx = ExecCtx { index: Some(scope), ..Default::default() };
-        execute_plan(cluster, db, plan, cfg, mode, &BoundValues::none(), &ctx)
+        run_ctx(cluster, db, plan, cfg, mode, &ExecCtx { index: Some(scope), ..Default::default() })
     }
 
     fn truth(db: &Database, q: &adj_query::JoinQuery) -> Relation {
@@ -899,9 +999,7 @@ mod tests {
                     cancel: CancelToken::manual(),
                     tracer: adj_trace::Tracer::new(1024),
                 };
-                let (same, arep) =
-                    execute_plan(&cluster, &db, &plan, &cfg, mode, &BoundValues::none(), &armed)
-                        .unwrap();
+                let (same, arep) = run_ctx(&cluster, &db, &plan, &cfg, mode, &armed).unwrap();
                 assert_eq!(same, out, "{pq:?} {mode:?}: an idle context changed the answer");
                 assert_eq!(
                     (arep.comm_tuples, arep.output_tuples, arep.index_relations_built, &arep.share),
@@ -1089,5 +1187,150 @@ mod tests {
         let (p2, reused) = share_for(&plan, &db, &[], &names, 3, &narrow, &ctx).unwrap();
         assert!(!reused);
         assert!(p2.num_cubes() < hplan.num_cubes());
+    }
+
+    /// Triangle with a parameterized apex: `$v` binds attribute 0.
+    fn apex_setup() -> (crate::Adj, Database, QueryPlan, Attr) {
+        let (q, _) = adj_query::parse_query("R1($v, b), R2(b, c), R3(c, $v)").unwrap();
+        let db = db_for(&q, 300, 37);
+        let adj = crate::Adj::with_workers(4);
+        let plan = optimize(&q, &db, adj.config(), Strategy::CoOptimize).unwrap();
+        let attr = plan.query.param_attrs()[0].1;
+        (adj, db, plan, attr)
+    }
+
+    fn apex(attr: Attr, v: Value) -> BoundValues {
+        BoundValues::new(vec![(attr, v)]).unwrap()
+    }
+
+    /// `execute_plan` over `bindings`, cold.
+    fn run_many(
+        adj: &crate::Adj,
+        db: &Database,
+        plan: &QueryPlan,
+        mode: OutputMode,
+        bindings: &[BoundValues],
+        ctx: &ExecCtx<'_>,
+    ) -> Result<(Vec<Result<QueryOutput>>, ExecutionReport)> {
+        execute_plan(adj.cluster(), db, plan, adj.config(), mode, bindings, ctx)
+    }
+
+    #[test]
+    fn batch_matches_looped_bound_execution() {
+        // N bindings in one call against N one-binding calls, and both
+        // against the unbound rows filtered on the apex column.
+        let (adj, db, plan, attr) = apex_setup();
+        let col = plan.order.iter().position(|&a| a == attr).unwrap();
+        let full = truth(&db, &plan.query).permute(&plan.order).unwrap();
+        let values: Vec<Value> = (0..37).map(|i| (i * 13 + 5) % 37).collect();
+        let bindings: Vec<BoundValues> = values.iter().map(|&v| apex(attr, v)).collect();
+        let ctx = ExecCtx::default();
+        for mode in [OutputMode::Rows, OutputMode::Count, OutputMode::Exists, OutputMode::Limit(3)]
+        {
+            let (outs, _) = run_many(&adj, &db, &plan, mode, &bindings, &ctx).unwrap();
+            assert_eq!(outs.len(), values.len());
+            for ((&v, b), out) in values.iter().zip(&bindings).zip(&outs) {
+                let (one, _) = adj.execute_plan(&plan, &db, mode, b, &ctx).unwrap();
+                assert_eq!(out.as_ref().unwrap(), &one, "binding {v} under {mode:?}");
+                let flat: Vec<Value> =
+                    full.rows().filter(|r| r[col] == v).flatten().copied().collect();
+                let rows = Relation::from_flat(full.schema().clone(), flat).unwrap();
+                let expect = match mode {
+                    OutputMode::Rows => QueryOutput::Rows(rows),
+                    OutputMode::Count => QueryOutput::Count(rows.len() as u64),
+                    OutputMode::Exists => QueryOutput::Exists(!rows.is_empty()),
+                    OutputMode::Limit(n) => {
+                        let prefix = rows.flat()[..n.min(rows.len()) * rows.arity()].to_vec();
+                        QueryOutput::Rows(
+                            Relation::from_flat(full.schema().clone(), prefix).unwrap(),
+                        )
+                    }
+                };
+                assert_eq!(one, expect, "binding {v} under {mode:?} against the filtered truth");
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_submissions_share_one_execution() {
+        let (adj, db, plan, attr) = apex_setup();
+        let bindings = [apex(attr, 5), apex(attr, 9), apex(attr, 5), apex(attr, 5)];
+        let ctx = ExecCtx::default();
+        let (outs, report) = run_many(&adj, &db, &plan, OutputMode::Rows, &bindings, &ctx).unwrap();
+        assert_eq!(outs.len(), 4);
+        assert_eq!(outs[0].as_ref().unwrap(), outs[2].as_ref().unwrap());
+        assert_eq!(outs[0].as_ref().unwrap(), outs[3].as_ref().unwrap());
+        let (five, _) = adj.execute_plan(&plan, &db, OutputMode::Rows, &bindings[0], &ctx).unwrap();
+        assert_eq!(outs[3].as_ref().unwrap(), &five);
+        // The duplicates ran once: the counters are those of the two
+        // distinct bindings.
+        let distinct = [apex(attr, 5), apex(attr, 9)];
+        let (_, once) = run_many(&adj, &db, &plan, OutputMode::Rows, &distinct, &ctx).unwrap();
+        assert_eq!(report.counters.tuples_per_level, once.counters.tuples_per_level);
+        assert_eq!(report.output_tuples, once.output_tuples);
+    }
+
+    #[test]
+    fn empty_batch_is_a_no_op() {
+        let (adj, db, plan, _) = apex_setup();
+        let ctx = ExecCtx::default();
+        let (outs, report) = run_many(&adj, &db, &plan, OutputMode::Rows, &[], &ctx).unwrap();
+        assert!(outs.is_empty());
+        assert_eq!((report.comm_tuples, report.index_relations_built), (0, 0));
+    }
+
+    #[test]
+    fn unbound_param_fails_the_whole_batch() {
+        let (adj, db, plan, _) = apex_setup();
+        let ctx = ExecCtx::default();
+        let none = [BoundValues::none()];
+        let err = run_many(&adj, &db, &plan, OutputMode::Count, &none, &ctx).unwrap_err();
+        assert!(matches!(err, Error::UnboundParam { .. }));
+    }
+
+    #[test]
+    fn mixed_attribute_sets_are_a_schema_mismatch() {
+        let (adj, db, plan, attr) = apex_setup();
+        let other = plan.order.iter().copied().find(|&a| a != attr).unwrap();
+        let ctx = ExecCtx::default();
+        let mixed = [apex(attr, 5), BoundValues::new(vec![(attr, 6), (other, 1)]).unwrap()];
+        let err = run_many(&adj, &db, &plan, OutputMode::Count, &mixed, &ctx).unwrap_err();
+        assert!(matches!(err, Error::SchemaMismatch { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn pre_fired_cancel_yields_per_binding_errors() {
+        let (adj, db, plan, attr) = apex_setup();
+        let bindings: Vec<BoundValues> = (0..8).map(|v| apex(attr, v)).collect();
+        let cancel = CancelToken::manual();
+        cancel.cancel();
+        let ctx = ExecCtx { cancel, ..Default::default() };
+        // The token can fail the call before the join (a whole-call error),
+        // but once execution reaches the join every binding carries a typed
+        // cancellation of its own.
+        match run_many(&adj, &db, &plan, OutputMode::Count, &bindings, &ctx) {
+            Err(e) => assert!(matches!(e, Error::Cancelled { .. }), "{e:?}"),
+            Ok((outs, _)) => {
+                assert_eq!(outs.len(), bindings.len());
+                assert!(outs.iter().all(|o| matches!(o, Err(Error::Cancelled { .. }))));
+            }
+        }
+    }
+
+    #[test]
+    fn adj_execute_plan_fails_rows_over_a_tiny_cap_but_counts() {
+        let q = paper_query(PaperQuery::Q1);
+        let db = db_for(&q, 200, 23);
+        let adj = crate::Adj::new(AdjConfig {
+            cluster: ClusterConfig::with_workers(2),
+            max_intermediate_tuples: 1,
+            ..Default::default()
+        });
+        let plan = adj.plan(&q, &db, Strategy::CommFirst).unwrap();
+        let (none, ctx) = (BoundValues::none(), ExecCtx::default());
+        let err = adj.execute_plan(&plan, &db, OutputMode::Rows, &none, &ctx).unwrap_err();
+        assert!(matches!(err, Error::BudgetExceeded { .. }), "{err:?}");
+        let (out, _) = adj.execute_plan(&plan, &db, OutputMode::Count, &none, &ctx).unwrap();
+        assert!(matches!(out, QueryOutput::Count(n) if n > 1));
     }
 }

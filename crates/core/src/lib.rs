@@ -31,10 +31,7 @@ pub mod plan;
 pub mod prepared;
 
 pub use cost::{fractional_max_cube_bound, CostEstimator, CostParams};
-pub use executor::{
-    cancel_err, execute_plan, merge_plan_consts, prepare_plan_locals, shape_output, CancelSink,
-    ExecutionReport, Strategy, SINK_CHECK_EVERY,
-};
+pub use executor::{execute_plan, ExecutionReport, Strategy, SINK_CHECK_EVERY};
 pub use optimizer::optimize;
 pub use plan::{OptimizerStats, PlanRelation, QueryPlan};
 pub use prepared::Prepared;
@@ -216,7 +213,9 @@ impl Adj {
     /// ([`ExecCtx::default`] runs cold, uncancellable and untraced) — see
     /// [`executor::execute_plan`] for what each does. This is the serving
     /// hot path: `adj-service` pairs its plan cache with an [`IndexCache`]
-    /// scope and a per-request deadline token here.
+    /// scope and a per-request deadline token here. It is the executor's
+    /// one-binding call, unwrapped: `params`' own failure (an over-budget
+    /// result, a cancellation) is the call's error.
     ///
     /// The returned report charges the plan's recorded optimization
     /// seconds, so a first execution reproduces [`Adj::execute`] exactly;
@@ -231,8 +230,10 @@ impl Adj {
         params: &BoundValues,
         ctx: &ExecCtx<'_>,
     ) -> Result<(QueryOutput, ExecutionReport)> {
-        let (output, mut report) =
-            executor::execute_plan(&self.cluster, db, plan, &self.config, mode, params, ctx)?;
+        let one = std::slice::from_ref(params);
+        let (mut outputs, mut report) =
+            executor::execute_plan(&self.cluster, db, plan, &self.config, mode, one, ctx)?;
+        let output = outputs.pop().expect("one output per binding")?;
         report.optimization_secs = plan.optimization_secs;
         Ok((output, report))
     }

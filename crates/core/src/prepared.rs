@@ -33,7 +33,8 @@ use adj_relational::{Attr, BoundValues, Result};
 /// table binding resolves against. Produced by [`Adj::prepare`](crate::Adj::prepare);
 /// executed — once per binding — by
 /// [`Adj::execute_bound`](crate::Adj::execute_bound) or the lower-level
-/// [`execute_plan`](crate::executor::execute_plan) with the bound values.
+/// [`execute_plan`](crate::executor::execute_plan) with the bound values
+/// (one slice element per binding).
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// The optimized plan. Structure-only: no bound *value* influences it,

@@ -37,15 +37,16 @@ pub struct JoinCounters {
 pub struct JoinStats {
     /// Cursor positionings per level: one per participant per binding the
     /// join descends into. At a free interior level that is an O(1)
-    /// `TrieCursor::jump` to the offset the intersection recorded; on the
-    /// bound prefix of a batched join it is a forward `TrieCursor::seek`.
+    /// `TrieCursor::jump` to the offset the intersection recorded; on a
+    /// bound join's bound prefix it is a forward `TrieCursor::seek`.
     pub seeks_per_level: Vec<u64>,
     /// `TrieCursor::open` calls per level (descending into a child range
-    /// over the full domain) — interior free levels and a batch's bound
+    /// over the full domain) — interior free levels and a bound join's bound
     /// prefix only.
     pub opens_per_level: Vec<u64>,
     /// `TrieCursor::open_at` calls per level (descending directly to a
-    /// bound constant, skipping the intersection entirely).
+    /// bound constant, skipping the intersection entirely) — bound levels
+    /// behind a free level only.
     pub open_ats_per_level: Vec<u64>,
     /// Dense-table lookups per level: the probe kernel's work at levels
     /// whose invariant runs are indexed, in place of the dance's gallops.

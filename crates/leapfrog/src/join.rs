@@ -3,7 +3,11 @@
 //! One depth-first traversal, [`LeapfrogJoin`]'s private `recurse_sink`,
 //! serves every caller: streaming into a [`RowSink`] (`join_into`, `run`),
 //! counting (`count`, the budgeted `count_with_budget`, the sampler's
-//! `count_with_first_value`) and batched joins ([`BatchedLeapfrog`]).
+//! `count_with_first_value`) and bound joins ([`LeapfrogJoin::run_batch`]).
+//! A bound join is always a batch: the executor hands `run_batch` one
+//! binding for a bound call, one empty binding for an unbound query and
+//! many for a batch; batching only decides the order in which the one
+//! traversal visits them.
 //! At each query level it intersects the participants' candidate runs —
 //! "the main cost of Leapfrog is the cost of the intersections" — and it
 //! pays for nothing else the intersection already knows:
@@ -46,9 +50,7 @@
 
 use crate::counters::{JoinCounters, JoinStats};
 use adj_relational::intersect::{leapfrog_matches, probe_matches, with_slots, ValueTable};
-use adj_relational::{
-    Attr, BoundValues, CountSink, Error, FnSink, Result, RowSink, Trie, TrieCursor, Value,
-};
+use adj_relational::{Attr, CountSink, Error, FnSink, Result, RowSink, Trie, TrieCursor, Value};
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -328,12 +330,6 @@ pub struct LeapfrogJoin<T: Borrow<Trie>> {
     /// For each query level: the probe kernel's driving participant, if the
     /// level probes its invariant runs (see [`probe_drivers`]).
     drivers: Vec<Option<usize>>,
-    /// For each query level: the constant a prepared-query binding pinned
-    /// the attribute to, if any. Bound levels *seek* the constant in every
-    /// participant instead of intersecting candidate runs — the whole
-    /// iterator frontier of the level collapses to one gallop per trie.
-    /// Empty (the default) means every level intersects normally.
-    bound: Vec<Option<Value>>,
 }
 
 impl<T: Borrow<Trie>> LeapfrogJoin<T> {
@@ -347,32 +343,12 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             tries,
             participants,
             drivers,
-            bound: Vec::new(),
         })
-    }
-
-    /// Pins the levels named by `bound` to their constants: enumeration
-    /// seeks the value at those levels (via
-    /// [`TrieCursor::open_at`]) instead of intersecting. Attributes outside
-    /// the join's order are ignored (they were already handled upstream —
-    /// e.g. filtered out of a pre-computed bag).
-    pub fn with_bound(mut self, bound: &BoundValues) -> Self {
-        if bound.is_empty() {
-            self.bound = Vec::new();
-        } else {
-            self.bound = self.order.iter().map(|&a| bound.get(a)).collect();
-        }
-        self
     }
 
     /// Number of query levels.
     pub fn levels(&self) -> usize {
         self.order.len()
-    }
-
-    /// The global attribute order.
-    pub fn order(&self) -> &[Attr] {
-        &self.order
     }
 
     /// A walk from the trie roots under `budget`, or `None` when an input
@@ -406,23 +382,12 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// counts the tuples actually emitted, which on a short-circuited run
     /// is less than the full result cardinality.
     pub fn join_into(&self, sink: &mut dyn RowSink) -> JoinCounters {
-        let mut scratch = JoinScratch::new();
-        self.join_into_with_scratch(sink, &mut scratch)
-    }
-
-    /// [`LeapfrogJoin::join_into`] with a caller-provided scratch pool, so
-    /// repeated joins (a serving hot path) reuse intersection buffers
-    /// instead of re-allocating them per query.
-    pub fn join_into_with_scratch(
-        &self,
-        sink: &mut dyn RowSink,
-        scratch: &mut JoinScratch,
-    ) -> JoinCounters {
         let Some(mut walk) = self.walk(u64::MAX).filter(|_| !sink.saturated()) else {
             return JoinCounters::new(self.levels());
         };
+        let mut scratch = JoinScratch::new();
         let bufs = scratch.for_levels(self.levels());
-        self.recurse_sink(0, &mut walk, sink, bufs, &self.bound);
+        self.recurse_sink(0, &mut walk, sink, bufs, &[]);
         walk.counters
     }
 
@@ -430,9 +395,11 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// saturates or the walk's budget runs out, so every enclosing level
     /// stops iterating its candidates. `scratch` holds one buffer pair per
     /// remaining level (`scratch[0]` is this level's), reused across
-    /// sibling bindings. `bound` maps levels to pinned constants — usually
-    /// `self.bound`, but [`BatchedLeapfrog`] swaps in a fresh constant
-    /// vector per batched binding.
+    /// sibling bindings. `bound` maps levels to pinned constants (empty for
+    /// a free join; [`LeapfrogJoin::run_batch`] fills it per binding for the
+    /// bound levels behind its bound prefix). A bound level seeks its
+    /// constant in every participant ([`TrieCursor::open_at`]) instead of
+    /// intersecting candidate runs.
     fn recurse_sink(
         &self,
         level: usize,
@@ -604,7 +571,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         };
         let mut scratch = JoinScratch::new();
         let bufs = scratch.for_levels(self.levels());
-        self.recurse_sink(0, &mut walk, &mut CountSink::new(), bufs, &self.bound);
+        self.recurse_sink(0, &mut walk, &mut CountSink::new(), bufs, &[]);
         (!walk.over_budget, walk.counters)
     }
 
@@ -623,8 +590,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         let Some(mut walk) = self.walk(u64::MAX) else {
             return (0, JoinCounters::new(self.levels()));
         };
-        let mut bound = self.bound.clone();
-        bound.resize(self.levels(), None);
+        let mut bound = vec![None; self.levels()];
         bound[0] = Some(v);
         let bufs = scratch.for_levels(self.levels());
         self.recurse_sink(0, &mut walk, &mut CountSink::new(), bufs, &bound);
@@ -632,151 +598,112 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     }
 }
 
-/// What a [`BatchedLeapfrog::run_batch`] run produced.
+/// What a [`LeapfrogJoin::run_batch`] run produced.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     /// Number of leading bindings fully enumerated. Bindings are processed
-    /// strictly in input (sorted) order, so `bindings[..completed]` have
-    /// complete results in their sinks and `bindings[completed..]` were not
-    /// run (or, for `bindings[completed]` exactly, may hold a truncated
-    /// prefix if `stop` fired mid-binding). `completed == bindings.len()`
-    /// means the batch ran to the end.
+    /// strictly in input (sorted) order, so the first `completed` have
+    /// complete results in their sinks and the rest were not run (or, for
+    /// the one right after them, may hold a truncated prefix if `stop`
+    /// fired mid-binding). `completed` equal to the number of sinks means
+    /// the batch ran to the end.
     pub completed: usize,
     /// Aggregate execution counters for the whole batch.
     pub counters: JoinCounters,
 }
 
-/// A batched Leapfrog driver: one prepared join shape, many bindings.
-///
-/// Executes every binding of a `BindingBatch`-style sorted, deduplicated
-/// binding list over **shared** cursors: the tries are opened once and the
-/// bindings are visited in ascending order, so at each *bound-prefix* level
-/// the cursor is already positioned at (or just past) the previous binding's
-/// value and `seek` gallops **forward** from there instead of re-descending
-/// from the trie root. Across a batch of `n` bindings over a run of length
-/// `m` that is `O(m)` total movement per cursor instead of `O(n log m)`
-/// root re-seeks — the vectorized-execution win of batched serving.
-///
-/// Only the maximal *prefix* of the attribute order consisting of bound
-/// levels gets cursor reuse (deeper bound levels sit under free levels
-/// whose context changes per binding, so they re-position exactly like the
-/// single-binding bound path). The optimizer hoists bound attributes to the
-/// front of the order, so in practice the prefix covers every parameter.
-///
-/// Results demultiplex per binding: each binding streams into its own
-/// [`RowSink`], so the existing `OutputMode` machinery (rows / limit /
-/// exists / count) applies unchanged per binding.
-pub struct BatchedLeapfrog<T: Borrow<Trie>> {
-    join: LeapfrogJoin<T>,
-    /// Levels of the order the batch binds, ascending.
-    bound_levels: Vec<usize>,
-    /// Length of the maximal bound *prefix* of the order — the levels whose
-    /// cursors survive from binding to binding with forward-only galloping.
-    prefix_len: usize,
-}
-
-impl<T: Borrow<Trie>> BatchedLeapfrog<T> {
-    /// Creates a batched join over `tries` under the global attribute
-    /// order, binding `bound_attrs` per batch entry. Every bound attribute
-    /// must appear in `order`.
-    pub fn new(order: &[Attr], tries: Vec<T>, bound_attrs: &[Attr]) -> Result<Self> {
-        let join = LeapfrogJoin::new(order, tries)?;
-        let mut bound_levels = Vec::with_capacity(bound_attrs.len());
-        for &a in bound_attrs {
-            match order.iter().position(|&o| o == a) {
-                Some(l) => bound_levels.push(l),
-                None => {
-                    return Err(Error::UnknownAttr {
-                        attr: a.to_string(),
-                        schema: format!("order {order:?}"),
-                    })
-                }
-            }
-        }
-        bound_levels.sort_unstable();
-        bound_levels.dedup();
-        let prefix_len = bound_levels.iter().enumerate().take_while(|&(i, &l)| i == l).count();
-        Ok(BatchedLeapfrog { join, bound_levels, prefix_len })
-    }
-
-    /// The global attribute order.
-    pub fn order(&self) -> &[Attr] {
-        self.join.order()
-    }
-
-    /// Levels of the order the batch binds, ascending.
-    pub fn bound_levels(&self) -> &[usize] {
-        &self.bound_levels
-    }
-
-    /// How many leading levels of the order are bound — the levels that get
-    /// monotone cursor reuse across bindings.
-    pub fn prefix_len(&self) -> usize {
-        self.prefix_len
-    }
-
-    /// Executes every binding, demultiplexing results into `sinks[i]`.
+impl<T: Borrow<Trie>> LeapfrogJoin<T> {
+    /// Runs one bound join per binding over **shared** cursors, streaming
+    /// binding `i`'s results into `sinks[i]`. This is every execution's
+    /// join: a bound call is one binding, an unbound query one empty
+    /// binding under no `bound_attrs`, a batch many bindings.
     ///
-    /// `bindings[i]` holds the constants for [`Self::bound_levels`] (same
-    /// ascending-level order) and the list must be **strictly ascending**
-    /// lexicographically — i.e. sorted and deduplicated; this is asserted.
-    /// A binding whose prefix constant misses every trie completes with an
-    /// empty result (no enumeration). `stop` is polled between bindings;
-    /// once it returns `true` the run aborts and the outcome reports how
-    /// many leading bindings completed (a binding during which `stop`
-    /// flipped is conservatively reported incomplete, since a cancelling
-    /// sink may have truncated its output).
-    pub fn run_batch(
+    /// `bound_attrs` names the attributes the bindings pin, in the order's
+    /// level order ([`Error::UnknownAttr`] for one the order lacks or one
+    /// out of its order). Binding `i` is `bindings[i * k..(i + 1) * k]`
+    /// for `k = bound_attrs.len()`, one binding per sink, and the bindings
+    /// must be **strictly ascending** — sorted and deduplicated; this is
+    /// asserted.
+    ///
+    /// The bindings are visited in that order, so at each level of the
+    /// *bound prefix* (the leading levels of the order that are all bound)
+    /// every cursor is already at, or just past, the previous binding's
+    /// value and gallops **forward** from there instead of re-descending
+    /// from the root: `O(m)` movement per cursor across a batch over a run
+    /// of length `m`, not `O(n log m)`. A prefix level counts one `opens`
+    /// per participant each time its runs are opened and one `seeks` per
+    /// participant per binding. A bound level behind a free level sits
+    /// under a context that changes per binding, so it seeks its constant
+    /// afresh (`open_ats`). The optimizer hoists bound attributes to the
+    /// front of the order, so in practice the prefix covers every
+    /// parameter.
+    ///
+    /// A binding whose prefix constant misses a trie completes with an
+    /// empty result. `stop` is polled between bindings; once it returns
+    /// `true` the run aborts, and the outcome says how many leading
+    /// bindings completed (a binding during which `stop` flipped is
+    /// reported incomplete, since a cancelling sink may have truncated its
+    /// output).
+    pub fn run_batch<S: RowSink>(
         &self,
-        bindings: &[Vec<Value>],
-        sinks: &mut [&mut dyn RowSink],
+        bound_attrs: &[Attr],
+        bindings: &[Value],
+        sinks: &mut [S],
         scratch: &mut JoinScratch,
         stop: &mut dyn FnMut() -> bool,
-    ) -> BatchOutcome {
-        assert_eq!(bindings.len(), sinks.len(), "one sink per binding");
-        for b in bindings {
-            assert_eq!(b.len(), self.bound_levels.len(), "binding arity != bound attrs");
+    ) -> Result<BatchOutcome> {
+        let level_of = |a: Attr| self.order.iter().position(|&o| o == a);
+        let mut above = None;
+        for &a in bound_attrs {
+            let level = level_of(a);
+            if level.is_none() || level <= above {
+                let schema =
+                    format!("order {:?}, after the attributes bound before it", self.order);
+                return Err(Error::UnknownAttr { attr: a.to_string(), schema });
+            }
+            above = level;
         }
-        for w in bindings.windows(2) {
-            assert!(w[0] < w[1], "bindings must be sorted and deduplicated");
-        }
+        let (k, n, levels) = (bound_attrs.len(), sinks.len(), self.levels());
+        assert_eq!(bindings.len(), n * k, "one binding of every bound attribute per sink");
+        let binding = |i: usize| &bindings[i * k..(i + 1) * k];
+        assert!(
+            (1..n).all(|i| binding(i - 1) < binding(i)),
+            "bindings must be sorted and deduplicated"
+        );
 
-        let levels = self.join.levels();
-        if bindings.is_empty() {
-            return BatchOutcome { completed: 0, counters: JoinCounters::new(levels) };
-        }
-        let Some(mut walk) = self.join.walk(u64::MAX) else {
+        let Some(mut walk) = self.walk(u64::MAX) else {
             // Every binding trivially completes with an empty result.
-            return BatchOutcome { completed: bindings.len(), counters: JoinCounters::new(levels) };
+            return Ok(BatchOutcome { completed: n, counters: JoinCounters::new(levels) });
         };
-        // Per-binding constants for bound levels *behind* free levels; the
-        // recursion handles those with the single-binding bound path.
-        let mut interior: Vec<Option<Value>> = vec![None; levels];
         let bufs = scratch.for_levels(levels);
-
-        let p = self.prefix_len;
+        // The bound prefix: the levels whose cursors survive from binding to
+        // binding with forward-only galloping.
+        let p = bound_attrs.iter().zip(&self.order).take_while(|(a, o)| a == o).count();
+        // Per-binding constants for bound levels *behind* free levels; the
+        // recursion seeks those afresh under each context. Empty (nothing
+        // allocated) when the prefix holds every bound level.
+        let mut interior: Vec<Option<Value>> = vec![None; if p < k { levels } else { 0 }];
         // Prefix cursor state shared across bindings: `open_depth` levels
-        // have open runs, the first `hit_depth` of those are positioned
-        // exactly at `last`'s values (a miss leaves deeper levels closed),
-        // and `last[lev]` is the value most recently *sought* at `lev`.
-        let mut open_depth = 0usize;
-        let mut hit_depth = 0usize;
-        let mut last: Vec<Value> = vec![0; p];
+        // have open runs, and the first `hit_depth` of those are positioned
+        // exactly at the values of binding `sought`, the last one sought (a
+        // miss leaves deeper levels closed).
+        let (mut open_depth, mut hit_depth, mut sought) = (0usize, 0usize, None);
         let mut completed = 0usize;
 
-        for (i, b) in bindings.iter().enumerate() {
+        for (i, sink) in sinks.iter_mut().enumerate() {
             if stop() {
                 break;
             }
-            if sinks[i].saturated() {
+            if sink.saturated() {
                 completed = i + 1;
                 continue;
             }
+            let b = binding(i);
 
             // Longest reusable prefix: levels whose value matches the
-            // previous binding AND whose cursors are positioned exactly.
+            // binding last sought AND whose cursors are positioned exactly.
             let mut reuse = 0usize;
-            if i > 0 {
+            if let Some(last) = sought.map(binding) {
                 while reuse < hit_depth && b[reuse] == last[reuse] {
                     reuse += 1;
                 }
@@ -786,32 +713,30 @@ impl<T: Borrow<Trie>> BatchedLeapfrog<T> {
             // above it matches) and sorted bindings only move it forward.
             while open_depth > reuse + 1 {
                 open_depth -= 1;
-                for &q in &self.join.participants[open_depth] {
+                for &q in &self.participants[open_depth] {
                     walk.cursors[q].up();
                 }
             }
 
             let mut ok = true;
-            for lev in reuse..p {
+            for (lev, &target) in b.iter().enumerate().take(p).skip(reuse) {
                 if lev >= open_depth {
-                    for &q in &self.join.participants[lev] {
+                    for &q in &self.participants[lev] {
                         walk.counters.stats.opens_per_level[lev] += 1;
                         let descended = walk.cursors[q].open();
                         debug_assert!(descended, "interior trie rows always have children");
                     }
                     open_depth = lev + 1;
                 }
-                let target = b[lev];
                 let mut hit = true;
                 // No early break: every cursor must advance to >= target so
                 // the next binding's forward seek stays valid.
-                for &q in &self.join.participants[lev] {
+                for &q in &self.participants[lev] {
                     walk.counters.stats.seeks_per_level[lev] += 1;
                     if !walk.cursors[q].seek(target) {
                         hit = false;
                     }
                 }
-                last[lev] = target;
                 if hit {
                     walk.counters.tuples_per_level[lev] += 1;
                     walk.binding[lev] = target;
@@ -822,16 +747,17 @@ impl<T: Borrow<Trie>> BatchedLeapfrog<T> {
                     break;
                 }
             }
+            sought = Some(i);
 
             if ok {
-                for (k, &lev) in self.bound_levels.iter().enumerate().skip(p) {
-                    interior[lev] = Some(b[k]);
+                for (&a, &v) in bound_attrs.iter().zip(b).skip(p) {
+                    interior[level_of(a).expect("checked above")] = Some(v);
                 }
                 if p == levels {
                     walk.counters.output_tuples += 1;
-                    sinks[i].push(&walk.binding);
+                    sink.push(&walk.binding);
                 } else {
-                    self.join.recurse_sink(p, &mut walk, &mut *sinks[i], &mut bufs[p..], &interior);
+                    self.recurse_sink(p, &mut walk, sink, &mut bufs[p..], &interior);
                 }
             }
             if stop() {
@@ -839,7 +765,7 @@ impl<T: Borrow<Trie>> BatchedLeapfrog<T> {
             }
             completed = i + 1;
         }
-        BatchOutcome { completed, counters: walk.counters }
+        Ok(BatchOutcome { completed, counters: walk.counters })
     }
 }
 
@@ -910,9 +836,38 @@ mod tests {
         let mut scratch = JoinScratch::new();
         for _ in 0..3 {
             let mut buf = adj_relational::RowBuffer::new(3);
-            let counters = join.join_into_with_scratch(&mut buf, &mut scratch);
-            assert_eq!(counters.output_tuples, 2);
+            let sinks = std::slice::from_mut(&mut buf);
+            let outcome = join.run_batch(&[], &[], sinks, &mut scratch, &mut || false).unwrap();
+            assert_eq!((outcome.completed, outcome.counters.output_tuples), (1, 2));
         }
+    }
+
+    /// One bound join through [`LeapfrogJoin::run_batch`]: `values` pins
+    /// `attrs` (ascending by level), streaming into `sink`.
+    fn bound_join<S: RowSink>(
+        join: &LeapfrogJoin<&Trie>,
+        attrs: &[Attr],
+        values: &[Value],
+        sink: &mut S,
+    ) -> JoinCounters {
+        let mut scratch = JoinScratch::new();
+        let sinks = std::slice::from_mut(sink);
+        let outcome = join.run_batch(attrs, values, sinks, &mut scratch, &mut || false);
+        let outcome = outcome.unwrap();
+        assert_eq!(outcome.completed, 1);
+        outcome.counters
+    }
+
+    /// [`bound_join`]'s rows, in enumeration order.
+    fn bound_rows(
+        join: &LeapfrogJoin<&Trie>,
+        attrs: &[Attr],
+        values: &[Value],
+    ) -> (Vec<Vec<Value>>, JoinCounters) {
+        let mut rows = Vec::new();
+        let counters =
+            bound_join(join, attrs, values, &mut FnSink(|t: &[Value]| rows.push(t.to_vec())));
+        (rows, counters)
     }
 
     #[test]
@@ -933,11 +888,7 @@ mod tests {
 
         for (attr, col) in [(Attr(0), 0usize), (Attr(1), 1), (Attr(2), 2)] {
             for v in [0u32, 3, 7, 999] {
-                let bound = BoundValues::new(vec![(attr, v)]).unwrap();
-                let bj =
-                    LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap().with_bound(&bound);
-                let mut got: Vec<Vec<Value>> = Vec::new();
-                let counters = bj.run(|t| got.push(t.to_vec()));
+                let (got, counters) = bound_rows(&join, &[attr], &[v]);
                 let expect: Vec<Vec<Value>> =
                     full.iter().filter(|t| t[col] == v).cloned().collect();
                 assert_eq!(got, expect, "attr {attr} = {v}");
@@ -945,11 +896,9 @@ mod tests {
             }
         }
 
-        // Two bound levels compose.
-        let bound = BoundValues::new(vec![(Attr(0), 3), (Attr(2), 7)]).unwrap();
-        let bj = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap().with_bound(&bound);
-        let mut got: Vec<Vec<Value>> = Vec::new();
-        bj.run(|t| got.push(t.to_vec()));
+        // Two bound levels compose: a prefix level and one behind a free
+        // level.
+        let (got, _) = bound_rows(&join, &[Attr(0), Attr(2)], &[3, 7]);
         let expect: Vec<Vec<Value>> =
             full.iter().filter(|t| t[0] == 3 && t[2] == 7).cloned().collect();
         assert_eq!(got, expect);
@@ -970,9 +919,7 @@ mod tests {
         let tries = tries_for(&[&r1, &r2, &r3], &ord);
         let free = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
         let (_, free_counters) = free.count();
-        let bound = BoundValues::new(vec![(Attr(0), 5)]).unwrap();
-        let bj = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap().with_bound(&bound);
-        let (_, bound_counters) = bj.count();
+        let bound_counters = bound_join(&free, &[Attr(0)], &[5], &mut CountSink::new());
         assert!(
             bound_counters.intersect_ops < free_counters.intersect_ops / 4,
             "bound {} vs free {} intersect ops",
@@ -987,10 +934,9 @@ mod tests {
         let (r1, r2, r3) = triangle_graph();
         let ord = order(&[0, 1, 2]);
         let tries = tries_for(&[&r1, &r2, &r3], &ord);
-        let bound = BoundValues::new(vec![(Attr(0), 1)]).unwrap();
-        let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap().with_bound(&bound);
+        let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
         let mut probe = EmitProbe { inner: adj_relational::ExistsSink::new(), emits: 0 };
-        join.join_into(&mut probe);
+        bound_join(&join, &[Attr(0)], &[1], &mut probe);
         assert!(probe.inner.found());
         assert_eq!(probe.emits, 1, "exists still stops at the first witness on bound joins");
     }
@@ -1255,21 +1201,19 @@ mod tests {
         )
     }
 
-    /// Runs `batched` over `bindings` into row buffers and returns the
-    /// per-binding rows plus the outcome.
+    /// Runs `join` over `bindings` of `attrs` into row buffers and returns
+    /// the per-binding rows plus the outcome.
     fn run_batched(
-        batched: &BatchedLeapfrog<&Trie>,
+        join: &LeapfrogJoin<&Trie>,
+        attrs: &[Attr],
         bindings: &[Vec<Value>],
     ) -> (Vec<Vec<Vec<Value>>>, BatchOutcome) {
-        let mut buffers: Vec<adj_relational::RowBuffer> = bindings
-            .iter()
-            .map(|_| adj_relational::RowBuffer::new(batched.order().len()))
-            .collect();
-        let mut sinks: Vec<&mut dyn RowSink> =
-            buffers.iter_mut().map(|b| b as &mut dyn RowSink).collect();
+        let mut buffers: Vec<adj_relational::RowBuffer> =
+            bindings.iter().map(|_| adj_relational::RowBuffer::new(join.levels())).collect();
         let mut scratch = JoinScratch::new();
-        let outcome = batched.run_batch(bindings, &mut sinks, &mut scratch, &mut || false);
-        drop(sinks);
+        let flat = bindings.concat();
+        let outcome =
+            join.run_batch(attrs, &flat, &mut buffers, &mut scratch, &mut || false).unwrap();
         let rows = buffers
             .into_iter()
             .map(|b| {
@@ -1283,25 +1227,28 @@ mod tests {
         (rows, outcome)
     }
 
-    /// Oracle: one `with_bound` join per binding.
+    /// Oracle: the free enumeration, filtered per binding on the bound
+    /// columns (`attrs` are levels of `ord`, ascending).
     fn looped_bound(
         ord: &[Attr],
         tries: &[Trie],
         attrs: &[Attr],
         bindings: &[Vec<Value>],
-    ) -> (Vec<Vec<Vec<Value>>>, JoinCounters) {
-        let mut all = Vec::new();
-        let mut total = JoinCounters::new(ord.len());
-        for b in bindings {
-            let bound =
-                BoundValues::new(attrs.iter().copied().zip(b.iter().copied()).collect()).unwrap();
-            let join = LeapfrogJoin::new(ord, tries.iter().collect()).unwrap().with_bound(&bound);
-            let mut rows = Vec::new();
-            let c = join.run(|t| rows.push(t.to_vec()));
-            total.merge(&c);
-            all.push(rows);
-        }
-        (all, total)
+    ) -> Vec<Vec<Vec<Value>>> {
+        let join = LeapfrogJoin::new(ord, tries.iter().collect()).unwrap();
+        let mut full: Vec<Vec<Value>> = Vec::new();
+        join.run(|t| full.push(t.to_vec()));
+        let cols: Vec<usize> =
+            attrs.iter().map(|a| ord.iter().position(|o| o == a).unwrap()).collect();
+        bindings
+            .iter()
+            .map(|b| {
+                full.iter()
+                    .filter(|t| cols.iter().zip(b).all(|(&c, &v)| t[c] == v))
+                    .cloned()
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
@@ -1312,14 +1259,17 @@ mod tests {
         // Sorted, deduplicated, with values present and absent (99, 200).
         let bindings: Vec<Vec<Value>> =
             [0u32, 1, 2, 3, 5, 7, 11, 13, 29, 52, 99, 200].iter().map(|&v| vec![v]).collect();
-        let batched = BatchedLeapfrog::new(&ord, tries.iter().collect(), &[Attr(0)]).unwrap();
-        assert_eq!(batched.prefix_len(), 1);
-        let (got, outcome) = run_batched(&batched, &bindings);
-        let (expect, _) = looped_bound(&ord, &tries, &[Attr(0)], &bindings);
+        let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
+        let (got, outcome) = run_batched(&join, &[Attr(0)], &bindings);
+        let expect = looped_bound(&ord, &tries, &[Attr(0)], &bindings);
         assert_eq!(got, expect);
         assert_eq!(outcome.completed, bindings.len());
         let total: usize = expect.iter().map(|r| r.len()).sum();
         assert_eq!(outcome.counters.output_tuples as usize, total);
+        // Level 0 is the bound prefix: opened once, sought once per binding
+        // and participant, never `open_at`.
+        assert_eq!(outcome.counters.stats.open_ats_per_level[0], 0);
+        assert_eq!(outcome.counters.stats.seeks_per_level[0], 2 * bindings.len() as u64);
     }
 
     #[test]
@@ -1330,12 +1280,11 @@ mod tests {
         let ord = order(&[0, 1, 2]);
         let tries = tries_for(&[&r1, &r2, &r3], &ord);
         let bindings: Vec<Vec<Value>> = [0u32, 4, 9, 17, 99].iter().map(|&v| vec![v]).collect();
-        let batched = BatchedLeapfrog::new(&ord, tries.iter().collect(), &[Attr(1)]).unwrap();
-        assert_eq!(batched.prefix_len(), 0);
-        let (got, outcome) = run_batched(&batched, &bindings);
-        let (expect, _) = looped_bound(&ord, &tries, &[Attr(1)], &bindings);
-        assert_eq!(got, expect);
+        let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
+        let (got, outcome) = run_batched(&join, &[Attr(1)], &bindings);
+        assert_eq!(got, looped_bound(&ord, &tries, &[Attr(1)], &bindings));
         assert_eq!(outcome.completed, bindings.len());
+        assert!(outcome.counters.stats.open_ats_per_level[1] > 0, "interior levels open_at");
     }
 
     #[test]
@@ -1355,34 +1304,37 @@ mod tests {
             vec![5, 99],
             vec![40, 2],
         ];
-        let batched =
-            BatchedLeapfrog::new(&ord, tries.iter().collect(), &[Attr(0), Attr(1)]).unwrap();
-        assert_eq!(batched.prefix_len(), 2);
-        let (got, outcome) = run_batched(&batched, &bindings);
-        let (expect, _) = looped_bound(&ord, &tries, &[Attr(0), Attr(1)], &bindings);
-        assert_eq!(got, expect);
+        let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
+        let attrs = [Attr(0), Attr(1)];
+        let (got, outcome) = run_batched(&join, &attrs, &bindings);
+        assert_eq!(got, looped_bound(&ord, &tries, &attrs, &bindings));
         assert_eq!(outcome.completed, bindings.len());
+        assert_eq!(outcome.counters.stats.total_open_ats(), 0, "both levels are the prefix");
     }
 
     #[test]
     fn batched_prefix_opens_runs_once() {
-        // The monotone-forward claim, visible in counters: the batched run
-        // opens the level-0 runs once for the whole batch, where the looped
-        // oracle re-descends from the root for every binding.
+        // The monotone-forward claim, visible in counters: one batch opens
+        // the level-0 runs once, where one call per binding re-descends
+        // from the root every time.
         let (r1, r2, r3) = batch_graph();
         let ord = order(&[0, 1, 2]);
         let tries = tries_for(&[&r1, &r2, &r3], &ord);
         let bindings: Vec<Vec<Value>> = (0..40u32).map(|v| vec![v]).collect();
-        let batched = BatchedLeapfrog::new(&ord, tries.iter().collect(), &[Attr(0)]).unwrap();
-        let (_, outcome) = run_batched(&batched, &bindings);
-        let (_, looped) = looped_bound(&ord, &tries, &[Attr(0)], &bindings);
+        let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
+        let (_, outcome) = run_batched(&join, &[Attr(0)], &bindings);
+        let mut looped = JoinCounters::new(ord.len());
+        for b in &bindings {
+            looped.merge(&run_batched(&join, &[Attr(0)], std::slice::from_ref(b)).1.counters);
+        }
         let level0_participants = 2; // R1(0,1) and R3(0,2) contain attr 0
         assert_eq!(outcome.counters.stats.opens_per_level[0], level0_participants);
         assert_eq!(
-            looped.stats.open_ats_per_level[0],
+            looped.stats.opens_per_level[0],
             bindings.len() as u64 * level0_participants,
-            "the loop re-descends per binding"
+            "one call per binding re-descends per binding"
         );
+        assert_eq!(outcome.counters.tuples_per_level, looped.tuples_per_level);
     }
 
     #[test]
@@ -1391,21 +1343,20 @@ mod tests {
         let ord = order(&[0, 1, 2]);
         let tries = tries_for(&[&r1, &r2, &r3], &ord);
         let bindings: Vec<Vec<Value>> = (0..10u32).map(|v| vec![v]).collect();
-        let batched = BatchedLeapfrog::new(&ord, tries.iter().collect(), &[Attr(0)]).unwrap();
+        let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
         let mut buffers: Vec<adj_relational::RowBuffer> =
             bindings.iter().map(|_| adj_relational::RowBuffer::new(3)).collect();
-        let mut sinks: Vec<&mut dyn RowSink> =
-            buffers.iter_mut().map(|b| b as &mut dyn RowSink).collect();
         let mut scratch = JoinScratch::new();
         let mut polls = 0usize;
-        let outcome = batched.run_batch(&bindings, &mut sinks, &mut scratch, &mut || {
-            polls += 1;
-            polls > 6
-        });
+        let outcome = join
+            .run_batch(&[Attr(0)], &bindings.concat(), &mut buffers, &mut scratch, &mut || {
+                polls += 1;
+                polls > 6
+            })
+            .unwrap();
         assert!(outcome.completed < bindings.len(), "stop must abort the batch");
         // Completed bindings hold exactly the oracle rows.
-        let (expect, _) = looped_bound(&ord, &tries, &[Attr(0)], &bindings);
-        drop(sinks);
+        let expect = looped_bound(&ord, &tries, &[Attr(0)], &bindings);
         for (i, buf) in buffers.into_iter().enumerate().take(outcome.completed) {
             let rows: Vec<Vec<Value>> = buf
                 .into_relation(Schema::from_ids(&[0, 1, 2]))
@@ -1425,19 +1376,17 @@ mod tests {
         let t1 = r1.trie_under_order(&ord).unwrap();
         let t2 = r2.trie_under_order(&ord).unwrap();
         let t3 = Trie::build(&empty);
-        let batched = BatchedLeapfrog::new(&ord, vec![&t1, &t2, &t3], &[Attr(0)]).unwrap();
+        let join = LeapfrogJoin::new(&ord, vec![&t1, &t2, &t3]).unwrap();
 
         let mut scratch = JoinScratch::new();
-        let outcome = batched.run_batch(&[], &mut [], &mut scratch, &mut || false);
-        assert_eq!(outcome.completed, 0);
+        let none: &mut [adj_relational::RowBuffer] = &mut [];
+        let outcome = join.run_batch(&[Attr(0)], &[], none, &mut scratch, &mut || false);
+        assert_eq!(outcome.unwrap().completed, 0);
 
-        let bindings = vec![vec![1u32], vec![2]];
         let mut buffers = [adj_relational::RowBuffer::new(3), adj_relational::RowBuffer::new(3)];
-        let mut sinks: Vec<&mut dyn RowSink> =
-            buffers.iter_mut().map(|b| b as &mut dyn RowSink).collect();
-        let outcome = batched.run_batch(&bindings, &mut sinks, &mut scratch, &mut || false);
-        assert_eq!(outcome.completed, 2, "empty inputs complete every binding with no rows");
-        drop(sinks);
+        let outcome =
+            join.run_batch(&[Attr(0)], &[1, 2], &mut buffers, &mut scratch, &mut || false);
+        assert_eq!(outcome.unwrap().completed, 2, "empty inputs complete every binding, no rows");
         assert!(buffers.iter().all(|b| b.is_empty()));
     }
 
@@ -1447,18 +1396,16 @@ mod tests {
         let ord = order(&[0, 1, 2]);
         let tries = tries_for(&[&r1, &r2, &r3], &ord);
         let bindings: Vec<Vec<Value>> = (0..8u32).map(|v| vec![v]).collect();
-        let batched = BatchedLeapfrog::new(&ord, tries.iter().collect(), &[Attr(0)]).unwrap();
+        let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
         let mut probes: Vec<EmitProbe<adj_relational::ExistsSink>> = bindings
             .iter()
             .map(|_| EmitProbe { inner: adj_relational::ExistsSink::new(), emits: 0 })
             .collect();
-        let mut sinks: Vec<&mut dyn RowSink> =
-            probes.iter_mut().map(|p| p as &mut dyn RowSink).collect();
         let mut scratch = JoinScratch::new();
-        let outcome = batched.run_batch(&bindings, &mut sinks, &mut scratch, &mut || false);
-        assert_eq!(outcome.completed, bindings.len());
-        drop(sinks);
-        let (expect, _) = looped_bound(&ord, &tries, &[Attr(0)], &bindings);
+        let flat = bindings.concat();
+        let outcome = join.run_batch(&[Attr(0)], &flat, &mut probes, &mut scratch, &mut || false);
+        assert_eq!(outcome.unwrap().completed, bindings.len());
+        let expect = looped_bound(&ord, &tries, &[Attr(0)], &bindings);
         for (i, probe) in probes.iter().enumerate() {
             assert_eq!(probe.inner.found(), !expect[i].is_empty(), "binding {i} existence");
             assert!(probe.emits <= 1, "exists stops at the first witness per binding");
@@ -1471,13 +1418,10 @@ mod tests {
         let (r1, r2, r3) = triangle_graph();
         let ord = order(&[0, 1, 2]);
         let tries = tries_for(&[&r1, &r2, &r3], &ord);
-        let batched = BatchedLeapfrog::new(&ord, tries.iter().collect(), &[Attr(0)]).unwrap();
-        let bindings = vec![vec![3u32], vec![1]];
+        let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
         let mut buffers = [adj_relational::RowBuffer::new(3), adj_relational::RowBuffer::new(3)];
-        let mut sinks: Vec<&mut dyn RowSink> =
-            buffers.iter_mut().map(|b| b as &mut dyn RowSink).collect();
         let mut scratch = JoinScratch::new();
-        batched.run_batch(&bindings, &mut sinks, &mut scratch, &mut || false);
+        let _ = join.run_batch(&[Attr(0)], &[3, 1], &mut buffers, &mut scratch, &mut || false);
     }
 
     #[test]
@@ -1485,7 +1429,17 @@ mod tests {
         let (r1, r2, r3) = triangle_graph();
         let ord = order(&[0, 1, 2]);
         let tries = tries_for(&[&r1, &r2, &r3], &ord);
-        assert!(BatchedLeapfrog::new(&ord, tries.iter().collect(), &[Attr(9)]).is_err());
+        let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
+        let mut buf = adj_relational::RowBuffer::new(3);
+        let mut scratch = JoinScratch::new();
+        let mut run = |attrs: &[Attr], values: &[Value]| {
+            let sinks = std::slice::from_mut(&mut buf);
+            join.run_batch(attrs, values, sinks, &mut scratch, &mut || false)
+        };
+        assert!(matches!(run(&[Attr(9)], &[1]), Err(Error::UnknownAttr { .. })));
+        // Bound attributes must follow the order's levels.
+        assert!(matches!(run(&[Attr(1), Attr(0)], &[1, 2]), Err(Error::UnknownAttr { .. })));
+        assert!(run(&[Attr(0), Attr(1)], &[1, 2]).is_ok());
     }
 
     #[test]

@@ -44,6 +44,10 @@
 use crate::query::{Atom, JoinQuery, Term};
 use adj_relational::{Attr, Error, OutputMode, Result, Schema, Value};
 
+/// The most distinct attributes one query may name: attribute sets are
+/// 64-bit masks ([`Attr::mask`]).
+const MAX_ATTRS: usize = 64;
+
 /// Parses a query string with an optional output-mode prefix
 /// (`COUNT(…)`, `EXISTS(…)`, `LIMIT k (…)`; see the module docs). Returns
 /// the query, the interned attribute names, and the requested
@@ -204,13 +208,15 @@ fn parse_query_in(full: &str, body: &str) -> Result<(JoinQuery, Vec<String>)> {
     };
 
     let mut attr_names: Vec<String> = Vec::new();
-    let mut intern = |ident: &str| -> u32 {
+    let mut intern = |ident: &str| -> Result<u32> {
         if let Some(i) = attr_names.iter().position(|n| n == ident) {
-            i as u32
-        } else {
-            attr_names.push(ident.to_string());
-            (attr_names.len() - 1) as u32
+            return Ok(i as u32);
         }
+        if attr_names.len() == MAX_ATTRS {
+            return Err(perr(full, ident, "too many attributes (at most 64 per query)"));
+        }
+        attr_names.push(ident.to_string());
+        Ok((attr_names.len() - 1) as u32)
     };
 
     let mut atoms = Vec::new();
@@ -236,17 +242,17 @@ fn parse_query_in(full: &str, body: &str) -> Result<(JoinQuery, Vec<String>)> {
                 if pname.is_empty() || !is_ident(pname) {
                     return Err(perr(full, tok, "bad parameter name after '$'"));
                 }
-                ids.push(intern(tok));
+                ids.push(intern(tok)?);
                 terms.push(Term::Param(pname.to_string()));
             } else if !tok.is_empty() && tok.chars().all(|c| c.is_ascii_digit()) {
                 // Integer literal: an attribute pinned to this value.
                 let v: Value = tok.parse().map_err(|_| {
                     perr(full, tok, "integer literal out of range (max 4294967295)")
                 })?;
-                ids.push(intern(tok));
+                ids.push(intern(tok)?);
                 terms.push(Term::Const(v));
             } else if is_ident(tok) {
-                let id = intern(tok);
+                let id = intern(tok)?;
                 ids.push(id);
                 terms.push(Term::Var(Attr(id)));
             } else {
@@ -274,6 +280,9 @@ fn parse_query_in(full: &str, body: &str) -> Result<(JoinQuery, Vec<String>)> {
     // the result regardless).
     if let Some((head, _)) = body.split_once(":-") {
         if let (Some(open), Some(close)) = (head.find('('), head.find(')')) {
+            if close < open {
+                return Err(perr(full, &head[close..], "')' before '(' in head"));
+            }
             let mut head_ids: Vec<u32> = Vec::new();
             for raw in head[open + 1..close].split(',') {
                 let ident = raw.trim();
@@ -604,6 +613,26 @@ mod tests {
         let err = parse_query("R1(99999999999, b)").unwrap_err();
         let Error::Parse { message, .. } = &err else { panic!("{err:?}") };
         assert!(message.contains("out of range"));
+    }
+
+    #[test]
+    fn a_head_closing_before_it_opens_is_a_parse_error() {
+        let text = "Q)b,c( :- R1(b,c)";
+        let err = parse_query(text).unwrap_err();
+        let Error::Parse { offset, message, .. } = &err else { panic!("{err:?}") };
+        assert_eq!((*offset, message.as_str()), (1, "')' before '(' in head"));
+    }
+
+    #[test]
+    fn more_attributes_than_a_mask_holds_is_a_parse_error() {
+        let atoms = |n: usize| (0..n).map(|i| format!("R{i}(x{i},x{})", i + 1)).collect::<Vec<_>>();
+        let (q, names) = parse_query(&atoms(63).join(", ")).unwrap();
+        assert_eq!((q.atoms.len(), names.len()), (63, 64));
+        let text = atoms(64).join(", ");
+        let err = parse_query(&text).unwrap_err();
+        let Error::Parse { offset, message, .. } = &err else { panic!("{err:?}") };
+        assert!(message.contains("too many attributes"), "{message}");
+        assert_eq!(&text[*offset..*offset + 3], "x64");
     }
 
     #[test]

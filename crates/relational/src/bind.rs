@@ -66,6 +66,11 @@ impl BoundValues {
         &self.pairs
     }
 
+    /// The bound attributes, ascending.
+    pub fn attrs(&self) -> impl Iterator<Item = Attr> + '_ {
+        self.pairs.iter().map(|&(a, _)| a)
+    }
+
     /// Bitmask of the bound attributes.
     pub fn mask(&self) -> u64 {
         self.pairs.iter().fold(0, |m, &(a, _)| m | a.mask())

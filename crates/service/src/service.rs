@@ -7,7 +7,7 @@ use crate::explain;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::result_cache::{ResultCache, ResultCacheStats, ResultId};
 use crate::{AdmissionStats, ServiceConfig, ServiceError};
-use adj_batch::{execute_plan_batch, BindingBatch};
+use adj_batch::BindingBatch;
 use adj_cluster::Cluster;
 use adj_core::{Adj, ExecCtx, ExecutionReport, IndexCache, IndexCacheStats, IndexScope, QueryPlan};
 use adj_delta::{DeltaRelation, MutationBatch};
@@ -871,13 +871,15 @@ impl Service {
     /// **one** admission slot, **one** deadline, and **one** trace span
     /// tree. The submissions are normalized into a [`BindingBatch`]
     /// (duplicates collapse onto one execution), warm bindings are answered
-    /// from the per-binding result LRU, and the remainder runs through
-    /// [`execute_plan_batch`]: one bag pre-computation pass and one
-    /// *unbound* shuffle shared by every binding, then a batched Leapfrog
-    /// join that visits the bindings in sorted order with forward-galloping
-    /// cursor reuse. Results come back **aligned with the submission
-    /// order** and byte-identical to looping [`Service::execute_bound`]
-    /// over the same submissions.
+    /// from the per-binding result LRU, and the cold remainder runs as one
+    /// [`adj_core::execute_plan`] call — the same executor every door uses,
+    /// here over many bindings: one bag pre-computation pass and one
+    /// *unbound* shuffle shared by every binding, then one Leapfrog pass
+    /// per worker that visits the bindings in sorted order with
+    /// forward-galloping cursor reuse. Results come back **aligned with the
+    /// submission order** and byte-identical to looping
+    /// [`Service::execute_bound`] over the same submissions. Unlike the
+    /// batch door, single bound calls never consult the result LRU.
     ///
     /// The outer `Err` is a whole-batch failure (unknown database,
     /// admission rejection, a malformed binding, planning or shuffle
@@ -956,17 +958,14 @@ impl Service {
 
             let mut report = ExecutionReport::default();
             if !cold.is_empty() {
-                // `cold` holds distinct, already-sorted bindings, so the
-                // inner batch's submission order is its unique order:
-                // result `k` belongs to `cold_slots[k]`.
-                let cold_batch = BindingBatch::new(cold)?;
-                let (slot_results, batch_report) = execute_plan_batch(
+                // Result `k` belongs to `cold[k]`, that is `cold_slots[k]`.
+                let (slot_results, batch_report) = adj_core::execute_plan(
                     self.adj.cluster(),
                     db,
                     plan,
                     self.adj.config(),
                     mode,
-                    &cold_batch,
+                    &cold,
                     ctx,
                 )?;
                 report = batch_report;

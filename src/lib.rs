@@ -22,8 +22,8 @@
 //! | [`sampling`] | `adj-sampling` | sampling-based cardinality estimation |
 //! | [`trace`] | `adj-trace` | zero-dependency lock-free per-query span/event tracing |
 //! | [`faults`] | `adj-faults` | cancellation tokens + deterministic fault injection |
-//! | [`core`] | `adj-core` | the ADJ optimizer (Algorithm 2) and executor |
-//! | [`batch`] | `adj-batch` | vectorized binding batches + the batched Leapfrog driver |
+//! | [`core`] | `adj-core` | the ADJ optimizer (Algorithm 2) and the one executor (every query a slice of bindings) |
+//! | [`batch`] | `adj-batch` | the binding normal form of the batch door (`BindingBatch`) |
 //! | [`service`] | `adj-service` | concurrent query service: plan + index caches, admission control, metrics, output modes |
 //! | [`baselines`] | `adj-baselines` | SparkSQL-analog, BigJoin, HCubeJ(+Cache) |
 //! | [`datagen`] | `adj-datagen` | seeded stand-ins for the Table I datasets |

@@ -110,9 +110,10 @@ fn precompute_changes_rewritten_query_share() {
     if !adj::query::order::is_valid_order(&plan.tree, &plan.order) {
         plan.order = adj::query::order::valid_orders(&plan.tree)[0].clone();
     }
-    let (unbound, cold) = (BoundValues::none(), ExecCtx::default());
-    let (forced, rep_forced) =
+    let (unbound, cold) = ([BoundValues::none()], ExecCtx::default());
+    let (mut forced, rep_forced) =
         execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows, &unbound, &cold).unwrap();
+    let forced = forced.pop().unwrap().unwrap();
     assert!(rep_forced.precompute_tuples > 0);
 
     let baseline = Adj::with_workers(cfg.cluster.num_workers)

@@ -384,7 +384,9 @@ fn a_reused_scratch_never_trusts_another_joins_tables() {
                 let join = LeapfrogJoin::new(&order, tries.iter().collect()).unwrap();
                 let (mut reused, mut fresh) =
                     (RowBuffer::new(order.len()), RowBuffer::new(order.len()));
-                let a = join.join_into_with_scratch(&mut reused, &mut scratch);
+                let sinks = std::slice::from_mut(&mut reused);
+                let a =
+                    join.run_batch(&[], &[], sinks, &mut scratch, &mut || false).unwrap().counters;
                 let b = join.join_into(&mut fresh);
                 assert_eq!(a.tuples_per_level, b.tuples_per_level, "{pq:?} +{relabel}");
                 assert_eq!(reused.into_flat(), fresh.into_flat(), "{pq:?} +{relabel}");
@@ -411,9 +413,11 @@ fn rows_are_width_independent_and_limit_is_their_prefix() {
                     AdjConfig { cluster: ClusterConfig::with_workers(width), ..Default::default() };
                 let cluster = Cluster::new(cfg.cluster.clone());
                 let ctx = ExecCtx::default();
-                adj_core::execute_plan(&cluster, &db, &plan, &cfg, mode, &BoundValues::none(), &ctx)
-                    .unwrap()
-                    .0
+                let unbound = [BoundValues::none()];
+                let (mut outs, _) =
+                    adj_core::execute_plan(&cluster, &db, &plan, &cfg, mode, &unbound, &ctx)
+                        .unwrap();
+                outs.pop().unwrap().unwrap()
             };
             let rows = run(1, OutputMode::Rows);
             let full = rows.rows();

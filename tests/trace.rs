@@ -259,3 +259,38 @@ fn prepared_bound_executions_trace_too() {
     assert_eq!(again.report.share_solves, 0);
     assert_eq!(again.report.share, out.report.share, "the report carries the share either way");
 }
+
+#[test]
+fn traced_batches_record_one_join_span_per_worker() {
+    // The batch door runs the same executor as every other door, so its
+    // trace has the same shape: one `join` span per worker whose counters
+    // sum to the report's, and one `gather` span with the per-level args.
+    let tri = paper_query(PaperQuery::Q1);
+    let db = tri.instantiate(&Dataset::WB.graph(0.01));
+    let service = service_with(Strategy::CoOptimize, Some(traced_settings()));
+    service.register_database("g", db);
+    let (q, _) = parse_query("Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
+    let prepared = service.prepare("g", &q).unwrap();
+    let bindings: Vec<Bindings> = (0..24).map(|v| Bindings::new().set("v", v % 20)).collect();
+    let out = service.execute_batch(&prepared, &bindings, OutputMode::Rows).unwrap();
+    let trace = out.trace.as_ref().expect("batches trace like any other door");
+    assert!(trace.is_well_formed());
+
+    let joins = trace.events_named("join");
+    assert_eq!(joins.len(), WORKERS, "one join span per worker");
+    assert!(trace.events_named("batch_join").is_empty());
+    let total = |arg: &str| -> u64 {
+        joins.iter().flat_map(|e| &e.args).filter(|(k, _)| k == arg).map(|(_, v)| v).sum()
+    };
+    assert!(total("output_tuples") > 0);
+    assert_eq!(total("output_tuples"), out.report.counters.output_tuples);
+    assert_eq!(total("intersect_ops"), out.report.counters.intersect_ops);
+    assert_eq!(total("bindings_completed"), (WORKERS * out.unique_executed) as u64);
+
+    let gather = trace.events_named("gather");
+    assert_eq!(gather.len(), 1);
+    let arg = |name: &str| gather[0].args.get(name);
+    assert_eq!(arg("bindings"), Some(out.unique_executed as u64));
+    assert_eq!(arg("output_tuples"), Some(out.report.counters.output_tuples));
+    assert_eq!(arg("tuples_l0"), Some(out.report.counters.tuples_per_level[0]));
+}
