@@ -3,7 +3,10 @@
 //! Three cost components, all in (modeled) seconds:
 //!
 //! * `costC(C)` — communication: solve the HCube share program for the
-//!   rewritten query's relations and charge `Σ_R |R|·dup(R,p) / α`;
+//!   rewritten query's relations — exactly, by the pruned search of
+//!   [`adj_hcube::solve_share`], which scores a few vectors of each lattice
+//!   ([`OptimizerStats::share_candidates`]) — and charge
+//!   `Σ_R |R|·dup(R,p) / α`;
 //! * `costM(Rv)` — pre-computing: shuffle λ(v)'s relations plus the join
 //!   work producing the bag;
 //! * `costE^i(C, O)` — computation of the step extending into the `i`-th
@@ -11,14 +14,21 @@
 //!   when `v_i` is pre-computed (one trie probe instead of several
 //!   intersections, and no dead-end bindings inside the bag).
 //!
-//! Cardinalities come from the sampling estimator. Algorithm 2 revisits the
-//! same atom subsets, relations and pre-compute sets many times, so one
-//! [`CostEstimator`] keeps everything it derives from the data — column
-//! value sets, sampling tries, sub-join cardinalities, solved share programs
-//! — in a single cache that lives exactly as long as the `optimize` call.
+//! Cardinalities come from the sampling estimator, which walks each distinct
+//! drawn value once and weights it by how often it was drawn
+//! ([`OptimizerStats::sample_values`]); the estimate is the per-draw one to
+//! the bit. The column value sets every sampled `val(A)` intersects are
+//! radix-sorted
+//! ([`Relation::column_values`](adj_relational::Relation::column_values)).
+//!
+//! Algorithm 2 revisits the same atom subsets, relations and pre-compute
+//! sets many times, so one [`CostEstimator`] keeps everything it derives
+//! from the data — column value sets, sampling tries, sub-join
+//! cardinalities, solved share programs — in a single cache that lives
+//! exactly as long as the `optimize` call.
 
 use crate::plan::{OptimizerStats, PlanRelation, QueryPlan};
-use adj_hcube::{optimize_share, ShareInput};
+use adj_hcube::{solve_share, ShareInput, ShareSolution};
 use adj_query::lp::solve_min_max;
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::hash::FxHashMap;
@@ -251,6 +261,7 @@ impl<'a> CostEstimator<'a> {
             Ok(est) => {
                 cache.stats.subjoins_sampled += 1;
                 cache.stats.sample_extensions += est.extensions;
+                cache.stats.sample_values += est.distinct_samples as u64;
                 if let (true, Some(beta)) = (self.params.measure_beta, est.beta) {
                     let mut m = self.beta_measured.borrow_mut();
                     *m = Some(match *m {
@@ -381,8 +392,11 @@ impl<'a> CostEstimator<'a> {
             require_exact_product: false,
             bound_mask: self.bound_mask,
         };
-        let solved = match optimize_share(&input) {
-            Ok(p) => {
+        let solved = solve_share(&input);
+        let mut cache = self.cache.borrow_mut();
+        let solved = match solved {
+            Ok(ShareSolution { share: p, candidates }) => {
+                cache.stats.share_candidates += candidates;
                 let total = input.comm_cost(&p) as f64;
                 let hottest = input.max_cube_tuples(&p) * self.n_workers as f64;
                 let secs = total.max(hottest) / self.alpha;
@@ -390,7 +404,6 @@ impl<'a> CostEstimator<'a> {
             }
             Err(_) => (f64::INFINITY, Vec::new()),
         };
-        let mut cache = self.cache.borrow_mut();
         cache.stats.share_solves += 1;
         cache.comm.insert(c_mask, solved.clone());
         solved
@@ -524,6 +537,7 @@ pub type CostResult<T> = Result<T>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adj_hcube::optimize_share;
     use adj_query::{paper_query, GhdTree, PaperQuery};
     use adj_relational::{Relation, Value};
 

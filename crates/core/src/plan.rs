@@ -51,6 +51,10 @@ pub struct OptimizerStats {
     pub subjoins_sampled: u64,
     /// Leapfrog extension operations performed across those sampling runs.
     pub sample_extensions: u64,
+    /// Distinct drawn values counted across those sampling runs — each
+    /// walked once however often it was drawn, against
+    /// `subjoins_sampled × k` draws.
+    pub sample_values: u64,
     /// Sub-joins the sampler refused; each was priced as `∞`.
     pub sampler_errors: u64,
     /// Sampling tries built, one per distinct (atom, column order).
@@ -61,20 +65,25 @@ pub struct OptimizerStats {
     pub share_solves: u64,
     /// `costC` requests answered from an earlier solve.
     pub share_reused: u64,
+    /// Share vectors scored across all those solves (the search prunes
+    /// the rest of each lattice).
+    pub share_candidates: u64,
 }
 
 impl OptimizerStats {
     /// The counters as `(name, value)` pairs — what trace spans attach and
     /// `EXPLAIN` prints.
-    pub fn args(&self) -> [(&'static str, u64); 7] {
+    pub fn args(&self) -> [(&'static str, u64); 9] {
         [
             ("subjoins_sampled", self.subjoins_sampled),
             ("sample_extensions", self.sample_extensions),
+            ("sample_values", self.sample_values),
             ("sampler_errors", self.sampler_errors),
             ("tries_built", self.tries_built),
             ("tries_reused", self.tries_reused),
             ("share_solves", self.share_solves),
             ("share_reused", self.share_reused),
+            ("share_candidates", self.share_candidates),
         ]
     }
 }

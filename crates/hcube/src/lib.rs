@@ -11,8 +11,8 @@
 //!
 //! * [`share::optimize_share`] — the share optimizer: minimize communication
 //!   `Σ_R |R|·dup(R,p)` subject to `p ≥ 1` and the per-worker memory
-//!   constraint (optimization program (3) in Sec. III-B), by exact
-//!   enumeration (tiny for `N* ≤ 64`);
+//!   constraint (optimization program (3) in Sec. III-B), by an exact
+//!   branch-and-bound search over integer shares;
 //! * [`HCubePlan`] — coordinate arithmetic and tuple routing;
 //! * [`shuffle::hcube_shuffle`] — three implementations: the original
 //!   tuple-at-a-time **Push**, and the paper's optimized **Pull** (block
@@ -36,7 +36,7 @@ pub use cache::{
 };
 pub use patch::{patch_relation_indexes, PatchOutcome};
 pub use plan::HCubePlan;
-pub use share::{optimize_share, ShareInput};
+pub use share::{optimize_share, solve_share, ShareInput, ShareSolution, MAX_SHARE_ATTRS};
 pub use shuffle::{
     hcube_shuffle, hcube_shuffle_round, ExecCtx, HCubeImpl, LocalRelation, ShuffleOutput,
     ShuffleReport, ShuffleRound,

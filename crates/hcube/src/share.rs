@@ -10,9 +10,16 @@
 //! 3. `Π p_A ≥ N*` so every worker is assigned at least one hypercube
 //!    (the classical HCube setting; the paper notes `P` may exceed `N*`).
 //!
-//! With ≤ 5 attributes and `N* ≤ 64` the feasible lattice is tiny, so we
-//! solve the program by exact enumeration rather than the paper's numeric
-//! solver — same optimum, and deterministic.
+//! The program is solved over integer shares by an exact branch-and-bound
+//! search ([`solve_share`]) rather than the paper's numeric solver — the
+//! optimum of the full lattice, deterministically. The bound is admissible
+//! because the objective only grows with every share: raising any `p_A`
+//! never lowers `Σ_R |R| · dup(R, p)`, and the ranking load (below) is at
+//! least that total spread over `N*` workers. So a partial vector whose
+//! `(⌈total / N*⌉, total)` already ranks after the best vector found cannot
+//! be completed into a winner or a tie, and its whole subtree is skipped.
+//! On a five-attribute query at `N* = 8` the search scores about a dozen
+//! of the lattice's 3,652 vectors.
 //!
 //! **Skew.** The paper's objective charges *total* load, which silently
 //! assumes hashing spreads every relation evenly. One heavy-hitter join
@@ -50,7 +57,7 @@ pub struct ShareInput {
     pub require_exact_product: bool,
     /// Attributes to treat as one-value dimensions: partitioning one would
     /// be pure duplication, so they are dropped from the dimension grid
-    /// (pinned to share 1) and the enumeration ranks only the other
+    /// (pinned to share 1) and the search ranks only the other
     /// attributes' vectors. When *every* attribute is masked the product
     /// requirement relaxes to 1 — a single cube is the whole answer. The
     /// optimizer sets this to a shape's bound positions when it prices
@@ -140,74 +147,192 @@ pub fn frac(p: &[u32], rel_mask: u64) -> f64 {
     1.0 / denom as f64
 }
 
+/// The most attributes a share program is solved for. The search is exact,
+/// and its lattice grows with every attribute; the planner refuses wider
+/// queries before it gets here.
+pub const MAX_SHARE_ATTRS: usize = 16;
+
+/// An optimal share vector and the work its search did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShareSolution {
+    /// The share vector, indexed by attribute id.
+    pub share: Vec<u32>,
+    /// Complete vectors the search scored (feasible leaves it reached).
+    pub candidates: u64,
+}
+
 /// Solves the share optimization program exactly. Returns the optimal share
 /// vector (indexed by attribute id), or an error if no feasible vector
-/// exists within the enumeration cap (memory budget too small).
+/// has a product within the cap (memory budget too small) or the
+/// query has no attribute or more than [`MAX_SHARE_ATTRS`].
 pub fn optimize_share(input: &ShareInput) -> Result<Vec<u32>> {
+    solve_share(input).map(|solved| solved.share)
+}
+
+/// [`optimize_share`], also reporting how many vectors the search scored.
+///
+/// Vectors rank by `(makespan load, total load, product, p)`: the fullest
+/// partition decides wall-clock, total load breaks ties (and equals the
+/// paper's objective on uniform inputs), product and the vector itself
+/// make the choice deterministic. The search is a depth-first walk over
+/// `p_0, p_1, …` with every unassigned share at 1, pruned by a bound that
+/// never cuts the optimum: the total load of a partial vector only grows as
+/// shares are raised, and the makespan is at least `⌈total / N*⌉`, so once
+/// `(⌈total / N*⌉, total)` of a partial vector ranks strictly after the best
+/// `(makespan, total)` found, no completion can win or tie — and neither
+/// can a larger value of the same share, so the loop over it stops there.
+pub fn solve_share(input: &ShareInput) -> Result<ShareSolution> {
     let n = input.num_attrs;
-    assert!((1..=16).contains(&n), "share enumeration sized for small queries");
+    if !(1..=MAX_SHARE_ATTRS).contains(&n) {
+        return Err(Error::BudgetExceeded {
+            what: "attributes per share program",
+            limit: MAX_SHARE_ATTRS,
+        });
+    }
     let nw = input.num_workers as u64;
-    // Enumerate products up to cap; comm cost is monotone in every p_A, so
-    // the optimum has a small product, but the memory constraint can force
-    // finer partitioning — cap at 8·N* (plenty for the workloads here).
+    // Comm cost is monotone in every p_A, so the optimum has a small
+    // product, but the memory constraint can force finer partitioning —
+    // cap at 8·N* (plenty for the workloads here).
     let cap = if input.require_exact_product { nw.max(1) } else { (8 * nw).max(64) };
     // A fully-bound query has no free dimension left: the single cube is
     // legal (one worker computes the one-point answer).
     let any_free = (0..n).any(|i| input.bound_mask & (1 << i) == 0);
     let needed = if any_free { nw } else { 1 };
-    // Rank by (makespan load, total load, product, p): the fullest
-    // partition decides wall-clock, total load breaks ties (and equals the
-    // old objective on uniform inputs), product and the vector itself make
-    // the choice deterministic.
-    let mut best: Option<(u64, u64, u64, Vec<u32>)> = None;
+    let mut search = Search {
+        input,
+        cap,
+        needed,
+        hot: hot_table(input, n),
+        p: vec![1; n],
+        best: None,
+        best_p: Vec::new(),
+        candidates: 0,
+    };
+    search.descend(0, 1);
+    match search.best {
+        Some(_) => Ok(ShareSolution { share: search.best_p, candidates: search.candidates }),
+        None => Err(Error::BudgetExceeded {
+            what: "no feasible HCube share vector under memory budget",
+            limit: input.memory_limit_bytes.unwrap_or(0),
+        }),
+    }
+}
 
-    let mut p = vec![1u32; n];
-    enumerate(&mut p, 0, 1, cap, input.bound_mask, &mut |p, product| {
-        if product < needed || (input.require_exact_product && product != needed) {
+/// `hot[rel * n + a]`: the hottest-value fraction of attribute `a` in
+/// relation `rel`, clamped to `[0, 1]` — the first entry of `rel`'s list
+/// naming `a`, or 0 when none does, as [`ShareInput::max_cube_tuples`]
+/// reads it.
+fn hot_table(input: &ShareInput, n: usize) -> Vec<f64> {
+    let mut hot = vec![0.0; input.relations.len() * n];
+    for (rel, cols) in input.hot.iter().take(input.relations.len()).enumerate() {
+        let mut seen = 0u64;
+        for &(attr, f) in cols {
+            let a = attr as usize;
+            if a < n && seen & (1 << a) == 0 {
+                seen |= 1 << a;
+                hot[rel * n + a] = f.clamp(0.0, 1.0);
+            }
+        }
+    }
+    hot
+}
+
+/// The branch-and-bound state of one [`solve_share`] call.
+struct Search<'a> {
+    input: &'a ShareInput,
+    cap: u64,
+    needed: u64,
+    hot: Vec<f64>,
+    /// The vector under construction; shares past the current depth are 1.
+    p: Vec<u32>,
+    /// `(makespan, comm, product)` of the best vector so far.
+    best: Option<(u64, u64, u64)>,
+    best_p: Vec<u32>,
+    candidates: u64,
+}
+
+impl Search<'_> {
+    /// Extends `p[..idx]` (of product `product`) in every way the bound
+    /// lets through, scoring each complete vector.
+    fn descend(&mut self, idx: usize, product: u64) {
+        if idx == self.p.len() {
+            self.score(product);
+            return;
+        }
+        if self.input.bound_mask & (1 << idx) != 0 {
+            // Bound attribute: dropped from the dimension grid, share pinned 1.
+            self.descend(idx + 1, product);
+            return;
+        }
+        let mut v = 1u64;
+        while product * v <= self.cap {
+            self.p[idx] = v as u32;
+            if self.pruned() {
+                break;
+            }
+            self.descend(idx + 1, product * v);
+            v += 1;
+        }
+        self.p[idx] = 1;
+    }
+
+    /// Whether no completion of the current partial vector can rank at or
+    /// before the best one (see [`solve_share`]).
+    fn pruned(&self) -> bool {
+        let Some((makespan, comm, _)) = self.best else { return false };
+        let floor = self.input.comm_cost(&self.p);
+        let avg = (floor as f64 / self.input.num_workers as f64).ceil() as u64;
+        (avg, floor) > (makespan, comm)
+    }
+
+    /// Scores the complete vector if it is feasible, and keeps it when it
+    /// ranks before the best one so far.
+    fn score(&mut self, product: u64) {
+        let input = self.input;
+        if product < self.needed || (input.require_exact_product && product != self.needed) {
             return;
         }
         if let Some(limit) = input.memory_limit_bytes {
-            if input.per_worker_bytes(p) > limit as f64 {
+            if input.per_worker_bytes(&self.p) > limit as f64 {
                 return;
             }
         }
-        let key = (input.makespan_load(p), input.comm_cost(p), product, p.to_vec());
-        if best.as_ref().is_none_or(|b| key < *b) {
-            best = Some(key);
+        self.candidates += 1;
+        let comm = input.comm_cost(&self.p);
+        let avg = comm as f64 / input.num_workers as f64;
+        let makespan = avg.max(self.max_cube_tuples()).ceil() as u64;
+        let key = (makespan, comm, product);
+        let better = match self.best {
+            None => true,
+            Some(best) => key < best || (key == best && self.p < self.best_p),
+        };
+        if better {
+            self.best = Some(key);
+            self.best_p.clone_from(&self.p);
         }
-    });
+    }
 
-    best.map(|(_, _, _, p)| p).ok_or(Error::BudgetExceeded {
-        what: "no feasible HCube share vector under memory budget",
-        limit: input.memory_limit_bytes.unwrap_or(0),
-    })
-}
-
-fn enumerate(
-    p: &mut Vec<u32>,
-    idx: usize,
-    product: u64,
-    cap: u64,
-    bound_mask: u64,
-    visit: &mut impl FnMut(&[u32], u64),
-) {
-    if idx == p.len() {
-        visit(p, product);
-        return;
+    /// [`ShareInput::max_cube_tuples`] of the current vector, reading the
+    /// hot fractions from the dense table.
+    fn max_cube_tuples(&self) -> f64 {
+        let n = self.p.len();
+        self.input
+            .relations
+            .iter()
+            .enumerate()
+            .map(|(rel, &(mask, size))| {
+                let mut worst = 1.0f64;
+                for (a, &pa) in self.p.iter().enumerate() {
+                    if mask & (1u64 << a) == 0 || pa <= 1 {
+                        continue;
+                    }
+                    let f = self.hot[rel * n + a];
+                    worst *= f + (1.0 - f) / pa as f64;
+                }
+                size as f64 * worst
+            })
+            .sum()
     }
-    if bound_mask & (1 << idx) != 0 {
-        // Bound attribute: dropped from the dimension grid, share pinned 1.
-        p[idx] = 1;
-        enumerate(p, idx + 1, product, cap, bound_mask, visit);
-        return;
-    }
-    let mut v = 1u64;
-    while product * v <= cap {
-        p[idx] = v as u32;
-        enumerate(p, idx + 1, product * v, cap, bound_mask, visit);
-        v += 1;
-    }
-    p[idx] = 1;
 }
 
 #[cfg(test)]
@@ -226,6 +351,197 @@ mod tests {
             require_exact_product: false,
             bound_mask: 0,
         }
+    }
+
+    /// The full enumeration the branch-and-bound search replaced: every
+    /// vector of the lattice scored, the least `(makespan, comm, product,
+    /// p)` kept. The reference the search must agree with bit for bit.
+    fn reference_share(input: &ShareInput) -> Result<Vec<u32>> {
+        fn enumerate(
+            p: &mut Vec<u32>,
+            idx: usize,
+            product: u64,
+            cap: u64,
+            bound_mask: u64,
+            visit: &mut impl FnMut(&[u32], u64),
+        ) {
+            if idx == p.len() {
+                visit(p, product);
+                return;
+            }
+            if bound_mask & (1 << idx) != 0 {
+                p[idx] = 1;
+                enumerate(p, idx + 1, product, cap, bound_mask, visit);
+                return;
+            }
+            let mut v = 1u64;
+            while product * v <= cap {
+                p[idx] = v as u32;
+                enumerate(p, idx + 1, product * v, cap, bound_mask, visit);
+                v += 1;
+            }
+            p[idx] = 1;
+        }
+
+        let n = input.num_attrs;
+        assert!((1..=MAX_SHARE_ATTRS).contains(&n));
+        let nw = input.num_workers as u64;
+        let cap = if input.require_exact_product { nw.max(1) } else { (8 * nw).max(64) };
+        let any_free = (0..n).any(|i| input.bound_mask & (1 << i) == 0);
+        let needed = if any_free { nw } else { 1 };
+        let mut best: Option<(u64, u64, u64, Vec<u32>)> = None;
+        let mut p = vec![1u32; n];
+        enumerate(&mut p, 0, 1, cap, input.bound_mask, &mut |p, product| {
+            if product < needed || (input.require_exact_product && product != needed) {
+                return;
+            }
+            if let Some(limit) = input.memory_limit_bytes {
+                if input.per_worker_bytes(p) > limit as f64 {
+                    return;
+                }
+            }
+            let key = (input.makespan_load(p), input.comm_cost(p), product, p.to_vec());
+            if best.as_ref().is_none_or(|b| key < *b) {
+                best = Some(key);
+            }
+        });
+        best.map(|(_, _, _, p)| p).ok_or(Error::BudgetExceeded {
+            what: "no feasible HCube share vector under memory budget",
+            limit: input.memory_limit_bytes.unwrap_or(0),
+        })
+    }
+
+    /// SplitMix64: a seeded generator with no dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next() % (hi - lo + 1)
+        }
+    }
+
+    /// One random share program: 1–6 attributes, 1–7 relations, widths
+    /// 1–8, hot lists (with repeated attributes and out-of-range
+    /// fractions), memory limits from loose to infeasible, bound masks up
+    /// to all-bound, and the exact-product requirement.
+    fn random_input(rng: &mut Rng) -> ShareInput {
+        let n = rng.range(1, 6) as usize;
+        let full = (1u64 << n) - 1;
+        let relations: Vec<(u64, usize)> = (0..rng.range(1, 7))
+            .map(|_| {
+                let mask = rng.range(1, full);
+                let size = match rng.range(0, 3) {
+                    0 => rng.range(0, 10),
+                    1 => rng.range(1, 1_000),
+                    _ => rng.range(1, 2_000_000),
+                };
+                (mask, size as usize)
+            })
+            .collect();
+        let hot = match rng.range(0, 2) {
+            0 => Vec::new(),
+            _ => (0..rng.range(0, relations.len() as u64 + 1))
+                .map(|_| {
+                    (0..rng.range(0, 3))
+                        .map(|_| {
+                            let attr = rng.range(0, n as u64) as u32;
+                            let f = match rng.range(0, 4) {
+                                0 => 1.5,
+                                1 => 0.0,
+                                _ => rng.range(0, 1000) as f64 / 1000.0,
+                            };
+                            (attr, f)
+                        })
+                        .collect()
+                })
+                .collect(),
+        };
+        let total_bytes: usize =
+            relations.iter().map(|&(m, s)| s * m.count_ones() as usize * 4).sum();
+        let memory_limit_bytes = match rng.range(0, 4) {
+            0 | 1 => None,
+            2 => Some(rng.range(0, 64) as usize),
+            _ => Some((total_bytes as u64 / rng.range(1, 40)) as usize),
+        };
+        let bound_mask = match rng.range(0, 3) {
+            0 => full,
+            1 => rng.range(0, full),
+            _ => 0,
+        };
+        ShareInput {
+            num_attrs: n,
+            relations,
+            num_workers: rng.range(1, 8) as usize,
+            memory_limit_bytes,
+            bytes_per_value: 4,
+            hot,
+            require_exact_product: rng.range(0, 4) == 0,
+            bound_mask,
+        }
+    }
+
+    #[test]
+    fn branch_and_bound_equals_the_full_enumeration() {
+        let (mut scored, mut lattice) = (0u64, 0u64);
+        for seed in 0..3_000u64 {
+            let input = random_input(&mut Rng(seed));
+            let want = reference_share(&input);
+            let got = solve_share(&input);
+            assert_eq!(
+                got.as_ref().map(|s| &s.share).map_err(Clone::clone),
+                want.as_ref().map_err(Clone::clone),
+                "seed {seed}: {input:?}"
+            );
+            if let Ok(solved) = got {
+                scored += solved.candidates;
+                lattice += 1;
+            }
+        }
+        assert!(lattice > 1_000, "most random programs are feasible: {lattice}");
+        assert!(scored > 0);
+    }
+
+    #[test]
+    fn too_many_or_no_attributes_is_a_typed_error() {
+        for n in [0, MAX_SHARE_ATTRS + 1, 64] {
+            let input = ShareInput { num_attrs: n, ..triangle(10, 4) };
+            assert_eq!(
+                optimize_share(&input),
+                Err(Error::BudgetExceeded {
+                    what: "attributes per share program",
+                    limit: MAX_SHARE_ATTRS
+                })
+            );
+        }
+        let wide = ShareInput {
+            num_attrs: MAX_SHARE_ATTRS,
+            relations: (0..MAX_SHARE_ATTRS - 1).map(|i| (0b11 << i, 1_000)).collect(),
+            ..triangle(10, 8)
+        };
+        let solved = solve_share(&wide).unwrap();
+        assert!(solved.share.iter().map(|&x| x as u64).product::<u64>() >= 8);
+    }
+
+    #[test]
+    fn the_search_scores_a_sliver_of_the_lattice() {
+        // Five attributes, cap 64: the lattice holds 3,652 vectors.
+        let input = ShareInput {
+            num_attrs: 5,
+            relations: vec![(0b00011, 500), (0b00110, 500), (0b01100, 500), (0b11000, 500)],
+            ..triangle(0, 8)
+        };
+        let solved = solve_share(&input).unwrap();
+        assert_eq!(Ok(solved.share.clone()), reference_share(&input));
+        assert!(solved.candidates < 100, "scored {}", solved.candidates);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! One depth-first traversal, [`LeapfrogJoin`]'s private `recurse_sink`,
 //! serves every caller: streaming into a [`RowSink`] (`join_into`, `run`),
 //! counting (`count`, the budgeted `count_with_budget`, the sampler's
-//! `count_with_first_value`) and bound joins ([`LeapfrogJoin::run_batch`]).
+//! `count_first_values`) and bound joins ([`LeapfrogJoin::run_batch`]).
 //! A bound join is always a batch: the executor hands `run_batch` one
 //! binding for a bound call, one empty binding for an unbound query and
 //! many for a batch; batching only decides the order in which the one
@@ -575,26 +575,51 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         (!walk.over_budget, walk.counters)
     }
 
-    /// Counts the results whose first attribute (in `order`) equals `v` —
-    /// `|T_{A=a}|` of the sampling estimator (Sec. IV). The first level is
-    /// bound to `v` (its candidates are not intersected: each participant
-    /// seeks `v` directly) and the rest are counted like [`Self::count`].
-    /// A sampler passes one `scratch` to every value it draws, so the tables
-    /// of runs no sampled value moves — the root runs below level 0 — are
-    /// built once per estimate.
-    pub fn count_with_first_value(
+    /// Counts the results whose first attribute (in `order`) equals each
+    /// drawn value — `|T_{A=a}|` of the sampling estimator (Sec. IV) —
+    /// for `draws`, ascending distinct `(value, multiplicity)` pairs.
+    /// Returns `Σ m · |T_{A=a}|` and counters whose `tuples_per_level` and
+    /// `output_tuples` are weighted the same way: what counting every draw
+    /// on its own would have summed. The [`JoinStats`] count the trie
+    /// operations actually done, once per distinct value.
+    ///
+    /// The first level is bound to each value in turn (its candidates are
+    /// not intersected: each participant seeks the value directly) and the
+    /// rest are counted like [`Self::count`]. One walk and one `scratch`
+    /// serve every value, so the tables of runs no drawn value moves — the
+    /// root runs below level 0 — are built once per call.
+    pub fn count_first_values(
         &self,
-        v: Value,
+        draws: &[(Value, u64)],
         scratch: &mut JoinScratch,
     ) -> (u64, JoinCounters) {
+        let levels = self.levels();
         let Some(mut walk) = self.walk(u64::MAX) else {
-            return (0, JoinCounters::new(self.levels()));
+            return (0, JoinCounters::new(levels));
         };
-        let mut bound = vec![None; self.levels()];
-        bound[0] = Some(v);
-        let bufs = scratch.for_levels(self.levels());
-        self.recurse_sink(0, &mut walk, &mut CountSink::new(), bufs, &bound);
-        (walk.counters.output_tuples, walk.counters)
+        debug_assert!(draws.windows(2).all(|w| w[0].0 < w[1].0), "draws ascend, distinct");
+        let mut bound = vec![None; levels];
+        let bufs = scratch.for_levels(levels);
+        let mut sink = CountSink::new();
+        // Per level, the tuples counted before the current value; the
+        // weighted totals replace the walk's own at the end.
+        let mut before = vec![0u64; levels];
+        let mut weighted = vec![0u64; levels];
+        let mut total = 0u64;
+        for &(v, m) in draws {
+            before.copy_from_slice(&walk.counters.tuples_per_level);
+            let out_before = walk.counters.output_tuples;
+            bound[0] = Some(v);
+            self.recurse_sink(0, &mut walk, &mut sink, bufs, &bound);
+            let now = &walk.counters.tuples_per_level;
+            for ((w, &now), &was) in weighted.iter_mut().zip(now).zip(&before) {
+                *w += m * (now - was);
+            }
+            total += m * (walk.counters.output_tuples - out_before);
+        }
+        walk.counters.tuples_per_level = weighted;
+        walk.counters.output_tuples = total;
+        (total, walk.counters)
     }
 }
 
@@ -1077,20 +1102,32 @@ mod tests {
     }
 
     #[test]
-    fn count_with_first_value_sums_to_total() {
+    fn count_first_values_sums_to_total_weighted_by_multiplicity() {
         let (r1, r2, r3) = triangle_graph();
         let ord = order(&[0, 1, 2]);
         let tries = tries_for(&[&r1, &r2, &r3], &ord);
         let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
-        let (total, _) = join.count();
+        let (total, counters) = join.count();
         let mut scratch = JoinScratch::new();
-        let mut sum = 0;
-        for v in 0..6u32 {
-            sum += join.count_with_first_value(v, &mut scratch).0;
-        }
+        let every: Vec<(Value, u64)> = (0..6u32).map(|v| (v, 1)).collect();
+        let (sum, by_value) = join.count_first_values(&every, &mut scratch);
         assert_eq!(sum, total);
-        assert_eq!(join.count_with_first_value(1, &mut scratch).0, 2); // both triangles start at a=1
-        assert_eq!(join.count_with_first_value(99, &mut scratch).0, 0);
+        assert_eq!(by_value.output_tuples, total);
+        assert_eq!(by_value.tuples_per_level[1..], counters.tuples_per_level[1..]);
+        assert_eq!(join.count_first_values(&[(1, 1)], &mut scratch).0, 2); // both triangles start at a=1
+        assert_eq!(join.count_first_values(&[(99, 1)], &mut scratch).0, 0);
+        assert_eq!(join.count_first_values(&[], &mut scratch).0, 0);
+
+        // Three draws of a = 1 weigh its counts three times over, but walk
+        // its subtree once.
+        let (once, one) = join.count_first_values(&[(1, 1)], &mut scratch);
+        let (thrice, three) = join.count_first_values(&[(1, 3), (99, 2)], &mut scratch);
+        assert_eq!(thrice, 3 * once);
+        assert_eq!(three.output_tuples, 3 * one.output_tuples);
+        let tripled: Vec<u64> = one.tuples_per_level.iter().map(|&t| 3 * t).collect();
+        assert_eq!(three.tuples_per_level, tripled);
+        assert_eq!(three.stats.open_ats_per_level[0], one.stats.open_ats_per_level[0] + 1);
+        assert_eq!(three.stats.opens_per_level[1..], one.stats.opens_per_level[1..]);
     }
 
     /// Wraps a sink and counts how many rows the join actually emitted —

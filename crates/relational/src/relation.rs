@@ -286,7 +286,10 @@ impl Relation {
         Relation::from_flat(schema, data)
     }
 
-    /// Distinct values of one attribute, sorted ascending.
+    /// Distinct values of one attribute, sorted ascending. Rows are sorted,
+    /// so the first column already ascends and only needs its duplicates
+    /// dropped; any other column is sorted by [`radix_sort`], which moves
+    /// each key once per byte the keys disagree on.
     pub fn column_values(&self, attr: Attr) -> Result<Vec<Value>> {
         let p = self.schema.position(attr).ok_or_else(|| Error::UnknownAttr {
             attr: attr.to_string(),
@@ -294,9 +297,8 @@ impl Relation {
         })?;
         let arity = self.arity();
         let mut vals: Vec<Value> = self.data.chunks_exact(arity).map(|row| row[p]).collect();
-        // Rows are sorted, so the first column already ascends.
         if p > 0 {
-            vals.sort_unstable();
+            radix_sort(&mut vals);
         }
         vals.dedup();
         Ok(vals)
@@ -543,6 +545,47 @@ impl Relation {
 /// silent wrap past 4 G rows or nodes.
 pub(crate) fn checked_u32(n: usize, what: &'static str) -> Result<u32> {
     u32::try_from(n).map_err(|_| Error::BudgetExceeded { what, limit: u32::MAX as usize })
+}
+
+/// Below this many keys [`radix_sort`] hands off to the comparison sort:
+/// its four 256-bucket histograms cost more than sorting a short run.
+const RADIX_MIN: usize = 256;
+
+/// Sorts `values` ascending with a least-significant-digit radix sort over
+/// the four bytes of each key. One pass counts all four byte histograms; a
+/// byte on which every key agrees (one bucket holds them all) moves
+/// nothing, so its scatter pass is skipped — a column of small ids pays for
+/// its low bytes only. Short inputs take `sort_unstable`.
+pub fn radix_sort(values: &mut Vec<Value>) {
+    let n = values.len();
+    if n < RADIX_MIN {
+        values.sort_unstable();
+        return;
+    }
+    let mut counts = [[0usize; 256]; 4];
+    for &v in values.iter() {
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[(v >> (8 * byte)) as u8 as usize] += 1;
+        }
+    }
+    let mut spare = vec![0; n];
+    for (byte, count) in counts.iter().enumerate() {
+        if count.contains(&n) {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut at = 0;
+        for (slot, &c) in next.iter_mut().zip(count) {
+            *slot = at;
+            at += c;
+        }
+        for &v in values.iter() {
+            let bucket = &mut next[(v >> (8 * byte)) as u8 as usize];
+            spare[*bucket] = v;
+            *bucket += 1;
+        }
+        std::mem::swap(values, &mut spare);
+    }
 }
 
 /// Merges sorted, deduplicated row-major runs of one arity into one sorted,

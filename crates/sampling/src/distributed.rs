@@ -5,7 +5,7 @@
 //! *first*: only the sampled values `S'` and the tuples that semi-join with
 //! them travel. This module implements both, so the saving can be measured.
 
-use crate::estimator::{val_a, CardinalityEstimate, SamplingConfig};
+use crate::estimator::{group_draws, val_a, CardinalityEstimate, SamplingConfig};
 use adj_cluster::Cluster;
 use adj_leapfrog::{JoinCounters, JoinScratch, LeapfrogJoin};
 use adj_query::JoinQuery;
@@ -70,6 +70,7 @@ pub fn estimate_distributed(
                 level_tuples: vec![0.0; levels],
                 val_a: 0,
                 samples_used: 0,
+                distinct_samples: 0,
                 extensions: 0,
                 elapsed_secs: 0.0,
                 beta: None,
@@ -86,14 +87,14 @@ pub fn estimate_distributed(
     for (i, &s) in samples.iter().enumerate() {
         per_worker[i % n].push(s);
     }
+    // Each worker counts its distinct values once, weighted by multiplicity.
+    let per_worker: Vec<Vec<(Value, u64)>> = per_worker.into_iter().map(group_draws).collect();
 
     // (3)+(4) reduce & ship: each worker receives the database semi-joined
     // with its own sample set (relations without A travel whole).
     let mut worker_tries: Vec<Vec<Trie>> = Vec::with_capacity(n);
     for sw in &per_worker {
-        let mut svals = sw.clone();
-        svals.sort_unstable();
-        svals.dedup();
+        let svals: Vec<Value> = sw.iter().map(|&(v, _)| v).collect();
         let reduced = db.reduce_by_values(attr, &svals);
         let mut tries = Vec::with_capacity(query.atoms.len());
         for atom in &query.atoms {
@@ -114,27 +115,23 @@ pub fn estimate_distributed(
         let tries = &worker_tries_ref[w];
         let join = LeapfrogJoin::new(order, tries.iter().collect())
             .expect("tries were built under this order");
-        let mut sum: u64 = 0;
-        let mut counters = JoinCounters::new(levels);
-        let mut scratch = JoinScratch::new();
-        for &a in &per_worker_ref[w] {
-            let (c, cc) = join.count_with_first_value(a, &mut scratch);
-            sum += c;
-            counters.merge(&cc);
-        }
-        (sum, counters)
+        let draws = &per_worker_ref[w];
+        let (sum, counters) = join.count_first_values(draws, &mut JoinScratch::new());
+        (sum, counters, draws.len())
     });
     report.sampling_secs = run.makespan_secs;
     let elapsed = t0.elapsed().as_secs_f64();
 
     let mut sum = 0u64;
     let mut counters = JoinCounters::new(levels);
+    let mut distinct = 0;
     for r in run.results {
         // A panicking sampling worker fails the estimate (and the query
         // using it) with a typed error instead of aborting the process.
-        let (s, c) = r.map_err(adj_relational::Error::from)?;
+        let (s, c, d) = r.map_err(adj_relational::Error::from)?;
         sum += s;
         counters.merge(&c);
+        distinct += d;
     }
     let scale = values.len() as f64 / k as f64;
     let extensions = counters.total_tuples();
@@ -144,6 +141,7 @@ pub fn estimate_distributed(
             level_tuples: counters.tuples_per_level.iter().map(|&t| t as f64 * scale).collect(),
             val_a: values.len(),
             samples_used: k,
+            distinct_samples: distinct,
             extensions,
             elapsed_secs: elapsed,
             beta: if elapsed > 1e-9 && extensions > 0 {

@@ -1,6 +1,17 @@
 //! The single-machine sampling estimator (Eq. (4) + Lemma 2).
+//!
+//! An estimate draws `k` values of `val(A)` uniformly with replacement and
+//! scales the summed `|T_{A=a}|` by `|val(A)| / k`. Once `k` reaches half
+//! of `|val(A)|`, a fifth of the draws or more repeat a value drawn before,
+//! so the draws are grouped ([`group_draws`]) into distinct values with their
+//! multiplicities, and each distinct value's subtree is walked once and
+//! weighted by how often it was drawn
+//! ([`LeapfrogJoin::count_first_values`]). The draws are the same, in the
+//! same order, from the same seed, and the counts are integers summed
+//! exactly, so the estimate — cardinality, per-level tuples, extensions —
+//! is bit-identical to counting every draw on its own.
 
-use adj_leapfrog::{JoinCounters, JoinScratch, LeapfrogJoin};
+use adj_leapfrog::{JoinScratch, LeapfrogJoin};
 use adj_query::JoinQuery;
 use adj_relational::{Attr, Database, Error, Result, Schema, Trie, Value};
 use rand::rngs::StdRng;
@@ -42,6 +53,10 @@ pub struct CardinalityEstimate {
     pub val_a: usize,
     /// Samples actually drawn (0 if `val(A)` was empty).
     pub samples_used: usize,
+    /// Distinct values among them: each is counted once and weighted by
+    /// how often it was drawn. A distributed run sums its workers' distinct
+    /// values (a value drawn on two workers is counted on both).
+    pub distinct_samples: usize,
     /// Total extension operations performed while sampling.
     pub extensions: u64,
     /// Wall-clock seconds of the sampling loop.
@@ -59,6 +74,7 @@ impl CardinalityEstimate {
             level_tuples: vec![0.0; levels],
             val_a,
             samples_used: 0,
+            distinct_samples: 0,
             extensions: 0,
             elapsed_secs: 0.0,
             beta: None,
@@ -120,23 +136,18 @@ impl Sampler {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let k = cfg.samples.max(1);
         let t0 = Instant::now();
-        let mut sum: f64 = 0.0;
-        let mut counters = JoinCounters::new(levels);
-        let mut scratch = JoinScratch::new();
-        for _ in 0..k {
-            let a = self.values[rng.gen_range(0..self.values.len())];
-            let (count, c) = join.count_with_first_value(a, &mut scratch);
-            sum += count as f64;
-            counters.merge(&c);
-        }
+        let draws =
+            group_draws((0..k).map(|_| self.values[rng.gen_range(0..self.values.len())]).collect());
+        let (sum, counters) = join.count_first_values(&draws, &mut JoinScratch::new());
         let elapsed = t0.elapsed().as_secs_f64();
         let scale = self.values.len() as f64 / k as f64;
         let extensions = counters.total_tuples();
         Ok(CardinalityEstimate {
-            cardinality: sum * scale,
+            cardinality: sum as f64 * scale,
             level_tuples: counters.tuples_per_level.iter().map(|&t| t as f64 * scale).collect(),
             val_a: self.values.len(),
             samples_used: k,
+            distinct_samples: draws.len(),
             extensions,
             elapsed_secs: elapsed,
             beta: if elapsed > 1e-9 && extensions > 0 {
@@ -146,6 +157,20 @@ impl Sampler {
             },
         })
     }
+}
+
+/// Sorts drawn values into ascending distinct `(value, multiplicity)`
+/// pairs — the form [`LeapfrogJoin::count_first_values`] counts them in.
+pub fn group_draws(mut draws: Vec<Value>) -> Vec<(Value, u64)> {
+    draws.sort_unstable();
+    let mut grouped: Vec<(Value, u64)> = Vec::with_capacity(draws.len());
+    for v in draws {
+        match grouped.last_mut() {
+            Some((last, m)) if *last == v => *m += 1,
+            _ => grouped.push((v, 1)),
+        }
+    }
+    grouped
 }
 
 /// `val(A)` from the sorted distinct `A`-columns of the relations that

@@ -24,7 +24,8 @@ pub mod skew;
 
 pub use distributed::{estimate_distributed, DistributedReport};
 pub use estimator::{
-    connected_order, required_samples, val_a, CardinalityEstimate, Sampler, SamplingConfig,
+    connected_order, group_draws, required_samples, val_a, CardinalityEstimate, Sampler,
+    SamplingConfig,
 };
 pub use skew::{
     detect_heavy_hitters, sample_relation, ColumnSkew, HeavyHitter, RelationSkew, SkewConfig,

@@ -292,9 +292,8 @@ fn count_rows_and_counters_match_a_reference_join_under_every_valid_order() {
                 assert!(completed);
                 expect(&budgeted, "budgeted");
 
-                let mut scratch = JoinScratch::new();
-                let by_first: u64 =
-                    (0..14).map(|v| join.count_with_first_value(v, &mut scratch).0).sum();
+                let every: Vec<(Value, u64)> = (0..14).map(|v| (v, 1)).collect();
+                let (by_first, _) = join.count_first_values(&every, &mut JoinScratch::new());
                 assert_eq!(by_first, reference.rows.len() as u64, "{pq:?} {order:?}");
             }
         }
@@ -479,9 +478,10 @@ fn from_flat_equals_sort_dedup_on_any_input_order() {
 /// of arity 1–4 with duplicates and values up to `u32::MAX`, empty, one
 /// row, already sorted and reverse sorted. Every column's distinct values,
 /// every column permutation and every trie built under a global order read
-/// the same set.
+/// the same set. Non-leading columns go through the radix kernel.
 #[test]
 fn sort_kernel_equals_a_btreeset_reference() {
+    use adj_relational::relation::radix_sort;
     use std::collections::BTreeSet;
     cases(96, |rng| {
         let arity = rng.gen_range(1usize..5);
@@ -529,6 +529,35 @@ fn sort_kernel_equals_a_btreeset_reference() {
         assert_eq!(rel.permute(&order).unwrap().flat(), want.as_slice(), "permute {order:?}");
         let trie = rel.trie_under_order(&order).unwrap();
         assert_eq!(trie.to_relation().flat(), want.as_slice(), "trie under {order:?}");
+    });
+
+    // The column kernel's radix passes: a non-leading column whose keys
+    // differ only in their top byte, reach `u32::MAX`, all agree (every
+    // pass skipped) or span the whole domain, at lengths around the cutoff
+    // below which it takes the comparison sort.
+    cases(8, |rng| {
+        for n in [0usize, 1, 2, 255, 256, 257, 511, 512, 2000] {
+            for kind in 0..5 {
+                let value = |rng: &mut StdRng| match kind {
+                    0 => rng.gen_range(0u32..256) << 24,
+                    1 => u32::MAX - rng.gen_range(0u32..2),
+                    2 => 0xAB_CD_EF_01,
+                    3 => rng.gen_range(0u32..u32::MAX),
+                    _ => rng.gen_range(0u32..2048),
+                };
+                let rows: Vec<Value> = (0..n).flat_map(|i| [i as Value % 7, value(rng)]).collect();
+                let reference: BTreeSet<Value> = rows.iter().skip(1).step_by(2).copied().collect();
+                let rel = Relation::from_flat(Schema::from_ids(&[0, 1]), rows.clone()).unwrap();
+                let want: Vec<Value> = reference.into_iter().collect();
+                assert_eq!(rel.column_values(Attr(1)).unwrap(), want, "kind {kind}, {n} rows");
+
+                let mut column: Vec<Value> = rows.iter().skip(1).step_by(2).copied().collect();
+                let mut sorted = column.clone();
+                sorted.sort_unstable();
+                radix_sort(&mut column);
+                assert_eq!(column, sorted, "kind {kind}, {n} keys");
+            }
+        }
     });
 }
 
@@ -673,6 +702,142 @@ fn sampling_converges() {
             assert!(d < 3.0, "D={d} est={} truth={truth}", est.cardinality);
         }
     });
+}
+
+/// What counting every draw on its own gives: the old per-draw sampler,
+/// rebuilt on the plain-dance oracle. `|T_{A=a}|` and its per-level
+/// tuples come from one [`plain_leapfrog`] walk of the sub-join; the draws
+/// replay the sampler's seeded `gen_range` calls in order. Returns
+/// `(per-draw f64 sum, integer sum, per-level tuples, draws)`.
+fn per_draw_reference(
+    tries: &[Trie],
+    order: &[Attr],
+    values: &[Value],
+    cfg: &SamplingConfig,
+) -> (f64, u64, Vec<u64>, Vec<Value>) {
+    let mut per_value: std::collections::HashMap<Value, Vec<u64>> = Default::default();
+    plain_leapfrog(tries, order, &mut |binding, _, matched, _| match binding.first() {
+        None => {
+            matched.iter().for_each(|&a| per_value.entry(a).or_insert(vec![0; order.len()])[0] += 1)
+        }
+        Some(&a) => {
+            per_value.get_mut(&a).expect("level 0 saw a")[binding.len()] += matched.len() as u64
+        }
+    });
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let draws: Vec<Value> = if values.is_empty() {
+        Vec::new()
+    } else {
+        (0..cfg.samples.max(1)).map(|_| values[rng.gen_range(0..values.len())]).collect()
+    };
+    let (mut float_sum, mut int_sum, mut levels) = (0.0f64, 0u64, vec![0u64; order.len()]);
+    for a in &draws {
+        let counts = per_value.get(a).expect("a drawn value is in val(A)");
+        let count = *counts.last().unwrap();
+        float_sum += count as f64;
+        int_sum += count;
+        for (l, &t) in levels.iter_mut().zip(counts) {
+            *l += t;
+        }
+    }
+    (float_sum, int_sum, levels, draws)
+}
+
+/// The grouped sampler — each distinct drawn value counted once, weighted
+/// by its multiplicity — estimates bit for bit what counting every draw
+/// did: cardinality, per-level tuples and extensions, for the sequential
+/// and the distributed sampler, on every connected sub-join of Q1/Q4/Q5/Q8
+/// under its sampling order. The graphs cover `|val(A)|` far below `k`
+/// (heavy repetition), a one-value `val(A)`, an empty one, and `k = 1`.
+#[test]
+fn grouped_sampling_equals_per_draw_counting() {
+    use adj_sampling::{connected_order, estimate_distributed};
+    let cluster = Cluster::new(ClusterConfig::with_workers(3));
+    let (mut repeated, mut single, mut empty) = (0, 0, 0);
+    // An empty graph, one edge, a star (one source), and random graphs.
+    let mut graph = 0;
+    cases(5, |rng| {
+        graph += 1;
+        let pairs = match graph {
+            1 => Vec::new(),
+            2 => vec![(3, 5)],
+            3 => (1..9).map(|v| (0, v)).collect(),
+            _ => edges(rng, 16, 80),
+        };
+        let g = Relation::from_pairs(Attr(0), Attr(1), &pairs);
+        let seed = rng.gen_range(0u64..1000);
+        for pq in [PaperQuery::Q1, PaperQuery::Q4, PaperQuery::Q5, PaperQuery::Q8] {
+            let q = paper_query(pq);
+            let db = q.instantiate(&g);
+            for mask in 1u32..1 << q.atoms.len() {
+                let atoms: Vec<_> = (0..q.atoms.len())
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| q.atoms[i].clone())
+                    .collect();
+                let sub = JoinQuery::new("sub", atoms);
+                let order = connected_order(sub.atoms.iter().map(|a| &a.schema));
+                // Connected: every attribute after the first shares an atom
+                // with the ones before it.
+                let connected = (1..order.len()).all(|i| {
+                    let above = order[..i].iter().fold(0, |m, a| m | a.mask());
+                    sub.atoms
+                        .iter()
+                        .any(|at| at.schema.contains(order[i]) && at.schema.mask() & above != 0)
+                });
+                if !connected {
+                    continue;
+                }
+                let tries: Vec<Trie> = sub
+                    .atoms
+                    .iter()
+                    .map(|a| db.get(&a.name).unwrap().trie_under_order(&order).unwrap())
+                    .collect();
+                let sampler = Sampler::new(&db, &sub, &order).unwrap();
+                let values = sampler.val_a();
+                for samples in [1, 7, 200] {
+                    let cfg = SamplingConfig { samples, seed };
+                    let (float_sum, int_sum, levels, draws) =
+                        per_draw_reference(&tries, &order, values, &cfg);
+                    let scale =
+                        if draws.is_empty() { 0.0 } else { values.len() as f64 / samples as f64 };
+                    let at = format!("{pq:?} atoms {mask:#b} {order:?} k={samples} seed {seed}");
+                    let want_levels: Vec<u64> =
+                        levels.iter().map(|&t| (t as f64 * scale).to_bits()).collect();
+                    let want_extensions: u64 = levels.iter().sum();
+
+                    let seq = sampler.estimate(&cfg).unwrap();
+                    assert_eq!(seq.cardinality.to_bits(), (float_sum * scale).to_bits(), "{at}");
+                    let got: Vec<u64> = seq.level_tuples.iter().map(|t| t.to_bits()).collect();
+                    assert_eq!(got, want_levels, "{at}");
+                    assert_eq!(seq.extensions, want_extensions, "{at}");
+                    assert_eq!(seq.samples_used, draws.len(), "{at}");
+                    let mut distinct = draws.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    assert_eq!(seq.distinct_samples, distinct.len(), "{at}");
+
+                    repeated += usize::from(distinct.len() < draws.len());
+                    single += usize::from(values.len() == 1);
+                    empty += usize::from(values.is_empty());
+
+                    // The distributed run costs a cluster round: every
+                    // sub-join of Q1 and Q8, and Q4 and Q5 whole.
+                    let big = matches!(pq, PaperQuery::Q4 | PaperQuery::Q5);
+                    if big && sub.atoms.len() < q.atoms.len() {
+                        continue;
+                    }
+                    let (dist, _) =
+                        estimate_distributed(&cluster, &db, &sub, &order, &cfg).unwrap();
+                    let want = (int_sum as f64 * scale).to_bits();
+                    assert_eq!(dist.cardinality.to_bits(), want, "{at} distributed");
+                    let got: Vec<u64> = dist.level_tuples.iter().map(|t| t.to_bits()).collect();
+                    assert_eq!(got, want_levels, "{at} distributed");
+                    assert_eq!(dist.extensions, want_extensions, "{at} distributed");
+                }
+            }
+        }
+    });
+    assert!(repeated > 0 && single > 0 && empty > 0, "{repeated} {single} {empty}");
 }
 
 /// Every GHD the decomposer produces is valid (edge coverage + running

@@ -443,3 +443,51 @@ fn every_door_runs_the_same_pipeline() {
         assert_eq!(service.cache_stats().misses, 1, "{door:?}");
     }
 }
+
+/// `COUNT(E0(v0,v1), E1(v1,v2), …)`: a chain over `attrs` attributes.
+fn chain_text(attrs: usize) -> String {
+    let atoms: Vec<String> = (0..attrs - 1).map(|i| format!("E{i}(v{i},v{})", i + 1)).collect();
+    format!("COUNT({})", atoms.join(", "))
+}
+
+/// A query wider than the share program is sized for fails fast with a
+/// typed error the front door counts, instead of panicking its caller or
+/// planning for minutes; the widest query it does plan still answers.
+#[test]
+fn wide_queries_are_refused_before_planning() {
+    // A path graph with skips: walks of every length, few of them.
+    let edges: Vec<(Value, Value)> = (0..24).flat_map(|i| [(i, i + 1), (i, i + 2)]).collect();
+    let g = Relation::from_pairs(Attr(0), Attr(1), &edges);
+    let service = Service::new(ServiceConfig {
+        adj: AdjConfig { cluster: ClusterConfig::with_workers(2), ..Default::default() },
+        ..Default::default()
+    });
+    // One database holding every edge relation the widest chain names.
+    let (widest, _, _) = parse_query_with_mode(&chain_text(64)).unwrap();
+    service.register_database("chain", widest.instantiate(&g));
+
+    for (failed, attrs) in [17usize, 32, 64].into_iter().enumerate() {
+        let started = std::time::Instant::now();
+        let err = service.execute_text("chain", &chain_text(attrs)).unwrap_err();
+        assert!(started.elapsed() < std::time::Duration::from_secs(1), "{attrs} attributes");
+        let refused = adj::relational::Error::BudgetExceeded {
+            what: "attributes per planned query",
+            limit: 16,
+        };
+        assert!(matches!(&err, ServiceError::Exec(e) if *e == refused), "{attrs}: {err:?}");
+        assert_eq!(service.metrics().queries_failed, failed as u64 + 1);
+    }
+
+    // Walks of 15 edges, counted by dynamic programming over the edges.
+    let mut walks = vec![1u64; 26];
+    for _ in 0..15 {
+        let mut longer = vec![0u64; 26];
+        for &(from, to) in &edges {
+            longer[from as usize] += walks[to as usize];
+        }
+        walks = longer;
+    }
+    let out = service.execute_text("chain", &chain_text(16)).unwrap();
+    assert_eq!(out.output, QueryOutput::Count(walks.iter().sum()));
+    assert_eq!(service.metrics().queries_failed, 3);
+}

@@ -140,6 +140,17 @@ fn cold_optimize_span_shows_what_the_optimizer_shared() {
     assert!(arg("share_reused") > 0, "{:?}", spans[0].args);
     assert!(arg("tries_built") <= 2 * q.atoms.len() as u64, "{:?}", spans[0].args);
     assert_eq!(arg("sampler_errors"), 0);
+    // Every sub-join counts each distinct drawn value once: at most one
+    // value per draw, and fewer wherever draws repeat.
+    let draws = arg("subjoins_sampled") * SamplingConfig::default().samples as u64;
+    assert!(arg("sample_values") > 0, "{:?}", spans[0].args);
+    assert!(arg("sample_values") < draws, "{:?}", spans[0].args);
+    // Q5 has five attributes: at three workers one solve's lattice holds
+    // 3,652 vectors (product at most 64), and the pruned search scores a
+    // sliver of it across all its solves together.
+    assert!(arg("share_solves") > 0, "{:?}", spans[0].args);
+    assert!(arg("share_candidates") > 0, "{:?}", spans[0].args);
+    assert!(arg("share_candidates") < 3_652 / 10, "{:?}", spans[0].args);
 }
 
 #[test]
