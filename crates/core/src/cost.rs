@@ -551,11 +551,27 @@ mod tests {
     }
 
     fn estimator<'a>(db: &'a Database, q: &'a JoinQuery, tree: &'a GhdTree) -> CostEstimator<'a> {
+        estimator_with(db, q, tree, CostParams::default())
+    }
+
+    /// The cost model with the sampler's measured β left out: plain steps
+    /// are priced with the fixed `beta_extend`, whatever the machine's
+    /// speed or load while sampling.
+    fn fixed_beta() -> CostParams {
+        CostParams { measure_beta: false, ..Default::default() }
+    }
+
+    fn estimator_with<'a>(
+        db: &'a Database,
+        q: &'a JoinQuery,
+        tree: &'a GhdTree,
+        params: CostParams,
+    ) -> CostEstimator<'a> {
         CostEstimator::new(
             db,
             q,
             tree,
-            CostParams::default(),
+            params,
             1e7,
             4,
             None,
@@ -623,11 +639,30 @@ mod tests {
     fn precomputed_step_is_cheaper() {
         let (db, q) = setup();
         let tree = GhdTree::decompose(&q.hypergraph(), 3);
-        let est = estimator(&db, &q, &tree);
+        let est = estimator_with(&db, &q, &tree, fixed_beta());
         let prefix = 0b00111; // bindings over a,b,c
         let plain = est.cost_e_step(prefix, false);
         let pre = est.cost_e_step(prefix, true);
         assert!(pre < plain, "pre={pre} plain={plain}");
+    }
+
+    #[test]
+    fn a_measured_beta_replaces_the_fixed_one_once_recorded() {
+        let (db, q) = setup();
+        let tree = GhdTree::decompose(&q.hypergraph(), 3);
+        let prefix = 0b00111;
+        let params = fixed_beta();
+        let fixed = estimator_with(&db, &q, &tree, params);
+        let bindings = fixed.prefix_cardinality(prefix);
+        assert_eq!(fixed.beta_measured(), None, "a fixed model records no rate");
+        assert_eq!(fixed.cost_e_step(prefix, false), bindings / (params.beta_extend * 4.0));
+
+        let measured = estimator(&db, &q, &tree);
+        assert_eq!(measured.beta_measured(), None, "nothing sampled yet");
+        assert_eq!(measured.prefix_cardinality(prefix), bindings, "β never moves an estimate");
+        let beta = measured.beta_measured().expect("sampling records its rate");
+        assert_eq!(measured.cost_e_step(prefix, false), bindings / (beta * 4.0));
+        assert_eq!(measured.cost_e_step(prefix, true), bindings / (params.beta_trie * 4.0));
     }
 
     #[test]

@@ -37,7 +37,8 @@ use std::time::Instant;
 
 /// Per-trie-level span-arg key (`tuples_l0`, `seeks_l3`, `probes_l2`, …).
 /// The first eight levels — every practical join order — hit a static table
-/// so the gather span's per-level annotations record without allocating.
+/// so the worker and gather spans' per-level annotations record without
+/// allocating.
 fn level_key(kind: &str, i: usize) -> Cow<'static, str> {
     const TUPLES: [&str; 8] = [
         "tuples_l0",
@@ -71,9 +72,12 @@ fn level_key(kind: &str, i: usize) -> Cow<'static, str> {
     }
 }
 
-/// How often worker join sinks poll the cancellation token: one relaxed
-/// atomic load (plus the fault-injection gate) per this many emitted rows.
-pub const SINK_CHECK_EVERY: u64 = 1024;
+/// How often worker joins poll the cancellation token (plus the
+/// fault-injection gate): once per this many rows their sinks take, and
+/// once per this many bindings Leapfrog produces above the last level
+/// ([`adj_leapfrog::POLL_EVERY`]), so a query with a large intermediate and
+/// a small or empty result polls as often as one that emits rows.
+pub const SINK_CHECK_EVERY: u64 = adj_leapfrog::POLL_EVERY;
 
 /// Maps a fired token onto the workspace error type.
 fn cancel_err(c: adj_faults::Cancelled) -> Error {
@@ -83,10 +87,11 @@ fn cancel_err(c: adj_faults::Cancelled) -> Error {
 /// A [`RowSink`] adapter that polls a [`CancelToken`] (and the
 /// `JoinEnumerate` fault-injection site) every [`SINK_CHECK_EVERY`] rows,
 /// saturating when the token fires so Leapfrog stops enumerating instead of
-/// completing a doomed result. The join's stop hook re-checks the token
-/// after every binding and reports a binding it stopped during as
-/// incomplete, so a stop here always surfaces as [`Error::Cancelled`] —
-/// never as a silently truncated result.
+/// completing a doomed result. The join's stop hook polls the same site
+/// between bindings and every [`SINK_CHECK_EVERY`] bindings inside one,
+/// re-checks the token after every binding and reports a binding it
+/// stopped during as incomplete, so a stop here always surfaces as
+/// [`Error::Cancelled`] — never as a silently truncated result.
 ///
 /// Rows counted in bulk ([`RowSink::push_count`], forwarded with
 /// [`RowSink::counts_only`]) are polled like as many single rows: one poll
@@ -335,7 +340,8 @@ struct SlotAcc {
 
 /// One worker's join: [`LeapfrogJoin::run_batch`] over the `n_rows`
 /// driver rows (`rows`, flat), each row streaming into its own `S` sink
-/// behind a [`CancelSink`] (the token is also polled between rows);
+/// behind a [`CancelSink`] (the join's stop hook also polls the token
+/// between rows and every [`SINK_CHECK_EVERY`] bindings inside one);
 /// `finish` turns a completed row's sink into its payload.
 fn join_rows<S: RowSink>(
     join: &LeapfrogJoin<Arc<Trie>>,
@@ -346,7 +352,10 @@ fn join_rows<S: RowSink>(
 ) -> Result<WorkerOut> {
     let mut sinks: Vec<CancelSink<'_, S>> =
         (0..n_rows).map(|_| CancelSink::new(new_sink(), cancel)).collect();
-    let stop = &mut || cancel.check().is_err();
+    let stop = &mut || {
+        adj_faults::inject(FaultSite::JoinEnumerate, cancel);
+        cancel.check().is_err()
+    };
     let outcome = join.run_batch(bound_attrs, rows, &mut sinks, &mut JoinScratch::new(), stop)?;
     let slots = sinks.into_iter().take(outcome.completed).map(|s| finish(s.inner)).collect();
     Ok((slots, outcome.counters, outcome.completed))
@@ -411,15 +420,15 @@ fn join_rows<S: RowSink>(
 /// **`ctx.cancel`** is polled at every fault-injection checkpoint of the
 /// execution — per cold atom and every few thousand routed rows in the
 /// shuffle, per worker, between bindings and every `SINK_CHECK_EVERY`
-/// (1024) emitted rows during join enumeration — so a fired token
-/// (explicit cancel or elapsed deadline) aborts within a bounded amount of
-/// work. Before the join that fails the call with [`Error::Cancelled`];
-/// during it, bindings every worker completed keep their results and the
-/// rest carry [`Error::Cancelled`]. A cancelled execution never publishes
-/// partial artifacts: the shuffle checks the token before inserting into
-/// the index cache, and bag publication happens only after its round
-/// completed. Worker panics are isolated per slot
-/// ([`adj_cluster::WorkerFailure`]) and surface as
+/// (1024) bindings above the last level or emitted rows during join
+/// enumeration — so a fired token (explicit cancel or elapsed deadline)
+/// aborts within a bounded amount of work. Before the join that fails the
+/// call with [`Error::Cancelled`]; during it, bindings every worker
+/// completed keep their results and the rest carry [`Error::Cancelled`].
+/// A cancelled execution never publishes partial artifacts: the shuffle
+/// checks the token before inserting into the index cache, and bag
+/// publication happens only after its round completed. Worker panics are
+/// isolated per slot ([`adj_cluster::WorkerFailure`]) and surface as
 /// [`Error::WorkerPanicked`].
 ///
 /// **`ctx.tracer`** records a `precompute` span per bag round
@@ -429,10 +438,10 @@ fn join_rows<S: RowSink>(
 /// `shuffle` span instead), the shuffle's own spans (see
 /// [`hcube_shuffle_round`]), a `computation` span over the worker dispatch
 /// with one `join` span per worker lane (annotated with that worker's
-/// output tuples, trie-operation counts, dance gallops, table probes,
-/// value-table builds and completed bindings), and a `gather` span over the
-/// merge and the shaping of the outputs (per-level tuples, seeks and
-/// probes, binding counts and output tuples).
+/// per-level tuples and probes, output tuples, trie-operation counts, dance
+/// gallops, table probes, value-table builds and completed bindings), and
+/// a `gather` span over the merge and the shaping of the outputs
+/// (per-level tuples, seeks and probes, binding counts and output tuples).
 pub fn execute_plan(
     cluster: &Cluster,
     db: &Database,
@@ -509,8 +518,9 @@ pub fn execute_plan(
     let rows = (bound_attrs.as_slice(), driver_rows.as_slice(), n_rows);
     let computation_span = tracer.span(COORDINATOR_LANE, "computation");
     let run = cluster.run_traced(tracer, "join", |w, span| -> Result<WorkerOut> {
-        // At least one fault/cancellation checkpoint per worker, then one
-        // per binding in the driver's stop hook and one per
+        // At least one fault/cancellation checkpoint per worker, then the
+        // driver's stop hook around every binding and once per
+        // SINK_CHECK_EVERY bindings inside one, and one per
         // SINK_CHECK_EVERY emitted rows inside the sinks.
         adj_faults::inject(FaultSite::JoinEnumerate, cancel);
         cancel.check().map_err(cancel_err)?;
@@ -537,6 +547,12 @@ pub fn execute_plan(
         };
         if span.is_recording() {
             let c = &out.1;
+            for (i, &t) in c.tuples_per_level.iter().enumerate() {
+                span.arg(level_key("tuples", i), t);
+            }
+            for (i, &p) in c.stats.probes_per_level.iter().enumerate() {
+                span.arg(level_key("probes", i), p);
+            }
             span.arg("output_tuples", c.output_tuples);
             span.arg("intersect_ops", c.intersect_ops);
             span.arg("seeks", c.stats.total_seeks());

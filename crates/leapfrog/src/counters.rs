@@ -33,12 +33,19 @@ pub struct JoinCounters {
 /// The last free level of a join moves no cursor — it intersects the
 /// participants' child runs in place — so it records no opens and no
 /// seeks; its work shows in `intersect_ops` and `probes_per_level` alone.
+/// Under a counting sink the level above it moves none either for its
+/// matches: it counts the last level in its own loop, from the offsets its
+/// intersection recorded, and records no seeks.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JoinStats {
     /// Cursor positionings per level: one per participant per binding the
     /// join descends into. At a free interior level that is an O(1)
     /// `TrieCursor::jump` to the offset the intersection recorded; on a
-    /// bound join's bound prefix it is a forward `TrieCursor::seek`.
+    /// bound join's bound prefix it is a forward `TrieCursor::seek`. A
+    /// binding counted in place — a match of the level above a counted
+    /// last level, whose last-level runs are read straight from the
+    /// recorded offsets — is not descended into and records none, so a
+    /// count's seeks stop one level above a row enumeration's.
     pub seeks_per_level: Vec<u64>,
     /// `TrieCursor::open` calls per level (descending into a child range
     /// over the full domain) — interior free levels and a bound join's bound

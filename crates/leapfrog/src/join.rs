@@ -23,6 +23,20 @@
 //!   ([`RowSink::counts_only`]) receives the intersection's size in one
 //!   [`RowSink::push_count`], and no value is written; any other sink
 //!   receives one row per matched value.
+//! * **A counted last level is counted in its parent's loop.** Under a
+//!   counting sink, the level above the last one does not descend into its
+//!   matches at all. Per match it reads each varying last-level
+//!   participant's child run straight from the offset its own intersection
+//!   recorded ([`TrieCursor::child_run_at`]), reads the invariant ones once
+//!   per loop, and counts their intersection with a count-only kernel
+//!   ([`leapfrog_count`], [`probe_count`]). No cursor moves for such a
+//!   match, so it records no `seeks`. Readiness is settled once per loop:
+//!   the invariant runs keep one key for the whole loop, so once their
+//!   tables are built (or found unfit) the remaining matches check only the
+//!   driver-length rule below, and probe or dance exactly where a
+//!   descending walk would. Only a last level with no free parent loop — a
+//!   one-level join, or a last level below a bound level — is counted on
+//!   its own.
 //! * **Runs that stand still are probed, not galloped into.** A
 //!   participant's run at level `L` is read under its cursor's position at
 //!   its previous participating level (bound levels count). When that level
@@ -49,7 +63,9 @@
 //! buffers, so a warm join allocates nothing per trie node.
 
 use crate::counters::{JoinCounters, JoinStats};
-use adj_relational::intersect::{leapfrog_matches, probe_matches, with_slots, ValueTable};
+use adj_relational::intersect::{
+    leapfrog_count, leapfrog_matches, probe_count, probe_matches, with_slots, ValueTable,
+};
 use adj_relational::{Attr, CountSink, Error, FnSink, Result, RowSink, Trie, TrieCursor, Value};
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,11 +119,11 @@ pub fn validate_tries<T: Borrow<Trie>>(order: &[Attr], tries: &[T]) -> Result<Ve
 /// tables.
 ///
 /// The Leapfrog inner loop produces one candidate list per level per
-/// binding; allocating a fresh `Vec<Value>` for each would dominate
-/// steady-state enumeration on small per-worker fragments. A `JoinScratch`
-/// keeps one pair of buffers per query level (reused across sibling
-/// bindings and across joins), so enumeration is allocation-free once the
-/// buffers reach their high-water marks. It also keeps one value table per
+/// binding; allocating a fresh `Vec` for each would dominate steady-state
+/// enumeration on small per-worker fragments. A `JoinScratch` keeps one
+/// level's buffers per query level (reused across sibling bindings and
+/// across joins), so enumeration is allocation-free once the buffers reach
+/// their high-water marks. It also keeps one value table per
 /// (level, participant) slot for the probe kernel. A table is keyed by the
 /// join and the run it indexes, so a scratch reused across joins — even
 /// over tries dropped and rebuilt at the same addresses — never trusts a
@@ -120,10 +136,12 @@ pub struct JoinScratch {
 /// One level's intersection, as the position-carrying kernel writes it.
 #[derive(Debug, Default)]
 struct LevelScratch {
-    /// The matched values, ascending.
+    /// The last level's matched values, ascending, for a sink that takes
+    /// rows.
     values: Vec<Value>,
-    /// Per match `m`, participant `i`'s offset of `values[m]` in its run, at
-    /// `positions[m * k + i]` for `k` participants.
+    /// At a level above the last: per match `m`, participant `i`'s offset
+    /// of the matched value in its run, at `positions[m * k + i]` for `k`
+    /// participants.
     positions: Vec<usize>,
     /// The level's invariant-run tables.
     tables: LevelTables,
@@ -158,6 +176,24 @@ enum TableState {
 const DRIVER_RATIO: usize = 4;
 const DRIVER_SLACK: usize = 8;
 
+/// Whether a driving run of `len` values may probe invariant runs whose
+/// shortest holds `shortest`: it may not when an invariant run is empty,
+/// or when the driver is too long for probing to pay.
+#[inline]
+fn driver_fits(len: usize, shortest: usize) -> bool {
+    shortest > 0 && len <= DRIVER_RATIO * shortest + DRIVER_SLACK
+}
+
+/// The length of the shortest run but `runs[driver]`.
+fn shortest_invariant(runs: &[&[Value]], driver: usize) -> usize {
+    let others = runs.iter().enumerate().filter(|&(i, _)| i != driver);
+    others.map(|(_, run)| run.len()).min().unwrap_or(0)
+}
+
+/// How often, in bindings produced at levels above the last, a traversal
+/// polls its stop hook ([`LeapfrogJoin::run_batch`]'s `stop`).
+pub const POLL_EVERY: u64 = 1024;
+
 /// One level's value tables, one slot per participant (the driver's slot
 /// stays unused).
 #[derive(Debug, Default)]
@@ -178,16 +214,14 @@ impl LevelTables {
         driver: usize,
         stats: &mut JoinStats,
     ) -> bool {
-        let shortest = runs
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != driver)
-            .map(|(_, run)| run.len())
-            .min()
-            .unwrap_or(0);
-        if shortest == 0 || runs[driver].len() > DRIVER_RATIO * shortest + DRIVER_SLACK {
-            return false;
-        }
+        driver_fits(runs[driver].len(), shortest_invariant(runs, driver))
+            && self.ask(join, runs, driver, stats)
+    }
+
+    /// [`LevelTables::ready`] past the driver-length rule: asks for every
+    /// run but `runs[driver]`, moving each slot one step towards a built
+    /// or unfit table.
+    fn ask(&mut self, join: u64, runs: &[&[Value]], driver: usize, stats: &mut JoinStats) -> bool {
         if self.seen.len() < runs.len() {
             self.seen.resize(runs.len(), Default::default());
             self.tables.resize_with(runs.len(), ValueTable::new);
@@ -219,6 +253,14 @@ impl LevelTables {
         }
         ready
     }
+
+    /// Whether the last [`LevelTables::ask`] over `k` runs left every slot
+    /// but `driver`'s built or unfit: asked again for the same runs, it
+    /// would change nothing and answer the same.
+    fn settled(&self, driver: usize, k: usize) -> bool {
+        let slots = self.seen[..k].iter().enumerate().filter(|&(i, _)| i != driver);
+        slots.into_iter().all(|(_, &(_, state))| state != TableState::Seen)
+    }
 }
 
 impl JoinScratch {
@@ -237,8 +279,8 @@ impl JoinScratch {
 }
 
 /// What one traversal threads through every level: a cursor per trie, the
-/// binding under construction, the counters, and how many more bindings a
-/// budgeted count may produce.
+/// binding under construction, the counters, how many more bindings a
+/// budgeted count may produce, and the hook that may stop it.
 struct Walk<'t> {
     cursors: Vec<TrieCursor<'t>>,
     binding: Vec<Value>,
@@ -248,9 +290,29 @@ struct Walk<'t> {
     budget: u64,
     /// Whether the walk stopped because it ran out of budget.
     over_budget: bool,
+    /// Polled once per [`POLL_EVERY`] bindings above the last level; the
+    /// walk stops once it returns `true`.
+    stop: &'t mut dyn FnMut() -> bool,
+    /// Bindings left until the next poll of `stop`.
+    until_poll: u64,
+    /// Whether `stop` stopped the walk.
+    stopped: bool,
 }
 
 impl Walk<'_> {
+    /// Counts one binding above the last level towards the next poll of
+    /// the stop hook. Returns `false`, stopping the walk, once it fires.
+    #[inline]
+    fn visit(&mut self) -> bool {
+        self.until_poll -= 1;
+        if self.until_poll > 0 {
+            return true;
+        }
+        self.until_poll = POLL_EVERY;
+        self.stopped = (self.stop)();
+        !self.stopped
+    }
+
     /// Records `n` bindings produced at `level`. Returns `false`, stopping
     /// the walk, once they overrun the budget — the level's tuples are still
     /// counted, so an over-budget walk's counters are a lower bound.
@@ -268,6 +330,32 @@ impl Walk<'_> {
 
 /// The placeholder a level's run list starts from.
 const NO_RUN: &[Value] = &[];
+
+/// The size of one last-level intersection: probed, driven by
+/// `runs[d]`, when `probe` is `Some(d)` (its invariant runs' tables
+/// ready), danced otherwise, with the work counted as
+/// `LeapfrogJoin::intersect` counts it.
+#[inline(always)]
+fn count_runs(
+    level: usize,
+    runs: &[&[Value]],
+    probe: Option<usize>,
+    tables: &[ValueTable],
+    counters: &mut JoinCounters,
+) -> u64 {
+    match probe {
+        Some(driver) => {
+            let (n, probes) = probe_count(runs, driver, tables);
+            counters.stats.probes_per_level[level] += probes;
+            n
+        }
+        None => {
+            let (n, ops) = leapfrog_count(runs);
+            counters.intersect_ops += ops;
+            n
+        }
+    }
+}
 
 /// Gives every join its own identity, so table keys never match across
 /// joins. `Relaxed` suffices: the id publishes no other data, and
@@ -330,6 +418,12 @@ pub struct LeapfrogJoin<T: Borrow<Trie>> {
     /// For each query level: the probe kernel's driving participant, if the
     /// level probes its invariant runs (see [`probe_drivers`]).
     drivers: Vec<Option<usize>>,
+    /// The last level's varying participants, as `(slot, trie, parent
+    /// slot)`: their place among the last level's participants, their trie,
+    /// and their place among the level above's participants, whose
+    /// intersection offsets address their child runs. Empty for a join of
+    /// one level.
+    last_varying: Vec<(usize, usize, usize)>,
 }
 
 impl<T: Borrow<Trie>> LeapfrogJoin<T> {
@@ -337,12 +431,21 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     pub fn new(order: &[Attr], tries: Vec<T>) -> Result<Self> {
         let participants = validate_tries(order, &tries)?;
         let drivers = probe_drivers(order, &tries, &participants);
+        // A trie's levels follow `order`, so a last-level participant
+        // varies exactly when it takes part in the level above too.
+        let last_varying = match participants.as_slice() {
+            [.., parent, last] => (last.iter().enumerate())
+                .filter_map(|(i, p)| Some((i, *p, parent.iter().position(|q| q == p)?)))
+                .collect(),
+            _ => Vec::new(),
+        };
         Ok(LeapfrogJoin {
             id: NEXT_JOIN_ID.fetch_add(1, Ordering::Relaxed),
             order: order.to_vec(),
             tries,
             participants,
             drivers,
+            last_varying,
         })
     }
 
@@ -351,9 +454,9 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         self.order.len()
     }
 
-    /// A walk from the trie roots under `budget`, or `None` when an input
-    /// trie is empty — and with it the join.
-    fn walk(&self, budget: u64) -> Option<Walk<'_>> {
+    /// A walk from the trie roots under `budget`, polling `stop`, or `None`
+    /// when an input trie is empty — and with it the join.
+    fn walk<'t>(&'t self, budget: u64, stop: &'t mut dyn FnMut() -> bool) -> Option<Walk<'t>> {
         if self.tries.iter().any(|t| t.borrow().tuples() == 0) {
             return None;
         }
@@ -363,6 +466,9 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             counters: JoinCounters::new(self.levels()),
             budget,
             over_budget: false,
+            stop,
+            until_poll: POLL_EVERY,
+            stopped: false,
         })
     }
 
@@ -382,7 +488,8 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// counts the tuples actually emitted, which on a short-circuited run
     /// is less than the full result cardinality.
     pub fn join_into(&self, sink: &mut dyn RowSink) -> JoinCounters {
-        let Some(mut walk) = self.walk(u64::MAX).filter(|_| !sink.saturated()) else {
+        let mut never = || false;
+        let Some(mut walk) = self.walk(u64::MAX, &mut never).filter(|_| !sink.saturated()) else {
             return JoinCounters::new(self.levels());
         };
         let mut scratch = JoinScratch::new();
@@ -392,14 +499,15 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     }
 
     /// The traversal every caller drives. Returns `false` once the sink
-    /// saturates or the walk's budget runs out, so every enclosing level
-    /// stops iterating its candidates. `scratch` holds one buffer pair per
-    /// remaining level (`scratch[0]` is this level's), reused across
-    /// sibling bindings. `bound` maps levels to pinned constants (empty for
-    /// a free join; [`LeapfrogJoin::run_batch`] fills it per binding for the
-    /// bound levels behind its bound prefix). A bound level seeks its
-    /// constant in every participant ([`TrieCursor::open_at`]) instead of
-    /// intersecting candidate runs.
+    /// saturates, the walk's budget runs out or its stop hook fires, so
+    /// every enclosing level stops iterating its candidates. `scratch`
+    /// holds one level's buffers per remaining level (`scratch[0]` is
+    /// this level's), reused across sibling bindings. `bound` maps levels
+    /// to pinned constants (empty for a free join;
+    /// [`LeapfrogJoin::run_batch`] fills it per binding for the bound
+    /// levels behind its bound prefix). A bound level seeks its constant in
+    /// every participant ([`TrieCursor::open_at`]) instead of intersecting
+    /// candidate runs.
     fn recurse_sink(
         &self,
         level: usize,
@@ -434,7 +542,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                         walk.counters.output_tuples += 1;
                         sink.push(&walk.binding)
                     } else {
-                        self.recurse_sink(level + 1, walk, sink, deeper, bound)
+                        walk.visit() && self.recurse_sink(level + 1, walk, sink, deeper, bound)
                     }
                 };
             }
@@ -452,26 +560,33 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             }
             if ok {
                 let k = ps.len();
-                let LevelScratch { values, positions, tables } = buf;
-                values.clear();
+                let LevelScratch { positions, tables, .. } = buf;
                 positions.clear();
                 with_slots(k, NO_RUN, |runs| {
                     for (run, &p) in runs.iter_mut().zip(ps) {
                         *run = walk.cursors[p].run();
                     }
-                    self.intersect(level, runs, tables, &mut walk.counters, |v, at| {
-                        values.push(v);
+                    self.intersect(level, runs, tables, &mut walk.counters, |_, at| {
                         positions.extend_from_slice(at);
                     });
                 });
-                keep_going = walk.produce(level, values.len() as u64);
-                if keep_going {
-                    for (&v, at) in values.iter().zip(positions.chunks_exact(k)) {
+                keep_going = walk.produce(level, (positions.len() / k) as u64);
+                let counted_last = level + 2 == self.levels()
+                    && bound.get(level + 1).copied().flatten().is_none()
+                    && sink.counts_only();
+                if keep_going && counted_last {
+                    keep_going = self.count_last(positions, k, walk, sink, &mut deeper[0]);
+                } else if keep_going {
+                    for at in positions.chunks_exact(k) {
+                        if !walk.visit() {
+                            keep_going = false;
+                            break;
+                        }
                         walk.counters.stats.seeks_per_level[level] += k as u64;
                         for (&p, &offset) in ps.iter().zip(at) {
                             walk.cursors[p].jump(offset);
                         }
-                        walk.binding[level] = v;
+                        walk.binding[level] = walk.cursors[ps[0]].key();
                         keep_going = self.recurse_sink(level + 1, walk, sink, deeper, bound);
                         if !keep_going {
                             break;
@@ -510,10 +625,73 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         counters.intersect_ops += leapfrog_matches(runs, on_match);
     }
 
+    /// The last level counted inside its parent's loop, for a sink that
+    /// only counts (see the module docs): one count per match of the level
+    /// above, whose intersection offsets `positions` holds (`k` per match).
+    /// Each count is produced, added to the output and pushed (when not
+    /// zero) as a descending walk's last level would; `false` once the
+    /// walk or the sink stops.
+    fn count_last(
+        &self,
+        positions: &[usize],
+        k: usize,
+        walk: &mut Walk<'_>,
+        sink: &mut dyn RowSink,
+        buf: &mut LevelScratch,
+    ) -> bool {
+        let level = self.levels() - 1;
+        let ps = &self.participants[level];
+        let tables = &mut buf.tables;
+        with_slots(ps.len(), NO_RUN, |runs| {
+            // The invariant runs stand still for the whole loop; the varying
+            // ones are read again per match.
+            for (run, &p) in runs.iter_mut().zip(ps) {
+                *run = walk.cursors[p].child_run();
+            }
+            let driver = self.drivers[level];
+            let shortest = driver.map_or(0, |d| shortest_invariant(runs, d));
+            // Whether the invariant runs' tables are ready, once no further
+            // ask can change the answer.
+            let mut settled = None;
+            for at in positions.chunks_exact(k) {
+                if !walk.visit() {
+                    return false;
+                }
+                for &(i, p, j) in &self.last_varying {
+                    runs[i] = walk.cursors[p].child_run_at(at[j]);
+                }
+                let probe = driver.filter(|&d| {
+                    if !driver_fits(runs[d].len(), shortest) {
+                        return false;
+                    }
+                    if let Some(ready) = settled {
+                        return ready;
+                    }
+                    let ready = tables.ask(self.id, runs, d, &mut walk.counters.stats);
+                    if tables.settled(d, runs.len()) {
+                        settled = Some(ready);
+                    }
+                    ready
+                });
+                let n = count_runs(level, runs, probe, &tables.tables, &mut walk.counters);
+                if !walk.produce(level, n) {
+                    return false;
+                }
+                walk.counters.output_tuples += n;
+                if n != 0 && !sink.push_count(n) {
+                    return false;
+                }
+            }
+            true
+        })
+    }
+
     /// The last free level: intersects the participants' child runs where
     /// they lie. A counting sink takes the intersection's size in one
     /// step; any other sink takes one row per matched value. No cursor
-    /// moves, so the level records no opens or seeks.
+    /// moves, so the level records no opens or seeks. A counted last level
+    /// with a free level above is counted in that level's loop instead
+    /// ([`LeapfrogJoin::count_last`]).
     fn last_level(
         &self,
         ps: &[usize],
@@ -528,8 +706,9 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                 *run = walk.cursors[p].child_run();
             }
             if sink.counts_only() {
-                let mut n = 0u64;
-                self.intersect(level, runs, tables, &mut walk.counters, |_, _| n += 1);
+                let stats = &mut walk.counters.stats;
+                let probe = self.drivers[level].filter(|&d| tables.ready(self.id, runs, d, stats));
+                let n = count_runs(level, runs, probe, &tables.tables, &mut walk.counters);
                 if !walk.produce(level, n) {
                     return false;
                 }
@@ -566,7 +745,8 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// can produce cross-product-sized intermediate sets that would run for
     /// hours.
     pub fn count_with_budget(&self, max_total_bindings: u64) -> (bool, JoinCounters) {
-        let Some(mut walk) = self.walk(max_total_bindings) else {
+        let mut never = || false;
+        let Some(mut walk) = self.walk(max_total_bindings, &mut never) else {
             return (true, JoinCounters::new(self.levels()));
         };
         let mut scratch = JoinScratch::new();
@@ -594,7 +774,8 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         scratch: &mut JoinScratch,
     ) -> (u64, JoinCounters) {
         let levels = self.levels();
-        let Some(mut walk) = self.walk(u64::MAX) else {
+        let mut never = || false;
+        let Some(mut walk) = self.walk(u64::MAX, &mut never) else {
             return (0, JoinCounters::new(levels));
         };
         debug_assert!(draws.windows(2).all(|w| w[0].0 < w[1].0), "draws ascend, distinct");
@@ -664,11 +845,13 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// parameter.
     ///
     /// A binding whose prefix constant misses a trie completes with an
-    /// empty result. `stop` is polled between bindings; once it returns
-    /// `true` the run aborts, and the outcome says how many leading
-    /// bindings completed (a binding during which `stop` flipped is
-    /// reported incomplete, since a cancelling sink may have truncated its
-    /// output).
+    /// empty result. `stop` is polled between bindings, and inside one
+    /// once per [`POLL_EVERY`] bindings produced above the last level, so
+    /// a binding with a large intermediate and a small result is stopped
+    /// too. Once it returns `true` the run aborts, and the outcome says how
+    /// many leading bindings completed (a binding during which `stop`
+    /// flipped is reported incomplete, since a cancelling sink may have
+    /// truncated its output).
     pub fn run_batch<S: RowSink>(
         &self,
         bound_attrs: &[Attr],
@@ -696,7 +879,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             "bindings must be sorted and deduplicated"
         );
 
-        let Some(mut walk) = self.walk(u64::MAX) else {
+        let Some(mut walk) = self.walk(u64::MAX, stop) else {
             // Every binding trivially completes with an empty result.
             return Ok(BatchOutcome { completed: n, counters: JoinCounters::new(levels) });
         };
@@ -716,7 +899,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         let mut completed = 0usize;
 
         for (i, sink) in sinks.iter_mut().enumerate() {
-            if stop() {
+            if (walk.stop)() {
                 break;
             }
             if sink.saturated() {
@@ -785,7 +968,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                     self.recurse_sink(p, &mut walk, sink, &mut bufs[p..], &interior);
                 }
             }
-            if stop() {
+            if walk.stopped || (walk.stop)() {
                 break;
             }
             completed = i + 1;
@@ -1099,6 +1282,182 @@ mod tests {
         let mixed = |v: Value| if v.is_multiple_of(2) { v } else { u32::MAX - v };
         let half: Vec<(Value, Value)> = small.iter().map(|&(x, y)| (mixed(x), mixed(y))).collect();
         assert_eq!(count(&half).0, n);
+    }
+
+    #[test]
+    fn a_budget_spent_inside_the_counted_last_level_stops_there() {
+        let edges: Vec<(Value, Value)> = (0..300u32)
+            .flat_map(|i| vec![(i % 37, (i * 7 + 1) % 37), (i % 37, (i * 11 + 5) % 37)])
+            .collect();
+        let tries = four_cycle(&edges);
+        let join = LeapfrogJoin::new(&order(&[0, 1, 2, 3]), tries.iter().collect()).unwrap();
+        let (n, full) = join.count();
+        let total = full.total_tuples();
+        assert!(n > 0 && full.stats.probes_per_level[3] > 0);
+
+        // Every smaller budget runs out. One that runs out on a count of
+        // the last level — made inside level 2's loop — has produced that
+        // count but never added it to the output.
+        let mut in_the_loop = 0;
+        for budget in 0..total {
+            let (completed, partial) = join.count_with_budget(budget);
+            assert!(!completed, "budget {budget}");
+            let levels = partial.tuples_per_level.iter().zip(&full.tuples_per_level);
+            for (level, (&got, &all)) in levels.enumerate() {
+                assert!(got <= all, "budget {budget}, level {level}: {got} > {all}");
+            }
+            if partial.tuples_per_level[3] > partial.output_tuples {
+                in_the_loop += 1;
+            }
+        }
+        assert!(in_the_loop > 0, "no budget ran out on a counted last level");
+
+        let (completed, exact) = join.count_with_budget(total);
+        assert!(completed);
+        assert_eq!(exact, full, "a budget of exactly the total changes nothing");
+    }
+
+    /// A join over `a, x` whose last level has more participants than
+    /// [`INLINE_RUNS`](adj_relational::intersect::INLINE_RUNS): `varying`
+    /// copies of the edges `(a, x)` and `unary` unary relations over `x`.
+    fn wide_last_level(varying: usize, unary: usize) -> Vec<Trie> {
+        let edges: Vec<(Value, Value)> = (0..200u32).map(|i| (i % 13, (i * 7 + 3) % 41)).collect();
+        let ord = order(&[0, 1]);
+        let binary = Relation::from_pairs(Attr(0), Attr(1), &edges);
+        let mut tries: Vec<Trie> =
+            (0..varying).map(|_| binary.trie_under_order(&ord).unwrap()).collect();
+        for u in 0..unary as u32 {
+            let rows: Vec<[Value; 1]> = (0..41).filter(|&x| x != u).map(|x| [x]).collect();
+            let rows: Vec<&[Value]> = rows.iter().map(|r| &r[..]).collect();
+            let rel = Relation::from_rows(Schema::from_ids(&[1]), &rows).unwrap();
+            tries.push(Trie::build(&rel));
+        }
+        tries
+    }
+
+    #[test]
+    fn a_last_level_past_the_inline_runs_counts_on_the_heap() {
+        use adj_relational::intersect::INLINE_RUNS;
+        let ord = order(&[0, 1]);
+        // One varying run probing many invariant ones, then many varying
+        // runs dancing.
+        for (varying, unary) in [(1, INLINE_RUNS + 2), (INLINE_RUNS + 1, 2)] {
+            let tries = wide_last_level(varying, unary);
+            let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
+            assert!(join.participants[1].len() > INLINE_RUNS);
+            let (n, counted) = join.count();
+            let mut rows = adj_relational::RowBuffer::new(2);
+            let enumerated = join.join_into(&mut rows);
+            assert_eq!(n as usize, rows.len(), "{varying} varying, {unary} unary");
+            assert!(n > 0);
+            assert_eq!(counted.tuples_per_level, enumerated.tuples_per_level);
+            assert_eq!(counted.intersect_ops, enumerated.intersect_ops);
+            assert_eq!(counted.stats.probes_per_level, enumerated.stats.probes_per_level);
+            assert_eq!(counted.stats.table_builds, enumerated.stats.table_builds);
+            let probed = counted.stats.probes_per_level[1] > 0;
+            assert_eq!(probed, varying == 1, "one varying run drives a probe");
+        }
+    }
+
+    #[test]
+    fn last_levels_without_a_free_parent_count_through_run_batch() {
+        // A join of one level: the intersection of two unary relations.
+        let unary = |xs: &[Value]| {
+            let rows: Vec<[Value; 1]> = xs.iter().map(|&x| [x]).collect();
+            let rows: Vec<&[Value]> = rows.iter().map(|r| &r[..]).collect();
+            Trie::build(&Relation::from_rows(Schema::from_ids(&[0]), &rows).unwrap())
+        };
+        let (u, v) = (unary(&[1, 3, 5, 7, 9]), unary(&[3, 4, 5, 9, 12]));
+        let join = LeapfrogJoin::new(&order(&[0]), vec![&u, &v]).unwrap();
+        let mut sink = [CountSink::new()];
+        let mut scratch = JoinScratch::new();
+        let outcome = join.run_batch(&[], &[], &mut sink, &mut scratch, &mut || false).unwrap();
+        assert_eq!((outcome.completed, sink[0].count()), (1, 3));
+        assert_eq!(outcome.counters.output_tuples, 3);
+
+        // A last level below a bound level: behind the bound prefix, and
+        // behind a bound level that follows a free one.
+        let (r1, r2, r3) = batch_graph();
+        let ord = order(&[0, 1, 2]);
+        let tries = tries_for(&[&r1, &r2, &r3], &ord);
+        let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        join.run(|t| rows.push(t.to_vec()));
+        // Bindings that hit, and one that misses, for each bound set.
+        let pick = |cols: &[usize]| {
+            let mut bindings: Vec<Vec<Value>> = [0, rows.len() / 2, rows.len() - 1]
+                .iter()
+                .map(|&r| cols.iter().map(|&c| rows[r][c]).collect())
+                .collect();
+            bindings.push(vec![99; cols.len()]);
+            bindings.sort();
+            bindings.dedup();
+            bindings
+        };
+        for (attrs, bindings) in
+            [(vec![Attr(0), Attr(1)], pick(&[0, 1])), (vec![Attr(1)], pick(&[1]))]
+        {
+            let expect = looped_bound(&ord, &tries, &attrs, &bindings);
+            let mut sinks: Vec<CountSink> = bindings.iter().map(|_| CountSink::new()).collect();
+            let flat = bindings.concat();
+            let outcome =
+                join.run_batch(&attrs, &flat, &mut sinks, &mut scratch, &mut || false).unwrap();
+            assert_eq!(outcome.completed, bindings.len());
+            let counts: Vec<usize> = sinks.iter().map(|s| s.count() as usize).collect();
+            let want: Vec<usize> = expect.iter().map(Vec::len).collect();
+            assert_eq!(counts, want, "{attrs:?}");
+            assert!(want.iter().any(|&n| n > 0), "{attrs:?}: some binding has results");
+        }
+    }
+
+    #[test]
+    fn the_stop_hook_is_polled_inside_a_binding() {
+        // The complete bipartite graph K_{40,40}, edges both ways: 3,200
+        // bindings above the last level and no triangle, so no sink is
+        // ever offered a row.
+        let edges: Vec<(Value, Value)> =
+            (0..40).flat_map(|x| (40..80).flat_map(move |y| [(x, y), (y, x)])).collect();
+        let r1 = Relation::from_pairs(Attr(0), Attr(1), &edges);
+        let r2 = Relation::from_pairs(Attr(1), Attr(2), &edges);
+        let r3 = Relation::from_pairs(Attr(0), Attr(2), &edges);
+        let ord = order(&[0, 1, 2]);
+        let tries = tries_for(&[&r1, &r2, &r3], &ord);
+        let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
+        let (n, full) = join.count();
+        let above: u64 = full.tuples_per_level[..2].iter().sum();
+        assert_eq!((n, full.tuples_per_level[1]), (0, 3200));
+
+        for sink in [0, 1] {
+            let run = |stop: &mut dyn FnMut() -> bool| {
+                let mut counting = [CountSink::new()];
+                let mut rows = [adj_relational::RowBuffer::new(3)];
+                let mut scratch = JoinScratch::new();
+                let outcome = if sink == 0 {
+                    join.run_batch(&[], &[], &mut counting, &mut scratch, stop)
+                } else {
+                    join.run_batch(&[], &[], &mut rows, &mut scratch, stop)
+                };
+                outcome.unwrap()
+            };
+            let mut polls = 0u64;
+            let outcome = run(&mut || {
+                polls += 1;
+                false
+            });
+            assert_eq!(outcome.completed, 1);
+            // Before and after the binding, and once per POLL_EVERY
+            // bindings inside it.
+            assert_eq!(polls, 2 + above / POLL_EVERY, "sink {sink}");
+
+            // Firing at the first poll inside the binding stops it there.
+            let mut polls = 0u64;
+            let outcome = run(&mut || {
+                polls += 1;
+                polls == 2
+            });
+            assert_eq!((outcome.completed, polls), (0, 2), "sink {sink}");
+            assert!(outcome.counters.tuples_per_level[1] < 3200, "sink {sink}");
+        }
     }
 
     #[test]

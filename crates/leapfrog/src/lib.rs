@@ -20,4 +20,4 @@ pub mod reference;
 
 pub use cached::CachedJoin;
 pub use counters::{JoinCounters, JoinStats};
-pub use join::{validate_tries, BatchOutcome, JoinScratch, LeapfrogJoin};
+pub use join::{validate_tries, BatchOutcome, JoinScratch, LeapfrogJoin, POLL_EVERY};

@@ -13,6 +13,10 @@
 //! found; its last level only counts the matches, or writes the values.
 //! [`leapfrog_intersect`] is the dance writing values.
 //!
+//! A caller that needs only *how many* values the runs share calls the
+//! count-only kernels, [`leapfrog_count`] and [`probe_count`]: the same
+//! gallops and lookups as the dance and the probe, and no offset written.
+//!
 //! Beside the dance sits the **probe kernel**, [`probe_matches`]. When every
 //! run but one is indexed by a dense value → offset [`ValueTable`], it walks
 //! the one un-indexed run (the *driver*) and answers each other run with one
@@ -125,51 +129,76 @@ pub fn leapfrog_matches(runs: &[&[Value]], mut on_match: impl FnMut(Value, &[usi
     }
 }
 
+/// How many values `runs` share, and the gallops [`leapfrog_matches`] makes
+/// to find them: `(matches, gallops)`. Nothing else is reported.
+#[inline]
+pub fn leapfrog_count(runs: &[&[Value]]) -> (u64, u64) {
+    match runs {
+        [] => (0, 0),
+        _ if runs.iter().any(|r| r.is_empty()) => (0, 0),
+        [run] => (run.len() as u64, run.len() as u64),
+        _ => {
+            let mut n = 0u64;
+            let ops = leapfrog_dance(runs, |_, _| n += 1);
+            (n, ops)
+        }
+    }
+}
+
 /// The leapfrog dance over two or more non-empty runs: repeatedly gallop
 /// the next run to the current maximum head, calling `on_match(v, at)` for
 /// every value `v` all runs share, with `at[i]` its offset in `runs[i]`.
-/// Returns the number of gallops.
+/// Returns the number of gallops. Two runs, the common case, keep their
+/// positions in a two-slot array the compiler sees whole.
 #[inline(always)]
-fn leapfrog_dance(runs: &[&[Value]], mut on_match: impl FnMut(Value, &[usize])) -> u64 {
+fn leapfrog_dance(runs: &[&[Value]], on_match: impl FnMut(Value, &[usize])) -> u64 {
+    match *runs {
+        [a, b] => dance(&[a, b], &mut [0; 2], on_match),
+        _ => with_slots(runs.len(), 0usize, |pos| dance(runs, pos, on_match)),
+    }
+}
+
+/// [`leapfrog_dance`]'s loop, with `pos` (zeroed, one per run) holding
+/// every run's current offset.
+#[inline(always)]
+fn dance(runs: &[&[Value]], pos: &mut [usize], mut on_match: impl FnMut(Value, &[usize])) -> u64 {
     let k = runs.len();
-    with_slots(k, 0usize, |pos| {
-        let mut ops: u64 = 0;
-        // Start from the maximum of all heads.
-        let mut target = runs.iter().map(|r| r[0]).max().expect("two or more runs");
-        let mut agree = 0usize; // how many consecutive runs currently sit at target
-        let mut i = 0usize;
-        loop {
-            ops += 1;
-            let r = runs[i];
-            let p = gallop(r, pos[i], target);
-            if p == r.len() {
-                return ops;
-            }
-            pos[i] = p;
-            if r[p] == target {
-                agree += 1;
-                if agree == k {
-                    // Every run sits at `target`: `pos` is where it matched.
-                    on_match(target, pos);
-                    // advance this run past target and continue
-                    pos[i] += 1;
-                    if pos[i] == r.len() {
-                        return ops;
-                    }
-                    target = r[pos[i]];
-                    agree = 1;
+    let mut ops: u64 = 0;
+    // Start from the maximum of all heads.
+    let mut target = runs.iter().map(|r| r[0]).max().expect("two or more runs");
+    let mut agree = 0usize; // how many consecutive runs currently sit at target
+    let mut i = 0usize;
+    loop {
+        ops += 1;
+        let r = runs[i];
+        let p = gallop(r, pos[i], target);
+        if p == r.len() {
+            return ops;
+        }
+        pos[i] = p;
+        if r[p] == target {
+            agree += 1;
+            if agree == k {
+                // Every run sits at `target`: `pos` is where it matched.
+                on_match(target, pos);
+                // advance this run past target and continue
+                pos[i] += 1;
+                if pos[i] == r.len() {
+                    return ops;
                 }
-            } else {
-                target = r[p];
+                target = r[pos[i]];
                 agree = 1;
             }
-            // Wrap without a division: `% k` costs one per gallop.
-            i += 1;
-            if i == k {
-                i = 0;
-            }
+        } else {
+            target = r[p];
+            agree = 1;
         }
-    })
+        // Wrap without a division: `% k` costs one per gallop.
+        i += 1;
+        if i == k {
+            i = 0;
+        }
+    }
 }
 
 /// Values a [`ValueTable`] can index: a run holding a value at or above
@@ -259,40 +288,90 @@ pub fn probe_matches(
     runs: &[&[Value]],
     driver: usize,
     tables: &[ValueTable],
+    on_match: impl FnMut(Value, &[usize]),
+) -> u64 {
+    let Some(limit) = probe_limit(runs, driver) else { return 0 };
+    match *runs {
+        [a, b] => probe(&[a, b], driver, limit, tables, &mut [0; 2], on_match),
+        _ => with_slots(runs.len(), 0usize, |at| probe(runs, driver, limit, tables, at, on_match)),
+    }
+}
+
+/// [`probe_matches`]' loop over the driving values up to `limit`, writing
+/// each match's offsets into `at` (one slot per run).
+#[inline(always)]
+fn probe(
+    runs: &[&[Value]],
+    driver: usize,
+    limit: Value,
+    tables: &[ValueTable],
+    at: &mut [usize],
     mut on_match: impl FnMut(Value, &[usize]),
 ) -> u64 {
-    let k = runs.len();
-    // No driver value above an indexed run's last value can match.
+    let mut probes = 0u64;
+    'values: for (j, &v) in runs[driver].iter().enumerate() {
+        if v > limit {
+            break;
+        }
+        for (i, table) in tables[..runs.len()].iter().enumerate() {
+            if i == driver {
+                continue;
+            }
+            probes += 1;
+            match table.get(v) {
+                Some(offset) => at[i] = offset,
+                None => continue 'values,
+            }
+        }
+        at[driver] = j;
+        on_match(v, at);
+    }
+    probes
+}
+
+/// How many values `runs` share, found as [`probe_matches`] finds them:
+/// `(matches, lookups)`, the same lookups, and no offset written.
+#[inline]
+pub fn probe_count(runs: &[&[Value]], driver: usize, tables: &[ValueTable]) -> (u64, u64) {
+    let Some(limit) = probe_limit(runs, driver) else { return (0, 0) };
+    let below = runs[driver].iter().take_while(|&&v| v <= limit);
+    if let [_, _] = runs {
+        // One indexed run: a lookup per driving value, and no early exit.
+        let table = &tables[1 - driver];
+        let (mut n, mut probes) = (0u64, 0u64);
+        for &v in below {
+            probes += 1;
+            n += u64::from(table.get(v).is_some());
+        }
+        return (n, probes);
+    }
+    let (mut n, mut probes) = (0u64, 0u64);
+    'values: for &v in below {
+        for (i, table) in tables[..runs.len()].iter().enumerate() {
+            if i == driver {
+                continue;
+            }
+            probes += 1;
+            if table.get(v).is_none() {
+                continue 'values;
+            }
+        }
+        n += 1;
+    }
+    (n, probes)
+}
+
+/// The largest driving value that can match: the least last value of the
+/// indexed runs, or `None` when one of them is empty.
+#[inline(always)]
+fn probe_limit(runs: &[&[Value]], driver: usize) -> Option<Value> {
     let mut limit = Value::MAX;
     for (i, run) in runs.iter().enumerate() {
         if i != driver {
-            match run.last() {
-                Some(&last) => limit = limit.min(last),
-                None => return 0,
-            }
+            limit = limit.min(*run.last()?);
         }
     }
-    with_slots(k, 0usize, |at| {
-        let mut probes = 0u64;
-        'values: for (j, &v) in runs[driver].iter().enumerate() {
-            if v > limit {
-                break;
-            }
-            for (i, table) in tables[..k].iter().enumerate() {
-                if i == driver {
-                    continue;
-                }
-                probes += 1;
-                match table.get(v) {
-                    Some(offset) => at[i] = offset,
-                    None => continue 'values,
-                }
-            }
-            at[driver] = j;
-            on_match(v, at);
-        }
-        probes
-    })
+    Some(limit)
 }
 
 /// Merge-based intersection of two runs (for the trie-vs-flat ablation

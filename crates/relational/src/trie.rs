@@ -253,6 +253,20 @@ impl<'a> TrieCursor<'a> {
         &self.trie.levels[self.depth].values[lo..hi]
     }
 
+    /// The children of the node at `offset` within the current sibling run
+    /// (an index into [`TrieCursor::run`]): the run [`TrieCursor::jump`]
+    /// then [`TrieCursor::child_run`] would read, read without moving the
+    /// cursor. Leapfrog counts a last level inside its parent's loop this
+    /// way, from the offsets the parent's intersection recorded.
+    #[inline]
+    pub fn child_run_at(&self, offset: usize) -> &'a [Value] {
+        let (lo, hi) = self.range[self.depth - 1];
+        debug_assert!(lo + offset < hi, "offset past the end of the run");
+        let level = &self.trie.levels[self.depth];
+        let (lo, hi) = level.children(lo + offset);
+        &level.values[lo..hi]
+    }
+
     /// Positions the cursor at `offset` within the current sibling run (an
     /// index into [`TrieCursor::run`]) in O(1). This is how Leapfrog
     /// descends into a match whose offsets the position-carrying
@@ -456,6 +470,8 @@ mod tests {
         assert_eq!(c.key(), 3);
         assert_eq!(c.child_run(), &[2, 9], "children of the node jumped to");
         assert_eq!(c.depth(), 1);
+        assert_eq!((c.child_run_at(0), c.child_run_at(1)), (&[5u32, 7][..], &[2u32, 9][..]));
+        assert_eq!((c.depth(), c.key()), (1, 3), "reading a child run moves nothing");
         c.jump(0);
         assert_eq!((c.key(), c.child_run()), (1, &[5u32, 7][..]));
         assert!(c.open());

@@ -298,6 +298,47 @@ fn bulk_counted_last_level_keeps_every_cancellation_checkpoint() {
     assert_eq!(count().unwrap().output, QueryOutput::Count(rows), "recovery");
 }
 
+/// A query whose intermediate is large and whose result is empty polls
+/// the cancellation checkpoints while it enumerates, not only around it. A
+/// triangle `COUNT` over the complete bipartite graph K₆₀,₆₀ (edges both
+/// ways) binds 7,200 vertex pairs above its last level and closes no
+/// triangle, so no sink ever takes a row: the traversal itself polls the
+/// `JoinEnumerate` site once per `SINK_CHECK_EVERY` bindings, and an arm on
+/// its last poll still cancels the query.
+#[test]
+fn empty_result_enumeration_keeps_polling_cancellation() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const SIDE: Value = 60;
+    let q = paper_query(PaperQuery::Q1);
+    let edges: Vec<(Value, Value)> =
+        (0..SIDE).flat_map(|x| (SIDE..2 * SIDE).flat_map(move |y| [(x, y), (y, x)])).collect();
+    let service = serving(Strategy::CoOptimize);
+    let db = q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &edges));
+    service.register_database("bipartite", db);
+    let count = || service.execute_mode("bipartite", &q, OutputMode::Count);
+
+    assert_eq!(count().unwrap().output, QueryOutput::Count(0), "cold run");
+    let faults = install(FaultPlan::new());
+    let warm = count().unwrap();
+    let hits = faults.hits(FaultSite::JoinEnumerate);
+    drop(faults);
+    assert_eq!(warm.output, QueryOutput::Count(0), "warm run");
+    let pairs = u64::from(2 * SIDE * SIDE);
+    let bound = warm.report.counters.tuples_per_level[1];
+    assert!(bound >= pairs, "{bound} pairs bound: every edge binds one on some worker");
+    assert!(
+        hits >= pairs / adj::core::SINK_CHECK_EVERY,
+        "{hits} polls over {pairs} bindings: the enumeration went unpolled"
+    );
+
+    let faults = install(FaultPlan::new().cancel_at(FaultSite::JoinEnumerate, hits - 1));
+    let err = count().expect_err("the last poll's cancel must fail the query");
+    assert!(faults.all_fired(), "the arm on the last poll never fired");
+    drop(faults);
+    assert!(matches!(err, ServiceError::Cancelled), "got {err:?}");
+    assert_eq!(count().unwrap().output, QueryOutput::Count(0), "recovery");
+}
+
 /// The seeded chaos sweep: a pseudo-random plan drawn from `FAULTS_SEED`
 /// (CI reruns the matrix under a second seed) fires panics, cancels, and
 /// delays across all sites while a mixed query + mutation workload runs.

@@ -16,15 +16,19 @@ use adj_leapfrog::{JoinCounters, JoinScratch, LeapfrogJoin};
 use adj_query::order::{all_orders, is_valid_order, valid_orders};
 use adj_query::GhdTree;
 use adj_relational::intersect::{
-    intersect2_merge, leapfrog_intersect, leapfrog_matches, probe_matches, ValueTable, TABLE_CAP,
+    intersect2_merge, leapfrog_count, leapfrog_intersect, leapfrog_matches, probe_count,
+    probe_matches, ValueTable, TABLE_CAP,
 };
 use adj_relational::{CountSink, ExistsSink, RowBuffer, RowSink, Trie};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Runs `body` for `n` deterministic cases, each with its own seeded RNG.
+/// `PROPERTY_CASES=N` in the environment raises every property to at
+/// least `N` cases, for a longer soak; a smaller `N` changes nothing.
 fn cases(n: u64, mut body: impl FnMut(&mut StdRng)) {
-    for case in 0..n {
+    let soak = std::env::var("PROPERTY_CASES").ok().and_then(|s| s.trim().parse().ok());
+    for case in 0..n.max(soak.unwrap_or(0)) {
         let mut rng = StdRng::seed_from_u64(0xADF0_5EED ^ case.wrapping_mul(0x9E37_79B9));
         body(&mut rng);
     }
@@ -34,6 +38,28 @@ fn cases(n: u64, mut body: impl FnMut(&mut StdRng)) {
 fn edges(rng: &mut StdRng, max_nodes: u32, max_edges: usize) -> Vec<(u32, u32)> {
     let len = rng.gen_range(1..max_edges);
     (0..len).map(|_| (rng.gen_range(0..max_nodes), rng.gen_range(0..max_nodes))).collect()
+}
+
+/// [`edges`] over 14 node ids, in some cases reshaped to reach the value
+/// tables' limits under every order: a hub of degree 40 or more, whose runs
+/// outgrow a short invariant run past the driver-length rule, and ids
+/// relabelled across `TABLE_CAP`, whose runs get no table.
+fn edges_across_the_limits(rng: &mut StdRng) -> Vec<(u32, u32)> {
+    let mut pairs = edges(rng, 14, 60);
+    if rng.gen_range(0u32..2) == 0 {
+        let hub = rng.gen_range(0u32..14);
+        let degree = rng.gen_range(40u32..56);
+        pairs.extend((14..14 + degree).map(|leaf| (hub, leaf)));
+        // A few leaves close cycles back into the core.
+        pairs.extend((14..14 + degree).step_by(4).map(|leaf| (leaf, rng.gen_range(0u32..14))));
+    }
+    if rng.gen_range(0u32..2) == 0 {
+        // Every third id moves past the cap; the others stay below 70.
+        let shift = TABLE_CAP as u32 - rng.gen_range(0u32..8);
+        let relabel = |v: u32| if v.is_multiple_of(3) { v + shift } else { v };
+        pairs = pairs.into_iter().map(|(x, y)| (relabel(x), relabel(y))).collect();
+    }
+    pairs
 }
 
 /// A sorted deduplicated random value run.
@@ -79,7 +105,8 @@ fn edge_run(rng: &mut StdRng) -> Vec<u32> {
 
 /// The position-carrying dance, `leapfrog_matches`, finds exactly what
 /// `leapfrog_intersect` finds, with the same operation count, for k = 1…6
-/// runs; every offset it reports indexes the matched value in its run.
+/// runs; every offset it reports indexes the matched value in its run. The
+/// count-only dance, `leapfrog_count`, counts those matches at that count.
 #[test]
 fn position_and_count_kernels_agree_with_leapfrog_intersect() {
     cases(256, |rng| {
@@ -107,6 +134,7 @@ fn position_and_count_kernels_agree_with_leapfrog_intersect() {
         });
         assert_eq!(matched, ops);
         assert_eq!(values, want);
+        assert_eq!(leapfrog_count(&refs), (want.len() as u64, ops));
     });
 }
 
@@ -127,6 +155,12 @@ struct Reference {
     danced_ops: u64,
     /// Table lookups at the visits the join must probe.
     probes_per_level: Vec<u64>,
+    /// Visits with a probe driver that dance because the driving run is
+    /// too long for the shortest invariant one.
+    long_drivers: u64,
+    /// Visits with a probe driver that dance because an invariant run
+    /// holds a value past the table cap.
+    unfit: u64,
 }
 
 fn reference_join(tries: &[Trie], order: &[Attr]) -> Reference {
@@ -155,6 +189,8 @@ fn reference_join(tries: &[Trie], order: &[Attr]) -> Reference {
         intersect_ops: 0,
         danced_ops: 0,
         probes_per_level: vec![0; order.len()],
+        long_drivers: 0,
+        unfit: 0,
     };
     out.intersect_ops = plain_leapfrog(tries, order, &mut |binding, runs, values, ops| {
         let level = binding.len();
@@ -167,16 +203,20 @@ fn reference_join(tries: &[Trie], order: &[Attr]) -> Reference {
         if let ([driver], true) = (varying[level].as_slice(), runs.len() > 1) {
             let invariant = || (0..runs.len()).filter(|i| i != driver);
             let shortest = invariant().map(|i| runs[i].len()).min().unwrap();
+            out.long_drivers += u64::from(shortest > 0 && runs[*driver].len() > 4 * shortest + 8);
             if shortest > 0 && runs[*driver].len() <= 4 * shortest + 8 {
                 let slots = &mut seen[level];
                 slots.resize(runs.len(), None);
                 let mut ready = true;
+                let mut unfit = false;
                 for i in invariant() {
                     let key = Some((runs[i].as_ptr(), runs[i].len()));
                     let fits = (*runs[i].last().unwrap() as usize) < TABLE_CAP;
+                    unfit |= slots[i] == key && !fits;
                     ready &= slots[i] == key && fits;
                     slots[i] = key;
                 }
+                out.unfit += u64::from(unfit);
                 if ready {
                     probed = true;
                     let limit = invariant().map(|i| *runs[i].last().unwrap()).min().unwrap();
@@ -301,11 +341,93 @@ fn count_rows_and_counters_match_a_reference_join_under_every_valid_order() {
     assert!(probes > 0, "some invariant run is reused");
 }
 
+/// A counting sink that is not a [`CountSink`]: it counts through the bulk
+/// `push_count` and says it only counts, so the join counts its last level
+/// inside the level above's loop for it too.
+#[derive(Default)]
+struct Tally {
+    rows: u64,
+    bulk: u64,
+}
+
+impl RowSink for Tally {
+    fn push(&mut self, _row: &[Value]) -> bool {
+        self.rows += 1;
+        true
+    }
+    fn counts_only(&self) -> bool {
+        true
+    }
+    fn push_count(&mut self, n: u64) -> bool {
+        assert!(n > 0, "a zero count is never pushed");
+        self.rows += n;
+        self.bulk += 1;
+        true
+    }
+}
+
+/// Any counting sink counts like a [`CountSink`], with the same counters,
+/// under every valid order of Q1, Q4, Q5 and Q8 — on graphs with hubs and
+/// ids past the table cap, so the driver-length rule and unfit tables, which
+/// a last level counted in its parent's loop settles once per loop, are
+/// decided there exactly where the reference replays them. Budgeted counts
+/// and counts by first value agree with the full count.
+#[test]
+fn any_counting_sink_counts_like_count_sink_across_the_table_limits() {
+    let (mut long_drivers, mut unfit, mut bulk) = (0, 0, 0);
+    cases(12, |rng| {
+        let pairs = edges_across_the_limits(rng);
+        let g = Relation::from_pairs(Attr(0), Attr(1), &pairs);
+        let mut ids: Vec<Value> = pairs.iter().flat_map(|&(x, y)| [x, y]).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let every: Vec<(Value, u64)> = ids.iter().map(|&v| (v, 1)).collect();
+        for pq in [PaperQuery::Q1, PaperQuery::Q4, PaperQuery::Q5, PaperQuery::Q8] {
+            let q = paper_query(pq);
+            let db = q.instantiate(&g);
+            let truth = binary_join(&q, &db).len() as u64;
+            for order in valid_orders(&GhdTree::decompose(&q.hypergraph(), 3)) {
+                let at = format!("{pq:?} {order:?}");
+                let tries: Vec<Trie> = q
+                    .atoms
+                    .iter()
+                    .map(|a| db.get(&a.name).unwrap().trie_under_order(&order).unwrap())
+                    .collect();
+                let join = LeapfrogJoin::new(&order, tries.iter().collect()).unwrap();
+                let reference = reference_join(&tries, &order);
+                (long_drivers, unfit) =
+                    (long_drivers + reference.long_drivers, unfit + reference.unfit);
+
+                let mut counting = CountSink::new();
+                let counted = join.join_into(&mut counting);
+                let mut tally = Tally::default();
+                let tallied = join.join_into(&mut tally);
+                bulk += tally.bulk;
+                assert_eq!((counting.count(), tally.rows), (truth, truth), "{at}");
+                assert_eq!(tallied, counted, "{at}");
+                assert_eq!(counted.tuples_per_level, reference.tuples_per_level, "{at}");
+                assert_eq!(counted.intersect_ops, reference.danced_ops, "{at}");
+                assert_eq!(counted.stats.probes_per_level, reference.probes_per_level, "{at}");
+
+                let (completed, budgeted) = join.count_with_budget(counted.total_tuples());
+                assert!(completed, "{at}");
+                assert_eq!(budgeted, counted, "{at}");
+                let (by_first, _) = join.count_first_values(&every, &mut JoinScratch::new());
+                assert_eq!(by_first, truth, "{at}");
+            }
+        }
+    });
+    assert!(long_drivers > 0, "no visit met the driver-length rule");
+    assert!(unfit > 0, "no invariant run was past the table cap");
+    assert!(bulk > 0, "no count reached the sink");
+}
+
 /// The probe kernel finds exactly what the dance finds — the same values,
 /// ascending, with the same offsets in every run — for k = 2…6 runs and
 /// any driving run, with values at `u32::MAX` and past the table cap. A
 /// run holding a value past the cap gets no table, and that table answers
-/// no lookup, so the join falls back to the dance.
+/// no lookup, so the join falls back to the dance. The count-only probe,
+/// `probe_count`, counts those matches with the same lookups.
 #[test]
 fn probe_kernel_agrees_with_the_dance() {
     cases(512, |rng| {
@@ -348,12 +470,14 @@ fn probe_kernel_agrees_with_the_dance() {
             return;
         }
         let (mut got, mut got_at) = (Vec::new(), Vec::new());
-        probe_matches(&refs, driver, &tables, |v, at| {
+        let probes = probe_matches(&refs, driver, &tables, |v, at| {
             got.push(v);
             got_at.extend_from_slice(at);
         });
         assert_eq!(got, want, "{runs:?} driven by {driver}");
         assert_eq!(got_at, want_at, "{runs:?} driven by {driver}");
+        let counted = probe_count(&refs, driver, &tables);
+        assert_eq!(counted, (want.len() as u64, probes), "{runs:?} driven by {driver}");
     });
 }
 

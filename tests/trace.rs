@@ -305,3 +305,37 @@ fn traced_batches_record_one_join_span_per_worker() {
     assert_eq!(arg("output_tuples"), Some(out.report.counters.output_tuples));
     assert_eq!(arg("tuples_l0"), Some(out.report.counters.tuples_per_level[0]));
 }
+
+#[test]
+fn worker_join_spans_carry_per_level_counts_that_sum_to_the_gather() {
+    // Each worker's `join` span says how many bindings it produced at every
+    // level, so a trace shows which worker's enumeration is replicated; the
+    // gather span's per-level counts are their sums.
+    let q = paper_query(PaperQuery::Q8);
+    let db = q.instantiate(&Dataset::WB.graph(0.01));
+    let cost = CostParams { measure_beta: false, ..Default::default() };
+    let service = Service::new(ServiceConfig {
+        adj: AdjConfig { cluster: ClusterConfig::with_workers(2), cost, ..Default::default() },
+        trace: traced_settings(),
+        ..Default::default()
+    });
+    service.register_database("g", db);
+    let out = service.execute_mode("g", &q, OutputMode::Count).unwrap();
+    let trace = out.trace.as_ref().unwrap();
+    let joins = trace.events_named("join");
+    assert_eq!(joins.len(), 2, "one join span per worker");
+    let gather = trace.events_named("gather");
+    let c = &out.report.counters;
+    assert!(c.tuples_per_level[2] > 0);
+    for (kind, per_level) in
+        [("tuples", &c.tuples_per_level), ("probes", &c.stats.probes_per_level)]
+    {
+        for (level, &want) in per_level.iter().enumerate() {
+            let key = format!("{kind}_l{level}");
+            let workers: Vec<u64> =
+                joins.iter().map(|e| e.args.get(&key).expect("every worker says")).collect();
+            assert_eq!(workers.iter().sum::<u64>(), want, "{key}: workers sum to the report");
+            assert_eq!(gather[0].args.get(&key), Some(want), "{key}: the gather says the same");
+        }
+    }
+}
