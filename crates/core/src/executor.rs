@@ -21,8 +21,8 @@ use crate::AdjConfig;
 use adj_cluster::Cluster;
 use adj_faults::{CancelToken, FaultSite};
 use adj_hcube::{
-    hcube_shuffle_round, optimize_share, CacheLookup, ExecCtx, HCubeImpl, HCubePlan, LocalRelation,
-    ShareInput, ShuffleReport, ShuffleRound,
+    hcube_shuffle_round, optimize_share, Artifact, ArtifactKey, ExecCtx, HCubeImpl, HCubePlan,
+    IndexLookup, LocalRelation, ShareInput, ShuffleReport, ShuffleRound,
 };
 use adj_leapfrog::{JoinCounters, JoinScratch, LeapfrogJoin};
 use adj_relational::relation::merge_sorted_runs;
@@ -771,8 +771,8 @@ fn precompute_bag(
     // claim hierarchy stays cycle-free.
     let mut bag_claim = None;
     if let Some(scope) = ctx.index {
-        match scope.cache.get_bag_or_claim(&scope.bag_key(label.clone()), cancel) {
-            CacheLookup::Hit { value: bag, coalesced } => {
+        match scope.cache.lookup(ArtifactKey::Bag(scope.bag_key(label.clone())), cancel) {
+            IndexLookup::Hit { value: Artifact::Bag(bag), coalesced } => {
                 // Budget parity with the cold path: a cached bag over
                 // the caller's cap is rejected exactly like a fresh one.
                 if bag.len() > budget {
@@ -783,7 +783,8 @@ fn precompute_bag(
                 report.index_bags_reused += 1;
                 return Ok((label, bag));
             }
-            CacheLookup::Miss(claim) => bag_claim = claim,
+            IndexLookup::Hit { .. } => unreachable!("a bag key holds a bag"),
+            IndexLookup::Miss(claim) => bag_claim = Some(claim),
         }
     }
     // Bag members are base atoms, so the round runs over `db` directly.
@@ -834,9 +835,7 @@ fn precompute_bag(
     }
     let result = Arc::new(result);
     if let Some(claim) = bag_claim {
-        claim.publish_bag(Arc::clone(&result));
-    } else if let Some(scope) = ctx.index {
-        scope.cache.insert_bag(scope.bag_key(label.clone()), Arc::clone(&result));
+        claim.publish(Artifact::Bag(Arc::clone(&result)));
     }
     Ok((label, result))
 }

@@ -23,22 +23,20 @@
 //!   them across queries.
 //!
 //! Keys fold in a database tag and its statistics epoch: re-registering a
-//! database bumps the epoch, so stale entries stop matching (and
-//! [`IndexCache::invalidate_db`] drops them eagerly). Eviction is
+//! database bumps the epoch, so stale entries stop matching (and the
+//! store's `forget(epoch)` drops them eagerly). The store is the one
+//! generic [`Cache`], weighing each artifact in resident bytes: eviction is
 //! least-recently-used over *bytes*, not entries, because the whole point
 //! of the budget is to charge index memory against the cluster's
-//! `memory_limit_bytes`. The recency order is the shared exact-LRU index
-//! ([`adj_relational::lru`]): a hit relinks one slot and each victim is
-//! popped in O(1), however many entries are resident.
+//! `memory_limit_bytes`.
 
 use adj_faults::CancelToken;
-use adj_relational::hash::{FxHashMap, FxHasher};
-use adj_relational::lru::SharedLru;
+use adj_relational::cache::{Cache, Claim, Lookup};
+use adj_relational::hash::FxHasher;
 use adj_relational::{Attr, Relation, Trie};
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::Arc;
 
 /// Identity of one cached relation index: the relation (or bag label), the
 /// induced attribute order its trie levels follow, the hypercube share
@@ -108,69 +106,32 @@ impl RelationIndex {
     }
 }
 
+/// The key of one index-cache entry: a relation index or a bag relation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum EntryKey {
+pub enum ArtifactKey {
+    /// A shuffled relation's per-worker tries.
     Index(IndexKey),
+    /// A materialized bag relation.
     Bag(BagKey),
 }
 
-impl EntryKey {
-    fn db_tag(&self) -> u64 {
-        match self {
-            EntryKey::Index(k) => k.db_tag,
-            EntryKey::Bag(k) => k.db_tag,
-        }
-    }
-}
-
+/// One index-cache entry; its variant always matches its key's.
 #[derive(Debug, Clone)]
-enum Artifact {
+pub enum Artifact {
+    /// A shuffled relation's per-worker tries.
     Index(Arc<RelationIndex>),
+    /// A materialized bag relation.
     Bag(Arc<Relation>),
 }
 
-/// One in-flight build registration: concurrent misses on the same key
-/// wait here until the builder publishes (or abandons) its claim.
-#[derive(Debug, Default)]
-struct PendingBuild {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
+/// The index cache's store: artifacts weighed in resident bytes and tagged
+/// with the database registration (epoch) they were built against.
+pub type IndexStore = Cache<ArtifactKey, Artifact, BuildHasherDefault<FxHasher>>;
 
-/// How often a coalesced waiter re-polls its [`CancelToken`] while blocked
-/// on another query's in-flight build. Builds are milliseconds-scale, so a
-/// short poll keeps deadline latency tight without busy-waiting.
-const PENDING_POLL: Duration = Duration::from_millis(1);
+/// What [`IndexCache::lookup`] found.
+pub type IndexLookup<'a> = Lookup<'a, ArtifactKey, Artifact, BuildHasherDefault<FxHasher>>;
 
-/// Outcome of a coalescing lookup ([`IndexCache::get_index_or_claim`] /
-/// [`IndexCache::get_bag_or_claim`]).
-#[derive(Debug)]
-pub enum CacheLookup<'a, T> {
-    /// A reusable artifact. `coalesced` is true when this lookup blocked on
-    /// a concurrent in-flight build and reused its result instead of
-    /// running a redundant build of its own.
-    Hit {
-        /// The cached artifact.
-        value: T,
-        /// Whether the artifact came from a build this lookup waited for.
-        coalesced: bool,
-    },
-    /// Nothing cached. When `Some`, the claim registers this caller as the
-    /// key's one in-flight builder: concurrent misses on the same key block
-    /// until the claim publishes or drops. `None` means coalescing is
-    /// unavailable for this miss (the cache is disabled, the wait was
-    /// interrupted by cancellation, or the caller already claimed an equal
-    /// key) — build without any publishing obligation.
-    Miss(Option<BuildClaim<'a>>),
-}
-
-/// Exclusive permission to build one cache entry, handed out by
-/// [`IndexCache::get_index_or_claim`] / [`IndexCache::get_bag_or_claim`] on
-/// a cold miss. Publish the built artifact through
-/// [`BuildClaim::publish_index`] / [`BuildClaim::publish_bag`]; dropping an
-/// unpublished claim (error, cancellation, panic unwind) *abandons* the
-/// build — waiters wake, re-check the cache, and the first one through
-/// becomes the new builder, so an aborted query never strands the key.
+/// The build claim an [`IndexCache::lookup`] miss hands back.
 ///
 /// Deadlock discipline for holders: a query may hold several *index* claims
 /// at once only when it acquired them in sorted key order, and may wait on
@@ -178,46 +139,11 @@ pub enum CacheLookup<'a, T> {
 /// (nothing waits on a bag while holding an index claim), and at most one
 /// bag claim is held at a time. The shuffle and the executor's bag loop
 /// both follow this; see `hcube_shuffle_round`.
-#[derive(Debug)]
-pub struct BuildClaim<'a> {
-    cache: &'a IndexCache,
-    key: Option<EntryKey>,
-}
+pub type IndexClaim<'a> = Claim<'a, ArtifactKey, Artifact, BuildHasherDefault<FxHasher>>;
 
-impl BuildClaim<'_> {
-    /// Publishes a built relation index under the claimed key and releases
-    /// every coalesced waiter. No-op if the claim was for a bag key.
-    pub fn publish_index(mut self, index: Arc<RelationIndex>) {
-        let Some(key) = self.key.take() else { return };
-        debug_assert!(matches!(key, EntryKey::Index(_)), "claim kind mismatch");
-        let bytes = index.bytes;
-        self.cache.insert_entry(key.clone(), Artifact::Index(index), bytes);
-        self.cache.finish_pending(&key);
-    }
-
-    /// Publishes a materialized bag relation under the claimed key and
-    /// releases every coalesced waiter. No-op if the claim was for an
-    /// index key.
-    pub fn publish_bag(mut self, rel: Arc<Relation>) {
-        let Some(key) = self.key.take() else { return };
-        debug_assert!(matches!(key, EntryKey::Bag(_)), "claim kind mismatch");
-        let bytes = rel.size_bytes();
-        self.cache.insert_entry(key.clone(), Artifact::Bag(rel), bytes);
-        self.cache.finish_pending(&key);
-    }
-}
-
-impl Drop for BuildClaim<'_> {
-    fn drop(&mut self) {
-        // Not published: abandon. Waiters wake, find the cache still cold,
-        // and race to claim the key themselves.
-        if let Some(key) = self.key.take() {
-            self.cache.finish_pending(&key);
-        }
-    }
-}
-
-/// Counters describing index-cache behaviour since service start.
+/// Counters describing index-cache behaviour since service start: the
+/// store's [`CacheStats`](adj_relational::cache::CacheStats) in bytes,
+/// plus the shuffle volume hits saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexCacheStats {
     /// Lookups that found a reusable artifact.
@@ -228,7 +154,7 @@ pub struct IndexCacheStats {
     pub insertions: u64,
     /// Artifacts evicted to make room.
     pub evictions: u64,
-    /// Artifacts dropped by explicit invalidation (database mutation).
+    /// Artifacts dropped by invalidation, harvest or poison recovery.
     pub invalidations: u64,
     /// Tuple copies whose shuffle was skipped thanks to hits.
     pub tuples_saved: u64,
@@ -260,250 +186,43 @@ impl IndexCacheStats {
 /// materialized bag relations.
 #[derive(Debug)]
 pub struct IndexCache {
-    capacity_bytes: usize,
-    /// Artifacts in recency order, each weighted by its resident bytes.
-    lru: SharedLru<EntryKey, Artifact, BuildHasherDefault<FxHasher>>,
-    /// In-flight builds, for request coalescing: a key is present exactly
-    /// while one claimant is building it. Guarded separately from `lru`
-    /// so waiters never block cache traffic.
-    pending: Mutex<FxHashMap<EntryKey, Arc<PendingBuild>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
+    store: IndexStore,
     tuples_saved: AtomicU64,
-    coalesced: AtomicU64,
 }
 
 impl IndexCache {
     /// Creates a cache holding at most `capacity_bytes` of artifacts
-    /// (0 disables it: every lookup misses, every insert is dropped).
+    /// (0 disables it: every lookup misses, every publish is dropped).
     pub fn new(capacity_bytes: usize) -> Self {
-        IndexCache {
-            capacity_bytes,
-            lru: SharedLru::new(),
-            pending: Mutex::new(FxHashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            tuples_saved: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-        }
-    }
-
-    /// The byte budget.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    /// Looks up `key`, refreshing its recency on a hit. A poisoned lock
-    /// recovers by dropping the (suspect) entries rather than wedging every
-    /// later query; the cache is pure derived state, so it carries on cold,
-    /// and the dropped entries count as invalidations.
-    fn get(&self, key: &EntryKey) -> Option<Artifact> {
-        self.lru.lock().get(key).cloned()
-    }
-
-    /// Looks up a relation index, refreshing its recency on a hit and
-    /// crediting the shuffle volume the hit saved.
-    pub fn get_index(&self, key: &IndexKey) -> Option<Arc<RelationIndex>> {
-        if self.capacity_bytes == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let got = self.get(&EntryKey::Index(key.clone()));
-        match got {
-            Some(Artifact::Index(idx)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.tuples_saved.fetch_add(idx.tuples, Ordering::Relaxed);
-                Some(idx)
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Publishes a relation index. Entries larger than the whole budget are
-    /// dropped; otherwise LRU entries are evicted until it fits. A
-    /// concurrent insert under the same key wins by arrival order — both
-    /// artifacts are equivalent by key construction.
-    pub fn insert_index(&self, key: IndexKey, index: Arc<RelationIndex>) {
-        let bytes = index.bytes;
-        self.insert_entry(EntryKey::Index(key), Artifact::Index(index), bytes);
-    }
-
-    /// Looks up a materialized bag relation.
-    pub fn get_bag(&self, key: &BagKey) -> Option<Arc<Relation>> {
-        if self.capacity_bytes == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let got = self.get(&EntryKey::Bag(key.clone()));
-        match got {
-            Some(Artifact::Bag(rel)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(rel)
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Publishes a materialized bag relation.
-    pub fn insert_bag(&self, key: BagKey, rel: Arc<Relation>) {
-        let bytes = rel.size_bytes();
-        self.insert_entry(EntryKey::Bag(key), Artifact::Bag(rel), bytes);
-    }
-
-    /// Coalescing relation-index lookup: a hit behaves like
-    /// [`IndexCache::get_index`]; a *cold* miss hands back a [`BuildClaim`]
-    /// registering this caller as the key's one in-flight builder, and a
-    /// miss that finds a build already in flight blocks (polling `cancel`)
-    /// until that build publishes, then returns its artifact as a
-    /// `coalesced` hit. See [`BuildClaim`] for the holder's deadlock
-    /// discipline.
-    pub fn get_index_or_claim(
-        &self,
-        key: &IndexKey,
-        cancel: &CancelToken,
-    ) -> CacheLookup<'_, Arc<RelationIndex>> {
-        match self.lookup_or_claim(EntryKey::Index(key.clone()), cancel) {
-            CacheLookup::Hit { value: Artifact::Index(idx), coalesced } => {
-                CacheLookup::Hit { value: idx, coalesced }
-            }
-            // EntryKey carries the artifact kind, so an Index key can never
-            // resolve to a Bag artifact.
-            CacheLookup::Hit { .. } => unreachable!("index key resolved to a bag artifact"),
-            CacheLookup::Miss(claim) => CacheLookup::Miss(claim),
-        }
-    }
-
-    /// Coalescing bag lookup; see [`IndexCache::get_index_or_claim`].
-    pub fn get_bag_or_claim(
-        &self,
-        key: &BagKey,
-        cancel: &CancelToken,
-    ) -> CacheLookup<'_, Arc<Relation>> {
-        match self.lookup_or_claim(EntryKey::Bag(key.clone()), cancel) {
-            CacheLookup::Hit { value: Artifact::Bag(rel), coalesced } => {
-                CacheLookup::Hit { value: rel, coalesced }
-            }
-            CacheLookup::Hit { .. } => unreachable!("bag key resolved to an index artifact"),
-            CacheLookup::Miss(claim) => CacheLookup::Miss(claim),
-        }
-    }
-
-    fn lock_pending(&self) -> MutexGuard<'_, FxHashMap<EntryKey, Arc<PendingBuild>>> {
-        // The registry holds only liveness slots — every claimant removes
-        // its own slot via `finish_pending` (publish or Drop), so after a
-        // panic the map is still structurally sound; just take it back.
-        self.pending.lock().unwrap_or_else(|poisoned| {
-            self.pending.clear_poison();
-            poisoned.into_inner()
-        })
-    }
-
-    /// Marks `key`'s in-flight build finished (published or abandoned) and
-    /// wakes every coalesced waiter.
-    fn finish_pending(&self, key: &EntryKey) {
-        let slot = self.lock_pending().remove(key);
-        if let Some(slot) = slot {
-            let mut done = slot.done.lock().unwrap_or_else(|poisoned| {
-                slot.done.clear_poison();
-                poisoned.into_inner()
-            });
-            *done = true;
-            slot.cv.notify_all();
-        }
-    }
-
-    fn lookup_or_claim(&self, key: EntryKey, cancel: &CancelToken) -> CacheLookup<'_, Artifact> {
-        if self.capacity_bytes == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return CacheLookup::Miss(None);
-        }
-        let mut waited = false;
-        loop {
-            if let Some(artifact) = self.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Artifact::Index(idx) = &artifact {
-                    self.tuples_saved.fetch_add(idx.tuples, Ordering::Relaxed);
-                }
-                if waited {
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                }
-                return CacheLookup::Hit { value: artifact, coalesced: waited };
-            }
-            let slot = {
-                let mut pending = self.lock_pending();
-                match pending.get(&key) {
-                    Some(slot) => Arc::clone(slot),
-                    None => {
-                        pending.insert(key.clone(), Arc::new(PendingBuild::default()));
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        return CacheLookup::Miss(Some(BuildClaim { cache: self, key: Some(key) }));
-                    }
-                }
-            };
-            // Another query is building this key right now: wait for it,
-            // polling the token so a deadline fires promptly. On
-            // cancellation, give up coalescing rather than block past the
-            // deadline — the caller's next cancellation checkpoint raises
-            // the error before any redundant build gets far.
-            waited = true;
-            let mut done = slot.done.lock().unwrap_or_else(|poisoned| {
-                slot.done.clear_poison();
-                poisoned.into_inner()
-            });
-            while !*done {
-                if cancel.check().is_err() {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return CacheLookup::Miss(None);
-                }
-                let (guard, _timeout) =
-                    slot.cv.wait_timeout(done, PENDING_POLL).unwrap_or_else(|poisoned| {
-                        slot.done.clear_poison();
-                        poisoned.into_inner()
-                    });
-                done = guard;
-            }
-            // The build finished: published (the retry hits), abandoned or
-            // already evicted (the retry claims and this caller builds).
-        }
-    }
-
-    fn insert_entry(&self, key: EntryKey, artifact: Artifact, bytes: usize) {
-        if self.capacity_bytes == 0 || bytes > self.capacity_bytes {
-            return;
-        }
-        // Victims are dropped after the guard, outside the lock.
-        let (evicted, fresh) = {
-            let mut lru = self.lru.lock();
-            let evicted = lru.make_room(bytes, self.capacity_bytes);
-            (evicted, lru.insert(key, artifact, bytes).is_none())
+        let bytes = |a: &Artifact| match a {
+            Artifact::Index(idx) => idx.bytes,
+            Artifact::Bag(rel) => rel.size_bytes(),
         };
-        if !evicted.is_empty() {
-            self.evictions.fetch_add(evicted.len() as u64, Ordering::Relaxed);
-        }
-        if fresh {
-            self.insertions.fetch_add(1, Ordering::Relaxed);
+        let epoch = |k: &ArtifactKey, _: &Artifact| match k {
+            ArtifactKey::Index(k) => k.epoch,
+            ArtifactKey::Bag(k) => k.epoch,
+        };
+        IndexCache {
+            store: Cache::new(capacity_bytes, bytes, epoch),
+            tuples_saved: AtomicU64::new(0),
         }
     }
 
-    /// Drops every artifact built against database `db_tag` — the
-    /// invalidation hook for database mutation (the epoch in every key
-    /// already stops stale entries from matching; this frees their bytes
-    /// eagerly).
-    pub fn invalidate_db(&self, db_tag: u64) {
-        let dropped = self.lru.lock().retain(|k, _| k.db_tag() != db_tag);
-        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
+    /// The underlying store, for what is not index-specific: publishing
+    /// without a claim (patching), `forget`, `check` and the like.
+    pub fn store(&self) -> &IndexStore {
+        &self.store
+    }
+
+    /// The artifact under `key`, or a claim to build it (see
+    /// [`Cache::lookup`]); a wait on a concurrent build gives up when
+    /// `cancel` fires. An index hit credits the shuffle volume it saved.
+    pub fn lookup(&self, key: ArtifactKey, cancel: &CancelToken) -> IndexLookup<'_> {
+        let found = self.store.lookup(key, || cancel.check().is_ok());
+        if let Lookup::Hit { value: Artifact::Index(idx), .. } = &found {
+            self.tuples_saved.fetch_add(idx.tuples, Ordering::Relaxed);
+        }
+        found
     }
 
     /// Removes and returns every relation-index entry for `relation` in
@@ -519,58 +238,32 @@ impl IndexCache {
         db_tag: u64,
         relation: &str,
     ) -> Vec<(IndexKey, Arc<RelationIndex>)> {
-        let mut taken = Vec::new();
-        self.lru.lock().retain(|k, artifact| match (k, artifact) {
-            (EntryKey::Index(ik), Artifact::Index(idx))
-                if ik.db_tag == db_tag && ik.relation == relation =>
-            {
-                taken.push((ik.clone(), Arc::clone(idx)));
-                false
-            }
-            _ => true,
+        let taken = self.store.take(|k, _| {
+            matches!(k, ArtifactKey::Index(k) if k.db_tag == db_tag && k.relation == relation)
         });
-        self.invalidations.fetch_add(taken.len() as u64, Ordering::Relaxed);
         taken
+            .into_iter()
+            .filter_map(|entry| match entry {
+                (ArtifactKey::Index(key), Artifact::Index(idx)) => Some((key, idx)),
+                _ => None,
+            })
+            .collect()
     }
 
-    /// Empties the cache.
-    pub fn clear(&self) {
-        let dropped = self.lru.lock().clear();
-        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
-    }
-
-    /// Current resident bytes.
-    pub fn resident_bytes(&self) -> usize {
-        self.lru.lock().weight()
-    }
-
-    /// Current artifact count.
-    pub fn len(&self) -> usize {
-        self.lru.lock().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A consistent snapshot of the counters.
+    /// A snapshot of the counters.
     pub fn stats(&self) -> IndexCacheStats {
-        let (resident_bytes, len) = {
-            let lru = self.lru.lock();
-            (lru.weight(), lru.len())
-        };
+        let s = self.store.stats();
         IndexCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed) + self.lru.recovered(),
+            hits: s.hits,
+            misses: s.misses,
+            insertions: s.insertions,
+            evictions: s.evictions,
+            invalidations: s.invalidations,
             tuples_saved: self.tuples_saved.load(Ordering::Relaxed),
-            coalesced_builds: self.coalesced.load(Ordering::Relaxed),
-            resident_bytes,
-            capacity_bytes: self.capacity_bytes,
-            len,
+            coalesced_builds: s.coalesced_builds,
+            resident_bytes: s.weight,
+            capacity_bytes: s.capacity,
+            len: s.len,
         }
     }
 }
@@ -651,11 +344,15 @@ impl<'a> IndexScope<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adj_relational::{Relation, Value};
+    use adj_relational::Value;
 
     fn trie(n: u32) -> Arc<Trie> {
         let rows: Vec<(Value, Value)> = (0..n).map(|i| (i, i + 1)).collect();
         Arc::new(Trie::build(&Relation::from_pairs(Attr(0), Attr(1), &rows)))
+    }
+
+    fn index(n: u32) -> Artifact {
+        Artifact::Index(Arc::new(RelationIndex::new(vec![trie(n)], n as u64, 1)))
     }
 
     fn key(tag: u64, epoch: u64, name: &str) -> IndexKey {
@@ -670,60 +367,162 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hit_after_insert_miss_before() {
-        let cache = IndexCache::new(1 << 20);
-        let k = key(1, 0, "R1");
-        assert!(cache.get_index(&k).is_none());
-        let idx = Arc::new(RelationIndex::new(vec![trie(10)], 10, 1));
-        cache.insert_index(k.clone(), idx);
-        let hit = cache.get_index(&k).expect("hit");
-        assert_eq!(hit.tuples, 10);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
-        assert_eq!(s.tuples_saved, 10);
-        assert!(s.resident_bytes > 0);
+    fn hit(cache: &IndexCache, key: ArtifactKey) -> Option<Artifact> {
+        match cache.lookup(key, &CancelToken::none()) {
+            IndexLookup::Hit { value, .. } => Some(value),
+            IndexLookup::Miss(_) => None,
+        }
     }
 
     #[test]
     fn epoch_and_share_split_keys() {
         let cache = IndexCache::new(1 << 20);
         let k = key(1, 0, "R1");
-        cache.insert_index(k.clone(), Arc::new(RelationIndex::new(vec![trie(5)], 5, 1)));
-        let mut stale = k.clone();
-        stale.epoch = 1;
-        assert!(cache.get_index(&stale).is_none(), "epoch bump must stop matching");
-        let mut other_share = k.clone();
-        other_share.share = vec![4, 1];
-        assert!(cache.get_index(&other_share).is_none());
-        let mut other_workers = k.clone();
-        other_workers.num_workers = 8;
-        assert!(cache.get_index(&other_workers).is_none());
-        let mut other_seq = k;
-        other_seq.delta_seq = 3;
+        let IndexLookup::Miss(claim) =
+            cache.lookup(ArtifactKey::Index(k.clone()), &CancelToken::none())
+        else {
+            panic!("cold key must miss")
+        };
+        claim.publish(index(10));
         assert!(
-            cache.get_index(&other_seq).is_none(),
-            "a mutated relation's entries must stop matching"
+            matches!(hit(&cache, ArtifactKey::Index(k.clone())), Some(Artifact::Index(idx)) if idx.tuples == 10)
         );
+        for other in [
+            IndexKey { epoch: 1, ..k.clone() },
+            IndexKey { share: vec![4, 1], ..k.clone() },
+            IndexKey { num_workers: 8, ..k.clone() },
+            IndexKey { delta_seq: 3, ..k.clone() },
+        ] {
+            assert!(
+                hit(&cache, ArtifactKey::Index(other.clone())).is_none(),
+                "{other:?} must not match"
+            );
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.tuples_saved), (1, 5, 10), "a hit credits its shuffle");
+    }
+
+    #[test]
+    fn bags_share_the_budget_and_roundtrip() {
+        let cache = IndexCache::new(1 << 20);
+        let scope = IndexScope { cache: &cache, db_tag: 7, epoch: 3, versions: &[] };
+        let rel = Arc::new(Relation::from_pairs(Attr(0), Attr(1), &[(1, 2), (3, 4)]));
+        cache
+            .store()
+            .insert(ArtifactKey::Bag(scope.bag_key("adj:R4,R5")), Artifact::Bag(Arc::clone(&rel)));
+        assert!(
+            matches!(hit(&cache, ArtifactKey::Bag(scope.bag_key("adj:R4,R5"))), Some(Artifact::Bag(b)) if b == rel)
+        );
+        assert!(hit(&cache, ArtifactKey::Bag(BagKey { epoch: 4, ..scope.bag_key("adj:R4,R5") }))
+            .is_none());
+        assert!(cache.stats().resident_bytes >= rel.size_bytes());
+    }
+
+    #[test]
+    fn bag_claims_roundtrip() {
+        let cache = IndexCache::new(1 << 20);
+        let bag = BagKey { db_tag: 7, epoch: 3, label: "adj:R4,R5@[1,2,4]".into() };
+        let rel = Arc::new(Relation::from_pairs(Attr(0), Attr(1), &[(1, 2)]));
+        match cache.lookup(ArtifactKey::Bag(bag.clone()), &CancelToken::none()) {
+            IndexLookup::Miss(claim) => claim.publish(Artifact::Bag(Arc::clone(&rel))),
+            IndexLookup::Hit { .. } => panic!("a cold bag must hand out a claim"),
+        };
+        match cache.lookup(ArtifactKey::Bag(bag), &CancelToken::none()) {
+            IndexLookup::Hit { value: Artifact::Bag(b), coalesced } => {
+                assert!(b == rel && !coalesced, "an uncontended hit is not coalesced");
+            }
+            _ => panic!("a published bag must hit"),
+        };
+    }
+
+    #[test]
+    fn republishing_a_resident_index_evicts_nothing() {
+        // A and B fill the budget, A is touched, then A is republished at
+        // the same size (a self-join's duplicate key, or a cancelled
+        // waiter racing the claim holder). Only A's own bytes change hands.
+        let bytes = RelationIndex::new(vec![trie(50)], 0, 0).bytes;
+        let cache = IndexCache::new(bytes * 2);
+        cache.store().insert(ArtifactKey::Index(key(1, 0, "A")), index(50));
+        cache.store().insert(ArtifactKey::Index(key(1, 0, "B")), index(50));
+        assert!(hit(&cache, ArtifactKey::Index(key(1, 0, "A"))).is_some());
+        cache.store().insert(ArtifactKey::Index(key(1, 0, "A")), index(50));
+        let s = cache.stats();
+        assert_eq!((s.len, s.evictions), (2, 0), "B must stay resident");
+        assert!(hit(&cache, ArtifactKey::Index(key(1, 0, "B"))).is_some());
+    }
+
+    #[test]
+    fn invalidate_is_scoped_to_one_database() {
+        let cache = IndexCache::new(1 << 20);
+        cache.store().insert(ArtifactKey::Index(key(100, 1, "R1")), index(5));
+        let bag = BagKey { db_tag: 100, epoch: 1, label: "adj:x".into() };
+        let rel = Relation::from_pairs(Attr(0), Attr(1), &[(1, 2)]);
+        cache.store().insert(ArtifactKey::Bag(bag), Artifact::Bag(Arc::new(rel)));
+        cache.store().insert(ArtifactKey::Index(key(100, 2, "R1")), index(5));
+        assert_eq!(cache.store().forget(1), 2, "epoch 1's index and bag drop");
+        assert!(
+            hit(&cache, ArtifactKey::Index(key(100, 2, "R1"))).is_some(),
+            "the later registration stays"
+        );
+        cache.store().check(|epoch| epoch == 2, true).unwrap();
     }
 
     #[test]
     fn take_indexes_for_harvests_one_relation() {
         let cache = IndexCache::new(1 << 20);
-        cache.insert_index(key(1, 0, "R1"), Arc::new(RelationIndex::new(vec![trie(5)], 5, 1)));
-        let mut seq1 = key(1, 0, "R1");
-        seq1.delta_seq = 1;
-        cache.insert_index(seq1, Arc::new(RelationIndex::new(vec![trie(6)], 6, 1)));
-        cache.insert_index(key(1, 0, "R2"), Arc::new(RelationIndex::new(vec![trie(7)], 7, 1)));
-        cache.insert_index(key(2, 0, "R1"), Arc::new(RelationIndex::new(vec![trie(8)], 8, 1)));
+        cache.store().insert(ArtifactKey::Index(key(1, 0, "R1")), index(5));
+        cache
+            .store()
+            .insert(ArtifactKey::Index(IndexKey { delta_seq: 1, ..key(1, 0, "R1") }), index(6));
+        cache.store().insert(ArtifactKey::Index(key(1, 0, "R2")), index(7));
+        cache.store().insert(ArtifactKey::Index(key(2, 0, "R1")), index(8));
         let taken = cache.take_indexes_for(1, "R1");
         assert_eq!(taken.len(), 2, "both sequences of db 1's R1 come out");
-        assert_eq!(cache.len(), 2, "other relation and other db stay");
-        assert!(cache.get_index(&key(1, 0, "R2")).is_some());
-        assert!(cache.get_index(&key(2, 0, "R1")).is_some());
-        assert_eq!(cache.stats().invalidations, 2);
-        let resident = cache.resident_bytes();
-        assert!(resident > 0, "freed bytes must be subtracted, not leaked");
+        assert_eq!(cache.stats().len, 2, "other relation and other db stay");
+        assert!(hit(&cache, ArtifactKey::Index(key(1, 0, "R2"))).is_some());
+        assert!(hit(&cache, ArtifactKey::Index(key(2, 0, "R1"))).is_some());
+        let s = cache.stats();
+        assert_eq!(s.invalidations, 2);
+        assert!(s.resident_bytes > 0, "freed bytes must be subtracted, not leaked");
+        cache.store().check(|_| true, true).unwrap();
+    }
+
+    #[test]
+    fn cancelled_waiter_stops_blocking() {
+        let cache = IndexCache::new(1 << 20);
+        let IndexLookup::Miss(_claim) =
+            cache.lookup(ArtifactKey::Index(key(1, 0, "R1")), &CancelToken::none())
+        else {
+            panic!("cold key must miss")
+        };
+        let cancel = CancelToken::manual();
+        cancel.cancel();
+        // The build never finishes, but the cancelled waiter returns
+        // promptly with a plain claim instead of hanging.
+        match cache.lookup(ArtifactKey::Index(key(1, 0, "R1")), &cancel) {
+            IndexLookup::Miss(claim) => assert!(!claim.is_exclusive()),
+            IndexLookup::Hit { .. } => panic!("a cancelled wait must give up coalescing"),
+        };
+    }
+
+    #[test]
+    fn poisoned_lock_recovers_by_clearing_not_wedging() {
+        // A query that panics while holding the store's lock must not
+        // wedge every later query: recovery drops the suspect contents.
+        let cache = IndexCache::new(1 << 20);
+        cache.store().insert(ArtifactKey::Index(key(1, 0, "R1")), index(5));
+        let died = std::panic::catch_unwind(|| cache.store().take(|_, _| panic!("a query died")));
+        assert!(died.is_err());
+        assert!(
+            hit(&cache, ArtifactKey::Index(key(1, 0, "R1"))).is_none(),
+            "suspect contents dropped"
+        );
+        cache.store().insert(ArtifactKey::Index(key(1, 0, "R2")), index(5));
+        assert!(
+            hit(&cache, ArtifactKey::Index(key(1, 0, "R2"))).is_some(),
+            "the cache keeps serving"
+        );
+        assert_eq!(cache.stats().invalidations, 1, "dropped entries count as invalidations");
     }
 
     #[test]
@@ -745,239 +544,5 @@ mod tests {
             fresh.version_digest(["R2"]),
             "digest over unmutated relations is stable"
         );
-    }
-
-    #[test]
-    fn poisoned_lock_recovers_by_clearing_not_wedging() {
-        // Regression: a panicking query used to poison the cache mutex and
-        // every later query then panicked on `.expect("poisoned")` —
-        // permanently wedging the service. Recovery drops the (suspect)
-        // contents and keeps serving cold.
-        let cache = Arc::new(IndexCache::new(1 << 20));
-        cache.insert_index(key(1, 0, "R1"), Arc::new(RelationIndex::new(vec![trie(5)], 5, 1)));
-        assert_eq!(cache.len(), 1);
-        let poisoner = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || {
-                let _guard = cache.lru.lock();
-                panic!("query died while holding the cache lock");
-            })
-        };
-        assert!(poisoner.join().is_err(), "the thread must actually panic");
-        assert!(cache.lru.is_poisoned());
-        // No panic on any operation; the cache restarts empty and works.
-        assert!(cache.get_index(&key(1, 0, "R1")).is_none(), "suspect contents dropped");
-        assert!(!cache.lru.is_poisoned(), "poison cleared on first recovery");
-        assert_eq!(cache.len(), 0);
-        cache.insert_index(key(1, 0, "R2"), Arc::new(RelationIndex::new(vec![trie(5)], 5, 1)));
-        assert!(cache.get_index(&key(1, 0, "R2")).is_some(), "cache keeps serving after recovery");
-        assert_eq!(cache.stats().invalidations, 1, "dropped entries count as invalidations");
-    }
-
-    #[test]
-    fn lru_eviction_respects_byte_budget() {
-        let t = trie(50);
-        let bytes = RelationIndex::new(vec![t.clone()], 0, 0).bytes;
-        // Room for exactly two entries.
-        let cache = IndexCache::new(bytes * 2 + 1);
-        for (i, name) in ["a", "b"].iter().enumerate() {
-            cache.insert_index(
-                key(1, 0, name),
-                Arc::new(RelationIndex::new(vec![t.clone()], i as u64, 0)),
-            );
-        }
-        assert!(cache.get_index(&key(1, 0, "a")).is_some()); // refresh a → b is LRU
-        cache.insert_index(key(1, 0, "c"), Arc::new(RelationIndex::new(vec![t.clone()], 2, 0)));
-        assert!(cache.get_index(&key(1, 0, "b")).is_none(), "b was least recently used");
-        assert!(cache.get_index(&key(1, 0, "a")).is_some());
-        assert!(cache.get_index(&key(1, 0, "c")).is_some());
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert!(s.resident_bytes <= s.capacity_bytes);
-    }
-
-    #[test]
-    fn oversized_entry_is_not_cached() {
-        let cache = IndexCache::new(8);
-        cache.insert_index(key(1, 0, "big"), Arc::new(RelationIndex::new(vec![trie(100)], 0, 0)));
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn zero_capacity_disables() {
-        let cache = IndexCache::new(0);
-        let k = key(1, 0, "R1");
-        cache.insert_index(k.clone(), Arc::new(RelationIndex::new(vec![trie(5)], 5, 1)));
-        assert!(cache.get_index(&k).is_none());
-        assert_eq!(cache.len(), 0);
-    }
-
-    #[test]
-    fn bags_share_the_budget_and_roundtrip() {
-        let cache = IndexCache::new(1 << 20);
-        let rel = Relation::from_pairs(Attr(0), Attr(1), &[(1, 2), (3, 4)]);
-        let scope = IndexScope { cache: &cache, db_tag: 7, epoch: 3, versions: &[] };
-        let bk = scope.bag_key("adj:R4,R5@[1,2,4]");
-        assert!(cache.get_bag(&bk).is_none());
-        cache.insert_bag(bk.clone(), Arc::new(rel.clone()));
-        assert_eq!(*cache.get_bag(&bk).unwrap(), rel);
-        assert!(cache.resident_bytes() >= rel.size_bytes());
-        // different epoch: distinct bag
-        let stale = BagKey { epoch: 4, ..bk };
-        assert!(cache.get_bag(&stale).is_none());
-    }
-
-    #[test]
-    fn invalidate_is_scoped_to_one_database() {
-        let cache = IndexCache::new(1 << 20);
-        cache.insert_index(key(100, 0, "R1"), Arc::new(RelationIndex::new(vec![trie(5)], 5, 1)));
-        cache.insert_bag(
-            BagKey { db_tag: 100, epoch: 0, label: "adj:x".into() },
-            Arc::new(Relation::from_pairs(Attr(0), Attr(1), &[(1, 2)])),
-        );
-        cache.insert_index(key(200, 0, "R1"), Arc::new(RelationIndex::new(vec![trie(5)], 5, 1)));
-        cache.invalidate_db(100);
-        assert_eq!(cache.len(), 1, "only db 100's artifacts drop");
-        assert!(cache.get_index(&key(200, 0, "R1")).is_some());
-        assert_eq!(cache.stats().invalidations, 2);
-        let expected: usize = cache.stats().resident_bytes;
-        assert!(expected > 0);
-    }
-
-    #[test]
-    fn coalesced_miss_waits_for_one_build() {
-        // N threads race a cold key: exactly one gets a claim and builds;
-        // the rest block on it and come back as coalesced hits.
-        const THREADS: usize = 8;
-        let cache = Arc::new(IndexCache::new(1 << 20));
-        let k = key(1, 0, "R1");
-        let built = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                let cache = Arc::clone(&cache);
-                let built = Arc::clone(&built);
-                let k = k.clone();
-                s.spawn(move || match cache.get_index_or_claim(&k, &CancelToken::none()) {
-                    CacheLookup::Miss(Some(claim)) => {
-                        built.fetch_add(1, Ordering::Relaxed);
-                        // Simulate a build long enough for every other
-                        // thread to arrive and block.
-                        std::thread::sleep(Duration::from_millis(20));
-                        claim.publish_index(Arc::new(RelationIndex::new(vec![trie(10)], 10, 1)));
-                    }
-                    CacheLookup::Miss(None) => panic!("coalescing must engage"),
-                    CacheLookup::Hit { .. } => {}
-                });
-            }
-        });
-        assert_eq!(built.load(Ordering::Relaxed), 1, "exactly one thread builds");
-        let s = cache.stats();
-        assert_eq!(s.insertions, 1);
-        assert_eq!(s.misses, 1, "waiters resolve as hits, not misses");
-        assert_eq!(s.hits, (THREADS - 1) as u64);
-        assert_eq!(s.coalesced_builds, (THREADS - 1) as u64);
-    }
-
-    #[test]
-    fn abandoned_claim_wakes_waiters_who_reclaim() {
-        let cache = Arc::new(IndexCache::new(1 << 20));
-        let k = key(1, 0, "R1");
-        let claim = match cache.get_index_or_claim(&k, &CancelToken::none()) {
-            CacheLookup::Miss(Some(c)) => c,
-            _ => panic!("cold key must hand out a claim"),
-        };
-        let waiter = {
-            let cache = Arc::clone(&cache);
-            let k = k.clone();
-            std::thread::spawn(move || {
-                match cache.get_index_or_claim(&k, &CancelToken::none()) {
-                    CacheLookup::Miss(Some(claim)) => {
-                        // The waiter inherits the build; publishing serves
-                        // later lookups normally.
-                        claim.publish_index(Arc::new(RelationIndex::new(vec![trie(4)], 4, 1)));
-                        true
-                    }
-                    _ => false,
-                }
-            })
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        drop(claim); // build failed — abandon without publishing
-        assert!(
-            waiter.join().expect("waiter must not hang"),
-            "waiter should reclaim the abandoned key"
-        );
-        assert!(cache.get_index(&k).is_some());
-        assert_eq!(cache.stats().coalesced_builds, 0, "an abandoned wait is not a coalesced hit");
-    }
-
-    #[test]
-    fn cancelled_waiter_stops_blocking() {
-        let cache = Arc::new(IndexCache::new(1 << 20));
-        let k = key(1, 0, "R1");
-        let _claim = match cache.get_index_or_claim(&k, &CancelToken::none()) {
-            CacheLookup::Miss(Some(c)) => c,
-            _ => panic!("cold key must hand out a claim"),
-        };
-        let cancel = CancelToken::manual();
-        cancel.cancel();
-        // The build never finishes, but the cancelled waiter returns
-        // promptly with a claimless miss instead of hanging.
-        match cache.get_index_or_claim(&k, &cancel) {
-            CacheLookup::Miss(None) => {}
-            other => panic!("cancelled wait must give up coalescing, got {other:?}"),
-        };
-    }
-
-    #[test]
-    fn zero_capacity_never_claims() {
-        let cache = IndexCache::new(0);
-        match cache.get_index_or_claim(&key(1, 0, "R1"), &CancelToken::none()) {
-            CacheLookup::Miss(None) => {}
-            other => panic!("disabled cache must not coalesce, got {other:?}"),
-        };
-    }
-
-    #[test]
-    fn bag_claims_roundtrip() {
-        let cache = IndexCache::new(1 << 20);
-        let scope = IndexScope { cache: &cache, db_tag: 7, epoch: 3, versions: &[] };
-        let bk = scope.bag_key("adj:R4,R5@[1,2,4]");
-        let rel = Arc::new(Relation::from_pairs(Attr(0), Attr(1), &[(1, 2)]));
-        match cache.get_bag_or_claim(&bk, &CancelToken::none()) {
-            CacheLookup::Miss(Some(claim)) => claim.publish_bag(Arc::clone(&rel)),
-            other => panic!("cold bag must hand out a claim, got {other:?}"),
-        }
-        match cache.get_bag_or_claim(&bk, &CancelToken::none()) {
-            CacheLookup::Hit { value, coalesced } => {
-                assert_eq!(*value, *rel);
-                assert!(!coalesced, "an uncontended hit is not coalesced");
-            }
-            other => panic!("published bag must hit, got {other:?}"),
-        };
-    }
-
-    #[test]
-    fn concurrent_access_is_safe() {
-        let cache = Arc::new(IndexCache::new(1 << 20));
-        let idx = Arc::new(RelationIndex::new(vec![trie(10)], 10, 1));
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let cache = Arc::clone(&cache);
-                let idx = Arc::clone(&idx);
-                s.spawn(move || {
-                    for i in 0..100u64 {
-                        let k = key(t, 0, &format!("R{}", (t * 100 + i) % 12));
-                        if cache.get_index(&k).is_none() {
-                            cache.insert_index(k, Arc::clone(&idx));
-                        }
-                    }
-                });
-            }
-        });
-        let s = cache.stats();
-        assert_eq!(s.hits + s.misses, 400);
-        assert!(s.resident_bytes <= s.capacity_bytes);
     }
 }

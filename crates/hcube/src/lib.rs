@@ -31,8 +31,8 @@ pub mod share;
 pub mod shuffle;
 
 pub use cache::{
-    BagKey, BuildClaim, CacheLookup, IndexCache, IndexCacheStats, IndexKey, IndexScope,
-    RelationIndex,
+    Artifact, ArtifactKey, BagKey, IndexCache, IndexCacheStats, IndexClaim, IndexKey, IndexLookup,
+    IndexScope, RelationIndex,
 };
 pub use patch::{patch_relation_indexes, PatchOutcome};
 pub use plan::HCubePlan;

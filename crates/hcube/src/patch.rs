@@ -18,7 +18,7 @@
 //! snapshot can publish its index after later mutations ran) cannot be
 //! brought forward — only `delta_seq == new_seq - 1` entries are patchable.
 
-use crate::cache::{IndexKey, IndexScope, RelationIndex};
+use crate::cache::{Artifact, ArtifactKey, IndexKey, IndexScope, RelationIndex};
 use crate::plan::HCubePlan;
 use adj_relational::{Relation, Schema, Trie, Value};
 use std::sync::Arc;
@@ -58,7 +58,7 @@ pub fn patch_relation_indexes(
         }
         if key.delta_seq == new_seq {
             // Already current (idempotent re-patch); keep it untouched.
-            scope.cache.insert_index(key, entry);
+            scope.cache.store().insert(ArtifactKey::Index(key), Artifact::Index(entry));
             continue;
         }
         if new_seq == 0 || key.delta_seq != new_seq - 1 {
@@ -71,7 +71,7 @@ pub fn patch_relation_indexes(
         }
         match patch_one(&key, &entry, inserts, deletes, new_seq) {
             Some((new_key, new_entry, routed)) => {
-                scope.cache.insert_index(new_key, new_entry);
+                scope.cache.store().insert(ArtifactKey::Index(new_key), Artifact::Index(new_entry));
                 out.patched += 1;
                 out.tuples_routed += routed;
             }
@@ -140,6 +140,17 @@ mod tests {
     use super::*;
     use crate::cache::IndexCache;
 
+    fn put(cache: &IndexCache, key: IndexKey, index: RelationIndex) {
+        cache.store().insert(ArtifactKey::Index(key), Artifact::Index(Arc::new(index)));
+    }
+
+    fn get(cache: &IndexCache, key: IndexKey) -> Option<Arc<RelationIndex>> {
+        cache.store().get_if(&ArtifactKey::Index(key), |a| match a {
+            Artifact::Index(idx) => Some(Arc::clone(idx)),
+            Artifact::Bag(_) => None,
+        })
+    }
+
     fn rel(ids: &[u32], rows: &[&[Value]]) -> Relation {
         Relation::from_rows(Schema::from_ids(ids), rows).unwrap()
     }
@@ -181,10 +192,7 @@ mod tests {
             rel(&[0, 1], &[&[1, 2], &[2, 3], &[3, 4], &[4, 5], &[5, 6], &[6, 7], &[7, 8], &[8, 9]]);
         let plan = HCubePlan::new(vec![2, 2], 4);
         let cache = IndexCache::new(1 << 20);
-        cache.insert_index(
-            key_for(&base, &plan, 0),
-            Arc::new(RelationIndex::new(fragments(&base, &plan), 8, 8)),
-        );
+        put(&cache, key_for(&base, &plan, 0), RelationIndex::new(fragments(&base, &plan), 8, 8));
 
         let inserts = rel(&[0, 1], &[&[9, 1], &[1, 9]]);
         let deletes = rel(&[0, 1], &[&[2, 3], &[42, 42]]); // one real, one missing
@@ -196,13 +204,13 @@ mod tests {
         // Both attrs are share dimensions, so every row lands on exactly
         // one worker: 2 insert + 2 delete deliveries were routed, but only
         // the inserts may feed the entry's shuffle-savings credit.
-        let patched_stats = cache.get_index(&key_for(&base, &plan, 1)).expect("patched entry");
+        let patched_stats = get(&cache, key_for(&base, &plan, 1)).expect("patched entry");
         assert_eq!(patched_stats.tuples, 8 + 2, "delete routing must not inflate tuples");
         assert_eq!(patched_stats.messages, 8 + 2);
 
         // old sequence no longer matches; new one does
-        assert!(cache.get_index(&key_for(&base, &plan, 0)).is_none());
-        let patched = cache.get_index(&key_for(&base, &plan, 1)).expect("patched entry");
+        assert!(get(&cache, key_for(&base, &plan, 0)).is_none());
+        let patched = get(&cache, key_for(&base, &plan, 1)).expect("patched entry");
 
         let effective =
             Relation::merge_sorted(&[&base, &inserts]).unwrap().subtract(&deletes).unwrap();
@@ -220,7 +228,7 @@ mod tests {
         let cache = IndexCache::new(1 << 20);
         let mut stale = key_for(&base, &plan, 0);
         stale.epoch = 7;
-        cache.insert_index(stale, Arc::new(RelationIndex::new(fragments(&base, &plan), 2, 2)));
+        put(&cache, stale, RelationIndex::new(fragments(&base, &plan), 2, 2));
 
         let none = Relation::empty(Schema::from_ids(&[0, 1]));
         let ins = rel(&[0, 1], &[&[5, 5]]);
@@ -228,7 +236,7 @@ mod tests {
         let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &versions };
         let out = patch_relation_indexes(&scope, "R", &ins, &none);
         assert_eq!((out.patched, out.dropped), (0, 1));
-        assert!(cache.is_empty(), "a stale-epoch entry must not survive");
+        assert_eq!(cache.stats().len, 0, "a stale-epoch entry must not survive");
     }
 
     #[test]
@@ -240,15 +248,9 @@ mod tests {
         // batches 1 and 2 ran (lookup clones the Arc outside the registry
         // lock). Patching it with batch 3's delta alone would silently
         // lose the intermediate batches — it must drop instead.
-        cache.insert_index(
-            key_for(&base, &plan, 0),
-            Arc::new(RelationIndex::new(fragments(&base, &plan), 4, 4)),
-        );
+        put(&cache, key_for(&base, &plan, 0), RelationIndex::new(fragments(&base, &plan), 4, 4));
         // The entry one behind the new sequence is patchable as usual.
-        cache.insert_index(
-            key_for(&base, &plan, 2),
-            Arc::new(RelationIndex::new(fragments(&base, &plan), 4, 4)),
-        );
+        put(&cache, key_for(&base, &plan, 2), RelationIndex::new(fragments(&base, &plan), 4, 4));
 
         let ins = rel(&[0, 1], &[&[9, 9]]);
         let none = Relation::empty(Schema::from_ids(&[0, 1]));
@@ -256,9 +258,9 @@ mod tests {
         let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &versions };
         let out = patch_relation_indexes(&scope, "R", &ins, &none);
         assert_eq!((out.patched, out.dropped), (1, 1));
-        assert!(cache.get_index(&key_for(&base, &plan, 0)).is_none(), "stale entry must drop");
+        assert!(get(&cache, key_for(&base, &plan, 0)).is_none(), "stale entry must drop");
 
-        let patched = cache.get_index(&key_for(&base, &plan, 3)).expect("current entry patched");
+        let patched = get(&cache, key_for(&base, &plan, 3)).expect("current entry patched");
         let effective = Relation::merge_sorted(&[&base, &ins]).unwrap();
         for (w, (got, want)) in patched.tries.iter().zip(&fragments(&effective, &plan)).enumerate()
         {
@@ -274,17 +276,14 @@ mod tests {
         let plan = HCubePlan::new(vec![4, 1], 4);
         let cache = IndexCache::new(1 << 20);
         let frags = fragments(&base, &plan);
-        cache.insert_index(
-            key_for(&base, &plan, 0),
-            Arc::new(RelationIndex::new(frags.clone(), 6, 6)),
-        );
+        put(&cache, key_for(&base, &plan, 0), RelationIndex::new(frags.clone(), 6, 6));
         let ins = rel(&[0, 1], &[&[1, 99]]);
         let none = Relation::empty(Schema::from_ids(&[0, 1]));
         let versions = vec![("R".to_string(), 1u64)];
         let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &versions };
         let out = patch_relation_indexes(&scope, "R", &ins, &none);
         assert_eq!(out.patched, 1);
-        let patched = cache.get_index(&key_for(&base, &plan, 1)).unwrap();
+        let patched = get(&cache, key_for(&base, &plan, 1)).unwrap();
         let rebuilt: Vec<bool> =
             patched.tries.iter().zip(&frags).map(|(a, b)| !Arc::ptr_eq(a, b)).collect();
         assert_eq!(rebuilt.iter().filter(|&&r| r).count(), 1, "exactly one fragment rebuilt");

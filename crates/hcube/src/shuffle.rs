@@ -23,7 +23,9 @@
 //! per-worker `Arc<Trie>` handles; cold relations are shuffled and built
 //! once, then published for every later query.
 
-use crate::cache::{BuildClaim, CacheLookup, IndexKey, IndexScope, RelationIndex};
+use crate::cache::{
+    Artifact, ArtifactKey, IndexClaim, IndexKey, IndexLookup, IndexScope, RelationIndex,
+};
 use crate::plan::HCubePlan;
 use adj_cluster::{BatchPayload, Cluster, Delivery, RoutedBatch};
 use adj_faults::{CancelToken, FaultSite};
@@ -279,16 +281,15 @@ pub fn hcube_shuffle_round(
     }
 
     // Consult the cache: resolved atoms skip routing, transfer, and build.
-    // Cold atoms come back with a
-    // [`BuildClaim`] registering this shuffle as the key's one in-flight
-    // builder, so a concurrent query that misses the same key blocks on
-    // this build instead of shuffling the relation again (request
-    // coalescing); the claims are published at assembly or abandoned by
-    // drop on any error path. Claims are acquired in *sorted key order* so
-    // two shuffles contending on overlapping atom sets can never
-    // hold-and-wait in a cycle.
+    // Cold atoms come back with an [`IndexClaim`] — usually registering
+    // this shuffle as the key's one in-flight builder, so a concurrent
+    // query that misses the same key blocks on this build instead of
+    // shuffling the relation again (request coalescing); the claims are
+    // published at assembly or abandoned by drop on any error path. Claims
+    // are acquired in *sorted key order* so two shuffles contending on
+    // overlapping atom sets can never hold-and-wait in a cycle.
     let mut resolved: Vec<Option<Arc<RelationIndex>>> = vec![None; infos.len()];
-    let mut claims: Vec<Option<BuildClaim<'_>>> = (0..infos.len()).map(|_| None).collect();
+    let mut claims: Vec<Option<IndexClaim<'_>>> = (0..infos.len()).map(|_| None).collect();
     let mut tuples_saved: u64 = 0;
     if let Some(scope) = cache {
         let mut keyed: Vec<(usize, IndexKey)> = infos
@@ -308,7 +309,7 @@ pub fn hcube_shuffle_round(
             // A self-join can put the same relation under the same induced
             // order twice; waiting on our own claim would deadlock, so the
             // duplicate reuses the first atom's outcome (a cold duplicate
-            // builds redundantly and publishes over the equal entry).
+            // builds redundantly, and the first atom's claim publishes).
             if i > 0 && keyed[i - 1].1 == *key {
                 let prev = resolved[keyed[i - 1].0].clone();
                 if let Some(entry) = &prev {
@@ -317,16 +318,17 @@ pub fn hcube_shuffle_round(
                 resolved[ai] = prev;
                 continue;
             }
-            match scope.cache.get_index_or_claim(key, cancel) {
-                CacheLookup::Hit { value, coalesced } => {
+            match scope.cache.lookup(ArtifactKey::Index(key.clone()), cancel) {
+                IndexLookup::Hit { value: Artifact::Index(value), coalesced } => {
                     let label = if coalesced { "index_cache_coalesced" } else { "index_cache_hit" };
                     tracer.instant(COORDINATOR_LANE, label, id);
                     tuples_saved += value.tuples;
                     resolved[ai] = Some(value);
                 }
-                CacheLookup::Miss(claim) => {
+                IndexLookup::Hit { .. } => unreachable!("an index key holds an index"),
+                IndexLookup::Miss(claim) => {
                     tracer.instant(COORDINATOR_LANE, "index_cache_miss", id);
-                    claims[ai] = claim;
+                    claims[ai] = Some(claim);
                 }
             }
         }
@@ -694,33 +696,13 @@ pub fn hcube_shuffle_round(
                     .map(|per_worker| per_worker[ai].take().expect("cold atom was built"))
                     .collect();
                 if let Some(claim) = claims[ai].take() {
-                    // Publish through the claim: the entry lands in the
-                    // cache and every coalesced waiter wakes with it.
-                    claim.publish_index(Arc::new(RelationIndex::new(
+                    // The entry lands in the cache and every coalesced
+                    // waiter wakes with it.
+                    claim.publish(Artifact::Index(Arc::new(RelationIndex::new(
                         tries.clone(),
                         rel_tuples[ai],
                         rel_messages[ai],
-                    )));
-                } else if let Some(scope) = cache {
-                    // Claimless cold build (disabled cache, a wait
-                    // interrupted by cancellation, or a duplicate key in
-                    // this shuffle): plain publish, no waiters to wake.
-                    if let Some(Some(id)) = cache_ids.get(ai) {
-                        let key = scope.index_key(
-                            id.clone(),
-                            info.induced.attrs().to_vec(),
-                            plan.share(),
-                            n,
-                        );
-                        scope.cache.insert_index(
-                            key,
-                            Arc::new(RelationIndex::new(
-                                tries.clone(),
-                                rel_tuples[ai],
-                                rel_messages[ai],
-                            )),
-                        );
-                    }
+                    ))));
                 }
                 for (w, local) in locals.iter_mut().enumerate() {
                     local.push(LocalRelation {

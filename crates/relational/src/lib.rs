@@ -19,19 +19,20 @@
 //! * the streaming-output vocabulary ([`output`]): [`OutputMode`],
 //!   [`QueryOutput`], and the [`RowSink`] trait execution layers stream
 //!   result rows into instead of materializing everything;
-//! * the exact-LRU recency index ([`lru`]) the plan, result and index
-//!   caches evict by.
+//! * the one weight-budgeted LRU [`cache`] the plan, result and index
+//!   caches are instances of, over its crate-private recency index (`lru`).
 //!
 //! Everything is deterministic: relations normalize to sorted-dedup form so
 //! that two equal relations are byte-identical, which the test-suite and the
 //! experiment harness rely on.
 
 pub mod bind;
+pub mod cache;
 pub mod database;
 pub mod error;
 pub mod hash;
 pub mod intersect;
-pub mod lru;
+mod lru;
 pub mod output;
 pub mod relation;
 pub mod schema;

@@ -1,30 +1,18 @@
-//! The recency index every cache in the workspace evicts by: exact
-//! least-recently-used order with O(1) hits, inserts and evictions.
+//! The recency index [`Cache`](crate::cache::Cache) evicts by: weighted
+//! entries in exact least-recently-used order, with the insert rule and the
+//! poisoning rule.
 //!
 //! Entries live in a slab threaded by an intrusive doubly linked list in
 //! recency order (head = most recently touched, tail = least), and a hash
 //! index maps each key to its slot. A hit relinks its slot to the head, an
-//! insert pushes one there, and eviction pops the tail. The victim is
-//! therefore always the entry touched longest ago — exactly what a scan for
-//! the smallest per-entry last-use tick picks — without visiting any other
-//! entry. Each entry carries a weight (resident bytes for the index cache,
-//! 1 for the entry-count caches) and the index keeps their sum, so a byte
-//! budget ([`Lru::make_room`]) and an entry count ([`Lru::insert_capped`])
-//! are two policies over one structure. Keys hash with std's randomly
-//! seeded hasher unless the owner names another: the plan and result caches
-//! key on digests of caller-supplied query text and bindings, while the
-//! index cache keys on its own plans' layouts and keeps the Fx hasher.
-//!
-//! [`SharedLru`] is the thread-safe form the caches hold: one mutex, and one
-//! rule for poisoning. A panic while the lock was held may have left the
-//! list half-relinked, so the next locker drops every entry, clears the
-//! poison and carries on cold. Cached entries are derived state: rebuilding
-//! them is always correct, and serving from a torn list is not.
+//! insert pushes one there, and eviction pops the tail, all in O(1). The
+//! victim is therefore always the entry touched longest ago — exactly what
+//! a scan for the smallest per-entry last-use tick picks — without visiting
+//! any other entry.
 
-use std::collections::hash_map::{Entry as MapEntry, RandomState};
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Link value for "no slot".
@@ -43,9 +31,9 @@ struct Slot<K, V> {
     node: Option<Node<K, V>>,
 }
 
-/// An exact LRU recency index over weighted entries, its keys hashed by
-/// `S`. Not thread-safe; see [`SharedLru`].
-pub struct Lru<K, V, S = RandomState> {
+/// Weighted entries in exact LRU order, their keys hashed by `S`. Not
+/// thread-safe: the cache holds it in a mutex locked through [`Lru::lock`].
+pub(crate) struct Lru<K, V, S> {
     index: HashMap<K, u32, S>,
     slots: Vec<Slot<K, V>>,
     free: Vec<u32>,
@@ -56,8 +44,8 @@ pub struct Lru<K, V, S = RandomState> {
     weight: usize,
 }
 
-impl<K, V, S: Default> Default for Lru<K, V, S> {
-    fn default() -> Self {
+impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Lru<K, V, S> {
+    pub(crate) fn new() -> Self {
         Lru {
             index: HashMap::default(),
             slots: Vec::new(),
@@ -67,64 +55,114 @@ impl<K, V, S: Default> Default for Lru<K, V, S> {
             weight: 0,
         }
     }
-}
 
-impl<K, V, S> std::fmt::Debug for Lru<K, V, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Lru").field("len", &self.index.len()).field("weight", &self.weight).finish()
-    }
-}
-
-impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Lru<K, V, S> {
-    /// An empty index.
-    pub fn new() -> Self {
-        Self::default()
+    /// Locks `m`. A panic while the lock was held may have left the list
+    /// half-relinked, so if the lock is poisoned every entry is dropped and
+    /// the poison cleared first. Returns the guard and how many entries
+    /// recovery dropped (0 when the lock was sound).
+    pub(crate) fn lock(m: &Mutex<Self>) -> (MutexGuard<'_, Self>, usize) {
+        match m.lock() {
+            Ok(guard) => (guard, 0),
+            Err(poisoned) => {
+                let mut guard = poisoned.into_inner();
+                let dropped = guard.clear();
+                m.clear_poison();
+                (guard, dropped)
+            }
+        }
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.index.len()
     }
 
-    /// Whether the index holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// Sum of the entries' weights.
-    pub fn weight(&self) -> usize {
+    pub(crate) fn weight(&self) -> usize {
         self.weight
     }
 
-    /// The value under `key`, made the most recent entry.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
-        self.get_if(key, |_| true)
+    /// Every entry with its weight, most recent first.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&K, &V, usize)> {
+        let mut slot = self.head;
+        std::iter::from_fn(move || {
+            let s = self.slots.get(slot as usize)?;
+            slot = s.next;
+            let node = s.node.as_ref().expect("linked slot is live");
+            Some((&node.key, &node.value, node.weight))
+        })
     }
 
-    /// The value under `key` if `accept` takes it, made the most recent
-    /// entry. A rejected value is a miss and keeps its place in the order
-    /// (the result LRU rejects an entry stored for a colliding identity).
-    pub fn get_if(&mut self, key: &K, accept: impl FnOnce(&V) -> bool) -> Option<&V> {
+    /// What `read` makes of the value under `key`. A value `read` rejects
+    /// (`None`) is a miss and keeps its place; otherwise the entry becomes
+    /// the most recent.
+    pub(crate) fn get_if<R>(&mut self, key: &K, read: impl FnOnce(&V) -> Option<R>) -> Option<R> {
         let slot = *self.index.get(key)?;
-        if !accept(&self.node(slot).value) {
-            return None;
-        }
+        let got = read(&self.node(slot).value)?;
         self.touch(slot);
-        Some(&self.node(slot).value)
+        Some(got)
+    }
+
+    /// The insert rule. An entry heavier than `capacity` is not stored, and
+    /// nothing is evicted for it. Otherwise `value` is stored under `key` at
+    /// `weight` as the most recent entry, replacing whatever sat there, and
+    /// the least-recent entries *other than the key itself* go to `evict`,
+    /// oldest first, until the total weight fits; republishing a resident
+    /// key never evicts room it already holds. Returns whether the key was
+    /// new.
+    pub(crate) fn insert(
+        &mut self,
+        key: K,
+        value: V,
+        weight: usize,
+        capacity: usize,
+        mut evict: impl FnMut((K, V)),
+    ) -> bool {
+        if weight > capacity {
+            return false;
+        }
+        let fresh = self.put(key, value, weight);
+        // The key is now the most recent entry and fits alone, so the
+        // least-recent entries go before it ever could.
+        while self.weight > capacity {
+            evict(self.remove_slot(self.tail));
+        }
+        fresh
+    }
+
+    /// Removes and returns every entry `pick` selects, in the hash index's
+    /// iteration order.
+    pub(crate) fn take(&mut self, mut pick: impl FnMut(&K, &V) -> bool) -> Vec<(K, V)> {
+        let picked: Vec<u32> = self
+            .index
+            .values()
+            .copied()
+            .filter(|&slot| {
+                let node = self.node(slot);
+                pick(&node.key, &node.value)
+            })
+            .collect();
+        picked.into_iter().map(|slot| self.remove_slot(slot)).collect()
+    }
+
+    /// Drops every entry and returns how many went.
+    pub(crate) fn clear(&mut self) -> usize {
+        let dropped = self.index.len();
+        *self = Lru::new();
+        dropped
     }
 
     /// Stores `value` under `key` at `weight` as the most recent entry and
-    /// returns the value it replaced, if any. Evicts nothing.
-    pub fn insert(&mut self, key: K, value: V, weight: usize) -> Option<V> {
+    /// returns whether the key was new. Evicts nothing.
+    fn put(&mut self, key: K, value: V, weight: usize) -> bool {
         match self.index.entry(key) {
             MapEntry::Occupied(o) => {
                 let slot = *o.get();
                 self.touch(slot);
                 let node = self.slots[slot as usize].node.as_mut().expect("indexed slot is live");
-                let old_weight = std::mem::replace(&mut node.weight, weight);
-                let old = std::mem::replace(&mut node.value, value);
-                self.weight = self.weight - old_weight + weight;
-                Some(old)
+                node.value = value;
+                self.weight = self.weight - std::mem::replace(&mut node.weight, weight) + weight;
+                false
             }
             MapEntry::Vacant(v) => {
                 let node = Some(Node { key: v.key().clone(), value, weight });
@@ -145,67 +183,9 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Lru<K, V, S> {
                 v.insert(slot);
                 self.push_front(slot);
                 self.weight += weight;
-                None
+                true
             }
         }
-    }
-
-    /// The entry-count policy of the plan cache and the result LRU: stores
-    /// `value` under `key` at weight 1 as the most recent entry, then, if a
-    /// new key took the count past `capacity`, evicts the least recent one.
-    /// Returns whether the key was new and the evicted entry. Overwriting a
-    /// key never evicts. Callers treat capacity 0 as "disabled" and do not
-    /// insert at all.
-    pub fn insert_capped(&mut self, key: K, value: V, capacity: usize) -> (bool, Option<(K, V)>) {
-        let fresh = self.insert(key, value, 1).is_none();
-        let evicted = if fresh && self.len() > capacity { self.pop_lru() } else { None };
-        (fresh, evicted)
-    }
-
-    /// The byte-budget policy of the index cache: evicts least-recent
-    /// entries until `need` more weight fits under `budget` (or nothing is
-    /// left), and returns them in eviction order.
-    pub fn make_room(&mut self, need: usize, budget: usize) -> Vec<(K, V)> {
-        let mut evicted = Vec::new();
-        while self.weight + need > budget {
-            match self.pop_lru() {
-                Some(victim) => evicted.push(victim),
-                None => break,
-            }
-        }
-        evicted
-    }
-
-    /// Removes and returns the least recently touched entry.
-    pub fn pop_lru(&mut self) -> Option<(K, V)> {
-        (self.tail != NIL).then(|| self.remove_slot(self.tail))
-    }
-
-    /// Drops every entry `keep` rejects and returns how many went. Entries
-    /// are offered in the hash index's iteration order.
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
-        let rejected: Vec<u32> = self
-            .index
-            .iter()
-            .filter(|&(key, &slot)| !keep(key, &self.node(slot).value))
-            .map(|(_, &slot)| slot)
-            .collect();
-        for &slot in &rejected {
-            self.remove_slot(slot);
-        }
-        rejected.len()
-    }
-
-    /// Drops every entry and returns how many went.
-    pub fn clear(&mut self) -> usize {
-        let dropped = self.len();
-        self.index.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.weight = 0;
-        dropped
     }
 
     fn node(&self, slot: u32) -> &Node<K, V> {
@@ -253,69 +233,20 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Lru<K, V, S> {
     }
 }
 
-/// An [`Lru`] behind a mutex that recovers from poisoning by dropping every
-/// entry (see the module docs).
-pub struct SharedLru<K, V, S = RandomState> {
-    inner: Mutex<Lru<K, V, S>>,
-    recovered: AtomicU64,
-}
-
-impl<K, V, S: Default> Default for SharedLru<K, V, S> {
-    fn default() -> Self {
-        SharedLru { inner: Mutex::new(Lru::default()), recovered: AtomicU64::new(0) }
-    }
-}
-
-impl<K, V, S> std::fmt::Debug for SharedLru<K, V, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedLru").field("recovered", &self.recovered()).finish_non_exhaustive()
-    }
-}
-
-impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> SharedLru<K, V, S> {
-    /// An empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Locks the index. If a panic poisoned the lock, every entry is
-    /// dropped (and counted in [`SharedLru::recovered`]) and the poison is
-    /// cleared before the guard is handed out.
-    pub fn lock(&self) -> MutexGuard<'_, Lru<K, V, S>> {
-        self.inner.lock().unwrap_or_else(|poisoned| {
-            let mut guard = poisoned.into_inner();
-            let dropped = guard.clear();
-            self.recovered.fetch_add(dropped as u64, Ordering::Relaxed);
-            self.inner.clear_poison();
-            guard
-        })
-    }
-}
-
-impl<K, V, S> SharedLru<K, V, S> {
-    /// Entries dropped by poison recovery since creation.
-    pub fn recovered(&self) -> u64 {
-        self.recovered.load(Ordering::Relaxed)
-    }
-
-    /// Whether a panic has poisoned the lock since the last recovery.
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.is_poisoned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::hash_map::RandomState;
 
-    /// A cached value: which database it belongs to (for `invalidate_db`)
-    /// and which identity it answers for (for colliding-identity gets).
+    /// A cached value: which database it belongs to (for `take`) and which
+    /// identity it answers for (for colliding-identity gets).
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct Val {
         db: u8,
         ident: u8,
     }
+
+    type TestLru = Lru<u64, Val, RandomState>;
 
     /// The reference: a map of entries with last-use ticks, evicting by a
     /// `min_by_key` scan for the smallest tick.
@@ -339,49 +270,36 @@ mod tests {
             }
         }
 
-        fn evict_min(&mut self) -> u64 {
-            let (&lru, _) = self.map.iter().min_by_key(|(_, e)| e.1).expect("non-empty");
-            let (_, _, bytes) = self.map.remove(&lru).unwrap();
-            self.resident -= bytes;
-            lru
-        }
-
-        fn put(&mut self, key: u64, val: Val, bytes: usize) -> bool {
-            self.tick += 1;
-            let old = self.map.insert(key, (val, self.tick, bytes));
-            if let Some((_, _, old_bytes)) = old {
-                self.resident -= old_bytes;
-            }
-            self.resident += bytes;
-            old.is_none()
-        }
-
-        /// The plan cache's / result LRU's insert.
-        fn insert_capped(&mut self, key: u64, val: Val, capacity: usize) -> (bool, Vec<u64>) {
-            if capacity == 0 {
+        /// The insert rule, spelled out: the key's own old weight is not
+        /// counted against the new one, and the victims are the smallest
+        /// ticks among the other keys.
+        fn insert(
+            &mut self,
+            key: u64,
+            val: Val,
+            weight: usize,
+            capacity: usize,
+        ) -> (bool, Vec<u64>) {
+            if weight > capacity {
                 return (false, Vec::new());
             }
-            let mut victims = Vec::new();
-            if !self.map.contains_key(&key) && self.map.len() >= capacity {
-                victims.push(self.evict_min());
-            }
-            (self.put(key, val, 1), victims)
-        }
-
-        /// The index cache's insert.
-        fn insert_budgeted(&mut self, key: u64, val: Val, bytes: usize, budget: usize) -> Vec<u64> {
-            if budget == 0 || bytes > budget {
-                return Vec::new();
+            let old = self.map.remove(&key);
+            if let Some((_, _, old_weight)) = old {
+                self.resident -= old_weight;
             }
             let mut victims = Vec::new();
-            while self.resident + bytes > budget && !self.map.is_empty() {
-                victims.push(self.evict_min());
+            while self.resident + weight > capacity {
+                let (&lru, _) = self.map.iter().min_by_key(|(_, e)| e.1).expect("a victim");
+                self.resident -= self.map.remove(&lru).expect("present").2;
+                victims.push(lru);
             }
-            self.put(key, val, bytes);
-            victims
+            self.tick += 1;
+            self.map.insert(key, (val, self.tick, weight));
+            self.resident += weight;
+            (old.is_none(), victims)
         }
 
-        fn invalidate_db(&mut self, db: u8) -> usize {
+        fn take_db(&mut self, db: u8) -> usize {
             let before = self.map.len();
             let mut freed = 0;
             self.map.retain(|_, e| {
@@ -396,58 +314,30 @@ mod tests {
         }
     }
 
-    /// The two policies as the caches drive them, over the recency index.
-    fn lru_insert_capped(
-        lru: &mut Lru<u64, Val>,
-        key: u64,
-        val: Val,
-        capacity: usize,
-    ) -> (bool, Vec<u64>) {
-        if capacity == 0 {
-            return (false, Vec::new());
-        }
-        let (fresh, evicted) = lru.insert_capped(key, val, capacity);
-        (fresh, evicted.into_iter().map(|(k, _)| k).collect())
-    }
-
-    fn lru_insert_budgeted(
-        lru: &mut Lru<u64, Val>,
-        key: u64,
-        val: Val,
-        bytes: usize,
-        budget: usize,
-    ) -> Vec<u64> {
-        if budget == 0 || bytes > budget {
-            return Vec::new();
-        }
-        let victims = lru.make_room(bytes, budget).into_iter().map(|(k, _)| k).collect();
-        lru.insert(key, val, bytes);
-        victims
-    }
-
     /// SplitMix64: a seeded, dependency-free op stream.
     struct Rng(u64);
 
     impl Rng {
-        fn next(&mut self) -> u64 {
+        fn below(&mut self, n: u64) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
+            (z ^ (z >> 31)) % n
         }
     }
 
     /// One random op sequence against both structures; every step's hit,
-    /// victims, `len` and weight must agree. `budget` is `None` for the
-    /// entry-count policy.
-    fn run_against_reference(seed: u64, capacity: usize, budget: Option<usize>, steps: usize) {
+    /// victims, `len` and weight must agree. `weigh` draws each inserted
+    /// entry's weight.
+    fn run_against_reference(
+        seed: u64,
+        capacity: usize,
+        steps: usize,
+        weigh: impl Fn(&mut Rng) -> usize,
+    ) {
         let mut rng = Rng(seed);
-        let mut lru: Lru<u64, Val> = Lru::new();
+        let mut lru = TestLru::new();
         let mut reference = Reference::default();
         // Few enough keys that overwrites and re-gets are common.
         let keys = (capacity as u64 * 2).clamp(3, 96);
@@ -455,32 +345,26 @@ mod tests {
             let key = rng.below(keys);
             let val = Val { db: rng.below(3) as u8, ident: rng.below(2) as u8 };
             let what = rng.below(100);
-            let ctx = format!("seed {seed} cap {capacity} budget {budget:?} step {step}");
+            let ctx = format!("seed {seed} capacity {capacity} step {step}");
             match what {
                 // get, half the time for a colliding identity
                 0..=44 => {
                     let ident = rng.below(2) as u8;
-                    let got = lru.get_if(&key, |v| v.ident == ident).is_some();
+                    let got = lru.get_if(&key, |v| (v.ident == ident).then_some(())).is_some();
                     assert_eq!(got, reference.get(key, ident), "{ctx}: get {key}");
                 }
                 // insert or overwrite
-                45..=93 => match budget {
-                    None => {
-                        let got = lru_insert_capped(&mut lru, key, val, capacity);
-                        let want = reference.insert_capped(key, val, capacity);
-                        assert_eq!(got, want, "{ctx}: insert {key}");
-                    }
-                    Some(budget) => {
-                        let bytes = 1 + rng.below(budget as u64 / 2 + 2) as usize;
-                        let got = lru_insert_budgeted(&mut lru, key, val, bytes, budget);
-                        let want = reference.insert_budgeted(key, val, bytes, budget);
-                        assert_eq!(got, want, "{ctx}: insert {key} at {bytes} bytes");
-                    }
-                },
+                45..=93 => {
+                    let weight = weigh(&mut rng);
+                    let mut victims = Vec::new();
+                    let fresh = lru.insert(key, val, weight, capacity, |(k, _)| victims.push(k));
+                    let want = reference.insert(key, val, weight, capacity);
+                    assert_eq!((fresh, victims), want, "{ctx}: insert {key} at weight {weight}");
+                }
                 94..=98 => {
                     let db = rng.below(3) as u8;
-                    let got = lru.retain(|_, v| v.db != db);
-                    assert_eq!(got, reference.invalidate_db(db), "{ctx}: invalidate {db}");
+                    let got = lru.take(|_, v| v.db == db).len();
+                    assert_eq!(got, reference.take_db(db), "{ctx}: take {db}");
                 }
                 _ => {
                     assert_eq!(lru.clear(), reference.map.len(), "{ctx}: clear");
@@ -489,16 +373,18 @@ mod tests {
                 }
             }
             assert_eq!(lru.len(), reference.map.len(), "{ctx}: len");
-            let weight = budget.map_or(reference.map.len(), |_| reference.resident);
-            assert_eq!(lru.weight(), weight, "{ctx}: weight");
+            assert_eq!(lru.weight(), reference.resident, "{ctx}: weight");
+            let summed: usize = lru.entries().map(|(_, _, w)| w).sum();
+            assert_eq!(summed, lru.weight(), "{ctx}: weight is the sum of the entries'");
         }
     }
 
     #[test]
     fn entry_count_policy_matches_the_min_tick_scan() {
+        // An entry-count cache is a weight-1 budget.
         for capacity in [0, 1, 2, 64] {
             for seed in 0..8 {
-                run_against_reference(seed, capacity, None, 4_000);
+                run_against_reference(seed, capacity, 4_000, |_| 1);
             }
         }
     }
@@ -506,64 +392,81 @@ mod tests {
     #[test]
     fn byte_budget_policy_matches_the_min_tick_scan() {
         // Entries weigh up to half the budget, so one insert can need
-        // several victims.
+        // several victims; some weigh nothing and some more than the budget.
         for budget in [1, 7, 40, 500] {
             for seed in 0..8 {
-                run_against_reference(seed, 16, Some(budget), 4_000);
+                run_against_reference(seed, budget, 4_000, |rng| match rng.below(8) {
+                    0 => 0,
+                    1 => budget + 1,
+                    _ => 1 + rng.below(budget as u64 / 2 + 2) as usize,
+                });
             }
         }
     }
 
     #[test]
     fn eviction_takes_the_least_recently_touched() {
-        let mut lru: Lru<&str, u32> = Lru::new();
-        lru.insert("a", 1, 1);
-        lru.insert("b", 2, 1);
-        lru.insert("c", 3, 1);
-        assert_eq!(lru.get(&"a"), Some(&1)); // a is now the most recent
-        assert_eq!(lru.get_if(&"b", |_| false), None, "a rejected get does not refresh");
-        assert_eq!(lru.pop_lru(), Some(("b", 2)));
-        assert_eq!(lru.pop_lru(), Some(("c", 3)));
-        assert_eq!(lru.pop_lru(), Some(("a", 1)));
-        assert_eq!(lru.pop_lru(), None);
-        assert!(lru.is_empty());
+        let mut lru: Lru<&str, u32, RandomState> = Lru::new();
+        let mut victims = Vec::new();
+        for (key, value) in [("a", 1), ("b", 2), ("c", 3)] {
+            lru.insert(key, value, 1, 3, |kv| victims.push(kv));
+        }
+        assert_eq!(lru.get_if(&"a", |&v| Some(v)), Some(1)); // a is now the most recent
+        assert_eq!(lru.get_if(&"b", |_| None::<()>), None, "a rejected get does not refresh");
+        let order: Vec<&str> = lru.entries().map(|(&k, _, _)| k).collect();
+        assert_eq!(order, ["a", "c", "b"]);
+        lru.insert("d", 4, 1, 3, |kv| victims.push(kv));
+        lru.insert("e", 5, 2, 3, |kv| victims.push(kv));
+        assert_eq!(victims, [("b", 2), ("c", 3), ("a", 1)], "oldest first");
+        assert_eq!((lru.len(), lru.weight()), (2, 3));
     }
 
     #[test]
     fn weights_follow_overwrites_and_removals() {
-        let mut lru: Lru<u32, ()> = Lru::new();
-        lru.insert(1, (), 10);
-        lru.insert(2, (), 5);
+        let mut lru: Lru<u32, (), RandomState> = Lru::new();
+        let mut victims = Vec::new();
+        assert!(lru.insert(1, (), 10, 20, |kv| victims.push(kv)));
+        assert!(lru.insert(2, (), 5, 20, |kv| victims.push(kv)));
         assert_eq!(lru.weight(), 15);
-        assert_eq!(lru.insert(1, (), 3), Some(()), "overwrite returns the old value");
+        assert!(!lru.insert(1, (), 3, 20, |kv| victims.push(kv)), "an overwrite is not new");
         assert_eq!(lru.weight(), 8);
-        let evicted = lru.make_room(4, 10);
-        assert_eq!(evicted, vec![(2, ())], "2 is least recent after 1's overwrite");
-        assert_eq!(lru.weight(), 3);
-        assert_eq!(lru.retain(|&k, _| k != 1), 1);
+        // Republishing a resident key at a full budget evicts nothing: its
+        // own weight is not counted twice.
+        assert!(!lru.insert(1, (), 3, 8, |kv| victims.push(kv)));
+        assert!(victims.is_empty() && lru.weight() == 8);
+        lru.insert(3, (), 4, 10, |kv| victims.push(kv));
+        assert_eq!(victims, [(2, ())], "2 is least recent after 1's overwrite");
+        assert_eq!(lru.weight(), 7);
+        assert!(!lru.insert(4, (), 11, 10, |kv| victims.push(kv)), "heavier than the budget");
+        assert_eq!((lru.len(), lru.weight(), victims.len()), (2, 7, 1));
+        assert_eq!(lru.take(|&k, _| k != 1).len(), 1);
+        assert_eq!(lru.take(|_, _| true), [(1, ())]);
         assert_eq!((lru.len(), lru.weight()), (0, 0));
         // Freed slots are reused.
-        lru.insert(7, (), 1);
-        assert_eq!(lru.slots.len(), 2);
+        lru.insert(7, (), 1, 10, |kv| victims.push(kv));
+        assert_eq!(lru.slots.len(), 3);
     }
 
     #[test]
     fn a_poisoned_lock_recovers_empty() {
-        let shared: std::sync::Arc<SharedLru<u32, u32>> = Default::default();
-        shared.lock().insert(1, 1, 1);
+        let shared: std::sync::Arc<Mutex<Lru<u32, u32, RandomState>>> =
+            std::sync::Arc::new(Mutex::new(Lru::new()));
+        Lru::lock(&shared).0.insert(1, 1, 1, 4, drop);
         let poisoner = {
             let shared = std::sync::Arc::clone(&shared);
             std::thread::spawn(move || {
-                let _guard = shared.lock();
+                let _guard = Lru::lock(&shared);
                 panic!("a holder died mid-update");
             })
         };
         assert!(poisoner.join().is_err());
         assert!(shared.is_poisoned());
-        assert!(shared.lock().is_empty(), "suspect contents dropped");
+        let (guard, dropped) = Lru::lock(&shared);
+        assert_eq!((guard.len(), dropped), (0, 1), "suspect contents dropped");
+        drop(guard);
         assert!(!shared.is_poisoned(), "poison cleared on recovery");
-        assert_eq!(shared.recovered(), 1);
-        shared.lock().insert(2, 2, 1);
-        assert_eq!(shared.lock().get(&2), Some(&2));
+        assert_eq!(Lru::lock(&shared).1, 0, "a sound lock drops nothing");
+        Lru::lock(&shared).0.insert(2, 2, 1, 4, drop);
+        assert_eq!(Lru::lock(&shared).0.get_if(&2, |&v| Some(v)), Some(2));
     }
 }

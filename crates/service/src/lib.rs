@@ -22,8 +22,8 @@
 //!   cached plan and the same warm index family the unbound query uses:
 //!   the share program and the shuffle never see a binding, only Leapfrog
 //!   does, seeking the bound constants.
-//! * [`PlanCache`](cache::PlanCache) — an LRU cache of optimized plans
-//!   keyed by the canonical
+//! * the plan cache — an LRU [`Cache`](adj_relational::cache::Cache) of
+//!   optimized plans keyed by the canonical
 //!   [`QueryFingerprint`](adj_query::QueryFingerprint) plus the target
 //!   database's statistics epoch. Repeated query shapes skip GHD search,
 //!   cost sampling, and Algorithm 2 entirely; hit/miss/eviction counts are
@@ -35,6 +35,12 @@
 //!   queries skip the HCube shuffle + sort + trie build entirely and join
 //!   over the cached handles; bytes are LRU-bounded and carved out of the
 //!   cluster memory budget the admission controller enforces.
+//! * the per-binding result LRU ([`result_cache`]) of the batch door. It,
+//!   the plan cache and the index cache are instances of the one generic
+//!   [`Cache`](adj_relational::cache::Cache): one insert rule, one build
+//!   claim, one set of [`CacheStats`] counters, and one invalidation rule —
+//!   re-registering or dropping a database forgets its registration's
+//!   entries in all three.
 //! * [`AdmissionController`](admission::AdmissionController) — a
 //!   concurrency limit plus a per-query memory budget derived from
 //!   [`ClusterConfig::memory_limit_bytes`](adj_cluster::ClusterConfig):
@@ -75,7 +81,6 @@
 //! ```
 
 pub mod admission;
-pub mod cache;
 pub mod explain;
 pub mod json;
 pub mod metrics;
@@ -87,12 +92,11 @@ pub use adj_cluster::TransportKind;
 pub use adj_core::{IndexCache, IndexCacheStats};
 pub use adj_delta::{DeltaConfig, MutationBatch};
 pub use adj_query::ExplainMode;
+pub use adj_relational::cache::CacheStats;
 pub use adj_trace::{Event, QueryTrace, Trace, Tracer};
 pub use admission::{AdmissionPolicy, AdmissionStats};
-pub use cache::PlanCacheStats;
 pub use json::execution_report_json;
 pub use metrics::{HistogramSnapshot, MetricsSnapshot, ModeCounts};
-pub use result_cache::ResultCacheStats;
 pub use service::{
     BatchOutcome, MutationOutcome, PreparedQuery, Service, ServiceOutcome, ServiceStats, SlowQuery,
 };
@@ -149,7 +153,7 @@ pub struct ServiceConfig {
     /// Plan-cache capacity in entries; 0 disables caching.
     pub plan_cache_capacity: usize,
     /// Per-binding result-cache capacity in entries
-    /// ([`ResultCache`](result_cache::ResultCache) — finished
+    /// ([`result_cache`] — finished
     /// [`QueryOutput`](adj_relational::QueryOutput)s keyed by plan entry +
     /// mode + binding values, serving re-bound hot vertices on the batched
     /// path without executing); 0 disables it.

@@ -1,53 +1,25 @@
-//! The per-binding result LRU.
+//! The per-binding result LRU's entries and their collision check.
 //!
 //! Serving traffic against a prepared query re-binds a handful of hot
 //! vertices constantly (the workloads are Zipf-skewed), and a re-bound hot
-//! vertex re-derives a result the service just computed. This cache closes
-//! that loop: finished [`QueryOutput`]s are kept keyed by the *plan cache
-//! key* (which already folds the database tag and statistics token, so
+//! vertex re-derives a result the service just computed. The batch door
+//! closes that loop: finished [`QueryOutput`]s are kept in a
+//! [`Cache`] keyed by the *plan cache key*
+//! (which already folds the database tag and statistics token, so
 //! mutations and re-registrations orphan stale entries automatically), the
 //! output mode, and the binding's value vector, folded FNV-style over its
 //! `(attribute, value)` pairs. The fold is 64 bits over caller-chosen
 //! values, so two bindings can collide: every entry also stores the
 //! [`ResultId`] it was computed for, and a lookup whose identity differs is
 //! a miss, never another binding's answer.
-//!
-//! Entries live in the shared exact-LRU recency index
-//! ([`adj_relational::lru`]), so a lookup and an eviction are both O(1).
-//! That matters on the batch door: a skewed batch of thousands of bindings
-//! keeps the cache full and inserts (and evicts) once per cold binding.
 
-use adj_relational::lru::SharedLru;
+use adj_relational::cache::Cache;
 use adj_relational::{BoundValues, OutputMode, QueryOutput};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters describing result-cache behaviour since service start.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResultCacheStats {
-    /// Lookups that found a finished result.
-    pub hits: u64,
-    /// Lookups that had to execute.
-    pub misses: u64,
-    /// Results inserted.
-    pub insertions: u64,
-    /// Results evicted to make room.
-    pub evictions: u64,
-    /// Results dropped because a panic poisoned the cache's lock.
-    pub invalidations: u64,
-    /// Current number of cached results.
-    pub len: usize,
-}
-
-impl ResultCacheStats {
-    /// Hit rate in `[0, 1]`; 0 when no lookups happened yet.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
+/// The result LRU: up to `capacity` results (0 disables it), each
+/// forgotten with the database registration it was computed against.
+pub fn result_lru(capacity: usize) -> Cache<u64, ResultEntry> {
+    Cache::new(capacity, |_| 1, |_, e| e.epoch)
 }
 
 /// What a cached result is the answer to: the plan-cache entry, the output
@@ -62,110 +34,35 @@ pub struct ResultId<'a> {
     pub binding: &'a BoundValues,
 }
 
+/// One cached result: the identity it answers for, the database
+/// registration (epoch) it was computed against, and the output.
 #[derive(Debug)]
-struct CacheEntry {
+pub struct ResultEntry {
     plan_key: u64,
     mode: OutputMode,
     binding: BoundValues,
+    epoch: u64,
     output: QueryOutput,
 }
 
-impl CacheEntry {
-    fn answers(&self, id: &ResultId<'_>) -> bool {
-        self.plan_key == id.plan_key && self.mode == id.mode && self.binding == *id.binding
-    }
-}
-
-/// A thread-safe LRU cache of per-binding query outputs.
-#[derive(Debug)]
-pub struct ResultCache {
-    capacity: usize,
-    lru: SharedLru<u64, CacheEntry>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl ResultCache {
-    /// Creates a cache holding at most `capacity` results (0 disables it).
-    pub fn new(capacity: usize) -> Self {
-        ResultCache {
-            capacity,
-            lru: SharedLru::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up `key`, refreshing its recency on a hit. An entry stored for
-    /// a different identity (a key collision) is a miss and keeps its place.
-    pub fn get(&self, key: u64, id: &ResultId<'_>) -> Option<QueryOutput> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let output = self.lru.lock().get_if(&key, |e| e.answers(id)).map(|e| e.output.clone());
-        let counter = if output.is_some() { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
-        output
-    }
-
-    /// Inserts `id`'s `output` under `key`, evicting the least-recently-used
-    /// entry if the cache is full, and returns whether it evicted one.
-    /// Whatever sat under `key` is overwritten: for the same identity the
-    /// outputs are equal, and a colliding identity loses its slot to the
-    /// more recent one.
-    pub fn insert(&self, key: u64, id: &ResultId<'_>, output: QueryOutput) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        let entry = CacheEntry {
+impl ResultEntry {
+    /// The entry for `id`'s `output`, computed against registration `epoch`.
+    pub fn new(id: &ResultId<'_>, epoch: u64, output: QueryOutput) -> Self {
+        ResultEntry {
             plan_key: id.plan_key,
             mode: id.mode,
             binding: id.binding.clone(),
+            epoch,
             output,
-        };
-        // The victim is dropped after the guard, outside the lock.
-        let (fresh, evicted) = self.lru.lock().insert_capped(key, entry, self.capacity);
-        if fresh {
-            self.insertions.fetch_add(1, Ordering::Relaxed);
         }
-        if evicted.is_some() {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        evicted.is_some()
     }
 
-    /// Empties the cache (database re-registration drops results eagerly —
-    /// the new epoch would orphan them anyway; this frees the memory now).
-    pub fn clear(&self) {
-        self.lru.lock().clear();
-    }
-
-    /// Current entry count.
-    pub fn len(&self) -> usize {
-        self.lru.lock().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A consistent snapshot of the counters.
-    pub fn stats(&self) -> ResultCacheStats {
-        ResultCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            // After `len`, whose lock would do any pending recovery.
-            len: self.len(),
-            invalidations: self.lru.recovered(),
-        }
+    /// The output, if this entry answers for `id` (a colliding key's entry
+    /// answers for another identity).
+    pub fn answer(&self, id: &ResultId<'_>) -> Option<QueryOutput> {
+        let same =
+            self.plan_key == id.plan_key && self.mode == id.mode && self.binding == *id.binding;
+        same.then(|| self.output.clone())
     }
 }
 
@@ -182,103 +79,94 @@ mod tests {
         ResultId { plan_key: 7, mode: OutputMode::Count, binding }
     }
 
+    fn put(cache: &Cache<u64, ResultEntry>, key: u64, epoch: u64, n: u64) -> usize {
+        cache.insert(key, ResultEntry::new(&id(&binding(1)), epoch, QueryOutput::Count(n)))
+    }
+
+    fn get(cache: &Cache<u64, ResultEntry>, key: u64) -> Option<QueryOutput> {
+        cache.get_if(&key, |e| e.answer(&id(&binding(1))))
+    }
+
     #[test]
     fn hit_after_insert_miss_before() {
-        let cache = ResultCache::new(4);
-        let a = binding(1);
-        assert!(cache.get(9, &id(&a)).is_none());
-        cache.insert(9, &id(&a), QueryOutput::Count(42));
-        assert_eq!(cache.get(9, &id(&a)), Some(QueryOutput::Count(42)));
+        let cache = result_lru(4);
+        assert!(get(&cache, 9).is_none());
+        put(&cache, 9, 0, 42);
+        assert_eq!(get(&cache, 9), Some(QueryOutput::Count(42)));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.insertions, s.len), (1, 1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn a_colliding_key_is_a_miss_that_overwrites() {
-        let cache = ResultCache::new(4);
+        let cache = result_lru(4);
         let (a, b) = (binding(1), binding(2));
-        cache.insert(9, &id(&a), QueryOutput::Count(42));
-        assert!(cache.get(9, &id(&b)).is_none(), "b must not be served a's answer");
-        let other_mode = ResultId { mode: OutputMode::Exists, ..id(&a) };
-        assert!(cache.get(9, &other_mode).is_none());
-        let other_plan = ResultId { plan_key: 8, ..id(&a) };
-        assert!(cache.get(9, &other_plan).is_none());
-        cache.insert(9, &id(&b), QueryOutput::Count(5));
-        assert_eq!(cache.get(9, &id(&b)), Some(QueryOutput::Count(5)));
-        assert!(cache.get(9, &id(&a)).is_none(), "the slot now answers for b only");
-        assert_eq!(cache.len(), 1);
+        let get = |id: &ResultId<'_>| cache.get_if(&9, |e| e.answer(id));
+        cache.insert(9, ResultEntry::new(&id(&a), 0, QueryOutput::Count(42)));
+        assert!(get(&id(&b)).is_none(), "b must not be served a's answer");
+        assert!(get(&ResultId { mode: OutputMode::Exists, ..id(&a) }).is_none());
+        assert!(get(&ResultId { plan_key: 8, ..id(&a) }).is_none());
+        cache.insert(9, ResultEntry::new(&id(&b), 0, QueryOutput::Count(5)));
+        assert_eq!(get(&id(&b)), Some(QueryOutput::Count(5)));
+        assert!(get(&id(&a)).is_none(), "the slot now answers for b only");
+        assert_eq!(cache.stats().len, 1);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let cache = ResultCache::new(2);
-        let a = binding(1);
-        cache.insert(1, &id(&a), QueryOutput::Count(1));
-        cache.insert(2, &id(&a), QueryOutput::Count(2));
-        assert!(cache.get(1, &id(&a)).is_some()); // refresh 1 → 2 is now LRU
-        cache.insert(3, &id(&a), QueryOutput::Count(3));
-        assert!(cache.get(2, &id(&a)).is_none(), "2 was least recently used");
-        assert!(cache.get(1, &id(&a)).is_some());
-        assert!(cache.get(3, &id(&a)).is_some());
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.len(), 2);
+        let cache = result_lru(2);
+        put(&cache, 1, 0, 1);
+        put(&cache, 2, 0, 2);
+        assert!(get(&cache, 1).is_some()); // 2 is now the LRU
+        assert_eq!(put(&cache, 3, 0, 3), 1);
+        assert!(get(&cache, 2).is_none(), "2 was least recently used");
+        assert_eq!((cache.stats().evictions, cache.stats().len), (1, 2));
     }
 
     #[test]
     fn zero_capacity_disables() {
-        let cache = ResultCache::new(0);
-        let a = binding(1);
-        cache.insert(1, &id(&a), QueryOutput::Count(1));
-        assert!(cache.get(1, &id(&a)).is_none());
-        assert_eq!(cache.len(), 0);
+        let cache = result_lru(0);
+        put(&cache, 1, 0, 1);
+        assert!(get(&cache, 1).is_none());
+        assert_eq!(cache.stats().len, 0);
     }
 
     #[test]
     fn clear_empties() {
-        let cache = ResultCache::new(4);
-        let a = binding(1);
-        cache.insert(1, &id(&a), QueryOutput::Exists(true));
-        cache.insert(2, &id(&a), QueryOutput::Exists(false));
-        cache.clear();
-        assert!(cache.is_empty());
-        assert!(cache.get(1, &id(&a)).is_none());
+        // Forgetting a registration drops its results only; taking every
+        // entry empties the cache.
+        let cache = result_lru(4);
+        put(&cache, 1, 10, 1);
+        put(&cache, 2, 20, 2);
+        assert_eq!(cache.forget(10), 1);
+        assert!(get(&cache, 2).is_some(), "another registration's result stays");
+        assert_eq!(cache.take(|_, _| true).len(), 1);
+        assert_eq!(cache.stats().len, 0);
     }
 
     #[test]
     fn a_poisoned_lock_recovers_and_serves_hits() {
-        let cache = std::sync::Arc::new(ResultCache::new(4));
-        let a = binding(1);
-        cache.insert(1, &id(&a), QueryOutput::Count(1));
-        cache.insert(2, &id(&a), QueryOutput::Count(2));
-        let poisoner = {
-            let cache = std::sync::Arc::clone(&cache);
-            std::thread::spawn(move || {
-                let _guard = cache.lru.lock();
-                panic!("a batch died while holding the result cache lock");
-            })
-        };
-        assert!(poisoner.join().is_err(), "the thread must actually panic");
-        assert!(cache.get(1, &id(&a)).is_none(), "suspect contents dropped, not served");
-        cache.insert(1, &id(&a), QueryOutput::Count(1));
-        assert_eq!(cache.get(1, &id(&a)), Some(QueryOutput::Count(1)), "hits are served again");
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
-        assert_eq!(s.invalidations, 2, "both dropped results are counted");
+        let cache = result_lru(4);
+        put(&cache, 1, 0, 1);
+        let died = std::panic::catch_unwind(|| cache.take(|_, _| panic!("a batch died")));
+        assert!(died.is_err());
+        assert!(get(&cache, 1).is_none(), "suspect contents dropped, not served");
+        put(&cache, 1, 0, 1);
+        assert_eq!(get(&cache, 1), Some(QueryOutput::Count(1)), "hits are served again");
+        assert_eq!(cache.stats().invalidations, 1);
     }
 
     #[test]
     fn concurrent_access_is_safe() {
-        let cache = std::sync::Arc::new(ResultCache::new(8));
-        let a = binding(1);
+        let cache = result_lru(8);
         std::thread::scope(|s| {
             for t in 0..4u64 {
-                let (cache, a) = (std::sync::Arc::clone(&cache), &a);
+                let cache = &cache;
                 s.spawn(move || {
                     for i in 0..100u64 {
                         let k = (t * 100 + i) % 12;
-                        if cache.get(k, &id(a)).is_none() {
-                            cache.insert(k, &id(a), QueryOutput::Count(k));
+                        if get(cache, k).is_none() {
+                            put(cache, k, t, k);
                         }
                     }
                 });
@@ -286,6 +174,6 @@ mod tests {
         });
         let s = cache.stats();
         assert_eq!(s.hits + s.misses, 400);
-        assert!(cache.len() <= 8);
+        cache.check(|_| true, true).unwrap();
     }
 }

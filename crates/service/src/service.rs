@@ -2,10 +2,9 @@
 //! plans, admission-gated execution.
 
 use crate::admission::AdmissionController;
-use crate::cache::{PlanCache, PlanCacheStats};
 use crate::explain;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::result_cache::{ResultCache, ResultCacheStats, ResultId};
+use crate::result_cache::{result_lru, ResultEntry, ResultId};
 use crate::{AdmissionStats, ServiceConfig, ServiceError};
 use adj_batch::BindingBatch;
 use adj_cluster::Cluster;
@@ -18,6 +17,7 @@ use adj_query::{
     parse_query_explain, parse_query_with_mode, Bindings, ExplainMode, JoinQuery, ParamTable,
     QueryFingerprint,
 };
+use adj_relational::cache::{Cache, CacheStats, Lookup};
 use adj_relational::{Attr, BoundValues, Database, OutputMode, QueryOutput, Relation, Value};
 use adj_sampling::sample_relation;
 use adj_trace::{QueryTrace, Trace, Tracer, COORDINATOR_LANE};
@@ -91,6 +91,16 @@ struct DbEntry {
     /// Per-relation delta sequences, in the [`IndexScope`] slice form.
     /// Relations never mutated are absent (sequence 0).
     versions: Vec<(String, u64)>,
+}
+
+/// Runs [`Service::forget_if_superseded`] when a served query ends, on
+/// every path out.
+struct ForgetIfSuperseded<'a>(&'a Service, &'a DbEntry);
+
+impl Drop for ForgetIfSuperseded<'_> {
+    fn drop(&mut self) {
+        self.0.forget_if_superseded(self.1);
+    }
 }
 
 /// One relation's overlay plus the skew baseline it was born under.
@@ -303,11 +313,11 @@ pub struct ServiceStats {
     /// Counter + histogram registry snapshot.
     pub metrics: MetricsSnapshot,
     /// Plan-cache counters.
-    pub cache: PlanCacheStats,
+    pub cache: CacheStats,
     /// Index-cache counters (hits/misses/evictions/resident bytes).
     pub index: IndexCacheStats,
     /// Per-binding result-cache counters.
-    pub results: ResultCacheStats,
+    pub results: CacheStats,
     /// Admission-control counters.
     pub admission: AdmissionStats,
 }
@@ -376,14 +386,17 @@ pub struct Service {
     config: ServiceConfig,
     adj: Adj,
     databases: RwLock<HashMap<String, Arc<DbEntry>>>,
-    cache: PlanCache,
+    /// The plan cache: each optimized plan with the database registration
+    /// (epoch) it was optimized against, keyed by
+    /// `QueryFingerprint::cache_key(db_tag, stats_token)`, one entry each.
+    cache: Cache<u64, (Arc<QueryPlan>, u64)>,
     /// The cross-query index cache: shuffled partitions, built tries, and
     /// pre-computed bag relations, shared by every database the service
     /// hosts (keys carry the database tag + epoch).
     index: IndexCache,
     /// The per-binding result LRU: finished [`QueryOutput`]s keyed by plan
     /// cache key + mode + binding values, for re-bound hot vertices.
-    results: ResultCache,
+    results: Cache<u64, ResultEntry>,
     admission: AdmissionController,
     metrics: ServiceMetrics,
     /// The worst-latency traced queries, sorted slowest first, capped at
@@ -444,9 +457,9 @@ impl Service {
             total_memory.map(|total| total.saturating_sub(index_capacity) / max_concurrent);
         let adj = Adj::with_cluster(config.adj.clone(), cluster);
         Service {
-            cache: PlanCache::new(config.plan_cache_capacity),
+            cache: Cache::new(config.plan_cache_capacity, |_| 1, |_, &(_, epoch)| epoch),
             index: IndexCache::new(index_capacity),
-            results: ResultCache::new(config.result_cache_capacity),
+            results: result_lru(config.result_cache_capacity),
             admission: AdmissionController::new(max_concurrent, config.admission),
             metrics: ServiceMetrics::new(),
             slow_log: Mutex::new(Vec::new()),
@@ -491,7 +504,7 @@ impl Service {
         });
         let replaced = write_recovering(&self.databases).insert(name, entry);
         if let Some(old) = replaced {
-            self.forget(old.tag);
+            self.forget(old.epoch);
         }
         epoch
     }
@@ -502,22 +515,45 @@ impl Service {
     pub fn drop_database(&self, name: &str) -> bool {
         let removed = write_recovering(&self.databases).remove(name);
         if let Some(old) = &removed {
-            self.forget(old.tag);
+            self.forget(old.epoch);
         }
         removed.is_some()
     }
 
-    /// Frees every cached artifact of a database that was replaced or
-    /// dropped. Scoped: only this database's plans and indexes go; other
-    /// databases' stay warm. (A replacement's epoch bump already stops
+    /// Frees every cached artifact of a database registration (its
+    /// `epoch`) that was replaced or dropped: its plans, indexes and
+    /// results go by the same rule in all three caches, and every other
+    /// registration's stay warm. (A replacement's epoch bump already stops
     /// stale entries from matching — eager invalidation frees their bytes
-    /// instead of waiting for LRU pressure.) Cached per-binding results key
-    /// on the plan cache key (tag + stats token folded in), so they are
-    /// orphaned either way; the blunt clear frees their memory now.
-    fn forget(&self, tag: u64) {
-        self.cache.invalidate_db(tag);
-        self.index.invalidate_db(tag);
-        self.results.clear();
+    /// instead of waiting for LRU pressure.)
+    fn forget(&self, epoch: u64) {
+        self.cache.forget(epoch);
+        self.index.store().forget(epoch);
+        self.results.forget(epoch);
+    }
+
+    /// Forgets what an operation on `entry` published if `entry` stopped
+    /// being a registered database meanwhile. The replacing call registers
+    /// first and forgets second, so whichever of it and this check runs
+    /// last sees the other's publishes.
+    fn forget_if_superseded(&self, entry: &DbEntry) {
+        if !read_recovering(&self.databases).values().any(|e| e.epoch == entry.epoch) {
+            self.forget(entry.epoch);
+        }
+    }
+
+    /// Checks the three caches' invariants (see [`Cache::check`]): every
+    /// resident entry belongs to a registered database, resident weight is
+    /// the sum of the entries and fits the budget, and no build claim is
+    /// pending while no query runs. Meant for between operations: a
+    /// `prepare` in flight may hold a plan claim.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let live: Vec<u64> = read_recovering(&self.databases).values().map(|e| e.epoch).collect();
+        let live = |epoch| live.contains(&epoch);
+        let idle = self.admission.stats().running == 0;
+        self.cache.check(live, idle).map_err(|e| format!("plan cache: {e}"))?;
+        self.index.store().check(live, idle).map_err(|e| format!("index cache: {e}"))?;
+        self.results.check(live, idle).map_err(|e| format!("result cache: {e}"))
     }
 
     /// Registered database names (sorted, for determinism).
@@ -794,7 +830,10 @@ impl Service {
                     );
                     return Ok(outcome);
                 }
-                _ => continue,
+                _ => {
+                    drop(dbs);
+                    self.forget_if_superseded(&entry);
+                }
             }
         }
     }
@@ -941,7 +980,7 @@ impl Service {
             for (u, binding) in batch.unique().iter().enumerate() {
                 let id = ResultId { plan_key: key, mode, binding };
                 let result_key = Self::result_key(&id);
-                match self.results.get(result_key, &id) {
+                match self.results.get_if(&result_key, |e| e.answer(&id)) {
                     Some(out) => unique_results[u] = Some(Ok(out)),
                     None => {
                         cold.push(binding.clone());
@@ -971,10 +1010,13 @@ impl Service {
                 report = batch_report;
                 let mut insert_span = ctx.tracer.span(COORDINATOR_LANE, "result_cache");
                 let mut evictions = 0u64;
+                // Results are forgotten with the registration they ran on.
+                let epoch = ctx.index.map_or(0, |scope| scope.epoch);
                 for ((u, result_key), res) in cold_slots.into_iter().zip(slot_results) {
                     if let Ok(out) = &res {
                         let id = ResultId { plan_key: key, mode, binding: &batch.unique()[u] };
-                        evictions += self.results.insert(result_key, &id, out.clone()) as u64;
+                        let entry = ResultEntry::new(&id, epoch, out.clone());
+                        evictions += self.results.insert(result_key, entry) as u64;
                     }
                     unique_results[u] = Some(res);
                 }
@@ -1148,6 +1190,7 @@ impl Service {
         };
         let settings = &self.config.trace;
         let entry = self.failed(self.lookup(db_name))?;
+        let _superseded = ForgetIfSuperseded(self, &entry);
         let scope = entry.scope(&self.index);
         let ctx = ExecCtx { index: Some(&scope), cancel, tracer };
 
@@ -1257,11 +1300,9 @@ impl Service {
         );
         let key = fingerprint.cache_key(entry.tag, entry.stats_token(query));
         let mut lookup_span = tracer.span(COORDINATOR_LANE, "plan_lookup");
-        let cached = self.cache.get(key);
-        let cache_hit = cached.is_some();
-        let plan = match cached {
-            Some(plan) => plan,
-            None => {
+        let (plan, cache_hit) = match self.cache.lookup(key, || false) {
+            Lookup::Hit { value: (plan, _), .. } => (plan, true),
+            Lookup::Miss(claim) => {
                 let mut optimize_span = tracer.span(COORDINATOR_LANE, "optimize");
                 let plan = self.failed(self.adj.plan(query, &entry.db, self.config.strategy))?;
                 if optimize_span.is_recording() {
@@ -1273,8 +1314,9 @@ impl Service {
                 }
                 drop(optimize_span);
                 let plan = Arc::new(plan);
-                self.cache.insert(key, entry.tag, Arc::clone(&plan));
-                plan
+                claim.publish((Arc::clone(&plan), entry.epoch));
+                self.forget_if_superseded(entry);
+                (plan, false)
             }
         };
         lookup_span.arg("hit", cache_hit as u64);
@@ -1438,7 +1480,7 @@ impl Service {
     }
 
     /// Plan-cache counters.
-    pub fn cache_stats(&self) -> PlanCacheStats {
+    pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
@@ -1448,7 +1490,7 @@ impl Service {
     }
 
     /// Per-binding result-cache counters.
-    pub fn result_cache_stats(&self) -> ResultCacheStats {
+    pub fn result_cache_stats(&self) -> CacheStats {
         self.results.stats()
     }
 
@@ -2209,6 +2251,7 @@ mod tests {
             }
             churn.join().unwrap();
         });
+        service.check_invariants().unwrap();
 
         // The service is fully functional afterwards: a fresh registration
         // mutates and serves, matching a from-scratch oracle.

@@ -96,9 +96,8 @@ pub mod prelude {
     };
     pub use adj_sampling::{Sampler, SamplingConfig};
     pub use adj_service::{
-        AdmissionPolicy, BatchOutcome, BindingBatch, MutationOutcome, PreparedQuery,
-        ResultCacheStats, Service, ServiceConfig, ServiceError, ServiceOutcome, SlowQuery,
-        TraceSettings,
+        AdmissionPolicy, BatchOutcome, BindingBatch, CacheStats, MutationOutcome, PreparedQuery,
+        Service, ServiceConfig, ServiceError, ServiceOutcome, SlowQuery, TraceSettings,
     };
     pub use adj_trace::{Event, QueryTrace, SpanGuard, Trace, Tracer, COORDINATOR_LANE};
 }

@@ -65,8 +65,10 @@ fn batched_results_match_the_bound_loop_for_every_shape_strategy_and_mode() {
             service.register_database("g", db.clone());
             let full = service.execute("g", &unbound).unwrap();
             let prepared = service.prepare("g", &bound_q).unwrap();
+            service.check_invariants().unwrap();
             for mode in MODES {
                 let batch = service.execute_batch(&prepared, &bindings, mode).unwrap();
+                service.check_invariants().unwrap();
                 assert_eq!(batch.results.len(), vs.len());
                 assert_eq!(batch.mode, mode);
                 assert!(
@@ -79,6 +81,7 @@ fn batched_results_match_the_bound_loop_for_every_shape_strategy_and_mode() {
                     // depends on the plan's attribute order).
                     let b = Bindings::new().set("v", v);
                     let want = service.execute_bound(&prepared, &b, mode).unwrap();
+                    service.check_invariants().unwrap();
                     assert_eq!(
                         got.as_ref().unwrap(),
                         &want.output,
@@ -104,6 +107,22 @@ fn batched_results_match_the_bound_loop_for_every_shape_strategy_and_mode() {
             }
         }
     }
+}
+
+#[test]
+fn re_registering_one_database_keeps_anothers_results() {
+    let service = service_with(Strategy::CoOptimize);
+    let db = paper_query(PaperQuery::Q1).instantiate(&graph());
+    service.register_database("a", db.clone());
+    service.register_database("b", db.clone());
+    let (q, _) = parse_query(BOUND_SHAPES[0].1).unwrap();
+    let on_b = service.prepare("b", &q).unwrap();
+    let bindings: Vec<Bindings> = [3u32, 9].iter().map(|&v| Bindings::new().set("v", v)).collect();
+    service.execute_batch(&on_b, &bindings, OutputMode::Count).unwrap();
+    service.register_database("a", db);
+    let again = service.execute_batch(&on_b, &bindings, OutputMode::Count).unwrap();
+    assert_eq!(again.result_cache_hits, 2, "re-registering a must not drop b's results");
+    service.check_invariants().unwrap();
 }
 
 #[test]

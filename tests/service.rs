@@ -105,6 +105,7 @@ fn concurrent_mixed_workload_matches_single_shot_and_hits_cache() {
     assert_eq!(stats.metrics.total.count, total);
     assert!(stats.metrics.total.mean_secs > 0.0);
     assert!(stats.metrics.total.p99_secs >= stats.metrics.total.p50_secs);
+    service.check_invariants().unwrap();
 }
 
 /// Four caller threads over one shared `Service` serve the same workload
