@@ -173,6 +173,10 @@ impl Cluster {
     /// annotate its own span with counters (tuples joined, seeks, …); with
     /// a disabled tracer the guard is inert and this is exactly
     /// [`Cluster::run`].
+    ///
+    /// Worker 0 runs on the calling thread, under the same timing, span and
+    /// panic isolation as every other worker, so a phase spawns only `W − 1`
+    /// scoped threads; the caller would otherwise sit idle waiting for them.
     pub fn run_traced<R, F>(&self, tracer: &Tracer, name: &'static str, f: F) -> RunReport<R>
     where
         R: Send,
@@ -180,20 +184,16 @@ impl Cluster {
     {
         let n = self.num_workers();
         if self.spawn_threads {
-            let mut slots: Vec<Option<(Result<R, WorkerFailure>, f64)>> =
-                (0..n).map(|_| None).collect();
             std::thread::scope(|s| {
-                let handles: Vec<_> = (0..n)
-                    .map(|w| {
-                        let f = &f;
-                        s.spawn(move || run_worker(tracer, name, f, w))
-                    })
-                    .collect();
-                for (w, h) in handles.into_iter().enumerate() {
-                    slots[w] = Some(h.join().expect("worker panics are caught inside the closure"));
-                }
-            });
-            collect_report(slots.into_iter().map(|s| s.expect("all workers joined")))
+                let f = &f;
+                let others: Vec<_> =
+                    (1..n).map(|w| s.spawn(move || run_worker(tracer, name, f, w))).collect();
+                let first = run_worker(tracer, name, f, 0);
+                let joined = others
+                    .into_iter()
+                    .map(|h| h.join().expect("worker panics are caught inside the closure"));
+                collect_report(std::iter::once(first).chain(joined))
+            })
         } else {
             // Single hardware thread (or one worker): the logical workers
             // would serialize anyway, so run them inline and keep the
@@ -306,8 +306,8 @@ where
 
 /// Folds per-worker `(result, seconds)` pairs into a [`RunReport`].
 fn collect_report<R>(slots: impl Iterator<Item = (Result<R, WorkerFailure>, f64)>) -> RunReport<R> {
-    let mut results = Vec::new();
-    let mut worker_secs = Vec::new();
+    let mut results = Vec::with_capacity(slots.size_hint().0);
+    let mut worker_secs = Vec::with_capacity(slots.size_hint().0);
     for (r, t) in slots {
         results.push(r);
         worker_secs.push(t);
@@ -382,6 +382,32 @@ mod tests {
                 message: "injected worker fault".to_string()
             }
         );
+    }
+
+    #[test]
+    fn worker_zero_runs_on_the_calling_thread_and_fails_alone() {
+        let c = Cluster::new(ClusterConfig::with_workers(3));
+        let caller = std::thread::current().id();
+        let tracer = Tracer::new(64);
+        let rep = c.run_traced(&tracer, "join", |w, span| {
+            span.arg("worker", w as u64);
+            if w == 0 {
+                assert!(!c.spawn_threads || std::thread::current().id() == caller);
+                std::panic::resume_unwind(Box::new("worker zero fault".to_string()));
+            }
+            w * 10
+        });
+        assert_eq!(rep.results.len(), 3, "every worker keeps its slot");
+        let failure = rep.first_failure().expect("worker 0 failed");
+        assert_eq!((failure.worker, failure.message.as_str()), (0, "worker zero fault"));
+        assert_eq!((&rep.results[1], &rep.results[2]), (&Ok(10), &Ok(20)), "the others complete");
+        let trace = tracer.finish();
+        let joins = trace.events_named("join");
+        assert_eq!(joins.len(), 3);
+        for w in 0..3 {
+            let lane = lane_for_worker(w);
+            assert!(joins.iter().any(|e| e.lane == lane && e.args.get("worker") == Some(w as u64)));
+        }
     }
 
     #[test]

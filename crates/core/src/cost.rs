@@ -55,11 +55,11 @@ pub struct CostParams {
     pub join_tuples_per_sec: f64,
     /// Fold the extension rate β *measured during sampling* into the cost
     /// model (the paper's co-optimization calibrates machine constants
-    /// from the sampling run). On by default. Turn off to make planning a
-    /// pure function of the data: the measured rate moves with machine
-    /// load, so near-tie attribute orders can flip between otherwise
-    /// identical runs — exactly what plan-comparison tests and
-    /// overhead-gating benchmarks must not be exposed to.
+    /// from the sampling run). Off by default, so planning is a pure
+    /// function of the data: the measured rate moves with machine load, so
+    /// near-tie attribute orders would flip between otherwise identical
+    /// runs — and a plan re-optimized after a plan-cache eviction would
+    /// differ from the one it replaces.
     pub measure_beta: bool,
 }
 
@@ -69,7 +69,7 @@ impl Default for CostParams {
             beta_trie: 4.0e7,
             beta_extend: 4.0e6,
             join_tuples_per_sec: 2.0e7,
-            measure_beta: true,
+            measure_beta: false,
         }
     }
 }
@@ -657,7 +657,8 @@ mod tests {
         assert_eq!(fixed.beta_measured(), None, "a fixed model records no rate");
         assert_eq!(fixed.cost_e_step(prefix, false), bindings / (params.beta_extend * 4.0));
 
-        let measured = estimator(&db, &q, &tree);
+        let measuring = CostParams { measure_beta: true, ..Default::default() };
+        let measured = estimator_with(&db, &q, &tree, measuring);
         assert_eq!(measured.beta_measured(), None, "nothing sampled yet");
         assert_eq!(measured.prefix_cardinality(prefix), bindings, "β never moves an estimate");
         let beta = measured.beta_measured().expect("sampling records its rate");

@@ -16,16 +16,17 @@
 //! timeline. `ExecCtx::default()` is the paper's one-shot run: cold,
 //! uncancellable, untraced.
 
-use crate::plan::{PlanRelation, QueryPlan};
-use crate::AdjConfig;
+use crate::plan::{PlanRelation, QueryPlan, Round};
+use crate::scratch::{Lent, Scratch, KEPT_ROW_VALUES};
+use crate::{Adj, AdjConfig};
 use adj_cluster::Cluster;
 use adj_faults::{CancelToken, FaultSite};
 use adj_hcube::{
     hcube_shuffle_round, optimize_share, Artifact, ArtifactKey, ExecCtx, HCubeImpl, HCubePlan,
-    IndexLookup, LocalRelation, ShareInput, ShuffleReport, ShuffleRound,
+    IndexLookup, RoundLayout, RoundOutput, ShareInput, ShuffleReport, ShuffleRound,
 };
-use adj_leapfrog::{JoinCounters, JoinScratch, LeapfrogJoin};
-use adj_relational::relation::merge_sorted_runs;
+use adj_leapfrog::{JoinCounters, JoinLayout, JoinScratch, LeapfrogJoin};
+use adj_relational::relation::{merge_sorted_runs, merge_sorted_slices};
 use adj_relational::{
     Attr, BoundValues, CountSink, Database, Error, ExistsSink, OutputMode, QueryOutput, Relation,
     Result, RowBuffer, RowSink, Schema, Trie, Value,
@@ -320,45 +321,56 @@ fn shape_output(
     Ok(QueryOutput::Rows(Relation::from_flat(gathered.schema().clone(), flat)?))
 }
 
-/// One driver row's payload from one worker: its sorted rows (empty in
-/// the counting modes) and its local cardinality (`Count`), or whether it
-/// found a witness (`Exists`: 0 or 1).
-type Slot = Result<(Vec<Value>, u64)>;
-
-/// What one worker ships back: a payload per driver row it completed, its
-/// counters, and how many leading driver rows it completed.
-type WorkerOut = (Vec<Slot>, JoinCounters, usize);
-
-/// One driver row's gather accumulator.
-#[derive(Default)]
-struct SlotAcc {
-    /// Each worker's sorted rows, merged once all arrived.
-    runs: Vec<Vec<Value>>,
-    found: u64,
-    err: Option<Error>,
+/// A worker's rows for one driver row, taken out of its buffer: a run the
+/// scratch would keep is copied, so the buffer keeps its allocation for
+/// the next execution; a longer one is handed over whole, since copying it
+/// would cost more than the allocation it saves.
+fn take_rows(buf: &mut RowBuffer) -> Vec<Value> {
+    if buf.capacity() <= KEPT_ROW_VALUES {
+        buf.flat().to_vec()
+    } else {
+        buf.take_flat()
+    }
 }
 
 /// One worker's join: [`LeapfrogJoin::run_batch`] over the `n_rows`
-/// driver rows (`rows`, flat), each row streaming into its own `S` sink
-/// behind a [`CancelSink`] (the join's stop hook also polls the token
-/// between rows and every [`SINK_CHECK_EVERY`] bindings inside one);
-/// `finish` turns a completed row's sink into its payload.
+/// driver rows (`rows`, flat), each row streaming into its own sink of
+/// `sinks` behind a [`CancelSink`] (the join's stop hook also polls the
+/// token between rows and every [`SINK_CHECK_EVERY`] bindings inside one);
+/// `finish` takes each completed row's sink, in row order. Returns the
+/// counters and how many leading rows completed.
 fn join_rows<S: RowSink>(
     join: &LeapfrogJoin<Arc<Trie>>,
     (bound_attrs, rows, n_rows): (&[Attr], &[Value], usize),
     cancel: &CancelToken,
-    new_sink: impl Fn() -> S,
-    finish: impl Fn(S) -> Slot,
-) -> Result<WorkerOut> {
+    scratch: &mut JoinScratch,
+    sinks: impl Iterator<Item = S>,
+    finish: impl FnMut(S),
+) -> Result<(JoinCounters, usize)> {
     let mut sinks: Vec<CancelSink<'_, S>> =
-        (0..n_rows).map(|_| CancelSink::new(new_sink(), cancel)).collect();
+        sinks.take(n_rows).map(|s| CancelSink::new(s, cancel)).collect();
     let stop = &mut || {
         adj_faults::inject(FaultSite::JoinEnumerate, cancel);
         cancel.check().is_err()
     };
-    let outcome = join.run_batch(bound_attrs, rows, &mut sinks, &mut JoinScratch::new(), stop)?;
-    let slots = sinks.into_iter().take(outcome.completed).map(|s| finish(s.inner)).collect();
-    Ok((slots, outcome.counters, outcome.completed))
+    let outcome = join.run_batch(bound_attrs, rows, &mut sinks, scratch, stop)?;
+    sinks.into_iter().take(outcome.completed).map(|s| s.inner).for_each(finish);
+    Ok((outcome.counters, outcome.completed))
+}
+
+/// What one worker hands the gather: the scratch its sinks filled (kept
+/// until the gather read it), its counters, and how many leading driver
+/// rows it completed.
+type WorkerJoin<'p> = (Lent<'p>, JoinCounters, usize);
+
+/// The workers' joins, once the gather checked that none failed.
+fn succeeded<'a, 'p>(
+    workers: &'a mut [std::result::Result<Result<WorkerJoin<'p>>, adj_cluster::WorkerFailure>],
+) -> impl Iterator<Item = &'a mut WorkerJoin<'p>> {
+    workers.iter_mut().map(|r| match r {
+        Ok(Ok(joined)) => joined,
+        _ => unreachable!("every worker succeeded"),
+    })
 }
 
 /// Executes a query plan on the cluster once for every binding in
@@ -443,15 +455,15 @@ fn join_rows<S: RowSink>(
 /// a `gather` span over the merge and the shaping of the outputs
 /// (per-level tuples, seeks and probes, binding counts and output tuples).
 pub fn execute_plan(
-    cluster: &Cluster,
+    adj: &Adj,
     db: &Database,
     plan: &QueryPlan,
-    config: &AdjConfig,
     mode: OutputMode,
     bindings: &[BoundValues],
     ctx: &ExecCtx<'_>,
 ) -> Result<(Vec<Result<QueryOutput>>, ExecutionReport)> {
     let t_exec = Instant::now();
+    let (cluster, config, pool) = (adj.cluster(), adj.config(), adj.scratch());
     let (cancel, tracer) = (&ctx.cancel, &ctx.tracer);
     let mut report = ExecutionReport::default();
     let Some(first) = bindings.first() else {
@@ -465,14 +477,13 @@ pub fn execute_plan(
     }
     // Every binding binds `first`'s attributes, so which attributes are
     // pinned — and whether a parameter is left unbound — is decided on
-    // `first` merged with the plan's literals (which never conflict: a
+    // `first` together with the plan's literals (which never conflict: a
     // literal only fills an attribute the binding leaves out).
     let consts = plan.query.const_bindings()?;
     let value = |b: &BoundValues, a: Attr| b.get(a).or_else(|| consts.get(a));
-    let merged: BoundValues =
-        first.attrs().chain(consts.attrs()).filter_map(|a| Some((a, value(first, a)?))).collect();
-    plan.query.require_params_bound(&merged)?;
-    report.bound_values = merged.len() as u64;
+    plan.query.require_params_bound(|a| value(first, a).is_some())?;
+    let literals_only = consts.attrs().filter(|&a| first.get(a).is_none()).count();
+    report.bound_values = (first.len() + literals_only) as u64;
 
     // `LIMIT 0` is a complete answer by definition: the empty relation over
     // the plan's schema. Short-circuit before any admission-charged work —
@@ -483,7 +494,7 @@ pub fn execute_plan(
         return Ok((vec![Ok(empty); bindings.len()], report));
     }
 
-    let locals = prepare_locals(cluster, db, plan, config, &mut report, ctx)?;
+    let (round, shuffled) = prepare_round(cluster, db, plan, config, &mut report, ctx)?;
 
     // The driver rows `run_batch` visits: each binding's values on the
     // bound levels of the plan's order (every binding has a value on each),
@@ -491,18 +502,22 @@ pub fn execute_plan(
     // no relation of this plan and are ignored. Bindings that arrive in that
     // order — one binding, the batch door's uniques — are the rows as they
     // are; others are sorted and deduplicated, `row_of[j]` naming binding
-    // `j`'s row.
-    let bound_attrs: Vec<Attr> =
-        plan.order.iter().copied().filter(|&a| merged.get(a).is_some()).collect();
+    // `j`'s row. The rows live in the coordinator's lent scratch.
+    let mut driver = pool.lend();
+    let Scratch { bound_attrs, driver_rows, row_of, .. } = &mut *driver;
+    bound_attrs.clear();
+    bound_attrs.extend(plan.order.iter().copied().filter(|&a| value(first, a).is_some()));
+    driver_rows.clear();
+    row_of.clear();
+    let bound_attrs = bound_attrs.as_slice();
     let key = |j: usize| bound_attrs.iter().map(move |&a| value(&bindings[j], a));
-    let mut driver_rows: Vec<Value> = Vec::with_capacity(bindings.len() * bound_attrs.len());
-    let (mut row_of, mut n_rows) = (Vec::new(), bindings.len());
+    let mut n_rows = bindings.len();
     if (1..bindings.len()).all(|j| key(j - 1).lt(key(j))) {
         driver_rows.extend((0..bindings.len()).flat_map(key).flatten());
     } else {
         let mut by_key: Vec<usize> = (0..bindings.len()).collect();
         by_key.sort_by(|&x, &y| key(x).cmp(key(y)));
-        (row_of, n_rows) = (vec![0; bindings.len()], 0);
+        (*row_of, n_rows) = (vec![0; bindings.len()], 0);
         for (i, &j) in by_key.iter().enumerate() {
             if i == 0 || key(j).ne(key(by_key[i - 1])) {
                 driver_rows.extend(key(j).flatten());
@@ -515,38 +530,44 @@ pub fn execute_plan(
     let budget = config.max_intermediate_tuples;
     let order = &plan.order;
     let width = order.len();
-    let rows = (bound_attrs.as_slice(), driver_rows.as_slice(), n_rows);
+    let rows = (bound_attrs, driver_rows.as_slice(), n_rows);
     let computation_span = tracer.span(COORDINATOR_LANE, "computation");
-    let run = cluster.run_traced(tracer, "join", |w, span| -> Result<WorkerOut> {
+    let run = cluster.run_traced(tracer, "join", |w, span| -> Result<WorkerJoin<'_>> {
         // At least one fault/cancellation checkpoint per worker, then the
         // driver's stop hook around every binding and once per
         // SINK_CHECK_EVERY bindings inside one, and one per
         // SINK_CHECK_EVERY emitted rows inside the sinks.
         adj_faults::inject(FaultSite::JoinEnumerate, cancel);
         cancel.check().map_err(cancel_err)?;
-        let tries: Vec<Arc<Trie>> = locals[w].iter().map(|l| Arc::clone(&l.trie)).collect();
-        let join = LeapfrogJoin::new(order, tries)?;
-        let out = match mode {
+        let mut lent = pool.lend();
+        let Scratch { join: scratch, tries, rows: bufs, found, .. } = &mut *lent;
+        tries.extend(shuffled.worker_tries(w).cloned());
+        let join = LeapfrogJoin::with_layout(Arc::clone(&round.join), std::mem::take(tries))?;
+        found.clear();
+        let joined = match mode {
             OutputMode::Rows | OutputMode::Limit(_) => {
                 let limit = if let OutputMode::Limit(n) = mode { n } else { usize::MAX };
-                let new_sink = || RowBuffer::new(width).with_budget(budget).with_limit(limit);
-                join_rows(&join, rows, cancel, new_sink, |s| {
-                    if s.over_budget() {
-                        Err(Error::BudgetExceeded { what: "join output tuples", limit: budget })
-                    } else {
-                        Ok((s.into_flat(), 0))
-                    }
-                })?
+                for buf in bufs.iter_mut().take(n_rows) {
+                    buf.reset(width, budget, limit);
+                }
+                let fresh = || RowBuffer::new(width).with_budget(budget).with_limit(limit);
+                bufs.resize_with(n_rows.max(bufs.len()), fresh);
+                join_rows(&join, rows, cancel, scratch, bufs.iter_mut(), |_| {})
             }
             OutputMode::Count => {
-                join_rows(&join, rows, cancel, CountSink::new, |s| Ok((vec![], s.count())))?
+                let sinks = std::iter::repeat_with(CountSink::new);
+                join_rows(&join, rows, cancel, scratch, sinks, |s| found.push(s.count()))
             }
-            OutputMode::Exists => join_rows(&join, rows, cancel, ExistsSink::new, |s| {
-                Ok((vec![], u64::from(s.found())))
-            })?,
+            OutputMode::Exists => {
+                let sinks = std::iter::repeat_with(ExistsSink::new);
+                join_rows(&join, rows, cancel, scratch, sinks, |s| found.push(s.found().into()))
+            }
         };
+        *tries = join.into_tries();
+        tries.clear();
+        let (counters, completed) = joined?;
         if span.is_recording() {
-            let c = &out.1;
+            let c = &counters;
             for (i, &t) in c.tuples_per_level.iter().enumerate() {
                 span.arg(level_key("tuples", i), t);
             }
@@ -561,51 +582,76 @@ pub fn execute_plan(
             span.arg("probes", c.stats.total_probes());
             span.arg("table_builds", c.stats.table_builds);
             span.arg("table_bytes", c.stats.table_bytes);
-            span.arg("bindings_completed", out.2 as u64);
+            span.arg("bindings_completed", completed as u64);
         }
-        Ok(out)
+        Ok((lent, counters, completed))
     });
     report.computation_secs = run.makespan_secs;
     drop(computation_span);
 
-    // Gather: merge counters, accumulate per-row payloads, and take the
-    // *minimum* completion watermark across workers — a binding's result is
-    // complete only when every worker enumerated its partition of it.
+    // Gather: the first failed worker fails the whole call — a lost worker
+    // means every binding's partition is incomplete. Outer layer: panic
+    // isolation; inner layer: the worker's own typed result.
     let mut gather_span = tracer.span(COORDINATOR_LANE, "gather");
-    let mut counters = JoinCounters::new(width);
-    let mut completed = n_rows;
-    let mut accs: Vec<SlotAcc> = (0..n_rows).map(|_| SlotAcc::default()).collect();
-    for r in run.results {
-        // Outer layer: panic isolation; inner layer: the worker's own typed
-        // result. Either fails the whole call — a lost worker means every
-        // binding's partition is incomplete.
-        let (slots, c, done) = r.map_err(Error::from)??;
-        counters.merge(&c);
-        completed = completed.min(done);
-        for (acc, slot) in accs.iter_mut().zip(slots) {
-            match slot {
-                Ok((rows, found)) => {
-                    acc.runs.push(rows);
-                    acc.found += found;
-                }
-                Err(e) => {
-                    acc.err.get_or_insert(e);
-                }
-            }
-        }
+    let mut workers = run.results;
+    if let Some(failed) = workers.iter().position(|r| !matches!(r, Ok(Ok(_)))) {
+        return Err(match workers.swap_remove(failed) {
+            Err(panicked) => panicked.into(),
+            Ok(Err(e)) => e,
+            Ok(Ok(_)) => unreachable!("the worker failed"),
+        });
     }
+    // Counters merge across workers (the first worker's are the sum's
+    // start), and a binding's result is complete only when every worker
+    // enumerated its partition of it: the *minimum* completion watermark.
+    let mut counters: Option<JoinCounters> = None;
+    let mut completed = n_rows;
+    for (_, c, done) in succeeded(&mut workers) {
+        match &mut counters {
+            None => counters = Some(std::mem::take(c)),
+            Some(sum) => sum.merge(c),
+        }
+        completed = completed.min(*done);
+    }
+    let counters = counters.unwrap_or_else(|| JoinCounters::new(width));
     // A row past the watermark was cancelled mid-join; each carries the
     // token's own verdict (deadline vs explicit cancel).
     let cancelled =
         cancel.check().err().map_or(Error::Cancelled { deadline_exceeded: false }, cancel_err);
+    let over_budget = Error::BudgetExceeded { what: "join output tuples", limit: budget };
     let mut outputs: Vec<Result<QueryOutput>> = Vec::with_capacity(n_rows);
-    for (i, acc) in accs.into_iter().enumerate() {
-        outputs.push(match acc.err {
-            _ if i >= completed => Err(cancelled.clone()),
-            Some(e) => Err(e),
-            None => Ok(shape_output(mode, order, merge_sorted_runs(acc.runs, width), acc.found)?),
+    for i in 0..n_rows {
+        if i >= completed {
+            outputs.push(Err(cancelled.clone()));
+            continue;
+        }
+        outputs.push(match mode {
+            OutputMode::Rows | OutputMode::Limit(_) => {
+                if succeeded(&mut workers).any(|(lent, ..)| lent.rows[i].over_budget()) {
+                    Err(over_budget.clone())
+                } else {
+                    // One worker holding rows is the common case: its run is
+                    // the gathered one, with nothing to merge.
+                    let bufs = succeeded(&mut workers).map(|(lent, ..)| &mut lent.rows[i]);
+                    let mut holding = bufs.filter(|buf| !buf.is_empty());
+                    let gathered = match (holding.next(), holding.next()) {
+                        (None, _) => Vec::new(),
+                        (Some(only), None) => take_rows(only),
+                        (Some(a), Some(b)) => {
+                            let rest = holding.map(|buf| buf.flat());
+                            merge_sorted_slices([a.flat(), b.flat()].into_iter().chain(rest), width)
+                        }
+                    };
+                    Ok(shape_output(mode, order, gathered, 0)?)
+                }
+            }
+            OutputMode::Count | OutputMode::Exists => {
+                let found = succeeded(&mut workers).map(|(lent, ..)| lent.found[i]).sum();
+                Ok(shape_output(mode, order, Vec::new(), found)?)
+            }
         });
     }
+    drop(workers);
     if gather_span.is_recording() {
         for (i, &t) in counters.tuples_per_level.iter().enumerate() {
             gather_span.arg(level_key("tuples", i), t);
@@ -669,20 +715,21 @@ fn bag_label(names: &[String], order: &[Attr], ctx: &ExecCtx<'_>) -> String {
 }
 
 /// Phases 1–2 of plan execution: pre-computes (or reuses) the plan's bag
-/// relations and runs the final HCube shuffle, returning every worker's
-/// local tries ready for Leapfrog. The pre-compute and communication
-/// columns (plus cache/fill counters) accumulate into `report`.
+/// relations and runs the final HCube shuffle, returning the final round
+/// and every relation's per-worker tries, ready for Leapfrog. The
+/// pre-compute and communication columns (plus cache/fill counters)
+/// accumulate into `report`.
 ///
-/// Nothing here depends on a binding: the locals are the same warm,
+/// Nothing here depends on a binding: the tries are the same warm,
 /// cacheable tries whichever constants the join over them will seek.
-fn prepare_locals(
+fn prepare_round(
     cluster: &Cluster,
     db: &Database,
     plan: &QueryPlan,
     config: &AdjConfig,
     report: &mut ExecutionReport,
     ctx: &ExecCtx<'_>,
-) -> Result<Vec<Vec<LocalRelation>>> {
+) -> Result<(Arc<Round>, RoundOutput)> {
     // ── Phase 1: pre-compute candidate relations (Sec. III: "for each
     // relation R'_j ∈ Qi that needs to be joined, we pre-compute and store
     // it"). Per-query pre-computed bags are layered over the shared
@@ -701,38 +748,41 @@ fn prepare_locals(
         bag_overlay.push((name.clone(), bag));
     }
 
-    // ── Phase 2 + 3: final one-round join over the rewritten query.
-    let names = plan.shuffle_names();
-    let (hplan, share_reused) =
-        share_for(plan, db, &bag_overlay, &names, plan.query.num_attrs(), cluster, ctx)?;
-    report.share = hplan.share().to_vec();
-    // Cache identities: base atoms by relation name; pre-computed bags by
-    // the content label recorded in phase 1 (never by the per-query
+    // ── Phase 2 + 3: final one-round join over the rewritten query. Cache
+    // identities: base atoms by relation name; pre-computed bags by the
+    // content label recorded in phase 1 (never by the per-query
     // `ADJ_bag{v}` storage name).
-    let cache_ids: Vec<Option<String>> = plan
-        .relations
-        .iter()
-        .map(|rel| match rel {
-            PlanRelation::Base(i) => Some(plan.query.atoms[*i].name.clone()),
-            PlanRelation::Precomputed { name, .. } => {
-                bag_labels.iter().find(|(stored, _)| stored == name).map(|(_, label)| label.clone())
-            }
-        })
-        .collect();
-    let round = ShuffleRound {
-        atom_names: &names,
-        plan: &hplan,
+    let spec = RoundSpec {
+        atom: |i: usize| {
+            let rel = &plan.relations[i];
+            let name = rel.name(&plan.query);
+            let id = match rel {
+                PlanRelation::Base(_) => Some(name),
+                PlanRelation::Precomputed { .. } => (bag_labels.iter())
+                    .find(|(stored, _)| stored == name)
+                    .map(|(_, label)| label.as_str()),
+            };
+            (name, id)
+        },
+        len: plan.relations.len(),
+        overlay: &bag_overlay,
         order: &plan.order,
+        num_attrs: plan.query.num_attrs(),
+    };
+    let (round, share_reused) = round_for(plan, db, &spec, cluster, ctx)?;
+    report.share = round.hplan.share().to_vec();
+    let shuffle = ShuffleRound {
+        layout: &round.layout,
+        plan: &round.hplan,
         impl_: HCubeImpl::Merge,
-        cache_ids: &cache_ids,
         overlay: &bag_overlay,
         share_reused,
     };
-    let shuffled = hcube_shuffle_round(cluster, db, &round, ctx)?;
+    let shuffled = hcube_shuffle_round(cluster, db, &shuffle, ctx)?;
     report.comm_tuples = shuffled.report.tuples;
     report.communication_secs = shuffled.report.pipelined_secs();
     report.absorb_shuffle(&shuffled.report, share_reused);
-    Ok(shuffled.locals)
+    Ok((round, shuffled))
 }
 
 /// One bag of phase 1, as `(content label, relation)`: served from the bag
@@ -771,7 +821,7 @@ fn precompute_bag(
     // claim hierarchy stays cycle-free.
     let mut bag_claim = None;
     if let Some(scope) = ctx.index {
-        match scope.cache.lookup(ArtifactKey::Bag(scope.bag_key(label.clone())), cancel) {
+        match scope.cache.lookup(&ArtifactKey::Bag(scope.bag_key(label.clone())), cancel) {
             IndexLookup::Hit { value: Artifact::Bag(bag), coalesced } => {
                 // Budget parity with the cold path: a cached bag over
                 // the caller's cap is rejected exactly like a fresh one.
@@ -792,27 +842,31 @@ fn precompute_bag(
     if bag_span.is_recording() {
         bag_span.detail(label.clone());
     }
-    let num_attrs = order.iter().map(|a| a.index() + 1).max().unwrap_or(1);
-    let (hplan, share_reused) = share_for(plan, db, &[], &names, num_attrs, cluster, ctx)?;
-    let cache_ids: Vec<Option<String>> = names.iter().map(|n| Some(n.clone())).collect();
-    let round = ShuffleRound {
-        atom_names: &names,
-        plan: &hplan,
+    let spec = RoundSpec {
+        atom: |i: usize| (names[i].as_str(), Some(names[i].as_str())),
+        len: names.len(),
+        overlay: &[],
         order: &order,
+        num_attrs: order.iter().map(|a| a.index() + 1).max().unwrap_or(1),
+    };
+    let (round, share_reused) = round_for(plan, db, &spec, cluster, ctx)?;
+    let shuffle = ShuffleRound {
+        layout: &round.layout,
+        plan: &round.hplan,
         impl_: HCubeImpl::Merge,
-        cache_ids: &cache_ids,
         overlay: &[],
         share_reused,
     };
-    let shuffled = hcube_shuffle_round(cluster, db, &round, ctx)?;
+    let shuffled = hcube_shuffle_round(cluster, db, &shuffle, ctx)?;
     report.absorb_shuffle(&shuffled.report, share_reused);
-    let locals = &shuffled.locals;
+    let shuffled_ref = &shuffled;
     let run = cluster.run_traced(tracer, "bag_join", |w, span| {
         adj_faults::inject(FaultSite::JoinEnumerate, cancel);
         cancel.check().map_err(cancel_err)?;
-        let tries: Vec<Arc<Trie>> = locals[w].iter().map(|l| Arc::clone(&l.trie)).collect();
+        let tries: Vec<Arc<Trie>> = shuffled_ref.worker_tries(w).cloned().collect();
         let mut rows = RowBuffer::new(order.len()).with_budget(budget);
-        let counters = LeapfrogJoin::new(&order, tries)?.join_into(&mut rows);
+        let counters =
+            LeapfrogJoin::with_layout(Arc::clone(&round.join), tries)?.join_into(&mut rows);
         if rows.over_budget() {
             return Err(Error::BudgetExceeded { what: "bag join output", limit: budget });
         }
@@ -840,64 +894,114 @@ fn precompute_bag(
     Ok((label, result))
 }
 
-/// The HCube plan under the optimal share vector for the named relations'
-/// *actual* sizes (resolving pre-computed bags from the overlay before the
-/// database), and whether that vector came from the plan's memo (`true`)
-/// or was solved by this call.
+/// One shuffle round as the plan describes it: relation `i < len` is
+/// `atom(i)` — its name and cache identity — resolved in `overlay`
+/// before the database; its tries follow `order`; its share program spans
+/// `num_attrs` attributes.
+struct RoundSpec<'a, F> {
+    atom: F,
+    len: usize,
+    overlay: &'a [(String, Arc<Relation>)],
+    order: &'a [Attr],
+    num_attrs: usize,
+}
+
+impl<'a, F: Fn(usize) -> (&'a str, Option<&'a str>)> RoundSpec<'a, F> {
+    /// Each relation's `(name, cache identity)`, in round order.
+    fn atoms(&self) -> impl ExactSizeIterator<Item = (&'a str, Option<&'a str>)> + '_ {
+        (0..self.len).map(&self.atom)
+    }
+
+    /// The share program's view of relation `i`: its attribute mask and
+    /// its size, quantized to the next power of two. The program wants
+    /// coarse cardinalities, not exact counts: quantizing keeps the chosen
+    /// share stable while a relation grows or shrinks within its bucket, so
+    /// index fragments patched forward across a delta batch keep matching
+    /// instead of being orphaned by a near-tie flip between equal-cost
+    /// share vectors.
+    fn bucket(&self, db: &Database, i: usize) -> Result<(u64, usize)> {
+        let name = (self.atom)(i).0;
+        let r = match self.overlay.iter().find(|(n, _)| n == name) {
+            Some((_, rel)) => rel.as_ref(),
+            None => db.get(name)?,
+        };
+        Ok((r.schema().mask(), r.len().next_power_of_two()))
+    }
+
+    /// The round's share program on `cluster`.
+    fn share_input(&self, db: &Database, cluster: &Cluster) -> Result<ShareInput> {
+        Ok(ShareInput {
+            num_attrs: self.num_attrs,
+            relations: (0..self.len).map(|i| self.bucket(db, i)).collect::<Result<_>>()?,
+            num_workers: cluster.num_workers(),
+            memory_limit_bytes: cluster.config().memory_limit_bytes,
+            bytes_per_value: 4,
+            hot: Vec::new(),
+            require_exact_product: false,
+            // Bindings reach only Leapfrog: the grid is the unbound query's.
+            bound_mask: 0,
+        })
+    }
+
+    /// Whether `input` is this round's share program on `cluster` now —
+    /// what [`RoundSpec::share_input`] would build — without building it.
+    fn is_input(&self, input: &ShareInput, db: &Database, cluster: &Cluster) -> bool {
+        input.num_attrs == self.num_attrs
+            && input.num_workers == cluster.num_workers()
+            && input.memory_limit_bytes == cluster.config().memory_limit_bytes
+            && input.relations.len() == self.len
+            && (0..self.len).all(|i| self.bucket(db, i).ok() == Some(input.relations[i]))
+    }
+}
+
+/// The round `spec` describes, as the plan's executions prepared it — the
+/// share grid for the relations' *actual* sizes, the relations' layout and
+/// index keys under `ctx`'s scope, the join's layout — and whether the share
+/// came from the plan's memo (`true`) or was solved by this call.
 ///
-/// The program's whole input is assembled first and looked up in
-/// [`QueryPlan`]'s share memo: equal sizes, width and budget give the same
-/// optimum whatever the call, so a plan solves each of its rounds once per
-/// distinct input and every later execution reuses the vector. A solve is
-/// put on the timeline as a `share_solve` span on the coordinator lane.
-fn share_for(
+/// A warm execution finds its round kept in the plan's [`RoundMemo`]
+/// (crate::plan) and builds nothing: the check reads the relations' sizes,
+/// names and delta sequences in place. Equal sizes, width and budget give
+/// the same optimum whatever the call, so a plan solves each of its rounds
+/// once per distinct input; a round whose scope moved on keeps its share
+/// and is keyed again. A solve is put on the timeline as a `share_solve`
+/// span on the coordinator lane.
+fn round_for<'a, F: Fn(usize) -> (&'a str, Option<&'a str>)>(
     plan: &QueryPlan,
     db: &Database,
-    overlay: &[(String, Arc<Relation>)],
-    names: &[String],
-    num_attrs: usize,
+    spec: &RoundSpec<'a, F>,
     cluster: &Cluster,
     ctx: &ExecCtx<'_>,
-) -> Result<(HCubePlan, bool)> {
-    let mut relations = Vec::with_capacity(names.len());
-    for n in names {
-        let r = match overlay.iter().find(|(name, _)| name == n) {
-            Some((_, rel)) => rel.as_ref(),
-            None => db.get(n)?,
-        };
-        // The share program wants coarse cardinalities, not exact counts:
-        // quantizing to the next power of two keeps the chosen share
-        // stable while a relation grows or shrinks within its bucket, so
-        // index fragments patched forward across a delta batch keep
-        // matching instead of being orphaned by a near-tie flip between
-        // equal-cost share vectors.
-        relations.push((r.schema().mask(), r.len().next_power_of_two()));
-    }
-    let input = ShareInput {
-        num_attrs,
-        relations,
-        num_workers: cluster.num_workers(),
-        memory_limit_bytes: cluster.config().memory_limit_bytes,
-        bytes_per_value: 4,
-        hot: Vec::new(),
-        require_exact_product: false,
-        // Bindings reach only Leapfrog: the grid is the unbound query's.
-        bound_mask: 0,
-    };
-    let width = input.num_workers;
-    if let Some(share) = plan.share_memo.get(&input) {
+) -> Result<(Arc<Round>, bool)> {
+    let kept = plan.rounds.find(|r| {
+        r.layout.same_relations(spec.atoms())
+            && r.layout.stamped_for(ctx.index)
+            && spec.is_input(&r.input, db, cluster)
+    });
+    if let Some(round) = kept {
         debug_assert_eq!(
-            optimize_share(&input).ok().as_ref(),
-            Some(&share),
+            optimize_share(&round.input).ok().as_deref(),
+            Some(round.hplan.share()),
             "memoized share went stale"
         );
-        return Ok((HCubePlan::new(share, width), true));
+        return Ok((round, true));
     }
-    let span = ctx.tracer.span(COORDINATOR_LANE, "share_solve");
-    let share = optimize_share(&input)?;
-    drop(span);
-    plan.share_memo.insert(input, share.clone());
-    Ok((HCubePlan::new(share, width), false))
+    let input = spec.share_input(db, cluster)?;
+    let (share, reused) = match plan.rounds.share(&input) {
+        Some(share) => (share, true),
+        None => {
+            let _span = ctx.tracer.span(COORDINATOR_LANE, "share_solve");
+            (optimize_share(&input)?, false)
+        }
+    };
+    let hplan = HCubePlan::new(share, input.num_workers);
+    let (names, ids): (Vec<String>, Vec<Option<String>>) =
+        spec.atoms().map(|(name, id)| (name.to_string(), id.map(str::to_string))).unzip();
+    let layout = RoundLayout::new(db, spec.overlay, &names, &ids, spec.order, &hplan, ctx.index)?;
+    let join = Arc::new(JoinLayout::new(spec.order, layout.induced_schemas())?);
+    let round = Arc::new(Round { input, hplan, layout, join });
+    plan.rounds.keep(Arc::clone(&round));
+    Ok((round, reused))
 }
 
 #[cfg(test)]
@@ -915,42 +1019,41 @@ mod tests {
         q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &edges))
     }
 
-    /// The unbound execution under `ctx`, its one slot unwrapped.
+    /// The unbound execution under `ctx` by a fresh `Adj` of `cfg`, its
+    /// one slot unwrapped.
     fn run_ctx(
-        cluster: &Cluster,
         db: &Database,
         plan: &QueryPlan,
         cfg: &AdjConfig,
         mode: OutputMode,
         ctx: &ExecCtx<'_>,
     ) -> Result<(QueryOutput, ExecutionReport)> {
+        let adj = Adj::new(cfg.clone());
         let (mut outs, report) =
-            execute_plan(cluster, db, plan, cfg, mode, &[BoundValues::none()], ctx)?;
+            execute_plan(&adj, db, plan, mode, &[BoundValues::none()], ctx)?;
         assert_eq!(outs.len(), 1, "one output per binding");
         Ok((outs.pop().unwrap()?, report))
     }
 
     /// The cold, unbound execution.
     fn run(
-        cluster: &Cluster,
         db: &Database,
         plan: &QueryPlan,
         cfg: &AdjConfig,
         mode: OutputMode,
     ) -> Result<(QueryOutput, ExecutionReport)> {
-        run_ctx(cluster, db, plan, cfg, mode, &ExecCtx::default())
+        run_ctx(db, plan, cfg, mode, &ExecCtx::default())
     }
 
     /// The unbound execution under an index-cache scope.
     fn run_in(
-        cluster: &Cluster,
         db: &Database,
         plan: &QueryPlan,
         cfg: &AdjConfig,
         mode: OutputMode,
         scope: &IndexScope<'_>,
     ) -> Result<(QueryOutput, ExecutionReport)> {
-        run_ctx(cluster, db, plan, cfg, mode, &ExecCtx { index: Some(scope), ..Default::default() })
+        run_ctx(db, plan, cfg, mode, &ExecCtx { index: Some(scope), ..Default::default() })
     }
 
     fn truth(db: &Database, q: &adj_query::JoinQuery) -> Relation {
@@ -968,9 +1071,8 @@ mod tests {
         let q = paper_query(PaperQuery::Q5);
         let db = db_for(&q, 120, 29);
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() };
-        let cluster = Cluster::new(cfg.cluster.clone());
         let plan = optimize(&q, &db, &cfg, Strategy::CoOptimize).unwrap();
-        let (out, report) = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+        let (out, report) = run(&db, &plan, &cfg, OutputMode::Rows).unwrap();
         let result = out.rows();
         let t = truth(&db, &q);
         assert_eq!(result.len(), t.len());
@@ -990,11 +1092,10 @@ mod tests {
             let q = paper_query(pq);
             let db = db_for(&q, 150, 31);
             let cfg = AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() };
-            let cluster = Cluster::new(cfg.cluster.clone());
             let plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
             let full = truth(&db, &q).permute(&plan.order).unwrap();
             for mode in MODES {
-                let (out, rep) = run(&cluster, &db, &plan, &cfg, mode).unwrap();
+                let (out, rep) = run(&db, &plan, &cfg, mode).unwrap();
                 let expect = match mode {
                     OutputMode::Rows => QueryOutput::Rows(full.clone()),
                     OutputMode::Count => QueryOutput::Count(full.len() as u64),
@@ -1014,7 +1115,7 @@ mod tests {
                     cancel: CancelToken::manual(),
                     tracer: adj_trace::Tracer::new(1024),
                 };
-                let (same, arep) = run_ctx(&cluster, &db, &plan, &cfg, mode, &armed).unwrap();
+                let (same, arep) = run_ctx(&db, &plan, &cfg, mode, &armed).unwrap();
                 assert_eq!(same, out, "{pq:?} {mode:?}: an idle context changed the answer");
                 assert_eq!(
                     (arep.comm_tuples, arep.output_tuples, arep.index_relations_built, &arep.share),
@@ -1030,20 +1131,19 @@ mod tests {
         let q = paper_query(PaperQuery::Q5);
         let db = db_for(&q, 120, 29);
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() };
-        let cluster = Cluster::new(cfg.cluster.clone());
         let plan = optimize(&q, &db, &cfg, Strategy::CoOptimize).unwrap();
-        let (rows, _) = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+        let (rows, _) = run(&db, &plan, &cfg, OutputMode::Rows).unwrap();
         let full = rows.rows();
 
-        let (count, crep) = run(&cluster, &db, &plan, &cfg, OutputMode::Count).unwrap();
+        let (count, crep) = run(&db, &plan, &cfg, OutputMode::Count).unwrap();
         assert_eq!(count, QueryOutput::Count(full.len() as u64));
         assert_eq!(crep.output_tuples as usize, full.len());
 
-        let (exists, _) = run(&cluster, &db, &plan, &cfg, OutputMode::Exists).unwrap();
+        let (exists, _) = run(&db, &plan, &cfg, OutputMode::Exists).unwrap();
         assert_eq!(exists, QueryOutput::Exists(!full.is_empty()));
 
         let n = 5usize;
-        let (limited, _) = run(&cluster, &db, &plan, &cfg, OutputMode::Limit(n)).unwrap();
+        let (limited, _) = run(&db, &plan, &cfg, OutputMode::Limit(n)).unwrap();
         let sample = limited.rows();
         assert_eq!(sample.len(), n.min(full.len()));
         for row in sample.rows() {
@@ -1058,7 +1158,6 @@ mod tests {
         let q = paper_query(PaperQuery::Q4);
         let db = db_for(&q, 150, 31);
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() };
-        let cluster = Cluster::new(cfg.cluster.clone());
         let mut plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
         let c_mask: u64 = plan
             .tree
@@ -1076,7 +1175,7 @@ mod tests {
         if !adj_query::order::is_valid_order(&plan.tree, &plan.order) {
             plan.order = adj_query::order::valid_orders(&plan.tree)[0].clone();
         }
-        let (out, report) = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+        let (out, report) = run(&db, &plan, &cfg, OutputMode::Rows).unwrap();
         assert!(report.precompute_secs > 0.0);
         assert!(report.precompute_tuples > 0);
         let t = truth(&db, &q);
@@ -1086,7 +1185,7 @@ mod tests {
         // solved by the first execution, all reused by the second — which,
         // with no bag cache in play, runs every round again.
         assert_eq!(report.share_solves, plan.precompute.len() as u64 + 1);
-        let (again, rerun) = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap();
+        let (again, rerun) = run(&db, &plan, &cfg, OutputMode::Rows).unwrap();
         assert_eq!(rerun.precompute_tuples, report.precompute_tuples, "the bag rounds ran");
         assert_eq!(rerun.share_solves, 0);
         assert_eq!(rerun.share, report.share);
@@ -1100,7 +1199,6 @@ mod tests {
         let q = paper_query(PaperQuery::Q4);
         let db = db_for(&q, 150, 31);
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() };
-        let cluster = Cluster::new(cfg.cluster.clone());
         let mut plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
         let c_mask: u64 = plan
             .tree
@@ -1119,13 +1217,13 @@ mod tests {
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 9, epoch: 0, versions: &[] };
         let (cold_out, cold_rep) =
-            run_in(&cluster, &db, &plan, &cfg, OutputMode::Rows, &scope).unwrap();
+            run_in(&db, &plan, &cfg, OutputMode::Rows, &scope).unwrap();
         assert!(cold_rep.precompute_secs > 0.0);
         assert_eq!(cold_rep.index_bags_reused, 0);
         assert!(cold_rep.index_relations_built > 0);
 
         let (warm_out, warm_rep) =
-            run_in(&cluster, &db, &plan, &cfg, OutputMode::Rows, &scope).unwrap();
+            run_in(&db, &plan, &cfg, OutputMode::Rows, &scope).unwrap();
         assert_eq!(cold_out, warm_out, "warm bag reuse must be byte-identical");
         assert!(warm_rep.index_bags_reused > 0, "the pre-computed bag must come from the cache");
         assert_eq!(warm_rep.index_relations_built, 0);
@@ -1136,7 +1234,7 @@ mod tests {
         // Budget parity: a cached bag over a smaller caller budget errors
         // exactly like the cold path's post-round size check.
         let tiny = AdjConfig { max_intermediate_tuples: 1, ..cfg.clone() };
-        let err = run_in(&cluster, &db, &plan, &tiny, OutputMode::Count, &scope).unwrap_err();
+        let err = run_in(&db, &plan, &tiny, OutputMode::Count, &scope).unwrap_err();
         assert!(matches!(err, Error::BudgetExceeded { .. }));
     }
 
@@ -1145,11 +1243,10 @@ mod tests {
         let q = paper_query(PaperQuery::Q1);
         let db = db_for(&q, 150, 23);
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() };
-        let cluster = Cluster::new(cfg.cluster.clone());
         let plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 9, epoch: 0, versions: &[] };
-        let (_, cold) = run_in(&cluster, &db, &plan, &cfg, OutputMode::Count, &scope).unwrap();
+        let (_, cold) = run_in(&db, &plan, &cfg, OutputMode::Count, &scope).unwrap();
         let atoms = cold.index_relations_built;
         assert!(atoms > 0);
 
@@ -1158,7 +1255,7 @@ mod tests {
         let name = q.atoms[0].name.clone();
         let versions = vec![(name, 1u64)];
         let bumped = IndexScope { cache: &cache, db_tag: 9, epoch: 0, versions: &versions };
-        let (_, rep) = run_in(&cluster, &db, &plan, &cfg, OutputMode::Count, &bumped).unwrap();
+        let (_, rep) = run_in(&db, &plan, &cfg, OutputMode::Count, &bumped).unwrap();
         assert_eq!(rep.index_relations_built, 1, "only the mutated relation rebuilds");
         assert_eq!(rep.index_relations_reused, atoms - 1);
     }
@@ -1172,36 +1269,60 @@ mod tests {
             max_intermediate_tuples: 1,
             ..Default::default()
         };
-        let cluster = Cluster::new(cfg.cluster.clone());
         let plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
-        let err = run(&cluster, &db, &plan, &cfg, OutputMode::Rows).unwrap_err();
+        let err = run(&db, &plan, &cfg, OutputMode::Rows).unwrap_err();
         assert!(matches!(err, Error::BudgetExceeded { .. }));
         // Count mode never buffers rows, so the same tiny cap passes.
-        let (out, _) = run(&cluster, &db, &plan, &cfg, OutputMode::Count).unwrap();
+        let (out, _) = run(&db, &plan, &cfg, OutputMode::Count).unwrap();
         assert!(matches!(out, QueryOutput::Count(_)));
     }
 
     #[test]
-    fn share_for_uses_actual_sizes() {
+    fn round_for_uses_actual_sizes_and_keeps_the_round() {
         let q = paper_query(PaperQuery::Q1);
         let db = db_for(&q, 100, 23);
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(8), ..Default::default() };
         let cluster = Cluster::new(cfg.cluster.clone());
         let plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
-        let names = plan.shuffle_names();
-        let ctx = ExecCtx::default();
-        let (hplan, reused) = share_for(&plan, &db, &[], &names, 3, &cluster, &ctx).unwrap();
+        let spec = RoundSpec {
+            atom: |i: usize| {
+                let name = plan.relations[i].name(&plan.query);
+                (name, Some(name))
+            },
+            len: plan.relations.len(),
+            overlay: &[],
+            order: &plan.order,
+            num_attrs: 3,
+        };
+        let cold = ExecCtx::default();
+        let (round, reused) = round_for(&plan, &db, &spec, &cluster, &cold).unwrap();
         assert!(!reused, "a fresh plan has solved nothing yet");
-        assert_eq!(hplan.share().len(), 3);
-        assert!(hplan.num_cubes() >= 8);
-        // The same input again is answered from the plan's memo...
-        let again = share_for(&plan, &db, &[], &names, 3, &cluster, &ctx).unwrap();
-        assert_eq!(again, (hplan.clone(), true), "same share, not re-solved");
+        assert_eq!(round.hplan.share().len(), 3);
+        assert!(round.hplan.num_cubes() >= 8);
+        // The same round again is the kept one: nothing solved or built.
+        let (again, reused) = round_for(&plan, &db, &spec, &cluster, &cold).unwrap();
+        assert!(reused && Arc::ptr_eq(&round, &again), "the kept round, not a new one");
+        // Under an index scope the round is keyed, its share reused; a
+        // mutated relation moves the scope on, and the round is keyed again.
+        let cache = IndexCache::new(1 << 20);
+        let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
+        let scoped = ExecCtx { index: Some(&scope), ..Default::default() };
+        let (keyed, reused) = round_for(&plan, &db, &spec, &cluster, &scoped).unwrap();
+        assert!(reused && !Arc::ptr_eq(&round, &keyed));
+        assert_eq!(keyed.hplan, round.hplan);
+        let (kept, _) = round_for(&plan, &db, &spec, &cluster, &scoped).unwrap();
+        assert!(Arc::ptr_eq(&keyed, &kept), "a warm round builds no keys");
+        let versions = vec![("R1".to_string(), 1)];
+        let moved = IndexScope { versions: &versions, ..scope };
+        let mutated = ExecCtx { index: Some(&moved), ..Default::default() };
+        let (rekeyed, reused) = round_for(&plan, &db, &spec, &cluster, &mutated).unwrap();
+        assert!(reused && !Arc::ptr_eq(&keyed, &rekeyed));
+        assert!(rekeyed.layout.stamped_for(Some(&moved)) && !rekeyed.layout.stamped_for(Some(&scope)));
         // ...a different width is a different program, solved afresh.
         let narrow = Cluster::new(ClusterConfig::with_workers(2));
-        let (p2, reused) = share_for(&plan, &db, &[], &names, 3, &narrow, &ctx).unwrap();
+        let (r2, reused) = round_for(&plan, &db, &spec, &narrow, &cold).unwrap();
         assert!(!reused);
-        assert!(p2.num_cubes() < hplan.num_cubes());
+        assert!(r2.hplan.num_cubes() < round.hplan.num_cubes());
     }
 
     /// Triangle with a parameterized apex: `$v` binds attribute 0.
@@ -1227,7 +1348,7 @@ mod tests {
         bindings: &[BoundValues],
         ctx: &ExecCtx<'_>,
     ) -> Result<(Vec<Result<QueryOutput>>, ExecutionReport)> {
-        execute_plan(adj.cluster(), db, plan, adj.config(), mode, bindings, ctx)
+        execute_plan(adj, db, plan, mode, bindings, ctx)
     }
 
     #[test]

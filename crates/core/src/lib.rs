@@ -29,12 +29,14 @@ pub mod executor;
 pub mod optimizer;
 pub mod plan;
 pub mod prepared;
+pub mod scratch;
 
 pub use cost::{fractional_max_cube_bound, CostEstimator, CostParams};
 pub use executor::{execute_plan, ExecutionReport, Strategy, SINK_CHECK_EVERY};
 pub use optimizer::optimize;
 pub use plan::{OptimizerStats, PlanRelation, QueryPlan};
 pub use prepared::Prepared;
+pub use scratch::ScratchPool;
 // The execution context and the cross-query index cache (defined in
 // `adj-hcube`, where the shuffle consults them) are part of this crate's
 // public execution API too.
@@ -93,10 +95,13 @@ impl Default for AdjConfig {
 }
 
 /// The ADJ system facade: holds a (shareable) cluster and executes queries
-/// end to end.
+/// end to end. It lends every execution its buffers from its own
+/// [`ScratchPool`], so a long-lived `Adj` (one per `Service`) runs warm
+/// queries without allocating their join state.
 pub struct Adj {
     config: AdjConfig,
     cluster: Arc<Cluster>,
+    scratch: ScratchPool,
 }
 
 /// Everything an ADJ run produces: the output (shaped by the requested
@@ -131,7 +136,7 @@ impl Adj {
     /// private cluster from `config.cluster`).
     pub fn new(config: AdjConfig) -> Self {
         let cluster = Cluster::shared(config.cluster.clone());
-        Adj { config, cluster }
+        Adj::with_cluster(config, cluster)
     }
 
     /// Creates an ADJ instance with default settings and `workers` workers.
@@ -146,7 +151,7 @@ impl Adj {
     /// to keep the two views consistent.
     pub fn with_cluster(mut config: AdjConfig, cluster: Arc<Cluster>) -> Self {
         config.cluster = cluster.config().clone();
-        Adj { config, cluster }
+        Adj { config, cluster, scratch: ScratchPool::new() }
     }
 
     /// The underlying simulated cluster.
@@ -162,6 +167,11 @@ impl Adj {
     /// The configuration.
     pub fn config(&self) -> &AdjConfig {
         &self.config
+    }
+
+    /// The scratch this instance lends its executions.
+    pub fn scratch(&self) -> &ScratchPool {
+        &self.scratch
     }
 
     /// Runs `query` over `db` with the co-optimization strategy (the paper's
@@ -232,7 +242,7 @@ impl Adj {
     ) -> Result<(QueryOutput, ExecutionReport)> {
         let one = std::slice::from_ref(params);
         let (mut outputs, mut report) =
-            executor::execute_plan(&self.cluster, db, plan, &self.config, mode, one, ctx)?;
+            executor::execute_plan(self, db, plan, mode, one, ctx)?;
         let output = outputs.pop().expect("one output per binding")?;
         report.optimization_secs = plan.optimization_secs;
         Ok((output, report))

@@ -84,7 +84,7 @@ pub fn optimize(
                 estimated_cost_secs: score,
                 optimization_secs: 0.0,
                 optimizer: estimator.stats(),
-                share_memo: Default::default(),
+                rounds: Default::default(),
             })
         }
         Strategy::CoOptimize => algorithm2(query, &tree, &estimator),
@@ -171,7 +171,7 @@ fn algorithm2(
         estimated_cost_secs: accumulated,
         optimization_secs: 0.0,
         optimizer: estimator.stats(),
-        share_memo: Default::default(),
+        rounds: Default::default(),
     })
 }
 

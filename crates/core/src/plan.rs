@@ -1,9 +1,10 @@
 //! Query plans: the `(Qi, ord)` pairs of the paper's problem statement.
 
-use adj_hcube::ShareInput;
+use adj_hcube::{HCubePlan, RoundLayout, ShareInput};
+use adj_leapfrog::JoinLayout;
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::{Attr, Schema};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One relation of the rewritten query `Qi`.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,48 +89,75 @@ impl OptimizerStats {
     }
 }
 
-/// The execution-time share programs a plan has solved: the share vector
-/// per distinct [`ShareInput`] its shuffle rounds (each pre-computed bag's
-/// and the final one) were run under.
+/// One shuffle round of a plan (a pre-computed bag's, or the final one) as
+/// its executions run it: the share program's input and the grid solved
+/// for it, the round's layout keyed for the index scope it last ran under,
+/// and the layout of the join over its tries.
+#[derive(Debug)]
+pub(crate) struct Round {
+    /// What the share program was solved for.
+    pub(crate) input: ShareInput,
+    /// The share grid solved for `input`, at its width.
+    pub(crate) hplan: HCubePlan,
+    /// The relations, their induced orders and their index keys.
+    pub(crate) layout: RoundLayout,
+    /// The join over the round's tries, in the round's relation order.
+    pub(crate) join: Arc<JoinLayout>,
+}
+
+/// The rounds a plan's executions have prepared.
 ///
 /// The Shares program is a function of relation sizes, worker count and
 /// memory budget — nothing an individual call contributes — so a plan that
 /// is executed again under equal inputs takes the vector from here instead
-/// of re-enumerating the lattice. Entries are compared on the whole input,
-/// so a cluster of another width or a relation that crossed a size bucket
-/// solves afresh and a stale share cannot be returned; the serving layer
-/// re-keys plans on every mutation, so a plan's memo holds one entry per
-/// round.
+/// of re-enumerating the lattice; and a round's relations, keys and join
+/// layout are a function of that grid, the order and the scope's database
+/// state, so a warm execution looks its indexes up by keys built once.
+/// Inputs are compared whole, so a cluster of another width or a relation
+/// that crossed a size bucket solves afresh and a stale share cannot be
+/// returned; a round whose scope moved on (a mutation, a re-registration)
+/// keeps its share and is re-keyed. The serving layer re-keys plans on
+/// every mutation, so a plan's memo holds one round per shuffle round.
 #[derive(Debug, Default)]
-pub(crate) struct ShareMemo {
-    solved: Mutex<Vec<(ShareInput, Vec<u32>)>>,
+pub(crate) struct RoundMemo {
+    rounds: Mutex<Vec<Arc<Round>>>,
 }
 
-impl ShareMemo {
-    // Entries are only ever pushed whole, so a panic elsewhere while the
-    // lock was held leaves nothing half-written to recover from.
-    fn entries(&self) -> MutexGuard<'_, Vec<(ShareInput, Vec<u32>)>> {
-        self.solved.lock().unwrap_or_else(PoisonError::into_inner)
+impl RoundMemo {
+    // Rounds are only ever pushed or replaced whole, so a panic elsewhere
+    // while the lock was held leaves nothing half-written to recover from.
+    fn rounds(&self) -> MutexGuard<'_, Vec<Arc<Round>>> {
+        self.rounds.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The first kept round `fits` accepts.
+    pub(crate) fn find(&self, fits: impl Fn(&Round) -> bool) -> Option<Arc<Round>> {
+        self.rounds().iter().find(|r| fits(r)).cloned()
     }
 
     /// The share solved for an input equal to `input`, if any.
-    pub(crate) fn get(&self, input: &ShareInput) -> Option<Vec<u32>> {
-        self.entries().iter().find(|(seen, _)| seen == input).map(|(_, share)| share.clone())
+    pub(crate) fn share(&self, input: &ShareInput) -> Option<Vec<u32>> {
+        self.rounds().iter().find(|r| r.input == *input).map(|r| r.hplan.share().to_vec())
     }
 
-    /// Remembers `share` as the solution of `input`. Two executions that
-    /// raced to solve the same input leave one entry.
-    pub(crate) fn insert(&self, input: ShareInput, share: Vec<u32>) {
-        let mut entries = self.entries();
-        if !entries.iter().any(|(seen, _)| *seen == input) {
-            entries.push((input, share));
+    /// Keeps `round`, in place of the round of the same input and
+    /// relations it re-keys, if any. Two executions that raced to prepare
+    /// the same round leave one.
+    pub(crate) fn keep(&self, round: Arc<Round>) {
+        let mut rounds = self.rounds();
+        let same = |r: &Arc<Round>| {
+            r.input == round.input && r.layout.same_relations(round.layout.relations())
+        };
+        match rounds.iter_mut().find(|r| same(r)) {
+            Some(slot) => *slot = round,
+            None => rounds.push(round),
         }
     }
 }
 
-impl Clone for ShareMemo {
+impl Clone for RoundMemo {
     fn clone(&self) -> Self {
-        ShareMemo { solved: Mutex::new(self.entries().clone()) }
+        RoundMemo { rounds: Mutex::new(self.rounds().clone()) }
     }
 }
 
@@ -158,8 +186,8 @@ pub struct QueryPlan {
     pub optimization_secs: f64,
     /// What the optimizer sampled, built and reused to find this plan.
     pub optimizer: OptimizerStats,
-    /// Share vectors this plan's executions have already solved.
-    pub(crate) share_memo: ShareMemo,
+    /// The shuffle rounds this plan's executions have prepared.
+    pub(crate) rounds: RoundMemo,
 }
 
 impl QueryPlan {

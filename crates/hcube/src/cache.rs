@@ -107,7 +107,7 @@ impl RelationIndex {
 }
 
 /// The key of one index-cache entry: a relation index or a bag relation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ArtifactKey {
     /// A shuffled relation's per-worker tries.
     Index(IndexKey),
@@ -217,7 +217,7 @@ impl IndexCache {
     /// The artifact under `key`, or a claim to build it (see
     /// [`Cache::lookup`]); a wait on a concurrent build gives up when
     /// `cancel` fires. An index hit credits the shuffle volume it saved.
-    pub fn lookup(&self, key: ArtifactKey, cancel: &CancelToken) -> IndexLookup<'_> {
+    pub fn lookup(&self, key: &ArtifactKey, cancel: &CancelToken) -> IndexLookup<'_> {
         let found = self.store.lookup(key, || cancel.check().is_ok());
         if let Lookup::Hit { value: Artifact::Index(idx), .. } = &found {
             self.tuples_saved.fetch_add(idx.tuples, Ordering::Relaxed);
@@ -368,7 +368,7 @@ mod tests {
     }
 
     fn hit(cache: &IndexCache, key: ArtifactKey) -> Option<Artifact> {
-        match cache.lookup(key, &CancelToken::none()) {
+        match cache.lookup(&key, &CancelToken::none()) {
             IndexLookup::Hit { value, .. } => Some(value),
             IndexLookup::Miss(_) => None,
         }
@@ -379,7 +379,7 @@ mod tests {
         let cache = IndexCache::new(1 << 20);
         let k = key(1, 0, "R1");
         let IndexLookup::Miss(claim) =
-            cache.lookup(ArtifactKey::Index(k.clone()), &CancelToken::none())
+            cache.lookup(&ArtifactKey::Index(k.clone()), &CancelToken::none())
         else {
             panic!("cold key must miss")
         };
@@ -423,11 +423,11 @@ mod tests {
         let cache = IndexCache::new(1 << 20);
         let bag = BagKey { db_tag: 7, epoch: 3, label: "adj:R4,R5@[1,2,4]".into() };
         let rel = Arc::new(Relation::from_pairs(Attr(0), Attr(1), &[(1, 2)]));
-        match cache.lookup(ArtifactKey::Bag(bag.clone()), &CancelToken::none()) {
+        match cache.lookup(&ArtifactKey::Bag(bag.clone()), &CancelToken::none()) {
             IndexLookup::Miss(claim) => claim.publish(Artifact::Bag(Arc::clone(&rel))),
             IndexLookup::Hit { .. } => panic!("a cold bag must hand out a claim"),
         };
-        match cache.lookup(ArtifactKey::Bag(bag), &CancelToken::none()) {
+        match cache.lookup(&ArtifactKey::Bag(bag), &CancelToken::none()) {
             IndexLookup::Hit { value: Artifact::Bag(b), coalesced } => {
                 assert!(b == rel && !coalesced, "an uncontended hit is not coalesced");
             }
@@ -491,7 +491,7 @@ mod tests {
     fn cancelled_waiter_stops_blocking() {
         let cache = IndexCache::new(1 << 20);
         let IndexLookup::Miss(_claim) =
-            cache.lookup(ArtifactKey::Index(key(1, 0, "R1")), &CancelToken::none())
+            cache.lookup(&ArtifactKey::Index(key(1, 0, "R1")), &CancelToken::none())
         else {
             panic!("cold key must miss")
         };
@@ -499,7 +499,7 @@ mod tests {
         cancel.cancel();
         // The build never finishes, but the cancelled waiter returns
         // promptly with a plain claim instead of hanging.
-        match cache.lookup(ArtifactKey::Index(key(1, 0, "R1")), &cancel) {
+        match cache.lookup(&ArtifactKey::Index(key(1, 0, "R1")), &cancel) {
             IndexLookup::Miss(claim) => assert!(!claim.is_exclusive()),
             IndexLookup::Hit { .. } => panic!("a cancelled wait must give up coalescing"),
         };

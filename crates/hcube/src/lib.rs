@@ -38,6 +38,6 @@ pub use patch::{patch_relation_indexes, PatchOutcome};
 pub use plan::HCubePlan;
 pub use share::{optimize_share, solve_share, ShareInput, ShareSolution, MAX_SHARE_ATTRS};
 pub use shuffle::{
-    hcube_shuffle, hcube_shuffle_round, ExecCtx, HCubeImpl, LocalRelation, ShuffleOutput,
-    ShuffleReport, ShuffleRound,
+    hcube_shuffle, hcube_shuffle_round, ExecCtx, HCubeImpl, LocalRelation, RoundLayout,
+    RoundOutput, ShuffleOutput, ShuffleReport, ShuffleRound,
 };

@@ -23,9 +23,7 @@
 //! per-worker `Arc<Trie>` handles; cold relations are shuffled and built
 //! once, then published for every later query.
 
-use crate::cache::{
-    Artifact, ArtifactKey, IndexClaim, IndexKey, IndexLookup, IndexScope, RelationIndex,
-};
+use crate::cache::{Artifact, ArtifactKey, IndexClaim, IndexLookup, IndexScope, RelationIndex};
 use crate::plan::HCubePlan;
 use adj_cluster::{BatchPayload, Cluster, Delivery, RoutedBatch};
 use adj_faults::{CancelToken, FaultSite};
@@ -118,13 +116,178 @@ impl ShuffleReport {
     }
 }
 
-/// The result of a shuffle: per-worker local databases plus the cost report.
+/// The result of [`hcube_shuffle`]: per-worker local databases plus the
+/// cost report.
 #[derive(Debug)]
 pub struct ShuffleOutput {
     /// `locals[w]` is worker `w`'s relations, in atom order.
     pub locals: Vec<Vec<LocalRelation>>,
     /// Cost breakdown.
     pub report: ShuffleReport,
+}
+
+/// The result of [`hcube_shuffle_round`]: every relation's per-worker
+/// tries, as the index cache holds them, plus the cost report.
+#[derive(Debug)]
+pub struct RoundOutput {
+    /// `relations[ai]` holds relation `ai`'s tries, one per worker: the
+    /// cache's entry for a warm relation, the fresh build for a cold one.
+    pub relations: Vec<Arc<RelationIndex>>,
+    /// Cost breakdown.
+    pub report: ShuffleReport,
+}
+
+impl RoundOutput {
+    /// Worker `w`'s tries, one per relation, in round order.
+    pub fn worker_tries(&self, w: usize) -> impl Iterator<Item = &Arc<Trie>> {
+        self.relations.iter().map(move |r| &r.tries[w])
+    }
+
+    /// The per-worker view of [`hcube_shuffle`], each relation named as in
+    /// `layout`.
+    pub fn into_locals(self, layout: &RoundLayout) -> ShuffleOutput {
+        let workers = self.relations.first().map_or(0, |r| r.tries.len());
+        let locals = (0..workers)
+            .map(|w| {
+                let named = layout.atoms.iter().zip(&self.relations);
+                named
+                    .map(|(atom, r)| LocalRelation {
+                        name: atom.name.clone(),
+                        trie: Arc::clone(&r.tries[w]),
+                    })
+                    .collect()
+            })
+            .collect();
+        ShuffleOutput { locals, report: self.report }
+    }
+}
+
+/// One relation of a round, as the round reads it.
+#[derive(Debug, Clone)]
+struct RoundAtom {
+    /// The name it resolves under (overlay first, then the database).
+    name: String,
+    /// Its cache identity; `None` bypasses the cache.
+    cache_id: Option<String>,
+    /// Its schema in the order's induced attribute order.
+    induced: Schema,
+    /// Induced column → stored column.
+    perm: Vec<usize>,
+}
+
+/// What a shuffle round knows about its relations before it moves anything:
+/// per relation, its name and cache identity, its order-induced schema and
+/// column permutation, and — under an index scope — its index-cache key.
+///
+/// None of it depends on a call: a layout is a function of the relations'
+/// schemas, the order, the share grid and the scope's database state. So
+/// it is built once and kept (the executor keeps one per plan round), and a
+/// fully warm round resolves every relation by looking its prebuilt key up
+/// in the cache — the lookup still counts, evicts and coalesces as any
+/// other, and the layout pins no cache entry. [`RoundLayout::same_relations`]
+/// and [`RoundLayout::stamped_for`] say whether a kept layout still
+/// describes a round.
+#[derive(Debug, Clone)]
+pub struct RoundLayout {
+    atoms: Vec<RoundAtom>,
+    /// `(atom, key)` for every atom with a cache identity, in key order —
+    /// the order a round takes build claims in. Empty without a scope.
+    keys: Vec<(usize, ArtifactKey)>,
+    /// Whether the keys were stamped under a scope.
+    scoped: bool,
+}
+
+impl RoundLayout {
+    /// The layout of a round moving `atom_names` (each resolved in
+    /// `overlay`, then `db`) into tries in the orders `order` induces,
+    /// routed by `plan`. `cache_ids[ai]` is the cache identity of
+    /// `atom_names[ai]` — its name for a base relation, a content label for
+    /// a pre-computed bag, or `None` (as is every atom past the slice's end)
+    /// to bypass the cache. Under `scope`, every identified atom gets its
+    /// index key, stamped with the scope's database, epoch and the
+    /// relation's delta sequence.
+    pub fn new(
+        db: &Database,
+        overlay: &[(String, Arc<Relation>)],
+        atom_names: &[String],
+        cache_ids: &[Option<String>],
+        order: &[Attr],
+        plan: &HCubePlan,
+        scope: Option<&IndexScope<'_>>,
+    ) -> Result<Self> {
+        let mut atoms = Vec::with_capacity(atom_names.len());
+        for (ai, name) in atom_names.iter().enumerate() {
+            let schema = resolve(db, overlay, name)?.schema();
+            let induced_attrs: Vec<Attr> =
+                order.iter().copied().filter(|a| schema.contains(*a)).collect();
+            if induced_attrs.len() != schema.arity() {
+                return Err(Error::SchemaMismatch {
+                    left: schema.to_string(),
+                    right: format!("order {order:?}"),
+                });
+            }
+            let perm = induced_attrs.iter().map(|&a| schema.position(a).unwrap()).collect();
+            atoms.push(RoundAtom {
+                name: name.clone(),
+                cache_id: cache_ids.get(ai).cloned().flatten(),
+                induced: Schema::new(induced_attrs)?,
+                perm,
+            });
+        }
+        let mut keys: Vec<(usize, ArtifactKey)> = match scope {
+            Some(scope) => (atoms.iter().enumerate())
+                .filter_map(|(ai, atom)| {
+                    let id = atom.cache_id.clone()?;
+                    let attrs = atom.induced.attrs().to_vec();
+                    let key = scope.index_key(id, attrs, plan.share(), plan.num_workers());
+                    Some((ai, ArtifactKey::Index(key)))
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        keys.sort_by(|a, b| a.1.cmp(&b.1));
+        Ok(RoundLayout { atoms, keys, scoped: scope.is_some() })
+    }
+
+    /// Each relation's `(name, cache identity)`, in round order.
+    pub fn relations(&self) -> impl ExactSizeIterator<Item = (&str, Option<&str>)> {
+        self.atoms.iter().map(|a| (a.name.as_str(), a.cache_id.as_deref()))
+    }
+
+    /// Whether this layout is over `atoms` — each relation's `(name, cache
+    /// identity)`, in round order. Allocates nothing.
+    pub fn same_relations<'s>(
+        &self,
+        atoms: impl ExactSizeIterator<Item = (&'s str, Option<&'s str>)>,
+    ) -> bool {
+        atoms.len() == self.atoms.len()
+            && self.relations().zip(atoms).all(|(mine, theirs)| mine == theirs)
+    }
+
+    /// Whether the keys were stamped for `scope` — its database, epoch and
+    /// every keyed relation's current delta sequence — or, for no scope,
+    /// the layout has no keys. Allocates nothing.
+    pub fn stamped_for(&self, scope: Option<&IndexScope<'_>>) -> bool {
+        match scope {
+            None => !self.scoped,
+            Some(scope) => {
+                self.scoped
+                    && self.keys.iter().all(|(_, key)| match key {
+                        ArtifactKey::Index(k) => {
+                            k.db_tag == scope.db_tag
+                                && k.epoch == scope.epoch
+                                && k.delta_seq == scope.delta_seq_for(&k.relation)
+                        }
+                        ArtifactKey::Bag(_) => false,
+                    })
+            }
+        }
+    }
+
+    /// Each relation's order-induced schema, in round order.
+    pub fn induced_schemas(&self) -> impl ExactSizeIterator<Item = &Schema> {
+        self.atoms.iter().map(|a| &a.induced)
+    }
 }
 
 /// What one execution carries through every layer below the front door:
@@ -146,21 +309,13 @@ pub struct ExecCtx<'a> {
 /// which trie order.
 #[derive(Debug, Clone, Copy)]
 pub struct ShuffleRound<'a> {
-    /// The relations to shuffle; each must resolve in `overlay` or the
-    /// database.
-    pub atom_names: &'a [String],
-    /// The share grid and cube→worker map.
+    /// The relations to shuffle, their induced orders and cache keys; each
+    /// must resolve in `overlay` or the database.
+    pub layout: &'a RoundLayout,
+    /// The share grid and cube→worker map the layout was keyed under.
     pub plan: &'a HCubePlan,
-    /// The attribute order the tries are built in (each relation's induced
-    /// sub-order).
-    pub order: &'a [Attr],
     /// Which of the three implementations moves the tuples.
     pub impl_: HCubeImpl,
-    /// `cache_ids[ai]` is the stable cache identity of `atom_names[ai]` —
-    /// its name for base relations, a content-describing label for
-    /// per-query temporaries (pre-computed bags), or `None` (as is every
-    /// atom past the slice's end) to bypass the cache for that relation.
-    pub cache_ids: &'a [Option<String>],
     /// Per-query relations (pre-computed bags) resolved before the
     /// database, so the shared database is never cloned per query.
     pub overlay: &'a [(String, Arc<Relation>)],
@@ -183,16 +338,9 @@ pub fn hcube_shuffle(
     order: &[Attr],
     impl_: HCubeImpl,
 ) -> Result<ShuffleOutput> {
-    let round = ShuffleRound {
-        atom_names,
-        plan,
-        order,
-        impl_,
-        cache_ids: &[],
-        overlay: &[],
-        share_reused: false,
-    };
-    hcube_shuffle_round(cluster, db, &round, &ExecCtx::default())
+    let layout = RoundLayout::new(db, &[], atom_names, &[], order, plan, None)?;
+    let round = ShuffleRound { layout: &layout, plan, impl_, overlay: &[], share_reused: false };
+    Ok(hcube_shuffle_round(cluster, db, &round, &ExecCtx::default())?.into_locals(&layout))
 }
 
 /// Resolves a relation by name against the overlay first, then the base
@@ -248,37 +396,16 @@ pub fn hcube_shuffle_round(
     db: &Database,
     round: &ShuffleRound<'_>,
     ctx: &ExecCtx<'_>,
-) -> Result<ShuffleOutput> {
-    let ShuffleRound { atom_names, plan, order, impl_, cache_ids, overlay, share_reused } = *round;
+) -> Result<RoundOutput> {
+    let ShuffleRound { layout, plan, impl_, overlay, share_reused } = *round;
     let (cache, cancel, tracer) = (ctx.index, &ctx.cancel, &ctx.tracer);
     let mut shuffle_span = tracer.span(COORDINATOR_LANE, "shuffle");
     let n = cluster.num_workers();
     assert_eq!(n, plan.num_workers(), "plan sized for a different cluster");
-
-    // Per atom: the induced (permuted) schema and the column permutation.
-    // Routing and block grouping run entirely in the induced layout — the
-    // original schema only derives the permutation.
-    struct AtomInfo {
-        name: String,
-        induced: Schema,  // order-induced
-        perm: Vec<usize>, // induced column -> original column
-    }
-    let mut infos = Vec::with_capacity(atom_names.len());
-    for name in atom_names {
-        let rel = resolve(db, overlay, name)?;
-        let schema = rel.schema().clone();
-        let induced_attrs: Vec<Attr> =
-            order.iter().copied().filter(|a| schema.contains(*a)).collect();
-        if induced_attrs.len() != schema.arity() {
-            return Err(Error::SchemaMismatch {
-                left: schema.to_string(),
-                right: format!("order {order:?}"),
-            });
-        }
-        let perm = induced_attrs.iter().map(|&a| schema.position(a).unwrap()).collect();
-        let induced = Schema::new(induced_attrs)?;
-        infos.push(AtomInfo { name: name.clone(), induced, perm });
-    }
+    assert!(layout.stamped_for(cache), "round layout keyed for another index scope");
+    // Routing and block grouping run entirely in each relation's induced
+    // layout — the stored schema only derived the permutation.
+    let infos = &layout.atoms;
 
     // Consult the cache: resolved atoms skip routing, transfer, and build.
     // Cold atoms come back with an [`IndexClaim`] — usually registering
@@ -289,23 +416,14 @@ pub fn hcube_shuffle_round(
     // are acquired in *sorted key order* so two shuffles contending on
     // overlapping atom sets can never hold-and-wait in a cycle.
     let mut resolved: Vec<Option<Arc<RelationIndex>>> = vec![None; infos.len()];
-    let mut claims: Vec<Option<IndexClaim<'_>>> = (0..infos.len()).map(|_| None).collect();
+    let mut claims: Vec<Option<IndexClaim<'_>>> = Vec::new();
     let mut tuples_saved: u64 = 0;
     if let Some(scope) = cache {
-        let mut keyed: Vec<(usize, IndexKey)> = infos
-            .iter()
-            .enumerate()
-            .filter_map(|(ai, info)| {
-                let Some(Some(id)) = cache_ids.get(ai) else { return None };
-                let key =
-                    scope.index_key(id.clone(), info.induced.attrs().to_vec(), plan.share(), n);
-                Some((ai, key))
-            })
-            .collect();
-        keyed.sort_by(|a, b| a.1.cmp(&b.1));
+        let keyed = &layout.keys;
         for i in 0..keyed.len() {
             let (ai, ref key) = keyed[i];
-            let id = key.relation.as_str();
+            let ArtifactKey::Index(index_key) = key else { unreachable!("rounds key indexes") };
+            let id = index_key.relation.as_str();
             // A self-join can put the same relation under the same induced
             // order twice; waiting on our own claim would deadlock, so the
             // duplicate reuses the first atom's outcome (a cold duplicate
@@ -318,7 +436,7 @@ pub fn hcube_shuffle_round(
                 resolved[ai] = prev;
                 continue;
             }
-            match scope.cache.lookup(ArtifactKey::Index(key.clone()), cancel) {
+            match scope.cache.lookup(key, cancel) {
                 IndexLookup::Hit { value: Artifact::Index(value), coalesced } => {
                     let label = if coalesced { "index_cache_coalesced" } else { "index_cache_hit" };
                     tracer.instant(COORDINATOR_LANE, label, id);
@@ -328,13 +446,15 @@ pub fn hcube_shuffle_round(
                 IndexLookup::Hit { .. } => unreachable!("an index key holds an index"),
                 IndexLookup::Miss(claim) => {
                     tracer.instant(COORDINATOR_LANE, "index_cache_miss", id);
+                    if claims.is_empty() {
+                        claims.resize_with(infos.len(), || None);
+                    }
                     claims[ai] = Some(claim);
                 }
             }
         }
     }
     let any_cold = resolved.iter().any(|r| r.is_none());
-    let cold: Vec<bool> = resolved.iter().map(|r| r.is_none()).collect();
     let n_atoms = infos.len();
 
     // What the routing pass produced (the coordinator side of the round).
@@ -365,8 +485,9 @@ pub fn hcube_shuffle_round(
     let (mut built, outcome, build_secs, bytes_moved, wire_bytes, overlap_secs) = if any_cold {
         let induced_schemas: Vec<Schema> = infos.iter().map(|i| i.induced.clone()).collect();
         let round = cluster.open_round(induced_schemas.clone());
+        let cold: Vec<bool> = resolved.iter().map(|r| r.is_none()).collect();
         let round_ref = &round;
-        let infos_ref = &infos;
+        let infos_ref = infos;
         let cold_ref = &cold;
         let schemas_ref = &induced_schemas;
 
@@ -657,12 +778,14 @@ pub fn hcube_shuffle_round(
         let built: Vec<Vec<Option<Arc<Trie>>>> = builds.into_iter().map(|b| b.tries).collect();
         (built, route_outcome, build_secs, round.bytes_sent(), round.wire_bytes(), overlap_secs)
     } else {
+        // Nothing moved: the per-worker and per-relation tallies stay
+        // empty (no cold relation reads them).
         let empty = RouteOutcome {
             tuples: 0,
             messages: 0,
-            worker_tuples: vec![0; n],
-            rel_tuples: vec![0; n_atoms],
-            rel_messages: vec![0; n_atoms],
+            worker_tuples: Vec::new(),
+            rel_tuples: Vec::new(),
+            rel_messages: Vec::new(),
             preprocess_secs: 0.0,
         };
         (Vec::new(), empty, 0.0, 0, 0, 0.0)
@@ -673,46 +796,32 @@ pub fn hcube_shuffle_round(
     // while workers ran) aborts before assembly for the same reason.
     cancel.check().map_err(|c| Error::Cancelled { deadline_exceeded: c.deadline })?;
 
-    // Assemble locals and publish the cold relations' indexes.
-    let mut locals: Vec<Vec<LocalRelation>> =
-        (0..n).map(|_| Vec::with_capacity(infos.len())).collect();
+    // Assemble the relations and publish the cold ones' indexes. Every
+    // slot of `resolved` is filled in place, so its allocation becomes the
+    // output's.
     let mut built_relations = 0u64;
     let mut reused_relations = 0u64;
-    for (ai, info) in infos.iter().enumerate() {
-        match &resolved[ai] {
-            Some(entry) => {
-                reused_relations += 1;
-                for (w, local) in locals.iter_mut().enumerate() {
-                    local.push(LocalRelation {
-                        name: info.name.clone(),
-                        trie: Arc::clone(&entry.tries[w]),
-                    });
-                }
-            }
-            None => {
-                built_relations += 1;
-                let tries: Vec<Arc<Trie>> = built
-                    .iter_mut()
-                    .map(|per_worker| per_worker[ai].take().expect("cold atom was built"))
-                    .collect();
-                if let Some(claim) = claims[ai].take() {
-                    // The entry lands in the cache and every coalesced
-                    // waiter wakes with it.
-                    claim.publish(Artifact::Index(Arc::new(RelationIndex::new(
-                        tries.clone(),
-                        rel_tuples[ai],
-                        rel_messages[ai],
-                    ))));
-                }
-                for (w, local) in locals.iter_mut().enumerate() {
-                    local.push(LocalRelation {
-                        name: info.name.clone(),
-                        trie: Arc::clone(&tries[w]),
-                    });
-                }
-            }
+    let mut relations = resolved;
+    for (ai, slot) in relations.iter_mut().enumerate() {
+        if slot.is_some() {
+            reused_relations += 1;
+            continue;
         }
+        built_relations += 1;
+        let tries: Vec<Arc<Trie>> = built
+            .iter_mut()
+            .map(|per_worker| per_worker[ai].take().expect("cold atom was built"))
+            .collect();
+        let index = Arc::new(RelationIndex::new(tries, rel_tuples[ai], rel_messages[ai]));
+        if let Some(claim) = claims.get_mut(ai).and_then(Option::take) {
+            // The entry lands in the cache and every coalesced waiter
+            // wakes with it.
+            claim.publish(Artifact::Index(Arc::clone(&index)));
+        }
+        *slot = Some(index);
     }
+    let relations: Vec<Arc<RelationIndex>> =
+        relations.into_iter().map(|r| r.expect("every relation resolved or built")).collect();
 
     let model = cluster.cost_model();
     let msg_overhead = match impl_ {
@@ -723,7 +832,8 @@ pub fn hcube_shuffle_round(
         model.comm_secs(tuples) + messages as f64 * model.per_message_secs * msg_overhead;
 
     if shuffle_span.is_recording() {
-        shuffle_span.detail(atom_names.join(","));
+        let names: Vec<&str> = infos.iter().map(|a| a.name.as_str()).collect();
+        shuffle_span.detail(names.join(","));
         shuffle_span.arg("tuples", tuples);
         shuffle_span.arg("bytes", bytes_moved);
         shuffle_span.arg("wire_bytes", wire_bytes);
@@ -737,8 +847,8 @@ pub fn hcube_shuffle_round(
     }
     drop(shuffle_span);
 
-    Ok(ShuffleOutput {
-        locals,
+    Ok(RoundOutput {
+        relations,
         report: ShuffleReport {
             tuples,
             worker_tuples: if tuples > 0 { worker_tuples } else { Vec::new() },
@@ -790,17 +900,17 @@ mod tests {
         scope: &IndexScope<'_>,
         cache_ids: &[Option<String>],
     ) -> ShuffleOutput {
+        let layout =
+            RoundLayout::new(db, &[], names, cache_ids, &order3(), plan, Some(scope)).unwrap();
         let round = ShuffleRound {
-            atom_names: names,
+            layout: &layout,
             plan,
-            order: &order3(),
             impl_: HCubeImpl::Merge,
-            cache_ids,
             overlay: &[],
             share_reused: false,
         };
         let ctx = ExecCtx { index: Some(scope), ..Default::default() };
-        hcube_shuffle_round(cluster, db, &round, &ctx).unwrap()
+        hcube_shuffle_round(cluster, db, &round, &ctx).unwrap().into_locals(&layout)
     }
 
     #[test]
@@ -937,12 +1047,11 @@ mod tests {
         let plan = HCubePlan::new(vec![2, 2, 2], 4);
         let rows_sorted = |order: Vec<Attr>, impl_: HCubeImpl| {
             let cluster = Cluster::new(ClusterConfig::with_workers(4));
+            let layout = RoundLayout::new(&db, &[], &names, &[], &order, &plan, None).unwrap();
             let round = ShuffleRound {
-                atom_names: &names,
+                layout: &layout,
                 plan: &plan,
-                order: &order,
                 impl_,
-                cache_ids: &[],
                 overlay: &[],
                 share_reused: false,
             };

@@ -66,9 +66,12 @@ use crate::counters::{JoinCounters, JoinStats};
 use adj_relational::intersect::{
     leapfrog_count, leapfrog_matches, probe_count, probe_matches, with_slots, ValueTable,
 };
-use adj_relational::{Attr, CountSink, Error, FnSink, Result, RowSink, Trie, TrieCursor, Value};
+use adj_relational::{
+    Attr, CountSink, CursorStack, Error, FnSink, Result, RowSink, Schema, Trie, TrieCursor, Value,
+};
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Validates that every trie's level order is the order induced by the
 /// global attribute order `order` (the invariant HCube's shuffle
@@ -78,13 +81,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Shared by [`LeapfrogJoin`] and [`crate::CachedJoin`] so neither has to
 /// construct (and drop) the other just to reuse its constructor checks.
 pub fn validate_tries<T: Borrow<Trie>>(order: &[Attr], tries: &[T]) -> Result<Vec<Vec<usize>>> {
-    for t in tries {
-        let t: &Trie = t.borrow();
-        let induced: Vec<Attr> =
-            order.iter().copied().filter(|a| t.schema().contains(*a)).collect();
-        if induced != t.schema().attrs() {
+    let schemas: Vec<&Schema> = tries.iter().map(|t| t.borrow().schema()).collect();
+    validate_schemas(order, &schemas)
+}
+
+/// [`validate_tries`] over the tries' schemas alone.
+fn validate_schemas(order: &[Attr], schemas: &[&Schema]) -> Result<Vec<Vec<usize>>> {
+    for schema in schemas {
+        let induced: Vec<Attr> = order.iter().copied().filter(|a| schema.contains(*a)).collect();
+        if induced != schema.attrs() {
             return Err(Error::SchemaMismatch {
-                left: t.schema().to_string(),
+                left: schema.to_string(),
                 right: format!("induced by order {order:?}"),
             });
         }
@@ -92,15 +99,8 @@ pub fn validate_tries<T: Borrow<Trie>>(order: &[Attr], tries: &[T]) -> Result<Ve
     let participants: Vec<Vec<usize>> = order
         .iter()
         .map(|a| {
-            tries
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| {
-                    let t: &Trie = (*t).borrow();
-                    t.schema().contains(*a)
-                })
-                .map(|(i, _)| i)
-                .collect::<Vec<_>>()
+            let holding = schemas.iter().enumerate().filter(|(_, s)| s.contains(*a));
+            holding.map(|(i, _)| i).collect::<Vec<_>>()
         })
         .collect();
     // Every attribute must be bound by at least one relation.
@@ -127,10 +127,16 @@ pub fn validate_tries<T: Borrow<Trie>>(order: &[Attr], tries: &[T]) -> Result<Ve
 /// (level, participant) slot for the probe kernel. A table is keyed by the
 /// join and the run it indexes, so a scratch reused across joins — even
 /// over tries dropped and rebuilt at the same addresses — never trusts a
-/// table another join built.
+/// table another join built. Between walks it keeps their cursor stacks
+/// and binding buffer too, so a join run over a reused scratch allocates
+/// nothing for its cursors.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     levels: Vec<LevelScratch>,
+    /// The cursor stacks the last walk gave back.
+    stacks: Vec<CursorStack>,
+    /// The binding buffer the last walk gave back.
+    binding: Vec<Value>,
 }
 
 /// One level's intersection, as the position-carrying kernel writes it.
@@ -269,6 +275,21 @@ impl JoinScratch {
         JoinScratch::default()
     }
 
+    /// Frees every per-level intersection buffer that grew past `entries`
+    /// entries, keeping the rest (and every value table): a scratch kept
+    /// between joins then holds what small joins need, not the high-water
+    /// mark of the largest one.
+    pub fn trim(&mut self, entries: usize) {
+        for level in &mut self.levels {
+            if level.values.capacity() > entries {
+                level.values = Vec::new();
+            }
+            if level.positions.capacity() > entries {
+                level.positions = Vec::new();
+            }
+        }
+    }
+
     /// Ensures one buffer pair per level, returning them.
     fn for_levels(&mut self, levels: usize) -> &mut [LevelScratch] {
         if self.levels.len() < levels {
@@ -300,6 +321,14 @@ struct Walk<'t> {
 }
 
 impl Walk<'_> {
+    /// Ends the walk: its cursor stacks and binding buffer go back to
+    /// `scratch` for the next walk, and its counters to the caller.
+    fn retire(self, scratch: &mut JoinScratch) -> JoinCounters {
+        scratch.stacks.extend(self.cursors.into_iter().map(TrieCursor::into_stack));
+        scratch.binding = self.binding;
+        self.counters
+    }
+
     /// Counts one binding above the last level towards the next poll of
     /// the stop hook. Returns `false`, stopping the walk, once it fires.
     #[inline]
@@ -367,9 +396,9 @@ static NEXT_JOIN_ID: AtomicU64 = AtomicU64::new(1);
 /// varying participant, when at least one other participant is invariant
 /// (see the module docs). `None` keeps the dance: no invariant participant,
 /// or two or more varying ones.
-fn probe_drivers<T: Borrow<Trie>>(
+fn probe_drivers(
     order: &[Attr],
-    tries: &[T],
+    schemas: &[&Schema],
     participants: &[Vec<usize>],
 ) -> Vec<Option<usize>> {
     participants
@@ -383,7 +412,7 @@ fn probe_drivers<T: Borrow<Trie>>(
                 .iter()
                 .enumerate()
                 .filter(|&(_, &p)| {
-                    let attrs = tries[p].borrow().schema().attrs();
+                    let attrs = schemas[p].attrs();
                     let depth = attrs.iter().position(|&a| a == order[level]).expect("participant");
                     depth > 0 && attrs[depth - 1] == order[level - 1]
                 })
@@ -394,6 +423,64 @@ fn probe_drivers<T: Borrow<Trie>>(
             }
         })
         .collect()
+}
+
+/// What a join is before it has tries: the attribute order, the schema
+/// each input trie must have, and what [`LeapfrogJoin::new`] reads off
+/// them — per level, the participating inputs and the probe kernel's
+/// driver, and the last level's varying participants.
+///
+/// A layout depends on the order and the schemas alone, so it is computed
+/// once and serves every join over tries of those schemas
+/// ([`LeapfrogJoin::with_layout`]): the executor keeps one per plan round,
+/// and a warm bound call builds none.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JoinLayout {
+    order: Vec<Attr>,
+    /// The schema of each input, in input order.
+    schemas: Vec<Schema>,
+    /// For each query level: indices of participating inputs.
+    participants: Vec<Vec<usize>>,
+    /// For each query level: the probe kernel's driving participant, if the
+    /// level probes its invariant runs (see [`probe_drivers`]).
+    drivers: Vec<Option<usize>>,
+    /// The last level's varying participants, as `(slot, trie, parent
+    /// slot)`: their place among the last level's participants, their trie,
+    /// and their place among the level above's participants, whose
+    /// intersection offsets address their child runs. Empty for a join of
+    /// one level.
+    last_varying: Vec<(usize, usize, usize)>,
+}
+
+impl JoinLayout {
+    /// The layout of a join under the global attribute order `order` over
+    /// inputs of the given schemas, each of which must follow the order
+    /// `order` induces on its attributes.
+    pub fn new<'s>(order: &[Attr], schemas: impl IntoIterator<Item = &'s Schema>) -> Result<Self> {
+        let schemas: Vec<&Schema> = schemas.into_iter().collect();
+        let participants = validate_schemas(order, &schemas)?;
+        let drivers = probe_drivers(order, &schemas, &participants);
+        // A trie's levels follow `order`, so a last-level participant
+        // varies exactly when it takes part in the level above too.
+        let last_varying = match participants.as_slice() {
+            [.., parent, last] => (last.iter().enumerate())
+                .filter_map(|(i, p)| Some((i, *p, parent.iter().position(|q| q == p)?)))
+                .collect(),
+            _ => Vec::new(),
+        };
+        Ok(JoinLayout {
+            order: order.to_vec(),
+            schemas: schemas.into_iter().cloned().collect(),
+            participants,
+            drivers,
+            last_varying,
+        })
+    }
+
+    /// The global attribute order.
+    pub fn order(&self) -> &[Attr] {
+        &self.order
+    }
 }
 
 /// A multi-way join execution over tries.
@@ -411,58 +498,70 @@ fn probe_drivers<T: Borrow<Trie>>(
 pub struct LeapfrogJoin<T: Borrow<Trie>> {
     /// This join's identity in the keys of a [`JoinScratch`]'s tables.
     id: u64,
-    order: Vec<Attr>,
+    layout: Arc<JoinLayout>,
     tries: Vec<T>,
-    /// For each query level: indices of participating tries.
-    participants: Vec<Vec<usize>>,
-    /// For each query level: the probe kernel's driving participant, if the
-    /// level probes its invariant runs (see [`probe_drivers`]).
-    drivers: Vec<Option<usize>>,
-    /// The last level's varying participants, as `(slot, trie, parent
-    /// slot)`: their place among the last level's participants, their trie,
-    /// and their place among the level above's participants, whose
-    /// intersection offsets address their child runs. Empty for a join of
-    /// one level.
-    last_varying: Vec<(usize, usize, usize)>,
 }
 
 impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// Creates a join over `tries` under the global attribute order.
     pub fn new(order: &[Attr], tries: Vec<T>) -> Result<Self> {
-        let participants = validate_tries(order, &tries)?;
-        let drivers = probe_drivers(order, &tries, &participants);
-        // A trie's levels follow `order`, so a last-level participant
-        // varies exactly when it takes part in the level above too.
-        let last_varying = match participants.as_slice() {
-            [.., parent, last] => (last.iter().enumerate())
-                .filter_map(|(i, p)| Some((i, *p, parent.iter().position(|q| q == p)?)))
-                .collect(),
-            _ => Vec::new(),
-        };
-        Ok(LeapfrogJoin {
-            id: NEXT_JOIN_ID.fetch_add(1, Ordering::Relaxed),
-            order: order.to_vec(),
-            tries,
-            participants,
-            drivers,
-            last_varying,
-        })
+        let layout = JoinLayout::new(order, tries.iter().map(|t| t.borrow().schema()))?;
+        Ok(LeapfrogJoin::assemble(Arc::new(layout), tries))
+    }
+
+    /// Creates a join over `tries` under a layout computed before
+    /// ([`JoinLayout::new`]): the tries must have the layout's schemas, in
+    /// its input order ([`Error::SchemaMismatch`] otherwise). Nothing about
+    /// the order is derived again, so this allocates nothing.
+    pub fn with_layout(layout: Arc<JoinLayout>, tries: Vec<T>) -> Result<Self> {
+        let fits = tries.len() == layout.schemas.len()
+            && tries.iter().zip(&layout.schemas).all(|(t, s)| t.borrow().schema() == s);
+        if !fits {
+            let found: Vec<String> = tries.iter().map(|t| t.borrow().schema().to_string()).collect();
+            return Err(Error::SchemaMismatch {
+                left: format!("tries over {}", found.join(", ")),
+                right: format!("a join layout over {:?}", layout.schemas),
+            });
+        }
+        Ok(LeapfrogJoin::assemble(layout, tries))
+    }
+
+    fn assemble(layout: Arc<JoinLayout>, tries: Vec<T>) -> Self {
+        LeapfrogJoin { id: NEXT_JOIN_ID.fetch_add(1, Ordering::Relaxed), layout, tries }
+    }
+
+    /// The join's tries, handed back: a caller that joins again and again
+    /// reuses their `Vec`.
+    pub fn into_tries(self) -> Vec<T> {
+        self.tries
     }
 
     /// Number of query levels.
     pub fn levels(&self) -> usize {
-        self.order.len()
+        self.layout.order.len()
     }
 
-    /// A walk from the trie roots under `budget`, polling `stop`, or `None`
-    /// when an input trie is empty — and with it the join.
-    fn walk<'t>(&'t self, budget: u64, stop: &'t mut dyn FnMut() -> bool) -> Option<Walk<'t>> {
+    /// A walk from the trie roots under `budget`, polling `stop`, over the
+    /// cursor stacks and binding buffer `scratch` kept, or `None` when an
+    /// input trie is empty — and with it the join.
+    fn walk<'t>(
+        &'t self,
+        scratch: &mut JoinScratch,
+        budget: u64,
+        stop: &'t mut dyn FnMut() -> bool,
+    ) -> Option<Walk<'t>> {
         if self.tries.iter().any(|t| t.borrow().tuples() == 0) {
             return None;
         }
+        let stacks = &mut scratch.stacks;
+        let cursors =
+            self.tries.iter().map(|t| t.borrow().cursor_on(stacks.pop().unwrap_or_default()));
+        let mut binding = std::mem::take(&mut scratch.binding);
+        binding.clear();
+        binding.resize(self.levels(), 0);
         Some(Walk {
-            cursors: self.tries.iter().map(|t| t.borrow().cursor()).collect(),
-            binding: vec![0; self.levels()],
+            cursors: cursors.collect(),
+            binding,
             counters: JoinCounters::new(self.levels()),
             budget,
             over_budget: false,
@@ -489,10 +588,11 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// is less than the full result cardinality.
     pub fn join_into(&self, sink: &mut dyn RowSink) -> JoinCounters {
         let mut never = || false;
-        let Some(mut walk) = self.walk(u64::MAX, &mut never).filter(|_| !sink.saturated()) else {
+        let mut scratch = JoinScratch::new();
+        let walk = self.walk(&mut scratch, u64::MAX, &mut never);
+        let Some(mut walk) = walk.filter(|_| !sink.saturated()) else {
             return JoinCounters::new(self.levels());
         };
-        let mut scratch = JoinScratch::new();
         let bufs = scratch.for_levels(self.levels());
         self.recurse_sink(0, &mut walk, sink, bufs, &[]);
         walk.counters
@@ -516,7 +616,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         scratch: &mut [LevelScratch],
         bound: &[Option<Value>],
     ) -> bool {
-        let ps = &self.participants[level];
+        let ps = &self.layout.participants[level];
         let last = level + 1 == self.levels();
         let (buf, deeper) = scratch.split_first_mut().expect("scratch sized to levels");
         let mut opened = 0usize;
@@ -615,7 +715,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         counters: &mut JoinCounters,
         on_match: impl FnMut(Value, &[usize]),
     ) {
-        if let Some(driver) = self.drivers[level] {
+        if let Some(driver) = self.layout.drivers[level] {
             if tables.ready(self.id, runs, driver, &mut counters.stats) {
                 counters.stats.probes_per_level[level] +=
                     probe_matches(runs, driver, &tables.tables, on_match);
@@ -640,7 +740,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         buf: &mut LevelScratch,
     ) -> bool {
         let level = self.levels() - 1;
-        let ps = &self.participants[level];
+        let ps = &self.layout.participants[level];
         let tables = &mut buf.tables;
         with_slots(ps.len(), NO_RUN, |runs| {
             // The invariant runs stand still for the whole loop; the varying
@@ -648,7 +748,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             for (run, &p) in runs.iter_mut().zip(ps) {
                 *run = walk.cursors[p].child_run();
             }
-            let driver = self.drivers[level];
+            let driver = self.layout.drivers[level];
             let shortest = driver.map_or(0, |d| shortest_invariant(runs, d));
             // Whether the invariant runs' tables are ready, once no further
             // ask can change the answer.
@@ -657,7 +757,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                 if !walk.visit() {
                     return false;
                 }
-                for &(i, p, j) in &self.last_varying {
+                for &(i, p, j) in &self.layout.last_varying {
                     runs[i] = walk.cursors[p].child_run_at(at[j]);
                 }
                 let probe = driver.filter(|&d| {
@@ -707,7 +807,8 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             }
             if sink.counts_only() {
                 let stats = &mut walk.counters.stats;
-                let probe = self.drivers[level].filter(|&d| tables.ready(self.id, runs, d, stats));
+                let drivers = &self.layout.drivers;
+                let probe = drivers[level].filter(|&d| tables.ready(self.id, runs, d, stats));
                 let n = count_runs(level, runs, probe, &tables.tables, &mut walk.counters);
                 if !walk.produce(level, n) {
                     return false;
@@ -746,10 +847,10 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// hours.
     pub fn count_with_budget(&self, max_total_bindings: u64) -> (bool, JoinCounters) {
         let mut never = || false;
-        let Some(mut walk) = self.walk(max_total_bindings, &mut never) else {
+        let mut scratch = JoinScratch::new();
+        let Some(mut walk) = self.walk(&mut scratch, max_total_bindings, &mut never) else {
             return (true, JoinCounters::new(self.levels()));
         };
-        let mut scratch = JoinScratch::new();
         let bufs = scratch.for_levels(self.levels());
         self.recurse_sink(0, &mut walk, &mut CountSink::new(), bufs, &[]);
         (!walk.over_budget, walk.counters)
@@ -775,7 +876,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     ) -> (u64, JoinCounters) {
         let levels = self.levels();
         let mut never = || false;
-        let Some(mut walk) = self.walk(u64::MAX, &mut never) else {
+        let Some(mut walk) = self.walk(scratch, u64::MAX, &mut never) else {
             return (0, JoinCounters::new(levels));
         };
         debug_assert!(draws.windows(2).all(|w| w[0].0 < w[1].0), "draws ascend, distinct");
@@ -800,7 +901,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         }
         walk.counters.tuples_per_level = weighted;
         walk.counters.output_tuples = total;
-        (total, walk.counters)
+        (total, walk.retire(scratch))
     }
 }
 
@@ -860,13 +961,14 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         scratch: &mut JoinScratch,
         stop: &mut dyn FnMut() -> bool,
     ) -> Result<BatchOutcome> {
-        let level_of = |a: Attr| self.order.iter().position(|&o| o == a);
+        let order = &self.layout.order;
+        let level_of = |a: Attr| order.iter().position(|&o| o == a);
         let mut above = None;
         for &a in bound_attrs {
             let level = level_of(a);
             if level.is_none() || level <= above {
                 let schema =
-                    format!("order {:?}, after the attributes bound before it", self.order);
+                    format!("order {order:?}, after the attributes bound before it");
                 return Err(Error::UnknownAttr { attr: a.to_string(), schema });
             }
             above = level;
@@ -879,14 +981,14 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             "bindings must be sorted and deduplicated"
         );
 
-        let Some(mut walk) = self.walk(u64::MAX, stop) else {
+        let Some(mut walk) = self.walk(scratch, u64::MAX, stop) else {
             // Every binding trivially completes with an empty result.
             return Ok(BatchOutcome { completed: n, counters: JoinCounters::new(levels) });
         };
         let bufs = scratch.for_levels(levels);
         // The bound prefix: the levels whose cursors survive from binding to
         // binding with forward-only galloping.
-        let p = bound_attrs.iter().zip(&self.order).take_while(|(a, o)| a == o).count();
+        let p = bound_attrs.iter().zip(order).take_while(|(a, o)| a == o).count();
         // Per-binding constants for bound levels *behind* free levels; the
         // recursion seeks those afresh under each context. Empty (nothing
         // allocated) when the prefix holds every bound level.
@@ -921,7 +1023,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             // above it matches) and sorted bindings only move it forward.
             while open_depth > reuse + 1 {
                 open_depth -= 1;
-                for &q in &self.participants[open_depth] {
+                for &q in &self.layout.participants[open_depth] {
                     walk.cursors[q].up();
                 }
             }
@@ -929,7 +1031,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             let mut ok = true;
             for (lev, &target) in b.iter().enumerate().take(p).skip(reuse) {
                 if lev >= open_depth {
-                    for &q in &self.participants[lev] {
+                    for &q in &self.layout.participants[lev] {
                         walk.counters.stats.opens_per_level[lev] += 1;
                         let descended = walk.cursors[q].open();
                         debug_assert!(descended, "interior trie rows always have children");
@@ -939,7 +1041,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                 let mut hit = true;
                 // No early break: every cursor must advance to >= target so
                 // the next binding's forward seek stays valid.
-                for &q in &self.participants[lev] {
+                for &q in &self.layout.participants[lev] {
                     walk.counters.stats.seeks_per_level[lev] += 1;
                     if !walk.cursors[q].seek(target) {
                         hit = false;
@@ -973,7 +1075,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             }
             completed = i + 1;
         }
-        Ok(BatchOutcome { completed, counters: walk.counters })
+        Ok(BatchOutcome { completed, counters: walk.retire(scratch) })
     }
 }
 
@@ -1048,6 +1150,36 @@ mod tests {
             let outcome = join.run_batch(&[], &[], sinks, &mut scratch, &mut || false).unwrap();
             assert_eq!((outcome.completed, outcome.counters.output_tuples), (1, 2));
         }
+    }
+
+    #[test]
+    fn a_layout_serves_every_join_over_its_schemas() {
+        let (r1, r2, r3) = triangle_graph();
+        let ord = order(&[0, 1, 2]);
+        let tries = tries_for(&[&r1, &r2, &r3], &ord);
+        let fresh = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
+        let layout = Arc::new(JoinLayout::new(&ord, tries.iter().map(|t| t.schema())).unwrap());
+        assert_eq!(*fresh.layout, *layout);
+        let mut want = adj_relational::RowBuffer::new(3);
+        let mut never = || false;
+        let sinks = std::slice::from_mut(&mut want);
+        let expect = fresh.run_batch(&[], &[], sinks, &mut JoinScratch::new(), &mut never).unwrap();
+        let mut scratch = JoinScratch::new();
+        let mut handles: Vec<&Trie> = tries.iter().collect();
+        for _ in 0..3 {
+            // The tries' `Vec` and the walk's cursor stacks go round.
+            let join = LeapfrogJoin::with_layout(Arc::clone(&layout), handles).unwrap();
+            let mut buf = adj_relational::RowBuffer::new(3);
+            let sinks = std::slice::from_mut(&mut buf);
+            let outcome = join.run_batch(&[], &[], sinks, &mut scratch, &mut || false).unwrap();
+            assert_eq!(outcome.counters.tuples_per_level, expect.counters.tuples_per_level);
+            assert_eq!(buf.flat(), want.flat());
+            assert_eq!(scratch.stacks.len(), 3, "every cursor's stack came back");
+            handles = join.into_tries();
+        }
+        // Tries of other schemas are refused.
+        let swapped = vec![&tries[1], &tries[0], &tries[2]];
+        assert!(LeapfrogJoin::with_layout(layout, swapped).is_err());
     }
 
     /// One bound join through [`LeapfrogJoin::run_batch`]: `values` pins
@@ -1344,7 +1476,7 @@ mod tests {
         for (varying, unary) in [(1, INLINE_RUNS + 2), (INLINE_RUNS + 1, 2)] {
             let tries = wide_last_level(varying, unary);
             let join = LeapfrogJoin::new(&ord, tries.iter().collect()).unwrap();
-            assert!(join.participants[1].len() > INLINE_RUNS);
+            assert!(join.layout.participants[1].len() > INLINE_RUNS);
             let (n, counted) = join.count();
             let mut rows = adj_relational::RowBuffer::new(2);
             let enumerated = join.join_into(&mut rows);

@@ -209,16 +209,18 @@ impl JoinQuery {
     /// `attrs(Q)`: the distinct attributes, sorted by id. The paper assumes
     /// an arbitrary global order `ord`; sorted-by-id is our canonical one.
     pub fn attrs(&self) -> Vec<Attr> {
-        let mut mask = 0u64;
-        for a in &self.atoms {
-            mask |= a.schema.mask();
-        }
+        let mask = self.attr_mask();
         (0..64).filter(|i| mask & (1 << i) != 0).map(Attr).collect()
+    }
+
+    /// Bitmask of the attributes the atoms mention.
+    fn attr_mask(&self) -> u64 {
+        self.atoms.iter().fold(0, |mask, a| mask | a.schema.mask())
     }
 
     /// Number of distinct attributes `n = |attrs(Q)|`.
     pub fn num_attrs(&self) -> usize {
-        self.attrs().len()
+        self.attr_mask().count_ones() as usize
     }
 
     /// The query's hypergraph `H = (V, E)` (Sec. II).
@@ -256,14 +258,14 @@ impl JoinQuery {
         params
     }
 
-    /// Checks that every `$name` parameter has a value in `bound`, naming
-    /// the first one that does not ([`Error::UnboundParam`]). Walks the
-    /// terms in place — no parameter table is allocated.
-    pub fn require_params_bound(&self, bound: &BoundValues) -> Result<()> {
+    /// Checks that every `$name` parameter's attribute is one `bound`
+    /// accepts, naming the first one that is not ([`Error::UnboundParam`]).
+    /// Walks the terms in place — no parameter table is allocated.
+    pub fn require_params_bound(&self, bound: impl Fn(Attr) -> bool) -> Result<()> {
         for atom in &self.atoms {
             for (term, &attr) in atom.terms.iter().zip(atom.schema.attrs()) {
                 if let Term::Param(name) = term {
-                    if bound.get(attr).is_none() {
+                    if !bound(attr) {
                         return Err(Error::UnboundParam { name: name.clone() });
                     }
                 }

@@ -238,8 +238,9 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Cache<K, V, S> {
     /// back an exclusive claim; a key another caller is building makes
     /// this call wait, polling `keep_waiting` every millisecond, and come
     /// back as a coalesced hit when the build publishes. If `keep_waiting`
-    /// says stop, the miss gets a plain claim.
-    pub fn lookup(&self, key: K, mut keep_waiting: impl FnMut() -> bool) -> Lookup<'_, K, V, S>
+    /// says stop, the miss gets a plain claim. The key is borrowed: only a
+    /// miss clones it, into its claim, so a hit allocates nothing.
+    pub fn lookup(&self, key: &K, mut keep_waiting: impl FnMut() -> bool) -> Lookup<'_, K, V, S>
     where
         V: Clone,
     {
@@ -250,23 +251,23 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Cache<K, V, S> {
         };
         let (mut waited, mut looking) = (false, self.capacity > 0);
         while looking {
-            if let Some(value) = self.lock().get_if(&key, |v| Some(v.clone())) {
+            if let Some(value) = self.lock().get_if(key, |v| Some(v.clone())) {
                 return hit(value, waited);
             }
             let build = {
                 let mut pending = lock_ignoring_poison(&self.pending);
-                match pending.get(&key) {
+                match pending.get(key) {
                     Some(build) => Arc::clone(build),
                     None => {
                         // No build of `key` can finish while the registry
                         // is locked: look again for one that finished
                         // since the look above, before building anew.
-                        if let Some(value) = self.lock().get_if(&key, |v| Some(v.clone())) {
+                        if let Some(value) = self.lock().get_if(key, |v| Some(v.clone())) {
                             return hit(value, waited);
                         }
                         pending.insert(key.clone(), Arc::default());
                         bump(&self.misses, 1);
-                        return Lookup::Miss(Claim { cache: self, key, exclusive: true });
+                        return Lookup::Miss(Claim { cache: self, key: key.clone(), exclusive: true });
                     }
                 }
             };
@@ -277,7 +278,7 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Cache<K, V, S> {
             looking = build.wait(&mut keep_waiting);
         }
         bump(&self.misses, 1);
-        Lookup::Miss(Claim { cache: self, key, exclusive: false })
+        Lookup::Miss(Claim { cache: self, key: key.clone(), exclusive: false })
     }
 
     /// Stores `value` under `key` by the insert rule and returns how many
@@ -506,7 +507,7 @@ mod tests {
                     let n = c.take(|_, _| true).len();
                     assert_eq!(n, model.drop_where(|_, _| true).len(), "{ctx}: clear");
                 }
-                69..=84 => match c.lookup(key, || false) {
+                69..=84 => match c.lookup(&key, || false) {
                     Lookup::Hit { value, coalesced } => {
                         assert!(!coalesced, "{ctx}: nothing to wait for");
                         assert_eq!(Some(value), model.get(key, |_| true), "{ctx}: claim hit");
@@ -576,9 +577,9 @@ mod tests {
     #[test]
     fn hit_after_insert_miss_before() {
         let c = cache(4);
-        let Lookup::Miss(claim) = c.lookup(7, || true) else { panic!("cold key must miss") };
+        let Lookup::Miss(claim) = c.lookup(&7, || true) else { panic!("cold key must miss") };
         claim.publish(val(1));
-        assert!(matches!(c.lookup(7, || true), Lookup::Hit { coalesced: false, .. }));
+        assert!(matches!(c.lookup(&7, || true), Lookup::Hit { coalesced: false, .. }));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.insertions, s.len), (1, 1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
@@ -624,7 +625,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_never_claims() {
-        match cache(0).lookup(1, || true) {
+        match cache(0).lookup(&1, || true) {
             Lookup::Miss(claim) => assert!(!claim.is_exclusive(), "nothing to coalesce on"),
             Lookup::Hit { .. } => panic!("a disabled cache must miss"),
         }
@@ -662,7 +663,7 @@ mod tests {
         let built = AtomicU64::new(0);
         std::thread::scope(|s| {
             for _ in 0..THREADS {
-                s.spawn(|| match c.lookup(1, || true) {
+                s.spawn(|| match c.lookup(&1, || true) {
                     Lookup::Miss(claim) => {
                         assert!(claim.is_exclusive(), "coalescing must engage");
                         built.fetch_add(1, Ordering::Relaxed);
@@ -683,9 +684,9 @@ mod tests {
     #[test]
     fn abandoned_claim_wakes_waiters_who_reclaim() {
         let c = cache(100);
-        let Lookup::Miss(claim) = c.lookup(1, || true) else { panic!("cold key must miss") };
+        let Lookup::Miss(claim) = c.lookup(&1, || true) else { panic!("cold key must miss") };
         std::thread::scope(|s| {
-            let waiter = s.spawn(|| match c.lookup(1, || true) {
+            let waiter = s.spawn(|| match c.lookup(&1, || true) {
                 Lookup::Miss(claim) if claim.is_exclusive() => {
                     claim.publish(Val { tag: 0, ident: 0, weight: 1 });
                     true
@@ -710,7 +711,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..100u8 {
                         let key = (t.wrapping_mul(100).wrapping_add(i)) % 12;
-                        if let Lookup::Miss(claim) = c.lookup(key, || true) {
+                        if let Lookup::Miss(claim) = c.lookup(&key, || true) {
                             claim.publish(Val { tag: t, ident: 0, weight: 1 + (key % 3) as usize });
                         }
                     }

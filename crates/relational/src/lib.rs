@@ -44,7 +44,7 @@ pub use error::{Error, Result};
 pub use output::{CountSink, ExistsSink, FnSink, OutputMode, QueryOutput, RowBuffer, RowSink};
 pub use relation::Relation;
 pub use schema::{Attr, Schema};
-pub use trie::{Trie, TrieCursor};
+pub use trie::{CursorStack, Trie, TrieCursor};
 
 /// An attribute value. The paper's workloads are graphs whose node ids fit in
 /// 32 bits (the largest dataset, com-Orkut, has ~3M nodes); dense `u32`

@@ -190,6 +190,26 @@ pub trait RowSink {
     }
 }
 
+/// A borrowed sink is a sink: a caller that keeps its sinks (and their
+/// buffers) from one run to the next lends them by reference.
+impl<S: RowSink + ?Sized> RowSink for &mut S {
+    fn push(&mut self, row: &[Value]) -> bool {
+        (**self).push(row)
+    }
+
+    fn saturated(&self) -> bool {
+        (**self).saturated()
+    }
+
+    fn counts_only(&self) -> bool {
+        (**self).counts_only()
+    }
+
+    fn push_count(&mut self, n: u64) -> bool {
+        (**self).push_count(n)
+    }
+}
+
 /// A closure adapter, so existing `FnMut(&[Value])` consumers are sinks.
 pub struct FnSink<F: FnMut(&[Value])>(pub F);
 
@@ -258,6 +278,31 @@ impl RowBuffer {
     /// The flat row data, consumed.
     pub fn into_flat(self) -> Vec<Value> {
         self.rows
+    }
+
+    /// The flat row data buffered so far.
+    pub fn flat(&self) -> &[Value] {
+        &self.rows
+    }
+
+    /// Values the buffer can hold without growing.
+    pub fn capacity(&self) -> usize {
+        self.rows.capacity()
+    }
+
+    /// Takes the flat row data out, leaving the buffer empty and without
+    /// its allocation.
+    pub fn take_flat(&mut self) -> Vec<Value> {
+        std::mem::take(&mut self.rows)
+    }
+
+    /// Empties the buffer for a new run over `width`-ary rows, under a new
+    /// budget and limit (as [`RowBuffer::with_budget`] and
+    /// [`RowBuffer::with_limit`] set them), keeping its allocation.
+    pub fn reset(&mut self, width: usize, max_rows: usize, limit: usize) {
+        self.rows.clear();
+        (self.width, self.max_rows, self.limit) = (width.max(1), max_rows, limit);
+        self.over_budget = false;
     }
 
     /// Builds the relation over `schema` (which must match the row width).

@@ -609,6 +609,31 @@ pub fn merge_sorted_runs(mut runs: Vec<Vec<Value>>, arity: usize) -> Vec<Value> 
     runs.pop().unwrap_or_default()
 }
 
+/// [`merge_sorted_runs`] over borrowed runs: the merged run is the only
+/// allocation (a copy when one run is not empty, none when every run is).
+pub fn merge_sorted_slices<'r>(
+    runs: impl IntoIterator<Item = &'r [Value]>,
+    arity: usize,
+) -> Vec<Value> {
+    let mut runs = runs.into_iter().filter(|run| !run.is_empty());
+    let (Some(a), b) = (runs.next(), runs.next()) else {
+        return Vec::new();
+    };
+    let Some(b) = b else {
+        return a.to_vec();
+    };
+    // The first tournament round reads the borrowed runs; the rest merge
+    // what it produced.
+    let mut merged = vec![merge_two(a, b, arity)];
+    while let Some(a) = runs.next() {
+        merged.push(match runs.next() {
+            Some(b) => merge_two(a, b, arity),
+            None => a.to_vec(),
+        });
+    }
+    merge_sorted_runs(merged, arity)
+}
+
 /// Merges two sorted-dedup row-major runs of the same arity.
 fn merge_two(a: &[Value], b: &[Value], arity: usize) -> Vec<Value> {
     if arity == 0 {

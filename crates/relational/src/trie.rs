@@ -186,14 +186,35 @@ impl Trie {
 
     /// Opens a navigation cursor positioned at the root.
     pub fn cursor(&self) -> TrieCursor<'_> {
-        TrieCursor {
-            trie: self,
-            depth: 0,
-            node: Vec::with_capacity(self.arity()),
-            range: Vec::with_capacity(self.arity()),
-            pos: Vec::with_capacity(self.arity()),
-        }
+        self.cursor_on(CursorStack::default())
     }
+
+    /// [`Trie::cursor`] over a level stack another cursor gave back
+    /// ([`TrieCursor::into_stack`]): a caller that opens cursors again and
+    /// again reuses one allocation per cursor instead of making a new one.
+    pub fn cursor_on(&self, mut stack: CursorStack) -> TrieCursor<'_> {
+        stack.0.clear();
+        stack.0.reserve(self.arity());
+        TrieCursor { trie: self, frames: stack.0 }
+    }
+}
+
+/// The level stack of a [`TrieCursor`], detached from any trie so it can
+/// outlive the cursor and serve the next one ([`Trie::cursor_on`],
+/// [`TrieCursor::into_stack`]).
+#[derive(Debug, Clone, Default)]
+pub struct CursorStack(Vec<Frame>);
+
+/// One open level of a cursor.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    /// The sibling run: the child range of the parent node.
+    lo: usize,
+    hi: usize,
+    /// The current position inside the run.
+    pos: usize,
+    /// The chosen node: `pos`, or the last position before the run ended.
+    node: usize,
 }
 
 /// Navigation cursor over a [`Trie`], exposing the linear-iterator interface
@@ -202,21 +223,31 @@ impl Trie {
 #[derive(Clone)]
 pub struct TrieCursor<'a> {
     trie: &'a Trie,
-    /// Number of open levels (0 = at root).
-    depth: usize,
-    /// For each open level: index of the chosen node in that level.
-    node: Vec<usize>,
-    /// For each open level: the sibling run (child range of the parent).
-    range: Vec<(usize, usize)>,
-    /// For each open level: current position inside the run.
-    pos: Vec<usize>,
+    /// One frame per open level (none at the root).
+    frames: Vec<Frame>,
 }
 
 impl<'a> TrieCursor<'a> {
     /// Current depth (number of open levels).
     #[inline]
     pub fn depth(&self) -> usize {
-        self.depth
+        self.frames.len()
+    }
+
+    /// The cursor's level stack, for [`Trie::cursor_on`].
+    pub fn into_stack(self) -> CursorStack {
+        CursorStack(self.frames)
+    }
+
+    /// The innermost open level.
+    #[inline]
+    fn top(&self) -> &Frame {
+        self.frames.last().expect("an open level")
+    }
+
+    #[inline]
+    fn top_mut(&mut self) -> &mut Frame {
+        self.frames.last_mut().expect("an open level")
     }
 
     /// Descends into the children of the current node (or the root level),
@@ -228,19 +259,16 @@ impl<'a> TrieCursor<'a> {
         if lo == hi {
             return false;
         }
-        self.range.push((lo, hi));
-        self.pos.push(lo);
-        self.node.push(lo);
-        self.depth += 1;
+        self.frames.push(Frame { lo, hi, pos: lo, node: lo });
         true
     }
 
     /// Range, in the next level's values, of the current node's children.
     #[inline]
     fn child_range(&self) -> (usize, usize) {
-        debug_assert!(self.depth < self.trie.arity(), "no level below the leaves");
-        let parent = if self.depth == 0 { 0 } else { self.node[self.depth - 1] };
-        self.trie.levels[self.depth].children(parent)
+        debug_assert!(self.depth() < self.trie.arity(), "no level below the leaves");
+        let parent = self.frames.last().map_or(0, |f| f.node);
+        self.trie.levels[self.depth()].children(parent)
     }
 
     /// The children of the current node (the root level at depth 0): the
@@ -250,7 +278,7 @@ impl<'a> TrieCursor<'a> {
     #[inline]
     pub fn child_run(&self) -> &'a [Value] {
         let (lo, hi) = self.child_range();
-        &self.trie.levels[self.depth].values[lo..hi]
+        &self.trie.levels[self.depth()].values[lo..hi]
     }
 
     /// The children of the node at `offset` within the current sibling run
@@ -260,9 +288,9 @@ impl<'a> TrieCursor<'a> {
     /// way, from the offsets the parent's intersection recorded.
     #[inline]
     pub fn child_run_at(&self, offset: usize) -> &'a [Value] {
-        let (lo, hi) = self.range[self.depth - 1];
+        let &Frame { lo, hi, .. } = self.top();
         debug_assert!(lo + offset < hi, "offset past the end of the run");
-        let level = &self.trie.levels[self.depth];
+        let level = &self.trie.levels[self.depth()];
         let (lo, hi) = level.children(lo + offset);
         &level.values[lo..hi]
     }
@@ -273,54 +301,51 @@ impl<'a> TrieCursor<'a> {
     /// intersection already recorded, instead of seeking the value again.
     #[inline]
     pub fn jump(&mut self, offset: usize) {
-        let d = self.depth - 1;
-        let p = self.range[d].0 + offset;
-        debug_assert!(p < self.range[d].1, "jump past the end of the run");
-        self.pos[d] = p;
-        self.node[d] = p;
+        let frame = self.top_mut();
+        let p = frame.lo + offset;
+        debug_assert!(p < frame.hi, "jump past the end of the run");
+        frame.pos = p;
+        frame.node = p;
     }
 
     /// Returns to the parent level.
     pub fn up(&mut self) {
-        debug_assert!(self.depth > 0, "up at root");
-        self.depth -= 1;
-        self.range.pop();
-        self.pos.pop();
-        self.node.pop();
+        debug_assert!(self.depth() > 0, "up at root");
+        self.frames.pop();
     }
 
     /// Whether the cursor has run past the end of the current sibling run.
     #[inline]
     pub fn at_end(&self) -> bool {
-        let (_, hi) = self.range[self.depth - 1];
-        self.pos[self.depth - 1] >= hi
+        let frame = self.top();
+        frame.pos >= frame.hi
     }
 
     /// The value at the current position. Caller must ensure `!at_end()`.
     #[inline]
     pub fn key(&self) -> Value {
-        let p = self.pos[self.depth - 1];
-        self.trie.levels[self.depth - 1].values[p]
+        self.trie.levels[self.depth() - 1].values[self.top().pos]
     }
 
     /// Advances to the next sibling.
     #[inline]
     pub fn next(&mut self) {
-        self.pos[self.depth - 1] += 1;
-        if !self.at_end() {
-            self.node[self.depth - 1] = self.pos[self.depth - 1];
+        let frame = self.top_mut();
+        frame.pos += 1;
+        if frame.pos < frame.hi {
+            frame.node = frame.pos;
         }
     }
 
     /// Seeks to the least sibling `>= target` (galloping). Returns `true` if
     /// positioned exactly at `target`.
     pub fn seek(&mut self, target: Value) -> bool {
-        let lvl = &self.trie.levels[self.depth - 1];
-        let (_, hi) = self.range[self.depth - 1];
-        let p = gallop(&lvl.values[..hi], self.pos[self.depth - 1], target);
-        self.pos[self.depth - 1] = p;
-        if p < hi {
-            self.node[self.depth - 1] = p;
+        let lvl = &self.trie.levels[self.depth() - 1];
+        let frame = self.frames.last_mut().expect("an open level");
+        let p = gallop(&lvl.values[..frame.hi], frame.pos, target);
+        frame.pos = p;
+        if p < frame.hi {
+            frame.node = p;
             lvl.values[p] == target
         } else {
             false
@@ -349,16 +374,15 @@ impl<'a> TrieCursor<'a> {
     /// Leapfrog's k-way intersection consumes these runs directly.
     #[inline]
     pub fn remaining(&self) -> &'a [Value] {
-        let (_, hi) = self.range[self.depth - 1];
-        let p = self.pos[self.depth - 1];
-        &self.trie.levels[self.depth - 1].values[p..hi]
+        let &Frame { hi, pos, .. } = self.top();
+        &self.trie.levels[self.depth() - 1].values[pos..hi]
     }
 
     /// Full sibling run at the current depth, independent of position.
     #[inline]
     pub fn run(&self) -> &'a [Value] {
-        let (lo, hi) = self.range[self.depth - 1];
-        &self.trie.levels[self.depth - 1].values[lo..hi]
+        let &Frame { lo, hi, .. } = self.top();
+        &self.trie.levels[self.depth() - 1].values[lo..hi]
     }
 }
 

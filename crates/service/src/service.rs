@@ -23,7 +23,7 @@ use adj_sampling::sample_relation;
 use adj_trace::{QueryTrace, Trace, Tracer, COORDINATOR_LANE};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -100,6 +100,24 @@ struct ForgetIfSuperseded<'a>(&'a Service, &'a DbEntry);
 impl Drop for ForgetIfSuperseded<'_> {
     fn drop(&mut self) {
         self.0.forget_if_superseded(self.1);
+    }
+}
+
+/// Counts one request inside [`Service::serve`] for as long as it lives:
+/// dropped last on every path out, after the admission slot and the lent
+/// scratch went back.
+struct InFlight<'a>(&'a AtomicUsize);
+
+impl<'a> InFlight<'a> {
+    fn enter(count: &'a AtomicUsize) -> Self {
+        count.fetch_add(1, Ordering::SeqCst);
+        InFlight(count)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -408,6 +426,8 @@ pub struct Service {
     /// keyed by name and never removed (bounded by distinct names hosted).
     mutation_doors: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     epoch: AtomicU64,
+    /// Requests inside the serve pipeline right now.
+    in_flight: AtomicUsize,
     /// Cluster-wide memory minus the index-cache budget, divided by
     /// `max_concurrent`; `None` = unlimited.
     per_query_budget_bytes: Option<usize>,
@@ -466,6 +486,7 @@ impl Service {
             mutation_doors: Mutex::new(HashMap::new()),
             databases: RwLock::new(HashMap::new()),
             epoch: AtomicU64::new(0),
+            in_flight: AtomicUsize::new(0),
             per_query_budget_bytes,
             adj,
             config,
@@ -542,15 +563,30 @@ impl Service {
         }
     }
 
-    /// Checks the three caches' invariants (see [`Cache::check`]): every
-    /// resident entry belongs to a registered database, resident weight is
-    /// the sum of the entries and fits the budget, and no build claim is
-    /// pending while no query runs. Meant for between operations: a
-    /// `prepare` in flight may hold a plan claim.
+    /// Checks the service's invariants. The three caches' (see
+    /// [`Cache::check`]): every resident entry belongs to a registered
+    /// database, resident weight is the sum of the entries and fits the
+    /// budget. And while no query runs: no build claim is pending, the
+    /// admission controller holds no running or waiting query, and every
+    /// scratch the executions borrowed is back in the pool. Meant for
+    /// between operations: a `prepare` in flight may hold a plan claim.
     pub fn check_invariants(&self) -> Result<(), String> {
         let live: Vec<u64> = read_recovering(&self.databases).values().map(|e| e.epoch).collect();
         let live = |epoch| live.contains(&epoch);
-        let idle = self.admission.stats().running == 0;
+        let idle = self.in_flight.load(Ordering::SeqCst) == 0;
+        if idle {
+            let admission = self.admission.stats();
+            if admission.running + admission.waiting > 0 {
+                return Err(format!(
+                    "admission holds {} running and {} waiting queries while none runs",
+                    admission.running, admission.waiting
+                ));
+            }
+            let lent = self.adj.scratch().outstanding();
+            if lent > 0 {
+                return Err(format!("{lent} lent scratches outstanding while no query runs"));
+            }
+        }
         self.cache.check(live, idle).map_err(|e| format!("plan cache: {e}"))?;
         self.index.store().check(live, idle).map_err(|e| format!("index cache: {e}"))?;
         self.results.check(live, idle).map_err(|e| format!("result cache: {e}"))
@@ -603,7 +639,8 @@ impl Service {
         deadline: Option<Duration>,
     ) -> Result<ServiceOutcome, ServiceError> {
         let values = self.validated_const_bindings(query)?;
-        self.execute_inner(db_name, query, mode, &values, false, deadline)
+        let fingerprint = QueryFingerprint::of_mode(query, mode);
+        self.execute_inner(db_name, query, fingerprint, &values, false, deadline)
     }
 
     /// Resolves a direct (non-prepared) submission's inline literals and
@@ -622,7 +659,7 @@ impl Service {
     /// table is allocated on the common unbound path.
     fn validated_const_bindings(&self, query: &JoinQuery) -> Result<BoundValues, ServiceError> {
         self.failed(query.const_bindings().and_then(|values| {
-            query.require_params_bound(&values)?;
+            query.require_params_bound(|a| values.get(a).is_some())?;
             Ok(values)
         }))
     }
@@ -903,7 +940,10 @@ impl Service {
         deadline: Option<Duration>,
     ) -> Result<ServiceOutcome, ServiceError> {
         let values = self.failed(prepared.bind(bindings))?;
-        self.execute_inner(&prepared.db_name, &prepared.query, mode, &values, false, deadline)
+        // The statement's fingerprint was computed at prepare; only the
+        // mode is the call's.
+        let fingerprint = QueryFingerprint { mode, ..prepared.fingerprint };
+        self.execute_inner(&prepared.db_name, &prepared.query, fingerprint, &values, false, deadline)
     }
 
     /// Executes a whole batch of bindings of one prepared statement under
@@ -998,15 +1038,8 @@ impl Service {
             let mut report = ExecutionReport::default();
             if !cold.is_empty() {
                 // Result `k` belongs to `cold[k]`, that is `cold_slots[k]`.
-                let (slot_results, batch_report) = adj_core::execute_plan(
-                    self.adj.cluster(),
-                    db,
-                    plan,
-                    self.adj.config(),
-                    mode,
-                    &cold,
-                    ctx,
-                )?;
+                let (slot_results, batch_report) =
+                    adj_core::execute_plan(&self.adj, db, plan, mode, &cold, ctx)?;
                 report = batch_report;
                 let mut insert_span = ctx.tracer.span(COORDINATOR_LANE, "result_cache");
                 let mut evictions = 0u64;
@@ -1060,7 +1093,9 @@ impl Service {
                 results.iter().filter_map(|r| r.as_ref().ok()).map(|o| o.tuples_returned()).sum();
             Ok((BatchRun { results, result_cache_hits, unique_executed }, report, tuples_returned))
         };
-        let served = self.serve(&prepared.db_name, &prepared.query, mode, deadline, tracer, run)?;
+        let fingerprint = QueryFingerprint { mode, ..prepared.fingerprint };
+        let served =
+            self.serve(&prepared.db_name, &prepared.query, fingerprint, deadline, tracer, run)?;
         let BatchRun { results, result_cache_hits, unique_executed } = served.payload;
         self.metrics.record_batch(batch.len() as u64, result_cache_hits as u64);
         Ok(BatchOutcome {
@@ -1111,11 +1146,12 @@ impl Service {
         &self,
         db_name: &str,
         query: &JoinQuery,
-        mode: OutputMode,
+        fingerprint: QueryFingerprint,
         values: &BoundValues,
         force_trace: bool,
         deadline: Option<Duration>,
     ) -> Result<ServiceOutcome, ServiceError> {
+        let mode = fingerprint.mode;
         let deadline = deadline.or(self.config.default_deadline);
         // Borrowing the cached plan — no per-query plan clone on the hot
         // path — under the index cache's scope: warm relations join over
@@ -1125,7 +1161,8 @@ impl Service {
             let tuples_returned = output.tuples_returned();
             Ok((output, report, tuples_returned))
         };
-        let served = self.serve(db_name, query, mode, deadline, self.tracer(force_trace), run)?;
+        let tracer = self.tracer(force_trace);
+        let served = self.serve(db_name, query, fingerprint, deadline, tracer, run)?;
         Ok(ServiceOutcome {
             output: served.payload,
             mode,
@@ -1159,6 +1196,7 @@ impl Service {
     /// slow-query log. Every early return counts itself (failure or
     /// rejection) and releases whatever it held.
     ///
+    /// `fingerprint` is the submission's (its mode is the request's mode);
     /// `deadline` is the request's effective one (already defaulted),
     /// measured from here, admission wait included. `tracer` is the
     /// request's ([`Service::tracer`]); a door may already have recorded
@@ -1171,7 +1209,7 @@ impl Service {
         &self,
         db_name: &str,
         query: &JoinQuery,
-        mode: OutputMode,
+        fingerprint: QueryFingerprint,
         deadline: Option<Duration>,
         tracer: Tracer,
         run: impl FnOnce(
@@ -1182,6 +1220,8 @@ impl Service {
         ) -> adj_relational::Result<(T, ExecutionReport, u64)>,
     ) -> Result<Served<T>, ServiceError> {
         let t_start = Instant::now();
+        let _in_flight = InFlight::enter(&self.in_flight);
+        let mode = fingerprint.mode;
         // Always a real (non-`none`) token: fault plans drive `Cancel`
         // injections through it even when no deadline is set.
         let cancel = match deadline {
@@ -1232,7 +1272,6 @@ impl Service {
         }
         drop(admit_span);
 
-        let fingerprint = QueryFingerprint::of_mode(query, mode);
         let (plan, key, cache_hit) = self.plan_for(&entry, query, fingerprint, &ctx.tracer)?;
 
         // `catch_unwind` here isolates *coordinator-side* panics (routing,
@@ -1300,7 +1339,7 @@ impl Service {
         );
         let key = fingerprint.cache_key(entry.tag, entry.stats_token(query));
         let mut lookup_span = tracer.span(COORDINATOR_LANE, "plan_lookup");
-        let (plan, cache_hit) = match self.cache.lookup(key, || false) {
+        let (plan, cache_hit) = match self.cache.lookup(&key, || false) {
             Lookup::Hit { value: (plan, _), .. } => (plan, true),
             Lookup::Miss(claim) => {
                 let mut optimize_span = tracer.span(COORDINATOR_LANE, "optimize");
@@ -1464,7 +1503,9 @@ impl Service {
             }
             ExplainMode::Analyze => {
                 let values = self.validated_const_bindings(&query)?;
-                let outcome = self.execute_inner(db_name, &query, mode, &values, true, None)?;
+                let fingerprint = QueryFingerprint::of_mode(&query, mode);
+                let outcome =
+                    self.execute_inner(db_name, &query, fingerprint, &values, true, None)?;
                 let trace = outcome.trace.as_ref().expect("forced tracing always yields a trace");
                 Ok(explain::render(
                     &outcome.plan,

@@ -285,6 +285,38 @@ fn golden_plans_did_not_move() {
     assert_eq!(derived.lines().count(), golden.lines().count(), "plan matrix changed shape");
 }
 
+/// Plans do not depend on the clock: under the default configuration,
+/// twenty `optimize` calls of Q4 and Q5 choose the same order and
+/// pre-compute set at the same estimated cost, to the bit, while another
+/// thread burns CPU (which would move a measured extension rate).
+#[test]
+fn default_plans_are_a_pure_function_of_the_data() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let graph = Dataset::WB.graph(0.05);
+    let busy = AtomicBool::new(true);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut x = 1u64;
+            while busy.load(Ordering::Relaxed) {
+                x = std::hint::black_box(x.wrapping_mul(6364136223846793005).wrapping_add(1));
+            }
+        });
+        for pq in [PaperQuery::Q4, PaperQuery::Q5] {
+            let q = paper_query(pq);
+            let db = q.instantiate(&graph);
+            let plans: Vec<(Vec<Attr>, Vec<usize>, u64)> = (0..20)
+                .map(|_| {
+                    let p = adj::core::optimize(&q, &db, &AdjConfig::default(), Strategy::CoOptimize)
+                        .unwrap();
+                    (p.order, p.precompute, p.estimated_cost_secs.to_bits())
+                })
+                .collect();
+            assert!(plans.windows(2).all(|w| w[0] == w[1]), "{pq:?} plans differ: {plans:?}");
+        }
+        busy.store(false, Ordering::Relaxed);
+    });
+}
+
 /// Rewrites `tests/golden_plans.txt` from the current optimizer. Run it only
 /// when a change is *meant* to move plans, and say so in the PR:
 /// `cargo test --test correctness regenerate_golden_plans -- --ignored`

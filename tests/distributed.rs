@@ -95,7 +95,7 @@ fn precompute_changes_rewritten_query_share() {
     let g = Dataset::AS.graph(0.01);
     let db = q.instantiate(&g);
     let cfg = adj::core::AdjConfig::default();
-    let cluster = Cluster::new(cfg.cluster.clone());
+    let adj = Adj::new(cfg.clone());
     let mut plan = optimize(&q, &db, &cfg, Strategy::CoOptimize).unwrap();
     let c_mask: u64 = plan
         .tree
@@ -112,7 +112,7 @@ fn precompute_changes_rewritten_query_share() {
     }
     let (unbound, cold) = ([BoundValues::none()], ExecCtx::default());
     let (mut forced, rep_forced) =
-        execute_plan(&cluster, &db, &plan, &cfg, OutputMode::Rows, &unbound, &cold).unwrap();
+        execute_plan(&adj, &db, &plan, OutputMode::Rows, &unbound, &cold).unwrap();
     let forced = forced.pop().unwrap().unwrap();
     assert!(rep_forced.precompute_tuples > 0);
 

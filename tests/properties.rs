@@ -534,12 +534,11 @@ fn rows_are_width_independent_and_limit_is_their_prefix() {
             let run = |width: usize, mode: OutputMode| {
                 let cfg =
                     AdjConfig { cluster: ClusterConfig::with_workers(width), ..Default::default() };
-                let cluster = Cluster::new(cfg.cluster.clone());
+                let adj = adj_core::Adj::new(cfg);
                 let ctx = ExecCtx::default();
                 let unbound = [BoundValues::none()];
                 let (mut outs, _) =
-                    adj_core::execute_plan(&cluster, &db, &plan, &cfg, mode, &unbound, &ctx)
-                        .unwrap();
+                    adj_core::execute_plan(&adj, &db, &plan, mode, &unbound, &ctx).unwrap();
                 outs.pop().unwrap().unwrap()
             };
             let rows = run(1, OutputMode::Rows);
