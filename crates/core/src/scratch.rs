@@ -27,9 +27,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 const KEPT_ROW_BUFFERS: usize = 64;
 
 /// The most values a kept row buffer, or a kept Leapfrog level buffer,
-/// holds on to (8–16 KiB): a large join's buffers are freed when its
-/// scratch goes back, so the pool's footprint stays that of small joins and
-/// a large one pays for its own buffers as before.
+/// holds on to (8–16 KiB). A scratch goes back without a larger row buffer,
+/// and without its Leapfrog state at all once a join grew a level buffer
+/// past this: a large join pays for its own buffers, as before, and the
+/// pool keeps only what small joins — the bound calls it is for — use, so
+/// it never holds heap memory in the middle of a large query's.
 pub(crate) const KEPT_ROW_VALUES: usize = 2048;
 
 /// One thread's buffers for one execution.
@@ -112,7 +114,9 @@ impl Drop for Lent<'_> {
         for buf in scratch.rows.iter_mut().filter(|b| b.capacity() > KEPT_ROW_VALUES) {
             drop(buf.take_flat());
         }
-        scratch.join.trim(KEPT_ROW_VALUES);
+        if scratch.join.grew_past(KEPT_ROW_VALUES) {
+            scratch.join = JoinScratch::new();
+        }
         self.pool.free.lock().unwrap_or_else(PoisonError::into_inner).push(scratch);
         self.pool.lent.fetch_sub(1, Ordering::SeqCst);
     }

@@ -275,19 +275,13 @@ impl JoinScratch {
         JoinScratch::default()
     }
 
-    /// Frees every per-level intersection buffer that grew past `entries`
-    /// entries, keeping the rest (and every value table): a scratch kept
-    /// between joins then holds what small joins need, not the high-water
-    /// mark of the largest one.
-    pub fn trim(&mut self, entries: usize) {
-        for level in &mut self.levels {
-            if level.values.capacity() > entries {
-                level.values = Vec::new();
-            }
-            if level.positions.capacity() > entries {
-                level.positions = Vec::new();
-            }
-        }
+    /// Whether a per-level intersection buffer grew past `entries`
+    /// entries: the mark of a join large enough to pay for its own
+    /// buffers, whose high-water marks a scratch kept between joins should
+    /// not hold on to.
+    pub fn grew_past(&self, entries: usize) -> bool {
+        let level = |l: &LevelScratch| l.values.capacity().max(l.positions.capacity());
+        self.levels.iter().any(|l| level(l) > entries)
     }
 
     /// Ensures one buffer pair per level, returning them.
