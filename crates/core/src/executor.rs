@@ -15,6 +15,13 @@
 //! the token and the tracer make the run cancellable and put it on a span
 //! timeline. `ExecCtx::default()` is the paper's one-shot run: cold,
 //! uncancellable, untraced.
+//!
+//! A warm execution pays for its join and little else. Each shuffle round
+//! of a plan — its share grid, its relations' layouts and index keys, and
+//! the layout of the join over its tries — is prepared once and kept on
+//! the plan, so a fully warm round only looks its keys up in the index
+//! cache. The buffers the join needs are lent by the executing
+//! [`Adj`](crate::Adj)'s [`ScratchPool`](crate::ScratchPool).
 
 use crate::plan::{PlanRelation, QueryPlan, Round};
 use crate::scratch::{Lent, Scratch, KEPT_ROW_VALUES};
@@ -373,11 +380,18 @@ fn succeeded<'a, 'p>(
     })
 }
 
-/// Executes a query plan on the cluster once for every binding in
-/// `bindings`, shaping each binding's result by `mode`. Returns one
-/// `Result<QueryOutput>` per binding, in input order, plus the cost
-/// breakdown of the whole execution (with `optimization_secs` left at 0
-/// for the caller).
+/// Executes a query plan on `adj`'s cluster, under its configuration,
+/// once for every binding in `bindings`, shaping each binding's result by
+/// `mode`. Returns one `Result<QueryOutput>` per binding, in input order,
+/// plus the cost breakdown of the whole execution (with
+/// `optimization_secs` left at 0 for the caller).
+///
+/// **`adj`** also lends the execution its buffers
+/// ([`ScratchPool`](crate::ScratchPool)): the coordinator's driver rows and
+/// every worker's Leapfrog state, cursor stacks and row buffers are
+/// borrowed for the call and handed back at its end, so a warm bound call
+/// allocates little besides its answer. An `Adj` made for one call lends
+/// from a fresh pool; the path is the same.
 ///
 /// **`bindings`** are the submissions' bound values, all over one attribute
 /// set ([`Error::SchemaMismatch`] otherwise): `&[BoundValues::none()]` is
@@ -959,8 +973,8 @@ impl<'a, F: Fn(usize) -> (&'a str, Option<&'a str>)> RoundSpec<'a, F> {
 /// index keys under `ctx`'s scope, the join's layout — and whether the share
 /// came from the plan's memo (`true`) or was solved by this call.
 ///
-/// A warm execution finds its round kept in the plan's [`RoundMemo`]
-/// (crate::plan) and builds nothing: the check reads the relations' sizes,
+/// A warm execution finds its round kept in the plan's round memo and
+/// builds nothing: the check reads the relations' sizes,
 /// names and delta sequences in place. Equal sizes, width and budget give
 /// the same optimum whatever the call, so a plan solves each of its rounds
 /// once per distinct input; a round whose scope moved on keeps its share
@@ -1029,8 +1043,7 @@ mod tests {
         ctx: &ExecCtx<'_>,
     ) -> Result<(QueryOutput, ExecutionReport)> {
         let adj = Adj::new(cfg.clone());
-        let (mut outs, report) =
-            execute_plan(&adj, db, plan, mode, &[BoundValues::none()], ctx)?;
+        let (mut outs, report) = execute_plan(&adj, db, plan, mode, &[BoundValues::none()], ctx)?;
         assert_eq!(outs.len(), 1, "one output per binding");
         Ok((outs.pop().unwrap()?, report))
     }
@@ -1216,14 +1229,12 @@ mod tests {
 
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 9, epoch: 0, versions: &[] };
-        let (cold_out, cold_rep) =
-            run_in(&db, &plan, &cfg, OutputMode::Rows, &scope).unwrap();
+        let (cold_out, cold_rep) = run_in(&db, &plan, &cfg, OutputMode::Rows, &scope).unwrap();
         assert!(cold_rep.precompute_secs > 0.0);
         assert_eq!(cold_rep.index_bags_reused, 0);
         assert!(cold_rep.index_relations_built > 0);
 
-        let (warm_out, warm_rep) =
-            run_in(&db, &plan, &cfg, OutputMode::Rows, &scope).unwrap();
+        let (warm_out, warm_rep) = run_in(&db, &plan, &cfg, OutputMode::Rows, &scope).unwrap();
         assert_eq!(cold_out, warm_out, "warm bag reuse must be byte-identical");
         assert!(warm_rep.index_bags_reused > 0, "the pre-computed bag must come from the cache");
         assert_eq!(warm_rep.index_relations_built, 0);
@@ -1317,7 +1328,9 @@ mod tests {
         let mutated = ExecCtx { index: Some(&moved), ..Default::default() };
         let (rekeyed, reused) = round_for(&plan, &db, &spec, &cluster, &mutated).unwrap();
         assert!(reused && !Arc::ptr_eq(&keyed, &rekeyed));
-        assert!(rekeyed.layout.stamped_for(Some(&moved)) && !rekeyed.layout.stamped_for(Some(&scope)));
+        assert!(
+            rekeyed.layout.stamped_for(Some(&moved)) && !rekeyed.layout.stamped_for(Some(&scope))
+        );
         // ...a different width is a different program, solved afresh.
         let narrow = Cluster::new(ClusterConfig::with_workers(2));
         let (r2, reused) = round_for(&plan, &db, &spec, &narrow, &cold).unwrap();

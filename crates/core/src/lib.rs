@@ -241,8 +241,7 @@ impl Adj {
         ctx: &ExecCtx<'_>,
     ) -> Result<(QueryOutput, ExecutionReport)> {
         let one = std::slice::from_ref(params);
-        let (mut outputs, mut report) =
-            executor::execute_plan(self, db, plan, mode, one, ctx)?;
+        let (mut outputs, mut report) = executor::execute_plan(self, db, plan, mode, one, ctx)?;
         let output = outputs.pop().expect("one output per binding")?;
         report.optimization_secs = plan.optimization_secs;
         Ok((output, report))

@@ -6,14 +6,14 @@
 //! would cost more than its join. An [`Adj`](crate::Adj) owns one
 //! [`ScratchPool`] next to its cluster, and every execution through it —
 //! every `Service` door, at every width — borrows its buffers from there:
-//! the coordinator one [`Scratch`] for its driver rows, each worker one for
+//! the coordinator one scratch for its driver rows, each worker one for
 //! its join, each for the length of one execution. A borrowed scratch goes
 //! back on every path out (drop), emptied of trie handles, so the pool
 //! never keeps an index alive outside the index cache.
 //!
 //! Nothing in a scratch outlives its use as state: Leapfrog's value tables
 //! are keyed by the join that built them (see
-//! [`JoinScratch`](adj_leapfrog::JoinScratch)), so a later join never trusts
+//! [`JoinScratch`]), so a later join never trusts
 //! another join's table; every other buffer is cleared before it is filled.
 
 use adj_leapfrog::JoinScratch;

@@ -195,6 +195,8 @@ pub struct RoundLayout {
     keys: Vec<(usize, ArtifactKey)>,
     /// Whether the keys were stamped under a scope.
     scoped: bool,
+    /// The relation names, comma-separated: the `shuffle` span's detail.
+    names: String,
 }
 
 impl RoundLayout {
@@ -246,7 +248,8 @@ impl RoundLayout {
             None => Vec::new(),
         };
         keys.sort_by(|a, b| a.1.cmp(&b.1));
-        Ok(RoundLayout { atoms, keys, scoped: scope.is_some() })
+        let names = atom_names.join(",");
+        Ok(RoundLayout { atoms, keys, scoped: scope.is_some(), names })
     }
 
     /// Each relation's `(name, cache identity)`, in round order.
@@ -388,7 +391,7 @@ fn checkpoint(site: FaultSite, cancel: &CancelToken) -> Result<()> {
 ///
 /// The span timeline: one `shuffle` span on the coordinator lane (with
 /// tuple/message/reuse totals), an `index_cache_hit` / `index_cache_miss`
-/// instant per consulted [`IndexKey`], a `route` span over the route-inbox
+/// instant per consulted [`IndexKey`](crate::IndexKey), a `route` span over the route-inbox
 /// pass, and a `build` span per worker lane over the cold relations' sort +
 /// trie builds.
 pub fn hcube_shuffle_round(
@@ -832,8 +835,7 @@ pub fn hcube_shuffle_round(
         model.comm_secs(tuples) + messages as f64 * model.per_message_secs * msg_overhead;
 
     if shuffle_span.is_recording() {
-        let names: Vec<&str> = infos.iter().map(|a| a.name.as_str()).collect();
-        shuffle_span.detail(names.join(","));
+        shuffle_span.detail(layout.names.clone());
         shuffle_span.arg("tuples", tuples);
         shuffle_span.arg("bytes", bytes_moved);
         shuffle_span.arg("wire_bytes", wire_bytes);

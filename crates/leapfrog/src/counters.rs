@@ -60,8 +60,11 @@ pub struct JoinStats {
     pub probes_per_level: Vec<u64>,
     /// Value tables built: one per invariant run seen a second time.
     pub table_builds: u64,
-    /// Bytes of value-table storage allocated. A scratch reused across
-    /// joins reports its tables once, in the run that grew them.
+    /// Bytes of value-table storage the join had to *allocate*: a table
+    /// built into a slot already large enough costs none. A scratch reused
+    /// across joins reports its tables once, in the run that grew them, so
+    /// a warm executor — whose workers borrow their scratch from a pool —
+    /// reads 0 here while `table_builds` counts every build.
     pub table_bytes: u64,
 }
 

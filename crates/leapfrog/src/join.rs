@@ -44,7 +44,7 @@
 //!   *varies*. When it is further up, or there is none (a root run), the
 //!   run stands still while the levels in between iterate: the participant
 //!   is *invariant*, and the dance would gallop into the same run again for
-//!   every binding beneath it. [`LeapfrogJoin::new`] reads this off the
+//!   every binding beneath it. [`JoinLayout::new`] reads this off the
 //!   order and the schemas once. A level with exactly one varying
 //!   participant walks that run and answers every invariant one from a
 //!   dense value → offset table ([`probe_matches`], [`ValueTable`]). The
@@ -60,7 +60,13 @@
 //! The kernels and the per-level run lists live on the stack for up to
 //! [`INLINE_RUNS`](adj_relational::intersect::INLINE_RUNS) participants,
 //! and the per-level intersections and tables in reused [`JoinScratch`]
-//! buffers, so a warm join allocates nothing per trie node.
+//! buffers, so a warm join allocates nothing per trie node. What a join
+//! reads off its order and schemas — participants, probe drivers, the last
+//! level's varying participants — is a [`JoinLayout`], computed once and
+//! shared by every join over tries of those schemas
+//! ([`LeapfrogJoin::with_layout`]); a scratch also keeps the cursor stacks
+//! and binding buffer of its last walk, so a join over a reused scratch and
+//! layout allocates only its cursor list and its counters.
 
 use crate::counters::{JoinCounters, JoinStats};
 use adj_relational::intersect::{
@@ -511,7 +517,8 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         let fits = tries.len() == layout.schemas.len()
             && tries.iter().zip(&layout.schemas).all(|(t, s)| t.borrow().schema() == s);
         if !fits {
-            let found: Vec<String> = tries.iter().map(|t| t.borrow().schema().to_string()).collect();
+            let found: Vec<String> =
+                tries.iter().map(|t| t.borrow().schema().to_string()).collect();
             return Err(Error::SchemaMismatch {
                 left: format!("tries over {}", found.join(", ")),
                 right: format!("a join layout over {:?}", layout.schemas),
@@ -961,8 +968,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         for &a in bound_attrs {
             let level = level_of(a);
             if level.is_none() || level <= above {
-                let schema =
-                    format!("order {order:?}, after the attributes bound before it");
+                let schema = format!("order {order:?}, after the attributes bound before it");
                 return Err(Error::UnknownAttr { attr: a.to_string(), schema });
             }
             above = level;

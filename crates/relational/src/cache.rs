@@ -267,7 +267,11 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Cache<K, V, S> {
                         }
                         pending.insert(key.clone(), Arc::default());
                         bump(&self.misses, 1);
-                        return Lookup::Miss(Claim { cache: self, key: key.clone(), exclusive: true });
+                        return Lookup::Miss(Claim {
+                            cache: self,
+                            key: key.clone(),
+                            exclusive: true,
+                        });
                     }
                 }
             };

@@ -167,7 +167,7 @@ pub fn render(
     }
     let _ = writeln!(
         out,
-        "  output: tuples={} intersect_ops={} table_builds={} table_bytes={}",
+        "  output: tuples={} intersect_ops={} table_builds={} table_bytes_allocated={}",
         report.output_tuples, c.intersect_ops, c.stats.table_builds, c.stats.table_bytes
     );
 

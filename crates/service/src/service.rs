@@ -943,7 +943,14 @@ impl Service {
         // The statement's fingerprint was computed at prepare; only the
         // mode is the call's.
         let fingerprint = QueryFingerprint { mode, ..prepared.fingerprint };
-        self.execute_inner(&prepared.db_name, &prepared.query, fingerprint, &values, false, deadline)
+        self.execute_inner(
+            &prepared.db_name,
+            &prepared.query,
+            fingerprint,
+            &values,
+            false,
+            deadline,
+        )
     }
 
     /// Executes a whole batch of bindings of one prepared statement under

@@ -306,8 +306,9 @@ fn default_plans_are_a_pure_function_of_the_data() {
             let db = q.instantiate(&graph);
             let plans: Vec<(Vec<Attr>, Vec<usize>, u64)> = (0..20)
                 .map(|_| {
-                    let p = adj::core::optimize(&q, &db, &AdjConfig::default(), Strategy::CoOptimize)
-                        .unwrap();
+                    let p =
+                        adj::core::optimize(&q, &db, &AdjConfig::default(), Strategy::CoOptimize)
+                            .unwrap();
                     (p.order, p.precompute, p.estimated_cost_secs.to_bits())
                 })
                 .collect();
