@@ -21,7 +21,7 @@
 //! the layout of the join over its tries — is prepared once and kept on
 //! the plan, so a fully warm round only looks its keys up in the index
 //! cache. The buffers the join needs are lent by the executing
-//! [`Adj`](crate::Adj)'s [`ScratchPool`](crate::ScratchPool).
+//! [`Adj`]'s [`ScratchPool`](crate::ScratchPool).
 
 use crate::plan::{PlanRelation, QueryPlan, Round};
 use crate::scratch::{Lent, Scratch, KEPT_ROW_VALUES};
