@@ -531,7 +531,8 @@ pub fn execute_plan(
     } else {
         let mut by_key: Vec<usize> = (0..bindings.len()).collect();
         by_key.sort_by(|&x, &y| key(x).cmp(key(y)));
-        (*row_of, n_rows) = (vec![0; bindings.len()], 0);
+        row_of.resize(bindings.len(), 0);
+        n_rows = 0;
         for (i, &j) in by_key.iter().enumerate() {
             if i == 0 || key(j).ne(key(by_key[i - 1])) {
                 driver_rows.extend(key(j).flatten());
@@ -577,8 +578,8 @@ pub fn execute_plan(
                 join_rows(&join, rows, cancel, scratch, sinks, |s| found.push(s.found().into()))
             }
         };
+        // The handles go back with the scratch, which empties them.
         *tries = join.into_tries();
-        tries.clear();
         let (counters, completed) = joined?;
         if span.is_recording() {
             let c = &counters;

@@ -228,7 +228,8 @@ impl RoundLayout {
                     right: format!("order {order:?}"),
                 });
             }
-            let perm = induced_attrs.iter().map(|&a| schema.position(a).unwrap()).collect();
+            let position = |a| schema.position(a).expect("an induced attribute is the schema's");
+            let perm = induced_attrs.iter().map(|&a| position(a)).collect();
             atoms.push(RoundAtom {
                 name: name.clone(),
                 cache_id: cache_ids.get(ai).cloned().flatten(),
