@@ -391,8 +391,11 @@ fn checkpoint(site: FaultSite, cancel: &CancelToken) -> Result<()> {
 /// surfaces as [`Error::WorkerPanicked`] with nothing published.
 ///
 /// The span timeline: one `shuffle` span on the coordinator lane (with
-/// tuple/message/reuse totals), an `index_cache_hit` / `index_cache_miss`
-/// instant per consulted [`IndexKey`](crate::IndexKey), a `route` span over the route-inbox
+/// tuple/message/reuse totals; its detail names the relations), an
+/// `index_cache_miss` / `index_cache_coalesced` instant per consulted
+/// [`IndexKey`](crate::IndexKey) that missed or waited for another build
+/// (the keys that plainly hit are the span's `reused_relations`, so a warm
+/// round records no per-key event), a `route` span over the route-inbox
 /// pass, and a `build` span per worker lane over the cold relations' sort +
 /// trie builds.
 pub fn hcube_shuffle_round(
@@ -442,8 +445,9 @@ pub fn hcube_shuffle_round(
             }
             match scope.cache.lookup(key, cancel) {
                 IndexLookup::Hit { value: Artifact::Index(value), coalesced } => {
-                    let label = if coalesced { "index_cache_coalesced" } else { "index_cache_hit" };
-                    tracer.instant(COORDINATOR_LANE, label, id);
+                    if coalesced {
+                        tracer.instant(COORDINATOR_LANE, "index_cache_coalesced", id);
+                    }
                     tuples_saved += value.tuples;
                     resolved[ai] = Some(value);
                 }
