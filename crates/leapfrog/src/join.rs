@@ -477,10 +477,6 @@ impl JoinLayout {
         })
     }
 
-    /// The global attribute order.
-    pub fn order(&self) -> &[Attr] {
-        &self.order
-    }
 }
 
 /// A multi-way join execution over tries.
