@@ -476,7 +476,6 @@ impl JoinLayout {
             last_varying,
         })
     }
-
 }
 
 /// A multi-way join execution over tries.

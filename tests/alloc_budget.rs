@@ -5,8 +5,8 @@
 //! index and scratch are warm:
 //!
 //! * a width-1 `execute_bound` in Rows mode and in Count mode stays within
-//!   [`ALLOCS_PER_CALL`] allocations and [`BYTES_PER_CALL`] bytes per call
-//!   (averaged over a fixed set of bindings);
+//!   [`ROWS_BUDGET`] and [`COUNT_BUDGET`] — allocations and bytes per call,
+//!   averaged over a fixed set of bindings;
 //! * a width-2 `execute_bound` and a 256-binding `execute_batch` allocate
 //!   no more on their last calls than on their first ones over 200
 //!   repetitions, so the lent scratch neither leaks nor grows per call.
@@ -43,6 +43,9 @@ struct Counting;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
+// SAFETY: every method hands its arguments to `System` unchanged and
+// returns what `System` returns; the counters beside it are atomics and
+// never touch the memory handed out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
