@@ -9,16 +9,24 @@
 //! which is exactly why HCubeJ+Cache loses to ADJ on LJ/OK (Sec. VII-C). The
 //! capacity knob lets the experiments reproduce that effect.
 
-use crate::counters::JoinCounters;
-use crate::join::validate_tries;
+use adj_leapfrog::{validate_tries, JoinCounters};
 use adj_relational::hash::FxHashMap;
 use adj_relational::intersect::leapfrog_intersect;
 use adj_relational::{Attr, Result, Trie, TrieCursor, Value};
 use std::borrow::Borrow;
 use std::rc::Rc;
 
+/// How often a [`CachedJoin`] found a level's candidate set in its cache.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheCounts {
+    /// Candidate sets answered from the cache.
+    pub hits: u64,
+    /// Candidate sets intersected (and cached, capacity permitting).
+    pub misses: u64,
+}
+
 /// A Leapfrog join with per-level intersection caching. Like
-/// [`crate::LeapfrogJoin`], the trie handle type `T` is anything that
+/// [`adj_leapfrog::LeapfrogJoin`], the trie handle type `T` is anything that
 /// borrows a [`Trie`] (`&Trie` per-query locals or `Arc<Trie>` cache
 /// handles).
 pub struct CachedJoin<T: Borrow<Trie>> {
@@ -60,11 +68,12 @@ impl<T: Borrow<Trie>> CachedJoin<T> {
         })
     }
 
-    /// Runs the join, returning `(output count, counters)`.
-    pub fn count(&self) -> (u64, JoinCounters) {
+    /// Runs the join, returning `(output count, counters, cache counts)`.
+    pub fn count(&self) -> (u64, JoinCounters, CacheCounts) {
         let mut counters = JoinCounters::new(self.order.len());
+        let mut cache_counts = CacheCounts::default();
         if self.tries.iter().any(|t| t.borrow().tuples() == 0) {
-            return (0, counters);
+            return (0, counters, cache_counts);
         }
         let mut cursors: Vec<TrieCursor<'_>> =
             self.tries.iter().map(|t| t.borrow().cursor()).collect();
@@ -72,8 +81,9 @@ impl<T: Borrow<Trie>> CachedJoin<T> {
         let mut cache: Vec<FxHashMap<Vec<Value>, Rc<Vec<Value>>>> =
             (0..self.order.len()).map(|_| FxHashMap::default()).collect();
         let mut cache_size = 0usize;
-        self.recurse(0, &mut cursors, &mut binding, &mut counters, &mut cache, &mut cache_size);
-        (counters.output_tuples, counters)
+        let (c, cc) = (&mut counters, &mut cache_counts);
+        self.recurse(0, &mut cursors, &mut binding, c, cc, &mut cache, &mut cache_size);
+        (counters.output_tuples, counters, cache_counts)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -83,6 +93,7 @@ impl<T: Borrow<Trie>> CachedJoin<T> {
         cursors: &mut [TrieCursor<'_>],
         binding: &mut Vec<Value>,
         counters: &mut JoinCounters,
+        cache_counts: &mut CacheCounts,
         cache: &mut [FxHashMap<Vec<Value>, Rc<Vec<Value>>>],
         cache_size: &mut usize,
     ) {
@@ -94,7 +105,7 @@ impl<T: Borrow<Trie>> CachedJoin<T> {
         // number of results for this prefix; no descent needed.
         if last {
             if let Some(vals) = cache[level].get(&key) {
-                counters.cache_hits += 1;
+                cache_counts.hits += 1;
                 counters.tuples_per_level[level] += vals.len() as u64;
                 counters.output_tuples += vals.len() as u64;
                 return;
@@ -115,10 +126,10 @@ impl<T: Borrow<Trie>> CachedJoin<T> {
             // Interior levels can reuse a cached candidate list to skip the
             // intersection (seeks are still needed to descend).
             let vals: Rc<Vec<Value>> = if let Some(v) = cache[level].get(&key) {
-                counters.cache_hits += 1;
+                cache_counts.hits += 1;
                 v.clone()
             } else {
-                counters.cache_misses += 1;
+                cache_counts.misses += 1;
                 let runs: Vec<&[Value]> = ps.iter().map(|&p| cursors[p].run()).collect();
                 let mut out = Vec::new();
                 counters.intersect_ops += leapfrog_intersect(&runs, &mut out);
@@ -139,7 +150,15 @@ impl<T: Borrow<Trie>> CachedJoin<T> {
                         debug_assert!(hit);
                     }
                     binding[level] = v;
-                    self.recurse(level + 1, cursors, binding, counters, cache, cache_size);
+                    self.recurse(
+                        level + 1,
+                        cursors,
+                        binding,
+                        counters,
+                        cache_counts,
+                        cache,
+                        cache_size,
+                    );
                 }
             }
         }
@@ -152,8 +171,8 @@ impl<T: Borrow<Trie>> CachedJoin<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::LeapfrogJoin;
-    use crate::reference::plain_leapfrog;
+    use adj_leapfrog::reference::plain_leapfrog;
+    use adj_leapfrog::LeapfrogJoin;
     use adj_relational::Relation;
 
     fn ord(ids: &[u32]) -> Vec<Attr> {
@@ -182,9 +201,9 @@ mod tests {
         let plain = LeapfrogJoin::new(&o, tries.iter().collect()).unwrap();
         let cached = CachedJoin::new(&o, tries.iter().collect(), 0).unwrap();
         let (n_plain, _) = plain.count();
-        let (n_cached, counters) = cached.count();
+        let (n_cached, _, cache) = cached.count();
         assert_eq!(n_plain, n_cached);
-        assert!(counters.cache_hits > 0, "cache should hit on cyclic queries");
+        assert!(cache.hits > 0, "cache should hit on cyclic queries");
     }
 
     #[test]
@@ -192,7 +211,7 @@ mod tests {
         let o = ord(&[0, 1, 2, 3, 4]);
         let tries = q4_tries(&o);
         let cached = CachedJoin::new(&o, tries.iter().collect(), 0).unwrap();
-        let (_, cc) = cached.count();
+        let (_, cc, _) = cached.count();
         // Measured against the kernel the cache wraps: a join that dances
         // at every level.
         let dance = plain_leapfrog(&tries, &o, &mut |_, _, _, _| {});
@@ -205,10 +224,10 @@ mod tests {
         let tries = q4_tries(&o);
         let unbounded = CachedJoin::new(&o, tries.iter().collect(), 0).unwrap();
         let bounded = CachedJoin::new(&o, tries.iter().collect(), 8).unwrap();
-        let (n0, c0) = unbounded.count();
-        let (n1, c1) = bounded.count();
+        let (n0, _, c0) = unbounded.count();
+        let (n1, _, c1) = bounded.count();
         assert_eq!(n0, n1);
-        assert!(c1.cache_hits <= c0.cache_hits);
+        assert!(c1.hits <= c0.hits);
     }
 
     #[test]
@@ -227,8 +246,8 @@ mod tests {
             .collect();
         let cached = CachedJoin::new(&o, tries.iter().collect(), 0).unwrap();
         let plain = LeapfrogJoin::new(&o, tries.iter().collect()).unwrap();
-        let (n_c, counters) = cached.count();
+        let (n_c, _, cache) = cached.count();
         assert_eq!(n_c, plain.count().0);
-        assert_eq!(counters.cache_hits, 0);
+        assert_eq!(cache.hits, 0);
     }
 }

@@ -8,11 +8,12 @@
 //! memory usage for HCube over memory usage for CacheTrieJoin", so the cache
 //! capacity shrinks as shuffled data grows.
 
+use crate::cached::CachedJoin;
 use crate::{BaselineConfig, BaselineReport};
 use adj_cluster::Cluster;
 use adj_core::{CostEstimator, CostParams};
 use adj_hcube::{hcube_shuffle, optimize_share, HCubeImpl, HCubePlan, ShareInput, ShuffleOutput};
-use adj_leapfrog::{CachedJoin, JoinCounters, LeapfrogJoin};
+use adj_leapfrog::{JoinCounters, LeapfrogJoin};
 use adj_query::order::all_orders;
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::{Attr, Database, Error, Relation, Result, Schema, Value};
@@ -68,7 +69,7 @@ fn run_inner(
             // need the result relation, so run plain for rows + cached for
             // realistic counters/time.
             let join = CachedJoin::new(order_ref, tries.clone(), cache_cap)?;
-            let (_, c) = join.count();
+            let (_, c, _) = join.count();
             let plain = LeapfrogJoin::new(order_ref, tries)?;
             plain.run(|t| {
                 if rows.len() < budget.saturating_mul(width) {

@@ -14,7 +14,8 @@
 //!   tuple-at-a-time *Push* implementation) + Leapfrog, communication-first
 //!   share optimization, attribute order selected over all `n!` orders.
 //! * [`hcubej::run_hcubej_cached`] — **HCubeJ + Cache** \[28\]: same, with the
-//!   capacity-bounded CacheTrieJoin variant of Leapfrog.
+//!   capacity-bounded CacheTrieJoin variant of Leapfrog, [`cached::CachedJoin`]
+//!   (Kalinsky et al.), which lives here beside its one caller.
 //!
 //! All methods return the same [`BaselineReport`] so the Fig. 12 harness can
 //! tabulate them uniformly, and all enforce the same failure budgets
@@ -23,6 +24,7 @@
 
 pub mod bigjoin;
 pub mod binary;
+pub mod cached;
 pub mod hcubej;
 
 pub use bigjoin::run_bigjoin;

@@ -2,10 +2,11 @@
 //! queries, and ADJ vs the HCubeJ-style comm-first strategy — Criterion
 //! versions of the Fig. 1(b)/Fig. 12 effects at a fixed small scale.
 
+use adj_baselines::cached::CachedJoin;
 use adj_cluster::ClusterConfig;
 use adj_core::{Adj, AdjConfig, OutputMode, Strategy};
 use adj_datagen::Dataset;
-use adj_leapfrog::{CachedJoin, LeapfrogJoin};
+use adj_leapfrog::LeapfrogJoin;
 use adj_query::{paper_query, PaperQuery};
 use adj_relational::Trie;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

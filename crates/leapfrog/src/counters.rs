@@ -17,10 +17,6 @@ pub struct JoinCounters {
     /// Full result tuples emitted — pushed as rows, or added as one count
     /// per last-level node into a counting sink.
     pub output_tuples: u64,
-    /// Cache hits (cached variant only).
-    pub cache_hits: u64,
-    /// Cache misses (cached variant only).
-    pub cache_misses: u64,
     /// Per-level trie-operation counts (seeks / opens / `open_at`s / probes).
     pub stats: JoinStats,
 }
@@ -41,7 +37,10 @@ pub struct JoinStats {
     /// Cursor positionings per level: one per participant per binding the
     /// join descends into. At a free interior level that is an O(1)
     /// `TrieCursor::jump` to the offset the intersection recorded; on a
-    /// bound join's bound prefix it is a forward `TrieCursor::seek`. A
+    /// bound join's bound prefix it is a forward `TrieCursor::seek`, one per
+    /// participant per binding, hit or miss — the sampler's level 0
+    /// (`LeapfrogJoin::count_first_values`) among them, one per participant
+    /// per distinct drawn value. A
     /// binding counted in place — a match of the level above a counted
     /// last level, whose last-level runs are read straight from the
     /// recorded offsets — is not descended into and records none, so a
@@ -53,7 +52,8 @@ pub struct JoinStats {
     pub opens_per_level: Vec<u64>,
     /// `TrieCursor::open_at` calls per level (descending directly to a
     /// bound constant, skipping the intersection entirely) — bound levels
-    /// behind a free level only.
+    /// behind a free level only, so never the sampler's level 0, which is a
+    /// bound prefix and seeks.
     pub open_ats_per_level: Vec<u64>,
     /// Dense-table lookups per level: the probe kernel's work at levels
     /// whose invariant runs are indexed, in place of the dance's gallops.
@@ -156,8 +156,6 @@ impl JoinCounters {
         }
         self.intersect_ops += other.intersect_ops;
         self.output_tuples += other.output_tuples;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
         self.stats.merge(&other.stats);
     }
 }

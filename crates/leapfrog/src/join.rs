@@ -1,13 +1,26 @@
 //! The Leapfrog Triejoin driver (Algorithm 1 of the paper).
 //!
-//! One depth-first traversal, [`LeapfrogJoin`]'s private `recurse_sink`,
-//! serves every caller: streaming into a [`RowSink`] (`join_into`, `run`),
-//! counting (`count`, the budgeted `count_with_budget`, the sampler's
-//! `count_first_values`) and bound joins ([`LeapfrogJoin::run_batch`]).
-//! A bound join is always a batch: the executor hands `run_batch` one
-//! binding for a bound call, one empty binding for an unbound query and
-//! many for a batch; batching only decides the order in which the one
-//! traversal visits them.
+//! One depth-first traversal, [`LeapfrogJoin::run_batch`], serves every
+//! caller. It is one loop over an explicit stack of levels, one frame per
+//! level kept in a [`JoinScratch`], and it is generic over the
+//! [`RowSink`] it feeds, so each sink type gets its own compiled copy:
+//!
+//! * **Bindings feed the bottom of the stack.** A batch's sorted bindings
+//!   pin the *bound prefix* (the leading levels of the order that are all
+//!   bound); each prefix level gallops forward from the previous binding's
+//!   value over cursors kept open between bindings. A bound level behind a
+//!   free one is *pinned*: it seeks its constant afresh under each context
+//!   ([`TrieCursor::open_at`]). Free levels intersect.
+//! * **Every entry is a batch.** A bound call is one binding, and an
+//!   unbound join — streaming (`join_into`, `run`) or counting (`count`) —
+//!   one empty binding. The sampler's `count_first_values` is a batch over
+//!   the first attribute, one counting sink per distinct drawn value.
+//! * **Sinks see every level.** Beside the rows, a sink is told how many
+//!   bindings each level produced ([`RowSink::produced`]), so
+//!   `count_with_budget` is a sink that stops the walk past its budget, and
+//!   the sampler's sinks weigh each level's bindings by their value's
+//!   multiplicity.
+//!
 //! At each query level it intersects the participants' candidate runs —
 //! "the main cost of Leapfrog is the cost of the intersections" — and it
 //! pays for nothing else the intersection already knows:
@@ -76,6 +89,7 @@ use adj_relational::{
     Attr, CountSink, CursorStack, Error, FnSink, Result, RowSink, Schema, Trie, TrieCursor, Value,
 };
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -84,8 +98,9 @@ use std::sync::Arc;
 /// establishes) and that every attribute is bound by at least one relation.
 /// Returns, for each query level, the indices of the participating tries.
 ///
-/// Shared by [`LeapfrogJoin`] and [`crate::CachedJoin`] so neither has to
-/// construct (and drop) the other just to reuse its constructor checks.
+/// The kernel's one check of a join's inputs, which [`JoinLayout::new`]
+/// runs over the schemas and any other join over tries (the HCubeJ+Cache
+/// baseline's CacheTrieJoin) reuses.
 pub fn validate_tries<T: Borrow<Trie>>(order: &[Attr], tries: &[T]) -> Result<Vec<Vec<usize>>> {
     let schemas: Vec<&Schema> = tries.iter().map(|t| t.borrow().schema()).collect();
     validate_schemas(order, &schemas)
@@ -133,9 +148,10 @@ fn validate_schemas(order: &[Attr], schemas: &[&Schema]) -> Result<Vec<Vec<usize
 /// (level, participant) slot for the probe kernel. A table is keyed by the
 /// join and the run it indexes, so a scratch reused across joins — even
 /// over tries dropped and rebuilt at the same addresses — never trusts a
-/// table another join built. Between walks it keeps their cursor stacks
-/// and binding buffer too, so a join run over a reused scratch allocates
-/// nothing for its cursors.
+/// table another join built. Each level's buffers double as the level's
+/// frame on the traversal's stack. Between walks the scratch keeps their
+/// cursor stacks and binding buffer too, so a join run over a reused
+/// scratch allocates nothing for its cursors.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     levels: Vec<LevelScratch>,
@@ -145,7 +161,8 @@ pub struct JoinScratch {
     binding: Vec<Value>,
 }
 
-/// One level's intersection, as the position-carrying kernel writes it.
+/// One level's intersection, as the position-carrying kernel writes it,
+/// and the level's frame.
 #[derive(Debug, Default)]
 struct LevelScratch {
     /// The last level's matched values, ascending, for a sink that takes
@@ -157,6 +174,15 @@ struct LevelScratch {
     positions: Vec<usize>,
     /// The level's invariant-run tables.
     tables: LevelTables,
+    /// The level's frame on the traversal's stack: how many participants'
+    /// cursors it opened, the next match to descend into and how many
+    /// there are (one at a pinned level).
+    opened: usize,
+    next: usize,
+    end: usize,
+    /// The column of the binding that pins the level, for a bound level
+    /// behind the bound prefix.
+    pin: Option<usize>,
 }
 
 /// The run a table slot was last asked for: the join, and the run's place
@@ -216,23 +242,9 @@ struct LevelTables {
 
 impl LevelTables {
     /// Whether every run but `runs[driver]` has its table ready, so the
-    /// level can probe. Records a run asked for the first time and builds
-    /// the table of one asked for the second time; a driving run too long
-    /// for probing to pay asks for nothing.
-    fn ready(
-        &mut self,
-        join: u64,
-        runs: &[&[Value]],
-        driver: usize,
-        stats: &mut JoinStats,
-    ) -> bool {
-        driver_fits(runs[driver].len(), shortest_invariant(runs, driver))
-            && self.ask(join, runs, driver, stats)
-    }
-
-    /// [`LevelTables::ready`] past the driver-length rule: asks for every
-    /// run but `runs[driver]`, moving each slot one step towards a built
-    /// or unfit table.
+    /// level can probe: asks for each of those runs, moving its slot one
+    /// step towards a built or unfit table. A run asked for the first time
+    /// is recorded; one asked for the second time has its table built.
     fn ask(&mut self, join: u64, runs: &[&[Value]], driver: usize, stats: &mut JoinStats) -> bool {
         if self.seen.len() < runs.len() {
             self.seen.resize(runs.len(), Default::default());
@@ -300,19 +312,14 @@ impl JoinScratch {
 }
 
 /// What one traversal threads through every level: a cursor per trie, the
-/// binding under construction, the counters, how many more bindings a
-/// budgeted count may produce, and the hook that may stop it.
+/// binding under construction, the counters, and the hook that may stop
+/// it.
 struct Walk<'t> {
     cursors: Vec<TrieCursor<'t>>,
     binding: Vec<Value>,
     counters: JoinCounters,
-    /// Bindings (summed over levels) the walk may still produce;
-    /// `u64::MAX` when unbudgeted.
-    budget: u64,
-    /// Whether the walk stopped because it ran out of budget.
-    over_budget: bool,
-    /// Polled once per [`POLL_EVERY`] bindings above the last level; the
-    /// walk stops once it returns `true`.
+    /// Polled once per [`POLL_EVERY`] bindings above the last level, and
+    /// twice between bindings; the walk stops once it returns `true`.
     stop: &'t mut dyn FnMut() -> bool,
     /// Bindings left until the next poll of `stop`.
     until_poll: u64,
@@ -321,14 +328,6 @@ struct Walk<'t> {
 }
 
 impl Walk<'_> {
-    /// Ends the walk: its cursor stacks and binding buffer go back to
-    /// `scratch` for the next walk, and its counters to the caller.
-    fn retire(self, scratch: &mut JoinScratch) -> JoinCounters {
-        scratch.stacks.extend(self.cursors.into_iter().map(TrieCursor::into_stack));
-        scratch.binding = self.binding;
-        self.counters
-    }
-
     /// Counts one binding above the last level towards the next poll of
     /// the stop hook. Returns `false`, stopping the walk, once it fires.
     #[inline]
@@ -342,47 +341,90 @@ impl Walk<'_> {
         !self.stopped
     }
 
-    /// Records `n` bindings produced at `level`. Returns `false`, stopping
-    /// the walk, once they overrun the budget — the level's tuples are still
-    /// counted, so an over-budget walk's counters are a lower bound.
-    #[inline]
-    fn produce(&mut self, level: usize, n: u64) -> bool {
-        self.counters.tuples_per_level[level] += n;
-        if n > self.budget {
-            self.over_budget = true;
-            return false;
+    /// Takes the cursors of the tries `ps` up a level.
+    fn up(&mut self, ps: &[usize]) {
+        for &q in ps {
+            self.cursors[q].up();
         }
-        self.budget -= n;
-        true
+    }
+
+    /// Records `n` bindings produced at `level` and tells `sink`
+    /// ([`RowSink::produced`]); `false` once the sink wants no more. The
+    /// level's tuples are counted either way, so a walk a sink stopped has
+    /// counters that are a lower bound.
+    #[inline]
+    fn produce<S: RowSink>(&mut self, sink: &mut S, level: usize, n: u64) -> bool {
+        self.counters.tuples_per_level[level] += n;
+        sink.produced(level, n)
     }
 }
 
 /// The placeholder a level's run list starts from.
 const NO_RUN: &[Value] = &[];
 
-/// The size of one last-level intersection: probed, driven by
-/// `runs[d]`, when `probe` is `Some(d)` (its invariant runs' tables
-/// ready), danced otherwise, with the work counted as
-/// `LeapfrogJoin::intersect` counts it.
-#[inline(always)]
-fn count_runs(
-    level: usize,
-    runs: &[&[Value]],
-    probe: Option<usize>,
-    tables: &[ValueTable],
-    counters: &mut JoinCounters,
-) -> u64 {
-    match probe {
-        Some(driver) => {
-            let (n, probes) = probe_count(runs, driver, tables);
-            counters.stats.probes_per_level[level] += probes;
-            n
-        }
-        None => {
-            let (n, ops) = leapfrog_count(runs);
-            counters.intersect_ops += ops;
-            n
-        }
+/// Where the traversal of [`LeapfrogJoin::run_batch`] goes next.
+#[derive(Clone, Copy)]
+enum Step {
+    /// Take up the next binding of the batch.
+    Bind,
+    /// Enter a level under the values the levels above it hold: a
+    /// bound-prefix level seeks its value forward, a pinned level
+    /// `open_at`s it, a free level intersects its runs (the last one in
+    /// place). Entering the level past the last emits the binding.
+    Enter(usize),
+    /// Descend into the level's next match, or, once none is left, leave
+    /// the level: its cursors go up and its parent resumes.
+    Next(usize),
+    /// The sink or the stop hook ended the binding: leave every level
+    /// behind the bound prefix.
+    Stop,
+    /// The binding is done.
+    End,
+}
+
+/// A sink that counts, stopping the walk once the bindings produced at
+/// every level add up to more than a budget
+/// ([`LeapfrogJoin::count_with_budget`]): the bindings it may still take,
+/// `None` once the walk overran it.
+struct BudgetSink(Option<u64>);
+
+impl RowSink for BudgetSink {
+    fn push(&mut self, _row: &[Value]) -> bool {
+        true
+    }
+
+    fn counts_only(&self) -> bool {
+        true
+    }
+
+    fn produced(&mut self, _level: usize, n: u64) -> bool {
+        self.0 = self.0.and_then(|left| left.checked_sub(n));
+        self.0.is_some()
+    }
+}
+
+/// The sink of one drawn value of [`LeapfrogJoin::count_first_values`]:
+/// adds every binding it sees produced, weighted by the value's
+/// multiplicity, to per-level totals all draws share. A count's rows are
+/// the bindings of its last level, so it needs no rows of its own.
+struct WeightedCount<'w> {
+    multiplicity: u64,
+    tuples: &'w [Cell<u64>],
+}
+
+impl RowSink for WeightedCount<'_> {
+    fn push(&mut self, _row: &[Value]) -> bool {
+        true
+    }
+
+    fn counts_only(&self) -> bool {
+        true
+    }
+
+    fn produced(&mut self, level: usize, n: u64) -> bool {
+        let total = &self.tuples[level];
+        total.set(total.get() + self.multiplicity * n);
+        true
     }
 }
 
@@ -537,36 +579,6 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         self.layout.order.len()
     }
 
-    /// A walk from the trie roots under `budget`, polling `stop`, over the
-    /// cursor stacks and binding buffer `scratch` kept, or `None` when an
-    /// input trie is empty — and with it the join.
-    fn walk<'t>(
-        &'t self,
-        scratch: &mut JoinScratch,
-        budget: u64,
-        stop: &'t mut dyn FnMut() -> bool,
-    ) -> Option<Walk<'t>> {
-        if self.tries.iter().any(|t| t.borrow().tuples() == 0) {
-            return None;
-        }
-        let stacks = &mut scratch.stacks;
-        let cursors =
-            self.tries.iter().map(|t| t.borrow().cursor_on(stacks.pop().unwrap_or_default()));
-        let mut binding = std::mem::take(&mut scratch.binding);
-        binding.clear();
-        binding.resize(self.levels(), 0);
-        Some(Walk {
-            cursors: cursors.collect(),
-            binding,
-            counters: JoinCounters::new(self.levels()),
-            budget,
-            over_budget: false,
-            stop,
-            until_poll: POLL_EVERY,
-            stopped: false,
-        })
-    }
-
     /// Runs the join, invoking `emit` for every result tuple (values in
     /// `order`'s attribute order). Returns execution counters.
     pub fn run(&self, mut emit: impl FnMut(&[Value])) -> JoinCounters {
@@ -582,119 +594,60 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// rows as counts. Returns execution counters; `counters.output_tuples`
     /// counts the tuples actually emitted, which on a short-circuited run
     /// is less than the full result cardinality.
-    pub fn join_into(&self, sink: &mut dyn RowSink) -> JoinCounters {
-        let mut never = || false;
-        let mut scratch = JoinScratch::new();
-        let walk = self.walk(&mut scratch, u64::MAX, &mut never);
-        let Some(mut walk) = walk.filter(|_| !sink.saturated()) else {
-            return JoinCounters::new(self.levels());
-        };
-        let bufs = scratch.for_levels(self.levels());
-        self.recurse_sink(0, &mut walk, sink, bufs, &[]);
-        walk.counters
+    pub fn join_into<S: RowSink + ?Sized>(&self, mut sink: &mut S) -> JoinCounters {
+        let sinks = std::slice::from_mut(&mut sink);
+        let outcome = self.run_batch(&[], &[], sinks, &mut JoinScratch::new(), &mut || false);
+        outcome.expect("an empty binding binds no attribute").counters
     }
 
-    /// The traversal every caller drives. Returns `false` once the sink
-    /// saturates, the walk's budget runs out or its stop hook fires, so
-    /// every enclosing level stops iterating its candidates. `scratch`
-    /// holds one level's buffers per remaining level (`scratch[0]` is
-    /// this level's), reused across sibling bindings. `bound` maps levels
-    /// to pinned constants (empty for a free join;
-    /// [`LeapfrogJoin::run_batch`] fills it per binding for the bound
-    /// levels behind its bound prefix). A bound level seeks its constant in
-    /// every participant ([`TrieCursor::open_at`]) instead of intersecting
-    /// candidate runs.
-    fn recurse_sink(
+    /// Runs the join but only counts results: the last level is counted by
+    /// intersection size, never enumerated.
+    pub fn count(&self) -> (u64, JoinCounters) {
+        let counters = self.join_into(&mut CountSink::new());
+        (counters.output_tuples, counters)
+    }
+
+    /// Counts the join but aborts once the total number of produced
+    /// bindings exceeds `max_total_bindings`. Returns `(completed,
+    /// counters)`; `completed == false` means the counters are a lower
+    /// bound. Used by the Fig. 8 harness, where *invalid* attribute orders
+    /// can produce cross-product-sized intermediate sets that would run for
+    /// hours.
+    pub fn count_with_budget(&self, max_total_bindings: u64) -> (bool, JoinCounters) {
+        let mut sink = BudgetSink(Some(max_total_bindings));
+        let counters = self.join_into(&mut sink);
+        (sink.0.is_some(), counters)
+    }
+
+    /// Counts the results whose first attribute (in `order`) equals each
+    /// drawn value — `|T_{A=a}|` of the sampling estimator (Sec. IV) —
+    /// for `draws`, ascending distinct `(value, multiplicity)` pairs.
+    /// Returns `Σ m · |T_{A=a}|` and counters whose `tuples_per_level` and
+    /// `output_tuples` are weighted the same way: what counting every draw
+    /// on its own would have summed. The [`JoinStats`] count the trie
+    /// operations actually done, once per distinct value.
+    ///
+    /// The drawn values are a batch over the first attribute
+    /// ([`Self::run_batch`]): level 0 seeks each value forward, and the
+    /// rest are counted like [`Self::count`]. One walk and one `scratch`
+    /// serve every value, so the tables of runs no drawn value moves — the
+    /// root runs below level 0 — are built once per call.
+    pub fn count_first_values(
         &self,
-        level: usize,
-        walk: &mut Walk<'_>,
-        sink: &mut dyn RowSink,
-        scratch: &mut [LevelScratch],
-        bound: &[Option<Value>],
-    ) -> bool {
-        let ps = &self.layout.participants[level];
-        let last = level + 1 == self.levels();
-        let (buf, deeper) = scratch.split_first_mut().expect("scratch sized to levels");
-        let mut opened = 0usize;
-        let mut ok = true;
-        let mut keep_going = true;
-        if let Some(v) = bound.get(level).copied().flatten() {
-            // Bound level: seek the constant in every participant. A miss
-            // in any trie prunes the subtree without intersecting anything
-            // (`open_at` does not descend on a miss, so only hits unwind).
-            for &p in ps {
-                walk.counters.stats.open_ats_per_level[level] += 1;
-                if walk.cursors[p].open_at(v) {
-                    opened += 1;
-                } else {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                keep_going = walk.produce(level, 1) && {
-                    walk.binding[level] = v;
-                    if last {
-                        walk.counters.output_tuples += 1;
-                        sink.push(&walk.binding)
-                    } else {
-                        walk.visit() && self.recurse_sink(level + 1, walk, sink, deeper, bound)
-                    }
-                };
-            }
-        } else if last {
-            return self.last_level(ps, level, walk, sink, buf);
-        } else {
-            for &p in ps {
-                walk.counters.stats.opens_per_level[level] += 1;
-                if walk.cursors[p].open() {
-                    opened += 1;
-                } else {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                let k = ps.len();
-                let LevelScratch { positions, tables, .. } = buf;
-                positions.clear();
-                with_slots(k, NO_RUN, |runs| {
-                    for (run, &p) in runs.iter_mut().zip(ps) {
-                        *run = walk.cursors[p].run();
-                    }
-                    self.intersect(level, runs, tables, &mut walk.counters, |_, at| {
-                        positions.extend_from_slice(at);
-                    });
-                });
-                keep_going = walk.produce(level, (positions.len() / k) as u64);
-                let counted_last = level + 2 == self.levels()
-                    && bound.get(level + 1).copied().flatten().is_none()
-                    && sink.counts_only();
-                if keep_going && counted_last {
-                    keep_going = self.count_last(positions, k, walk, sink, &mut deeper[0]);
-                } else if keep_going {
-                    for at in positions.chunks_exact(k) {
-                        if !walk.visit() {
-                            keep_going = false;
-                            break;
-                        }
-                        walk.counters.stats.seeks_per_level[level] += k as u64;
-                        for (&p, &offset) in ps.iter().zip(at) {
-                            walk.cursors[p].jump(offset);
-                        }
-                        walk.binding[level] = walk.cursors[ps[0]].key();
-                        keep_going = self.recurse_sink(level + 1, walk, sink, deeper, bound);
-                        if !keep_going {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        for &p in ps.iter().take(opened) {
-            walk.cursors[p].up();
-        }
-        keep_going
+        draws: &[(Value, u64)],
+        scratch: &mut JoinScratch,
+    ) -> (u64, JoinCounters) {
+        let tuples = vec![Cell::new(0u64); self.levels()];
+        let weigh =
+            |&(_, multiplicity): &(Value, u64)| WeightedCount { multiplicity, tuples: &tuples };
+        let mut sinks: Vec<WeightedCount<'_>> = draws.iter().map(weigh).collect();
+        let values: Vec<Value> = draws.iter().map(|&(v, _)| v).collect();
+        let first = &self.layout.order[..1];
+        let outcome = self.run_batch(first, &values, &mut sinks, scratch, &mut || false);
+        let mut counters = outcome.expect("the first attribute is the order's").counters;
+        counters.tuples_per_level = tuples.iter().map(Cell::get).collect();
+        counters.output_tuples = *counters.tuples_per_level.last().expect("a level");
+        (counters.output_tuples, counters)
     }
 
     /// Intersects one level's `runs` (in participant order), calling
@@ -712,7 +665,9 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         on_match: impl FnMut(Value, &[usize]),
     ) {
         if let Some(driver) = self.layout.drivers[level] {
-            if tables.ready(self.id, runs, driver, &mut counters.stats) {
+            // A driving run too long for probing to pay asks for nothing.
+            let fits = driver_fits(runs[driver].len(), shortest_invariant(runs, driver));
+            if fits && tables.ask(self.id, runs, driver, &mut counters.stats) {
                 counters.stats.probes_per_level[level] +=
                     probe_matches(runs, driver, &tables.tables, on_match);
                 return;
@@ -721,41 +676,48 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         counters.intersect_ops += leapfrog_matches(runs, on_match);
     }
 
-    /// The last level counted inside its parent's loop, for a sink that
-    /// only counts (see the module docs): one count per match of the level
-    /// above, whose intersection offsets `positions` holds (`k` per match).
-    /// Each count is produced, added to the output and pushed (when not
-    /// zero) as a descending walk's last level would; `false` once the
-    /// walk or the sink stops.
-    fn count_last(
+    /// The last level, a leaf of the traversal: its participants' child
+    /// runs are intersected where they lie, and no cursor moves. A sink that
+    /// takes rows gets one per match, under the cursors as they stand. A
+    /// sink that only counts gets the intersection's size: once per match
+    /// of the level above when `matches` holds that level's intersection
+    /// offsets (`k` per match) — counted inside its loop, see the module
+    /// docs — and once otherwise, for a last level with no free level
+    /// above. Each count is produced, added to the output and pushed (when
+    /// not zero) as a row-by-row walk would; `false` once the walk or the
+    /// sink stops.
+    fn leaf<S: RowSink>(
         &self,
-        positions: &[usize],
-        k: usize,
+        matches: Option<(&[usize], usize)>,
         walk: &mut Walk<'_>,
-        sink: &mut dyn RowSink,
+        sink: &mut S,
         buf: &mut LevelScratch,
     ) -> bool {
         let level = self.levels() - 1;
         let ps = &self.layout.participants[level];
-        let tables = &mut buf.tables;
+        let LevelScratch { values, tables, .. } = buf;
         with_slots(ps.len(), NO_RUN, |runs| {
             // The invariant runs stand still for the whole loop; the varying
             // ones are read again per match.
             for (run, &p) in runs.iter_mut().zip(ps) {
                 *run = walk.cursors[p].child_run();
             }
+            if !sink.counts_only() {
+                values.clear();
+                self.intersect(level, runs, tables, &mut walk.counters, |v, _| values.push(v));
+                return walk.produce(sink, level, values.len() as u64)
+                    && values.iter().all(|&v| {
+                        walk.binding[level] = v;
+                        walk.counters.output_tuples += 1;
+                        sink.push(&walk.binding)
+                    });
+            }
             let driver = self.layout.drivers[level];
             let shortest = driver.map_or(0, |d| shortest_invariant(runs, d));
             // Whether the invariant runs' tables are ready, once no further
             // ask can change the answer.
             let mut settled = None;
-            for at in positions.chunks_exact(k) {
-                if !walk.visit() {
-                    return false;
-                }
-                for &(i, p, j) in &self.layout.last_varying {
-                    runs[i] = walk.cursors[p].child_run_at(at[j]);
-                }
+            let mut count = |runs: &[&[Value]], walk: &mut Walk<'_>| {
                 let probe = driver.filter(|&d| {
                     if !driver_fits(runs[d].len(), shortest) {
                         return false;
@@ -769,135 +731,40 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                     }
                     ready
                 });
-                let n = count_runs(level, runs, probe, &tables.tables, &mut walk.counters);
-                if !walk.produce(level, n) {
+                // Probed, driven by `runs[d]`, when the invariant runs'
+                // tables are ready, danced otherwise; the work is counted as
+                // `intersect` counts it.
+                let n = match probe {
+                    Some(d) => {
+                        let (n, probes) = probe_count(runs, d, &tables.tables);
+                        walk.counters.stats.probes_per_level[level] += probes;
+                        n
+                    }
+                    None => {
+                        let (n, ops) = leapfrog_count(runs);
+                        walk.counters.intersect_ops += ops;
+                        n
+                    }
+                };
+                walk.produce(sink, level, n) && {
+                    walk.counters.output_tuples += n;
+                    n == 0 || sink.push_count(n)
+                }
+            };
+            let Some((positions, k)) = matches else { return count(runs, walk) };
+            for at in positions.chunks_exact(k) {
+                if !walk.visit() {
                     return false;
                 }
-                walk.counters.output_tuples += n;
-                if n != 0 && !sink.push_count(n) {
-                    return false;
+                for &(i, p, j) in &self.layout.last_varying {
+                    runs[i] = walk.cursors[p].child_run_at(at[j]);
                 }
-            }
-            true
-        })
-    }
-
-    /// The last free level: intersects the participants' child runs where
-    /// they lie. A counting sink takes the intersection's size in one
-    /// step; any other sink takes one row per matched value. No cursor
-    /// moves, so the level records no opens or seeks. A counted last level
-    /// with a free level above is counted in that level's loop instead
-    /// ([`LeapfrogJoin::count_last`]).
-    fn last_level(
-        &self,
-        ps: &[usize],
-        level: usize,
-        walk: &mut Walk<'_>,
-        sink: &mut dyn RowSink,
-        buf: &mut LevelScratch,
-    ) -> bool {
-        let LevelScratch { values, tables, .. } = buf;
-        with_slots(ps.len(), NO_RUN, |runs| {
-            for (run, &p) in runs.iter_mut().zip(ps) {
-                *run = walk.cursors[p].child_run();
-            }
-            if sink.counts_only() {
-                let stats = &mut walk.counters.stats;
-                let drivers = &self.layout.drivers;
-                let probe = drivers[level].filter(|&d| tables.ready(self.id, runs, d, stats));
-                let n = count_runs(level, runs, probe, &tables.tables, &mut walk.counters);
-                if !walk.produce(level, n) {
-                    return false;
-                }
-                walk.counters.output_tuples += n;
-                return n == 0 || sink.push_count(n);
-            }
-            values.clear();
-            self.intersect(level, runs, tables, &mut walk.counters, |v, _| values.push(v));
-            if !walk.produce(level, values.len() as u64) {
-                return false;
-            }
-            for &v in values.iter() {
-                walk.binding[level] = v;
-                walk.counters.output_tuples += 1;
-                if !sink.push(&walk.binding) {
+                if !count(runs, walk) {
                     return false;
                 }
             }
             true
         })
-    }
-
-    /// Runs the join but only counts results: the last level is counted by
-    /// intersection size, never enumerated.
-    pub fn count(&self) -> (u64, JoinCounters) {
-        let counters = self.join_into(&mut CountSink::new());
-        (counters.output_tuples, counters)
-    }
-
-    /// Counts the join but aborts once the total number of produced
-    /// bindings exceeds `max_total_bindings`. Returns `(completed,
-    /// counters)`; `completed == false` means the counters are a lower
-    /// bound. Used by the Fig. 8 harness, where *invalid* attribute orders
-    /// can produce cross-product-sized intermediate sets that would run for
-    /// hours.
-    pub fn count_with_budget(&self, max_total_bindings: u64) -> (bool, JoinCounters) {
-        let mut never = || false;
-        let mut scratch = JoinScratch::new();
-        let Some(mut walk) = self.walk(&mut scratch, max_total_bindings, &mut never) else {
-            return (true, JoinCounters::new(self.levels()));
-        };
-        let bufs = scratch.for_levels(self.levels());
-        self.recurse_sink(0, &mut walk, &mut CountSink::new(), bufs, &[]);
-        (!walk.over_budget, walk.counters)
-    }
-
-    /// Counts the results whose first attribute (in `order`) equals each
-    /// drawn value — `|T_{A=a}|` of the sampling estimator (Sec. IV) —
-    /// for `draws`, ascending distinct `(value, multiplicity)` pairs.
-    /// Returns `Σ m · |T_{A=a}|` and counters whose `tuples_per_level` and
-    /// `output_tuples` are weighted the same way: what counting every draw
-    /// on its own would have summed. The [`JoinStats`] count the trie
-    /// operations actually done, once per distinct value.
-    ///
-    /// The first level is bound to each value in turn (its candidates are
-    /// not intersected: each participant seeks the value directly) and the
-    /// rest are counted like [`Self::count`]. One walk and one `scratch`
-    /// serve every value, so the tables of runs no drawn value moves — the
-    /// root runs below level 0 — are built once per call.
-    pub fn count_first_values(
-        &self,
-        draws: &[(Value, u64)],
-        scratch: &mut JoinScratch,
-    ) -> (u64, JoinCounters) {
-        let levels = self.levels();
-        let mut never = || false;
-        let Some(mut walk) = self.walk(scratch, u64::MAX, &mut never) else {
-            return (0, JoinCounters::new(levels));
-        };
-        debug_assert!(draws.windows(2).all(|w| w[0].0 < w[1].0), "draws ascend, distinct");
-        let mut bound = vec![None; levels];
-        let bufs = scratch.for_levels(levels);
-        let mut sink = CountSink::new();
-        // Per level, the tuples counted before the current value; the
-        // weighted totals replace the walk's own at the end.
-        let mut before = vec![0u64; levels];
-        let mut weighted = vec![0u64; levels];
-        let mut total = 0u64;
-        for &(v, m) in draws {
-            before.copy_from_slice(&walk.counters.tuples_per_level);
-            let out_before = walk.counters.output_tuples;
-            bound[0] = Some(v);
-            self.recurse_sink(0, &mut walk, &mut sink, bufs, &bound);
-            let now = &walk.counters.tuples_per_level;
-            for ((w, &now), &was) in weighted.iter_mut().zip(now).zip(&before) {
-                *w += m * (now - was);
-            }
-            total += m * (walk.counters.output_tuples - out_before);
-        }
-        walk.counters.tuples_per_level = weighted;
-        walk.counters.output_tuples = total;
-        (total, walk.retire(scratch))
     }
 }
 
@@ -917,9 +784,11 @@ pub struct BatchOutcome {
 
 impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// Runs one bound join per binding over **shared** cursors, streaming
-    /// binding `i`'s results into `sinks[i]`. This is every execution's
-    /// join: a bound call is one binding, an unbound query one empty
-    /// binding under no `bound_attrs`, a batch many bindings.
+    /// binding `i`'s results into `sinks[i]`. This is the one traversal
+    /// every entry runs: a bound call is one binding, an unbound query
+    /// (`join_into`, `run`, `count`, `count_with_budget`) one empty binding
+    /// under no `bound_attrs`, a batch many bindings, and the sampler's
+    /// draws a batch over the first attribute.
     ///
     /// `bound_attrs` names the attributes the bindings pin, in the order's
     /// level order ([`Error::UnknownAttr`] for one the order lacks or one
@@ -970,107 +839,224 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         }
         let (k, n, levels) = (bound_attrs.len(), sinks.len(), self.levels());
         assert_eq!(bindings.len(), n * k, "one binding of every bound attribute per sink");
-        let binding = |i: usize| &bindings[i * k..(i + 1) * k];
         assert!(
-            (1..n).all(|i| binding(i - 1) < binding(i)),
+            (1..n).all(|i| bindings[(i - 1) * k..i * k] < bindings[i * k..(i + 1) * k]),
             "bindings must be sorted and deduplicated"
         );
-
-        let Some(mut walk) = self.walk(scratch, u64::MAX, stop) else {
+        if self.tries.iter().any(|t| t.borrow().tuples() == 0) {
             // Every binding trivially completes with an empty result.
             return Ok(BatchOutcome { completed: n, counters: JoinCounters::new(levels) });
-        };
-        let bufs = scratch.for_levels(levels);
-        // The bound prefix: the levels whose cursors survive from binding to
-        // binding with forward-only galloping.
-        let p = bound_attrs.iter().zip(order).take_while(|(a, o)| a == o).count();
-        // Per-binding constants for bound levels *behind* free levels; the
-        // recursion seeks those afresh under each context. Empty (nothing
-        // allocated) when the prefix holds every bound level.
-        let mut interior: Vec<Option<Value>> = vec![None; if p < k { levels } else { 0 }];
-        // Prefix cursor state shared across bindings: `open_depth` levels
-        // have open runs, and the first `hit_depth` of those are positioned
-        // exactly at the values of binding `sought`, the last one sought (a
-        // miss leaves deeper levels closed).
-        let (mut open_depth, mut hit_depth, mut sought) = (0usize, 0usize, None);
-        let mut completed = 0usize;
-
-        for (i, sink) in sinks.iter_mut().enumerate() {
-            if (walk.stop)() {
-                break;
-            }
-            if sink.saturated() {
-                completed = i + 1;
-                continue;
-            }
-            let b = binding(i);
-
-            // Longest reusable prefix: levels whose value matches the
-            // binding last sought AND whose cursors are positioned exactly.
-            let mut reuse = 0usize;
-            if let Some(last) = sought.map(binding) {
-                while reuse < hit_depth && b[reuse] == last[reuse] {
-                    reuse += 1;
-                }
-            }
-            // Close levels opened under a now-stale parent context. Level
-            // `reuse` itself stays open: its run is unchanged (everything
-            // above it matches) and sorted bindings only move it forward.
-            while open_depth > reuse + 1 {
-                open_depth -= 1;
-                for &q in &self.layout.participants[open_depth] {
-                    walk.cursors[q].up();
-                }
-            }
-
-            let mut ok = true;
-            for (lev, &target) in b.iter().enumerate().take(p).skip(reuse) {
-                if lev >= open_depth {
-                    for &q in &self.layout.participants[lev] {
-                        walk.counters.stats.opens_per_level[lev] += 1;
-                        let descended = walk.cursors[q].open();
-                        debug_assert!(descended, "interior trie rows always have children");
-                    }
-                    open_depth = lev + 1;
-                }
-                let mut hit = true;
-                // No early break: every cursor must advance to >= target so
-                // the next binding's forward seek stays valid.
-                for &q in &self.layout.participants[lev] {
-                    walk.counters.stats.seeks_per_level[lev] += 1;
-                    if !walk.cursors[q].seek(target) {
-                        hit = false;
-                    }
-                }
-                if hit {
-                    walk.counters.tuples_per_level[lev] += 1;
-                    walk.binding[lev] = target;
-                    hit_depth = lev + 1;
-                } else {
-                    hit_depth = lev;
-                    ok = false;
-                    break;
-                }
-            }
-            sought = Some(i);
-
-            if ok {
-                for (&a, &v) in bound_attrs.iter().zip(b).skip(p) {
-                    interior[level_of(a).expect("checked above")] = Some(v);
-                }
-                if p == levels {
-                    walk.counters.output_tuples += 1;
-                    sink.push(&walk.binding);
-                } else {
-                    self.recurse_sink(p, &mut walk, sink, &mut bufs[p..], &interior);
-                }
-            }
-            if walk.stopped || (walk.stop)() {
-                break;
-            }
-            completed = i + 1;
         }
-        Ok(BatchOutcome { completed, counters: walk.retire(scratch) })
+        let stacks = &mut scratch.stacks;
+        let cursors =
+            self.tries.iter().map(|t| t.borrow().cursor_on(stacks.pop().unwrap_or_default()));
+        let mut binding = std::mem::take(&mut scratch.binding);
+        binding.clear();
+        binding.resize(levels, 0);
+        let mut walk = Walk {
+            cursors: cursors.collect(),
+            binding,
+            counters: JoinCounters::new(levels),
+            stop,
+            until_poll: POLL_EVERY,
+            stopped: false,
+        };
+        // The bound prefix: the levels whose cursors survive from binding to
+        // binding with forward-only galloping. Every bound level behind it
+        // is pinned to its column of the binding.
+        let p = bound_attrs.iter().zip(order).take_while(|(a, o)| a == o).count();
+        let frames = scratch.for_levels(levels);
+        for (frame, a) in frames.iter_mut().zip(order) {
+            frame.opened = 0;
+            frame.pin = bound_attrs[p..].iter().position(|b| b == a).map(|col| p + col);
+        }
+        let completed = self.traverse(&mut walk, frames, sinks, (bindings, k, p));
+        // The walk's cursor stacks and binding buffer go back to `scratch`
+        // for the next walk.
+        scratch.stacks.extend(walk.cursors.into_iter().map(TrieCursor::into_stack));
+        scratch.binding = walk.binding;
+        Ok(BatchOutcome { completed, counters: walk.counters })
+    }
+
+    /// The traversal: one loop over an explicit stack of levels, one frame
+    /// per level in `frames`. The bound prefix's levels are the bottom of
+    /// the stack, fed by the sorted `bindings` (`k` values each, the first
+    /// `p` of which are the prefix); the levels behind it are entered once
+    /// per binding of the level above. Returns how many leading bindings
+    /// completed.
+    fn traverse<S: RowSink>(
+        &self,
+        walk: &mut Walk<'_>,
+        frames: &mut [LevelScratch],
+        sinks: &mut [S],
+        (bindings, k, p): (&[Value], usize, usize),
+    ) -> usize {
+        let (layout, levels) = (&*self.layout, self.levels());
+        let binding = |i: usize| &bindings[i * k..(i + 1) * k];
+        // Once a level's subtree is done: the next match of the level
+        // above, or, at the first level behind the prefix, the binding's
+        // end.
+        let resume = |level: usize| if level > p { Step::Next(level - 1) } else { Step::End };
+        // The prefix cursors' state across bindings: `open_depth` levels
+        // have open runs, and the first `hit_depth` of those sit exactly at
+        // the values of binding `sought`, the last one sought (a miss
+        // leaves deeper levels closed).
+        let (mut open_depth, mut hit_depth, mut sought) = (0usize, 0usize, None);
+        // The binding under way; every binding before it completed.
+        let mut i = 0usize;
+        let mut step = Step::Bind;
+        loop {
+            step = match step {
+                Step::Bind if i == sinks.len() || (walk.stop)() => return i,
+                Step::Bind if sinks[i].saturated() => {
+                    i += 1;
+                    Step::Bind
+                }
+                Step::Bind => {
+                    // Longest reusable prefix: levels whose value matches
+                    // the binding last sought AND whose cursors sit on it.
+                    let (b, last) = (binding(i), sought.map_or(binding(i), binding));
+                    let reuse = (0..hit_depth).take_while(|&l| b[l] == last[l]).count();
+                    // Close levels opened under a now-stale parent context.
+                    // Level `reuse` itself stays open: its run is unchanged
+                    // (everything above it matches) and sorted bindings only
+                    // move it forward.
+                    while open_depth > reuse + 1 {
+                        open_depth -= 1;
+                        walk.up(&layout.participants[open_depth]);
+                    }
+                    sought = Some(i);
+                    Step::Enter(reuse)
+                }
+                Step::Enter(level) if level < p => {
+                    let (ps, stats) = (&layout.participants[level], &mut walk.counters.stats);
+                    if level >= open_depth {
+                        stats.opens_per_level[level] += ps.len() as u64;
+                        let opened = ps.iter().fold(true, |all, &q| walk.cursors[q].open() & all);
+                        debug_assert!(opened, "interior trie rows always have children");
+                        open_depth = level + 1;
+                    }
+                    // Every cursor seeks, hit or miss, so the next
+                    // binding's forward seek stays valid.
+                    let target = binding(i)[level];
+                    stats.seeks_per_level[level] += ps.len() as u64;
+                    let hit = ps.iter().fold(true, |all, &q| walk.cursors[q].seek(target) & all);
+                    hit_depth = level + usize::from(hit);
+                    walk.binding[level] = target;
+                    if hit && walk.produce(&mut sinks[i], level, 1) {
+                        Step::Enter(level + 1)
+                    } else {
+                        Step::End
+                    }
+                }
+                Step::Enter(level) if level == levels => {
+                    walk.counters.output_tuples += 1;
+                    if sinks[i].push(&walk.binding) {
+                        resume(level)
+                    } else {
+                        Step::Stop
+                    }
+                }
+                Step::Enter(level) => {
+                    let ps = &layout.participants[level];
+                    let (frame, below) = frames[level..].split_first_mut().expect("a level");
+                    let (sink, stats) = (&mut sinks[i], &mut walk.counters.stats);
+                    if let Some(col) = frame.pin {
+                        // A bound level behind a free one seeks its constant
+                        // in every participant; a miss prunes the subtree
+                        // without intersecting anything.
+                        let v = binding(i)[col];
+                        frame.opened =
+                            ps.iter().take_while(|&&q| walk.cursors[q].open_at(v)).count();
+                        stats.open_ats_per_level[level] += ps.len().min(frame.opened + 1) as u64;
+                        let hit = frame.opened == ps.len();
+                        walk.binding[level] = v;
+                        (frame.next, frame.end) = (0, usize::from(hit));
+                        if hit && !walk.produce(sink, level, 1) {
+                            Step::Stop
+                        } else {
+                            Step::Next(level)
+                        }
+                    } else if below.is_empty() {
+                        // The last free level: no cursor moves.
+                        if self.leaf(None, walk, sink, frame) {
+                            resume(level)
+                        } else {
+                            Step::Stop
+                        }
+                    } else {
+                        let opened = ps.iter().take_while(|&&q| walk.cursors[q].open()).count();
+                        stats.opens_per_level[level] += ps.len().min(opened + 1) as u64;
+                        frame.opened = opened;
+                        let LevelScratch { positions, tables, .. } = &mut *frame;
+                        positions.clear();
+                        if opened == ps.len() {
+                            with_slots(ps.len(), NO_RUN, |runs| {
+                                for (run, &q) in runs.iter_mut().zip(ps) {
+                                    *run = walk.cursors[q].run();
+                                }
+                                let on_match = |_, at: &[usize]| positions.extend_from_slice(at);
+                                self.intersect(level, runs, tables, &mut walk.counters, on_match);
+                            });
+                        }
+                        let matches = positions.len() / ps.len();
+                        (frame.next, frame.end) = (0, matches);
+                        if opened < ps.len() {
+                            Step::Next(level)
+                        } else if !walk.produce(sink, level, matches as u64) {
+                            Step::Stop
+                        } else if below.len() == 1 && below[0].pin.is_none() && sink.counts_only() {
+                            // Counted in this level's loop: nothing to descend into.
+                            frame.end = 0;
+                            let matches = Some((&frame.positions[..], ps.len()));
+                            let counted = self.leaf(matches, walk, sink, &mut below[0]);
+                            if counted {
+                                Step::Next(level)
+                            } else {
+                                Step::Stop
+                            }
+                        } else {
+                            Step::Next(level)
+                        }
+                    }
+                }
+                Step::Next(level) => {
+                    let (ps, frame) = (&layout.participants[level], &mut frames[level]);
+                    if frame.next == frame.end {
+                        walk.up(&ps[..frame.opened]);
+                        frame.opened = 0;
+                        resume(level)
+                    } else if level + 1 < levels && !walk.visit() {
+                        Step::Stop
+                    } else {
+                        if frame.pin.is_none() {
+                            // Jump every participant to the offset the
+                            // level's intersection recorded for the match.
+                            let at = &frame.positions[frame.next * ps.len()..][..ps.len()];
+                            walk.counters.stats.seeks_per_level[level] += ps.len() as u64;
+                            for (&q, &offset) in ps.iter().zip(at) {
+                                walk.cursors[q].jump(offset);
+                            }
+                            walk.binding[level] = walk.cursors[ps[0]].key();
+                        }
+                        frame.next += 1;
+                        Step::Enter(level + 1)
+                    }
+                }
+                Step::Stop => {
+                    for (frame, ps) in frames.iter_mut().zip(&layout.participants).skip(p) {
+                        walk.up(&ps[..frame.opened]);
+                        frame.opened = 0;
+                    }
+                    Step::End
+                }
+                Step::End if walk.stopped || (walk.stop)() => return i,
+                Step::End => {
+                    i += 1;
+                    Step::Bind
+                }
+            }
+        }
     }
 }
 
@@ -1612,7 +1598,11 @@ mod tests {
         assert_eq!(three.output_tuples, 3 * one.output_tuples);
         let tripled: Vec<u64> = one.tuples_per_level.iter().map(|&t| 3 * t).collect();
         assert_eq!(three.tuples_per_level, tripled);
-        assert_eq!(three.stats.open_ats_per_level[0], one.stats.open_ats_per_level[0] + 1);
+        // Level 0 is a bound prefix: opened once, sought once per
+        // participant per distinct value, a hit or a miss.
+        assert_eq!(three.stats.seeks_per_level[0], 2 * one.stats.seeks_per_level[0]);
+        assert_eq!(three.stats.opens_per_level[0], one.stats.opens_per_level[0]);
+        assert_eq!(three.stats.total_open_ats(), 0);
         assert_eq!(three.stats.opens_per_level[1..], one.stats.opens_per_level[1..]);
     }
 

@@ -9,15 +9,14 @@
 //!
 //! Per-level extension counters ([`JoinCounters`]) feed the paper's Fig. 6
 //! (tail dominance), Fig. 8 (attribute-order pruning) and the β term of the
-//! cost model. [`cached::CachedJoin`] is the CacheTrieJoin-style variant the
-//! HCubeJ+Cache baseline uses (Kalinsky et al., cited as \[28\]).
+//! cost model. Every entry — streaming, counting, budgeted counting, the
+//! sampler's counts by first value and bound batches — runs one traversal,
+//! [`LeapfrogJoin::run_batch`].
 
-pub mod cached;
 pub mod counters;
 pub mod join;
 #[doc(hidden)]
 pub mod reference;
 
-pub use cached::CachedJoin;
 pub use counters::{JoinCounters, JoinStats};
 pub use join::{validate_tries, BatchOutcome, JoinLayout, JoinScratch, LeapfrogJoin, POLL_EVERY};

@@ -316,6 +316,14 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Cache<K, V, S> {
         taken
     }
 
+    /// The key of a resident entry `pick` selects, if any; nothing moves
+    /// and no counter does.
+    pub fn find(&self, mut pick: impl FnMut(&K, &V) -> bool) -> Option<K> {
+        let lru = self.lock();
+        let found = lru.entries().find(|(k, v, _)| pick(k, v));
+        found.map(|(k, _, _)| k.clone())
+    }
+
     /// Drops every entry of `tag` and returns how many went.
     pub fn forget(&self, tag: u64) -> usize {
         self.take(|k, v| (self.tag)(k, v) == tag).len()

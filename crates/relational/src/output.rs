@@ -188,6 +188,16 @@ pub trait RowSink {
     fn push_count(&mut self, _n: u64) -> bool {
         true
     }
+
+    /// Told that the producer made `n` bindings of the `level`-th attribute
+    /// of its order — partial bindings above the last level, rows at it —
+    /// whether or not they reach the sink as rows; returns `false` once no
+    /// further bindings are wanted. A sink that budgets or weighs a whole
+    /// Leapfrog traversal, not only its rows, hooks in here; the default
+    /// wants everything.
+    fn produced(&mut self, _level: usize, _n: u64) -> bool {
+        true
+    }
 }
 
 /// A borrowed sink is a sink: a caller that keeps its sinks (and their
@@ -207,6 +217,10 @@ impl<S: RowSink + ?Sized> RowSink for &mut S {
 
     fn push_count(&mut self, n: u64) -> bool {
         (**self).push_count(n)
+    }
+
+    fn produced(&mut self, level: usize, n: u64) -> bool {
+        (**self).produced(level, n)
     }
 }
 

@@ -11,7 +11,7 @@ use adj_cluster::Cluster;
 use adj_core::{Adj, ExecCtx, ExecutionReport, IndexCache, IndexCacheStats, IndexScope, QueryPlan};
 use adj_delta::{DeltaRelation, MutationBatch};
 use adj_faults::{CancelToken, FaultSite};
-use adj_hcube::patch_relation_indexes;
+use adj_hcube::{patch_relation_indexes, ArtifactKey};
 use adj_query::fingerprint::Fnv1a;
 use adj_query::{
     parse_query_explain, parse_query_with_mode, Bindings, ExplainMode, JoinQuery, ParamTable,
@@ -566,12 +566,28 @@ impl Service {
     /// Checks the service's invariants. The three caches' (see
     /// [`Cache::check`]): every resident entry belongs to a registered
     /// database, resident weight is the sum of the entries and fits the
-    /// budget. And while no query runs: no build claim is pending, the
+    /// budget. No resident index runs ahead of its relation: its key's
+    /// delta sequence is at most the one its registration holds for the
+    /// relation. And while no query runs: no build claim is pending, the
     /// admission controller holds no running or waiting query, and every
     /// scratch the executions borrowed is back in the pool. Meant for
-    /// between operations: a `prepare` in flight may hold a plan claim.
+    /// between operations: a `prepare` in flight may hold a plan claim, and
+    /// a mutation in flight publishes its patched indexes before it
+    /// registers their sequence.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let live: Vec<u64> = read_recovering(&self.databases).values().map(|e| e.epoch).collect();
+        let dbs = read_recovering(&self.databases);
+        let ahead = self.index.store().find(|key, _| match key {
+            ArtifactKey::Index(k) => dbs.values().any(|e| {
+                (e.tag, e.epoch) == (k.db_tag, k.epoch)
+                    && k.delta_seq > e.scope(&self.index).delta_seq_for(&k.relation)
+            }),
+            ArtifactKey::Bag(_) => false,
+        });
+        if let Some(key) = ahead {
+            return Err(format!("index cache: {key:?} runs ahead of its relation"));
+        }
+        let live: Vec<u64> = dbs.values().map(|e| e.epoch).collect();
+        drop(dbs);
         let live = |epoch| live.contains(&epoch);
         let idle = self.in_flight.load(Ordering::SeqCst) == 0;
         if idle {
@@ -1602,6 +1618,7 @@ mod tests {
     use super::*;
     use adj_cluster::ClusterConfig;
     use adj_core::AdjConfig;
+    use adj_hcube::IndexKey;
     use adj_query::{paper_query, PaperQuery};
     use adj_relational::{Attr, Value};
 
@@ -2364,6 +2381,52 @@ mod tests {
         // Nothing was applied: the retry starts at sequence 1.
         let outcome = service.mutate("g", &batch).unwrap();
         assert_eq!(outcome.seq, 1);
+    }
+
+    #[test]
+    fn index_entries_never_run_ahead_of_their_relation() {
+        let q = paper_query(PaperQuery::Q1);
+        let service = small_service();
+        service.register_database("g", q.instantiate(&graph(150, 41)));
+        let check = || service.check_invariants().unwrap();
+        let serve = || {
+            service.execute("g", &q).unwrap();
+            check();
+        };
+        serve();
+        for (i, relation) in ["R1", "R2", "R3", "R1", "R1", "R2"].into_iter().enumerate() {
+            let v = 700 + 2 * i as Value;
+            let batch = MutationBatch::new(relation).insert(&[v, v + 1]).delete(&[0, 1]);
+            service.mutate("g", &batch).unwrap();
+            check();
+            serve();
+        }
+        // A cancelled and a panicking batch leave no entry patched ahead.
+        let batch = MutationBatch::new("R1").insert(&[900, 901]);
+        let plans = [
+            adj_faults::FaultPlan::new().cancel_at(FaultSite::MutationApply, 0),
+            adj_faults::FaultPlan::new().panic_at(FaultSite::MutationApply, 0),
+        ];
+        for plan in plans {
+            let faults = adj_faults::install(plan);
+            service.mutate("g", &batch).unwrap_err();
+            assert!(faults.all_fired());
+            drop(faults);
+            check();
+            serve();
+        }
+
+        // An entry stamped one sequence past its relation's fails the check.
+        let store = service.index.store();
+        let r1 = store.find(|k, _| matches!(k, ArtifactKey::Index(k) if k.relation == "R1"));
+        let Some(ArtifactKey::Index(key)) = r1 else { panic!("a warm index of R1") };
+        let artifact = store.get_if(&ArtifactKey::Index(key.clone()), |a| Some(a.clone()));
+        let forged = ArtifactKey::Index(IndexKey { delta_seq: key.delta_seq + 1, ..key });
+        store.insert(forged.clone(), artifact.expect("resident"));
+        let err = service.check_invariants().unwrap_err();
+        assert!(err.contains("runs ahead of its relation"), "{err}");
+        store.take(|k, _| *k == forged);
+        check();
     }
 
     #[test]

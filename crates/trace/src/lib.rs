@@ -891,6 +891,64 @@ mod tests {
     }
 
     #[test]
+    fn a_drain_racing_the_writers_counts_every_record_once() {
+        const WRITERS: u64 = 4;
+        const EACH: u64 = 400;
+        let t = Tracer::new(512);
+        let (start, done) = (std::sync::Barrier::new(WRITERS as usize + 1), AtomicUsize::new(0));
+        let mut drained: Vec<Event> = Vec::new();
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (t, start, done) = (&t, &start, &done);
+                scope.spawn(move || {
+                    let lane = lane_for_worker(w as usize);
+                    start.wait();
+                    for i in 0..EACH {
+                        if i % 2 == 0 {
+                            let mut s = t.span(lane, "work");
+                            s.arg("w", w);
+                            s.arg("i", i);
+                            s.detail(format!("{w}:{i}"));
+                        } else {
+                            t.instant(lane, "mark", &format!("{w}:{i}"));
+                        }
+                        if i % 64 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            start.wait();
+            while done.load(Ordering::SeqCst) < WRITERS as usize {
+                drained.extend(t.finish().events);
+            }
+        });
+        let last = t.finish();
+        drained.extend(last.events);
+
+        // Every event is whole: its detail, lane, kind and args name one
+        // record, and no record shows up twice.
+        let mut seen = std::collections::HashSet::new();
+        for e in &drained {
+            let (w, i) = e.detail.split_once(':').expect("w:i");
+            let (w, i): (u64, u64) = (w.parse().unwrap(), i.parse().unwrap());
+            assert!(w < WRITERS && i < EACH, "{e:?}");
+            assert_eq!(e.lane, lane_for_worker(w as usize), "{e:?}");
+            assert_eq!((e.span, e.name), if i % 2 == 0 { (true, "work") } else { (false, "mark") });
+            if e.span {
+                assert_eq!((e.args.get("w"), e.args.get("i")), (Some(w), Some(i)), "{e:?}");
+            } else {
+                assert!(e.args.is_empty() && e.dur_us == 0, "{e:?}");
+            }
+            assert!(seen.insert((w, i)), "{e:?} drained twice");
+        }
+        assert_eq!(drained.len(), 512, "every slot lands once");
+        assert_eq!(drained.len() as u64 + last.events_dropped, WRITERS * EACH);
+        assert_eq!(t.events_dropped(), last.events_dropped);
+    }
+
+    #[test]
     fn lanes_and_sums() {
         let t = Tracer::new(16);
         t.instant(0, "a", "");

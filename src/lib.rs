@@ -18,14 +18,14 @@
 //! | [`query`] | `adj-query` | join queries, hypergraphs, GHD/fhw, attribute orders, Q1–Q11 |
 //! | [`cluster`] | `adj-cluster` | the simulated shared-nothing cluster |
 //! | [`hcube`] | `adj-hcube` | HCube share optimizer + Push/Pull/Merge shuffles + cross-query index cache |
-//! | [`leapfrog`] | `adj-leapfrog` | Leapfrog Triejoin (+ cached variant) |
+//! | [`leapfrog`] | `adj-leapfrog` | Leapfrog Triejoin: one traversal behind every join entry |
 //! | [`sampling`] | `adj-sampling` | sampling-based cardinality estimation |
 //! | [`trace`] | `adj-trace` | zero-dependency lock-free per-query span/event tracing |
 //! | [`faults`] | `adj-faults` | cancellation tokens + deterministic fault injection |
 //! | [`core`] | `adj-core` | the ADJ optimizer (Algorithm 2) and the one executor (every query a slice of bindings) |
 //! | [`batch`] | `adj-batch` | the binding normal form of the batch door (`BindingBatch`) |
 //! | [`service`] | `adj-service` | concurrent query service: plan + index caches, admission control, metrics, output modes |
-//! | [`baselines`] | `adj-baselines` | SparkSQL-analog, BigJoin, HCubeJ(+Cache) |
+//! | [`baselines`] | `adj-baselines` | SparkSQL-analog, BigJoin, HCubeJ, HCubeJ+Cache and its CacheTrieJoin |
 //! | [`datagen`] | `adj-datagen` | seeded stand-ins for the Table I datasets |
 //!
 //! ## Quick start

@@ -341,6 +341,130 @@ fn count_rows_and_counters_match_a_reference_join_under_every_valid_order() {
     assert!(probes > 0, "some invariant run is reused");
 }
 
+/// A batch of bound joins is the reference join filtered per binding,
+/// under every valid order of Q1, Q4 and Q5 and any non-empty set of bound
+/// levels — a bound prefix, pinned levels behind a free one, or both — over
+/// strictly ascending bindings that hit and miss. Per binding, `Rows` holds
+/// the filtered rows in enumeration order, `Count` their number, `Exists`
+/// whether there are any, and `Limit(n)` a prefix of `Rows`. A stop hook
+/// that fires at a seeded poll leaves every binding before `completed`
+/// exact.
+#[test]
+fn batched_bound_joins_equal_the_filtered_reference() {
+    fn batch<S: RowSink>(
+        join: &LeapfrogJoin<&Trie>,
+        (attrs, bindings): (&[Attr], &[Value]),
+        sinks: &mut [S],
+        stop: &mut dyn FnMut() -> bool,
+    ) -> adj_leapfrog::BatchOutcome {
+        let mut scratch = JoinScratch::new();
+        join.run_batch(attrs, bindings, sinks, &mut scratch, stop).unwrap()
+    }
+
+    cases(8, |rng| {
+        let pairs = edges(rng, 14, 60);
+        let g = Relation::from_pairs(Attr(0), Attr(1), &pairs);
+        for pq in [PaperQuery::Q1, PaperQuery::Q4, PaperQuery::Q5] {
+            let q = paper_query(pq);
+            let db = q.instantiate(&g);
+            for order in valid_orders(&GhdTree::decompose(&q.hypergraph(), 3)) {
+                let tries: Vec<Trie> = q
+                    .atoms
+                    .iter()
+                    .map(|a| db.get(&a.name).unwrap().trie_under_order(&order).unwrap())
+                    .collect();
+                let join = LeapfrogJoin::new(&order, tries.iter().collect()).unwrap();
+                let rows = reference_join(&tries, &order).rows;
+                let width = order.len();
+                let mut levels: Vec<usize> = (0..width).filter(|_| rng.gen_bool(0.4)).collect();
+                if levels.is_empty() {
+                    levels.push(rng.gen_range(0..width));
+                }
+                let attrs: Vec<Attr> = levels.iter().map(|&l| order[l]).collect();
+                // A hit projects a result row. A miss changes one of its
+                // values, so it shares the rest with hits, or draws them all;
+                // draws reach past the graph's 14 nodes.
+                let mut bindings: Vec<Vec<Value>> = (0..rng.gen_range(1..12usize))
+                    .map(|_| {
+                        let mut b: Vec<Value> = match rows.len() {
+                            0 => levels.iter().map(|_| rng.gen_range(0..16u32)).collect(),
+                            n => {
+                                let row = &rows[rng.gen_range(0..n)];
+                                levels.iter().map(|&l| row[l]).collect()
+                            }
+                        };
+                        if rng.gen_bool(0.4) {
+                            let at = rng.gen_range(0..b.len());
+                            b[at] = rng.gen_range(0..16u32);
+                        }
+                        b
+                    })
+                    .collect();
+                bindings.sort();
+                bindings.dedup();
+                let expect: Vec<Vec<Value>> = (bindings.iter())
+                    .map(|b| {
+                        let hit = |r: &&Vec<Value>| levels.iter().zip(b).all(|(&l, &v)| r[l] == v);
+                        rows.iter().filter(hit).flatten().copied().collect()
+                    })
+                    .collect();
+                let flat = bindings.concat();
+                let at = format!("{pq:?} {order:?} bound {attrs:?} at {bindings:?}");
+                let buffers = |limit: Option<usize>| -> Vec<RowBuffer> {
+                    let buffer = |_: &Vec<Value>| match limit {
+                        Some(n) => RowBuffer::new(width).with_limit(n),
+                        None => RowBuffer::new(width),
+                    };
+                    bindings.iter().map(buffer).collect()
+                };
+
+                let mut got = buffers(None);
+                assert_eq!(
+                    batch(&join, (&attrs, &flat), &mut got, &mut || false).completed,
+                    bindings.len(),
+                    "{at}"
+                );
+                let got: Vec<Vec<Value>> = got.into_iter().map(RowBuffer::into_flat).collect();
+                assert_eq!(got, expect, "{at}: rows");
+
+                let mut counts: Vec<CountSink> =
+                    bindings.iter().map(|_| CountSink::new()).collect();
+                batch(&join, (&attrs, &flat), &mut counts, &mut || false);
+                let counts: Vec<usize> = counts.iter().map(|c| c.count() as usize).collect();
+                let want: Vec<usize> = expect.iter().map(|r| r.len() / width).collect();
+                assert_eq!(counts, want, "{at}: counts");
+
+                let mut exists: Vec<ExistsSink> =
+                    bindings.iter().map(|_| ExistsSink::new()).collect();
+                batch(&join, (&attrs, &flat), &mut exists, &mut || false);
+                let found: Vec<bool> = exists.iter().map(ExistsSink::found).collect();
+                let nonempty: Vec<bool> = expect.iter().map(|r| !r.is_empty()).collect();
+                assert_eq!(found, nonempty, "{at}: exists");
+
+                let n = rng.gen_range(0usize..4);
+                let mut limited = buffers(Some(n));
+                batch(&join, (&attrs, &flat), &mut limited, &mut || false);
+                for (buf, all) in limited.into_iter().zip(&expect) {
+                    let prefix = &all[..(n * width).min(all.len())];
+                    assert_eq!(buf.into_flat(), prefix, "{at}: limit {n}");
+                }
+
+                let fire_at = rng.gen_range(1..2 * bindings.len() as u64 + 3);
+                let mut polls = 0;
+                let mut stopped = buffers(None);
+                let outcome = batch(&join, (&attrs, &flat), &mut stopped, &mut || {
+                    polls += 1;
+                    polls >= fire_at
+                });
+                let done = stopped.into_iter().zip(&expect).take(outcome.completed);
+                for (i, (buf, want)) in done.enumerate() {
+                    assert_eq!(&buf.into_flat(), want, "{at}: binding {i} before a stop");
+                }
+            }
+        }
+    });
+}
+
 /// A counting sink that is not a [`CountSink`]: it counts through the bulk
 /// `push_count` and says it only counts, so the join counts its last level
 /// inside the level above's loop for it too.
@@ -740,7 +864,8 @@ fn cached_join_matches_plain() {
             .map(|a| db.get(&a.name).unwrap().trie_under_order(&order).unwrap())
             .collect();
         let plain = adj_leapfrog::LeapfrogJoin::new(&order, tries.iter().collect()).unwrap();
-        let cached = adj_leapfrog::CachedJoin::new(&order, tries.iter().collect(), cap).unwrap();
+        let cached = adj_baselines::cached::CachedJoin::new(&order, tries.iter().collect(), cap);
+        let cached = cached.unwrap();
         assert_eq!(plain.count().0, cached.count().0);
     });
 }
