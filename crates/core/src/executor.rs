@@ -23,7 +23,7 @@
 //! cache. The buffers the join needs are lent by the executing
 //! [`Adj`]'s [`ScratchPool`](crate::ScratchPool).
 
-use crate::plan::{PlanRelation, QueryPlan, Round};
+use crate::plan::{CountedRound, PlanRelation, QueryPlan, Round};
 use crate::scratch::{Lent, Scratch, KEPT_ROW_VALUES};
 use crate::{Adj, AdjConfig};
 use adj_cluster::Cluster;
@@ -32,7 +32,7 @@ use adj_hcube::{
     hcube_shuffle_round, optimize_share, Artifact, ArtifactKey, ExecCtx, HCubeImpl, HCubePlan,
     IndexLookup, RoundLayout, RoundOutput, ShareInput, ShuffleReport, ShuffleRound,
 };
-use adj_leapfrog::{JoinCounters, JoinLayout, JoinScratch, LeapfrogJoin};
+use adj_leapfrog::{CountSplit, JoinCounters, JoinLayout, JoinScratch, LeapfrogJoin};
 use adj_relational::relation::{merge_sorted_runs, merge_sorted_slices};
 use adj_relational::{
     Attr, BoundValues, CountSink, Database, Error, ExistsSink, OutputMode, QueryOutput, Relation,
@@ -340,6 +340,15 @@ fn take_rows(buf: &mut RowBuffer) -> Vec<Value> {
     }
 }
 
+/// The join's stop hook: polls the `JoinEnumerate` fault-injection site
+/// and `cancel`, stopping once the token fired.
+fn stop_hook(cancel: &CancelToken) -> impl FnMut() -> bool + '_ {
+    || {
+        adj_faults::inject(FaultSite::JoinEnumerate, cancel);
+        cancel.check().is_err()
+    }
+}
+
 /// One worker's join: [`LeapfrogJoin::run_batch`] over the `n_rows`
 /// driver rows (`rows`, flat), each row streaming into its own sink of
 /// `sinks` behind a [`CancelSink`] (the join's stop hook also polls the
@@ -356,11 +365,7 @@ fn join_rows<S: RowSink>(
 ) -> Result<(JoinCounters, usize)> {
     let mut sinks: Vec<CancelSink<'_, S>> =
         sinks.take(n_rows).map(|s| CancelSink::new(s, cancel)).collect();
-    let stop = &mut || {
-        adj_faults::inject(FaultSite::JoinEnumerate, cancel);
-        cancel.check().is_err()
-    };
-    let outcome = join.run_batch(bound_attrs, rows, &mut sinks, scratch, stop)?;
+    let outcome = join.run_batch(bound_attrs, rows, &mut sinks, scratch, &mut stop_hook(cancel))?;
     sinks.into_iter().take(outcome.completed).map(|s| s.inner).for_each(finish);
     Ok((outcome.counters, outcome.completed))
 }
@@ -426,7 +431,15 @@ fn succeeded<'a, 'p>(
 ///   workers' sorted runs into one [`Relation`] per binding;
 /// * [`OutputMode::Count`] — workers stream into a [`CountSink`] and ship
 ///   back only their counts; no result tuple is ever materialized or
-///   gathered (Leapfrog counts the last level by intersection size);
+///   gathered (Leapfrog counts the last level by intersection size). An
+///   unbound count whose relations split around two attributes
+///   ([`QueryPlan::count_split`]) is not enumerated at all: each worker
+///   walks each bag of the split through the same traversal, counting its
+///   rows into a dense table keyed by the separator, and adds the tables'
+///   dot product per value of the order's first attribute. The relations a
+///   bag reads under an order of its own are shuffled once more, into
+///   index entries of their own. A worker that meets a separator value past
+///   the tables enumerates instead;
 /// * [`OutputMode::Limit`]`(n)` — each worker's enumeration of a binding
 ///   short-circuits after `n` local rows; the coordinator merges and
 ///   truncates to `n` (HCube assigns every output tuple to exactly one
@@ -508,7 +521,13 @@ pub fn execute_plan(
         return Ok((vec![Ok(empty); bindings.len()], report));
     }
 
-    let (round, shuffled) = prepare_round(cluster, db, plan, config, &mut report, ctx)?;
+    // An unbound count whose join splits is counted by bags over the
+    // round's tries plus the reordered ones.
+    let by_bags =
+        mode == OutputMode::Count && !plan.order.iter().any(|&a| value(first, a).is_some());
+    let (round, shuffled, reordered) =
+        prepare_round(cluster, db, plan, config, by_bags, &mut report, ctx)?;
+    let counted = round.counted.as_ref().map(|c| &c.split).zip(reordered.as_ref());
 
     // The driver rows `run_batch` visits: each binding's values on the
     // bound levels of the plan's order (every binding has a value on each),
@@ -546,7 +565,10 @@ pub fn execute_plan(
     let order = &plan.order;
     let width = order.len();
     let rows = (bound_attrs, driver_rows.as_slice(), n_rows);
-    let computation_span = tracer.span(COORDINATOR_LANE, "computation");
+    let mut computation_span = tracer.span(COORDINATOR_LANE, "computation");
+    if computation_span.is_recording() {
+        computation_span.arg("counted", u64::from(counted.is_some()));
+    }
     let run = cluster.run_traced(tracer, "join", |w, span| -> Result<WorkerJoin<'_>> {
         // At least one fault/cancellation checkpoint per worker, then the
         // driver's stop hook around every binding and once per
@@ -555,12 +577,35 @@ pub fn execute_plan(
         adj_faults::inject(FaultSite::JoinEnumerate, cancel);
         cancel.check().map_err(cancel_err)?;
         let mut lent = pool.lend();
-        let Scratch { join: scratch, tries, rows: bufs, found, .. } = &mut *lent;
-        tries.extend(shuffled.worker_tries(w).cloned());
-        let join = LeapfrogJoin::with_layout(Arc::clone(&round.join), std::mem::take(tries))?;
-        found.clear();
-        let joined = match mode {
-            OutputMode::Rows | OutputMode::Limit(_) => {
+        lent.tries.extend(shuffled.worker_tries(w).cloned());
+        let tries = std::mem::take(&mut lent.tries);
+        let join = LeapfrogJoin::with_layout(Arc::clone(&round.join), tries)?;
+        lent.found.clear();
+        // A count by bags over the round's tries and the reordered ones
+        // after them, unless a separator value is past its tables.
+        let by_bags = match counted {
+            Some((split, reordered)) => {
+                let n = shuffled.relations.len();
+                let trie = |i: usize| -> &Trie {
+                    match i.checked_sub(n) {
+                        None => &shuffled.relations[i].tries[w],
+                        Some(j) => &reordered.relations[j].tries[w],
+                    }
+                };
+                split.count(trie, &mut lent.join, &mut stop_hook(cancel))?
+            }
+            None => None,
+        };
+        let counted_here = by_bags.is_some();
+        let Scratch { join: scratch, rows: bufs, found, .. } = &mut *lent;
+        let joined = match (by_bags, mode) {
+            (Some(outcome), _) => {
+                if outcome.completed == 1 {
+                    found.push(outcome.counters.output_tuples);
+                }
+                Ok((outcome.counters, outcome.completed))
+            }
+            (None, OutputMode::Rows | OutputMode::Limit(_)) => {
                 let limit = if let OutputMode::Limit(n) = mode { n } else { usize::MAX };
                 for buf in bufs.iter_mut().take(n_rows) {
                     buf.reset(width, budget, limit);
@@ -569,17 +614,17 @@ pub fn execute_plan(
                 bufs.resize_with(n_rows.max(bufs.len()), fresh);
                 join_rows(&join, rows, cancel, scratch, bufs.iter_mut(), |_| {})
             }
-            OutputMode::Count => {
+            (None, OutputMode::Count) => {
                 let sinks = std::iter::repeat_with(CountSink::new);
                 join_rows(&join, rows, cancel, scratch, sinks, |s| found.push(s.count()))
             }
-            OutputMode::Exists => {
+            (None, OutputMode::Exists) => {
                 let sinks = std::iter::repeat_with(ExistsSink::new);
                 join_rows(&join, rows, cancel, scratch, sinks, |s| found.push(s.found().into()))
             }
         };
         // The handles go back with the scratch, which empties them.
-        *tries = join.into_tries();
+        lent.tries = join.into_tries();
         let (counters, completed) = joined?;
         if span.is_recording() {
             let c = &counters;
@@ -598,6 +643,7 @@ pub fn execute_plan(
             span.arg("table_builds", c.stats.table_builds);
             span.arg("table_bytes", c.stats.table_bytes);
             span.arg("bindings_completed", completed as u64);
+            span.arg("counted", u64::from(counted_here));
         }
         Ok((lent, counters, completed))
     });
@@ -731,9 +777,11 @@ fn bag_label(names: &[String], order: &[Attr], ctx: &ExecCtx<'_>) -> String {
 
 /// Phases 1–2 of plan execution: pre-computes (or reuses) the plan's bag
 /// relations and runs the final HCube shuffle, returning the final round
-/// and every relation's per-worker tries, ready for Leapfrog. The
-/// pre-compute and communication columns (plus cache/fill counters)
-/// accumulate into `report`.
+/// and every relation's per-worker tries, ready for Leapfrog — and, for a
+/// count `by_bags` over a round that splits, the tries of the relations
+/// its bags read under orders of their own. The pre-compute and
+/// communication columns (plus cache/fill counters) accumulate into
+/// `report`.
 ///
 /// Nothing here depends on a binding: the tries are the same warm,
 /// cacheable tries whichever constants the join over them will seek.
@@ -742,9 +790,10 @@ fn prepare_round(
     db: &Database,
     plan: &QueryPlan,
     config: &AdjConfig,
+    by_bags: bool,
     report: &mut ExecutionReport,
     ctx: &ExecCtx<'_>,
-) -> Result<(Arc<Round>, RoundOutput)> {
+) -> Result<(Arc<Round>, RoundOutput, Option<RoundOutput>)> {
     // ── Phase 1: pre-compute candidate relations (Sec. III: "for each
     // relation R'_j ∈ Qi that needs to be joined, we pre-compute and store
     // it"). Per-query pre-computed bags are layered over the shared
@@ -797,7 +846,25 @@ fn prepare_round(
     report.comm_tuples = shuffled.report.tuples;
     report.communication_secs = shuffled.report.pipelined_secs();
     report.absorb_shuffle(&shuffled.report, share_reused);
-    Ok((round, shuffled))
+    // A count by bags also reads the relations its bags take in orders of
+    // their own: routed by the same share grid into index entries of their
+    // own, cached and patched like every other.
+    let reordered = match &round.counted {
+        Some(CountedRound { reordered, .. }) if by_bags => {
+            let shuffle = ShuffleRound { layout: reordered, share_reused: true, ..shuffle };
+            let out = if reordered.relations().len() == 0 {
+                RoundOutput { relations: Vec::new(), report: ShuffleReport::default() }
+            } else {
+                hcube_shuffle_round(cluster, db, &shuffle, ctx)?
+            };
+            report.comm_tuples += out.report.tuples;
+            report.communication_secs += out.report.pipelined_secs();
+            report.absorb_shuffle(&out.report, true);
+            Some(out)
+        }
+        _ => None,
+    };
+    Ok((round, shuffled, reordered))
 }
 
 /// One bag of phase 1, as `(content label, relation)`: served from the bag
@@ -1014,7 +1081,15 @@ fn round_for<'a, F: Fn(usize) -> (&'a str, Option<&'a str>)>(
         spec.atoms().map(|(name, id)| (name.to_string(), id.map(str::to_string))).unzip();
     let layout = RoundLayout::new(db, spec.overlay, &names, &ids, spec.order, &hplan, ctx.index)?;
     let join = Arc::new(JoinLayout::new(spec.order, layout.induced_schemas())?);
-    let round = Arc::new(Round { input, hplan, layout, join });
+    let counted = match CountSplit::new(spec.order, layout.induced_schemas()) {
+        Some(split) => {
+            let reordered =
+                layout.reordered(db, spec.overlay, split.reindexed(), &hplan, ctx.index)?;
+            Some(CountedRound { split, reordered })
+        }
+        None => None,
+    };
+    let round = Arc::new(Round { input, hplan, layout, join, counted });
     plan.rounds.keep(Arc::clone(&round));
     Ok((round, reused))
 }

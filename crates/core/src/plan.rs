@@ -1,7 +1,7 @@
 //! Query plans: the `(Qi, ord)` pairs of the paper's problem statement.
 
 use adj_hcube::{HCubePlan, RoundLayout, ShareInput};
-use adj_leapfrog::JoinLayout;
+use adj_leapfrog::{CountSplit, JoinLayout};
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::{Attr, Schema};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -92,7 +92,8 @@ impl OptimizerStats {
 /// One shuffle round of a plan (a pre-computed bag's, or the final one) as
 /// its executions run it: the share program's input and the grid solved
 /// for it, the round's layout keyed for the index scope it last ran under,
-/// and the layout of the join over its tries.
+/// the layout of the join over its tries, and how an unbound `Count` of
+/// that join is counted bag by bag, when it splits.
 #[derive(Debug)]
 pub(crate) struct Round {
     /// What the share program was solved for.
@@ -103,6 +104,18 @@ pub(crate) struct Round {
     pub(crate) layout: RoundLayout,
     /// The join over the round's tries, in the round's relation order.
     pub(crate) join: Arc<JoinLayout>,
+    /// The join's split into counted bags, if it splits.
+    pub(crate) counted: Option<CountedRound>,
+}
+
+/// How a round's join is counted bag by bag ([`CountSplit`]): the split,
+/// and the layout of the relations its bags read under orders of their own
+/// — same relations, same share grid and routes, one index entry more
+/// each.
+#[derive(Debug)]
+pub(crate) struct CountedRound {
+    pub(crate) split: CountSplit,
+    pub(crate) reordered: RoundLayout,
 }
 
 /// The rounds a plan's executions have prepared.
@@ -200,6 +213,13 @@ impl QueryPlan {
     /// Whether any bag is pre-computed.
     pub fn has_precompute(&self) -> bool {
         !self.precompute.is_empty()
+    }
+
+    /// How an unbound `Count` of this plan splits its relations into bags
+    /// counted one by one and combined by a dot product ([`CountSplit`]),
+    /// or `None` when they do not split: the executor enumerates then.
+    pub fn count_split(&self) -> Option<CountSplit> {
+        CountSplit::new(&self.order, self.relations.iter().map(|r| r.schema(&self.query)))
     }
 
     /// Builds the rewritten-query relation list for pre-compute set `c_set`

@@ -60,7 +60,7 @@ pub(crate) struct Scratch {
 /// docs). Holds at most as many scratches as were ever lent at once.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    free: Mutex<Vec<Scratch>>,
+    free: Mutex<Vec<Boxed>>,
     lent: AtomicUsize,
 }
 
@@ -81,34 +81,43 @@ impl ScratchPool {
     pub(crate) fn lend(&self) -> Lent<'_> {
         let scratch = self.free.lock().unwrap_or_else(PoisonError::into_inner).pop();
         self.lent.fetch_add(1, Ordering::SeqCst);
-        Lent { pool: self, scratch: scratch.unwrap_or_default() }
+        Lent { pool: self, scratch: Some(scratch.unwrap_or_default()) }
     }
 }
+
+/// A scratch as the pool keeps and lends it: boxed, so a lent scratch moves
+/// as one pointer. Each worker hands its own back through the gather, in
+/// its join's result, which a scratch held inline would make several
+/// hundred bytes larger per worker and call.
+#[derive(Debug, Default)]
+struct Boxed(Box<Scratch>);
 
 /// A lent [`Scratch`]; dropping it hands the scratch back to its pool.
 #[derive(Debug)]
 pub(crate) struct Lent<'p> {
     pool: &'p ScratchPool,
-    scratch: Scratch,
+    /// Taken only by the drop that hands it back.
+    scratch: Option<Boxed>,
 }
 
 impl std::ops::Deref for Lent<'_> {
     type Target = Scratch;
 
     fn deref(&self) -> &Scratch {
-        &self.scratch
+        &self.scratch.as_ref().expect("lent until dropped").0
     }
 }
 
 impl std::ops::DerefMut for Lent<'_> {
     fn deref_mut(&mut self) -> &mut Scratch {
-        &mut self.scratch
+        &mut self.scratch.as_mut().expect("lent until dropped").0
     }
 }
 
 impl Drop for Lent<'_> {
     fn drop(&mut self) {
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut boxed = self.scratch.take().expect("dropped once");
+        let scratch = &mut *boxed.0;
         scratch.tries.clear();
         scratch.rows.truncate(KEPT_ROW_BUFFERS);
         for buf in scratch.rows.iter_mut().filter(|b| b.capacity() > KEPT_ROW_VALUES) {
@@ -117,7 +126,7 @@ impl Drop for Lent<'_> {
         if scratch.join.grew_past(KEPT_ROW_VALUES) {
             scratch.join = JoinScratch::new();
         }
-        self.pool.free.lock().unwrap_or_else(PoisonError::into_inner).push(scratch);
+        self.pool.free.lock().unwrap_or_else(PoisonError::into_inner).push(boxed);
         self.pool.lent.fetch_sub(1, Ordering::SeqCst);
     }
 }

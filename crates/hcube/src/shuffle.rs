@@ -175,6 +175,30 @@ struct RoundAtom {
     perm: Vec<usize>,
 }
 
+impl RoundAtom {
+    /// Relation `name`, stored as `schema`, read in the attribute order
+    /// `induced`, which must reorder all of its attributes.
+    fn new(
+        name: &str,
+        cache_id: Option<String>,
+        schema: &Schema,
+        induced: Vec<Attr>,
+    ) -> Result<Self> {
+        let position = |a| schema.position(a);
+        let perm: Option<Vec<usize>> = induced.iter().map(|&a| position(a)).collect();
+        match perm {
+            Some(perm) if perm.len() == schema.arity() => {
+                let induced = Schema::new(induced)?;
+                Ok(RoundAtom { name: name.to_string(), cache_id, induced, perm })
+            }
+            _ => Err(Error::SchemaMismatch {
+                left: schema.to_string(),
+                right: format!("order {induced:?}"),
+            }),
+        }
+    }
+}
+
 /// What a shuffle round knows about its relations before it moves anything:
 /// per relation, its name and cache identity, its order-induced schema and
 /// column permutation, and — under an index scope — its index-cache key.
@@ -217,26 +241,43 @@ impl RoundLayout {
         plan: &HCubePlan,
         scope: Option<&IndexScope<'_>>,
     ) -> Result<Self> {
-        let mut atoms = Vec::with_capacity(atom_names.len());
-        for (ai, name) in atom_names.iter().enumerate() {
-            let schema = resolve(db, overlay, name)?.schema();
-            let induced_attrs: Vec<Attr> =
-                order.iter().copied().filter(|a| schema.contains(*a)).collect();
-            if induced_attrs.len() != schema.arity() {
-                return Err(Error::SchemaMismatch {
-                    left: schema.to_string(),
-                    right: format!("order {order:?}"),
-                });
-            }
-            let position = |a| schema.position(a).expect("an induced attribute is the schema's");
-            let perm = induced_attrs.iter().map(|&a| position(a)).collect();
-            atoms.push(RoundAtom {
-                name: name.clone(),
-                cache_id: cache_ids.get(ai).cloned().flatten(),
-                induced: Schema::new(induced_attrs)?,
-                perm,
-            });
-        }
+        let atoms = (atom_names.iter().enumerate())
+            .map(|(ai, name)| {
+                let schema = resolve(db, overlay, name)?.schema();
+                let induced = order.iter().copied().filter(|a| schema.contains(*a)).collect();
+                RoundAtom::new(name, cache_ids.get(ai).cloned().flatten(), schema, induced)
+            })
+            .collect::<Result<_>>()?;
+        Ok(RoundLayout::keyed(atoms, plan, scope))
+    }
+
+    /// The layout of a round moving some of this layout's relations again,
+    /// into tries of other attribute orders: `reordered[j] = (ai, induced)`
+    /// reads relation `ai` as `induced`, a reordering of its attributes,
+    /// under the same name and cache identity. Its tuples route as before —
+    /// routing depends on the share grid and the values, not the order — and
+    /// each relation gets an index key of its own, since the key names the
+    /// induced order.
+    pub fn reordered(
+        &self,
+        db: &Database,
+        overlay: &[(String, Arc<Relation>)],
+        reordered: &[(usize, Schema)],
+        plan: &HCubePlan,
+        scope: Option<&IndexScope<'_>>,
+    ) -> Result<Self> {
+        let atoms = (reordered.iter())
+            .map(|(ai, induced)| {
+                let RoundAtom { name, cache_id, .. } = &self.atoms[*ai];
+                let schema = resolve(db, overlay, name)?.schema();
+                RoundAtom::new(name, cache_id.clone(), schema, induced.attrs().to_vec())
+            })
+            .collect::<Result<_>>()?;
+        Ok(RoundLayout::keyed(atoms, plan, scope))
+    }
+
+    /// The layout of a round over `atoms`, keyed under `scope`.
+    fn keyed(atoms: Vec<RoundAtom>, plan: &HCubePlan, scope: Option<&IndexScope<'_>>) -> Self {
         let mut keys: Vec<(usize, ArtifactKey)> = match scope {
             Some(scope) => (atoms.iter().enumerate())
                 .filter_map(|(ai, atom)| {
@@ -249,8 +290,9 @@ impl RoundLayout {
             None => Vec::new(),
         };
         keys.sort_by(|a, b| a.1.cmp(&b.1));
-        let names = atom_names.join(",");
-        Ok(RoundLayout { atoms, keys, scoped: scope.is_some(), names })
+        let names: Vec<&str> = atoms.iter().map(|a| a.name.as_str()).collect();
+        let names = names.join(",");
+        RoundLayout { atoms, keys, scoped: scope.is_some(), names }
     }
 
     /// Each relation's `(name, cache identity)`, in round order.

@@ -145,6 +145,40 @@ impl JoinCounters {
         self.tuples_per_level.iter().sum()
     }
 
+    /// Zeroes the counters for a query with `levels` attributes, keeping
+    /// their buffers.
+    pub(crate) fn reset(&mut self, levels: usize) {
+        let stats = &mut self.stats;
+        for per_level in [
+            &mut self.tuples_per_level,
+            &mut stats.seeks_per_level,
+            &mut stats.opens_per_level,
+            &mut stats.open_ats_per_level,
+            &mut stats.probes_per_level,
+        ] {
+            per_level.clear();
+            per_level.resize(levels, 0);
+        }
+        (self.intersect_ops, self.output_tuples) = (0, 0);
+        (stats.table_builds, stats.table_bytes) = (0, 0);
+    }
+
+    /// Adds the counters of a join over some of this one's levels — its
+    /// level `l` is this one's `levels[l]` — except its output.
+    pub(crate) fn add_at(&mut self, other: &JoinCounters, levels: &[usize]) {
+        let (stats, theirs) = (&mut self.stats, &other.stats);
+        for (l, &at) in levels.iter().enumerate() {
+            self.tuples_per_level[at] += other.tuples_per_level[l];
+            stats.seeks_per_level[at] += theirs.seeks_per_level[l];
+            stats.opens_per_level[at] += theirs.opens_per_level[l];
+            stats.open_ats_per_level[at] += theirs.open_ats_per_level[l];
+            stats.probes_per_level[at] += theirs.probes_per_level[l];
+        }
+        self.intersect_ops += other.intersect_ops;
+        stats.table_builds += theirs.table_builds;
+        stats.table_bytes += theirs.table_bytes;
+    }
+
     /// Merges another run's counters into this one (used when aggregating
     /// across workers).
     pub fn merge(&mut self, other: &JoinCounters) {

@@ -89,7 +89,7 @@ use adj_relational::{
     Attr, CountSink, CursorStack, Error, FnSink, Result, RowSink, Schema, Trie, TrieCursor, Value,
 };
 use std::borrow::Borrow;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -151,7 +151,10 @@ fn validate_schemas(order: &[Attr], schemas: &[&Schema]) -> Result<Vec<Vec<usize
 /// table another join built. Each level's buffers double as the level's
 /// frame on the traversal's stack. Between walks the scratch keeps their
 /// cursor stacks and binding buffer too, so a join run over a reused
-/// scratch allocates nothing for its cursors.
+/// scratch allocates only its cursor list and its counters. A counted join
+/// ([`CountSplit`](crate::CountSplit)) keeps one scratch per bag here, with
+/// the bag's count table, trie list, cursor list and counters, so it
+/// allocates nothing of its own.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     levels: Vec<LevelScratch>,
@@ -159,6 +162,32 @@ pub struct JoinScratch {
     stacks: Vec<CursorStack>,
     /// The binding buffer the last walk gave back.
     binding: Vec<Value>,
+    /// A counted join's per-bag scratch.
+    pub(crate) bags: Vec<crate::counted::BagScratch>,
+}
+
+/// `list`, emptied, as a list of another item type of the same layout —
+/// the same type over other tries: the same allocation, which collecting an
+/// empty list into items of the same layout reuses in place. So a scratch
+/// keeps lists of borrowing items (cursors, trie handles) between walks
+/// although each walk's items borrow that walk's tries.
+pub(crate) fn recycle<T, U>(mut list: Vec<T>) -> Vec<U> {
+    debug_assert!(
+        std::mem::size_of::<T>() == std::mem::size_of::<U>()
+            && std::mem::align_of::<T>() == std::mem::align_of::<U>(),
+        "only a list of items of the same layout is reused"
+    );
+    list.clear();
+    list.into_iter().map(|_| unreachable!("the list is empty")).collect()
+}
+
+/// What a walk that must allocate nothing borrows from its caller
+/// ([`LeapfrogJoin::begin`]): its counters, reset for its levels, and an
+/// emptied cursor list ([`recycle`]).
+#[derive(Debug, Default)]
+pub(crate) struct Lent {
+    pub(crate) counters: JoinCounters,
+    cursors: Vec<TrieCursor<'static>>,
 }
 
 /// One level's intersection, as the position-carrying kernel writes it,
@@ -300,6 +329,7 @@ impl JoinScratch {
     pub fn grew_past(&self, entries: usize) -> bool {
         let level = |l: &LevelScratch| l.values.capacity().max(l.positions.capacity());
         self.levels.iter().any(|l| level(l) > entries)
+            || self.bags.iter().any(|bag| bag.join.grew_past(entries))
     }
 
     /// Ensures one buffer pair per level, returning them.
@@ -320,7 +350,7 @@ struct Walk<'t> {
     counters: JoinCounters,
     /// Polled once per [`POLL_EVERY`] bindings above the last level, and
     /// twice between bindings; the walk stops once it returns `true`.
-    stop: &'t mut dyn FnMut() -> bool,
+    stop: &'t dyn Fn() -> bool,
     /// Bindings left until the next poll of `stop`.
     until_poll: u64,
     /// Whether `stop` stopped the walk.
@@ -357,6 +387,26 @@ impl Walk<'_> {
         self.counters.tuples_per_level[level] += n;
         sink.produced(level, n)
     }
+}
+
+/// A walk over a batch of bindings, paused between two of them: the walk,
+/// and how the bound prefix's cursors stand. [`LeapfrogJoin::run_batch`]
+/// walks its batch in one go; a counted join
+/// ([`CountSplit`](crate::CountSplit)) advances one walk per bag, a
+/// binding at a time, in step.
+pub(crate) struct Batch<'t> {
+    walk: Walk<'t>,
+    /// Whether the walk's counters and cursor list are lent.
+    lends: bool,
+    /// Values per binding, and how many of them pin the bound prefix.
+    k: usize,
+    p: usize,
+    /// `open_depth` prefix levels have open runs, and the first `hit_depth`
+    /// of those sit exactly at the values of binding `sought`, the last one
+    /// sought (a miss leaves deeper levels closed).
+    open_depth: usize,
+    hit_depth: usize,
+    sought: Option<usize>,
 }
 
 /// The placeholder a level's run list starts from.
@@ -482,7 +532,7 @@ pub struct JoinLayout {
     /// The schema of each input, in input order.
     schemas: Vec<Schema>,
     /// For each query level: indices of participating inputs.
-    participants: Vec<Vec<usize>>,
+    pub(crate) participants: Vec<Vec<usize>>,
     /// For each query level: the probe kernel's driving participant, if the
     /// level probes its invariant runs (see [`probe_drivers`]).
     drivers: Vec<Option<usize>>,
@@ -678,8 +728,8 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
 
     /// The last level, a leaf of the traversal: its participants' child
     /// runs are intersected where they lie, and no cursor moves. A sink that
-    /// takes rows gets one per match, under the cursors as they stand. A
-    /// sink that only counts gets the intersection's size: once per match
+    /// takes rows gets one per match, under the cursors as they stand; one
+    /// that takes runs, the matches in one run. A sink that only counts gets the intersection's size: once per match
     /// of the level above when `matches` holds that level's intersection
     /// offsets (`k` per match) — counted inside its loop, see the module
     /// docs — and once otherwise, for a last level with no free level
@@ -702,6 +752,36 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             for (run, &p) in runs.iter_mut().zip(ps) {
                 *run = walk.cursors[p].child_run();
             }
+            if sink.takes_runs() {
+                // Taken in the parent's loop, the rows' prefix ends in the
+                // parent's match, which no cursor descended to.
+                let parent = matches.map(|_| self.layout.participants[level - 1][0]);
+                let take = |runs: &[&[Value]], walk: &mut Walk<'_>, at: &[usize]| {
+                    if let Some(q) = parent {
+                        walk.binding[level - 1] = walk.cursors[q].run()[at[0]];
+                    }
+                    // A lone participant's run is the level's matches, as
+                    // the dance would find them.
+                    let run: &[Value] = match runs {
+                        [run] => {
+                            walk.counters.intersect_ops += run.len() as u64;
+                            run
+                        }
+                        _ => {
+                            values.clear();
+                            let on_match = |v, _: &[usize]| values.push(v);
+                            self.intersect(level, runs, tables, &mut walk.counters, on_match);
+                            values
+                        }
+                    };
+                    let n = run.len() as u64;
+                    walk.produce(sink, level, n) && {
+                        walk.counters.output_tuples += n;
+                        n == 0 || sink.push_run(&walk.binding[..level], run)
+                    }
+                };
+                return self.each_leaf(matches, runs, walk, take);
+            }
             if !sink.counts_only() {
                 values.clear();
                 self.intersect(level, runs, tables, &mut walk.counters, |v, _| values.push(v));
@@ -717,7 +797,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             // Whether the invariant runs' tables are ready, once no further
             // ask can change the answer.
             let mut settled = None;
-            let mut count = |runs: &[&[Value]], walk: &mut Walk<'_>| {
+            let count = |runs: &[&[Value]], walk: &mut Walk<'_>, _: &[usize]| {
                 let probe = driver.filter(|&d| {
                     if !driver_fits(runs[d].len(), shortest) {
                         return false;
@@ -751,20 +831,36 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                     n == 0 || sink.push_count(n)
                 }
             };
-            let Some((positions, k)) = matches else { return count(runs, walk) };
-            for at in positions.chunks_exact(k) {
-                if !walk.visit() {
-                    return false;
-                }
-                for &(i, p, j) in &self.layout.last_varying {
-                    runs[i] = walk.cursors[p].child_run_at(at[j]);
-                }
-                if !count(runs, walk) {
-                    return false;
-                }
-            }
-            true
+            self.each_leaf(matches, runs, walk, count)
         })
+    }
+
+    /// Calls `each(runs, walk, at)` for the last level: once, under the
+    /// cursors as they stand, or — in the parent's loop, `matches` holding
+    /// the parent's intersection offsets, `k` per match — once per match,
+    /// with the varying participants' runs read at the match's offsets
+    /// (`at`). `false` once `each` or the stop hook stops the walk.
+    #[inline(always)]
+    fn each_leaf<'t>(
+        &self,
+        matches: Option<(&[usize], usize)>,
+        runs: &mut [&'t [Value]],
+        walk: &mut Walk<'t>,
+        mut each: impl FnMut(&[&'t [Value]], &mut Walk<'t>, &[usize]) -> bool,
+    ) -> bool {
+        let Some((positions, k)) = matches else { return each(runs, walk, &[]) };
+        for at in positions.chunks_exact(k) {
+            if !walk.visit() {
+                return false;
+            }
+            for &(i, p, j) in &self.layout.last_varying {
+                runs[i] = walk.cursors[p].child_run_at(at[j]);
+            }
+            if !each(runs, walk, at) {
+                return false;
+            }
+        }
+        true
     }
 }
 
@@ -826,6 +922,28 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         scratch: &mut JoinScratch,
         stop: &mut dyn FnMut() -> bool,
     ) -> Result<BatchOutcome> {
+        let p = self.bound_prefix(bound_attrs)?;
+        let (k, n, levels) = (bound_attrs.len(), sinks.len(), self.levels());
+        assert_eq!(bindings.len(), n * k, "one binding of every bound attribute per sink");
+        assert!(
+            (1..n).all(|i| bindings[(i - 1) * k..i * k] < bindings[i * k..(i + 1) * k]),
+            "bindings must be sorted and deduplicated"
+        );
+        if self.has_empty_input() {
+            // Every binding trivially completes with an empty result.
+            return Ok(BatchOutcome { completed: n, counters: JoinCounters::new(levels) });
+        }
+        let stop = RefCell::new(stop);
+        let hook = || (*stop.borrow_mut())();
+        let mut batch = self.begin(bound_attrs, p, None, &hook, scratch);
+        let completed = self.advance(&mut batch, scratch, bindings, sinks, 0, n);
+        Ok(BatchOutcome { completed, counters: self.finish(batch, scratch).counters })
+    }
+
+    /// How many leading levels of the order `bound_attrs` bind — the bound
+    /// prefix — once they are checked to be attributes of the order, in its
+    /// level order ([`Error::UnknownAttr`] otherwise).
+    pub(crate) fn bound_prefix(&self, bound_attrs: &[Attr]) -> Result<usize> {
         let order = &self.layout.order;
         let level_of = |a: Attr| order.iter().position(|&o| o == a);
         let mut above = None;
@@ -837,78 +955,132 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             }
             above = level;
         }
-        let (k, n, levels) = (bound_attrs.len(), sinks.len(), self.levels());
-        assert_eq!(bindings.len(), n * k, "one binding of every bound attribute per sink");
-        assert!(
-            (1..n).all(|i| bindings[(i - 1) * k..i * k] < bindings[i * k..(i + 1) * k]),
-            "bindings must be sorted and deduplicated"
-        );
-        if self.tries.iter().any(|t| t.borrow().tuples() == 0) {
-            // Every binding trivially completes with an empty result.
-            return Ok(BatchOutcome { completed: n, counters: JoinCounters::new(levels) });
-        }
+        Ok(bound_attrs.iter().zip(order).take_while(|(a, o)| a == o).count())
+    }
+
+    /// Whether an input trie is empty, so that every binding's result is.
+    pub(crate) fn has_empty_input(&self) -> bool {
+        self.tries.iter().any(|t| t.borrow().tuples() == 0)
+    }
+
+    /// The join's tries.
+    pub(crate) fn tries(&self) -> &[T] {
+        &self.tries
+    }
+
+    /// The join's layout.
+    pub(crate) fn layout(&self) -> &Arc<JoinLayout> {
+        &self.layout
+    }
+
+    /// Starts a walk over a batch of bindings of `bound_attrs`, the first
+    /// `p` of which are the bound prefix ([`Self::bound_prefix`]): the
+    /// cursors take their stacks from `scratch`, and every level's frame is
+    /// reset. Bindings are then walked by [`Self::advance`], as many at a
+    /// time as the caller wants, and [`Self::finish`] gives the cursors
+    /// back.
+    ///
+    /// A walk given `lent` counters and cursor list counts into the one
+    /// and keeps its cursors in the other, so it allocates nothing;
+    /// otherwise it makes both, the list first. Measured on `warm_modes`,
+    /// lending a cursor list to every walk moved the allocator's heap layout
+    /// enough to raise the peak RSS by about 4 MiB, so only the walks that
+    /// must not allocate — a counted join's bags — borrow one.
+    pub(crate) fn begin<'t>(
+        &'t self,
+        bound_attrs: &[Attr],
+        p: usize,
+        lent: Option<Lent>,
+        stop: &'t dyn Fn() -> bool,
+        scratch: &mut JoinScratch,
+    ) -> Batch<'t> {
+        let (order, levels) = (&self.layout.order, self.levels());
+        let (mut cursors, counters) = match lent {
+            Some(Lent { counters, cursors }) => (recycle(cursors), Some(counters)),
+            None => (Vec::with_capacity(self.tries.len()), None),
+        };
         let stacks = &mut scratch.stacks;
-        let cursors =
-            self.tries.iter().map(|t| t.borrow().cursor_on(stacks.pop().unwrap_or_default()));
+        cursors.extend(
+            self.tries.iter().map(|t| t.borrow().cursor_on(stacks.pop().unwrap_or_default())),
+        );
         let mut binding = std::mem::take(&mut scratch.binding);
         binding.clear();
         binding.resize(levels, 0);
-        let mut walk = Walk {
-            cursors: cursors.collect(),
-            binding,
-            counters: JoinCounters::new(levels),
-            stop,
-            until_poll: POLL_EVERY,
-            stopped: false,
-        };
-        // The bound prefix: the levels whose cursors survive from binding to
-        // binding with forward-only galloping. Every bound level behind it
-        // is pinned to its column of the binding.
-        let p = bound_attrs.iter().zip(order).take_while(|(a, o)| a == o).count();
-        let frames = scratch.for_levels(levels);
-        for (frame, a) in frames.iter_mut().zip(order) {
+        // Every bound level behind the bound prefix is pinned to its column
+        // of the binding.
+        for (frame, a) in scratch.for_levels(levels).iter_mut().zip(order) {
             frame.opened = 0;
             frame.pin = bound_attrs[p..].iter().position(|b| b == a).map(|col| p + col);
         }
-        let completed = self.traverse(&mut walk, frames, sinks, (bindings, k, p));
-        // The walk's cursor stacks and binding buffer go back to `scratch`
-        // for the next walk.
-        scratch.stacks.extend(walk.cursors.into_iter().map(TrieCursor::into_stack));
-        scratch.binding = walk.binding;
-        Ok(BatchOutcome { completed, counters: walk.counters })
+        let lends = counters.is_some();
+        let counters = counters.unwrap_or_else(|| JoinCounters::new(levels));
+        let walk =
+            Walk { cursors, binding, counters, stop, until_poll: POLL_EVERY, stopped: false };
+        Batch { walk, lends, k: bound_attrs.len(), p, open_depth: 0, hit_depth: 0, sought: None }
+    }
+
+    /// Walks bindings `first..until` of `bindings` (`k` values each), binding
+    /// `i` streaming into `sinks[i - first]`, over the cursors `batch` kept
+    /// from the bindings before them and `scratch`'s frames (the scratch
+    /// [`Self::begin`] was given). Bindings must be visited in ascending
+    /// order, but may be skipped. Returns how many leading bindings
+    /// completed — `until` unless the stop hook fired.
+    pub(crate) fn advance<S: RowSink>(
+        &self,
+        batch: &mut Batch<'_>,
+        scratch: &mut JoinScratch,
+        bindings: &[Value],
+        sinks: &mut [S],
+        first: usize,
+        until: usize,
+    ) -> usize {
+        let frames = scratch.for_levels(self.levels());
+        self.traverse(batch, frames, bindings, sinks, first, until)
+    }
+
+    /// Ends a walk [`Self::begin`] started: the cursor stacks and binding
+    /// buffer go back to `scratch` for the next walk. Returns the walk's
+    /// counters, and its cursor list, emptied, if it was lent one (an empty
+    /// list otherwise).
+    pub(crate) fn finish(&self, batch: Batch<'_>, scratch: &mut JoinScratch) -> Lent {
+        let Walk { mut cursors, binding, counters, .. } = batch.walk;
+        scratch.stacks.extend(cursors.drain(..).map(TrieCursor::into_stack));
+        scratch.binding = binding;
+        let cursors = if batch.lends { recycle(cursors) } else { Vec::new() };
+        Lent { counters, cursors }
     }
 
     /// The traversal: one loop over an explicit stack of levels, one frame
     /// per level in `frames`. The bound prefix's levels are the bottom of
-    /// the stack, fed by the sorted `bindings` (`k` values each, the first
-    /// `p` of which are the prefix); the levels behind it are entered once
-    /// per binding of the level above. Returns how many leading bindings
-    /// completed.
+    /// the stack, fed by the sorted `bindings` (`batch.k` values each, the
+    /// first `batch.p` of which are the prefix); the levels behind it are
+    /// entered once per binding of the level above. Walks bindings
+    /// `first..until`, binding `i` into `sinks[i - first]`, and returns how
+    /// many leading bindings completed.
     fn traverse<S: RowSink>(
         &self,
-        walk: &mut Walk<'_>,
+        batch: &mut Batch<'_>,
         frames: &mut [LevelScratch],
+        bindings: &[Value],
         sinks: &mut [S],
-        (bindings, k, p): (&[Value], usize, usize),
+        first: usize,
+        until: usize,
     ) -> usize {
         let (layout, levels) = (&*self.layout, self.levels());
+        let Batch { walk, k, p, open_depth, hit_depth, sought, .. } = batch;
+        let (k, p) = (*k, *p);
         let binding = |i: usize| &bindings[i * k..(i + 1) * k];
         // Once a level's subtree is done: the next match of the level
         // above, or, at the first level behind the prefix, the binding's
         // end.
         let resume = |level: usize| if level > p { Step::Next(level - 1) } else { Step::End };
-        // The prefix cursors' state across bindings: `open_depth` levels
-        // have open runs, and the first `hit_depth` of those sit exactly at
-        // the values of binding `sought`, the last one sought (a miss
-        // leaves deeper levels closed).
-        let (mut open_depth, mut hit_depth, mut sought) = (0usize, 0usize, None);
         // The binding under way; every binding before it completed.
-        let mut i = 0usize;
+        let mut i = first;
         let mut step = Step::Bind;
         loop {
             step = match step {
-                Step::Bind if i == sinks.len() || (walk.stop)() => return i,
-                Step::Bind if sinks[i].saturated() => {
+                Step::Bind if i == until || (walk.stop)() => return i,
+                Step::Bind if sinks[i - first].saturated() => {
                     i += 1;
                     Step::Bind
                 }
@@ -916,34 +1088,34 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                     // Longest reusable prefix: levels whose value matches
                     // the binding last sought AND whose cursors sit on it.
                     let (b, last) = (binding(i), sought.map_or(binding(i), binding));
-                    let reuse = (0..hit_depth).take_while(|&l| b[l] == last[l]).count();
+                    let reuse = (0..*hit_depth).take_while(|&l| b[l] == last[l]).count();
                     // Close levels opened under a now-stale parent context.
                     // Level `reuse` itself stays open: its run is unchanged
                     // (everything above it matches) and sorted bindings only
                     // move it forward.
-                    while open_depth > reuse + 1 {
-                        open_depth -= 1;
-                        walk.up(&layout.participants[open_depth]);
+                    while *open_depth > reuse + 1 {
+                        *open_depth -= 1;
+                        walk.up(&layout.participants[*open_depth]);
                     }
-                    sought = Some(i);
+                    *sought = Some(i);
                     Step::Enter(reuse)
                 }
                 Step::Enter(level) if level < p => {
                     let (ps, stats) = (&layout.participants[level], &mut walk.counters.stats);
-                    if level >= open_depth {
+                    if level >= *open_depth {
                         stats.opens_per_level[level] += ps.len() as u64;
                         let opened = ps.iter().fold(true, |all, &q| walk.cursors[q].open() & all);
                         debug_assert!(opened, "interior trie rows always have children");
-                        open_depth = level + 1;
+                        *open_depth = level + 1;
                     }
                     // Every cursor seeks, hit or miss, so the next
                     // binding's forward seek stays valid.
                     let target = binding(i)[level];
                     stats.seeks_per_level[level] += ps.len() as u64;
                     let hit = ps.iter().fold(true, |all, &q| walk.cursors[q].seek(target) & all);
-                    hit_depth = level + usize::from(hit);
+                    *hit_depth = level + usize::from(hit);
                     walk.binding[level] = target;
-                    if hit && walk.produce(&mut sinks[i], level, 1) {
+                    if hit && walk.produce(&mut sinks[i - first], level, 1) {
                         Step::Enter(level + 1)
                     } else {
                         Step::End
@@ -951,7 +1123,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                 }
                 Step::Enter(level) if level == levels => {
                     walk.counters.output_tuples += 1;
-                    if sinks[i].push(&walk.binding) {
+                    if sinks[i - first].push(&walk.binding) {
                         resume(level)
                     } else {
                         Step::Stop
@@ -960,7 +1132,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                 Step::Enter(level) => {
                     let ps = &layout.participants[level];
                     let (frame, below) = frames[level..].split_first_mut().expect("a level");
-                    let (sink, stats) = (&mut sinks[i], &mut walk.counters.stats);
+                    let (sink, stats) = (&mut sinks[i - first], &mut walk.counters.stats);
                     if let Some(col) = frame.pin {
                         // A bound level behind a free one seeks its constant
                         // in every participant; a miss prunes the subtree
@@ -1005,8 +1177,12 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                             Step::Next(level)
                         } else if !walk.produce(sink, level, matches as u64) {
                             Step::Stop
-                        } else if below.len() == 1 && below[0].pin.is_none() && sink.counts_only() {
-                            // Counted in this level's loop: nothing to descend into.
+                        } else if below.len() == 1
+                            && below[0].pin.is_none()
+                            && (sink.counts_only() || sink.takes_runs())
+                        {
+                            // Counted, or taken in runs, in this level's
+                            // loop: nothing to descend into.
                             frame.end = 0;
                             let matches = Some((&frame.positions[..], ps.len()));
                             let counted = self.leaf(matches, walk, sink, &mut below[0]);

@@ -11,12 +11,16 @@
 //! (tail dominance), Fig. 8 (attribute-order pruning) and the β term of the
 //! cost model. Every entry — streaming, counting, budgeted counting, the
 //! sampler's counts by first value and bound batches — runs one traversal,
-//! [`LeapfrogJoin::run_batch`].
+//! [`LeapfrogJoin::run_batch`]. A count whose inputs split around two
+//! attributes ([`CountSplit`]) walks each bag through that traversal and
+//! combines the bags' counts by a dot product, never enumerating the join.
 
+pub mod counted;
 pub mod counters;
 pub mod join;
 #[doc(hidden)]
 pub mod reference;
 
+pub use counted::CountSplit;
 pub use counters::{JoinCounters, JoinStats};
 pub use join::{validate_tries, BatchOutcome, JoinLayout, JoinScratch, LeapfrogJoin, POLL_EVERY};

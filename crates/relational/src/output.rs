@@ -189,6 +189,22 @@ pub trait RowSink {
         true
     }
 
+    /// Whether the sink takes the rows of a last level a run at a time
+    /// ([`RowSink::push_run`]) instead of row by row. A counting sink
+    /// ([`RowSink::counts_only`]) takes counts instead.
+    fn takes_runs(&self) -> bool {
+        false
+    }
+
+    /// Absorbs the rows `prefix ++ [v]` for every `v` of `run`, which is
+    /// strictly ascending; returns `false` once no further rows are wanted.
+    /// Producers call it only on a sink whose [`RowSink::takes_runs`] is
+    /// `true`, and count every value of the run as a row emitted; the
+    /// default absorbs nothing.
+    fn push_run(&mut self, _prefix: &[Value], _run: &[Value]) -> bool {
+        true
+    }
+
     /// Told that the producer made `n` bindings of the `level`-th attribute
     /// of its order — partial bindings above the last level, rows at it —
     /// whether or not they reach the sink as rows; returns `false` once no
@@ -217,6 +233,14 @@ impl<S: RowSink + ?Sized> RowSink for &mut S {
 
     fn push_count(&mut self, n: u64) -> bool {
         (**self).push_count(n)
+    }
+
+    fn takes_runs(&self) -> bool {
+        (**self).takes_runs()
+    }
+
+    fn push_run(&mut self, prefix: &[Value], run: &[Value]) -> bool {
+        (**self).push_run(prefix, run)
     }
 
     fn produced(&mut self, level: usize, n: u64) -> bool {

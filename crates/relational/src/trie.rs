@@ -220,7 +220,7 @@ struct Frame {
 /// Navigation cursor over a [`Trie`], exposing the linear-iterator interface
 /// Leapfrog Triejoin requires: `open`/`up` move between levels, `seek`/`next`
 /// move within the current sibling run.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct TrieCursor<'a> {
     trie: &'a Trie,
     /// One frame per open level (none at the root).

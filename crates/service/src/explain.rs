@@ -103,6 +103,13 @@ pub fn render(
         }
     }
 
+    // An unbound count whose relations split is counted bag by bag.
+    if mode == OutputMode::Count && !plan.query.has_bound_terms() {
+        if let Some(split) = plan.count_split() {
+            let _ = writeln!(out, "{}", split.describe(name_of));
+        }
+    }
+
     let Some((report, trace)) = actuals else { return out };
 
     let _ = writeln!(out, "actuals:");
@@ -228,5 +235,22 @@ mod tests {
         assert!(!text.contains("actuals:"), "no actuals without ANALYZE");
         // attribute names come from the submitted text, not raw ids
         assert!(text.contains("chi={a,b,c}"), "{text}");
+        assert!(!text.contains("counted"), "a triangle does not split: {text}");
+    }
+
+    #[test]
+    fn a_split_count_names_its_bags() {
+        let text = "R1(a,b), R2(b,c), R3(c,d), R4(d,a)";
+        let (q, names) = parse_query(text).unwrap();
+        let g = Relation::from_pairs(Attr(0), Attr(1), &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
+        let db = paper_query(PaperQuery::Q8).instantiate(&g);
+        // Communication-first plans pre-compute no bag.
+        let plan = Adj::with_workers(2).plan(&q, &db, Strategy::CommFirst).unwrap();
+        assert_eq!(plan.order, [Attr(0), Attr(1), Attr(2), Attr(3)]);
+        let explain =
+            |mode| render(&plan, &names, "g", Strategy::CommFirst, mode, ExplainMode::Plan, None);
+        let counted = explain(OutputMode::Count);
+        assert!(counted.contains("\ncounted {a,b,c} ⊗ {a,c,d} on {a,c}\n"), "{counted}");
+        assert!(!explain(OutputMode::Rows).contains("counted"), "rows are enumerated");
     }
 }

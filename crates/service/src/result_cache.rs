@@ -57,6 +57,11 @@ impl ResultEntry {
         }
     }
 
+    /// The identity this entry answers for.
+    pub fn id(&self) -> ResultId<'_> {
+        ResultId { plan_key: self.plan_key, mode: self.mode, binding: &self.binding }
+    }
+
     /// The output, if this entry answers for `id` (a colliding key's entry
     /// answers for another identity).
     pub fn answer(&self, id: &ResultId<'_>) -> Option<QueryOutput> {

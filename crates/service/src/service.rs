@@ -586,6 +586,10 @@ impl Service {
         if let Some(key) = ahead {
             return Err(format!("index cache: {key:?} runs ahead of its relation"));
         }
+        let misfiled = self.results.find(|&key, entry| key != Self::result_key(&entry.id()));
+        if let Some(key) = misfiled {
+            return Err(format!("result cache: an entry sits under {key:#x}, not its own key"));
+        }
         let live: Vec<u64> = dbs.values().map(|e| e.epoch).collect();
         drop(dbs);
         let live = |epoch| live.contains(&epoch);
@@ -2427,6 +2431,56 @@ mod tests {
         assert!(err.contains("runs ahead of its relation"), "{err}");
         store.take(|k, _| *k == forged);
         check();
+    }
+
+    #[test]
+    fn a_count_by_bags_patches_its_reordered_index() {
+        // Q8's count reads R3(c,d) as `d → c` from an index entry of its
+        // own: a mutation patches it like the others, so the count after
+        // it builds nothing and still equals the rows.
+        let q = paper_query(PaperQuery::Q8);
+        let service = small_service();
+        service.register_database("g", q.instantiate(&graph(150, 41)));
+        let count = || service.execute_mode("g", &q, OutputMode::Count).unwrap();
+        let cold = count();
+        assert!(cold.plan.count_split().is_some());
+        assert_eq!(cold.report.index_relations_built, 5, "four relations and R3 as d → c");
+        for (i, relation) in ["R3", "R4", "R1"].into_iter().enumerate() {
+            let v = 2 * i as Value;
+            let batch = MutationBatch::new(relation).insert(&[v, v + 7]).delete(&[0, 1]);
+            service.mutate("g", &batch).unwrap();
+            let rows = service.execute("g", &q).unwrap().rows().len() as u64;
+            let warm = count();
+            assert_eq!(warm.output, QueryOutput::Count(rows), "after mutating {relation}");
+            assert_eq!(warm.report.index_relations_built, 0, "after mutating {relation}");
+            service.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn result_entries_sit_under_their_own_keys() {
+        let q = paper_query(PaperQuery::Q1);
+        let service = small_service();
+        service.register_database("g", q.instantiate(&graph(150, 41)));
+        let (prepared, _) =
+            service.prepare_text("g", "Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
+        let bindings: Vec<Bindings> = (0..6).map(|v| Bindings::new().set("v", v % 4)).collect();
+        for _ in 0..2 {
+            service.execute_batch(&prepared, &bindings, OutputMode::Count).unwrap();
+            service.check_invariants().unwrap();
+        }
+        assert!(service.results.stats().hits > 0, "the second batch read cached results");
+
+        // An entry filed under a key other than its identity's fails it.
+        let epoch = read_recovering(&service.databases)["g"].epoch;
+        let binding = BoundValues::new(vec![(Attr(0), 3)]).unwrap();
+        let id = ResultId { plan_key: 7, mode: OutputMode::Count, binding: &binding };
+        let forged = Service::result_key(&id) ^ 1;
+        service.results.insert(forged, ResultEntry::new(&id, epoch, QueryOutput::Count(1)));
+        let err = service.check_invariants().unwrap_err();
+        assert!(err.contains("not its own key"), "{err}");
+        service.results.take(|&k, _| k == forged);
+        service.check_invariants().unwrap();
     }
 
     #[test]

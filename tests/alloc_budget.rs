@@ -7,9 +7,13 @@
 //! * a width-1 `execute_bound` in Rows mode and in Count mode stays within
 //!   [`ROWS_BUDGET`] and [`COUNT_BUDGET`] — allocations and bytes per call,
 //!   averaged over a fixed set of bindings;
-//! * a width-2 `execute_bound` and a 256-binding `execute_batch` allocate
-//!   no more on their last calls than on their first ones over 200
-//!   repetitions, so the lent scratch neither leaks nor grows per call.
+//! * a width-1 unbound `COUNT` of the 4-cycle Q8, counted by bags (its
+//!   bags' walks, cursors, counters and count tables all lent), stays
+//!   within [`COUNT_BUDGET`] too;
+//! * a width-2 `execute_bound`, a 256-binding `execute_batch` and a width-2
+//!   counted Q8 `COUNT` allocate no more on their last calls than on their
+//!   first ones over 200 repetitions, so the lent scratch neither leaks nor
+//!   grows per call.
 //!
 //! Debug builds re-solve the share program in the executor's
 //! `debug_assert` on every call (and the plan lookup's key check erases the
@@ -21,8 +25,11 @@
 //! binding, the deadline token, the report's share vector and counters
 //! (five per-level `Vec`s), the round's relation handles, the worker run's
 //! report, the join's sink and cursor lists, the outputs, and the result
-//! rows with their schema; Count calls make neither of the last two. Any
-//! count above that is a buffer the lent scratch no longer covers.
+//! rows with their schema; Count calls make neither of the last two. A
+//! counted Q8 call makes the same as a bound Count call, with the query's
+//! fingerprint in place of the binding and one more index lookup list for
+//! the relation its second bag reads as `d → c`. Any count above that is a
+//! buffer the lent scratch no longer covers.
 
 use adj::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -183,5 +190,73 @@ fn width_two_calls_and_batches_do_not_grow() {
         let out = service.execute_batch(&prepared, &batch, OutputMode::Rows).unwrap();
         assert_eq!(out.result_cache_hits, 0, "every batch executes");
     });
+    service.check_invariants().unwrap();
+}
+
+/// A service of `workers` workers over a small WB stand-in for the 4-cycle
+/// Q8, and the query. Its unbound `COUNT` splits into the bags
+/// `{a,b,c} ⊗ {a,c,d}`, so it is counted by bags.
+fn q8_setup(workers: usize) -> (Service, JoinQuery) {
+    let q = paper_query(PaperQuery::Q8);
+    let config = ServiceConfig {
+        adj: AdjConfig { cluster: ClusterConfig::with_workers(workers), ..Default::default() },
+        result_cache_capacity: 0,
+        ..Default::default()
+    };
+    let service = Service::new(config);
+    service.register_database("g", q.instantiate(&Dataset::WB.graph(0.1)));
+    (service, q)
+}
+
+/// One unbound Q8 `COUNT`, checked to run on the counted path: the plan
+/// splits, and the warm call reuses the four relations' indexes plus the
+/// one its second bag reads under its own order.
+fn counted_q8(service: &Service, q: &JoinQuery) {
+    let out = service.execute_mode("g", q, OutputMode::Count).unwrap();
+    assert!(out.plan.count_split().is_some(), "Q8's count splits into bags");
+    assert_eq!(
+        (out.report.index_relations_reused, out.report.index_relations_built),
+        (5, 0),
+        "four relations and the reordered one, all warm"
+    );
+}
+
+#[test]
+fn a_warm_counted_q8_count_stays_within_the_count_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (service, q) = q8_setup(1);
+    // Warm-up: the first call builds the indexes, the next ones bring the
+    // lent scratch to its high-water marks.
+    service.execute_mode("g", &q, OutputMode::Count).unwrap();
+    for _ in 0..4 {
+        counted_q8(&service, &q);
+    }
+    let calls = 16;
+    let (mut allocs, mut bytes) = (0, 0);
+    for _ in 0..calls {
+        let mut out = None;
+        let (a, n) = counted(|| out = Some(service.execute_mode("g", &q, OutputMode::Count)));
+        out.unwrap().unwrap();
+        (allocs, bytes) = (allocs + a, bytes + n);
+    }
+    let (allocs, bytes) = (allocs as f64 / calls as f64, bytes as f64 / calls as f64);
+    eprintln!("counted Q8 Count: {allocs:.2} allocations, {bytes:.0} bytes per warm call");
+    let (max_allocs, max_bytes) = COUNT_BUDGET;
+    if cfg!(not(debug_assertions)) {
+        assert!(
+            allocs <= max_allocs && bytes <= max_bytes,
+            "counted Q8 Count: {allocs:.2} allocations and {bytes:.0} bytes per warm call, \
+             against a budget of {max_allocs} and {max_bytes}"
+        );
+    }
+    service.check_invariants().unwrap();
+}
+
+#[test]
+fn width_two_counted_q8_counts_do_not_grow() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (service, q) = q8_setup(2);
+    service.execute_mode("g", &q, OutputMode::Count).unwrap();
+    assert_no_growth("a width-2 counted Q8 Count", || counted_q8(&service, &q));
     service.check_invariants().unwrap();
 }

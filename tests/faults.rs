@@ -339,6 +339,78 @@ fn empty_result_enumeration_keeps_polling_cancellation() {
     assert_eq!(count().unwrap().output, QueryOutput::Count(0), "recovery");
 }
 
+/// An unbound `COUNT` of the 4-cycle Q8 is counted by bags: `{a,b,c}` and
+/// `{a,c,d}`, the second reading `R3(c,d)` under an index of its own as
+/// `d → c`. A cancel in the shuffle that builds that index fails the query
+/// typed and publishes none of it; a cancel on the bag walks' last poll
+/// fails a warm query typed and publishes nothing; a zero deadline fails
+/// typed. After each, the invariants hold and the count is served again.
+#[test]
+fn counted_bags_cancel_typed_and_publish_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let q = paper_query(PaperQuery::Q8);
+    // Communication-first plans pre-compute no bag, so the final round's
+    // relations are Q8's four atoms.
+    let fresh = || {
+        let service = serving(Strategy::CommFirst);
+        service.register_database("cycle", q.instantiate(&graph()));
+        service
+    };
+    let truth = {
+        let service = fresh();
+        let rows = service.execute("cycle", &q).unwrap().rows().len() as u64;
+        let out = service.execute_mode("cycle", &q, OutputMode::Count).unwrap();
+        assert!(out.plan.count_split().is_some(), "Q8's count splits into bags");
+        assert_eq!(out.output, QueryOutput::Count(rows), "the bags count every row");
+        rows
+    };
+
+    // Cold: the reordered relation is routed last, by its own shuffle.
+    let service = fresh();
+    let faults = install(FaultPlan::new());
+    let count = |service: &Service| service.execute_mode("cycle", &q, OutputMode::Count);
+    assert_eq!(count(&service).unwrap().output, QueryOutput::Count(truth));
+    let routes = faults.hits(FaultSite::ShuffleRoute);
+    drop(faults);
+    assert_eq!(service.index_cache_stats().insertions, 5, "four relations and a reordered one");
+    let service = fresh();
+    let faults = install(FaultPlan::new().cancel_at(FaultSite::ShuffleRoute, routes - 1));
+    let err = count(&service).expect_err("a cancel in the reordered shuffle fails the query");
+    assert!(faults.all_fired());
+    drop(faults);
+    assert!(matches!(err, ServiceError::Cancelled), "got {err:?}");
+    assert_eq!(service.index_cache_stats().insertions, 4, "the reordered index is not published");
+    service.check_invariants().unwrap();
+    let retried = count(&service).unwrap();
+    assert_eq!(retried.output, QueryOutput::Count(truth));
+    assert_eq!(retried.report.index_relations_built, 1, "only the reordered index was missing");
+
+    // Warm: the walks poll the join's checkpoint, and a cancel on the last
+    // poll fails the query.
+    let faults = install(FaultPlan::new());
+    let warm = count(&service).unwrap();
+    let polls = faults.hits(FaultSite::JoinEnumerate);
+    drop(faults);
+    assert_eq!(warm.report.index_relations_built, 0);
+    let first_values = warm.report.counters.tuples_per_level[0];
+    assert!(polls >= first_values, "{polls} polls for {first_values} bag bindings of a");
+    let before = service.index_cache_stats();
+    let faults = install(FaultPlan::new().cancel_at(FaultSite::JoinEnumerate, polls - 1));
+    let err = count(&service).expect_err("the last poll's cancel must fail the query");
+    assert!(faults.all_fired(), "the arm on the last poll never fired");
+    drop(faults);
+    assert!(matches!(err, ServiceError::Cancelled), "got {err:?}");
+    assert_eq!(service.index_cache_stats().insertions, before.insertions);
+    service.check_invariants().unwrap();
+
+    let err = service
+        .execute_mode_with_deadline("cycle", &q, OutputMode::Count, Some(Duration::ZERO))
+        .expect_err("a zero deadline cannot be met");
+    assert!(matches!(err, ServiceError::DeadlineExceeded { .. }), "got {err:?}");
+    service.check_invariants().unwrap();
+    assert_eq!(count(&service).unwrap().output, QueryOutput::Count(truth), "recovery");
+}
+
 /// The seeded chaos sweep: a pseudo-random plan drawn from `FAULTS_SEED`
 /// (CI reruns the matrix under a second seed) fires panics, cancels, and
 /// delays across all sites while a mixed query + mutation workload runs.

@@ -688,6 +688,143 @@ fn rows_are_width_independent_and_limit_is_their_prefix() {
     });
 }
 
+/// A random query over 4–6 attributes built to split around attribute 0
+/// (the leading one of the orders that start there): a separator, attribute
+/// 1, and two or three components over the other attributes. Each
+/// component is a chain of atoms from attribute 0 through its attributes to
+/// the separator, the first one sometimes ternary (holding the separator
+/// too), with sometimes a chord inside it; sometimes an atom over the
+/// separator pair alone. Every relation holds random tuples over a small
+/// domain, which `relabel` maps to stored values.
+fn split_query(rng: &mut StdRng, relabel: impl Fn(Value) -> Value) -> (JoinQuery, Database) {
+    let n = rng.gen_range(4u32..7);
+    let comps = rng.gen_range(2..(n - 2).min(3) + 1) as usize;
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); comps];
+    for (i, attr) in (2..n).enumerate() {
+        // The first `comps` attributes seed one component each.
+        let c = if i < comps { i } else { rng.gen_range(0..comps) };
+        members[c].push(attr);
+    }
+    let mut schemas: Vec<Vec<u32>> = Vec::new();
+    for chain in &members {
+        let first =
+            if rng.gen_range(0u32..3) == 0 { vec![0, chain[0], 1] } else { vec![0, chain[0]] };
+        schemas.push(first);
+        schemas.extend(chain.windows(2).map(|w| vec![w[0], w[1]]));
+        schemas.push(vec![chain[chain.len() - 1], 1]);
+        if chain.len() > 1 && rng.gen_range(0u32..2) == 0 {
+            schemas.push(vec![0, chain[chain.len() - 1]]);
+        }
+    }
+    if rng.gen_range(0u32..2) == 0 {
+        schemas.push(vec![0, 1]);
+    }
+    let mut db = Database::new();
+    let atoms = (schemas.iter().enumerate())
+        .map(|(i, ids)| {
+            let name = format!("R{i}");
+            let schema = Schema::from_ids(ids);
+            let len = rng.gen_range(8usize..40);
+            let flat: Vec<Value> =
+                (0..len * ids.len()).map(|_| relabel(rng.gen_range(0u32..7))).collect();
+            db.insert(name.clone(), Relation::from_flat(schema.clone(), flat).unwrap());
+            adj_query::Atom::new(name, schema)
+        })
+        .collect();
+    (JoinQuery::new("split", atoms), db)
+}
+
+/// The counted path equals enumeration. An unbound `Count` whose relations
+/// split around two attributes is counted bag by bag and combined by a dot
+/// product; under every valid order of Q8–Q11 and of random queries built
+/// to split around their leading attribute, at widths 1–3, over seeded
+/// graphs — in some cases relabelled across `TABLE_CAP`, so a worker whose
+/// separator values reach the tables enumerates instead — `Count` equals
+/// the row count of the plain reference Leapfrog, and `Exists` equals
+/// `Count > 0`. The traced execution says whether it counted by bags:
+/// exactly when the plan splits.
+#[test]
+fn counted_bags_count_like_the_enumeration() {
+    let (mut counted, mut fell_back) = (0, 0);
+    let adjs: Vec<adj_core::Adj> = (1..=3)
+        .map(|width| {
+            adj_core::Adj::new(AdjConfig {
+                cluster: ClusterConfig::with_workers(width),
+                ..Default::default()
+            })
+        })
+        .collect();
+    cases(6, |rng| {
+        let shift = TABLE_CAP as Value - rng.gen_range(0u32..4);
+        let past_cap = rng.gen_range(0u32..3) == 0;
+        let relabel = move |v: Value| if past_cap && v.is_multiple_of(3) { v + shift } else { v };
+        let pairs: Vec<(Value, Value)> =
+            edges(rng, 12, 50).into_iter().map(|(x, y)| (relabel(x), relabel(y))).collect();
+        let g = Relation::from_pairs(Attr(0), Attr(1), &pairs);
+        let mut shapes: Vec<(JoinQuery, Database)> = [PaperQuery::Q8, PaperQuery::Q9]
+            .into_iter()
+            .chain([PaperQuery::Q10, PaperQuery::Q11])
+            .map(|pq| {
+                let q = paper_query(pq);
+                let db = q.instantiate(&g);
+                (q, db)
+            })
+            .collect();
+        shapes.push(split_query(rng, relabel));
+        for (q, db) in &shapes {
+            let cfg = AdjConfig { cluster: ClusterConfig::with_workers(2), ..Default::default() };
+            // Communication-first plans pre-compute no bag: the final round
+            // joins the query's own atoms.
+            let planned = adj_core::optimize(q, db, &cfg, Strategy::CommFirst).unwrap();
+            let orders = valid_orders(&GhdTree::decompose(&q.hypergraph(), 3));
+            for order in orders {
+                let tries: Vec<Trie> = (q.atoms.iter())
+                    .map(|a| db.get(&a.name).unwrap().trie_under_order(&order).unwrap())
+                    .collect();
+                let mut want = 0u64;
+                plain_leapfrog(&tries, &order, &mut |bound, _, values, _| {
+                    if bound.len() + 1 == order.len() {
+                        want += values.len() as u64;
+                    }
+                });
+                let mut plan = planned.clone();
+                plan.order = order.clone();
+                let splits = plan.count_split().is_some();
+                for (adj, width) in adjs.iter().zip(1..) {
+                    let at = format!("{} {order:?} width {width}", q.atoms.len());
+                    let unbound = [BoundValues::none()];
+                    let tracer = adj::trace::Tracer::new(1 << 12);
+                    let ctx = ExecCtx { tracer: tracer.clone(), ..Default::default() };
+                    let run = |mode, ctx: &ExecCtx<'_>| {
+                        let (mut outs, _) =
+                            adj_core::execute_plan(adj, db, &plan, mode, &unbound, ctx).unwrap();
+                        outs.pop().unwrap().unwrap()
+                    };
+                    let count = run(OutputMode::Count, &ctx);
+                    assert_eq!(count, QueryOutput::Count(want), "{at}");
+                    if width == 1 {
+                        let exists = run(OutputMode::Exists, &ExecCtx::default());
+                        assert_eq!(exists, QueryOutput::Exists(want > 0), "{at}");
+                    }
+                    let trace = tracer.finish();
+                    let computation = trace.events_named("computation");
+                    assert_eq!(computation[0].args.get("counted"), Some(u64::from(splits)), "{at}");
+                    let joins = trace.events_named("join");
+                    let by_bags = joins.iter().filter(|e| e.args.get("counted") == Some(1)).count();
+                    if splits {
+                        counted += by_bags;
+                        fell_back += joins.len() - by_bags;
+                    } else {
+                        assert_eq!(by_bags, 0, "{at}");
+                    }
+                }
+            }
+        }
+    });
+    assert!(counted > 0, "some worker counted by bags");
+    assert!(fell_back > 0, "some worker met a separator value past the tables");
+}
+
 /// `Relation::from_flat` is sort + dedup whatever order the rows arrive
 /// in: already strictly increasing (the merged-gather fast path), sorted
 /// with duplicates, or shuffled.
