@@ -60,7 +60,7 @@ pub(crate) struct Scratch {
 /// docs). Holds at most as many scratches as were ever lent at once.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    free: Mutex<Vec<Boxed>>,
+    free: Mutex<Vec<Free>>,
     lent: AtomicUsize,
 }
 
@@ -81,43 +81,44 @@ impl ScratchPool {
     pub(crate) fn lend(&self) -> Lent<'_> {
         let scratch = self.free.lock().unwrap_or_else(PoisonError::into_inner).pop();
         self.lent.fetch_add(1, Ordering::SeqCst);
-        Lent { pool: self, scratch: Some(scratch.unwrap_or_default()) }
+        Lent { pool: self, scratch: Some(scratch.map_or_else(Box::default, |free| free.0)) }
     }
 }
 
-/// A scratch as the pool keeps and lends it: boxed, so a lent scratch moves
-/// as one pointer. Each worker hands its own back through the gather, in
-/// its join's result, which a scratch held inline would make several
-/// hundred bytes larger per worker and call.
-#[derive(Debug, Default)]
-struct Boxed(Box<Scratch>);
+/// A free scratch in the pool, boxed as it is lent, so lending moves a
+/// pointer and allocates nothing. (A bare `Vec<Box<Scratch>>` would trip
+/// clippy's `vec_box`, which assumes the boxes never leave the list.)
+#[derive(Debug)]
+struct Free(Box<Scratch>);
 
 /// A lent [`Scratch`]; dropping it hands the scratch back to its pool.
 #[derive(Debug)]
 pub(crate) struct Lent<'p> {
     pool: &'p ScratchPool,
-    /// Taken only by the drop that hands it back.
-    scratch: Option<Boxed>,
+    /// Boxed, so a lent scratch moves as one pointer: each worker hands its
+    /// own back through the gather, in its join's result, which a scratch
+    /// held inline would make several hundred bytes larger per worker and
+    /// call. Taken only by the drop that hands it back.
+    scratch: Option<Box<Scratch>>,
 }
 
 impl std::ops::Deref for Lent<'_> {
     type Target = Scratch;
 
     fn deref(&self) -> &Scratch {
-        &self.scratch.as_ref().expect("lent until dropped").0
+        self.scratch.as_ref().expect("lent until dropped")
     }
 }
 
 impl std::ops::DerefMut for Lent<'_> {
     fn deref_mut(&mut self) -> &mut Scratch {
-        &mut self.scratch.as_mut().expect("lent until dropped").0
+        self.scratch.as_mut().expect("lent until dropped")
     }
 }
 
 impl Drop for Lent<'_> {
     fn drop(&mut self) {
-        let mut boxed = self.scratch.take().expect("dropped once");
-        let scratch = &mut *boxed.0;
+        let mut scratch = self.scratch.take().expect("dropped once");
         scratch.tries.clear();
         scratch.rows.truncate(KEPT_ROW_BUFFERS);
         for buf in scratch.rows.iter_mut().filter(|b| b.capacity() > KEPT_ROW_VALUES) {
@@ -126,7 +127,7 @@ impl Drop for Lent<'_> {
         if scratch.join.grew_past(KEPT_ROW_VALUES) {
             scratch.join = JoinScratch::new();
         }
-        self.pool.free.lock().unwrap_or_else(PoisonError::into_inner).push(boxed);
+        self.pool.free.lock().unwrap_or_else(PoisonError::into_inner).push(Free(scratch));
         self.pool.lent.fetch_sub(1, Ordering::SeqCst);
     }
 }

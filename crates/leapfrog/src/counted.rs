@@ -25,7 +25,8 @@
 //! [`CountSplit::count`] walks each bag with a [`LeapfrogJoin`] over its own
 //! inputs, in the order `[o0] ++ its private attributes in order ++ [k]`,
 //! through the one traversal of [`LeapfrogJoin::run_batch`], whose last
-//! level hands the walk's sink its separator values a run at a time. The
+//! level hands the walk's sink its separator values a run at a time
+//! ([`RowSink::push_run`]). The
 //! walks go in step over the values of `o0`, one binding each at a time,
 //! smallest bag first: per value, every bag but the last counts its rows
 //! into a dense `u64` table keyed by `k`, and the last one adds, per row,
@@ -330,7 +331,7 @@ impl CountSplit {
 
 /// One bag's buffers in a [`JoinScratch`]: the walk's own scratch, the
 /// list of the bag's tries, the count table of the value of `o0` under way,
-/// and the walk's counters and cursor list.
+/// and the walk's cursor list and counters.
 #[derive(Debug, Default)]
 pub(crate) struct BagScratch {
     pub(crate) join: JoinScratch,
@@ -343,7 +344,7 @@ pub(crate) struct BagScratch {
     table: Vec<u64>,
     /// The stamp of the value of `o0` under way.
     stamp: u32,
-    /// What the walk borrows: its counters and cursor list.
+    /// What the walk borrows: its counters and its emptied cursor list.
     lent: Lent,
 }
 
@@ -362,19 +363,13 @@ impl BagScratch {
         self
     }
 
-    /// The count at `k` for the value of `o0` under way.
+    /// The count at `k`, a value below [`TABLE_CAP`] (masked, so the index
+    /// needs no bounds check), for the value of `o0` under way.
     #[inline]
     fn get(&self, k: Value) -> u64 {
-        count_at(&self.table, self.stamp, k)
+        let entry = self.table[k as usize & (TABLE_CAP - 1)];
+        (entry & COUNT_MASK) * u64::from(entry >> 32 == u64::from(self.stamp))
     }
-}
-
-/// The count a table stamped `stamp` holds at `k`, a value below
-/// [`TABLE_CAP`] (masked, so the index needs no bounds check).
-#[inline]
-fn count_at(table: &[u64], stamp: u32, k: Value) -> u64 {
-    let entry = table[k as usize & (TABLE_CAP - 1)];
-    (entry & COUNT_MASK) * u64::from(entry >> 32 == u64::from(stamp))
 }
 
 /// The sink of the last bag's walk: adds, per row, the product of the other
@@ -388,35 +383,22 @@ struct Dot<'a> {
 
 impl RowSink for Dot<'_> {
     fn push(&mut self, row: &[Value]) -> bool {
-        self.push_run(&row[..row.len() - 1], &row[row.len() - 1..])
+        self.push_run(&mut [], &row[row.len() - 1..])
     }
 
     fn saturated(&self) -> bool {
         self.unfit
     }
 
-    fn takes_runs(&self) -> bool {
-        true
-    }
-
     #[inline]
-    fn push_run(&mut self, _prefix: &[Value], run: &[Value]) -> bool {
+    fn push_run(&mut self, _row: &mut [Value], run: &[Value]) -> bool {
         // The run ascends: its last value is its largest.
         if run.last().is_some_and(|&k| k as usize >= TABLE_CAP) {
             self.unfit = true;
             return false;
         }
-        match self.tables {
-            // Two bags, the common case: one table, read straight.
-            [bag] => {
-                let (table, stamp) = (&bag.table[..TABLE_CAP], bag.stamp);
-                self.sum += run.iter().map(|&k| count_at(table, stamp, k)).sum::<u64>();
-            }
-            tables => {
-                for &k in run {
-                    self.sum += tables.iter().fold(1, |product, bag| product * bag.get(k));
-                }
-            }
+        for &k in run {
+            self.sum += self.tables.iter().fold(1, |product, bag| product * bag.get(k));
         }
         true
     }
@@ -436,19 +418,15 @@ struct Tally<'a> {
 
 impl RowSink for Tally<'_> {
     fn push(&mut self, row: &[Value]) -> bool {
-        self.push_run(&row[..row.len() - 1], &row[row.len() - 1..])
+        self.push_run(&mut [], &row[row.len() - 1..])
     }
 
     fn saturated(&self) -> bool {
         self.unfit
     }
 
-    fn takes_runs(&self) -> bool {
-        true
-    }
-
     #[inline]
-    fn push_run(&mut self, _prefix: &[Value], run: &[Value]) -> bool {
+    fn push_run(&mut self, _row: &mut [Value], run: &[Value]) -> bool {
         // The run ascends: its last value is its largest.
         // A count past 32 bits is as unfit as a value past the table.
         self.rows += run.len() as u64;

@@ -35,21 +35,22 @@
 //!   cursor opens, seeks or goes up there. A sink that only needs a count
 //!   ([`RowSink::counts_only`]) receives the intersection's size in one
 //!   [`RowSink::push_count`], and no value is written; any other sink
-//!   receives one row per matched value.
-//! * **A counted last level is counted in its parent's loop.** Under a
-//!   counting sink, the level above the last one does not descend into its
-//!   matches at all. Per match it reads each varying last-level
-//!   participant's child run straight from the offset its own intersection
-//!   recorded ([`TrieCursor::child_run_at`]), reads the invariant ones once
-//!   per loop, and counts their intersection with a count-only kernel
-//!   ([`leapfrog_count`], [`probe_count`]). No cursor moves for such a
-//!   match, so it records no `seeks`. Readiness is settled once per loop:
+//!   receives the matched values as one run ([`RowSink::push_run`]), read
+//!   straight from the trie when one participant holds the level.
+//! * **The last level is taken in its parent's loop.** The level above
+//!   the last one does not descend into its matches at all. Per match it
+//!   reads each varying last-level participant's child run straight from
+//!   the offset its own intersection recorded
+//!   ([`TrieCursor::child_run_at`]), reads the invariant ones once per
+//!   loop, and intersects them — under a counting sink with a count-only
+//!   kernel ([`leapfrog_count`], [`probe_count`]). No cursor moves for such
+//!   a match, so it records no `seeks`. Readiness is settled once per loop:
 //!   the invariant runs keep one key for the whole loop, so once their
 //!   tables are built (or found unfit) the remaining matches check only the
 //!   driver-length rule below, and probe or dance exactly where a
 //!   descending walk would. Only a last level with no free parent loop — a
-//!   one-level join, or a last level below a bound level — is counted on
-//!   its own.
+//!   one-level join, or a last level below a bound level — is taken on its
+//!   own.
 //! * **Runs that stand still are probed, not galloped into.** A
 //!   participant's run at level `L` is read under its cursor's position at
 //!   its previous participating level (bound levels count). When that level
@@ -728,14 +729,15 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
 
     /// The last level, a leaf of the traversal: its participants' child
     /// runs are intersected where they lie, and no cursor moves. A sink that
-    /// takes rows gets one per match, under the cursors as they stand; one
-    /// that takes runs, the matches in one run. A sink that only counts gets the intersection's size: once per match
-    /// of the level above when `matches` holds that level's intersection
-    /// offsets (`k` per match) — counted inside its loop, see the module
-    /// docs — and once otherwise, for a last level with no free level
-    /// above. Each count is produced, added to the output and pushed (when
-    /// not zero) as a row-by-row walk would; `false` once the walk or the
-    /// sink stops.
+    /// takes rows gets the matches as one run ([`RowSink::push_run`]); a
+    /// sink that only counts gets the intersection's size. Either gets them
+    /// once per match of the level above when `matches` holds that level's
+    /// intersection offsets (`k` per match) — taken inside its loop, see
+    /// the module docs — and once otherwise, for a last level with no free
+    /// level above. Each run or count is produced, added to the output and
+    /// pushed (when not empty) as a row-by-row walk would, except that a
+    /// sink stopping inside a run (`Limit`, `Exists`) has the whole run
+    /// added to the output; `false` once the walk or the sink stops.
     fn leaf<S: RowSink>(
         &self,
         matches: Option<(&[usize], usize)>,
@@ -752,7 +754,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             for (run, &p) in runs.iter_mut().zip(ps) {
                 *run = walk.cursors[p].child_run();
             }
-            if sink.takes_runs() {
+            if !sink.counts_only() {
                 // Taken in the parent's loop, the rows' prefix ends in the
                 // parent's match, which no cursor descended to.
                 let parent = matches.map(|_| self.layout.participants[level - 1][0]);
@@ -777,20 +779,10 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                     let n = run.len() as u64;
                     walk.produce(sink, level, n) && {
                         walk.counters.output_tuples += n;
-                        n == 0 || sink.push_run(&walk.binding[..level], run)
+                        n == 0 || sink.push_run(&mut walk.binding, run)
                     }
                 };
                 return self.each_leaf(matches, runs, walk, take);
-            }
-            if !sink.counts_only() {
-                values.clear();
-                self.intersect(level, runs, tables, &mut walk.counters, |v, _| values.push(v));
-                return walk.produce(sink, level, values.len() as u64)
-                    && values.iter().all(|&v| {
-                        walk.binding[level] = v;
-                        walk.counters.output_tuples += 1;
-                        sink.push(&walk.binding)
-                    });
             }
             let driver = self.layout.drivers[level];
             let shortest = driver.map_or(0, |d| shortest_invariant(runs, d));
@@ -982,10 +974,12 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     ///
     /// A walk given `lent` counters and cursor list counts into the one
     /// and keeps its cursors in the other, so it allocates nothing;
-    /// otherwise it makes both, the list first. Measured on `warm_modes`,
-    /// lending a cursor list to every walk moved the allocator's heap layout
-    /// enough to raise the peak RSS by about 4 MiB, so only the walks that
-    /// must not allocate — a counted join's bags — borrow one.
+    /// otherwise it makes both, the list first, the counters once the
+    /// frames are ready. That order is kept only for `warm_modes`' peak
+    /// RSS: lending to every walk, or making the counters first, moves the
+    /// allocator's heap layout enough to raise it by 3-6 MiB with the live
+    /// heap unchanged (see ROADMAP), so only the walks that must not
+    /// allocate — a counted join's bags — borrow.
     pub(crate) fn begin<'t>(
         &'t self,
         bound_attrs: &[Attr],
@@ -1177,12 +1171,9 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                             Step::Next(level)
                         } else if !walk.produce(sink, level, matches as u64) {
                             Step::Stop
-                        } else if below.len() == 1
-                            && below[0].pin.is_none()
-                            && (sink.counts_only() || sink.takes_runs())
-                        {
-                            // Counted, or taken in runs, in this level's
-                            // loop: nothing to descend into.
+                        } else if below.len() == 1 && below[0].pin.is_none() {
+                            // The last level is counted, or taken in runs,
+                            // in this level's loop: nothing to descend into.
                             frame.end = 0;
                             let matches = Some((&frame.positions[..], ps.len()));
                             let counted = self.leaf(matches, walk, sink, &mut below[0]);

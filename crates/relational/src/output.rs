@@ -189,20 +189,18 @@ pub trait RowSink {
         true
     }
 
-    /// Whether the sink takes the rows of a last level a run at a time
-    /// ([`RowSink::push_run`]) instead of row by row. A counting sink
-    /// ([`RowSink::counts_only`]) takes counts instead.
-    fn takes_runs(&self) -> bool {
-        false
-    }
-
-    /// Absorbs the rows `prefix ++ [v]` for every `v` of `run`, which is
-    /// strictly ascending; returns `false` once no further rows are wanted.
-    /// Producers call it only on a sink whose [`RowSink::takes_runs`] is
-    /// `true`, and count every value of the run as a row emitted; the
-    /// default absorbs nothing.
-    fn push_run(&mut self, _prefix: &[Value], _run: &[Value]) -> bool {
-        true
+    /// Absorbs the rows that differ only in their last value: `row` with
+    /// its last value set to each `v` of `run`, which is strictly
+    /// ascending; returns `false` once no further rows are wanted. `row`'s
+    /// last value is the sink's to overwrite. Producers that find a run of
+    /// last values at once — Leapfrog's last level — hand it over here; the
+    /// default pushes the rows one by one.
+    fn push_run(&mut self, row: &mut [Value], run: &[Value]) -> bool {
+        let last = row.len() - 1;
+        run.iter().all(|&v| {
+            row[last] = v;
+            self.push(row)
+        })
     }
 
     /// Told that the producer made `n` bindings of the `level`-th attribute
@@ -235,12 +233,8 @@ impl<S: RowSink + ?Sized> RowSink for &mut S {
         (**self).push_count(n)
     }
 
-    fn takes_runs(&self) -> bool {
-        (**self).takes_runs()
-    }
-
-    fn push_run(&mut self, prefix: &[Value], run: &[Value]) -> bool {
-        (**self).push_run(prefix, run)
+    fn push_run(&mut self, row: &mut [Value], run: &[Value]) -> bool {
+        (**self).push_run(row, run)
     }
 
     fn produced(&mut self, level: usize, n: u64) -> bool {
