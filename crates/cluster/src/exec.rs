@@ -198,8 +198,20 @@ impl Cluster {
             // Single hardware thread (or one worker): the logical workers
             // would serialize anyway, so run them inline and keep the
             // spawn/join cost off the serving hot path.
-            collect_report((0..n).map(|w| run_worker(tracer, name, &f, w)))
+            self.run_serial(tracer, name, f)
         }
+    }
+
+    /// [`Cluster::run_traced`] with every worker on the calling thread, one
+    /// after the other, under the same timing, span and panic isolation:
+    /// for a phase whose work fits one worker, so the workers after the
+    /// first find nothing left and no thread is spawned for them.
+    pub fn run_serial<R, F>(&self, tracer: &Tracer, name: &'static str, f: F) -> RunReport<R>
+    where
+        R: Send,
+        F: Fn(WorkerId, &mut SpanGuard<'_>) -> R + Sync,
+    {
+        collect_report((0..self.num_workers()).map(|w| run_worker(tracer, name, &f, w)))
     }
 
     /// Opens one shuffle round over the configured transport backend.

@@ -44,10 +44,12 @@ pub struct ClusterConfig {
     pub alpha_tuples_per_sec: f64,
     /// Per-worker memory budget in bytes. `None` disables the check.
     pub memory_limit_bytes: Option<usize>,
-    /// How shuffle rounds deliver routed batches: zero-copy in-process
-    /// hand-off (the default) or a length-prefixed serialized wire format
-    /// whose byte accounting is real encoded bytes. See
-    /// [`transport`].
+    /// How the routed shuffle (`adj_hcube::hcube_shuffle`) delivers its
+    /// batches: zero-copy in-process hand-off (the default) or a
+    /// length-prefixed serialized wire format whose byte accounting is real
+    /// encoded bytes. See [`transport`]. Serving never routes — its workers
+    /// share one trie per relation — so a served query reaches no transport
+    /// on either backend.
     pub transport: TransportKind,
 }
 

@@ -1,45 +1,57 @@
-//! Plan execution: pre-compute → shuffle → join, with the per-phase cost
+//! Plan execution: pre-compute → index → join, with the per-phase cost
 //! breakdown of Tables II–IV.
 //!
 //! [`execute_plan`] is the one plan executor, and every execution is a
 //! batch: an unbound query is one empty binding, a bound call one binding,
 //! the batch door many. What differs between its callers travels in two
-//! values. The bindings reach exactly one layer, Leapfrog, whose one driver
-//! ([`LeapfrogJoin::run_batch`]) visits them in sorted order over shared
-//! cursors. The [`ExecCtx`] carries the rest through *both* shuffle paths
-//! (the bag pre-computation rounds and the final one-round shuffle): under
-//! an [`IndexScope`](adj_hcube::IndexScope) warm relations reuse published
-//! `Arc<Trie>` handles instead of
-//! re-shuffling and rebuilding, warm bags skip their entire pre-computation
-//! round, and the report splits index work into built vs reused relations;
-//! the token and the tracer make the run cancellable and put it on a span
-//! timeline. `ExecCtx::default()` is the paper's one-shot run: cold,
-//! uncancellable, untraced.
+//! values. The bindings reach exactly one layer, Leapfrog, whose walks
+//! ([`LeapfrogJoin::walk`]) visit them in sorted order over shared
+//! cursors. The [`ExecCtx`] carries the rest through *both* kinds of round
+//! (the bag pre-computation rounds and the final round): under an
+//! [`IndexScope`](adj_hcube::IndexScope) warm relations reuse published
+//! `Arc<Trie>` handles instead of rebuilding, warm bags skip their entire
+//! pre-computation round, and the report splits index work into built vs
+//! reused relations; the token and the tracer make the run cancellable and
+//! put it on a span timeline. `ExecCtx::default()` is the one-shot run:
+//! cold, uncancellable, untraced.
 //!
-//! A warm execution pays for its join and little else. Each shuffle round
-//! of a plan — its share grid, its relations' layouts and index keys, and
-//! the layout of the join over its tries — is prepared once and kept on
-//! the plan, so a fully warm round only looks its keys up in the index
-//! cache. The buffers the join needs are lent by the executing
-//! [`Adj`]'s [`ScratchPool`](crate::ScratchPool).
+//! The cluster's workers are threads over one heap, so a round routes
+//! nothing: every worker joins over the same one trie per relation
+//! ([`index_round`]), and the workers divide the join's *driver* — an
+//! unbound join's first-attribute values, a bound call's or batch's sorted
+//! bindings — in morsels claimed from one atomic cursor ([`Morsels`]). No
+//! level above a morsel is walked twice, so the per-level counters are the
+//! same at every width. The plan's HCube share still prices each round:
+//! the report's `comm_tuples` is what the share would route.
+//!
+//! A warm execution pays for its join and little else. Each round of a
+//! plan — its share grid, its relations' layouts and index keys, and the
+//! layout of the join over its tries — is prepared once and kept on the
+//! plan, so a fully warm round only looks its keys up in the index cache.
+//! The buffers the join needs are lent by the executing [`Adj`]'s
+//! [`ScratchPool`](crate::ScratchPool).
 
 use crate::plan::{CountedRound, PlanRelation, QueryPlan, Round};
-use crate::scratch::{Lent, Scratch, KEPT_ROW_VALUES};
-use crate::{Adj, AdjConfig};
+use crate::scratch::{Claimed, Lent, Scratch, KEPT_ROW_VALUES};
+use crate::Adj;
 use adj_cluster::Cluster;
 use adj_faults::{CancelToken, FaultSite};
 use adj_hcube::{
-    hcube_shuffle_round, optimize_share, Artifact, ArtifactKey, ExecCtx, HCubeImpl, HCubePlan,
-    IndexLookup, RoundLayout, RoundOutput, ShareInput, ShuffleReport, ShuffleRound,
+    index_round, optimize_share, Artifact, ArtifactKey, ExecCtx, HCubePlan, IndexLookup,
+    IndexRound, RoundLayout, RoundOutput, ShareInput, ShuffleReport,
 };
-use adj_leapfrog::{CountSplit, JoinCounters, JoinLayout, JoinScratch, LeapfrogJoin};
-use adj_relational::relation::{merge_sorted_runs, merge_sorted_slices};
+use adj_leapfrog::{
+    BatchWalk, CountSplit, JoinCounters, JoinLayout, LeapfrogJoin, Morsels, Shared,
+};
 use adj_relational::{
     Attr, BoundValues, CountSink, Database, Error, ExistsSink, OutputMode, QueryOutput, Relation,
     Result, RowBuffer, RowSink, Schema, Trie, Value,
 };
 use adj_trace::COORDINATOR_LANE;
 use std::borrow::Cow;
+use std::iter::repeat_with;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -182,13 +194,15 @@ pub struct ExecutionReport {
     /// residual, [`ExecutionReport::total_secs`] accounts for the whole
     /// measured execution instead of silently hiding the gap.
     pub other_secs: f64,
-    /// Tuple copies moved by the final shuffle.
+    /// The paper's communication cost of the final round: the tuple copies
+    /// its HCube share routes for the relations this execution built
+    /// (`Σ |R| · dup(R, p)`); 0 for relations the index cache served.
     pub comm_tuples: u64,
-    /// Tuple copies moved while pre-computing.
+    /// The same communication cost of the pre-computing rounds.
     pub precompute_tuples: u64,
     /// Result cardinality.
     pub output_tuples: u64,
-    /// The share vector `p` used by the final shuffle.
+    /// The share vector `p` the plan solved for the final round.
     pub share: Vec<u32>,
     /// Share programs this execution solved itself, over its bag rounds and
     /// the final round; a round whose share came from the plan's memo of
@@ -196,37 +210,29 @@ pub struct ExecutionReport {
     pub share_solves: u64,
     /// Aggregated Leapfrog counters across workers.
     pub counters: JoinCounters,
-    /// Measured seconds spent building local trie indexes (across the
-    /// pre-compute rounds and the final shuffle). Already included in
+    /// Measured seconds spent building trie indexes (across the
+    /// pre-compute rounds and the final round). Already included in
     /// `precompute_secs`/`communication_secs`; broken out so the serving
     /// layer can watch the index-build vs index-reuse split.
     pub index_build_secs: f64,
     /// Relations whose indexes this execution built.
     pub index_relations_built: u64,
-    /// Relations served from the cross-query index cache (no shuffle, no
-    /// build).
+    /// Relations served from the cross-query index cache (no build).
     pub index_relations_reused: u64,
     /// Pre-computed bag relations served from the cache (their whole
-    /// shuffle + join round was skipped).
+    /// round and join were skipped).
     pub index_bags_reused: u64,
-    /// Delivered tuple copies per worker, summed over every shuffle round
-    /// of this execution (bag pre-computation + final). Cache-warm
-    /// relations move nothing and contribute nothing — the fill describes
-    /// what this execution actually shuffled.
+    /// The bindings each worker produced in the final join, summed over the
+    /// levels — how the morsels divided the work. A worker whose counted
+    /// bags were set aside for an enumeration reads 0.
     pub worker_tuples: Vec<u64>,
     /// Attributes this execution pinned to constants (inline literals plus
     /// bound parameters); 0 on unbound executions.
     pub bound_values: u64,
-    /// Encoded frame bytes that crossed the wire across every shuffle round
-    /// of this execution — real serialized bytes on the
-    /// `TransportKind::Serialized` backend, 0 on the zero-copy in-process
-    /// backend and on fully warm executions.
+    /// Encoded frame bytes that crossed the wire: 0, since an execution
+    /// shares its tries instead of routing them (the paper's routed
+    /// shuffle in `adj-hcube` reports its own).
     pub wire_bytes: u64,
-    /// Modeled seconds saved by pipelining shuffle delivery with trie
-    /// building, summed over this execution's shuffle rounds. Already
-    /// subtracted from `precompute_secs`/`communication_secs`; broken out so
-    /// the serving layer can watch the overlap win.
-    pub pipeline_overlap_secs: f64,
 }
 
 impl ExecutionReport {
@@ -241,13 +247,12 @@ impl ExecutionReport {
             + self.other_secs
     }
 
-    /// Tuple copies received by the fullest worker across this execution's
-    /// shuffles — the partition-fill ceiling.
+    /// The most bindings one worker produced — the straggler ceiling.
     pub fn max_partition_tuples(&self) -> u64 {
         self.worker_tuples.iter().copied().max().unwrap_or(0)
     }
 
-    /// Mean tuple copies per worker (0 when nothing moved).
+    /// Mean bindings per worker (0 when nothing was joined).
     pub fn mean_partition_tuples(&self) -> f64 {
         if self.worker_tuples.is_empty() {
             0.0
@@ -256,9 +261,8 @@ impl ExecutionReport {
         }
     }
 
-    /// `max / mean` partition fill — 1.0 is perfectly balanced; plain
-    /// hashing of a heavy hitter sends this to `O(N*)`. 0 when nothing
-    /// moved (fully warm execution).
+    /// `max / mean` bindings per worker — 1.0 is perfectly balanced. 0
+    /// when nothing was joined.
     pub fn partition_balance(&self) -> f64 {
         let mean = self.mean_partition_tuples();
         if mean == 0.0 {
@@ -279,53 +283,37 @@ impl ExecutionReport {
             .max(0.0);
     }
 
-    /// Folds one shuffle round's share solve, index build/reuse split and
-    /// fill into the report.
+    /// Folds one round's share solve and index build/reuse split into the
+    /// report.
     fn absorb_shuffle(&mut self, shuffle: &ShuffleReport, share_reused: bool) {
         self.share_solves += u64::from(!share_reused);
         self.index_build_secs += shuffle.build_secs;
         self.index_relations_built += shuffle.built_relations;
         self.index_relations_reused += shuffle.reused_relations;
-        if self.worker_tuples.len() < shuffle.worker_tuples.len() {
-            self.worker_tuples.resize(shuffle.worker_tuples.len(), 0);
-        }
-        for (acc, &w) in self.worker_tuples.iter_mut().zip(&shuffle.worker_tuples) {
-            *acc += w;
-        }
         self.wire_bytes += shuffle.wire_bytes;
-        self.pipeline_overlap_secs += shuffle.overlap_secs;
     }
 }
 
-/// Shapes what one binding's join gathered — the workers' rows over the
-/// plan's attribute `order`, merged into one sorted run by
-/// [`merge_sorted_runs`] (empty in the counting modes), and the `found`
-/// result cardinality — into the output `mode` asks for. Merged rows are
-/// already in normal form, so building the relation re-sorts nothing.
-/// `LIMIT 0`'s complete answer is this over nothing gathered.
+/// Shapes what one binding's join gathered — the rows over the plan's
+/// attribute `order`, already in order (empty in the counting modes), and
+/// the `found` result cardinality — into the output `mode` asks for. The
+/// gathered rows are in normal form, so building the relation re-sorts
+/// nothing. `LIMIT 0`'s complete answer is this over nothing gathered.
 fn shape_output(
     mode: OutputMode,
     order: &[Attr],
-    rows: Vec<Value>,
+    mut rows: Vec<Value>,
     found: u64,
 ) -> Result<QueryOutput> {
-    let limit = match mode {
+    match mode {
         OutputMode::Count => return Ok(QueryOutput::Count(found)),
         OutputMode::Exists => return Ok(QueryOutput::Exists(found > 0)),
-        OutputMode::Rows => usize::MAX,
-        OutputMode::Limit(n) => n,
-    };
-    let gathered = Relation::from_flat(Schema::new(order.to_vec())?, rows)?;
-    if gathered.len() <= limit {
-        return Ok(QueryOutput::Rows(gathered));
+        OutputMode::Rows => {}
+        // The first n rows in order: a canonical sample, the same at every
+        // width.
+        OutputMode::Limit(n) => rows.truncate(n.saturating_mul(order.len())),
     }
-    // Each worker contributed its n lexicographically-smallest local rows
-    // (Leapfrog enumerates in sorted order), so the union contains the n
-    // globally-smallest result rows. Keeping the first n of the normalized
-    // union therefore returns a *canonical* sample — deterministic across
-    // worker counts and partitionings, not an artifact of gather order.
-    let flat = gathered.flat()[..limit * order.len()].to_vec();
-    Ok(QueryOutput::Rows(Relation::from_flat(gathered.schema().clone(), flat)?))
+    Ok(QueryOutput::Rows(Relation::from_flat(Schema::new(order.to_vec())?, rows)?))
 }
 
 /// A worker's rows for one driver row, taken out of its buffer: a run the
@@ -342,47 +330,357 @@ fn take_rows(buf: &mut RowBuffer) -> Vec<Value> {
 
 /// The join's stop hook: polls the `JoinEnumerate` fault-injection site
 /// and `cancel`, stopping once the token fired.
-fn stop_hook(cancel: &CancelToken) -> impl FnMut() -> bool + '_ {
+fn stop_hook(cancel: &CancelToken) -> impl Fn() -> bool + '_ {
     || {
         adj_faults::inject(FaultSite::JoinEnumerate, cancel);
         cancel.check().is_err()
     }
 }
 
-/// One worker's join: [`LeapfrogJoin::run_batch`] over the `n_rows`
-/// driver rows (`rows`, flat), each row streaming into its own sink of
-/// `sinks` behind a [`CancelSink`] (the join's stop hook also polls the
-/// token between rows and every [`SINK_CHECK_EVERY`] bindings inside one);
-/// `finish` takes each completed row's sink, in row order. Returns the
-/// counters and how many leading rows completed.
-fn join_rows<S: RowSink>(
-    join: &LeapfrogJoin<Arc<Trie>>,
-    (bound_attrs, rows, n_rows): (&[Attr], &[Value], usize),
-    cancel: &CancelToken,
-    scratch: &mut JoinScratch,
-    sinks: impl Iterator<Item = S>,
-    finish: impl FnMut(S),
-) -> Result<(JoinCounters, usize)> {
-    let mut sinks: Vec<CancelSink<'_, S>> =
-        sinks.take(n_rows).map(|s| CancelSink::new(s, cancel)).collect();
-    let outcome = join.run_batch(bound_attrs, rows, &mut sinks, scratch, &mut stop_hook(cancel))?;
-    sinks.into_iter().take(outcome.completed).map(|s| s.inner).for_each(finish);
-    Ok((outcome.counters, outcome.completed))
+/// One morsel's rows of an unbound `Rows` or `Limit` join, appended to
+/// the worker's one buffer: the morsel takes at most `until` rows in all.
+struct MorselRows<'a> {
+    buf: &'a mut RowBuffer,
+    until: usize,
+}
+
+impl RowSink for MorselRows<'_> {
+    fn push(&mut self, row: &[Value]) -> bool {
+        self.buf.push(row) && self.buf.len() < self.until
+    }
+
+    fn saturated(&self) -> bool {
+        self.buf.saturated() || self.buf.len() >= self.until
+    }
+}
+
+/// The sink of an unbound `Exists` join: every worker's walks share one
+/// flag, so the first witness any of them finds saturates them all.
+struct Witness<'a>(&'a AtomicBool);
+
+impl RowSink for Witness<'_> {
+    fn push(&mut self, _row: &[Value]) -> bool {
+        self.0.store(true, Ordering::Relaxed);
+        false
+    }
+
+    fn saturated(&self) -> bool {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// What the workers of one join divide: `n` driver rows of the bound
+/// attributes `attrs` (flat, strictly ascending) — an unbound join's
+/// first-attribute values, or a bound call's or batch's sorted bindings.
+#[derive(Clone, Copy)]
+struct Drive<'a> {
+    attrs: &'a [Attr],
+    rows: &'a [Value],
+    n: usize,
+    /// The rows are an unbound join's first-attribute values: every row's
+    /// output is part of the one binding's.
+    unbound: bool,
+}
+
+/// The tries a count by bags reads, by input index
+/// ([`CountSplit::count`]).
+type BagInputs<'a> = dyn Fn(usize) -> &'a Trie + Sync + 'a;
+
+/// What every worker of one join shares besides its tries: the driver, the
+/// morsel cursors, the output mode and row budget, the unbound `Exists`
+/// flag, the token, and — for an unbound count that splits — the split
+/// and the tries its bags read.
+struct MorselJob<'a> {
+    drive: Drive<'a>,
+    mode: OutputMode,
+    budget: usize,
+    morsels: Morsels,
+    witness: AtomicBool,
+    cancel: &'a CancelToken,
+    counted: Option<(&'a CountSplit, &'a BagInputs<'a>)>,
+    /// The counted path's cursor over the first attribute's values; halted
+    /// once a worker meets a separator value past the tables.
+    counted_morsels: Morsels,
 }
 
 /// What one worker hands the gather: the scratch its sinks filled (kept
-/// until the gather read it), its counters, and how many leading driver
-/// rows it completed.
-type WorkerJoin<'p> = (Lent<'p>, JoinCounters, usize);
+/// until the gather read it), its counters, whether every morsel it
+/// claimed ran to its end, and whether it counted by bags.
+struct WorkerJoin<'p> {
+    lent: Lent<'p>,
+    counters: JoinCounters,
+    finished: bool,
+    counted: bool,
+    /// The first of its claimed morsels the gather has not read yet.
+    next: usize,
+}
 
-/// The workers' joins, once the gather checked that none failed.
-fn succeeded<'a, 'p>(
-    workers: &'a mut [std::result::Result<Result<WorkerJoin<'p>>, adj_cluster::WorkerFailure>],
-) -> impl Iterator<Item = &'a mut WorkerJoin<'p>> {
-    workers.iter_mut().map(|r| match r {
-        Ok(Ok(joined)) => joined,
-        _ => unreachable!("every worker succeeded"),
-    })
+impl WorkerJoin<'_> {
+    /// The worker's record of morsel `m`, if it claimed it: the gather
+    /// asks for the morsels in ascending order, as they were claimed.
+    fn take_claim(&mut self, m: usize) -> Option<Claimed> {
+        let claim = *self.lent.claimed.get(self.next).filter(|c| c.morsel == m)?;
+        self.next += 1;
+        Some(claim)
+    }
+}
+
+/// Claims morsels of `n` driver rows until none is left, running
+/// `run(morsel, rows)` on each: it returns how far into the rows the walk
+/// got and where the morsel's rows end in the worker's buffer. Records each
+/// claim; `false` once a walk stopped early (the stop hook fired).
+fn claim_morsels(
+    morsels: &Morsels,
+    n: usize,
+    claimed: &mut Vec<Claimed>,
+    mut run: impl FnMut(usize, Range<usize>) -> (usize, usize),
+) -> bool {
+    while let Some((morsel, rows)) = morsels.claim(n) {
+        let (reached, end) = run(morsel, rows.clone());
+        claimed.push(Claimed { morsel, done: reached - rows.start, end });
+        if reached < rows.end {
+            return false;
+        }
+    }
+    true
+}
+
+/// One worker's share of a join over tries every worker shares: it claims
+/// morsels of the driver from the shared cursor and advances one walk over
+/// each ([`LeapfrogJoin::walk`]); an unbound count that splits is counted
+/// by bags first, over morsels of its own, and enumerated only when a
+/// worker meets a separator value past the tables.
+fn walk_morsels<'p>(
+    join: &LeapfrogJoin<Arc<Trie>>,
+    shared: &MorselJob<'_>,
+    mut lent: Lent<'p>,
+) -> Result<WorkerJoin<'p>> {
+    let MorselJob { drive, mode, budget, ref morsels, ref witness, cancel, .. } = *shared;
+    let stop = stop_hook(cancel);
+    let width = join.levels();
+    let Scratch { join: scratch, rows: bufs, found, claimed, .. } = &mut *lent;
+    claimed.clear();
+    found.clear();
+    if let Some((split, input)) = shared.counted {
+        let by_bags = split.count(input, scratch, &mut || stop(), &shared.counted_morsels)?;
+        if let Some(outcome) = by_bags.filter(|_| !shared.counted_morsels.halted()) {
+            found.push(outcome.counters.output_tuples);
+            let finished = outcome.completed == 1;
+            let counters = outcome.counters;
+            return Ok(WorkerJoin { lent, counters, finished, counted: true, next: 0 });
+        }
+    }
+    let (rows, n) = (drive.rows, drive.n);
+    let mut walk = join.walk(drive.attrs, scratch, &stop)?;
+    let finished = match (drive.unbound, mode) {
+        (true, OutputMode::Rows | OutputMode::Limit(_)) => {
+            // Per morsel at most `limit` rows: the first `limit` rows of
+            // the result lie in the morsels up to the one where a worker's
+            // buffer reaches `limit`, so no later morsel is handed out.
+            let (limit, cap) = match mode {
+                OutputMode::Limit(limit) => (limit, usize::MAX),
+                _ => (usize::MAX, budget),
+            };
+            if bufs.is_empty() {
+                bufs.push(RowBuffer::new(width));
+            }
+            let buf = &mut bufs[0];
+            buf.reset(width, cap, usize::MAX);
+            claim_morsels(morsels, n, claimed, |morsel, at| {
+                let until = buf.len().saturating_add(limit);
+                let mut sink =
+                    Shared(CancelSink::new(MorselRows { buf: &mut *buf, until }, cancel));
+                let reached = walk.advance(rows, &mut sink, at.start, at.end);
+                if buf.over_budget() {
+                    morsels.halt();
+                } else if buf.len() >= limit {
+                    morsels.stop_after(morsel);
+                }
+                (reached, buf.flat().len())
+            })
+        }
+        (true, OutputMode::Count) => {
+            let mut sink = Shared(CancelSink::new(CountSink::new(), cancel));
+            let finished = claim_morsels(morsels, n, claimed, |_, at| {
+                (walk.advance(rows, &mut sink, at.start, at.end), 0)
+            });
+            found.push(sink.0.inner.count());
+            finished
+        }
+        (true, OutputMode::Exists) => {
+            let mut sink = Shared(CancelSink::new(Witness(witness), cancel));
+            let finished = claim_morsels(morsels, n, claimed, |_, at| {
+                let reached = walk.advance(rows, &mut sink, at.start, at.end);
+                if witness.load(Ordering::Relaxed) {
+                    morsels.halt();
+                }
+                (reached, 0)
+            });
+            found.push(u64::from(witness.load(Ordering::Relaxed)));
+            finished
+        }
+        (false, OutputMode::Rows | OutputMode::Limit(_)) => {
+            let limit = if let OutputMode::Limit(n) = mode { n } else { usize::MAX };
+            for buf in bufs.iter_mut().take(n) {
+                buf.reset(width, budget, limit);
+            }
+            let fresh = || RowBuffer::new(width).with_budget(budget).with_limit(limit);
+            bufs.resize_with(n.max(bufs.len()), fresh);
+            per_row(&mut walk, shared, claimed, bufs.iter_mut()).0
+        }
+        (false, OutputMode::Count) => {
+            let (finished, sinks) =
+                per_row(&mut walk, shared, claimed, repeat_with(CountSink::new));
+            found.extend(sinks.iter().map(|s| s.inner.count()));
+            finished
+        }
+        (false, OutputMode::Exists) => {
+            let (finished, sinks) =
+                per_row(&mut walk, shared, claimed, repeat_with(ExistsSink::new));
+            found.extend(sinks.iter().map(|s| u64::from(s.inner.found())));
+            finished
+        }
+    };
+    let counters = walk.finish();
+    Ok(WorkerJoin { lent, counters, finished, counted: false, next: 0 })
+}
+
+/// The morsels a worker claims of a bound call's or batch's driver, each
+/// driver row streaming into its own sink of `sinks`; returns whether it
+/// ran them all, and the sinks.
+fn per_row<'s, S: RowSink>(
+    walk: &mut BatchWalk<'_, Arc<Trie>>,
+    job: &MorselJob<'s>,
+    claimed: &mut Vec<Claimed>,
+    sinks: impl Iterator<Item = S>,
+) -> (bool, Vec<CancelSink<'s, S>>) {
+    let Drive { rows, n, .. } = job.drive;
+    let mut sinks: Vec<CancelSink<'s, S>> =
+        sinks.take(n).map(|sink| CancelSink::new(sink, job.cancel)).collect();
+    let finished = claim_morsels(&job.morsels, n, claimed, |_, at| {
+        (walk.advance(rows, &mut sinks[at.clone()], at.start, at.end), 0)
+    });
+    (finished, sinks)
+}
+
+/// One worker's slot of a join's run: its join, its own failure, or its
+/// caught panic.
+type WorkerSlot<'p> = std::result::Result<Result<WorkerJoin<'p>>, adj_cluster::WorkerFailure>;
+
+/// The workers' joins, once none failed: the run's slots as it returned
+/// them (every one holds a join), so the gather allocates no list of its
+/// own.
+struct Joined<'p>(Vec<WorkerSlot<'p>>);
+
+impl<'p> Joined<'p> {
+    fn iter(&self) -> impl Iterator<Item = &WorkerJoin<'p>> {
+        self.0.iter().map(|slot| match slot {
+            Ok(Ok(joined)) => joined,
+            _ => unreachable!("every worker succeeded"),
+        })
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut WorkerJoin<'p>> {
+        self.0.iter_mut().map(|slot| match slot {
+            Ok(Ok(joined)) => joined,
+            _ => unreachable!("every worker succeeded"),
+        })
+    }
+}
+
+/// Runs `join` on every worker of `cluster` (on the calling thread alone
+/// when the driver fits one morsel), each worker walking the morsels it
+/// claims ([`walk_morsels`]) and annotating its `span_name` span; returns
+/// the workers' joins, each worker's seconds and the run's makespan, or
+/// the first failure — a lost worker leaves every binding incomplete.
+fn run_workers<'p>(
+    cluster: &Cluster,
+    pool: &'p crate::ScratchPool,
+    tracer: &adj_trace::Tracer,
+    span_name: &'static str,
+    join: &LeapfrogJoin<Arc<Trie>>,
+    shared: &MorselJob<'_>,
+) -> Result<(Joined<'p>, Vec<f64>, f64)> {
+    let cancel = shared.cancel;
+    let work = |_w: usize, span: &mut adj_trace::SpanGuard<'_>| -> Result<WorkerJoin<'p>> {
+        // At least one fault/cancellation checkpoint per worker, then the
+        // walk's stop hook around every driver row and once per
+        // SINK_CHECK_EVERY bindings inside one, and one per
+        // SINK_CHECK_EVERY emitted rows inside the sinks.
+        adj_faults::inject(FaultSite::JoinEnumerate, cancel);
+        cancel.check().map_err(cancel_err)?;
+        let joined = walk_morsels(join, shared, pool.lend())?;
+        if span.is_recording() {
+            let c = &joined.counters;
+            for (i, &t) in c.tuples_per_level.iter().enumerate() {
+                span.arg(level_key("tuples", i), t);
+            }
+            for (i, &p) in c.stats.probes_per_level.iter().enumerate() {
+                span.arg(level_key("probes", i), p);
+            }
+            span.arg("output_tuples", c.output_tuples);
+            span.arg("intersect_ops", c.intersect_ops);
+            span.arg("seeks", c.stats.total_seeks());
+            span.arg("opens", c.stats.total_opens());
+            span.arg("open_ats", c.stats.total_open_ats());
+            span.arg("probes", c.stats.total_probes());
+            span.arg("table_builds", c.stats.table_builds);
+            span.arg("table_bytes", c.stats.table_bytes);
+            let claimed = &joined.lent.claimed;
+            span.arg("morsels", claimed.len() as u64);
+            span.arg("bindings_completed", claimed.iter().map(|c| c.done as u64).sum::<u64>());
+            span.arg("counted", u64::from(joined.counted));
+        }
+        Ok(joined)
+    };
+    let run = if Morsels::count(shared.drive.n) <= 1 {
+        cluster.run_serial(tracer, span_name, work)
+    } else {
+        cluster.run_traced(tracer, span_name, work)
+    };
+    let mut results = run.results;
+    if let Some(failed) = results.iter().position(|r| !matches!(r, Ok(Ok(_)))) {
+        return Err(match results.swap_remove(failed) {
+            Err(panicked) => panicked.into(),
+            Ok(Err(e)) => e,
+            Ok(Ok(_)) => unreachable!("the worker failed"),
+        });
+    }
+    Ok((Joined(results), run.worker_secs, run.makespan_secs))
+}
+
+/// The rows of an unbound `Rows` or `Limit` join: each morsel's rows, in
+/// morsel order — already the result's order — and at most `limit` of
+/// them. The workers' buffers hold their morsels' rows one after the
+/// other; a lone worker's buffer is the result as it stands.
+fn gather_rows(workers: &mut Joined<'_>, n: usize, limit: usize, width: usize) -> Vec<Value> {
+    let holding = workers.iter().filter(|w| !w.lent.claimed.is_empty()).count();
+    let mut rows = match holding {
+        0 => Vec::new(),
+        1 => {
+            let only = workers.iter_mut().find(|w| !w.lent.claimed.is_empty());
+            take_rows(&mut only.expect("one worker holds rows").lent.rows[0])
+        }
+        _ => {
+            let held = workers.iter().map(|w| w.lent.rows[0].flat().len()).sum::<usize>();
+            let mut rows = Vec::with_capacity(held.min(limit.saturating_mul(width)));
+            for m in 0..Morsels::count(n) {
+                for w in workers.iter_mut() {
+                    let start = w.next.checked_sub(1).map_or(0, |i| w.lent.claimed[i].end);
+                    if let Some(claim) = w.take_claim(m) {
+                        rows.extend_from_slice(&w.lent.rows[0].flat()[start..claim.end]);
+                        break;
+                    }
+                }
+                if rows.len() >= limit.saturating_mul(width) {
+                    break;
+                }
+            }
+            rows
+        }
+    };
+    rows.truncate(limit.saturating_mul(width));
+    rows
 }
 
 /// Executes a query plan on `adj`'s cluster, under its configuration,
@@ -393,10 +691,10 @@ fn succeeded<'a, 'p>(
 ///
 /// **`adj`** also lends the execution its buffers
 /// ([`ScratchPool`](crate::ScratchPool)): the coordinator's driver rows and
-/// every worker's Leapfrog state, cursor stacks and row buffers are
-/// borrowed for the call and handed back at its end, so a warm bound call
-/// allocates little besides its answer. An `Adj` made for one call lends
-/// from a fresh pool; the path is the same.
+/// trie handles and every worker's Leapfrog state, cursor stacks and row
+/// buffers are borrowed for the call and handed back at its end, so a warm
+/// bound call allocates little besides its answer. An `Adj` made for one
+/// call lends from a fresh pool; the path is the same.
 ///
 /// **`bindings`** are the submissions' bound values, all over one attribute
 /// set ([`Error::SchemaMismatch`] otherwise): `&[BoundValues::none()]` is
@@ -411,76 +709,82 @@ fn succeeded<'a, 'p>(
 ///
 /// The bound values reach exactly one layer, **Leapfrog**. Everything
 /// before the join runs once for the whole slice, as for the unbound
-/// query: the share program, the bag rounds and the HCube shuffle never see
+/// query: the share program, the bag rounds and the index round never see
 /// a binding, so every binding of a shape, any batch of them and the plain
-/// query join over one cached, patchable index family. Each worker then
-/// drives one [`LeapfrogJoin::run_batch`] over its local tries: the
-/// bindings, projected onto the bound levels of the plan's order and
-/// sorted, are visited in order, bound-prefix cursors galloping forward
-/// from one binding to the next. Bindings that project onto one driver row
-/// (duplicates, or bindings that differ only in an attribute the order
-/// lacks) execute once and share its output. Results are byte-identical to
-/// running the unbound
-/// query and keeping the rows whose bound attributes equal each binding's
-/// values.
+/// query join over one cached, patchable index family. The join runs over
+/// one trie per relation that every worker shares, and the workers divide
+/// its **driver** in morsels of [`MORSEL_ROWS`](adj_leapfrog::MORSEL_ROWS)
+/// rows claimed from one atomic cursor ([`Morsels`]), each worker
+/// advancing one walk ([`LeapfrogJoin::walk`]) over the morsels it claims.
+/// A bound call's or batch's driver is its bindings, projected onto the
+/// bound levels of the plan's order and sorted; bound-prefix cursors gallop
+/// forward from one binding to the next. Bindings that project onto one
+/// driver row (duplicates, or bindings that differ only in an attribute
+/// the order lacks) execute once and share its output. An unbound join's
+/// driver is its first attribute's values, taken from the shortest root
+/// run among the relations that hold it. A driver that fits one morsel runs
+/// on the calling thread, at any width. Results are byte-identical to
+/// running the unbound query and keeping the rows whose bound attributes
+/// equal each binding's values, and the same at every width.
 ///
-/// The mode governs what each worker ships back through the gather path:
+/// The mode governs what each worker hands the gather:
 ///
-/// * [`OutputMode::Rows`] — every worker buffers its result rows (under the
-///   `max_intermediate_tuples` budget) and the coordinator merges the
-///   workers' sorted runs into one [`Relation`] per binding;
-/// * [`OutputMode::Count`] — workers stream into a [`CountSink`] and ship
+/// * [`OutputMode::Rows`] — every worker buffers its morsels' rows (under
+///   the `max_intermediate_tuples` budget), and the coordinator
+///   concatenates them in morsel order, which is the result's order: no
+///   merge, no sort;
+/// * [`OutputMode::Count`] — workers stream into a [`CountSink`] and hand
 ///   back only their counts; no result tuple is ever materialized or
 ///   gathered (Leapfrog counts the last level by intersection size). An
 ///   unbound count whose relations split around two attributes
-///   ([`QueryPlan::count_split`]) is not enumerated at all: each worker
-///   walks each bag of the split through the same traversal, counting its
-///   rows into a dense table keyed by the separator, and adds the tables'
-///   dot product per value of the order's first attribute. The relations a
-///   bag reads under an order of its own are shuffled once more, into
+///   ([`QueryPlan::count_split`]) is not enumerated at all: the workers
+///   divide the order's first attribute's values in morsels, walk each bag
+///   of the split through the same traversal, counting its rows into a
+///   dense table keyed by the separator, and add the tables' dot product
+///   per value. The relations a bag reads under an order of its own get
 ///   index entries of their own. A worker that meets a separator value past
-///   the tables enumerates instead;
-/// * [`OutputMode::Limit`]`(n)` — each worker's enumeration of a binding
-///   short-circuits after `n` local rows; the coordinator merges and
-///   truncates to `n` (HCube assigns every output tuple to exactly one
-///   worker, so the merge drops nothing);
-/// * [`OutputMode::Exists`] — workers short-circuit at their first witness
-///   and ship back a bit.
+///   the tables stops every worker's count, and the join is enumerated;
+/// * [`OutputMode::Limit`]`(n)` — exactly the first `n` rows of `Rows`:
+///   each morsel stops after `n` rows, and no morsel past the one where a
+///   worker holds `n` rows is handed out;
+/// * [`OutputMode::Exists`] — the first witness any worker finds stops
+///   every worker; they hand back a bit.
 ///
 /// The outer `Err` is a whole-call failure (unbound parameter, conflicting
-/// constants, shuffle failure, worker panic); a binding's own failure (an
-/// over-budget result, a cancellation) is its slot's `Err`.
+/// constants, index build failure, worker panic); a binding's own failure
+/// (an over-budget result, a cancellation) is its slot's `Err`.
 ///
 /// **`ctx.index`**: warm relations join over the cache's `Arc<Trie>`
-/// handles (skipping their shuffle + sort + build), warm bags skip their
-/// whole pre-computation round, and cold artifacts are built once and
-/// published. `None` runs fully cold.
+/// handles (skipping their sort + build), warm bags skip their whole
+/// pre-computation round, and cold artifacts are built once and published.
+/// `None` runs fully cold.
 ///
 /// **`ctx.cancel`** is polled at every fault-injection checkpoint of the
-/// execution — per cold atom and every few thousand routed rows in the
-/// shuffle, per worker, between bindings and every `SINK_CHECK_EVERY`
-/// (1024) bindings above the last level or emitted rows during join
-/// enumeration — so a fired token (explicit cancel or elapsed deadline)
-/// aborts within a bounded amount of work. Before the join that fails the
-/// call with [`Error::Cancelled`]; during it, bindings every worker
-/// completed keep their results and the rest carry [`Error::Cancelled`].
-/// A cancelled execution never publishes partial artifacts: the shuffle
-/// checks the token before inserting into the index cache, and bag
-/// publication happens only after its round completed. Worker panics are
-/// isolated per slot ([`adj_cluster::WorkerFailure`]) and surface as
+/// execution — per cold relation and every few thousand rows a build reads,
+/// per worker, between driver rows and every `SINK_CHECK_EVERY` (1024)
+/// bindings above the last level or emitted rows during join enumeration —
+/// so a fired token (explicit cancel or elapsed deadline) aborts within a
+/// bounded amount of work. Before the join that fails the call with
+/// [`Error::Cancelled`]; during it, the bindings of the longest prefix of
+/// completed driver rows keep their results and the rest carry
+/// [`Error::Cancelled`]. A cancelled execution never publishes partial
+/// artifacts: the index round checks the token before inserting into the
+/// index cache, and bag publication happens only after its round
+/// completed. Worker panics are isolated per slot
+/// ([`adj_cluster::WorkerFailure`]) and surface as
 /// [`Error::WorkerPanicked`].
 ///
 /// **`ctx.tracer`** records a `precompute` span per bag round
 /// (`bag_cache_hit` instants for rounds the bag cache skipped), a
-/// `share_solve` span before each shuffle whose share program this
-/// execution solved (a reused share is a `share_reused` arg on the
-/// `shuffle` span instead), the shuffle's own spans (see
-/// [`hcube_shuffle_round`]), a `computation` span over the worker dispatch
-/// with one `join` span per worker lane (annotated with that worker's
-/// per-level tuples and probes, output tuples, trie-operation counts, dance
-/// gallops, table probes, value-table builds and completed bindings), and
-/// a `gather` span over the merge and the shaping of the outputs
-/// (per-level tuples, seeks and probes, binding counts and output tuples).
+/// `share_solve` span before each round whose share program this execution
+/// solved (a reused share is a `share_reused` arg on the `shuffle` span
+/// instead), the index round's own spans (see [`index_round`]), a
+/// `computation` span over the worker dispatch with one `join` span per
+/// worker lane (annotated with that worker's per-level tuples and probes,
+/// output tuples, trie-operation counts, dance gallops, table probes,
+/// value-table builds, morsels and completed bindings), and a `gather` span
+/// over the concatenation and the shaping of the outputs (per-level
+/// tuples, seeks and probes, binding counts and output tuples).
 pub fn execute_plan(
     adj: &Adj,
     db: &Database,
@@ -514,7 +818,7 @@ pub fn execute_plan(
 
     // `LIMIT 0` is a complete answer by definition: the empty relation over
     // the plan's schema. Short-circuit before any admission-charged work —
-    // no share optimization, no shuffle, no worker dispatch.
+    // no share optimization, no index round, no worker dispatch.
     if mode == OutputMode::Limit(0) {
         let empty = shape_output(mode, &plan.order, Vec::new(), 0)?;
         report.close(t_exec);
@@ -523,21 +827,21 @@ pub fn execute_plan(
 
     // An unbound count whose join splits is counted by bags over the
     // round's tries plus the reordered ones.
-    let by_bags =
-        mode == OutputMode::Count && !plan.order.iter().any(|&a| value(first, a).is_some());
-    let (round, shuffled, reordered) =
-        prepare_round(cluster, db, plan, config, by_bags, &mut report, ctx)?;
-    let counted = round.counted.as_ref().map(|c| &c.split).zip(reordered.as_ref());
+    let unbound = !plan.order.iter().any(|&a| value(first, a).is_some());
+    let by_bags = mode == OutputMode::Count && unbound;
+    let (round, indexed, reordered) = prepare_round(adj, db, plan, by_bags, &mut report, ctx)?;
 
-    // The driver rows `run_batch` visits: each binding's values on the
-    // bound levels of the plan's order (every binding has a value on each),
-    // flat, ascending and distinct. Bound attributes outside the order touch
-    // no relation of this plan and are ignored. Bindings that arrive in that
-    // order — one binding, the batch door's uniques — are the rows as they
-    // are; others are sorted and deduplicated, `row_of[j]` naming binding
-    // `j`'s row. The rows live in the coordinator's lent scratch.
-    let mut driver = pool.lend();
-    let Scratch { bound_attrs, driver_rows, row_of, .. } = &mut *driver;
+    // The driver rows the workers divide. Bound: each binding's values on
+    // the bound levels of the plan's order (every binding has a value on
+    // each), flat, ascending and distinct. Bound attributes outside the
+    // order touch no relation of this plan and are ignored. Bindings that
+    // arrive in that order — one binding, the batch door's uniques — are
+    // the rows as they are; others are sorted and deduplicated, `row_of[j]`
+    // naming binding `j`'s row. The rows and the join's trie handles live
+    // in the coordinator's lent scratch. Unbound: the first attribute's
+    // values, read from the tries in place.
+    let mut coordinator = pool.lend();
+    let Scratch { bound_attrs, driver_rows, row_of, tries, .. } = &mut *coordinator;
     bound_attrs.clear();
     bound_attrs.extend(plan.order.iter().copied().filter(|&a| value(first, a).is_some()));
     driver_rows.clear();
@@ -545,7 +849,9 @@ pub fn execute_plan(
     let bound_attrs = bound_attrs.as_slice();
     let key = |j: usize| bound_attrs.iter().map(move |&a| value(&bindings[j], a));
     let mut n_rows = bindings.len();
-    if (1..bindings.len()).all(|j| key(j - 1).lt(key(j))) {
+    if unbound {
+        // The driver is read off the join's tries below.
+    } else if (1..bindings.len()).all(|j| key(j - 1).lt(key(j))) {
         driver_rows.extend((0..bindings.len()).flat_map(key).flatten());
     } else {
         let mut by_key: Vec<usize> = (0..bindings.len()).collect();
@@ -560,159 +866,140 @@ pub fn execute_plan(
             row_of[j] = n_rows - 1;
         }
     }
+    tries.extend(indexed.tries().cloned());
+    let join = LeapfrogJoin::with_layout(Arc::clone(&round.join), std::mem::take(tries))?;
+    let drive = match unbound {
+        true => {
+            let values = join.first_values();
+            Drive { attrs: &plan.order[..1], rows: values, n: values.len(), unbound }
+        }
+        false => Drive { attrs: bound_attrs, rows: driver_rows, n: n_rows, unbound },
+    };
 
+    // The counted path reads the round's tries and the reordered ones
+    // after them.
+    let n_indexed = indexed.relations.len();
+    let input = |i: usize| -> &Trie {
+        match i.checked_sub(n_indexed) {
+            None => &indexed.relations[i].trie,
+            Some(j) => &reordered.as_ref().expect("a counted round").relations[j].trie,
+        }
+    };
+    let split = round.counted.as_ref().map(|c| &c.split).filter(|_| reordered.is_some());
     let budget = config.max_intermediate_tuples;
-    let order = &plan.order;
-    let width = order.len();
-    let rows = (bound_attrs, driver_rows.as_slice(), n_rows);
+    let job = MorselJob {
+        drive,
+        mode,
+        budget,
+        morsels: Morsels::new(),
+        witness: AtomicBool::new(false),
+        cancel,
+        counted: split.map(|split| (split, &input as &BagInputs<'_>)),
+        counted_morsels: Morsels::new(),
+    };
     let mut computation_span = tracer.span(COORDINATOR_LANE, "computation");
     if computation_span.is_recording() {
-        computation_span.arg("counted", u64::from(counted.is_some()));
+        computation_span.arg("counted", u64::from(split.is_some()));
     }
-    let run = cluster.run_traced(tracer, "join", |w, span| -> Result<WorkerJoin<'_>> {
-        // At least one fault/cancellation checkpoint per worker, then the
-        // driver's stop hook around every binding and once per
-        // SINK_CHECK_EVERY bindings inside one, and one per
-        // SINK_CHECK_EVERY emitted rows inside the sinks.
-        adj_faults::inject(FaultSite::JoinEnumerate, cancel);
-        cancel.check().map_err(cancel_err)?;
-        let mut lent = pool.lend();
-        lent.tries.extend(shuffled.worker_tries(w).cloned());
-        let tries = std::mem::take(&mut lent.tries);
-        let join = LeapfrogJoin::with_layout(Arc::clone(&round.join), tries)?;
-        lent.found.clear();
-        // A count by bags over the round's tries and the reordered ones
-        // after them, unless a separator value is past its tables.
-        let by_bags = match counted {
-            Some((split, reordered)) => {
-                let n = shuffled.relations.len();
-                let trie = |i: usize| -> &Trie {
-                    match i.checked_sub(n) {
-                        None => &shuffled.relations[i].tries[w],
-                        Some(j) => &reordered.relations[j].tries[w],
-                    }
-                };
-                split.count(trie, &mut lent.join, &mut stop_hook(cancel))?
-            }
-            None => None,
-        };
-        let counted_here = by_bags.is_some();
-        let Scratch { join: scratch, rows: bufs, found, .. } = &mut *lent;
-        let joined = match (by_bags, mode) {
-            (Some(outcome), _) => {
-                if outcome.completed == 1 {
-                    found.push(outcome.counters.output_tuples);
-                }
-                Ok((outcome.counters, outcome.completed))
-            }
-            (None, OutputMode::Rows | OutputMode::Limit(_)) => {
-                let limit = if let OutputMode::Limit(n) = mode { n } else { usize::MAX };
-                for buf in bufs.iter_mut().take(n_rows) {
-                    buf.reset(width, budget, limit);
-                }
-                let fresh = || RowBuffer::new(width).with_budget(budget).with_limit(limit);
-                bufs.resize_with(n_rows.max(bufs.len()), fresh);
-                join_rows(&join, rows, cancel, scratch, bufs.iter_mut(), |_| {})
-            }
-            (None, OutputMode::Count) => {
-                let sinks = std::iter::repeat_with(CountSink::new);
-                join_rows(&join, rows, cancel, scratch, sinks, |s| found.push(s.count()))
-            }
-            (None, OutputMode::Exists) => {
-                let sinks = std::iter::repeat_with(ExistsSink::new);
-                join_rows(&join, rows, cancel, scratch, sinks, |s| found.push(s.found().into()))
-            }
-        };
-        // The handles go back with the scratch, which empties them.
-        lent.tries = join.into_tries();
-        let (counters, completed) = joined?;
-        if span.is_recording() {
-            let c = &counters;
-            for (i, &t) in c.tuples_per_level.iter().enumerate() {
-                span.arg(level_key("tuples", i), t);
-            }
-            for (i, &p) in c.stats.probes_per_level.iter().enumerate() {
-                span.arg(level_key("probes", i), p);
-            }
-            span.arg("output_tuples", c.output_tuples);
-            span.arg("intersect_ops", c.intersect_ops);
-            span.arg("seeks", c.stats.total_seeks());
-            span.arg("opens", c.stats.total_opens());
-            span.arg("open_ats", c.stats.total_open_ats());
-            span.arg("probes", c.stats.total_probes());
-            span.arg("table_builds", c.stats.table_builds);
-            span.arg("table_bytes", c.stats.table_bytes);
-            span.arg("bindings_completed", completed as u64);
-            span.arg("counted", u64::from(counted_here));
-        }
-        Ok((lent, counters, completed))
-    });
-    report.computation_secs = run.makespan_secs;
+    let joined = run_workers(cluster, pool, tracer, "join", &join, &job);
     drop(computation_span);
+    let (mut workers, worker_secs, makespan) = joined?;
+    report.computation_secs = makespan;
 
-    // Gather: the first failed worker fails the whole call — a lost worker
-    // means every binding's partition is incomplete. Outer layer: panic
-    // isolation; inner layer: the worker's own typed result.
+    // Gather. A count by bags stands unless a worker met a separator value
+    // past the tables; then the workers that enumerated hold the answer.
     let mut gather_span = tracer.span(COORDINATOR_LANE, "gather");
-    let mut workers = run.results;
-    if let Some(failed) = workers.iter().position(|r| !matches!(r, Ok(Ok(_)))) {
-        return Err(match workers.swap_remove(failed) {
-            Err(panicked) => panicked.into(),
-            Ok(Err(e)) => e,
-            Ok(Ok(_)) => unreachable!("the worker failed"),
-        });
-    }
-    // Counters merge across workers (the first worker's are the sum's
-    // start), and a binding's result is complete only when every worker
-    // enumerated its partition of it: the *minimum* completion watermark.
+    let by_bags = split.is_some() && !job.counted_morsels.halted();
+    let width = plan.order.len();
     let mut counters: Option<JoinCounters> = None;
-    let mut completed = n_rows;
-    for (_, c, done) in succeeded(&mut workers) {
-        match &mut counters {
-            None => counters = Some(std::mem::take(c)),
-            Some(sum) => sum.merge(c),
+    // The per-worker bindings take the per-worker seconds' buffer.
+    report.worker_tuples = worker_secs.into_iter().map(|_| 0).collect();
+    for (w, bindings) in workers.iter_mut().zip(&mut report.worker_tuples) {
+        if w.counted != by_bags {
+            continue;
         }
-        completed = completed.min(*done);
+        *bindings = w.counters.tuples_per_level.iter().sum();
+        match &mut counters {
+            None => counters = Some(std::mem::take(&mut w.counters)),
+            Some(sum) => sum.merge(&w.counters),
+        }
     }
     let counters = counters.unwrap_or_else(|| JoinCounters::new(width));
+    let live = |w: &&mut WorkerJoin<'_>| w.counted == by_bags;
     // A row past the watermark was cancelled mid-join; each carries the
     // token's own verdict (deadline vs explicit cancel).
     let cancelled =
         cancel.check().err().map_or(Error::Cancelled { deadline_exceeded: false }, cancel_err);
     let over_budget = Error::BudgetExceeded { what: "join output tuples", limit: budget };
     let mut outputs: Vec<Result<QueryOutput>> = Vec::with_capacity(n_rows);
-    for i in 0..n_rows {
-        if i >= completed {
-            outputs.push(Err(cancelled.clone()));
-            continue;
-        }
-        outputs.push(match mode {
-            OutputMode::Rows | OutputMode::Limit(_) => {
-                if succeeded(&mut workers).any(|(lent, ..)| lent.rows[i].over_budget()) {
-                    Err(over_budget.clone())
-                } else {
-                    // One worker holding rows is the common case: its run is
-                    // the gathered one, with nothing to merge.
-                    let bufs = succeeded(&mut workers).map(|(lent, ..)| &mut lent.rows[i]);
-                    let mut holding = bufs.filter(|buf| !buf.is_empty());
-                    let gathered = match (holding.next(), holding.next()) {
-                        (None, _) => Vec::new(),
-                        (Some(only), None) => take_rows(only),
-                        (Some(a), Some(b)) => {
-                            let rest = holding.map(|buf| buf.flat());
-                            merge_sorted_slices([a.flat(), b.flat()].into_iter().chain(rest), width)
-                        }
-                    };
-                    Ok(shape_output(mode, order, gathered, 0)?)
+    let completed;
+    if unbound {
+        // One binding, complete once every worker ran its morsels to the end.
+        let finished = workers.iter_mut().filter(live).all(|w| w.finished);
+        completed = usize::from(finished);
+        let found: u64 = workers.iter_mut().filter(live).filter_map(|w| w.lent.found.first()).sum();
+        outputs.push(if !finished {
+            Err(cancelled)
+        } else {
+            match mode {
+                OutputMode::Rows | OutputMode::Limit(_) => {
+                    let limit = if let OutputMode::Limit(n) = mode { n } else { usize::MAX };
+                    let rows = gather_rows(&mut workers, drive.n, limit, width);
+                    let over = workers.iter().any(|w| w.lent.rows[0].over_budget());
+                    if over || rows.len() / width.max(1) > budget {
+                        Err(over_budget)
+                    } else {
+                        shape_output(mode, &plan.order, rows, 0)
+                    }
+                }
+                OutputMode::Count | OutputMode::Exists => {
+                    shape_output(mode, &plan.order, Vec::new(), found)
                 }
             }
-            OutputMode::Count | OutputMode::Exists => {
-                let found = succeeded(&mut workers).map(|(lent, ..)| lent.found[i]).sum();
-                Ok(shape_output(mode, order, Vec::new(), found)?)
-            }
         });
+    } else {
+        // A driver row's output is its morsel's worker's. The rows up to
+        // the first that did not complete (a morsel never claimed, or one
+        // a stop cut short) keep their results.
+        let mut watermark = 0;
+        'morsels: for m in 0..Morsels::count(n_rows) {
+            for w in workers.iter_mut() {
+                if let Some(claim) = w.take_claim(m) {
+                    watermark = Morsels::rows(m, n_rows).start + claim.done;
+                    if claim.done == Morsels::rows(m, n_rows).len() {
+                        continue 'morsels;
+                    }
+                }
+            }
+            break;
+        }
+        completed = watermark;
+        for i in 0..n_rows {
+            if i >= completed {
+                outputs.push(Err(cancelled.clone()));
+                continue;
+            }
+            outputs.push(match mode {
+                OutputMode::Rows | OutputMode::Limit(_) => {
+                    let bufs = workers.iter_mut().map(|w| &mut w.lent.rows[i]);
+                    let mut holding = bufs.filter(|buf| buf.over_budget() || !buf.is_empty());
+                    match holding.next() {
+                        Some(buf) if buf.over_budget() => Err(over_budget.clone()),
+                        Some(buf) => shape_output(mode, &plan.order, take_rows(buf), 0),
+                        None => shape_output(mode, &plan.order, Vec::new(), 0),
+                    }
+                }
+                OutputMode::Count | OutputMode::Exists => {
+                    let found = workers.iter().map(|w| w.lent.found[i]).sum();
+                    shape_output(mode, &plan.order, Vec::new(), found)
+                }
+            });
+        }
     }
     drop(workers);
+    // The handles go back with the coordinator's scratch, which empties
+    // them.
+    coordinator.tries = join.into_tries();
     if gather_span.is_recording() {
         for (i, &t) in counters.tuples_per_level.iter().enumerate() {
             gather_span.arg(level_key("tuples", i), t);
@@ -736,6 +1023,7 @@ pub fn execute_plan(
     // rows keep the outputs as they are; otherwise each output moves to its
     // binding, or is cloned to every binding when some bindings collapsed
     // onto one row.
+    let row_of = &coordinator.row_of;
     if !row_of.is_empty() {
         let collapsed = n_rows < bindings.len();
         let mut rows: Vec<Option<Result<QueryOutput>>> = outputs.into_iter().map(Some).collect();
@@ -776,30 +1064,29 @@ fn bag_label(names: &[String], order: &[Attr], ctx: &ExecCtx<'_>) -> String {
 }
 
 /// Phases 1–2 of plan execution: pre-computes (or reuses) the plan's bag
-/// relations and runs the final HCube shuffle, returning the final round
-/// and every relation's per-worker tries, ready for Leapfrog — and, for a
-/// count `by_bags` over a round that splits, the tries of the relations
-/// its bags read under orders of their own. The pre-compute and
-/// communication columns (plus cache/fill counters) accumulate into
-/// `report`.
+/// relations and resolves the final round's indexes, returning the final
+/// round and every relation's trie, ready for Leapfrog — and, for a count
+/// `by_bags` over a round that splits, the tries of the relations its bags
+/// read under orders of their own. The pre-compute and communication
+/// columns (plus cache counters) accumulate into `report`.
 ///
 /// Nothing here depends on a binding: the tries are the same warm,
 /// cacheable tries whichever constants the join over them will seek.
 fn prepare_round(
-    cluster: &Cluster,
+    adj: &Adj,
     db: &Database,
     plan: &QueryPlan,
-    config: &AdjConfig,
     by_bags: bool,
     report: &mut ExecutionReport,
     ctx: &ExecCtx<'_>,
 ) -> Result<(Arc<Round>, RoundOutput, Option<RoundOutput>)> {
+    let cluster = adj.cluster();
     // ── Phase 1: pre-compute candidate relations (Sec. III: "for each
     // relation R'_j ∈ Qi that needs to be joined, we pre-compute and store
     // it"). Per-query pre-computed bags are layered over the shared
     // database as an overlay of `Arc<Relation>` handles — the database
     // itself is never cloned per query. Each bag's content label is kept as
-    // its cache identity in the final shuffle (phase 1 and phase 2 must
+    // its cache identity in the final round (phase 1 and phase 2 must
     // agree on it).
     let mut bag_overlay: Vec<(String, Arc<Relation>)> = Vec::new();
     let mut bag_labels: Vec<(String, String)> = Vec::new(); // storage name → label
@@ -807,7 +1094,7 @@ fn prepare_round(
         let PlanRelation::Precomputed { name, atoms, .. } = rel else {
             continue;
         };
-        let (label, bag) = precompute_bag(cluster, db, plan, atoms, config, report, ctx)?;
+        let (label, bag) = precompute_bag(adj, db, plan, atoms, report, ctx)?;
         bag_labels.push((name.clone(), label));
         bag_overlay.push((name.clone(), bag));
     }
@@ -835,27 +1122,26 @@ fn prepare_round(
     };
     let (round, share_reused) = round_for(plan, db, &spec, cluster, ctx)?;
     report.share = round.hplan.share().to_vec();
-    let shuffle = ShuffleRound {
+    let index = IndexRound {
         layout: &round.layout,
         plan: &round.hplan,
-        impl_: HCubeImpl::Merge,
         overlay: &bag_overlay,
         share_reused,
     };
-    let shuffled = hcube_shuffle_round(cluster, db, &shuffle, ctx)?;
-    report.comm_tuples = shuffled.report.tuples;
-    report.communication_secs = shuffled.report.pipelined_secs();
-    report.absorb_shuffle(&shuffled.report, share_reused);
+    let indexed = index_round(cluster, db, &index, ctx)?;
+    report.comm_tuples = indexed.report.tuples;
+    report.communication_secs = indexed.report.pipelined_secs();
+    report.absorb_shuffle(&indexed.report, share_reused);
     // A count by bags also reads the relations its bags take in orders of
-    // their own: routed by the same share grid into index entries of their
-    // own, cached and patched like every other.
+    // their own: index entries of their own, cached and patched like every
+    // other.
     let reordered = match &round.counted {
         Some(CountedRound { reordered, .. }) if by_bags => {
-            let shuffle = ShuffleRound { layout: reordered, share_reused: true, ..shuffle };
             let out = if reordered.relations().len() == 0 {
                 RoundOutput { relations: Vec::new(), report: ShuffleReport::default() }
             } else {
-                hcube_shuffle_round(cluster, db, &shuffle, ctx)?
+                let index = IndexRound { layout: reordered, share_reused: true, ..index };
+                index_round(cluster, db, &index, ctx)?
             };
             report.comm_tuples += out.report.tuples;
             report.communication_secs += out.report.pipelined_secs();
@@ -864,25 +1150,25 @@ fn prepare_round(
         }
         _ => None,
     };
-    Ok((round, shuffled, reordered))
+    Ok((round, indexed, reordered))
 }
 
 /// One bag of phase 1, as `(content label, relation)`: served from the bag
-/// cache when `ctx`'s scope holds it, otherwise computed by a one-round
-/// HCube+Leapfrog job of its own over the member atoms and published. The
-/// round's shuffle consults the index cache too (bag members are base
-/// relations, so their indexes are shared with every other query touching
-/// them). Pre-compute seconds and tuples, the index build/reuse split and
-/// the share solve accumulate into `report`.
+/// cache when `ctx`'s scope holds it, otherwise computed by a round and a
+/// join of its own over the member atoms, and published. The round
+/// consults the index cache too (bag members are base relations, so their
+/// indexes are shared with every other query touching them). Pre-compute
+/// seconds and tuples, the index build/reuse split and the share solve
+/// accumulate into `report`.
 fn precompute_bag(
-    cluster: &Cluster,
+    adj: &Adj,
     db: &Database,
     plan: &QueryPlan,
     atoms: &[usize],
-    config: &AdjConfig,
     report: &mut ExecutionReport,
     ctx: &ExecCtx<'_>,
 ) -> Result<(String, Arc<Relation>)> {
+    let (cluster, config, pool) = (adj.cluster(), adj.config(), adj.scratch());
     let (cancel, tracer) = (&ctx.cancel, &ctx.tracer);
     let budget = config.max_intermediate_tuples;
     let too_large = Error::BudgetExceeded { what: "pre-computed relation size", limit: budget };
@@ -899,8 +1185,8 @@ fn precompute_bag(
     // times (request coalescing). At most one bag claim is ever held —
     // it is published (or abandoned by drop, on any error path) before
     // the next bag is consulted — and bag holders only ever wait on
-    // *index* claims inside the round's shuffle, never the reverse, so the
-    // claim hierarchy stays cycle-free.
+    // *index* claims inside the round, never the reverse, so the claim
+    // hierarchy stays cycle-free.
     let mut bag_claim = None;
     if let Some(scope) = ctx.index {
         match scope.cache.lookup(&ArtifactKey::Bag(scope.bag_key(label.clone())), cancel) {
@@ -932,40 +1218,43 @@ fn precompute_bag(
         num_attrs: order.iter().map(|a| a.index() + 1).max().unwrap_or(1),
     };
     let (round, share_reused) = round_for(plan, db, &spec, cluster, ctx)?;
-    let shuffle = ShuffleRound {
-        layout: &round.layout,
-        plan: &round.hplan,
-        impl_: HCubeImpl::Merge,
-        overlay: &[],
-        share_reused,
+    let index =
+        IndexRound { layout: &round.layout, plan: &round.hplan, overlay: &[], share_reused };
+    let indexed = index_round(cluster, db, &index, ctx)?;
+    report.absorb_shuffle(&indexed.report, share_reused);
+    let join =
+        LeapfrogJoin::with_layout(Arc::clone(&round.join), indexed.tries().cloned().collect())?;
+    let values = join.first_values();
+    let job = MorselJob {
+        drive: Drive { attrs: &order[..1], rows: values, n: values.len(), unbound: true },
+        mode: OutputMode::Rows,
+        budget,
+        morsels: Morsels::new(),
+        witness: AtomicBool::new(false),
+        cancel,
+        counted: None,
+        counted_morsels: Morsels::new(),
     };
-    let shuffled = hcube_shuffle_round(cluster, db, &shuffle, ctx)?;
-    report.absorb_shuffle(&shuffled.report, share_reused);
-    let shuffled_ref = &shuffled;
-    let run = cluster.run_traced(tracer, "bag_join", |w, span| {
-        adj_faults::inject(FaultSite::JoinEnumerate, cancel);
-        cancel.check().map_err(cancel_err)?;
-        let tries: Vec<Arc<Trie>> = shuffled_ref.worker_tries(w).cloned().collect();
-        let mut rows = RowBuffer::new(order.len()).with_budget(budget);
-        let counters =
-            LeapfrogJoin::with_layout(Arc::clone(&round.join), tries)?.join_into(&mut rows);
-        if rows.over_budget() {
-            return Err(Error::BudgetExceeded { what: "bag join output", limit: budget });
-        }
-        span.arg("output_tuples", counters.output_tuples);
-        Ok(rows.into_flat())
-    });
-    let worker_rows: Vec<Vec<Value>> =
-        run.results.into_iter().map(|r| r.map_err(Error::from)?).collect::<Result<_>>()?;
-    let rows = merge_sorted_runs(worker_rows, order.len());
+    let (mut workers, _, makespan) = run_workers(cluster, pool, tracer, "bag_join", &join, &job)?;
+    if !workers.iter().all(|w| w.finished) {
+        return Err(cancel
+            .check()
+            .err()
+            .map_or(Error::Cancelled { deadline_exceeded: false }, cancel_err));
+    }
+    if workers.iter().any(|w| w.lent.rows[0].over_budget()) {
+        return Err(Error::BudgetExceeded { what: "bag join output", limit: budget });
+    }
+    let rows = gather_rows(&mut workers, job.drive.n, usize::MAX, order.len());
+    drop(workers);
     let result = Relation::from_flat(Schema::new(order.clone())?, rows)?;
-    bag_span.arg("tuples", shuffled.report.tuples);
+    bag_span.arg("tuples", indexed.report.tuples);
     bag_span.arg("result_tuples", result.len() as u64);
     drop(bag_span);
-    // Pipelined schedule for the round's shuffle, plus the measured bag
+    // The round's modeled communication and build, plus the measured bag
     // join on top.
-    report.precompute_secs += shuffled.report.pipelined_secs() + run.makespan_secs;
-    report.precompute_tuples += shuffled.report.tuples;
+    report.precompute_secs += indexed.report.pipelined_secs() + makespan;
+    report.precompute_tuples += indexed.report.tuples;
     if result.len() > budget {
         return Err(too_large);
     }
@@ -976,7 +1265,7 @@ fn precompute_bag(
     Ok((label, result))
 }
 
-/// One shuffle round as the plan describes it: relation `i < len` is
+/// One round as the plan describes it: relation `i < len` is
 /// `atom(i)` — its name and cache identity — resolved in `overlay`
 /// before the database; its tries follow `order`; its share program spans
 /// `num_attrs` attributes.
@@ -1079,12 +1368,11 @@ fn round_for<'a, F: Fn(usize) -> (&'a str, Option<&'a str>)>(
     let hplan = HCubePlan::new(share, input.num_workers);
     let (names, ids): (Vec<String>, Vec<Option<String>>) =
         spec.atoms().map(|(name, id)| (name.to_string(), id.map(str::to_string))).unzip();
-    let layout = RoundLayout::new(db, spec.overlay, &names, &ids, spec.order, &hplan, ctx.index)?;
+    let layout = RoundLayout::new(db, spec.overlay, &names, &ids, spec.order, ctx.index)?;
     let join = Arc::new(JoinLayout::new(spec.order, layout.induced_schemas())?);
     let counted = match CountSplit::new(spec.order, layout.induced_schemas()) {
         Some(split) => {
-            let reordered =
-                layout.reordered(db, spec.overlay, split.reindexed(), &hplan, ctx.index)?;
+            let reordered = layout.reordered(db, spec.overlay, split.reindexed(), ctx.index)?;
             Some(CountedRound { split, reordered })
         }
         None => None,
@@ -1098,6 +1386,7 @@ fn round_for<'a, F: Fn(usize) -> (&'a str, Option<&'a str>)>(
 mod tests {
     use super::*;
     use crate::optimizer::optimize;
+    use crate::AdjConfig;
     use adj_cluster::ClusterConfig;
     use adj_hcube::{IndexCache, IndexScope};
     use adj_query::{paper_query, PaperQuery};

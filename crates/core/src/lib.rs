@@ -38,7 +38,7 @@ pub use plan::{OptimizerStats, PlanRelation, QueryPlan};
 pub use prepared::Prepared;
 pub use scratch::ScratchPool;
 // The execution context and the cross-query index cache (defined in
-// `adj-hcube`, where the shuffle consults them) are part of this crate's
+// `adj-hcube`, where the index round consults them) are part of this crate's
 // public execution API too.
 pub use adj_hcube::{ExecCtx, IndexCache, IndexCacheStats, IndexScope};
 // Cooperative cancellation and the deterministic fault-injection harness

@@ -89,9 +89,9 @@ impl OptimizerStats {
     }
 }
 
-/// One shuffle round of a plan (a pre-computed bag's, or the final one) as
-/// its executions run it: the share program's input and the grid solved
-/// for it, the round's layout keyed for the index scope it last ran under,
+/// One round of a plan (a pre-computed bag's, or the final one) as its
+/// executions run it: the share program's input and the grid solved for
+/// it, the round's layout keyed for the index scope it last ran under,
 /// the layout of the join over its tries, and how an unbound `Count` of
 /// that join is counted bag by bag, when it splits.
 #[derive(Debug)]
@@ -110,8 +110,7 @@ pub(crate) struct Round {
 
 /// How a round's join is counted bag by bag ([`CountSplit`]): the split,
 /// and the layout of the relations its bags read under orders of their own
-/// — same relations, same share grid and routes, one index entry more
-/// each.
+/// — same relations, one index entry more each.
 #[derive(Debug)]
 pub(crate) struct CountedRound {
     pub(crate) split: CountSplit,
@@ -124,13 +123,13 @@ pub(crate) struct CountedRound {
 /// memory budget — nothing an individual call contributes — so a plan that
 /// is executed again under equal inputs takes the vector from here instead
 /// of re-enumerating the lattice; and a round's relations, keys and join
-/// layout are a function of that grid, the order and the scope's database
-/// state, so a warm execution looks its indexes up by keys built once.
+/// layout are a function of the order and the scope's database state, so a
+/// warm execution looks its indexes up by keys built once.
 /// Inputs are compared whole, so a cluster of another width or a relation
 /// that crossed a size bucket solves afresh and a stale share cannot be
 /// returned; a round whose scope moved on (a mutation, a re-registration)
 /// keeps its share and is re-keyed. The serving layer re-keys plans on
-/// every mutation, so a plan's memo holds one round per shuffle round.
+/// every mutation, so a plan's memo holds one round per round of the plan.
 #[derive(Debug, Default)]
 pub(crate) struct RoundMemo {
     rounds: Mutex<Vec<Arc<Round>>>,

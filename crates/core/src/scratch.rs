@@ -27,11 +27,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 const KEPT_ROW_BUFFERS: usize = 64;
 
 /// The most values a kept row buffer, or a kept Leapfrog level buffer,
-/// holds on to (8–16 KiB). A scratch goes back without a larger row buffer,
-/// and without its Leapfrog state at all once a join grew a level buffer
-/// past this: a large join pays for its own buffers, as before, and the
-/// pool keeps only what small joins — the bound calls it is for — use, so
-/// it never holds heap memory in the middle of a large query's.
+/// holds on to (8–16 KiB). A scratch goes back without a larger row buffer
+/// or a larger level buffer: a large join pays for those, as before, and
+/// the pool keeps only what small joins — the bound calls it is for — use,
+/// so it never holds heap memory in the middle of a large query's. The
+/// Leapfrog value tables and count tables are fixed in size and stay.
 pub(crate) const KEPT_ROW_VALUES: usize = 2048;
 
 /// One thread's buffers for one execution.
@@ -44,16 +44,30 @@ pub(crate) struct Scratch {
     /// The coordinator's: each binding's driver row, when the bindings
     /// did not arrive as their rows.
     pub(crate) row_of: Vec<usize>,
-    /// A worker's: Leapfrog's per-level buffers, tables and cursor stacks.
-    pub(crate) join: JoinScratch,
-    /// A worker's: the tries its join runs over; empty whenever the
+    /// The coordinator's: the tries the join runs over; empty whenever the
     /// scratch is not lent.
     pub(crate) tries: Vec<Arc<Trie>>,
-    /// A worker's: one row buffer per driver row (`Rows`, `Limit`).
+    /// A worker's: Leapfrog's per-level buffers, tables and cursor stacks.
+    pub(crate) join: JoinScratch,
+    /// A worker's: one row buffer per driver row of a bound call or batch
+    /// (`Rows`, `Limit`), or, for an unbound join, the one buffer its
+    /// morsels' rows follow each other in.
     pub(crate) rows: Vec<RowBuffer>,
-    /// A worker's: per driver row, its local count (`Count`) or whether it
-    /// found a witness (`Exists`).
+    /// A worker's: per driver row (per unbound join, in the first slot),
+    /// its count (`Count`) or whether it found a witness (`Exists`).
     pub(crate) found: Vec<u64>,
+    /// A worker's: the morsels it claimed, in claim (ascending) order.
+    pub(crate) claimed: Vec<Claimed>,
+}
+
+/// One morsel a worker claimed: which, how many of its driver rows
+/// completed, and where its rows end in the worker's one row buffer (an
+/// unbound `Rows` or `Limit` join; 0 otherwise).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Claimed {
+    pub(crate) morsel: usize,
+    pub(crate) done: usize,
+    pub(crate) end: usize,
 }
 
 /// The scratch an [`Adj`](crate::Adj) lends its executions (see the module
@@ -124,9 +138,7 @@ impl Drop for Lent<'_> {
         for buf in scratch.rows.iter_mut().filter(|b| b.capacity() > KEPT_ROW_VALUES) {
             drop(buf.take_flat());
         }
-        if scratch.join.grew_past(KEPT_ROW_VALUES) {
-            scratch.join = JoinScratch::new();
-        }
+        scratch.join.shrink_past(KEPT_ROW_VALUES);
         self.pool.free.lock().unwrap_or_else(PoisonError::into_inner).push(Free(scratch));
         self.pool.lent.fetch_sub(1, Ordering::SeqCst);
     }

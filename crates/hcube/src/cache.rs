@@ -1,21 +1,20 @@
-//! The cross-query index cache: shuffled partitions and built tries as
-//! first-class, reusable artifacts.
+//! The cross-query index cache: built tries as first-class, reusable
+//! artifacts.
 //!
 //! Under serving traffic the database is immutable between queries, yet
-//! every execution re-runs the HCube shuffle and rebuilds the same
-//! level-wise tries — on a warm plan cache that communication phase dwarfs
-//! the join itself. The paper's Merge-HCube pre-builds sorted blocks so
-//! tries assemble by merge instead of sort (Sec. V); this cache takes the
-//! idea to its fixed point: once a relation has been shuffled and indexed
-//! for a given `(induced attribute order, share vector, worker count)`
-//! against a given database state, the per-worker [`Trie`]s are published
-//! as shared `Arc` handles and every later query with the same key joins
-//! over them directly — no routing, no sorting, no build.
+//! every execution would otherwise rebuild the same level-wise tries — on a
+//! warm plan cache that build dwarfs the join itself. Once a relation has
+//! been indexed in a given induced attribute order against a given database
+//! state, its [`Trie`] is published as one shared `Arc` handle and every
+//! later query with the same key joins over it directly — no sort, no
+//! build. The cluster's workers are threads over one heap, so every worker
+//! of every width reads the same handle: there is one index per relation
+//! and order, not one partition per worker.
 //!
 //! Two artifact kinds share one LRU byte budget:
 //!
-//! * **relation indexes** ([`RelationIndex`]) — the per-worker tries of one
-//!   shuffled relation, keyed by [`IndexKey`];
+//! * **relation indexes** ([`RelationIndex`]) — the trie of one relation,
+//!   keyed by [`IndexKey`];
 //! * **bag relations** — materialized hypertree-bag joins (ADJ's
 //!   pre-computing phase, and GHD-Yannakakis bags), keyed by [`BagKey`].
 //!   Bag contents are a pure function of the base relations, the member
@@ -39,11 +38,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identity of one cached relation index: the relation (or bag label), the
-/// induced attribute order its trie levels follow, the hypercube share
-/// vector and worker count that routed it, and the database state it was
-/// built against. No part of a query's binding enters the key — the shuffle
-/// never filters by bound constants — so every binding of a prepared
-/// statement, a batch of them and the unbound query of the same shape all
+/// induced attribute order its trie levels follow, and the database state
+/// it was built against. Neither the cluster's width nor a plan's share
+/// enters the key — every worker reads the one trie — and no part of a
+/// query's binding does either, so every binding of a prepared statement,
+/// a batch of them and the unbound query of the same shape, at any width,
 /// resolve to the same entries.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IndexKey {
@@ -56,11 +55,6 @@ pub struct IndexKey {
     pub relation: String,
     /// The order-induced attribute permutation the trie levels follow.
     pub induced: Vec<Attr>,
-    /// The share vector `p` of the shuffle that partitioned it.
-    pub share: Vec<u32>,
-    /// Worker count (the share vector alone does not fix the cube→worker
-    /// assignment).
-    pub num_workers: usize,
     /// The relation's delta sequence (`adj-delta`'s per-relation batch
     /// counter) at build time. Mutating a relation bumps only *its*
     /// sequence, so entries for other relations keep matching — this is the
@@ -82,34 +76,33 @@ pub struct BagKey {
     pub label: String,
 }
 
-/// One shuffled relation's reusable artifacts: per-worker tries plus the
-/// communication cost the original shuffle paid (so reports can state what
-/// a hit saved).
+/// One relation's reusable index: its trie, plus the communication cost the
+/// building plan's share assigns it (so reports can state what a hit
+/// saved).
 #[derive(Debug)]
 pub struct RelationIndex {
-    /// `tries[w]` is worker `w`'s local fragment, indexed in the key's
-    /// induced order.
-    pub tries: Vec<Arc<Trie>>,
-    /// Delivered tuple copies the original shuffle moved for this relation.
+    /// The relation, indexed in the key's induced order; shared by every
+    /// worker.
+    pub trie: Arc<Trie>,
+    /// Tuple copies the building plan's HCube share routes for the
+    /// relation (`|R| · dup(R, p)`): the paper's communication cost of it.
     pub tuples: u64,
-    /// Transfer units the original shuffle paid for this relation.
-    pub messages: u64,
-    /// Resident bytes across all workers' tries.
+    /// Resident bytes of the trie.
     pub bytes: usize,
 }
 
 impl RelationIndex {
     /// Builds the entry, computing its resident size.
-    pub fn new(tries: Vec<Arc<Trie>>, tuples: u64, messages: u64) -> Self {
-        let bytes = tries.iter().map(|t| t.size_bytes()).sum();
-        RelationIndex { tries, tuples, messages, bytes }
+    pub fn new(trie: Arc<Trie>, tuples: u64) -> Self {
+        let bytes = trie.size_bytes();
+        RelationIndex { trie, tuples, bytes }
     }
 }
 
 /// The key of one index-cache entry: a relation index or a bag relation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ArtifactKey {
-    /// A shuffled relation's per-worker tries.
+    /// A relation's trie.
     Index(IndexKey),
     /// A materialized bag relation.
     Bag(BagKey),
@@ -118,7 +111,7 @@ pub enum ArtifactKey {
 /// One index-cache entry; its variant always matches its key's.
 #[derive(Debug, Clone)]
 pub enum Artifact {
-    /// A shuffled relation's per-worker tries.
+    /// A relation's trie.
     Index(Arc<RelationIndex>),
     /// A materialized bag relation.
     Bag(Arc<Relation>),
@@ -137,18 +130,18 @@ pub type IndexLookup<'a> = Lookup<'a, ArtifactKey, Artifact, BuildHasherDefault<
 /// at once only when it acquired them in sorted key order, and may wait on
 /// an index claim while holding a *bag* claim — but never the reverse
 /// (nothing waits on a bag while holding an index claim), and at most one
-/// bag claim is held at a time. The shuffle and the executor's bag loop
-/// both follow this; see `hcube_shuffle_round`.
+/// bag claim is held at a time. The index round and the executor's bag
+/// loop both follow this; see [`index_round`](crate::index_round).
 pub type IndexClaim<'a> = Claim<'a, ArtifactKey, Artifact, BuildHasherDefault<FxHasher>>;
 
 /// Counters describing index-cache behaviour since service start: the
 /// store's [`CacheStats`](adj_relational::cache::CacheStats) in bytes,
-/// plus the shuffle volume hits saved.
+/// plus the communication volume hits saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexCacheStats {
     /// Lookups that found a reusable artifact.
     pub hits: u64,
-    /// Lookups that required a fresh shuffle/build.
+    /// Lookups that required a fresh build.
     pub misses: u64,
     /// Artifacts published.
     pub insertions: u64,
@@ -156,7 +149,8 @@ pub struct IndexCacheStats {
     pub evictions: u64,
     /// Artifacts dropped by invalidation, harvest or poison recovery.
     pub invalidations: u64,
-    /// Tuple copies whose shuffle was skipped thanks to hits.
+    /// Tuple copies the hit relations' plans would have routed: the
+    /// communication volume hits saved.
     pub tuples_saved: u64,
     /// Redundant builds avoided by request coalescing: lookups that missed
     /// while an equal key was already being built, blocked on that build,
@@ -182,7 +176,7 @@ impl IndexCacheStats {
     }
 }
 
-/// A thread-safe, byte-budgeted LRU cache of shuffled relation indexes and
+/// A thread-safe, byte-budgeted LRU cache of relation indexes and
 /// materialized bag relations.
 #[derive(Debug)]
 pub struct IndexCache {
@@ -216,7 +210,8 @@ impl IndexCache {
 
     /// The artifact under `key`, or a claim to build it (see
     /// [`Cache::lookup`]); a wait on a concurrent build gives up when
-    /// `cancel` fires. An index hit credits the shuffle volume it saved.
+    /// `cancel` fires. An index hit credits the communication volume it
+    /// saved.
     pub fn lookup(&self, key: &ArtifactKey, cancel: &CancelToken) -> IndexLookup<'_> {
         let found = self.store.lookup(key, || cancel.check().is_ok());
         if let Lookup::Hit { value: Artifact::Index(idx), .. } = &found {
@@ -227,9 +222,8 @@ impl IndexCache {
 
     /// Removes and returns every relation-index entry for `relation` in
     /// database `db_tag`, regardless of epoch or delta sequence — the
-    /// harvest step of warm-cache patching: the caller re-routes the delta
-    /// tuples into each taken entry and republishes it under the new
-    /// sequence. Taken entries count as invalidations (republication counts
+    /// harvest step of warm-cache patching: the caller merges the delta
+    /// into each taken entry and republishes it under the new sequence. Taken entries count as invalidations (republication counts
     /// as insertion), so the net cache churn stays visible in the stats.
     /// Bag artifacts are left alone: their labels fold the relation
     /// versions, so stale bags simply stop matching and age out via LRU.
@@ -270,7 +264,7 @@ impl IndexCache {
 
 /// The scope a cache is consulted under: which cache, and which database
 /// state keys its entries. Threaded from the service front door down
-/// through the executor into the shuffle.
+/// through the executor into the index round.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexScope<'a> {
     /// The shared cache.
@@ -315,24 +309,10 @@ impl<'a> IndexScope<'a> {
 
     /// Builds an [`IndexKey`] in this scope, stamping the relation's current
     /// delta sequence.
-    pub fn index_key(
-        &self,
-        relation: impl Into<String>,
-        induced: Vec<Attr>,
-        share: &[u32],
-        num_workers: usize,
-    ) -> IndexKey {
+    pub fn index_key(&self, relation: impl Into<String>, induced: Vec<Attr>) -> IndexKey {
         let relation = relation.into();
         let delta_seq = self.delta_seq_for(&relation);
-        IndexKey {
-            db_tag: self.db_tag,
-            epoch: self.epoch,
-            relation,
-            induced,
-            share: share.to_vec(),
-            num_workers,
-            delta_seq,
-        }
+        IndexKey { db_tag: self.db_tag, epoch: self.epoch, relation, induced, delta_seq }
     }
 
     /// Builds a [`BagKey`] in this scope.
@@ -352,7 +332,7 @@ mod tests {
     }
 
     fn index(n: u32) -> Artifact {
-        Artifact::Index(Arc::new(RelationIndex::new(vec![trie(n)], n as u64, 1)))
+        Artifact::Index(Arc::new(RelationIndex::new(trie(n), n as u64)))
     }
 
     fn key(tag: u64, epoch: u64, name: &str) -> IndexKey {
@@ -361,8 +341,6 @@ mod tests {
             epoch,
             relation: name.into(),
             induced: vec![Attr(0), Attr(1)],
-            share: vec![2, 2],
-            num_workers: 4,
             delta_seq: 0,
         }
     }
@@ -389,8 +367,7 @@ mod tests {
         );
         for other in [
             IndexKey { epoch: 1, ..k.clone() },
-            IndexKey { share: vec![4, 1], ..k.clone() },
-            IndexKey { num_workers: 8, ..k.clone() },
+            IndexKey { induced: vec![Attr(1), Attr(0)], ..k.clone() },
             IndexKey { delta_seq: 3, ..k.clone() },
         ] {
             assert!(
@@ -399,7 +376,7 @@ mod tests {
             );
         }
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.tuples_saved), (1, 5, 10), "a hit credits its shuffle");
+        assert_eq!((s.hits, s.misses, s.tuples_saved), (1, 4, 10), "a hit credits its routing");
     }
 
     #[test]
@@ -440,7 +417,7 @@ mod tests {
         // A and B fill the budget, A is touched, then A is republished at
         // the same size (a self-join's duplicate key, or a cancelled
         // waiter racing the claim holder). Only A's own bytes change hands.
-        let bytes = RelationIndex::new(vec![trie(50)], 0, 0).bytes;
+        let bytes = RelationIndex::new(trie(50), 0).bytes;
         let cache = IndexCache::new(bytes * 2);
         cache.store().insert(ArtifactKey::Index(key(1, 0, "A")), index(50));
         cache.store().insert(ArtifactKey::Index(key(1, 0, "B")), index(50));
@@ -532,9 +509,9 @@ mod tests {
         let scope = IndexScope { cache: &cache, db_tag: 7, epoch: 3, versions: &versions };
         assert_eq!(scope.delta_seq_for("R1"), 4);
         assert_eq!(scope.delta_seq_for("R2"), 0, "unmutated relations sit at 0");
-        let k = scope.index_key("R1", vec![Attr(0)], &[2], 4);
+        let k = scope.index_key("R1", vec![Attr(0)]);
         assert_eq!(k.delta_seq, 4);
-        assert_eq!(scope.index_key("R2", vec![Attr(0)], &[2], 4).delta_seq, 0);
+        assert_eq!(scope.index_key("R2", vec![Attr(0)]).delta_seq, 0);
         let d1 = scope.version_digest(["R1", "R2"]);
         assert_ne!(d1, scope.version_digest(["R2"]), "member set changes the digest");
         let fresh = IndexScope { cache: &cache, db_tag: 7, epoch: 3, versions: &[] };

@@ -18,15 +18,19 @@
 //!   tuple-at-a-time **Push**, and the paper's optimized **Pull** (block
 //!   transfer) and **Merge** (block transfer with pre-built sorted blocks,
 //!   so local tries need only a k-way merge) — the subject of Fig. 9;
-//! * [`cache::IndexCache`] — the cross-query index cache: shuffled
-//!   partitions and built tries published as shared `Arc<Trie>` handles,
-//!   keyed by `(relation identity, induced order, share, workers, database
-//!   epoch, delta sequence)`, so [`shuffle::hcube_shuffle_round`] skips
-//!   routing, transfer, and build entirely for warm relations.
+//! * [`round::index_round`] — what serving runs instead: the cluster's
+//!   workers are threads over one heap, so a round builds (or reuses) one
+//!   trie per relation that every worker reads, and reports what the
+//!   plan's share would have routed;
+//! * [`cache::IndexCache`] — the cross-query index cache: built tries
+//!   published as shared `Arc<Trie>` handles, keyed by `(relation identity,
+//!   induced order, database epoch, delta sequence)`, so a warm round
+//!   builds nothing.
 
 pub mod cache;
 pub mod patch;
 pub mod plan;
+pub mod round;
 pub mod share;
 pub mod shuffle;
 
@@ -36,8 +40,6 @@ pub use cache::{
 };
 pub use patch::{patch_relation_indexes, PatchOutcome};
 pub use plan::HCubePlan;
+pub use round::{index_round, ExecCtx, IndexRound, RoundLayout, RoundOutput};
 pub use share::{optimize_share, solve_share, ShareInput, ShareSolution, MAX_SHARE_ATTRS};
-pub use shuffle::{
-    hcube_shuffle, hcube_shuffle_round, ExecCtx, HCubeImpl, LocalRelation, RoundLayout,
-    RoundOutput, ShuffleOutput, ShuffleReport, ShuffleRound,
-};
+pub use shuffle::{hcube_shuffle, HCubeImpl, LocalRelation, ShuffleOutput, ShuffleReport};

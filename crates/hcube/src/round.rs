@@ -1,0 +1,590 @@
+//! One round of a plan's indexes: every relation the round joins, as one
+//! trie in the order the plan's attribute order induces on it.
+//!
+//! The cluster's workers are threads over one heap, so a round neither
+//! routes nor partitions anything: it looks each relation's index up in the
+//! cross-query [`IndexCache`](crate::IndexCache), builds the ones that miss
+//! — one relation per task across the cluster's workers — and publishes
+//! them. Every worker of the join then reads the same tries, and divides
+//! the work by morsels of the driver instead of by hypercubes. The plan's
+//! HCube share still prices the round: a cold relation reports the tuple
+//! copies the share would route for it, `|R| · dup(R, p)`, the paper's
+//! communication cost.
+
+use crate::cache::{Artifact, ArtifactKey, IndexClaim, IndexLookup, IndexScope, RelationIndex};
+use crate::plan::HCubePlan;
+use crate::shuffle::ShuffleReport;
+use adj_cluster::Cluster;
+use adj_faults::{CancelToken, FaultSite};
+use adj_relational::{Attr, Database, Error, Relation, Result, Schema, Trie, Value};
+use adj_trace::{Tracer, COORDINATOR_LANE};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// One relation of a round, as the round reads it.
+#[derive(Debug, Clone)]
+pub(crate) struct RoundAtom {
+    /// The name it resolves under (overlay first, then the database).
+    pub(crate) name: String,
+    /// Its cache identity; `None` bypasses the cache.
+    cache_id: Option<String>,
+    /// Its schema in the order's induced attribute order.
+    pub(crate) induced: Schema,
+    /// Induced column → stored column.
+    pub(crate) perm: Vec<usize>,
+}
+
+impl RoundAtom {
+    /// Relation `name`, stored as `schema`, read in the attribute order
+    /// `induced`, which must reorder all of its attributes.
+    fn new(
+        name: &str,
+        cache_id: Option<String>,
+        schema: &Schema,
+        induced: Vec<Attr>,
+    ) -> Result<Self> {
+        let position = |a| schema.position(a);
+        let perm: Option<Vec<usize>> = induced.iter().map(|&a| position(a)).collect();
+        match perm {
+            Some(perm) if perm.len() == schema.arity() => {
+                let induced = Schema::new(induced)?;
+                Ok(RoundAtom { name: name.to_string(), cache_id, induced, perm })
+            }
+            _ => Err(Error::SchemaMismatch {
+                left: schema.to_string(),
+                right: format!("order {induced:?}"),
+            }),
+        }
+    }
+}
+
+/// What a round knows about its relations before it builds anything: per
+/// relation, its name and cache identity, its order-induced schema and
+/// column permutation, and — under an index scope — its index-cache key.
+///
+/// None of it depends on a call: a layout is a function of the relations'
+/// schemas, the order and the scope's database state. So it is built once
+/// and kept (the executor keeps one per plan round), and a fully warm round
+/// resolves every relation by looking its prebuilt key up in the cache —
+/// the lookup still counts, evicts and coalesces as any other, and the
+/// layout pins no cache entry. [`RoundLayout::same_relations`] and
+/// [`RoundLayout::stamped_for`] say whether a kept layout still describes a
+/// round.
+#[derive(Debug, Clone)]
+pub struct RoundLayout {
+    pub(crate) atoms: Vec<RoundAtom>,
+    /// `(atom, key)` for every atom with a cache identity, in key order —
+    /// the order a round takes build claims in. Empty without a scope.
+    keys: Vec<(usize, ArtifactKey)>,
+    /// Whether the keys were stamped under a scope.
+    scoped: bool,
+    /// The relation names, comma-separated: the `shuffle` span's detail.
+    names: String,
+}
+
+impl RoundLayout {
+    /// The layout of a round over `atom_names` (each resolved in `overlay`,
+    /// then `db`) as tries in the orders `order` induces. `cache_ids[ai]`
+    /// is the cache identity of `atom_names[ai]` — its name for a base
+    /// relation, a content label for a pre-computed bag, or `None` (as is
+    /// every atom past the slice's end) to bypass the cache. Under `scope`,
+    /// every identified atom gets its index key, stamped with the scope's
+    /// database, epoch and the relation's delta sequence.
+    pub fn new(
+        db: &Database,
+        overlay: &[(String, Arc<Relation>)],
+        atom_names: &[String],
+        cache_ids: &[Option<String>],
+        order: &[Attr],
+        scope: Option<&IndexScope<'_>>,
+    ) -> Result<Self> {
+        let atoms = (atom_names.iter().enumerate())
+            .map(|(ai, name)| {
+                let schema = resolve(db, overlay, name)?.schema();
+                let induced = order.iter().copied().filter(|a| schema.contains(*a)).collect();
+                RoundAtom::new(name, cache_ids.get(ai).cloned().flatten(), schema, induced)
+            })
+            .collect::<Result<_>>()?;
+        Ok(RoundLayout::keyed(atoms, scope))
+    }
+
+    /// The layout of a round over some of this layout's relations again, as
+    /// tries of other attribute orders: `reordered[j] = (ai, induced)` reads
+    /// relation `ai` as `induced`, a reordering of its attributes, under the
+    /// same name and cache identity. Each gets an index key of its own,
+    /// since the key names the induced order.
+    pub fn reordered(
+        &self,
+        db: &Database,
+        overlay: &[(String, Arc<Relation>)],
+        reordered: &[(usize, Schema)],
+        scope: Option<&IndexScope<'_>>,
+    ) -> Result<Self> {
+        let atoms = (reordered.iter())
+            .map(|(ai, induced)| {
+                let RoundAtom { name, cache_id, .. } = &self.atoms[*ai];
+                let schema = resolve(db, overlay, name)?.schema();
+                RoundAtom::new(name, cache_id.clone(), schema, induced.attrs().to_vec())
+            })
+            .collect::<Result<_>>()?;
+        Ok(RoundLayout::keyed(atoms, scope))
+    }
+
+    /// The layout of a round over `atoms`, keyed under `scope`.
+    fn keyed(atoms: Vec<RoundAtom>, scope: Option<&IndexScope<'_>>) -> Self {
+        let mut keys: Vec<(usize, ArtifactKey)> = match scope {
+            Some(scope) => (atoms.iter().enumerate())
+                .filter_map(|(ai, atom)| {
+                    let id = atom.cache_id.clone()?;
+                    let key = scope.index_key(id, atom.induced.attrs().to_vec());
+                    Some((ai, ArtifactKey::Index(key)))
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        keys.sort_by(|a, b| a.1.cmp(&b.1));
+        let names: Vec<&str> = atoms.iter().map(|a| a.name.as_str()).collect();
+        let names = names.join(",");
+        RoundLayout { atoms, keys, scoped: scope.is_some(), names }
+    }
+
+    /// Each relation's `(name, cache identity)`, in round order.
+    pub fn relations(&self) -> impl ExactSizeIterator<Item = (&str, Option<&str>)> {
+        self.atoms.iter().map(|a| (a.name.as_str(), a.cache_id.as_deref()))
+    }
+
+    /// Whether this layout is over `atoms` — each relation's `(name, cache
+    /// identity)`, in round order. Allocates nothing.
+    pub fn same_relations<'s>(
+        &self,
+        atoms: impl ExactSizeIterator<Item = (&'s str, Option<&'s str>)>,
+    ) -> bool {
+        atoms.len() == self.atoms.len()
+            && self.relations().zip(atoms).all(|(mine, theirs)| mine == theirs)
+    }
+
+    /// Whether the keys were stamped for `scope` — its database, epoch and
+    /// every keyed relation's current delta sequence — or, for no scope,
+    /// the layout has no keys. Allocates nothing.
+    pub fn stamped_for(&self, scope: Option<&IndexScope<'_>>) -> bool {
+        match scope {
+            None => !self.scoped,
+            Some(scope) => {
+                self.scoped
+                    && self.keys.iter().all(|(_, key)| match key {
+                        ArtifactKey::Index(k) => {
+                            k.db_tag == scope.db_tag
+                                && k.epoch == scope.epoch
+                                && k.delta_seq == scope.delta_seq_for(&k.relation)
+                        }
+                        ArtifactKey::Bag(_) => false,
+                    })
+            }
+        }
+    }
+
+    /// Each relation's order-induced schema, in round order.
+    pub fn induced_schemas(&self) -> impl ExactSizeIterator<Item = &Schema> {
+        self.atoms.iter().map(|a| &a.induced)
+    }
+}
+
+/// What one execution carries through every layer below the front door:
+/// the index-cache scope it may consult and publish under, its cancellation
+/// token and its tracer. Both handles are `Option<Arc<_>>` inside, so
+/// [`ExecCtx::default`] — the cold, uncancellable, untraced execution —
+/// allocates nothing and every poll or span on it is one branch.
+#[derive(Debug, Clone, Default)]
+pub struct ExecCtx<'a> {
+    /// The cross-query index cache to consult; `None` runs fully cold.
+    pub index: Option<&'a IndexScope<'a>>,
+    /// Polled at every cancellation checkpoint of the execution.
+    pub cancel: CancelToken,
+    /// Receives the execution's span timeline.
+    pub tracer: Tracer,
+}
+
+/// One round: which relations it indexes, and the plan that prices them.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexRound<'a> {
+    /// The relations, their induced orders and cache keys; each must
+    /// resolve in `overlay` or the database.
+    pub layout: &'a RoundLayout,
+    /// The plan's share grid: what each cold relation would cost to route.
+    pub plan: &'a HCubePlan,
+    /// Per-query relations (pre-computed bags) resolved before the
+    /// database, so the shared database is never cloned per query.
+    pub overlay: &'a [(String, Arc<Relation>)],
+    /// The caller took `plan`'s share vector from a memo instead of solving
+    /// the share program for this round; recorded as an arg of the
+    /// `shuffle` span (a solve shows as the caller's own `share_solve` span
+    /// instead).
+    pub share_reused: bool,
+}
+
+/// The result of [`index_round`]: every relation's index, in round order —
+/// the cache's entry for a warm relation, the fresh build for a cold one —
+/// plus the cost report.
+#[derive(Debug)]
+pub struct RoundOutput {
+    /// `relations[ai]` is relation `ai`'s index.
+    pub relations: Vec<Arc<RelationIndex>>,
+    /// What the round built, reused and would have routed.
+    pub report: ShuffleReport,
+}
+
+impl RoundOutput {
+    /// The round's tries, in round order.
+    pub fn tries(&self) -> impl Iterator<Item = &Arc<Trie>> {
+        self.relations.iter().map(|r| &r.trie)
+    }
+}
+
+/// Resolves a relation by name against the overlay first, then the base
+/// database — so callers can layer per-query temporaries (pre-computed
+/// bags) over an immutable shared database without cloning it.
+pub(crate) fn resolve<'a>(
+    db: &'a Database,
+    overlay: &'a [(String, Arc<Relation>)],
+    name: &str,
+) -> Result<&'a Relation> {
+    if let Some((_, rel)) = overlay.iter().find(|(n, _)| n == name) {
+        return Ok(rel);
+    }
+    db.get(name)
+}
+
+/// How often a cold build polls the [`CancelToken`] while it reads rows:
+/// one relaxed atomic load (plus the fault-injection gate) every this many
+/// rows, so the cancellation latency is bounded without a measurable
+/// per-row cost.
+pub(crate) const CANCEL_CHECK_EVERY: usize = 4096;
+
+/// Fault-injection checkpoint + cooperative cancellation poll, mapped onto
+/// the workspace error type.
+#[inline]
+pub(crate) fn checkpoint(site: FaultSite, cancel: &CancelToken) -> Result<()> {
+    adj_faults::inject(site, cancel);
+    cancel.check().map_err(|c| Error::Cancelled { deadline_exceeded: c.deadline })
+}
+
+/// The trie of `atom`, read from `rel` in its induced order. A relation
+/// stored in that order is in normal form already and is indexed as it is;
+/// any other is permuted, sorted and indexed. The rows are read under the
+/// `ShuffleRoute` checkpoint, polled every [`CANCEL_CHECK_EVERY`] rows.
+fn build_index(rel: &Relation, atom: &RoundAtom, cancel: &CancelToken) -> Result<Trie> {
+    checkpoint(FaultSite::ShuffleRoute, cancel)?;
+    if atom.perm.iter().enumerate().all(|(i, &p)| i == p) {
+        return Ok(Trie::build(rel));
+    }
+    let mut flat: Vec<Value> = Vec::with_capacity(rel.len() * atom.perm.len());
+    for (i, row) in rel.rows().enumerate() {
+        if i % CANCEL_CHECK_EVERY == CANCEL_CHECK_EVERY - 1 {
+            checkpoint(FaultSite::ShuffleRoute, cancel)?;
+        }
+        flat.extend(atom.perm.iter().map(|&p| row[p]));
+    }
+    Ok(Trie::build(&Relation::from_flat(atom.induced.clone(), flat)?))
+}
+
+/// Resolves every relation of `round` to its index under `ctx`'s index
+/// scope, cancellation token and tracer.
+///
+/// Warm relations come from the cache. Cold ones are built — one relation
+/// per task, claimed by the cluster's workers from a shared cursor — and
+/// published for every later query. Without an index scope everything is
+/// built and nothing published. A miss takes the key's build claim, so a
+/// concurrent query that misses the same key waits for this build instead
+/// of repeating it (request coalescing); claims are taken in sorted key
+/// order, so two rounds over overlapping relations never hold-and-wait in a
+/// cycle, and a self-join's duplicate key reuses the first atom's outcome
+/// instead of waiting on its own claim.
+///
+/// The token is polled once per cold relation, every
+/// `CANCEL_CHECK_EVERY` (4096) rows a build reads and once per build task;
+/// a fired token fails the round with [`Error::Cancelled`] **before**
+/// anything is published, so a cancelled query never leaves partial
+/// artifacts behind. A panicking build is isolated
+/// ([`adj_cluster::WorkerFailure`]) and surfaces as
+/// [`Error::WorkerPanicked`] with nothing published.
+///
+/// The span timeline: one `shuffle` span on the coordinator lane (its
+/// detail names the relations; args: the tuples the plan would route for
+/// the cold relations, built and reused relations, the tuples reuse saved),
+/// an `index_cache_miss` / `index_cache_coalesced` instant per key that
+/// missed or waited for another build (plain hits are the span's
+/// `reused_relations`), and, when something was cold, a `build` span per
+/// worker lane.
+pub fn index_round(
+    cluster: &Cluster,
+    db: &Database,
+    round: &IndexRound<'_>,
+    ctx: &ExecCtx<'_>,
+) -> Result<RoundOutput> {
+    let IndexRound { layout, plan, overlay, share_reused } = *round;
+    let (scope, cancel, tracer) = (ctx.index, &ctx.cancel, &ctx.tracer);
+    let mut shuffle_span = tracer.span(COORDINATOR_LANE, "shuffle");
+    assert!(layout.stamped_for(scope), "round layout keyed for another index scope");
+    let atoms = &layout.atoms;
+
+    let mut resolved: Vec<Option<Arc<RelationIndex>>> = vec![None; atoms.len()];
+    let mut claims: Vec<Option<IndexClaim<'_>>> = Vec::new();
+    let mut tuples_saved: u64 = 0;
+    if let Some(scope) = scope {
+        let keyed = &layout.keys;
+        for i in 0..keyed.len() {
+            let (ai, ref key) = keyed[i];
+            let ArtifactKey::Index(index_key) = key else { unreachable!("rounds key indexes") };
+            let id = index_key.relation.as_str();
+            if i > 0 && keyed[i - 1].1 == *key {
+                let prev = resolved[keyed[i - 1].0].clone();
+                if let Some(entry) = &prev {
+                    tuples_saved += entry.tuples;
+                }
+                resolved[ai] = prev;
+                continue;
+            }
+            match scope.cache.lookup(key, cancel) {
+                IndexLookup::Hit { value: Artifact::Index(value), coalesced } => {
+                    if coalesced {
+                        tracer.instant(COORDINATOR_LANE, "index_cache_coalesced", id);
+                    }
+                    tuples_saved += value.tuples;
+                    resolved[ai] = Some(value);
+                }
+                IndexLookup::Hit { .. } => unreachable!("an index key holds an index"),
+                IndexLookup::Miss(claim) => {
+                    tracer.instant(COORDINATOR_LANE, "index_cache_miss", id);
+                    if claims.is_empty() {
+                        claims.resize_with(atoms.len(), || None);
+                    }
+                    claims[ai] = Some(claim);
+                }
+            }
+        }
+    }
+
+    // The cold relations, built one per task. A round with one cold
+    // relation builds it on the calling thread.
+    let cold: Vec<usize> = (0..atoms.len()).filter(|&ai| resolved[ai].is_none()).collect();
+    let mut built: Vec<Option<Arc<Trie>>> = Vec::new();
+    let mut build_secs = 0.0;
+    if !cold.is_empty() {
+        built.resize(atoms.len(), None);
+        let next = AtomicUsize::new(0);
+        let task = |_w: usize, span: &mut adj_trace::SpanGuard<'_>| -> Result<Vec<(usize, Trie)>> {
+            adj_faults::inject(FaultSite::TrieBuild, cancel);
+            let mut done = Vec::new();
+            while let Some(&ai) = cold.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let rel = resolve(db, overlay, &atoms[ai].name)?;
+                done.push((ai, build_index(rel, &atoms[ai], cancel)?));
+            }
+            if span.is_recording() {
+                span.arg("relations", done.len() as u64);
+                span.arg("tuples", done.iter().map(|(_, t)| t.tuples() as u64).sum::<u64>());
+            }
+            Ok(done)
+        };
+        let run = if cold.len() == 1 {
+            cluster.run_serial(tracer, "build", task)
+        } else {
+            cluster.run_traced(tracer, "build", task)
+        };
+        build_secs = run.makespan_secs;
+        for done in run.into_results().map_err(Error::from)? {
+            for (ai, trie) in done? {
+                built[ai] = Some(Arc::new(trie));
+            }
+        }
+    }
+    // A Cancel fault injected during the builds (or a deadline that elapsed
+    // while they ran) aborts before anything is published.
+    cancel.check().map_err(|c| Error::Cancelled { deadline_exceeded: c.deadline })?;
+
+    // Assemble the relations and publish the cold ones. Every slot of
+    // `resolved` is filled in place, so its allocation becomes the
+    // output's.
+    let (mut tuples, mut built_relations, mut reused_relations) = (0u64, 0u64, 0u64);
+    let mut relations = resolved;
+    for (ai, slot) in relations.iter_mut().enumerate() {
+        if slot.is_some() {
+            reused_relations += 1;
+            continue;
+        }
+        built_relations += 1;
+        let trie = built[ai].take().expect("cold relation was built");
+        let routed = trie.tuples() as u64 * plan.dup_factor(&atoms[ai].induced);
+        tuples += routed;
+        let index = Arc::new(RelationIndex::new(trie, routed));
+        if let Some(claim) = claims.get_mut(ai).and_then(Option::take) {
+            // The entry lands in the cache and every coalesced waiter
+            // wakes with it.
+            claim.publish(Artifact::Index(Arc::clone(&index)));
+        }
+        *slot = Some(index);
+    }
+    let relations: Vec<Arc<RelationIndex>> =
+        relations.into_iter().map(|r| r.expect("every relation resolved or built")).collect();
+
+    if shuffle_span.is_recording() {
+        shuffle_span.detail(layout.names.clone());
+        shuffle_span.arg("tuples", tuples);
+        shuffle_span.arg("built_relations", built_relations);
+        shuffle_span.arg("reused_relations", reused_relations);
+        shuffle_span.arg("tuples_saved", tuples_saved);
+        if share_reused {
+            shuffle_span.arg("share_reused", 1);
+        }
+    }
+    drop(shuffle_span);
+
+    Ok(RoundOutput {
+        relations,
+        report: ShuffleReport {
+            tuples,
+            comm_secs: cluster.cost_model().comm_secs(tuples),
+            build_secs,
+            built_relations,
+            reused_relations,
+            tuples_saved,
+            ..Default::default()
+        },
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::IndexCache;
+    use adj_cluster::ClusterConfig;
+
+    /// Triangle test database over a small random-ish graph.
+    fn tri_db() -> (Database, Vec<String>) {
+        let edges: Vec<(Value, Value)> =
+            (0..50u32).flat_map(|i| vec![(i, (i * 7 + 3) % 50), (i, (i * 13 + 1) % 50)]).collect();
+        let mut db = Database::new();
+        db.insert("R1", Relation::from_pairs(Attr(0), Attr(1), &edges));
+        db.insert("R2", Relation::from_pairs(Attr(1), Attr(2), &edges));
+        db.insert("R3", Relation::from_pairs(Attr(0), Attr(2), &edges));
+        (db, vec!["R1".into(), "R2".into(), "R3".into()])
+    }
+
+    fn ids(names: &[String]) -> Vec<Option<String>> {
+        names.iter().map(|n| Some(n.clone())).collect()
+    }
+
+    /// The round over `names` in the order `order` under `scope`.
+    fn round_in(
+        cluster: &Cluster,
+        db: &Database,
+        names: &[String],
+        order: &[Attr],
+        scope: Option<&IndexScope<'_>>,
+        cache_ids: &[Option<String>],
+    ) -> RoundOutput {
+        let plan = HCubePlan::new(vec![2, 2, 1], cluster.num_workers());
+        let layout = RoundLayout::new(db, &[], names, cache_ids, order, scope).unwrap();
+        let round = IndexRound { layout: &layout, plan: &plan, overlay: &[], share_reused: false };
+        let ctx = ExecCtx { index: scope, ..Default::default() };
+        index_round(cluster, db, &round, &ctx).unwrap()
+    }
+
+    fn order3() -> Vec<Attr> {
+        vec![Attr(0), Attr(1), Attr(2)]
+    }
+
+    #[test]
+    fn a_round_indexes_each_relation_whole_in_its_induced_order() {
+        let (db, names) = tri_db();
+        let cluster = Cluster::new(ClusterConfig::with_workers(4));
+        // (c ≺ a ≺ b) reverses R2(b,c) and R3(a,c).
+        let order = vec![Attr(2), Attr(0), Attr(1)];
+        let out = round_in(&cluster, &db, &names, &order, None, &[]);
+        let plan = HCubePlan::new(vec![2, 2, 1], 4);
+        let mut routed = 0;
+        for (name, index) in names.iter().zip(&out.relations) {
+            let stored = db.get(name).unwrap();
+            let induced: Vec<Attr> =
+                order.iter().copied().filter(|&a| stored.schema().contains(a)).collect();
+            assert_eq!(index.trie.to_relation(), stored.permute(&induced).unwrap(), "{name}");
+            routed += stored.len() as u64 * plan.dup_factor(stored.schema());
+        }
+        assert_eq!(out.report.tuples, routed, "a cold round reports what the share routes");
+        assert_eq!((out.report.built_relations, out.report.reused_relations), (3, 0));
+    }
+
+    #[test]
+    fn warm_shuffle_is_byte_identical_and_moves_nothing() {
+        let (db, names) = tri_db();
+        let cluster = Cluster::new(ClusterConfig::with_workers(4));
+        let cache = IndexCache::new(64 << 20);
+        let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
+        let cold = round_in(&cluster, &db, &names, &order3(), Some(&scope), &ids(&names));
+        assert_eq!(cold.report.built_relations, 3);
+        assert_eq!(cold.report.reused_relations, 0);
+        assert!(cold.report.tuples > 0);
+
+        let warm = round_in(&cluster, &db, &names, &order3(), Some(&scope), &ids(&names));
+        assert_eq!(warm.report.reused_relations, 3);
+        assert_eq!(warm.report.built_relations, 0);
+        assert_eq!(warm.report.tuples, 0, "a warm round moves nothing");
+        assert_eq!(warm.report.tuples_saved, cold.report.tuples);
+        assert_eq!(warm.report.build_secs, 0.0);
+        for (c, w) in cold.tries().zip(warm.tries()) {
+            assert!(Arc::ptr_eq(c, w), "warm relations must share the cached handle, not a copy");
+        }
+        assert_eq!(cache.stats().hits, 3);
+    }
+
+    #[test]
+    fn epoch_bump_forces_rebuild() {
+        let (db, names) = tri_db();
+        let cluster = Cluster::new(ClusterConfig::with_workers(4));
+        let cache = IndexCache::new(64 << 20);
+        let s0 = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
+        round_in(&cluster, &db, &names, &order3(), Some(&s0), &ids(&names));
+        let s1 = IndexScope { cache: &cache, db_tag: 1, epoch: 1, versions: &[] };
+        let out = round_in(&cluster, &db, &names, &order3(), Some(&s1), &ids(&names));
+        assert_eq!(out.report.reused_relations, 0, "stale epoch must not serve");
+        assert_eq!(out.report.built_relations, 3);
+    }
+
+    #[test]
+    fn mixed_hit_and_miss_builds_only_the_cold_relation() {
+        let (db, names) = tri_db();
+        let cluster = Cluster::new(ClusterConfig::with_workers(4));
+        let cache = IndexCache::new(64 << 20);
+        let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
+        // Warm only R1 and R3.
+        let partial = vec![Some("R1".to_string()), None, Some("R3".to_string())];
+        round_in(&cluster, &db, &names, &order3(), Some(&scope), &partial);
+        let out = round_in(&cluster, &db, &names, &order3(), Some(&scope), &ids(&names));
+        assert_eq!(out.report.reused_relations, 2);
+        assert_eq!(out.report.built_relations, 1);
+        // The mixed round is still byte-identical to a cold one, and the
+        // width does not enter the index.
+        let narrow = Cluster::new(ClusterConfig::with_workers(1));
+        let cold = round_in(&narrow, &db, &names, &order3(), None, &[]);
+        for (mixed, fresh) in out.tries().zip(cold.tries()) {
+            assert_eq!(mixed, fresh);
+        }
+    }
+
+    #[test]
+    fn a_cancelled_round_publishes_nothing() {
+        let (db, names) = tri_db();
+        let cluster = Cluster::new(ClusterConfig::with_workers(2));
+        let cache = IndexCache::new(64 << 20);
+        let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
+        let plan = HCubePlan::new(vec![2, 1, 1], 2);
+        let layout =
+            RoundLayout::new(&db, &[], &names, &ids(&names), &order3(), Some(&scope)).unwrap();
+        let round = IndexRound { layout: &layout, plan: &plan, overlay: &[], share_reused: false };
+        let cancel = CancelToken::manual();
+        cancel.cancel();
+        let ctx = ExecCtx { index: Some(&scope), cancel, ..Default::default() };
+        assert!(matches!(index_round(&cluster, &db, &round, &ctx), Err(Error::Cancelled { .. })));
+        assert_eq!(cache.stats().len, 0, "nothing published");
+        cache.store().check(|_| true, true).unwrap();
+    }
+}

@@ -34,8 +34,9 @@
 //! while a value some bag lacks is skipped by the bags after it. The tables
 //! hold [`TABLE_CAP`] entries, stamped per value so they are never cleared,
 //! and live in the lent [`JoinScratch`]; a value of `k` at or past the cap
-//! ends the count, and the caller enumerates. The identity holds on any
-//! instance, so each worker counts its local tries.
+//! ends the count, and the caller enumerates. The sum splits over the
+//! values of `o0`, so the workers of one count share its tries and divide
+//! those values in [`Morsels`].
 //!
 //! A bag's order can induce another attribute order on an input than the
 //! join's order does (the 4-cycle's `R3(c,d)` is read as `d → c`): such an
@@ -43,6 +44,7 @@
 
 use crate::counters::JoinCounters;
 use crate::join::{recycle, Batch, BatchOutcome, JoinLayout, JoinScratch, LeapfrogJoin, Lent};
+use crate::morsel::Morsels;
 use adj_relational::intersect::TABLE_CAP;
 use adj_relational::{Attr, Result, RowSink, Schema, Trie, Value};
 use std::borrow::Borrow;
@@ -203,16 +205,22 @@ impl CountSplit {
     /// count tables from `scratch`, so a warm count allocates only its
     /// counters; `stop` is polled as [`LeapfrogJoin::run_batch`] polls it.
     ///
-    /// Returns the one unbound binding's outcome: the count is
-    /// `counters.output_tuples`, and each bag walk's bindings are counted at
-    /// their attribute's level of the join's order. `completed` is 0 when
-    /// `stop` fired. `None` when a value of `k` reached [`TABLE_CAP`]: the
-    /// join has to be enumerated.
+    /// The values of `o0` are claimed from `morsels`, so the workers of one
+    /// count, each calling this over the same tries, divide them; a lone
+    /// caller counts them all.
+    ///
+    /// Returns the caller's share of the one unbound binding's outcome: the
+    /// count of the values it claimed is `counters.output_tuples`, and each
+    /// bag walk's bindings are counted at their attribute's level of the
+    /// join's order. `completed` is 0 when `stop` fired. `None` when a
+    /// value of `k` reached [`TABLE_CAP`]: the join has to be enumerated,
+    /// and `morsels` is halted so that every other caller stops too.
     pub fn count<'t>(
         &self,
         input: impl Fn(usize) -> &'t Trie,
         scratch: &mut JoinScratch,
         stop: &mut dyn FnMut() -> bool,
+        morsels: &Morsels,
     ) -> Result<Option<BatchOutcome>> {
         let n = self.bags.len();
         if scratch.bags.len() < n {
@@ -224,7 +232,7 @@ impl CountSplit {
             tries.extend(bag.inputs.iter().map(|&i| input(i)));
             *slot = Some(LeapfrogJoin::with_layout(Arc::clone(&bag.layout), tries)?);
         }
-        let outcome = self.walk(&joins[..n], scratch, stop);
+        let outcome = self.walk(&joins[..n], scratch, stop, morsels);
         // The trie lists go back to the scratch, emptied.
         for (slot, kept) in joins.iter_mut().zip(&mut scratch.bags) {
             if let Some(join) = slot.take() {
@@ -240,6 +248,7 @@ impl CountSplit {
         joins: &[Option<LeapfrogJoin<T>>],
         scratch: &mut JoinScratch,
         stop: &mut dyn FnMut() -> bool,
+        morsels: &Morsels,
     ) -> Option<BatchOutcome> {
         let n = joins.len();
         let join = |b: usize| joins[b].as_ref().expect("one join per bag");
@@ -282,36 +291,38 @@ impl CountSplit {
         let (mut total, mut completed, mut unfit) = (0u64, 1, false);
         let (tabled, last) = scratch.bags[..n].split_at_mut(n - 1);
         let last = &mut last[0];
-        'values: for i in 0..values.len() {
-            for (p, &b) in order[..n].iter().enumerate() {
-                let (join, batch) = (join(b), batches[p].as_mut().expect("begun"));
-                let (done, misfit, empty) = match tabled.get_mut(p) {
-                    Some(kept) => {
-                        let BagScratch { join: walk_scratch, table, stamp, .. } = kept.renew();
-                        let mut tally = Tally { table, stamp: *stamp, rows: 0, unfit: false };
-                        let sinks = std::slice::from_mut(&mut tally);
-                        let done = join.advance(batch, walk_scratch, values, sinks, i, i + 1);
-                        (done, tally.unfit, tally.rows == 0)
+        'values: while let Some((_, claimed)) = morsels.claim(values.len()) {
+            for i in claimed {
+                for (p, &b) in order[..n].iter().enumerate() {
+                    let (join, batch) = (join(b), batches[p].as_mut().expect("begun"));
+                    let (done, misfit, empty) = match tabled.get_mut(p) {
+                        Some(kept) => {
+                            let BagScratch { join: walk_scratch, table, stamp, .. } = kept.renew();
+                            let mut tally = Tally { table, stamp: *stamp, rows: 0, unfit: false };
+                            let sinks = std::slice::from_mut(&mut tally);
+                            let done = join.advance(batch, walk_scratch, values, sinks, i, i + 1);
+                            (done, tally.unfit, tally.rows == 0)
+                        }
+                        None => {
+                            let mut dot = Dot { tables: tabled, sum: 0, unfit: false };
+                            let sinks = std::slice::from_mut(&mut dot);
+                            let done = join.advance(batch, &mut last.join, values, sinks, i, i + 1);
+                            total += dot.sum;
+                            (done, dot.unfit, false)
+                        }
+                    };
+                    if misfit {
+                        unfit = true;
+                        break 'values;
                     }
-                    None => {
-                        let mut dot = Dot { tables: tabled, sum: 0, unfit: false };
-                        let sinks = std::slice::from_mut(&mut dot);
-                        let done = join.advance(batch, &mut last.join, values, sinks, i, i + 1);
-                        total += dot.sum;
-                        (done, dot.unfit, false)
+                    if done == i {
+                        completed = 0;
+                        break 'values;
                     }
-                };
-                if misfit {
-                    unfit = true;
-                    break 'values;
-                }
-                if done == i {
-                    completed = 0;
-                    break 'values;
-                }
-                if empty {
-                    // This value counts 0 in this bag: the later bags skip it.
-                    break;
+                    if empty {
+                        // This value counts 0 in this bag: the later bags skip it.
+                        break;
+                    }
                 }
             }
         }
@@ -319,6 +330,7 @@ impl CountSplit {
             kept.lent = join(order[p]).finish(slot.take().expect("begun"), &mut kept.join);
         }
         if unfit {
+            morsels.halt();
             return None;
         }
         for (&b, kept) in order[..n].iter().zip(&scratch.bags) {
@@ -482,10 +494,11 @@ mod tests {
             .collect();
         let all: Vec<&Trie> = tries.iter().chain(&extra).collect();
         let mut scratch = JoinScratch::new();
-        let counted = split.count(|i| all[i], &mut scratch, &mut || false).unwrap();
+        let counted =
+            split.count(|i| all[i], &mut scratch, &mut || false, &Morsels::new()).unwrap();
         // A second count over the same scratch reads none of the first's
         // table entries.
-        let again = split.count(|i| all[i], &mut scratch, &mut || false).unwrap();
+        let again = split.count(|i| all[i], &mut scratch, &mut || false, &Morsels::new()).unwrap();
         let count = |c: &Option<BatchOutcome>| c.as_ref().map(|c| c.counters.output_tuples);
         assert_eq!(count(&again), count(&counted));
         (counted.map(|outcome| outcome.counters.output_tuples), plain)

@@ -323,14 +323,25 @@ impl JoinScratch {
         JoinScratch::default()
     }
 
-    /// Whether a per-level intersection buffer grew past `entries`
-    /// entries: the mark of a join large enough to pay for its own
+    /// Drops every per-level intersection buffer that grew past `entries`
+    /// entries — the mark of a join large enough to pay for its own
     /// buffers, whose high-water marks a scratch kept between joins should
-    /// not hold on to.
-    pub fn grew_past(&self, entries: usize) -> bool {
-        let level = |l: &LevelScratch| l.values.capacity().max(l.positions.capacity());
-        self.levels.iter().any(|l| level(l) > entries)
-            || self.bags.iter().any(|bag| bag.join.grew_past(entries))
+    /// not hold on to — and keeps everything else: the smaller buffers, the
+    /// value tables and a counted join's count tables, whose sizes are
+    /// fixed, so a scratch a large join used serves the next join without
+    /// allocating and zeroing them again.
+    pub fn shrink_past(&mut self, entries: usize) {
+        for level in &mut self.levels {
+            if level.values.capacity() > entries {
+                level.values = Vec::new();
+            }
+            if level.positions.capacity() > entries {
+                level.positions = Vec::new();
+            }
+        }
+        for bag in &mut self.bags {
+            bag.join.shrink_past(entries);
+        }
     }
 
     /// Ensures one buffer pair per level, returning them.
@@ -856,6 +867,80 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     }
 }
 
+/// The sinks of a walk's bindings: binding `first + i` of a
+/// [`BatchWalk::advance`] over `first..until` streams into `sink(i)`. A
+/// slice gives every binding a sink of its own; [`Shared`] streams them
+/// all into one.
+pub trait Sinks {
+    /// The sink type.
+    type Sink: RowSink;
+
+    /// The sink of the `i`-th binding of the range under way.
+    fn sink(&mut self, i: usize) -> &mut Self::Sink;
+}
+
+impl<S: RowSink> Sinks for [S] {
+    type Sink = S;
+
+    #[inline]
+    fn sink(&mut self, i: usize) -> &mut S {
+        &mut self[i]
+    }
+}
+
+/// One sink for every binding of a range: the driver rows of an unbound
+/// join's morsel, whose rows together are the morsel's result.
+#[derive(Debug)]
+pub struct Shared<S>(pub S);
+
+impl<S: RowSink> Sinks for Shared<S> {
+    type Sink = S;
+
+    #[inline]
+    fn sink(&mut self, _i: usize) -> &mut S {
+        &mut self.0
+    }
+}
+
+/// A walk [`LeapfrogJoin::walk`] began: advanced over ascending ranges of
+/// its bindings, then finished once.
+pub struct BatchWalk<'j, T: Borrow<Trie>> {
+    join: &'j LeapfrogJoin<T>,
+    /// `None` when an input is empty.
+    batch: Option<Batch<'j>>,
+    scratch: &'j mut JoinScratch,
+}
+
+impl<T: Borrow<Trie>> BatchWalk<'_, T> {
+    /// Walks bindings `first..until` of `bindings` (`k` values each, for
+    /// the `k` bound attributes), binding `first + i` streaming into
+    /// `sinks.sink(i)`. The ranges of one walk must ascend and the bindings
+    /// in them be strictly ascending; the bindings between two ranges are
+    /// skipped. Returns how many leading bindings of the range completed —
+    /// `until` unless the stop hook fired.
+    pub fn advance<Z: Sinks + ?Sized>(
+        &mut self,
+        bindings: &[Value],
+        sinks: &mut Z,
+        first: usize,
+        until: usize,
+    ) -> usize {
+        match &mut self.batch {
+            Some(batch) => self.join.advance(batch, self.scratch, bindings, sinks, first, until),
+            None => until,
+        }
+    }
+
+    /// Ends the walk, handing its cursors back to the scratch; returns its
+    /// counters.
+    pub fn finish(self) -> JoinCounters {
+        match self.batch {
+            Some(batch) => self.join.finish(batch, self.scratch).counters,
+            None => JoinCounters::new(self.join.levels()),
+        }
+    }
+}
+
 /// What a [`LeapfrogJoin::run_batch`] run produced.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
@@ -914,22 +999,47 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         scratch: &mut JoinScratch,
         stop: &mut dyn FnMut() -> bool,
     ) -> Result<BatchOutcome> {
-        let p = self.bound_prefix(bound_attrs)?;
-        let (k, n, levels) = (bound_attrs.len(), sinks.len(), self.levels());
+        let (k, n) = (bound_attrs.len(), sinks.len());
         assert_eq!(bindings.len(), n * k, "one binding of every bound attribute per sink");
         assert!(
             (1..n).all(|i| bindings[(i - 1) * k..i * k] < bindings[i * k..(i + 1) * k]),
             "bindings must be sorted and deduplicated"
         );
-        if self.has_empty_input() {
-            // Every binding trivially completes with an empty result.
-            return Ok(BatchOutcome { completed: n, counters: JoinCounters::new(levels) });
-        }
         let stop = RefCell::new(stop);
         let hook = || (*stop.borrow_mut())();
-        let mut batch = self.begin(bound_attrs, p, None, &hook, scratch);
-        let completed = self.advance(&mut batch, scratch, bindings, sinks, 0, n);
-        Ok(BatchOutcome { completed, counters: self.finish(batch, scratch).counters })
+        let mut walk = self.walk(bound_attrs, scratch, &hook)?;
+        let completed = walk.advance(bindings, sinks, 0, n);
+        Ok(BatchOutcome { completed, counters: walk.finish() })
+    }
+
+    /// Starts one walk over bindings of `bound_attrs` (as
+    /// [`Self::run_batch`] takes them) that its caller advances over ranges
+    /// of the bindings, in ascending order, as it claims them
+    /// ([`BatchWalk::advance`]) — the workers of a morsel-driven join each
+    /// begin one walk and advance it over every morsel they claim. The walk
+    /// keeps its cursors in `scratch` and polls `stop` as
+    /// [`Self::run_batch`] does.
+    pub fn walk<'j>(
+        &'j self,
+        bound_attrs: &[Attr],
+        scratch: &'j mut JoinScratch,
+        stop: &'j dyn Fn() -> bool,
+    ) -> Result<BatchWalk<'j, T>> {
+        let p = self.bound_prefix(bound_attrs)?;
+        // With an empty input every binding completes with an empty result.
+        let batch =
+            (!self.has_empty_input()).then(|| self.begin(bound_attrs, p, None, stop, scratch));
+        Ok(BatchWalk { join: self, batch, scratch })
+    }
+
+    /// The values of the order's first attribute in the shortest root run
+    /// among the inputs that hold it: every first-level value of the join
+    /// is among them, so an unbound join walked as a batch over them
+    /// ([`Self::walk`] with the first attribute bound) enumerates the join.
+    pub fn first_values(&self) -> &[Value] {
+        let holding = &self.layout.participants[0];
+        let roots = holding.iter().map(|&q| self.tries[q].borrow().levels()[0].values.as_slice());
+        roots.min_by_key(|run| run.len()).unwrap_or(&[])
     }
 
     /// How many leading levels of the order `bound_attrs` bind — the bound
@@ -1019,15 +1129,18 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// [`Self::begin`] was given). Bindings must be visited in ascending
     /// order, but may be skipped. Returns how many leading bindings
     /// completed — `until` unless the stop hook fired.
-    pub(crate) fn advance<S: RowSink>(
+    pub(crate) fn advance<Z: Sinks + ?Sized>(
         &self,
         batch: &mut Batch<'_>,
         scratch: &mut JoinScratch,
         bindings: &[Value],
-        sinks: &mut [S],
+        sinks: &mut Z,
         first: usize,
         until: usize,
     ) -> usize {
+        // Each range polls the stop hook as often as it would walked alone,
+        // however the ranges before it were dealt out.
+        batch.walk.until_poll = POLL_EVERY;
         let frames = scratch.for_levels(self.levels());
         self.traverse(batch, frames, bindings, sinks, first, until)
     }
@@ -1051,12 +1164,12 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// entered once per binding of the level above. Walks bindings
     /// `first..until`, binding `i` into `sinks[i - first]`, and returns how
     /// many leading bindings completed.
-    fn traverse<S: RowSink>(
+    fn traverse<Z: Sinks + ?Sized>(
         &self,
         batch: &mut Batch<'_>,
         frames: &mut [LevelScratch],
         bindings: &[Value],
-        sinks: &mut [S],
+        sinks: &mut Z,
         first: usize,
         until: usize,
     ) -> usize {
@@ -1074,7 +1187,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         loop {
             step = match step {
                 Step::Bind if i == until || (walk.stop)() => return i,
-                Step::Bind if sinks[i - first].saturated() => {
+                Step::Bind if sinks.sink(i - first).saturated() => {
                     i += 1;
                     Step::Bind
                 }
@@ -1109,7 +1222,12 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                     let hit = ps.iter().fold(true, |all, &q| walk.cursors[q].seek(target) & all);
                     *hit_depth = level + usize::from(hit);
                     walk.binding[level] = target;
-                    if hit && walk.produce(&mut sinks[i - first], level, 1) {
+                    // A prefix binding is produced once, by the first
+                    // binding of the run that shares it — whichever walk
+                    // took up the binding before it — so a batch divided
+                    // among walks counts what one walk counts.
+                    let shared = i > 0 && binding(i - 1)[..=level] == binding(i)[..=level];
+                    if hit && (shared || walk.produce(sinks.sink(i - first), level, 1)) {
                         Step::Enter(level + 1)
                     } else {
                         Step::End
@@ -1117,7 +1235,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                 }
                 Step::Enter(level) if level == levels => {
                     walk.counters.output_tuples += 1;
-                    if sinks[i - first].push(&walk.binding) {
+                    if sinks.sink(i - first).push(&walk.binding) {
                         resume(level)
                     } else {
                         Step::Stop
@@ -1126,7 +1244,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                 Step::Enter(level) => {
                     let ps = &layout.participants[level];
                     let (frame, below) = frames[level..].split_first_mut().expect("a level");
-                    let (sink, stats) = (&mut sinks[i - first], &mut walk.counters.stats);
+                    let (sink, stats) = (sinks.sink(i - first), &mut walk.counters.stats);
                     if let Some(col) = frame.pin {
                         // A bound level behind a free one seeks its constant
                         // in every participant; a miss prunes the subtree

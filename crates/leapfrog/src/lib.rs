@@ -1,7 +1,8 @@
 //! # adj-leapfrog — Leapfrog Triejoin (Sec. II-A, Algorithm 1)
 //!
 //! The worst-case-optimal sequential join algorithm HCubeJ/ADJ run on every
-//! worker over the data HCube shuffled to it. Given tries (one per relation,
+//! worker — in the paper over the data HCube shuffled to it, here over
+//! tries every worker of a host shares. Given tries (one per relation,
 //! levels following the induced global attribute order), [`LeapfrogJoin`]
 //! extends an `i`-tuple to an `(i+1)`-tuple by intersecting, for attribute
 //! `A_{i+1}`, the candidate runs of every relation containing `A_{i+1}` —
@@ -14,13 +15,21 @@
 //! [`LeapfrogJoin::run_batch`]. A count whose inputs split around two
 //! attributes ([`CountSplit`]) walks each bag through that traversal and
 //! combines the bags' counts by a dot product, never enumerating the join.
+//! The workers of one join share its tries and divide its driver in
+//! [`Morsels`], each advancing one walk ([`LeapfrogJoin::walk`]) over the
+//! morsels it claims.
 
 pub mod counted;
 pub mod counters;
 pub mod join;
+pub mod morsel;
 #[doc(hidden)]
 pub mod reference;
 
 pub use counted::CountSplit;
 pub use counters::{JoinCounters, JoinStats};
-pub use join::{validate_tries, BatchOutcome, JoinLayout, JoinScratch, LeapfrogJoin, POLL_EVERY};
+pub use join::{
+    validate_tries, BatchOutcome, BatchWalk, JoinLayout, JoinScratch, LeapfrogJoin, Shared, Sinks,
+    POLL_EVERY,
+};
+pub use morsel::{Morsels, MORSEL_ROWS};

@@ -590,9 +590,8 @@ pub fn radix_sort(values: &mut Vec<Value>) {
 
 /// Merges sorted, deduplicated row-major runs of one arity into one sorted,
 /// deduplicated run, by a tournament of pairwise merges — no re-sort. This
-/// is how Merge-HCube joins pulled blocks and how the executors gather
-/// worker outputs: Leapfrog emits each worker's rows in order, so the
-/// gathered result is already in normal form.
+/// is how Merge-HCube joins pulled blocks: each block is sorted, so the
+/// merged fragment is already in normal form.
 pub fn merge_sorted_runs(mut runs: Vec<Vec<Value>>, arity: usize) -> Vec<Value> {
     runs.retain(|run| !run.is_empty());
     while runs.len() > 1 {
@@ -607,31 +606,6 @@ pub fn merge_sorted_runs(mut runs: Vec<Vec<Value>>, arity: usize) -> Vec<Value> 
         runs = next;
     }
     runs.pop().unwrap_or_default()
-}
-
-/// [`merge_sorted_runs`] over borrowed runs: the merged run is the only
-/// allocation (a copy when one run is not empty, none when every run is).
-pub fn merge_sorted_slices<'r>(
-    runs: impl IntoIterator<Item = &'r [Value]>,
-    arity: usize,
-) -> Vec<Value> {
-    let mut runs = runs.into_iter().filter(|run| !run.is_empty());
-    let (Some(a), b) = (runs.next(), runs.next()) else {
-        return Vec::new();
-    };
-    let Some(b) = b else {
-        return a.to_vec();
-    };
-    // The first tournament round reads the borrowed runs; the rest merge
-    // what it produced.
-    let mut merged = vec![merge_two(a, b, arity)];
-    while let Some(a) = runs.next() {
-        merged.push(match runs.next() {
-            Some(b) => merge_two(a, b, arity),
-            None => a.to_vec(),
-        });
-    }
-    merge_sorted_runs(merged, arity)
 }
 
 /// Merges two sorted-dedup row-major runs of the same arity.

@@ -1,8 +1,9 @@
 //! `EXPLAIN` / `EXPLAIN ANALYZE` rendering: the chosen plan as an
 //! indented text tree — hypertree bags, pre-compute set, attribute order,
 //! share vector — and, under `ANALYZE`, the measured
-//! actuals folded in (per-phase seconds, tuples moved, cache hits,
-//! per-trie-level operation counts, per-worker fill and span times).
+//! actuals folded in (per-phase seconds, the plan's communication cost,
+//! cache hits, per-trie-level operation counts, per-worker morsels,
+//! bindings and span times).
 //!
 //! The output is line-oriented `key=value` text, stable enough for tests
 //! to grep and humans to read; it is not a machine interface (the JSON
@@ -124,33 +125,33 @@ pub fn render(
         report.other_secs,
         report.total_secs(),
     );
-    // Rows the coordinator had to sort into Merge blocks, off the `route`
-    // spans (one per shuffle round, bags included).
-    let rows_sorted: u64 = trace
-        .events
-        .iter()
-        .filter(|e| e.name == adj_trace::SPAN_ROUTE)
-        .filter_map(|e| e.args.get("rows_sorted"))
-        .sum();
     let _ = writeln!(
         out,
         "  shuffle: comm_tuples={} precompute_tuples={} index_built={} index_reused={} \
-         bags_reused={} rows_sorted={rows_sorted}",
+         bags_reused={}",
         report.comm_tuples,
         report.precompute_tuples,
         report.index_relations_built,
         report.index_relations_reused,
         report.index_bags_reused,
     );
-    if report.worker_tuples.is_empty() {
-        let _ = writeln!(out, "  partition fill: none (every relation was cache-warm)");
-    } else {
-        let fills: Vec<String> =
-            report.worker_tuples.iter().enumerate().map(|(w, t)| format!("w{w}={t}")).collect();
+    // Per worker: the morsels of the driver it claimed (off its `join`
+    // span; lane `w + 1` is worker `w`) and the bindings it produced.
+    let mut morsels: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
+    for e in trace.events.iter().filter(|e| e.name == "join" && e.lane > 0) {
+        *morsels.entry(e.lane).or_insert(0) += e.args.get("morsels").unwrap_or(0);
+    }
+    if !report.worker_tuples.is_empty() {
+        let per: Vec<String> = (report.worker_tuples.iter().enumerate())
+            .map(|(w, b)| {
+                let m = morsels.get(&(w as u32 + 1)).copied().unwrap_or(0);
+                format!("w{w}=morsels:{m},bindings:{b}")
+            })
+            .collect();
         let _ = writeln!(
             out,
-            "  partition fill: {} max={}",
-            fills.join(" "),
+            "  per worker: {} max_bindings={}",
+            per.join(" "),
             report.max_partition_tuples()
         );
     }

@@ -29,11 +29,11 @@
 //!   cost sampling, and Algorithm 2 entirely; hit/miss/eviction counts are
 //!   exposed.
 //! * [`IndexCache`] — the cross-query *index*
-//!   cache, next to the plan cache: shuffled partitions, built tries, and
-//!   pre-computed bag relations are published as shared `Arc` handles keyed
-//!   by `(relation, induced order, share, workers, stats epoch)`. Warm
-//!   queries skip the HCube shuffle + sort + trie build entirely and join
-//!   over the cached handles; bytes are LRU-bounded and carved out of the
+//!   cache, next to the plan cache: built tries and pre-computed bag
+//!   relations are published as shared `Arc` handles keyed by `(relation,
+//!   induced order, stats epoch, delta sequence)`, one per relation that
+//!   every worker reads. Warm queries skip the sort + trie build entirely
+//!   and join over the cached handles; bytes are LRU-bounded and carved out of the
 //!   cluster memory budget the admission controller enforces.
 //! * the per-binding result LRU ([`result_cache`]) of the batch door. It,
 //!   the plan cache and the index cache are instances of the one generic
@@ -158,8 +158,8 @@ pub struct ServiceConfig {
     /// mode + binding values, serving re-bound hot vertices on the batched
     /// path without executing); 0 disables it.
     pub result_cache_capacity: usize,
-    /// Index-cache capacity in **bytes**, covering shuffled partitions,
-    /// built tries, and pre-computed bags. `Some(0)` disables index
+    /// Index-cache capacity in **bytes**, covering built tries and
+    /// pre-computed bags. `Some(0)` disables index
     /// caching; `None` derives the budget from the cluster memory limit
     /// (half of `memory_limit_bytes × num_workers`, or 256 MiB when the
     /// cluster is unlimited). Whatever the cache may hold is carved out of
@@ -177,8 +177,8 @@ pub struct ServiceConfig {
     pub delta: DeltaConfig,
     /// Default per-query deadline, measured from submission (admission wait
     /// included). A query that outlives it is cooperatively cancelled at
-    /// the next checkpoint — the shuffle's routing loops, the transport
-    /// send/receive loops, and the workers' join sinks poll the token —
+    /// the next checkpoint — the index builds' row loops and the workers'
+    /// walks and join sinks poll the token —
     /// and fails with [`ServiceError::DeadlineExceeded`], leaving no
     /// partial cache artifacts behind. `None` (the default) disables the
     /// deadline; individual requests override it via

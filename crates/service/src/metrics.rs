@@ -176,7 +176,6 @@ pub struct ServiceMetrics {
     partition_fill_sum: AtomicU64,
     partition_fill_slots: AtomicU64,
     wire_bytes: AtomicU64,
-    pipeline_overlap_micros: AtomicU64,
     /// End-to-end service-side latency (admission wait included).
     pub total: Histogram,
     /// Time spent waiting for an admission slot.
@@ -235,8 +234,6 @@ impl ServiceMetrics {
             .fetch_add(report.worker_tuples.iter().sum::<u64>(), Ordering::Relaxed);
         self.partition_fill_slots.fetch_add(report.worker_tuples.len() as u64, Ordering::Relaxed);
         self.wire_bytes.fetch_add(report.wire_bytes, Ordering::Relaxed);
-        self.pipeline_overlap_micros
-            .fetch_add((report.pipeline_overlap_secs * 1e6) as u64, Ordering::Relaxed);
         self.total.record_secs(total_secs);
         self.queue_wait.record_secs(queue_secs);
         self.optimization.record_secs(report.optimization_secs);
@@ -360,8 +357,6 @@ impl ServiceMetrics {
                 }
             },
             wire_bytes: self.wire_bytes.load(Ordering::Relaxed),
-            pipeline_overlap_secs: self.pipeline_overlap_micros.load(Ordering::Relaxed) as f64
-                / 1e6,
             total: self.total.snapshot(),
             queue_wait: self.queue_wait.snapshot(),
             optimization: self.optimization.snapshot(),
@@ -460,19 +455,14 @@ pub struct MetricsSnapshot {
     /// [`IndexCacheStats`](adj_core::IndexCacheStats) at snapshot time —
     /// 0 in snapshots taken directly off a bare `ServiceMetrics`.)
     pub coalesced_builds: u64,
-    /// Fullest single-worker partition fill (delivered tuple copies)
-    /// observed on any served query — the hot-spot ceiling.
+    /// Most join bindings one worker produced in any served query — the
+    /// straggler ceiling of the morsel split.
     pub max_partition_tuples: u64,
-    /// Mean partition fill per worker across all shuffles that moved data.
+    /// Mean join bindings per worker across served queries.
     pub mean_partition_tuples: f64,
-    /// Real serialized bytes put on the wire by shuffles — 0 under the
-    /// in-process transport (which moves `Arc`s, not bytes) and for fully
-    /// warm queries on any transport.
+    /// Real serialized bytes put on the wire — 0 for every served query:
+    /// serving shares its tries instead of routing them, on any transport.
     pub wire_bytes: u64,
-    /// Modeled seconds saved by pipelining shuffle delivery with trie
-    /// builds, summed over served queries (already subtracted from the
-    /// communication histograms — this is the win, broken out).
-    pub pipeline_overlap_secs: f64,
     /// End-to-end latency summary.
     pub total: HistogramSnapshot,
     /// Admission-wait summary.
@@ -516,7 +506,11 @@ impl MetricsSnapshot {
             "Result tuples shipped to callers.",
             self.output_tuples_returned,
         );
-        counter("comm_tuples_total", "Tuples moved by final shuffles.", self.comm_tuples);
+        counter(
+            "comm_tuples_total",
+            "Tuple copies the final rounds' HCube shares route for the relations built cold.",
+            self.comm_tuples,
+        );
         counter(
             "precompute_tuples_total",
             "Tuples moved while pre-computing.",
@@ -592,13 +586,11 @@ impl MetricsSnapshot {
             "Index/bag builds avoided by request coalescing.",
             self.coalesced_builds,
         );
-        counter("wire_bytes_total", "Serialized bytes moved by shuffles.", self.wire_bytes);
-        out.push_str(&format!(
-            "# HELP adj_pipeline_overlap_seconds_total Modeled seconds saved by pipelined shuffles.\n\
-             # TYPE adj_pipeline_overlap_seconds_total counter\n\
-             adj_pipeline_overlap_seconds_total {}\n",
-            self.pipeline_overlap_secs
-        ));
+        counter(
+            "wire_bytes_total",
+            "Serialized bytes served queries put on the wire.",
+            self.wire_bytes,
+        );
         out.push_str(&format!(
             "# HELP adj_delta_overlay_tuples Overlay tuples resident across databases.\n\
              # TYPE adj_delta_overlay_tuples gauge\n\
@@ -606,13 +598,13 @@ impl MetricsSnapshot {
             self.delta_overlay_tuples
         ));
         out.push_str(&format!(
-            "# HELP adj_max_partition_tuples Fullest single-worker partition fill observed.\n\
+            "# HELP adj_max_partition_tuples Most join bindings one worker produced in a query.\n\
              # TYPE adj_max_partition_tuples gauge\n\
              adj_max_partition_tuples {}\n",
             self.max_partition_tuples
         ));
         out.push_str(&format!(
-            "# HELP adj_mean_partition_tuples Mean partition fill per worker.\n\
+            "# HELP adj_mean_partition_tuples Mean join bindings per worker.\n\
              # TYPE adj_mean_partition_tuples gauge\n\
              adj_mean_partition_tuples {}\n",
             self.mean_partition_tuples

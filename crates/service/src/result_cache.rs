@@ -13,8 +13,10 @@
 //! [`ResultId`] it was computed for, and a lookup whose identity differs is
 //! a miss, never another binding's answer.
 
+use adj_query::QueryFingerprint;
 use adj_relational::cache::Cache;
 use adj_relational::{BoundValues, OutputMode, QueryOutput};
+use std::sync::Arc;
 
 /// The result LRU: up to `capacity` results (0 disables it), each
 /// forgotten with the database registration it was computed against.
@@ -34,27 +36,53 @@ pub struct ResultId<'a> {
     pub binding: &'a BoundValues,
 }
 
-/// One cached result: the identity it answers for, the database
-/// registration (epoch) it was computed against, and the output.
+/// What a cached result was computed from: the query shape's fingerprint
+/// and the relations the query reads — enough to derive the plan key the
+/// shape has under a database's current state, and so to tell a result
+/// whose plan key a mutation superseded.
+#[derive(Debug, Clone)]
+pub struct ResultSource {
+    /// The shape's fingerprint (its `plan_key` keys the plan cache).
+    pub fingerprint: QueryFingerprint,
+    /// The relations the query reads, by name.
+    pub reads: Arc<[String]>,
+}
+
+/// One cached result: the identity it answers for, what it was computed
+/// from, the database registration (epoch) it was computed against, and the
+/// output.
 #[derive(Debug)]
 pub struct ResultEntry {
     plan_key: u64,
     mode: OutputMode,
     binding: BoundValues,
+    source: ResultSource,
     epoch: u64,
     output: QueryOutput,
 }
 
 impl ResultEntry {
-    /// The entry for `id`'s `output`, computed against registration `epoch`.
-    pub fn new(id: &ResultId<'_>, epoch: u64, output: QueryOutput) -> Self {
+    /// The entry for `id`'s `output`, computed from `source` against
+    /// registration `epoch`.
+    pub fn new(id: &ResultId<'_>, source: ResultSource, epoch: u64, output: QueryOutput) -> Self {
         ResultEntry {
             plan_key: id.plan_key,
             mode: id.mode,
             binding: id.binding.clone(),
+            source,
             epoch,
             output,
         }
+    }
+
+    /// What the entry was computed from.
+    pub fn source(&self) -> &ResultSource {
+        &self.source
+    }
+
+    /// The database registration the entry was computed against.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// The identity this entry answers for.
@@ -84,8 +112,18 @@ mod tests {
         ResultId { plan_key: 7, mode: OutputMode::Count, binding }
     }
 
+    fn source() -> ResultSource {
+        let query = adj_query::paper_query(adj_query::PaperQuery::Q1);
+        let reads = query.atoms.iter().map(|a| a.name.clone()).collect();
+        ResultSource { fingerprint: QueryFingerprint::of(&query), reads }
+    }
+
+    fn entry(binding: &BoundValues, epoch: u64, n: u64) -> ResultEntry {
+        ResultEntry::new(&id(binding), source(), epoch, QueryOutput::Count(n))
+    }
+
     fn put(cache: &Cache<u64, ResultEntry>, key: u64, epoch: u64, n: u64) -> usize {
-        cache.insert(key, ResultEntry::new(&id(&binding(1)), epoch, QueryOutput::Count(n)))
+        cache.insert(key, entry(&binding(1), epoch, n))
     }
 
     fn get(cache: &Cache<u64, ResultEntry>, key: u64) -> Option<QueryOutput> {
@@ -107,11 +145,11 @@ mod tests {
         let cache = result_lru(4);
         let (a, b) = (binding(1), binding(2));
         let get = |id: &ResultId<'_>| cache.get_if(&9, |e| e.answer(id));
-        cache.insert(9, ResultEntry::new(&id(&a), 0, QueryOutput::Count(42)));
+        cache.insert(9, entry(&a, 0, 42));
         assert!(get(&id(&b)).is_none(), "b must not be served a's answer");
         assert!(get(&ResultId { mode: OutputMode::Exists, ..id(&a) }).is_none());
         assert!(get(&ResultId { plan_key: 8, ..id(&a) }).is_none());
-        cache.insert(9, ResultEntry::new(&id(&b), 0, QueryOutput::Count(5)));
+        cache.insert(9, entry(&b, 0, 5));
         assert_eq!(get(&id(&b)), Some(QueryOutput::Count(5)));
         assert!(get(&id(&a)).is_none(), "the slot now answers for b only");
         assert_eq!(cache.stats().len, 1);

@@ -4,7 +4,7 @@
 use crate::admission::AdmissionController;
 use crate::explain;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::result_cache::{result_lru, ResultEntry, ResultId};
+use crate::result_cache::{result_lru, ResultEntry, ResultId, ResultSource};
 use crate::{AdmissionStats, ServiceConfig, ServiceError};
 use adj_batch::BindingBatch;
 use adj_cluster::Cluster;
@@ -151,6 +151,11 @@ impl DbEntry {
     /// re-plans only the shapes that read `R1`; everything else keeps
     /// hitting its cached plan.
     fn stats_token(&self, query: &JoinQuery) -> u64 {
+        self.stats_token_of(query.atoms.iter().map(|a| a.name.as_str()))
+    }
+
+    /// [`DbEntry::stats_token`] of a query that reads the relations `reads`.
+    fn stats_token_of<'a>(&self, reads: impl IntoIterator<Item = &'a str>) -> u64 {
         // Only atoms whose relation has actually mutated fold into the
         // token. A query over never-mutated relations keeps the bare
         // epoch — byte-identical to its pre-mutation key — so mutating R3
@@ -162,10 +167,10 @@ impl DbEntry {
         // order, so the plan must be the one a full re-register would
         // derive.
         let mut mutated: Vec<(&str, u64)> = Vec::new();
-        for atom in &query.atoms {
-            if let Some(&(_, seq)) = self.versions.iter().find(|(n, _)| n == &atom.name) {
-                if seq > 0 && !mutated.iter().any(|&(n, _)| n == atom.name) {
-                    mutated.push((&atom.name, seq));
+        for name in reads {
+            if let Some(&(_, seq)) = self.versions.iter().find(|(n, _)| n == name) {
+                if seq > 0 && !mutated.iter().any(|&(n, _)| n == name) {
+                    mutated.push((name, seq));
                 }
             }
         }
@@ -180,6 +185,14 @@ impl DbEntry {
             h.write(&seq.to_le_bytes());
         }
         h.finish()
+    }
+
+    /// The plan key a result computed from `source` has under this
+    /// snapshot: a result filed under any other key of this registration
+    /// was computed before a mutation superseded its plan.
+    fn plan_key_of(&self, source: &ResultSource) -> u64 {
+        let token = self.stats_token_of(source.reads.iter().map(String::as_str));
+        source.fingerprint.cache_key(self.tag, token)
     }
 }
 
@@ -408,8 +421,8 @@ pub struct Service {
     /// (epoch) it was optimized against, keyed by
     /// `QueryFingerprint::cache_key(db_tag, stats_token)`, one entry each.
     cache: Cache<u64, (Arc<QueryPlan>, u64)>,
-    /// The cross-query index cache: shuffled partitions, built tries, and
-    /// pre-computed bag relations, shared by every database the service
+    /// The cross-query index cache: built tries and pre-computed bag
+    /// relations, shared by every database the service
     /// hosts (keys carry the database tag + epoch).
     index: IndexCache,
     /// The per-binding result LRU: finished [`QueryOutput`]s keyed by plan
@@ -590,6 +603,13 @@ impl Service {
         if let Some(key) = misfiled {
             return Err(format!("result cache: an entry sits under {key:#x}, not its own key"));
         }
+        let superseded = self.results.find(|_, entry| {
+            let registered = dbs.values().find(|e| e.epoch == entry.epoch());
+            registered.is_some_and(|e| e.plan_key_of(entry.source()) != entry.id().plan_key)
+        });
+        if let Some(key) = superseded {
+            return Err(format!("result cache: {key:#x} is reachable under a superseded plan key"));
+        }
         let live: Vec<u64> = dbs.values().map(|e| e.epoch).collect();
         drop(dbs);
         let live = |epoch| live.contains(&epoch);
@@ -692,25 +712,23 @@ impl Service {
     /// contents (copy-on-write; in-flight queries finish on the old one).
     ///
     /// Warm index-cache entries of the mutated relation are **patched**,
-    /// not discarded: only the delta tuples are routed through each cached
-    /// entry's own share layout and merged into the affected fragments,
-    /// republished under the new sequence — so the very next query over
-    /// the relation hits warm instead of paying a cold shuffle. Plans are
-    /// re-keyed per relation (see `DbEntry::stats_token`): only shapes
-    /// reading the mutated relation re-plan, and the fresh plan — derived
-    /// from the same effective contents a full re-register would serve —
-    /// lands back on the patched fragments because execution-time share
-    /// selection is quantized against small cardinality changes.
+    /// not discarded: only the delta tuples are merged into each cached
+    /// trie, in the entry's own induced order, and republished under the
+    /// new sequence — so the very next query over the relation hits warm
+    /// instead of paying a cold build. Plans are re-keyed per relation (see
+    /// `DbEntry::stats_token`): only shapes reading the mutated relation
+    /// re-plan, and the results cached under their old plan keys are
+    /// dropped.
     ///
     /// The overlay compacts into the base when it outgrows
     /// [`ServiceConfig::delta`](crate::ServiceConfig) — invisibly to the
     /// caches, since compaction changes neither the effective contents nor
     /// the sequence. A *skew drift* past the overlay-birth baseline
     /// (re-sampled incrementally, only for the mutated relation) instead
-    /// triggers a targeted invalidation + compaction: the cached
-    /// fragments' fill is drifting past the max-partition statistics their
-    /// shares were chosen under, so the next query re-shuffles with fresh
-    /// stats rather than keep patching a layout that no longer fits.
+    /// triggers a targeted invalidation + compaction: the relation's
+    /// skew is drifting past the statistics its plans were chosen under,
+    /// so the next query rebuilds its indexes under a fresh plan rather
+    /// than keep patching.
     ///
     /// Batches against one database are serialized by a per-database
     /// mutation door, **not** by the registry lock: all the O(|relation|)
@@ -880,6 +898,10 @@ impl Service {
             match dbs.get(db_name) {
                 Some(current) if Arc::ptr_eq(current, &entry) => {
                     dbs.insert(db_name.to_string(), new_entry);
+                    // Every shape reading the relation has a new plan key
+                    // now: its results under the old one are unreachable.
+                    let reads = |e: &ResultEntry| e.source().reads.contains(&batch.relation);
+                    self.results.take(|_, e| e.epoch() == entry.epoch && reads(e));
                     self.metrics.record_mutation(
                         entries_patched as u64,
                         compacted,
@@ -1070,12 +1092,19 @@ impl Service {
                 report = batch_report;
                 let mut insert_span = ctx.tracer.span(COORDINATOR_LANE, "result_cache");
                 let mut evictions = 0u64;
-                // Results are forgotten with the registration they ran on.
+                // Results are forgotten with the registration they ran on,
+                // and kept only while their plan key is the shape's current
+                // one: a mutation that ran meanwhile superseded it.
                 let epoch = ctx.index.map_or(0, |scope| scope.epoch);
+                let reads = prepared.query.atoms.iter().map(|a| a.name.clone()).collect();
+                let source = ResultSource { fingerprint: prepared.fingerprint, reads };
+                let current = self.lookup(&prepared.db_name).ok();
+                let keep =
+                    current.is_some_and(|e| e.epoch == epoch && e.plan_key_of(&source) == key);
                 for ((u, result_key), res) in cold_slots.into_iter().zip(slot_results) {
-                    if let Ok(out) = &res {
+                    if let (Ok(out), true) = (&res, keep) {
                         let id = ResultId { plan_key: key, mode, binding: &batch.unique()[u] };
-                        let entry = ResultEntry::new(&id, epoch, out.clone());
+                        let entry = ResultEntry::new(&id, source.clone(), epoch, out.clone());
                         evictions += self.results.insert(result_key, entry) as u64;
                     }
                     unique_results[u] = Some(res);
@@ -2037,8 +2066,8 @@ mod tests {
         assert!(analyzed.contains("actuals:"));
         assert!(analyzed.contains("level 0 ("), "per-trie-level actuals: {analyzed}");
         assert!(analyzed.contains("worker join spans: w0="), "{analyzed}");
-        assert!(analyzed.contains("partition fill: w0="), "{analyzed}");
-        assert!(analyzed.contains(" rows_sorted="), "the route's sort work: {analyzed}");
+        assert!(analyzed.contains("per worker: w0=morsels:"), "{analyzed}");
+        assert!(analyzed.contains(" index_built="), "the round's build work: {analyzed}");
         let m = service.metrics();
         assert_eq!(m.queries_ok, 1, "ANALYZE executes the query");
         assert_eq!(m.queries_traced, 1, "ANALYZE forces tracing");
@@ -2472,15 +2501,63 @@ mod tests {
         assert!(service.results.stats().hits > 0, "the second batch read cached results");
 
         // An entry filed under a key other than its identity's fails it.
-        let epoch = read_recovering(&service.databases)["g"].epoch;
+        let entry = Arc::clone(&read_recovering(&service.databases)["g"]);
+        let reads = prepared.query().atoms.iter().map(|a| a.name.clone()).collect();
+        let source = ResultSource { fingerprint: prepared.fingerprint, reads };
+        let key = entry.plan_key_of(&source);
         let binding = BoundValues::new(vec![(Attr(0), 3)]).unwrap();
-        let id = ResultId { plan_key: 7, mode: OutputMode::Count, binding: &binding };
+        let id = ResultId { plan_key: key, mode: OutputMode::Count, binding: &binding };
         let forged = Service::result_key(&id) ^ 1;
-        service.results.insert(forged, ResultEntry::new(&id, epoch, QueryOutput::Count(1)));
+        let count = |n| ResultEntry::new(&id, source.clone(), entry.epoch, QueryOutput::Count(n));
+        service.results.insert(forged, count(1));
         let err = service.check_invariants().unwrap_err();
         assert!(err.contains("not its own key"), "{err}");
         service.results.take(|&k, _| k == forged);
         service.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn no_result_is_reachable_under_a_superseded_plan_key() {
+        let q = paper_query(PaperQuery::Q1);
+        let service = small_service();
+        service.register_database("g", q.instantiate(&graph(150, 41)));
+        let (prepared, _) =
+            service.prepare_text("g", "Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
+        let bindings: Vec<Bindings> = (0..6).map(|v| Bindings::new().set("v", v)).collect();
+        let batch = || service.execute_batch(&prepared, &bindings, OutputMode::Count).unwrap();
+        batch();
+        assert!(service.results.stats().len > 0);
+        service.check_invariants().unwrap();
+
+        // A result filed under the key the shape had before R2 mutated —
+        // what a batch over the old snapshot would publish — fails it.
+        let entry = Arc::clone(&read_recovering(&service.databases)["g"]);
+        let reads = prepared.query().atoms.iter().map(|a| a.name.clone()).collect();
+        let source = ResultSource { fingerprint: prepared.fingerprint, reads };
+        let versions = vec![("R2".to_string(), 7)];
+        let (db, deltas) = (entry.db.clone(), HashMap::new());
+        let later = DbEntry { db, tag: entry.tag, epoch: entry.epoch, deltas, versions };
+        let binding = BoundValues::new(vec![(Attr(0), 3)]).unwrap();
+        let id = ResultId {
+            plan_key: later.plan_key_of(&source),
+            mode: OutputMode::Count,
+            binding: &binding,
+        };
+        let forged = ResultEntry::new(&id, source, entry.epoch, QueryOutput::Count(1));
+        service.results.insert(Service::result_key(&id), forged);
+        let err = service.check_invariants().unwrap_err();
+        assert!(err.contains("superseded plan key"), "{err}");
+        service.results.take(|&k, _| k == Service::result_key(&id));
+        service.check_invariants().unwrap();
+
+        // A mutation supersedes the key of every shape reading the relation:
+        // its results go, and the repair read and the next batch pass.
+        let mutation = MutationBatch::new("R2").insert(&[1, 2]).delete(&[0, 1]);
+        service.mutate("g", &mutation).unwrap();
+        service.check_invariants().unwrap();
+        batch();
+        service.check_invariants().unwrap();
+        assert!(service.results.stats().len > 0, "the repair batch cached its results");
     }
 
     #[test]

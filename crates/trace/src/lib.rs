@@ -75,12 +75,16 @@ pub fn lane_for_worker(worker: usize) -> Lane {
 /// Well-known span/instant names of the transport-backed shuffle timeline,
 /// so dashboards and tests don't scatter string literals:
 ///
-/// * [`SPAN_SHUFFLE`] (coordinator lane) — the whole cached shuffle, with
-///   `tuples` / `bytes` / `wire_bytes` / `messages` / reuse args;
-/// * [`SPAN_ROUTE`] (coordinator lane) — the route-send pass, with a
-///   `frames` arg counting transport frames (batches + relation markers);
-/// * [`SPAN_BUILD`] (worker lanes) — one per worker, covering its receive +
-///   per-relation trie builds, with `inbox_tuples` and `batches` args.
+/// * [`SPAN_SHUFFLE`] (coordinator lane) — a served round of indexes, with
+///   `tuples` (what the plan's share would route for the relations built)
+///   and reuse args; or the paper's routed shuffle, with `tuples` /
+///   `bytes` / `wire_bytes` / `messages` args;
+/// * [`SPAN_ROUTE`] (coordinator lane) — the routed shuffle's route-send
+///   pass, with a `frames` arg counting transport frames (batches +
+///   relation markers);
+/// * [`SPAN_BUILD`] (worker lanes) — one per worker, covering its trie
+///   builds: a served round's with `relations` and `tuples` args, a routed
+///   shuffle's receive + builds with `inbox_tuples` and `batches` args.
 pub const SPAN_SHUFFLE: &str = "shuffle";
 /// See [`SPAN_SHUFFLE`].
 pub const SPAN_ROUTE: &str = "route";

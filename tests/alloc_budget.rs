@@ -260,3 +260,38 @@ fn width_two_counted_q8_counts_do_not_grow() {
     assert_no_growth("a width-2 counted Q8 Count", || counted_q8(&service, &q));
     service.check_invariants().unwrap();
 }
+
+/// A warm width-1 unbound `COUNT` of Q4 whose walk grows a Leapfrog level
+/// buffer past what the lent scratch keeps: the scratch gives back only
+/// the grown buffers, so a warm call builds no value table afresh (its
+/// report's `table_bytes` reads 0), and allocates nothing more per call as
+/// the calls go on.
+#[test]
+fn a_warm_width_one_q4_count_keeps_its_tables_and_does_not_grow() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let q = paper_query(PaperQuery::Q4);
+    let config = ServiceConfig {
+        adj: AdjConfig { cluster: ClusterConfig::with_workers(1), ..Default::default() },
+        ..Default::default()
+    };
+    let service = Service::new(config);
+    // A hub joined both ways to 1,100 leaves: a level that reaches the hub
+    // intersects runs of 1,100 values, past the 2,048 positions a kept
+    // buffer holds. The star has no odd cycle, so the count is 0.
+    let hub = 5000;
+    let star: Vec<(Value, Value)> = (0..1100).flat_map(|leaf| [(hub, leaf), (leaf, hub)]).collect();
+    service.register_database("g", q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &star)));
+    let count = || {
+        let out = service.execute_mode("g", &q, OutputMode::Count).unwrap();
+        assert_eq!(out.report.index_relations_built, 0);
+        assert_eq!(out.output, QueryOutput::Count(0));
+        out.report.counters.stats.table_bytes
+    };
+    let cold = service.execute_mode("g", &q, OutputMode::Count).unwrap();
+    assert!(cold.report.counters.stats.table_bytes > 0, "the walk builds value tables");
+    assert_eq!(count(), 0, "a warm call remade a value table");
+    assert_no_growth("a width-1 unbound Q4 Count", || {
+        count();
+    });
+    service.check_invariants().unwrap();
+}

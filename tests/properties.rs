@@ -688,6 +688,115 @@ fn rows_are_width_independent_and_limit_is_their_prefix() {
     });
 }
 
+/// Width is a metamorphic relation: the workers of a join share its tries
+/// and divide its driver in morsels, so no level above a morsel is walked
+/// twice. On random graphs large enough for several morsels, for Q1, Q4,
+/// Q7 and Q8–Q11, at widths 1–4, through the unbound, bound and batch
+/// doors: `Rows` is byte-identical to width 1's, `Count` and `Exists` equal
+/// it, `Limit(n)` is a prefix of `Rows`, and in `Rows` and `Count` (the
+/// modes that walk everything) every level's bindings and the output
+/// tuples equal width 1's.
+#[test]
+fn results_and_level_counters_are_width_invariant_through_every_door() {
+    const MODES: [OutputMode; 4] =
+        [OutputMode::Rows, OutputMode::Count, OutputMode::Exists, OutputMode::Limit(0)];
+    const SHAPES: [PaperQuery; 7] = [
+        PaperQuery::Q1,
+        PaperQuery::Q4,
+        PaperQuery::Q7,
+        PaperQuery::Q8,
+        PaperQuery::Q9,
+        PaperQuery::Q10,
+        PaperQuery::Q11,
+    ];
+    cases(3, |rng| {
+        let pairs = edges(rng, 200, 420);
+        let g = Relation::from_pairs(Attr(0), Attr(1), &pairs);
+        let values: Vec<Value> = pairs.iter().map(|&(u, _)| u).collect();
+        for pq in SHAPES {
+            let q = paper_query(pq);
+            let db = q.instantiate(&g);
+            let cfg = AdjConfig { cluster: ClusterConfig::with_workers(2), ..Default::default() };
+            let strategy =
+                if rng.gen_range(0..2) == 0 { Strategy::CoOptimize } else { Strategy::CommFirst };
+            let plan = adj_core::optimize(&q, &db, &cfg, strategy).unwrap();
+            let (a, b) = (plan.order[0], plan.order[1]);
+            // The doors: unbound; one binding of the first attribute; a
+            // batch over the first two, past one morsel of unique rows.
+            let bound =
+                [BoundValues::new(vec![(a, values[rng.gen_range(0..values.len())])]).unwrap()];
+            let batch: Vec<BoundValues> = (0..130)
+                .map(|_| {
+                    let pick = |rng: &mut StdRng| values[rng.gen_range(0..values.len())];
+                    BoundValues::new(vec![(a, pick(rng)), (b, pick(rng))]).unwrap()
+                })
+                .collect();
+            let doors: [(&str, &[BoundValues]); 3] =
+                [("unbound", &[BoundValues::none()]), ("bound", &bound), ("batch", &batch)];
+            let run = |width: usize, mode: OutputMode, bindings: &[BoundValues]| {
+                let cfg =
+                    AdjConfig { cluster: ClusterConfig::with_workers(width), ..Default::default() };
+                let adj = adj_core::Adj::new(cfg);
+                let (outs, report) =
+                    adj_core::execute_plan(&adj, &db, &plan, mode, bindings, &ExecCtx::default())
+                        .unwrap();
+                let outs: Vec<QueryOutput> = outs.into_iter().map(|o| o.unwrap()).collect();
+                (outs, report.counters)
+            };
+            for (door, bindings) in doors {
+                let (rows, rows_counters) = run(1, OutputMode::Rows, bindings);
+                let (counts, count_counters) = run(1, OutputMode::Count, bindings);
+                for width in 1..=4 {
+                    let label = format!("{pq:?} {strategy:?} {door} width {width}");
+                    for mode in MODES {
+                        let mode = match mode {
+                            OutputMode::Limit(_) => OutputMode::Limit(rng.gen_range(0..40usize)),
+                            mode => mode,
+                        };
+                        let (outs, counters) = run(width, mode, bindings);
+                        for (i, out) in outs.iter().enumerate() {
+                            let full = rows[i].rows();
+                            match mode {
+                                OutputMode::Rows => assert_eq!(out, &rows[i], "{label}"),
+                                OutputMode::Count => assert_eq!(out, &counts[i], "{label}"),
+                                OutputMode::Exists => {
+                                    assert_eq!(
+                                        out,
+                                        &QueryOutput::Exists(!full.is_empty()),
+                                        "{label}"
+                                    )
+                                }
+                                OutputMode::Limit(n) => {
+                                    let prefix =
+                                        full.flat()[..n.min(full.len()) * full.arity()].to_vec();
+                                    let prefix =
+                                        Relation::from_flat(full.schema().clone(), prefix).unwrap();
+                                    assert_eq!(
+                                        out,
+                                        &QueryOutput::Rows(prefix),
+                                        "{label} limit {n}"
+                                    );
+                                }
+                            }
+                            assert_eq!(counts[i], QueryOutput::Count(full.len() as u64), "{label}");
+                        }
+                        let want = match mode {
+                            OutputMode::Rows => &rows_counters,
+                            OutputMode::Count => &count_counters,
+                            _ => continue,
+                        };
+                        assert_eq!(
+                            counters.tuples_per_level, want.tuples_per_level,
+                            "{label} {mode:?}"
+                        );
+                        assert_eq!(counters.output_tuples, want.output_tuples, "{label} {mode:?}");
+                    }
+                }
+            }
+        }
+    });
+}
+
 /// A random query over 4–6 attributes built to split around attribute 0
 /// (the leading one of the orders that start there): a separator, attribute
 /// 1, and two or three components over the other attributes. Each

@@ -276,6 +276,8 @@ fn traced_batches_record_one_join_span_per_worker() {
     // The batch door runs the same executor as every other door, so its
     // trace has the same shape: one `join` span per worker whose counters
     // sum to the report's, and one `gather` span with the per-level args.
+    // The workers divide the bindings in morsels, so their completed
+    // bindings sum to the batch's.
     let tri = paper_query(PaperQuery::Q1);
     let db = tri.instantiate(&Dataset::WB.graph(0.01));
     let service = service_with(Strategy::CoOptimize, Some(traced_settings()));
@@ -296,7 +298,9 @@ fn traced_batches_record_one_join_span_per_worker() {
     assert!(total("output_tuples") > 0);
     assert_eq!(total("output_tuples"), out.report.counters.output_tuples);
     assert_eq!(total("intersect_ops"), out.report.counters.intersect_ops);
-    assert_eq!(total("bindings_completed"), (WORKERS * out.unique_executed) as u64);
+    // Each binding is walked by the one worker whose morsel holds it.
+    assert_eq!(total("bindings_completed"), out.unique_executed as u64);
+    assert_eq!(total("morsels"), 1, "20 bindings are one morsel");
 
     let gather = trace.events_named("gather");
     assert_eq!(gather.len(), 1);

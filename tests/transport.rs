@@ -1,18 +1,22 @@
-//! Transport oracle matrix: the serialized wire backend must be
-//! observationally identical to the default in-process (`Arc`-passing)
-//! backend — byte-identical results for every workload shape × plan
-//! strategy × output mode — while actually encoding real frames (non-zero
-//! `wire_bytes`) where the in-process backend moves none. The warm
-//! index-cache path must move zero bytes, zero rounds, and zero messages
-//! on *both* backends, and the PR 8 chaos matrix must hold on the
-//! serialized backend at the new per-batch transport fault sites.
+//! Transport oracle matrix. Serving never routes: the workers of a service
+//! share one trie per relation, so a served query — cold or warm, on either
+//! backend — moves no tuple, opens no round and puts no frame on the wire,
+//! and the two backends serve every workload shape × plan strategy ×
+//! output mode byte-identically. The transports are reached through the
+//! paper's routed round, [`hcube_shuffle`], run under the plans the
+//! services chose: the serialized wire backend must encode real frames
+//! (non-zero `wire_bytes`) where the in-process backend moves none, and the
+//! chaos matrix must hold on the serialized backend at the per-batch
+//! transport fault sites.
 //!
 //! The fault injector is process-global, so every test in this binary
 //! takes the file-local [`SERIAL`] lock first (the same discipline as
 //! tests/faults.rs; other test binaries are separate processes).
 
 use adj::faults::{install, FaultAction, FaultPlan, FaultSite};
+use adj::hcube::{hcube_shuffle, HCubeImpl, HCubePlan, ShuffleOutput};
 use adj::prelude::*;
+use adj::relational::{Error, Result};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -64,11 +68,27 @@ fn serving(strategy: Strategy, transport: TransportKind) -> Arc<Service> {
     service
 }
 
+/// The routed round of `shape`'s relations under the order and share the
+/// served query `out` ran with, on `cluster`.
+fn shuffle(cluster: &Cluster, shape: PaperQuery, out: &ServiceOutcome) -> Result<ShuffleOutput> {
+    let q = paper_query(shape);
+    let names: Vec<String> = q.atoms.iter().map(|a| a.name.clone()).collect();
+    let db = q.instantiate(&graph());
+    let plan = HCubePlan::new(out.report.share.clone(), cluster.num_workers());
+    hcube_shuffle(cluster, &db, &names, &plan, &out.plan.order, HCubeImpl::Merge)
+}
+
+/// A width-2 cluster on `transport`.
+fn cluster_on(transport: TransportKind) -> Cluster {
+    Cluster::new(ClusterConfig { transport, ..ClusterConfig::with_workers(2) })
+}
+
 /// The oracle matrix: two services differing *only* in transport serve
-/// every shape × strategy × output mode identically. The serialized
-/// backend's cold runs put real frames on the wire (`wire_bytes > 0` in
-/// the execution report and the metrics snapshot); the in-process backend
-/// never does.
+/// every shape × strategy × output mode identically, and neither puts a
+/// frame on the wire. The routed round under each cold plan puts real
+/// frames on the wire on the serialized backend (`wire_bytes > 0` in its
+/// report and bytes in its cluster's ledger); the in-process backend never
+/// does.
 #[test]
 fn serialized_backend_is_byte_identical_to_in_process() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -79,7 +99,7 @@ fn serialized_backend_is_byte_identical_to_in_process() {
             let db = shape_db_name(shape);
             let q = paper_query(shape);
 
-            // Cold Rows run first: the one execution that moves data.
+            // Cold Rows run first: the one execution that builds indexes.
             let a = inproc.execute(&db, &q).unwrap();
             let b = wire.execute(&db, &q).unwrap();
             assert_eq!(a.output, b.output, "{strategy:?}/{shape:?}: cold Rows diverged");
@@ -87,16 +107,23 @@ fn serialized_backend_is_byte_identical_to_in_process() {
                 a.report.wire_bytes, 0,
                 "{strategy:?}/{shape:?}: in-process transport reported wire bytes"
             );
+            assert_eq!(b.report.wire_bytes, 0, "{strategy:?}/{shape:?}: serving routed");
+            // The routed round under the same plan puts frames on the wire.
+            let routed_in = shuffle(&cluster_on(TransportKind::InProcess), shape, &a).unwrap();
+            let routed_wire = shuffle(&cluster_on(TransportKind::Serialized), shape, &b).unwrap();
+            assert_eq!(routed_in.report.wire_bytes, 0, "{strategy:?}/{shape:?}");
             assert!(
-                b.report.wire_bytes > 0,
-                "{strategy:?}/{shape:?}: serialized cold run put nothing on the wire"
+                routed_wire.report.wire_bytes > 0,
+                "{strategy:?}/{shape:?}: serialized cold round put nothing on the wire"
             );
-            // Both backends agree on the modeled byte volume and tuple
-            // counts — framing overhead is accounted separately.
+            // Both backends agree on the plan's communication cost and the
+            // routed tuple volume — framing overhead is accounted
+            // separately.
             assert_eq!(
                 a.report.comm_tuples, b.report.comm_tuples,
                 "{strategy:?}/{shape:?}: backends moved different tuple volumes"
             );
+            assert_eq!(routed_in.report.tuples, routed_wire.report.tuples);
 
             // Every remaining mode runs warm off the shared index cache and
             // must agree across backends.
@@ -111,20 +138,24 @@ fn serialized_backend_is_byte_identical_to_in_process() {
             }
         }
         let m = wire.stats().metrics;
-        assert!(m.wire_bytes > 0, "{strategy:?}: metrics never accumulated wire bytes");
+        assert_eq!(m.wire_bytes, 0, "{strategy:?}: serving accumulated wire bytes");
         assert_eq!(
             inproc.stats().metrics.wire_bytes,
             0,
             "{strategy:?}: in-process metrics accumulated wire bytes"
         );
+        // A serialized cluster's ledger accumulates the routed round's bytes.
+        let cluster = cluster_on(TransportKind::Serialized);
+        let out = wire.execute(&shape_db_name(PaperQuery::Q1), &paper_query(PaperQuery::Q1));
+        shuffle(&cluster, PaperQuery::Q1, &out.unwrap()).unwrap();
+        assert!(cluster.comm().snapshot().1 > 0, "{strategy:?}: the ledger saw no wire bytes");
     }
 }
 
-/// The warm index-cache path is structurally free on both backends: after
-/// the cold run is taken, a warm rerun records zero tuples, zero bytes,
-/// zero rounds, AND zero messages — the transport never even opens the
-/// round (the round/message ledger is transport-owned now, so a fully
-/// warm shuffle cannot leak a phantom round).
+/// Serving is structurally free on both backends: a cold run and a warm
+/// rerun record zero tuples, zero bytes, zero rounds, AND zero messages —
+/// the transport never even opens a round. The routed round on the
+/// service's own cluster is what moves data.
 #[test]
 fn warm_path_moves_nothing_on_either_backend() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -134,10 +165,15 @@ fn warm_path_moves_nothing_on_either_backend() {
         let q = paper_query(PaperQuery::Q4);
 
         let cold = service.execute(&db, &q).unwrap();
+        assert_eq!(service.cluster().comm().snapshot(), (0, 0, 0, 0), "{transport:?}: cold run");
+        shuffle(service.cluster(), PaperQuery::Q4, &cold).unwrap();
         let (tuples, bytes, rounds, messages) = service.cluster().comm().take();
-        assert!(tuples > 0 && rounds > 0 && messages > 0, "{transport:?}: cold run moved nothing");
+        assert!(
+            tuples > 0 && rounds > 0 && messages > 0,
+            "{transport:?}: cold round moved nothing"
+        );
         if transport == TransportKind::Serialized {
-            assert!(bytes > 0, "serialized cold run recorded no wire bytes");
+            assert!(bytes > 0, "serialized cold round recorded no wire bytes");
         }
 
         let warm = service.execute(&db, &q).unwrap();
@@ -151,42 +187,67 @@ fn warm_path_moves_nothing_on_either_backend() {
     }
 }
 
-/// Sanity floor for the chaos matrix below: a cold serialized run reaches
-/// both per-batch transport sites (so `nth: 0` arms always have something
-/// to hit).
+/// The plans the services choose, per strategy and shape: what each
+/// routed round below runs under.
+fn served_plans() -> HashMap<(Strategy, PaperQuery), ServiceOutcome> {
+    let mut plans = HashMap::new();
+    for strategy in STRATEGIES {
+        let service = serving(strategy, TransportKind::Serialized);
+        for shape in SHAPES {
+            let out = service.execute(&shape_db_name(shape), &paper_query(shape)).unwrap();
+            plans.insert((strategy, shape), out);
+        }
+    }
+    plans
+}
+
+/// Sanity floor for the chaos matrix below: a cold serialized round
+/// reaches both per-batch transport sites (so `nth: 0` arms always have
+/// something to hit), and a cold served query reaches neither.
 #[test]
 fn cold_serialized_runs_reach_both_transport_sites() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let plans = served_plans();
     for strategy in STRATEGIES {
         for shape in SHAPES {
-            let service = serving(strategy, TransportKind::Serialized);
             let faults = install(FaultPlan::new());
+            let service = serving(strategy, TransportKind::Serialized);
             service.execute(&shape_db_name(shape), &paper_query(shape)).unwrap();
+            for site in TRANSPORT_SITES {
+                assert_eq!(
+                    faults.hits(site),
+                    0,
+                    "{strategy:?} {shape:?}: serving reached {site:?}"
+                );
+            }
+            let cluster = cluster_on(TransportKind::Serialized);
+            shuffle(&cluster, shape, &plans[&(strategy, shape)]).unwrap();
             for site in TRANSPORT_SITES {
                 assert!(
                     faults.hits(site) > 0,
-                    "{strategy:?} {shape:?} cold run never reached {site:?}"
+                    "{strategy:?} {shape:?} cold round never reached {site:?}"
                 );
             }
         }
     }
 }
 
-/// The PR 8 chaos matrix rerun on the serialized backend at the new
-/// transport sites: 2 sites × 2 actions × 3 shapes × 2 strategies. Every
-/// cell must fail typed (a send-side panic is the coordinator's —
-/// `worker: None`; a receive-side panic names the worker), publish no
-/// partial artifact, and recover byte-identical to an uninjected oracle.
+/// The chaos matrix on the serialized backend at the transport sites: 2
+/// sites × 2 actions × 3 shapes × 2 strategies, each a routed round under
+/// the plan the service chose. Every cell must fail typed (a send-side
+/// panic is the coordinator's — `worker: None`; a receive-side panic names
+/// the worker), leave nothing behind (the cluster's next round on the
+/// same transport is unaffected), and recover byte-identical to an
+/// uninjected oracle. A served query over the same shape, armed the same
+/// way, never reaches the site.
 #[test]
 fn transport_chaos_matrix_fails_typed_and_recovers_byte_identical() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut truth: HashMap<(Strategy, PaperQuery), Relation> = HashMap::new();
-    for strategy in STRATEGIES {
-        let service = serving(strategy, TransportKind::Serialized);
-        for shape in SHAPES {
-            let out = service.execute(&shape_db_name(shape), &paper_query(shape)).unwrap();
-            truth.insert((strategy, shape), out.rows().clone());
-        }
+    let plans = served_plans();
+    let mut truth: HashMap<(Strategy, PaperQuery), ShuffleOutput> = HashMap::new();
+    for (&cell, out) in &plans {
+        let routed = shuffle(&cluster_on(TransportKind::Serialized), cell.1, out).unwrap();
+        truth.insert(cell, routed);
     }
 
     for strategy in STRATEGIES {
@@ -194,20 +255,24 @@ fn transport_chaos_matrix_fails_typed_and_recovers_byte_identical() {
             for site in TRANSPORT_SITES {
                 for action in [FaultAction::Panic, FaultAction::Cancel] {
                     let cell = format!("{strategy:?}/{shape:?}/{site:?}/{action:?}");
-                    let service = serving(strategy, TransportKind::Serialized);
-                    let db = shape_db_name(shape);
-                    let q = paper_query(shape);
+                    let plan = &plans[&(strategy, shape)];
+                    let cluster = cluster_on(TransportKind::Serialized);
 
                     let faults = install(FaultPlan::new().on(site, 0, action));
-                    let err = service
-                        .execute(&db, &q)
-                        .expect_err(&format!("{cell}: injected fault must fail the query"));
+                    let served = serving(strategy, TransportKind::Serialized)
+                        .execute(&shape_db_name(shape), &paper_query(shape))
+                        .unwrap_or_else(|e| panic!("{cell}: serving reached the site: {e}"));
+                    assert_eq!(served.output, plan.output, "{cell}: served output");
+                    assert!(!faults.all_fired(), "{cell}: serving fired the arm");
+                    let err = shuffle(&cluster, shape, plan)
+                        .err()
+                        .unwrap_or_else(|| panic!("{cell}: injected fault must fail the round"));
                     assert!(faults.all_fired(), "{cell}: the arm never fired");
                     drop(faults);
 
                     match action {
                         FaultAction::Panic => {
-                            let ServiceError::WorkerPanicked { worker, message } = &err else {
+                            let Error::WorkerPanicked { worker, message } = &err else {
                                 panic!("{cell}: expected WorkerPanicked, got {err:?}");
                             };
                             assert!(
@@ -230,21 +295,24 @@ fn transport_chaos_matrix_fails_typed_and_recovers_byte_identical() {
                         }
                         FaultAction::Cancel => {
                             assert!(
-                                matches!(err, ServiceError::Cancelled),
+                                matches!(err, Error::Cancelled { .. }),
                                 "{cell}: expected Cancelled, got {err:?}"
                             );
                         }
                         FaultAction::Delay(_) => unreachable!(),
                     }
 
-                    // Recovery: the same query on the same service now
+                    // Recovery: the same round on the same cluster now
                     // succeeds, byte-identical to the uninjected oracle.
-                    let out = service
-                        .execute(&db, &q)
-                        .unwrap_or_else(|e| panic!("{cell}: recovery query failed: {e}"));
+                    let out = shuffle(&cluster, shape, plan)
+                        .unwrap_or_else(|e| panic!("{cell}: recovery round failed: {e}"));
                     let expected = &truth[&(strategy, shape)];
-                    let aligned = out.rows().permute(expected.schema().attrs()).unwrap();
-                    assert_eq!(&aligned, expected, "{cell}: recovery diverged from oracle");
+                    assert_eq!(out.report.tuples, expected.report.tuples, "{cell}");
+                    for (w, (got, want)) in out.locals.iter().zip(&expected.locals).enumerate() {
+                        for (g, x) in got.iter().zip(want) {
+                            assert_eq!(g.trie, x.trie, "{cell}: worker {w} recovery diverged");
+                        }
+                    }
                 }
             }
         }
@@ -252,9 +320,10 @@ fn transport_chaos_matrix_fails_typed_and_recovers_byte_identical() {
 }
 
 /// The transport is said in one place. A service configured with nothing
-/// but `adj.cluster.transport = Serialized` must run serialized (the old
-/// `ServiceConfig::transport` field silently overwrote it with its own
-/// `InProcess` default).
+/// but `adj.cluster.transport = Serialized` must build a serialized
+/// cluster (the old `ServiceConfig::transport` field silently overwrote it
+/// with its own `InProcess` default): a routed round on the service's own
+/// cluster puts frames on the wire, while serving puts none.
 #[test]
 fn the_cluster_config_alone_selects_the_transport() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -268,7 +337,16 @@ fn the_cluster_config_alone_selects_the_transport() {
     let q = paper_query(PaperQuery::Q1);
     service.register_database("db", q.instantiate(&graph()));
     let cold = service.execute("db", &q).unwrap();
-    assert!(cold.report.wire_bytes > 0, "a cold serialized shuffle must put frames on the wire");
+    assert_eq!(cold.report.wire_bytes, 0, "serving never routes");
+    let db = q.instantiate(&graph());
+    let names: Vec<String> = q.atoms.iter().map(|a| a.name.clone()).collect();
+    let plan = HCubePlan::new(cold.report.share.clone(), 2);
+    let routed =
+        hcube_shuffle(service.cluster(), &db, &names, &plan, &cold.plan.order, HCubeImpl::Pull);
+    assert!(
+        routed.unwrap().report.wire_bytes > 0,
+        "a serialized shuffle must put frames on the wire"
+    );
 }
 
 /// Results are width-independent: services at widths 2 and 4 return
