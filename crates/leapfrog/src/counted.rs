@@ -258,10 +258,7 @@ impl CountSplit {
         }
         // The bindings: the values of `o0`, from the shortest root run of
         // an input that holds it. A value another input lacks counts 0.
-        let roots = (0..n).map(join).flat_map(|join| {
-            let holding = &join.layout().participants[0];
-            holding.iter().map(|&q| join.tries()[q].borrow().levels()[0].values.as_slice())
-        });
+        let roots = (0..n).map(|b| join(b).first_values());
         let values = roots.min_by_key(|run| run.len()).expect("every bag holds o0");
         let stop = RefCell::new(stop);
         let hook = || (*stop.borrow_mut())();

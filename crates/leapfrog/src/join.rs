@@ -1070,11 +1070,6 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         &self.tries
     }
 
-    /// The join's layout.
-    pub(crate) fn layout(&self) -> &Arc<JoinLayout> {
-        &self.layout
-    }
-
     /// Starts a walk over a batch of bindings of `bound_attrs`, the first
     /// `p` of which are the bound prefix ([`Self::bound_prefix`]): the
     /// cursors take their stacks from `scratch`, and every level's frame is
