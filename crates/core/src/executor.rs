@@ -41,7 +41,7 @@ use adj_hcube::{
     IndexRound, RoundLayout, RoundOutput, ShareInput, ShuffleReport,
 };
 use adj_leapfrog::{
-    BatchWalk, CountSplit, JoinCounters, JoinLayout, LeapfrogJoin, Morsels, Shared,
+    BatchWalk, CountSplit, JoinCounters, JoinLayout, LeapfrogJoin, Morsels, Shared, Sinks,
 };
 use adj_relational::{
     Attr, BoundValues, CountSink, Database, Error, ExistsSink, OutputMode, QueryOutput, Relation,
@@ -229,10 +229,6 @@ pub struct ExecutionReport {
     /// Attributes this execution pinned to constants (inline literals plus
     /// bound parameters); 0 on unbound executions.
     pub bound_values: u64,
-    /// Encoded frame bytes that crossed the wire: 0, since an execution
-    /// shares its tries instead of routing them (the paper's routed
-    /// shuffle in `adj-hcube` reports its own).
-    pub wire_bytes: u64,
 }
 
 impl ExecutionReport {
@@ -290,7 +286,6 @@ impl ExecutionReport {
         self.index_build_secs += shuffle.build_secs;
         self.index_relations_built += shuffle.built_relations;
         self.index_relations_reused += shuffle.reused_relations;
-        self.wire_bytes += shuffle.wire_bytes;
     }
 }
 
@@ -476,11 +471,12 @@ fn walk_morsels<'p>(
         (true, OutputMode::Rows | OutputMode::Limit(_)) => {
             // Per morsel at most `limit` rows: the first `limit` rows of
             // the result lie in the morsels up to the one where a worker's
-            // buffer reaches `limit`, so no later morsel is handed out.
-            let (limit, cap) = match mode {
-                OutputMode::Limit(limit) => (limit, usize::MAX),
-                _ => (usize::MAX, budget),
-            };
+            // buffer reaches `limit`, so no later morsel is handed out. A
+            // worker then holds under `2 * limit` rows, so only a limit past
+            // the budget needs the budget's cap: a buffer over it means the
+            // first `limit` rows are too.
+            let limit = if let OutputMode::Limit(n) = mode { n } else { usize::MAX };
+            let cap = if limit > budget { budget } else { usize::MAX };
             if bufs.is_empty() {
                 bufs.push(RowBuffer::new(width));
             }
@@ -501,21 +497,13 @@ fn walk_morsels<'p>(
         }
         (true, OutputMode::Count) => {
             let mut sink = Shared(CancelSink::new(CountSink::new(), cancel));
-            let finished = claim_morsels(morsels, n, claimed, |_, at| {
-                (walk.advance(rows, &mut sink, at.start, at.end), 0)
-            });
+            let finished = per_row(&mut walk, shared, claimed, &mut sink);
             found.push(sink.0.inner.count());
             finished
         }
         (true, OutputMode::Exists) => {
             let mut sink = Shared(CancelSink::new(Witness(witness), cancel));
-            let finished = claim_morsels(morsels, n, claimed, |_, at| {
-                let reached = walk.advance(rows, &mut sink, at.start, at.end);
-                if witness.load(Ordering::Relaxed) {
-                    morsels.halt();
-                }
-                (reached, 0)
-            });
+            let finished = per_row(&mut walk, shared, claimed, &mut sink);
             found.push(u64::from(witness.load(Ordering::Relaxed)));
             finished
         }
@@ -526,17 +514,21 @@ fn walk_morsels<'p>(
             }
             let fresh = || RowBuffer::new(width).with_budget(budget).with_limit(limit);
             bufs.resize_with(n.max(bufs.len()), fresh);
-            per_row(&mut walk, shared, claimed, bufs.iter_mut()).0
+            let mut sinks: Vec<_> =
+                bufs.iter_mut().take(n).map(|b| CancelSink::new(b, cancel)).collect();
+            per_row(&mut walk, shared, claimed, &mut sinks[..])
         }
         (false, OutputMode::Count) => {
-            let (finished, sinks) =
-                per_row(&mut walk, shared, claimed, repeat_with(CountSink::new));
+            let mut sinks: Vec<_> =
+                repeat_with(|| CancelSink::new(CountSink::new(), cancel)).take(n).collect();
+            let finished = per_row(&mut walk, shared, claimed, &mut sinks[..]);
             found.extend(sinks.iter().map(|s| s.inner.count()));
             finished
         }
         (false, OutputMode::Exists) => {
-            let (finished, sinks) =
-                per_row(&mut walk, shared, claimed, repeat_with(ExistsSink::new));
+            let mut sinks: Vec<_> =
+                repeat_with(|| CancelSink::new(ExistsSink::new(), cancel)).take(n).collect();
+            let finished = per_row(&mut walk, shared, claimed, &mut sinks[..]);
             found.extend(sinks.iter().map(|s| u64::from(s.inner.found())));
             finished
         }
@@ -545,22 +537,24 @@ fn walk_morsels<'p>(
     Ok(WorkerJoin { lent, counters, finished, counted: false, next: 0 })
 }
 
-/// The morsels a worker claims of a bound call's or batch's driver, each
-/// driver row streaming into its own sink of `sinks`; returns whether it
-/// ran them all, and the sinks.
-fn per_row<'s, S: RowSink>(
+/// The morsels a worker claims of the driver, driver row `i` streaming
+/// into `sinks.sink(i)` (one sink per row, or one [`Shared`] by every row);
+/// returns whether it ran them all. An unbound `Exists` witness ends the
+/// claims.
+fn per_row<Z: Sinks + ?Sized>(
     walk: &mut BatchWalk<'_, Arc<Trie>>,
-    job: &MorselJob<'s>,
+    job: &MorselJob<'_>,
     claimed: &mut Vec<Claimed>,
-    sinks: impl Iterator<Item = S>,
-) -> (bool, Vec<CancelSink<'s, S>>) {
+    sinks: &mut Z,
+) -> bool {
     let Drive { rows, n, .. } = job.drive;
-    let mut sinks: Vec<CancelSink<'s, S>> =
-        sinks.take(n).map(|sink| CancelSink::new(sink, job.cancel)).collect();
-    let finished = claim_morsels(&job.morsels, n, claimed, |_, at| {
-        (walk.advance(rows, &mut sinks[at.clone()], at.start, at.end), 0)
-    });
-    (finished, sinks)
+    claim_morsels(&job.morsels, n, claimed, |_, at| {
+        let reached = walk.advance(rows, sinks, at.start, at.end);
+        if job.witness.load(Ordering::Relaxed) {
+            job.morsels.halt();
+        }
+        (reached, 0)
+    })
 }
 
 /// One worker's slot of a join's run: its join, its own failure, or its
@@ -850,7 +844,12 @@ pub fn execute_plan(
     let key = |j: usize| bound_attrs.iter().map(move |&a| value(&bindings[j], a));
     let mut n_rows = bindings.len();
     if unbound {
-        // The driver is read off the join's tries below.
+        // The driver is read off the join's tries below; every binding
+        // shares the one output.
+        if bindings.len() > 1 {
+            row_of.resize(bindings.len(), 0);
+            n_rows = 1;
+        }
     } else if (1..bindings.len()).all(|j| key(j - 1).lt(key(j))) {
         driver_rows.extend((0..bindings.len()).flat_map(key).flatten());
     } else {
@@ -1827,6 +1826,64 @@ mod tests {
             Ok((outs, _)) => {
                 assert_eq!(outs.len(), bindings.len());
                 assert!(outs.iter().all(|o| matches!(o, Err(Error::Cancelled { .. }))));
+            }
+        }
+    }
+
+    #[test]
+    fn a_limit_past_the_budget_stops_at_the_budget() {
+        // A dense pseudo-random graph, with enough first-attribute values
+        // for several morsels, so both workers claim some.
+        let q = paper_query(PaperQuery::Q1);
+        let hash = |a: u32, b: u32| a.wrapping_mul(2654435761) ^ b.wrapping_mul(2246822519);
+        let edges: Vec<(Value, Value)> = (0..200u32)
+            .flat_map(|a| (0..200u32).map(move |b| (a, b)))
+            .filter(|&(a, b)| hash(a, b) >> 29 == 0)
+            .collect();
+        let db = q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &edges));
+        let roomy = AdjConfig { cluster: ClusterConfig::with_workers(2), ..Default::default() };
+        let plan = optimize(&q, &db, &roomy, Strategy::CommFirst).unwrap();
+        let (all, _) = run(&db, &plan, &roomy, OutputMode::Count).unwrap();
+        let QueryOutput::Count(all) = all else { panic!("a count") };
+        let budget = 8;
+        assert!(all > 40 * budget as u64, "{all} rows do not dwarf the budget");
+        let tiny = AdjConfig { max_intermediate_tuples: budget, ..roomy };
+        let adj = Adj::new(tiny);
+        let limit = OutputMode::Limit(all as usize);
+        let none = [BoundValues::none()];
+        let (mut outs, report) =
+            execute_plan(&adj, &db, &plan, limit, &none, &ExecCtx::default()).unwrap();
+        let err = outs.pop().unwrap().unwrap_err();
+        assert!(matches!(err, Error::BudgetExceeded { .. }), "{err:?}");
+        // Each worker stopped once its buffer passed the budget, and no
+        // morsel was handed out after that.
+        assert!(
+            report.output_tuples < all / 4,
+            "{} of {all} rows enumerated",
+            report.output_tuples
+        );
+        // A limit inside the budget is answered.
+        let (outs, _) =
+            execute_plan(&adj, &db, &plan, OutputMode::Limit(budget), &none, &ExecCtx::default())
+                .unwrap();
+        assert_eq!(outs[0].as_ref().unwrap().rows().len(), budget);
+    }
+
+    #[test]
+    fn bindings_that_bind_nothing_in_the_order_share_the_unbound_output() {
+        let q = paper_query(PaperQuery::Q1);
+        let db = db_for(&q, 200, 23);
+        let adj = crate::Adj::with_workers(2);
+        let plan = adj.plan(&q, &db, Strategy::CommFirst).unwrap();
+        let ctx = ExecCtx::default();
+        let none = [BoundValues::none(), BoundValues::none()];
+        for mode in [OutputMode::Rows, OutputMode::Count, OutputMode::Exists, OutputMode::Limit(3)]
+        {
+            let (outs, _) = execute_plan(&adj, &db, &plan, mode, &none, &ctx).unwrap();
+            assert_eq!(outs.len(), 2, "{mode:?}: one output per binding");
+            let (one, _) = adj.execute_plan(&plan, &db, mode, &none[0], &ctx).unwrap();
+            for out in &outs {
+                assert_eq!(out.as_ref().unwrap(), &one, "{mode:?}");
             }
         }
     }

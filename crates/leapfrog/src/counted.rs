@@ -43,7 +43,9 @@
 //! input needs an index of its own, [`CountSplit::reindexed`].
 
 use crate::counters::JoinCounters;
-use crate::join::{recycle, Batch, BatchOutcome, JoinLayout, JoinScratch, LeapfrogJoin, Lent};
+use crate::join::{
+    recycle, Batch, BatchOutcome, JoinLayout, JoinScratch, LeapfrogJoin, Lent, Shared,
+};
 use crate::morsel::Morsels;
 use adj_relational::intersect::TABLE_CAP;
 use adj_relational::{Attr, Result, RowSink, Schema, Trie, Value};
@@ -296,13 +298,13 @@ impl CountSplit {
                         Some(kept) => {
                             let BagScratch { join: walk_scratch, table, stamp, .. } = kept.renew();
                             let mut tally = Tally { table, stamp: *stamp, rows: 0, unfit: false };
-                            let sinks = std::slice::from_mut(&mut tally);
+                            let sinks = &mut Shared(&mut tally);
                             let done = join.advance(batch, walk_scratch, values, sinks, i, i + 1);
                             (done, tally.unfit, tally.rows == 0)
                         }
                         None => {
                             let mut dot = Dot { tables: tabled, sum: 0, unfit: false };
-                            let sinks = std::slice::from_mut(&mut dot);
+                            let sinks = &mut Shared(&mut dot);
                             let done = join.advance(batch, &mut last.join, values, sinks, i, i + 1);
                             total += dot.sum;
                             (done, dot.unfit, false)

@@ -867,15 +867,14 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     }
 }
 
-/// The sinks of a walk's bindings: binding `first + i` of a
-/// [`BatchWalk::advance`] over `first..until` streams into `sink(i)`. A
-/// slice gives every binding a sink of its own; [`Shared`] streams them
-/// all into one.
+/// The sinks of a walk's bindings: binding `i` of a [`BatchWalk::advance`]
+/// streams into `sink(i)`. A slice over every binding gives each a sink of
+/// its own; [`Shared`] streams them all into one.
 pub trait Sinks {
     /// The sink type.
     type Sink: RowSink;
 
-    /// The sink of the `i`-th binding of the range under way.
+    /// The sink of binding `i`.
     fn sink(&mut self, i: usize) -> &mut Self::Sink;
 }
 
@@ -913,7 +912,7 @@ pub struct BatchWalk<'j, T: Borrow<Trie>> {
 
 impl<T: Borrow<Trie>> BatchWalk<'_, T> {
     /// Walks bindings `first..until` of `bindings` (`k` values each, for
-    /// the `k` bound attributes), binding `first + i` streaming into
+    /// the `k` bound attributes), binding `i` streaming into
     /// `sinks.sink(i)`. The ranges of one walk must ascend and the bindings
     /// in them be strictly ascending; the bindings between two ranges are
     /// skipped. Returns how many leading bindings of the range completed —
@@ -1119,7 +1118,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     }
 
     /// Walks bindings `first..until` of `bindings` (`k` values each), binding
-    /// `i` streaming into `sinks[i - first]`, over the cursors `batch` kept
+    /// `i` streaming into `sinks.sink(i)`, over the cursors `batch` kept
     /// from the bindings before them and `scratch`'s frames (the scratch
     /// [`Self::begin`] was given). Bindings must be visited in ascending
     /// order, but may be skipped. Returns how many leading bindings
@@ -1157,7 +1156,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// the stack, fed by the sorted `bindings` (`batch.k` values each, the
     /// first `batch.p` of which are the prefix); the levels behind it are
     /// entered once per binding of the level above. Walks bindings
-    /// `first..until`, binding `i` into `sinks[i - first]`, and returns how
+    /// `first..until`, binding `i` into `sinks.sink(i)`, and returns how
     /// many leading bindings completed.
     fn traverse<Z: Sinks + ?Sized>(
         &self,
@@ -1182,7 +1181,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         loop {
             step = match step {
                 Step::Bind if i == until || (walk.stop)() => return i,
-                Step::Bind if sinks.sink(i - first).saturated() => {
+                Step::Bind if sinks.sink(i).saturated() => {
                     i += 1;
                     Step::Bind
                 }
@@ -1222,7 +1221,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                     // took up the binding before it — so a batch divided
                     // among walks counts what one walk counts.
                     let shared = i > 0 && binding(i - 1)[..=level] == binding(i)[..=level];
-                    if hit && (shared || walk.produce(sinks.sink(i - first), level, 1)) {
+                    if hit && (shared || walk.produce(sinks.sink(i), level, 1)) {
                         Step::Enter(level + 1)
                     } else {
                         Step::End
@@ -1230,7 +1229,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                 }
                 Step::Enter(level) if level == levels => {
                     walk.counters.output_tuples += 1;
-                    if sinks.sink(i - first).push(&walk.binding) {
+                    if sinks.sink(i).push(&walk.binding) {
                         resume(level)
                     } else {
                         Step::Stop
@@ -1239,7 +1238,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
                 Step::Enter(level) => {
                     let ps = &layout.participants[level];
                     let (frame, below) = frames[level..].split_first_mut().expect("a level");
-                    let (sink, stats) = (sinks.sink(i - first), &mut walk.counters.stats);
+                    let (sink, stats) = (sinks.sink(i), &mut walk.counters.stats);
                     if let Some(col) = frame.pin {
                         // A bound level behind a free one seeks its constant
                         // in every participant; a miss prunes the subtree

@@ -178,7 +178,6 @@ impl MetricsSnapshot {
             .u64("share_solves", self.share_solves)
             .u64("max_partition_tuples", self.max_partition_tuples)
             .f64("mean_partition_tuples", self.mean_partition_tuples)
-            .u64("wire_bytes", self.wire_bytes)
             .u64("queries_traced", self.queries_traced)
             .u64("trace_events_dropped", self.trace_events_dropped)
             .u64("slow_queries_logged", self.slow_queries_logged)
@@ -214,7 +213,6 @@ pub fn execution_report_json(r: &ExecutionReport) -> String {
         .f64("other_secs", r.other_secs)
         .f64("total_secs", r.total_secs())
         .u64("comm_tuples", r.comm_tuples)
-        .u64("wire_bytes", r.wire_bytes)
         .u64("precompute_tuples", r.precompute_tuples)
         .u64("output_tuples", r.output_tuples)
         .raw("share", array_u64(&r.share.iter().map(|&s| s as u64).collect::<Vec<_>>()))

@@ -175,7 +175,6 @@ pub struct ServiceMetrics {
     partition_tuples_max: AtomicU64,
     partition_fill_sum: AtomicU64,
     partition_fill_slots: AtomicU64,
-    wire_bytes: AtomicU64,
     /// End-to-end service-side latency (admission wait included).
     pub total: Histogram,
     /// Time spent waiting for an admission slot.
@@ -233,7 +232,6 @@ impl ServiceMetrics {
         self.partition_fill_sum
             .fetch_add(report.worker_tuples.iter().sum::<u64>(), Ordering::Relaxed);
         self.partition_fill_slots.fetch_add(report.worker_tuples.len() as u64, Ordering::Relaxed);
-        self.wire_bytes.fetch_add(report.wire_bytes, Ordering::Relaxed);
         self.total.record_secs(total_secs);
         self.queue_wait.record_secs(queue_secs);
         self.optimization.record_secs(report.optimization_secs);
@@ -356,7 +354,6 @@ impl ServiceMetrics {
                     self.partition_fill_sum.load(Ordering::Relaxed) as f64 / slots as f64
                 }
             },
-            wire_bytes: self.wire_bytes.load(Ordering::Relaxed),
             total: self.total.snapshot(),
             queue_wait: self.queue_wait.snapshot(),
             optimization: self.optimization.snapshot(),
@@ -460,9 +457,6 @@ pub struct MetricsSnapshot {
     pub max_partition_tuples: u64,
     /// Mean join bindings per worker across served queries.
     pub mean_partition_tuples: f64,
-    /// Real serialized bytes put on the wire — 0 for every served query:
-    /// serving shares its tries instead of routing them, on any transport.
-    pub wire_bytes: u64,
     /// End-to-end latency summary.
     pub total: HistogramSnapshot,
     /// Admission-wait summary.
@@ -585,11 +579,6 @@ impl MetricsSnapshot {
             "coalesced_builds_total",
             "Index/bag builds avoided by request coalescing.",
             self.coalesced_builds,
-        );
-        counter(
-            "wire_bytes_total",
-            "Serialized bytes served queries put on the wire.",
-            self.wire_bytes,
         );
         out.push_str(&format!(
             "# HELP adj_delta_overlay_tuples Overlay tuples resident across databases.\n\

@@ -1094,13 +1094,19 @@ impl Service {
                 let mut evictions = 0u64;
                 // Results are forgotten with the registration they ran on,
                 // and kept only while their plan key is the shape's current
-                // one: a mutation that ran meanwhile superseded it.
+                // one: a mutation that ran meanwhile superseded it. The
+                // registry stays read-locked until they are in, so a
+                // mutation's swap and its sweep of the superseded results
+                // come wholly before the check or wholly after the inserts.
                 let epoch = ctx.index.map_or(0, |scope| scope.epoch);
                 let reads = prepared.query.atoms.iter().map(|a| a.name.clone()).collect();
                 let source = ResultSource { fingerprint: prepared.fingerprint, reads };
-                let current = self.lookup(&prepared.db_name).ok();
-                let keep =
-                    current.is_some_and(|e| e.epoch == epoch && e.plan_key_of(&source) == key);
+                let dbs = read_recovering(&self.databases);
+                let keep = dbs
+                    .get(&prepared.db_name)
+                    .is_some_and(|e| e.epoch == epoch && e.plan_key_of(&source) == key);
+                #[cfg(test)]
+                tests::before_result_inserts();
                 for ((u, result_key), res) in cold_slots.into_iter().zip(slot_results) {
                     if let (Ok(out), true) = (&res, keep) {
                         let id = ResultId { plan_key: key, mode, binding: &batch.unique()[u] };
@@ -1109,6 +1115,7 @@ impl Service {
                     }
                     unique_results[u] = Some(res);
                 }
+                drop(dbs);
                 insert_span.arg("evictions", evictions);
             }
 
@@ -2558,6 +2565,50 @@ mod tests {
         batch();
         service.check_invariants().unwrap();
         assert!(service.results.stats().len > 0, "the repair batch cached its results");
+    }
+
+    thread_local! {
+        /// Run by the batch door on its own thread, between its plan-key
+        /// check and its result inserts.
+        static BEFORE_RESULT_INSERTS: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn before_result_inserts() {
+        BEFORE_RESULT_INSERTS.with(|hook| hook.borrow_mut().as_mut().map_or((), |f| f()));
+    }
+
+    #[test]
+    fn a_mutation_racing_a_batch_leaves_no_result_under_a_superseded_key() {
+        let q = paper_query(PaperQuery::Q1);
+        let service = small_service();
+        service.register_database("g", q.instantiate(&graph(150, 41)));
+        let (prepared, _) =
+            service.prepare_text("g", "Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
+        let bindings: Vec<Bindings> = (0..6).map(|v| Bindings::new().set("v", v)).collect();
+        let mutation = MutationBatch::new("R2").insert(&[1, 2]).delete(&[0, 1]);
+        let (go, started) = std::sync::mpsc::channel();
+        let (landed, done) = std::sync::mpsc::channel();
+        // Once the batch checked its plan key, a mutation of R2 starts, and
+        // the batch gives it time to land before inserting: a mutation the
+        // batch does not hold off lands in that window.
+        let hook = move || {
+            let _ = go.send(());
+            let _ = done.recv_timeout(Duration::from_millis(200));
+        };
+        BEFORE_RESULT_INSERTS.with(|h| *h.borrow_mut() = Some(Box::new(hook)));
+        std::thread::scope(|s| {
+            let (service, mutation) = (&service, &mutation);
+            s.spawn(move || {
+                started.recv().unwrap();
+                service.mutate("g", mutation).unwrap();
+                let _ = landed.send(());
+            });
+            service.execute_batch(&prepared, &bindings, OutputMode::Count).unwrap();
+            BEFORE_RESULT_INSERTS.with(|h| *h.borrow_mut() = None);
+        });
+        assert_eq!(service.stats().metrics.mutations_applied, 1);
+        service.check_invariants().unwrap();
     }
 
     #[test]

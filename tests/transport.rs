@@ -84,8 +84,8 @@ fn cluster_on(transport: TransportKind) -> Cluster {
 }
 
 /// The oracle matrix: two services differing *only* in transport serve
-/// every shape × strategy × output mode identically, and neither puts a
-/// frame on the wire. The routed round under each cold plan puts real
+/// every shape × strategy × output mode identically, and neither's cluster
+/// ledger records a tuple, a byte, a round or a message. The routed round under each cold plan puts real
 /// frames on the wire on the serialized backend (`wire_bytes > 0` in its
 /// report and bytes in its cluster's ledger); the in-process backend never
 /// does.
@@ -104,10 +104,15 @@ fn serialized_backend_is_byte_identical_to_in_process() {
             let b = wire.execute(&db, &q).unwrap();
             assert_eq!(a.output, b.output, "{strategy:?}/{shape:?}: cold Rows diverged");
             assert_eq!(
-                a.report.wire_bytes, 0,
-                "{strategy:?}/{shape:?}: in-process transport reported wire bytes"
+                inproc.cluster().comm().snapshot(),
+                (0, 0, 0, 0),
+                "{strategy:?}/{shape:?}: in-process serving routed"
             );
-            assert_eq!(b.report.wire_bytes, 0, "{strategy:?}/{shape:?}: serving routed");
+            assert_eq!(
+                wire.cluster().comm().snapshot(),
+                (0, 0, 0, 0),
+                "{strategy:?}/{shape:?}: serialized serving routed"
+            );
             // The routed round under the same plan puts frames on the wire.
             let routed_in = shuffle(&cluster_on(TransportKind::InProcess), shape, &a).unwrap();
             let routed_wire = shuffle(&cluster_on(TransportKind::Serialized), shape, &b).unwrap();
@@ -132,18 +137,16 @@ fn serialized_backend_is_byte_identical_to_in_process() {
                 let b = wire.execute_mode(&db, &q, mode).unwrap();
                 assert_eq!(a.output, b.output, "{strategy:?}/{shape:?}/{mode}: outputs diverged");
                 assert_eq!(
-                    b.report.wire_bytes, 0,
+                    wire.cluster().comm().snapshot(),
+                    (0, 0, 0, 0),
                     "{strategy:?}/{shape:?}/{mode}: warm rerun re-shipped bytes"
                 );
             }
         }
-        let m = wire.stats().metrics;
-        assert_eq!(m.wire_bytes, 0, "{strategy:?}: serving accumulated wire bytes");
-        assert_eq!(
-            inproc.stats().metrics.wire_bytes,
-            0,
-            "{strategy:?}: in-process metrics accumulated wire bytes"
-        );
+        for (service, backend) in [(&wire, "serialized"), (&inproc, "in-process")] {
+            let ledger = service.cluster().comm().snapshot();
+            assert_eq!(ledger, (0, 0, 0, 0), "{strategy:?}: {backend} serving moved data");
+        }
         // A serialized cluster's ledger accumulates the routed round's bytes.
         let cluster = cluster_on(TransportKind::Serialized);
         let out = wire.execute(&shape_db_name(PaperQuery::Q1), &paper_query(PaperQuery::Q1));
@@ -183,7 +186,6 @@ fn warm_path_moves_nothing_on_either_backend() {
             (0, 0, 0, 0),
             "{transport:?}: warm rerun was not communication-free"
         );
-        assert_eq!(warm.report.wire_bytes, 0, "{transport:?}: warm rerun shipped frames");
     }
 }
 
@@ -337,7 +339,7 @@ fn the_cluster_config_alone_selects_the_transport() {
     let q = paper_query(PaperQuery::Q1);
     service.register_database("db", q.instantiate(&graph()));
     let cold = service.execute("db", &q).unwrap();
-    assert_eq!(cold.report.wire_bytes, 0, "serving never routes");
+    assert_eq!(service.cluster().comm().snapshot(), (0, 0, 0, 0), "serving never routes");
     let db = q.instantiate(&graph());
     let names: Vec<String> = q.atoms.iter().map(|a| a.name.clone()).collect();
     let plan = HCubePlan::new(cold.report.share.clone(), 2);
