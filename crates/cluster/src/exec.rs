@@ -217,76 +217,11 @@ impl Cluster {
     /// Opens one shuffle round over the configured transport backend.
     /// `schemas` is the induced layout of each relation in the round — the
     /// serialized backend decodes frames back into these schemas. The
-    /// round records traffic on this cluster's [`CommStats`] lazily:
-    /// untouched (fully warm) rounds record 0 rounds / 0 messages /
+    /// round records traffic on this cluster's [`CommStats`] from its first
+    /// batch: a round that sends nothing records 0 rounds / 0 messages /
     /// 0 bytes on both backends.
     pub fn open_round(&self, schemas: Vec<Schema>) -> TransportRound<'_> {
         TransportRound::new(self.config.transport, schemas, self.num_workers(), &self.comm)
-    }
-
-    /// Runs a shuffle round with delivery and consumption pipelined:
-    /// `coordinator` routes batches into `round` while each worker `w`
-    /// runs `f(w, span)`, receiving from `round.recv(w)` and building as
-    /// relations complete. With OS threads available the coordinator and
-    /// workers genuinely overlap; otherwise the coordinator runs first and
-    /// workers drain the buffered lanes inline — identical results, no
-    /// overlap.
-    ///
-    /// The round is always closed before workers are joined (coordinator
-    /// panic path included), so receivers can never block forever. A
-    /// coordinator panic resumes on the calling thread *after* all workers
-    /// finish.
-    pub fn run_pipelined<T, R, C, F>(
-        &self,
-        tracer: &Tracer,
-        name: &'static str,
-        round: &TransportRound<'_>,
-        coordinator: C,
-        f: F,
-    ) -> (T, RunReport<R>)
-    where
-        T: Send,
-        R: Send,
-        C: FnOnce() -> T + Send,
-        F: Fn(WorkerId, &mut SpanGuard<'_>) -> R + Sync,
-    {
-        let n = self.num_workers();
-        if self.spawn_threads {
-            let mut slots: Vec<Option<(Result<R, WorkerFailure>, f64)>> =
-                (0..n).map(|_| None).collect();
-            let coord_out = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..n)
-                    .map(|w| {
-                        let f = &f;
-                        s.spawn(move || run_worker(tracer, name, f, w))
-                    })
-                    .collect();
-                // The coordinator runs on the calling thread while workers
-                // consume; its panic must not leak past `round.close()` or
-                // the workers would block on their lanes forever.
-                let out = catch_unwind(AssertUnwindSafe(coordinator));
-                round.close();
-                for (w, h) in handles.into_iter().enumerate() {
-                    slots[w] = Some(h.join().expect("worker panics are caught inside the closure"));
-                }
-                out
-            });
-            let report = collect_report(slots.into_iter().map(|s| s.expect("all workers joined")));
-            match coord_out {
-                Ok(t) => (t, report),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        } else {
-            // No overlap available: route everything first, then drain the
-            // buffered lanes worker by worker.
-            let coord_out = catch_unwind(AssertUnwindSafe(coordinator));
-            round.close();
-            let report = collect_report((0..n).map(|w| run_worker(tracer, name, &f, w)));
-            match coord_out {
-                Ok(t) => (t, report),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
     }
 }
 
@@ -449,83 +384,6 @@ mod tests {
             assert!(joins.iter().any(|e| e.lane == lane_for_worker(w)));
         }
         assert_eq!(trace.sum_arg("tuples"), 3); // workers contributed 0 + 1 + 2
-    }
-
-    #[test]
-    fn run_pipelined_delivers_batches_to_building_workers() {
-        use crate::transport::{BatchPayload, Delivery, RoutedBatch, TransportKind};
-        use adj_relational::Attr;
-        for kind in [TransportKind::InProcess, TransportKind::Serialized] {
-            let mut cfg = ClusterConfig::with_workers(2);
-            cfg.transport = kind;
-            let c = Cluster::new(cfg);
-            let schemas = vec![Schema::new(vec![Attr(0), Attr(1)]).unwrap()];
-            let round = c.open_round(schemas);
-            let (sent, run) = c.run_pipelined(
-                &Tracer::disabled(),
-                "build",
-                &round,
-                || {
-                    for w in 0..2usize {
-                        round.send(
-                            w,
-                            RoutedBatch {
-                                relation: 0,
-                                tuples: 1,
-                                messages: 1,
-                                payload: BatchPayload::Rows(vec![w as u32, 7]),
-                            },
-                        );
-                    }
-                    round.finish_relation(0);
-                    2u64
-                },
-                |w, _span| {
-                    let mut rows = Vec::new();
-                    let mut done = false;
-                    while let Some(d) = round.recv(w).unwrap() {
-                        match d {
-                            Delivery::Batch(b) => match b.payload {
-                                BatchPayload::Rows(v) => rows.extend(v),
-                                BatchPayload::SortedBlock(_) => unreachable!(),
-                            },
-                            Delivery::RelationDone(0) => done = true,
-                            Delivery::RelationDone(_) => unreachable!(),
-                        }
-                    }
-                    assert!(done, "{kind:?}: worker {w} missed the relation-done marker");
-                    rows
-                },
-            );
-            assert_eq!(sent, 2);
-            let rows = run.into_results().unwrap();
-            assert_eq!(rows[0], vec![0, 7], "{kind:?}");
-            assert_eq!(rows[1], vec![1, 7], "{kind:?}");
-            let (tuples, _bytes, rounds, messages) = c.comm().take();
-            assert_eq!((tuples, rounds, messages), (2, 1, 2), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn run_pipelined_coordinator_panic_still_joins_workers() {
-        let c = Cluster::new(ClusterConfig::with_workers(2));
-        let round = c.open_round(Vec::new());
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            c.run_pipelined(
-                &Tracer::disabled(),
-                "build",
-                &round,
-                || -> () { std::panic::resume_unwind(Box::new("coordinator fault".to_string())) },
-                |w, _span| {
-                    // Drain to end-of-round; must terminate despite the
-                    // coordinator panic.
-                    while round.recv(w).unwrap().is_some() {}
-                    w
-                },
-            )
-        }));
-        let payload = out.unwrap_err();
-        assert_eq!(payload.downcast_ref::<String>().unwrap(), "coordinator fault");
     }
 
     #[test]

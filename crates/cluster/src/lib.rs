@@ -6,7 +6,7 @@
 //! about (see DESIGN.md's substitution table):
 //!
 //! * **N logical workers**, each owning a disjoint partition of the database
-//!   ([`PartitionedRelation`], [`PartitionedDatabase`]);
+//!   ([`PartitionedRelation`]);
 //! * **routed shuffles** through an accounting layer ([`CommStats`]) that
 //!   counts every delivered tuple copy — communication *time* is then
 //!   modeled as `tuples / α`, which is exactly how the paper computes
@@ -25,9 +25,9 @@ pub mod transport;
 
 pub use comm::{CommStats, CostModel};
 pub use exec::{Cluster, RunReport, WorkerFailure};
-pub use partition::{PartitionedDatabase, PartitionedRelation};
+pub use partition::PartitionedRelation;
 pub use transport::{
-    decode_frame, encode_batch, BatchPayload, Delivery, RoutedBatch, TransportKind, TransportRound,
+    decode_frame, encode_batch, BatchPayload, RoutedBatch, TransportKind, TransportRound,
 };
 
 /// Identifier of a logical worker (`0..num_workers`).

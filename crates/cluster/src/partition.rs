@@ -1,4 +1,4 @@
-//! Partitioned relations/databases: how data lives across the simulated
+//! Partitioned relations: how data lives across the simulated
 //! cluster, and the routed shuffle primitive every join method uses.
 
 use crate::exec::Cluster;
@@ -150,73 +150,6 @@ impl PartitionedRelation {
     }
 }
 
-/// A database whose every relation is partitioned across the same cluster.
-#[derive(Debug, Clone, Default)]
-pub struct PartitionedDatabase {
-    names: Vec<String>,
-    relations: Vec<PartitionedRelation>,
-}
-
-impl PartitionedDatabase {
-    /// Creates an empty partitioned database.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Hash-partitions every relation of `db` across `n` workers.
-    pub fn from_database(db: &adj_relational::Database, n: usize) -> Self {
-        let mut out = PartitionedDatabase::new();
-        for (name, rel) in db.iter() {
-            out.insert(name, PartitionedRelation::hash_partitioned(rel, n));
-        }
-        out
-    }
-
-    /// Inserts (or replaces) a partitioned relation.
-    pub fn insert(&mut self, name: impl Into<String>, rel: PartitionedRelation) {
-        let name = name.into();
-        if let Some(i) = self.names.iter().position(|n| *n == name) {
-            self.relations[i] = rel;
-        } else {
-            self.names.push(name);
-            self.relations.push(rel);
-        }
-    }
-
-    /// Looks up by name.
-    pub fn get(&self, name: &str) -> Result<&PartitionedRelation> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| &self.relations[i])
-            .ok_or_else(|| Error::NoSuchRelation(name.to_string()))
-    }
-
-    /// Iterates `(name, relation)` in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &PartitionedRelation)> {
-        self.names.iter().map(|s| s.as_str()).zip(self.relations.iter())
-    }
-
-    /// Number of relations.
-    pub fn len(&self) -> usize {
-        self.relations.len()
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.relations.is_empty()
-    }
-
-    /// Re-assembles the logical (gathered) database.
-    pub fn gather(&self) -> adj_relational::Database {
-        let mut db = adj_relational::Database::new();
-        for (name, rel) in self.iter() {
-            db.insert(name, rel.gather());
-        }
-        db
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,16 +209,5 @@ mod tests {
         let p = PartitionedRelation::hash_partitioned(&pairs(10), 2);
         let err = p.shuffle(&cluster, |_r, d| d.push(0)).unwrap_err();
         assert!(matches!(err, Error::BudgetExceeded { .. }));
-    }
-
-    #[test]
-    fn partitioned_database_roundtrip() {
-        let mut db = adj_relational::Database::new();
-        db.insert("R1", pairs(10));
-        db.insert("R2", pairs(20));
-        let pdb = PartitionedDatabase::from_database(&db, 3);
-        assert_eq!(pdb.len(), 2);
-        assert_eq!(pdb.gather(), db);
-        assert!(pdb.get("R3").is_err());
     }
 }

@@ -1,49 +1,43 @@
-//! Pluggable partition delivery between the coordinator and the workers.
+//! Partition delivery between the coordinator and the workers of a routed
+//! shuffle round.
 //!
-//! A shuffle used to hand `Arc`s straight into per-worker inboxes, which
-//! meant `CommStats::bytes` was a model, delivery order was implicit, and
-//! nothing could ever cross a process boundary. This module owns that
-//! hand-off behind a single round abstraction with two backends:
+//! A round is two passes over one inbox per worker: the coordinator routes
+//! every relation into the inboxes ([`TransportRound::send`]), then each
+//! worker drains its own ([`TransportRound::drain`]). Two backends:
 //!
 //! * [`TransportKind::InProcess`] — the zero-copy default: routed batches
-//!   move as values (`Vec<Value>` rows or `Arc<Relation>` sorted blocks)
-//!   through per-worker queues. Bytes are *modeled* (`tuples × 4 × arity`),
-//!   exactly as the α cost model assumes.
+//!   move as values (`Vec<Value>` rows or `Arc<Relation>` sorted blocks).
+//!   Bytes are *modeled* (`tuples × 4 × arity`), exactly as the α cost
+//!   model assumes.
 //! * [`TransportKind::Serialized`] — every batch is encoded to a
-//!   length-prefixed wire frame and appended to a per-worker loopback byte
-//!   stream; the receiver decodes frames off the stream. Bytes recorded on
-//!   [`CommStats`] are the *actual encoded frame bytes*
-//!   (payload + framing), so the α model can be validated against a real
-//!   wire. Swapping the loopback stream for a TCP socket is a config
-//!   change, not a refactor.
+//!   length-prefixed wire frame on send and appended to the worker's inbox
+//!   byte stream; the drain decodes the frames. Bytes recorded on
+//!   [`CommStats`] are the *actual encoded frame bytes* (payload +
+//!   framing), so the α model can be checked against a real encoding. The
+//!   stream is an in-memory buffer: no socket stands behind it.
 //!
 //! ## Wire format (Serialized backend)
 //!
 //! ```text
 //! frame   := u32 LE body_len | body
-//! body    := tag u8 | rest
-//! tag 0   (batch)         := u32 relation | u32 arity | u8 sorted
-//!                            | u32 tuples | tuples×arity u32 LE values
-//! tag 1   (relation_done) := u32 relation
+//! body    := tag u8 (0) | u32 relation | u32 arity | u8 sorted
+//!            | u32 tuples | tuples×arity u32 LE values
 //! ```
 //!
-//! End-of-round is stream close (no frame). `sorted = 1` marks a
+//! A worker's round ends with its stream (no frame). `sorted = 1` marks a
 //! pre-built sorted block (the Merge implementation's payload); the
 //! receiver rebuilds it as a [`Relation`] in the round's induced schema.
 //!
 //! ## Accounting
 //!
 //! Round, message, tuple, and byte accounting is **transport-owned**: the
-//! first frame of a round (batch *or* relation-done marker) lazily records
-//! the round on [`CommStats`]; a round in which nothing
-//! is sent — every relation served warm from the index cache — records 0
-//! rounds, 0 messages, and 0 bytes, structurally, on both backends.
+//! first batch of a round records the round on [`CommStats`]; a round in
+//! which nothing is sent records 0 rounds, 0 messages, and 0 bytes,
+//! structurally, on both backends.
 
 use crate::comm::CommStats;
 use adj_relational::{Error, Relation, Result, Schema, Value};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Which delivery backend a cluster uses for shuffle rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,8 +45,8 @@ pub enum TransportKind {
     /// Zero-copy in-process hand-off; bytes are modeled.
     #[default]
     InProcess,
-    /// Length-prefixed wire encoding over loopback byte streams; bytes are
-    /// real encoded frame bytes.
+    /// Length-prefixed wire frames, encoded on send and decoded on drain;
+    /// bytes are real encoded frame bytes.
     Serialized,
 }
 
@@ -100,80 +94,42 @@ pub struct RoutedBatch {
     pub payload: BatchPayload,
 }
 
-/// What a worker receives from the round.
-#[derive(Debug)]
-pub enum Delivery {
-    /// A routed batch for one relation.
-    Batch(RoutedBatch),
-    /// The coordinator finished routing this relation: its last batch has
-    /// landed and the worker may build the local trie *now*, overlapping
-    /// with the delivery of later relations.
-    RelationDone(usize),
+/// One worker's inbox, in send order: the batches themselves on the
+/// in-process backend, the frames they were encoded to on the serialized
+/// one (the other field stays empty).
+#[derive(Default)]
+struct Inbox {
+    batches: Vec<RoutedBatch>,
+    frames: Vec<u8>,
 }
 
-/// Per-worker lane contents: decoded deliveries (in-process) or a raw byte
-/// stream the receiver decodes frames from (serialized).
-enum LaneBuf {
-    Queue(VecDeque<Delivery>),
-    Pipe(VecDeque<u8>),
-}
-
-struct LaneState {
-    buf: LaneBuf,
-    closed: bool,
-}
-
-/// One worker's inbound lane: a mutex-guarded buffer plus a condvar so a
-/// threaded receiver can block until the next frame (or close) arrives.
-struct Lane {
-    state: Mutex<LaneState>,
-    ready: Condvar,
-}
-
-impl Lane {
-    fn new(kind: TransportKind) -> Self {
-        let buf = match kind {
-            TransportKind::InProcess => LaneBuf::Queue(VecDeque::new()),
-            TransportKind::Serialized => LaneBuf::Pipe(VecDeque::new()),
-        };
-        Lane { state: Mutex::new(LaneState { buf, closed: false }), ready: Condvar::new() }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, LaneState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// One shuffle round over the transport: a coordinator-side sender plus one
-/// receiver lane per worker. Dropping (or [`close`](TransportRound::close)-
-/// ing) the round ends every lane's stream, so receivers can never block
-/// past the coordinator's lifetime — including its panic path.
+/// One shuffle round over the transport: the coordinator sends into one
+/// inbox per worker, then each worker drains its own.
 pub struct TransportRound<'a> {
     kind: TransportKind,
-    /// Induced schema per relation — the decode side of the serialized
+    /// Induced schema per relation — the drain side of the serialized
     /// backend rebuilds rows and sorted blocks in this layout.
     schemas: Vec<Schema>,
-    lanes: Vec<Lane>,
+    inboxes: Vec<Mutex<Inbox>>,
     stats: &'a CommStats,
-    round_opened: AtomicBool,
-    bytes: AtomicU64,
-    wire_bytes: AtomicU64,
-    frames: AtomicU64,
+    bytes: u64,
+    wire_bytes: u64,
+    frames: u64,
 }
 
 impl std::fmt::Debug for TransportRound<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TransportRound")
             .field("kind", &self.kind)
-            .field("workers", &self.lanes.len())
+            .field("workers", &self.inboxes.len())
             .field("relations", &self.schemas.len())
             .finish()
     }
 }
 
 impl<'a> TransportRound<'a> {
-    /// Opens a round for `workers` lanes over `schemas.len()` relations.
-    /// Nothing is recorded on `stats` until the first frame is sent.
+    /// Opens a round for `workers` inboxes over `schemas.len()` relations.
+    /// Nothing is recorded on `stats` until the first batch is sent.
     pub fn new(
         kind: TransportKind,
         schemas: Vec<Schema>,
@@ -183,139 +139,87 @@ impl<'a> TransportRound<'a> {
         TransportRound {
             kind,
             schemas,
-            lanes: (0..workers).map(|_| Lane::new(kind)).collect(),
+            inboxes: (0..workers).map(|_| Mutex::default()).collect(),
             stats,
-            round_opened: AtomicBool::new(false),
-            bytes: AtomicU64::new(0),
-            wire_bytes: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
+            bytes: 0,
+            wire_bytes: 0,
+            frames: 0,
         }
-    }
-
-    /// The backend this round runs on.
-    pub fn kind(&self) -> TransportKind {
-        self.kind
     }
 
     /// Bytes recorded for this round so far (modeled or wire, per backend).
     pub fn bytes_sent(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.bytes
     }
 
     /// Encoded frame bytes for this round (0 on the in-process backend —
-    /// nothing crossed a wire).
+    /// nothing was encoded).
     pub fn wire_bytes(&self) -> u64 {
-        self.wire_bytes.load(Ordering::Relaxed)
+        self.wire_bytes
     }
 
-    /// Frames sent (batches + relation-done markers).
+    /// Batches sent (one frame each on the serialized backend).
     pub fn frames_sent(&self) -> u64 {
-        self.frames.load(Ordering::Relaxed)
-    }
-
-    /// Lazily opens the round on first traffic — a round with no traffic
-    /// records nothing (the fully-warm-shuffle guarantee).
-    fn open(&self) {
-        if !self.round_opened.swap(true, Ordering::Relaxed) {
-            self.stats.record_round();
-        }
+        self.frames
     }
 
     /// Sends one routed batch to worker `dest`, recording tuples, messages,
-    /// and bytes on the round's [`CommStats`].
-    pub fn send(&self, dest: usize, batch: RoutedBatch) {
-        self.open();
-        self.frames.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.lanes[dest].lock();
-        match &mut state.buf {
-            LaneBuf::Queue(q) => {
+    /// and bytes on the round's [`CommStats`]; the first batch records the
+    /// round itself.
+    pub fn send(&mut self, dest: usize, batch: RoutedBatch) {
+        if self.frames == 0 {
+            self.stats.record_round();
+        }
+        self.frames += 1;
+        self.stats.record_messages(batch.messages);
+        let tuples = batch.tuples;
+        let inbox = self.inboxes[dest].get_mut().unwrap_or_else(|e| e.into_inner());
+        let bytes = match self.kind {
+            TransportKind::InProcess => {
                 let bytes = batch.payload.modeled_bytes();
-                self.stats.record(batch.tuples, bytes);
-                self.stats.record_messages(batch.messages);
-                self.bytes.fetch_add(bytes, Ordering::Relaxed);
-                q.push_back(Delivery::Batch(batch));
+                inbox.batches.push(batch);
+                bytes
             }
-            LaneBuf::Pipe(p) => {
-                let frame = encode_batch(&batch);
-                let bytes = frame.len() as u64;
-                self.stats.record(batch.tuples, bytes);
-                self.stats.record_messages(batch.messages);
-                self.bytes.fetch_add(bytes, Ordering::Relaxed);
-                self.wire_bytes.fetch_add(bytes, Ordering::Relaxed);
-                p.extend(frame);
+            TransportKind::Serialized => {
+                let start = inbox.frames.len();
+                encode_batch(&batch, &mut inbox.frames);
+                let bytes = (inbox.frames.len() - start) as u64;
+                self.wire_bytes += bytes;
+                bytes
             }
-        }
-        drop(state);
-        self.lanes[dest].ready.notify_one();
+        };
+        self.stats.record(tuples, bytes);
+        self.bytes += bytes;
     }
 
-    /// Broadcasts a relation-done marker to every worker: relation `ai`'s
-    /// last batch has been sent, so receivers may build its trie now.
-    /// Control frames count toward wire bytes (they are real traffic) but
-    /// carry no tuples and no messages.
-    pub fn finish_relation(&self, ai: usize) {
-        self.open();
-        for lane in &self.lanes {
-            self.frames.fetch_add(1, Ordering::Relaxed);
-            let mut state = lane.lock();
-            match &mut state.buf {
-                LaneBuf::Queue(q) => q.push_back(Delivery::RelationDone(ai)),
-                LaneBuf::Pipe(p) => {
-                    let frame = encode_relation_done(ai);
-                    let bytes = frame.len() as u64;
-                    self.stats.record(0, bytes);
-                    self.bytes.fetch_add(bytes, Ordering::Relaxed);
-                    self.wire_bytes.fetch_add(bytes, Ordering::Relaxed);
-                    p.extend(frame);
+    /// Takes worker `w`'s inbox whole and yields its batches in send order,
+    /// decoding frames on the serialized backend. A frame that does not
+    /// decode is an [`Error::MalformedFrame`], never a panic: the drain goes
+    /// on with the next frame, or ends if the stream's framing is broken.
+    pub fn drain(&self, w: usize) -> impl Iterator<Item = Result<RoutedBatch>> + '_ {
+        let inbox = std::mem::take(&mut *self.inboxes[w].lock().unwrap_or_else(|e| e.into_inner()));
+        let (frames, mut at) = (inbox.frames, 0usize);
+        let decoded = std::iter::from_fn(move || {
+            let rest = &frames[at..];
+            if rest.is_empty() {
+                return None;
+            }
+            let body = rest.get(..4).and_then(|len| {
+                let len = u32::from_le_bytes(len.try_into().expect("a four-byte slice"));
+                rest[4..].get(..len as usize)
+            });
+            Some(match body {
+                Some(body) => {
+                    at += 4 + body.len();
+                    decode_frame(body, &self.schemas)
                 }
-            }
-            drop(state);
-            lane.ready.notify_one();
-        }
-    }
-
-    /// Ends the round: closes every lane's stream. Receivers drain what was
-    /// already sent, then see end-of-round. Idempotent.
-    pub fn close(&self) {
-        for lane in &self.lanes {
-            lane.lock().closed = true;
-            lane.ready.notify_all();
-        }
-    }
-
-    /// Blocking receive on worker `w`'s lane: the next delivery, or `None`
-    /// once the round is closed and the lane is drained. A frame that does
-    /// not decode is an [`Error::MalformedFrame`], never a panic.
-    pub fn recv(&self, w: usize) -> Result<Option<Delivery>> {
-        let lane = &self.lanes[w];
-        let mut state = lane.lock();
-        loop {
-            match &mut state.buf {
-                LaneBuf::Queue(q) => {
-                    if let Some(d) = q.pop_front() {
-                        return Ok(Some(d));
-                    }
+                None => {
+                    at = frames.len();
+                    Err(malformed(format!("a frame cut short in the last {} bytes", rest.len())))
                 }
-                LaneBuf::Pipe(p) => {
-                    if let Some(frame) = take_frame(p) {
-                        // Decode outside the lock so a slow decode never
-                        // stalls the sender.
-                        drop(state);
-                        return decode_frame(&frame, &self.schemas).map(Some);
-                    }
-                }
-            }
-            if state.closed {
-                return Ok(None);
-            }
-            state = lane.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-impl Drop for TransportRound<'_> {
-    fn drop(&mut self) {
-        self.close();
+            })
+        });
+        inbox.batches.into_iter().map(Ok).chain(decoded)
     }
 }
 
@@ -323,69 +227,27 @@ fn push_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Encodes a batch frame (tag 0). See the module docs for the layout.
-pub fn encode_batch(batch: &RoutedBatch) -> Vec<u8> {
-    let (arity, tuples, sorted): (u32, u32, u8) = match &batch.payload {
-        BatchPayload::Rows(_) => (0, batch.tuples as u32, 0), // arity patched below
-        BatchPayload::SortedBlock(b) => (b.arity() as u32, b.len() as u32, 1),
-    };
-    let mut body = Vec::new();
-    body.push(0u8);
-    push_u32(&mut body, batch.relation as u32);
-    match &batch.payload {
+/// Appends `batch`'s frame to `out`. See the module docs for the layout.
+pub fn encode_batch(batch: &RoutedBatch, out: &mut Vec<u8>) {
+    let (arity, sorted, tuples, values) = match &batch.payload {
         BatchPayload::Rows(values) => {
-            let tuples = batch.tuples as u32;
-            let arity = (values.len() as u32).checked_div(tuples).unwrap_or(0);
-            push_u32(&mut body, arity);
-            body.push(0u8);
-            push_u32(&mut body, tuples);
-            for &v in values {
-                push_u32(&mut body, v);
-            }
+            let tuples = batch.tuples as usize;
+            (values.len().checked_div(tuples).unwrap_or(0), 0u8, tuples, values.as_slice())
         }
-        BatchPayload::SortedBlock(block) => {
-            push_u32(&mut body, arity);
-            body.push(sorted);
-            push_u32(&mut body, tuples);
-            for row in block.rows() {
-                for &v in row {
-                    push_u32(&mut body, v);
-                }
-            }
-        }
+        BatchPayload::SortedBlock(block) => (block.arity(), 1u8, block.len(), block.flat()),
+    };
+    let start = out.len();
+    push_u32(out, 0); // the body length, patched below
+    out.push(0u8);
+    push_u32(out, batch.relation as u32);
+    push_u32(out, arity as u32);
+    out.push(sorted);
+    push_u32(out, tuples as u32);
+    for &v in values {
+        push_u32(out, v);
     }
-    let mut frame = Vec::with_capacity(4 + body.len());
-    push_u32(&mut frame, body.len() as u32);
-    frame.extend_from_slice(&body);
-    frame
-}
-
-fn encode_relation_done(ai: usize) -> Vec<u8> {
-    let mut body = Vec::with_capacity(5);
-    body.push(1u8);
-    push_u32(&mut body, ai as u32);
-    let mut frame = Vec::with_capacity(4 + body.len());
-    push_u32(&mut frame, body.len() as u32);
-    frame.extend_from_slice(&body);
-    frame
-}
-
-/// Pops one complete frame's body off the stream, or `None` if the stream
-/// does not yet hold one.
-fn take_frame(p: &mut VecDeque<u8>) -> Option<Vec<u8>> {
-    if p.len() < 4 {
-        return None;
-    }
-    let mut len_bytes = [0u8; 4];
-    for (i, b) in len_bytes.iter_mut().enumerate() {
-        *b = p[i];
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if p.len() < 4 + len {
-        return None;
-    }
-    p.drain(..4);
-    Some(p.drain(..len).collect())
+    let body_len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
 }
 
 fn malformed(message: String) -> Error {
@@ -405,26 +267,19 @@ fn read_u32(body: &[u8], at: &mut usize) -> Result<u32> {
     Ok(u32::from_le_bytes(bytes.try_into().expect("a four-byte slice")))
 }
 
-/// Decodes one frame body back into a [`Delivery`]. The body is input from
-/// the wire: whatever it holds, the answer is a delivery that fits
+/// Decodes one frame body back into a [`RoutedBatch`]. The body is input
+/// from the wire: whatever it holds, the answer is a batch that fits
 /// `schemas` or an [`Error::MalformedFrame`].
-pub fn decode_frame(body: &[u8], schemas: &[Schema]) -> Result<Delivery> {
+pub fn decode_frame(body: &[u8], schemas: &[Schema]) -> Result<RoutedBatch> {
     let mut at = 0usize;
     let tag = read_u8(body, &mut at)?;
-    if tag > 1 {
+    if tag != 0 {
         return Err(malformed(format!("unknown tag {tag}")));
     }
     let relation = read_u32(body, &mut at)? as usize;
     let schema = schemas.get(relation).ok_or_else(|| {
         malformed(format!("relation {relation} of a {}-relation round", schemas.len()))
     })?;
-    if tag == 1 {
-        return if at == body.len() {
-            Ok(Delivery::RelationDone(relation))
-        } else {
-            Err(malformed(format!("{} bytes after a relation-done marker", body.len() - at)))
-        };
-    }
     let arity = read_u32(body, &mut at)? as usize;
     let sorted = read_u8(body, &mut at)?;
     let tuples = read_u32(body, &mut at)? as usize;
@@ -454,12 +309,12 @@ pub fn decode_frame(body: &[u8], schemas: &[Schema]) -> Result<Delivery> {
     } else {
         BatchPayload::Rows(values)
     };
-    Ok(Delivery::Batch(RoutedBatch {
+    Ok(RoutedBatch {
         relation,
         tuples: tuples as u64,
         messages: 0, // accounting happened on the send side
         payload,
-    }))
+    })
 }
 
 #[cfg(test)]
@@ -474,10 +329,14 @@ mod tests {
         ]
     }
 
+    fn drained(round: &TransportRound<'_>, w: usize) -> Vec<RoutedBatch> {
+        round.drain(w).collect::<Result<_>>().unwrap()
+    }
+
     #[test]
     fn in_process_round_delivers_in_order_and_models_bytes() {
         let stats = CommStats::new();
-        let round = TransportRound::new(TransportKind::InProcess, schemas2(), 2, &stats);
+        let mut round = TransportRound::new(TransportKind::InProcess, schemas2(), 2, &stats);
         round.send(
             0,
             RoutedBatch {
@@ -487,32 +346,24 @@ mod tests {
                 payload: BatchPayload::Rows(vec![1, 2, 3, 4]),
             },
         );
-        round.finish_relation(0);
-        round.close();
 
-        match round.recv(0).unwrap() {
-            Some(Delivery::Batch(b)) => {
-                assert_eq!(b.relation, 0);
-                assert!(matches!(b.payload, BatchPayload::Rows(ref v) if v == &vec![1, 2, 3, 4]));
-            }
-            other => panic!("expected batch, got {other:?}"),
-        }
-        assert!(matches!(round.recv(0).unwrap(), Some(Delivery::RelationDone(0))));
-        assert!(round.recv(0).unwrap().is_none());
-        // Worker 1 got only the relation-done marker.
-        assert!(matches!(round.recv(1).unwrap(), Some(Delivery::RelationDone(0))));
-        assert!(round.recv(1).unwrap().is_none());
+        let got = drained(&round, 0);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].relation, 0);
+        assert!(matches!(got[0].payload, BatchPayload::Rows(ref v) if v == &vec![1, 2, 3, 4]));
+        assert!(drained(&round, 0).is_empty(), "a drain takes the inbox whole");
+        assert!(drained(&round, 1).is_empty(), "worker 1 was sent nothing");
 
         let (tuples, bytes, rounds, messages) = stats.snapshot();
         assert_eq!((tuples, rounds, messages), (2, 1, 1));
         assert_eq!(bytes, 16, "modeled bytes: 4 values x 4 bytes");
-        assert_eq!(round.wire_bytes(), 0, "nothing crossed a wire in-process");
+        assert_eq!(round.wire_bytes(), 0, "nothing was encoded in-process");
     }
 
     #[test]
     fn serialized_round_trips_rows_and_blocks_and_counts_wire_bytes() {
         let stats = CommStats::new();
-        let round = TransportRound::new(TransportKind::Serialized, schemas2(), 1, &stats);
+        let mut round = TransportRound::new(TransportKind::Serialized, schemas2(), 1, &stats);
         let block =
             Arc::new(Relation::from_flat(schemas2()[1].clone(), vec![9, 1, 3, 4, 3, 4]).unwrap());
         round.send(
@@ -533,24 +384,14 @@ mod tests {
                 payload: BatchPayload::SortedBlock(Arc::clone(&block)),
             },
         );
-        round.finish_relation(0);
-        round.close();
 
-        match round.recv(0).unwrap() {
-            Some(Delivery::Batch(b)) => {
-                assert!(matches!(b.payload, BatchPayload::Rows(ref v) if v == &vec![5, 6, 7, 8]));
-            }
-            other => panic!("expected rows batch, got {other:?}"),
+        let got = drained(&round, 0);
+        assert_eq!(got.len(), 2);
+        assert!(matches!(got[0].payload, BatchPayload::Rows(ref v) if v == &vec![5, 6, 7, 8]));
+        match &got[1].payload {
+            BatchPayload::SortedBlock(b) => assert_eq!(b.as_ref(), block.as_ref()),
+            other => panic!("expected sorted block, got {other:?}"),
         }
-        match round.recv(0).unwrap() {
-            Some(Delivery::Batch(b)) => match b.payload {
-                BatchPayload::SortedBlock(got) => assert_eq!(got.as_ref(), block.as_ref()),
-                other => panic!("expected sorted block, got {other:?}"),
-            },
-            other => panic!("expected block batch, got {other:?}"),
-        }
-        assert!(matches!(round.recv(0).unwrap(), Some(Delivery::RelationDone(0))));
-        assert!(round.recv(0).unwrap().is_none());
 
         let (tuples, bytes, rounds, messages) = stats.snapshot();
         assert_eq!((tuples, rounds, messages), (4, 1, 3));
@@ -564,68 +405,13 @@ mod tests {
         for kind in [TransportKind::InProcess, TransportKind::Serialized] {
             let stats = CommStats::new();
             let round = TransportRound::new(kind, schemas2(), 4, &stats);
-            round.close();
             for w in 0..4 {
-                assert!(round.recv(w).unwrap().is_none());
+                assert!(round.drain(w).next().is_none());
             }
             assert_eq!(stats.snapshot(), (0, 0, 0, 0), "{kind:?}: empty round leaked accounting");
         }
     }
 
-    #[test]
-    fn threaded_receivers_block_until_traffic_or_close() {
-        let stats = CommStats::new();
-        let round = TransportRound::new(TransportKind::Serialized, schemas2(), 2, &stats);
-        std::thread::scope(|s| {
-            let r = &round;
-            let h0 = s.spawn(move || {
-                let mut got = 0;
-                while let Some(d) = r.recv(0).unwrap() {
-                    if matches!(d, Delivery::Batch(_)) {
-                        got += 1;
-                    }
-                }
-                got
-            });
-            let h1 = s.spawn(move || {
-                let mut got = 0;
-                while r.recv(1).unwrap().is_some() {
-                    got += 1;
-                }
-                got
-            });
-            for i in 0..10u32 {
-                round.send(
-                    0,
-                    RoutedBatch {
-                        relation: 0,
-                        tuples: 1,
-                        messages: 1,
-                        payload: BatchPayload::Rows(vec![i, i + 1]),
-                    },
-                );
-            }
-            round.finish_relation(0);
-            round.close();
-            assert_eq!(h0.join().unwrap(), 10);
-            assert_eq!(h1.join().unwrap(), 1, "worker 1 sees only the marker");
-        });
-    }
-
-    #[test]
-    fn drop_closes_the_round() {
-        let stats = CommStats::new();
-        let round = TransportRound::new(TransportKind::InProcess, schemas2(), 1, &stats);
-        std::thread::scope(|s| {
-            let r = &round;
-            let h = s.spawn(move || r.recv(0).unwrap().is_none());
-            // recv blocks until the close below (drop is not reachable from
-            // inside the scope, so exercise the close path directly).
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            round.close();
-            assert!(h.join().unwrap());
-        });
-    }
     fn is_malformed<T: std::fmt::Debug>(r: Result<T>) -> bool {
         matches!(r, Err(Error::MalformedFrame { .. }))
     }
@@ -639,8 +425,10 @@ mod tests {
             messages: 1,
             payload: BatchPayload::Rows(vec![1, 2, 3, 4]),
         };
-        let good = encode_batch(&batch)[4..].to_vec();
-        assert!(matches!(decode_frame(&good, &schemas), Ok(Delivery::Batch(b)) if b.tuples == 2));
+        let mut frame = Vec::new();
+        encode_batch(&batch, &mut frame);
+        let good = frame[4..].to_vec();
+        assert!(matches!(decode_frame(&good, &schemas), Ok(b) if b.tuples == 2));
 
         assert!(is_malformed(decode_frame(&[], &schemas)), "empty frame");
         // Every proper prefix of a good frame is a truncation.
@@ -666,22 +454,38 @@ mod tests {
         let mut trailing = good.clone();
         trailing.push(0);
         assert!(is_malformed(decode_frame(&trailing, &schemas)));
-        assert!(is_malformed(decode_frame(&[1, 0, 0, 0, 0, 0], &schemas)), "long marker");
-        assert!(matches!(decode_frame(&[1, 1, 0, 0, 0], &schemas), Ok(Delivery::RelationDone(1))));
+        // The format has one tag: 0.
+        assert!(is_malformed(decode_frame(&[1, 1, 0, 0, 0], &schemas)), "tag 1");
+        let mut tag_one = good.clone();
+        tag_one[0] = 1;
+        assert!(is_malformed(decode_frame(&tag_one, &schemas)), "tag 1 over a batch body");
     }
 
     #[test]
     fn recv_surfaces_a_malformed_frame_instead_of_panicking() {
         let stats = CommStats::new();
-        let round = TransportRound::new(TransportKind::Serialized, schemas2(), 1, &stats);
-        // A well-framed body with an unknown tag, as a corrupted stream
-        // would deliver it.
-        match &mut round.lanes[0].lock().buf {
-            LaneBuf::Pipe(p) => p.extend([5u8, 0, 0, 0, 9, 0, 0, 0, 0]),
-            LaneBuf::Queue(_) => unreachable!("serialized rounds use byte pipes"),
+        let mut round = TransportRound::new(TransportKind::Serialized, schemas2(), 1, &stats);
+        fn stream<'r>(round: &'r mut TransportRound<'_>) -> &'r mut Vec<u8> {
+            &mut round.inboxes[0].get_mut().unwrap().frames
         }
-        assert!(is_malformed(round.recv(0)));
-        round.close();
-        assert!(round.recv(0).unwrap().is_none(), "the lane stays usable");
+        // A well-framed body with an unknown tag, as a corrupted stream
+        // would deliver it, then a good batch, then a frame cut short.
+        stream(&mut round).extend([5u8, 0, 0, 0, 9, 0, 0, 0, 0]);
+        round.send(
+            0,
+            RoutedBatch {
+                relation: 0,
+                tuples: 1,
+                messages: 1,
+                payload: BatchPayload::Rows(vec![3, 4]),
+            },
+        );
+        stream(&mut round).extend([9u8, 0, 0, 0, 0]);
+        let got: Vec<Result<RoutedBatch>> = round.drain(0).collect();
+        assert_eq!(got.len(), 3, "{got:?}");
+        assert!(matches!(got[0], Err(Error::MalformedFrame { .. })), "bad body: {:?}", got[0]);
+        assert!(matches!(&got[1], Ok(b) if b.tuples == 1), "the drain goes past a bad body");
+        assert!(matches!(got[2], Err(Error::MalformedFrame { .. })), "cut frame: {:?}", got[2]);
+        assert!(round.drain(0).next().is_none(), "the inbox was taken whole");
     }
 }

@@ -1129,7 +1129,7 @@ fn prepare_round(
     };
     let indexed = index_round(cluster, db, &index, ctx)?;
     report.comm_tuples = indexed.report.tuples;
-    report.communication_secs = indexed.report.pipelined_secs();
+    report.communication_secs = indexed.report.comm_and_build_secs();
     report.absorb_shuffle(&indexed.report, share_reused);
     // A count by bags also reads the relations its bags take in orders of
     // their own: index entries of their own, cached and patched like every
@@ -1143,7 +1143,7 @@ fn prepare_round(
                 index_round(cluster, db, &index, ctx)?
             };
             report.comm_tuples += out.report.tuples;
-            report.communication_secs += out.report.pipelined_secs();
+            report.communication_secs += out.report.comm_and_build_secs();
             report.absorb_shuffle(&out.report, true);
             Some(out)
         }
@@ -1252,7 +1252,7 @@ fn precompute_bag(
     drop(bag_span);
     // The round's modeled communication and build, plus the measured bag
     // join on top.
-    report.precompute_secs += indexed.report.pipelined_secs() + makespan;
+    report.precompute_secs += indexed.report.comm_and_build_secs() + makespan;
     report.precompute_tuples += indexed.report.tuples;
     if result.len() > budget {
         return Err(too_large);
@@ -1286,9 +1286,9 @@ impl<'a, F: Fn(usize) -> (&'a str, Option<&'a str>)> RoundSpec<'a, F> {
     /// its size, quantized to the next power of two. The program wants
     /// coarse cardinalities, not exact counts: quantizing keeps the chosen
     /// share stable while a relation grows or shrinks within its bucket, so
-    /// index fragments patched forward across a delta batch keep matching
-    /// instead of being orphaned by a near-tie flip between equal-cost
-    /// share vectors.
+    /// the share — and with it `report.share`, which the benchmark
+    /// harness's plan digest covers, and `comm_tuples` — stays put instead
+    /// of flipping on a near tie between equal-cost share vectors.
     fn bucket(&self, db: &Database, i: usize) -> Result<(u64, usize)> {
         let name = (self.atom)(i).0;
         let r = match self.overlay.iter().find(|(n, _)| n == name) {

@@ -23,9 +23,9 @@
 
 use crate::plan::HCubePlan;
 use crate::round::{checkpoint, RoundAtom, RoundLayout, CANCEL_CHECK_EVERY};
-use adj_cluster::{BatchPayload, Cluster, Delivery, RoutedBatch};
+use adj_cluster::{BatchPayload, Cluster, RoutedBatch};
 use adj_faults::{CancelToken, FaultSite};
-use adj_relational::{Attr, Database, Error, Relation, Result, Schema, Trie, Value};
+use adj_relational::{Attr, Database, Error, Relation, Result, Trie, Value};
 use adj_trace::{Tracer, COORDINATOR_LANE};
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,8 +66,8 @@ pub struct LocalRelation {
 }
 
 /// Cost breakdown of one shuffle, or of one [`index_round`](crate::index_round)
-/// (which routes nothing: its per-worker fill, messages, wire bytes and
-/// overlap stay empty).
+/// (which routes nothing: its per-worker fill, messages and wire bytes stay
+/// empty).
 #[derive(Debug, Clone, Default)]
 pub struct ShuffleReport {
     /// Delivered tuple copies (`Σ_R |R|·dup(R,p)`); for an index round, what
@@ -86,15 +86,10 @@ pub struct ShuffleReport {
     pub wire_bytes: u64,
     /// Modeled communication seconds (α model + per-message overhead).
     pub comm_secs: f64,
-    /// Modeled seconds saved by pipelining delivery with trie building
-    /// (per-relation completion markers let receivers build relation `i`
-    /// while relations `i+1..` are still in flight). 0 when everything was
-    /// warm. Subtract from `comm_secs + build_secs` for the pipelined
-    /// schedule's span.
-    pub overlap_secs: f64,
-    /// Measured makespan of the local build phase (sort + trie build, or
-    /// merge + trie build for Merge) over the *cold* relations; 0 when
-    /// every relation was served from the index cache.
+    /// Measured makespan of the local build phase over the *cold*
+    /// relations: for a shuffle, each worker's inbox drain (frame decoding
+    /// included) and its sort + trie builds (merge + trie build for Merge);
+    /// 0 when every relation was served from the index cache.
     pub build_secs: f64,
     /// Measured seconds spent pre-building blocks (Merge only; happens once
     /// per stored relation, before query time).
@@ -108,11 +103,10 @@ pub struct ShuffleReport {
 }
 
 impl ShuffleReport {
-    /// The pipelined schedule's span: modeled comm + measured build, minus
-    /// the modeled delivery/build overlap (clamped — overlap can't exceed
-    /// the phases it hides behind).
-    pub fn pipelined_secs(&self) -> f64 {
-        (self.comm_secs + self.build_secs - self.overlap_secs).max(0.0)
+    /// Modeled communication plus measured build: the round routes every
+    /// relation before any worker builds, so the two phases add up.
+    pub fn comm_and_build_secs(&self) -> f64 {
+        self.comm_secs + self.build_secs
     }
 }
 
@@ -155,7 +149,8 @@ pub fn hcube_shuffle(
 }
 
 /// The routed round of [`hcube_shuffle`], polling `cancel` and tracing on
-/// `tracer`.
+/// `tracer`: the coordinator routes every relation into the workers'
+/// inboxes, then each worker drains its own and builds its tries.
 ///
 /// The token is polled every `CANCEL_CHECK_EVERY` (4096) routed rows and
 /// once per atom, batch and build phase; a fired token aborts the shuffle
@@ -164,8 +159,8 @@ pub fn hcube_shuffle(
 /// [`Error::WorkerPanicked`].
 ///
 /// The span timeline: one `shuffle` span on the coordinator lane (with
-/// tuple and message totals), a `route` span over the route-inbox pass,
-/// and a `build` span per worker lane over the sort + trie builds.
+/// tuple and message totals), a `route` span over the routing pass, and a
+/// `build` span per worker lane over its drain and trie builds.
 fn route_round(
     cluster: &Cluster,
     db: &Database,
@@ -175,344 +170,216 @@ fn route_round(
     cancel: &CancelToken,
     tracer: &Tracer,
 ) -> Result<ShuffleOutput> {
-    let mut shuffle_span = tracer.span(COORDINATOR_LANE, "shuffle");
     let n = cluster.num_workers();
-    assert_eq!(n, plan.num_workers(), "plan sized for a different cluster");
+    if n != plan.num_workers() {
+        return Err(Error::InvalidConfig {
+            message: format!(
+                "an HCube plan for {} workers on a {n}-worker cluster",
+                plan.num_workers()
+            ),
+        });
+    }
+    let mut shuffle_span = tracer.span(COORDINATOR_LANE, "shuffle");
+    let n_atoms = infos.len();
+    let mut round = cluster.open_round(infos.iter().map(|i| i.induced.clone()).collect());
+
     // Routing and block grouping run entirely in each relation's induced
     // layout — the stored schema only derived the permutation.
-    let n_atoms = infos.len();
-
-    // What the routing pass produced (the coordinator side of the round).
-    struct RouteOutcome {
-        tuples: u64,
-        messages: u64,
-        worker_tuples: Vec<u64>,
-        rel_tuples: Vec<u64>,
-        rel_messages: Vec<u64>,
-        preprocess_secs: f64,
-    }
-    // What one worker built (the receiver side of the round).
-    struct WorkerBuild {
-        tries: Vec<Option<Arc<Trie>>>,
-        rel_build_secs: Vec<f64>,
-        active_secs: f64,
-        recv_tuples: u64,
-    }
-
-    // Routing, delivery, and the per-worker builds, pipelined through the
-    // cluster's transport: the coordinator routes each cold relation and
-    // broadcasts a relation-done marker when its last batch is sent, so
-    // receivers start that relation's trie build while later relations are
-    // still in flight. On a fully warm shuffle nothing below runs — the
-    // round is never opened, so the transport records 0 rounds, 0 messages,
-    // and 0 bytes (the warm-path contract, asserted by the oracle tests).
-    let memory_limit = cluster.config().memory_limit_bytes;
-    let (mut built, outcome, build_secs, bytes_moved, wire_bytes, overlap_secs) = {
-        let induced_schemas: Vec<Schema> = infos.iter().map(|i| i.induced.clone()).collect();
-        let round = cluster.open_round(induced_schemas.clone());
-        let round_ref = &round;
-        let infos_ref = infos;
-        let schemas_ref = &induced_schemas;
-
-        let coordinator = || -> Result<RouteOutcome> {
-            let mut route_span = tracer.span(COORDINATOR_LANE, "route");
-            let t_pre = Instant::now();
-            let mut tuples: u64 = 0;
-            let mut messages: u64 = 0;
-            // Delivered copies per worker: the partition-fill vector the
-            // skew stats read.
-            let mut worker_tuples: Vec<u64> = vec![0; n];
-            // Per-atom shares of the totals, for per-relation cache entries.
-            let mut rel_tuples: Vec<u64> = vec![0; n_atoms];
-            let mut rel_messages: Vec<u64> = vec![0; n_atoms];
-            // Payload bytes parked at each worker so far, for the memory
-            // budget (cached relations are charged to the index cache's own
-            // byte budget, not the inbox). Modeled payload bytes on both
-            // backends so the budget doesn't shift with framing overhead.
-            let mut worker_bytes: Vec<u64> = vec![0; n];
-            // Rows of Merge blocks that arrived out of order and were sorted
-            // here (a block routed in its stored order needs no sort).
-            let mut rows_sorted: u64 = 0;
-            let mut rows_since_check: u64 = 0;
-            for (ai, info) in infos_ref.iter().enumerate() {
-                // At least one cancellation checkpoint per atom, then
-                // one per CANCEL_CHECK_EVERY scanned rows inside the
-                // routing loops, plus one per sent batch.
-                checkpoint(FaultSite::ShuffleRoute, cancel)?;
-                let rel = db.get(&info.name)?;
-                // Both paths route by the per-attribute hash coordinates of
-                // the induced (permuted) row.
-                let mut prow: Vec<Value> = Vec::with_capacity(info.perm.len());
-                let mut coords: Vec<u32> = Vec::with_capacity(info.perm.len());
-                match impl_ {
-                    HCubeImpl::Push => {
-                        // Per-delivery message accounting is preserved, but
-                        // tuples travel in flushed batches so the transport
-                        // isn't hit once per copy.
-                        const PUSH_BATCH_TUPLES: u64 = 2048;
-                        let mut pending: Vec<Vec<Value>> = (0..n).map(|_| Vec::new()).collect();
-                        let mut pending_cnt: Vec<u64> = vec![0; n];
-                        for row in rel.rows() {
-                            rows_since_check += 1;
-                            if rows_since_check >= CANCEL_CHECK_EVERY as u64 {
-                                rows_since_check = 0;
-                                checkpoint(FaultSite::ShuffleRoute, cancel)?;
-                            }
-                            prow.clear();
-                            prow.extend(info.perm.iter().map(|&p| row[p]));
-                            plan.tuple_coords(&info.induced, &prow, &mut coords);
-                            let dests = plan.block_workers(&info.induced, &coords);
-                            for &w in &dests {
-                                pending[w].extend_from_slice(&prow);
-                                pending_cnt[w] += 1;
-                                worker_tuples[w] += 1;
-                                rel_tuples[ai] += 1;
-                                rel_messages[ai] += 1; // one message per copy
-                                if pending_cnt[w] >= PUSH_BATCH_TUPLES {
-                                    checkpoint(FaultSite::TransportSend, cancel)?;
-                                    let data = std::mem::take(&mut pending[w]);
-                                    worker_bytes[w] += data.len() as u64 * 4;
-                                    round_ref.send(
-                                        w,
-                                        RoutedBatch {
-                                            relation: ai,
-                                            tuples: pending_cnt[w],
-                                            messages: pending_cnt[w],
-                                            payload: BatchPayload::Rows(data),
-                                        },
-                                    );
-                                    pending_cnt[w] = 0;
-                                }
-                            }
-                        }
-                        for w in 0..n {
-                            if pending_cnt[w] > 0 {
-                                checkpoint(FaultSite::TransportSend, cancel)?;
-                                let data = std::mem::take(&mut pending[w]);
-                                worker_bytes[w] += data.len() as u64 * 4;
-                                round_ref.send(
-                                    w,
-                                    RoutedBatch {
-                                        relation: ai,
-                                        tuples: pending_cnt[w],
-                                        messages: pending_cnt[w],
-                                        payload: BatchPayload::Rows(data),
-                                    },
-                                );
-                                pending_cnt[w] = 0;
-                            }
-                        }
+    let mut route_span = tracer.span(COORDINATOR_LANE, "route");
+    let t_pre = Instant::now();
+    let mut tuples: u64 = 0;
+    let mut messages: u64 = 0;
+    // Delivered copies per worker: the partition-fill vector the skew
+    // stats read.
+    let mut worker_tuples: Vec<u64> = vec![0; n];
+    // Payload bytes parked at each worker so far, for the memory budget.
+    // Modeled payload bytes on both backends so the budget doesn't shift
+    // with framing overhead.
+    let mut worker_bytes: Vec<u64> = vec![0; n];
+    // Rows of Merge blocks that arrived out of order and were sorted here
+    // (a block routed in its stored order needs no sort).
+    let mut rows_sorted: u64 = 0;
+    let mut rows_since_check: u64 = 0;
+    for (ai, info) in infos.iter().enumerate() {
+        // At least one cancellation checkpoint per atom, then one per
+        // CANCEL_CHECK_EVERY scanned rows inside the routing loops, plus
+        // one per sent batch.
+        checkpoint(FaultSite::ShuffleRoute, cancel)?;
+        let rel = db.get(&info.name)?;
+        // Both paths route by the per-attribute hash coordinates of the
+        // induced (permuted) row.
+        let mut prow: Vec<Value> = Vec::with_capacity(info.perm.len());
+        let mut coords: Vec<u32> = Vec::with_capacity(info.perm.len());
+        match impl_ {
+            HCubeImpl::Push => {
+                // Per-delivery message accounting is preserved, but tuples
+                // travel in flushed batches so the transport isn't hit once
+                // per copy: each worker's pending rows and their count.
+                const PUSH_BATCH_TUPLES: u64 = 2048;
+                let mut pending: Vec<(Vec<Value>, u64)> = vec![(Vec::new(), 0); n];
+                let mut flush = |w: usize, (data, copies): (Vec<Value>, u64)| -> Result<()> {
+                    checkpoint(FaultSite::TransportSend, cancel)?;
+                    worker_bytes[w] += data.len() as u64 * 4;
+                    let payload = BatchPayload::Rows(data);
+                    let batch =
+                        RoutedBatch { relation: ai, tuples: copies, messages: copies, payload };
+                    round.send(w, batch);
+                    Ok(())
+                };
+                for row in rel.rows() {
+                    rows_since_check += 1;
+                    if rows_since_check >= CANCEL_CHECK_EVERY as u64 {
+                        rows_since_check = 0;
+                        checkpoint(FaultSite::ShuffleRoute, cancel)?;
                     }
-                    HCubeImpl::Pull | HCubeImpl::Merge => {
-                        // Group into blocks by coordinate signature, indexed
-                        // by block id (at most Π shares, which the share
-                        // program caps at max(8·workers, 64)) and sent in id
-                        // order. Blocks are stored in the *induced*
-                        // (permuted) layout so that the block-id decode
-                        // below matches the encode.
-                        let num_blocks = plan.num_blocks(&info.induced) as usize;
-                        let mut blocks: Vec<Vec<Value>> = vec![Vec::new(); num_blocks];
-                        for row in rel.rows() {
-                            rows_since_check += 1;
-                            if rows_since_check >= CANCEL_CHECK_EVERY as u64 {
-                                rows_since_check = 0;
-                                checkpoint(FaultSite::ShuffleRoute, cancel)?;
-                            }
-                            prow.clear();
-                            prow.extend(info.perm.iter().map(|&p| row[p]));
-                            plan.tuple_coords(&info.induced, &prow, &mut coords);
-                            let id = plan.encode_block(&info.induced, &coords);
-                            blocks[id as usize].extend_from_slice(&prow);
-                        }
-                        for (id, data) in blocks.into_iter().enumerate() {
-                            if data.is_empty() {
-                                continue;
-                            }
-                            let block_tuples = (data.len() / info.perm.len().max(1)) as u64;
-                            let block_coords = plan.block_hashes(&info.induced, id as u64);
-                            let dests = plan.block_workers(&info.induced, &block_coords);
-                            // Merge pre-builds the block once (sorted,
-                            // induced layout; counted as preprocessing
-                            // below) and every destination shares it.
-                            let payload = if impl_ == HCubeImpl::Merge {
-                                let (block, sorted) =
-                                    Relation::from_flat_reporting(info.induced.clone(), data)
-                                        .expect("arity preserved");
-                                if sorted {
-                                    rows_sorted += block_tuples;
-                                }
-                                BatchPayload::SortedBlock(Arc::new(block))
-                            } else {
-                                BatchPayload::Rows(data)
-                            };
-                            let payload_bytes = block_tuples * info.perm.len() as u64 * 4;
-                            for &w in &dests {
-                                checkpoint(FaultSite::TransportSend, cancel)?;
-                                worker_bytes[w] += payload_bytes;
-                                let batch = RoutedBatch {
-                                    relation: ai,
-                                    tuples: block_tuples,
-                                    messages: 1, // one per block delivery
-                                    payload: payload.clone(),
-                                };
-                                round_ref.send(w, batch);
-                                worker_tuples[w] += block_tuples;
-                                rel_tuples[ai] += block_tuples;
-                                rel_messages[ai] += 1;
-                            }
+                    prow.clear();
+                    prow.extend(info.perm.iter().map(|&p| row[p]));
+                    plan.tuple_coords(&info.induced, &prow, &mut coords);
+                    for w in plan.block_workers(&info.induced, &coords) {
+                        pending[w].0.extend_from_slice(&prow);
+                        pending[w].1 += 1;
+                        worker_tuples[w] += 1;
+                        tuples += 1;
+                        messages += 1; // one message per copy
+                        if pending[w].1 >= PUSH_BATCH_TUPLES {
+                            flush(w, std::mem::take(&mut pending[w]))?;
                         }
                     }
                 }
-                // The relation's last batch is out: let receivers build it.
-                round_ref.finish_relation(ai);
-                if let Some(limit) = memory_limit {
-                    if worker_bytes.iter().any(|&b| b as usize > limit) {
-                        return Err(Error::BudgetExceeded { what: "worker memory", limit });
+                for (w, batch) in pending.into_iter().enumerate() {
+                    if batch.1 > 0 {
+                        flush(w, batch)?;
                     }
                 }
-                tuples += rel_tuples[ai];
-                messages += rel_messages[ai];
             }
-            let preprocess_secs =
-                if impl_ == HCubeImpl::Merge { t_pre.elapsed().as_secs_f64() } else { 0.0 };
-            route_span.arg("tuples", tuples);
-            route_span.arg("messages", messages);
-            route_span.arg("rows_sorted", rows_sorted);
-            route_span.arg("frames", round_ref.frames_sent());
-            drop(route_span);
-            Ok(RouteOutcome {
-                tuples,
-                messages,
-                worker_tuples,
-                rel_tuples,
-                rel_messages,
-                preprocess_secs,
-            })
-        };
-
-        let worker = |w: usize, span: &mut adj_trace::SpanGuard<'_>| -> Result<WorkerBuild> {
-            adj_faults::inject(FaultSite::TrieBuild, cancel);
-            let mut raw: Vec<Vec<Value>> = (0..n_atoms).map(|_| Vec::new()).collect();
-            let mut blocks: Vec<Vec<Arc<Relation>>> = (0..n_atoms).map(|_| Vec::new()).collect();
-            let mut tries: Vec<Option<Arc<Trie>>> = vec![None; n_atoms];
-            let mut rel_build_secs = vec![0.0f64; n_atoms];
-            let mut active_secs = 0.0f64;
-            let mut recv_tuples = 0u64;
-            let mut batches = 0u64;
-            while let Some(delivery) = round_ref.recv(w)? {
-                // Time only the handling, not the wait for the coordinator:
-                // `active_secs` is this worker's computation share.
-                let t0 = Instant::now();
-                match delivery {
-                    Delivery::Batch(batch) => {
-                        checkpoint(FaultSite::TransportRecv, cancel)?;
-                        recv_tuples += batch.tuples;
-                        batches += 1;
-                        match batch.payload {
-                            BatchPayload::Rows(v) => raw[batch.relation].extend_from_slice(&v),
-                            BatchPayload::SortedBlock(b) => blocks[batch.relation].push(b),
-                        }
+            HCubeImpl::Pull | HCubeImpl::Merge => {
+                // Group into blocks by coordinate signature, indexed by
+                // block id (at most Π shares, which the share program caps
+                // at max(8·workers, 64)) and sent in id order. Blocks are
+                // stored in the *induced* (permuted) layout so that the
+                // block-id decode below matches the encode.
+                let num_blocks = plan.num_blocks(&info.induced) as usize;
+                let mut blocks: Vec<Vec<Value>> = vec![Vec::new(); num_blocks];
+                for row in rel.rows() {
+                    rows_since_check += 1;
+                    if rows_since_check >= CANCEL_CHECK_EVERY as u64 {
+                        rows_since_check = 0;
+                        checkpoint(FaultSite::ShuffleRoute, cancel)?;
                     }
-                    Delivery::RelationDone(ai) => {
-                        // The relation's last batch landed — build its trie
-                        // now, overlapping with delivery of later relations.
-                        let trie = match blocks[ai].as_slice() {
-                            [] => {
-                                // sort + dedup + trie build
-                                let rel = Relation::from_flat(
-                                    schemas_ref[ai].clone(),
-                                    std::mem::take(&mut raw[ai]),
-                                )
+                    prow.clear();
+                    prow.extend(info.perm.iter().map(|&p| row[p]));
+                    plan.tuple_coords(&info.induced, &prow, &mut coords);
+                    let id = plan.encode_block(&info.induced, &coords);
+                    blocks[id as usize].extend_from_slice(&prow);
+                }
+                for (id, data) in blocks.into_iter().enumerate() {
+                    if data.is_empty() {
+                        continue;
+                    }
+                    let block_tuples = (data.len() / info.perm.len().max(1)) as u64;
+                    let block_coords = plan.block_hashes(&info.induced, id as u64);
+                    let dests = plan.block_workers(&info.induced, &block_coords);
+                    // Merge pre-builds the block once (sorted, induced
+                    // layout; counted as preprocessing below) and every
+                    // destination shares it.
+                    let payload = if impl_ == HCubeImpl::Merge {
+                        let (block, sorted) =
+                            Relation::from_flat_reporting(info.induced.clone(), data)
                                 .expect("arity preserved");
-                                Trie::build(&rel)
-                            }
-                            // One pre-sorted block is the fragment already.
-                            [only] => Trie::build(only),
-                            many => {
-                                // k-way merge of pre-sorted blocks + linear build
-                                let refs: Vec<&Relation> =
-                                    many.iter().map(|b| b.as_ref()).collect();
-                                let rel = Relation::merge_sorted(&refs).expect("same schema");
-                                Trie::build(&rel)
-                            }
+                        if sorted {
+                            rows_sorted += block_tuples;
+                        }
+                        BatchPayload::SortedBlock(Arc::new(block))
+                    } else {
+                        BatchPayload::Rows(data)
+                    };
+                    let payload_bytes = block_tuples * info.perm.len() as u64 * 4;
+                    for &w in &dests {
+                        checkpoint(FaultSite::TransportSend, cancel)?;
+                        worker_bytes[w] += payload_bytes;
+                        let batch = RoutedBatch {
+                            relation: ai,
+                            tuples: block_tuples,
+                            messages: 1, // one per block delivery
+                            payload: payload.clone(),
                         };
-                        blocks[ai].clear();
-                        tries[ai] = Some(Arc::new(trie));
-                        rel_build_secs[ai] = t0.elapsed().as_secs_f64();
+                        round.send(w, batch);
+                        worker_tuples[w] += block_tuples;
+                        tuples += block_tuples;
+                        messages += 1;
                     }
                 }
-                active_secs += t0.elapsed().as_secs_f64();
             }
-            span.arg("inbox_tuples", recv_tuples);
-            span.arg("batches", batches);
-            Ok(WorkerBuild { tries, rel_build_secs, active_secs, recv_tuples })
-        };
-
-        let (coord_out, run) = cluster.run_pipelined(tracer, "build", &round, coordinator, worker);
-        // Coordinator errors (cancellation mid-route, budget breach) are
-        // surfaced first — they were the cause; worker-side errors are
-        // downstream of the round ending early.
-        let route_outcome = coord_out?;
-        // A panicking build worker fails the whole query *here*, before any
-        // trie is published to the index cache — siblings finished normally
-        // (their results are simply dropped) and the next query rebuilds
-        // from scratch against an uncorrupted cache.
-        let results = run.into_results().map_err(Error::from)?;
-        let mut builds: Vec<WorkerBuild> = Vec::with_capacity(results.len());
-        for r in results {
-            builds.push(r?);
         }
-        let build_secs = builds.iter().map(|b| b.active_secs).fold(0.0, f64::max);
-        debug_assert_eq!(
-            builds.iter().map(|b| b.recv_tuples).sum::<u64>(),
-            route_outcome.tuples,
-            "every routed copy is delivered"
+        if let Some(limit) = cluster.config().memory_limit_bytes {
+            if worker_bytes.iter().any(|&b| b as usize > limit) {
+                return Err(Error::BudgetExceeded { what: "worker memory", limit });
+            }
+        }
+    }
+    let preprocess_secs =
+        if impl_ == HCubeImpl::Merge { t_pre.elapsed().as_secs_f64() } else { 0.0 };
+    route_span.arg("tuples", tuples);
+    route_span.arg("messages", messages);
+    route_span.arg("rows_sorted", rows_sorted);
+    route_span.arg("frames", round.frames_sent());
+    drop(route_span);
+
+    // Each worker drains its inbox (decoding frames on the serialized
+    // backend), then builds one trie per relation from what it received.
+    let round = &round;
+    let run = cluster.run_traced(tracer, "build", |w, span| -> Result<(Vec<Arc<Trie>>, u64)> {
+        adj_faults::inject(FaultSite::TrieBuild, cancel);
+        let mut raw: Vec<Vec<Value>> = vec![Vec::new(); n_atoms];
+        let mut blocks: Vec<Vec<Arc<Relation>>> = vec![Vec::new(); n_atoms];
+        let (mut recv_tuples, mut batches) = (0u64, 0u64);
+        for batch in round.drain(w) {
+            checkpoint(FaultSite::TransportRecv, cancel)?;
+            let batch = batch?;
+            recv_tuples += batch.tuples;
+            batches += 1;
+            match batch.payload {
+                BatchPayload::Rows(v) => raw[batch.relation].extend_from_slice(&v),
+                BatchPayload::SortedBlock(b) => blocks[batch.relation].push(b),
+            }
+        }
+        span.arg("inbox_tuples", recv_tuples);
+        span.arg("batches", batches);
+        let fragments = infos.iter().zip(raw).zip(blocks);
+        let tries = fragments.map(|((info, raw), blocks)| {
+            Arc::new(match blocks.as_slice() {
+                // sort + dedup + trie build
+                [] => Trie::build(
+                    &Relation::from_flat(info.induced.clone(), raw).expect("arity preserved"),
+                ),
+                // One pre-sorted block is the fragment already.
+                [only] => Trie::build(only),
+                // k-way merge of pre-sorted blocks + linear build
+                many => {
+                    let refs: Vec<&Relation> = many.iter().map(|b| b.as_ref()).collect();
+                    Trie::build(&Relation::merge_sorted(&refs).expect("same schema"))
+                }
+            })
+        });
+        Ok((tries.collect(), recv_tuples))
+    });
+    let build_secs = run.makespan_secs;
+    // A panicking build worker fails the whole shuffle here; its siblings
+    // finished normally and their tries are dropped.
+    let mut locals: Vec<Vec<LocalRelation>> = Vec::with_capacity(n);
+    let mut recv_tuples = 0u64;
+    for built in run.into_results().map_err(Error::from)? {
+        let (tries, received) = built?;
+        recv_tuples += received;
+        let named = infos.iter().zip(tries);
+        locals.push(
+            named.map(|(atom, trie)| LocalRelation { name: atom.name.clone(), trie }).collect(),
         );
-
-        // Modeled pipelining overlap: with per-relation completion markers,
-        // relation i's build (measured, max over workers) overlaps the
-        // delivery of relations i+1.. (α-modeled, the repo's communication
-        // currency). `barrier` is the serialized schedule, `done` the
-        // 2-stage pipeline's finish time; their gap is the overlap win.
-        let model = cluster.cost_model();
-        let msg_overhead = match impl_ {
-            HCubeImpl::Merge => 0.5,
-            _ => 1.0,
-        };
-        let mut barrier = 0.0f64;
-        let mut route_acc = 0.0f64;
-        let mut done = 0.0f64;
-        for ai in 0..n_atoms {
-            let c_i = model.comm_secs(route_outcome.rel_tuples[ai])
-                + route_outcome.rel_messages[ai] as f64 * model.per_message_secs * msg_overhead;
-            let b_i = builds.iter().map(|b| b.rel_build_secs[ai]).fold(0.0, f64::max);
-            route_acc += c_i;
-            done = done.max(route_acc) + b_i;
-            barrier += c_i + b_i;
-        }
-        let overlap_secs = (barrier - done).max(0.0);
-
-        let built: Vec<Vec<Option<Arc<Trie>>>> = builds.into_iter().map(|b| b.tries).collect();
-        (built, route_outcome, build_secs, round.bytes_sent(), round.wire_bytes(), overlap_secs)
-    };
-    let RouteOutcome { tuples, messages, worker_tuples, preprocess_secs, .. } = outcome;
+    }
+    debug_assert_eq!(recv_tuples, tuples, "every routed copy is delivered");
     // A Cancel fault injected during the build (or a deadline that elapsed
     // while workers ran) aborts the shuffle too.
     cancel.check().map_err(|c| Error::Cancelled { deadline_exceeded: c.deadline })?;
-
-    // Worker `w`'s tries, in atom order.
-    let locals: Vec<Vec<LocalRelation>> = built
-        .iter_mut()
-        .map(|per_worker| {
-            let named = infos.iter().zip(per_worker.iter_mut());
-            named
-                .map(|(atom, trie)| LocalRelation {
-                    name: atom.name.clone(),
-                    trie: trie.take().expect("every atom was built"),
-                })
-                .collect()
-        })
-        .collect();
 
     let model = cluster.cost_model();
     let msg_overhead = match impl_ {
@@ -524,8 +391,8 @@ fn route_round(
 
     if shuffle_span.is_recording() {
         shuffle_span.arg("tuples", tuples);
-        shuffle_span.arg("bytes", bytes_moved);
-        shuffle_span.arg("wire_bytes", wire_bytes);
+        shuffle_span.arg("bytes", round.bytes_sent());
+        shuffle_span.arg("wire_bytes", round.wire_bytes());
         shuffle_span.arg("messages", messages);
         shuffle_span.arg("built_relations", n_atoms as u64);
     }
@@ -537,9 +404,8 @@ fn route_round(
             tuples,
             worker_tuples: if tuples > 0 { worker_tuples } else { Vec::new() },
             messages,
-            wire_bytes,
+            wire_bytes: round.wire_bytes(),
             comm_secs,
-            overlap_secs,
             build_secs,
             preprocess_secs,
             built_relations: n_atoms as u64,
@@ -572,25 +438,27 @@ mod tests {
 
     #[test]
     fn all_impls_produce_identical_locals() {
+        use adj_cluster::TransportKind;
         let (db, names) = tri_db();
         let plan = HCubePlan::new(vec![2, 2, 1], 4);
-        let outs: Vec<ShuffleOutput> = HCubeImpl::ALL
-            .iter()
-            .map(|&i| {
-                let cluster = Cluster::new(ClusterConfig::with_workers(4));
-                hcube_shuffle(&cluster, &db, &names, &plan, &order3(), i).unwrap()
-            })
-            .collect();
-        for w in 0..4 {
-            for ai in 0..names.len() {
-                assert_eq!(
-                    outs[0].locals[w][ai].trie, outs[1].locals[w][ai].trie,
-                    "push vs pull differ at worker {w} atom {ai}"
-                );
-                assert_eq!(
-                    outs[1].locals[w][ai].trie, outs[2].locals[w][ai].trie,
-                    "pull vs merge differ at worker {w} atom {ai}"
-                );
+        let mut outs: Vec<(String, ShuffleOutput)> = Vec::new();
+        for transport in [TransportKind::InProcess, TransportKind::Serialized] {
+            for i in HCubeImpl::ALL {
+                let cluster =
+                    Cluster::new(ClusterConfig { transport, ..ClusterConfig::with_workers(4) });
+                let out = hcube_shuffle(&cluster, &db, &names, &plan, &order3(), i).unwrap();
+                outs.push((format!("{}/{}", i.name(), transport.name()), out));
+            }
+        }
+        let (first, want) = &outs[0];
+        for (cell, got) in &outs[1..] {
+            for w in 0..4 {
+                for ai in 0..names.len() {
+                    assert_eq!(
+                        got.locals[w][ai].trie, want.locals[w][ai].trie,
+                        "{cell} vs {first} differ at worker {w} atom {ai}"
+                    );
+                }
             }
         }
     }
@@ -676,14 +544,37 @@ mod tests {
 
     #[test]
     fn memory_budget_fails_shuffle() {
+        use adj_cluster::TransportKind;
         let (db, names) = tri_db();
         let plan = HCubePlan::new(vec![1, 1, 1], 1);
-        let mut cfg = ClusterConfig::with_workers(1);
-        cfg.memory_limit_bytes = Some(64);
-        let cluster = Cluster::new(cfg);
-        let err =
-            hcube_shuffle(&cluster, &db, &names, &plan, &order3(), HCubeImpl::Pull).unwrap_err();
-        assert!(matches!(err, Error::BudgetExceeded { .. }));
+        for transport in [TransportKind::InProcess, TransportKind::Serialized] {
+            let cfg = ClusterConfig {
+                memory_limit_bytes: Some(64),
+                transport,
+                ..ClusterConfig::with_workers(1)
+            };
+            let cluster = Cluster::new(cfg);
+            for impl_ in HCubeImpl::ALL {
+                // The coordinator fails before any worker drains its inbox.
+                let err =
+                    hcube_shuffle(&cluster, &db, &names, &plan, &order3(), impl_).unwrap_err();
+                assert!(matches!(err, Error::BudgetExceeded { .. }), "{transport:?}/{impl_:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_plan_for_another_cluster_width_is_a_typed_error() {
+        let (db, names) = tri_db();
+        let plan = HCubePlan::new(vec![2, 2, 1], 4);
+        let cluster = Cluster::new(ClusterConfig::with_workers(2));
+        let err = hcube_shuffle(&cluster, &db, &names, &plan, &order3(), HCubeImpl::Pull)
+            .expect_err("a 4-worker plan on a 2-worker cluster");
+        let Error::InvalidConfig { message } = &err else {
+            panic!("expected InvalidConfig, got {err:?}");
+        };
+        assert!(message.contains("4 workers") && message.contains("2-worker"), "{message}");
+        assert_eq!(cluster.comm().snapshot(), (0, 0, 0, 0), "nothing was routed");
     }
 
     #[test]

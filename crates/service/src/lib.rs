@@ -263,7 +263,7 @@ pub enum ServiceError {
     /// running; nothing partial was published.
     WorkerPanicked {
         /// The worker slot that panicked, or `None` for a coordinator-side
-        /// panic (routing, gather, mutation apply).
+        /// panic (index lookups, gather, mutation apply).
         worker: Option<usize>,
         /// The panic payload, stringified.
         message: String,

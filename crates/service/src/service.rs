@@ -128,7 +128,7 @@ struct DeltaState {
     /// Largest heavy-hitter fraction sampled when the overlay was created
     /// (or last re-baselined at compaction). Mutations that push the
     /// current fraction materially past this have drifted away from the
-    /// statistics the cached fragments' shares were chosen under.
+    /// statistics the relation's cached plans were chosen under.
     baseline_max_fraction: f64,
 }
 
@@ -1337,12 +1337,13 @@ impl Service {
 
         let (plan, key, cache_hit) = self.plan_for(&entry, query, fingerprint, &ctx.tracer)?;
 
-        // `catch_unwind` here isolates *coordinator-side* panics (routing,
-        // gather) to this query; worker panics are already
-        // caught per-worker inside `Cluster::run` and surface as typed
-        // `Err(WorkerPanicked)` results. Either way the process survives
-        // and no partial artifact was published (the shuffle checks worker
-        // results and the token *before* assembling or caching anything).
+        // `catch_unwind` here isolates *coordinator-side* panics (index
+        // lookups, the driver, gather) to this query; worker panics (index
+        // builds, joins) are already caught per-worker inside the cluster's
+        // runs and surface as typed `Err(WorkerPanicked)` results. Either
+        // way the process survives and no partial artifact was published
+        // (the index round checks its build results and the token *before*
+        // publishing anything).
         let ran = catch_unwind(AssertUnwindSafe(|| run(&entry.db, &plan, key, &ctx)));
         let (payload, mut report, tuples_returned) = match ran {
             Ok(Ok(ran)) => ran,

@@ -79,12 +79,12 @@ pub fn lane_for_worker(worker: usize) -> Lane {
 ///   `tuples` (what the plan's share would route for the relations built)
 ///   and reuse args; or the paper's routed shuffle, with `tuples` /
 ///   `bytes` / `wire_bytes` / `messages` args;
-/// * [`SPAN_ROUTE`] (coordinator lane) — the routed shuffle's route-send
-///   pass, with a `frames` arg counting transport frames (batches +
-///   relation markers);
+/// * [`SPAN_ROUTE`] (coordinator lane) — the routed shuffle's routing
+///   pass, with a `frames` arg counting the batches it sent (one transport
+///   frame each);
 /// * [`SPAN_BUILD`] (worker lanes) — one per worker, covering its trie
 ///   builds: a served round's with `relations` and `tuples` args, a routed
-///   shuffle's receive + builds with `inbox_tuples` and `batches` args.
+///   shuffle's inbox drain + builds with `inbox_tuples` and `batches` args.
 pub const SPAN_SHUFFLE: &str = "shuffle";
 /// See [`SPAN_SHUFFLE`].
 pub const SPAN_ROUTE: &str = "route";
