@@ -22,10 +22,14 @@
 //!   workers are threads over one heap, so a round builds (or reuses) one
 //!   trie per relation that every worker reads, and reports what the
 //!   plan's share would have routed;
-//! * [`cache::IndexCache`] — the cross-query index cache: built tries
-//!   published as shared `Arc<Trie>` handles, keyed by `(relation identity,
-//!   induced order, database epoch, delta sequence)`, so a warm round
-//!   builds nothing.
+//! * [`cache::IndexCache`] — the cross-query index cache: a byte-budgeted
+//!   LRU of `Arc<Trie>` handles, one per database relation and induced
+//!   order, keyed by `(database, epoch, relation, induced order, delta
+//!   sequence)`, so a warm round builds nothing. It holds tries only: a
+//!   plan's pre-computed bags are recomputed by every execution;
+//! * [`patch::patch_relation_indexes`] — after a mutation, merges the
+//!   batch's delta into each cached trie of the relation and republishes
+//!   it under the relation's new delta sequence.
 
 pub mod cache;
 pub mod patch;
@@ -34,10 +38,7 @@ pub mod round;
 pub mod share;
 pub mod shuffle;
 
-pub use cache::{
-    Artifact, ArtifactKey, BagKey, IndexCache, IndexCacheStats, IndexClaim, IndexKey, IndexLookup,
-    IndexScope, RelationIndex,
-};
+pub use cache::{IndexCache, IndexCacheStats, IndexClaim, IndexKey, IndexLookup, IndexScope};
 pub use patch::{patch_relation_indexes, PatchOutcome};
 pub use plan::HCubePlan;
 pub use round::{index_round, ExecCtx, IndexRound, RoundLayout, RoundOutput};

@@ -1,7 +1,6 @@
 //! Warm-cache patching: merge only the delta into a cached entry.
 //!
-//! When a relation mutates, its cached [`RelationIndex`] entries are not
-//! discarded — the delta batch is tiny compared to the base, and the
+//! When a relation mutates, its cached tries are not discarded — the delta batch is tiny compared to the base, and the
 //! entry's own [`IndexKey`] fixes its layout: the induced order names the
 //! trie's column order. So each entry can be brought forward *in place*:
 //! permute the insert/tombstone runs into the entry's induced order and
@@ -16,7 +15,7 @@
 //! snapshot can publish its index after later mutations ran) cannot be
 //! brought forward — only `delta_seq == new_seq - 1` entries are patchable.
 
-use crate::cache::{Artifact, ArtifactKey, IndexKey, IndexScope, RelationIndex};
+use crate::cache::{IndexKey, IndexScope};
 use adj_relational::{Relation, Schema, Trie};
 use std::sync::Arc;
 
@@ -55,7 +54,7 @@ pub fn patch_relation_indexes(
         }
         if key.delta_seq == new_seq {
             // Already current (idempotent re-patch); keep it untouched.
-            scope.cache.store().insert(ArtifactKey::Index(key), Artifact::Index(entry));
+            scope.cache.store().insert(key, entry);
             continue;
         }
         if new_seq == 0 || key.delta_seq != new_seq - 1 {
@@ -66,11 +65,11 @@ pub fn patch_relation_indexes(
             out.dropped += 1;
             continue;
         }
-        match patch_one(&key, &entry, inserts, deletes, new_seq) {
-            Some((new_key, new_entry, routed)) => {
-                scope.cache.store().insert(ArtifactKey::Index(new_key), Artifact::Index(new_entry));
+        match patch_one(&key, &entry, inserts, deletes) {
+            Some((trie, merged)) => {
+                scope.cache.store().insert(IndexKey { delta_seq: new_seq, ..key }, trie);
                 out.patched += 1;
-                out.tuples_routed += routed;
+                out.tuples_routed += merged;
             }
             None => out.dropped += 1,
         }
@@ -78,35 +77,28 @@ pub fn patch_relation_indexes(
     out
 }
 
-/// Merges the delta into one entry; `None` when the delta does not fit the
-/// entry's induced layout (schema changed under the relation name).
+/// Merges the delta into one entry's trie, returning the patched trie and
+/// the delta tuples merged; `None` when the delta does not fit the entry's
+/// induced layout (schema changed under the relation name).
 fn patch_one(
     key: &IndexKey,
-    entry: &RelationIndex,
+    trie: &Trie,
     inserts: &Relation,
     deletes: &Relation,
-    new_seq: u64,
-) -> Option<(IndexKey, Arc<RelationIndex>, u64)> {
+) -> Option<(Arc<Trie>, u64)> {
     let induced = Schema::new(key.induced.clone()).ok()?;
     let ins = inserts.permute(induced.attrs()).ok()?;
     let del = deletes.permute(induced.attrs()).ok()?;
     // Each copy of the relation is dropped as soon as the next one exists.
-    let mut merged = entry.trie.to_relation();
+    let mut merged = trie.to_relation();
     if !ins.is_empty() {
         merged = Relation::merge_sorted(&[&merged, &ins]).ok()?;
     }
     if !del.is_empty() {
         merged = merged.subtract(&del).ok()?;
     }
-    // The entry's credit is its relation's size times the dup factor of the
-    // share that built it; the patched relation keeps the factor.
-    let dup = entry.tuples / (entry.trie.tuples() as u64).max(1);
-    let tuples = merged.len() as u64 * dup.max(1);
     let trie = Trie::build(&merged);
-    drop(merged);
-    let new_key = IndexKey { delta_seq: new_seq, ..key.clone() };
-    let new_entry = Arc::new(RelationIndex::new(Arc::new(trie), tuples));
-    Some((new_key, new_entry, (ins.len() + del.len()) as u64))
+    Some((Arc::new(trie), (ins.len() + del.len()) as u64))
 }
 
 #[cfg(test)]
@@ -115,24 +107,16 @@ mod tests {
     use crate::cache::IndexCache;
     use adj_relational::Value;
 
-    fn put(cache: &IndexCache, key: IndexKey, index: RelationIndex) {
-        cache.store().insert(ArtifactKey::Index(key), Artifact::Index(Arc::new(index)));
+    fn put(cache: &IndexCache, key: IndexKey, r: &Relation) {
+        cache.store().insert(key, Arc::new(Trie::build(r)));
     }
 
-    fn get(cache: &IndexCache, key: IndexKey) -> Option<Arc<RelationIndex>> {
-        cache.store().get_if(&ArtifactKey::Index(key), |a| match a {
-            Artifact::Index(idx) => Some(Arc::clone(idx)),
-            Artifact::Bag(_) => None,
-        })
+    fn get(cache: &IndexCache, key: IndexKey) -> Option<Arc<Trie>> {
+        cache.store().get_if(&key, |t| Some(Arc::clone(t)))
     }
 
     fn rel(ids: &[u32], rows: &[&[Value]]) -> Relation {
         Relation::from_rows(Schema::from_ids(ids), rows).unwrap()
-    }
-
-    /// The entry a round builds for `r`, credited at dup factor 2.
-    fn index_of(r: &Relation) -> RelationIndex {
-        RelationIndex::new(Arc::new(Trie::build(r)), 2 * r.len() as u64)
     }
 
     fn key_for(r: &Relation, delta_seq: u64) -> IndexKey {
@@ -150,7 +134,7 @@ mod tests {
         let base =
             rel(&[0, 1], &[&[1, 2], &[2, 3], &[3, 4], &[4, 5], &[5, 6], &[6, 7], &[7, 8], &[8, 9]]);
         let cache = IndexCache::new(1 << 20);
-        put(&cache, key_for(&base, 0), index_of(&base));
+        put(&cache, key_for(&base, 0), &base);
 
         let inserts = rel(&[0, 1], &[&[9, 1], &[1, 9]]);
         let deletes = rel(&[0, 1], &[&[2, 3], &[42, 42]]); // one real, one missing
@@ -164,9 +148,7 @@ mod tests {
         let patched = get(&cache, key_for(&base, 1)).expect("patched entry");
         let effective =
             Relation::merge_sorted(&[&base, &inserts]).unwrap().subtract(&deletes).unwrap();
-        assert_eq!(patched.trie.to_relation(), effective, "the patched trie diverged");
-        assert_eq!(patched.tuples, 2 * effective.len() as u64, "the credit keeps its dup factor");
-        assert!(patched.bytes > 0);
+        assert_eq!(patched.to_relation(), effective, "the patched trie diverged");
     }
 
     #[test]
@@ -176,7 +158,7 @@ mod tests {
         let base = rel(&[0, 1], &[&[1, 2], &[2, 3], &[3, 1]]);
         let flipped = base.permute(&[adj_relational::Attr(1), adj_relational::Attr(0)]).unwrap();
         let cache = IndexCache::new(1 << 20);
-        put(&cache, key_for(&flipped, 0), index_of(&flipped));
+        put(&cache, key_for(&flipped, 0), &flipped);
         let ins = rel(&[0, 1], &[&[5, 0]]);
         let none = Relation::empty(Schema::from_ids(&[0, 1]));
         let versions = vec![("R".to_string(), 1u64)];
@@ -184,10 +166,7 @@ mod tests {
         assert_eq!(patch_relation_indexes(&scope, "R", &ins, &none).patched, 1);
         let patched = get(&cache, key_for(&flipped, 1)).expect("patched entry");
         let effective = Relation::merge_sorted(&[&base, &ins]).unwrap();
-        assert_eq!(
-            patched.trie.to_relation(),
-            effective.permute(flipped.schema().attrs()).unwrap()
-        );
+        assert_eq!(patched.to_relation(), effective.permute(flipped.schema().attrs()).unwrap());
     }
 
     #[test]
@@ -196,7 +175,7 @@ mod tests {
         let cache = IndexCache::new(1 << 20);
         let mut stale = key_for(&base, 0);
         stale.epoch = 7;
-        put(&cache, stale, index_of(&base));
+        put(&cache, stale, &base);
 
         let none = Relation::empty(Schema::from_ids(&[0, 1]));
         let ins = rel(&[0, 1], &[&[5, 5]]);
@@ -215,9 +194,9 @@ mod tests {
         // batches 1 and 2 ran (lookup clones the Arc outside the registry
         // lock). Patching it with batch 3's delta alone would silently
         // lose the intermediate batches — it must drop instead.
-        put(&cache, key_for(&base, 0), index_of(&base));
+        put(&cache, key_for(&base, 0), &base);
         // The entry one behind the new sequence is patchable as usual.
-        put(&cache, key_for(&base, 2), index_of(&base));
+        put(&cache, key_for(&base, 2), &base);
 
         let ins = rel(&[0, 1], &[&[9, 9]]);
         let none = Relation::empty(Schema::from_ids(&[0, 1]));
@@ -229,6 +208,6 @@ mod tests {
 
         let patched = get(&cache, key_for(&base, 3)).expect("current entry patched");
         let effective = Relation::merge_sorted(&[&base, &ins]).unwrap();
-        assert_eq!(patched.trie.to_relation(), effective);
+        assert_eq!(patched.to_relation(), effective);
     }
 }

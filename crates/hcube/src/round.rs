@@ -11,7 +11,7 @@
 //! copies the share would route for it, `|R| · dup(R, p)`, the paper's
 //! communication cost.
 
-use crate::cache::{Artifact, ArtifactKey, IndexClaim, IndexLookup, IndexScope, RelationIndex};
+use crate::cache::{IndexClaim, IndexKey, IndexLookup, IndexScope};
 use crate::plan::HCubePlan;
 use crate::shuffle::ShuffleReport;
 use adj_cluster::Cluster;
@@ -26,8 +26,6 @@ use std::sync::Arc;
 pub(crate) struct RoundAtom {
     /// The name it resolves under (overlay first, then the database).
     pub(crate) name: String,
-    /// Its cache identity; `None` bypasses the cache.
-    cache_id: Option<String>,
     /// Its schema in the order's induced attribute order.
     pub(crate) induced: Schema,
     /// Induced column → stored column.
@@ -37,18 +35,13 @@ pub(crate) struct RoundAtom {
 impl RoundAtom {
     /// Relation `name`, stored as `schema`, read in the attribute order
     /// `induced`, which must reorder all of its attributes.
-    fn new(
-        name: &str,
-        cache_id: Option<String>,
-        schema: &Schema,
-        induced: Vec<Attr>,
-    ) -> Result<Self> {
+    fn new(name: &str, schema: &Schema, induced: Vec<Attr>) -> Result<Self> {
         let position = |a| schema.position(a);
         let perm: Option<Vec<usize>> = induced.iter().map(|&a| position(a)).collect();
         match perm {
             Some(perm) if perm.len() == schema.arity() => {
                 let induced = Schema::new(induced)?;
-                Ok(RoundAtom { name: name.to_string(), cache_id, induced, perm })
+                Ok(RoundAtom { name: name.to_string(), induced, perm })
             }
             _ => Err(Error::SchemaMismatch {
                 left: schema.to_string(),
@@ -59,8 +52,9 @@ impl RoundAtom {
 }
 
 /// What a round knows about its relations before it builds anything: per
-/// relation, its name and cache identity, its order-induced schema and
-/// column permutation, and — under an index scope — its index-cache key.
+/// relation, its name, its order-induced schema and column permutation,
+/// and — under an index scope, for a relation of the database — its
+/// index-cache key.
 ///
 /// None of it depends on a call: a layout is a function of the relations'
 /// schemas, the order and the scope's database state. So it is built once
@@ -73,9 +67,10 @@ impl RoundAtom {
 #[derive(Debug, Clone)]
 pub struct RoundLayout {
     pub(crate) atoms: Vec<RoundAtom>,
-    /// `(atom, key)` for every atom with a cache identity, in key order —
-    /// the order a round takes build claims in. Empty without a scope.
-    keys: Vec<(usize, ArtifactKey)>,
+    /// `(atom, key)` for every atom that resolves in the database, in key
+    /// order — the order a round takes build claims in. Empty without a
+    /// scope.
+    keys: Vec<(usize, IndexKey)>,
     /// Whether the keys were stamped under a scope.
     scoped: bool,
     /// The relation names, comma-separated: the `shuffle` span's detail.
@@ -84,35 +79,33 @@ pub struct RoundLayout {
 
 impl RoundLayout {
     /// The layout of a round over `atom_names` (each resolved in `overlay`,
-    /// then `db`) as tries in the orders `order` induces. `cache_ids[ai]`
-    /// is the cache identity of `atom_names[ai]` — its name for a base
-    /// relation, a content label for a pre-computed bag, or `None` (as is
-    /// every atom past the slice's end) to bypass the cache. Under `scope`,
-    /// every identified atom gets its index key, stamped with the scope's
-    /// database, epoch and the relation's delta sequence.
+    /// then `db`) as tries in the orders `order` induces. Under `scope`,
+    /// every atom that resolves in `db` gets its index key, stamped with the
+    /// scope's database, epoch and the relation's delta sequence; an
+    /// overlay relation (a pre-computed bag) belongs to one query and is
+    /// indexed without a key.
     pub fn new(
         db: &Database,
         overlay: &[(String, Arc<Relation>)],
         atom_names: &[String],
-        cache_ids: &[Option<String>],
         order: &[Attr],
         scope: Option<&IndexScope<'_>>,
     ) -> Result<Self> {
-        let atoms = (atom_names.iter().enumerate())
-            .map(|(ai, name)| {
+        let atoms = (atom_names.iter())
+            .map(|name| {
                 let schema = resolve(db, overlay, name)?.schema();
                 let induced = order.iter().copied().filter(|a| schema.contains(*a)).collect();
-                RoundAtom::new(name, cache_ids.get(ai).cloned().flatten(), schema, induced)
+                RoundAtom::new(name, schema, induced)
             })
             .collect::<Result<_>>()?;
-        Ok(RoundLayout::keyed(atoms, scope))
+        Ok(RoundLayout::keyed(atoms, overlay, scope))
     }
 
     /// The layout of a round over some of this layout's relations again, as
     /// tries of other attribute orders: `reordered[j] = (ai, induced)` reads
     /// relation `ai` as `induced`, a reordering of its attributes, under the
-    /// same name and cache identity. Each gets an index key of its own,
-    /// since the key names the induced order.
+    /// same name. Each keyed one gets an index key of its own, since the
+    /// key names the induced order.
     pub fn reordered(
         &self,
         db: &Database,
@@ -122,23 +115,26 @@ impl RoundLayout {
     ) -> Result<Self> {
         let atoms = (reordered.iter())
             .map(|(ai, induced)| {
-                let RoundAtom { name, cache_id, .. } = &self.atoms[*ai];
+                let name = &self.atoms[*ai].name;
                 let schema = resolve(db, overlay, name)?.schema();
-                RoundAtom::new(name, cache_id.clone(), schema, induced.attrs().to_vec())
+                RoundAtom::new(name, schema, induced.attrs().to_vec())
             })
             .collect::<Result<_>>()?;
-        Ok(RoundLayout::keyed(atoms, scope))
+        Ok(RoundLayout::keyed(atoms, overlay, scope))
     }
 
-    /// The layout of a round over `atoms`, keyed under `scope`.
-    fn keyed(atoms: Vec<RoundAtom>, scope: Option<&IndexScope<'_>>) -> Self {
-        let mut keys: Vec<(usize, ArtifactKey)> = match scope {
+    /// The layout of a round over `atoms`, its database relations keyed
+    /// under `scope`.
+    fn keyed(
+        atoms: Vec<RoundAtom>,
+        overlay: &[(String, Arc<Relation>)],
+        scope: Option<&IndexScope<'_>>,
+    ) -> Self {
+        let in_db = |atom: &RoundAtom| !overlay.iter().any(|(n, _)| *n == atom.name);
+        let mut keys: Vec<(usize, IndexKey)> = match scope {
             Some(scope) => (atoms.iter().enumerate())
-                .filter_map(|(ai, atom)| {
-                    let id = atom.cache_id.clone()?;
-                    let key = scope.index_key(id, atom.induced.attrs().to_vec());
-                    Some((ai, ArtifactKey::Index(key)))
-                })
+                .filter(|(_, atom)| in_db(atom))
+                .map(|(ai, atom)| (ai, scope.index_key(&atom.name, atom.induced.attrs().to_vec())))
                 .collect(),
             None => Vec::new(),
         };
@@ -148,17 +144,14 @@ impl RoundLayout {
         RoundLayout { atoms, keys, scoped: scope.is_some(), names }
     }
 
-    /// Each relation's `(name, cache identity)`, in round order.
-    pub fn relations(&self) -> impl ExactSizeIterator<Item = (&str, Option<&str>)> {
-        self.atoms.iter().map(|a| (a.name.as_str(), a.cache_id.as_deref()))
+    /// Each relation's name, in round order.
+    pub fn relations(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.atoms.iter().map(|a| a.name.as_str())
     }
 
-    /// Whether this layout is over `atoms` — each relation's `(name, cache
-    /// identity)`, in round order. Allocates nothing.
-    pub fn same_relations<'s>(
-        &self,
-        atoms: impl ExactSizeIterator<Item = (&'s str, Option<&'s str>)>,
-    ) -> bool {
+    /// Whether this layout is over the relations `atoms` names, in round
+    /// order. Allocates nothing.
+    pub fn same_relations<'s>(&self, atoms: impl ExactSizeIterator<Item = &'s str>) -> bool {
         atoms.len() == self.atoms.len()
             && self.relations().zip(atoms).all(|(mine, theirs)| mine == theirs)
     }
@@ -171,13 +164,10 @@ impl RoundLayout {
             None => !self.scoped,
             Some(scope) => {
                 self.scoped
-                    && self.keys.iter().all(|(_, key)| match key {
-                        ArtifactKey::Index(k) => {
-                            k.db_tag == scope.db_tag
-                                && k.epoch == scope.epoch
-                                && k.delta_seq == scope.delta_seq_for(&k.relation)
-                        }
-                        ArtifactKey::Bag(_) => false,
+                    && self.keys.iter().all(|(_, k)| {
+                        k.db_tag == scope.db_tag
+                            && k.epoch == scope.epoch
+                            && k.delta_seq == scope.delta_seq_for(&k.relation)
                     })
             }
         }
@@ -222,22 +212,15 @@ pub struct IndexRound<'a> {
     pub share_reused: bool,
 }
 
-/// The result of [`index_round`]: every relation's index, in round order —
+/// The result of [`index_round`]: every relation's trie, in round order —
 /// the cache's entry for a warm relation, the fresh build for a cold one —
 /// plus the cost report.
 #[derive(Debug)]
 pub struct RoundOutput {
-    /// `relations[ai]` is relation `ai`'s index.
-    pub relations: Vec<Arc<RelationIndex>>,
+    /// `tries[ai]` is relation `ai`'s trie.
+    pub tries: Vec<Arc<Trie>>,
     /// What the round built, reused and would have routed.
     pub report: ShuffleReport,
-}
-
-impl RoundOutput {
-    /// The round's tries, in round order.
-    pub fn tries(&self) -> impl Iterator<Item = &Arc<Trie>> {
-        self.relations.iter().map(|r| &r.trie)
-    }
 }
 
 /// Resolves a relation by name against the overlay first, then the base
@@ -292,8 +275,9 @@ fn build_index(rel: &Relation, atom: &RoundAtom, cancel: &CancelToken) -> Result
 ///
 /// Warm relations come from the cache. Cold ones are built — one relation
 /// per task, claimed by the cluster's workers from a shared cursor — and
-/// published for every later query. Without an index scope everything is
-/// built and nothing published. A miss takes the key's build claim, so a
+/// published for every later query. An overlay relation has no key: it is
+/// built every time and never published. Without an index scope everything
+/// is built and nothing published. A miss takes the key's build claim, so a
 /// concurrent query that misses the same key waits for this build instead
 /// of repeating it (request coalescing); claims are taken in sorted key
 /// order, so two rounds over overlapping relations never hold-and-wait in a
@@ -304,13 +288,13 @@ fn build_index(rel: &Relation, atom: &RoundAtom, cancel: &CancelToken) -> Result
 /// `CANCEL_CHECK_EVERY` (4096) rows a build reads and once per build task;
 /// a fired token fails the round with [`Error::Cancelled`] **before**
 /// anything is published, so a cancelled query never leaves partial
-/// artifacts behind. A panicking build is isolated
+/// tries behind. A panicking build is isolated
 /// ([`adj_cluster::WorkerFailure`]) and surfaces as
 /// [`Error::WorkerPanicked`] with nothing published.
 ///
 /// The span timeline: one `shuffle` span on the coordinator lane (its
 /// detail names the relations; args: the tuples the plan would route for
-/// the cold relations, built and reused relations, the tuples reuse saved),
+/// the cold relations, built and reused relations),
 /// an `index_cache_miss` / `index_cache_coalesced` instant per key that
 /// missed or waited for another build (plain hits are the span's
 /// `reused_relations`), and, when something was cold, a `build` span per
@@ -327,34 +311,25 @@ pub fn index_round(
     assert!(layout.stamped_for(scope), "round layout keyed for another index scope");
     let atoms = &layout.atoms;
 
-    let mut resolved: Vec<Option<Arc<RelationIndex>>> = vec![None; atoms.len()];
+    let mut resolved: Vec<Option<Arc<Trie>>> = vec![None; atoms.len()];
     let mut claims: Vec<Option<IndexClaim<'_>>> = Vec::new();
-    let mut tuples_saved: u64 = 0;
     if let Some(scope) = scope {
         let keyed = &layout.keys;
         for i in 0..keyed.len() {
             let (ai, ref key) = keyed[i];
-            let ArtifactKey::Index(index_key) = key else { unreachable!("rounds key indexes") };
-            let id = index_key.relation.as_str();
             if i > 0 && keyed[i - 1].1 == *key {
-                let prev = resolved[keyed[i - 1].0].clone();
-                if let Some(entry) = &prev {
-                    tuples_saved += entry.tuples;
-                }
-                resolved[ai] = prev;
+                resolved[ai] = resolved[keyed[i - 1].0].clone();
                 continue;
             }
             match scope.cache.lookup(key, cancel) {
-                IndexLookup::Hit { value: Artifact::Index(value), coalesced } => {
+                IndexLookup::Hit { value, coalesced } => {
                     if coalesced {
-                        tracer.instant(COORDINATOR_LANE, "index_cache_coalesced", id);
+                        tracer.instant(COORDINATOR_LANE, "index_cache_coalesced", &key.relation);
                     }
-                    tuples_saved += value.tuples;
                     resolved[ai] = Some(value);
                 }
-                IndexLookup::Hit { .. } => unreachable!("an index key holds an index"),
                 IndexLookup::Miss(claim) => {
-                    tracer.instant(COORDINATOR_LANE, "index_cache_miss", id);
+                    tracer.instant(COORDINATOR_LANE, "index_cache_miss", &key.relation);
                     if claims.is_empty() {
                         claims.resize_with(atoms.len(), || None);
                     }
@@ -401,37 +376,33 @@ pub fn index_round(
     // while they ran) aborts before anything is published.
     cancel.check().map_err(|c| Error::Cancelled { deadline_exceeded: c.deadline })?;
 
-    // Assemble the relations and publish the cold ones. Every slot of
+    // Assemble the tries and publish the cold ones. Every slot of
     // `resolved` is filled in place, so its allocation becomes the
     // output's.
     let (mut tuples, mut built_relations, mut reused_relations) = (0u64, 0u64, 0u64);
-    let mut relations = resolved;
-    for (ai, slot) in relations.iter_mut().enumerate() {
+    for (ai, slot) in resolved.iter_mut().enumerate() {
         if slot.is_some() {
             reused_relations += 1;
             continue;
         }
         built_relations += 1;
         let trie = built[ai].take().expect("cold relation was built");
-        let routed = trie.tuples() as u64 * plan.dup_factor(&atoms[ai].induced);
-        tuples += routed;
-        let index = Arc::new(RelationIndex::new(trie, routed));
+        tuples += trie.tuples() as u64 * plan.dup_factor(&atoms[ai].induced);
         if let Some(claim) = claims.get_mut(ai).and_then(Option::take) {
-            // The entry lands in the cache and every coalesced waiter
-            // wakes with it.
-            claim.publish(Artifact::Index(Arc::clone(&index)));
+            // The trie lands in the cache and every coalesced waiter wakes
+            // with it.
+            claim.publish(Arc::clone(&trie));
         }
-        *slot = Some(index);
+        *slot = Some(trie);
     }
-    let relations: Vec<Arc<RelationIndex>> =
-        relations.into_iter().map(|r| r.expect("every relation resolved or built")).collect();
+    let tries: Vec<Arc<Trie>> =
+        resolved.into_iter().map(|r| r.expect("every relation resolved or built")).collect();
 
     if shuffle_span.is_recording() {
         shuffle_span.detail(layout.names.clone());
         shuffle_span.arg("tuples", tuples);
         shuffle_span.arg("built_relations", built_relations);
         shuffle_span.arg("reused_relations", reused_relations);
-        shuffle_span.arg("tuples_saved", tuples_saved);
         if share_reused {
             shuffle_span.arg("share_reused", 1);
         }
@@ -439,14 +410,13 @@ pub fn index_round(
     drop(shuffle_span);
 
     Ok(RoundOutput {
-        relations,
+        tries,
         report: ShuffleReport {
             tuples,
             comm_secs: cluster.cost_model().comm_secs(tuples),
             build_secs,
             built_relations,
             reused_relations,
-            tuples_saved,
             ..Default::default()
         },
     })
@@ -469,10 +439,6 @@ mod tests {
         (db, vec!["R1".into(), "R2".into(), "R3".into()])
     }
 
-    fn ids(names: &[String]) -> Vec<Option<String>> {
-        names.iter().map(|n| Some(n.clone())).collect()
-    }
-
     /// The round over `names` in the order `order` under `scope`.
     fn round_in(
         cluster: &Cluster,
@@ -480,10 +446,9 @@ mod tests {
         names: &[String],
         order: &[Attr],
         scope: Option<&IndexScope<'_>>,
-        cache_ids: &[Option<String>],
     ) -> RoundOutput {
         let plan = HCubePlan::new(vec![2, 2, 1], cluster.num_workers());
-        let layout = RoundLayout::new(db, &[], names, cache_ids, order, scope).unwrap();
+        let layout = RoundLayout::new(db, &[], names, order, scope).unwrap();
         let round = IndexRound { layout: &layout, plan: &plan, overlay: &[], share_reused: false };
         let ctx = ExecCtx { index: scope, ..Default::default() };
         index_round(cluster, db, &round, &ctx).unwrap()
@@ -499,14 +464,14 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::with_workers(4));
         // (c ≺ a ≺ b) reverses R2(b,c) and R3(a,c).
         let order = vec![Attr(2), Attr(0), Attr(1)];
-        let out = round_in(&cluster, &db, &names, &order, None, &[]);
+        let out = round_in(&cluster, &db, &names, &order, None);
         let plan = HCubePlan::new(vec![2, 2, 1], 4);
         let mut routed = 0;
-        for (name, index) in names.iter().zip(&out.relations) {
+        for (name, trie) in names.iter().zip(&out.tries) {
             let stored = db.get(name).unwrap();
             let induced: Vec<Attr> =
                 order.iter().copied().filter(|&a| stored.schema().contains(a)).collect();
-            assert_eq!(index.trie.to_relation(), stored.permute(&induced).unwrap(), "{name}");
+            assert_eq!(trie.to_relation(), stored.permute(&induced).unwrap(), "{name}");
             routed += stored.len() as u64 * plan.dup_factor(stored.schema());
         }
         assert_eq!(out.report.tuples, routed, "a cold round reports what the share routes");
@@ -519,18 +484,17 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::with_workers(4));
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
-        let cold = round_in(&cluster, &db, &names, &order3(), Some(&scope), &ids(&names));
+        let cold = round_in(&cluster, &db, &names, &order3(), Some(&scope));
         assert_eq!(cold.report.built_relations, 3);
         assert_eq!(cold.report.reused_relations, 0);
         assert!(cold.report.tuples > 0);
 
-        let warm = round_in(&cluster, &db, &names, &order3(), Some(&scope), &ids(&names));
+        let warm = round_in(&cluster, &db, &names, &order3(), Some(&scope));
         assert_eq!(warm.report.reused_relations, 3);
         assert_eq!(warm.report.built_relations, 0);
         assert_eq!(warm.report.tuples, 0, "a warm round moves nothing");
-        assert_eq!(warm.report.tuples_saved, cold.report.tuples);
         assert_eq!(warm.report.build_secs, 0.0);
-        for (c, w) in cold.tries().zip(warm.tries()) {
+        for (c, w) in cold.tries.iter().zip(&warm.tries) {
             assert!(Arc::ptr_eq(c, w), "warm relations must share the cached handle, not a copy");
         }
         assert_eq!(cache.stats().hits, 3);
@@ -542,9 +506,9 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::with_workers(4));
         let cache = IndexCache::new(64 << 20);
         let s0 = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
-        round_in(&cluster, &db, &names, &order3(), Some(&s0), &ids(&names));
+        round_in(&cluster, &db, &names, &order3(), Some(&s0));
         let s1 = IndexScope { cache: &cache, db_tag: 1, epoch: 1, versions: &[] };
-        let out = round_in(&cluster, &db, &names, &order3(), Some(&s1), &ids(&names));
+        let out = round_in(&cluster, &db, &names, &order3(), Some(&s1));
         assert_eq!(out.report.reused_relations, 0, "stale epoch must not serve");
         assert_eq!(out.report.built_relations, 3);
     }
@@ -556,16 +520,16 @@ mod tests {
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
         // Warm only R1 and R3.
-        let partial = vec![Some("R1".to_string()), None, Some("R3".to_string())];
-        round_in(&cluster, &db, &names, &order3(), Some(&scope), &partial);
-        let out = round_in(&cluster, &db, &names, &order3(), Some(&scope), &ids(&names));
+        let partial = vec![names[0].clone(), names[2].clone()];
+        round_in(&cluster, &db, &partial, &order3(), Some(&scope));
+        let out = round_in(&cluster, &db, &names, &order3(), Some(&scope));
         assert_eq!(out.report.reused_relations, 2);
         assert_eq!(out.report.built_relations, 1);
         // The mixed round is still byte-identical to a cold one, and the
         // width does not enter the index.
         let narrow = Cluster::new(ClusterConfig::with_workers(1));
-        let cold = round_in(&narrow, &db, &names, &order3(), None, &[]);
-        for (mixed, fresh) in out.tries().zip(cold.tries()) {
+        let cold = round_in(&narrow, &db, &names, &order3(), None);
+        for (mixed, fresh) in out.tries.iter().zip(&cold.tries) {
             assert_eq!(mixed, fresh);
         }
     }
@@ -577,8 +541,7 @@ mod tests {
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
         let plan = HCubePlan::new(vec![2, 1, 1], 2);
-        let layout =
-            RoundLayout::new(&db, &[], &names, &ids(&names), &order3(), Some(&scope)).unwrap();
+        let layout = RoundLayout::new(&db, &[], &names, &order3(), Some(&scope)).unwrap();
         let round = IndexRound { layout: &layout, plan: &plan, overlay: &[], share_reused: false };
         let cancel = CancelToken::manual();
         cancel.cancel();

@@ -98,8 +98,6 @@ pub struct ShuffleReport {
     pub built_relations: u64,
     /// Relations served from the index cache (no build).
     pub reused_relations: u64,
-    /// Tuple copies that cache hits avoided routing.
-    pub tuples_saved: u64,
 }
 
 impl ShuffleReport {
@@ -134,7 +132,7 @@ pub fn hcube_shuffle(
     order: &[Attr],
     impl_: HCubeImpl,
 ) -> Result<ShuffleOutput> {
-    let layout = RoundLayout::new(db, &[], atom_names, &[], order, None)?;
+    let layout = RoundLayout::new(db, &[], atom_names, order, None)?;
     let (cancel, tracer) = (CancelToken::manual(), Tracer::disabled());
     let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         route_round(cluster, db, &layout.atoms, plan, impl_, &cancel, &tracer)
@@ -154,9 +152,13 @@ pub fn hcube_shuffle(
 ///
 /// The token is polled every `CANCEL_CHECK_EVERY` (4096) routed rows and
 /// once per atom, batch and build phase; a fired token aborts the shuffle
-/// with [`Error::Cancelled`]. A panicking build worker is isolated
-/// ([`adj_cluster::WorkerFailure`]) and surfaces as
-/// [`Error::WorkerPanicked`].
+/// with [`Error::Cancelled`]. Each delivery is charged against its worker's
+/// memory budget as it is routed — a Push row as it joins the worker's
+/// pending batch, a Pull/Merge block before it is sent — so the delivery
+/// that crosses the budget fails the shuffle with
+/// [`Error::BudgetExceeded`] before it is sent or encoded. A panicking
+/// build worker is isolated ([`adj_cluster::WorkerFailure`]) and surfaces
+/// as [`Error::WorkerPanicked`].
 ///
 /// The span timeline: one `shuffle` span on the coordinator lane (with
 /// tuple and message totals), a `route` span over the routing pass, and a
@@ -192,10 +194,20 @@ fn route_round(
     // Delivered copies per worker: the partition-fill vector the skew
     // stats read.
     let mut worker_tuples: Vec<u64> = vec![0; n];
-    // Payload bytes parked at each worker so far, for the memory budget.
+    // Payload bytes charged to each worker so far, for the memory budget.
     // Modeled payload bytes on both backends so the budget doesn't shift
     // with framing overhead.
     let mut worker_bytes: Vec<u64> = vec![0; n];
+    let limit = cluster.config().memory_limit_bytes;
+    let mut charge = |w: usize, bytes: u64| match limit {
+        Some(limit) if worker_bytes[w] + bytes > limit as u64 => {
+            Err(Error::BudgetExceeded { what: "worker memory", limit })
+        }
+        _ => {
+            worker_bytes[w] += bytes;
+            Ok(())
+        }
+    };
     // Rows of Merge blocks that arrived out of order and were sorted here
     // (a block routed in its stored order needs no sort).
     let mut rows_sorted: u64 = 0;
@@ -219,7 +231,6 @@ fn route_round(
                 let mut pending: Vec<(Vec<Value>, u64)> = vec![(Vec::new(), 0); n];
                 let mut flush = |w: usize, (data, copies): (Vec<Value>, u64)| -> Result<()> {
                     checkpoint(FaultSite::TransportSend, cancel)?;
-                    worker_bytes[w] += data.len() as u64 * 4;
                     let payload = BatchPayload::Rows(data);
                     let batch =
                         RoutedBatch { relation: ai, tuples: copies, messages: copies, payload };
@@ -236,6 +247,7 @@ fn route_round(
                     prow.extend(info.perm.iter().map(|&p| row[p]));
                     plan.tuple_coords(&info.induced, &prow, &mut coords);
                     for w in plan.block_workers(&info.induced, &coords) {
+                        charge(w, prow.len() as u64 * 4)?;
                         pending[w].0.extend_from_slice(&prow);
                         pending[w].1 += 1;
                         worker_tuples[w] += 1;
@@ -296,7 +308,7 @@ fn route_round(
                     let payload_bytes = block_tuples * info.perm.len() as u64 * 4;
                     for &w in &dests {
                         checkpoint(FaultSite::TransportSend, cancel)?;
-                        worker_bytes[w] += payload_bytes;
+                        charge(w, payload_bytes)?;
                         let batch = RoutedBatch {
                             relation: ai,
                             tuples: block_tuples,
@@ -309,11 +321,6 @@ fn route_round(
                         messages += 1;
                     }
                 }
-            }
-        }
-        if let Some(limit) = cluster.config().memory_limit_bytes {
-            if worker_bytes.iter().any(|&b| b as usize > limit) {
-                return Err(Error::BudgetExceeded { what: "worker memory", limit });
             }
         }
     }
@@ -410,7 +417,6 @@ fn route_round(
             preprocess_secs,
             built_relations: n_atoms as u64,
             reused_relations: 0,
-            tuples_saved: 0,
         },
     })
 }
@@ -548,17 +554,21 @@ mod tests {
         let (db, names) = tri_db();
         let plan = HCubePlan::new(vec![1, 1, 1], 1);
         for transport in [TransportKind::InProcess, TransportKind::Serialized] {
-            let cfg = ClusterConfig {
-                memory_limit_bytes: Some(64),
-                transport,
-                ..ClusterConfig::with_workers(1)
-            };
-            let cluster = Cluster::new(cfg);
             for impl_ in HCubeImpl::ALL {
-                // The coordinator fails before any worker drains its inbox.
+                let cfg = ClusterConfig {
+                    memory_limit_bytes: Some(64),
+                    transport,
+                    ..ClusterConfig::with_workers(1)
+                };
+                let cluster = Cluster::new(cfg);
+                // The coordinator fails before any worker drains its inbox,
+                // and before it sends the delivery that crosses the budget:
+                // R1 alone is 98 rows (784 bytes).
                 let err =
                     hcube_shuffle(&cluster, &db, &names, &plan, &order3(), impl_).unwrap_err();
                 assert!(matches!(err, Error::BudgetExceeded { .. }), "{transport:?}/{impl_:?}");
+                let (_, bytes, _, _) = cluster.comm().snapshot();
+                assert!(bytes <= 64, "{transport:?}/{impl_:?}: {bytes} bytes sent past the budget");
             }
         }
     }
@@ -595,7 +605,7 @@ mod tests {
         let plan = HCubePlan::new(vec![2, 2, 2], 4);
         let rows_sorted = |order: Vec<Attr>, impl_: HCubeImpl| {
             let cluster = Cluster::new(ClusterConfig::with_workers(4));
-            let layout = RoundLayout::new(&db, &[], &names, &[], &order, None).unwrap();
+            let layout = RoundLayout::new(&db, &[], &names, &order, None).unwrap();
             let tracer = Tracer::new(256);
             let cancel = CancelToken::none();
             route_round(&cluster, &db, &layout.atoms, &plan, impl_, &cancel, &tracer).unwrap();

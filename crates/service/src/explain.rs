@@ -127,13 +127,11 @@ pub fn render(
     );
     let _ = writeln!(
         out,
-        "  shuffle: comm_tuples={} precompute_tuples={} index_built={} index_reused={} \
-         bags_reused={}",
+        "  shuffle: comm_tuples={} precompute_tuples={} index_built={} index_reused={}",
         report.comm_tuples,
         report.precompute_tuples,
         report.index_relations_built,
         report.index_relations_reused,
-        report.index_bags_reused,
     );
     // Per worker: the morsels of the driver it claimed (off its `join`
     // span; lane `w + 1` is worker `w`) and the bindings it produced.

@@ -172,7 +172,6 @@ impl MetricsSnapshot {
             .u64("precompute_tuples", self.precompute_tuples)
             .u64("index_relations_built", self.index_relations_built)
             .u64("index_relations_reused", self.index_relations_reused)
-            .u64("index_bags_reused", self.index_bags_reused)
             .u64("queries_prepared", self.queries_prepared)
             .u64("params_bound", self.params_bound)
             .u64("share_solves", self.share_solves)
@@ -219,7 +218,6 @@ pub fn execution_report_json(r: &ExecutionReport) -> String {
         .u64("share_solves", r.share_solves)
         .u64("index_relations_built", r.index_relations_built)
         .u64("index_relations_reused", r.index_relations_reused)
-        .u64("index_bags_reused", r.index_bags_reused)
         .raw("worker_tuples", array_u64(&r.worker_tuples));
     o.render()
 }

@@ -28,13 +28,14 @@
 //!   database's statistics epoch. Repeated query shapes skip GHD search,
 //!   cost sampling, and Algorithm 2 entirely; hit/miss/eviction counts are
 //!   exposed.
-//! * [`IndexCache`] — the cross-query *index*
-//!   cache, next to the plan cache: built tries and pre-computed bag
-//!   relations are published as shared `Arc` handles keyed by `(relation,
-//!   induced order, stats epoch, delta sequence)`, one per relation that
-//!   every worker reads. Warm queries skip the sort + trie build entirely
-//!   and join over the cached handles; bytes are LRU-bounded and carved out of the
-//!   cluster memory budget the admission controller enforces.
+//! * [`IndexCache`] — the cross-query *index* cache, next to the plan
+//!   cache: each database relation's trie is published as a shared
+//!   `Arc<Trie>` keyed by `(relation, induced order, stats epoch, delta
+//!   sequence)`, one per relation and order that every worker reads. Warm
+//!   queries skip the sort + trie build entirely and join over the cached
+//!   handles; bytes are LRU-bounded and carved out of the cluster memory
+//!   budget the admission controller enforces. Pre-computed bags are not
+//!   cached: every execution computes its own.
 //! * the per-binding result LRU ([`result_cache`]) of the batch door. It,
 //!   the plan cache and the index cache are instances of the one generic
 //!   [`Cache`](adj_relational::cache::Cache): one insert rule, one build
@@ -158,9 +159,8 @@ pub struct ServiceConfig {
     /// mode + binding values, serving re-bound hot vertices on the batched
     /// path without executing); 0 disables it.
     pub result_cache_capacity: usize,
-    /// Index-cache capacity in **bytes**, covering built tries and
-    /// pre-computed bags. `Some(0)` disables index
-    /// caching; `None` derives the budget from the cluster memory limit
+    /// Index-cache capacity in **bytes** of cached tries. `Some(0)`
+    /// disables index caching; `None` derives the budget from the cluster memory limit
     /// (half of `memory_limit_bytes × num_workers`, or 256 MiB when the
     /// cluster is unlimited). Whatever the cache may hold is carved out of
     /// the admission controller's per-query memory budget, so cache and

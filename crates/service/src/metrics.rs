@@ -156,7 +156,6 @@ pub struct ServiceMetrics {
     precompute_tuples: AtomicU64,
     index_relations_built: AtomicU64,
     index_relations_reused: AtomicU64,
-    index_bags_reused: AtomicU64,
     queries_prepared: AtomicU64,
     params_bound: AtomicU64,
     share_solves: AtomicU64,
@@ -225,7 +224,6 @@ impl ServiceMetrics {
         self.precompute_tuples.fetch_add(report.precompute_tuples, Ordering::Relaxed);
         self.index_relations_built.fetch_add(report.index_relations_built, Ordering::Relaxed);
         self.index_relations_reused.fetch_add(report.index_relations_reused, Ordering::Relaxed);
-        self.index_bags_reused.fetch_add(report.index_bags_reused, Ordering::Relaxed);
         self.params_bound.fetch_add(report.bound_values, Ordering::Relaxed);
         self.share_solves.fetch_add(report.share_solves, Ordering::Relaxed);
         self.partition_tuples_max.fetch_max(report.max_partition_tuples(), Ordering::Relaxed);
@@ -326,7 +324,6 @@ impl ServiceMetrics {
             precompute_tuples: self.precompute_tuples.load(Ordering::Relaxed),
             index_relations_built: self.index_relations_built.load(Ordering::Relaxed),
             index_relations_reused: self.index_relations_reused.load(Ordering::Relaxed),
-            index_bags_reused: self.index_bags_reused.load(Ordering::Relaxed),
             queries_prepared: self.queries_prepared.load(Ordering::Relaxed),
             params_bound: self.params_bound.load(Ordering::Relaxed),
             share_solves: self.share_solves.load(Ordering::Relaxed),
@@ -393,8 +390,6 @@ pub struct MetricsSnapshot {
     /// Relation indexes served from the index cache (nothing moved or
     /// built).
     pub index_relations_reused: u64,
-    /// Pre-computed bag relations served from the index cache.
-    pub index_bags_reused: u64,
     /// Prepared statements created
     /// ([`Service::prepare`](crate::Service::prepare) /
     /// `prepare_text` calls).
@@ -519,11 +514,6 @@ impl MetricsSnapshot {
             "index_relations_reused_total",
             "Relation indexes served from the index cache.",
             self.index_relations_reused,
-        );
-        counter(
-            "index_bags_reused_total",
-            "Pre-computed bags served from the index cache.",
-            self.index_bags_reused,
         );
         counter("queries_prepared_total", "Prepared statements created.", self.queries_prepared);
         counter("params_bound_total", "Constants bound at bind time.", self.params_bound);

@@ -11,7 +11,7 @@ use adj_cluster::Cluster;
 use adj_core::{Adj, ExecCtx, ExecutionReport, IndexCache, IndexCacheStats, IndexScope, QueryPlan};
 use adj_delta::{DeltaRelation, MutationBatch};
 use adj_faults::{CancelToken, FaultSite};
-use adj_hcube::{patch_relation_indexes, ArtifactKey};
+use adj_hcube::patch_relation_indexes;
 use adj_query::fingerprint::Fnv1a;
 use adj_query::{
     parse_query_explain, parse_query_with_mode, Bindings, ExplainMode, JoinQuery, ParamTable,
@@ -589,12 +589,11 @@ impl Service {
     /// registers their sequence.
     pub fn check_invariants(&self) -> Result<(), String> {
         let dbs = read_recovering(&self.databases);
-        let ahead = self.index.store().find(|key, _| match key {
-            ArtifactKey::Index(k) => dbs.values().any(|e| {
+        let ahead = self.index.store().find(|k, _| {
+            dbs.values().any(|e| {
                 (e.tag, e.epoch) == (k.db_tag, k.epoch)
                     && k.delta_seq > e.scope(&self.index).delta_seq_for(&k.relation)
-            }),
-            ArtifactKey::Bag(_) => false,
+            })
         });
         if let Some(key) = ahead {
             return Err(format!("index cache: {key:?} runs ahead of its relation"));
@@ -2459,11 +2458,10 @@ mod tests {
 
         // An entry stamped one sequence past its relation's fails the check.
         let store = service.index.store();
-        let r1 = store.find(|k, _| matches!(k, ArtifactKey::Index(k) if k.relation == "R1"));
-        let Some(ArtifactKey::Index(key)) = r1 else { panic!("a warm index of R1") };
-        let artifact = store.get_if(&ArtifactKey::Index(key.clone()), |a| Some(a.clone()));
-        let forged = ArtifactKey::Index(IndexKey { delta_seq: key.delta_seq + 1, ..key });
-        store.insert(forged.clone(), artifact.expect("resident"));
+        let key = store.find(|k, _| k.relation == "R1").expect("a warm index of R1");
+        let trie = store.get_if(&key, |t| Some(Arc::clone(t)));
+        let forged = IndexKey { delta_seq: key.delta_seq + 1, ..key };
+        store.insert(forged.clone(), trie.expect("resident"));
         let err = service.check_invariants().unwrap_err();
         assert!(err.contains("runs ahead of its relation"), "{err}");
         store.take(|k, _| *k == forged);
