@@ -46,51 +46,49 @@ use adj_leapfrog::{
     BatchWalk, CountSplit, JoinCounters, JoinLayout, LeapfrogJoin, Morsels, Shared, Sinks,
 };
 use adj_relational::{
-    Attr, BoundValues, CountSink, Database, Error, ExistsSink, OutputMode, QueryOutput, Relation,
-    Result, RowBuffer, RowSink, Schema, Trie, Value,
+    Attr, BoundValues, CountSink, Database, Error, ExistsSink, Levels, OutputMode, QueryOutput,
+    Relation, Result, RowBuffer, RowSink, Schema, Trie, Value, MAX_ATTRS,
 };
-use adj_trace::COORDINATOR_LANE;
-use std::borrow::Cow;
+use adj_trace::{SpanGuard, COORDINATOR_LANE};
 use std::iter::repeat_with;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-trie-level span-arg key (`tuples_l0`, `seeks_l3`, `probes_l2`, …).
-/// The first eight levels — every practical join order — hit a static table
-/// so the worker and gather spans' per-level annotations record without
-/// allocating.
-fn level_key(kind: &str, i: usize) -> Cow<'static, str> {
-    const TUPLES: [&str; 8] = [
-        "tuples_l0",
-        "tuples_l1",
-        "tuples_l2",
-        "tuples_l3",
-        "tuples_l4",
-        "tuples_l5",
-        "tuples_l6",
-        "tuples_l7",
-    ];
-    const SEEKS: [&str; 8] = [
-        "seeks_l0", "seeks_l1", "seeks_l2", "seeks_l3", "seeks_l4", "seeks_l5", "seeks_l6",
-        "seeks_l7",
-    ];
-    const PROBES: [&str; 8] = [
-        "probes_l0",
-        "probes_l1",
-        "probes_l2",
-        "probes_l3",
-        "probes_l4",
-        "probes_l5",
-        "probes_l6",
-        "probes_l7",
-    ];
-    match (kind, i) {
-        ("tuples", i) if i < TUPLES.len() => Cow::Borrowed(TUPLES[i]),
-        ("seeks", i) if i < SEEKS.len() => Cow::Borrowed(SEEKS[i]),
-        ("probes", i) if i < PROBES.len() => Cow::Borrowed(PROBES[i]),
-        _ => Cow::Owned(format!("{kind}_l{i}")),
+/// Per-trie-level span-arg keys (`tuples_l0`, `seeks_l3`, `probes_l2`,
+/// …): static tables over every level a join can have, so the worker and
+/// gather spans' per-level annotations record without allocating.
+macro_rules! level_keys {
+    ($kind:literal) => {
+        [
+            concat!($kind, "_l0"),
+            concat!($kind, "_l1"),
+            concat!($kind, "_l2"),
+            concat!($kind, "_l3"),
+            concat!($kind, "_l4"),
+            concat!($kind, "_l5"),
+            concat!($kind, "_l6"),
+            concat!($kind, "_l7"),
+            concat!($kind, "_l8"),
+            concat!($kind, "_l9"),
+            concat!($kind, "_l10"),
+            concat!($kind, "_l11"),
+            concat!($kind, "_l12"),
+            concat!($kind, "_l13"),
+            concat!($kind, "_l14"),
+            concat!($kind, "_l15"),
+        ]
+    };
+}
+const TUPLES_KEYS: [&str; MAX_ATTRS] = level_keys!("tuples");
+const SEEKS_KEYS: [&str; MAX_ATTRS] = level_keys!("seeks");
+const PROBES_KEYS: [&str; MAX_ATTRS] = level_keys!("probes");
+
+/// Annotates `span` with one arg per level: `per_level[i]` under `keys[i]`.
+fn level_args(span: &mut SpanGuard<'_>, keys: &[&'static str; MAX_ATTRS], per_level: &[u64]) {
+    for (&key, &n) in keys.iter().zip(per_level) {
+        span.arg(key, n);
     }
 }
 
@@ -206,8 +204,9 @@ pub struct ExecutionReport {
     pub precompute_tuples: u64,
     /// Result cardinality.
     pub output_tuples: u64,
-    /// The share vector `p` the plan solved for the final round.
-    pub share: Vec<u32>,
+    /// The share vector `p` the plan solved for the final round, one share
+    /// per attribute id.
+    pub share: Levels<u32>,
     /// Share programs this execution solved itself, over its bag rounds and
     /// the final round; a round whose share came from the plan's memo of
     /// earlier executions counts 0.
@@ -607,12 +606,8 @@ fn run_workers<'p>(
         let joined = walk_morsels(join, shared, pool.lend())?;
         if span.is_recording() {
             let c = &joined.counters;
-            for (i, &t) in c.tuples_per_level.iter().enumerate() {
-                span.arg(level_key("tuples", i), t);
-            }
-            for (i, &p) in c.stats.probes_per_level.iter().enumerate() {
-                span.arg(level_key("probes", i), p);
-            }
+            level_args(span, &TUPLES_KEYS, &c.tuples_per_level);
+            level_args(span, &PROBES_KEYS, &c.stats.probes_per_level);
             span.arg("output_tuples", c.output_tuples);
             span.arg("intersect_ops", c.intersect_ops);
             span.arg("seeks", c.stats.total_seeks());
@@ -909,7 +904,7 @@ pub fn execute_plan(
     let mut gather_span = tracer.span(COORDINATOR_LANE, "gather");
     let by_bags = split.is_some() && !job.counted_morsels.halted();
     let width = plan.order.len();
-    let mut counters: Option<JoinCounters> = None;
+    let mut counters = JoinCounters::new(width);
     // The per-worker bindings take the per-worker seconds' buffer.
     report.worker_tuples = worker_secs.into_iter().map(|_| 0).collect();
     for (w, bindings) in workers.iter_mut().zip(&mut report.worker_tuples) {
@@ -917,12 +912,8 @@ pub fn execute_plan(
             continue;
         }
         *bindings = w.counters.tuples_per_level.iter().sum();
-        match &mut counters {
-            None => counters = Some(std::mem::take(&mut w.counters)),
-            Some(sum) => sum.merge(&w.counters),
-        }
+        counters.merge(&w.counters);
     }
-    let counters = counters.unwrap_or_else(|| JoinCounters::new(width));
     let live = |w: &&mut WorkerJoin<'_>| w.counted == by_bags;
     // A row past the watermark was cancelled mid-join; each carries the
     // token's own verdict (deadline vs explicit cancel).
@@ -999,15 +990,9 @@ pub fn execute_plan(
     // them.
     coordinator.tries = join.into_tries();
     if gather_span.is_recording() {
-        for (i, &t) in counters.tuples_per_level.iter().enumerate() {
-            gather_span.arg(level_key("tuples", i), t);
-        }
-        for (i, &s) in counters.stats.seeks_per_level.iter().enumerate() {
-            gather_span.arg(level_key("seeks", i), s);
-        }
-        for (i, &p) in counters.stats.probes_per_level.iter().enumerate() {
-            gather_span.arg(level_key("probes", i), p);
-        }
+        level_args(&mut gather_span, &TUPLES_KEYS, &counters.tuples_per_level);
+        level_args(&mut gather_span, &SEEKS_KEYS, &counters.stats.seeks_per_level);
+        level_args(&mut gather_span, &PROBES_KEYS, &counters.stats.probes_per_level);
         gather_span.arg("bindings", bindings.len() as u64);
         gather_span.arg("unique_bindings", n_rows as u64);
         gather_span.arg("bindings_completed", completed as u64);
@@ -1080,7 +1065,7 @@ fn prepare_round(
         num_attrs: plan.query.num_attrs(),
     };
     let (round, share_reused) = round_for(plan, db, &spec, cluster, ctx)?;
-    report.share = round.hplan.share().to_vec();
+    report.share = round.hplan.share().iter().copied().collect();
     let index = IndexRound {
         layout: &round.layout,
         plan: &round.hplan,

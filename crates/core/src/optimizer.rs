@@ -13,7 +13,6 @@ use crate::cost::CostEstimator;
 use crate::executor::Strategy;
 use crate::plan::QueryPlan;
 use crate::AdjConfig;
-use adj_hcube::MAX_SHARE_ATTRS;
 use adj_query::order::{all_orders, hoist_bound, new_attrs_per_step};
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::{Attr, Database, Error, Result};
@@ -24,22 +23,12 @@ use adj_relational::{Attr, Database, Error, Result};
 /// * [`Strategy::CommFirst`] mimics HCubeJ: never pre-compute, pick the
 ///   attribute order over *all* `n!` permutations by estimated intermediate
 ///   tuples (the paper's "All-Selected" selection).
-///
-/// A query over more than [`MAX_SHARE_ATTRS`] attributes is refused with
-/// [`Error::BudgetExceeded`] before any search: its share program is past
-/// what the exact solver is sized for.
 pub fn optimize(
     query: &JoinQuery,
     db: &Database,
     config: &AdjConfig,
     strategy: Strategy,
 ) -> Result<QueryPlan> {
-    if query.num_attrs() > MAX_SHARE_ATTRS {
-        return Err(Error::BudgetExceeded {
-            what: "attributes per planned query",
-            limit: MAX_SHARE_ATTRS,
-        });
-    }
     let h = query.hypergraph();
     let tree = GhdTree::decompose(&h, 3);
     let estimator = CostEstimator::new(

@@ -27,11 +27,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 const KEPT_ROW_BUFFERS: usize = 64;
 
 /// The most values a kept row buffer, or a kept Leapfrog level buffer,
-/// holds on to (8–16 KiB). A scratch goes back without a larger row buffer
-/// or a larger level buffer: a large join pays for those, as before, and
-/// the pool keeps only what small joins — the bound calls it is for — use,
-/// so it never holds heap memory in the middle of a large query's. The
-/// Leapfrog value tables and count tables are fixed in size and stay.
+/// holds on to (8–16 KiB). A scratch goes back without a larger level
+/// buffer, or a larger row buffer past its first: a large join or batch
+/// pays for those. The first row buffer — an unbound Rows query's, one per
+/// worker — stays at its high-water mark: reallocated on every call, it
+/// was re-faulted too, since the allocator handed the freed megabytes back
+/// to the system between calls (about 1,500 minor faults per width-2
+/// `warm_modes` Q7 Rows call, doubling its latency). The Leapfrog value
+/// tables and count tables are fixed in size and stay.
 pub(crate) const KEPT_ROW_VALUES: usize = 2048;
 
 /// One thread's buffers for one execution.
@@ -135,7 +138,7 @@ impl Drop for Lent<'_> {
         let mut scratch = self.scratch.take().expect("dropped once");
         scratch.tries.clear();
         scratch.rows.truncate(KEPT_ROW_BUFFERS);
-        for buf in scratch.rows.iter_mut().filter(|b| b.capacity() > KEPT_ROW_VALUES) {
+        for buf in scratch.rows.iter_mut().skip(1).filter(|b| b.capacity() > KEPT_ROW_VALUES) {
             drop(buf.take_flat());
         }
         scratch.join.shrink_past(KEPT_ROW_VALUES);

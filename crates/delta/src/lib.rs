@@ -78,7 +78,7 @@ impl MutationBatch {
 }
 
 /// What a batch application did to one relation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApplyOutcome {
     /// Rows newly visible (inserts that were not already present and
     /// survived the batch's deletes).
@@ -88,6 +88,10 @@ pub struct ApplyOutcome {
     /// The relation's delta sequence after the batch (unchanged for an
     /// empty batch).
     pub seq: u64,
+    /// The batch's insert rows, as a sorted relation over the schema.
+    pub inserts: Relation,
+    /// The batch's delete rows, as a sorted relation over the schema.
+    pub deletes: Relation,
 }
 
 /// An immutable base relation plus sorted insert/tombstone overlay runs,
@@ -156,20 +160,23 @@ impl DeltaRelation {
     }
 
     /// Applies one batch (inserts first, then deletes). Returns what
-    /// changed; an empty batch leaves the sequence untouched.
+    /// changed, with the batch's rows as sorted relations; an empty batch
+    /// leaves the sequence untouched.
     pub fn apply(
         &mut self,
         inserts: &[Vec<Value>],
         deletes: &[Vec<Value>],
     ) -> Result<ApplyOutcome> {
-        if inserts.is_empty() && deletes.is_empty() {
-            return Ok(ApplyOutcome { inserted: 0, deleted: 0, seq: self.seq });
+        let sorted = |rows: &[Vec<Value>]| {
+            let rows: Vec<&[Value]> = rows.iter().map(Vec::as_slice).collect();
+            Relation::from_rows(self.base.schema().clone(), &rows)
+        };
+        let (inserts, deletes) = (sorted(inserts)?, sorted(deletes)?);
+        let outcome = ApplyOutcome { inserted: 0, deleted: 0, seq: self.seq, inserts, deletes };
+        if outcome.inserts.is_empty() && outcome.deletes.is_empty() {
+            return Ok(outcome);
         }
-        let schema = self.base.schema().clone();
-        let ins_rows: Vec<&[Value]> = inserts.iter().map(|r| r.as_slice()).collect();
-        let del_rows: Vec<&[Value]> = deletes.iter().map(|r| r.as_slice()).collect();
-        let ins_delta = Relation::from_rows(schema.clone(), &ins_rows)?;
-        let del_delta = Relation::from_rows(schema, &del_rows)?;
+        let (ins_delta, del_delta) = (&outcome.inserts, &outcome.deletes);
 
         // Count by membership against the pre-batch runs, instead of
         // materializing the effective relation before and after: a row the
@@ -184,16 +191,16 @@ impl DeltaRelation {
             ins_delta.rows().filter(|row| !del_delta.contains_row(row) && !visible(row)).count();
 
         // Inserts: extend the insert run, resurrect any tombstoned rows.
-        let merged_ins = Relation::merge_sorted(&[&self.inserts, &ins_delta])?;
-        let tomb_minus = self.tombstones.subtract(&ins_delta)?;
+        let merged_ins = Relation::merge_sorted(&[&self.inserts, ins_delta])?;
+        let tomb_minus = self.tombstones.subtract(ins_delta)?;
         // Deletes: drop from the insert run; tombstone only rows the base
         // actually holds (inert tombstones would just bloat the overlay).
-        self.inserts = merged_ins.subtract(&del_delta)?;
+        self.inserts = merged_ins.subtract(del_delta)?;
         let del_hitting_base = del_delta.subtract(&del_delta.subtract(&self.base)?)?;
         self.tombstones = Relation::merge_sorted(&[&tomb_minus, &del_hitting_base])?;
 
         self.seq += 1;
-        Ok(ApplyOutcome { inserted, deleted, seq: self.seq })
+        Ok(ApplyOutcome { inserted, deleted, seq: self.seq, ..outcome })
     }
 
     /// Whether the overlay has outgrown the configured fraction of the base.

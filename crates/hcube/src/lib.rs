@@ -42,5 +42,5 @@ pub use cache::{IndexCache, IndexCacheStats, IndexClaim, IndexKey, IndexLookup, 
 pub use patch::{patch_relation_indexes, PatchOutcome};
 pub use plan::HCubePlan;
 pub use round::{index_round, ExecCtx, IndexRound, RoundLayout, RoundOutput};
-pub use share::{optimize_share, solve_share, ShareInput, ShareSolution, MAX_SHARE_ATTRS};
+pub use share::{optimize_share, solve_share, ShareInput, ShareSolution};
 pub use shuffle::{hcube_shuffle, HCubeImpl, LocalRelation, ShuffleOutput, ShuffleReport};

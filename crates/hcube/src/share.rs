@@ -30,7 +30,7 @@
 //! fullest partition is `total / N*` and the ranking degenerates to the
 //! paper's — the skew term only changes decisions when skew exists.
 
-use adj_relational::{Error, Result};
+use adj_relational::{Error, Result, MAX_ATTRS};
 
 /// Input description for the share optimizer.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,11 +147,6 @@ pub fn frac(p: &[u32], rel_mask: u64) -> f64 {
     1.0 / denom as f64
 }
 
-/// The most attributes a share program is solved for. The search is exact,
-/// and its lattice grows with every attribute; the planner refuses wider
-/// queries before it gets here.
-pub const MAX_SHARE_ATTRS: usize = 16;
-
 /// An optimal share vector and the work its search did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShareSolution {
@@ -164,7 +159,7 @@ pub struct ShareSolution {
 /// Solves the share optimization program exactly. Returns the optimal share
 /// vector (indexed by attribute id), or an error if no feasible vector
 /// has a product within the cap (memory budget too small) or the
-/// query has no attribute or more than [`MAX_SHARE_ATTRS`].
+/// query has no attribute or more than [`MAX_ATTRS`].
 pub fn optimize_share(input: &ShareInput) -> Result<Vec<u32>> {
     solve_share(input).map(|solved| solved.share)
 }
@@ -183,10 +178,10 @@ pub fn optimize_share(input: &ShareInput) -> Result<Vec<u32>> {
 /// can a larger value of the same share, so the loop over it stops there.
 pub fn solve_share(input: &ShareInput) -> Result<ShareSolution> {
     let n = input.num_attrs;
-    if !(1..=MAX_SHARE_ATTRS).contains(&n) {
+    if !(1..=MAX_ATTRS).contains(&n) {
         return Err(Error::BudgetExceeded {
             what: "attributes per share program",
-            limit: MAX_SHARE_ATTRS,
+            limit: MAX_ATTRS,
         });
     }
     let nw = input.num_workers as u64;
@@ -384,7 +379,7 @@ mod tests {
         }
 
         let n = input.num_attrs;
-        assert!((1..=MAX_SHARE_ATTRS).contains(&n));
+        assert!((1..=MAX_ATTRS).contains(&n));
         let nw = input.num_workers as u64;
         let cap = if input.require_exact_product { nw.max(1) } else { (8 * nw).max(64) };
         let any_free = (0..n).any(|i| input.bound_mask & (1 << i) == 0);
@@ -512,19 +507,19 @@ mod tests {
 
     #[test]
     fn too_many_or_no_attributes_is_a_typed_error() {
-        for n in [0, MAX_SHARE_ATTRS + 1, 64] {
+        for n in [0, MAX_ATTRS + 1, 64] {
             let input = ShareInput { num_attrs: n, ..triangle(10, 4) };
             assert_eq!(
                 optimize_share(&input),
                 Err(Error::BudgetExceeded {
                     what: "attributes per share program",
-                    limit: MAX_SHARE_ATTRS
+                    limit: MAX_ATTRS
                 })
             );
         }
         let wide = ShareInput {
-            num_attrs: MAX_SHARE_ATTRS,
-            relations: (0..MAX_SHARE_ATTRS - 1).map(|i| (0b11 << i, 1_000)).collect(),
+            num_attrs: MAX_ATTRS,
+            relations: (0..MAX_ATTRS - 1).map(|i| (0b11 << i, 1_000)).collect(),
             ..triangle(10, 8)
         };
         let solved = solve_share(&wide).unwrap();

@@ -279,8 +279,7 @@ impl CountSplit {
                 // Sized on first use, stale between uses.
                 kept.table.resize(TABLE_CAP, 0);
             }
-            let mut lent = std::mem::take(&mut kept.lent);
-            lent.counters.reset(join.levels());
+            let lent = std::mem::take(&mut kept.cursors);
             *slot = Some(join.begin(first, 1, Some(lent), &hook, &mut kept.join));
         }
         // Per value, every bag but the last counts into its table, and the
@@ -326,14 +325,14 @@ impl CountSplit {
             }
         }
         for (p, (slot, kept)) in batches.iter_mut().zip(&mut scratch.bags).take(n).enumerate() {
-            kept.lent = join(order[p]).finish(slot.take().expect("begun"), &mut kept.join);
+            let bag;
+            (bag, kept.cursors) =
+                join(order[p]).finish(slot.take().expect("begun"), &mut kept.join);
+            counters.add_at(&bag, &self.bags[order[p]].levels);
         }
         if unfit {
             morsels.halt();
             return None;
-        }
-        for (&b, kept) in order[..n].iter().zip(&scratch.bags) {
-            counters.add_at(&kept.lent.counters, &self.bags[b].levels);
         }
         counters.output_tuples = total;
         Some(BatchOutcome { completed, counters })
@@ -342,7 +341,7 @@ impl CountSplit {
 
 /// One bag's buffers in a [`JoinScratch`]: the walk's own scratch, the
 /// list of the bag's tries, the count table of the value of `o0` under way,
-/// and the walk's cursor list and counters.
+/// and the walk's cursor list.
 #[derive(Debug, Default)]
 pub(crate) struct BagScratch {
     pub(crate) join: JoinScratch,
@@ -355,8 +354,8 @@ pub(crate) struct BagScratch {
     table: Vec<u64>,
     /// The stamp of the value of `o0` under way.
     stamp: u32,
-    /// What the walk borrows: its counters and its emptied cursor list.
-    lent: Lent,
+    /// What the walk borrows: its emptied cursor list.
+    cursors: Lent,
 }
 
 /// The count bits of a table entry.

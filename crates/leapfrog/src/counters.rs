@@ -1,5 +1,7 @@
 //! Execution counters for Leapfrog runs.
 
+use adj_relational::Levels;
+
 /// Deterministic counters describing one Leapfrog execution.
 ///
 /// `tuples_per_level[i]` is `|T_{i+1}|` in the paper's notation: the number
@@ -9,7 +11,7 @@
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JoinCounters {
     /// Partial bindings produced per query level.
-    pub tuples_per_level: Vec<u64>,
+    pub tuples_per_level: Levels<u64>,
     /// Gallops inside leapfrog dances (one per value of a lone run). An
     /// intersection the probe kernel answers adds nothing here: its table
     /// lookups are [`JoinStats::probes_per_level`].
@@ -45,19 +47,19 @@ pub struct JoinStats {
     /// last level, whose last-level runs are read straight from the
     /// recorded offsets — is not descended into and records none, so a
     /// count's seeks stop one level above a row enumeration's.
-    pub seeks_per_level: Vec<u64>,
+    pub seeks_per_level: Levels<u64>,
     /// `TrieCursor::open` calls per level (descending into a child range
     /// over the full domain) — interior free levels and a bound join's bound
     /// prefix only.
-    pub opens_per_level: Vec<u64>,
+    pub opens_per_level: Levels<u64>,
     /// `TrieCursor::open_at` calls per level (descending directly to a
     /// bound constant, skipping the intersection entirely) — bound levels
     /// behind a free level only, so never the sampler's level 0, which is a
     /// bound prefix and seeks.
-    pub open_ats_per_level: Vec<u64>,
+    pub open_ats_per_level: Levels<u64>,
     /// Dense-table lookups per level: the probe kernel's work at levels
     /// whose invariant runs are indexed, in place of the dance's gallops.
-    pub probes_per_level: Vec<u64>,
+    pub probes_per_level: Levels<u64>,
     /// Value tables built: one per invariant run seen a second time.
     pub table_builds: u64,
     /// Bytes of value-table storage the join had to *allocate*: a table
@@ -71,11 +73,12 @@ pub struct JoinStats {
 impl JoinStats {
     /// Creates per-level stats for a query with `levels` attributes.
     pub fn new(levels: usize) -> Self {
+        let zeros = Levels::new(levels);
         JoinStats {
-            seeks_per_level: vec![0; levels],
-            opens_per_level: vec![0; levels],
-            open_ats_per_level: vec![0; levels],
-            probes_per_level: vec![0; levels],
+            seeks_per_level: zeros,
+            opens_per_level: zeros,
+            open_ats_per_level: zeros,
+            probes_per_level: zeros,
             table_builds: 0,
             table_bytes: 0,
         }
@@ -103,18 +106,10 @@ impl JoinStats {
 
     /// Merges another run's stats into this one (aggregating workers).
     pub fn merge(&mut self, other: &JoinStats) {
-        fn add(into: &mut Vec<u64>, from: &[u64]) {
-            if into.len() < from.len() {
-                into.resize(from.len(), 0);
-            }
-            for (i, &v) in from.iter().enumerate() {
-                into[i] += v;
-            }
-        }
-        add(&mut self.seeks_per_level, &other.seeks_per_level);
-        add(&mut self.opens_per_level, &other.opens_per_level);
-        add(&mut self.open_ats_per_level, &other.open_ats_per_level);
-        add(&mut self.probes_per_level, &other.probes_per_level);
+        self.seeks_per_level.add(&other.seeks_per_level);
+        self.opens_per_level.add(&other.opens_per_level);
+        self.open_ats_per_level.add(&other.open_ats_per_level);
+        self.probes_per_level.add(&other.probes_per_level);
         self.table_builds += other.table_builds;
         self.table_bytes += other.table_bytes;
     }
@@ -124,7 +119,7 @@ impl JoinCounters {
     /// Creates counters for a query with `levels` attributes.
     pub fn new(levels: usize) -> Self {
         JoinCounters {
-            tuples_per_level: vec![0; levels],
+            tuples_per_level: Levels::new(levels),
             stats: JoinStats::new(levels),
             ..Default::default()
         }
@@ -143,24 +138,6 @@ impl JoinCounters {
     /// Total bindings across all levels (the extension work Leapfrog did).
     pub fn total_tuples(&self) -> u64 {
         self.tuples_per_level.iter().sum()
-    }
-
-    /// Zeroes the counters for a query with `levels` attributes, keeping
-    /// their buffers.
-    pub(crate) fn reset(&mut self, levels: usize) {
-        let stats = &mut self.stats;
-        for per_level in [
-            &mut self.tuples_per_level,
-            &mut stats.seeks_per_level,
-            &mut stats.opens_per_level,
-            &mut stats.open_ats_per_level,
-            &mut stats.probes_per_level,
-        ] {
-            per_level.clear();
-            per_level.resize(levels, 0);
-        }
-        (self.intersect_ops, self.output_tuples) = (0, 0);
-        (stats.table_builds, stats.table_bytes) = (0, 0);
     }
 
     /// Adds the counters of a join over some of this one's levels — its
@@ -182,12 +159,7 @@ impl JoinCounters {
     /// Merges another run's counters into this one (used when aggregating
     /// across workers).
     pub fn merge(&mut self, other: &JoinCounters) {
-        if self.tuples_per_level.len() < other.tuples_per_level.len() {
-            self.tuples_per_level.resize(other.tuples_per_level.len(), 0);
-        }
-        for (i, &t) in other.tuples_per_level.iter().enumerate() {
-            self.tuples_per_level[i] += t;
-        }
+        self.tuples_per_level.add(&other.tuples_per_level);
         self.intersect_ops += other.intersect_ops;
         self.output_tuples += other.output_tuples;
         self.stats.merge(&other.stats);
@@ -200,7 +172,8 @@ mod tests {
 
     #[test]
     fn intermediate_excludes_last_level() {
-        let c = JoinCounters { tuples_per_level: vec![10, 20, 30], ..Default::default() };
+        let tuples_per_level = [10, 20, 30].into_iter().collect();
+        let c = JoinCounters { tuples_per_level, ..Default::default() };
         assert_eq!(c.intermediate_tuples(), 30);
         assert_eq!(c.total_tuples(), 60);
         assert_eq!(JoinCounters::default().intermediate_tuples(), 0);
@@ -209,19 +182,19 @@ mod tests {
     #[test]
     fn stats_merge_resizes_and_adds() {
         let mut a = JoinStats::new(2);
-        a.seeks_per_level = vec![3, 4];
-        a.opens_per_level = vec![1, 1];
+        a.seeks_per_level = [3, 4].into_iter().collect();
+        a.opens_per_level = [1, 1].into_iter().collect();
         let mut b = JoinStats::new(3);
-        b.seeks_per_level = vec![10, 0, 7];
-        b.open_ats_per_level = vec![0, 2, 0];
-        b.probes_per_level = vec![0, 0, 5];
+        b.seeks_per_level = [10, 0, 7].into_iter().collect();
+        b.open_ats_per_level = [0, 2, 0].into_iter().collect();
+        b.probes_per_level = [0, 0, 5].into_iter().collect();
         b.table_builds = 1;
         b.table_bytes = 64;
         a.merge(&b);
-        assert_eq!(a.seeks_per_level, vec![13, 4, 7]);
-        assert_eq!(a.opens_per_level, vec![1, 1, 0]);
-        assert_eq!(a.open_ats_per_level, vec![0, 2, 0]);
-        assert_eq!(a.probes_per_level, vec![0, 0, 5]);
+        assert_eq!(*a.seeks_per_level, [13, 4, 7]);
+        assert_eq!(*a.opens_per_level, [1, 1, 0]);
+        assert_eq!(*a.open_ats_per_level, [0, 2, 0]);
+        assert_eq!(*a.probes_per_level, [0, 0, 5]);
         assert_eq!((a.total_probes(), a.table_builds, a.table_bytes), (5, 1, 64));
         assert_eq!(a.total_seeks(), 24);
         assert_eq!(a.total_opens(), 2);
@@ -231,13 +204,13 @@ mod tests {
     #[test]
     fn merge_adds_fields() {
         let mut a = JoinCounters::new(2);
-        a.tuples_per_level = vec![1, 2];
+        a.tuples_per_level = [1, 2].into_iter().collect();
         a.output_tuples = 2;
         let mut b = JoinCounters::new(3);
-        b.tuples_per_level = vec![10, 20, 30];
+        b.tuples_per_level = [10, 20, 30].into_iter().collect();
         b.intersect_ops = 5;
         a.merge(&b);
-        assert_eq!(a.tuples_per_level, vec![11, 22, 30]);
+        assert_eq!(*a.tuples_per_level, [11, 22, 30]);
         assert_eq!(a.intersect_ops, 5);
         assert_eq!(a.output_tuples, 2);
     }

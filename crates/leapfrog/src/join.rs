@@ -80,7 +80,8 @@
 //! shared by every join over tries of those schemas
 //! ([`LeapfrogJoin::with_layout`]); a scratch also keeps the cursor stacks
 //! and binding buffer of its last walk, so a join over a reused scratch and
-//! layout allocates only its cursor list and its counters.
+//! layout allocates only its cursor list (its counters are inline
+//! [`Levels`](adj_relational::Levels)).
 
 use crate::counters::{JoinCounters, JoinStats};
 use adj_relational::intersect::{
@@ -152,10 +153,10 @@ fn validate_schemas(order: &[Attr], schemas: &[&Schema]) -> Result<Vec<Vec<usize
 /// table another join built. Each level's buffers double as the level's
 /// frame on the traversal's stack. Between walks the scratch keeps their
 /// cursor stacks and binding buffer too, so a join run over a reused
-/// scratch allocates only its cursor list and its counters. A counted join
+/// scratch allocates only its cursor list. A counted join
 /// ([`CountSplit`](crate::CountSplit)) keeps one scratch per bag here, with
-/// the bag's count table, trie list, cursor list and counters, so it
-/// allocates nothing of its own.
+/// the bag's count table, trie list and cursor list, so it allocates
+/// nothing of its own.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     levels: Vec<LevelScratch>,
@@ -183,13 +184,8 @@ pub(crate) fn recycle<T, U>(mut list: Vec<T>) -> Vec<U> {
 }
 
 /// What a walk that must allocate nothing borrows from its caller
-/// ([`LeapfrogJoin::begin`]): its counters, reset for its levels, and an
-/// emptied cursor list ([`recycle`]).
-#[derive(Debug, Default)]
-pub(crate) struct Lent {
-    pub(crate) counters: JoinCounters,
-    cursors: Vec<TrieCursor<'static>>,
-}
+/// ([`LeapfrogJoin::begin`]): an emptied cursor list ([`recycle`]).
+pub(crate) type Lent = Vec<TrieCursor<'static>>;
 
 /// One level's intersection, as the position-carrying kernel writes it,
 /// and the level's frame.
@@ -408,7 +404,7 @@ impl Walk<'_> {
 /// binding at a time, in step.
 pub(crate) struct Batch<'t> {
     walk: Walk<'t>,
-    /// Whether the walk's counters and cursor list are lent.
+    /// Whether the walk's cursor list is lent.
     lends: bool,
     /// Values per binding, and how many of them pin the bound prefix.
     k: usize,
@@ -934,7 +930,7 @@ impl<T: Borrow<Trie>> BatchWalk<'_, T> {
     /// counters.
     pub fn finish(self) -> JoinCounters {
         match self.batch {
-            Some(batch) => self.join.finish(batch, self.scratch).counters,
+            Some(batch) => self.join.finish(batch, self.scratch).0,
             None => JoinCounters::new(self.join.levels()),
         }
     }
@@ -1076,14 +1072,12 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// time as the caller wants, and [`Self::finish`] gives the cursors
     /// back.
     ///
-    /// A walk given `lent` counters and cursor list counts into the one
-    /// and keeps its cursors in the other, so it allocates nothing;
-    /// otherwise it makes both, the list first, the counters once the
-    /// frames are ready. That order is kept only for `warm_modes`' peak
-    /// RSS: lending to every walk, or making the counters first, moves the
-    /// allocator's heap layout enough to raise it by 3-6 MiB with the live
-    /// heap unchanged (see ROADMAP), so only the walks that must not
-    /// allocate — a counted join's bags — borrow.
+    /// A walk given a `lent` cursor list keeps its cursors in it, so it
+    /// allocates nothing; otherwise it makes the list. Only the walks that
+    /// must not allocate — a counted join's bags — borrow: lending to
+    /// every walk moves the allocator's heap layout enough to raise
+    /// `warm_modes`' peak RSS by 3-6 MiB with the live heap unchanged (see
+    /// ROADMAP).
     pub(crate) fn begin<'t>(
         &'t self,
         bound_attrs: &[Attr],
@@ -1093,9 +1087,10 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
         scratch: &mut JoinScratch,
     ) -> Batch<'t> {
         let (order, levels) = (&self.layout.order, self.levels());
-        let (mut cursors, counters) = match lent {
-            Some(Lent { counters, cursors }) => (recycle(cursors), Some(counters)),
-            None => (Vec::with_capacity(self.tries.len()), None),
+        let lends = lent.is_some();
+        let mut cursors = match lent {
+            Some(list) => recycle(list),
+            None => Vec::with_capacity(self.tries.len()),
         };
         let stacks = &mut scratch.stacks;
         cursors.extend(
@@ -1110,8 +1105,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
             frame.opened = 0;
             frame.pin = bound_attrs[p..].iter().position(|b| b == a).map(|col| p + col);
         }
-        let lends = counters.is_some();
-        let counters = counters.unwrap_or_else(|| JoinCounters::new(levels));
+        let counters = JoinCounters::new(levels);
         let walk =
             Walk { cursors, binding, counters, stop, until_poll: POLL_EVERY, stopped: false };
         Batch { walk, lends, k: bound_attrs.len(), p, open_depth: 0, hit_depth: 0, sought: None }
@@ -1143,12 +1137,16 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
     /// buffer go back to `scratch` for the next walk. Returns the walk's
     /// counters, and its cursor list, emptied, if it was lent one (an empty
     /// list otherwise).
-    pub(crate) fn finish(&self, batch: Batch<'_>, scratch: &mut JoinScratch) -> Lent {
+    pub(crate) fn finish(
+        &self,
+        batch: Batch<'_>,
+        scratch: &mut JoinScratch,
+    ) -> (JoinCounters, Lent) {
         let Walk { mut cursors, binding, counters, .. } = batch.walk;
         scratch.stacks.extend(cursors.drain(..).map(TrieCursor::into_stack));
         scratch.binding = binding;
         let cursors = if batch.lends { recycle(cursors) } else { Vec::new() };
-        Lent { counters, cursors }
+        (counters, cursors)
     }
 
     /// The traversal: one loop over an explicit stack of levels, one frame
@@ -1694,7 +1692,7 @@ mod tests {
         for budget in 0..total {
             let (completed, partial) = join.count_with_budget(budget);
             assert!(!completed, "budget {budget}");
-            let levels = partial.tuples_per_level.iter().zip(&full.tuples_per_level);
+            let levels = partial.tuples_per_level.iter().zip(full.tuples_per_level.iter());
             for (level, (&got, &all)) in levels.enumerate() {
                 assert!(got <= all, "budget {budget}, level {level}: {got} > {all}");
             }
@@ -1876,7 +1874,7 @@ mod tests {
         assert_eq!(thrice, 3 * once);
         assert_eq!(three.output_tuples, 3 * one.output_tuples);
         let tripled: Vec<u64> = one.tuples_per_level.iter().map(|&t| 3 * t).collect();
-        assert_eq!(three.tuples_per_level, tripled);
+        assert_eq!(three.tuples_per_level[..], tripled);
         // Level 0 is a bound prefix: opened once, sought once per
         // participant per distinct value, a hit or a miss.
         assert_eq!(three.stats.seeks_per_level[0], 2 * one.stats.seeks_per_level[0]);

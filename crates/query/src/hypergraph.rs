@@ -4,7 +4,9 @@
 //! the GHD search enumerates thousands of edge subsets, so everything here is
 //! O(1) mask arithmetic.
 
-/// A hypergraph over at most 64 vertices.
+use adj_relational::MAX_ATTRS;
+
+/// A hypergraph over at most [`MAX_ATTRS`] vertices: a query's attributes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hypergraph {
     num_vertices: u32,
@@ -16,8 +18,8 @@ impl Hypergraph {
     /// Creates a hypergraph; each edge must be a non-empty subset of
     /// `0..num_vertices`.
     pub fn new(num_vertices: u32, edges: Vec<u64>) -> Self {
-        assert!(num_vertices <= 64);
-        let universe: u64 = if num_vertices == 64 { !0 } else { (1u64 << num_vertices) - 1 };
+        assert!(num_vertices as usize <= MAX_ATTRS);
+        let universe = (1u64 << num_vertices) - 1;
         for &e in &edges {
             assert!(e != 0 && e & !universe == 0, "edge out of vertex range");
         }

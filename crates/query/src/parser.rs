@@ -42,11 +42,7 @@
 //! door can point at the mistake instead of echoing the whole query.
 
 use crate::query::{Atom, JoinQuery, Term};
-use adj_relational::{Attr, Error, OutputMode, Result, Schema, Value};
-
-/// The most distinct attributes one query may name: attribute sets are
-/// 64-bit masks ([`Attr::mask`]).
-const MAX_ATTRS: usize = 64;
+use adj_relational::{Attr, Error, OutputMode, Result, Schema, Value, MAX_ATTRS};
 
 /// Parses a query string with an optional output-mode prefix
 /// (`COUNT(…)`, `EXISTS(…)`, `LIMIT k (…)`; see the module docs). Returns
@@ -213,7 +209,7 @@ fn parse_query_in(full: &str, body: &str) -> Result<(JoinQuery, Vec<String>)> {
             return Ok(i as u32);
         }
         if attr_names.len() == MAX_ATTRS {
-            return Err(perr(full, ident, "too many attributes (at most 64 per query)"));
+            return Err(perr(full, ident, format!("too many attributes (at most {MAX_ATTRS})")));
         }
         attr_names.push(ident.to_string());
         Ok((attr_names.len() - 1) as u32)
@@ -626,13 +622,13 @@ mod tests {
     #[test]
     fn more_attributes_than_a_mask_holds_is_a_parse_error() {
         let atoms = |n: usize| (0..n).map(|i| format!("R{i}(x{i},x{})", i + 1)).collect::<Vec<_>>();
-        let (q, names) = parse_query(&atoms(63).join(", ")).unwrap();
-        assert_eq!((q.atoms.len(), names.len()), (63, 64));
-        let text = atoms(64).join(", ");
+        let (q, names) = parse_query(&atoms(15).join(", ")).unwrap();
+        assert_eq!((q.atoms.len(), names.len()), (15, 16));
+        let text = atoms(16).join(", ");
         let err = parse_query(&text).unwrap_err();
         let Error::Parse { offset, message, .. } = &err else { panic!("{err:?}") };
         assert!(message.contains("too many attributes"), "{message}");
-        assert_eq!(&text[*offset..*offset + 3], "x64");
+        assert_eq!(&text[*offset..*offset + 3], "x16");
     }
 
     #[test]

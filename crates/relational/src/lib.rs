@@ -6,7 +6,8 @@
 //! * [`Value`] — attribute values (dense `u32` ids, as in the paper's graph
 //!   workloads where every relation is an edge table over node ids);
 //! * [`Attr`] / [`Schema`] — attribute identifiers and ordered relation
-//!   schemas;
+//!   schemas, every id below the one attribute limit [`MAX_ATTRS`];
+//! * [`Levels`] — per-join-level state (counters, shares) held inline;
 //! * [`Relation`] — a sorted, deduplicated, row-major tuple store with the
 //!   relational-algebra operations the paper's algorithms need (projection,
 //!   semi-join, natural binary join, union, rename);
@@ -32,6 +33,7 @@ pub mod database;
 pub mod error;
 pub mod hash;
 pub mod intersect;
+pub mod levels;
 mod lru;
 pub mod output;
 pub mod relation;
@@ -41,9 +43,10 @@ pub mod trie;
 pub use bind::BoundValues;
 pub use database::Database;
 pub use error::{Error, Result};
+pub use levels::Levels;
 pub use output::{CountSink, ExistsSink, FnSink, OutputMode, QueryOutput, RowBuffer, RowSink};
 pub use relation::Relation;
-pub use schema::{Attr, Schema};
+pub use schema::{Attr, Schema, MAX_ATTRS};
 pub use trie::{CursorStack, Trie, TrieCursor};
 
 /// An attribute value. The paper's workloads are graphs whose node ids fit in

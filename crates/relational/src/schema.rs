@@ -9,6 +9,12 @@
 use crate::error::{Error, Result};
 use std::fmt;
 
+/// The most attributes a query may have: every attribute id is below it.
+/// [`Schema::new`] refuses a larger id, so every relation schema, atom and
+/// join order is bounded by it, and per-level state fits a
+/// [`Levels`](crate::Levels).
+pub const MAX_ATTRS: usize = 16;
+
 /// A query attribute, identified by a dense id.
 ///
 /// Ids are assigned by the query layer (attribute `a` of the paper is
@@ -24,11 +30,10 @@ impl Attr {
         self.0 as usize
     }
 
-    /// Bitmask with only this attribute set (ids must be < 64, which holds
-    /// for every query in the paper: at most 5 attributes).
+    /// Bitmask with only this attribute set. Every attribute of a
+    /// [`Schema`] is below [`MAX_ATTRS`], so its bit fits.
     #[inline]
     pub fn mask(self) -> u64 {
-        debug_assert!(self.0 < 64);
         1u64 << self.0
     }
 }
@@ -53,10 +58,14 @@ pub struct Schema {
 }
 
 impl Schema {
-    /// Creates a schema, rejecting duplicate attributes.
+    /// Creates a schema, rejecting duplicate attributes and attribute ids
+    /// of [`MAX_ATTRS`] or more ([`Error::BudgetExceeded`]).
     pub fn new(attrs: Vec<Attr>) -> Result<Self> {
         let mut mask = 0u64;
         for a in &attrs {
+            if a.index() >= MAX_ATTRS {
+                return Err(Error::BudgetExceeded { what: "attribute ids", limit: MAX_ATTRS });
+            }
             if mask & a.mask() != 0 {
                 return Err(Error::DuplicateAttr(a.to_string()));
             }
@@ -65,10 +74,11 @@ impl Schema {
         Ok(Schema { attrs })
     }
 
-    /// Creates a schema from attribute ids, panicking on duplicates.
+    /// Creates a schema from attribute ids, panicking on duplicates or ids
+    /// past [`MAX_ATTRS`].
     /// Convenience for tests and workload definitions.
     pub fn from_ids(ids: &[u32]) -> Self {
-        Schema::new(ids.iter().map(|&i| Attr(i)).collect()).expect("duplicate attr id")
+        Schema::new(ids.iter().map(|&i| Attr(i)).collect()).expect("distinct attr ids below 16")
     }
 
     /// The attributes, in column order.
@@ -158,6 +168,18 @@ mod tests {
     fn schema_rejects_duplicates() {
         assert!(Schema::new(vec![Attr(1), Attr(1)]).is_err());
         assert!(Schema::new(vec![Attr(0), Attr(1)]).is_ok());
+    }
+
+    #[test]
+    fn schema_rejects_ids_past_the_limit_with_a_typed_error() {
+        let widest = Attr(MAX_ATTRS as u32 - 1);
+        assert_eq!(Schema::new(vec![Attr(0), widest]).unwrap().mask(), 1 | 1 << 15);
+        for id in [MAX_ATTRS as u32, 63, 64, u32::MAX] {
+            assert_eq!(
+                Schema::new(vec![Attr(0), Attr(id)]),
+                Err(Error::BudgetExceeded { what: "attribute ids", limit: MAX_ATTRS })
+            );
+        }
     }
 
     #[test]

@@ -28,6 +28,5 @@ pub use estimator::{
     SamplingConfig,
 };
 pub use skew::{
-    detect_heavy_hitters, sample_relation, ColumnSkew, HeavyHitter, RelationSkew, SkewConfig,
-    SkewProfile,
+    detect_heavy_hitters, ColumnSkew, HeavyHitter, RelationSkew, SkewConfig, SkewProfile,
 };

@@ -85,15 +85,6 @@ pub struct RelationSkew {
     pub columns: Vec<ColumnSkew>,
 }
 
-impl RelationSkew {
-    /// The largest heavy-hitter fraction detected in any column (0 when
-    /// every column is uniform) — the single scalar the mutation path
-    /// tracks to notice skew drifting under a warm cache.
-    pub fn max_fraction(&self) -> f64 {
-        self.columns.iter().map(|c| c.max_fraction()).fold(0.0, f64::max)
-    }
-}
-
 /// The per-query skew profile: heavy hitters of every relation the query
 /// references, as measured against the current database contents. This is
 /// the "relation stats" surface the optimizer and the share program read
@@ -148,28 +139,6 @@ pub fn detect_heavy_hitters(db: &Database, query: &JoinQuery, cfg: &SkewConfig) 
         relations.push(RelationSkew { name: atom.name.clone(), columns });
     }
     SkewProfile { relations }
-}
-
-/// Samples every column of one relation under its *own* schema — the
-/// incremental-maintenance entry point: a delta batch re-samples just the
-/// mutated relation instead of rebuilding a whole query profile, so the
-/// mutation path can compare against the registration-time baseline and
-/// notice skew drift. Deterministic given `cfg.seed`.
-pub fn sample_relation(
-    name: &str,
-    rel: &adj_relational::Relation,
-    cfg: &SkewConfig,
-) -> RelationSkew {
-    let mut columns = Vec::with_capacity(rel.schema().arity());
-    for (col, &attr) in rel.schema().attrs().iter().enumerate() {
-        let hot = if cfg.enabled() && !rel.is_empty() {
-            sample_column(rel, col, attr, cfg)
-        } else {
-            Vec::new()
-        };
-        columns.push(ColumnSkew { attr, hot });
-    }
-    RelationSkew { name: name.to_string(), columns }
 }
 
 /// Samples one column and returns its heavy hitters, most frequent first
@@ -267,23 +236,6 @@ mod tests {
         assert!(!SkewConfig::disabled().enabled());
         let off = detect_heavy_hitters(&db, &q, &SkewConfig::disabled());
         assert!(off.is_empty());
-    }
-
-    #[test]
-    fn sample_relation_matches_the_query_profile_and_reports_max() {
-        let q = paper_query(PaperQuery::Q1);
-        let db = q.instantiate(&hub_graph(400));
-        let cfg = SkewConfig::default();
-        let profile = detect_heavy_hitters(&db, &q, &cfg);
-        let solo = sample_relation("R1", db.get("R1").unwrap(), &cfg);
-        assert_eq!(solo, profile.relations[0], "same sampling, same stats");
-        assert!(solo.max_fraction() > 0.5);
-        let uniform = Relation::from_pairs(
-            Attr(0),
-            Attr(1),
-            &(0..500u32).map(|i| (i % 100, (i * 7 + 1) % 100)).collect::<Vec<_>>(),
-        );
-        assert_eq!(sample_relation("U", &uniform, &cfg).max_fraction(), 0.0);
     }
 
     #[test]

@@ -276,7 +276,11 @@ mod tests {
         assert!(json.contains("\"coalesced_builds\":0"));
         assert!(json.contains("\"total\":{\"count\":0"));
 
-        let r = ExecutionReport { output_tuples: 9, share: vec![2, 2, 1], ..Default::default() };
+        let r = ExecutionReport {
+            output_tuples: 9,
+            share: [2, 2, 1].into_iter().collect(),
+            ..Default::default()
+        };
         let json = execution_report_json(&r);
         assert!(json.contains("\"output_tuples\":9"));
         assert!(json.contains("\"share\":[2,2,1]"));

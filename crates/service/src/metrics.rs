@@ -421,7 +421,8 @@ pub struct MetricsSnapshot {
     /// Warm index-cache entries patched forward to a new delta sequence
     /// instead of being discarded.
     pub index_entries_patched: u64,
-    /// Delta overlays folded into their base (size- or drift-triggered).
+    /// Delta overlays folded into their base once they outgrew
+    /// `ServiceConfig::delta`.
     pub compactions: u64,
     /// Worker (or coordinator) panics caught and isolated to their query —
     /// each also counts under `queries_failed`. Non-zero means a bug fired

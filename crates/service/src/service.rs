@@ -18,8 +18,7 @@ use adj_query::{
     QueryFingerprint,
 };
 use adj_relational::cache::{Cache, CacheStats, Lookup};
-use adj_relational::{Attr, BoundValues, Database, OutputMode, QueryOutput, Relation, Value};
-use adj_sampling::sample_relation;
+use adj_relational::{Attr, BoundValues, Database, OutputMode, QueryOutput, Relation};
 use adj_trace::{QueryTrace, Trace, Tracer, COORDINATOR_LANE};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -87,7 +86,7 @@ struct DbEntry {
     /// every plan optimized against the old contents stops matching.
     epoch: u64,
     /// Delta overlays of mutated relations (absent until first mutation).
-    deltas: HashMap<String, DeltaState>,
+    deltas: HashMap<String, DeltaRelation>,
     /// Per-relation delta sequences, in the [`IndexScope`] slice form.
     /// Relations never mutated are absent (sequence 0).
     versions: Vec<(String, u64)>,
@@ -120,22 +119,6 @@ impl Drop for InFlight<'_> {
         self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
-
-/// One relation's overlay plus the skew baseline it was born under.
-#[derive(Debug, Clone)]
-struct DeltaState {
-    delta: DeltaRelation,
-    /// Largest heavy-hitter fraction sampled when the overlay was created
-    /// (or last re-baselined at compaction). Mutations that push the
-    /// current fraction materially past this have drifted away from the
-    /// statistics the relation's cached plans were chosen under.
-    baseline_max_fraction: f64,
-}
-
-/// Drift threshold: compact + invalidate when the mutated relation's
-/// largest heavy-hitter fraction exceeds the baseline by this factor (and
-/// clears the detector's own reporting floor).
-const SKEW_DRIFT_FACTOR: f64 = 1.5;
 
 impl DbEntry {
     /// The index-cache scope of this snapshot: its tag, registration epoch
@@ -209,8 +192,8 @@ pub struct MutationOutcome {
     pub seq: u64,
     /// Warm index-cache entries patched forward to the new sequence.
     pub entries_patched: usize,
-    /// Index-cache entries dropped (stale entries the patcher cannot
-    /// bring forward, or everything under a drift-triggered compaction).
+    /// Index-cache entries dropped: stale entries the patcher cannot bring
+    /// forward.
     pub entries_dropped: usize,
     /// Whether the overlay was folded into the base this batch.
     pub compacted: bool,
@@ -722,19 +705,15 @@ impl Service {
     /// The overlay compacts into the base when it outgrows
     /// [`ServiceConfig::delta`](crate::ServiceConfig) — invisibly to the
     /// caches, since compaction changes neither the effective contents nor
-    /// the sequence. A *skew drift* past the overlay-birth baseline
-    /// (re-sampled incrementally, only for the mutated relation) instead
-    /// triggers a targeted invalidation + compaction: the relation's
-    /// skew is drifting past the statistics its plans were chosen under,
-    /// so the next query rebuilds its indexes under a fresh plan rather
-    /// than keep patching.
+    /// the sequence. A shift in the relation's skew needs nothing more: the
+    /// re-keyed plans are optimized afresh, and the optimizer re-detects
+    /// heavy hitters from the new data.
     ///
     /// Batches against one database are serialized by a per-database
     /// mutation door, **not** by the registry lock: all the O(|relation|)
-    /// work — baseline sampling, overlay application, snapshot
-    /// materialization, cache patching — runs against a read-locked clone
-    /// of the entry, and the registry's write lock is taken only for the
-    /// final copy-on-write swap. Queries keep acquiring the registry read
+    /// work — overlay application, snapshot materialization, cache
+    /// patching — runs against a read-locked clone of the entry, and the
+    /// registry's write lock is taken only for the final copy-on-write swap. Queries keep acquiring the registry read
     /// lock freely for the whole duration of a batch.
     pub fn mutate(
         &self,
@@ -783,7 +762,7 @@ impl Service {
             // counts in the metrics.
             if batch.is_empty() {
                 let (seq, overlay_tuples) = match entry.deltas.get(&batch.relation) {
-                    Some(state) => (state.delta.seq(), state.delta.overlay_tuples()),
+                    Some(delta) => (delta.seq(), delta.overlay_tuples()),
                     None => self.failed(entry.db.get(&batch.relation).map(|_| (0, 0)))?,
                 };
                 let dbs = read_recovering(&self.databases);
@@ -810,68 +789,31 @@ impl Service {
                 return Err(self.fail_cancelled(c, None));
             }
 
-            let skew_cfg = self.config.adj.skew;
             let mut deltas = entry.deltas.clone();
             if !deltas.contains_key(&batch.relation) {
                 let base = self.failed(entry.db.get(&batch.relation))?.clone();
-                let baseline = sample_relation(&batch.relation, &base, &skew_cfg).max_fraction();
-                deltas.insert(
-                    batch.relation.clone(),
-                    DeltaState { delta: DeltaRelation::new(base), baseline_max_fraction: baseline },
-                );
+                deltas.insert(batch.relation.clone(), DeltaRelation::new(base));
             }
-            let state = deltas.get_mut(&batch.relation).expect("just ensured");
-            let applied = self.failed(state.delta.apply(&batch.inserts, &batch.deletes))?;
+            let delta = deltas.get_mut(&batch.relation).expect("just ensured");
+            let applied = self.failed(delta.apply(&batch.inserts, &batch.deletes))?;
 
             let mut db = entry.db.clone();
-            db.insert(batch.relation.clone(), state.delta.effective());
+            db.insert(batch.relation.clone(), delta.effective());
             let mut versions = entry.versions.clone();
             match versions.iter_mut().find(|(n, _)| n == &batch.relation) {
                 Some(slot) => slot.1 = applied.seq,
                 None => versions.push((batch.relation.clone(), applied.seq)),
             }
 
-            // Incremental skew stats: re-sample only the mutated relation.
-            let current_max = sample_relation(
-                &batch.relation,
-                db.get(&batch.relation).expect("just inserted"),
-                &skew_cfg,
-            )
-            .max_fraction();
-            let drifted = current_max >= skew_cfg.min_fraction
-                && current_max > state.baseline_max_fraction * SKEW_DRIFT_FACTOR;
-
-            let (entries_patched, entries_dropped);
-            let mut compacted = false;
-            if drifted {
-                // Targeted invalidation: only this relation's warm entries
-                // drop; every other cached artifact stays warm. The fold
-                // re-baselines the detector at the new skew level.
-                entries_dropped = self.index.take_indexes_for(entry.tag, &batch.relation).len();
-                entries_patched = 0;
-                state.delta.compact();
-                state.baseline_max_fraction = current_max;
-                compacted = true;
-            } else {
-                // Route only the batch through each warm entry's own layout.
-                let schema = state.delta.schema().clone();
-                let ins_rows: Vec<&[Value]> = batch.inserts.iter().map(|r| r.as_slice()).collect();
-                let del_rows: Vec<&[Value]> = batch.deletes.iter().map(|r| r.as_slice()).collect();
-                let ins = Relation::from_rows(schema.clone(), &ins_rows)
-                    .expect("rows validated by apply");
-                let del = Relation::from_rows(schema, &del_rows).expect("rows validated by apply");
-                let scope = IndexScope { versions: &versions, ..entry.scope(&self.index) };
-                let patch = patch_relation_indexes(&scope, &batch.relation, &ins, &del);
-                entries_patched = patch.patched;
-                entries_dropped = patch.dropped;
-                if state.delta.needs_compaction(&self.config.delta) {
-                    // Size-triggered fold: effective contents and sequence
-                    // are unchanged, so the (just-patched) cache entries
-                    // stay valid across it.
-                    state.delta.compact();
-                    state.baseline_max_fraction = current_max;
-                    compacted = true;
-                }
+            // Merge only the batch into each warm entry, in its own order.
+            let scope = IndexScope { versions: &versions, ..entry.scope(&self.index) };
+            let patch =
+                patch_relation_indexes(&scope, &batch.relation, &applied.inserts, &applied.deletes);
+            // The fold changes neither the effective contents nor the
+            // sequence, so the just-patched cache entries stay valid.
+            let compacted = delta.needs_compaction(&self.config.delta);
+            if compacted {
+                delta.compact();
             }
 
             let outcome = MutationOutcome {
@@ -879,10 +821,10 @@ impl Service {
                 inserted: applied.inserted,
                 deleted: applied.deleted,
                 seq: applied.seq,
-                entries_patched,
-                entries_dropped,
+                entries_patched: patch.patched,
+                entries_dropped: patch.dropped,
                 compacted,
-                overlay_tuples: state.delta.overlay_tuples(),
+                overlay_tuples: delta.overlay_tuples(),
             };
             let new_entry =
                 Arc::new(DbEntry { db, tag: entry.tag, epoch: entry.epoch, deltas, versions });
@@ -902,7 +844,7 @@ impl Service {
                     let reads = |e: &ResultEntry| e.source().reads.contains(&batch.relation);
                     self.results.take(|_, e| e.epoch() == entry.epoch && reads(e));
                     self.metrics.record_mutation(
-                        entries_patched as u64,
+                        patch.patched as u64,
                         compacted,
                         Self::total_overlay_tuples(&dbs),
                     );
@@ -920,7 +862,7 @@ impl Service {
     /// (the `adj_delta_overlay_tuples` gauge).
     fn total_overlay_tuples(dbs: &HashMap<String, Arc<DbEntry>>) -> u64 {
         dbs.values()
-            .map(|e| e.deltas.values().map(|s| s.delta.overlay_tuples() as u64).sum::<u64>())
+            .map(|e| e.deltas.values().map(|d| d.overlay_tuples() as u64).sum::<u64>())
             .sum()
     }
 
@@ -2230,33 +2172,30 @@ mod tests {
     }
 
     #[test]
-    fn skew_drift_triggers_targeted_invalidation() {
+    fn a_skewed_batch_patches_warm_tries() {
         let q = paper_query(PaperQuery::Q1);
+        let g = graph(150, 41);
         let service = small_service();
-        service.register_database("g", q.instantiate(&graph(150, 41)));
-        service.execute("g", &q).unwrap(); // warm entries exist
+        service.register_database("g", q.instantiate(&g));
+        service.execute_mode("g", &q, OutputMode::Count).unwrap(); // warm entries exist
 
-        // Pile a heavy hitter onto R1: node 7 jumps far past the uniform
-        // baseline fraction, so the cached share layout no longer fits.
-        let mut batch = MutationBatch::new("R1");
-        for i in 0..120u32 {
-            batch = batch.insert(&[7, 1000 + i]);
-        }
+        // Pile a heavy hitter onto R1: node 7 jumps far past every other
+        // node. The warm tries take the batch like any other.
+        let rows: Vec<[Value; 2]> = (0..120u32).map(|i| [7, 1000 + i]).collect();
+        let batch = rows.iter().fold(MutationBatch::new("R1"), |b, row| b.insert(row));
         let outcome = service.mutate("g", &batch).unwrap();
-        assert!(outcome.compacted, "drift must fold + re-baseline");
-        assert!(outcome.entries_dropped > 0, "drifted entries are dropped, not patched");
-        assert_eq!(outcome.entries_patched, 0);
+        assert!(outcome.entries_patched > 0, "skewed or not, warm entries are patched");
+        assert_eq!(outcome.entries_dropped, 0);
 
-        let requeried = service.execute("g", &q).unwrap();
-        assert!(
-            requeried.report.index_relations_built > 0,
-            "the next query re-shuffles under fresh statistics"
-        );
-
-        // Re-baselined: an ordinary follow-up batch is not drift again.
-        let follow = service.mutate("g", &MutationBatch::new("R1").insert(&[2, 3])).unwrap();
-        assert!(!follow.compacted, "one small insert past the new baseline is not drift");
-        assert_eq!(follow.seq, 2);
+        let warm = service.execute_mode("g", &q, OutputMode::Count).unwrap();
+        assert_eq!(warm.report.index_relations_built, 0, "every index is served warm");
+        let mut db = q.instantiate(&g);
+        let refs: Vec<&[Value]> = rows.iter().map(|r| r.as_slice()).collect();
+        db.insert_rows("R1", &refs).unwrap();
+        let fresh = small_service();
+        fresh.register_database("g", db);
+        let expected = fresh.execute_mode("g", &q, OutputMode::Count).unwrap();
+        assert_eq!(warm.output, expected.output);
     }
 
     #[test]

@@ -451,9 +451,14 @@ fn chain_text(attrs: usize) -> String {
     format!("COUNT({})", atoms.join(", "))
 }
 
-/// A query wider than the share program is sized for fails fast with a
-/// typed error the front door counts, instead of panicking its caller or
-/// planning for minutes; the widest query it does plan still answers.
+/// The offset of the 17th attribute, `v16`, in `chain_text(attrs)`.
+fn seventeenth_attr(text: &str) -> usize {
+    text.find("v16").expect("a chain of 17 attributes or more")
+}
+
+/// A query wider than [`MAX_ATTRS`] fails fast at parse with a typed error
+/// the front door counts, instead of panicking its caller or planning for
+/// minutes; the widest query it does take still answers.
 #[test]
 fn wide_queries_are_refused_before_planning() {
     // A path graph with skips: walks of every length, few of them.
@@ -463,19 +468,21 @@ fn wide_queries_are_refused_before_planning() {
         adj: AdjConfig { cluster: ClusterConfig::with_workers(2), ..Default::default() },
         ..Default::default()
     });
-    // One database holding every edge relation the widest chain names.
-    let (widest, _, _) = parse_query_with_mode(&chain_text(64)).unwrap();
+    // One database holding every edge relation the widest chain it takes
+    // names; the wider ones fail before any relation is looked up.
+    let (widest, _, _) = parse_query_with_mode(&chain_text(16)).unwrap();
     service.register_database("chain", widest.instantiate(&g));
 
     for (failed, attrs) in [17usize, 32, 64].into_iter().enumerate() {
+        let text = chain_text(attrs);
         let started = std::time::Instant::now();
-        let err = service.execute_text("chain", &chain_text(attrs)).unwrap_err();
+        let err = service.execute_text("chain", &text).unwrap_err();
         assert!(started.elapsed() < std::time::Duration::from_secs(1), "{attrs} attributes");
-        let refused = adj::relational::Error::BudgetExceeded {
-            what: "attributes per planned query",
-            limit: 16,
-        };
-        assert!(matches!(&err, ServiceError::Exec(e) if *e == refused), "{attrs}: {err:?}");
+        assert!(
+            matches!(&err, ServiceError::Parse { offset, message, .. }
+                if *offset == seventeenth_attr(&text) && message.contains("too many attributes")),
+            "{attrs}: {err:?}"
+        );
         assert_eq!(service.metrics().queries_failed, failed as u64 + 1);
     }
 
@@ -491,4 +498,27 @@ fn wide_queries_are_refused_before_planning() {
     let out = service.execute_text("chain", &chain_text(16)).unwrap();
     assert_eq!(out.output, QueryOutput::Count(walks.iter().sum()));
     assert_eq!(service.metrics().queries_failed, 3);
+}
+
+/// One attribute limit, checked where attributes enter: a programmatic
+/// schema naming attribute 16 and a 17-attribute query text both get a
+/// typed error, and each door counts one failure.
+#[test]
+fn a_seventeenth_attribute_is_refused_at_every_door() {
+    let refused = adj::relational::Error::BudgetExceeded { what: "attribute ids", limit: 16 };
+    assert_eq!(Schema::new(vec![Attr(0), Attr(16)]), Err(refused));
+    assert!(Schema::new(vec![Attr(0), Attr(15)]).is_ok());
+
+    let service = Service::new(ServiceConfig::default());
+    let g = Relation::from_pairs(Attr(0), Attr(1), &[(0, 1), (1, 2)]);
+    let (narrow, _, _) = parse_query_with_mode(&chain_text(16)).unwrap();
+    service.register_database("chain", narrow.instantiate(&g));
+    let text = chain_text(17);
+    let parse_error = |err: &ServiceError| matches!(err, ServiceError::Parse { offset, .. } if *offset == seventeenth_attr(&text));
+    let err = service.execute_text("chain", &text).unwrap_err();
+    assert!(parse_error(&err), "execute_text: {err:?}");
+    assert_eq!(service.metrics().queries_failed, 1);
+    let err = service.explain_text("chain", &text).unwrap_err();
+    assert!(parse_error(&err), "explain_text: {err:?}");
+    assert_eq!(service.metrics().queries_failed, 2);
 }

@@ -74,7 +74,7 @@ fn shuffle(cluster: &Cluster, shape: PaperQuery, out: &ServiceOutcome) -> Result
     let q = paper_query(shape);
     let names: Vec<String> = q.atoms.iter().map(|a| a.name.clone()).collect();
     let db = q.instantiate(&graph());
-    let plan = HCubePlan::new(out.report.share.clone(), cluster.num_workers());
+    let plan = HCubePlan::new(out.report.share.to_vec(), cluster.num_workers());
     hcube_shuffle(cluster, &db, &names, &plan, &out.plan.order, HCubeImpl::Merge)
 }
 
@@ -342,7 +342,7 @@ fn the_cluster_config_alone_selects_the_transport() {
     assert_eq!(service.cluster().comm().snapshot(), (0, 0, 0, 0), "serving never routes");
     let db = q.instantiate(&graph());
     let names: Vec<String> = q.atoms.iter().map(|a| a.name.clone()).collect();
-    let plan = HCubePlan::new(cold.report.share.clone(), 2);
+    let plan = HCubePlan::new(cold.report.share.to_vec(), 2);
     let routed =
         hcube_shuffle(service.cluster(), &db, &names, &plan, &cold.plan.order, HCubeImpl::Pull);
     assert!(
