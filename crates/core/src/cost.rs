@@ -32,7 +32,7 @@ use adj_hcube::{solve_share, ShareInput, ShareSolution};
 use adj_query::lp::solve_min_max;
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::hash::FxHashMap;
-use adj_relational::{Attr, Database, Result, Trie, Value};
+use adj_relational::{Attr, Database, Error, Levels, Result, Trie, Value};
 use adj_sampling::{
     connected_order, detect_heavy_hitters, val_a, CardinalityEstimate, Sampler, SamplingConfig,
     SkewConfig, SkewProfile,
@@ -407,6 +407,20 @@ impl<'a> CostEstimator<'a> {
         cache.stats.share_solves += 1;
         cache.comm.insert(c_mask, solved.clone());
         solved
+    }
+
+    /// The share vector `costC` solved for pre-compute set `c_mask` — the
+    /// one a plan that pre-computes `c_mask` is priced under — or the typed
+    /// error when no share vector satisfies the memory budget.
+    pub(crate) fn share(&self, c_mask: u64) -> Result<Levels<u32>> {
+        let (_, p) = self.cost_c(c_mask);
+        if p.is_empty() {
+            return Err(Error::BudgetExceeded {
+                what: "no feasible HCube share vector under memory budget",
+                limit: self.memory_limit_bytes.unwrap_or(0),
+            });
+        }
+        Ok(p.into_iter().collect())
     }
 
     /// `costM(Rv)`: pre-computing seconds for bag `node` — shuffle λ(v)'s

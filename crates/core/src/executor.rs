@@ -23,13 +23,15 @@
 //! unbound join's first-attribute values, a bound call's or batch's sorted
 //! bindings — in morsels claimed from one atomic cursor ([`Morsels`]). No
 //! level above a morsel is walked twice, so the per-level counters are the
-//! same at every width. The plan's HCube share still prices each round:
-//! the report's `comm_tuples` is what the share would route.
+//! same at every width. The HCube share the optimizer priced the plan
+//! under ([`QueryPlan::share`]) still prices each round: the report's
+//! `comm_tuples` is what that share would route. An execution reads the
+//! share and solves no share program of its own.
 //!
 //! A warm execution pays for its join and little else. Each round of a
-//! plan — its share grid, its relations' layouts and index keys, and the
-//! layout of the join over its tries — is prepared once and kept on the
-//! plan, so a fully warm round only looks its keys up in the index cache.
+//! plan — its relations' layouts and index keys, and the layout of the
+//! join over its tries — is prepared once and kept on the plan, so a fully
+//! warm round only looks its keys up in the index cache.
 //! The buffers the join needs are lent by the executing [`Adj`]'s
 //! [`ScratchPool`](crate::ScratchPool).
 
@@ -38,10 +40,8 @@ use crate::scratch::{Claimed, Lent, Scratch, KEPT_ROW_VALUES};
 use crate::Adj;
 use adj_cluster::Cluster;
 use adj_faults::{CancelToken, FaultSite};
-use adj_hcube::{
-    index_round, optimize_share, ExecCtx, HCubePlan, IndexRound, RoundLayout, RoundOutput,
-    ShareInput, ShuffleReport,
-};
+use adj_hcube::share::dup_factor;
+use adj_hcube::{index_round, ExecCtx, IndexRound, RoundLayout, RoundOutput, ShuffleReport};
 use adj_leapfrog::{
     BatchWalk, CountSplit, JoinCounters, JoinLayout, LeapfrogJoin, Morsels, Shared, Sinks,
 };
@@ -187,8 +187,8 @@ pub struct ExecutionReport {
     /// Leapfrog seconds (measured makespan over workers).
     pub computation_secs: f64,
     /// Residual wall-clock seconds of the execution not attributed to the
-    /// three in-execution phases above: binding resolution, share
-    /// optimization, gather, and output shaping. Clamped at 0 — the
+    /// three in-execution phases above: binding resolution, round
+    /// preparation, gather, and output shaping. Clamped at 0 — the
     /// communication phase mixes *modeled* α-seconds into a measured wall,
     /// so the identity can overshoot when the model dominates. With this
     /// residual, [`ExecutionReport::total_secs`] accounts for the whole
@@ -204,13 +204,9 @@ pub struct ExecutionReport {
     pub precompute_tuples: u64,
     /// Result cardinality.
     pub output_tuples: u64,
-    /// The share vector `p` the plan solved for the final round, one share
-    /// per attribute id.
+    /// The share vector `p` the plan was priced under
+    /// ([`QueryPlan::share`]), one share per attribute id.
     pub share: Levels<u32>,
-    /// Share programs this execution solved itself, over its bag rounds and
-    /// the final round; a round whose share came from the plan's memo of
-    /// earlier executions counts 0.
-    pub share_solves: u64,
     /// Aggregated Leapfrog counters across workers.
     pub counters: JoinCounters,
     /// Measured seconds spent building trie indexes (across the
@@ -279,10 +275,8 @@ impl ExecutionReport {
             .max(0.0);
     }
 
-    /// Folds one round's share solve and index build/reuse split into the
-    /// report.
-    fn absorb_shuffle(&mut self, shuffle: &ShuffleReport, share_reused: bool) {
-        self.share_solves += u64::from(!share_reused);
+    /// Folds one round's index build/reuse split into the report.
+    fn absorb_shuffle(&mut self, shuffle: &ShuffleReport) {
         self.index_build_secs += shuffle.build_secs;
         self.index_relations_built += shuffle.built_relations;
         self.index_relations_reused += shuffle.reused_relations;
@@ -699,9 +693,9 @@ fn gather_rows(workers: &mut Joined<'_>, n: usize, limit: usize, width: usize) -
 ///
 /// The bound values reach exactly one layer, **Leapfrog**. Everything
 /// before the join runs once for the whole slice, as for the unbound
-/// query: the share program, the bag rounds and the index round never see
-/// a binding, so every binding of a shape, any batch of them and the plain
-/// query join over one cached, patchable index family. The join runs over
+/// query: the bag rounds and the index round never see a binding, so
+/// every binding of a shape, any batch of them and the plain query join
+/// over one cached, patchable index family. The join runs over
 /// one trie per relation that every worker shares, and the workers divide
 /// its **driver** in morsels of [`MORSEL_ROWS`](adj_leapfrog::MORSEL_ROWS)
 /// rows claimed from one atomic cursor ([`Morsels`]), each worker
@@ -763,10 +757,8 @@ fn gather_rows(workers: &mut Joined<'_>, n: usize, limit: usize, width: usize) -
 /// ([`adj_cluster::WorkerFailure`]) and surface as
 /// [`Error::WorkerPanicked`].
 ///
-/// **`ctx.tracer`** records a `precompute` span per bag round, a
-/// `share_solve` span before each round whose share program this execution
-/// solved (a reused share is a `share_reused` arg on the `shuffle` span
-/// instead), the index round's own spans (see [`index_round`]), a
+/// **`ctx.tracer`** records a `precompute` span per bag round, the index
+/// round's own spans (see [`index_round`]), a
 /// `computation` span over the worker dispatch with one `join` span per
 /// worker lane (annotated with that worker's per-level tuples and probes,
 /// output tuples, trie-operation counts, dance gallops, table probes,
@@ -784,7 +776,7 @@ pub fn execute_plan(
     let t_exec = Instant::now();
     let (cluster, config, pool) = (adj.cluster(), adj.config(), adj.scratch());
     let (cancel, tracer) = (&ctx.cancel, &ctx.tracer);
-    let mut report = ExecutionReport::default();
+    let mut report = ExecutionReport { share: plan.share, ..Default::default() };
     let Some(first) = bindings.first() else {
         return Ok((Vec::new(), report));
     };
@@ -806,7 +798,7 @@ pub fn execute_plan(
 
     // `LIMIT 0` is a complete answer by definition: the empty relation over
     // the plan's schema. Short-circuit before any admission-charged work —
-    // no share optimization, no index round, no worker dispatch.
+    // no index round, no worker dispatch.
     if mode == OutputMode::Limit(0) {
         let empty = shape_output(mode, &plan.order, Vec::new(), 0)?;
         report.close(t_exec);
@@ -1057,25 +1049,13 @@ fn prepare_round(
     // ── Phase 2 + 3: final one-round join over the rewritten query. Its
     // base relations are keyed in the index cache; the bags in the overlay
     // are not.
-    let spec = RoundSpec {
-        atom: |i: usize| plan.relations[i].name(&plan.query),
-        len: plan.relations.len(),
-        overlay: &bag_overlay,
-        order: &plan.order,
-        num_attrs: plan.query.num_attrs(),
-    };
-    let (round, share_reused) = round_for(plan, db, &spec, cluster, ctx)?;
-    report.share = round.hplan.share().iter().copied().collect();
-    let index = IndexRound {
-        layout: &round.layout,
-        plan: &round.hplan,
-        overlay: &bag_overlay,
-        share_reused,
-    };
+    let names = plan.relations.iter().map(|r| r.name(&plan.query));
+    let round = round_for(plan, db, names, &bag_overlay, &plan.order, ctx)?;
+    let index = IndexRound { layout: &round.layout, share: &plan.share, overlay: &bag_overlay };
     let indexed = index_round(cluster, db, &index, ctx)?;
     report.comm_tuples = indexed.report.tuples;
     report.communication_secs = indexed.report.comm_and_build_secs();
-    report.absorb_shuffle(&indexed.report, share_reused);
+    report.absorb_shuffle(&indexed.report);
     // A count by bags also reads the relations its bags take in orders of
     // their own: index entries of their own, cached and patched like every
     // other.
@@ -1084,12 +1064,11 @@ fn prepare_round(
             let out = if reordered.relations().len() == 0 {
                 RoundOutput { tries: Vec::new(), report: ShuffleReport::default() }
             } else {
-                let index = IndexRound { layout: reordered, share_reused: true, ..index };
-                index_round(cluster, db, &index, ctx)?
+                index_round(cluster, db, &IndexRound { layout: reordered, ..index }, ctx)?
             };
             report.comm_tuples += out.report.tuples;
             report.communication_secs += out.report.comm_and_build_secs();
-            report.absorb_shuffle(&out.report, true);
+            report.absorb_shuffle(&out.report);
             Some(out)
         }
         _ => None,
@@ -1101,8 +1080,7 @@ fn prepare_round(
 /// member atoms. The round consults the index cache (bag members are base
 /// relations, so their tries are shared with every other query touching
 /// them); the bag itself is this execution's. Pre-compute seconds and
-/// tuples, the index build/reuse split and the share solve accumulate into
-/// `report`.
+/// tuples and the index build/reuse split accumulate into `report`.
 fn precompute_bag(
     adj: &Adj,
     db: &Database,
@@ -1126,23 +1104,15 @@ fn precompute_bag(
     if bag_span.is_recording() {
         bag_span.detail(names.join(","));
     }
-    let spec = RoundSpec {
-        atom: |i: usize| names[i],
-        len: names.len(),
-        overlay: &[],
-        order: &order,
-        num_attrs: order.iter().map(|a| a.index() + 1).max().unwrap_or(1),
-    };
-    let (round, share_reused) = round_for(plan, db, &spec, cluster, ctx)?;
-    let index =
-        IndexRound { layout: &round.layout, plan: &round.hplan, overlay: &[], share_reused };
+    let round = round_for(plan, db, names.iter().copied(), &[], &order, ctx)?;
+    let index = IndexRound { layout: &round.layout, share: &plan.share, overlay: &[] };
     let indexed = index_round(cluster, db, &index, ctx)?;
-    report.absorb_shuffle(&indexed.report, share_reused);
+    report.absorb_shuffle(&indexed.report);
     // The bag is computed again by every execution, so its round is priced
-    // whole: what the share routes for every member, warm or cold.
+    // whole: what the plan's share routes for every member, warm or cold.
     let induced = round.layout.induced_schemas();
     let tuples: u64 = (indexed.tries.iter().zip(induced))
-        .map(|(trie, schema)| trie.tuples() as u64 * round.hplan.dup_factor(schema))
+        .map(|(trie, schema)| trie.tuples() as u64 * dup_factor(&plan.share, schema.mask()))
         .sum();
     let join = LeapfrogJoin::with_layout(Arc::clone(&round.join), indexed.tries)?;
     let values = join.first_values();
@@ -1182,119 +1152,41 @@ fn precompute_bag(
     Ok(Arc::new(result))
 }
 
-/// One round as the plan describes it: relation `i < len` is named
-/// `atom(i)` and resolved in `overlay` before the database; its tries
-/// follow `order`; its share program spans `num_attrs` attributes.
-struct RoundSpec<'a, F> {
-    atom: F,
-    len: usize,
-    overlay: &'a [(String, Arc<Relation>)],
-    order: &'a [Attr],
-    num_attrs: usize,
-}
-
-impl<'a, F: Fn(usize) -> &'a str> RoundSpec<'a, F> {
-    /// Each relation's name, in round order.
-    fn atoms(&self) -> impl ExactSizeIterator<Item = &'a str> + '_ {
-        (0..self.len).map(&self.atom)
-    }
-
-    /// The share program's view of relation `i`: its attribute mask and
-    /// its size, quantized to the next power of two. The program wants
-    /// coarse cardinalities, not exact counts: quantizing keeps the chosen
-    /// share stable while a relation grows or shrinks within its bucket, so
-    /// the share — and with it `report.share`, which the benchmark
-    /// harness's plan digest covers, and `comm_tuples` — stays put instead
-    /// of flipping on a near tie between equal-cost share vectors.
-    fn bucket(&self, db: &Database, i: usize) -> Result<(u64, usize)> {
-        let name = (self.atom)(i);
-        let r = match self.overlay.iter().find(|(n, _)| n == name) {
-            Some((_, rel)) => rel.as_ref(),
-            None => db.get(name)?,
-        };
-        Ok((r.schema().mask(), r.len().next_power_of_two()))
-    }
-
-    /// The round's share program on `cluster`.
-    fn share_input(&self, db: &Database, cluster: &Cluster) -> Result<ShareInput> {
-        Ok(ShareInput {
-            num_attrs: self.num_attrs,
-            relations: (0..self.len).map(|i| self.bucket(db, i)).collect::<Result<_>>()?,
-            num_workers: cluster.num_workers(),
-            memory_limit_bytes: cluster.config().memory_limit_bytes,
-            bytes_per_value: 4,
-            hot: Vec::new(),
-            require_exact_product: false,
-            // Bindings reach only Leapfrog: the grid is the unbound query's.
-            bound_mask: 0,
-        })
-    }
-
-    /// Whether `input` is this round's share program on `cluster` now —
-    /// what [`RoundSpec::share_input`] would build — without building it.
-    fn is_input(&self, input: &ShareInput, db: &Database, cluster: &Cluster) -> bool {
-        input.num_attrs == self.num_attrs
-            && input.num_workers == cluster.num_workers()
-            && input.memory_limit_bytes == cluster.config().memory_limit_bytes
-            && input.relations.len() == self.len
-            && (0..self.len).all(|i| self.bucket(db, i).ok() == Some(input.relations[i]))
-    }
-}
-
-/// The round `spec` describes, as the plan's executions prepared it — the
-/// share grid for the relations' *actual* sizes, the relations' layout and
-/// index keys under `ctx`'s scope, the join's layout — and whether the share
-/// came from the plan's memo (`true`) or was solved by this call.
+/// The round over the relations `names` (each resolved in `overlay`
+/// before the database) as tries in the orders `order` induces, as the
+/// plan's executions prepared it: the relations' layout and index keys
+/// under `ctx`'s scope, and the join's layout.
 ///
 /// A warm execution finds its round kept in the plan's round memo and
-/// builds nothing: the check reads the relations' sizes,
-/// names and delta sequences in place. Equal sizes, width and budget give
-/// the same optimum whatever the call, so a plan solves each of its rounds
-/// once per distinct input; a round whose scope moved on keeps its share
-/// and is keyed again. A solve is put on the timeline as a `share_solve`
-/// span on the coordinator lane.
-fn round_for<'a, F: Fn(usize) -> &'a str>(
+/// builds nothing: the check reads the relations' names and delta
+/// sequences in place. A round whose scope moved on is keyed again.
+fn round_for<'a>(
     plan: &QueryPlan,
     db: &Database,
-    spec: &RoundSpec<'a, F>,
-    cluster: &Cluster,
+    names: impl ExactSizeIterator<Item = &'a str> + Clone,
+    overlay: &[(String, Arc<Relation>)],
+    order: &[Attr],
     ctx: &ExecCtx<'_>,
-) -> Result<(Arc<Round>, bool)> {
-    let kept = plan.rounds.find(|r| {
-        r.layout.same_relations(spec.atoms())
-            && r.layout.stamped_for(ctx.index)
-            && spec.is_input(&r.input, db, cluster)
-    });
+) -> Result<Arc<Round>> {
+    let kept = plan
+        .rounds
+        .find(|r| r.layout.same_relations(names.clone()) && r.layout.stamped_for(ctx.index));
     if let Some(round) = kept {
-        debug_assert_eq!(
-            optimize_share(&round.input).ok().as_deref(),
-            Some(round.hplan.share()),
-            "memoized share went stale"
-        );
-        return Ok((round, true));
+        return Ok(round);
     }
-    let input = spec.share_input(db, cluster)?;
-    let (share, reused) = match plan.rounds.share(&input) {
-        Some(share) => (share, true),
-        None => {
-            let _span = ctx.tracer.span(COORDINATOR_LANE, "share_solve");
-            (optimize_share(&input)?, false)
-        }
-    };
-    let hplan = HCubePlan::new(share, input.num_workers);
-    let names: Vec<String> = spec.atoms().map(str::to_string).collect();
-    let layout = RoundLayout::new(db, spec.overlay, &names, spec.order, ctx.index)?;
-    let join = Arc::new(JoinLayout::new(spec.order, layout.induced_schemas())?);
-    let counted = match CountSplit::new(spec.order, layout.induced_schemas()) {
+    let names: Vec<String> = names.map(str::to_string).collect();
+    let layout = RoundLayout::new(db, overlay, &names, order, ctx.index)?;
+    let join = Arc::new(JoinLayout::new(order, layout.induced_schemas())?);
+    let counted = match CountSplit::new(order, layout.induced_schemas()) {
         Some(split) => {
-            let reordered = layout.reordered(db, spec.overlay, split.reindexed(), ctx.index)?;
+            let reordered = layout.reordered(db, overlay, split.reindexed(), ctx.index)?;
             Some(CountedRound { split, reordered })
         }
         None => None,
     };
-    let round = Arc::new(Round { input, hplan, layout, join, counted });
+    let round = Arc::new(Round { layout, join, counted });
     plan.rounds.keep(Arc::clone(&round));
-    Ok((round, reused))
+    Ok(round)
 }
 
 #[cfg(test)]
@@ -1474,14 +1366,10 @@ mod tests {
         let t = truth(&db, &q);
         assert_eq!(out.rows().len(), t.len());
 
-        // Each bag round and the final round are programs of their own: all
-        // solved by the first execution, all reused by the second — which,
-        // as every execution does, runs every round again.
-        assert_eq!(report.share_solves, plan.precompute.len() as u64 + 1);
+        // A second execution runs every round again, under the same share.
         let (again, rerun) = run(&db, &plan, &cfg, OutputMode::Rows).unwrap();
         assert_eq!(rerun.precompute_tuples, report.precompute_tuples, "the bag rounds ran");
-        assert_eq!(rerun.share_solves, 0);
-        assert_eq!(rerun.share, report.share);
+        assert_eq!((rerun.share, report.share), (plan.share, plan.share));
         assert_eq!(again, out);
     }
 
@@ -1577,50 +1465,36 @@ mod tests {
     }
 
     #[test]
-    fn round_for_uses_actual_sizes_and_keeps_the_round() {
+    fn round_for_keeps_the_round_and_rekeys_a_moved_scope() {
         let q = paper_query(PaperQuery::Q1);
         let db = db_for(&q, 100, 23);
         let cfg = AdjConfig { cluster: ClusterConfig::with_workers(8), ..Default::default() };
-        let cluster = Cluster::new(cfg.cluster.clone());
         let plan = optimize(&q, &db, &cfg, Strategy::CommFirst).unwrap();
-        let spec = RoundSpec {
-            atom: |i: usize| plan.relations[i].name(&plan.query),
-            len: plan.relations.len(),
-            overlay: &[],
-            order: &plan.order,
-            num_attrs: 3,
-        };
+        let names = || plan.relations.iter().map(|r| r.name(&plan.query));
+        let round_in = |ctx: &ExecCtx<'_>| round_for(&plan, &db, names(), &[], &plan.order, ctx);
         let cold = ExecCtx::default();
-        let (round, reused) = round_for(&plan, &db, &spec, &cluster, &cold).unwrap();
-        assert!(!reused, "a fresh plan has solved nothing yet");
-        assert_eq!(round.hplan.share().len(), 3);
-        assert!(round.hplan.num_cubes() >= 8);
-        // The same round again is the kept one: nothing solved or built.
-        let (again, reused) = round_for(&plan, &db, &spec, &cluster, &cold).unwrap();
-        assert!(reused && Arc::ptr_eq(&round, &again), "the kept round, not a new one");
-        // Under an index scope the round is keyed, its share reused; a
-        // mutated relation moves the scope on, and the round is keyed again.
+        let round = round_in(&cold).unwrap();
+        assert!(round.layout.same_relations(names()));
+        // The same round again is the kept one: nothing built.
+        let again = round_in(&cold).unwrap();
+        assert!(Arc::ptr_eq(&round, &again), "the kept round, not a new one");
+        // Under an index scope the round is keyed; a mutated relation moves
+        // the scope on, and the round is keyed again.
         let cache = IndexCache::new(1 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
         let scoped = ExecCtx { index: Some(&scope), ..Default::default() };
-        let (keyed, reused) = round_for(&plan, &db, &spec, &cluster, &scoped).unwrap();
-        assert!(reused && !Arc::ptr_eq(&round, &keyed));
-        assert_eq!(keyed.hplan, round.hplan);
-        let (kept, _) = round_for(&plan, &db, &spec, &cluster, &scoped).unwrap();
+        let keyed = round_in(&scoped).unwrap();
+        assert!(!Arc::ptr_eq(&round, &keyed));
+        let kept = round_in(&scoped).unwrap();
         assert!(Arc::ptr_eq(&keyed, &kept), "a warm round builds no keys");
         let versions = vec![("R1".to_string(), 1)];
         let moved = IndexScope { versions: &versions, ..scope };
         let mutated = ExecCtx { index: Some(&moved), ..Default::default() };
-        let (rekeyed, reused) = round_for(&plan, &db, &spec, &cluster, &mutated).unwrap();
-        assert!(reused && !Arc::ptr_eq(&keyed, &rekeyed));
+        let rekeyed = round_in(&mutated).unwrap();
+        assert!(!Arc::ptr_eq(&keyed, &rekeyed));
         assert!(
             rekeyed.layout.stamped_for(Some(&moved)) && !rekeyed.layout.stamped_for(Some(&scope))
         );
-        // ...a different width is a different program, solved afresh.
-        let narrow = Cluster::new(ClusterConfig::with_workers(2));
-        let (r2, reused) = round_for(&plan, &db, &spec, &narrow, &cold).unwrap();
-        assert!(!reused);
-        assert!(r2.hplan.num_cubes() < round.hplan.num_cubes());
     }
 
     /// Triangle with a parameterized apex: `$v` binds attribute 0.

@@ -70,6 +70,8 @@ pub fn optimize(
                 precompute: Vec::new(),
                 relations,
                 order,
+                // HCubeJ plans its share first, over the base relations.
+                share: estimator.share(0)?,
                 estimated_cost_secs: score,
                 optimization_secs: 0.0,
                 optimizer: estimator.stats(),
@@ -157,6 +159,7 @@ fn algorithm2(
         precompute,
         relations,
         order,
+        share: estimator.share(c_mask)?,
         estimated_cost_secs: accumulated,
         optimization_secs: 0.0,
         optimizer: estimator.stats(),

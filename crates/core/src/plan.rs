@@ -1,9 +1,9 @@
 //! Query plans: the `(Qi, ord)` pairs of the paper's problem statement.
 
-use adj_hcube::{HCubePlan, RoundLayout, ShareInput};
+use adj_hcube::RoundLayout;
 use adj_leapfrog::{CountSplit, JoinLayout};
 use adj_query::{GhdTree, JoinQuery};
-use adj_relational::{Attr, Schema};
+use adj_relational::{Attr, Levels, Schema};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One relation of the rewritten query `Qi`.
@@ -90,16 +90,11 @@ impl OptimizerStats {
 }
 
 /// One round of a plan (a pre-computed bag's, or the final one) as its
-/// executions run it: the share program's input and the grid solved for
-/// it, the round's layout keyed for the index scope it last ran under,
-/// the layout of the join over its tries, and how an unbound `Count` of
-/// that join is counted bag by bag, when it splits.
+/// executions run it: the round's layout keyed for the index scope it last
+/// ran under, the layout of the join over its tries, and how an unbound
+/// `Count` of that join is counted bag by bag, when it splits.
 #[derive(Debug)]
 pub(crate) struct Round {
-    /// What the share program was solved for.
-    pub(crate) input: ShareInput,
-    /// The share grid solved for `input`, at its width.
-    pub(crate) hplan: HCubePlan,
     /// The relations, their induced orders and their index keys.
     pub(crate) layout: RoundLayout,
     /// The join over the round's tries, in the round's relation order.
@@ -119,17 +114,12 @@ pub(crate) struct CountedRound {
 
 /// The rounds a plan's executions have prepared.
 ///
-/// The Shares program is a function of relation sizes, worker count and
-/// memory budget — nothing an individual call contributes — so a plan that
-/// is executed again under equal inputs takes the vector from here instead
-/// of re-enumerating the lattice; and a round's relations, keys and join
-/// layout are a function of the order and the scope's database state, so a
-/// warm execution looks its indexes up by keys built once.
-/// Inputs are compared whole, so a cluster of another width or a relation
-/// that crossed a size bucket solves afresh and a stale share cannot be
-/// returned; a round whose scope moved on (a mutation, a re-registration)
-/// keeps its share and is re-keyed. The serving layer re-keys plans on
-/// every mutation, so a plan's memo holds one round per round of the plan.
+/// A round's relations, keys and join layout are a function of the order
+/// and the scope's database state — nothing an individual call contributes
+/// — so a warm execution looks its indexes up by keys built once. A round
+/// whose scope moved on (a mutation, a re-registration) is keyed again and
+/// replaces the one it re-keys. The serving layer re-keys plans on every
+/// mutation, so a plan's memo holds one round per round of the plan.
 #[derive(Debug, Default)]
 pub(crate) struct RoundMemo {
     rounds: Mutex<Vec<Arc<Round>>>,
@@ -147,20 +137,12 @@ impl RoundMemo {
         self.rounds().iter().find(|r| fits(r)).cloned()
     }
 
-    /// The share solved for an input equal to `input`, if any.
-    pub(crate) fn share(&self, input: &ShareInput) -> Option<Vec<u32>> {
-        self.rounds().iter().find(|r| r.input == *input).map(|r| r.hplan.share().to_vec())
-    }
-
-    /// Keeps `round`, in place of the round of the same input and
-    /// relations it re-keys, if any. Two executions that raced to prepare
-    /// the same round leave one.
+    /// Keeps `round`, in place of the round over the same relations it
+    /// re-keys, if any. Two executions that raced to prepare the same round
+    /// leave one.
     pub(crate) fn keep(&self, round: Arc<Round>) {
         let mut rounds = self.rounds();
-        let same = |r: &Arc<Round>| {
-            r.input == round.input && r.layout.same_relations(round.layout.relations())
-        };
-        match rounds.iter_mut().find(|r| same(r)) {
+        match rounds.iter_mut().find(|r| r.layout.same_relations(round.layout.relations())) {
             Some(slot) => *slot = round,
             None => rounds.push(round),
         }
@@ -189,6 +171,10 @@ pub struct QueryPlan {
     pub relations: Vec<PlanRelation>,
     /// The Leapfrog attribute order `ord` (valid for `tree`).
     pub order: Vec<Attr>,
+    /// The HCube share vector `p` the plan is priced under, one share per
+    /// attribute id: the optimum `costC` solved for the chosen pre-compute
+    /// set. Every execution reports it and prices its rounds by it.
+    pub share: Levels<u32>,
     /// The optimizer's estimated total cost in seconds (for diagnostics).
     pub estimated_cost_secs: f64,
     /// Wall-clock seconds spent constructing this plan (GHD search +

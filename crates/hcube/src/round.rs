@@ -6,13 +6,14 @@
 //! cross-query [`IndexCache`](crate::IndexCache), builds the ones that miss
 //! — one relation per task across the cluster's workers — and publishes
 //! them. Every worker of the join then reads the same tries, and divides
-//! the work by morsels of the driver instead of by hypercubes. The plan's
-//! HCube share still prices the round: a cold relation reports the tuple
-//! copies the share would route for it, `|R| · dup(R, p)`, the paper's
-//! communication cost.
+//! the work by morsels of the driver instead of by hypercubes. The HCube
+//! share the plan was priced under still prices the round: a cold relation
+//! reports the tuple copies the share would route for it, `|R| · dup(R, p)`,
+//! the paper's communication cost. The round takes that share as it is and
+//! solves no share program of its own.
 
 use crate::cache::{IndexClaim, IndexKey, IndexLookup, IndexScope};
-use crate::plan::HCubePlan;
+use crate::share::dup_factor;
 use crate::shuffle::ShuffleReport;
 use adj_cluster::Cluster;
 use adj_faults::{CancelToken, FaultSite};
@@ -194,22 +195,18 @@ pub struct ExecCtx<'a> {
     pub tracer: Tracer,
 }
 
-/// One round: which relations it indexes, and the plan that prices them.
+/// One round: which relations it indexes, and the share that prices them.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexRound<'a> {
     /// The relations, their induced orders and cache keys; each must
     /// resolve in `overlay` or the database.
     pub layout: &'a RoundLayout,
-    /// The plan's share grid: what each cold relation would cost to route.
-    pub plan: &'a HCubePlan,
+    /// The share vector the plan was priced under, one share per attribute
+    /// id: what each cold relation would cost to route.
+    pub share: &'a [u32],
     /// Per-query relations (pre-computed bags) resolved before the
     /// database, so the shared database is never cloned per query.
     pub overlay: &'a [(String, Arc<Relation>)],
-    /// The caller took `plan`'s share vector from a memo instead of solving
-    /// the share program for this round; recorded as an arg of the
-    /// `shuffle` span (a solve shows as the caller's own `share_solve` span
-    /// instead).
-    pub share_reused: bool,
 }
 
 /// The result of [`index_round`]: every relation's trie, in round order —
@@ -305,7 +302,7 @@ pub fn index_round(
     round: &IndexRound<'_>,
     ctx: &ExecCtx<'_>,
 ) -> Result<RoundOutput> {
-    let IndexRound { layout, plan, overlay, share_reused } = *round;
+    let IndexRound { layout, share, overlay } = *round;
     let (scope, cancel, tracer) = (ctx.index, &ctx.cancel, &ctx.tracer);
     let mut shuffle_span = tracer.span(COORDINATOR_LANE, "shuffle");
     assert!(layout.stamped_for(scope), "round layout keyed for another index scope");
@@ -387,7 +384,7 @@ pub fn index_round(
         }
         built_relations += 1;
         let trie = built[ai].take().expect("cold relation was built");
-        tuples += trie.tuples() as u64 * plan.dup_factor(&atoms[ai].induced);
+        tuples += trie.tuples() as u64 * dup_factor(share, atoms[ai].induced.mask());
         if let Some(claim) = claims.get_mut(ai).and_then(Option::take) {
             // The trie lands in the cache and every coalesced waiter wakes
             // with it.
@@ -403,9 +400,6 @@ pub fn index_round(
         shuffle_span.arg("tuples", tuples);
         shuffle_span.arg("built_relations", built_relations);
         shuffle_span.arg("reused_relations", reused_relations);
-        if share_reused {
-            shuffle_span.arg("share_reused", 1);
-        }
     }
     drop(shuffle_span);
 
@@ -447,12 +441,14 @@ mod tests {
         order: &[Attr],
         scope: Option<&IndexScope<'_>>,
     ) -> RoundOutput {
-        let plan = HCubePlan::new(vec![2, 2, 1], cluster.num_workers());
         let layout = RoundLayout::new(db, &[], names, order, scope).unwrap();
-        let round = IndexRound { layout: &layout, plan: &plan, overlay: &[], share_reused: false };
+        let round = IndexRound { layout: &layout, share: &SHARE, overlay: &[] };
         let ctx = ExecCtx { index: scope, ..Default::default() };
         index_round(cluster, db, &round, &ctx).unwrap()
     }
+
+    /// The share every test round is priced under.
+    const SHARE: [u32; 3] = [2, 2, 1];
 
     fn order3() -> Vec<Attr> {
         vec![Attr(0), Attr(1), Attr(2)]
@@ -465,14 +461,13 @@ mod tests {
         // (c ≺ a ≺ b) reverses R2(b,c) and R3(a,c).
         let order = vec![Attr(2), Attr(0), Attr(1)];
         let out = round_in(&cluster, &db, &names, &order, None);
-        let plan = HCubePlan::new(vec![2, 2, 1], 4);
         let mut routed = 0;
         for (name, trie) in names.iter().zip(&out.tries) {
             let stored = db.get(name).unwrap();
             let induced: Vec<Attr> =
                 order.iter().copied().filter(|&a| stored.schema().contains(a)).collect();
             assert_eq!(trie.to_relation(), stored.permute(&induced).unwrap(), "{name}");
-            routed += stored.len() as u64 * plan.dup_factor(stored.schema());
+            routed += stored.len() as u64 * dup_factor(&SHARE, stored.schema().mask());
         }
         assert_eq!(out.report.tuples, routed, "a cold round reports what the share routes");
         assert_eq!((out.report.built_relations, out.report.reused_relations), (3, 0));
@@ -540,9 +535,8 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::with_workers(2));
         let cache = IndexCache::new(64 << 20);
         let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
-        let plan = HCubePlan::new(vec![2, 1, 1], 2);
         let layout = RoundLayout::new(&db, &[], &names, &order3(), Some(&scope)).unwrap();
-        let round = IndexRound { layout: &layout, plan: &plan, overlay: &[], share_reused: false };
+        let round = IndexRound { layout: &layout, share: &[2, 1, 1], overlay: &[] };
         let cancel = CancelToken::manual();
         cancel.cancel();
         let ctx = ExecCtx { index: Some(&scope), cancel, ..Default::default() };

@@ -61,8 +61,7 @@ pub struct ShareInput {
     /// attributes' vectors. When *every* attribute is masked the product
     /// requirement relaxes to 1 — a single cube is the whole answer. The
     /// optimizer sets this to a shape's bound positions when it prices
-    /// plans; the executor always passes 0, because its shuffle is
-    /// binding-independent.
+    /// plans.
     pub bound_mask: u64,
 }
 

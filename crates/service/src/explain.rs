@@ -1,6 +1,7 @@
 //! `EXPLAIN` / `EXPLAIN ANALYZE` rendering: the chosen plan as an
 //! indented text tree — hypertree bags, pre-compute set, attribute order,
-//! share vector — and, under `ANALYZE`, the measured
+//! the share vector the plan is priced under and each relation's
+//! duplication under it — and, under `ANALYZE`, the measured
 //! actuals folded in (per-phase seconds, the plan's communication cost,
 //! cache hits, per-trie-level operation counts, per-worker morsels,
 //! bindings and span times).
@@ -10,6 +11,7 @@
 //! emitters in [`crate::json`] are).
 
 use adj_core::{ExecutionReport, QueryPlan, Strategy};
+use adj_hcube::share::dup_factor;
 use adj_query::{ExplainMode, Term};
 use adj_relational::{Attr, OutputMode};
 use adj_trace::Trace;
@@ -36,10 +38,19 @@ pub fn render(
         ExplainMode::Analyze => "EXPLAIN ANALYZE",
     };
     let _ = writeln!(out, "{verb} mode={mode:?} db={db_name} strategy={strategy:?}");
+    let share: Vec<String> = plan
+        .share
+        .iter()
+        .enumerate()
+        .map(|(a, p)| format!("{}={p}", name_of(Attr(a as u32))))
+        .collect();
     let _ = writeln!(
         out,
-        "plan: fhw={:.2} estimated_cost_secs={:.6} optimization_secs={:.6}",
-        plan.tree.fhw, plan.estimated_cost_secs, plan.optimization_secs
+        "plan: fhw={:.2} estimated_cost_secs={:.6} optimization_secs={:.6} share={{{}}}",
+        plan.tree.fhw,
+        plan.estimated_cost_secs,
+        plan.optimization_secs,
+        share.join(",")
     );
     let searched: Vec<String> =
         plan.optimizer.args().iter().map(|(name, value)| format!("{name}={value}")).collect();
@@ -67,15 +78,13 @@ pub fn render(
         );
     }
 
-    // The rewritten query the final shuffle moves and Leapfrog joins.
+    // The rewritten query the final shuffle moves and Leapfrog joins, each
+    // relation with the copies the share makes of its tuples.
     let _ = writeln!(out, "shuffle relations:");
-    for (ri, rel) in plan.relations.iter().enumerate() {
-        let schema: Vec<String> =
-            rel.schema(&plan.query).attrs().iter().map(|&a| name_of(a)).collect();
-        let share = actuals
-            .and_then(|(r, _)| r.share.get(ri))
-            .map(|s| format!(" share={s}"))
-            .unwrap_or_default();
+    for rel in &plan.relations {
+        let schema = rel.schema(&plan.query);
+        let dup = dup_factor(&plan.share, schema.mask());
+        let schema: Vec<String> = schema.attrs().iter().map(|&a| name_of(a)).collect();
         match rel {
             adj_core::PlanRelation::Base(ai) => {
                 let atom = &plan.query.atoms[*ai];
@@ -89,14 +98,14 @@ pub fn render(
                         Term::Param(p) => format!("${p}"),
                     })
                     .collect();
-                let _ = writeln!(out, "  {}({}) kind=base{share}", atom.name, terms.join(","));
+                let _ = writeln!(out, "  {}({}) kind=base dup={dup}", atom.name, terms.join(","));
             }
             adj_core::PlanRelation::Precomputed { node, name, atoms, .. } => {
                 let joined: Vec<&str> =
                     atoms.iter().map(|&e| plan.query.atoms[e].name.as_str()).collect();
                 let _ = writeln!(
                     out,
-                    "  {name}({}) kind=precomputed bag={node} joins={{{}}}{share}",
+                    "  {name}({}) kind=precomputed bag={node} joins={{{}}} dup={dup}",
                     schema.join(","),
                     joined.join(","),
                 );
@@ -251,5 +260,40 @@ mod tests {
         let counted = explain(OutputMode::Count);
         assert!(counted.contains("\ncounted {a,b,c} ⊗ {a,c,d} on {a,c}\n"), "{counted}");
         assert!(!explain(OutputMode::Rows).contains("counted"), "rows are enumerated");
+    }
+
+    #[test]
+    fn each_relation_prints_its_duplication_under_the_plan_share() {
+        let g = Relation::from_pairs(
+            Attr(0),
+            Attr(1),
+            &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 0), (1, 3), (2, 0)],
+        );
+        let shapes = [
+            ("R1(a,b), R2(b,c), R3(a,c)", PaperQuery::Q1),
+            ("R1(a,b), R2(b,c), R3(c,d), R4(d,a)", PaperQuery::Q8),
+        ];
+        for (text, shape) in shapes {
+            let (q, names) = parse_query(text).unwrap();
+            let db = paper_query(shape).instantiate(&g);
+            for strategy in [Strategy::CoOptimize, Strategy::CommFirst] {
+                let plan = Adj::with_workers(2).plan(&q, &db, strategy).unwrap();
+                let explain = ExplainMode::Plan;
+                let out = render(&plan, &names, "g", strategy, OutputMode::Rows, explain, None);
+                // The plan line names the share by attribute.
+                let share: Vec<String> =
+                    plan.share.iter().zip(&names).map(|(p, n)| format!("{n}={p}")).collect();
+                assert!(out.contains(&format!(" share={{{}}}\n", share.join(","))), "{out}");
+                // Each relation line carries its duplication under it.
+                let dups: Vec<u64> = (out.lines().filter_map(|l| l.split(" dup=").nth(1)))
+                    .map(|d| d.parse().unwrap())
+                    .collect();
+                let want: Vec<u64> = (plan.relations.iter())
+                    .map(|r| dup_factor(&plan.share, r.schema(&plan.query).mask()))
+                    .collect();
+                assert_eq!(dups, want, "{out}");
+                assert!(want.iter().any(|&d| d > 1), "two workers copy some relation: {out}");
+            }
+        }
     }
 }

@@ -174,7 +174,6 @@ impl MetricsSnapshot {
             .u64("index_relations_reused", self.index_relations_reused)
             .u64("queries_prepared", self.queries_prepared)
             .u64("params_bound", self.params_bound)
-            .u64("share_solves", self.share_solves)
             .u64("max_partition_tuples", self.max_partition_tuples)
             .f64("mean_partition_tuples", self.mean_partition_tuples)
             .u64("queries_traced", self.queries_traced)
@@ -215,7 +214,6 @@ pub fn execution_report_json(r: &ExecutionReport) -> String {
         .u64("precompute_tuples", r.precompute_tuples)
         .u64("output_tuples", r.output_tuples)
         .raw("share", array_u64(&r.share.iter().map(|&s| s as u64).collect::<Vec<_>>()))
-        .u64("share_solves", r.share_solves)
         .u64("index_relations_built", r.index_relations_built)
         .u64("index_relations_reused", r.index_relations_reused)
         .raw("worker_tuples", array_u64(&r.worker_tuples));
@@ -267,7 +265,6 @@ mod tests {
         let json = m.to_json();
         assert!(json.contains("\"queries_ok\":3"));
         assert!(json.contains("\"by_mode\":{"));
-        assert!(json.contains("\"share_solves\":0"));
         assert!(json.contains("\"worker_panics_caught\":0"));
         assert!(json.contains("\"queries_deadline_exceeded\":0"));
         assert!(json.contains("\"queries_cancelled\":0"));

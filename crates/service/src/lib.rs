@@ -20,8 +20,8 @@
 //!   inline literals like `R1(7,b)` work too) once, and
 //!   [`Service::execute_bound`] serves each binding through the same
 //!   cached plan and the same warm index family the unbound query uses:
-//!   the share program and the shuffle never see a binding, only Leapfrog
-//!   does, seeking the bound constants.
+//!   the bag rounds and the index round never see a binding, only
+//!   Leapfrog does, seeking the bound constants.
 //! * the plan cache — an LRU [`Cache`](adj_relational::cache::Cache) of
 //!   optimized plans keyed by the canonical
 //!   [`QueryFingerprint`](adj_query::QueryFingerprint) plus the target

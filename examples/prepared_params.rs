@@ -64,10 +64,7 @@ fn main() {
     println!("malformed text -> {err}");
 
     let m = service.metrics();
-    println!(
-        "\nprepared statements: {} | params bound: {} | share programs solved: {}",
-        m.queries_prepared, m.params_bound, m.share_solves
-    );
+    println!("\nprepared statements: {} | params bound: {}", m.queries_prepared, m.params_bound);
     let stats = service.stats();
     println!(
         "plan cache: {:.1}% hits | index cache: {:.1}% hits",

@@ -15,11 +15,10 @@
 //!   first ones over 200 repetitions, so the lent scratch neither leaks nor
 //!   grows per call.
 //!
-//! Debug builds re-solve the share program in the executor's
-//! `debug_assert` on every call (and the plan lookup's key check erases the
-//! query), so the budget is asserted only in release builds (`cargo test
-//! --release --test alloc_budget`); debug builds assert only the absence of
-//! growth. A failure prints the counts.
+//! Debug builds erase the query in the plan lookup's key check
+//! (a `debug_assert`) on every call, so the budget is asserted only in
+//! release builds (`cargo test --release --test alloc_budget`); debug
+//! builds assert only the absence of growth. A failure prints the counts.
 //!
 //! Reading a failure: the budget counts, per Rows call, ten allocations —
 //! the resolved binding, the deadline token, the round's relation handles,

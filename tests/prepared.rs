@@ -6,8 +6,8 @@
 //! plan-search strategies, and all four output modes. On top of
 //! correctness, the serving contract: `execute_bound`, `execute_batch` and
 //! the unbound query answer from one index family — a bound call after the
-//! first shuffles nothing, builds nothing and solves no share program, also
-//! across mutations and re-registration — and bound executions never
+//! first shuffles nothing and builds nothing, also across mutations and
+//! re-registration — and bound executions never
 //! pollute the shared cache entries.
 
 use adj::prelude::*;
@@ -327,54 +327,6 @@ fn bound_batch_and_filtered_unbound_agree_through_mutation_and_reregistration() 
             }
         }
     }
-}
-
-#[test]
-fn the_share_program_is_solved_once_per_plan_and_width() {
-    let unbound = paper_query(PaperQuery::Q1);
-    let (q, _) = parse_query("Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
-    let serving = |num_workers: usize| {
-        let service = Service::new(ServiceConfig {
-            adj: AdjConfig {
-                cluster: ClusterConfig::with_workers(num_workers),
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        service.register_database("g", unbound.instantiate(&graph()));
-        let prepared = service.prepare("g", &q).unwrap();
-        (service, prepared)
-    };
-    let (service, prepared) = serving(2);
-    let call = |v: u32| {
-        service.execute_bound(&prepared, &Bindings::new().set("v", v), OutputMode::Count).unwrap()
-    };
-
-    let solves: Vec<u64> = (0..64).map(|v| call(v).report.share_solves).collect();
-    assert_eq!(solves[0], 1, "the first execution of the plan solves its share");
-    assert!(solves[1..].iter().all(|&s| s == 0), "later calls re-solved: {solves:?}");
-    assert_eq!(service.metrics().share_solves, 1);
-
-    // A mutation re-keys the plan: the new entry solves once, then reuses.
-    service.mutate("g", &MutationBatch::new("R2").insert(&[1, 30])).unwrap();
-    assert_eq!(call(1).report.share_solves, 1);
-    assert_eq!(call(2).report.share_solves, 0);
-    assert_eq!(service.metrics().share_solves, 2);
-
-    // Another width is another program: a second service sharing nothing
-    // solves its own once, and the first one's answer is still there.
-    let (wide, wide_prepared) = serving(4);
-    let wide_call = |v: u32| {
-        let b = Bindings::new().set("v", v);
-        wide.execute_bound(&wide_prepared, &b, OutputMode::Count).unwrap()
-    };
-    let first = wide_call(3);
-    assert_eq!(first.report.share_solves, 1);
-    assert_eq!(first.report.share.iter().product::<u32>(), 4);
-    assert_eq!(wide_call(4).report.share_solves, 0);
-    assert_eq!(first.output, call(3).output, "the answer is width-independent");
-    assert_eq!(call(5).report.share_solves, 0);
-    assert_eq!(service.metrics().share_solves, 2);
 }
 
 #[test]

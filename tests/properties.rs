@@ -7,10 +7,13 @@
 //! failure reproduces by re-running the test.
 
 use adj::prelude::{
-    paper_query, AdjConfig, Attr, BoundValues, Cluster, ClusterConfig, Database, ExecCtx,
-    JoinQuery, OutputMode, PaperQuery, QueryOutput, Relation, Sampler, SamplingConfig, Schema,
-    Strategy, Value,
+    paper_query, parse_query, AdjConfig, Attr, Bindings, BoundValues, Cluster, ClusterConfig,
+    Database, ExecCtx, ExecutionReport, JoinQuery, OutputMode, PaperQuery, QueryOutput, QueryPlan,
+    QueryTrace, Relation, Sampler, SamplingConfig, Schema, Service, ServiceConfig, Strategy,
+    TraceSettings, Value,
 };
+use adj_core::PlanRelation;
+use adj_hcube::share::dup_factor;
 use adj_leapfrog::reference::plain_leapfrog;
 use adj_leapfrog::{JoinCounters, JoinScratch, LeapfrogJoin};
 use adj_query::order::{all_orders, is_valid_order, valid_orders};
@@ -969,6 +972,203 @@ fn count_is_the_row_count_and_exists_is_count_positive_under_every_valid_order()
         }
     });
     assert!(split > 0 && split < orders, "{split} of {orders} orders split");
+}
+
+/// `q`'s body as query text, attribute `x` written `name(x)`.
+fn body_text(q: &JoinQuery, name: impl Fn(Attr) -> String) -> String {
+    let atoms: Vec<String> = (q.atoms.iter())
+        .map(|atom| {
+            let vars: Vec<String> = atom.schema.attrs().iter().map(|&x| name(x)).collect();
+            format!("{}({})", atom.name, vars.join(","))
+        })
+        .collect();
+    atoms.join(", ")
+}
+
+/// The variable name of attribute `x` in [`body_text`]: `a` for `Attr(0)`.
+fn var(x: Attr) -> String {
+    char::from(b'a' + x.0 as u8).to_string()
+}
+
+/// `Σ |R| · dup(R, plan.share)` over the final round's relations `built`
+/// keeps, and over every member of every pre-computed bag: what an
+/// execution that built those relations reports as `comm_tuples` and
+/// `precompute_tuples`.
+fn priced(plan: &QueryPlan, db: &Database, built: impl Fn(&PlanRelation) -> bool) -> (u64, u64) {
+    let copies = |len: usize, schema: &Schema| len as u64 * dup_factor(&plan.share, schema.mask());
+    let atom_len = |i: usize| db.get(&plan.query.atoms[i].name).unwrap().len();
+    let (mut comm, mut precompute) = (0, 0);
+    for rel in &plan.relations {
+        let len = match rel {
+            PlanRelation::Base(i) => atom_len(*i),
+            PlanRelation::Precomputed { atoms, .. } => {
+                for &i in atoms {
+                    precompute += copies(atom_len(i), &plan.query.atoms[i].schema);
+                }
+                let members = atoms.iter().map(|&i| plan.query.atoms[i].clone()).collect();
+                binary_join(&JoinQuery::new("bag", members), db).len()
+            }
+        };
+        if built(rel) {
+            comm += copies(len, rel.schema(&plan.query));
+        }
+    }
+    (comm, precompute)
+}
+
+/// One share per plan: for Q1–Q11 under both strategies at widths 1–4,
+/// through a traced service's unbound, bound and batch doors, every call
+/// reports the share its plan was priced under (`report.share ==
+/// plan.share`). A cold call's `comm_tuples` is `Σ |R| · dup(R,
+/// plan.share)` over the final round's relations; a warm call builds only
+/// the pre-computed bags, so its `comm_tuples` is that sum over them (0
+/// without bags). Every call's `precompute_tuples` is the sum over every
+/// bag member. No trace has a `share_solve` span.
+#[test]
+fn every_door_reports_and_prices_the_share_its_plan_was_priced_under() {
+    let bindings = |values: std::ops::Range<Value>| -> Vec<Bindings> {
+        values.map(|v| Bindings::new().set("v", v)).collect()
+    };
+    let (mut calls, mut bagged) = (0, 0);
+    cases(2, |rng| {
+        let g = Relation::from_pairs(Attr(0), Attr(1), &edges(rng, 14, 60));
+        for width in 1..=4 {
+            for strategy in [Strategy::CoOptimize, Strategy::CommFirst] {
+                let service = Service::new(ServiceConfig {
+                    adj: AdjConfig {
+                        cluster: ClusterConfig::with_workers(width),
+                        ..Default::default()
+                    },
+                    strategy,
+                    trace: TraceSettings { enabled: true, ..Default::default() },
+                    ..Default::default()
+                });
+                for pq in PaperQuery::ALL {
+                    let (q, _) = parse_query(&body_text(&paper_query(pq), var)).unwrap();
+                    let bound = body_text(&q, |x| if x == Attr(0) { "$v".into() } else { var(x) });
+                    let (bound, _) = parse_query(&bound).unwrap();
+                    let db = q.instantiate(&g);
+                    // One database per door, so each door's first call is cold.
+                    for door in ["unbound", "bound", "batch"] {
+                        service.register_database(door, db.clone());
+                    }
+                    let on_bound = service.prepare("bound", &bound).unwrap();
+                    let on_batch = service.prepare("batch", &bound).unwrap();
+                    type Call = (ExecutionReport, std::sync::Arc<QueryPlan>, Option<QueryTrace>);
+                    let unbound = || {
+                        let out = service.execute_mode("unbound", &q, OutputMode::Rows).unwrap();
+                        (out.report, out.plan, out.trace)
+                    };
+                    let one = |v: Value| {
+                        let b = Bindings::new().set("v", v);
+                        let out = service.execute_bound(&on_bound, &b, OutputMode::Rows).unwrap();
+                        (out.report, out.plan, out.trace)
+                    };
+                    // The warm batch binds other values: a batch the result
+                    // cache answered whole would execute nothing.
+                    let batch = |values| {
+                        let out = service
+                            .execute_batch(&on_batch, &bindings(values), OutputMode::Rows)
+                            .unwrap();
+                        (out.report, out.plan, out.trace)
+                    };
+                    let doors: [(&str, [Call; 2]); 3] = [
+                        ("unbound", [unbound(), unbound()]),
+                        ("bound", [one(3), one(4)]),
+                        ("batch", [batch(0..3), batch(3..6)]),
+                    ];
+                    for (door, [cold, warm]) in doors {
+                        let at = format!("{pq:?} {strategy:?} width {width} {door}");
+                        let plan = std::sync::Arc::clone(&cold.1);
+                        assert!(std::sync::Arc::ptr_eq(&plan, &warm.1), "{at}: one plan");
+                        assert!(plan.share.iter().product::<u32>() as usize >= width, "{at}");
+                        let (all, precompute) = priced(&plan, &db, |_| true);
+                        let bags = |r: &PlanRelation| matches!(r, PlanRelation::Precomputed { .. });
+                        let (bag_comm, _) = priced(&plan, &db, bags);
+                        calls += 2;
+                        bagged += 2 * usize::from(bag_comm > 0);
+                        for ((report, _, trace), comm, call) in
+                            [(cold, all, "cold"), (warm, bag_comm, "warm")]
+                        {
+                            assert_eq!(report.share, plan.share, "{at} {call}");
+                            assert_eq!(report.comm_tuples, comm, "{at} {call}");
+                            assert_eq!(report.precompute_tuples, precompute, "{at} {call}");
+                            let trace = trace.expect("traced");
+                            assert!(trace.events_named("share_solve").is_empty(), "{at} {call}");
+                        }
+                    }
+                }
+            }
+        }
+    });
+    assert!(bagged > 0 && bagged < calls, "{bagged} of {calls} calls built bags");
+}
+
+/// A query's answer does not depend on how its text is written (ROADMAP
+/// 1(b)): Q1–Q11 through `execute_text` on random graphs, each next to a
+/// copy with its atoms in another order and a copy with its variables
+/// renamed, give equal `COUNT`s and equal `Rows` once columns are matched
+/// by variable name, and the renamed text is served by the original's
+/// plan-cache entry.
+#[test]
+fn answers_are_invariant_under_atom_permutation_and_variable_renaming() {
+    // Rows as sorted value lists, columns ordered by the variable name each
+    // one binds (after `rename`).
+    let by_name = |out: &QueryOutput, names: &[String], rename: &dyn Fn(&str) -> String| {
+        let QueryOutput::Rows(rel) = out else { panic!("rows") };
+        let attrs = rel.schema().attrs();
+        let mut cols: Vec<usize> = (0..attrs.len()).collect();
+        cols.sort_by_key(|&c| rename(&names[attrs[c].0 as usize]));
+        let mut rows: Vec<Vec<Value>> =
+            rel.rows().map(|r| cols.iter().map(|&c| r[c]).collect()).collect();
+        rows.sort();
+        rows
+    };
+    let renamed = |name: &str| format!("v_{name}");
+    let unrenamed = |name: &str| name.trim_start_matches("v_").to_string();
+    cases(4, |rng| {
+        let g = Relation::from_pairs(Attr(0), Attr(1), &edges(rng, 14, 60));
+        let service = Service::new(ServiceConfig {
+            adj: AdjConfig { cluster: ClusterConfig::with_workers(2), ..Default::default() },
+            ..Default::default()
+        });
+        for pq in PaperQuery::ALL {
+            let q = paper_query(pq);
+            let text = body_text(&q, var);
+            let renamed_text = body_text(&q, |x| renamed(&var(x)));
+            let mut atoms = q.atoms.clone();
+            let n = atoms.len();
+            atoms.rotate_left(rng.gen_range(1..n));
+            atoms.swap(0, rng.gen_range(0..n));
+            let permuted_text = body_text(&JoinQuery::new("permuted", atoms), var);
+            // Each text's attribute ids follow its own first appearances, so
+            // each reads a database instantiated for its own parse.
+            let run = |db_name: &str, text: &str, count: bool| {
+                let (parsed, names) = parse_query(text).unwrap();
+                if !service.database_names().iter().any(|n| n == db_name) {
+                    service.register_database(db_name, parsed.instantiate(&g));
+                }
+                let text = if count { format!("COUNT({text})") } else { text.to_string() };
+                (service.execute_text(db_name, &text).unwrap(), names)
+            };
+            let (original, permuted) = (format!("{pq:?}"), format!("{pq:?} permuted"));
+            let at = format!("{pq:?}: {text} / {permuted_text}");
+            let (rows, names) = run(&original, &text, false);
+            let (count, _) = run(&original, &text, true);
+            let (renamed_rows, renamed_names) = run(&original, &renamed_text, false);
+            let (renamed_count, _) = run(&original, &renamed_text, true);
+            let (permuted_rows, permuted_names) = run(&permuted, &permuted_text, false);
+            let (permuted_count, _) = run(&permuted, &permuted_text, true);
+            assert!(renamed_rows.cache_hit && renamed_count.cache_hit, "{at}: renamed misses");
+            assert_eq!(renamed_count.output, count.output, "{at}");
+            assert_eq!(permuted_count.output, count.output, "{at}");
+            let want = by_name(&rows.output, &names, &|n| n.to_string());
+            assert_eq!(by_name(&renamed_rows.output, &renamed_names, &unrenamed), want, "{at}");
+            let permuted = by_name(&permuted_rows.output, &permuted_names, &|n| n.to_string());
+            assert_eq!(permuted, want, "{at}");
+            assert_eq!(want.len() as u64, count.output.count().unwrap(), "{at}");
+        }
+    });
 }
 
 /// `Relation::from_flat` is sort + dedup whatever order the rows arrive

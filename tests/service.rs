@@ -522,3 +522,33 @@ fn a_seventeenth_attribute_is_refused_at_every_door() {
     assert!(parse_error(&err), "explain_text: {err:?}");
     assert_eq!(service.metrics().queries_failed, 2);
 }
+
+/// A memory budget no HCube share meets fails planning, typed: the
+/// optimizer decides the share, so `Adj::plan` refuses under both
+/// strategies, and `Service::prepare` fails once, counted, publishing no
+/// plan-cache entry.
+#[test]
+fn a_budget_no_share_meets_fails_at_planning() {
+    let q = paper_query(PaperQuery::Q1);
+    let db = q.instantiate(&graph());
+    // One byte per worker: no cube of any share holds a tuple.
+    let cluster = ClusterConfig { memory_limit_bytes: Some(1), ..ClusterConfig::with_workers(2) };
+    let adj = AdjConfig { cluster, ..Default::default() };
+    let infeasible = adj::relational::Error::BudgetExceeded {
+        what: "no feasible HCube share vector under memory budget",
+        limit: 1,
+    };
+    for strategy in [Strategy::CoOptimize, Strategy::CommFirst] {
+        let planned = Adj::new(adj.clone()).plan(&q, &db, strategy);
+        assert_eq!(planned.unwrap_err(), infeasible, "{strategy:?}");
+
+        let service =
+            Service::new(ServiceConfig { adj: adj.clone(), strategy, ..Default::default() });
+        service.register_database("g", db.clone());
+        let err = service.prepare("g", &q).unwrap_err();
+        assert!(matches!(&err, ServiceError::Exec(e) if *e == infeasible), "{strategy:?}: {err:?}");
+        assert_eq!(service.metrics().queries_failed, 1, "{strategy:?}");
+        let plans = service.cache_stats();
+        assert_eq!((plans.len, plans.insertions), (0, 0), "{strategy:?}: no plan published");
+    }
+}
