@@ -162,12 +162,8 @@ pub fn select_order_all(
         query,
         &tree,
         CostParams::default(),
-        cluster.config().alpha_tuples_per_sec,
-        cluster.num_workers(),
-        cluster.config().memory_limit_bytes,
+        cluster.config(),
         SamplingConfig { samples: config.order_samples, seed: 0xAD10 },
-        // The HCubeJ baseline predates skew hardening: plain hashing only.
-        adj_core::SkewConfig::disabled(),
     );
     let mut best: Option<(f64, Vec<Attr>)> = None;
     for o in all_orders(&attrs) {

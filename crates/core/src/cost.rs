@@ -28,15 +28,12 @@
 //! exactly as long as the `optimize` call.
 
 use crate::plan::{OptimizerStats, PlanRelation, QueryPlan};
+use adj_cluster::ClusterConfig;
 use adj_hcube::{solve_share, ShareInput, ShareSolution};
-use adj_query::lp::solve_min_max;
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::hash::FxHashMap;
 use adj_relational::{Attr, Database, Error, Levels, Result, Trie, Value};
-use adj_sampling::{
-    connected_order, detect_heavy_hitters, val_a, CardinalityEstimate, Sampler, SamplingConfig,
-    SkewConfig, SkewProfile,
-};
+use adj_sampling::{connected_order, val_a, CardinalityEstimate, Sampler, SamplingConfig};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -108,9 +105,8 @@ pub struct CostEstimator<'a> {
     query: &'a JoinQuery,
     tree: &'a GhdTree,
     params: CostParams,
-    alpha: f64,
-    n_workers: usize,
-    memory_limit_bytes: Option<usize>,
+    /// α, the worker count `N*` and the per-worker memory budget.
+    cluster: &'a ClusterConfig,
     sampling: SamplingConfig,
     cache: RefCell<Artifacts>,
     /// attr id → |val(A)|, over the query's relations.
@@ -121,26 +117,20 @@ pub struct CostEstimator<'a> {
     /// the bound attributes' selectivity — and the share program drops the
     /// bound dimensions from its grid.
     bound_mask: u64,
-    /// Heavy-hitter statistics of the query's relations (sampled once at
-    /// construction) — feeds the max-partition term of `costC`.
-    skew: SkewProfile,
     /// β measured from sampling runs (extensions/sec), once available.
     beta_measured: RefCell<Option<f64>>,
 }
 
 impl<'a> CostEstimator<'a> {
-    /// Creates an estimator for `query` over `db` with hypertree `tree`.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates an estimator for `query` over `db` with hypertree `tree`,
+    /// pricing for `cluster`'s α, worker count and memory budget.
     pub fn new(
         db: &'a Database,
         query: &'a JoinQuery,
         tree: &'a GhdTree,
         params: CostParams,
-        alpha: f64,
-        n_workers: usize,
-        memory_limit_bytes: Option<usize>,
+        cluster: &'a ClusterConfig,
         sampling: SamplingConfig,
-        skew_cfg: SkewConfig,
     ) -> Self {
         let mut cache = Artifacts::default();
         for (i, atom) in query.atoms.iter().enumerate() {
@@ -154,7 +144,6 @@ impl<'a> CostEstimator<'a> {
         let val_sizes = (0..query.num_attrs() as u32)
             .map(|a| (cache.val_a(0..query.atoms.len(), Attr(a)).len() as f64).max(1.0))
             .collect();
-        let skew = detect_heavy_hitters(db, query, &skew_cfg);
         // Self-derived rather than passed in: the mask is a pure function
         // of the query's term kinds, so every construction site prices the
         // same filtered sizes. A conflicting-constant query reports mask 0
@@ -168,14 +157,11 @@ impl<'a> CostEstimator<'a> {
             query,
             tree,
             params,
-            alpha,
-            n_workers,
-            memory_limit_bytes,
+            cluster,
             sampling,
             cache: RefCell::new(cache),
             val_sizes,
             bound_mask,
-            skew,
             beta_measured: RefCell::new(None),
         }
     }
@@ -202,35 +188,6 @@ impl<'a> CostEstimator<'a> {
             }
         }
         discounted.max(1.0)
-    }
-
-    /// The sampled heavy-hitter statistics of the query's relations.
-    pub fn skew_profile(&self) -> &SkewProfile {
-        &self.skew
-    }
-
-    /// Per-relation `(attribute id, hottest fraction)` lists for `rels`,
-    /// aligned with `rels` — the skew side-channel of the share program.
-    /// Pre-computed bags contribute no entries (their value distribution is
-    /// unknown until materialization; the share program stays conservative
-    /// about what it knows).
-    fn hot_fractions(&self, rels: &[PlanRelation]) -> Vec<Vec<(u32, f64)>> {
-        rels.iter()
-            .map(|r| match r {
-                PlanRelation::Base(i) => {
-                    let atom = &self.query.atoms[*i];
-                    atom.schema
-                        .attrs()
-                        .iter()
-                        .filter_map(|&a| {
-                            let f = self.skew.max_fraction(&atom.name, a);
-                            (f > 0.0).then_some((a.0, f))
-                        })
-                        .collect()
-                }
-                PlanRelation::Precomputed { .. } => Vec::new(),
-            })
-            .collect()
     }
 
     /// The measured extension rate β (Sec. III-B: "reusing statistics
@@ -360,12 +317,11 @@ impl<'a> CostEstimator<'a> {
     /// satisfies the memory budget. Memoized per mask: the share program is
     /// solved once per distinct pre-compute set.
     ///
-    /// The charge is **max-partition aware**: a shuffle's wall-clock is set
-    /// by its fullest partition, so the seconds charged are
-    /// `max(total, max_cube · N*) / α` with the fullest cube estimated from
-    /// the sampled heavy-hitter fractions — under uniform data this is the
-    /// paper's `total / α` exactly, under skew it surfaces the hot-spot
-    /// latency cliff the total-only model hides.
+    /// The seconds charged are `max(total, max_cube · N*) / α` of the
+    /// priced sizes: the paper's `total / α` whenever the share spreads the
+    /// relations over the workers, and the single cube's load times `N*`
+    /// for a fully bound shape, whose one cube carries every tuple while
+    /// the other workers wait.
     pub fn cost_c(&self, c_mask: u64) -> (f64, Vec<u32>) {
         {
             let mut cache = self.cache.borrow_mut();
@@ -385,10 +341,10 @@ impl<'a> CostEstimator<'a> {
                     (mask, size)
                 })
                 .collect(),
-            num_workers: self.n_workers,
-            memory_limit_bytes: self.memory_limit_bytes,
+            num_workers: self.cluster.num_workers,
+            memory_limit_bytes: self.cluster.memory_limit_bytes,
             bytes_per_value: 4,
-            hot: self.hot_fractions(&rels),
+            hot: Vec::new(),
             require_exact_product: false,
             bound_mask: self.bound_mask,
         };
@@ -398,8 +354,8 @@ impl<'a> CostEstimator<'a> {
             Ok(ShareSolution { share: p, candidates }) => {
                 cache.stats.share_candidates += candidates;
                 let total = input.comm_cost(&p) as f64;
-                let hottest = input.max_cube_tuples(&p) * self.n_workers as f64;
-                let secs = total.max(hottest) / self.alpha;
+                let fullest = input.max_cube_tuples(&p) * self.cluster.num_workers as f64;
+                let secs = total.max(fullest) / self.cluster.alpha_tuples_per_sec;
                 (secs, p)
             }
             Err(_) => (f64::INFINITY, Vec::new()),
@@ -417,7 +373,7 @@ impl<'a> CostEstimator<'a> {
         if p.is_empty() {
             return Err(Error::BudgetExceeded {
                 what: "no feasible HCube share vector under memory budget",
-                limit: self.memory_limit_bytes.unwrap_or(0),
+                limit: self.cluster.memory_limit_bytes.unwrap_or(0),
             });
         }
         Ok(p.into_iter().collect())
@@ -434,9 +390,9 @@ impl<'a> CostEstimator<'a> {
             input_tuples += self.bound_discount(atom.schema.mask(), raw);
         }
         let output = self.subjoin_cardinality(bag.edges);
-        let comm = input_tuples / self.alpha;
-        let comp =
-            (input_tuples + output) / (self.params.join_tuples_per_sec * self.n_workers as f64);
+        let comm = input_tuples / self.cluster.alpha_tuples_per_sec;
+        let workers = self.cluster.num_workers as f64;
+        let comp = (input_tuples + output) / (self.params.join_tuples_per_sec * workers);
         comm + comp
     }
 
@@ -450,7 +406,7 @@ impl<'a> CostEstimator<'a> {
         } else {
             self.beta_measured().unwrap_or(self.params.beta_extend)
         };
-        bindings / (beta * self.n_workers as f64)
+        bindings / (beta * self.cluster.num_workers as f64)
     }
 
     /// Attribute ordering heuristic inside a node: ascending `|val(A)|`
@@ -516,44 +472,25 @@ impl<'a> CostEstimator<'a> {
     }
 }
 
-/// The fractional lower bound on the fullest-partition tuple load of any
-/// share vector with `Π p_A ≤ N*` — the Beame–Koutris–Suciu share LP in
-/// log-space, solved with the epigraph min-max reduction
-/// ([`adj_query::lp::solve_min_max`]). No integer share (with a bijective
-/// cube→worker map) can receive less on its fullest cube under uniform
-/// hashing, so this is the yardstick the skew bench measures realized
-/// partition fill against. `None` when the LP is degenerate (no relations).
-pub fn fractional_max_cube_bound(input: &ShareInput) -> Option<f64> {
-    if input.relations.is_empty() || input.num_attrs == 0 {
-        return None;
-    }
-    let n = input.num_attrs;
-    // Variables y_A = ln p_A ≥ 0. Rows: per relation, its log per-cube load
-    // ln|R| − Σ_{A∈R} y_A. Constraint: Σ_A y_A ≤ ln N*.
-    let rows: Vec<(Vec<f64>, f64)> = input
-        .relations
-        .iter()
-        .map(|&(mask, size)| {
-            let c: Vec<f64> =
-                (0..n).map(|a| if mask & (1u64 << a) != 0 { -1.0 } else { 0.0 }).collect();
-            (c, (size.max(1) as f64).ln())
-        })
-        .collect();
-    let budget = vec![vec![-1.0; n]];
-    let rhs = vec![-(input.num_workers.max(1) as f64).ln()];
-    let (t, _) = solve_min_max(&rows, &budget, &rhs)?;
-    Some(t.exp())
-}
-
 /// Result alias re-exported for optimizer use.
 pub type CostResult<T> = Result<T>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adj_cluster::TransportKind;
     use adj_hcube::optimize_share;
     use adj_query::{paper_query, GhdTree, PaperQuery};
     use adj_relational::{Relation, Value};
+
+    /// Four workers at α = 10⁷ tuples/s, no memory budget.
+    static CLUSTER: ClusterConfig = ClusterConfig {
+        num_workers: 4,
+        alpha_tuples_per_sec: 1e7,
+        memory_limit_bytes: None,
+        transport: TransportKind::InProcess,
+    };
+    const SAMPLING: SamplingConfig = SamplingConfig { samples: 128, seed: 5 };
 
     fn setup() -> (Database, JoinQuery) {
         let q = paper_query(PaperQuery::Q4);
@@ -581,17 +518,7 @@ mod tests {
         tree: &'a GhdTree,
         params: CostParams,
     ) -> CostEstimator<'a> {
-        CostEstimator::new(
-            db,
-            q,
-            tree,
-            params,
-            1e7,
-            4,
-            None,
-            SamplingConfig { samples: 128, seed: 5 },
-            SkewConfig::default(),
-        )
+        CostEstimator::new(db, q, tree, params, &CLUSTER, SAMPLING)
     }
 
     #[test]
@@ -630,8 +557,8 @@ mod tests {
     fn cost_c_infinite_when_memory_impossible() {
         let (db, q) = setup();
         let tree = GhdTree::decompose(&q.hypergraph(), 3);
-        let mut est = estimator(&db, &q, &tree);
-        est.memory_limit_bytes = Some(8);
+        let tight = ClusterConfig { memory_limit_bytes: Some(8), ..ClusterConfig::default() };
+        let est = CostEstimator::new(&db, &q, &tree, CostParams::default(), &tight, SAMPLING);
         let (c, p) = est.cost_c(0);
         assert!(c.is_infinite());
         assert!(p.is_empty());
@@ -693,78 +620,33 @@ mod tests {
     }
 
     #[test]
-    fn skew_profile_feeds_cost_c() {
-        let q = paper_query(PaperQuery::Q1);
-        // A hub value (7) dominating both columns of every edge relation.
-        let mut pairs: Vec<(Value, Value)> = (0..300u32).map(|i| (7, i % 40 + 10)).collect();
-        pairs.extend((0..100u32).map(|i| (i % 40 + 10, 7)));
-        let db = q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &pairs));
-        let tree = GhdTree::decompose(&q.hypergraph(), 3);
-        let est = estimator(&db, &q, &tree);
-        assert!(!est.skew_profile().is_empty());
-        assert!(
-            est.skew_profile().max_fraction(&q.atoms[0].name, Attr(0)) > 0.0,
-            "the hub must surface on attribute a"
-        );
-        // cost_c stays finite and produces a full share vector under skew.
-        let (secs, p) = est.cost_c(0);
-        assert!(secs.is_finite() && secs > 0.0);
-        assert_eq!(p.len(), q.num_attrs());
-    }
-
-    #[test]
-    fn skew_raises_the_communication_charge() {
+    fn cost_c_charges_the_total_load_of_the_stored_sizes() {
+        // Q7 over a graph whose one b-value carries 80 % of the edges: the
+        // charge is `Σ_R |R|·dup(R,p) / α` of the base relations' stored
+        // sizes under the share solved for them — a hub adds nothing.
         let q = paper_query(PaperQuery::Q7);
         let n = 300u32;
-        let uniform_pairs: Vec<(Value, Value)> =
-            (0..n).map(|i| (i, 1000 + (i * 7) % 150)).collect();
-        // Same cardinality, but one b-value carries 80% of the tuples: no
-        // hash partitioning of b can split a single value, so the fullest
-        // partition (and the skew-aware charge) must rise.
         let mut hub_pairs: Vec<(Value, Value)> = (0..n * 4 / 5).map(|i| (i, 777)).collect();
         hub_pairs.extend((n * 4 / 5..n).map(|i| (i, 1000 + (i * 7) % 150)));
-        let db_u = q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &uniform_pairs));
-        let db_s = q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &hub_pairs));
+        let db = q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &hub_pairs));
         let tree = GhdTree::decompose(&q.hypergraph(), 3);
-        let (secs_u, _) = estimator(&db_u, &q, &tree).cost_c(0);
-        let (secs_s, _) = estimator(&db_s, &q, &tree).cost_c(0);
-        let sized = |db: &Database| -> usize {
-            q.atoms.iter().map(|a| db.get(&a.name).unwrap().len()).sum()
-        };
-        // Normalize per tuple: the skewed database must be charged more
-        // seconds per shuffled tuple — its fullest partition dominates.
-        let per_u = secs_u / sized(&db_u) as f64;
-        let per_s = secs_s / sized(&db_s) as f64;
-        assert!(
-            per_s > per_u * 1.2,
-            "skewed per-tuple charge {per_s:e} must exceed uniform {per_u:e}"
-        );
-    }
-
-    #[test]
-    fn fractional_bound_is_a_lower_bound_for_exact_shares() {
+        let (secs, p) = estimator(&db, &q, &tree).cost_c(0);
         let input = ShareInput {
-            num_attrs: 3,
-            relations: vec![(0b011, 5_000), (0b110, 5_000), (0b101, 5_000)],
-            num_workers: 8,
+            num_attrs: q.num_attrs(),
+            relations: q
+                .atoms
+                .iter()
+                .map(|a| (a.schema.mask(), db.get(&a.name).unwrap().len()))
+                .collect(),
+            num_workers: CLUSTER.num_workers,
             memory_limit_bytes: None,
             bytes_per_value: 4,
             hot: Vec::new(),
-            require_exact_product: true,
+            require_exact_product: false,
             bound_mask: 0,
         };
-        let bound = fractional_max_cube_bound(&input).unwrap();
-        assert!(bound > 0.0);
-        let p = optimize_share(&input).unwrap();
-        assert!(
-            input.max_cube_tuples(&p) + 1e-6 >= bound,
-            "integer fullest-cube load {} can never beat the LP bound {bound}",
-            input.max_cube_tuples(&p)
-        );
-        // For the symmetric triangle on 8 workers the fractional share is
-        // p = (2,2,2) and the bound is one relation's per-cube load |R|/4
-        // (the LP bounds the largest single-relation contribution).
-        assert!((bound - 5_000.0 / 4.0).abs() < 1.0, "bound={bound}");
+        assert_eq!(p, optimize_share(&input).unwrap());
+        assert_eq!(secs, input.comm_cost(&p) as f64 / CLUSTER.alpha_tuples_per_sec);
     }
 
     #[test]

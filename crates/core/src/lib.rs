@@ -31,7 +31,7 @@ pub mod plan;
 pub mod prepared;
 pub mod scratch;
 
-pub use cost::{fractional_max_cube_bound, CostEstimator, CostParams};
+pub use cost::{CostEstimator, CostParams};
 pub use executor::{execute_plan, ExecutionReport, Strategy, SINK_CHECK_EVERY};
 pub use optimizer::optimize;
 pub use plan::{OptimizerStats, PlanRelation, QueryPlan};
@@ -45,9 +45,6 @@ pub use adj_hcube::{ExecCtx, IndexCache, IndexCacheStats, IndexScope};
 // (defined in `adj-faults` so every layer can place checkpoints), part of
 // this crate's public execution API for the serving layer's deadline hook.
 pub use adj_faults::{CancelToken, Cancelled, FaultAction, FaultPlan, FaultSite, InstalledFaults};
-// Heavy-hitter detection (defined in `adj-sampling`, next to the
-// cardinality estimator whose machinery it reuses).
-pub use adj_sampling::{SkewConfig, SkewProfile};
 // The streaming-output vocabulary (defined in `adj-relational` so every
 // layer shares it) is part of this crate's public execution API, as is the
 // bound-constant vocabulary of prepared queries.
@@ -76,10 +73,6 @@ pub struct AdjConfig {
     /// Cap on materialized intermediate results (pre-computed relations and
     /// join outputs); mirrors the paper's 12h/OOM failure criterion.
     pub max_intermediate_tuples: usize,
-    /// Heavy-hitter detection settings. Detected hot values make the cost
-    /// model charge max-partition (not just total) shuffle load;
-    /// [`SkewConfig::disabled()`] prices every column as uniform.
-    pub skew: SkewConfig,
 }
 
 impl Default for AdjConfig {
@@ -89,7 +82,6 @@ impl Default for AdjConfig {
             sampling: SamplingConfig { samples: 256, seed: 0xAD10 },
             cost: CostParams::default(),
             max_intermediate_tuples: 50_000_000,
-            skew: SkewConfig::default(),
         }
     }
 }

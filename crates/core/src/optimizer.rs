@@ -31,17 +31,8 @@ pub fn optimize(
 ) -> Result<QueryPlan> {
     let h = query.hypergraph();
     let tree = GhdTree::decompose(&h, 3);
-    let estimator = CostEstimator::new(
-        db,
-        query,
-        &tree,
-        config.cost,
-        config.cluster.alpha_tuples_per_sec,
-        config.cluster.num_workers,
-        config.cluster.memory_limit_bytes,
-        config.sampling,
-        config.skew,
-    );
+    let estimator =
+        CostEstimator::new(db, query, &tree, config.cost, &config.cluster, config.sampling);
 
     match strategy {
         Strategy::CommFirst => {

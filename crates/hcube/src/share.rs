@@ -21,14 +21,14 @@
 //! On a five-attribute query at `N* = 8` the search scores about a dozen
 //! of the lattice's 3,652 vectors.
 //!
-//! **Skew.** The paper's objective charges *total* load, which silently
-//! assumes hashing spreads every relation evenly. One heavy-hitter join
-//! value concentrates its whole hash class on a single coordinate, so the
-//! optimizer here ranks share vectors by the estimated **fullest-partition
-//! load** first (computed from the per-relation heavy-hitter fractions in
-//! [`ShareInput::hot`]) and by total load second. Under uniform inputs the
-//! fullest partition is `total / N*` and the ranking degenerates to the
-//! paper's — the skew term only changes decisions when skew exists.
+//! **Fullest partition.** The search ranks share vectors by the estimated
+//! **fullest-partition load** first and by total load second. The fullest
+//! partition can read heavy-hitter fractions from [`ShareInput::hot`], but
+//! no product code sets them: the optimizer's `costC` passes `hot` empty,
+//! so on any share with `Π p_A ≥ N*` the fullest partition never exceeds
+//! `total / N*` and the ranking is the paper's. The field stays only
+//! because the `adjbench` harness spells the struct out field by field, as
+//! it does [`ShareInput::require_exact_product`].
 
 use adj_relational::{Error, Result, MAX_ATTRS};
 
@@ -47,8 +47,10 @@ pub struct ShareInput {
     pub bytes_per_value: usize,
     /// Heavy-hitter fractions, aligned with `relations`: per relation, a
     /// list of `(attribute id, largest hot-value fraction of that column)`.
-    /// Empty (or shorter than `relations`) means "assume uniform" — the
-    /// exact pre-skew behaviour.
+    /// Empty (or shorter than `relations`) means "assume uniform". No
+    /// product code sets it any more — the optimizer prices stored sizes
+    /// with it empty — and the `adjbench` harness spells the struct
+    /// literally, which is why the field is still here.
     pub hot: Vec<Vec<(u32, f64)>>,
     /// Require `Π p_A = N*` exactly (a bijective cube→worker map); when no
     /// such vector satisfies the memory budget the optimizer errors. No

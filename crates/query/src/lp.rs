@@ -96,48 +96,6 @@ pub fn solve_min_cover(c: &[f64], a: &[Vec<f64>], b: &[f64]) -> Option<(f64, Vec
     Some((objective, x))
 }
 
-/// Minimizes `max_k (c_k·x + d_k)` subject to `A x ≥ b`, `x ≥ 0`, via the
-/// epigraph reduction (`min t` s.t. `t − c_k·x ≥ d_k`) over
-/// [`solve_min_cover`]. Returns `(t*, x*)`, or `None` when infeasible.
-///
-/// This is the min-**max** sibling the skew-aware share analysis needs: the
-/// HCube share program's *total*-load objective is a plain sum, but the
-/// wall-clock of a shuffle is set by its fullest partition, and the
-/// fullest-partition objective is exactly a max of affine loads (one per
-/// relation, in log-share space — the classical fractional HyperCube share
-/// LP of Beame–Koutris–Suciu). `t` itself must be meaningful as a
-/// nonnegative quantity (loads are), since the reduction models it as one
-/// more `x ≥ 0` variable.
-pub fn solve_min_max(
-    rows: &[(Vec<f64>, f64)],
-    a: &[Vec<f64>],
-    b: &[f64],
-) -> Option<(f64, Vec<f64>)> {
-    let n = rows.first().map(|(c, _)| c.len()).unwrap_or(0);
-    assert!(rows.iter().all(|(c, _)| c.len() == n));
-    assert!(a.iter().all(|row| row.len() == n));
-    // Variables [x(n) | t]; objective = t alone.
-    let mut c = vec![0.0; n + 1];
-    c[n] = 1.0;
-    let mut cons: Vec<Vec<f64>> = Vec::with_capacity(rows.len() + a.len());
-    let mut rhs: Vec<f64> = Vec::with_capacity(rows.len() + a.len());
-    for (ck, dk) in rows {
-        let mut row: Vec<f64> = ck.iter().map(|v| -v).collect();
-        row.push(1.0);
-        cons.push(row);
-        rhs.push(*dk);
-    }
-    for (row, &bi) in a.iter().zip(b) {
-        let mut r = row.clone();
-        r.push(0.0);
-        cons.push(r);
-        rhs.push(bi);
-    }
-    let (_, mut x) = solve_min_cover(&c, &cons, &rhs)?;
-    let t = x.pop().expect("epigraph variable");
-    Some((t, x))
-}
-
 fn simplex_iterate(
     tab: &mut [Vec<f64>],
     obj: &mut [f64],
@@ -266,38 +224,6 @@ mod tests {
         let (obj, x) = solve_min_cover(&[1.0, 2.0], &[], &[]).unwrap();
         assert_eq!(obj, 0.0);
         assert_eq!(x, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn min_max_balances_two_loads() {
-        // min max(x1 + 1, x2) s.t. x1 + x2 ≥ 2. Optimum: x1 = 0.5, x2 = 1.5,
-        // t = 1.5 (loads equalized).
-        let rows = vec![(vec![1.0, 0.0], 1.0), (vec![0.0, 1.0], 0.0)];
-        let (t, x) = solve_min_max(&rows, &[vec![1.0, 1.0]], &[2.0]).unwrap();
-        assert!((t - 1.5).abs() < 1e-6, "t={t} x={x:?}");
-        assert!((x[0] + 1.0 - t).abs() < 1e-6 && (x[1] - t).abs() < 1e-6, "x={x:?}");
-    }
-
-    #[test]
-    fn min_max_fractional_triangle_share() {
-        // The BKS fractional share LP for the symmetric triangle: minimize
-        // the max per-relation log-load `1 − y_i − y_j` (relation sizes
-        // normalized out) with `Σ y ≤ 1`: optimum y = (1/3, 1/3, 1/3),
-        // t = 1/3 — the fractional version of the (2,2,2) integer share.
-        let rows = vec![
-            (vec![-1.0, -1.0, 0.0], 1.0),
-            (vec![0.0, -1.0, -1.0], 1.0),
-            (vec![-1.0, 0.0, -1.0], 1.0),
-        ];
-        let (t, y) = solve_min_max(&rows, &[vec![-1.0, -1.0, -1.0]], &[-1.0]).unwrap();
-        assert!((t - 1.0 / 3.0).abs() < 1e-6, "t={t} y={y:?}");
-    }
-
-    #[test]
-    fn min_max_infeasible_detected() {
-        let rows = vec![(vec![0.0], 0.0)];
-        // x1 ≥ 1 with coefficient 0 is infeasible.
-        assert!(solve_min_max(&rows, &[vec![0.0]], &[1.0]).is_none());
     }
 
     #[test]

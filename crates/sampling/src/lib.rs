@@ -20,13 +20,9 @@
 
 pub mod distributed;
 pub mod estimator;
-pub mod skew;
 
 pub use distributed::{estimate_distributed, DistributedReport};
 pub use estimator::{
     connected_order, group_draws, required_samples, val_a, CardinalityEstimate, Sampler,
     SamplingConfig,
-};
-pub use skew::{
-    detect_heavy_hitters, ColumnSkew, HeavyHitter, RelationSkew, SkewConfig, SkewProfile,
 };

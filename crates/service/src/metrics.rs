@@ -688,13 +688,14 @@ mod tests {
     }
 
     #[test]
-    fn skew_gauges_accumulate() {
+    fn per_worker_binding_gauges_accumulate() {
         let m = ServiceMetrics::new();
         let balanced =
             ExecutionReport { worker_tuples: vec![10, 10, 10, 10], ..Default::default() };
-        let skewed = ExecutionReport { worker_tuples: vec![70, 10, 10, 10], ..Default::default() };
+        let lopsided =
+            ExecutionReport { worker_tuples: vec![70, 10, 10, 10], ..Default::default() };
         m.record_success(&balanced, OutputMode::Rows, 0, 0.0, 0.001);
-        m.record_success(&skewed, OutputMode::Rows, 0, 0.0, 0.001);
+        m.record_success(&lopsided, OutputMode::Rows, 0, 0.0, 0.001);
         let s = m.snapshot();
         assert_eq!(s.max_partition_tuples, 70);
         assert!((s.mean_partition_tuples - 140.0 / 8.0).abs() < 1e-9);

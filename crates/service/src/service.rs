@@ -707,8 +707,8 @@ impl Service {
     /// [`ServiceConfig::delta`](crate::ServiceConfig) — invisibly to the
     /// caches, since compaction changes neither the effective contents nor
     /// the sequence. A shift in the relation's skew needs nothing more: the
-    /// re-keyed plans are optimized afresh, and the optimizer re-detects
-    /// heavy hitters from the new data.
+    /// re-keyed plans are optimized afresh from the new sizes, and no
+    /// cached trie carries a partition layout to invalidate.
     ///
     /// Batches against one database are serialized by a per-database
     /// mutation door, **not** by the registry lock: all the O(|relation|)
@@ -758,8 +758,8 @@ impl Service {
 
             // Empty batch: nothing changes — no sequence bump, no cache
             // work, no new snapshot, and crucially no overlay creation (a
-            // never-mutated relation must not pay a base clone + skew scan
-            // for a no-op) — but the call still validates the relation and
+            // never-mutated relation must not pay a base clone for a
+            // no-op) — but the call still validates the relation and
             // counts in the metrics.
             if batch.is_empty() {
                 let (seq, overlay_tuples) = match entry.deltas.get(&batch.relation) {

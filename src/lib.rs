@@ -81,8 +81,7 @@ pub use adj_trace as trace;
 pub mod prelude {
     pub use adj_cluster::{Cluster, ClusterConfig, TransportKind};
     pub use adj_core::{
-        Adj, AdjConfig, CostParams, ExecCtx, ExecutionReport, Prepared, QueryPlan, SkewConfig,
-        Strategy,
+        Adj, AdjConfig, CostParams, ExecCtx, ExecutionReport, Prepared, QueryPlan, Strategy,
     };
     pub use adj_datagen::{update_stream, Dataset, UpdateBatch, UpdateStreamConfig};
     pub use adj_delta::{DeltaConfig, DeltaRelation, MutationBatch};

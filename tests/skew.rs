@@ -1,8 +1,8 @@
 //! Skew-correctness acceptance tests: on a Zipf(z = 1.2) heavy-hitter
 //! database, every paper shape, both plan-search strategies, and all four
 //! output modes must produce results byte-identical to the single-worker
-//! oracle — skewed data still has to be answered exactly, whatever the
-//! skew-aware cost model makes of it.
+//! oracle — skewed data still has to be answered exactly, however the
+//! workers divide the heavy values' morsels between them.
 
 use adj::datagen::{generate_zipf, ZipfConfig};
 use adj::prelude::*;
@@ -16,15 +16,9 @@ fn zipf_graph() -> Relation {
     generate_zipf(&ZipfConfig { nodes: 400, edges: 3000, exponent: 1.2, seed: 0x21BF })
 }
 
-/// An ADJ instance with heavy-hitter detection tuned to catch the Zipf
-/// head (the default 1/8 threshold sits right at the post-dedup share; 5%
-/// detects the top few values robustly).
+/// An ADJ instance on `workers` workers.
 fn adj_with(workers: usize) -> Adj {
-    Adj::new(AdjConfig {
-        cluster: ClusterConfig::with_workers(workers),
-        skew: SkewConfig { min_fraction: 0.05, ..Default::default() },
-        ..Default::default()
-    })
+    Adj::new(AdjConfig { cluster: ClusterConfig::with_workers(workers), ..Default::default() })
 }
 
 #[test]
@@ -77,9 +71,9 @@ fn all_modes_match_the_single_worker_oracle() {
 
 #[test]
 fn duplicate_counts_would_be_caught_per_worker_count() {
-    // Every output tuple belongs to exactly one cube at every cluster width
-    // (the share differs per width, so each width exercises a different
-    // layout of the Zipf head). Count mode is the duplicate detector: the
+    // Every output tuple belongs to exactly one driver morsel at every
+    // cluster width (each width hands the Zipf head's morsels to its
+    // workers differently). Count mode is the duplicate detector: the
     // gather path sums per-worker counters without any dedup.
     let g = zipf_graph();
     let q = paper_query(PaperQuery::Q1);
