@@ -11,7 +11,7 @@
 use crate::cached::CachedJoin;
 use crate::{BaselineConfig, BaselineReport};
 use adj_cluster::Cluster;
-use adj_core::{CostEstimator, CostParams};
+use adj_core::{CostEstimator, CostParams, ExecCtx};
 use adj_hcube::{hcube_shuffle, optimize_share, HCubeImpl, HCubePlan, ShareInput, ShuffleOutput};
 use adj_leapfrog::{JoinCounters, LeapfrogJoin};
 use adj_query::order::all_orders;
@@ -157,6 +157,7 @@ pub fn select_order_all(
         return Err(Error::BudgetExceeded { what: "all-orders enumeration", limit: 720 });
     }
     let tree = GhdTree::decompose(&query.hypergraph(), 3);
+    let cold = ExecCtx::default();
     let est = CostEstimator::new(
         db,
         query,
@@ -164,6 +165,7 @@ pub fn select_order_all(
         CostParams::default(),
         cluster.config(),
         SamplingConfig { samples: config.order_samples, seed: 0xAD10 },
+        &cold,
     );
     let mut best: Option<(f64, Vec<Attr>)> = None;
     for o in all_orders(&attrs) {

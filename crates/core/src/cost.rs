@@ -17,25 +17,31 @@
 //! Cardinalities come from the sampling estimator, which walks each distinct
 //! drawn value once and weights it by how often it was drawn
 //! ([`OptimizerStats::sample_values`]); the estimate is the per-draw one to
-//! the bit. The column value sets every sampled `val(A)` intersects are
-//! radix-sorted
-//! ([`Relation::column_values`](adj_relational::Relation::column_values)).
+//! the bit.
 //!
 //! Algorithm 2 revisits the same atom subsets, relations and pre-compute
 //! sets many times, so one [`CostEstimator`] keeps everything it derives
 //! from the data — column value sets, sampling tries, sub-join
-//! cardinalities, solved share programs — in a single cache that lives
-//! exactly as long as the `optimize` call.
+//! cardinalities, solved share programs — for the `optimize` call it
+//! serves. Its tries are the serving layer's: under the request's index
+//! scope ([`ExecCtx::index`]) each sampling trie is read from the index
+//! cache and built only on a miss — by the round's own builder
+//! ([`adj_hcube::build_trie`], which polls the request's cancel token) — and
+//! the tries it built outlive the call as the plan's [`PlannedTries`], which
+//! the execution that follows takes over instead of building them again.
+//! A column value set — a sampled `val(A)` or a `|val(A)|` — is level 0 of
+//! a held or cached trie whose levels start with its attribute; only a
+//! column no such trie holds is computed off the relation
+//! ([`Relation::column_values`](adj_relational::Relation::column_values)).
 
 use crate::plan::{OptimizerStats, PlanRelation, QueryPlan};
 use adj_cluster::ClusterConfig;
-use adj_hcube::{solve_share, ShareInput, ShareSolution};
+use adj_hcube::{build_trie, solve_share, ExecCtx, PlannedTries, ShareInput, ShareSolution};
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::hash::FxHashMap;
-use adj_relational::{Attr, Database, Error, Levels, Result, Trie, Value};
+use adj_relational::{Attr, Database, Error, Levels, Relation, Result, Schema, Trie, Value};
 use adj_sampling::{connected_order, val_a, CardinalityEstimate, Sampler, SamplingConfig};
-use std::cell::RefCell;
-use std::collections::hash_map::Entry;
+use std::cell::{OnceCell, RefCell};
 use std::sync::Arc;
 
 /// Calibration constants of the cost model.
@@ -71,16 +77,37 @@ impl Default for CostParams {
     }
 }
 
+/// One column's sorted distinct values.
+enum Column {
+    /// Level 0 of a trie whose levels start with the column's attribute.
+    Level0(Arc<Trie>),
+    /// Computed off the relation: no held or cached trie starts with the
+    /// attribute.
+    Values(Vec<Value>),
+}
+
+impl Column {
+    fn values(&self) -> &[Value] {
+        match self {
+            Column::Level0(trie) => &trie.levels()[0].values,
+            Column::Values(values) => values,
+        }
+    }
+}
+
 /// What one `optimize` call has derived from the data and may need again.
-/// Atoms are keyed by their index in the query.
+/// Relations are keyed by name: atoms naming one relation share its tries
+/// and columns.
 #[derive(Default)]
-struct Artifacts {
-    /// (atom, attribute) → the column's sorted distinct values: the source
-    /// of both `|val(A)|` and every sampled sub-join's `val(A)`. Filled at
-    /// construction; an atom whose relation is missing has no entries.
-    columns: FxHashMap<(usize, Attr), Vec<Value>>,
-    /// (atom, column order) → the relation's sampling trie.
-    tries: FxHashMap<(usize, Vec<Attr>), Arc<Trie>>,
+struct Artifacts<'a> {
+    /// (relation, level order) → its trie, taken from the index cache or
+    /// built here.
+    tries: FxHashMap<(&'a str, Vec<Attr>), Arc<Trie>>,
+    /// (relation, attribute) → the column's sorted distinct values: the
+    /// source of both `|val(A)|` and every sampled sub-join's `val(A)`.
+    columns: FxHashMap<(&'a str, Attr), Column>,
+    /// The tries built here, in build order.
+    built: Vec<(&'a str, Arc<Trie>)>,
     /// atom-set mask → estimated cardinality of the sub-join.
     cardinalities: FxHashMap<u64, f64>,
     /// pre-compute mask → `costC` of the rewritten query and its share.
@@ -88,13 +115,15 @@ struct Artifacts {
     stats: OptimizerStats,
 }
 
-impl Artifacts {
-    /// `val(attr)` over the atoms in `atoms`: the intersection of the
-    /// `attr`-columns of those that have one.
-    fn val_a(&self, atoms: impl Iterator<Item = usize>, attr: Attr) -> Vec<Value> {
-        let columns: Vec<&[Value]> =
-            atoms.filter_map(|i| self.columns.get(&(i, attr))).map(Vec::as_slice).collect();
-        val_a(&columns)
+impl<'a> Artifacts<'a> {
+    /// Keeps `trie` of relation `name`, and its level 0 as the column of
+    /// its first attribute unless that column is known already.
+    fn hold(&mut self, name: &'a str, trie: &Arc<Trie>) {
+        let attrs = trie.schema().attrs();
+        if let Some(&first) = attrs.first() {
+            self.columns.entry((name, first)).or_insert_with(|| Column::Level0(Arc::clone(trie)));
+        }
+        self.tries.insert((name, attrs.to_vec()), Arc::clone(trie));
     }
 }
 
@@ -108,9 +137,11 @@ pub struct CostEstimator<'a> {
     /// α, the worker count `N*` and the per-worker memory budget.
     cluster: &'a ClusterConfig,
     sampling: SamplingConfig,
-    cache: RefCell<Artifacts>,
-    /// attr id → |val(A)|, over the query's relations.
-    val_sizes: Vec<f64>,
+    /// The request: its index scope, cancel token and tracer.
+    ctx: &'a ExecCtx<'a>,
+    cache: RefCell<Artifacts<'a>>,
+    /// attr id → |val(A)| over the query's relations, computed on first use.
+    val_sizes: Vec<OnceCell<f64>>,
     /// Attributes every execution of this query binds to a single value
     /// (inline literals + `$name` parameters). Relations touching them are
     /// filtered down before shuffling, so their *priced* sizes shrink by
@@ -123,7 +154,8 @@ pub struct CostEstimator<'a> {
 
 impl<'a> CostEstimator<'a> {
     /// Creates an estimator for `query` over `db` with hypertree `tree`,
-    /// pricing for `cluster`'s α, worker count and memory budget.
+    /// pricing for `cluster`'s α, worker count and memory budget, on behalf
+    /// of the request `ctx` ([`ExecCtx::default`] plans cold).
     pub fn new(
         db: &'a Database,
         query: &'a JoinQuery,
@@ -131,19 +163,8 @@ impl<'a> CostEstimator<'a> {
         params: CostParams,
         cluster: &'a ClusterConfig,
         sampling: SamplingConfig,
+        ctx: &'a ExecCtx<'a>,
     ) -> Self {
-        let mut cache = Artifacts::default();
-        for (i, atom) in query.atoms.iter().enumerate() {
-            let Ok(rel) = db.get(&atom.name) else { continue };
-            for &a in atom.schema.attrs() {
-                if let Ok(values) = rel.column_values(a) {
-                    cache.columns.insert((i, a), values);
-                }
-            }
-        }
-        let val_sizes = (0..query.num_attrs() as u32)
-            .map(|a| (cache.val_a(0..query.atoms.len(), Attr(a)).len() as f64).max(1.0))
-            .collect();
         // Self-derived rather than passed in: the mask is a pure function
         // of the query's term kinds, so every construction site prices the
         // same filtered sizes. A conflicting-constant query reports mask 0
@@ -159,8 +180,9 @@ impl<'a> CostEstimator<'a> {
             params,
             cluster,
             sampling,
-            cache: RefCell::new(cache),
-            val_sizes,
+            ctx,
+            cache: RefCell::new(Artifacts::default()),
+            val_sizes: (0..query.num_attrs()).map(|_| OnceCell::new()).collect(),
             bound_mask,
             beta_measured: RefCell::new(None),
         }
@@ -169,6 +191,13 @@ impl<'a> CostEstimator<'a> {
     /// The query's bound-attribute mask (literal + parameter positions).
     pub fn bound_mask(&self) -> u64 {
         self.bound_mask
+    }
+
+    /// `|val(A)|` over the query's relations (at least 1).
+    fn val_size(&self, a: usize) -> f64 {
+        *self.val_sizes[a].get_or_init(|| {
+            (self.val_a(0..self.query.atoms.len(), Attr(a as u32)).len() as f64).max(1.0)
+        })
     }
 
     /// Discounts a relation's tuple count for the bound-constant selections
@@ -182,9 +211,9 @@ impl<'a> CostEstimator<'a> {
             return size;
         }
         let mut discounted = size;
-        for (a, val) in self.val_sizes.iter().enumerate() {
+        for a in 0..self.val_sizes.len() {
             if touched & (1u64 << a) != 0 {
-                discounted /= val;
+                discounted /= self.val_size(a);
             }
         }
         discounted.max(1.0)
@@ -199,6 +228,27 @@ impl<'a> CostEstimator<'a> {
     /// What this estimator has sampled, built, solved and reused so far.
     pub fn stats(&self) -> OptimizerStats {
         self.cache.borrow().stats
+    }
+
+    /// Fails with [`Error::Cancelled`] once the request's token has fired:
+    /// a search polls it between steps, and a sub-join it interrupted
+    /// priced as `∞` without counting as a sampler error.
+    pub(crate) fn check(&self) -> Result<()> {
+        self.ctx.cancel.check().map_err(|c| Error::Cancelled { deadline_exceeded: c.deadline })
+    }
+
+    /// The tries this estimator built whose levels follow `order` — those a
+    /// plan under `order` indexes — for the request's execution to take
+    /// over. The others (sampling-only level orders) are dropped with the
+    /// estimator.
+    pub(crate) fn planned(&self, order: &[Attr]) -> PlannedTries {
+        let follows = |s: &Schema| order.iter().filter(|a| s.contains(**a)).eq(s.attrs());
+        let cache = self.cache.borrow();
+        let tries = (cache.built.iter())
+            .filter(|(_, trie)| follows(trie.schema()))
+            .map(|(name, trie)| (name.to_string(), Arc::clone(trie)))
+            .collect();
+        PlannedTries::new(tries)
     }
 
     /// Estimated cardinality of the join of the atoms in `atoms_mask`
@@ -228,6 +278,7 @@ impl<'a> CostEstimator<'a> {
                 }
                 est.cardinality.max(0.0)
             }
+            Err(Error::Cancelled { .. }) => f64::INFINITY,
             Err(_) => {
                 cache.stats.sampler_errors += 1;
                 f64::INFINITY
@@ -241,31 +292,97 @@ impl<'a> CostEstimator<'a> {
     /// under its [`connected_order`], on tries and columns shared with every
     /// other sub-join of this estimator.
     fn sample_subjoin(&self, atoms_mask: u64) -> Result<CardinalityEstimate> {
+        self.check()?;
         let members: Vec<usize> =
             (0..self.query.atoms.len()).filter(|i| atoms_mask & (1 << i) != 0).collect();
         let order = connected_order(members.iter().map(|&i| &self.query.atoms[i].schema));
-        let mut cache = self.cache.borrow_mut();
-        let Artifacts { tries: cached, stats, .. } = &mut *cache;
         let mut tries = Vec::with_capacity(members.len());
         for &i in &members {
-            let rel = self.db.get(&self.query.atoms[i].name)?;
-            let columns: Vec<Attr> =
-                order.iter().copied().filter(|a| rel.schema().contains(*a)).collect();
-            tries.push(match cached.entry((i, columns)) {
-                Entry::Occupied(hit) => {
-                    stats.tries_reused += 1;
-                    Arc::clone(hit.get())
-                }
-                Entry::Vacant(miss) => {
-                    let trie = Arc::new(rel.trie_under_order(&order)?);
-                    stats.tries_built += 1;
-                    Arc::clone(miss.insert(trie))
-                }
-            });
+            let name = self.query.atoms[i].name.as_str();
+            let rel = self.db.get(name)?;
+            let induced = order.iter().copied().filter(|a| rel.schema().contains(*a)).collect();
+            tries.push(self.trie(name, rel, induced)?);
         }
-        let values = cache.val_a(members.iter().copied(), order[0]);
-        drop(cache);
+        let values = self.val_a(members.iter().copied(), order[0]);
         Sampler::from_parts(&order, tries, values)?.estimate(&self.sampling)
+    }
+
+    /// The trie of relation `name` (stored as `rel`) whose levels follow
+    /// `induced`: held already, else read from the index cache, else built.
+    fn trie(&self, name: &'a str, rel: &Relation, induced: Vec<Attr>) -> Result<Arc<Trie>> {
+        let mut cache = self.cache.borrow_mut();
+        let key = (name, induced);
+        if let Some(trie) = cache.tries.get(&key) {
+            let trie = Arc::clone(trie);
+            cache.stats.tries_reused += 1;
+            return Ok(trie);
+        }
+        let (_, induced) = key;
+        let trie = match self.cached(name, &induced) {
+            Some(trie) => {
+                cache.stats.tries_cached += 1;
+                trie
+            }
+            None => {
+                let trie = Arc::new(build_trie(rel, induced, &self.ctx.cancel)?);
+                cache.stats.tries_built += 1;
+                cache.built.push((name, Arc::clone(&trie)));
+                trie
+            }
+        };
+        cache.hold(name, &trie);
+        Ok(trie)
+    }
+
+    /// The index cache's trie of relation `name` whose levels follow
+    /// `induced`, under the request's scope. The lookup counts as the
+    /// cache's hit or miss but claims no build: the round publishes.
+    fn cached(&self, name: &str, induced: &[Attr]) -> Option<Arc<Trie>> {
+        let scope = self.ctx.index?;
+        let key = scope.index_key(name, induced.to_vec());
+        scope.cache.store().get_if(&key, |trie| Some(Arc::clone(trie)))
+    }
+
+    /// `val(attr)` over the atoms in `atoms` whose relation has a column
+    /// `attr`: the intersection of those columns.
+    fn val_a(&self, atoms: impl Iterator<Item = usize>, attr: Attr) -> Vec<Value> {
+        let names: Vec<&'a str> = atoms
+            .map(|i| &self.query.atoms[i])
+            .filter(|atom| atom.schema.contains(attr))
+            .map(|atom| atom.name.as_str())
+            .filter(|&name| self.column(name, attr))
+            .collect();
+        let cache = self.cache.borrow();
+        let columns: Vec<&[Value]> =
+            names.iter().map(|&name| cache.columns[&(name, attr)].values()).collect();
+        val_a(&columns)
+    }
+
+    /// Makes sure the column `attr` of relation `name` is known: level 0 of
+    /// a held trie that starts with `attr`, else of the index cache's trie
+    /// of `attr` followed by the relation's other attributes in stored
+    /// order, else computed off the relation. `false` when the relation is
+    /// missing or has no such column.
+    fn column(&self, name: &'a str, attr: Attr) -> bool {
+        let mut cache = self.cache.borrow_mut();
+        if cache.columns.contains_key(&(name, attr)) {
+            return true;
+        }
+        let Ok(rel) = self.db.get(name) else { return false };
+        let stored = rel.schema().attrs();
+        let induced: Vec<Attr> =
+            std::iter::once(attr).chain(stored.iter().copied().filter(|&a| a != attr)).collect();
+        if let Some(trie) = self.cached(name, &induced) {
+            cache.columns.insert((name, attr), Column::Level0(trie));
+            return true;
+        }
+        match rel.column_values(attr) {
+            Ok(values) => {
+                cache.columns.insert((name, attr), Column::Values(values));
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Estimated number of bindings over the attribute set `attrs_mask`
@@ -289,7 +406,7 @@ impl<'a> CostEstimator<'a> {
         let uncovered = attrs_mask & !covered_attrs;
         for a in 0..self.val_sizes.len() {
             if uncovered & (1 << a) != 0 {
-                card *= self.val_sizes[a];
+                card *= self.val_size(a);
             }
         }
         card
@@ -413,10 +530,7 @@ impl<'a> CostEstimator<'a> {
     /// (most selective first), the rule \[11\] uses for its own order picks.
     pub fn order_attrs_by_selectivity(&self, attrs: &mut [Attr]) {
         attrs.sort_by(|a, b| {
-            self.val_sizes[a.index()]
-                .partial_cmp(&self.val_sizes[b.index()])
-                .unwrap()
-                .then(a.cmp(b))
+            self.val_size(a.index()).partial_cmp(&self.val_size(b.index())).unwrap().then(a.cmp(b))
         });
     }
 
@@ -442,7 +556,7 @@ impl<'a> CostEstimator<'a> {
         let mut est = 1.0f64;
         for a in 0..self.val_sizes.len() {
             if attrs_mask & (1 << a) != 0 {
-                est *= self.val_sizes[a];
+                est *= self.val_size(a);
             }
         }
         for atom in &self.query.atoms {
@@ -451,7 +565,7 @@ impl<'a> CostEstimator<'a> {
                 let size = self.db.get(&atom.name).map(|r| r.len() as f64).unwrap_or(0.0).max(1e-9);
                 let mut dom = 1.0f64;
                 for &a in atom.schema.attrs() {
-                    dom *= self.val_sizes[a.index()];
+                    dom *= self.val_size(a.index());
                 }
                 est *= (size / dom).min(1.0);
             }
@@ -491,6 +605,8 @@ mod tests {
         transport: TransportKind::InProcess,
     };
     const SAMPLING: SamplingConfig = SamplingConfig { samples: 128, seed: 5 };
+    /// The cold request: no index scope, uncancellable, untraced.
+    static COLD: std::sync::LazyLock<ExecCtx<'static>> = std::sync::LazyLock::new(ExecCtx::default);
 
     fn setup() -> (Database, JoinQuery) {
         let q = paper_query(PaperQuery::Q4);
@@ -518,7 +634,7 @@ mod tests {
         tree: &'a GhdTree,
         params: CostParams,
     ) -> CostEstimator<'a> {
-        CostEstimator::new(db, q, tree, params, &CLUSTER, SAMPLING)
+        CostEstimator::new(db, q, tree, params, &CLUSTER, SAMPLING, &COLD)
     }
 
     #[test]
@@ -558,7 +674,8 @@ mod tests {
         let (db, q) = setup();
         let tree = GhdTree::decompose(&q.hypergraph(), 3);
         let tight = ClusterConfig { memory_limit_bytes: Some(8), ..ClusterConfig::default() };
-        let est = CostEstimator::new(&db, &q, &tree, CostParams::default(), &tight, SAMPLING);
+        let est =
+            CostEstimator::new(&db, &q, &tree, CostParams::default(), &tight, SAMPLING, &COLD);
         let (c, p) = est.cost_c(0);
         assert!(c.is_infinite());
         assert!(p.is_empty());
@@ -691,8 +808,10 @@ mod tests {
         noisy.insert("Unrelated", unrelated.unwrap());
         let tree = GhdTree::decompose(&q.hypergraph(), 3);
         let (est_c, est_n) = (estimator(&clean, &q, &tree), estimator(&noisy, &q, &tree));
-        assert!(est_c.val_sizes[0] > 2.0, "the unrelated relation would have shrunk |val(a)|");
-        assert_eq!(est_c.val_sizes, est_n.val_sizes);
+        assert!(est_c.val_size(0) > 2.0, "the unrelated relation would have shrunk |val(a)|");
+        for a in 0..q.num_attrs() {
+            assert_eq!(est_c.val_size(a), est_n.val_size(a), "attribute {a}");
+        }
         let (mut order_c, mut order_n) = (q.attrs(), q.attrs());
         est_c.order_attrs_by_selectivity(&mut order_c);
         est_n.order_attrs_by_selectivity(&mut order_n);

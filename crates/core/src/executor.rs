@@ -1299,6 +1299,7 @@ mod tests {
                     index: Some(&scope),
                     cancel: CancelToken::manual(),
                     tracer: adj_trace::Tracer::new(1024),
+                    ..Default::default()
                 };
                 let (same, arep) = run_ctx(&db, &plan, &cfg, mode, &armed).unwrap();
                 assert_eq!(same, out, "{pq:?} {mode:?}: an idle context changed the answer");

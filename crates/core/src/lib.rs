@@ -33,14 +33,14 @@ pub mod scratch;
 
 pub use cost::{CostEstimator, CostParams};
 pub use executor::{execute_plan, ExecutionReport, Strategy, SINK_CHECK_EVERY};
-pub use optimizer::optimize;
+pub use optimizer::{optimize, optimize_in};
 pub use plan::{OptimizerStats, PlanRelation, QueryPlan};
 pub use prepared::Prepared;
 pub use scratch::ScratchPool;
 // The execution context and the cross-query index cache (defined in
 // `adj-hcube`, where the index round consults them) are part of this crate's
 // public execution API too.
-pub use adj_hcube::{ExecCtx, IndexCache, IndexCacheStats, IndexScope};
+pub use adj_hcube::{ExecCtx, IndexCache, IndexCacheStats, IndexScope, PlannedTries};
 // Cooperative cancellation and the deterministic fault-injection harness
 // (defined in `adj-faults` so every layer can place checkpoints), part of
 // this crate's public execution API for the serving layer's deadline hook.
@@ -185,9 +185,9 @@ impl Adj {
         strategy: Strategy,
         mode: OutputMode,
     ) -> Result<AdjOutcome> {
-        let plan = self.plan(query, db, strategy)?;
-        let (output, report) =
-            self.execute_plan(&plan, db, mode, &BoundValues::none(), &ExecCtx::default())?;
+        let (plan, planned) = self.plan_in(query, db, strategy, &ExecCtx::default())?;
+        let ctx = ExecCtx { planned, ..Default::default() };
+        let (output, report) = self.execute_plan(&plan, db, mode, &BoundValues::none(), &ctx)?;
         Ok(AdjOutcome { output, mode, plan, report })
     }
 
@@ -199,10 +199,24 @@ impl Adj {
     /// how `adj-service`'s plan cache amortizes GHD search + sampling
     /// across repeated query shapes).
     pub fn plan(&self, query: &JoinQuery, db: &Database, strategy: Strategy) -> Result<QueryPlan> {
+        self.plan_in(query, db, strategy, &ExecCtx::default()).map(|(plan, _)| plan)
+    }
+
+    /// [`Adj::plan`] on behalf of the request `ctx` ([`optimize_in`]): the
+    /// sampler reads `ctx`'s index scope and polls its token. Returns the
+    /// plan with the tries the planner built for it, which the request's
+    /// execution takes over as [`ExecCtx::planned`].
+    pub fn plan_in(
+        &self,
+        query: &JoinQuery,
+        db: &Database,
+        strategy: Strategy,
+        ctx: &ExecCtx<'_>,
+    ) -> Result<(QueryPlan, PlannedTries)> {
         let t0 = std::time::Instant::now();
-        let mut plan = optimize(query, db, &self.config, strategy)?;
+        let (mut plan, planned) = optimize_in(query, db, &self.config, strategy, ctx)?;
         plan.optimization_secs = t0.elapsed().as_secs_f64();
-        Ok(plan)
+        Ok((plan, planned))
     }
 
     /// Executes an already-constructed plan on this instance's cluster,

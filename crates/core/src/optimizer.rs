@@ -13,28 +13,45 @@ use crate::cost::CostEstimator;
 use crate::executor::Strategy;
 use crate::plan::QueryPlan;
 use crate::AdjConfig;
+use adj_hcube::{ExecCtx, PlannedTries};
 use adj_query::order::{all_orders, hoist_bound, new_attrs_per_step};
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::{Attr, Database, Error, Result};
 
-/// Finds a query plan for `query` over `db`.
-///
-/// * [`Strategy::CoOptimize`] runs Algorithm 2 (ADJ proper).
-/// * [`Strategy::CommFirst`] mimics HCubeJ: never pre-compute, pick the
-///   attribute order over *all* `n!` permutations by estimated intermediate
-///   tuples (the paper's "All-Selected" selection).
+/// Finds a query plan for `query` over `db`, cold: [`optimize_in`] under
+/// [`ExecCtx::default`], its built tries dropped.
 pub fn optimize(
     query: &JoinQuery,
     db: &Database,
     config: &AdjConfig,
     strategy: Strategy,
 ) -> Result<QueryPlan> {
+    optimize_in(query, db, config, strategy, &ExecCtx::default()).map(|(plan, _)| plan)
+}
+
+/// Finds a query plan for `query` over `db` on behalf of the request `ctx`:
+/// the sampler reads its tries from `ctx`'s index scope and builds only
+/// what the cache misses, polling `ctx`'s token (a fired token fails the
+/// search with [`Error::Cancelled`]). Returns the plan and the tries built
+/// for it in the level orders it indexes, for the execution to take over.
+///
+/// * [`Strategy::CoOptimize`] runs Algorithm 2 (ADJ proper).
+/// * [`Strategy::CommFirst`] mimics HCubeJ: never pre-compute, pick the
+///   attribute order over *all* `n!` permutations by estimated intermediate
+///   tuples (the paper's "All-Selected" selection).
+pub fn optimize_in(
+    query: &JoinQuery,
+    db: &Database,
+    config: &AdjConfig,
+    strategy: Strategy,
+    ctx: &ExecCtx<'_>,
+) -> Result<(QueryPlan, PlannedTries)> {
     let h = query.hypergraph();
     let tree = GhdTree::decompose(&h, 3);
-    let estimator =
-        CostEstimator::new(db, query, &tree, config.cost, &config.cluster, config.sampling);
+    let (cost, sampling) = (config.cost, config.sampling);
+    let estimator = CostEstimator::new(db, query, &tree, cost, &config.cluster, sampling, ctx);
 
-    match strategy {
+    let plan = match strategy {
         Strategy::CommFirst => {
             // HCubeJ: C = ∅; order selected over all permutations.
             let attrs = query.attrs();
@@ -54,7 +71,7 @@ pub fn optimize(
             // so the whole order may be hoisted.
             hoist_bound(&mut order, bound_attr_mask(query)?);
             let relations = QueryPlan::relations_for(query, &tree, 0);
-            Ok(QueryPlan {
+            QueryPlan {
                 query: query.clone(),
                 tree: tree.clone(),
                 traversal: (0..tree.len()).collect(),
@@ -67,10 +84,13 @@ pub fn optimize(
                 optimization_secs: 0.0,
                 optimizer: estimator.stats(),
                 rounds: Default::default(),
-            })
+            }
         }
-        Strategy::CoOptimize => algorithm2(query, &tree, &estimator),
-    }
+        Strategy::CoOptimize => algorithm2(query, &tree, &estimator)?,
+    };
+    estimator.check()?;
+    let planned = estimator.planned(&plan.order);
+    Ok((plan, planned))
 }
 
 /// Algorithm 2: greedy reverse-order search over (traversal, pre-compute set).
@@ -89,6 +109,7 @@ fn algorithm2(
     let mut accumulated = 0.0f64;
 
     while remaining != 0 {
+        estimator.check()?;
         let mut best: Option<(f64, usize, bool)> = None; // (cost, node, precompute?)
 
         // Option 1 shuffles the same relations whichever node is extended
@@ -139,6 +160,9 @@ fn algorithm2(
         tail_rev.push(v);
     }
 
+    // An interrupted search priced some steps at `∞`: fail it before the
+    // share is solved over those prices.
+    estimator.check()?;
     let traversal: Vec<usize> = tail_rev.iter().rev().copied().collect();
     let order = derive_order(tree, &traversal, estimator, bound_attr_mask(query)?);
     let precompute: Vec<usize> = (0..n_star).filter(|v| c_mask & (1 << v) != 0).collect();
@@ -217,8 +241,9 @@ fn derive_order(
 mod tests {
     use super::*;
     use adj_query::order::is_valid_order;
-    use adj_query::{paper_query, PaperQuery};
-    use adj_relational::{Relation, Value};
+    use adj_query::{paper_query, Atom, PaperQuery};
+    use adj_relational::{Relation, Schema, Value};
+    use std::sync::Arc;
 
     fn db_for(q: &JoinQuery, n: u32, m: u32) -> Database {
         let edges: Vec<(Value, Value)> = (0..n)
@@ -256,10 +281,12 @@ mod tests {
         let db = db_for(&q, 200, 43);
         let plan = optimize(&q, &db, &AdjConfig::default(), Strategy::CoOptimize).unwrap();
         let stats = plan.optimizer;
-        // At most one trie per (atom, column order), and a binary atom has
-        // two column orders; later sub-joins reuse them.
-        assert!(stats.tries_built <= 2 * q.atoms.len() as u64, "{stats:?}");
-        assert!(stats.tries_reused > 0, "{stats:?}");
+        // One trie per distinct (relation, level order) the seven sampled
+        // sub-joins read: Q5's seven relations, one of them in two orders.
+        // The other fourteen members reuse them; a cold plan has no index
+        // cache to read.
+        assert_eq!((stats.subjoins_sampled, stats.tries_built), (7, 8), "{stats:?}");
+        assert_eq!((stats.tries_cached, stats.tries_reused), (0, 14), "{stats:?}");
         assert_eq!(stats.sampler_errors, 0);
         assert!(stats.subjoins_sampled > 0 && stats.sample_extensions > 0, "{stats:?}");
         // The share solver runs once per distinct pre-compute mask priced.
@@ -283,6 +310,63 @@ mod tests {
         }
         assert_eq!(stats.share_solves, priced.len() as u64, "{stats:?} masks {priced:?}");
         assert!(stats.share_reused > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn a_warm_cache_serves_the_sampler_and_the_plan_hands_over_its_builds() {
+        use adj_hcube::{IndexCache, IndexScope};
+        let q = paper_query(PaperQuery::Q5);
+        let db = db_for(&q, 200, 43);
+        let cfg = AdjConfig::default();
+        let strategy = Strategy::CoOptimize;
+        let (cold, planned) = optimize_in(&q, &db, &cfg, strategy, &ExecCtx::default()).unwrap();
+        // The hand-over holds the built tries the plan indexes: those whose
+        // levels follow its order.
+        let built = cold.optimizer.tries_built;
+        assert!(!planned.is_empty() && (planned.len() as u64) < built, "{}", planned.len());
+        let induced = |a: &Atom| {
+            let attrs = cold.order.iter().copied().filter(|x| a.schema.contains(*x)).collect();
+            Schema::new(attrs).unwrap()
+        };
+        for atom in &q.atoms {
+            if let Some(trie) = planned.get(&atom.name, &induced(atom)) {
+                let stored = db.get(&atom.name).unwrap();
+                assert_eq!(trie.to_relation(), stored.permute(induced(atom).attrs()).unwrap());
+            }
+        }
+
+        // Publish them as a round would: a search over that cache reads
+        // them, builds only the rest, hands nothing over and plans alike.
+        let cache = IndexCache::new(64 << 20);
+        let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
+        for atom in &q.atoms {
+            if let Some(trie) = planned.get(&atom.name, &induced(atom)) {
+                let key = scope.index_key(atom.name.as_str(), induced(atom).attrs().to_vec());
+                cache.store().insert(key, Arc::clone(trie));
+            }
+        }
+        let ctx = ExecCtx { index: Some(&scope), ..Default::default() };
+        let (warm, again) = optimize_in(&q, &db, &cfg, strategy, &ctx).unwrap();
+        let stats = warm.optimizer;
+        assert_eq!(stats.tries_cached, planned.len() as u64, "{stats:?}");
+        assert_eq!(stats.tries_built, built - planned.len() as u64, "{stats:?}");
+        assert!(again.is_empty(), "every trie the plan indexes was read from the cache");
+        assert_eq!(
+            (warm.order, warm.precompute, warm.share),
+            (cold.order, cold.precompute, cold.share)
+        );
+        assert_eq!(warm.estimated_cost_secs.to_bits(), cold.estimated_cost_secs.to_bits());
+    }
+
+    #[test]
+    fn a_fired_token_fails_the_search_typed() {
+        let q = paper_query(PaperQuery::Q5);
+        let db = db_for(&q, 200, 43);
+        let cancel = adj_faults::CancelToken::manual();
+        cancel.cancel();
+        let ctx = ExecCtx { cancel, ..Default::default() };
+        let planned = optimize_in(&q, &db, &AdjConfig::default(), Strategy::CoOptimize, &ctx);
+        assert!(matches!(planned, Err(Error::Cancelled { deadline_exceeded: false })));
     }
 
     #[test]

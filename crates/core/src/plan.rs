@@ -45,7 +45,8 @@ impl PlanRelation {
 
 /// What the optimizer did to find one plan: how much it sampled, and how
 /// much of its derived state (sampling tries, solved share programs) one
-/// `optimize` call built against how much it served again from its cache.
+/// `optimize` call built against how much it read from the index cache or
+/// served again from its own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptimizerStats {
     /// Distinct sub-joins whose cardinality was sampled.
@@ -58,9 +59,12 @@ pub struct OptimizerStats {
     pub sample_values: u64,
     /// Sub-joins the sampler refused; each was priced as `∞`.
     pub sampler_errors: u64,
-    /// Sampling tries built, one per distinct (atom, column order).
+    /// Sampling tries built, one per distinct (relation, level order) the
+    /// index cache did not hold.
     pub tries_built: u64,
-    /// Sampling tries a later sub-join took from the cache instead.
+    /// Sampling tries taken from the index cache instead.
+    pub tries_cached: u64,
+    /// Sampling tries a later sub-join took from the optimizer's own ones.
     pub tries_reused: u64,
     /// Share programs solved, one per distinct pre-compute set priced.
     pub share_solves: u64,
@@ -74,13 +78,14 @@ pub struct OptimizerStats {
 impl OptimizerStats {
     /// The counters as `(name, value)` pairs — what trace spans attach and
     /// `EXPLAIN` prints.
-    pub fn args(&self) -> [(&'static str, u64); 9] {
+    pub fn args(&self) -> [(&'static str, u64); 10] {
         [
             ("subjoins_sampled", self.subjoins_sampled),
             ("sample_extensions", self.sample_extensions),
             ("sample_values", self.sample_values),
             ("sampler_errors", self.sampler_errors),
             ("tries_built", self.tries_built),
+            ("tries_cached", self.tries_cached),
             ("tries_reused", self.tries_reused),
             ("share_solves", self.share_solves),
             ("share_reused", self.share_reused),

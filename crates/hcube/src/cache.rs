@@ -14,6 +14,14 @@
 //! per-query relations: each execution computes them again, and the round
 //! over them indexes them without a key.
 //!
+//! Two layers read the cache and one writes it. The planner's sampler
+//! reads its tries with a plain [`Cache::get_if`] under
+//! [`IndexScope::index_key`] — no build claim — and builds what misses;
+//! the round ([`index_round`](crate::index_round)) looks its keys up with
+//! a claim and publishes every trie it misses, whether it built the trie
+//! or took it over from the planner. So the cache holds exactly the tries
+//! rounds index; a sampling-only level order is never published.
+//!
 //! Keys fold in a database tag and its statistics epoch: re-registering a
 //! database bumps the epoch, so stale entries stop matching (and the
 //! store's `forget(epoch)` drops them eagerly). The store is the one

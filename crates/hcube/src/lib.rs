@@ -21,7 +21,10 @@
 //! * [`round::index_round`] — what serving runs instead: the cluster's
 //!   workers are threads over one heap, so a round builds (or reuses) one
 //!   trie per relation that every worker reads, and reports what the
-//!   plan's share would have routed;
+//!   plan's share would have routed. Its builder ([`round::build_trie`])
+//!   builds the planner's sampling tries too, and a cold relation the
+//!   planner already indexed reaches the round as the request's
+//!   [`PlannedTries`] instead of being built again;
 //! * [`cache::IndexCache`] — the cross-query index cache: a byte-budgeted
 //!   LRU of `Arc<Trie>` handles, one per database relation and induced
 //!   order, keyed by `(database, epoch, relation, induced order, delta
@@ -41,6 +44,8 @@ pub mod shuffle;
 pub use cache::{IndexCache, IndexCacheStats, IndexClaim, IndexKey, IndexLookup, IndexScope};
 pub use patch::{patch_relation_indexes, PatchOutcome};
 pub use plan::HCubePlan;
-pub use round::{index_round, ExecCtx, IndexRound, RoundLayout, RoundOutput};
+pub use round::{
+    build_trie, index_round, ExecCtx, IndexRound, PlannedTries, RoundLayout, RoundOutput,
+};
 pub use share::{optimize_share, solve_share, ShareInput, ShareSolution};
 pub use shuffle::{hcube_shuffle, HCubeImpl, LocalRelation, ShuffleOutput, ShuffleReport};

@@ -11,6 +11,12 @@
 //! reports the tuple copies the share would route for it, `|R| · dup(R, p)`,
 //! the paper's communication cost. The round takes that share as it is and
 //! solves no share program of its own.
+//!
+//! The planner samples over the same tries: it reads them from the cache
+//! and builds a missing one with this module's builder ([`build_trie`]).
+//! What it built reaches the round as the request's [`PlannedTries`], so a
+//! cold relation the planner already indexed is taken over, not rebuilt.
+//! The round stays the cache's one publisher.
 
 use crate::cache::{IndexClaim, IndexKey, IndexLookup, IndexScope};
 use crate::share::dup_factor;
@@ -131,10 +137,9 @@ impl RoundLayout {
         overlay: &[(String, Arc<Relation>)],
         scope: Option<&IndexScope<'_>>,
     ) -> Self {
-        let in_db = |atom: &RoundAtom| !overlay.iter().any(|(n, _)| *n == atom.name);
         let mut keys: Vec<(usize, IndexKey)> = match scope {
             Some(scope) => (atoms.iter().enumerate())
-                .filter(|(_, atom)| in_db(atom))
+                .filter(|(_, atom)| in_db(overlay, &atom.name))
                 .map(|(ai, atom)| (ai, scope.index_key(&atom.name, atom.induced.attrs().to_vec())))
                 .collect(),
             None => Vec::new(),
@@ -180,19 +185,55 @@ impl RoundLayout {
     }
 }
 
-/// What one execution carries through every layer below the front door:
-/// the index-cache scope it may consult and publish under, its cancellation
-/// token and its tracer. Both handles are `Option<Arc<_>>` inside, so
-/// [`ExecCtx::default`] — the cold, uncancellable, untraced execution —
-/// allocates nothing and every poll or span on it is one branch.
+/// What one request carries through every layer below the front door: the
+/// index-cache scope its planner reads and its rounds consult and publish
+/// under, its cancellation token, its tracer and the tries its planner
+/// built. Both handles are `Option<Arc<_>>` inside and the hand-over is an
+/// empty `Vec`, so [`ExecCtx::default`] — the cold, uncancellable,
+/// untraced execution — allocates nothing and every poll or span on it is
+/// one branch.
 #[derive(Debug, Clone, Default)]
 pub struct ExecCtx<'a> {
     /// The cross-query index cache to consult; `None` runs fully cold.
     pub index: Option<&'a IndexScope<'a>>,
-    /// Polled at every cancellation checkpoint of the execution.
+    /// Polled at every cancellation checkpoint of the request.
     pub cancel: CancelToken,
-    /// Receives the execution's span timeline.
+    /// Receives the request's span timeline.
     pub tracer: Tracer,
+    /// The tries this request's planner built, for its rounds to take over.
+    pub planned: PlannedTries,
+}
+
+/// The tries a request's planner built while it sampled, handed to the
+/// execution that follows: a round that misses one of them in the cache
+/// takes it over instead of building it again (and publishes it as its
+/// own build). Each trie is keyed by its relation's name and its level
+/// order, which together with the request's database state is what an
+/// [`IndexKey`] names.
+#[derive(Debug, Clone, Default)]
+pub struct PlannedTries(Vec<(String, Arc<Trie>)>);
+
+impl PlannedTries {
+    /// The hand-over of `tries`, each under its relation's name.
+    pub fn new(tries: Vec<(String, Arc<Trie>)>) -> Self {
+        PlannedTries(tries)
+    }
+
+    /// The trie of relation `name` whose levels follow `induced`, if the
+    /// planner built it.
+    pub fn get(&self, name: &str, induced: &Schema) -> Option<&Arc<Trie>> {
+        self.0.iter().find(|(n, t)| n == name && t.schema() == induced).map(|(_, t)| t)
+    }
+
+    /// How many tries are handed over.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether nothing is handed over.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
 }
 
 /// One round: which relations it indexes, and the share that prices them.
@@ -234,6 +275,11 @@ pub(crate) fn resolve<'a>(
     db.get(name)
 }
 
+/// Whether `name` resolves in the database: no overlay relation shadows it.
+fn in_db(overlay: &[(String, Arc<Relation>)], name: &str) -> bool {
+    !overlay.iter().any(|(n, _)| n == name)
+}
+
 /// How often a cold build polls the [`CancelToken`] while it reads rows:
 /// one relaxed atomic load (plus the fault-injection gate) every this many
 /// rows, so the cancellation latency is bounded without a measurable
@@ -267,14 +313,25 @@ fn build_index(rel: &Relation, atom: &RoundAtom, cancel: &CancelToken) -> Result
     Ok(Trie::build(&Relation::from_flat(atom.induced.clone(), flat)?))
 }
 
+/// The trie of `rel` whose levels follow `induced`, a reordering of all of
+/// its attributes, built as a round builds a relation: under the
+/// `ShuffleRoute` checkpoint, polling `cancel`. A fired token fails the
+/// build with [`Error::Cancelled`]; an order that misses an attribute of
+/// `rel` is [`Error::SchemaMismatch`].
+pub fn build_trie(rel: &Relation, induced: Vec<Attr>, cancel: &CancelToken) -> Result<Trie> {
+    build_index(rel, &RoundAtom::new("", rel.schema(), induced)?, cancel)
+}
+
 /// Resolves every relation of `round` to its index under `ctx`'s index
 /// scope, cancellation token and tracer.
 ///
-/// Warm relations come from the cache. Cold ones are built — one relation
-/// per task, claimed by the cluster's workers from a shared cursor — and
-/// published for every later query. An overlay relation has no key: it is
-/// built every time and never published. Without an index scope everything
-/// is built and nothing published. A miss takes the key's build claim, so a
+/// Warm relations come from the cache. Cold ones are taken over from
+/// `ctx.planned` when the request's planner built them, else built — one
+/// relation per task, claimed by the cluster's workers from a shared
+/// cursor — and either way published for every later query and counted as
+/// built. An overlay relation has no key: it is built every time and never
+/// published. Without an index scope nothing is published, and every
+/// relation the planner did not build is built. A miss takes the key's build claim, so a
 /// concurrent query that misses the same key waits for this build instead
 /// of repeating it (request coalescing); claims are taken in sorted key
 /// order, so two rounds over overlapping relations never hold-and-wait in a
@@ -291,7 +348,8 @@ fn build_index(rel: &Relation, atom: &RoundAtom, cancel: &CancelToken) -> Result
 ///
 /// The span timeline: one `shuffle` span on the coordinator lane (its
 /// detail names the relations; args: the tuples the plan would route for
-/// the cold relations, built and reused relations),
+/// the cold relations, built and reused relations, and how many of the
+/// built ones the planner had built),
 /// an `index_cache_miss` / `index_cache_coalesced` instant per key that
 /// missed or waited for another build (plain hits are the span's
 /// `reused_relations`), and, when something was cold, a `build` span per
@@ -336,13 +394,24 @@ pub fn index_round(
         }
     }
 
-    // The cold relations, built one per task. A round with one cold
-    // relation builds it on the calling thread.
-    let cold: Vec<usize> = (0..atoms.len()).filter(|&ai| resolved[ai].is_none()).collect();
+    // The cold relations: those the planner built are taken over, the rest
+    // are built one per task. A round with one relation to build builds it
+    // on the calling thread.
     let mut built: Vec<Option<Arc<Trie>>> = Vec::new();
+    let (mut cold, mut planned) = (Vec::new(), 0u64);
+    for ai in (0..atoms.len()).filter(|&ai| resolved[ai].is_none()) {
+        built.resize(atoms.len(), None);
+        let atom = &atoms[ai];
+        match ctx.planned.get(&atom.name, &atom.induced).filter(|_| in_db(overlay, &atom.name)) {
+            Some(trie) => {
+                built[ai] = Some(Arc::clone(trie));
+                planned += 1;
+            }
+            None => cold.push(ai),
+        }
+    }
     let mut build_secs = 0.0;
     if !cold.is_empty() {
-        built.resize(atoms.len(), None);
         let next = AtomicUsize::new(0);
         let task = |_w: usize, span: &mut adj_trace::SpanGuard<'_>| -> Result<Vec<(usize, Trie)>> {
             adj_faults::inject(FaultSite::TrieBuild, cancel);
@@ -400,6 +469,7 @@ pub fn index_round(
         shuffle_span.arg("tuples", tuples);
         shuffle_span.arg("built_relations", built_relations);
         shuffle_span.arg("reused_relations", reused_relations);
+        shuffle_span.arg("planned_relations", planned);
     }
     drop(shuffle_span);
 
@@ -527,6 +597,65 @@ mod tests {
         for (mixed, fresh) in out.tries.iter().zip(&cold.tries) {
             assert_eq!(mixed, fresh);
         }
+    }
+
+    #[test]
+    fn a_round_takes_over_what_the_planner_built_and_publishes_it() {
+        let (db, names) = tri_db();
+        let cluster = Cluster::new(ClusterConfig::with_workers(2));
+        let build = |name: &str, ids: [u32; 2]| {
+            let induced = ids.iter().map(|&i| Attr(i)).collect();
+            Arc::new(build_trie(db.get(name).unwrap(), induced, &CancelToken::none()).unwrap())
+        };
+        // R1 in the round's order, and R2 in an order only a sampler reads.
+        let r1 = build("R1", [0, 1]);
+        let planned = PlannedTries::new(vec![
+            ("R1".into(), Arc::clone(&r1)),
+            ("R2".into(), build("R2", [2, 1])),
+        ]);
+        let fresh = round_in(&cluster, &db, &names, &order3(), None);
+
+        // Without a scope (a one-shot run) the round takes R1 over too.
+        let layout = RoundLayout::new(&db, &[], &names, &order3(), None).unwrap();
+        let round = IndexRound { layout: &layout, share: &SHARE, overlay: &[] };
+        let ctx = ExecCtx { planned: planned.clone(), ..Default::default() };
+        let cold = index_round(&cluster, &db, &round, &ctx).unwrap();
+        assert!(Arc::ptr_eq(&cold.tries[0], &r1), "taken over, not rebuilt");
+
+        let cache = IndexCache::new(64 << 20);
+        let scope = IndexScope { cache: &cache, db_tag: 1, epoch: 0, versions: &[] };
+        let layout = RoundLayout::new(&db, &[], &names, &order3(), Some(&scope)).unwrap();
+        let round = IndexRound { layout: &layout, share: &SHARE, overlay: &[] };
+        let ctx = ExecCtx { index: Some(&scope), planned, ..Default::default() };
+        let out = index_round(&cluster, &db, &round, &ctx).unwrap();
+        assert!(Arc::ptr_eq(&out.tries[0], &r1), "taken over, not rebuilt");
+        // A hand-over is this request's build: counted, priced and
+        // published like one, and the tries are a fresh round's.
+        assert_eq!((out.report.built_relations, out.report.reused_relations), (3, 0));
+        assert_eq!(out.report.tuples, fresh.report.tuples);
+        for (taken, built) in out.tries.iter().zip(&fresh.tries) {
+            assert_eq!(taken, built);
+        }
+        assert_eq!(cache.stats().len, 3, "the sampling-only order is not published");
+        let warm = round_in(&cluster, &db, &names, &order3(), Some(&scope));
+        assert!(Arc::ptr_eq(&warm.tries[0], &r1), "the published hand-over serves warm");
+        cache.store().check(|_| true, true).unwrap();
+    }
+
+    #[test]
+    fn build_trie_builds_as_trie_under_order_and_polls_the_token() {
+        let (db, _) = tri_db();
+        let r3 = db.get("R3").unwrap();
+        let order = [Attr(2), Attr(0)];
+        let built = build_trie(r3, order.to_vec(), &CancelToken::none()).unwrap();
+        assert_eq!(built, r3.trie_under_order(&order).unwrap());
+        assert!(matches!(
+            build_trie(r3, vec![Attr(2)], &CancelToken::none()),
+            Err(Error::SchemaMismatch { .. })
+        ));
+        let cancel = CancelToken::manual();
+        cancel.cancel();
+        assert!(matches!(build_trie(r3, order.to_vec(), &cancel), Err(Error::Cancelled { .. })));
     }
 
     #[test]

@@ -234,7 +234,10 @@ mod tests {
         );
         assert!(text.starts_with("EXPLAIN mode=Rows db=toy strategy=CoOptimize"));
         assert!(text.contains("optimizer: subjoins_sampled=1 sample_extensions="), "{text}");
-        assert!(text.contains(" tries_built=2 tries_reused=0 share_solves="), "{text}");
+        assert!(
+            text.contains(" tries_built=2 tries_cached=0 tries_reused=0 share_solves="),
+            "{text}"
+        );
         assert!(text.contains("attribute order: "));
         assert!(text.contains("hypertree:"));
         assert!(text.contains("bag 0:"));

@@ -874,7 +874,9 @@ impl Service {
     pub fn prepare(&self, db_name: &str, query: &JoinQuery) -> Result<PreparedQuery, ServiceError> {
         let entry = self.failed(self.lookup(db_name))?;
         let fingerprint = QueryFingerprint::of(query);
-        self.plan_for(&entry, query, fingerprint, &Tracer::disabled())?;
+        let scope = entry.scope(&self.index);
+        let mut ctx = ExecCtx { index: Some(&scope), ..Default::default() };
+        self.plan_for(&entry, query, fingerprint, &mut ctx, None)?;
         self.metrics.record_prepare();
         Ok(PreparedQuery {
             db_name: db_name.to_string(),
@@ -1237,7 +1239,7 @@ impl Service {
         let entry = self.failed(self.lookup(db_name))?;
         let _superseded = ForgetIfSuperseded(self, &entry);
         let scope = entry.scope(&self.index);
-        let ctx = ExecCtx { index: Some(&scope), cancel, tracer };
+        let mut ctx = ExecCtx { index: Some(&scope), cancel, tracer, ..Default::default() };
 
         // Memory admission: estimated input footprint vs the per-query
         // share of the cluster budget.
@@ -1277,7 +1279,8 @@ impl Service {
         }
         drop(admit_span);
 
-        let (plan, key, cache_hit) = self.plan_for(&entry, query, fingerprint, &ctx.tracer)?;
+        let (plan, key, cache_hit) =
+            self.plan_for(&entry, query, fingerprint, &mut ctx, deadline)?;
 
         // `catch_unwind` here isolates *coordinator-side* panics (index
         // lookups, the driver, gather) to this query; worker panics (index
@@ -1323,18 +1326,27 @@ impl Service {
     }
 
     /// The plan serving `query` against `entry`: cached, or optimized now
-    /// and published. Returns it with its plan-cache key and whether it was
-    /// a hit. The key uses the fingerprint's plan-relevant prefix only, so
-    /// every output mode — and every *binding* — of a query shape shares
-    /// one entry. Traced, the lookup is a `plan_lookup` span (`hit` arg)
-    /// containing, on a miss, an `optimize` span annotated with the plan's
-    /// size and the optimizer's own counts.
+    /// on behalf of the request `ctx` and published. Returns it with its
+    /// plan-cache key and whether it was a hit. The key uses the
+    /// fingerprint's plan-relevant prefix only, so every output mode — and
+    /// every *binding* — of a query shape shares one entry. Traced, the
+    /// lookup is a `plan_lookup` span (`hit` arg) containing, on a miss, an
+    /// `optimize` span annotated with the plan's size and the optimizer's
+    /// own counts.
+    ///
+    /// On a miss the optimizer reads its sampling tries from the index
+    /// cache under `ctx`'s scope, and the tries it built for the plan go
+    /// into `ctx.planned` for the execution to take over. Its builds poll
+    /// `ctx`'s token: a cancellation or a `deadline` that expires while it
+    /// plans fails the request typed, and a panic while it plans is caught
+    /// here; either way nothing is cached.
     fn plan_for(
         &self,
         entry: &DbEntry,
         query: &JoinQuery,
         fingerprint: QueryFingerprint,
-        tracer: &Tracer,
+        ctx: &mut ExecCtx<'_>,
+        deadline: Option<Duration>,
     ) -> Result<(Arc<QueryPlan>, u64, bool), ServiceError> {
         // Keying discipline: the plan key must be a pure function of the
         // shape — erasing every constant's value must not move it.
@@ -1344,12 +1356,20 @@ impl Service {
             "constants leaked into plan_key"
         );
         let key = fingerprint.cache_key(entry.tag, entry.stats_token(query));
-        let mut lookup_span = tracer.span(COORDINATOR_LANE, "plan_lookup");
+        let mut lookup_span = ctx.tracer.span(COORDINATOR_LANE, "plan_lookup");
         let (plan, cache_hit) = match self.cache.lookup(&key, || false) {
             Lookup::Hit { value: (plan, _), .. } => (plan, true),
             Lookup::Miss(claim) => {
-                let mut optimize_span = tracer.span(COORDINATOR_LANE, "optimize");
-                let plan = self.failed(self.adj.plan(query, &entry.db, self.config.strategy))?;
+                let mut optimize_span = ctx.tracer.span(COORDINATOR_LANE, "optimize");
+                let strategy = self.config.strategy;
+                let planned = catch_unwind(AssertUnwindSafe(|| {
+                    self.adj.plan_in(query, &entry.db, strategy, ctx)
+                }));
+                let (plan, tries) = match planned {
+                    Ok(Ok(planned)) => planned,
+                    Ok(Err(e)) => return Err(self.fail_exec(e, deadline)),
+                    Err(panic) => return Err(self.fail_panicked(panic)),
+                };
                 if optimize_span.is_recording() {
                     optimize_span.arg("relations", plan.relations.len() as u64);
                     optimize_span.arg("precomputed_bags", plan.precompute.len() as u64);
@@ -1358,6 +1378,7 @@ impl Service {
                     }
                 }
                 drop(optimize_span);
+                ctx.planned = tries;
                 let plan = Arc::new(plan);
                 claim.publish((Arc::clone(&plan), entry.epoch));
                 self.forget_if_superseded(entry);
@@ -1495,8 +1516,9 @@ impl Service {
             ExplainMode::Plan => {
                 let entry = self.failed(self.lookup(db_name))?;
                 let fingerprint = QueryFingerprint::of(&query);
-                let (plan, _, _) =
-                    self.plan_for(&entry, &query, fingerprint, &Tracer::disabled())?;
+                let scope = entry.scope(&self.index);
+                let mut ctx = ExecCtx { index: Some(&scope), ..Default::default() };
+                let (plan, _, _) = self.plan_for(&entry, &query, fingerprint, &mut ctx, None)?;
                 Ok(explain::render(
                     &plan,
                     &names,

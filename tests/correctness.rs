@@ -179,7 +179,9 @@ fn connected_sampling_reproduces_the_ascending_order_estimates() {
         cfg.sampling.samples = samples;
         let db = q.instantiate(graph);
         let tree = GhdTree::decompose(&q.hypergraph(), 3);
-        let estimator = CostEstimator::new(&db, q, &tree, cfg.cost, &cfg.cluster, cfg.sampling);
+        let cold = ExecCtx::default();
+        let (cost, sampling) = (cfg.cost, cfg.sampling);
+        let estimator = CostEstimator::new(&db, q, &tree, cost, &cfg.cluster, sampling, &cold);
         let mut positive = 0;
         for &mask in masks {
             let atoms: Vec<Atom> = (0..q.atoms.len())

@@ -256,6 +256,40 @@ fn zero_deadline_fails_typed_and_service_keeps_serving() {
     assert_eq!(m.queries_ok, 1);
 }
 
+/// Planning polls the deadline: the optimizer builds its sampling tries
+/// with the round's builder, under the `ShuffleRoute` checkpoint, so a cold
+/// CoOptimize query's first hit of that site is the planner's. A delay
+/// there that outlasts the deadline fails the query typed while it plans:
+/// no index is published, no plan is cached, and the next query serves.
+#[test]
+fn a_deadline_that_expires_while_planning_fails_typed_and_caches_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let service = serving(Strategy::CoOptimize);
+    let db = shape_db_name(PaperQuery::Q4);
+    let q = paper_query(PaperQuery::Q4);
+    let deadline = Duration::from_millis(250);
+    let faults = install(FaultPlan::new().delay_at(FaultSite::ShuffleRoute, 0, 3 * deadline));
+    let err = service
+        .execute_mode_with_deadline(&db, &q, OutputMode::Count, Some(deadline))
+        .expect_err("the planner's first build outlasts the deadline");
+    assert!(faults.all_fired(), "the planner never built a trie");
+    assert_eq!(faults.hits(FaultSite::TrieBuild), 0, "the round never ran");
+    drop(faults);
+    assert!(
+        matches!(err, ServiceError::DeadlineExceeded { deadline: Some(d) } if d == deadline),
+        "got {err:?}"
+    );
+    let m = service.stats().metrics;
+    assert_eq!((m.queries_failed, m.queries_deadline_exceeded), (1, 1));
+    assert_eq!(service.index_cache_stats().insertions, 0, "nothing published");
+    assert_eq!(service.cache_stats().len, 0, "no plan cached");
+    service.check_invariants().unwrap();
+
+    let out = service.execute_mode(&db, &q, OutputMode::Count).unwrap();
+    assert!(!out.cache_hit, "the recovery plans afresh");
+    assert_eq!(out.report.index_relations_reused, 0, "and builds every index");
+}
+
 /// Counting the last level by size must not count past the cancellation
 /// checkpoints. A star of `LEAVES` edges out of node 0 under
 /// `R1(a,b), R2(a,c)` puts `LEAVES` rows on each of the hub's last-level

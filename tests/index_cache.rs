@@ -211,3 +211,171 @@ fn service_metrics_expose_the_build_reuse_split() {
     let stats = service.stats();
     assert_eq!(stats.index.hits, service.index_cache_stats().hits);
 }
+
+/// A service with no plan cache, so every request plans again — over
+/// whatever the index cache holds by then. Its overlay compacts as soon as
+/// it holds `COMPACT_AT` tuples.
+fn replanning_service(strategy: Strategy, width: usize, traced: bool) -> Service {
+    Service::new(ServiceConfig {
+        adj: AdjConfig { cluster: ClusterConfig::with_workers(width), ..Default::default() },
+        strategy,
+        plan_cache_capacity: 0,
+        delta: DeltaConfig { max_overlay_fraction: 0.0, min_overlay_tuples: COMPACT_AT },
+        trace: TraceSettings { enabled: traced, ..Default::default() },
+        ..Default::default()
+    })
+}
+
+/// Overlay tuples at which [`replanning_service`] compacts: the second of
+/// the [`BATCHES`] (three tuples each) folds the overlay into the base.
+const COMPACT_AT: usize = 4;
+
+/// Rows of `R1(a, b)`.
+type Rows = &'static [[Value; 2]];
+
+/// Two mutation batches on `R1`: `(inserts, deletes)`.
+const BATCHES: [(Rows, Rows); 2] =
+    [(&[[7, 11], [11, 7]], &[[0, 1]]), (&[[3, 5], [5, 3]], &[[1, 8]])];
+
+/// The graph the planning tests run over.
+fn planning_graph() -> Relation {
+    graph(480, 61)
+}
+
+/// Applies batch `i` of [`BATCHES`] to the service and to `effective`, and
+/// returns whether the service compacted.
+fn mutate_r1(service: &Service, effective: &mut Database, i: usize) -> bool {
+    let (inserts, deletes) = BATCHES[i];
+    let mut batch = MutationBatch::new("R1");
+    for row in inserts {
+        batch = batch.insert(row);
+    }
+    for row in deletes {
+        batch = batch.delete(row);
+    }
+    let outcome = service.mutate("g", &batch).unwrap();
+    let rows = |rows: Rows| rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>();
+    let (inserts, deletes) = (rows(inserts), rows(deletes));
+    effective.insert_rows("R1", &inserts.iter().map(Vec::as_slice).collect::<Vec<_>>()).unwrap();
+    effective.delete_rows("R1", &deletes.iter().map(Vec::as_slice).collect::<Vec<_>>()).unwrap();
+    outcome.compacted
+}
+
+/// The sum of span arg `arg` over the trace's spans named `name`.
+fn span_sum(out: &ServiceOutcome, name: &str, arg: &str) -> u64 {
+    let trace = out.trace.as_ref().expect("traced service");
+    trace.events_named(name).iter().filter_map(|e| e.args.get(arg)).sum()
+}
+
+#[test]
+fn plans_read_over_the_cache_equal_cold_plans_in_every_state() {
+    // The served planner reads its sampling tries and column sets from the
+    // index cache: empty, warm, and patched by two batches and a
+    // compaction. Warm and patched tries hold the sets a fresh build holds,
+    // so every plan must equal a cold `Adj::plan` over the same contents to
+    // the bit.
+    let shapes = [PaperQuery::Q1, PaperQuery::Q4, PaperQuery::Q5, PaperQuery::Q8];
+    for width in [1, 2] {
+        let adj = Adj::new(AdjConfig {
+            cluster: ClusterConfig::with_workers(width),
+            ..Default::default()
+        });
+        for strategy in STRATEGIES {
+            for shape in shapes {
+                let q = paper_query(shape);
+                let mut effective = q.instantiate(&planning_graph());
+                let service = replanning_service(strategy, width, false);
+                service.register_database("g", effective.clone());
+                let mut served = Vec::new();
+                for state in ["cold", "warm", "mutated"] {
+                    if state == "mutated" {
+                        assert!(!mutate_r1(&service, &mut effective, 0));
+                        assert!(
+                            mutate_r1(&service, &mut effective, 1),
+                            "the second batch compacts"
+                        );
+                    }
+                    let label = format!("{shape:?}/{strategy:?}/width {width}/{state}");
+                    let out = service.execute_mode("g", &q, OutputMode::Count).unwrap();
+                    assert!(!out.cache_hit, "{label}: every request plans");
+                    let cold = adj.plan(&q, &effective, strategy).unwrap();
+                    let plan = &out.plan;
+                    assert_eq!(plan.order, cold.order, "{label}: order");
+                    assert_eq!(plan.traversal, cold.traversal, "{label}: traversal");
+                    assert_eq!(plan.precompute, cold.precompute, "{label}: pre-compute set");
+                    assert_eq!(plan.share, cold.share, "{label}: share");
+                    assert_eq!(
+                        plan.estimated_cost_secs.to_bits(),
+                        cold.estimated_cost_secs.to_bits(),
+                        "{label}: estimated cost"
+                    );
+                    served.push(plan.optimizer);
+                }
+                if strategy == Strategy::CoOptimize {
+                    let [cold, warm, mutated] = served[..] else { unreachable!() };
+                    assert_eq!(cold.tries_cached, 0, "{shape:?}/width {width}: nothing to read");
+                    assert!(warm.tries_cached > 0, "{shape:?}/width {width}: warm plan read none");
+                    assert!(mutated.tries_cached > 0, "{shape:?}/width {width}: patched: none");
+                }
+                service.check_invariants().unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_request_builds_each_trie_once_and_a_repair_read_only_what_the_cache_lacks() {
+    let q = paper_query(PaperQuery::Q4);
+    let mut effective = q.instantiate(&planning_graph());
+    let service = replanning_service(Strategy::CoOptimize, 2, true);
+    service.register_database("g", effective.clone());
+    let count = || service.execute_mode("g", &q, OutputMode::Count).unwrap();
+
+    // Cold: the planner builds its sampling tries, and the round takes over
+    // those it indexes in the plan's order — counted as built by this
+    // request, never as reused — and builds the rest.
+    let cold = count();
+    let (sampled, round) = (cold.plan.optimizer, &cold.report);
+    let planned = span_sum(&cold, "shuffle", "planned_relations");
+    assert_eq!(round.index_relations_reused, 0, "a first touch reuses nothing");
+    assert_eq!(sampled.tries_cached, 0, "an empty cache holds nothing to read");
+    assert!(planned > 0 && planned <= sampled.tries_built, "{planned} taken over: {sampled:?}");
+    let resident = service.index_cache_stats();
+    assert_eq!(resident.len as u64, round.index_relations_built, "only the round's keys publish");
+
+    // The same search over the warm cache finds there exactly the tries
+    // the round took over: the keys the planner and the round share.
+    let warm = count();
+    let again = warm.plan.optimizer;
+    assert_eq!(again.tries_built + again.tries_cached, sampled.tries_built, "same sampling keys");
+    assert_eq!(again.tries_cached, planned, "shared keys");
+    assert_eq!(warm.report.index_relations_built, 0);
+    // So the cold request built each distinct key it touched once.
+    let distinct = sampled.tries_built + round.index_relations_built - again.tries_cached;
+    assert_eq!(sampled.tries_built + round.index_relations_built - planned, distinct);
+
+    // A repair read plans over the patched entries: it builds only the
+    // sampling keys the cache lacks (the orientations no round indexes),
+    // and its round builds nothing.
+    mutate_r1(&service, &mut effective, 0);
+    let repair = count();
+    let patched = repair.plan.optimizer;
+    assert_eq!(patched.tries_cached, planned, "every shared key is read patched");
+    assert_eq!(patched.tries_built, sampled.tries_built - planned, "only sampling-only keys");
+    assert_eq!(repair.report.index_relations_built, 0);
+    assert_eq!(span_sum(&repair, "shuffle", "planned_relations"), 0);
+    assert_eq!(service.index_cache_stats().len, resident.len, "sampling-only keys stay out");
+    service.check_invariants().unwrap();
+
+    // Resident bytes after the cold query are what a round that builds
+    // every trie itself publishes: a plan prepared first hands nothing
+    // over to the query that runs it.
+    let plain = service_with(Strategy::CoOptimize);
+    plain.register_database("g", q.instantiate(&planning_graph()));
+    plain.prepare("g", &q).unwrap();
+    let built_alone = plain.execute_mode("g", &q, OutputMode::Count).unwrap();
+    assert!(built_alone.cache_hit, "the prepared plan serves");
+    assert_eq!(built_alone.report.index_relations_built, round.index_relations_built);
+    let alone = plain.index_cache_stats();
+    assert_eq!((alone.len, alone.resident_bytes), (resident.len, resident.resident_bytes));
+}
