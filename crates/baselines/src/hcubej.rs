@@ -163,7 +163,7 @@ pub fn select_order_all(
         query,
         &tree,
         CostParams::default(),
-        cluster.config(),
+        cluster,
         SamplingConfig { samples: config.order_samples, seed: 0xAD10 },
         &cold,
     );

@@ -33,15 +33,30 @@
 //! a held or cached trie whose levels start with its attribute; only a
 //! column no such trie holds is computed off the relation
 //! ([`Relation::column_values`](adj_relational::Relation::column_values)).
+//!
+//! The estimator samples on the cluster's workers, as the paper's
+//! distributed sampling does (Sec. IV), in batches: each search position
+//! hands it every sub-join it will price, and [`CostEstimator::sample`]
+//! runs the batch as two phases — the artifacts (missing tries and
+//! columns, one task each) and the walks ([`walk_phase`]: every sub-join's
+//! draws in morsels, after Leis et al.'s morsel-driven scheduling). A
+//! sub-join priced outside a batch is a batch of one; there is no serial
+//! sampling path. The counts are integers added up exactly, so estimates,
+//! counters and plans do not depend on the width.
 
 use crate::plan::{OptimizerStats, PlanRelation, QueryPlan};
-use adj_cluster::ClusterConfig;
+use adj_cluster::{Cluster, RunReport};
+use adj_faults::FaultSite;
 use adj_hcube::{build_trie, solve_share, ExecCtx, PlannedTries, ShareInput, ShareSolution};
+use adj_leapfrog::{JoinScratch, Morsels};
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::hash::FxHashMap;
 use adj_relational::{Attr, Database, Error, Levels, Relation, Result, Schema, Trie, Value};
-use adj_sampling::{connected_order, val_a, CardinalityEstimate, Sampler, SamplingConfig};
+use adj_sampling::{connected_order, val_a, CardinalityEstimate, Sampler, SamplingConfig, Tally};
+use adj_trace::{SpanGuard, Tracer};
 use std::cell::{OnceCell, RefCell};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Calibration constants of the cost model.
@@ -58,7 +73,10 @@ pub struct CostParams {
     pub join_tuples_per_sec: f64,
     /// Fold the extension rate β *measured during sampling* into the cost
     /// model (the paper's co-optimization calibrates machine constants
-    /// from the sampling run). Off by default, so planning is a pure
+    /// from the sampling run). The walks run on several workers at once,
+    /// so a sub-join's β is its extensions over the seconds its morsels
+    /// took summed over the workers that counted them — one worker's rate,
+    /// whatever the width. Off by default, so planning is a pure
     /// function of the data: the measured rate moves with machine load, so
     /// near-tie attribute orders would flip between otherwise identical
     /// runs — and a plan re-optimized after a plan-cache eviction would
@@ -102,7 +120,7 @@ impl Column {
 struct Artifacts<'a> {
     /// (relation, level order) → its trie, taken from the index cache or
     /// built here.
-    tries: FxHashMap<(&'a str, Vec<Attr>), Arc<Trie>>,
+    tries: FxHashMap<TrieKey<'a>, Arc<Trie>>,
     /// (relation, attribute) → the column's sorted distinct values: the
     /// source of both `|val(A)|` and every sampled sub-join's `val(A)`.
     columns: FxHashMap<(&'a str, Attr), Column>,
@@ -114,6 +132,9 @@ struct Artifacts<'a> {
     comm: FxHashMap<u64, (f64, Vec<u32>)>,
     stats: OptimizerStats,
 }
+
+/// A sampling trie's identity: the relation and its level order.
+type TrieKey<'a> = (&'a str, Vec<Attr>);
 
 impl<'a> Artifacts<'a> {
     /// Keeps `trie` of relation `name`, and its level 0 as the column of
@@ -127,6 +148,47 @@ impl<'a> Artifacts<'a> {
     }
 }
 
+/// One sub-join of a sampling batch: its mask, its sampling order and,
+/// per member atom, the key of the trie it is read through — or why it
+/// cannot be sampled.
+struct SubJoin<'a> {
+    mask: u64,
+    reads: Result<(Vec<Attr>, Vec<TrieKey<'a>>)>,
+}
+
+/// Where a batch finds a trie no earlier batch holds.
+enum Pending {
+    /// In the index cache.
+    Cached(Arc<Trie>),
+    /// Built by the artifact task of this index.
+    Task(usize),
+}
+
+/// One task of a batch's artifact phase.
+enum Task<'a> {
+    /// Index a relation in a level order.
+    Trie(&'a Relation, Vec<Attr>),
+    /// Compute the column of relation `name` off its rows.
+    Column(&'a str, &'a Relation, Attr),
+}
+
+/// What an artifact task made.
+enum Made {
+    Trie(Result<Trie>),
+    Column(Result<Vec<Value>>),
+}
+
+impl Made {
+    /// Tuples indexed or values collected.
+    fn tuples(&self) -> u64 {
+        match self {
+            Made::Trie(Ok(trie)) => trie.tuples() as u64,
+            Made::Column(Ok(values)) => values.len() as u64,
+            _ => 0,
+        }
+    }
+}
+
 /// Sampling-backed cost estimator. What it derives from the data is memoized
 /// for its lifetime — one `optimize` call.
 pub struct CostEstimator<'a> {
@@ -134,8 +196,9 @@ pub struct CostEstimator<'a> {
     query: &'a JoinQuery,
     tree: &'a GhdTree,
     params: CostParams,
-    /// α, the worker count `N*` and the per-worker memory budget.
-    cluster: &'a ClusterConfig,
+    /// The workers that build and sample; its configuration gives α, the
+    /// worker count `N*` and the per-worker memory budget.
+    cluster: &'a Cluster,
     sampling: SamplingConfig,
     /// The request: its index scope, cancel token and tracer.
     ctx: &'a ExecCtx<'a>,
@@ -150,18 +213,23 @@ pub struct CostEstimator<'a> {
     bound_mask: u64,
     /// β measured from sampling runs (extensions/sec), once available.
     beta_measured: RefCell<Option<f64>>,
+    /// A worker panic that failed a sampling batch no caller could be
+    /// told of ([`CostEstimator::subjoin_cardinality`]); [`Self::check`]
+    /// reports it.
+    failure: RefCell<Option<Error>>,
 }
 
 impl<'a> CostEstimator<'a> {
     /// Creates an estimator for `query` over `db` with hypertree `tree`,
-    /// pricing for `cluster`'s α, worker count and memory budget, on behalf
-    /// of the request `ctx` ([`ExecCtx::default`] plans cold).
+    /// pricing for `cluster`'s α, worker count and memory budget and
+    /// sampling on its workers, on behalf of the request `ctx`
+    /// ([`ExecCtx::default`] plans cold).
     pub fn new(
         db: &'a Database,
         query: &'a JoinQuery,
         tree: &'a GhdTree,
         params: CostParams,
-        cluster: &'a ClusterConfig,
+        cluster: &'a Cluster,
         sampling: SamplingConfig,
         ctx: &'a ExecCtx<'a>,
     ) -> Self {
@@ -185,6 +253,7 @@ impl<'a> CostEstimator<'a> {
             val_sizes: (0..query.num_attrs()).map(|_| OnceCell::new()).collect(),
             bound_mask,
             beta_measured: RefCell::new(None),
+            failure: RefCell::new(None),
         }
     }
 
@@ -193,11 +262,36 @@ impl<'a> CostEstimator<'a> {
         self.bound_mask
     }
 
-    /// `|val(A)|` over the query's relations (at least 1).
+    /// The bound attributes whose `|val(A)|` pricing the base relations
+    /// reads ([`Self::relation_size`]): those a non-empty relation of the
+    /// query touches.
+    pub(crate) fn discounted_attrs(&self) -> u64 {
+        let nonempty = |name: &str| self.db.get(name).is_ok_and(|r| !r.is_empty());
+        (self.query.atoms.iter())
+            .filter(|atom| nonempty(&atom.name))
+            .fold(0, |m, atom| m | (atom.schema.mask() & self.bound_mask))
+    }
+
+    /// `|val(A)|` over the query's relations (at least 1). Columns no batch
+    /// has read are read as a batch of their own ([`Self::sample`]).
     fn val_size(&self, a: usize) -> f64 {
+        if let Some(&size) = self.val_sizes[a].get() {
+            return size;
+        }
+        if let Err(e) = self.sample(&[], 1 << a) {
+            self.fail(e);
+        }
         *self.val_sizes[a].get_or_init(|| {
             (self.val_a(0..self.query.atoms.len(), Attr(a as u32)).len() as f64).max(1.0)
         })
+    }
+
+    /// Keeps `e`, which failed a batch no caller can be told of, for
+    /// [`Self::check`] to report; a cancellation is the token's to report.
+    fn fail(&self, e: Error) {
+        if !matches!(e, Error::Cancelled { .. }) {
+            self.failure.borrow_mut().get_or_insert(e);
+        }
     }
 
     /// Discounts a relation's tuple count for the bound-constant selections
@@ -230,10 +324,14 @@ impl<'a> CostEstimator<'a> {
         self.cache.borrow().stats
     }
 
-    /// Fails with [`Error::Cancelled`] once the request's token has fired:
-    /// a search polls it between steps, and a sub-join it interrupted
-    /// priced as `∞` without counting as a sampler error.
+    /// Fails with the worker panic that failed a sampling batch, or with
+    /// [`Error::Cancelled`] once the request's token has fired: a search
+    /// polls it between steps, and a sub-join it interrupted priced as `∞`
+    /// without counting as a sampler error.
     pub(crate) fn check(&self) -> Result<()> {
+        if let Some(failure) = self.failure.borrow().clone() {
+            return Err(failure);
+        }
         self.ctx.cancel.check().map_err(|c| Error::Cancelled { deadline_exceeded: c.deadline })
     }
 
@@ -252,9 +350,10 @@ impl<'a> CostEstimator<'a> {
     }
 
     /// Estimated cardinality of the join of the atoms in `atoms_mask`
-    /// (bitmask over `query.atoms`). Memoized; empty mask → 1. A sub-join
-    /// the sampler refuses prices as `∞` and is counted in
-    /// [`OptimizerStats::sampler_errors`].
+    /// (bitmask over `query.atoms`). Memoized; empty mask → 1. A mask no
+    /// batch has sampled is sampled as a batch of one
+    /// ([`Self::sample`]). A sub-join the sampler refuses prices as `∞` and
+    /// is counted in [`OptimizerStats::sampler_errors`].
     pub fn subjoin_cardinality(&self, atoms_mask: u64) -> f64 {
         if atoms_mask == 0 {
             return 1.0;
@@ -262,76 +361,273 @@ impl<'a> CostEstimator<'a> {
         if let Some(&c) = self.cache.borrow().cardinalities.get(&atoms_mask) {
             return c;
         }
-        let sampled = self.sample_subjoin(atoms_mask);
-        let mut cache = self.cache.borrow_mut();
-        let card = match sampled {
-            Ok(est) => {
-                cache.stats.subjoins_sampled += 1;
-                cache.stats.sample_extensions += est.extensions;
-                cache.stats.sample_values += est.distinct_samples as u64;
-                if let (true, Some(beta)) = (self.params.measure_beta, est.beta) {
-                    let mut m = self.beta_measured.borrow_mut();
-                    *m = Some(match *m {
-                        Some(prev) => 0.5 * (prev + beta),
-                        None => beta,
-                    });
-                }
-                est.cardinality.max(0.0)
-            }
-            Err(Error::Cancelled { .. }) => f64::INFINITY,
-            Err(_) => {
-                cache.stats.sampler_errors += 1;
-                f64::INFINITY
-            }
-        };
-        cache.cardinalities.insert(atoms_mask, card);
-        card
+        if let Err(e) = self.sample(&[atoms_mask], 0) {
+            self.fail(e);
+        }
+        self.cache.borrow().cardinalities.get(&atoms_mask).copied().unwrap_or(f64::INFINITY)
     }
 
-    /// One sampling run over the sub-join of the atoms in `atoms_mask`,
-    /// under its [`connected_order`], on tries and columns shared with every
-    /// other sub-join of this estimator.
-    fn sample_subjoin(&self, atoms_mask: u64) -> Result<CardinalityEstimate> {
+    /// Samples every sub-join of `masks` not estimated yet, and computes
+    /// the columns of every attribute of `val_attrs` whose `|val(A)|` is
+    /// not known yet, as two phases on the cluster's workers:
+    ///
+    /// * **artifacts** — one task per distinct trie the sub-joins read that
+    ///   neither this estimator nor the index cache holds, and per column
+    ///   no held, cached or to-be-built trie starts with; the tasks are
+    ///   claimed from one cursor (`plan_build` spans);
+    /// * **walks** — every sub-join's grouped draws, cut into
+    ///   [`MORSEL_ROWS`](adj_leapfrog::MORSEL_ROWS) morsels claimed from
+    ///   one cursor, each worker counting its morsels with one
+    ///   [`JoinScratch`] (`plan_sample` spans; see [`walk_phase`]).
+    ///
+    /// A phase with one task or morsel runs on the calling thread. Each
+    /// sub-join's integer counts are added up exactly, so every estimate is
+    /// [`Sampler::estimate`]'s to the bit. Trie counters are kept as if the
+    /// sub-joins had been sampled one after another in `masks`' order.
+    /// Fails only when the request's token fired or a worker panicked.
+    pub fn sample(&self, masks: &[u64], val_attrs: u64) -> Result<()> {
         self.check()?;
+        let mut fresh: Vec<u64> = Vec::with_capacity(masks.len());
+        {
+            let cache = self.cache.borrow();
+            for &m in masks {
+                if m != 0 && !cache.cardinalities.contains_key(&m) && !fresh.contains(&m) {
+                    fresh.push(m);
+                }
+            }
+        }
+        let subjoins: Vec<SubJoin<'a>> =
+            fresh.iter().map(|&mask| SubJoin { mask, reads: self.reads(mask) }).collect();
+        let (tasks, pending) = self.lacking(&subjoins, val_attrs);
+        let made = self.build(&tasks)?;
+        self.check()?;
+
+        let mut guard = self.cache.borrow_mut();
+        let cache = &mut *guard;
+        let mut built: Vec<Option<Result<Arc<Trie>>>> = Vec::with_capacity(tasks.len());
+        for (task, made) in tasks.iter().zip(made) {
+            built.push(match (task, made) {
+                (Task::Column(name, _, attr), Made::Column(Ok(values))) => {
+                    cache.columns.entry((name, *attr)).or_insert(Column::Values(values));
+                    None
+                }
+                (_, Made::Trie(trie)) => Some(trie.map(Arc::new)),
+                _ => None,
+            });
+        }
+        // Hold the batch's tries as a one-by-one sampling would have:
+        // each sub-join's members in order, a key's first request taking
+        // it from the cache or the build, every later one reusing it.
+        let mut inputs = Vec::with_capacity(subjoins.len());
+        for sj in subjoins {
+            let read = sj.reads.and_then(|(order, keys)| {
+                let mut tries = Vec::with_capacity(keys.len());
+                for key in keys {
+                    if let Some(trie) = cache.tries.get(&key) {
+                        cache.stats.tries_reused += 1;
+                        tries.push(Arc::clone(trie));
+                        continue;
+                    }
+                    let trie = match &pending[&key] {
+                        Pending::Cached(trie) => {
+                            cache.stats.tries_cached += 1;
+                            Arc::clone(trie)
+                        }
+                        Pending::Task(t) => {
+                            let trie = built[*t].clone().expect("a trie task made a trie")?;
+                            cache.stats.tries_built += 1;
+                            cache.built.push((key.0, Arc::clone(&trie)));
+                            trie
+                        }
+                    };
+                    cache.hold(key.0, &trie);
+                    tries.push(trie);
+                }
+                Ok((order, tries))
+            });
+            inputs.push((sj.mask, read));
+        }
+        drop(guard);
+
+        let members = |mask: u64| (0..self.query.atoms.len()).filter(move |i| mask & (1 << i) != 0);
+        let samplers = inputs.into_iter().map(|(mask, read)| {
+            let sampler = read.and_then(|(order, tries): (Vec<Attr>, _)| {
+                let values = self.val_a(members(mask), order[0]);
+                Sampler::from_parts(&order, tries, values)
+            });
+            (mask, sampler)
+        });
+        let estimates = self.walk(samplers.collect())?;
+        self.check()?;
+        let mut cache = self.cache.borrow_mut();
+        for (mask, estimate) in estimates {
+            let card = match estimate {
+                Ok(est) => {
+                    cache.stats.subjoins_sampled += 1;
+                    cache.stats.sample_extensions += est.extensions;
+                    cache.stats.sample_values += est.distinct_samples as u64;
+                    if let (true, Some(beta)) = (self.params.measure_beta, est.beta) {
+                        let mut m = self.beta_measured.borrow_mut();
+                        *m = Some(match *m {
+                            Some(prev) => 0.5 * (prev + beta),
+                            None => beta,
+                        });
+                    }
+                    est.cardinality.max(0.0)
+                }
+                Err(Error::Cancelled { .. }) => f64::INFINITY,
+                Err(_) => {
+                    cache.stats.sampler_errors += 1;
+                    f64::INFINITY
+                }
+            };
+            cache.cardinalities.insert(mask, card);
+        }
+        Ok(())
+    }
+
+    /// What a batch over `subjoins` and the columns of `val_attrs` lacks:
+    /// the artifact tasks, and where each trie no earlier batch holds is
+    /// found. The index cache is read here, on the calling thread, with
+    /// claim-free lookups; a column a cached trie starts with is taken at
+    /// once.
+    fn lacking(
+        &self,
+        subjoins: &[SubJoin<'a>],
+        val_attrs: u64,
+    ) -> (Vec<Task<'a>>, FxHashMap<TrieKey<'a>, Pending>) {
+        let mut tasks: Vec<Task<'a>> = Vec::new();
+        let mut pending: FxHashMap<TrieKey<'a>, Pending> = FxHashMap::default();
+        for (_, keys) in subjoins.iter().filter_map(|sj| sj.reads.as_ref().ok()) {
+            for key in keys {
+                if self.cache.borrow().tries.contains_key(key) || pending.contains_key(key) {
+                    continue;
+                }
+                let found = match self.cached(key.0, &key.1) {
+                    Some(trie) => Pending::Cached(trie),
+                    None => {
+                        let rel = self.db.get(key.0).expect("a sub-join reads stored relations");
+                        tasks.push(Task::Trie(rel, key.1.clone()));
+                        Pending::Task(tasks.len() - 1)
+                    }
+                };
+                pending.insert(key.clone(), found);
+            }
+        }
+        for a in (0..self.val_sizes.len()).filter(|&a| val_attrs & (1 << a) != 0) {
+            if self.val_sizes[a].get().is_some() {
+                continue;
+            }
+            let attr = Attr(a as u32);
+            for atom in self.query.atoms.iter().filter(|atom| atom.schema.contains(attr)) {
+                let name = atom.name.as_str();
+                let starts = |key: &TrieKey<'a>| key.0 == name && key.1.first() == Some(&attr);
+                let queued = |task: &Task<'a>| match task {
+                    Task::Column(n, _, x) => (*n, *x) == (name, attr),
+                    Task::Trie(..) => false,
+                };
+                if self.cache.borrow().columns.contains_key(&(name, attr))
+                    || pending.keys().any(starts)
+                    || tasks.iter().any(queued)
+                {
+                    continue;
+                }
+                let Ok(rel) = self.db.get(name) else { continue };
+                match self.cached(name, &Self::leading(rel, attr)) {
+                    Some(trie) => {
+                        self.cache.borrow_mut().columns.insert((name, attr), Column::Level0(trie));
+                    }
+                    None => tasks.push(Task::Column(name, rel, attr)),
+                }
+            }
+        }
+        (tasks, pending)
+    }
+
+    /// What sampling the sub-join of the atoms in `atoms_mask` reads: its
+    /// [`connected_order`], and per member the key of its trie in the
+    /// order that induces.
+    fn reads(&self, atoms_mask: u64) -> Result<(Vec<Attr>, Vec<TrieKey<'a>>)> {
         let members: Vec<usize> =
             (0..self.query.atoms.len()).filter(|i| atoms_mask & (1 << i) != 0).collect();
         let order = connected_order(members.iter().map(|&i| &self.query.atoms[i].schema));
-        let mut tries = Vec::with_capacity(members.len());
+        let mut keys = Vec::with_capacity(members.len());
         for &i in &members {
             let name = self.query.atoms[i].name.as_str();
             let rel = self.db.get(name)?;
-            let induced = order.iter().copied().filter(|a| rel.schema().contains(*a)).collect();
-            tries.push(self.trie(name, rel, induced)?);
+            keys.push((
+                name,
+                order.iter().copied().filter(|a| rel.schema().contains(*a)).collect(),
+            ));
         }
-        let values = self.val_a(members.iter().copied(), order[0]);
-        Sampler::from_parts(&order, tries, values)?.estimate(&self.sampling)
+        Ok((order, keys))
     }
 
-    /// The trie of relation `name` (stored as `rel`) whose levels follow
-    /// `induced`: held already, else read from the index cache, else built.
-    fn trie(&self, name: &'a str, rel: &Relation, induced: Vec<Attr>) -> Result<Arc<Trie>> {
-        let mut cache = self.cache.borrow_mut();
-        let key = (name, induced);
-        if let Some(trie) = cache.tries.get(&key) {
-            let trie = Arc::clone(trie);
-            cache.stats.tries_reused += 1;
-            return Ok(trie);
+    /// The artifact phase: runs `tasks` on the cluster's workers, each
+    /// claiming the next task from one cursor, and returns what each made,
+    /// in task order.
+    fn build(&self, tasks: &[Task<'a>]) -> Result<Vec<Made>> {
+        if tasks.is_empty() {
+            return Ok(Vec::new());
         }
-        let (_, induced) = key;
-        let trie = match self.cached(name, &induced) {
-            Some(trie) => {
-                cache.stats.tries_cached += 1;
-                trie
+        let cancel = &self.ctx.cancel;
+        let next = AtomicUsize::new(0);
+        let work = |_w: usize, span: &mut SpanGuard<'_>| -> Vec<(usize, Made)> {
+            let mut done = Vec::new();
+            loop {
+                let t = next.fetch_add(1, Ordering::Relaxed);
+                let made = match tasks.get(t) {
+                    None => break,
+                    Some(Task::Trie(rel, induced)) => {
+                        Made::Trie(build_trie(rel, induced.clone(), cancel))
+                    }
+                    Some(Task::Column(_, rel, attr)) => Made::Column(rel.column_values(*attr)),
+                };
+                done.push((t, made));
             }
-            None => {
-                let trie = Arc::new(build_trie(rel, induced, &self.ctx.cancel)?);
-                cache.stats.tries_built += 1;
-                cache.built.push((name, Arc::clone(&trie)));
-                trie
+            if span.is_recording() {
+                span.arg("tasks", done.len() as u64);
+                span.arg("tuples", done.iter().map(|(_, m)| m.tuples()).sum::<u64>());
             }
+            done
         };
-        cache.hold(name, &trie);
-        Ok(trie)
+        let (run, parallel) =
+            phase(self.cluster, &self.ctx.tracer, "plan_build", tasks.len(), work);
+        self.cache.borrow_mut().stats.parallel_phases += u64::from(parallel);
+        let mut made: Vec<(usize, Made)> =
+            run.into_results().map_err(Error::from)?.into_iter().flatten().collect();
+        made.sort_unstable_by_key(|&(t, _)| t);
+        Ok(made.into_iter().map(|(_, m)| m).collect())
+    }
+
+    /// The walk phase over the sub-joins of a batch (each mask with its
+    /// sampler, or why it cannot be sampled), by [`walk_phase`]. Returns
+    /// each sub-join's estimate, in order.
+    fn walk(
+        &self,
+        subjoins: Vec<(u64, Result<Sampler>)>,
+    ) -> Result<Vec<(u64, Result<CardinalityEstimate>)>> {
+        let mut out: Vec<(u64, Option<Result<CardinalityEstimate>>)> = Vec::new();
+        let (mut samplers, mut slots) = (Vec::new(), Vec::new());
+        for (mask, sampler) in subjoins {
+            match sampler {
+                Ok(sampler) => {
+                    slots.push(out.len());
+                    samplers.push(sampler);
+                    out.push((mask, None));
+                }
+                Err(e) => out.push((mask, Some(Err(e)))),
+            }
+        }
+        let walked = walk_phase(self.cluster, &samplers, &self.sampling, self.ctx)?;
+        self.cache.borrow_mut().stats.parallel_phases += u64::from(walked.parallel);
+        for (slot, estimate) in slots.into_iter().zip(walked.estimates) {
+            out[slot].1 = Some(estimate);
+        }
+        Ok(out
+            .into_iter()
+            .map(|(mask, est)| (mask, est.expect("every sub-join estimated")))
+            .collect())
     }
 
     /// The index cache's trie of relation `name` whose levels follow
@@ -343,46 +639,27 @@ impl<'a> CostEstimator<'a> {
         scope.cache.store().get_if(&key, |trie| Some(Arc::clone(trie)))
     }
 
-    /// `val(attr)` over the atoms in `atoms` whose relation has a column
-    /// `attr`: the intersection of those columns.
-    fn val_a(&self, atoms: impl Iterator<Item = usize>, attr: Attr) -> Vec<Value> {
-        let names: Vec<&'a str> = atoms
-            .map(|i| &self.query.atoms[i])
-            .filter(|atom| atom.schema.contains(attr))
-            .map(|atom| atom.name.as_str())
-            .filter(|&name| self.column(name, attr))
-            .collect();
-        let cache = self.cache.borrow();
-        let columns: Vec<&[Value]> =
-            names.iter().map(|&name| cache.columns[&(name, attr)].values()).collect();
-        val_a(&columns)
+    /// `attr` followed by `rel`'s other attributes in stored order: the
+    /// level order of the cached trie whose level 0 is `rel`'s column
+    /// `attr`.
+    fn leading(rel: &Relation, attr: Attr) -> Vec<Attr> {
+        let others = rel.schema().attrs().iter().copied().filter(|&a| a != attr);
+        std::iter::once(attr).chain(others).collect()
     }
 
-    /// Makes sure the column `attr` of relation `name` is known: level 0 of
-    /// a held trie that starts with `attr`, else of the index cache's trie
-    /// of `attr` followed by the relation's other attributes in stored
-    /// order, else computed off the relation. `false` when the relation is
-    /// missing or has no such column.
-    fn column(&self, name: &'a str, attr: Attr) -> bool {
-        let mut cache = self.cache.borrow_mut();
-        if cache.columns.contains_key(&(name, attr)) {
-            return true;
-        }
-        let Ok(rel) = self.db.get(name) else { return false };
-        let stored = rel.schema().attrs();
-        let induced: Vec<Attr> =
-            std::iter::once(attr).chain(stored.iter().copied().filter(|&a| a != attr)).collect();
-        if let Some(trie) = self.cached(name, &induced) {
-            cache.columns.insert((name, attr), Column::Level0(trie));
-            return true;
-        }
-        match rel.column_values(attr) {
-            Ok(values) => {
-                cache.columns.insert((name, attr), Column::Values(values));
-                true
-            }
-            Err(_) => false,
-        }
+    /// `val(attr)` over the atoms in `atoms` whose relation has a column
+    /// `attr`: the intersection of those columns, each level 0 of a held or
+    /// cached trie or computed by a batch. A relation that is missing or
+    /// lacks the column is left out.
+    fn val_a(&self, atoms: impl Iterator<Item = usize>, attr: Attr) -> Vec<Value> {
+        let cache = self.cache.borrow();
+        let columns: Vec<&[Value]> = atoms
+            .map(|i| &self.query.atoms[i])
+            .filter(|atom| atom.schema.contains(attr))
+            .filter_map(|atom| cache.columns.get(&(atom.name.as_str(), attr)))
+            .map(Column::values)
+            .collect();
+        val_a(&columns)
     }
 
     /// Estimated number of bindings over the attribute set `attrs_mask`
@@ -393,6 +670,20 @@ impl<'a> CostEstimator<'a> {
         if attrs_mask == 0 {
             return 1.0;
         }
+        let (contained, uncovered) = self.prefix_reads(attrs_mask);
+        let mut card = self.subjoin_cardinality(contained);
+        for a in 0..self.val_sizes.len() {
+            if uncovered & (1 << a) != 0 {
+                card *= self.val_size(a);
+            }
+        }
+        card
+    }
+
+    /// What [`Self::prefix_cardinality`] of `attrs_mask` reads: the mask
+    /// of the atoms the prefix contains, and the prefix attributes none of
+    /// them constrains (whose `|val(A)|` it multiplies in).
+    pub(crate) fn prefix_reads(&self, attrs_mask: u64) -> (u64, u64) {
         let mut contained = 0u64;
         let mut covered_attrs = 0u64;
         for (i, atom) in self.query.atoms.iter().enumerate() {
@@ -402,14 +693,7 @@ impl<'a> CostEstimator<'a> {
                 covered_attrs |= m;
             }
         }
-        let mut card = self.subjoin_cardinality(contained);
-        let uncovered = attrs_mask & !covered_attrs;
-        for a in 0..self.val_sizes.len() {
-            if uncovered & (1 << a) != 0 {
-                card *= self.val_size(a);
-            }
-        }
-        card
+        (contained, attrs_mask & !covered_attrs)
     }
 
     /// Estimated tuple count of a plan relation, priced post-binding: a
@@ -458,8 +742,8 @@ impl<'a> CostEstimator<'a> {
                     (mask, size)
                 })
                 .collect(),
-            num_workers: self.cluster.num_workers,
-            memory_limit_bytes: self.cluster.memory_limit_bytes,
+            num_workers: self.cluster.config().num_workers,
+            memory_limit_bytes: self.cluster.config().memory_limit_bytes,
             bytes_per_value: 4,
             hot: Vec::new(),
             require_exact_product: false,
@@ -471,8 +755,8 @@ impl<'a> CostEstimator<'a> {
             Ok(ShareSolution { share: p, candidates }) => {
                 cache.stats.share_candidates += candidates;
                 let total = input.comm_cost(&p) as f64;
-                let fullest = input.max_cube_tuples(&p) * self.cluster.num_workers as f64;
-                let secs = total.max(fullest) / self.cluster.alpha_tuples_per_sec;
+                let fullest = input.max_cube_tuples(&p) * self.cluster.config().num_workers as f64;
+                let secs = total.max(fullest) / self.cluster.config().alpha_tuples_per_sec;
                 (secs, p)
             }
             Err(_) => (f64::INFINITY, Vec::new()),
@@ -490,7 +774,7 @@ impl<'a> CostEstimator<'a> {
         if p.is_empty() {
             return Err(Error::BudgetExceeded {
                 what: "no feasible HCube share vector under memory budget",
-                limit: self.cluster.memory_limit_bytes.unwrap_or(0),
+                limit: self.cluster.config().memory_limit_bytes.unwrap_or(0),
             });
         }
         Ok(p.into_iter().collect())
@@ -507,8 +791,8 @@ impl<'a> CostEstimator<'a> {
             input_tuples += self.bound_discount(atom.schema.mask(), raw);
         }
         let output = self.subjoin_cardinality(bag.edges);
-        let comm = input_tuples / self.cluster.alpha_tuples_per_sec;
-        let workers = self.cluster.num_workers as f64;
+        let comm = input_tuples / self.cluster.config().alpha_tuples_per_sec;
+        let workers = self.cluster.config().num_workers as f64;
         let comp = (input_tuples + output) / (self.params.join_tuples_per_sec * workers);
         comm + comp
     }
@@ -523,7 +807,7 @@ impl<'a> CostEstimator<'a> {
         } else {
             self.beta_measured().unwrap_or(self.params.beta_extend)
         };
-        bindings / (beta * self.cluster.num_workers as f64)
+        bindings / (beta * self.cluster.config().num_workers as f64)
     }
 
     /// Attribute ordering heuristic inside a node: ascending `|val(A)|`
@@ -586,24 +870,144 @@ impl<'a> CostEstimator<'a> {
     }
 }
 
+/// What one walk phase estimated ([`walk_phase`]).
+#[derive(Debug)]
+pub struct WalkPhase {
+    /// Each sampler's estimate, in sampler order, or the error its join
+    /// failed with.
+    pub estimates: Vec<Result<CardinalityEstimate>>,
+    /// Whether the phase ran across the workers: more than one morsel.
+    pub parallel: bool,
+}
+
+/// Estimates every sampler of `samplers` under `sampling` as one phase on
+/// `cluster`'s workers, on behalf of the request `ctx`: each sampler's
+/// grouped draws ([`Sampler::draw`]) are cut into
+/// [`MORSEL_ROWS`](adj_leapfrog::MORSEL_ROWS) morsels, all samplers'
+/// morsels are claimed from one cursor, and each worker counts the ones it
+/// claims ([`Sampler::count`]) with one [`JoinScratch`], under a
+/// `plan_sample` span (args: `morsels`, `subjoins`, `tuples`). The counts
+/// are integers added up exactly, so every estimate equals
+/// [`Sampler::estimate`]'s to the bit at any width; only its seconds (and
+/// so its β) are the summed seconds of the workers that counted it. A
+/// phase of one morsel runs on the calling thread.
+///
+/// Each morsel polls the `JoinEnumerate` fault site and `ctx`'s token: a
+/// fired token fails the phase with [`Error::Cancelled`], a panicking
+/// worker with [`Error::WorkerPanicked`].
+pub fn walk_phase(
+    cluster: &Cluster,
+    samplers: &[Sampler],
+    sampling: &SamplingConfig,
+    ctx: &ExecCtx<'_>,
+) -> Result<WalkPhase> {
+    // Samplers with nothing to count are estimated here; the others are
+    // walked, `walks[j]` estimating `samplers[slot]`.
+    let mut estimates: Vec<Option<Result<CardinalityEstimate>>> = Vec::new();
+    let mut walks = Vec::new();
+    for sampler in samplers {
+        let draws = sampler.draw(sampling);
+        let estimate = if draws.grouped.is_empty() {
+            Some(Ok(sampler.finish(&draws, &Tally::default())))
+        } else {
+            match sampler.join() {
+                Ok(join) => {
+                    walks.push((estimates.len(), sampler, draws, join));
+                    None
+                }
+                Err(e) => Some(Err(e)),
+            }
+        };
+        estimates.push(estimate);
+    }
+
+    let morsels: Vec<(usize, Range<usize>)> = (walks.iter().enumerate())
+        .flat_map(|(j, (_, _, draws, _))| {
+            let rows = draws.grouped.len();
+            (0..Morsels::count(rows)).map(move |m| (j, Morsels::rows(m, rows)))
+        })
+        .collect();
+    let cancel = &ctx.cancel;
+    let next = AtomicUsize::new(0);
+    let work = |_w: usize, span: &mut SpanGuard<'_>| -> Result<Vec<(usize, Tally)>> {
+        let mut scratch = JoinScratch::new();
+        let mut done: Vec<(usize, Tally)> = Vec::new();
+        let mut claimed = 0u64;
+        while let Some((j, rows)) = morsels.get(next.fetch_add(1, Ordering::Relaxed)) {
+            adj_faults::inject(FaultSite::JoinEnumerate, cancel);
+            cancel.check().map_err(|c| Error::Cancelled { deadline_exceeded: c.deadline })?;
+            // A worker's claims ascend, so its morsels of one sampler are
+            // consecutive.
+            if done.last().is_none_or(|(last, _)| last != j) {
+                done.push((*j, Tally::default()));
+            }
+            let (_, _, draws, join) = &walks[*j];
+            let tally = &mut done.last_mut().expect("a tally per claimed sampler").1;
+            Sampler::count(join, &draws.grouped[rows.clone()], &mut scratch, tally);
+            claimed += 1;
+        }
+        if span.is_recording() {
+            span.arg("morsels", claimed);
+            span.arg("subjoins", done.len() as u64);
+            span.arg("tuples", done.iter().map(|(_, t)| t.tuples()).sum::<u64>());
+        }
+        Ok(done)
+    };
+    let mut tallies: Vec<Tally> = vec![Tally::default(); walks.len()];
+    let mut parallel = false;
+    if !morsels.is_empty() {
+        let (run, ran_parallel) = phase(cluster, &ctx.tracer, "plan_sample", morsels.len(), work);
+        parallel = ran_parallel;
+        for done in run.into_results().map_err(Error::from)? {
+            for (j, tally) in done? {
+                tallies[j].add(&tally);
+            }
+        }
+    }
+    for ((slot, sampler, draws, _), tally) in walks.iter().zip(&tallies) {
+        estimates[*slot] = Some(Ok(sampler.finish(draws, tally)));
+    }
+    let estimates = estimates.into_iter().map(|e| e.expect("every sampler estimated")).collect();
+    Ok(WalkPhase { estimates, parallel })
+}
+
+/// Runs one planning phase of `units` tasks or morsels on `cluster`, one
+/// `name` span per worker lane: on the calling thread when there is one
+/// ([`Cluster::run_serial`]), across the workers otherwise. Returns the
+/// run and whether it went across the workers.
+fn phase<R: Send>(
+    cluster: &Cluster,
+    tracer: &Tracer,
+    name: &'static str,
+    units: usize,
+    work: impl Fn(usize, &mut SpanGuard<'_>) -> R + Sync,
+) -> (RunReport<R>, bool) {
+    if units == 1 {
+        return (cluster.run_serial(tracer, name, work), false);
+    }
+    (cluster.run_traced(tracer, name, work), true)
+}
+
 /// Result alias re-exported for optimizer use.
 pub type CostResult<T> = Result<T>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adj_cluster::TransportKind;
+    use adj_cluster::{ClusterConfig, TransportKind};
     use adj_hcube::optimize_share;
     use adj_query::{paper_query, GhdTree, PaperQuery};
     use adj_relational::{Relation, Value};
 
     /// Four workers at α = 10⁷ tuples/s, no memory budget.
-    static CLUSTER: ClusterConfig = ClusterConfig {
-        num_workers: 4,
-        alpha_tuples_per_sec: 1e7,
-        memory_limit_bytes: None,
-        transport: TransportKind::InProcess,
-    };
+    static CLUSTER: std::sync::LazyLock<Cluster> = std::sync::LazyLock::new(|| {
+        Cluster::new(ClusterConfig {
+            num_workers: 4,
+            alpha_tuples_per_sec: 1e7,
+            memory_limit_bytes: None,
+            transport: TransportKind::InProcess,
+        })
+    });
     const SAMPLING: SamplingConfig = SamplingConfig { samples: 128, seed: 5 };
     /// The cold request: no index scope, uncancellable, untraced.
     static COLD: std::sync::LazyLock<ExecCtx<'static>> = std::sync::LazyLock::new(ExecCtx::default);
@@ -673,7 +1077,8 @@ mod tests {
     fn cost_c_infinite_when_memory_impossible() {
         let (db, q) = setup();
         let tree = GhdTree::decompose(&q.hypergraph(), 3);
-        let tight = ClusterConfig { memory_limit_bytes: Some(8), ..ClusterConfig::default() };
+        let tight =
+            Cluster::new(ClusterConfig { memory_limit_bytes: Some(8), ..ClusterConfig::default() });
         let est =
             CostEstimator::new(&db, &q, &tree, CostParams::default(), &tight, SAMPLING, &COLD);
         let (c, p) = est.cost_c(0);
@@ -755,7 +1160,7 @@ mod tests {
                 .iter()
                 .map(|a| (a.schema.mask(), db.get(&a.name).unwrap().len()))
                 .collect(),
-            num_workers: CLUSTER.num_workers,
+            num_workers: CLUSTER.num_workers(),
             memory_limit_bytes: None,
             bytes_per_value: 4,
             hot: Vec::new(),
@@ -763,7 +1168,7 @@ mod tests {
             bound_mask: 0,
         };
         assert_eq!(p, optimize_share(&input).unwrap());
-        assert_eq!(secs, input.comm_cost(&p) as f64 / CLUSTER.alpha_tuples_per_sec);
+        assert_eq!(secs, input.comm_cost(&p) as f64 / CLUSTER.config().alpha_tuples_per_sec);
     }
 
     #[test]

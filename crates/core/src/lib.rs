@@ -202,8 +202,9 @@ impl Adj {
         self.plan_in(query, db, strategy, &ExecCtx::default()).map(|(plan, _)| plan)
     }
 
-    /// [`Adj::plan`] on behalf of the request `ctx` ([`optimize_in`]): the
-    /// sampler reads `ctx`'s index scope and polls its token. Returns the
+    /// [`Adj::plan`] on behalf of the request `ctx` ([`optimize_in`]), on
+    /// this instance's cluster: the sampler builds and walks on its
+    /// workers, reads `ctx`'s index scope and polls its token. Returns the
     /// plan with the tries the planner built for it, which the request's
     /// execution takes over as [`ExecCtx::planned`].
     pub fn plan_in(
@@ -214,7 +215,8 @@ impl Adj {
         ctx: &ExecCtx<'_>,
     ) -> Result<(QueryPlan, PlannedTries)> {
         let t0 = std::time::Instant::now();
-        let (mut plan, planned) = optimize_in(query, db, &self.config, strategy, ctx)?;
+        let (mut plan, planned) =
+            optimize_in(query, db, &self.config, &self.cluster, strategy, ctx)?;
         plan.optimization_secs = t0.elapsed().as_secs_f64();
         Ok((plan, planned))
     }

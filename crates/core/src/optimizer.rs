@@ -8,32 +8,46 @@
 //! nodes stay connected in `T`, line 6), the cost of extending into `v`
 //! without pre-computing (`costC + costE`) against pre-computing its bag
 //! (`costM + costC' + costE'`), and keeps the cheapest.
+//!
+//! A position's prices read sub-join cardinalities: for each eligible `v`,
+//! the atoms inside the bags of the nodes before it, and `v`'s bag when it
+//! has several edges. The search hands all of them to the estimator before
+//! it prices the position, together with the attributes whose `|val(A)|`
+//! the prices read, so they are built and sampled as one batch on the
+//! cluster's workers ([`CostEstimator::sample`]); the attribute order's
+//! `|val(A)|` comparisons are read as one more batch before the order is
+//! derived.
 
 use crate::cost::CostEstimator;
 use crate::executor::Strategy;
 use crate::plan::QueryPlan;
 use crate::AdjConfig;
+use adj_cluster::Cluster;
 use adj_hcube::{ExecCtx, PlannedTries};
 use adj_query::order::{all_orders, hoist_bound, new_attrs_per_step};
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::{Attr, Database, Error, Result};
 
 /// Finds a query plan for `query` over `db`, cold: [`optimize_in`] under
-/// [`ExecCtx::default`], its built tries dropped.
+/// [`ExecCtx::default`] on a cluster of `config.cluster`, its built tries
+/// dropped.
 pub fn optimize(
     query: &JoinQuery,
     db: &Database,
     config: &AdjConfig,
     strategy: Strategy,
 ) -> Result<QueryPlan> {
-    optimize_in(query, db, config, strategy, &ExecCtx::default()).map(|(plan, _)| plan)
+    let cluster = Cluster::try_new(config.cluster.clone())?;
+    optimize_in(query, db, config, &cluster, strategy, &ExecCtx::default()).map(|(plan, _)| plan)
 }
 
-/// Finds a query plan for `query` over `db` on behalf of the request `ctx`:
-/// the sampler reads its tries from `ctx`'s index scope and builds only
-/// what the cache misses, polling `ctx`'s token (a fired token fails the
-/// search with [`Error::Cancelled`]). Returns the plan and the tries built
-/// for it in the level orders it indexes, for the execution to take over.
+/// Finds a query plan for `query` over `db` on behalf of the request `ctx`,
+/// building and sampling on `cluster`'s workers (whose configuration it
+/// prices for): the sampler reads its tries from `ctx`'s index scope and
+/// builds only what the cache misses, polling `ctx`'s token (a fired token
+/// fails the search with [`Error::Cancelled`], a panicking worker with
+/// [`Error::WorkerPanicked`]). Returns the plan and the tries built for it
+/// in the level orders it indexes, for the execution to take over.
 ///
 /// * [`Strategy::CoOptimize`] runs Algorithm 2 (ADJ proper).
 /// * [`Strategy::CommFirst`] mimics HCubeJ: never pre-compute, pick the
@@ -43,13 +57,14 @@ pub fn optimize_in(
     query: &JoinQuery,
     db: &Database,
     config: &AdjConfig,
+    cluster: &Cluster,
     strategy: Strategy,
     ctx: &ExecCtx<'_>,
 ) -> Result<(QueryPlan, PlannedTries)> {
     let h = query.hypergraph();
     let tree = GhdTree::decompose(&h, 3);
     let (cost, sampling) = (config.cost, config.sampling);
-    let estimator = CostEstimator::new(db, query, &tree, cost, &config.cluster, sampling, ctx);
+    let estimator = CostEstimator::new(db, query, &tree, cost, cluster, sampling, ctx);
 
     let plan = match strategy {
         Strategy::CommFirst => {
@@ -58,6 +73,11 @@ pub fn optimize_in(
             if attrs.len() > 6 {
                 return Err(Error::BudgetExceeded { what: "all-orders enumeration", limit: 720 });
             }
+            // The sketch reads every `|val(A)|` once two orders compete,
+            // and pricing the share its bound attributes'.
+            let all = attrs.iter().fold(0, |m, a| m | a.mask());
+            let read = if attrs.len() > 1 { all } else { estimator.discounted_attrs() };
+            estimator.sample(&[], read)?;
             let mut best: Option<(f64, Vec<Attr>)> = None;
             for o in all_orders(&attrs) {
                 let s = estimator.score_order_cheap(&o);
@@ -110,6 +130,13 @@ fn algorithm2(
 
     while remaining != 0 {
         estimator.check()?;
+        // Everything this position prices is sampled first, as one batch:
+        // the first position's share prices also read the bound attributes'
+        // `|val(A)|`.
+        let first = remaining == all_nodes;
+        let (masks, read) = position_reads(tree, &adj, remaining, estimator);
+        let read = if first { read | estimator.discounted_attrs() } else { read };
+        estimator.sample(&masks, read)?;
         let mut best: Option<(f64, usize, bool)> = None; // (cost, node, precompute?)
 
         // Option 1 shuffles the same relations whichever node is extended
@@ -125,11 +152,7 @@ fn algorithm2(
             if !nodes_connected(&adj, rest) {
                 continue;
             }
-            // Attributes bound before extending into v: union of the bags of
-            // the earlier (still-remaining) nodes.
-            let prefix_attrs: u64 = (0..n_star)
-                .filter(|u| rest & (1 << u) != 0)
-                .fold(0u64, |m, u| m | tree.nodes[u].vertices);
+            let prefix_attrs = bag_union(tree, rest);
 
             // Option 1: do not pre-compute v.
             let cost_plain = cc + estimator.cost_e_step(prefix_attrs, false);
@@ -164,7 +187,7 @@ fn algorithm2(
     // share is solved over those prices.
     estimator.check()?;
     let traversal: Vec<usize> = tail_rev.iter().rev().copied().collect();
-    let order = derive_order(tree, &traversal, estimator, bound_attr_mask(query)?);
+    let order = derive_order(tree, &traversal, estimator, bound_attr_mask(query)?)?;
     let precompute: Vec<usize> = (0..n_star).filter(|v| c_mask & (1 << v) != 0).collect();
     let relations = QueryPlan::relations_for(query, tree, c_mask);
     Ok(QueryPlan {
@@ -180,6 +203,39 @@ fn algorithm2(
         optimizer: estimator.stats(),
         rounds: Default::default(),
     })
+}
+
+/// What the search position over the `remaining` nodes prices: per
+/// eligible node `v`, the sub-join of the atoms inside the bags of the
+/// nodes before it and, if `v`'s bag has several edges, the bag's join
+/// (`costM` and `costC'`); and the attributes of those prefixes no
+/// contained atom constrains, whose `|val(A)|` the prefix estimates read.
+fn position_reads(
+    tree: &GhdTree,
+    adj: &[Vec<usize>],
+    remaining: u64,
+    estimator: &CostEstimator<'_>,
+) -> (Vec<u64>, u64) {
+    let (mut masks, mut read) = (Vec::new(), 0u64);
+    for v in (0..tree.len()).filter(|v| remaining & (1 << v) != 0) {
+        let rest = remaining & !(1 << v);
+        if !nodes_connected(adj, rest) {
+            continue;
+        }
+        let (contained, uncovered) = estimator.prefix_reads(bag_union(tree, rest));
+        masks.push(contained);
+        read |= uncovered;
+        if !tree.nodes[v].is_single_edge() {
+            masks.push(tree.nodes[v].edges);
+        }
+    }
+    (masks, read)
+}
+
+/// The attributes of the bags of the nodes in `nodes`: those bound before
+/// extending into a node when `nodes` are the ones traversed before it.
+fn bag_union(tree: &GhdTree, nodes: u64) -> u64 {
+    (0..tree.len()).filter(|u| nodes & (1 << u) != 0).fold(0u64, |m, u| m | tree.nodes[u].vertices)
 }
 
 /// Whether the nodes in `mask` induce a connected subtree (empty and
@@ -226,15 +282,18 @@ fn derive_order(
     traversal: &[usize],
     estimator: &CostEstimator<'_>,
     bound_mask: u64,
-) -> Vec<Attr> {
+) -> Result<Vec<Attr>> {
     let steps = new_attrs_per_step(tree, traversal);
+    // A step of several attributes compares their `|val(A)|`s.
+    let read = steps.iter().filter(|step| step.len() > 1).flatten().fold(0, |m, a| m | a.mask());
+    estimator.sample(&[], read)?;
     let mut order = Vec::new();
     for mut step in steps {
         estimator.order_attrs_by_selectivity(&mut step);
         hoist_bound(&mut step, bound_mask);
         order.extend(step);
     }
-    order
+    Ok(order)
 }
 
 #[cfg(test)]
@@ -318,8 +377,10 @@ mod tests {
         let q = paper_query(PaperQuery::Q5);
         let db = db_for(&q, 200, 43);
         let cfg = AdjConfig::default();
+        let cluster = Cluster::new(cfg.cluster.clone());
         let strategy = Strategy::CoOptimize;
-        let (cold, planned) = optimize_in(&q, &db, &cfg, strategy, &ExecCtx::default()).unwrap();
+        let (cold, planned) =
+            optimize_in(&q, &db, &cfg, &cluster, strategy, &ExecCtx::default()).unwrap();
         // The hand-over holds the built tries the plan indexes: those whose
         // levels follow its order.
         let built = cold.optimizer.tries_built;
@@ -346,7 +407,7 @@ mod tests {
             }
         }
         let ctx = ExecCtx { index: Some(&scope), ..Default::default() };
-        let (warm, again) = optimize_in(&q, &db, &cfg, strategy, &ctx).unwrap();
+        let (warm, again) = optimize_in(&q, &db, &cfg, &cluster, strategy, &ctx).unwrap();
         let stats = warm.optimizer;
         assert_eq!(stats.tries_cached, planned.len() as u64, "{stats:?}");
         assert_eq!(stats.tries_built, built - planned.len() as u64, "{stats:?}");
@@ -365,7 +426,9 @@ mod tests {
         let cancel = adj_faults::CancelToken::manual();
         cancel.cancel();
         let ctx = ExecCtx { cancel, ..Default::default() };
-        let planned = optimize_in(&q, &db, &AdjConfig::default(), Strategy::CoOptimize, &ctx);
+        let cfg = AdjConfig::default();
+        let cluster = Cluster::new(cfg.cluster.clone());
+        let planned = optimize_in(&q, &db, &cfg, &cluster, Strategy::CoOptimize, &ctx);
         assert!(matches!(planned, Err(Error::Cancelled { deadline_exceeded: false })));
     }
 

@@ -73,12 +73,15 @@ pub struct OptimizerStats {
     /// Share vectors scored across all those solves (the search prunes
     /// the rest of each lattice).
     pub share_candidates: u64,
+    /// Artifact and walk phases of the sampling batches that ran across
+    /// the workers: those with more than one task or morsel.
+    pub parallel_phases: u64,
 }
 
 impl OptimizerStats {
     /// The counters as `(name, value)` pairs — what trace spans attach and
     /// `EXPLAIN` prints.
-    pub fn args(&self) -> [(&'static str, u64); 10] {
+    pub fn args(&self) -> [(&'static str, u64); 11] {
         [
             ("subjoins_sampled", self.subjoins_sampled),
             ("sample_extensions", self.sample_extensions),
@@ -90,6 +93,7 @@ impl OptimizerStats {
             ("share_solves", self.share_solves),
             ("share_reused", self.share_reused),
             ("share_candidates", self.share_candidates),
+            ("parallel_phases", self.parallel_phases),
         ]
     }
 }

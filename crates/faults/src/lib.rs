@@ -138,7 +138,8 @@ pub enum FaultSite {
     ShuffleRoute,
     /// A worker's per-partition trie sort + build.
     TrieBuild,
-    /// A worker's Leapfrog enumeration sink.
+    /// A worker's Leapfrog enumeration sink, and each morsel of the
+    /// planner's sampling walks.
     JoinEnumerate,
     /// The heavy section of a mutation batch (overlay apply + cache patch).
     MutationApply,

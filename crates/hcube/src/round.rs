@@ -15,8 +15,10 @@
 //! The planner samples over the same tries: it reads them from the cache
 //! and builds a missing one with this module's builder ([`build_trie`]).
 //! What it built reaches the round as the request's [`PlannedTries`], so a
-//! cold relation the planner already indexed is taken over, not rebuilt.
-//! The round stays the cache's one publisher.
+//! cold relation the planner already indexed is taken over, not rebuilt,
+//! and published by the round. A plan no execution follows (a prepared
+//! statement, a plain `EXPLAIN`) publishes its hand-over itself
+//! ([`PlannedTries::publish`]), through the same build claims.
 
 use crate::cache::{IndexClaim, IndexKey, IndexLookup, IndexScope};
 use crate::share::dup_factor;
@@ -233,6 +235,21 @@ impl PlannedTries {
     /// Whether nothing is handed over.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
+    }
+
+    /// Publishes the hand-over when no execution follows the plan (a
+    /// prepared statement, a plain `EXPLAIN`): each trie through its key's
+    /// build claim under `scope`, as a round publishes a build, so the
+    /// first execution finds it in the cache. A key another request holds
+    /// or is building is left to it; a wait on that build gives up when
+    /// `cancel` fires.
+    pub fn publish(self, scope: &IndexScope<'_>, cancel: &CancelToken) {
+        for (name, trie) in self.0 {
+            let key = scope.index_key(&name, trie.schema().attrs().to_vec());
+            if let IndexLookup::Miss(claim) = scope.cache.lookup(&key, cancel) {
+                claim.publish(trie);
+            }
+        }
     }
 }
 

@@ -126,36 +126,126 @@ impl Sampler {
         &self.values
     }
 
-    /// Draws a cardinality estimate with `cfg.samples` samples.
+    /// Draws a cardinality estimate with `cfg.samples` samples: the three
+    /// steps below ([`Sampler::draw`], [`Sampler::count`] over every draw,
+    /// [`Sampler::finish`]) run on the calling thread.
     pub fn estimate(&self, cfg: &SamplingConfig) -> Result<CardinalityEstimate> {
-        let levels = self.order.len();
-        if self.values.is_empty() {
-            return Ok(CardinalityEstimate::zero(levels, 0));
+        let draws = self.draw(cfg);
+        let mut tally = Tally::default();
+        if !draws.grouped.is_empty() {
+            let join = self.join()?;
+            Sampler::count(&join, &draws.grouped, &mut JoinScratch::new(), &mut tally);
         }
-        let join = LeapfrogJoin::new(&self.order, self.tries.iter().map(Arc::as_ref).collect())?;
+        Ok(self.finish(&draws, &tally))
+    }
+
+    /// The first step of an estimate: `cfg.samples` values of `val(A)`
+    /// drawn from `cfg.seed`, grouped ([`group_draws`]). None when
+    /// `val(A)` is empty.
+    pub fn draw(&self, cfg: &SamplingConfig) -> Draws {
+        if self.values.is_empty() {
+            return Draws { grouped: Vec::new(), k: 0 };
+        }
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let k = cfg.samples.max(1);
+        let drawn = (0..k).map(|_| self.values[rng.gen_range(0..self.values.len())]).collect();
+        Draws { grouped: group_draws(drawn), k }
+    }
+
+    /// The join the draws are counted over: the sampler's tries under its
+    /// order.
+    pub fn join(&self) -> Result<LeapfrogJoin<&Trie>> {
+        LeapfrogJoin::new(&self.order, self.tries.iter().map(Arc::as_ref).collect())
+    }
+
+    /// The second step, on any slice of the grouped draws (a morsel): adds
+    /// `Σ m · |T_{A=a}|`, the weighted per-level tuples, the values counted
+    /// and the seconds it took to `tally`. The counts are integers, so the
+    /// tallies of any split of the draws add up to the whole draws' to the
+    /// bit.
+    pub fn count(
+        join: &LeapfrogJoin<&Trie>,
+        draws: &[(Value, u64)],
+        scratch: &mut JoinScratch,
+        tally: &mut Tally,
+    ) {
         let t0 = Instant::now();
-        let draws =
-            group_draws((0..k).map(|_| self.values[rng.gen_range(0..self.values.len())]).collect());
-        let (sum, counters) = join.count_first_values(&draws, &mut JoinScratch::new());
-        let elapsed = t0.elapsed().as_secs_f64();
-        let scale = self.values.len() as f64 / k as f64;
-        let extensions = counters.total_tuples();
-        Ok(CardinalityEstimate {
-            cardinality: sum as f64 * scale,
-            level_tuples: counters.tuples_per_level.iter().map(|&t| t as f64 * scale).collect(),
+        let (sum, counters) = join.count_first_values(draws, scratch);
+        tally.secs += t0.elapsed().as_secs_f64();
+        tally.add_counts(sum, &counters.tuples_per_level, draws.len());
+    }
+
+    /// The last step: the estimate `draws`, counted into `tally`, make.
+    /// Its β is the extensions over the seconds the counting took, summed
+    /// over whichever threads counted.
+    pub fn finish(&self, draws: &Draws, tally: &Tally) -> CardinalityEstimate {
+        if draws.k == 0 {
+            return CardinalityEstimate::zero(self.order.len(), 0);
+        }
+        let scale = self.values.len() as f64 / draws.k as f64;
+        let extensions = tally.tuples();
+        CardinalityEstimate {
+            cardinality: tally.sum as f64 * scale,
+            level_tuples: tally.tuples.iter().map(|&t| t as f64 * scale).collect(),
             val_a: self.values.len(),
-            samples_used: k,
-            distinct_samples: draws.len(),
+            samples_used: draws.k,
+            distinct_samples: tally.values,
             extensions,
-            elapsed_secs: elapsed,
-            beta: if elapsed > 1e-9 && extensions > 0 {
-                Some(extensions as f64 / elapsed)
+            elapsed_secs: tally.secs,
+            beta: if tally.secs > 1e-9 && extensions > 0 {
+                Some(extensions as f64 / tally.secs)
             } else {
                 None
             },
-        })
+        }
+    }
+}
+
+/// The draws of one estimate ([`Sampler::draw`]).
+#[derive(Debug, Clone)]
+pub struct Draws {
+    /// Ascending distinct drawn values with their multiplicities.
+    pub grouped: Vec<(Value, u64)>,
+    /// Values drawn, `k` (0 when `val(A)` is empty).
+    k: usize,
+}
+
+/// What counting some of an estimate's draws added up
+/// ([`Sampler::count`]), starting from [`Tally::default`]; [`Tally::add`]
+/// sums the tallies of a split.
+#[derive(Debug, Clone, Default)]
+pub struct Tally {
+    /// `Σ m · |T_{A=a}|` over the counted draws.
+    sum: u64,
+    /// Per-level bindings, weighted by multiplicity.
+    tuples: Vec<u64>,
+    /// Distinct values counted.
+    values: usize,
+    /// Seconds spent counting.
+    secs: f64,
+}
+
+impl Tally {
+    /// Adds the counts of `other`, over the same join.
+    pub fn add(&mut self, other: &Tally) {
+        self.add_counts(other.sum, &other.tuples, other.values);
+        self.secs += other.secs;
+    }
+
+    fn add_counts(&mut self, sum: u64, tuples: &[u64], values: usize) {
+        self.sum += sum;
+        if self.tuples.len() < tuples.len() {
+            self.tuples.resize(tuples.len(), 0);
+        }
+        for (total, &t) in self.tuples.iter_mut().zip(tuples) {
+            *total += t;
+        }
+        self.values += values;
+    }
+
+    /// Per-level bindings counted so far (weighted by multiplicity).
+    pub fn tuples(&self) -> u64 {
+        self.tuples.iter().sum()
     }
 }
 

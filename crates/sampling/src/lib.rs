@@ -23,6 +23,6 @@ pub mod estimator;
 
 pub use distributed::{estimate_distributed, DistributedReport};
 pub use estimator::{
-    connected_order, group_draws, required_samples, val_a, CardinalityEstimate, Sampler,
-    SamplingConfig,
+    connected_order, group_draws, required_samples, val_a, CardinalityEstimate, Draws, Sampler,
+    SamplingConfig, Tally,
 };

@@ -869,14 +869,16 @@ impl Service {
 
     /// Prepares a parameterized query against a named database: validates
     /// the database exists, optimizes the shape now (publishing the plan
-    /// into the cache, so the first bound execution is already a hit), and
-    /// returns the reusable statement.
+    /// into the cache, so the first bound execution is already a hit, and
+    /// the tries the planner built for it into the index cache, so that
+    /// execution builds only the rest), and returns the reusable statement.
     pub fn prepare(&self, db_name: &str, query: &JoinQuery) -> Result<PreparedQuery, ServiceError> {
         let entry = self.failed(self.lookup(db_name))?;
         let fingerprint = QueryFingerprint::of(query);
         let scope = entry.scope(&self.index);
         let mut ctx = ExecCtx { index: Some(&scope), ..Default::default() };
         self.plan_for(&entry, query, fingerprint, &mut ctx, None)?;
+        ctx.planned.publish(&scope, &ctx.cancel);
         self.metrics.record_prepare();
         Ok(PreparedQuery {
             db_name: db_name.to_string(),
@@ -1498,7 +1500,8 @@ impl Service {
     /// Serves `EXPLAIN` / `EXPLAIN ANALYZE` query text: renders the chosen
     /// plan as an indented text tree (shares, attribute order, routing,
     /// bag structure). Under plain `EXPLAIN` the query is planned (through
-    /// the plan cache) but **not executed**; under `EXPLAIN ANALYZE` it
+    /// the plan cache, publishing the planner's tries as `prepare` does)
+    /// but **not executed**; under `EXPLAIN ANALYZE` it
     /// executes with tracing forced on and the rendering is annotated with
     /// measured actuals — per-phase seconds, tuples moved, cache reuse,
     /// per-trie-level operation counts, per-worker fill and join-span
@@ -1519,6 +1522,7 @@ impl Service {
                 let scope = entry.scope(&self.index);
                 let mut ctx = ExecCtx { index: Some(&scope), ..Default::default() };
                 let (plan, _, _) = self.plan_for(&entry, &query, fingerprint, &mut ctx, None)?;
+                ctx.planned.publish(&scope, &ctx.cancel);
                 Ok(explain::render(
                     &plan,
                     &names,

@@ -290,6 +290,63 @@ fn a_deadline_that_expires_while_planning_fails_typed_and_caches_nothing() {
     assert_eq!(out.report.index_relations_reused, 0, "and builds every index");
 }
 
+/// The planner builds and samples on the workers. At width 2, a panic in
+/// one of its build tasks (its builds read rows under the `ShuffleRoute`
+/// checkpoint, and a cold CoOptimize query's first hit of that site is the
+/// planner's) and a cancel while its walks run (each morsel polls the
+/// `JoinEnumerate` checkpoint, which the planner reaches before any join)
+/// each fail the query typed and count one failure. Neither caches a plan
+/// or publishes a trie, and the next query on the same service plans
+/// afresh and serves.
+#[test]
+fn a_planner_task_panic_and_a_cancel_while_sampling_fail_typed_and_cache_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let db = shape_db_name(PaperQuery::Q4);
+    let q = paper_query(PaperQuery::Q4);
+    let truth = serving(Strategy::CoOptimize).execute_mode(&db, &q, OutputMode::Count).unwrap();
+    for (site, action) in [
+        (FaultSite::ShuffleRoute, FaultAction::Panic),
+        (FaultSite::JoinEnumerate, FaultAction::Cancel),
+    ] {
+        let cell = format!("{site:?}/{action:?}");
+        let service = serving(Strategy::CoOptimize);
+        let faults = install(FaultPlan::new().on(site, 0, action));
+        let err = service
+            .execute_mode(&db, &q, OutputMode::Count)
+            .expect_err(&format!("{cell}: the planner's fault must fail the query"));
+        assert!(faults.all_fired(), "{cell}: the arm never fired");
+        assert_eq!(faults.hits(FaultSite::TrieBuild), 0, "{cell}: the round never ran");
+        if site == FaultSite::JoinEnumerate {
+            assert!(faults.hits(FaultSite::ShuffleRoute) > 0, "{cell}: built before it walked");
+        }
+        drop(faults);
+        let m = service.stats().metrics;
+        match action {
+            FaultAction::Panic => {
+                assert!(
+                    matches!(&err, ServiceError::WorkerPanicked { worker: Some(_), message }
+                        if message.contains("ShuffleRoute")),
+                    "{cell}: got {err:?}"
+                );
+                assert_eq!(m.worker_panics_caught, 1, "{cell}");
+            }
+            _ => {
+                assert!(matches!(err, ServiceError::Cancelled), "{cell}: got {err:?}");
+                assert_eq!(m.queries_cancelled, 1, "{cell}");
+            }
+        }
+        assert_eq!((m.queries_failed, m.queries_ok), (1, 0), "{cell}");
+        assert_eq!(service.index_cache_stats().insertions, 0, "{cell}: nothing published");
+        assert_eq!(service.cache_stats().len, 0, "{cell}: no plan cached");
+        service.check_invariants().unwrap();
+
+        let out = service.execute_mode(&db, &q, OutputMode::Count).unwrap();
+        assert!(!out.cache_hit, "{cell}: the recovery plans afresh");
+        assert_eq!(out.report.index_relations_reused, 0, "{cell}: and builds every index");
+        assert_eq!(out.output, truth.output, "{cell}");
+    }
+}
+
 /// Counting the last level by size must not count past the cancellation
 /// checkpoints. A star of `LEAVES` edges out of node 0 under
 /// `R1(a,b), R2(a,c)` puts `LEAVES` rows on each of the hub's last-level

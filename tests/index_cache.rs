@@ -367,15 +367,18 @@ fn a_request_builds_each_trie_once_and_a_repair_read_only_what_the_cache_lacks()
     assert_eq!(service.index_cache_stats().len, resident.len, "sampling-only keys stay out");
     service.check_invariants().unwrap();
 
-    // Resident bytes after the cold query are what a round that builds
-    // every trie itself publishes: a plan prepared first hands nothing
-    // over to the query that runs it.
+    // A plan prepared first publishes the tries its planner built in the
+    // plan's order, so the query that runs it builds only the relation
+    // the planner did not: the resident bytes are the cold query's.
     let plain = service_with(Strategy::CoOptimize);
     plain.register_database("g", q.instantiate(&planning_graph()));
     plain.prepare("g", &q).unwrap();
-    let built_alone = plain.execute_mode("g", &q, OutputMode::Count).unwrap();
-    assert!(built_alone.cache_hit, "the prepared plan serves");
-    assert_eq!(built_alone.report.index_relations_built, round.index_relations_built);
+    assert_eq!(plain.index_cache_stats().len as u64, planned, "the hand-over is published");
+    let first = plain.execute_mode("g", &q, OutputMode::Count).unwrap();
+    assert!(first.cache_hit, "the prepared plan serves");
+    assert_eq!(first.report.index_relations_reused, planned);
+    assert_eq!(first.report.index_relations_built, round.index_relations_built - planned);
+    assert_eq!(first.report.index_relations_built, 1, "one relation of six");
     let alone = plain.index_cache_stats();
     assert_eq!((alone.len, alone.resident_bytes), (resident.len, resident.resident_bytes));
 }

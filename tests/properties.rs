@@ -7,7 +7,7 @@
 //! failure reproduces by re-running the test.
 
 use adj::prelude::{
-    paper_query, parse_query, AdjConfig, Attr, Bindings, BoundValues, Cluster, ClusterConfig,
+    paper_query, parse_query, Adj, AdjConfig, Attr, Bindings, BoundValues, Cluster, ClusterConfig,
     Database, ExecCtx, ExecutionReport, JoinQuery, OutputMode, PaperQuery, QueryOutput, QueryPlan,
     QueryTrace, Relation, Sampler, SamplingConfig, Schema, Service, ServiceConfig, Strategy,
     TraceSettings, Value,
@@ -1020,7 +1020,9 @@ fn priced(plan: &QueryPlan, db: &Database, built: impl Fn(&PlanRelation) -> bool
 /// through a traced service's unbound, bound and batch doors, every call
 /// reports the share its plan was priced under (`report.share ==
 /// plan.share`). A cold call's `comm_tuples` is `Σ |R| · dup(R,
-/// plan.share)` over the final round's relations; a warm call builds only
+/// plan.share)` over the final round's relations it built: all of them at
+/// the unbound door, and those the prepared statement's planner did not
+/// build (and publish) at the bound and batch doors; a warm call builds only
 /// the pre-computed bags, so its `comm_tuples` is that sum over them (0
 /// without bags). Every call's `precompute_tuples` is the sum over every
 /// bag member. No trace has a `share_solve` span.
@@ -1034,11 +1036,11 @@ fn every_door_reports_and_prices_the_share_its_plan_was_priced_under() {
         let g = Relation::from_pairs(Attr(0), Attr(1), &edges(rng, 14, 60));
         for width in 1..=4 {
             for strategy in [Strategy::CoOptimize, Strategy::CommFirst] {
+                let adj =
+                    AdjConfig { cluster: ClusterConfig::with_workers(width), ..Default::default() };
+                let planner = Adj::new(adj.clone());
                 let service = Service::new(ServiceConfig {
-                    adj: AdjConfig {
-                        cluster: ClusterConfig::with_workers(width),
-                        ..Default::default()
-                    },
+                    adj,
                     strategy,
                     trace: TraceSettings { enabled: true, ..Default::default() },
                     ..Default::default()
@@ -1054,6 +1056,10 @@ fn every_door_reports_and_prices_the_share_its_plan_was_priced_under() {
                     }
                     let on_bound = service.prepare("bound", &bound).unwrap();
                     let on_batch = service.prepare("batch", &bound).unwrap();
+                    // What preparing published: the tries the planner built
+                    // in the plan's order, which a cold call finds warm.
+                    let (_, handed) =
+                        planner.plan_in(&bound, &db, strategy, &ExecCtx::default()).unwrap();
                     type Call = (ExecutionReport, std::sync::Arc<QueryPlan>, Option<QueryTrace>);
                     let unbound = || {
                         let out = service.execute_mode("unbound", &q, OutputMode::Rows).unwrap();
@@ -1082,13 +1088,23 @@ fn every_door_reports_and_prices_the_share_its_plan_was_priced_under() {
                         let plan = std::sync::Arc::clone(&cold.1);
                         assert!(std::sync::Arc::ptr_eq(&plan, &warm.1), "{at}: one plan");
                         assert!(plan.share.iter().product::<u32>() as usize >= width, "{at}");
-                        let (all, precompute) = priced(&plan, &db, |_| true);
+                        let published = |r: &PlanRelation| match r {
+                            PlanRelation::Base(i) => {
+                                let atom = &plan.query.atoms[*i];
+                                let induced =
+                                    plan.order.iter().filter(|a| atom.schema.contains(**a));
+                                let induced = Schema::new(induced.copied().collect()).unwrap();
+                                door != "unbound" && handed.get(&atom.name, &induced).is_some()
+                            }
+                            PlanRelation::Precomputed { .. } => false,
+                        };
+                        let (cold_comm, precompute) = priced(&plan, &db, |r| !published(r));
                         let bags = |r: &PlanRelation| matches!(r, PlanRelation::Precomputed { .. });
                         let (bag_comm, _) = priced(&plan, &db, bags);
                         calls += 2;
                         bagged += 2 * usize::from(bag_comm > 0);
                         for ((report, _, trace), comm, call) in
-                            [(cold, all, "cold"), (warm, bag_comm, "warm")]
+                            [(cold, cold_comm, "cold"), (warm, bag_comm, "warm")]
                         {
                             assert_eq!(report.share, plan.share, "{at} {call}");
                             assert_eq!(report.comm_tuples, comm, "{at} {call}");
@@ -1570,6 +1586,70 @@ fn grouped_sampling_equals_per_draw_counting() {
     });
     assert!(repeated > 0 && single > 0 && empty > 0, "{repeated} {single} {empty}");
 }
+
+/// The planner's walk phase ([`walk_phase`]) — every sub-join's grouped
+/// draws cut into morsels, claimed by the workers from one cursor and
+/// counted into per-sub-join tallies — estimates exactly what one thread
+/// counting every draw does ([`Sampler::estimate`]): cardinality to the
+/// bit, per-level tuples, extensions and distinct values, at 1, 2 and 3
+/// workers, with every connected atom subset of Q1–Q11 in one batch, on
+/// the twelve graphs the reference-join property uses. Their `val(A)`s
+/// fit one morsel, so each case also runs Q1/Q4/Q5/Q8 on a graph over 400
+/// node ids, whose sub-joins split into several morsels.
+#[test]
+fn morsel_split_sampling_equals_the_sequential_estimate() {
+    use adj::core::cost::walk_phase;
+    use adj_leapfrog::MORSEL_ROWS;
+    use adj_sampling::connected_order;
+    let clusters: Vec<Cluster> =
+        (1..=3).map(|w| Cluster::new(ClusterConfig::with_workers(w))).collect();
+    let cfg = AdjConfig::default().sampling;
+    let mut split = 0;
+    cases(12, |rng| {
+        let reference = edges(rng, 14, 60);
+        let wide = edges(rng, 400, 600);
+        for (pairs, queries) in [(reference, &PaperQuery::ALL[..]), (wide, &SPLIT_QUERIES[..])] {
+            let g = Relation::from_pairs(Attr(0), Attr(1), &pairs);
+            for &pq in queries {
+                let q = paper_query(pq);
+                let db = q.instantiate(&g);
+                let h = q.hypergraph();
+                let masks: Vec<u64> =
+                    (1u64..1 << q.atoms.len()).filter(|&m| h.is_connected_edges(m)).collect();
+                let samplers: Vec<Sampler> = (masks.iter())
+                    .map(|&mask| {
+                        let atoms = (0..q.atoms.len()).filter(|i| mask & (1 << i) != 0);
+                        let sub =
+                            JoinQuery::new("sub", atoms.map(|i| q.atoms[i].clone()).collect());
+                        let order = connected_order(sub.atoms.iter().map(|a| &a.schema));
+                        Sampler::new(&db, &sub, &order).unwrap()
+                    })
+                    .collect();
+                let sequential: Vec<_> =
+                    samplers.iter().map(|s| s.estimate(&cfg).unwrap()).collect();
+                for cluster in &clusters {
+                    let walked = walk_phase(cluster, &samplers, &cfg, &ExecCtx::default()).unwrap();
+                    assert_eq!(walked.estimates.len(), masks.len());
+                    for ((mask, want), got) in masks.iter().zip(&sequential).zip(walked.estimates) {
+                        let at = format!("{pq:?} {mask:#b} width {}", cluster.num_workers());
+                        let got = got.unwrap();
+                        assert_eq!(got.cardinality.to_bits(), want.cardinality.to_bits(), "{at}");
+                        assert_eq!(got.level_tuples, want.level_tuples, "{at}");
+                        assert_eq!(got.extensions, want.extensions, "{at}");
+                        assert_eq!(got.distinct_samples, want.distinct_samples, "{at}");
+                        assert_eq!(got.samples_used, want.samples_used, "{at}");
+                    }
+                }
+                split += sequential.iter().filter(|e| e.distinct_samples > MORSEL_ROWS).count();
+            }
+        }
+    });
+    assert!(split > 0, "no sub-join's draws split into several morsels");
+}
+
+/// The queries the morsel-split property also runs on a wide graph.
+const SPLIT_QUERIES: [PaperQuery; 4] =
+    [PaperQuery::Q1, PaperQuery::Q4, PaperQuery::Q5, PaperQuery::Q8];
 
 /// Every GHD the decomposer produces is valid (edge coverage + running
 /// intersection) on random connected-ish hypergraphs from the workload

@@ -123,40 +123,72 @@ fn cold_optimize_span_shows_what_the_optimizer_shared() {
     // A cold Q5 samples several sub-joins over the same seven relations and
     // prices the same pre-compute sets at several positions: the optimize
     // span must say how much of that one call served from its own cache.
+    // It builds and samples on the cluster's workers, at any width.
     let q = paper_query(PaperQuery::Q5);
     let db = q.instantiate(&Dataset::WB.graph(0.01));
-    let service = service_with(Strategy::CoOptimize, Some(traced_settings()));
-    service.register_database("g", db);
-    let out = service.execute_mode("g", &q, OutputMode::Count).unwrap();
-    assert!(!out.cache_hit, "first touch plans cold");
-    let trace = out.trace.as_ref().unwrap();
-    let spans = trace.events_named("optimize");
-    assert_eq!(spans.len(), 1, "one optimize span per cold plan");
-    for (name, value) in out.plan.optimizer.args() {
-        assert_eq!(spans[0].args.get(name), Some(value), "span arg {name} mirrors the plan");
+    for width in [2, WORKERS] {
+        let service = Service::new(ServiceConfig {
+            adj: AdjConfig {
+                cluster: ClusterConfig::with_workers(width),
+                cost: CostParams { measure_beta: false, ..Default::default() },
+                ..Default::default()
+            },
+            trace: traced_settings(),
+            ..Default::default()
+        });
+        service.register_database("g", db.clone());
+        let out = service.execute_mode("g", &q, OutputMode::Count).unwrap();
+        assert!(!out.cache_hit, "first touch plans cold");
+        let trace = out.trace.as_ref().unwrap();
+        let spans = trace.events_named("optimize");
+        assert_eq!(spans.len(), 1, "one optimize span per cold plan");
+        for (name, value) in out.plan.optimizer.args() {
+            assert_eq!(spans[0].args.get(name), Some(value), "span arg {name} mirrors the plan");
+        }
+        let arg = |name: &str| spans[0].args.get(name).unwrap();
+        // One trie per distinct (relation, level order) of the seven sampled
+        // sub-joins — Q5's seven relations, one in two orders — reused by
+        // the fourteen other members; a first touch finds nothing in the
+        // index cache to read.
+        assert_eq!(arg("subjoins_sampled"), 7, "{:?}", spans[0].args);
+        assert_eq!(arg("tries_built"), 8, "{:?}", spans[0].args);
+        assert_eq!(arg("tries_cached"), 0, "{:?}", spans[0].args);
+        assert_eq!(arg("tries_reused"), 14, "{:?}", spans[0].args);
+        assert!(arg("share_reused") > 0, "{:?}", spans[0].args);
+        assert_eq!(arg("sampler_errors"), 0);
+        // Every sub-join counts each distinct drawn value once: at most one
+        // value per draw, and fewer wherever draws repeat.
+        let draws = arg("subjoins_sampled") * SamplingConfig::default().samples as u64;
+        assert!(arg("sample_values") > 0, "{:?}", spans[0].args);
+        assert!(arg("sample_values") < draws, "{:?}", spans[0].args);
+        // Q5 has five attributes: at three workers one solve's lattice
+        // holds 3,652 vectors (product at most 64), and the pruned search
+        // scores a sliver of it across all its solves together.
+        assert!(arg("share_solves") > 0, "{:?}", spans[0].args);
+        assert!(arg("share_candidates") > 0, "{:?}", spans[0].args);
+        if width == 3 {
+            assert!(arg("share_candidates") < 3_652 / 10, "{:?}", spans[0].args);
+        }
+        // The position batches ran across the workers: every worker lane
+        // shows `plan_build` and `plan_sample` spans, and the walks' spans
+        // add up to what the optimizer counted.
+        assert!(arg("parallel_phases") > 0, "{:?}", spans[0].args);
+        let workers: std::collections::BTreeSet<_> = (0..width).map(lane_for_worker).collect();
+        for name in ["plan_build", "plan_sample"] {
+            let lanes: std::collections::BTreeSet<_> =
+                trace.events_named(name).iter().map(|e| e.lane).collect();
+            assert_eq!(lanes, workers, "width {width}: {name} on every worker lane");
+        }
+        let sample_sum = |key: &str| -> u64 {
+            trace.events_named("plan_sample").iter().filter_map(|e| e.args.get(key)).sum()
+        };
+        assert_eq!(sample_sum("tuples"), arg("sample_extensions"), "width {width}");
+        assert!(sample_sum("morsels") >= arg("subjoins_sampled"), "width {width}");
+        assert!(sample_sum("subjoins") >= arg("subjoins_sampled"), "width {width}");
+        let tasks: u64 =
+            trace.events_named("plan_build").iter().filter_map(|e| e.args.get("tasks")).sum();
+        assert!(tasks >= arg("tries_built"), "width {width}: {tasks} build tasks");
     }
-    let arg = |name: &str| spans[0].args.get(name).unwrap();
-    // One trie per distinct (relation, level order) of the seven sampled
-    // sub-joins — Q5's seven relations, one in two orders — reused by the
-    // fourteen other members; a first touch finds nothing in the index
-    // cache to read.
-    assert_eq!(arg("subjoins_sampled"), 7, "{:?}", spans[0].args);
-    assert_eq!(arg("tries_built"), 8, "{:?}", spans[0].args);
-    assert_eq!(arg("tries_cached"), 0, "{:?}", spans[0].args);
-    assert_eq!(arg("tries_reused"), 14, "{:?}", spans[0].args);
-    assert!(arg("share_reused") > 0, "{:?}", spans[0].args);
-    assert_eq!(arg("sampler_errors"), 0);
-    // Every sub-join counts each distinct drawn value once: at most one
-    // value per draw, and fewer wherever draws repeat.
-    let draws = arg("subjoins_sampled") * SamplingConfig::default().samples as u64;
-    assert!(arg("sample_values") > 0, "{:?}", spans[0].args);
-    assert!(arg("sample_values") < draws, "{:?}", spans[0].args);
-    // Q5 has five attributes: at three workers one solve's lattice holds
-    // 3,652 vectors (product at most 64), and the pruned search scores a
-    // sliver of it across all its solves together.
-    assert!(arg("share_solves") > 0, "{:?}", spans[0].args);
-    assert!(arg("share_candidates") > 0, "{:?}", spans[0].args);
-    assert!(arg("share_candidates") < 3_652 / 10, "{:?}", spans[0].args);
 }
 
 #[test]
