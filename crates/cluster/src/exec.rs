@@ -1,9 +1,18 @@
 //! Parallel per-worker execution with timing.
+//!
+//! Two kinds of phase run on the workers. A per-worker phase
+//! ([`Cluster::run`], [`Cluster::run_traced`]) hands each worker its own
+//! work by id: the routed shuffle's per-inbox builds, the baselines. A
+//! claimed phase ([`Cluster::run_claimed`]) is `N` units every worker
+//! claims from one shared cursor ([`Morsels`]): the planner's builds and
+//! sampling walks, the index round's cold builds, and every join. The
+//! runner alone decides whether a claimed phase spawns: a phase of at most
+//! one unit runs on the calling thread.
 
 use crate::comm::{CommStats, CostModel};
 use crate::transport::TransportRound;
 use crate::{ClusterConfig, WorkerId};
-use adj_relational::Schema;
+use adj_relational::{Morsels, Schema};
 use adj_trace::{lane_for_worker, SpanGuard, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -95,6 +104,17 @@ impl<R> RunReport<R> {
     /// callers that need every worker to have succeeded.
     pub fn into_results(self) -> Result<Vec<R>, WorkerFailure> {
         self.results.into_iter().collect()
+    }
+}
+
+impl<R> RunReport<Vec<(usize, R)>> {
+    /// The results of a claimed phase whose workers return each unit they
+    /// claimed with its result: every unit's result in unit order, or the
+    /// first failure.
+    pub fn into_units(self) -> Result<Vec<R>, WorkerFailure> {
+        let mut done: Vec<(usize, R)> = self.into_results()?.into_iter().flatten().collect();
+        done.sort_unstable_by_key(|&(u, _)| u);
+        Ok(done.into_iter().map(|(_, r)| r).collect())
     }
 }
 
@@ -198,17 +218,43 @@ impl Cluster {
             // Single hardware thread (or one worker): the logical workers
             // would serialize anyway, so run them inline and keep the
             // spawn/join cost off the serving hot path.
-            self.run_serial(tracer, name, f)
+            self.run_inline(tracer, name, f)
+        }
+    }
+
+    /// Runs a claimed phase of `units` units: every worker gets one shared
+    /// cursor over them and calls `f(&cursor, span)`, claiming units
+    /// ([`Morsels::claim`]) until none is left, under one `name` span on its
+    /// lane. A phase of at most one unit runs every worker on the calling
+    /// thread, one after the other, under the same timing, span and panic
+    /// isolation — the workers after the first find nothing left, and no
+    /// thread is spawned for them; a wider one runs as
+    /// [`Cluster::run_traced`]. A worker may [`Morsels::halt`] the cursor or
+    /// [`Morsels::stop_after`] a unit for all of them.
+    pub fn run_claimed<R, F>(
+        &self,
+        tracer: &Tracer,
+        name: &'static str,
+        units: usize,
+        f: F,
+    ) -> RunReport<R>
+    where
+        R: Send,
+        F: Fn(&Morsels, &mut SpanGuard<'_>) -> R + Sync,
+    {
+        let morsels = Morsels::new(units);
+        let work = |_w: WorkerId, span: &mut SpanGuard<'_>| f(&morsels, span);
+        if units <= 1 {
+            self.run_inline(tracer, name, work)
+        } else {
+            self.run_traced(tracer, name, work)
         }
     }
 
     /// [`Cluster::run_traced`] with every worker on the calling thread, one
-    /// after the other, under the same timing, span and panic isolation:
-    /// for a phase whose work fits one worker, so the workers after the
-    /// first find nothing left and no thread is spawned for them.
-    pub fn run_serial<R, F>(&self, tracer: &Tracer, name: &'static str, f: F) -> RunReport<R>
+    /// after the other, under the same timing, span and panic isolation.
+    fn run_inline<R, F>(&self, tracer: &Tracer, name: &'static str, f: F) -> RunReport<R>
     where
-        R: Send,
         F: Fn(WorkerId, &mut SpanGuard<'_>) -> R + Sync,
     {
         collect_report((0..self.num_workers()).map(|w| run_worker(tracer, name, &f, w)))
@@ -384,6 +430,101 @@ mod tests {
             assert!(joins.iter().any(|e| e.lane == lane_for_worker(w)));
         }
         assert_eq!(trace.sum_arg("tuples"), 3); // workers contributed 0 + 1 + 2
+    }
+
+    /// A claimed phase whose workers return each unit they claimed.
+    fn claim_all(c: &Cluster, units: usize) -> RunReport<Vec<(usize, usize)>> {
+        c.run_claimed(&Tracer::disabled(), "claim", units, |morsels, _| {
+            std::iter::from_fn(|| morsels.claim()).map(|u| (u, u * 10)).collect()
+        })
+    }
+
+    #[test]
+    fn a_claimed_phase_hands_out_each_unit_once_and_returns_them_in_unit_order() {
+        for width in 1..=4 {
+            let c = Cluster::new(ClusterConfig::with_workers(width));
+            for units in [0, 1, 2, 7, 300] {
+                let rep = claim_all(&c, units);
+                assert_eq!(rep.results.len(), width, "every worker keeps its slot");
+                for slot in &rep.results {
+                    let claimed: Vec<usize> = slot.as_ref().unwrap().iter().map(|p| p.0).collect();
+                    assert!(claimed.windows(2).all(|w| w[0] < w[1]), "one worker's claims ascend");
+                }
+                let expected: Vec<usize> = (0..units).map(|u| u * 10).collect();
+                assert_eq!(rep.into_units().unwrap(), expected, "width {width}, {units} units");
+            }
+        }
+    }
+
+    #[test]
+    fn halt_and_stop_after_end_a_claimed_phase_for_every_worker() {
+        for width in 1..=4 {
+            let c = Cluster::new(ClusterConfig::with_workers(width));
+            let stopped = c.run_claimed(&Tracer::disabled(), "claim", 100, |morsels, _| {
+                let mut claimed = Vec::new();
+                while let Some(u) = morsels.claim() {
+                    claimed.push((u, ()));
+                    if u == 5 {
+                        morsels.stop_after(u);
+                        // Units past 5 may go to others before the stop
+                        // lands, none after it.
+                        assert_eq!(morsels.claim(), None);
+                    }
+                }
+                claimed
+            });
+            let units: Vec<usize> =
+                stopped.into_results().unwrap().into_iter().flatten().map(|p| p.0).collect();
+            assert!((0..=5).all(|u| units.contains(&u)), "width {width}: {units:?}");
+            let halted = c.run_claimed(&Tracer::disabled(), "claim", 100, |morsels, _| {
+                let first = morsels.claim();
+                morsels.halt();
+                (first, morsels.claim(), morsels.halted())
+            });
+            for (first, after, halted) in halted.into_results().unwrap() {
+                assert!(first.is_none_or(|u| u < 100) && after.is_none() && halted);
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_unit_phase_runs_every_worker_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for width in 1..=4 {
+            let c = Cluster::new(ClusterConfig::with_workers(width));
+            let tracer = Tracer::new(64);
+            let rep = c.run_claimed(&tracer, "claim", 1, |morsels, _| {
+                (std::thread::current().id(), morsels.claim(), morsels.units())
+            });
+            let slots = rep.into_results().unwrap();
+            assert!(slots.iter().all(|&(thread, _, units)| thread == caller && units == 1));
+            assert_eq!(slots.iter().filter(|s| s.1 == Some(0)).count(), 1, "claimed once");
+            let trace = tracer.finish();
+            assert_eq!(trace.events_named("claim").len(), width, "one span per worker lane");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_one_unit_fails_its_worker_typed() {
+        for width in 1..=4 {
+            let c = Cluster::new(ClusterConfig::with_workers(width));
+            for units in [1, 9] {
+                let rep = c.run_claimed(&Tracer::disabled(), "claim", units, |morsels, _| {
+                    let mut done = Vec::new();
+                    while let Some(u) = morsels.claim() {
+                        if u == units - 1 {
+                            std::panic::resume_unwind(Box::new(format!("unit {u} fault")));
+                        }
+                        done.push((u, u));
+                    }
+                    done
+                });
+                assert_eq!(rep.results.len(), width, "every worker keeps its slot");
+                let failure = rep.into_units().unwrap_err();
+                assert!(failure.worker < width);
+                assert_eq!(failure.message, format!("unit {} fault", units - 1));
+            }
+        }
     }
 
     #[test]

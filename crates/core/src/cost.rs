@@ -37,26 +37,34 @@
 //! The estimator samples on the cluster's workers, as the paper's
 //! distributed sampling does (Sec. IV), in batches: each search position
 //! hands it every sub-join it will price, and [`CostEstimator::sample`]
-//! runs the batch as two phases — the artifacts (missing tries and
-//! columns, one task each) and the walks ([`walk_phase`]: every sub-join's
-//! draws in morsels, after Leis et al.'s morsel-driven scheduling). A
+//! runs the batch as two claimed phases of the cluster's one runner
+//! ([`Cluster::run_claimed`], after Leis et al.'s morsel-driven
+//! scheduling) — the artifacts (missing tries and columns, one unit each)
+//! and the walks ([`walk_phase`]: every sub-join's draws in morsels). A
 //! sub-join priced outside a batch is a batch of one; there is no serial
-//! sampling path. The counts are integers added up exactly, so estimates,
-//! counters and plans do not depend on the width.
+//! sampling path, and [`walk_phase`] is the only sampler on the workers.
+//! The counts are integers added up exactly, so estimates, counters and
+//! plans do not depend on the width.
+//!
+//! Relations are priced at their stored sizes, bound attributes or not:
+//! every execution indexes them whole (the bindings reach only Leapfrog),
+//! so a budget no share meets for the whole relations refuses a bound
+//! shape too.
 
 use crate::plan::{OptimizerStats, PlanRelation, QueryPlan};
-use adj_cluster::{Cluster, RunReport};
+use adj_cluster::Cluster;
 use adj_faults::FaultSite;
 use adj_hcube::{build_trie, solve_share, ExecCtx, PlannedTries, ShareInput, ShareSolution};
-use adj_leapfrog::{JoinScratch, Morsels};
+use adj_leapfrog::JoinScratch;
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::hash::FxHashMap;
-use adj_relational::{Attr, Database, Error, Levels, Relation, Result, Schema, Trie, Value};
+use adj_relational::{
+    Attr, Database, Error, Levels, Morsels, Relation, Result, Schema, Trie, Value,
+};
 use adj_sampling::{connected_order, val_a, CardinalityEstimate, Sampler, SamplingConfig, Tally};
-use adj_trace::{SpanGuard, Tracer};
+use adj_trace::SpanGuard;
 use std::cell::{OnceCell, RefCell};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Calibration constants of the cost model.
@@ -206,10 +214,10 @@ pub struct CostEstimator<'a> {
     /// attr id → |val(A)| over the query's relations, computed on first use.
     val_sizes: Vec<OnceCell<f64>>,
     /// Attributes every execution of this query binds to a single value
-    /// (inline literals + `$name` parameters). Relations touching them are
-    /// filtered down before shuffling, so their *priced* sizes shrink by
-    /// the bound attributes' selectivity — and the share program drops the
-    /// bound dimensions from its grid.
+    /// (inline literals + `$name` parameters). The share program drops
+    /// their dimensions from its grid; the relations are priced at their
+    /// stored sizes all the same, since every execution indexes them whole
+    /// (the bindings reach only Leapfrog).
     bound_mask: u64,
     /// β measured from sampling runs (extensions/sec), once available.
     beta_measured: RefCell<Option<f64>>,
@@ -234,8 +242,8 @@ impl<'a> CostEstimator<'a> {
         ctx: &'a ExecCtx<'a>,
     ) -> Self {
         // Self-derived rather than passed in: the mask is a pure function
-        // of the query's term kinds, so every construction site prices the
-        // same filtered sizes. A conflicting-constant query reports mask 0
+        // of the query's term kinds, so every construction site solves the
+        // same share program. A conflicting-constant query reports mask 0
         // here; the optimizer surfaces the real error before planning.
         let mut bound_mask = query.const_bindings().map(|b| b.mask()).unwrap_or(0);
         for (_, a) in query.param_attrs() {
@@ -262,16 +270,6 @@ impl<'a> CostEstimator<'a> {
         self.bound_mask
     }
 
-    /// The bound attributes whose `|val(A)|` pricing the base relations
-    /// reads ([`Self::relation_size`]): those a non-empty relation of the
-    /// query touches.
-    pub(crate) fn discounted_attrs(&self) -> u64 {
-        let nonempty = |name: &str| self.db.get(name).is_ok_and(|r| !r.is_empty());
-        (self.query.atoms.iter())
-            .filter(|atom| nonempty(&atom.name))
-            .fold(0, |m, atom| m | (atom.schema.mask() & self.bound_mask))
-    }
-
     /// `|val(A)|` over the query's relations (at least 1). Columns no batch
     /// has read are read as a batch of their own ([`Self::sample`]).
     fn val_size(&self, a: usize) -> f64 {
@@ -292,25 +290,6 @@ impl<'a> CostEstimator<'a> {
         if !matches!(e, Error::Cancelled { .. }) {
             self.failure.borrow_mut().get_or_insert(e);
         }
-    }
-
-    /// Discounts a relation's tuple count for the bound-constant selections
-    /// that filter it before any shuffle: each bound attribute the schema
-    /// touches keeps roughly `1/|val(A)|` of the tuples under uniformity.
-    /// Clamped at one tuple so a heavily bound relation never prices as
-    /// free.
-    fn bound_discount(&self, schema_mask: u64, size: f64) -> f64 {
-        let touched = self.bound_mask & schema_mask;
-        if touched == 0 || size <= 0.0 {
-            return size;
-        }
-        let mut discounted = size;
-        for a in 0..self.val_sizes.len() {
-            if touched & (1u64 << a) != 0 {
-                discounted /= self.val_size(a);
-            }
-        }
-        discounted.max(1.0)
     }
 
     /// The measured extension rate β (Sec. III-B: "reusing statistics
@@ -373,15 +352,16 @@ impl<'a> CostEstimator<'a> {
     ///
     /// * **artifacts** — one task per distinct trie the sub-joins read that
     ///   neither this estimator nor the index cache holds, and per column
-    ///   no held, cached or to-be-built trie starts with; the tasks are
-    ///   claimed from one cursor (`plan_build` spans);
+    ///   no held, cached or to-be-built trie starts with (`plan_build`
+    ///   spans);
     /// * **walks** — every sub-join's grouped draws, cut into
-    ///   [`MORSEL_ROWS`](adj_leapfrog::MORSEL_ROWS) morsels claimed from
-    ///   one cursor, each worker counting its morsels with one
-    ///   [`JoinScratch`] (`plan_sample` spans; see [`walk_phase`]).
+    ///   [`MORSEL_ROWS`](adj_relational::MORSEL_ROWS) morsels, each worker
+    ///   counting its morsels with one [`JoinScratch`] (`plan_sample`
+    ///   spans; see [`walk_phase`]).
     ///
-    /// A phase with one task or morsel runs on the calling thread. Each
-    /// sub-join's integer counts are added up exactly, so every estimate is
+    /// Both are claimed phases ([`Cluster::run_claimed`]), so one with one
+    /// task or morsel runs on the calling thread. Each sub-join's integer
+    /// counts are added up exactly, so every estimate is
     /// [`Sampler::estimate`]'s to the bit. Trie counters are kept as if the
     /// sub-joins had been sampled one after another in `masks`' order.
     /// Fails only when the request's token fired or a worker panicked.
@@ -563,25 +543,21 @@ impl<'a> CostEstimator<'a> {
         Ok((order, keys))
     }
 
-    /// The artifact phase: runs `tasks` on the cluster's workers, each
-    /// claiming the next task from one cursor, and returns what each made,
-    /// in task order.
+    /// The artifact phase: runs `tasks` as one claimed phase on the
+    /// cluster's workers, and returns what each made, in task order.
     fn build(&self, tasks: &[Task<'a>]) -> Result<Vec<Made>> {
         if tasks.is_empty() {
             return Ok(Vec::new());
         }
         let cancel = &self.ctx.cancel;
-        let next = AtomicUsize::new(0);
-        let work = |_w: usize, span: &mut SpanGuard<'_>| -> Vec<(usize, Made)> {
+        let work = |morsels: &Morsels, span: &mut SpanGuard<'_>| -> Vec<(usize, Made)> {
             let mut done = Vec::new();
-            loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                let made = match tasks.get(t) {
-                    None => break,
-                    Some(Task::Trie(rel, induced)) => {
+            while let Some(t) = morsels.claim() {
+                let made = match &tasks[t] {
+                    Task::Trie(rel, induced) => {
                         Made::Trie(build_trie(rel, induced.clone(), cancel))
                     }
-                    Some(Task::Column(_, rel, attr)) => Made::Column(rel.column_values(*attr)),
+                    Task::Column(_, rel, attr) => Made::Column(rel.column_values(*attr)),
                 };
                 done.push((t, made));
             }
@@ -591,13 +567,9 @@ impl<'a> CostEstimator<'a> {
             }
             done
         };
-        let (run, parallel) =
-            phase(self.cluster, &self.ctx.tracer, "plan_build", tasks.len(), work);
-        self.cache.borrow_mut().stats.parallel_phases += u64::from(parallel);
-        let mut made: Vec<(usize, Made)> =
-            run.into_results().map_err(Error::from)?.into_iter().flatten().collect();
-        made.sort_unstable_by_key(|&(t, _)| t);
-        Ok(made.into_iter().map(|(_, m)| m).collect())
+        let run = self.cluster.run_claimed(&self.ctx.tracer, "plan_build", tasks.len(), work);
+        self.cache.borrow_mut().stats.parallel_phases += u64::from(tasks.len() > 1);
+        run.into_units().map_err(Error::from)
     }
 
     /// The walk phase over the sub-joins of a batch (each mask with its
@@ -696,19 +668,22 @@ impl<'a> CostEstimator<'a> {
         (contained, attrs_mask & !covered_attrs)
     }
 
-    /// Estimated tuple count of a plan relation, priced post-binding: a
-    /// relation touching bound attributes is filtered before it is ever
-    /// shuffled, so its cost-relevant size is the filtered one.
+    /// Estimated tuple count of a plan relation: a base relation's stored
+    /// size, a bag's estimated cardinality. Bound attributes do not shrink
+    /// it — every execution indexes the relations whole and computes a bag
+    /// over them, whatever it binds.
     pub fn relation_size(&self, rel: &PlanRelation) -> f64 {
-        let raw = match rel {
-            PlanRelation::Base(i) => {
-                self.db.get(&self.query.atoms[*i].name).map(|r| r.len() as f64).unwrap_or(0.0)
-            }
+        match rel {
+            PlanRelation::Base(i) => self.stored_size(*i),
             PlanRelation::Precomputed { node, .. } => {
                 self.subjoin_cardinality(self.tree.nodes[*node].edges)
             }
-        };
-        self.bound_discount(rel.schema(self.query).mask(), raw)
+        }
+    }
+
+    /// The stored tuple count of atom `i`'s relation (0 when missing).
+    fn stored_size(&self, i: usize) -> f64 {
+        self.db.get(&self.query.atoms[i].name).map(|r| r.len() as f64).unwrap_or(0.0)
     }
 
     /// `costC`: communication seconds for shuffling the relations of the
@@ -784,12 +759,7 @@ impl<'a> CostEstimator<'a> {
     /// relations once plus parallel join work proportional to input+output.
     pub fn cost_m(&self, node: usize) -> f64 {
         let bag = &self.tree.nodes[node];
-        let mut input_tuples = 0.0;
-        for i in bag.edge_indices() {
-            let atom = &self.query.atoms[i];
-            let raw = self.db.get(&atom.name).map(|r| r.len() as f64).unwrap_or(0.0);
-            input_tuples += self.bound_discount(atom.schema.mask(), raw);
-        }
+        let input_tuples: f64 = bag.edge_indices().into_iter().map(|i| self.stored_size(i)).sum();
         let output = self.subjoin_cardinality(bag.edges);
         let comm = input_tuples / self.cluster.config().alpha_tuples_per_sec;
         let workers = self.cluster.config().num_workers as f64;
@@ -883,10 +853,11 @@ pub struct WalkPhase {
 /// Estimates every sampler of `samplers` under `sampling` as one phase on
 /// `cluster`'s workers, on behalf of the request `ctx`: each sampler's
 /// grouped draws ([`Sampler::draw`]) are cut into
-/// [`MORSEL_ROWS`](adj_leapfrog::MORSEL_ROWS) morsels, all samplers'
-/// morsels are claimed from one cursor, and each worker counts the ones it
-/// claims ([`Sampler::count`]) with one [`JoinScratch`], under a
-/// `plan_sample` span (args: `morsels`, `subjoins`, `tuples`). The counts
+/// [`MORSEL_ROWS`](adj_relational::MORSEL_ROWS) morsels, all samplers'
+/// morsels are the units of one claimed phase ([`Cluster::run_claimed`]),
+/// and each worker counts the ones it claims ([`Sampler::count`]) with one
+/// [`JoinScratch`], under a `plan_sample` span (args: `morsels`,
+/// `subjoins`, `tuples`). The counts
 /// are integers added up exactly, so every estimate equals
 /// [`Sampler::estimate`]'s to the bit at any width; only its seconds (and
 /// so its β) are the summed seconds of the workers that counted it. A
@@ -928,12 +899,11 @@ pub fn walk_phase(
         })
         .collect();
     let cancel = &ctx.cancel;
-    let next = AtomicUsize::new(0);
-    let work = |_w: usize, span: &mut SpanGuard<'_>| -> Result<Vec<(usize, Tally)>> {
+    let work = |claims: &Morsels, span: &mut SpanGuard<'_>| -> Result<Vec<(usize, Tally)>> {
         let mut scratch = JoinScratch::new();
         let mut done: Vec<(usize, Tally)> = Vec::new();
         let mut claimed = 0u64;
-        while let Some((j, rows)) = morsels.get(next.fetch_add(1, Ordering::Relaxed)) {
+        while let Some((j, rows)) = claims.claim().map(|u| &morsels[u]) {
             adj_faults::inject(FaultSite::JoinEnumerate, cancel);
             cancel.check().map_err(|c| Error::Cancelled { deadline_exceeded: c.deadline })?;
             // A worker's claims ascend, so its morsels of one sampler are
@@ -954,10 +924,8 @@ pub fn walk_phase(
         Ok(done)
     };
     let mut tallies: Vec<Tally> = vec![Tally::default(); walks.len()];
-    let mut parallel = false;
     if !morsels.is_empty() {
-        let (run, ran_parallel) = phase(cluster, &ctx.tracer, "plan_sample", morsels.len(), work);
-        parallel = ran_parallel;
+        let run = cluster.run_claimed(&ctx.tracer, "plan_sample", morsels.len(), work);
         for done in run.into_results().map_err(Error::from)? {
             for (j, tally) in done? {
                 tallies[j].add(&tally);
@@ -968,28 +936,8 @@ pub fn walk_phase(
         estimates[*slot] = Some(Ok(sampler.finish(draws, tally)));
     }
     let estimates = estimates.into_iter().map(|e| e.expect("every sampler estimated")).collect();
-    Ok(WalkPhase { estimates, parallel })
+    Ok(WalkPhase { estimates, parallel: morsels.len() > 1 })
 }
-
-/// Runs one planning phase of `units` tasks or morsels on `cluster`, one
-/// `name` span per worker lane: on the calling thread when there is one
-/// ([`Cluster::run_serial`]), across the workers otherwise. Returns the
-/// run and whether it went across the workers.
-fn phase<R: Send>(
-    cluster: &Cluster,
-    tracer: &Tracer,
-    name: &'static str,
-    units: usize,
-    work: impl Fn(usize, &mut SpanGuard<'_>) -> R + Sync,
-) -> (RunReport<R>, bool) {
-    if units == 1 {
-        return (cluster.run_serial(tracer, name, work), false);
-    }
-    (cluster.run_traced(tracer, name, work), true)
-}
-
-/// Result alias re-exported for optimizer use.
-pub type CostResult<T> = Result<T>;
 
 #[cfg(test)]
 mod tests {
@@ -1172,10 +1120,11 @@ mod tests {
     }
 
     #[test]
-    fn bound_attrs_shrink_priced_sizes_and_costs() {
+    fn bound_attrs_price_the_stored_sizes() {
         // The same shape, once free and once with `a` bound ($v literal
-        // position): bound pricing must see smaller relation sizes for the
-        // relations touching `a` and a cheaper communication charge.
+        // position): every execution indexes the relations whole, so both
+        // price every relation at its stored size; only the share program
+        // drops the bound dimension.
         let (free, _) = adj_query::parse_query("R1(a,b), R2(b,c), R3(a,c)").unwrap();
         let (bound, _) = adj_query::parse_query("Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
         let edges: Vec<(Value, Value)> = (0..300u32).map(|i| (i % 40, (i * 7 + 1) % 40)).collect();
@@ -1187,24 +1136,20 @@ mod tests {
         let est_b = estimator(&db_b, &bound, &tree_b);
         assert_eq!(est_f.bound_mask(), 0);
         assert_eq!(est_b.bound_mask(), Attr(0).mask(), "only the $v position is bound");
-        let rels_f: Vec<PlanRelation> = (0..free.atoms.len()).map(PlanRelation::Base).collect();
-        let rels_b: Vec<PlanRelation> = (0..bound.atoms.len()).map(PlanRelation::Base).collect();
-        // R1 touches the bound attribute: its priced size must shrink by
-        // roughly |val(a)|; R2 (b,c only) must price identically.
-        let r1_f = est_f.relation_size(&rels_f[0]);
-        let r1_b = est_b.relation_size(&rels_b[0]);
-        assert!(r1_b < r1_f / 2.0, "bound R1 priced {r1_b}, free {r1_f}");
-        assert_eq!(est_f.relation_size(&rels_f[1]), est_b.relation_size(&rels_b[1]));
-        let (cc_f, _) = est_f.cost_c(0);
-        let (cc_b, _) = est_b.cost_c(0);
-        assert!(cc_b < cc_f, "bound communication charge {cc_b} must undercut the free one {cc_f}");
+        for i in 0..bound.atoms.len() {
+            let stored = db_b.get(&bound.atoms[i].name).unwrap().len() as f64;
+            assert_eq!(est_b.relation_size(&PlanRelation::Base(i)), stored, "atom {i}");
+            assert_eq!(est_f.relation_size(&PlanRelation::Base(i)), stored, "atom {i}");
+        }
+        let (_, share) = est_b.cost_c(0);
+        assert_eq!(share[0], 1, "the bound dimension is not split");
     }
 
     #[test]
     fn val_sizes_ignore_relations_the_query_does_not_name() {
         // `|val(A)|` is a statistic of the query's own relations: a database
         // that also holds a small relation over attribute id 0 (the bound
-        // `$v`) must price, order and discount exactly like one without it.
+        // `$v`) must price and order exactly like one without it.
         let (q, _) = adj_query::parse_query("Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
         let edges: Vec<(Value, Value)> = (0..300u32).map(|i| (i % 40, (i * 7 + 1) % 40)).collect();
         let clean = q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &edges));
@@ -1241,6 +1186,19 @@ mod tests {
         assert_eq!(est.stats().subjoins_sampled, 0);
         assert!(est.subjoin_cardinality(0b1).is_finite());
         assert_eq!(est.stats().subjoins_sampled, 1);
+    }
+
+    #[test]
+    fn walk_phase_estimates_an_empty_join_zero() {
+        let q = paper_query(PaperQuery::Q1);
+        let mut db = Database::new();
+        db.insert("R1", Relation::from_pairs(Attr(0), Attr(1), &[(1, 2)]));
+        db.insert("R2", Relation::from_pairs(Attr(1), Attr(2), &[(2, 3)]));
+        db.insert("R3", Relation::from_pairs(Attr(0), Attr(2), &[(8, 3)]));
+        let sampler = Sampler::new(&db, &q, &q.attrs()).unwrap();
+        let walked = walk_phase(&CLUSTER, &[sampler], &SAMPLING, &COLD).unwrap();
+        assert!(!walked.parallel, "nothing to walk");
+        assert_eq!(walked.estimates[0].as_ref().unwrap().cardinality, 0.0);
     }
 
     #[test]

@@ -21,12 +21,14 @@
 //! nothing: every worker joins over the same one trie per relation
 //! ([`index_round`]), and the workers divide the join's *driver* — an
 //! unbound join's first-attribute values, a bound call's or batch's sorted
-//! bindings — in morsels claimed from one atomic cursor ([`Morsels`]). No
-//! level above a morsel is walked twice, so the per-level counters are the
-//! same at every width. The HCube share the optimizer priced the plan
-//! under ([`QueryPlan::share`]) still prices each round: the report's
-//! `comm_tuples` is what that share would route. An execution reads the
-//! share and solves no share program of its own.
+//! bindings — in morsels claimed from one atomic cursor ([`Morsels`]): a
+//! join is one claimed phase of the cluster's runner
+//! ([`Cluster::run_claimed`]), which runs a driver of one morsel on the
+//! calling thread. No level above a morsel is walked twice, so the
+//! per-level counters are the same at every width. The HCube share the
+//! optimizer priced the plan under ([`QueryPlan::share`]) still prices
+//! each round: the report's `comm_tuples` is what that share would route.
+//! An execution reads the share and solves no share program of its own.
 //!
 //! A warm execution pays for its join and little else. Each round of a
 //! plan — its relations' layouts and index keys, and the layout of the
@@ -42,12 +44,10 @@ use adj_cluster::Cluster;
 use adj_faults::{CancelToken, FaultSite};
 use adj_hcube::share::dup_factor;
 use adj_hcube::{index_round, ExecCtx, IndexRound, RoundLayout, RoundOutput, ShuffleReport};
-use adj_leapfrog::{
-    BatchWalk, CountSplit, JoinCounters, JoinLayout, LeapfrogJoin, Morsels, Shared, Sinks,
-};
+use adj_leapfrog::{BatchWalk, CountSplit, JoinCounters, JoinLayout, LeapfrogJoin, Shared, Sinks};
 use adj_relational::{
-    Attr, BoundValues, CountSink, Database, Error, ExistsSink, Levels, OutputMode, QueryOutput,
-    Relation, Result, RowBuffer, RowSink, Schema, Trie, Value, MAX_ATTRS,
+    Attr, BoundValues, CountSink, Database, Error, ExistsSink, Levels, Morsels, OutputMode,
+    QueryOutput, Relation, Result, RowBuffer, RowSink, Schema, Trie, Value, MAX_ATTRS,
 };
 use adj_trace::{SpanGuard, COORDINATOR_LANE};
 use std::iter::repeat_with;
@@ -375,21 +375,21 @@ struct Drive<'a> {
 /// ([`CountSplit::count`]).
 type BagInputs<'a> = dyn Fn(usize) -> &'a Trie + Sync + 'a;
 
-/// What every worker of one join shares besides its tries: the driver, the
-/// morsel cursors, the output mode and row budget, the unbound `Exists`
-/// flag, the token, and — for an unbound count that splits — the split
-/// and the tries its bags read.
+/// What every worker of one join shares besides its tries and the driver's
+/// morsel cursor: the driver, the output mode and row budget, the unbound
+/// `Exists` flag, the token, and — for an unbound count that splits — the
+/// split, the tries its bags read and its own cursor.
 struct MorselJob<'a> {
     drive: Drive<'a>,
     mode: OutputMode,
     budget: usize,
-    morsels: Morsels,
     witness: AtomicBool,
     cancel: &'a CancelToken,
-    counted: Option<(&'a CountSplit, &'a BagInputs<'a>)>,
-    /// The counted path's cursor over the first attribute's values; halted
-    /// once a worker meets a separator value past the tables.
-    counted_morsels: Morsels,
+    /// An unbound count's split, the tries its bags read, and its cursor
+    /// over the first attribute's values (the driver's, so as many
+    /// morsels), halted once a worker meets a separator value past the
+    /// tables.
+    counted: Option<(&'a CountSplit, &'a BagInputs<'a>, Morsels)>,
 }
 
 /// What one worker hands the gather: the scratch its sinks filled (kept
@@ -424,7 +424,8 @@ fn claim_morsels(
     claimed: &mut Vec<Claimed>,
     mut run: impl FnMut(usize, Range<usize>) -> (usize, usize),
 ) -> bool {
-    while let Some((morsel, rows)) = morsels.claim(n) {
+    while let Some(morsel) = morsels.claim() {
+        let rows = Morsels::rows(morsel, n);
         let (reached, end) = run(morsel, rows.clone());
         claimed.push(Claimed { morsel, done: reached - rows.start, end });
         if reached < rows.end {
@@ -442,17 +443,18 @@ fn claim_morsels(
 fn walk_morsels<'p>(
     join: &LeapfrogJoin<Arc<Trie>>,
     shared: &MorselJob<'_>,
+    morsels: &Morsels,
     mut lent: Lent<'p>,
 ) -> Result<WorkerJoin<'p>> {
-    let MorselJob { drive, mode, budget, ref morsels, ref witness, cancel, .. } = *shared;
+    let MorselJob { drive, mode, budget, ref witness, cancel, .. } = *shared;
     let stop = stop_hook(cancel);
     let width = join.levels();
     let Scratch { join: scratch, rows: bufs, found, claimed, .. } = &mut *lent;
     claimed.clear();
     found.clear();
-    if let Some((split, input)) = shared.counted {
-        let by_bags = split.count(input, scratch, &mut || stop(), &shared.counted_morsels)?;
-        if let Some(outcome) = by_bags.filter(|_| !shared.counted_morsels.halted()) {
+    if let Some((split, input, values)) = &shared.counted {
+        let by_bags = split.count(input, scratch, &mut || stop(), values)?;
+        if let Some(outcome) = by_bags.filter(|_| !values.halted()) {
             found.push(outcome.counters.output_tuples);
             let finished = outcome.completed == 1;
             let counters = outcome.counters;
@@ -491,13 +493,13 @@ fn walk_morsels<'p>(
         }
         (true, OutputMode::Count) => {
             let mut sink = Shared(CancelSink::new(CountSink::new(), cancel));
-            let finished = per_row(&mut walk, shared, claimed, &mut sink);
+            let finished = per_row(&mut walk, shared, morsels, claimed, &mut sink);
             found.push(sink.0.inner.count());
             finished
         }
         (true, OutputMode::Exists) => {
             let mut sink = Shared(CancelSink::new(Witness(witness), cancel));
-            let finished = per_row(&mut walk, shared, claimed, &mut sink);
+            let finished = per_row(&mut walk, shared, morsels, claimed, &mut sink);
             found.push(u64::from(witness.load(Ordering::Relaxed)));
             finished
         }
@@ -510,19 +512,19 @@ fn walk_morsels<'p>(
             bufs.resize_with(n.max(bufs.len()), fresh);
             let mut sinks: Vec<_> =
                 bufs.iter_mut().take(n).map(|b| CancelSink::new(b, cancel)).collect();
-            per_row(&mut walk, shared, claimed, &mut sinks[..])
+            per_row(&mut walk, shared, morsels, claimed, &mut sinks[..])
         }
         (false, OutputMode::Count) => {
             let mut sinks: Vec<_> =
                 repeat_with(|| CancelSink::new(CountSink::new(), cancel)).take(n).collect();
-            let finished = per_row(&mut walk, shared, claimed, &mut sinks[..]);
+            let finished = per_row(&mut walk, shared, morsels, claimed, &mut sinks[..]);
             found.extend(sinks.iter().map(|s| s.inner.count()));
             finished
         }
         (false, OutputMode::Exists) => {
             let mut sinks: Vec<_> =
                 repeat_with(|| CancelSink::new(ExistsSink::new(), cancel)).take(n).collect();
-            let finished = per_row(&mut walk, shared, claimed, &mut sinks[..]);
+            let finished = per_row(&mut walk, shared, morsels, claimed, &mut sinks[..]);
             found.extend(sinks.iter().map(|s| u64::from(s.inner.found())));
             finished
         }
@@ -538,14 +540,15 @@ fn walk_morsels<'p>(
 fn per_row<Z: Sinks + ?Sized>(
     walk: &mut BatchWalk<'_, Arc<Trie>>,
     job: &MorselJob<'_>,
+    morsels: &Morsels,
     claimed: &mut Vec<Claimed>,
     sinks: &mut Z,
 ) -> bool {
     let Drive { rows, n, .. } = job.drive;
-    claim_morsels(&job.morsels, n, claimed, |_, at| {
+    claim_morsels(morsels, n, claimed, |_, at| {
         let reached = walk.advance(rows, sinks, at.start, at.end);
         if job.witness.load(Ordering::Relaxed) {
-            job.morsels.halt();
+            morsels.halt();
         }
         (reached, 0)
     })
@@ -576,8 +579,8 @@ impl<'p> Joined<'p> {
     }
 }
 
-/// Runs `join` on every worker of `cluster` (on the calling thread alone
-/// when the driver fits one morsel), each worker walking the morsels it
+/// Runs `join` as one claimed phase over the driver's morsels on
+/// `cluster` ([`Cluster::run_claimed`]), each worker walking the morsels it
 /// claims ([`walk_morsels`]) and annotating its `span_name` span; returns
 /// the workers' joins, each worker's seconds and the run's makespan, or
 /// the first failure — a lost worker leaves every binding incomplete.
@@ -590,14 +593,14 @@ fn run_workers<'p>(
     shared: &MorselJob<'_>,
 ) -> Result<(Joined<'p>, Vec<f64>, f64)> {
     let cancel = shared.cancel;
-    let work = |_w: usize, span: &mut adj_trace::SpanGuard<'_>| -> Result<WorkerJoin<'p>> {
+    let work = |morsels: &Morsels, span: &mut SpanGuard<'_>| -> Result<WorkerJoin<'p>> {
         // At least one fault/cancellation checkpoint per worker, then the
         // walk's stop hook around every driver row and once per
         // SINK_CHECK_EVERY bindings inside one, and one per
         // SINK_CHECK_EVERY emitted rows inside the sinks.
         adj_faults::inject(FaultSite::JoinEnumerate, cancel);
         cancel.check().map_err(cancel_err)?;
-        let joined = walk_morsels(join, shared, pool.lend())?;
+        let joined = walk_morsels(join, shared, morsels, pool.lend())?;
         if span.is_recording() {
             let c = &joined.counters;
             level_args(span, &TUPLES_KEYS, &c.tuples_per_level);
@@ -617,11 +620,7 @@ fn run_workers<'p>(
         }
         Ok(joined)
     };
-    let run = if Morsels::count(shared.drive.n) <= 1 {
-        cluster.run_serial(tracer, span_name, work)
-    } else {
-        cluster.run_traced(tracer, span_name, work)
-    };
+    let run = cluster.run_claimed(tracer, span_name, Morsels::count(shared.drive.n), work);
     let mut results = run.results;
     if let Some(failed) = results.iter().position(|r| !matches!(r, Ok(Ok(_)))) {
         return Err(match results.swap_remove(failed) {
@@ -697,7 +696,7 @@ fn gather_rows(workers: &mut Joined<'_>, n: usize, limit: usize, width: usize) -
 /// every binding of a shape, any batch of them and the plain query join
 /// over one cached, patchable index family. The join runs over
 /// one trie per relation that every worker shares, and the workers divide
-/// its **driver** in morsels of [`MORSEL_ROWS`](adj_leapfrog::MORSEL_ROWS)
+/// its **driver** in morsels of [`MORSEL_ROWS`](adj_relational::MORSEL_ROWS)
 /// rows claimed from one atomic cursor ([`Morsels`]), each worker
 /// advancing one walk ([`LeapfrogJoin::walk`]) over the morsels it claims.
 /// A bound call's or batch's driver is its bindings, projected onto the
@@ -876,11 +875,10 @@ pub fn execute_plan(
         drive,
         mode,
         budget,
-        morsels: Morsels::new(),
         witness: AtomicBool::new(false),
         cancel,
-        counted: split.map(|split| (split, &input as &BagInputs<'_>)),
-        counted_morsels: Morsels::new(),
+        counted: split
+            .map(|split| (split, &input as &BagInputs<'_>, Morsels::new(Morsels::count(drive.n)))),
     };
     let mut computation_span = tracer.span(COORDINATOR_LANE, "computation");
     if computation_span.is_recording() {
@@ -894,7 +892,7 @@ pub fn execute_plan(
     // Gather. A count by bags stands unless a worker met a separator value
     // past the tables; then the workers that enumerated hold the answer.
     let mut gather_span = tracer.span(COORDINATOR_LANE, "gather");
-    let by_bags = split.is_some() && !job.counted_morsels.halted();
+    let by_bags = job.counted.as_ref().is_some_and(|(_, _, values)| !values.halted());
     let width = plan.order.len();
     let mut counters = JoinCounters::new(width);
     // The per-worker bindings take the per-worker seconds' buffer.
@@ -1120,11 +1118,9 @@ fn precompute_bag(
         drive: Drive { attrs: &order[..1], rows: values, n: values.len(), unbound: true },
         mode: OutputMode::Rows,
         budget,
-        morsels: Morsels::new(),
         witness: AtomicBool::new(false),
         cancel,
         counted: None,
-        counted_morsels: Morsels::new(),
     };
     let (mut workers, _, makespan) = run_workers(cluster, pool, tracer, "bag_join", &join, &job)?;
     if !workers.iter().all(|w| w.finished) {

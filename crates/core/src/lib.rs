@@ -151,11 +151,6 @@ impl Adj {
         &self.cluster
     }
 
-    /// A shareable handle to the underlying cluster.
-    pub fn cluster_handle(&self) -> Arc<Cluster> {
-        Arc::clone(&self.cluster)
-    }
-
     /// The configuration.
     pub fn config(&self) -> &AdjConfig {
         &self.config

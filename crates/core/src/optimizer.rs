@@ -7,7 +7,10 @@
 //! optimizer compares, per eligible node `v` (eligibility = the remaining
 //! nodes stay connected in `T`, line 6), the cost of extending into `v`
 //! without pre-computing (`costC + costE`) against pre-computing its bag
-//! (`costM + costC' + costE'`), and keeps the cheapest.
+//! (`costM + costC' + costE'`), and keeps the cheapest. A query with bound
+//! attributes (literals or `$name` parameters) has no bag option: every
+//! execution recomputes a bag over whole relations, which `costM`, charged
+//! once per plan, does not price.
 //!
 //! A position's prices read sub-join cardinalities: for each eligible `v`,
 //! the atoms inside the bags of the nodes before it, and `v`'s bag when it
@@ -73,11 +76,10 @@ pub fn optimize_in(
             if attrs.len() > 6 {
                 return Err(Error::BudgetExceeded { what: "all-orders enumeration", limit: 720 });
             }
-            // The sketch reads every `|val(A)|` once two orders compete,
-            // and pricing the share its bound attributes'.
-            let all = attrs.iter().fold(0, |m, a| m | a.mask());
-            let read = if attrs.len() > 1 { all } else { estimator.discounted_attrs() };
-            estimator.sample(&[], read)?;
+            // The sketch reads every `|val(A)|` once two orders compete.
+            if attrs.len() > 1 {
+                estimator.sample(&[], attrs.iter().fold(0, |m, a| m | a.mask()))?;
+            }
             let mut best: Option<(f64, Vec<Attr>)> = None;
             for o in all_orders(&attrs) {
                 let s = estimator.score_order_cheap(&o);
@@ -130,12 +132,8 @@ fn algorithm2(
 
     while remaining != 0 {
         estimator.check()?;
-        // Everything this position prices is sampled first, as one batch:
-        // the first position's share prices also read the bound attributes'
-        // `|val(A)|`.
-        let first = remaining == all_nodes;
+        // Everything this position prices is sampled first, as one batch.
         let (masks, read) = position_reads(tree, &adj, remaining, estimator);
-        let read = if first { read | estimator.discounted_attrs() } else { read };
         estimator.sample(&masks, read)?;
         let mut best: Option<(f64, usize, bool)> = None; // (cost, node, precompute?)
 
@@ -160,9 +158,8 @@ fn algorithm2(
                 best = Some((cost_plain, v, false));
             }
 
-            // Option 2: pre-compute v's bag (only meaningful for multi-edge
-            // bags).
-            if !tree.nodes[v].is_single_edge() {
+            // Option 2: pre-compute v's bag.
+            if bag_option(tree, v, estimator) {
                 let (cc2, _) = estimator.cost_c(c_mask | (1 << v));
                 let cost_pre =
                     estimator.cost_m(v) + cc2 + estimator.cost_e_step(prefix_attrs, true);
@@ -207,8 +204,8 @@ fn algorithm2(
 
 /// What the search position over the `remaining` nodes prices: per
 /// eligible node `v`, the sub-join of the atoms inside the bags of the
-/// nodes before it and, if `v`'s bag has several edges, the bag's join
-/// (`costM` and `costC'`); and the attributes of those prefixes no
+/// nodes before it and, if `v`'s bag may be pre-computed ([`bag_option`]),
+/// the bag's join (`costM` and `costC'`); and the attributes of those prefixes no
 /// contained atom constrains, whose `|val(A)|` the prefix estimates read.
 fn position_reads(
     tree: &GhdTree,
@@ -225,11 +222,19 @@ fn position_reads(
         let (contained, uncovered) = estimator.prefix_reads(bag_union(tree, rest));
         masks.push(contained);
         read |= uncovered;
-        if !tree.nodes[v].is_single_edge() {
+        if bag_option(tree, v, estimator) {
             masks.push(tree.nodes[v].edges);
         }
     }
     (masks, read)
+}
+
+/// Whether Algorithm 2 may pre-compute `v`'s bag: only a bag of several
+/// edges is worth it, and only for a query that binds nothing — `costM`
+/// charges a bag once per plan, but every execution computes it again
+/// over whole relations, so each bound call would pay for it in full.
+fn bag_option(tree: &GhdTree, v: usize, estimator: &CostEstimator<'_>) -> bool {
+    estimator.bound_mask() == 0 && !tree.nodes[v].is_single_edge()
 }
 
 /// The attributes of the bags of the nodes in `nodes`: those bound before

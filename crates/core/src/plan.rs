@@ -198,12 +198,6 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Names of the relations the final HCube shuffle must move, in plan
-    /// order.
-    pub fn shuffle_names(&self) -> Vec<String> {
-        self.relations.iter().map(|r| r.name(&self.query).to_string()).collect()
-    }
-
     /// Whether any bag is pre-computed.
     pub fn has_precompute(&self) -> bool {
         !self.precompute.is_empty()

@@ -147,11 +147,6 @@ impl DeltaRelation {
         self.inserts.len() + self.tombstones.len()
     }
 
-    /// Overlay payload size in bytes.
-    pub fn overlay_bytes(&self) -> usize {
-        self.inserts.size_bytes() + self.tombstones.size_bytes()
-    }
-
     /// Materializes the effective relation `(base ∪ inserts) \ tombstones`.
     pub fn effective(&self) -> Relation {
         Relation::merge_sorted(&[&self.base, &self.inserts])

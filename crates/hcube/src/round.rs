@@ -4,8 +4,9 @@
 //! The cluster's workers are threads over one heap, so a round neither
 //! routes nor partitions anything: it looks each relation's index up in the
 //! cross-query [`IndexCache`](crate::IndexCache), builds the ones that miss
-//! — one relation per task across the cluster's workers — and publishes
-//! them. Every worker of the join then reads the same tries, and divides
+//! — one relation per unit of a claimed phase
+//! ([`Cluster::run_claimed`], which builds a lone relation on the calling
+//! thread) — and publishes them. Every worker of the join then reads the same tries, and divides
 //! the work by morsels of the driver instead of by hypercubes. The HCube
 //! share the plan was priced under still prices the round: a cold relation
 //! reports the tuple copies the share would route for it, `|R| · dup(R, p)`,
@@ -25,9 +26,8 @@ use crate::share::dup_factor;
 use crate::shuffle::ShuffleReport;
 use adj_cluster::Cluster;
 use adj_faults::{CancelToken, FaultSite};
-use adj_relational::{Attr, Database, Error, Relation, Result, Schema, Trie, Value};
-use adj_trace::{Tracer, COORDINATOR_LANE};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use adj_relational::{Attr, Database, Error, Morsels, Relation, Result, Schema, Trie, Value};
+use adj_trace::{SpanGuard, Tracer, COORDINATOR_LANE};
 use std::sync::Arc;
 
 /// One relation of a round, as the round reads it.
@@ -344,8 +344,8 @@ pub fn build_trie(rel: &Relation, induced: Vec<Attr>, cancel: &CancelToken) -> R
 ///
 /// Warm relations come from the cache. Cold ones are taken over from
 /// `ctx.planned` when the request's planner built them, else built — one
-/// relation per task, claimed by the cluster's workers from a shared
-/// cursor — and either way published for every later query and counted as
+/// relation per unit of a claimed phase ([`Cluster::run_claimed`]) — and
+/// either way published for every later query and counted as
 /// built. An overlay relation has no key: it is built every time and never
 /// published. Without an index scope nothing is published, and every
 /// relation the planner did not build is built. A miss takes the key's build claim, so a
@@ -412,8 +412,7 @@ pub fn index_round(
     }
 
     // The cold relations: those the planner built are taken over, the rest
-    // are built one per task. A round with one relation to build builds it
-    // on the calling thread.
+    // are built one per claimed unit.
     let mut built: Vec<Option<Arc<Trie>>> = Vec::new();
     let (mut cold, mut planned) = (Vec::new(), 0u64);
     for ai in (0..atoms.len()).filter(|&ai| resolved[ai].is_none()) {
@@ -429,11 +428,10 @@ pub fn index_round(
     }
     let mut build_secs = 0.0;
     if !cold.is_empty() {
-        let next = AtomicUsize::new(0);
-        let task = |_w: usize, span: &mut adj_trace::SpanGuard<'_>| -> Result<Vec<(usize, Trie)>> {
+        let task = |morsels: &Morsels, span: &mut SpanGuard<'_>| -> Result<Vec<(usize, Trie)>> {
             adj_faults::inject(FaultSite::TrieBuild, cancel);
             let mut done = Vec::new();
-            while let Some(&ai) = cold.get(next.fetch_add(1, Ordering::Relaxed)) {
+            while let Some(ai) = morsels.claim().map(|u| cold[u]) {
                 let rel = resolve(db, overlay, &atoms[ai].name)?;
                 done.push((ai, build_index(rel, &atoms[ai], cancel)?));
             }
@@ -443,11 +441,7 @@ pub fn index_round(
             }
             Ok(done)
         };
-        let run = if cold.len() == 1 {
-            cluster.run_serial(tracer, "build", task)
-        } else {
-            cluster.run_traced(tracer, "build", task)
-        };
+        let run = cluster.run_claimed(tracer, "build", cold.len(), task);
         build_secs = run.makespan_secs;
         for done in run.into_results().map_err(Error::from)? {
             for (ai, trie) in done? {

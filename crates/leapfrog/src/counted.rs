@@ -46,9 +46,8 @@ use crate::counters::JoinCounters;
 use crate::join::{
     recycle, Batch, BatchOutcome, JoinLayout, JoinScratch, LeapfrogJoin, Lent, Shared,
 };
-use crate::morsel::Morsels;
 use adj_relational::intersect::TABLE_CAP;
-use adj_relational::{Attr, Result, RowSink, Schema, Trie, Value};
+use adj_relational::{Attr, Morsels, Result, RowSink, Schema, Trie, Value};
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -207,9 +206,11 @@ impl CountSplit {
     /// count tables from `scratch`, so a warm count allocates only its
     /// counters; `stop` is polled as [`LeapfrogJoin::run_batch`] polls it.
     ///
-    /// The values of `o0` are claimed from `morsels`, so the workers of one
-    /// count, each calling this over the same tries, divide them; a lone
-    /// caller counts them all.
+    /// The values of `o0` — the shortest root run of an input that holds
+    /// it, the join's own [`LeapfrogJoin::first_values`] — are claimed from
+    /// `morsels`, a cursor over their [`Morsels::count`] morsels, so the
+    /// workers of one count, each calling this over the same tries, divide
+    /// them; a lone caller counts them all.
     ///
     /// Returns the caller's share of the one unbound binding's outcome: the
     /// count of the values it claimed is `counters.output_tuples`, and each
@@ -289,8 +290,13 @@ impl CountSplit {
         let (mut total, mut completed, mut unfit) = (0u64, 1, false);
         let (tabled, last) = scratch.bags[..n].split_at_mut(n - 1);
         let last = &mut last[0];
-        'values: while let Some((_, claimed)) = morsels.claim(values.len()) {
-            for i in claimed {
+        debug_assert_eq!(
+            morsels.units(),
+            Morsels::count(values.len()),
+            "a cursor over o0's morsels"
+        );
+        'values: while let Some(m) = morsels.claim() {
+            for i in Morsels::rows(m, values.len()) {
                 for (p, &b) in order[..n].iter().enumerate() {
                     let (join, batch) = (join(b), batches[p].as_mut().expect("begun"));
                     let (done, misfit, empty) = match tabled.get_mut(p) {
@@ -485,7 +491,9 @@ mod tests {
         let rels: Vec<Relation> =
             pairs.iter().map(|&(x, y)| Relation::from_pairs(Attr(x), Attr(y), edges)).collect();
         let tries: Vec<Trie> = rels.iter().map(|r| r.trie_under_order(order).unwrap()).collect();
-        let plain = LeapfrogJoin::new(order, tries.iter().collect()).unwrap().count().0;
+        let plain = LeapfrogJoin::new(order, tries.iter().collect()).unwrap();
+        let values = Morsels::count(plain.first_values().len());
+        let plain = plain.count().0;
         let split = CountSplit::new(order, &schemas(pairs)).expect("the join splits");
         let extra: Vec<Trie> = (split.reindexed().iter())
             .map(|(i, schema)| rels[*i].trie_under_order(schema.attrs()).unwrap())
@@ -493,10 +501,11 @@ mod tests {
         let all: Vec<&Trie> = tries.iter().chain(&extra).collect();
         let mut scratch = JoinScratch::new();
         let counted =
-            split.count(|i| all[i], &mut scratch, &mut || false, &Morsels::new()).unwrap();
+            split.count(|i| all[i], &mut scratch, &mut || false, &Morsels::new(values)).unwrap();
         // A second count over the same scratch reads none of the first's
         // table entries.
-        let again = split.count(|i| all[i], &mut scratch, &mut || false, &Morsels::new()).unwrap();
+        let again =
+            split.count(|i| all[i], &mut scratch, &mut || false, &Morsels::new(values)).unwrap();
         let count = |c: &Option<BatchOutcome>| c.as_ref().map(|c| c.counters.output_tuples);
         assert_eq!(count(&again), count(&counted));
         (counted.map(|outcome| outcome.counters.output_tuples), plain)

@@ -16,13 +16,12 @@
 //! attributes ([`CountSplit`]) walks each bag through that traversal and
 //! combines the bags' counts by a dot product, never enumerating the join.
 //! The workers of one join share its tries and divide its driver in
-//! [`Morsels`], each advancing one walk ([`LeapfrogJoin::walk`]) over the
+//! [`Morsels`](adj_relational::Morsels), each advancing one walk ([`LeapfrogJoin::walk`]) over the
 //! morsels it claims.
 
 pub mod counted;
 pub mod counters;
 pub mod join;
-pub mod morsel;
 #[doc(hidden)]
 pub mod reference;
 
@@ -32,4 +31,3 @@ pub use join::{
     validate_tries, BatchOutcome, BatchWalk, JoinLayout, JoinScratch, LeapfrogJoin, Shared, Sinks,
     POLL_EVERY,
 };
-pub use morsel::{Morsels, MORSEL_ROWS};

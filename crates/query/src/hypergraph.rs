@@ -50,16 +50,6 @@ impl Hypergraph {
         &self.edges
     }
 
-    /// Mask of all vertices.
-    #[inline]
-    pub fn vertices_mask(&self) -> u64 {
-        if self.num_vertices == 64 {
-            !0
-        } else {
-            (1u64 << self.num_vertices) - 1
-        }
-    }
-
     /// Union of the vertex sets of the edges selected by `edge_set` (bitmask
     /// over edge indices).
     pub fn vertices_of(&self, edge_set: u64) -> u64 {

@@ -1,9 +1,8 @@
 //! A database: named relations, as maintained disjointly across the cluster
-//! (Sec. II-A) and as the unit the distributed sampler reduces (Sec. IV).
+//! (Sec. II-A).
 
 use crate::error::{Error, Result};
 use crate::relation::Relation;
-use crate::schema::Attr;
 use crate::Value;
 
 /// An ordered collection of named relations. Order is insertion order, which
@@ -101,25 +100,6 @@ impl Database {
     pub fn total_bytes(&self) -> usize {
         self.relations.iter().map(|r| r.size_bytes()).sum()
     }
-
-    /// Semi-join reduces every relation containing `attr` against the given
-    /// value set (the sampler's database-reduction step, Sec. IV). Relations
-    /// not containing `attr` are kept as-is.
-    pub fn reduce_by_values(&self, attr: Attr, values: &[Value]) -> Database {
-        let filter = {
-            let mut data = Vec::with_capacity(values.len());
-            data.extend_from_slice(values);
-            Relation::from_flat(crate::schema::Schema::new(vec![attr]).unwrap(), data)
-                .expect("arity 1")
-        };
-        let mut out = Database::new();
-        for (name, rel) in self.iter() {
-            let reduced =
-                if rel.schema().contains(attr) { rel.semijoin(&filter) } else { rel.clone() };
-            out.insert(name, reduced);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -156,16 +136,6 @@ mod tests {
         // unknown relation and ragged rows error
         assert!(db.insert_rows("nope", &[&[1, 2]]).is_err());
         assert!(db.delete_rows("R1", &[&[1]]).is_err());
-    }
-
-    #[test]
-    fn reduce_by_values_semijoins_only_matching_relations() {
-        let mut db = Database::new();
-        db.insert("R1", rel(&[0, 1], &[&[1, 9], &[2, 9]]));
-        db.insert("R3", rel(&[1, 2], &[&[9, 8]]));
-        let red = db.reduce_by_values(Attr(0), &[1]);
-        assert_eq!(red.get("R1").unwrap().len(), 1);
-        assert_eq!(red.get("R3").unwrap().len(), 1); // untouched
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`Levels`] — per-join-level state (counters, shares) held inline;
 //! * [`Relation`] — a sorted, deduplicated, row-major tuple store with the
 //!   relational-algebra operations the paper's algorithms need (projection,
-//!   semi-join, natural binary join, union, rename);
+//!   natural binary join, union, rename);
 //! * [`Trie`] / [`TrieCursor`] — the level-wise sorted trie index used by
 //!   Leapfrog Triejoin (Sec. II-A of the paper) and by the "Merge" HCube
 //!   implementation that pre-builds tries per block (Sec. V);
@@ -21,7 +21,9 @@
 //!   [`QueryOutput`], and the [`RowSink`] trait execution layers stream
 //!   result rows into instead of materializing everything;
 //! * the one weight-budgeted LRU [`cache`] the plan, result and index
-//!   caches are instances of, over its crate-private recency index (`lru`).
+//!   caches are instances of, over its crate-private recency index (`lru`);
+//! * the one claim cursor ([`Morsels`]) the workers of every claimed phase
+//!   — trie builds, sampling walks, joins — divide their units with.
 //!
 //! Everything is deterministic: relations normalize to sorted-dedup form so
 //! that two equal relations are byte-identical, which the test-suite and the
@@ -35,6 +37,7 @@ pub mod hash;
 pub mod intersect;
 pub mod levels;
 mod lru;
+pub mod morsel;
 pub mod output;
 pub mod relation;
 pub mod schema;
@@ -44,6 +47,7 @@ pub use bind::BoundValues;
 pub use database::Database;
 pub use error::{Error, Result};
 pub use levels::Levels;
+pub use morsel::{Morsels, MORSEL_ROWS};
 pub use output::{CountSink, ExistsSink, FnSink, OutputMode, QueryOutput, RowBuffer, RowSink};
 pub use relation::Relation;
 pub use schema::{Attr, Schema, MAX_ATTRS};

@@ -409,42 +409,6 @@ impl Relation {
         Relation::from_flat(out_schema, data)
     }
 
-    /// Semi-join: tuples of `self` that join with at least one tuple of
-    /// `other` on their common attributes. If there are no common attributes
-    /// the result is `self` unchanged (every pair joins) unless `other` is
-    /// empty. Used by the distributed sampler's database-reduction step
-    /// (Sec. IV).
-    pub fn semijoin(&self, other: &Relation) -> Relation {
-        let common = self.schema.common(&other.schema);
-        if common.is_empty() {
-            return if other.is_empty() && other.arity() > 0 {
-                Relation::empty(self.schema.clone())
-            } else {
-                self.clone()
-            };
-        }
-        let other_pos: Vec<usize> =
-            common.iter().map(|&a| other.schema.position(a).unwrap()).collect();
-        let self_pos: Vec<usize> =
-            common.iter().map(|&a| self.schema.position(a).unwrap()).collect();
-        let mut keys: FxHashMap<Vec<Value>, ()> = FxHashMap::default();
-        for row in other.rows() {
-            keys.insert(other_pos.iter().map(|&p| row[p]).collect(), ());
-        }
-        let arity = self.arity();
-        let mut data = Vec::new();
-        let mut key = Vec::with_capacity(common.len());
-        for row in self.data.chunks_exact(arity) {
-            key.clear();
-            key.extend(self_pos.iter().map(|&p| row[p]));
-            if keys.contains_key(&key) {
-                data.extend_from_slice(row);
-            }
-        }
-        // Input was sorted and filtering preserves order; skip re-sort.
-        Relation { schema: self.schema.clone(), data }
-    }
-
     /// K-way merges already-sorted relations over the *same* schema into one
     /// sorted, deduplicated relation without a full re-sort — the kernel of
     /// the "Merge" HCube implementation (Sec. V), where each pulled block is
@@ -751,25 +715,6 @@ mod tests {
         let s = rel(&[1], &[&[7], &[8], &[9]]);
         let j = r.join(&s).unwrap();
         assert_eq!(j.len(), 6);
-    }
-
-    #[test]
-    fn semijoin_filters() {
-        let r = rel(&[0, 1], &[&[1, 2], &[3, 4], &[5, 6]]);
-        let s = rel(&[1, 2], &[&[2, 9], &[6, 9]]);
-        let f = r.semijoin(&s);
-        assert_eq!(f.len(), 2);
-        assert!(f.contains_row(&[1, 2]));
-        assert!(f.contains_row(&[5, 6]));
-    }
-
-    #[test]
-    fn semijoin_no_common_attrs() {
-        let r = rel(&[0], &[&[1], &[2]]);
-        let s = rel(&[1], &[&[9]]);
-        assert_eq!(r.semijoin(&s).len(), 2);
-        let empty = Relation::empty(Schema::from_ids(&[1]));
-        assert_eq!(r.semijoin(&empty).len(), 0);
     }
 
     #[test]

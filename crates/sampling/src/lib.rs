@@ -14,14 +14,16 @@
 //!   per-level counters by `|val(A)|/k`), which feed `costE`;
 //! * the measured extension rate β (extensions per second).
 //!
-//! [`distributed`] adds the paper's optimization: semi-join *reduce* the
-//! database by the sampled values before shuffling, so only tuples that can
-//! participate travel.
+//! A [`Sampler`] splits into the steps the paper distributes: draw the
+//! sample ([`Sampler::draw`]), count a slice of the grouped draws
+//! ([`Sampler::count`], into a [`Tally`]) and scale the summed tallies
+//! ([`Sampler::finish`]); [`Sampler::estimate`] runs them on one thread.
+//! The planner runs the counts on the cluster's workers, in morsels every
+//! worker claims from one cursor (`adj_core::cost::walk_phase`), and its
+//! integer tallies add up to this crate's sequential estimate bit for bit.
 
-pub mod distributed;
 pub mod estimator;
 
-pub use distributed::{estimate_distributed, DistributedReport};
 pub use estimator::{
     connected_order, group_draws, required_samples, val_a, CardinalityEstimate, Draws, Sampler,
     SamplingConfig, Tally,

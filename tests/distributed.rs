@@ -1,11 +1,9 @@
 //! Integration tests of the distributed machinery: worker-count invariance,
-//! shuffle-implementation invariance, failure reproduction, and the
-//! distributed sampler.
+//! shuffle-implementation invariance and failure reproduction.
 
 use adj::prelude::*;
 use adj_baselines::{run_hcubej, BaselineConfig};
 use adj_cluster::Cluster;
-use adj_sampling::estimate_distributed;
 
 #[test]
 fn result_invariant_under_worker_count() {
@@ -55,20 +53,6 @@ fn memory_budget_fails_hcubej_but_not_adj_coopt_path() {
     let cluster = Cluster::new(cfg);
     let r = run_hcubej(&cluster, &db, &q, &BaselineConfig::default());
     assert!(r.is_err());
-}
-
-#[test]
-fn distributed_sampler_matches_and_saves_communication() {
-    let q = paper_query(PaperQuery::Q4);
-    let g = Dataset::AS.graph(0.015);
-    let db = q.instantiate(&g);
-    let order = q.attrs();
-    let cluster = Cluster::new(ClusterConfig::with_workers(4));
-    let cfg = SamplingConfig { samples: 64, seed: 11 };
-    let (est, report) = estimate_distributed(&cluster, &db, &q, &order, &cfg).unwrap();
-    let seq = Sampler::new(&db, &q, &order).unwrap().estimate(&cfg).unwrap();
-    assert_eq!(est.cardinality, seq.cardinality);
-    assert!(report.reduced_shuffle_tuples < report.naive_shuffle_tuples);
 }
 
 #[test]

@@ -1369,24 +1369,6 @@ fn cached_join_matches_plain() {
     });
 }
 
-/// Relation algebra: semijoin output is contained in the input and agrees
-/// with join-then-project.
-#[test]
-fn semijoin_is_join_projection() {
-    cases(64, |rng| {
-        let left = edges(rng, 16, 80);
-        let right = edges(rng, 16, 80);
-        let l = Relation::from_pairs(Attr(0), Attr(1), &left);
-        let r = Relation::from_pairs(Attr(1), Attr(2), &right);
-        let sj = l.semijoin(&r);
-        for row in sj.rows() {
-            assert!(l.contains_row(row));
-        }
-        let jp = l.join(&r).unwrap().project(&[Attr(0), Attr(1)]).unwrap();
-        assert_eq!(sj, jp);
-    });
-}
-
 /// HCube: for any share vector, the one-round shuffle + local leapfrog
 /// equals the reference join (distribution transparency).
 #[test]
@@ -1493,13 +1475,15 @@ fn per_draw_reference(
 /// The grouped sampler — each distinct drawn value counted once, weighted
 /// by its multiplicity — estimates bit for bit what counting every draw
 /// did: cardinality, per-level tuples and extensions, for the sequential
-/// and the distributed sampler, on every connected sub-join of Q1/Q4/Q5/Q8
-/// under its sampling order. The graphs cover `|val(A)|` far below `k`
+/// sampler and the planner's walk phase on 1–3 workers ([`walk_phase`]),
+/// on every connected sub-join of Q1/Q4/Q5/Q8 under its sampling order. The graphs cover `|val(A)|` far below `k`
 /// (heavy repetition), a one-value `val(A)`, an empty one, and `k = 1`.
 #[test]
 fn grouped_sampling_equals_per_draw_counting() {
-    use adj_sampling::{connected_order, estimate_distributed};
-    let cluster = Cluster::new(ClusterConfig::with_workers(3));
+    use adj::core::cost::walk_phase;
+    use adj_sampling::connected_order;
+    let clusters: Vec<Cluster> =
+        (1..=3).map(|w| Cluster::new(ClusterConfig::with_workers(w))).collect();
     let (mut repeated, mut single, mut empty) = (0, 0, 0);
     // An empty graph, one edge, a star (one source), and random graphs.
     let mut graph = 0;
@@ -1567,19 +1551,26 @@ fn grouped_sampling_equals_per_draw_counting() {
                     single += usize::from(values.len() == 1);
                     empty += usize::from(values.is_empty());
 
-                    // The distributed run costs a cluster round: every
+                    // The walk phase costs a cluster round per width: every
                     // sub-join of Q1 and Q8, and Q4 and Q5 whole.
                     let big = matches!(pq, PaperQuery::Q4 | PaperQuery::Q5);
                     if big && sub.atoms.len() < q.atoms.len() {
                         continue;
                     }
-                    let (dist, _) =
-                        estimate_distributed(&cluster, &db, &sub, &order, &cfg).unwrap();
-                    let want = (int_sum as f64 * scale).to_bits();
-                    assert_eq!(dist.cardinality.to_bits(), want, "{at} distributed");
-                    let got: Vec<u64> = dist.level_tuples.iter().map(|t| t.to_bits()).collect();
-                    assert_eq!(got, want_levels, "{at} distributed");
-                    assert_eq!(dist.extensions, want_extensions, "{at} distributed");
+                    for cluster in &clusters {
+                        let at = format!("{at} walk phase width {}", cluster.num_workers());
+                        let samplers = std::slice::from_ref(&sampler);
+                        let walked = walk_phase(cluster, samplers, &cfg, &ExecCtx::default());
+                        let walked = walked.unwrap().estimates.pop().unwrap().unwrap();
+                        let want = (int_sum as f64 * scale).to_bits();
+                        assert_eq!(walked.cardinality.to_bits(), want, "{at}");
+                        let got: Vec<u64> =
+                            walked.level_tuples.iter().map(|t| t.to_bits()).collect();
+                        assert_eq!(got, want_levels, "{at}");
+                        assert_eq!(walked.extensions, want_extensions, "{at}");
+                        assert_eq!(walked.samples_used, draws.len(), "{at}");
+                        assert_eq!(walked.distinct_samples, distinct.len(), "{at}");
+                    }
                 }
             }
         }
@@ -1599,7 +1590,7 @@ fn grouped_sampling_equals_per_draw_counting() {
 #[test]
 fn morsel_split_sampling_equals_the_sequential_estimate() {
     use adj::core::cost::walk_phase;
-    use adj_leapfrog::MORSEL_ROWS;
+    use adj_relational::MORSEL_ROWS;
     use adj_sampling::connected_order;
     let clusters: Vec<Cluster> =
         (1..=3).map(|w| Cluster::new(ClusterConfig::with_workers(w))).collect();

@@ -552,3 +552,19 @@ fn a_budget_no_share_meets_fails_at_planning() {
         assert_eq!((plans.len, plans.insertions), (0, 0), "{strategy:?}: no plan published");
     }
 }
+
+/// A bound shape fails under the same budget: every execution indexes the
+/// relations whole (the bindings reach only Leapfrog), so the planner
+/// prices them at their stored sizes, and no share holds them in one byte
+/// per worker.
+#[test]
+fn a_budget_no_share_meets_fails_a_bound_shape_at_planning() {
+    let (q, _) = parse_query("Q(b,c) :- R1($v,b), R2(b,c), R3($v,c)").unwrap();
+    let db = q.instantiate(&graph());
+    let cluster = ClusterConfig { memory_limit_bytes: Some(1), ..ClusterConfig::with_workers(2) };
+    let adj = Adj::new(AdjConfig { cluster, ..Default::default() });
+    for strategy in [Strategy::CoOptimize, Strategy::CommFirst] {
+        let err = adj.plan(&q, &db, strategy).unwrap_err();
+        assert!(matches!(err, adj::relational::Error::BudgetExceeded { limit: 1, .. }), "{err:?}");
+    }
+}
