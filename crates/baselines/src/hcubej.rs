@@ -11,13 +11,10 @@
 use crate::cached::CachedJoin;
 use crate::{BaselineConfig, BaselineReport};
 use adj_cluster::Cluster;
-use adj_core::{CostEstimator, CostParams, ExecCtx};
 use adj_hcube::{hcube_shuffle, optimize_share, HCubeImpl, HCubePlan, ShareInput, ShuffleOutput};
 use adj_leapfrog::{JoinCounters, LeapfrogJoin};
-use adj_query::order::all_orders;
-use adj_query::{GhdTree, JoinQuery};
+use adj_query::JoinQuery;
 use adj_relational::{Attr, Database, Error, Relation, Result, Schema, Value};
-use adj_sampling::SamplingConfig;
 
 /// Runs HCubeJ (plain Leapfrog).
 pub fn run_hcubej(
@@ -48,7 +45,7 @@ fn run_inner(
 ) -> Result<(Relation, BaselineReport)> {
     crate::reject_bound_terms(query)?;
     let mut report = BaselineReport::default();
-    let (order, shuffled) = shuffle(cluster, db, query, config)?;
+    let (order, shuffled) = shuffle(cluster, db, query)?;
     report.comm_tuples = shuffled.report.tuples;
     report.rounds = 1;
     report.comm_secs = shuffled.report.comm_secs + shuffled.report.build_secs;
@@ -115,9 +112,8 @@ fn shuffle(
     cluster: &Cluster,
     db: &Database,
     query: &JoinQuery,
-    config: &BaselineConfig,
 ) -> Result<(Vec<Attr>, ShuffleOutput)> {
-    let order = select_order_all(db, query, cluster, config)?;
+    let order = adj_core::select_order_all(query, db, cluster)?;
     // Communication-first share optimization over the base relations.
     let input = ShareInput {
         num_attrs: query.num_attrs(),
@@ -139,42 +135,6 @@ fn shuffle(
     // Original tuple-at-a-time Push shuffle.
     let shuffled = hcube_shuffle(cluster, db, &names, &hplan, &order, HCubeImpl::Push)?;
     Ok((order, shuffled))
-}
-
-/// HCubeJ's order selection: score every permutation of `attrs(Q)` by the
-/// estimated intermediate-binding total and keep the best — the
-/// "All-Selected" strategy of Fig. 8. The estimate is the sampling-free
-/// selectivity sketch ([`CostEstimator::score_order_cheap`]): `n!` orders
-/// are more than sampling can afford.
-pub fn select_order_all(
-    db: &Database,
-    query: &JoinQuery,
-    cluster: &Cluster,
-    config: &BaselineConfig,
-) -> Result<Vec<Attr>> {
-    let attrs = query.attrs();
-    if attrs.len() > 6 {
-        return Err(Error::BudgetExceeded { what: "all-orders enumeration", limit: 720 });
-    }
-    let tree = GhdTree::decompose(&query.hypergraph(), 3);
-    let cold = ExecCtx::default();
-    let est = CostEstimator::new(
-        db,
-        query,
-        &tree,
-        CostParams::default(),
-        cluster,
-        SamplingConfig { samples: config.order_samples, seed: 0xAD10 },
-        &cold,
-    );
-    let mut best: Option<(f64, Vec<Attr>)> = None;
-    for o in all_orders(&attrs) {
-        let s = est.score_order_cheap(&o);
-        if best.as_ref().is_none_or(|(bs, _)| s < *bs) {
-            best = Some((s, o));
-        }
-    }
-    Ok(best.expect("non-empty attribute set").1)
 }
 
 #[cfg(test)]
@@ -226,7 +186,7 @@ mod tests {
         // What the cache saves is measured against the dance it wraps, over
         // the same workers' tries.
         let c3 = Cluster::new(ClusterConfig::with_workers(4));
-        let (order, shuffled) = shuffle(&c3, &db, &q, &cfg).unwrap();
+        let (order, shuffled) = shuffle(&c3, &db, &q).unwrap();
         let dance: u64 = shuffled
             .locals
             .iter()
@@ -258,7 +218,7 @@ mod tests {
         let q = paper_query(PaperQuery::Q5);
         let db = db_for(&q, 100, 23);
         let cluster = Cluster::new(ClusterConfig::with_workers(2));
-        let o = select_order_all(&db, &q, &cluster, &BaselineConfig::default()).unwrap();
+        let o = adj_core::select_order_all(&q, &db, &cluster).unwrap();
         let mut s = o.clone();
         s.sort();
         s.dedup();

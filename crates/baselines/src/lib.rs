@@ -87,16 +87,10 @@ pub struct BaselineConfig {
     /// HCube's memory appetite leaves little cache room on large inputs;
     /// the harness shrinks this with input size.
     pub cache_capacity_values: usize,
-    /// Sampling budget for HCubeJ's attribute-order selection.
-    pub order_samples: usize,
 }
 
 impl Default for BaselineConfig {
     fn default() -> Self {
-        BaselineConfig {
-            max_intermediate_tuples: 50_000_000,
-            cache_capacity_values: 1 << 20,
-            order_samples: 128,
-        }
+        BaselineConfig { max_intermediate_tuples: 50_000_000, cache_capacity_values: 1 << 20 }
     }
 }

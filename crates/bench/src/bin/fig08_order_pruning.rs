@@ -60,13 +60,7 @@ fn main() {
             // All-Selected: HCubeJ's pick over all orders.
             let cluster =
                 adj_cluster::Cluster::new(adj_cluster::ClusterConfig::with_workers(workers()));
-            let all_sel = adj_baselines::hcubej::select_order_all(
-                &db,
-                &query,
-                &cluster,
-                &adj_bench::baseline_config(),
-            )
-            .unwrap();
+            let all_sel = adj_core::select_order_all(&query, &db, &cluster).unwrap();
             let (all_selected, all_ok) = intermediate_tuples(&db, &query, &all_sel);
             // Valid-Selected: ADJ's pick.
             let plan = optimize(&query, &db, &adj_config(workers()), Strategy::CoOptimize).unwrap();

@@ -56,6 +56,7 @@ use adj_cluster::Cluster;
 use adj_faults::FaultSite;
 use adj_hcube::{build_trie, solve_share, ExecCtx, PlannedTries, ShareInput, ShareSolution};
 use adj_leapfrog::JoinScratch;
+use adj_query::order::all_orders;
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::hash::FxHashMap;
 use adj_relational::{
@@ -788,19 +789,6 @@ impl<'a> CostEstimator<'a> {
         });
     }
 
-    /// Scores a complete attribute order by the estimated total number of
-    /// intermediate bindings `Σ_i |T_i|` (what Fig. 8 counts), using the
-    /// sampling-backed prefix estimates.
-    pub fn score_order(&self, order: &[Attr]) -> f64 {
-        let mut score = 0.0;
-        let mut prefix = 0u64;
-        for &a in &order[..order.len().saturating_sub(1)] {
-            prefix |= a.mask();
-            score += self.prefix_cardinality(prefix);
-        }
-        score
-    }
-
     /// Sketch-style prefix estimate with independence assumptions (no
     /// sampling): `Π_{A∈S}|val(A)| · Π_{R⊆S} |R| / Π_{A∈R}|val(A)|` — the
     /// classical System-R selectivity product. This is what HCubeJ-style
@@ -828,8 +816,7 @@ impl<'a> CostEstimator<'a> {
     }
 
     /// Cheap (sampling-free) order score: `Σ_i` sketch prefix estimates.
-    /// Used by the communication-first baseline's "All-Selected" search.
-    pub fn score_order_cheap(&self, order: &[Attr]) -> f64 {
+    fn score_order_cheap(&self, order: &[Attr]) -> f64 {
         let mut score = 0.0;
         let mut prefix = 0u64;
         for &a in &order[..order.len().saturating_sub(1)] {
@@ -837,6 +824,32 @@ impl<'a> CostEstimator<'a> {
             score += self.prefix_cardinality_sketch(prefix);
         }
         score
+    }
+
+    /// HCubeJ's "All-Selected" order search (Fig. 8), which the
+    /// communication-first strategy and baseline run: every permutation of
+    /// the query's attributes, scored by the sketch
+    /// ([`Self::prefix_cardinality_sketch`] summed over the prefixes), since
+    /// `n!` orders are more than sampling can afford. Returns the lowest
+    /// score and the first order that has it; a query of more than 6
+    /// attributes (720 orders) is [`Error::BudgetExceeded`].
+    pub fn all_selected_order(&self) -> Result<(f64, Vec<Attr>)> {
+        let attrs = self.query.attrs();
+        if attrs.len() > 6 {
+            return Err(Error::BudgetExceeded { what: "all-orders enumeration", limit: 720 });
+        }
+        // The sketch reads every `|val(A)|` once two orders compete.
+        if attrs.len() > 1 {
+            self.sample(&[], attrs.iter().fold(0, |m, a| m | a.mask()))?;
+        }
+        let mut best: Option<(f64, Vec<Attr>)> = None;
+        for o in all_orders(&attrs) {
+            let s = self.score_order_cheap(&o);
+            if best.as_ref().is_none_or(|(bs, _)| s < *bs) {
+                best = Some((s, o));
+            }
+        }
+        Ok(best.expect("a query has attributes"))
     }
 }
 
@@ -1199,17 +1212,5 @@ mod tests {
         let walked = walk_phase(&CLUSTER, &[sampler], &SAMPLING, &COLD).unwrap();
         assert!(!walked.parallel, "nothing to walk");
         assert_eq!(walked.estimates[0].as_ref().unwrap().cardinality, 0.0);
-    }
-
-    #[test]
-    fn order_scoring_prefers_constrained_prefixes() {
-        let (db, q) = setup();
-        let tree = GhdTree::decompose(&q.hypergraph(), 3);
-        let est = estimator(&db, &q, &tree);
-        // a,b,... starts with edge R1(a,b) constrained; a,c,... starts with
-        // an unconstrained cross product — must score worse.
-        let good = [Attr(0), Attr(1), Attr(2), Attr(3), Attr(4)];
-        let bad = [Attr(0), Attr(2), Attr(4), Attr(1), Attr(3)];
-        assert!(est.score_order(&good) <= est.score_order(&bad));
     }
 }

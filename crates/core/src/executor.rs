@@ -30,6 +30,13 @@
 //! each round: the report's `comm_tuples` is what that share would route.
 //! An execution reads the share and solves no share program of its own.
 //!
+//! Every worker, whatever it joins, has one sink set (`Segments`): its
+//! one row buffer and a tally per output slot. A driver row's output slot
+//! is its own for a bound call or batch and slot 0 for an unbound join;
+//! its rows are a segment of the buffer, carrying the row's quota (limit,
+//! budget). One gather assembles every output from its segments in morsel
+//! order, for the final join and a pre-computed bag's join alike.
+//!
 //! A warm execution pays for its join and little else. Each round of a
 //! plan — its relations' layouts and index keys, and the layout of the
 //! join over its tries — is prepared once and kept on the plan, so a fully
@@ -38,20 +45,18 @@
 //! [`ScratchPool`](crate::ScratchPool).
 
 use crate::plan::{CountedRound, PlanRelation, QueryPlan, Round};
-use crate::scratch::{Claimed, Lent, Scratch, KEPT_ROW_VALUES};
+use crate::scratch::{Claimed, Lent, Scratch, Segment};
 use crate::Adj;
 use adj_cluster::Cluster;
 use adj_faults::{CancelToken, FaultSite};
 use adj_hcube::share::dup_factor;
 use adj_hcube::{index_round, ExecCtx, IndexRound, RoundLayout, RoundOutput, ShuffleReport};
-use adj_leapfrog::{BatchWalk, CountSplit, JoinCounters, JoinLayout, LeapfrogJoin, Shared, Sinks};
+use adj_leapfrog::{CountSplit, JoinCounters, JoinLayout, LeapfrogJoin, Sinks};
 use adj_relational::{
-    Attr, BoundValues, CountSink, Database, Error, ExistsSink, Levels, Morsels, OutputMode,
-    QueryOutput, Relation, Result, RowBuffer, RowSink, Schema, Trie, Value, MAX_ATTRS,
+    Attr, BoundValues, Database, Error, Levels, Morsels, OutputMode, QueryOutput, Relation, Result,
+    RowBuffer, RowSink, Schema, Trie, Value, MAX_ATTRS,
 };
 use adj_trace::{SpanGuard, COORDINATOR_LANE};
-use std::iter::repeat_with;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,64 +109,10 @@ fn cancel_err(c: adj_faults::Cancelled) -> Error {
     Error::Cancelled { deadline_exceeded: c.deadline }
 }
 
-/// A [`RowSink`] adapter that polls a [`CancelToken`] (and the
-/// `JoinEnumerate` fault-injection site) every [`SINK_CHECK_EVERY`] rows,
-/// saturating when the token fires so Leapfrog stops enumerating instead of
-/// completing a doomed result. The join's stop hook polls the same site
-/// between bindings and every [`SINK_CHECK_EVERY`] bindings inside one,
-/// re-checks the token after every binding and reports a binding it
-/// stopped during as incomplete, so a stop here always surfaces as
-/// [`Error::Cancelled`] — never as a silently truncated result.
-///
-/// Rows counted in bulk ([`RowSink::push_count`], forwarded with
-/// [`RowSink::counts_only`]) are polled like as many single rows: one poll
-/// per [`SINK_CHECK_EVERY`] of them, so a `Count` run polls as often as an
-/// enumerating one.
-struct CancelSink<'a, S> {
-    inner: S,
-    cancel: &'a CancelToken,
-    rows_since_check: u64,
-    stopped: bool,
-}
-
-impl<'a, S: RowSink> CancelSink<'a, S> {
-    /// Wraps `inner`, polling `cancel`.
-    fn new(inner: S, cancel: &'a CancelToken) -> Self {
-        CancelSink { inner, cancel, rows_since_check: 0, stopped: false }
-    }
-
-    /// Accounts `n` more rows, polling once per [`SINK_CHECK_EVERY`] of
-    /// them; `false` once the token fired.
-    fn poll(&mut self, n: u64) -> bool {
-        self.rows_since_check += n;
-        while self.rows_since_check >= SINK_CHECK_EVERY {
-            self.rows_since_check -= SINK_CHECK_EVERY;
-            adj_faults::inject(FaultSite::JoinEnumerate, self.cancel);
-            if self.cancel.check().is_err() {
-                self.stopped = true;
-                return false;
-            }
-        }
-        true
-    }
-}
-
-impl<S: RowSink> RowSink for CancelSink<'_, S> {
-    fn push(&mut self, row: &[Value]) -> bool {
-        self.poll(1) && self.inner.push(row)
-    }
-
-    fn saturated(&self) -> bool {
-        self.stopped || self.inner.saturated()
-    }
-
-    fn counts_only(&self) -> bool {
-        self.inner.counts_only()
-    }
-
-    fn push_count(&mut self, n: u64) -> bool {
-        self.poll(n) && self.inner.push_count(n)
-    }
+/// What a join its token stopped fails with: the token's own verdict
+/// (deadline vs explicit cancel).
+fn cancelled(cancel: &CancelToken) -> Error {
+    cancel.check().err().map_or(Error::Cancelled { deadline_exceeded: false }, cancel_err)
 }
 
 /// Plan-search strategy (the two columns of Tables II–IV).
@@ -305,18 +256,6 @@ fn shape_output(
     Ok(QueryOutput::Rows(Relation::from_flat(Schema::new(order.to_vec())?, rows)?))
 }
 
-/// A worker's rows for one driver row, taken out of its buffer: a run the
-/// scratch would keep is copied, so the buffer keeps its allocation for
-/// the next execution; a longer one is handed over whole, since copying it
-/// would cost more than the allocation it saves.
-fn take_rows(buf: &mut RowBuffer) -> Vec<Value> {
-    if buf.capacity() <= KEPT_ROW_VALUES {
-        buf.flat().to_vec()
-    } else {
-        buf.take_flat()
-    }
-}
-
 /// The join's stop hook: polls the `JoinEnumerate` fault-injection site
 /// and `cancel`, stopping once the token fired.
 fn stop_hook(cancel: &CancelToken) -> impl Fn() -> bool + '_ {
@@ -326,49 +265,141 @@ fn stop_hook(cancel: &CancelToken) -> impl Fn() -> bool + '_ {
     }
 }
 
-/// One morsel's rows of an unbound `Rows` or `Limit` join, appended to
-/// the worker's one buffer: the morsel takes at most `until` rows in all.
-struct MorselRows<'a> {
+/// The slot of [`Segments`] between two segments.
+const CLOSED: usize = usize::MAX;
+
+/// One worker's sinks for every driver row it walks: the rows it keeps, cut
+/// into *segments* of its one row buffer, and a tally per output *slot*.
+///
+/// A driver row's slot is its own for a bound call or batch, and slot 0
+/// for an unbound join, whose driver rows (the first attribute's values)
+/// make one output together. The walk's `sink(i)` opens row `i`'s segment
+/// when its slot is not the open one's, and the claim loop closes the open
+/// segment at every morsel's end, so an unbound join's segment is one
+/// morsel's rows. A segment carries its row's quota: it saturates after
+/// `limit` rows, and a slot whose tally passes `cap` is over budget — its
+/// breaching row is tallied, not kept — and saturates. A counting sink
+/// only tallies; under `Exists` (a limit of 1) a one-slot job's workers
+/// share a `witness` flag, so the first witness stops every worker
+/// mid-morsel.
+///
+/// The sinks poll the token (and the `JoinEnumerate` fault-injection site)
+/// once per [`SINK_CHECK_EVERY`] rows, rows counted in bulk like as many
+/// single rows, and saturate once it fired. The walk's stop hook polls
+/// between bindings too and reports a binding it stopped during as
+/// incomplete, so a stop here always surfaces as [`Error::Cancelled`] —
+/// never as a silently truncated result.
+struct Segments<'a> {
     buf: &'a mut RowBuffer,
-    until: usize,
+    /// Each closed segment that kept rows: its slot and end in `buf`.
+    segments: &'a mut Vec<Segment>,
+    /// Per slot: the rows it took, a breaching row included.
+    tally: &'a mut [u64],
+    /// The last slot: every driver row past it shares it.
+    last: usize,
+    /// The open segment's slot; [`CLOSED`] between segments.
+    slot: usize,
+    /// The rows the open segment kept.
+    kept: usize,
+    limit: usize,
+    cap: u64,
+    counts: bool,
+    witness: Option<&'a AtomicBool>,
+    cancel: &'a CancelToken,
+    unpolled: u64,
+    stopped: bool,
 }
 
-impl RowSink for MorselRows<'_> {
+impl Segments<'_> {
+    /// Accounts `n` more rows, polling once per [`SINK_CHECK_EVERY`] of
+    /// them; `false` once the token fired.
+    fn poll(&mut self, n: u64) -> bool {
+        self.unpolled += n;
+        while self.unpolled >= SINK_CHECK_EVERY {
+            self.unpolled -= SINK_CHECK_EVERY;
+            adj_faults::inject(FaultSite::JoinEnumerate, self.cancel);
+            if self.cancel.check().is_err() {
+                self.stopped = true;
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Closes the open segment, if any.
+    fn close(&mut self) {
+        if self.kept > 0 {
+            self.segments.push(Segment { slot: self.slot, end: self.buf.flat().len() });
+        }
+        (self.slot, self.kept) = (CLOSED, 0);
+    }
+}
+
+impl Sinks for Segments<'_> {
+    type Sink = Self;
+
+    #[inline]
+    fn sink(&mut self, i: usize) -> &mut Self {
+        let slot = i.min(self.last);
+        if slot != self.slot {
+            self.close();
+            self.slot = slot;
+        }
+        self
+    }
+}
+
+impl RowSink for Segments<'_> {
     fn push(&mut self, row: &[Value]) -> bool {
-        self.buf.push(row) && self.buf.len() < self.until
+        if self.counts {
+            return self.push_count(1);
+        }
+        if !self.poll(1) {
+            return false;
+        }
+        let tally = &mut self.tally[self.slot];
+        *tally += 1;
+        if *tally > self.cap {
+            return false;
+        }
+        self.buf.push(row);
+        self.kept += 1;
+        if let Some(flag) = self.witness {
+            flag.store(true, Ordering::Relaxed);
+        }
+        self.kept < self.limit
     }
 
     fn saturated(&self) -> bool {
-        self.buf.saturated() || self.buf.len() >= self.until
-    }
-}
-
-/// The sink of an unbound `Exists` join: every worker's walks share one
-/// flag, so the first witness any of them finds saturates them all.
-struct Witness<'a>(&'a AtomicBool);
-
-impl RowSink for Witness<'_> {
-    fn push(&mut self, _row: &[Value]) -> bool {
-        self.0.store(true, Ordering::Relaxed);
-        false
+        self.stopped
+            || self.tally[self.slot] > self.cap
+            || self.kept >= self.limit
+            || self.witness.is_some_and(|flag| flag.load(Ordering::Relaxed))
     }
 
-    fn saturated(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+    fn counts_only(&self) -> bool {
+        self.counts
+    }
+
+    fn push_count(&mut self, n: u64) -> bool {
+        self.poll(n) && {
+            self.tally[self.slot] += n;
+            true
+        }
     }
 }
 
 /// What the workers of one join divide: `n` driver rows of the bound
 /// attributes `attrs` (flat, strictly ascending) — an unbound join's
-/// first-attribute values, or a bound call's or batch's sorted bindings.
+/// first-attribute values, or a bound call's or batch's sorted bindings —
+/// and the outputs they make: one per driver row of a bound call or batch,
+/// one for an unbound join.
 #[derive(Clone, Copy)]
 struct Drive<'a> {
     attrs: &'a [Attr],
     rows: &'a [Value],
     n: usize,
-    /// The rows are an unbound join's first-attribute values: every row's
-    /// output is part of the one binding's.
-    unbound: bool,
+    slots: usize,
 }
 
 /// The tries a count by bags reads, by input index
@@ -376,11 +407,13 @@ struct Drive<'a> {
 type BagInputs<'a> = dyn Fn(usize) -> &'a Trie + Sync + 'a;
 
 /// What every worker of one join shares besides its tries and the driver's
-/// morsel cursor: the driver, the output mode and row budget, the unbound
-/// `Exists` flag, the token, and — for an unbound count that splits — the
-/// split, the tries its bags read and its own cursor.
+/// morsel cursor: the driver, the attribute order of its rows, the output
+/// mode and row budget, the one-slot `Exists` flag, the token, and — for an
+/// unbound count that splits — the split, the tries its bags read and its
+/// own cursor.
 struct MorselJob<'a> {
     drive: Drive<'a>,
+    order: &'a [Attr],
     mode: OutputMode,
     budget: usize,
     witness: AtomicBool,
@@ -392,6 +425,15 @@ struct MorselJob<'a> {
     counted: Option<(&'a CountSplit, &'a BagInputs<'a>, Morsels)>,
 }
 
+impl MorselJob<'_> {
+    /// Whether the count by bags stands: the job splits and no worker met
+    /// a separator value past the tables. The workers that took the other
+    /// path hold nothing of the answer.
+    fn by_bags(&self) -> bool {
+        self.counted.as_ref().is_some_and(|(_, _, values)| !values.halted())
+    }
+}
+
 /// What one worker hands the gather: the scratch its sinks filled (kept
 /// until the gather read it), its counters, whether every morsel it
 /// claimed ran to its end, and whether it counted by bags.
@@ -400,46 +442,24 @@ struct WorkerJoin<'p> {
     counters: JoinCounters,
     finished: bool,
     counted: bool,
-    /// The first of its claimed morsels the gather has not read yet.
-    next: usize,
 }
 
 impl WorkerJoin<'_> {
-    /// The worker's record of morsel `m`, if it claimed it: the gather
-    /// asks for the morsels in ascending order, as they were claimed.
-    fn take_claim(&mut self, m: usize) -> Option<Claimed> {
-        let claim = *self.lent.claimed.get(self.next).filter(|c| c.morsel == m)?;
-        self.next += 1;
-        Some(claim)
+    /// Its record of morsel `m`, if it claimed it, and where the morsel's
+    /// segments begin in its segment list.
+    fn claim(&self, m: usize) -> Option<(Claimed, usize)> {
+        let claimed = &self.lent.claimed;
+        let j = claimed.binary_search_by_key(&m, |c| c.morsel).ok()?;
+        Some((claimed[j], j.checked_sub(1).map_or(0, |i| claimed[i].end)))
     }
-}
-
-/// Claims morsels of `n` driver rows until none is left, running
-/// `run(morsel, rows)` on each: it returns how far into the rows the walk
-/// got and where the morsel's rows end in the worker's buffer. Records each
-/// claim; `false` once a walk stopped early (the stop hook fired).
-fn claim_morsels(
-    morsels: &Morsels,
-    n: usize,
-    claimed: &mut Vec<Claimed>,
-    mut run: impl FnMut(usize, Range<usize>) -> (usize, usize),
-) -> bool {
-    while let Some(morsel) = morsels.claim() {
-        let rows = Morsels::rows(morsel, n);
-        let (reached, end) = run(morsel, rows.clone());
-        claimed.push(Claimed { morsel, done: reached - rows.start, end });
-        if reached < rows.end {
-            return false;
-        }
-    }
-    true
 }
 
 /// One worker's share of a join over tries every worker shares: it claims
-/// morsels of the driver from the shared cursor and advances one walk over
-/// each ([`LeapfrogJoin::walk`]); an unbound count that splits is counted
-/// by bags first, over morsels of its own, and enumerated only when a
-/// worker meets a separator value past the tables.
+/// morsels of the driver from the shared cursor until none is left and
+/// advances one walk over each ([`LeapfrogJoin::walk`]) into its
+/// [`Segments`], recording each claim; an unbound count that splits is
+/// counted by bags first, over morsels of its own, and enumerated only when
+/// a worker meets a separator value past the tables.
 fn walk_morsels<'p>(
     join: &LeapfrogJoin<Arc<Trie>>,
     shared: &MorselJob<'_>,
@@ -448,110 +468,70 @@ fn walk_morsels<'p>(
 ) -> Result<WorkerJoin<'p>> {
     let MorselJob { drive, mode, budget, ref witness, cancel, .. } = *shared;
     let stop = stop_hook(cancel);
-    let width = join.levels();
-    let Scratch { join: scratch, rows: bufs, found, claimed, .. } = &mut *lent;
+    let Scratch { join: scratch, rows, segments, tally, claimed, .. } = &mut *lent;
     claimed.clear();
-    found.clear();
+    segments.clear();
+    tally.clear();
+    tally.resize(drive.slots, 0);
     if let Some((split, input, values)) = &shared.counted {
         let by_bags = split.count(input, scratch, &mut || stop(), values)?;
         if let Some(outcome) = by_bags.filter(|_| !values.halted()) {
-            found.push(outcome.counters.output_tuples);
+            tally[0] = outcome.counters.output_tuples;
             let finished = outcome.completed == 1;
             let counters = outcome.counters;
-            return Ok(WorkerJoin { lent, counters, finished, counted: true, next: 0 });
+            return Ok(WorkerJoin { lent, counters, finished, counted: true });
         }
     }
-    let (rows, n) = (drive.rows, drive.n);
-    let mut walk = join.walk(drive.attrs, scratch, &stop)?;
-    let finished = match (drive.unbound, mode) {
-        (true, OutputMode::Rows | OutputMode::Limit(_)) => {
-            // Per morsel at most `limit` rows: the first `limit` rows of
-            // the result lie in the morsels up to the one where a worker's
-            // buffer reaches `limit`, so no later morsel is handed out. A
-            // worker then holds under `2 * limit` rows, so only a limit past
-            // the budget needs the budget's cap: a buffer over it means the
-            // first `limit` rows are too.
-            let limit = if let OutputMode::Limit(n) = mode { n } else { usize::MAX };
-            let cap = if limit > budget { budget } else { usize::MAX };
-            if bufs.is_empty() {
-                bufs.push(RowBuffer::new(width));
-            }
-            let buf = &mut bufs[0];
-            buf.reset(width, cap, usize::MAX);
-            claim_morsels(morsels, n, claimed, |morsel, at| {
-                let until = buf.len().saturating_add(limit);
-                let mut sink =
-                    Shared(CancelSink::new(MorselRows { buf: &mut *buf, until }, cancel));
-                let reached = walk.advance(rows, &mut sink, at.start, at.end);
-                if buf.over_budget() {
-                    morsels.halt();
-                } else if buf.len() >= limit {
-                    morsels.stop_after(morsel);
-                }
-                (reached, buf.flat().len())
-            })
-        }
-        (true, OutputMode::Count) => {
-            let mut sink = Shared(CancelSink::new(CountSink::new(), cancel));
-            let finished = per_row(&mut walk, shared, morsels, claimed, &mut sink);
-            found.push(sink.0.inner.count());
-            finished
-        }
-        (true, OutputMode::Exists) => {
-            let mut sink = Shared(CancelSink::new(Witness(witness), cancel));
-            let finished = per_row(&mut walk, shared, morsels, claimed, &mut sink);
-            found.push(u64::from(witness.load(Ordering::Relaxed)));
-            finished
-        }
-        (false, OutputMode::Rows | OutputMode::Limit(_)) => {
-            let limit = if let OutputMode::Limit(n) = mode { n } else { usize::MAX };
-            for buf in bufs.iter_mut().take(n) {
-                buf.reset(width, budget, limit);
-            }
-            let fresh = || RowBuffer::new(width).with_budget(budget).with_limit(limit);
-            bufs.resize_with(n.max(bufs.len()), fresh);
-            let mut sinks: Vec<_> =
-                bufs.iter_mut().take(n).map(|b| CancelSink::new(b, cancel)).collect();
-            per_row(&mut walk, shared, morsels, claimed, &mut sinks[..])
-        }
-        (false, OutputMode::Count) => {
-            let mut sinks: Vec<_> =
-                repeat_with(|| CancelSink::new(CountSink::new(), cancel)).take(n).collect();
-            let finished = per_row(&mut walk, shared, morsels, claimed, &mut sinks[..]);
-            found.extend(sinks.iter().map(|s| s.inner.count()));
-            finished
-        }
-        (false, OutputMode::Exists) => {
-            let mut sinks: Vec<_> =
-                repeat_with(|| CancelSink::new(ExistsSink::new(), cancel)).take(n).collect();
-            let finished = per_row(&mut walk, shared, morsels, claimed, &mut sinks[..]);
-            found.extend(sinks.iter().map(|s| u64::from(s.inner.found())));
-            finished
-        }
+    let (limit, counts) = match mode {
+        OutputMode::Rows => (usize::MAX, false),
+        OutputMode::Limit(n) => (n, false),
+        OutputMode::Count => (usize::MAX, true),
+        OutputMode::Exists => (1, false),
     };
-    let counters = walk.finish();
-    Ok(WorkerJoin { lent, counters, finished, counted: false, next: 0 })
-}
-
-/// The morsels a worker claims of the driver, driver row `i` streaming
-/// into `sinks.sink(i)` (one sink per row, or one [`Shared`] by every row);
-/// returns whether it ran them all. An unbound `Exists` witness ends the
-/// claims.
-fn per_row<Z: Sinks + ?Sized>(
-    walk: &mut BatchWalk<'_, Arc<Trie>>,
-    job: &MorselJob<'_>,
-    morsels: &Morsels,
-    claimed: &mut Vec<Claimed>,
-    sinks: &mut Z,
-) -> bool {
-    let Drive { rows, n, .. } = job.drive;
-    claim_morsels(morsels, n, claimed, |_, at| {
-        let reached = walk.advance(rows, sinks, at.start, at.end);
-        if job.witness.load(Ordering::Relaxed) {
+    // A job of one slot spreads it over every worker's morsels: its first
+    // `limit` rows lie in the morsels up to the one where a worker holds
+    // `limit`, so no later morsel is handed out, and a worker past the
+    // budget stops them all. A worker then holds under `2 * limit` rows,
+    // and a bound row's segment stops at its limit, so only a limit past
+    // the budget needs the budget's cap.
+    let cap = if mode.returns_rows() && limit > budget { budget as u64 } else { u64::MAX };
+    let witness = (mode == OutputMode::Exists && drive.slots == 1).then_some(witness);
+    rows.reset(join.levels(), usize::MAX, usize::MAX);
+    let last = drive.slots - 1;
+    let mut sinks = Segments {
+        buf: rows,
+        segments,
+        tally,
+        last,
+        slot: CLOSED,
+        kept: 0,
+        limit,
+        cap,
+        counts,
+        witness,
+        cancel,
+        unpolled: 0,
+        stopped: false,
+    };
+    let mut walk = join.walk(drive.attrs, scratch, &stop)?;
+    let mut finished = true;
+    while let Some(morsel) = morsels.claim() {
+        let at = Morsels::rows(morsel, drive.n);
+        let reached = walk.advance(drive.rows, &mut sinks, at.start, at.end);
+        sinks.close();
+        if last == 0 && sinks.tally[0] > cap {
             morsels.halt();
+        } else if last == 0 && sinks.buf.len() >= limit {
+            morsels.stop_after(morsel);
         }
-        (reached, 0)
-    })
+        claimed.push(Claimed { morsel, done: reached - at.start, end: sinks.segments.len() });
+        if reached < at.end {
+            finished = false;
+            break;
+        }
+    }
+    let counters = walk.finish();
+    Ok(WorkerJoin { lent, counters, finished, counted: false })
 }
 
 /// One worker's slot of a join's run: its join, its own failure, or its
@@ -566,13 +546,6 @@ struct Joined<'p>(Vec<WorkerSlot<'p>>);
 impl<'p> Joined<'p> {
     fn iter(&self) -> impl Iterator<Item = &WorkerJoin<'p>> {
         self.0.iter().map(|slot| match slot {
-            Ok(Ok(joined)) => joined,
-            _ => unreachable!("every worker succeeded"),
-        })
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut WorkerJoin<'p>> {
-        self.0.iter_mut().map(|slot| match slot {
             Ok(Ok(joined)) => joined,
             _ => unreachable!("every worker succeeded"),
         })
@@ -632,38 +605,75 @@ fn run_workers<'p>(
     Ok((Joined(results), run.worker_secs, run.makespan_secs))
 }
 
-/// The rows of an unbound `Rows` or `Limit` join: each morsel's rows, in
-/// morsel order — already the result's order — and at most `limit` of
-/// them. The workers' buffers hold their morsels' rows one after the
-/// other; a lone worker's buffer is the result as it stands.
-fn gather_rows(workers: &mut Joined<'_>, n: usize, limit: usize, width: usize) -> Vec<Value> {
-    let holding = workers.iter().filter(|w| !w.lent.claimed.is_empty()).count();
-    let mut rows = match holding {
-        0 => Vec::new(),
-        1 => {
-            let only = workers.iter_mut().find(|w| !w.lent.claimed.is_empty());
-            take_rows(&mut only.expect("one worker holds rows").lent.rows[0])
+/// The one gather: a join's outputs, one per slot of its driver, in slot
+/// order, and how many slots completed.
+///
+/// A slot completed when all its driver rows did: every row, once every
+/// worker ran its claims to the end (a morsel goes unclaimed then only when
+/// the job's one slot had what it needed, or a count by bags claimed none);
+/// otherwise the rows before the first morsel that was never claimed or
+/// was cut short. A slot that did not complete carries the token's
+/// verdict. A rows slot with more than the budget among its first `limit`
+/// rows is over budget; any other is its segments' rows in morsel order —
+/// the result's order, no merge, no sort — up to its limit. A counting
+/// slot adds up its tallies.
+fn gather(workers: &Joined<'_>, job: &MorselJob<'_>) -> (Vec<Result<QueryOutput>>, usize) {
+    let MorselJob { drive: Drive { n, slots, .. }, order, mode, budget, cancel, .. } = *job;
+    let by_bags = job.by_bags();
+    let live = || workers.iter().filter(move |w| w.counted == by_bags);
+    let mut completed = n;
+    if !live().all(|w| w.finished) {
+        completed = 0;
+        for m in 0..Morsels::count(n) {
+            let rows = Morsels::rows(m, n);
+            let done = workers.iter().find_map(|w| w.claim(m)).map_or(0, |(claim, _)| claim.done);
+            completed = rows.start + done;
+            if done < rows.len() {
+                break;
+            }
         }
-        _ => {
-            let held = workers.iter().map(|w| w.lent.rows[0].flat().len()).sum::<usize>();
-            let mut rows = Vec::with_capacity(held.min(limit.saturating_mul(width)));
-            for m in 0..Morsels::count(n) {
-                for w in workers.iter_mut() {
-                    let start = w.next.checked_sub(1).map_or(0, |i| w.lent.claimed[i].end);
-                    if let Some(claim) = w.take_claim(m) {
-                        rows.extend_from_slice(&w.lent.rows[0].flat()[start..claim.end]);
-                        break;
-                    }
-                }
-                if rows.len() >= limit.saturating_mul(width) {
-                    break;
+    }
+    // Every worker's segments in morsel order: each one's slot and rows.
+    let mut segments = (0..Morsels::count(n))
+        .filter_map(|m| workers.iter().find_map(|w| Some((w, w.claim(m)?))))
+        .flat_map(|(w, (claim, first))| {
+            let Scratch { rows, segments, .. } = &*w.lent;
+            (first..claim.end).map(move |k| {
+                let start = k.checked_sub(1).map_or(0, |j| segments[j].end);
+                (segments[k].slot, &rows.flat()[start..segments[k].end])
+            })
+        })
+        .peekable();
+    let limit = if let OutputMode::Limit(l) = mode { l } else { usize::MAX };
+    let most = limit.saturating_mul(order.len());
+    let (cancelled, over_budget) =
+        (cancelled(cancel), Error::BudgetExceeded { what: "join output tuples", limit: budget });
+    let mut done = 0;
+    let outputs = (0..slots)
+        .map(|slot| {
+            // Its driver rows end where the next slot's begin.
+            let end = if slot + 1 == slots { n } else { slot + 1 };
+            if end > completed {
+                return Err(cancelled.clone());
+            }
+            done += 1;
+            let found: u64 = live().map(|w| w.lent.tally[slot]).sum();
+            if !mode.returns_rows() {
+                return shape_output(mode, order, Vec::new(), found);
+            }
+            if found.min(limit as u64) > budget as u64 {
+                return Err(over_budget.clone());
+            }
+            let mut rows = Vec::with_capacity(most.min(found as usize * order.len()));
+            while let Some((s, run)) = segments.next_if(|&(s, _)| s <= slot) {
+                if s == slot {
+                    rows.extend_from_slice(&run[..run.len().min(most - rows.len())]);
                 }
             }
-            rows
-        }
-    };
-    rows.truncate(limit.saturating_mul(width));
-    rows
+            shape_output(mode, order, rows, 0)
+        })
+        .collect();
+    (outputs, done)
 }
 
 /// Executes a query plan on `adj`'s cluster, under its configuration,
@@ -710,15 +720,18 @@ fn gather_rows(workers: &mut Joined<'_>, n: usize, limit: usize, width: usize) -
 /// running the unbound query and keeping the rows whose bound attributes
 /// equal each binding's values, and the same at every width.
 ///
-/// The mode governs what each worker hands the gather:
+/// Every worker walks its morsels into one sink set (`Segments`): a
+/// driver row's output slot is its own for a bound call or batch, slot 0
+/// for an unbound join, and each row's rows are a segment of the worker's
+/// one row buffer. The gather assembles each output from its segments in
+/// morsel order, which is the result's order: no merge, no sort. The mode
+/// sets each segment's quota:
 ///
-/// * [`OutputMode::Rows`] — every worker buffers its morsels' rows (under
-///   the `max_intermediate_tuples` budget), and the coordinator
-///   concatenates them in morsel order, which is the result's order: no
-///   merge, no sort;
-/// * [`OutputMode::Count`] — workers stream into a [`CountSink`] and hand
-///   back only their counts; no result tuple is ever materialized or
-///   gathered (Leapfrog counts the last level by intersection size). An
+/// * [`OutputMode::Rows`] — every row, under the `max_intermediate_tuples`
+///   budget per output;
+/// * [`OutputMode::Count`] — nothing kept: a slot's tallies are its count,
+///   and no result tuple is ever materialized or gathered (Leapfrog counts
+///   the last level by intersection size). An
 ///   unbound count whose relations split around two attributes
 ///   ([`QueryPlan::count_split`]) is not enumerated at all: the workers
 ///   divide the order's first attribute's values in morsels, walk each bag
@@ -728,10 +741,10 @@ fn gather_rows(workers: &mut Joined<'_>, n: usize, limit: usize, width: usize) -
 ///   index entries of their own. A worker that meets a separator value past
 ///   the tables stops every worker's count, and the join is enumerated;
 /// * [`OutputMode::Limit`]`(n)` — exactly the first `n` rows of `Rows`:
-///   each morsel stops after `n` rows, and no morsel past the one where a
-///   worker holds `n` rows is handed out;
-/// * [`OutputMode::Exists`] — the first witness any worker finds stops
-///   every worker; they hand back a bit.
+///   each segment stops after `n` rows, and for an unbound join no morsel
+///   past the one where a worker holds `n` rows is handed out;
+/// * [`OutputMode::Exists`] — a segment stops at its first row; for an
+///   unbound join the first witness any worker finds stops every worker.
 ///
 /// The outer `Err` is a whole-call failure (unbound parameter, conflicting
 /// constants, index build failure, worker panic); a binding's own failure
@@ -762,8 +775,8 @@ fn gather_rows(workers: &mut Joined<'_>, n: usize, limit: usize, width: usize) -
 /// worker lane (annotated with that worker's per-level tuples and probes,
 /// output tuples, trie-operation counts, dance gallops, table probes,
 /// value-table builds, morsels and completed bindings), and a `gather` span
-/// over the concatenation and the shaping of the outputs (per-level
-/// tuples, seeks and probes, binding counts and output tuples).
+/// over the assembly and the shaping of the outputs (per-level tuples,
+/// seeks and probes, binding counts and output tuples).
 pub fn execute_plan(
     adj: &Adj,
     db: &Database,
@@ -855,9 +868,9 @@ pub fn execute_plan(
     let drive = match unbound {
         true => {
             let values = join.first_values();
-            Drive { attrs: &plan.order[..1], rows: values, n: values.len(), unbound }
+            Drive { attrs: &plan.order[..1], rows: values, n: values.len(), slots: 1 }
         }
-        false => Drive { attrs: bound_attrs, rows: driver_rows, n: n_rows, unbound },
+        false => Drive { attrs: bound_attrs, rows: driver_rows, n: n_rows, slots: n_rows },
     };
 
     // The counted path reads the round's tries and the reordered ones
@@ -870,11 +883,11 @@ pub fn execute_plan(
         }
     };
     let split = round.counted.as_ref().map(|c| &c.split).filter(|_| reordered.is_some());
-    let budget = config.max_intermediate_tuples;
     let job = MorselJob {
         drive,
+        order: &plan.order,
         mode,
-        budget,
+        budget: config.max_intermediate_tuples,
         witness: AtomicBool::new(false),
         cancel,
         counted: split
@@ -886,95 +899,23 @@ pub fn execute_plan(
     }
     let joined = run_workers(cluster, pool, tracer, "join", &join, &job);
     drop(computation_span);
-    let (mut workers, worker_secs, makespan) = joined?;
+    let (workers, worker_secs, makespan) = joined?;
     report.computation_secs = makespan;
 
     // Gather. A count by bags stands unless a worker met a separator value
     // past the tables; then the workers that enumerated hold the answer.
     let mut gather_span = tracer.span(COORDINATOR_LANE, "gather");
-    let by_bags = job.counted.as_ref().is_some_and(|(_, _, values)| !values.halted());
-    let width = plan.order.len();
-    let mut counters = JoinCounters::new(width);
+    let by_bags = job.by_bags();
+    let mut counters = JoinCounters::new(plan.order.len());
     // The per-worker bindings take the per-worker seconds' buffer.
     report.worker_tuples = worker_secs.into_iter().map(|_| 0).collect();
-    for (w, bindings) in workers.iter_mut().zip(&mut report.worker_tuples) {
-        if w.counted != by_bags {
-            continue;
-        }
-        *bindings = w.counters.tuples_per_level.iter().sum();
-        counters.merge(&w.counters);
-    }
-    let live = |w: &&mut WorkerJoin<'_>| w.counted == by_bags;
-    // A row past the watermark was cancelled mid-join; each carries the
-    // token's own verdict (deadline vs explicit cancel).
-    let cancelled =
-        cancel.check().err().map_or(Error::Cancelled { deadline_exceeded: false }, cancel_err);
-    let over_budget = Error::BudgetExceeded { what: "join output tuples", limit: budget };
-    let mut outputs: Vec<Result<QueryOutput>> = Vec::with_capacity(n_rows);
-    let completed;
-    if unbound {
-        // One binding, complete once every worker ran its morsels to the end.
-        let finished = workers.iter_mut().filter(live).all(|w| w.finished);
-        completed = usize::from(finished);
-        let found: u64 = workers.iter_mut().filter(live).filter_map(|w| w.lent.found.first()).sum();
-        outputs.push(if !finished {
-            Err(cancelled)
-        } else {
-            match mode {
-                OutputMode::Rows | OutputMode::Limit(_) => {
-                    let limit = if let OutputMode::Limit(n) = mode { n } else { usize::MAX };
-                    let rows = gather_rows(&mut workers, drive.n, limit, width);
-                    let over = workers.iter().any(|w| w.lent.rows[0].over_budget());
-                    if over || rows.len() / width.max(1) > budget {
-                        Err(over_budget)
-                    } else {
-                        shape_output(mode, &plan.order, rows, 0)
-                    }
-                }
-                OutputMode::Count | OutputMode::Exists => {
-                    shape_output(mode, &plan.order, Vec::new(), found)
-                }
-            }
-        });
-    } else {
-        // A driver row's output is its morsel's worker's. The rows up to
-        // the first that did not complete (a morsel never claimed, or one
-        // a stop cut short) keep their results.
-        let mut watermark = 0;
-        'morsels: for m in 0..Morsels::count(n_rows) {
-            for w in workers.iter_mut() {
-                if let Some(claim) = w.take_claim(m) {
-                    watermark = Morsels::rows(m, n_rows).start + claim.done;
-                    if claim.done == Morsels::rows(m, n_rows).len() {
-                        continue 'morsels;
-                    }
-                }
-            }
-            break;
-        }
-        completed = watermark;
-        for i in 0..n_rows {
-            if i >= completed {
-                outputs.push(Err(cancelled.clone()));
-                continue;
-            }
-            outputs.push(match mode {
-                OutputMode::Rows | OutputMode::Limit(_) => {
-                    let bufs = workers.iter_mut().map(|w| &mut w.lent.rows[i]);
-                    let mut holding = bufs.filter(|buf| buf.over_budget() || !buf.is_empty());
-                    match holding.next() {
-                        Some(buf) if buf.over_budget() => Err(over_budget.clone()),
-                        Some(buf) => shape_output(mode, &plan.order, take_rows(buf), 0),
-                        None => shape_output(mode, &plan.order, Vec::new(), 0),
-                    }
-                }
-                OutputMode::Count | OutputMode::Exists => {
-                    let found = workers.iter().map(|w| w.lent.found[i]).sum();
-                    shape_output(mode, &plan.order, Vec::new(), found)
-                }
-            });
+    for (w, bindings) in workers.iter().zip(&mut report.worker_tuples) {
+        if w.counted == by_bags {
+            *bindings = w.counters.tuples_per_level.iter().sum();
+            counters.merge(&w.counters);
         }
     }
+    let (mut outputs, completed) = gather(&workers, &job);
     drop(workers);
     // The handles go back with the coordinator's scratch, which empties
     // them.
@@ -1087,9 +1028,8 @@ fn precompute_bag(
     report: &mut ExecutionReport,
     ctx: &ExecCtx<'_>,
 ) -> Result<Arc<Relation>> {
-    let (cluster, config, pool) = (adj.cluster(), adj.config(), adj.scratch());
-    let (cancel, tracer) = (&ctx.cancel, &ctx.tracer);
-    let budget = config.max_intermediate_tuples;
+    let (cluster, pool, tracer) = (adj.cluster(), adj.scratch(), &ctx.tracer);
+    let budget = adj.config().max_intermediate_tuples;
     let order: Vec<Attr> = plan
         .order
         .iter()
@@ -1115,26 +1055,23 @@ fn precompute_bag(
     let join = LeapfrogJoin::with_layout(Arc::clone(&round.join), indexed.tries)?;
     let values = join.first_values();
     let job = MorselJob {
-        drive: Drive { attrs: &order[..1], rows: values, n: values.len(), unbound: true },
+        drive: Drive { attrs: &order[..1], rows: values, n: values.len(), slots: 1 },
+        order: &order,
         mode: OutputMode::Rows,
         budget,
         witness: AtomicBool::new(false),
-        cancel,
+        cancel: &ctx.cancel,
         counted: None,
     };
-    let (mut workers, _, makespan) = run_workers(cluster, pool, tracer, "bag_join", &join, &job)?;
-    if !workers.iter().all(|w| w.finished) {
-        return Err(cancel
-            .check()
-            .err()
-            .map_or(Error::Cancelled { deadline_exceeded: false }, cancel_err));
-    }
-    if workers.iter().any(|w| w.lent.rows[0].over_budget()) {
-        return Err(Error::BudgetExceeded { what: "bag join output", limit: budget });
-    }
-    let rows = gather_rows(&mut workers, job.drive.n, usize::MAX, order.len());
+    let (workers, _, makespan) = run_workers(cluster, pool, tracer, "bag_join", &join, &job)?;
+    let (mut outputs, _) = gather(&workers, &job);
     drop(workers);
-    let result = Relation::from_flat(Schema::new(order.clone())?, rows)?;
+    let result = match outputs.pop().expect("one output") {
+        Err(Error::BudgetExceeded { what: "join output tuples", limit }) => {
+            return Err(Error::BudgetExceeded { what: "bag join output", limit })
+        }
+        output => output?.into_rows().expect("a Rows output"),
+    };
     bag_span.arg("tuples", tuples);
     bag_span.arg("result_tuples", result.len() as u64);
     drop(bag_span);
@@ -1142,9 +1079,6 @@ fn precompute_bag(
     // join on top.
     report.precompute_secs += indexed.report.comm_and_build_secs() + makespan;
     report.precompute_tuples += tuples;
-    if result.len() > budget {
-        return Err(Error::BudgetExceeded { what: "pre-computed relation size", limit: budget });
-    }
     Ok(Arc::new(result))
 }
 

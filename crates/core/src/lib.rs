@@ -28,14 +28,12 @@ pub mod cost;
 pub mod executor;
 pub mod optimizer;
 pub mod plan;
-pub mod prepared;
 pub mod scratch;
 
 pub use cost::{CostEstimator, CostParams};
 pub use executor::{execute_plan, ExecutionReport, Strategy, SINK_CHECK_EVERY};
-pub use optimizer::{optimize, optimize_in};
+pub use optimizer::{optimize, optimize_in, select_order_all};
 pub use plan::{OptimizerStats, PlanRelation, QueryPlan};
-pub use prepared::Prepared;
 pub use scratch::ScratchPool;
 // The execution context and the cross-query index cache (defined in
 // `adj-hcube`, where the index round consults them) are part of this crate's
@@ -56,7 +54,7 @@ pub use adj_relational::{
 pub use adj_trace::{Event, QueryTrace, SpanGuard, Trace, Tracer, COORDINATOR_LANE};
 
 use adj_cluster::{Cluster, ClusterConfig};
-use adj_query::{Bindings, JoinQuery};
+use adj_query::JoinQuery;
 use adj_relational::{Database, Relation, Result};
 use adj_sampling::SamplingConfig;
 use std::sync::Arc;
@@ -248,38 +246,6 @@ impl Adj {
         let output = outputs.pop().expect("one output per binding")?;
         report.optimization_secs = plan.optimization_secs;
         Ok((output, report))
-    }
-
-    /// Prepares a parameterized query: optimizes it once and returns the
-    /// [`Prepared`] statement whose plan every later binding reuses. The
-    /// plan is a pure function of the query's *shape* — parameter positions
-    /// and literal positions, never their values — so preparing
-    /// `R1($v,b), R2(b,c), R3($v,c)` once serves every vertex `$v` is ever
-    /// bound to.
-    pub fn prepare(
-        &self,
-        query: &JoinQuery,
-        db: &Database,
-        strategy: Strategy,
-    ) -> Result<Prepared> {
-        Ok(Prepared::new(self.plan(query, db, strategy)?))
-    }
-
-    /// Executes one binding of a prepared query: resolves `bindings`
-    /// against the statement's parameter table ([`Prepared::bind`]) and
-    /// runs the shared plan, Leapfrog seeking the bound constants. Returns
-    /// a full [`AdjOutcome`] per binding.
-    pub fn execute_bound(
-        &self,
-        prepared: &Prepared,
-        db: &Database,
-        bindings: &Bindings,
-        mode: OutputMode,
-    ) -> Result<AdjOutcome> {
-        let values = prepared.bind(bindings)?;
-        let (output, report) =
-            self.execute_plan(&prepared.plan, db, mode, &values, &ExecCtx::default())?;
-        Ok(AdjOutcome { output, mode, plan: prepared.plan.clone(), report })
     }
 }
 

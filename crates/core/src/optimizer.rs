@@ -21,13 +21,13 @@
 //! `|val(A)|` comparisons are read as one more batch before the order is
 //! derived.
 
-use crate::cost::CostEstimator;
+use crate::cost::{CostEstimator, CostParams};
 use crate::executor::Strategy;
 use crate::plan::QueryPlan;
 use crate::AdjConfig;
 use adj_cluster::Cluster;
 use adj_hcube::{ExecCtx, PlannedTries};
-use adj_query::order::{all_orders, hoist_bound, new_attrs_per_step};
+use adj_query::order::{hoist_bound, new_attrs_per_step};
 use adj_query::{GhdTree, JoinQuery};
 use adj_relational::{Attr, Database, Error, Result};
 
@@ -42,6 +42,17 @@ pub fn optimize(
 ) -> Result<QueryPlan> {
     let cluster = Cluster::try_new(config.cluster.clone())?;
     optimize_in(query, db, config, &cluster, strategy, &ExecCtx::default()).map(|(plan, _)| plan)
+}
+
+/// HCubeJ's attribute order for `query` over `db`, planned cold on
+/// `cluster`: the "All-Selected" search
+/// ([`CostEstimator::all_selected_order`]) the communication-first strategy
+/// runs, for the HCubeJ baseline and Fig. 8.
+pub fn select_order_all(query: &JoinQuery, db: &Database, cluster: &Cluster) -> Result<Vec<Attr>> {
+    let tree = GhdTree::decompose(&query.hypergraph(), 3);
+    let (params, sampling, cold) = (CostParams::default(), Default::default(), ExecCtx::default());
+    let estimator = CostEstimator::new(db, query, &tree, params, cluster, sampling, &cold);
+    Ok(estimator.all_selected_order()?.1)
 }
 
 /// Finds a query plan for `query` over `db` on behalf of the request `ctx`,
@@ -72,22 +83,7 @@ pub fn optimize_in(
     let plan = match strategy {
         Strategy::CommFirst => {
             // HCubeJ: C = ∅; order selected over all permutations.
-            let attrs = query.attrs();
-            if attrs.len() > 6 {
-                return Err(Error::BudgetExceeded { what: "all-orders enumeration", limit: 720 });
-            }
-            // The sketch reads every `|val(A)|` once two orders compete.
-            if attrs.len() > 1 {
-                estimator.sample(&[], attrs.iter().fold(0, |m, a| m | a.mask()))?;
-            }
-            let mut best: Option<(f64, Vec<Attr>)> = None;
-            for o in all_orders(&attrs) {
-                let s = estimator.score_order_cheap(&o);
-                if best.as_ref().is_none_or(|(bs, _)| s < *bs) {
-                    best = Some((s, o));
-                }
-            }
-            let (score, mut order) = best.expect("non-empty query");
+            let (score, mut order) = estimator.all_selected_order()?;
             // Prepared/bound follow-up: seek constants before intersecting.
             // Any permutation is acceptable in this strategy's search space,
             // so the whole order may be hoisted.

@@ -11,6 +11,16 @@
 //! back on every path out (drop), emptied of trie handles, so the pool
 //! never keeps an index alive outside the index cache.
 //!
+//! A worker's output is one row buffer, whatever it joins: every driver
+//! row's rows are a segment of it, and the buffer goes back at its
+//! high-water mark. Reallocated on every call, it was re-faulted too, since
+//! the allocator handed the freed megabytes back to the system between
+//! calls (about 1,500 minor faults per width-2 `warm_modes` Q7 Rows call,
+//! doubling its latency). A Leapfrog level buffer goes back only if it
+//! holds at most 2,048 values (`KEPT_LEVEL_VALUES`): a large join pays
+//! for its own. The Leapfrog value tables and count tables are fixed in
+//! size and stay.
+//!
 //! Nothing in a scratch outlives its use as state: Leapfrog's value tables
 //! are keyed by the join that built them (see
 //! [`JoinScratch`]), so a later join never trusts
@@ -21,21 +31,8 @@ use adj_relational::{Attr, RowBuffer, Trie, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Row buffers a scratch keeps between executions: enough for every
-/// binding of a bound call or a small batch. A larger batch's extra
-/// buffers are dropped when it hands the scratch back.
-const KEPT_ROW_BUFFERS: usize = 64;
-
-/// The most values a kept row buffer, or a kept Leapfrog level buffer,
-/// holds on to (8–16 KiB). A scratch goes back without a larger level
-/// buffer, or a larger row buffer past its first: a large join or batch
-/// pays for those. The first row buffer — an unbound Rows query's, one per
-/// worker — stays at its high-water mark: reallocated on every call, it
-/// was re-faulted too, since the allocator handed the freed megabytes back
-/// to the system between calls (about 1,500 minor faults per width-2
-/// `warm_modes` Q7 Rows call, doubling its latency). The Leapfrog value
-/// tables and count tables are fixed in size and stay.
-pub(crate) const KEPT_ROW_VALUES: usize = 2048;
+/// The most values a kept Leapfrog level buffer holds on to (8–16 KiB).
+const KEPT_LEVEL_VALUES: usize = 2048;
 
 /// One thread's buffers for one execution.
 #[derive(Debug, Default)]
@@ -52,24 +49,34 @@ pub(crate) struct Scratch {
     pub(crate) tries: Vec<Arc<Trie>>,
     /// A worker's: Leapfrog's per-level buffers, tables and cursor stacks.
     pub(crate) join: JoinScratch,
-    /// A worker's: one row buffer per driver row of a bound call or batch
-    /// (`Rows`, `Limit`), or, for an unbound join, the one buffer its
-    /// morsels' rows follow each other in.
-    pub(crate) rows: Vec<RowBuffer>,
-    /// A worker's: per driver row (per unbound join, in the first slot),
-    /// its count (`Count`) or whether it found a witness (`Exists`).
-    pub(crate) found: Vec<u64>,
+    /// A worker's: the rows it kept (`Rows`, `Limit`, an `Exists`
+    /// witness), segment after segment.
+    pub(crate) rows: RowBuffer,
+    /// A worker's: each segment of `rows` that kept rows, in claim order.
+    pub(crate) segments: Vec<Segment>,
+    /// A worker's: per output slot, the rows it took (a breaching row
+    /// included), its count (`Count`) or whether it found a witness
+    /// (`Exists`).
+    pub(crate) tally: Vec<u64>,
     /// A worker's: the morsels it claimed, in claim (ascending) order.
     pub(crate) claimed: Vec<Claimed>,
 }
 
 /// One morsel a worker claimed: which, how many of its driver rows
-/// completed, and where its rows end in the worker's one row buffer (an
-/// unbound `Rows` or `Limit` join; 0 otherwise).
+/// completed, and where its segments end in the worker's segment list.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Claimed {
     pub(crate) morsel: usize,
     pub(crate) done: usize,
+    pub(crate) end: usize,
+}
+
+/// One segment of a worker's rows: the output slot they belong to, and
+/// where they end in its row buffer (they begin where the segment before
+/// them ends).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Segment {
+    pub(crate) slot: usize,
     pub(crate) end: usize,
 }
 
@@ -137,11 +144,7 @@ impl Drop for Lent<'_> {
     fn drop(&mut self) {
         let mut scratch = self.scratch.take().expect("dropped once");
         scratch.tries.clear();
-        scratch.rows.truncate(KEPT_ROW_BUFFERS);
-        for buf in scratch.rows.iter_mut().skip(1).filter(|b| b.capacity() > KEPT_ROW_VALUES) {
-            drop(buf.take_flat());
-        }
-        scratch.join.shrink_past(KEPT_ROW_VALUES);
+        scratch.join.shrink_past(KEPT_LEVEL_VALUES);
         self.pool.free.lock().unwrap_or_else(PoisonError::into_inner).push(Free(scratch));
         self.pool.lent.fetch_sub(1, Ordering::SeqCst);
     }

@@ -865,7 +865,7 @@ impl<T: Borrow<Trie>> LeapfrogJoin<T> {
 
 /// The sinks of a walk's bindings: binding `i` of a [`BatchWalk::advance`]
 /// streams into `sink(i)`. A slice over every binding gives each a sink of
-/// its own; [`Shared`] streams them all into one.
+/// its own; an implementation may also stream several bindings into one.
 pub trait Sinks {
     /// The sink type.
     type Sink: RowSink;
@@ -883,10 +883,10 @@ impl<S: RowSink> Sinks for [S] {
     }
 }
 
-/// One sink for every binding of a range: the driver rows of an unbound
-/// join's morsel, whose rows together are the morsel's result.
+/// One sink for every binding of a range: a counted bag's walk over a
+/// morsel of first-attribute values, whose rows it tallies together.
 #[derive(Debug)]
-pub struct Shared<S>(pub S);
+pub(crate) struct Shared<S>(pub S);
 
 impl<S: RowSink> Sinks for Shared<S> {
     type Sink = S;

@@ -28,6 +28,6 @@ pub mod reference;
 pub use counted::CountSplit;
 pub use counters::{JoinCounters, JoinStats};
 pub use join::{
-    validate_tries, BatchOutcome, BatchWalk, JoinLayout, JoinScratch, LeapfrogJoin, Shared, Sinks,
+    validate_tries, BatchOutcome, BatchWalk, JoinLayout, JoinScratch, LeapfrogJoin, Sinks,
     POLL_EVERY,
 };

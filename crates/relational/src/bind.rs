@@ -2,7 +2,7 @@
 //!
 //! A [`BoundValues`] maps query attributes to the constants a prepared
 //! query was bound to (inline literals resolved by the parser plus `$name`
-//! parameters resolved by `Prepared::bind`). Its consumers:
+//! parameters resolved by `PreparedQuery::bind`). Its consumers:
 //!
 //! * Leapfrog seeks the constant at bound trie levels
 //!   ([`BoundValues::get`]) instead of intersecting candidate runs — the

@@ -343,6 +343,13 @@ impl RowBuffer {
     }
 }
 
+/// An unbounded buffer of 1-ary rows, to [`RowBuffer::reset`] before use.
+impl Default for RowBuffer {
+    fn default() -> Self {
+        RowBuffer::new(1)
+    }
+}
+
 impl RowSink for RowBuffer {
     fn push(&mut self, row: &[Value]) -> bool {
         debug_assert_eq!(row.len(), self.width);

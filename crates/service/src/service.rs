@@ -2733,4 +2733,25 @@ mod tests {
         assert!(prepared.bind(&Bindings::new()).is_err());
         assert!(prepared.bind(&Bindings::new().set("v", 1u32).set("w", 2u32)).is_err());
     }
+
+    #[test]
+    fn bind_resolves_params_and_literals() {
+        let (q, _) = adj_query::parse_query("R1($v,b), R2(b,5)").unwrap();
+        let edges: Vec<(Value, Value)> = (0..30).map(|i| (i % 7, (i * 3 + 1) % 7)).collect();
+        let service = small_service();
+        service
+            .register_database("g", q.instantiate(&Relation::from_pairs(Attr(0), Attr(1), &edges)));
+        let p = service.prepare("g", &q).unwrap();
+        assert_eq!(p.params().len(), 1);
+        let bound = p.bind(&Bindings::new().set("v", 3)).unwrap();
+        assert_eq!(bound.len(), 2, "the $v value plus the literal 5");
+        assert!(matches!(
+            p.bind(&Bindings::new()),
+            Err(adj_relational::Error::UnboundParam { .. })
+        ));
+        assert!(matches!(
+            p.bind(&Bindings::new().set("v", 1).set("nope", 2)),
+            Err(adj_relational::Error::UnknownParam { .. })
+        ));
+    }
 }

@@ -80,9 +80,7 @@ pub use adj_trace as trace;
 /// The common imports for applications.
 pub mod prelude {
     pub use adj_cluster::{Cluster, ClusterConfig, TransportKind};
-    pub use adj_core::{
-        Adj, AdjConfig, CostParams, ExecCtx, ExecutionReport, Prepared, QueryPlan, Strategy,
-    };
+    pub use adj_core::{Adj, AdjConfig, CostParams, ExecCtx, ExecutionReport, QueryPlan, Strategy};
     pub use adj_datagen::{update_stream, Dataset, UpdateBatch, UpdateStreamConfig};
     pub use adj_delta::{DeltaConfig, DeltaRelation, MutationBatch};
     pub use adj_faults::{CancelToken, FaultAction, FaultPlan, FaultSite};

@@ -22,18 +22,22 @@
 //! thread, which allocates ~900 bytes in 4 allocations whenever it gets to
 //! run during the measured calls (and so failed the budget now and then).
 //! The growth checks at width 2 count every thread ([`counted`]): their
-//! workers run on threads of their own.
+//! workers run on threads of their own. So they compare the first calls
+//! with the *least* of several trailing windows ([`assert_no_growth`]): the
+//! main thread's stray allocations land in one window, growth in all.
 //!
 //! Debug builds erase the query in the plan lookup's key check
 //! (a `debug_assert`) on every call, so the budget is asserted only in
 //! release builds (`cargo test --release --test alloc_budget`); debug
 //! builds assert only the absence of growth. A failure prints the counts.
 //!
-//! Reading a failure: the budget counts, per Rows call, ten allocations —
+//! Reading a failure: the budget counts, per Rows call, nine allocations —
 //! the resolved binding, the deadline token, the round's relation handles,
-//! the worker run's two report vectors, the join's sink and cursor lists,
-//! the outputs, and the result rows with their schema; Count calls make
-//! neither of the last two. The report's share and per-level counters are
+//! the worker run's two report vectors, the join's cursor list, the
+//! outputs, and the result rows with their schema; Count calls make
+//! neither of the last two. The join's sinks allocate nothing: every
+//! binding's rows are a segment of the worker's one lent row buffer, and
+//! its count a slot of the worker's lent tallies. The report's share and per-level counters are
 //! inline arrays ([`Levels`](adj::relational::Levels)) and allocate
 //! nothing, but they make the worker run's report ~0.7 KiB per worker,
 //! which is most of the bytes. A counted Q8 call makes at most what a
@@ -51,10 +55,10 @@ use std::sync::Mutex;
 /// Heap allocations (`alloc`, `alloc_zeroed`, `realloc`) one warm width-1
 /// `execute_bound` makes in Rows mode, and the bytes they request (averaged
 /// over the bindings below).
-const ROWS_BUDGET: (f64, f64) = (10.0, 1120.0);
+const ROWS_BUDGET: (f64, f64) = (9.0, 1088.0);
 
 /// The same in Count mode.
-const COUNT_BUDGET: (f64, f64) = (8.0, 1024.0);
+const COUNT_BUDGET: (f64, f64) = (7.0, 992.0);
 
 /// Counts every allocation the process makes.
 struct Counting;
@@ -192,8 +196,11 @@ fn a_warm_width_one_bound_call_stays_within_its_budget() {
     service.check_invariants().unwrap();
 }
 
-/// Runs `call` 200 times and checks that its last 50 calls allocate no
-/// more, in count or bytes, than its 50 calls after a short warm-up.
+/// Runs `call` 200 times after a short warm-up and checks that the least
+/// of the four 25-call windows of its last 100 calls allocates no more per
+/// call, in count or in bytes, than its first 50 calls. A growing call
+/// raises every trailing window; another thread's stray allocations raise
+/// one.
 fn assert_no_growth(what: &str, mut call: impl FnMut()) {
     for _ in 0..5 {
         call();
@@ -204,7 +211,9 @@ fn assert_no_growth(what: &str, mut call: impl FnMut()) {
         let (a, b) = calls.iter().fold((0, 0), |(a, b), &(x, y)| (a + x, b + y));
         (a as f64 / n, b as f64 / n)
     };
-    let (first, last) = (mean(&per[..50]), mean(&per[150..]));
+    let first = mean(&per[..50]);
+    let least = |(a, b): (f64, f64), (x, y): (f64, f64)| (a.min(x), b.min(y));
+    let last = per[100..].chunks(25).map(mean).fold((f64::INFINITY, f64::INFINITY), least);
     eprintln!("{what}: first calls {first:.1?}, last calls {last:.1?} (allocations, bytes)");
     assert!(
         last.0 <= first.0 && last.1 <= first.1,

@@ -409,3 +409,73 @@ fn both_bound_doors_name_the_same_bad_parameter() {
         assert_eq!(prepared.bind(&bindings).unwrap_err(), want);
     }
 }
+
+/// A graph whose vertices reach very different numbers of 2-paths: vertex
+/// `v` has `v % 9` out-edges, so sorted bindings alternate between
+/// vertices with a handful of 2-paths and vertices with dozens.
+fn uneven_graph() -> Relation {
+    let edges: Vec<(Value, Value)> =
+        (0..200u32).flat_map(|v| (0..v % 9).map(move |k| (v, (v * 13 + k * 31) % 200))).collect();
+    Relation::from_pairs(Attr(0), Attr(1), &edges)
+}
+
+#[test]
+fn an_over_budget_binding_fails_alone_beside_its_neighbours_in_one_morsel() {
+    // Each binding's output is a segment of its worker's one row buffer,
+    // with its own budget: a binding past the budget must fail alone, and
+    // every binding beside it — in the same morsel of 64, on either worker —
+    // must answer exactly as its own bound call does.
+    let budget = 12;
+    let db = paper_query(PaperQuery::Q7).instantiate(&uneven_graph());
+    let (q, _) = parse_query("Q(b,c) :- R1($v,b), R2(b,c)").unwrap();
+    let vs: Vec<Value> = (0..200).collect();
+    let bindings: Vec<Bindings> = vs.iter().map(|&v| Bindings::new().set("v", v)).collect();
+    for workers in [1, 2] {
+        let service = Service::new(ServiceConfig {
+            adj: AdjConfig {
+                cluster: ClusterConfig::with_workers(workers),
+                max_intermediate_tuples: budget,
+                ..Default::default()
+            },
+            result_cache_capacity: 0,
+            ..Default::default()
+        });
+        service.register_database("g", db.clone());
+        let prepared = service.prepare("g", &q).unwrap();
+        // A limit past the budget breaches it like Rows does.
+        for mode in [OutputMode::Rows, OutputMode::Limit(budget + 8)] {
+            let batch = service.execute_batch(&prepared, &bindings, mode).unwrap();
+            let mut over = vec![false; vs.len()];
+            for (i, (b, got)) in bindings.iter().zip(&batch.results).enumerate() {
+                let alone = service.execute_bound(&prepared, b, mode);
+                match got {
+                    Err(ServiceError::Exec(adj::relational::Error::BudgetExceeded { .. })) => {
+                        over[i] = true;
+                        assert!(
+                            matches!(
+                                alone,
+                                Err(ServiceError::Exec(
+                                    adj::relational::Error::BudgetExceeded { .. }
+                                ))
+                            ),
+                            "w{workers} {mode:?} v={}: the bound call must fail too",
+                            vs[i]
+                        );
+                    }
+                    Ok(out) => assert_eq!(
+                        out,
+                        &alone.unwrap().output,
+                        "w{workers} {mode:?} v={}: batch slot vs its own bound call",
+                        vs[i]
+                    ),
+                    Err(e) => panic!("w{workers} {mode:?} v={}: unexpected {e}", vs[i]),
+                }
+            }
+            // Every morsel of 64 sorted bindings mixes both kinds.
+            for morsel in over.chunks(64) {
+                assert!(morsel.contains(&true) && morsel.contains(&false), "w{workers} {mode:?}");
+            }
+            service.check_invariants().unwrap();
+        }
+    }
+}

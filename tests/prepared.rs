@@ -50,27 +50,33 @@ fn bound_results_match_the_filter_then_join_oracle() {
         for strategy in STRATEGIES {
             let full = adj.execute_with(&unbound, &db, strategy, OutputMode::Rows).unwrap();
             let full = full.rows();
-            let prepared = adj.prepare(&bound_q, &db, strategy).unwrap();
+            let service = Service::new(ServiceConfig {
+                adj: AdjConfig { cluster: ClusterConfig::with_workers(4), ..Default::default() },
+                strategy,
+                ..Default::default()
+            });
+            service.register_database("g", db.clone());
+            let prepared = service.prepare("g", &bound_q).unwrap();
             // A well-matched vertex, a sparse one, and an absent one.
             for v in [1u32, 17, 30, 999] {
                 let oracle = filter_oracle(full, v);
                 let b = Bindings::new().set("v", v);
 
                 // Rows: byte-identical after schema alignment.
-                let rows = adj.execute_bound(&prepared, &db, &b, OutputMode::Rows).unwrap();
+                let rows = service.execute_bound(&prepared, &b, OutputMode::Rows).unwrap();
                 let aligned = rows.rows().permute(oracle.schema().attrs()).unwrap();
                 assert_eq!(aligned, oracle, "{shape:?}/{strategy:?}/v={v}: rows");
                 assert!(rows.report.bound_values > 0);
 
                 // Count / Exists: counters only, same answers.
-                let count = adj.execute_bound(&prepared, &db, &b, OutputMode::Count).unwrap();
+                let count = service.execute_bound(&prepared, &b, OutputMode::Count).unwrap();
                 assert_eq!(
                     count.output,
                     QueryOutput::Count(oracle.len() as u64),
                     "{shape:?}/{strategy:?}/v={v}: count"
                 );
                 assert_eq!(count.output.tuples_returned(), 0);
-                let exists = adj.execute_bound(&prepared, &db, &b, OutputMode::Exists).unwrap();
+                let exists = service.execute_bound(&prepared, &b, OutputMode::Exists).unwrap();
                 assert_eq!(
                     exists.output,
                     QueryOutput::Exists(!oracle.is_empty()),
@@ -80,7 +86,7 @@ fn bound_results_match_the_filter_then_join_oracle() {
                 // Limit(n): the canonical n smallest rows of the bound
                 // result, under the bound plan's attribute order.
                 let n = 3usize;
-                let limited = adj.execute_bound(&prepared, &db, &b, OutputMode::Limit(n)).unwrap();
+                let limited = service.execute_bound(&prepared, &b, OutputMode::Limit(n)).unwrap();
                 let expect = oracle.permute(limited.rows().schema().attrs()).unwrap();
                 let keep = n.min(expect.len());
                 let canonical = Relation::from_flat(
