@@ -197,6 +197,8 @@ impl Cluster {
     /// Worker 0 runs on the calling thread, under the same timing, span and
     /// panic isolation as every other worker, so a phase spawns only `W − 1`
     /// scoped threads; the caller would otherwise sit idle waiting for them.
+    /// Each spawned worker's span carries `start_lag_us`: the time from its
+    /// dispatch (just before its spawn) to its first instruction.
     pub fn run_traced<R, F>(&self, tracer: &Tracer, name: &'static str, f: F) -> RunReport<R>
     where
         R: Send,
@@ -206,9 +208,13 @@ impl Cluster {
         if self.spawn_threads {
             std::thread::scope(|s| {
                 let f = &f;
-                let others: Vec<_> =
-                    (1..n).map(|w| s.spawn(move || run_worker(tracer, name, f, w))).collect();
-                let first = run_worker(tracer, name, f, 0);
+                let others: Vec<_> = (1..n)
+                    .map(|w| {
+                        let dispatched = Instant::now();
+                        s.spawn(move || run_worker(tracer, name, f, w, Some(dispatched)))
+                    })
+                    .collect();
+                let first = run_worker(tracer, name, f, 0, None);
                 let joined = others
                     .into_iter()
                     .map(|h| h.join().expect("worker panics are caught inside the closure"));
@@ -257,7 +263,7 @@ impl Cluster {
     where
         F: Fn(WorkerId, &mut SpanGuard<'_>) -> R + Sync,
     {
-        collect_report((0..self.num_workers()).map(|w| run_worker(tracer, name, &f, w)))
+        collect_report((0..self.num_workers()).map(|w| run_worker(tracer, name, &f, w, None)))
     }
 
     /// Opens one shuffle round over the configured transport backend.
@@ -271,8 +277,10 @@ impl Cluster {
     }
 }
 
-/// Runs one worker closure under timing, tracing, and panic isolation.
-/// Each worker runs under `catch_unwind`: a panicking worker surfaces as a
+/// Runs one worker closure under timing, tracing, and panic isolation. A
+/// spawned worker is told when it was `dispatched`, and its span records
+/// the lag to its first instruction as `start_lag_us`. Each worker runs
+/// under `catch_unwind`: a panicking worker surfaces as a
 /// `WorkerFailure` in its result slot instead of unwinding through the
 /// coordinator (and, on the spawn path, instead of aborting the join).
 /// `AssertUnwindSafe` is sound here because a failed slot's partial state
@@ -283,6 +291,7 @@ fn run_worker<R, F>(
     name: &'static str,
     f: &F,
     w: WorkerId,
+    dispatched: Option<Instant>,
 ) -> (Result<R, WorkerFailure>, f64)
 where
     F: Fn(WorkerId, &mut SpanGuard<'_>) -> R + Sync,
@@ -290,6 +299,9 @@ where
     let t0 = Instant::now();
     let r = catch_unwind(AssertUnwindSafe(|| {
         let mut span = tracer.span(lane_for_worker(w), name);
+        if let Some(dispatched) = dispatched {
+            span.arg("start_lag_us", t0.duration_since(dispatched).as_micros() as u64);
+        }
         let r = f(w, &mut span);
         drop(span);
         r
@@ -430,6 +442,20 @@ mod tests {
             assert!(joins.iter().any(|e| e.lane == lane_for_worker(w)));
         }
         assert_eq!(trace.sum_arg("tuples"), 3); // workers contributed 0 + 1 + 2
+    }
+
+    #[test]
+    fn spawned_workers_record_their_start_lag() {
+        let c = Cluster::new(ClusterConfig::with_workers(3));
+        let tracer = Tracer::new(64);
+        c.run_traced(&tracer, "join", |w, _| w).into_results().unwrap();
+        let trace = tracer.finish();
+        for e in trace.events_named("join") {
+            // Worker 0 runs on the calling thread, so it was never
+            // dispatched; on one hardware thread none is spawned.
+            let spawned = c.spawn_threads && e.lane != lane_for_worker(0);
+            assert_eq!(e.args.get("start_lag_us").is_some(), spawned, "lane {}", e.lane);
+        }
     }
 
     /// A claimed phase whose workers return each unit they claimed.

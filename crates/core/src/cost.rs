@@ -63,7 +63,7 @@ use adj_relational::{
     Attr, Database, Error, Levels, Morsels, Relation, Result, Schema, Trie, Value,
 };
 use adj_sampling::{connected_order, val_a, CardinalityEstimate, Sampler, SamplingConfig, Tally};
-use adj_trace::SpanGuard;
+use adj_trace::{SpanGuard, COORDINATOR_LANE};
 use std::cell::{OnceCell, RefCell};
 use std::ops::Range;
 use std::sync::Arc;
@@ -360,6 +360,10 @@ impl<'a> CostEstimator<'a> {
     ///   counting its morsels with one [`JoinScratch`] (`plan_sample`
     ///   spans; see [`walk_phase`]).
     ///
+    /// Between them the coordinator holds the built and cached tries,
+    /// computes each sub-join's `val(A)`, draws and opens its join: one
+    /// `plan_prepare` span on the coordinator lane.
+    ///
     /// Both are claimed phases ([`Cluster::run_claimed`]), so one with one
     /// task or morsel runs on the calling thread. Each sub-join's integer
     /// counts are added up exactly, so every estimate is
@@ -383,6 +387,9 @@ impl<'a> CostEstimator<'a> {
         let made = self.build(&tasks)?;
         self.check()?;
 
+        // From here to the walks, the coordinator holds the tries, computes
+        // `val(A)`, draws and opens each sub-join's join: `plan_prepare`.
+        let prepare = self.ctx.tracer.span(COORDINATOR_LANE, "plan_prepare");
         let mut guard = self.cache.borrow_mut();
         let cache = &mut *guard;
         let mut built: Vec<Option<Result<Arc<Trie>>>> = Vec::with_capacity(tasks.len());
@@ -438,7 +445,7 @@ impl<'a> CostEstimator<'a> {
             });
             (mask, sampler)
         });
-        let estimates = self.walk(samplers.collect())?;
+        let estimates = self.walk(samplers.collect(), prepare)?;
         self.check()?;
         let mut cache = self.cache.borrow_mut();
         for (mask, estimate) in estimates {
@@ -574,11 +581,13 @@ impl<'a> CostEstimator<'a> {
     }
 
     /// The walk phase over the sub-joins of a batch (each mask with its
-    /// sampler, or why it cannot be sampled), by [`walk_phase`]. Returns
-    /// each sub-join's estimate, in order.
+    /// sampler, or why it cannot be sampled), by [`walk_phase`], ending
+    /// the batch's `prepare` span when the walks are ready. Returns each
+    /// sub-join's estimate, in order.
     fn walk(
         &self,
         subjoins: Vec<(u64, Result<Sampler>)>,
+        prepare: SpanGuard<'_>,
     ) -> Result<Vec<(u64, Result<CardinalityEstimate>)>> {
         let mut out: Vec<(u64, Option<Result<CardinalityEstimate>>)> = Vec::new();
         let (mut samplers, mut slots) = (Vec::new(), Vec::new());
@@ -592,7 +601,7 @@ impl<'a> CostEstimator<'a> {
                 Err(e) => out.push((mask, Some(Err(e)))),
             }
         }
-        let walked = walk_phase(self.cluster, &samplers, &self.sampling, self.ctx)?;
+        let walked = walk_prepared(self.cluster, &samplers, &self.sampling, self.ctx, prepare)?;
         self.cache.borrow_mut().stats.parallel_phases += u64::from(walked.parallel);
         for (slot, estimate) in slots.into_iter().zip(walked.estimates) {
             out[slot].1 = Some(estimate);
@@ -876,6 +885,8 @@ pub struct WalkPhase {
 /// so its β) are the summed seconds of the workers that counted it. A
 /// phase of one morsel runs on the calling thread.
 ///
+/// The draws and each sampler's join are made on the calling thread,
+/// under a `plan_prepare` span on the coordinator lane (arg: `subjoins`).
 /// Each morsel polls the `JoinEnumerate` fault site and `ctx`'s token: a
 /// fired token fails the phase with [`Error::Cancelled`], a panicking
 /// worker with [`Error::WorkerPanicked`].
@@ -884,6 +895,19 @@ pub fn walk_phase(
     samplers: &[Sampler],
     sampling: &SamplingConfig,
     ctx: &ExecCtx<'_>,
+) -> Result<WalkPhase> {
+    let prepare = ctx.tracer.span(COORDINATOR_LANE, "plan_prepare");
+    walk_prepared(cluster, samplers, sampling, ctx, prepare)
+}
+
+/// [`walk_phase`] inside a `prepare` span the caller opened, which ends
+/// when the walks are ready to run.
+fn walk_prepared(
+    cluster: &Cluster,
+    samplers: &[Sampler],
+    sampling: &SamplingConfig,
+    ctx: &ExecCtx<'_>,
+    mut prepare: SpanGuard<'_>,
 ) -> Result<WalkPhase> {
     // Samplers with nothing to count are estimated here; the others are
     // walked, `walks[j]` estimating `samplers[slot]`.
@@ -911,6 +935,8 @@ pub fn walk_phase(
             (0..Morsels::count(rows)).map(move |m| (j, Morsels::rows(m, rows)))
         })
         .collect();
+    prepare.arg("subjoins", samplers.len() as u64);
+    drop(prepare);
     let cancel = &ctx.cancel;
     let work = |claims: &Morsels, span: &mut SpanGuard<'_>| -> Result<Vec<(usize, Tally)>> {
         let mut scratch = JoinScratch::new();

@@ -129,8 +129,13 @@ impl Bindings {
 /// What a statement's bindings resolve against, built once per statement:
 /// its `$name` parameters and its inline literals.
 ///
-/// [`ParamTable::resolve`] then turns one [`Bindings`] into the statement's
-/// [`BoundValues`] without re-walking the query.
+/// [`ParamTable::resolve_into`] then writes one [`Bindings`]' values
+/// straight into a caller's flat buffer, in the statement's attribute
+/// order ([`ParamTable::attrs`]) with the literals folded in, without
+/// re-walking the query or allocating (but where a hand-built query binds
+/// one attribute by several terms, whose agreement is checked by merging
+/// them); [`ParamTable::resolve`] is the same resolution as a
+/// [`BoundValues`].
 #[derive(Debug, Clone)]
 pub struct ParamTable {
     /// `$name` parameters as `(name, attr)`, in first-occurrence order.
@@ -139,12 +144,36 @@ pub struct ParamTable {
     /// unusable (reported only after the parameters check out, as the
     /// per-call resolution always did).
     literals: Result<BoundValues>,
+    /// The attributes a resolved binding binds, ascending: the parameters'
+    /// and the literals'.
+    attrs: Vec<Attr>,
+    /// Each parameter's position in `attrs`, parallel to `params`.
+    param_at: Vec<usize>,
+    /// Each literal's position in `attrs` and its value.
+    literal_at: Vec<(usize, Value)>,
+    /// Whether some attribute is bound by more than one term, so that the
+    /// values of its terms must agree. A parsed statement interns each
+    /// parameter name and each literal to one attribute of its own, so
+    /// only a hand-built query can share one.
+    shared: bool,
 }
 
 impl ParamTable {
     /// The table of `query`.
     pub fn of(query: &JoinQuery) -> Self {
-        ParamTable { params: query.param_attrs(), literals: query.const_bindings() }
+        let params = query.param_attrs();
+        let literals = query.const_bindings();
+        let literal_pairs = literals.as_ref().map_or(&[][..], BoundValues::pairs);
+        let mut attrs: Vec<Attr> = params.iter().map(|&(_, a)| a).collect();
+        attrs.extend(literal_pairs.iter().map(|&(a, _)| a));
+        attrs.sort_unstable();
+        let terms = attrs.len();
+        attrs.dedup();
+        let at = |a: Attr| attrs.binary_search(&a).expect("every term's attribute is listed");
+        let param_at = params.iter().map(|&(_, a)| at(a)).collect();
+        let literal_at = literal_pairs.iter().map(|&(a, v)| (at(a), v)).collect();
+        let shared = attrs.len() < terms;
+        ParamTable { params, literals, attrs, param_at, literal_at, shared }
     }
 
     /// The `$name` parameters as `(name, attr)`, in first-occurrence order.
@@ -152,15 +181,45 @@ impl ParamTable {
         &self.params
     }
 
+    /// The attributes a resolved binding binds, ascending: the order of
+    /// the values [`ParamTable::resolve_into`] writes.
+    pub fn attrs(&self) -> &[Attr] {
+        &self.attrs
+    }
+
     /// Resolves one binding: every parameter must be bound (the first one
     /// that is not is named by [`Error::UnboundParam`]), every supplied
     /// name must be a parameter ([`Error::UnknownParam`] names the first
-    /// stray), and the inline literals are folded in.
+    /// stray), and the inline literals are folded in. The one allocation
+    /// is the returned set's.
     pub fn resolve(&self, bindings: &Bindings) -> Result<BoundValues> {
-        let mut pairs = Vec::with_capacity(self.params.len());
-        for (name, attr) in &self.params {
+        let mut pairs: Vec<(Attr, Value)> = self.attrs.iter().map(|&a| (a, 0)).collect();
+        self.resolve_with(bindings, |i, v| pairs[i].1 = v)?;
+        BoundValues::new(pairs)
+    }
+
+    /// Resolves one binding as [`ParamTable::resolve`] does, appending its
+    /// values to `out` in [`ParamTable::attrs`] order: one value per
+    /// attribute, literals included. On an error — the same one
+    /// `resolve` reports — `out` is left as it was.
+    pub fn resolve_into(&self, bindings: &Bindings, out: &mut Vec<Value>) -> Result<()> {
+        let start = out.len();
+        out.resize(start + self.attrs.len(), 0);
+        let row = &mut out[start..];
+        let resolved = self.resolve_with(bindings, |i, v| row[i] = v);
+        if resolved.is_err() {
+            out.truncate(start);
+        }
+        resolved
+    }
+
+    /// The one resolution: checks `bindings` in the order the errors are
+    /// reported and hands every attribute's value to `set` by its position
+    /// in `attrs`.
+    fn resolve_with(&self, bindings: &Bindings, mut set: impl FnMut(usize, Value)) -> Result<()> {
+        for ((name, _), &i) in self.params.iter().zip(&self.param_at) {
             match bindings.get(name) {
-                Some(v) => pairs.push((*attr, v)),
+                Some(v) => set(i, v),
                 None => return Err(Error::UnboundParam { name: name.clone() }),
             }
         }
@@ -170,12 +229,19 @@ impl ParamTable {
             }
         }
         let literals = self.literals.as_ref().map_err(Clone::clone)?;
-        let params = BoundValues::new(pairs)?;
-        if literals.is_empty() {
-            Ok(params)
-        } else {
-            literals.merged(&params)
+        for &(i, v) in &self.literal_at {
+            set(i, v);
         }
+        if self.shared {
+            // The terms of a shared attribute must agree: merging the
+            // parameters' and then the literals' selections names the
+            // conflict.
+            let params = self.params.iter().map(|(name, attr)| {
+                (*attr, bindings.get(name).expect("every parameter was found bound"))
+            });
+            literals.merged(&BoundValues::new(params.collect())?)?;
+        }
+        Ok(())
     }
 }
 
@@ -458,6 +524,92 @@ mod tests {
         assert_eq!(erased.atoms[0].schema, q.atoms[0].schema);
 
         assert_eq!(q.to_string(), "Q :- R1(5,b) ⋈ R2(b,$v)");
+    }
+
+    #[test]
+    fn resolve_into_appends_the_values_resolve_returns() {
+        // R1($w, b), R2(b, 5), R3(5, $v): parameters at attributes 0 and
+        // 2, the literal at 1.
+        let q = JoinQuery::new(
+            "Q",
+            vec![
+                Atom::with_terms(
+                    "R1",
+                    Schema::from_ids(&[0, 3]),
+                    vec![Term::Param("w".into()), Term::Var(Attr(3))],
+                ),
+                Atom::with_terms(
+                    "R2",
+                    Schema::from_ids(&[3, 1]),
+                    vec![Term::Var(Attr(3)), Term::Const(5)],
+                ),
+                Atom::with_terms(
+                    "R3",
+                    Schema::from_ids(&[1, 2]),
+                    vec![Term::Const(5), Term::Param("v".into())],
+                ),
+            ],
+        );
+        let table = ParamTable::of(&q);
+        assert_eq!(table.attrs(), &[Attr(0), Attr(1), Attr(2)]);
+        let mut out = vec![42];
+        for (v, w) in [(9, 8), (0, Value::MAX)] {
+            let b = Bindings::new().set("v", v).set("w", w);
+            let start = out.len();
+            table.resolve_into(&b, &mut out).unwrap();
+            let resolved = table.resolve(&b).unwrap();
+            let values: Vec<Value> = resolved.pairs().iter().map(|p| p.1).collect();
+            assert_eq!(&out[start..], values.as_slice());
+            assert_eq!(&out[start..], &[w, 5, v]);
+        }
+        // A failed resolution names what `resolve` names and leaves the
+        // buffer as it was.
+        let before = out.clone();
+        for b in [Bindings::new().set("w", 1), Bindings::new().set("v", 1).set("w", 1).set("u", 1)]
+        {
+            let err = table.resolve_into(&b, &mut out).unwrap_err();
+            assert_eq!(err, table.resolve(&b).unwrap_err());
+            assert_eq!(out, before);
+        }
+    }
+
+    #[test]
+    fn shared_attributes_must_agree_and_report_the_merge_conflict() {
+        // A hand-built query whose `$v`, `$w` and literal 5 all bind
+        // attribute 0, and whose `$u` binds attribute 1 beside literal 6.
+        let q = JoinQuery::new(
+            "Q",
+            vec![
+                Atom::with_terms(
+                    "R1",
+                    Schema::from_ids(&[0, 1]),
+                    vec![Term::Param("v".into()), Term::Param("u".into())],
+                ),
+                Atom::with_terms(
+                    "R2",
+                    Schema::from_ids(&[0, 1]),
+                    vec![Term::Param("w".into()), Term::Const(6)],
+                ),
+                Atom::with_terms("R3", Schema::from_ids(&[0]), vec![Term::Const(5)]),
+            ],
+        );
+        let table = ParamTable::of(&q);
+        assert_eq!(table.attrs(), &[Attr(0), Attr(1)]);
+        let bind = |v, w, u| Bindings::new().set("v", v).set("w", w).set("u", u);
+        let mut out = Vec::new();
+        table.resolve_into(&bind(5, 5, 6), &mut out).unwrap();
+        assert_eq!(out, [5, 6]);
+        // Parameters disagreeing on attribute 0 are named before a
+        // parameter disagreeing with a literal on attribute 1; with the
+        // parameters agreeing, the least literal conflict is named.
+        for (b, attr) in
+            [(bind(1, 2, 7), Attr(0)), (bind(5, 5, 7), Attr(1)), (bind(4, 4, 7), Attr(0))]
+        {
+            let want = Error::DuplicateAttr(attr.to_string());
+            assert_eq!(table.resolve(&b).unwrap_err(), want);
+            assert_eq!(table.resolve_into(&b, &mut out).unwrap_err(), want);
+            assert_eq!(out, [5, 6]);
+        }
     }
 
     #[test]

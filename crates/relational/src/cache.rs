@@ -234,6 +234,28 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Cache<K, V, S> {
         got
     }
 
+    /// [`Cache::get_if`] for each of `keys`, in order, under one lock:
+    /// `read(i, value)` reads the value under `keys[i]`, and slot `i` of
+    /// the result is what it made of it. Hits, misses and recency move
+    /// exactly as that many `get_if` calls would move them; each counter is
+    /// bumped once.
+    pub fn get_if_each<R>(
+        &self,
+        keys: &[K],
+        mut read: impl FnMut(usize, &V) -> Option<R>,
+    ) -> Vec<Option<R>> {
+        let got: Vec<Option<R>> = if self.capacity == 0 {
+            keys.iter().map(|_| None).collect()
+        } else {
+            let mut lru = self.lock();
+            keys.iter().enumerate().map(|(i, key)| lru.get_if(key, |v| read(i, v))).collect()
+        };
+        let hits = got.iter().filter(|g| g.is_some()).count();
+        bump(&self.hits, hits);
+        bump(&self.misses, keys.len() - hits);
+        got
+    }
+
     /// The value under `key`, or a claim to build it. A cold key hands
     /// back an exclusive claim; a key another caller is building makes
     /// this call wait, polling `keep_waiting` every millisecond, and come
@@ -549,6 +571,20 @@ mod tests {
                     // everything and carries on.
                     poison(&c);
                     model.drop_where(|_, _| true);
+                }
+                98 => {
+                    // One lock for several lookups: each as its own get_if.
+                    let keys: Vec<u8> = (0..rng.below(5)).map(|_| rng.below(6) as u8).collect();
+                    let ident = rng.below(2) as u8;
+                    let got = c.get_if_each(&keys, |i, v| {
+                        (v.ident == ident || i % 2 == 0).then_some((i, *v))
+                    });
+                    let want: Vec<Option<(usize, Val)>> = (keys.iter().enumerate())
+                        .map(|(i, &k)| {
+                            model.get(k, |v| v.ident == ident || i % 2 == 0).map(|v| (i, v))
+                        })
+                        .collect();
+                    assert_eq!(got, want, "{ctx}: get_if_each {keys:?}");
                 }
                 _ => {}
             }

@@ -15,9 +15,11 @@
 //!   (`memory_limit_bytes × num_workers`) divided by `max_concurrent` gives
 //!   each admitted query an equal share; a query whose *estimated* input
 //!   footprint exceeds its share is rejected before any work happens. The
-//!   estimate is the total bytes of the relations the query references —
-//!   a lower bound on what the HCube shuffle must materialize, so any
-//!   query it rejects would genuinely have breached the budget.
+//!   estimate is the total bytes of the relations the query references.
+//!   Every served execution joins over one trie per relation, indexed
+//!   whole, so the estimate is a lower bound on what the query's indexes
+//!   hold, and any query it rejects would genuinely have breached the
+//!   budget.
 //!
 //! Permits are RAII: dropping an [`AdmissionPermit`] releases the slot and
 //! wakes one waiter.

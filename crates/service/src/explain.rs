@@ -187,16 +187,26 @@ pub fn render(
     );
 
     // Straggler telemetry: each worker's final-join span time, off the
-    // trace's worker lanes (lane `w + 1` is worker `w`).
-    let mut per_lane: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
+    // trace's worker lanes (lane `w + 1` is worker `w`), and a spawned
+    // worker's lag from its dispatch to its first instruction.
+    let mut per_lane: std::collections::BTreeMap<u32, (u64, Option<u64>)> =
+        std::collections::BTreeMap::new();
     for e in trace.events.iter().filter(|e| e.name == "join" && e.lane > 0) {
-        *per_lane.entry(e.lane).or_insert(0) += e.dur_us;
+        let (us, lag) = per_lane.entry(e.lane).or_insert((0, None));
+        *us += e.dur_us;
+        if let Some(l) = e.args.get("start_lag_us") {
+            *lag = Some(lag.unwrap_or(0) + l);
+        }
     }
     if !per_lane.is_empty() {
-        let max_us = per_lane.values().copied().max().unwrap_or(0);
-        let min_us = per_lane.values().copied().min().unwrap_or(0);
-        let joins: Vec<String> =
-            per_lane.iter().map(|(lane, us)| format!("w{}={us}us", lane - 1)).collect();
+        let max_us = per_lane.values().map(|p| p.0).max().unwrap_or(0);
+        let min_us = per_lane.values().map(|p| p.0).min().unwrap_or(0);
+        let joins: Vec<String> = (per_lane.iter())
+            .map(|(lane, (us, lag))| match lag {
+                Some(lag) => format!("w{}={us}us(start_lag={lag}us)", lane - 1),
+                None => format!("w{}={us}us", lane - 1),
+            })
+            .collect();
         let _ = writeln!(
             out,
             "  worker join spans: {} straggler_spread_us={}",

@@ -62,17 +62,17 @@ pub struct ResultEntry {
 }
 
 impl ResultEntry {
-    /// The entry for `id`'s `output`, computed from `source` against
-    /// registration `epoch`.
-    pub fn new(id: &ResultId<'_>, source: ResultSource, epoch: u64, output: QueryOutput) -> Self {
-        ResultEntry {
-            plan_key: id.plan_key,
-            mode: id.mode,
-            binding: id.binding.clone(),
-            source,
-            epoch,
-            output,
-        }
+    /// The entry for `output`, the answer to `binding` under the plan key
+    /// and mode, computed from `source` against registration `epoch`.
+    pub fn new(
+        plan_key: u64,
+        mode: OutputMode,
+        binding: BoundValues,
+        source: ResultSource,
+        epoch: u64,
+        output: QueryOutput,
+    ) -> Self {
+        ResultEntry { plan_key, mode, binding, source, epoch, output }
     }
 
     /// What the entry was computed from.
@@ -119,7 +119,14 @@ mod tests {
     }
 
     fn entry(binding: &BoundValues, epoch: u64, n: u64) -> ResultEntry {
-        ResultEntry::new(&id(binding), source(), epoch, QueryOutput::Count(n))
+        ResultEntry::new(
+            7,
+            OutputMode::Count,
+            binding.clone(),
+            source(),
+            epoch,
+            QueryOutput::Count(n),
+        )
     }
 
     fn put(cache: &Cache<u64, ResultEntry>, key: u64, epoch: u64, n: u64) -> usize {

@@ -348,7 +348,8 @@ pub struct BatchOutcome {
     /// The output mode every binding ran under.
     pub mode: OutputMode,
     /// The batch's aggregate cost report: **one** bag pre-computation and
-    /// **one** unbound shuffle for the whole batch, plus the batched join.
+    /// **one** index round (the shape's tries, shared by every binding) for
+    /// the whole batch, plus the batched join.
     /// Zeroed but for the plan's share when every submission was served
     /// from the result cache.
     pub report: ExecutionReport,
@@ -368,8 +369,8 @@ pub struct BatchOutcome {
     /// End-to-end service-side seconds for the whole batch.
     pub total_secs: f64,
     /// The batch's span timeline — one trace tree covering admission, plan
-    /// lookup, the shared shuffle, and the batched join — when tracing was
-    /// on; `None` otherwise.
+    /// lookup, the shared index round, and the batched join — when tracing
+    /// was on; `None` otherwise.
     pub trace: Option<QueryTrace>,
 }
 
@@ -947,16 +948,17 @@ impl Service {
     /// (duplicates collapse onto one execution), warm bindings are answered
     /// from the per-binding result LRU, and the cold remainder runs as one
     /// [`adj_core::execute_plan`] call — the same executor every door uses,
-    /// here over many bindings: one bag pre-computation pass and one
-    /// *unbound* shuffle shared by every binding, then one Leapfrog pass
-    /// per worker that visits the bindings in sorted order with
+    /// here over many bindings: one bag pre-computation pass and one index
+    /// round (one trie per relation, the same warm family every binding and
+    /// the unbound query read) shared by every binding, then one Leapfrog
+    /// pass per worker that visits the bindings in sorted order with
     /// forward-galloping cursor reuse. Results come back **aligned with the
     /// submission order** and byte-identical to looping
     /// [`Service::execute_bound`] over the same submissions. Unlike the
     /// batch door, single bound calls never consult the result LRU.
     ///
     /// The outer `Err` is a whole-batch failure (unknown database,
-    /// admission rejection, a malformed binding, planning or shuffle
+    /// admission rejection, a malformed binding, planning or index-build
     /// failure, a worker panic). Per-binding errors inside
     /// [`BatchOutcome::results`] carry partial outcomes: on a mid-batch
     /// deadline or cancellation, bindings that completed keep their
@@ -980,53 +982,54 @@ impl Service {
         mode: OutputMode,
         deadline: Option<Duration>,
     ) -> Result<BatchOutcome, ServiceError> {
-        // Resolve every submission up front: a malformed binding (missing
-        // or unknown `$name`) fails the whole batch before any slot is
-        // held — batch inputs are validated as one request. Traced, this is
-        // the `bind` span, ahead of the pipeline's own.
+        // Resolve every submission up front, into one flat buffer of value
+        // rows in the statement's attribute order: a malformed binding
+        // (missing or unknown `$name`) fails the whole batch before any
+        // slot is held — batch inputs are validated as one request. Traced,
+        // this is the `bind` span, ahead of the pipeline's own.
         let tracer = self.tracer(false);
         let mut bind_span = tracer.span(COORDINATOR_LANE, "bind");
-        let mut resolved = Vec::with_capacity(bindings.len());
+        let table = &prepared.table;
+        let mut values = Vec::with_capacity(bindings.len() * table.attrs().len());
         for b in bindings {
-            resolved.push(self.failed(prepared.bind(b))?);
+            self.failed(table.resolve_into(b, &mut values))?;
         }
-        let batch = self.failed(BindingBatch::new(resolved))?;
-        bind_span.arg("bindings", batch.len() as u64);
+        let batch = self.failed(BindingBatch::new(table.attrs(), bindings.len(), &values))?;
+        drop(values);
+        let submissions = batch.len();
+        bind_span.arg("bindings", submissions as u64);
         bind_span.arg("unique", batch.unique_len() as u64);
         drop(bind_span);
         let deadline = deadline.or(self.config.default_deadline);
 
         // One pass through the pipeline for the whole batch: one memory
-        // charge (the batch shares one shuffle, so its input footprint is
-        // one query's), one admission slot, one plan lookup (every binding
-        // shares the statement's entry), one trace tree.
-        let run = |db: &Database, plan: &Arc<QueryPlan>, key: u64, ctx: &ExecCtx<'_>| {
-            // Skim the result LRU: warm uniques are answered without
-            // executing; the cold remainder forms the driver batch.
+        // charge (the batch joins over one index family, so its input
+        // footprint is one query's), one admission slot, one plan lookup
+        // (every binding shares the statement's entry), one trace tree.
+        let run = move |db: &Database, plan: &Arc<QueryPlan>, key: u64, ctx: &ExecCtx<'_>| {
+            let (mut unique, slot_of) = batch.into_parts();
+            let id = |binding| ResultId { plan_key: key, mode, binding };
+            // Skim the result LRU under one lock: warm uniques are answered
+            // without executing; the cold remainder forms the driver batch.
             // Per-unique outcomes hold the library error type (cloneable)
             // and are mapped to ServiceError per submission at demux. The
             // skim and the inserts after the join are each a
             // `result_cache` span.
             let mut skim_span = ctx.tracer.span(COORDINATOR_LANE, "result_cache");
+            let keys: Vec<u64> = unique.iter().map(|b| Self::result_key(&id(b))).collect();
             let mut unique_results: Vec<Option<adj_relational::Result<QueryOutput>>> =
-                vec![None; batch.unique_len()];
-            let mut cold = Vec::new();
-            let mut cold_slots = Vec::new();
-            for (u, binding) in batch.unique().iter().enumerate() {
-                let id = ResultId { plan_key: key, mode, binding };
-                let result_key = Self::result_key(&id);
-                match self.results.get_if(&result_key, |e| e.answer(&id)) {
-                    Some(out) => unique_results[u] = Some(Ok(out)),
-                    None => {
-                        cold.push(binding.clone());
-                        cold_slots.push((u, result_key));
-                    }
-                }
+                self.results.get_if_each(&keys, |u, e| e.answer(&id(&unique[u])).map(Ok));
+            let (mut cold, mut cold_slots) = (Vec::new(), Vec::new());
+            for (u, _) in unique_results.iter().enumerate().filter(|(_, hit)| hit.is_none()) {
+                // A cold binding moves on into the driver batch, and from
+                // there into its result's LRU entry.
+                cold.push(std::mem::take(&mut unique[u]));
+                cold_slots.push(u);
             }
             let result_cache_hits =
-                batch.slot_of().iter().filter(|&&u| unique_results[u].is_some()).count();
+                slot_of.iter().filter(|&&u| unique_results[u].is_some()).count();
             let unique_executed = cold.len();
-            skim_span.arg("hits", (batch.unique_len() - unique_executed) as u64);
+            skim_span.arg("hits", (unique.len() - unique_executed) as u64);
             skim_span.arg("misses", unique_executed as u64);
             drop(skim_span);
 
@@ -1037,7 +1040,6 @@ impl Service {
                     adj_core::execute_plan(&self.adj, db, plan, mode, &cold, ctx)?;
                 report = batch_report;
                 let mut insert_span = ctx.tracer.span(COORDINATOR_LANE, "result_cache");
-                let mut evictions = 0u64;
                 // Results are forgotten with the registration they ran on,
                 // and kept only while their plan key is the shape's current
                 // one: a mutation that ran meanwhile superseded it. The
@@ -1053,32 +1055,41 @@ impl Service {
                     .is_some_and(|e| e.epoch == epoch && e.plan_key_of(&source) == key);
                 #[cfg(test)]
                 tests::before_result_inserts();
-                for ((u, result_key), res) in cold_slots.into_iter().zip(slot_results) {
-                    if let (Ok(out), true) = (&res, keep) {
-                        let id = ResultId { plan_key: key, mode, binding: &batch.unique()[u] };
-                        let entry = ResultEntry::new(&id, source.clone(), epoch, out.clone());
-                        evictions += self.results.insert(result_key, entry) as u64;
+                let mut evictions = 0;
+                for ((binding, &u), res) in cold.into_iter().zip(&cold_slots).zip(&slot_results) {
+                    if let (Ok(out), true) = (res, keep) {
+                        let source = source.clone();
+                        let entry =
+                            ResultEntry::new(key, mode, binding, source, epoch, out.clone());
+                        evictions += self.results.insert(keys[u], entry);
                     }
-                    unique_results[u] = Some(res);
                 }
                 drop(dbs);
-                insert_span.arg("evictions", evictions);
+                for (u, res) in cold_slots.into_iter().zip(slot_results) {
+                    unique_results[u] = Some(res);
+                }
+                insert_span.arg("evictions", evictions as u64);
             }
 
             // Demultiplex per submission, mapping library errors into
             // service errors (filling in the effective deadline the
-            // executor cannot know). Deadline/cancel slots count once in
-            // the fault counters — the batch itself still succeeded
-            // partially.
+            // executor cannot know). Each unique's outcome moves to the last
+            // submission that reads it; only the ones before clone it.
+            // Deadline/cancel slots count once in the fault counters — the
+            // batch itself still succeeded partially.
+            let mut last = vec![0; unique.len()];
+            for (i, &u) in slot_of.iter().enumerate() {
+                last[u] = i;
+            }
             let mut any_deadline = false;
             let mut any_cancel = false;
-            let results: Vec<Result<QueryOutput, ServiceError>> = batch
-                .slot_of()
-                .iter()
-                .map(|&u| {
-                    match unique_results[u].as_ref().expect("every unique resolved or executed") {
-                        Ok(out) => Ok(out.clone()),
-                        Err(e) => Err(match ServiceError::from(e.clone()) {
+            let results: Vec<Result<QueryOutput, ServiceError>> = (slot_of.iter().enumerate())
+                .map(|(i, &u)| {
+                    let slot = &mut unique_results[u];
+                    let outcome = if last[u] == i { slot.take() } else { slot.clone() };
+                    match outcome.expect("every unique resolved or executed") {
+                        Ok(out) => Ok(out),
+                        Err(e) => Err(match ServiceError::from(e) {
                             ServiceError::DeadlineExceeded { .. } => {
                                 any_deadline = true;
                                 ServiceError::DeadlineExceeded { deadline }
@@ -1106,7 +1117,7 @@ impl Service {
         let served =
             self.serve(&prepared.db_name, &prepared.query, fingerprint, deadline, tracer, run)?;
         let BatchRun { results, result_cache_hits, unique_executed } = served.payload;
-        self.metrics.record_batch(batch.len() as u64, result_cache_hits as u64);
+        self.metrics.record_batch(submissions as u64, result_cache_hits as u64);
         Ok(BatchOutcome {
             results,
             mode,
@@ -1604,7 +1615,7 @@ impl Service {
     }
 
     /// Lower bound on the bytes a query materializes: the payload of every
-    /// referenced relation (each must be resident somewhere to shuffle).
+    /// referenced relation (each is indexed whole).
     /// Relations the database lacks contribute 0 here; the executor reports
     /// the precise missing-relation error during planning.
     fn estimate_input_bytes(db: &Database, query: &JoinQuery) -> usize {
@@ -2479,7 +2490,10 @@ mod tests {
         let binding = BoundValues::new(vec![(Attr(0), 3)]).unwrap();
         let id = ResultId { plan_key: key, mode: OutputMode::Count, binding: &binding };
         let forged = Service::result_key(&id) ^ 1;
-        let count = |n| ResultEntry::new(&id, source.clone(), entry.epoch, QueryOutput::Count(n));
+        let count = |n| {
+            let (binding, output) = (binding.clone(), QueryOutput::Count(n));
+            ResultEntry::new(key, OutputMode::Count, binding, source.clone(), entry.epoch, output)
+        };
         service.results.insert(forged, count(1));
         let err = service.check_invariants().unwrap_err();
         assert!(err.contains("not its own key"), "{err}");
@@ -2514,7 +2528,9 @@ mod tests {
             mode: OutputMode::Count,
             binding: &binding,
         };
-        let forged = ResultEntry::new(&id, source, entry.epoch, QueryOutput::Count(1));
+        let (epoch, binding) = (entry.epoch, id.binding.clone());
+        let forged =
+            ResultEntry::new(id.plan_key, id.mode, binding, source, epoch, QueryOutput::Count(1));
         service.results.insert(Service::result_key(&id), forged);
         let err = service.check_invariants().unwrap_err();
         assert!(err.contains("superseded plan key"), "{err}");

@@ -1,4 +1,4 @@
-//! The allocation budget of a warm bound call.
+//! The allocation budget of a warm bound call and a warm batch.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator, and every
 //! check below counts what one front-door call allocates once the plan,
@@ -7,6 +7,9 @@
 //! * a width-1 `execute_bound` in Rows mode and in Count mode stays within
 //!   [`ROWS_BUDGET`] and [`COUNT_BUDGET`] — allocations and bytes per call,
 //!   averaged over a fixed set of bindings;
+//! * a width-1 `execute_batch` of 512 Zipf draws, every distinct binding
+//!   of which the result LRU holds, stays within [`BATCH_BUDGET`] —
+//!   allocations and bytes per submission;
 //! * a width-1 unbound `COUNT` of the 4-cycle Q8, counted by bags (its
 //!   bags' walks, cursors and count tables all lent), stays within
 //!   [`COUNT_BUDGET`] too;
@@ -45,6 +48,15 @@
 //! binding and one more index lookup list for the relation its second bag
 //! reads as `d → c`. Any count above that is a buffer the lent scratch no
 //! longer covers.
+//!
+//! A warm batch allocates per submission only the rows it hands back: each
+//! submission's output is a relation (its schema and its rows, two
+//! allocations when it has rows), moved out of the LRU's copy for a
+//! binding's last submission and cloned for the ones before. Per distinct
+//! binding it allocates its resolved binding; per batch, its flat value
+//! buffer, the sort keys, the slot map and the skim's and demux's vectors.
+//! Resolving a submission allocates nothing, so a count above the budget
+//! is an allocation per submission on the door's path.
 
 use adj::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -59,6 +71,10 @@ const ROWS_BUDGET: (f64, f64) = (9.0, 1088.0);
 
 /// The same in Count mode.
 const COUNT_BUDGET: (f64, f64) = (7.0, 992.0);
+
+/// Allocations and bytes per submission of a warm width-1 `execute_batch`
+/// of 512 Zipf draws whose every distinct binding the result LRU holds.
+const BATCH_BUDGET: (f64, f64) = (2.24, 202.0);
 
 /// Counts every allocation the process makes.
 struct Counting;
@@ -192,6 +208,62 @@ fn a_warm_width_one_bound_call_stays_within_its_budget() {
                  against a budget of {max_allocs} and {max_bytes}"
             );
         }
+    }
+    service.check_invariants().unwrap();
+}
+
+/// A width-1 service over the same WB stand-in with the result LRU on, and
+/// 512 Zipf draws of the bound vertex: a batch of hot vertices, many of
+/// them repeated.
+fn batch_setup() -> (Service, PreparedQuery, Vec<Bindings>) {
+    let graph = Dataset::WB.graph(0.1);
+    let db = paper_query(PaperQuery::Q1).instantiate(&graph);
+    let config = ServiceConfig {
+        adj: AdjConfig { cluster: ClusterConfig::with_workers(1), ..Default::default() },
+        ..Default::default()
+    };
+    let service = Service::new(config);
+    service.register_database("g", db);
+    let (prepared, _) = service.prepare_text("g", BOUND_TEXT).unwrap();
+    let draws = adj::datagen::binding_workload(
+        &graph,
+        &adj::datagen::BindingWorkloadConfig { count: 512, column: 0, exponent: 0.6, seed: 5 },
+    );
+    let bindings = draws.iter().map(|&v| Bindings::new().set("v", v)).collect();
+    (service, prepared, bindings)
+}
+
+#[test]
+fn a_warm_width_one_batch_stays_within_its_budget_per_submission() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (service, prepared, bindings) = batch_setup();
+    // Warm-up: the first batch fills the result LRU with every distinct
+    // binding, so every later one is answered from it.
+    for _ in 0..3 {
+        service.execute_batch(&prepared, &bindings, OutputMode::Rows).unwrap();
+    }
+    let calls = 8;
+    let (mut allocs, mut bytes) = (0, 0);
+    for _ in 0..calls {
+        let mut out = None;
+        let (a, n) = counted_here(|| {
+            out = Some(service.execute_batch(&prepared, &bindings, OutputMode::Rows).unwrap())
+        });
+        let out = out.unwrap();
+        assert_eq!(out.result_cache_hits, bindings.len(), "every submission is warm");
+        assert!(out.unique_executed == 0 && out.results.iter().all(Result::is_ok));
+        (allocs, bytes) = (allocs + a, bytes + n);
+    }
+    let submissions = (calls * bindings.len()) as f64;
+    let (allocs, bytes) = (allocs as f64 / submissions, bytes as f64 / submissions);
+    eprintln!("warm batch: {allocs:.3} allocations, {bytes:.1} bytes per submission");
+    let (max_allocs, max_bytes) = BATCH_BUDGET;
+    if cfg!(not(debug_assertions)) {
+        assert!(
+            allocs <= max_allocs && bytes <= max_bytes,
+            "warm batch: {allocs:.3} allocations and {bytes:.1} bytes per submission, \
+             against a budget of {max_allocs} and {max_bytes}"
+        );
     }
     service.check_invariants().unwrap();
 }

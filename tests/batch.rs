@@ -8,9 +8,11 @@
 //! submissions execute once, a repeated batch is served wholesale from
 //! the per-binding result cache, deadlines surface as typed errors, and
 //! concurrent cold misses on one index-cache entry coalesce to a single
-//! build.
+//! build. The batch normal form itself is checked against the slice-compare
+//! algorithm it replaced, on a statement with two parameters and a literal.
 
 use adj::prelude::*;
+use adj::query::ParamTable;
 use std::time::Duration;
 
 const STRATEGIES: [Strategy; 2] = [Strategy::CoOptimize, Strategy::CommFirst];
@@ -477,5 +479,127 @@ fn an_over_budget_binding_fails_alone_beside_its_neighbours_in_one_morsel() {
             }
             service.check_invariants().unwrap();
         }
+    }
+}
+
+/// Q4's 5-cycle with a chord, `a` and `d` bound by `$v` and `$w`, and `e`
+/// pinned to the inline literal 5: a binding is three values.
+const TWO_PARAMS_AND_A_LITERAL: &str =
+    "Q(b,c) :- R1($v,b), R2(b,c), R3(c,$w), R4($w,5), R5(5,$v), R6(b,5)";
+
+/// The batch normal form as it was built by comparing resolved bindings'
+/// `(attribute, value)` slices: submission indices sorted by their pairs,
+/// and each run of equal ones moved into one unique. Kept only as the
+/// oracle of the packed-key normal form.
+fn slice_compare_normal_form(mut bindings: Vec<BoundValues>) -> (Vec<BoundValues>, Vec<usize>) {
+    let mut order: Vec<usize> = (0..bindings.len()).collect();
+    order.sort_unstable_by(|&a, &b| bindings[a].pairs().cmp(bindings[b].pairs()));
+    let mut unique: Vec<BoundValues> = Vec::new();
+    let mut slot_of = vec![0; bindings.len()];
+    for i in order {
+        if unique.last().is_none_or(|u| u.pairs() != bindings[i].pairs()) {
+            unique.push(std::mem::take(&mut bindings[i]));
+        }
+        slot_of[i] = unique.len() - 1;
+    }
+    (unique, slot_of)
+}
+
+#[test]
+fn a_two_parameter_batch_with_a_literal_normalizes_and_answers_like_its_bound_calls() {
+    // The test graph, with vertices 0 and u32::MAX joined both ways to a
+    // few of its vertices and to the literal 5.
+    let max = Value::MAX;
+    let mut edges: Vec<(Value, Value)> = graph().rows().map(|r| (r[0], r[1])).collect();
+    for x in [0, max] {
+        for y in [1, 5, 7, 12, 17, 30] {
+            edges.extend([(x, y), (y, x)]);
+        }
+    }
+    let g = Relation::from_pairs(Attr(0), Attr(1), &edges);
+    let db = paper_query(PaperQuery::Q4).instantiate(&g);
+    let (q, _) = parse_query(TWO_PARAMS_AND_A_LITERAL).unwrap();
+
+    // 300 submissions over 40 value pairs, in a seeded shuffled order:
+    // most submissions repeat an earlier one.
+    let (vs, ws) = ([max, 0, 1, 5, 12, 17, 30, 999], [7, max, 0, 3, 12]);
+    let mut state = 0x5eed_u64;
+    let mut draw = |n: usize| {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize % n
+    };
+    let submissions: Vec<(Value, Value)> =
+        (0..300).map(|_| (vs[draw(vs.len())], ws[draw(ws.len())])).collect();
+    let bindings: Vec<Bindings> =
+        submissions.iter().map(|&(v, w)| Bindings::new().set("v", v).set("w", w)).collect();
+
+    // The normal form: unique order and slots as the slice compare made
+    // them, over the statement's three attributes.
+    let table = ParamTable::of(&q);
+    assert_eq!(table.attrs().len(), 3, "two parameters and a literal");
+    let mut values = Vec::new();
+    for b in &bindings {
+        table.resolve_into(b, &mut values).unwrap();
+    }
+    let batch = BindingBatch::new(table.attrs(), bindings.len(), &values).unwrap();
+    let resolved: Vec<BoundValues> = bindings.iter().map(|b| table.resolve(b).unwrap()).collect();
+    let (unique, slot_of) = slice_compare_normal_form(resolved);
+    assert_eq!(batch.unique(), unique.as_slice());
+    assert_eq!(batch.slot_of(), slot_of.as_slice());
+    assert!(unique.len() <= 40 && unique.len() > 20, "{} uniques", unique.len());
+    for end in [0, max] {
+        assert!(unique.iter().any(|u| u.pairs().iter().any(|p| p.1 == end)), "{end} is bound");
+    }
+
+    // Every slot equals its own bound call, at widths 1 and 2 in every
+    // mode; each distinct binding's bound call runs once.
+    for workers in [1, 2] {
+        let service = Service::new(ServiceConfig {
+            adj: AdjConfig { cluster: ClusterConfig::with_workers(workers), ..Default::default() },
+            ..Default::default()
+        });
+        service.register_database("g", db.clone());
+        let prepared = service.prepare("g", &q).unwrap();
+        for mode in MODES {
+            let out = service.execute_batch(&prepared, &bindings, mode).unwrap();
+            assert_eq!(out.unique_executed, unique.len(), "w{workers} {mode:?}");
+            let mut bound: std::collections::HashMap<(Value, Value), QueryOutput> =
+                std::collections::HashMap::new();
+            let mut answered = 0;
+            for ((&(v, w), b), got) in submissions.iter().zip(&bindings).zip(&out.results) {
+                let want = bound
+                    .entry((v, w))
+                    .or_insert_with(|| service.execute_bound(&prepared, b, mode).unwrap().output);
+                assert_eq!(got.as_ref().unwrap(), &*want, "w{workers} {mode:?} v={v} w={w}");
+                answered += match want {
+                    QueryOutput::Rows(rows) => !rows.is_empty(),
+                    QueryOutput::Count(n) => *n > 0,
+                    QueryOutput::Exists(any) => *any,
+                } as usize;
+            }
+            assert!(answered > 0, "w{workers} {mode:?}: some binding has an answer");
+        }
+
+        // Several malformed submissions: the batch fails with the first
+        // one's error, as its own bound call names it.
+        let ok = Bindings::new().set("v", 1u32).set("w", 7u32);
+        let malformed = [
+            vec![ok.clone(), Bindings::new().set("v", 1u32), ok.clone().set("x", 2u32)],
+            vec![ok.clone(), ok.clone().set("$x", 2u32), Bindings::new().set("w", 1u32)],
+            vec![Bindings::new().set("w", 3u32), Bindings::new(), ok.clone().set("y", 0u32)],
+        ];
+        for batch in malformed {
+            let first = batch
+                .iter()
+                .find_map(|b| service.execute_bound(&prepared, b, OutputMode::Count).err())
+                .expect("a malformed submission");
+            let got = service.execute_batch(&prepared, &batch, OutputMode::Count).unwrap_err();
+            match (&got, &first) {
+                (ServiceError::Exec(got), ServiceError::Exec(want)) => assert_eq!(got, want),
+                _ => panic!("w{workers}: batch {got:?}, bound call {first:?}"),
+            }
+        }
+        service.check_invariants().unwrap();
     }
 }

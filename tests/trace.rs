@@ -188,6 +188,13 @@ fn cold_optimize_span_shows_what_the_optimizer_shared() {
         let tasks: u64 =
             trace.events_named("plan_build").iter().filter_map(|e| e.args.get("tasks")).sum();
         assert!(tasks >= arg("tries_built"), "width {width}: {tasks} build tasks");
+        // Between the phases the coordinator prepares the walks, under
+        // `plan_prepare` spans on its own lane: one per walk phase, each
+        // counting the sub-joins it prepared.
+        let prepares = trace.events_named("plan_prepare");
+        assert!(prepares.iter().all(|e| e.lane == COORDINATOR_LANE), "width {width}");
+        let prepared: u64 = prepares.iter().filter_map(|e| e.args.get("subjoins")).sum();
+        assert_eq!(prepared, arg("subjoins_sampled"), "width {width}");
     }
 }
 
@@ -225,6 +232,28 @@ fn explain_analyze_actuals_match_the_execution_report() {
     // One lane line per worker in the partition fill.
     for w in 0..WORKERS {
         assert!(rendered.contains(&format!("w{w}=")), "{rendered}");
+    }
+}
+
+#[test]
+fn explain_analyze_prints_each_spawned_workers_start_lag() {
+    // A join of many morsels runs its workers past the first on threads of
+    // their own, when the machine has more than one; each says how long
+    // it took from its dispatch to its first instruction.
+    let q = paper_query(PaperQuery::Q1);
+    let service = service_with(Strategy::CoOptimize, None);
+    service.register_database("g", q.instantiate(&Dataset::WB.graph(0.5)));
+    let rendered =
+        service.explain_text("g", "EXPLAIN ANALYZE COUNT(R1(a,b), R2(b,c), R3(a,c))").unwrap();
+    let spans = rendered.lines().find(|l| l.contains("worker join spans:")).unwrap();
+    let entry = |w: usize| {
+        let entry = spans.split(' ').find(|s| s.starts_with(&format!("w{w}=")));
+        entry.unwrap_or_else(|| panic!("no w{w} in {spans}"))
+    };
+    assert!(!entry(0).contains("start_lag"), "worker 0 is never dispatched: {spans}");
+    let spawns = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+    for w in 1..WORKERS {
+        assert_eq!(entry(w).contains("us(start_lag="), spawns, "w{w}: {spans}");
     }
 }
 
